@@ -26,18 +26,25 @@ def _mat_vec(A, x):
     return [sum(A[i][j] * x[j] for j in range(len(x))) for i in range(len(A))]
 
 
-def smith_normal_form(A):
+def smith_normal_form(A, *, with_u=True, with_v=True):
     """Smith normal form with transforms: returns (D, U, V) with D = U*A*V,
-    U, V unimodular, D diagonal with d1 | d2 | ... and nonnegative entries."""
+    U, V unimodular, D diagonal with d1 | d2 | ... and nonnegative entries.
+
+    The keyword-only flags `with_u` and `with_v` (both on by default) ask for
+    U and V.  A transform that is not asked for is not computed and comes
+    back as [].  D, and each transform that is asked for, are the same
+    whatever the flags.
+    """
     n = len(A)
     m = len(A[0]) if n else 0
     D = [row[:] for row in A]
-    U = _identity(n)
-    V = _identity(m)
+    U = _identity(n) if with_u else []
+    V = _identity(m) if with_v else []
 
     def row_op(i, j, q):  # row_i -= q * row_j
         D[i] = [a - q * b for a, b in zip(D[i], D[j])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
+        if with_u:
+            U[i] = [a - q * b for a, b in zip(U[i], U[j])]
 
     def col_op(i, j, q):  # col_i -= q * col_j
         for row in D:
@@ -47,13 +54,19 @@ def smith_normal_form(A):
 
     def swap_rows(i, j):
         D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
+        if with_u:
+            U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for row in D:
             row[i], row[j] = row[j], row[i]
         for row in V:
             row[i], row[j] = row[j], row[i]
+
+    def negate_row(i):
+        D[i] = [-a for a in D[i]]
+        if with_u:
+            U[i] = [-a for a in U[i]]
 
     def pivot_at(t):
         best = None
@@ -71,6 +84,15 @@ def smith_normal_form(A):
             break
         swap_rows(t, pos[0])
         swap_cols(t, pos[1])
+        if not with_v and not any(any(D[i][t:]) for i in range(t + 1, n)):
+            # No nonzero row is left below row t, so clearing row t takes
+            # column operations only: they leave U alone and end with
+            # D[t][t] = +-gcd of the row, with the sign of the pivot,
+            # because floor remainders keep the divisor's sign.
+            g = gcd(*D[t][t:])
+            D[t][t:] = [g if D[t][t] > 0 else -g] + [0] * (m - t - 1)
+            t += 1
+            continue
         cleared = False
         while not cleared:
             cleared = True
@@ -94,8 +116,7 @@ def smith_normal_form(A):
     # sign normalization
     for i in range(rank):
         if D[i][i] < 0:
-            D[i] = [-a for a in D[i]]
-            U[i] = [-a for a in U[i]]
+            negate_row(i)
     # enforce divisibility chain
     changed = True
     while changed:
@@ -121,11 +142,9 @@ def smith_normal_form(A):
                         if D[i][i + 1] != 0:
                             swap_cols(i, i + 1)
                 if D[i][i] < 0:
-                    D[i] = [-a for a in D[i]]
-                    U[i] = [-a for a in U[i]]
+                    negate_row(i)
                 if D[i + 1][i + 1] < 0:
-                    D[i + 1] = [-a for a in D[i + 1]]
-                    U[i + 1] = [-a for a in U[i + 1]]
+                    negate_row(i + 1)
     return D, U, V
 
 
@@ -133,7 +152,7 @@ def kernel_basis(A):
     """Columns x with A x = 0; returns a list of basis column vectors."""
     n = len(A)
     m = len(A[0]) if n else 0
-    D, U, V = smith_normal_form(A)
+    D, _, V = smith_normal_form(A, with_u=False)
     out = []
     for j in range(m):
         if j >= min(n, m) or D[j][j] == 0:
@@ -144,7 +163,7 @@ def kernel_basis(A):
 def lattice_index(B):
     """Index [Z^n : L] for the lattice L spanned by the columns of B
     (requires full rank n); the product of SNF diagonal entries."""
-    D, _, _ = smith_normal_form(B)
+    D, _, _ = smith_normal_form(B, with_u=False, with_v=False)
     n = len(B)
     idx = 1
     for i in range(n):
@@ -301,7 +320,7 @@ def smith_presentation(relations, ambient_rank: int) -> FiniteAbelianGroup:
         rows = [[0] * ambient_rank] if ambient_rank else []
     # columns of R^T span the relation lattice
     A = [[rows[i][j] for i in range(len(rows))] for j in range(ambient_rank)]
-    D, U, V = smith_normal_form(A)
+    D, U, _ = smith_normal_form(A, with_v=False)
     diag = [D[i][i] if i < (len(D[0]) if D else 0) else 0
             for i in range(ambient_rank)]
     tor_idx = [i for i in range(ambient_rank) if diag[i] > 1]

@@ -7,6 +7,7 @@ of conductor p^(N+1), together with Frobenius images, the degree map
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .abgroup import (FiniteAbelianGroup, GroupElement,
                       solve_congruence_lattice)
@@ -140,7 +141,6 @@ def _cyc_hom_on_invariants(rc, p: int, M: int):
     for row in rc.relations:
         s = sum(a * c for a, c in zip(row, c_ambient)) % mod
         assert s == 0, "cyclotomic map is inconsistent with the relations"
-    U = rc.presentation.transform  # rows for kept coordinates only
     # recover phi on invariant coordinates: solve c = phi o U over kept rows
     # using the full unimodular transform stored in the presentation
     return _transport_hom(rc, c_ambient, mod)
@@ -152,7 +152,6 @@ def _transport_hom(rc, c_ambient, mod):
     With z = U x the invariant coordinates, the hom c.x becomes y.z for
     y = c U^{-1}; coordinates whose order is prime to p must carry y_i = 0.
     """
-    from fractions import Fraction
     n = rc.ambient_rank
     U = rc.full_transform
     A = [[Fraction(U[i][j]) for i in range(n)] for j in range(n)]  # U^T
@@ -170,7 +169,6 @@ def _transport_hom(rc, c_ambient, mod):
 
 def _solve_linear(A, rhs):
     """Solve A x = rhs over the rationals (A square, invertible)."""
-    from fractions import Fraction
     n = len(A)
     M = [row[:] + [rhs[i]] for i, row in enumerate(A)]
     for col in range(n):

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .abgroup import element_order
 from .iwasawa import _check_q_pair, mq_order
 from .localize import (INDET, TRUE, FALSE, completions_above_p, eq_membership,
                        is_loc_torsion, loc, zp_matrix_rank, RankReport)
 from .ntheory import factorint
 from .padic import PAdicNumber, PrecisionError, vp
 from .quadfield import (FieldElement, RealQuadraticField, SUnitBasisData,
-                        SUnitBasisEntry, SUnitProduct, fundamental_unit,
-                        ideal_valuation, prime_ideals_above,
+                        SUnitBasisEntry, SUnitProduct, class_group,
+                        fundamental_unit, ideal_valuation, prime_ideals_above,
                         principal_generator, rational_ideal)
 
 
@@ -91,7 +92,6 @@ def construct_alpha(K: RealQuadraticField, p: int, Q, N: int) \
     clg_h = 1
     w_exp = 0
     if not K.is_rational:
-        from .quadfield import class_group
         clg = class_group(K)
         clg_h = clg.h
         for d in clg.invariant_factors:
@@ -155,8 +155,6 @@ def construct_alpha(K: RealQuadraticField, p: int, Q, N: int) \
 def _class_order(K, q) -> int:
     if K.is_rational:
         return 1
-    from .abgroup import element_order
-    from .quadfield import class_group
     clg = class_group(K)
     if not clg.gen_orders:
         return 1

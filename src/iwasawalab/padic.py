@@ -176,11 +176,16 @@ class PAdicNumber:
             x = other if self.m is None else self
             if x.v >= A:
                 return PAdicNumber.zero_marker(p, A)
-            return PAdicNumber.from_residue(x.m * p**x.v % p**A, p, A)
-        if min(self.v, other.v) >= A:
-            return PAdicNumber.zero_marker(p, A)
-        s = (self.m * p**self.v + other.m * p**other.v) % p**A
-        return PAdicNumber.from_residue(s, p, A)
+            s = min(x.v, 0)
+            r = x.m * p**(x.v - s)
+        else:
+            if min(self.v, other.v) >= A:
+                return PAdicNumber.zero_marker(p, A)
+            s = min(self.v, other.v, 0)
+            r = self.m * p**(self.v - s) + other.m * p**(other.v - s)
+        # r is p^-s times the sum, an integer even when a valuation is < 0
+        y = PAdicNumber.from_residue(r, p, A - s)
+        return PAdicNumber(p, y.v + s, y.m, y.digits) if s else y
 
     def __sub__(self, other):
         return self + (-other)

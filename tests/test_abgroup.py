@@ -62,6 +62,56 @@ def test_snf_properties(A):
         assert b % a == 0
 
 
+def _snf_cases():
+    """300 matrices up to 4x4 with |entries| <= 2^8, about a third of the
+    entries 0, drawn once from a fixed seed."""
+    rng = random.Random(0)
+    cases = []
+    for _ in range(300):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        cases.append([[rng.choice((0, rng.randint(-2**8, 2**8),
+                                   rng.randint(-2**8, 2**8)))
+                       for _ in range(m)] for _ in range(n)])
+    return cases
+
+
+SNF_CASES = _snf_cases()
+
+
+def test_snf_transform_flags_agree_with_full_call():
+    for A in SNF_CASES:
+        D, U, V = smith_normal_form(A)
+        assert mat_mul(mat_mul(U, A), V) == D
+        for with_u, with_v in itertools.product((True, False), repeat=2):
+            D2, U2, V2 = smith_normal_form(A, with_u=with_u, with_v=with_v)
+            assert D2 == D
+            assert U2 == (U if with_u else [])
+            assert V2 == (V if with_v else [])
+
+
+def test_snf_q79_ray_class_relations_u_only():
+    # a ray-class relation matrix captured while building alpha for Q(sqrt 79)
+    A = [[15251194969974, 0, 7625597484987, 4192643766891, -11212799052631],
+         [0, 15251194969974, 7625597484987, 11058551203083, -14905223429924],
+         [0, 0, 0, 0, 3]]
+    D, U, V = smith_normal_form(A, with_v=False)
+    assert [D[i][i] for i in range(3)] == [1, 9, 15251194969974]
+    assert all(D[i][j] == 0 for i in range(3) for j in range(5) if i != j)
+    assert abs(det(U)) == 1
+    assert V == []
+
+
+def test_snf_diagonal_against_sympy():
+    pytest.importorskip("sympy")
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    for A in SNF_CASES:
+        D, _, _ = smith_normal_form(A, with_u=False, with_v=False)
+        S = sympy_snf(Matrix(A), domain=ZZ)
+        k = min(len(A), len(A[0]))
+        assert [D[i][i] for i in range(k)] == [abs(S[i, i]) for i in range(k)]
+
+
 def test_presentation_diag_2_3():
     G = smith_presentation([[2, 0], [0, 3]], 2)
     assert G.invariant_factors == (6,)

@@ -1,0 +1,83 @@
+"""Golden CLI gate: the stdout of fixed CLI calls, compared byte for byte.
+
+Each case is (name, exit code, argv); its recorded stdout is
+``tests/golden/<name>.out``.  Re-record every golden with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff: a golden changes only when an answer is meant to.
+"""
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from iwasawalab.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+CASES = [
+    # the examples of README.md
+    ("readme-mq", 0,
+     ["mq", "--field", "Q", "--p", "3", "--q1", "2", "--q2", "5",
+      "--prec", "3"]),
+    ("readme-alpha", 0,
+     ["alpha", "--field", "Q(sqrt{79})", "--p", "3", "--q1", "2",
+      "--q2", "5a", "--prec", "2"]),
+    ("readme-leopoldt", 0,
+     ["leopoldt", "--field", "Q(sqrt{2})", "--p", "5"]),
+    ("readme-even-check", 0,
+     ["even-check", "--field", "Q", "--p", "3", "--q", "7", "--prec", "2"]),
+    ("readme-scan", 0,
+     ["--format", "json", "scan", "--dmax", "50", "--primes", "3,5,7"]),
+    ("readme-selftest", 0, ["selftest"]),
+    # one call of each remaining subcommand, as JSON
+    ("factor", 0,
+     ["--format", "json", "factor", "--field", "Q(sqrt{79})", "--ell", "5"]),
+    ("classgroup", 0,
+     ["--format", "json", "classgroup", "--field", "Q(sqrt{5626})"]),
+    ("unit", 0, ["--format", "json", "unit", "--field", "Q(sqrt{94})"]),
+    # 1013 is inert in Q(sqrt 2)
+    ("rayclass-inert", 0,
+     ["--format", "json", "rayclass", "--field", "Q(sqrt{2})",
+      "--modulus", "1013", "--p", "3"]),
+    ("frobenius", 0,
+     ["--format", "json", "frobenius", "--field", "Q", "--p", "3",
+      "--q", "2", "--q", "7", "--prec", "3"]),
+    ("gw", 0,
+     ["--format", "json", "gw", "--h0v", "0", "--h0dual", "1",
+      "--locals", "0:0,0:0"]),
+    # ray class groups of conductor 3^25: the largest SNF of the set
+    ("alpha-79-prec24", 0,
+     ["--format", "json", "alpha", "--field", "Q(sqrt{79})", "--p", "3",
+      "--q1", "2", "--q2", "5a", "--prec", "24"]),
+]
+
+
+@pytest.mark.parametrize("name,code,argv", CASES, ids=[c[0] for c in CASES])
+def test_golden(name, code, argv, capsys, monkeypatch):
+    monkeypatch.delenv("IWASAWA_LAB_PRECISION", raising=False)
+    assert main(list(argv)) == code
+    out = capsys.readouterr().out
+    assert out == (GOLDEN_DIR / (name + ".out")).read_text()
+
+
+def _record():
+    os.environ.pop("IWASAWA_LAB_PRECISION", None)
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, code, argv in CASES:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            got = main(list(argv))
+        if got != code:
+            sys.exit("%s: exit code %d, expected %d" % (name, got, code))
+        (GOLDEN_DIR / (name + ".out")).write_text(buf.getvalue())
+        print("recorded", name)
+
+
+if __name__ == "__main__":
+    _record()

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,6 +88,48 @@ def test_cancellation_loses_precision():
     d = x - y  # = 9, known mod 3^4
     assert d.valuation() == 2
     assert d.digits == 2
+
+
+def test_add_negative_valuation():
+    x = PAdicNumber.exact(Fraction(1, 3), 3, 5) + PAdicNumber.exact(1, 3, 5)
+    assert (x.v, x.m, x.abs_prec) == (-1, 4, 4)  # 4/3, known mod 3^4
+
+
+def _value(x: PAdicNumber) -> Fraction:
+    return Fraction(0) if x.is_marker else Fraction(x.p) ** x.v * x.m
+
+
+def _vp_fraction(a: Fraction, p: int):
+    if a == 0:
+        return None
+    return vp(a.numerator, p) - vp(a.denominator, p)
+
+
+@st.composite
+def _padic_and_value(draw, p):
+    """A PAdicNumber with valuation (or marker bound) in [-6, 6] and a
+    Fraction it approximates."""
+    v = draw(st.integers(min_value=-6, max_value=6))
+    num = draw(st.integers(min_value=1, max_value=10**6).filter(
+        lambda n: n % p))
+    den = draw(st.integers(min_value=1, max_value=10**3).filter(
+        lambda n: n % p))
+    sign = draw(st.sampled_from([1, -1]))
+    a = sign * Fraction(p) ** v * Fraction(num, den)
+    if draw(st.booleans()):
+        return PAdicNumber.zero_marker(p, v), a
+    return PAdicNumber.exact(a, p, draw(st.integers(1, 8))), a
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from([3, 5, 7]), st.sampled_from(["+", "-"]))
+def test_add_sub_against_fractions(data, p, op):
+    x, a = data.draw(_padic_and_value(p))
+    y, b = data.draw(_padic_and_value(p))
+    z, c = (x + y, a + b) if op == "+" else (x - y, a - b)
+    assert z.abs_prec <= min(x.abs_prec, y.abs_prec)
+    err = _vp_fraction(c - _value(z), p)
+    assert err is None or err >= z.abs_prec
 
 
 # ------------------------------------------------------------------ val/unit
