@@ -460,16 +460,18 @@ def _floor_quadirr(P: int, Q: int, s: int) -> int:
     return (P + s + 1) // Q
 
 
-def _rho(K: RealQuadraticField, P: int, Q: int):
-    """One continued-fraction step on (P + sqrt D)/Q.
-
-    Returns (P', Q', gamma) with Z + Z*tau = gamma * (Z + Z*tau')."""
-    D, s = K.D, K.sqrtD_floor
-    n = _floor_quadirr(P, Q, s)
-    P2 = n * Q - P
+def _rho_step(K: RealQuadraticField, P: int, Q: int):
+    """One continued-fraction step on (P + sqrt D)/Q: the state (P', Q')."""
+    D = K.D
+    P2 = _floor_quadirr(P, Q, K.sqrtD_floor) * Q - P
     if (D - P2 * P2) % Q:
         raise AssertionError("invariant Q | D - P^2 broken")
-    Q2 = (D - P2 * P2) // Q
+    return P2, (D - P2 * P2) // Q
+
+
+def _rho(K: RealQuadraticField, P: int, Q: int):
+    """_rho_step, plus the gamma with Z + Z*tau = gamma * (Z + Z*tau')."""
+    P2, Q2 = _rho_step(K, P, Q)
     gamma = K.from_sqrt_pair(Fraction(-P2, Q), Fraction(1, Q))
     return P2, Q2, gamma
 
@@ -497,7 +499,7 @@ def _cycle_of(K: RealQuadraticField, P: int, Q: int):
     while (P, Q) not in seen:
         seen[(P, Q)] = len(seq)
         seq.append((P, Q))
-        P, Q, _ = _rho(K, P, Q)
+        P, Q = _rho_step(K, P, Q)
     start = seen[(P, Q)]
     return tuple(sorted(seq[start:]))
 

@@ -13,7 +13,7 @@ from math import gcd
 
 from .abgroup import FiniteAbelianGroup, GroupElement, smith_presentation, \
     subgroup_image_order
-from .ntheory import isprime
+from .ntheory import factorint, isprime
 from .padic import vp
 from .quadfield import (IntegralIdeal, RealQuadraticField, class_group,
                         fundamental_unit, prime_ideals_above,
@@ -42,7 +42,6 @@ def _factor_ideal(m: IntegralIdeal):
 
 
 def factor_keys(n: int):
-    from .ntheory import factorint
     return factorint(n).keys()
 
 

@@ -12,39 +12,66 @@ from math import gcd, isqrt
 from .ntheory import factorint
 from .padic import _log_series_int, vp
 from .quadfield import (FieldElement, IntegralIdeal, RealQuadraticField,
-                        _residue_char, factor_rational_prime)
+                        _min_poly_roots_mod, _residue_char,
+                        factor_rational_prime)
 
 
 def _bsgs(mul, one, g, h, n: int):
-    """k in [0, n) with g^k = h, for elements hashable under ==/hash."""
+    """k in [0, n) with g^k = h, for g of order dividing n and elements
+    hashable under ==/hash."""
     m = isqrt(n) + 1
     table = {}
     x = one
     for j in range(m):
+        if x == h:
+            return j
         table.setdefault(x, j)
         x = mul(x, g)
-    # giant step: g^{-m}
-    gm = one
-    for _ in range(m):
-        gm = mul(gm, g)
-    # invert by powering to n-1 (order divides n)
-    ginv_m = _pow(mul, one, gm, n - 1)
+    # giant step: x = g^m, inverted by powering to n - 1
+    ginv_m = _pow(mul, one, x, n - 1)
     y = h
-    for i in range(m):
+    for i in range(1, m):
+        y = mul(y, ginv_m)
         if y in table:
             return (i * m + table[y]) % n
-        y = mul(y, ginv_m)
     raise ValueError("dlog: element not in the cyclic subgroup")
+
+
+def _ph_dlog(mul, one, g, h, n: int, fac: dict):
+    """k in [0, n) with g^k = h, for g of order n = prod q^a over fac.
+
+    Pohlig-Hellman: the q^a-part of k is read off one base-q digit at a
+    time by BSGS in the subgroup of order q, and the parts are joined by
+    CRT."""
+    k, m = 0, 1
+    for q, a in fac.items():
+        qa = q**a
+        gq = _pow(mul, one, g, n // qa)
+        t = _pow(mul, one, h, n // qa)
+        gamma = _pow(mul, one, gq, qa // q)
+        if a > 1:
+            gq_inv = _pow(mul, one, gq, qa - 1)
+        x, qj = 0, 1
+        for j in range(a):
+            # t = gq^(k - x) has order dividing q^(a - j)
+            d = _bsgs(mul, one, gamma, _pow(mul, one, t, qa // (qj * q)), q)
+            if d and j + 1 < a:
+                t = mul(t, _pow(mul, one, gq_inv, d * qj))
+            x += d * qj
+            qj *= q
+        k = _crt(k, m, x, qa)
+        m *= qa
+    return k
 
 
 def _pow(mul, one, g, k: int):
     r = one
-    b = g
     while k:
         if k & 1:
-            r = mul(r, b)
-        b = mul(b, b)
+            r = mul(r, g)
         k >>= 1
+        if k:
+            g = mul(g, g)
     return r
 
 
@@ -76,18 +103,13 @@ class RationalComponent(_Component):
             else:
                 self.gens = [self.mod - 1, 5 % self.mod]
                 self.orders = [2, 2**(e - 2)]
-        elif e == 1:
-            g = _primitive_root_cyclic(lambda a, b: a * b % self.mod, 1,
-                                       self._iter_units(), ell - 1)
-            self.gens, self.orders = [g], [ell - 1]
         else:
-            g = _primitive_root_mod_odd_prime_power(ell, e)
-            self.gens, self.orders = [g], [(ell - 1) * ell**(e - 1)]
-
-    def _iter_units(self):
-        for a in range(1, min(self.mod, 10000)):
-            if a % self.ell:
-                yield a
+            self._fac = factorint(ell - 1)
+            g = _primitive_root(ell, self._fac)
+            if e > 1 and pow(g, ell - 1, ell * ell) == 1:
+                g += ell
+            self.gens = [g % self.mod]
+            self.orders = [(ell - 1) * ell**(e - 1)]
 
     def mul(self, a, b):
         return a * b % self.mod
@@ -118,12 +140,13 @@ class RationalComponent(_Component):
             k = (ly // 4) * pow(l5 // 4, -1, 2**(e - 2)) % 2**(e - 2)
             return [s, k]
         if e == 1:
-            return [_bsgs(self.mul, 1, self.gens[0], a, ell - 1)]
+            return [_ph_dlog(self.mul, 1, self.gens[0], a, ell - 1,
+                             self._fac)]
         g = self.gens[0]
         # torsion part
         proj = pow(a, ell**(e - 1), self.mod)
         gproj = pow(g, ell**(e - 1), self.mod)
-        k1 = _bsgs(self.mul, 1, gproj, proj, ell - 1)
+        k1 = _ph_dlog(self.mul, 1, gproj, proj, ell - 1, self._fac)
         # 1-unit part via the ell-adic log
         la = _log_series_int(pow(a, ell - 1, self.mod) - 1, ell, e)
         lg = _log_series_int(pow(g, ell - 1, self.mod) - 1, ell, e)
@@ -151,51 +174,35 @@ class InertComponent(_Component):
         super().__init__(K, q, ell, e)
         self.mod = ell**e
         self.one = (1, 0)
+        self._trace, self._norm = K.w_trace, K.w_norm
         n_res = ell * ell - 1
+        fac_minus, fac_plus = factorint(ell - 1), factorint(ell + 1)
+        self._fac = {r: fac_minus.get(r, 0) + fac_plus.get(r, 0)
+                     for r in {**fac_minus, **fac_plus}}
+        g = _inert_generator(ell, self._trace, self._norm,
+                             fac_minus, fac_plus)
         if e == 1:
-            g = _primitive_root_cyclic(self.mul, self.one,
-                                       self._iter_units(), n_res)
             self.gens, self.orders = [g], [n_res]
         else:
-            g0 = _primitive_root_cyclic(
-                lambda a, b: self._mul_mod(a, b, ell), (1, 0),
-                self._iter_units_mod(ell), n_res)
-            t = (g0[0] % self.mod, g0[1] % self.mod)
             for _ in range(2 * e + 2):
-                t2 = _pow(self.mul, self.one, t, ell * ell)
-                if t2 == t:
+                g2 = _pow(self.mul, self.one, g, ell * ell)
+                if g2 == g:
                     break
-                t = t2
-            self.gens = [t, (1 + ell, 0), (1, ell)]
+                g = g2
+            self.gens = [g, (1 + ell, 0), (1, ell)]
             self.orders = [n_res, ell**(e - 1), ell**(e - 1)]
             self._log_u1 = self._log_one_unit(self.gens[1])
             self._log_u2 = self._log_one_unit(self.gens[2])
 
     def _mul_mod(self, u, v, m):
-        K = self.field
-        return ((u[0] * v[0] - u[1] * v[1] * K.w_norm) % m,
-                (u[0] * v[1] + u[1] * v[0] + u[1] * v[1] * K.w_trace) % m)
+        return ((u[0] * v[0] - u[1] * v[1] * self._norm) % m,
+                (u[0] * v[1] + u[1] * v[0] + u[1] * v[1] * self._trace) % m)
 
     def mul(self, u, v):
         return self._mul_mod(u, v, self.mod)
 
-    def _iter_units(self):
-        for x in range(self.mod):
-            for y in range(self.mod):
-                if self._unit((x, y)):
-                    yield (x, y)
-
-    def _iter_units_mod(self, m):
-        for x in range(m):
-            for y in range(m):
-                if (x * x + self.field.w_trace * x * y
-                        + self.field.w_norm * y * y) % self.ell:
-                    yield (x, y)
-
     def _unit(self, u):
-        n = (u[0] * u[0] + self.field.w_trace * u[0] * u[1]
-             + self.field.w_norm * u[1] * u[1])
-        return n % self.ell != 0
+        return self.norm_int(u) % self.ell != 0
 
     def reduce(self, x: FieldElement):
         num_x, num_y, den = _fraction_parts(x)
@@ -236,11 +243,12 @@ class InertComponent(_Component):
         ell, e = self.ell, self.e
         n_res = ell * ell - 1
         if e == 1:
-            return [_bsgs(self.mul, self.one, self.gens[0], u, n_res)]
+            return [_ph_dlog(self.mul, self.one, self.gens[0], u, n_res,
+                             self._fac)]
         unit_sz = ell**(2 * (e - 1))
         proj = _pow(self.mul, self.one, u, unit_sz)
         gproj = _pow(self.mul, self.one, self.gens[0], unit_sz)
-        k1 = _bsgs(self.mul, self.one, gproj, proj, n_res)
+        k1 = _ph_dlog(self.mul, self.one, gproj, proj, n_res, self._fac)
         i = k1 * pow(unit_sz % n_res, -1, n_res) % n_res
         w = self.mul(u, _pow(self.mul, self.one, self.gens[0], n_res - i)) \
             if i else u
@@ -266,9 +274,8 @@ class InertComponent(_Component):
         return s
 
     def norm_int(self, u):
-        K = self.field
-        return (u[0] * u[0] + K.w_trace * u[0] * u[1]
-                + K.w_norm * u[1] * u[1]) % self.mod
+        return (u[0] * u[0] + self._trace * u[0] * u[1]
+                + self._norm * u[1] * u[1]) % self.mod
 
 
 class RamifiedComponent(_Component):
@@ -278,15 +285,14 @@ class RamifiedComponent(_Component):
         super().__init__(K, q, ell, 1)
         self.mod = ell
         # w maps to the double root of its minimal polynomial mod ell
-        from .quadfield import _min_poly_roots_mod
         self.root = _min_poly_roots_mod(K, ell)[0]
         self.one = 1 % ell
         if ell == 2:
             self.gens, self.orders = [], []
         else:
-            g = _primitive_root_cyclic(lambda a, b: a * b % ell, 1,
-                                       (a for a in range(1, ell)), ell - 1)
-            self.gens, self.orders = [g], [ell - 1]
+            self._fac = factorint(ell - 1)
+            self.gens = [_primitive_root(ell, self._fac)]
+            self.orders = [ell - 1]
 
     def mul(self, a, b):
         return a * b % self.mod
@@ -301,7 +307,8 @@ class RamifiedComponent(_Component):
     def dlog(self, a):
         if self.ell == 2:
             return []
-        return [_bsgs(self.mul, 1, self.gens[0], a, self.ell - 1)]
+        return [_ph_dlog(self.mul, 1, self.gens[0], a, self.ell - 1,
+                         self._fac)]
 
     @property
     def size(self):
@@ -320,27 +327,55 @@ def _fraction_parts(x: FieldElement):
     return nx, ny, den
 
 
-def _primitive_root_cyclic(mul, one, candidates, n: int):
-    fac = factorint(n)
-    for g in candidates:
-        if g == one:
-            continue
-        ok = True
-        for q in fac:
-            if _pow(mul, one, g, n // q) == one:
-                ok = False
-                break
-        if ok:
+def _primitive_root(ell: int, fac: dict) -> int:
+    """The least primitive root mod an odd prime ell; fac factors ell - 1."""
+    for g in range(2, ell):
+        if all(pow(g, (ell - 1) // q, ell) != 1 for q in fac):
             return g
-    raise AssertionError("no generator found")
+    raise ValueError("%d is not an odd prime" % ell)
 
 
-def _primitive_root_mod_odd_prime_power(ell: int, e: int) -> int:
-    g = _primitive_root_cyclic(lambda a, b: a * b % ell, 1,
-                               (a for a in range(2, ell)), ell - 1)
-    if pow(g, ell - 1, ell * ell) == 1:
-        g += ell
-    return g % ell**e
+def _inert_generator(ell: int, trace: int, norm: int, fac_minus: dict,
+                     fac_plus: dict):
+    """The first pair (x, y) mod ell, in lexicographic order, for which
+    x + y*w generates F_{ell^2}*, where w^2 = trace*w - norm is irreducible
+    mod ell and fac_minus, fac_plus factor ell - 1 and ell + 1.
+
+    g generates iff g^(n/q) != 1 for every prime q | n = ell^2 - 1.  For
+    odd q | ell - 1, g^(n/q) = N(g)^((ell - 1)/q), as g^(ell + 1) = N(g)
+    lies in F_ell.  For q | ell + 1, c^(n/q) = 1 for each c in F_ell*, so
+    the test depends only on the class F_ell* g: (0 : 1) on the row x = 0,
+    (1 : y/x) elsewhere, each tested once."""
+    def mul(u, v):
+        return ((u[0] * v[0] - u[1] * v[1] * norm) % ell,
+                (u[0] * v[1] + u[1] * v[0] + u[1] * v[1] * trace) % ell)
+
+    odd_minus = [(ell - 1) // q for q in fac_minus if q != 2]
+    plus = [(ell + 1) // q for q in fac_plus]
+    class_ok = {}
+
+    def norm_ok(x, y):
+        nrm = (x * x + trace * x * y + norm * y * y) % ell
+        return nrm != 0 and all(pow(nrm, k, ell) != 1 for k in odd_minus)
+
+    def class_of_ok(r):
+        if r not in class_ok:
+            z = _pow(mul, (1, 0), (0, 1) if r is None else (1, r), ell - 1)
+            class_ok[r] = all(_pow(mul, (1, 0), z, k) != (1, 0)
+                              for k in plus)
+        return class_ok[r]
+
+    if class_of_ok(None):
+        for y in range(1, ell):
+            if norm_ok(0, y):
+                return (0, y)
+    for x in range(1, ell):
+        x_inv = pow(x, -1, ell)
+        for y in range(ell):
+            if norm_ok(x, y) and class_of_ok(y * x_inv % ell):
+                return (x, y)
+    raise ValueError("T^2 - %d*T + %d is reducible mod %d"
+                     % (trace, norm, ell))
 
 
 def _crt(r1, m1, r2, m2):
@@ -369,6 +404,8 @@ def make_component(K: RealQuadraticField, q: IntegralIdeal, e: int):
         root = _split_root(K, q, ell, e)
         return RationalComponent(K, q, ell, e, root=root)
     if kind == "inert":
+        if ell == 2 and e > 1:
+            raise ValueError("inert 2-power moduli are unsupported")
         return InertComponent(K, q, ell, e)
     if e != 1:
         raise ValueError("ramified prime-power moduli are unsupported")

@@ -45,6 +45,16 @@ CASES = [
     ("rayclass-inert", 0,
      ["--format", "json", "rayclass", "--field", "Q(sqrt{2})",
       "--modulus", "1013", "--p", "3"]),
+    # 100003 is inert, 1009 split, 7091 = 7 * 1013 split times inert
+    ("rayclass-inert-100003", 0,
+     ["--format", "json", "rayclass", "--field", "Q(sqrt{2})",
+      "--modulus", "100003", "--p", "3"]),
+    ("rayclass-split-1009", 0,
+     ["--format", "json", "rayclass", "--field", "Q(sqrt{2})",
+      "--modulus", "1009", "--p", "3"]),
+    ("rayclass-split-inert-7091", 0,
+     ["--format", "json", "rayclass", "--field", "Q(sqrt{2})",
+      "--modulus", "7091", "--p", "3"]),
     ("frobenius", 0,
      ["--format", "json", "frobenius", "--field", "Q", "--p", "3",
       "--q", "2", "--q", "7", "--prec", "3"]),

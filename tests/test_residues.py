@@ -1,0 +1,249 @@
+"""The residue-ring groups (O/q^e)*: generators against brute force, and
+discrete logs that rebuild the unit and match a table of all powers.
+
+Every case is fixed up front.  The oracles multiply residues with their own
+arithmetic, from w^2 = D*w - (D^2 - D)/4, and find orders by walking powers.
+"""
+
+import random
+from itertools import product
+from math import gcd
+
+import pytest
+
+from iwasawalab.cli import main
+from iwasawalab.ntheory import isprime
+from iwasawalab.quadfield import (RealQuadraticField, factor_rational_prime,
+                                  prime_ideals_above, rational_ideal)
+from iwasawalab.residues import (InertComponent, RamifiedComponent,
+                                 RationalComponent, make_component)
+
+QQ = RealQuadraticField.rationals()
+INERT_FIELDS = (2, 5, 7, 13, 79)
+SMALL_ELLS = (3, 5, 7)
+UNITS_PER_COMPONENT = 20
+TABLE_ELL_MAX = 50
+
+
+def _w_data(d):
+    D = d if d % 4 == 1 else 4 * d
+    return D, (D * D - D) // 4
+
+
+def _pair_mul(d, mod):
+    trace, norm = _w_data(d)
+
+    def mul(u, v):
+        return ((u[0] * v[0] - u[1] * v[1] * norm) % mod,
+                (u[0] * v[1] + u[1] * v[0] + u[1] * v[1] * trace) % mod)
+    return mul
+
+
+def _int_mul(mod):
+    return lambda a, b: a * b % mod
+
+
+def _power(mul, one, g, k):
+    r = one
+    while k:
+        if k & 1:
+            r = mul(r, g)
+        g = mul(g, g)
+        k >>= 1
+    return r
+
+
+def _order(mul, one, g):
+    x, k = g, 1
+    while x != one:
+        x = mul(x, g)
+        k += 1
+    return k
+
+
+def _inert_ells(d, bound):
+    K = RealQuadraticField(d)
+    return [ell for ell in range(2, bound) if isprime(ell)
+            and factor_rational_prime(K, ell).kind == "inert"]
+
+
+def _inert_cases():
+    cases = []
+    for d in INERT_FIELDS:
+        for ell in _inert_ells(d, 200):
+            for e in ((1, 2, 3) if ell in SMALL_ELLS else (1,)):
+                cases.append((d, ell, e))
+    return cases
+
+
+INERT_CASES = _inert_cases()
+
+
+def _inert_component(d, ell, e):
+    K = RealQuadraticField(d)
+    return make_component(K, rational_ideal(K, ell), e)
+
+
+def _first_inert_generator(d, ell):
+    """The first unit pair mod ell in lexicographic order of order ell^2-1.
+
+    A generator G is found by walking powers; the generators are then the
+    powers G^k with gcd(k, ell^2 - 1) = 1, read off one walk of G."""
+    mul, one, n = _pair_mul(d, ell), (1, 0), ell * ell - 1
+    trace, norm = _w_data(d)
+    units = [(x, y) for x, y in product(range(ell), repeat=2)
+             if (x * x + trace * x * y + norm * y * y) % ell]
+    # off the row x = 0, which fails as a whole when w is a q-th power
+    G = next(u for u in units if u[0] and _order(mul, one, u) == n)
+    gens, x = set(), one
+    for k in range(n):
+        if gcd(k, n) == 1:
+            gens.add(x)
+        x = mul(x, G)
+    return next(u for u in units if u in gens)
+
+
+@pytest.mark.parametrize("d", INERT_FIELDS)
+def test_inert_generator_is_first_lexicographic_generator(d):
+    for (dd, ell, e) in INERT_CASES:
+        if dd != d:
+            continue
+        comp = _inert_component(d, ell, e)
+        assert isinstance(comp, InertComponent)
+        g = comp.gens[0]
+        assert (g[0] % ell, g[1] % ell) == _first_inert_generator(d, ell), \
+            (d, ell, e)
+        assert comp.orders[0] == ell * ell - 1
+        if e > 1:
+            # the Teichmueller lift keeps the order
+            assert _order(_pair_mul(d, ell**e), (1, 0), g) == ell * ell - 1
+
+
+def _first_primitive_root(ell):
+    mul = _int_mul(ell)
+    return next(g for g in range(1, ell) if _order(mul, 1, g) == ell - 1)
+
+
+def _integer_components(ell):
+    """Every kind of integer-residue component at the odd prime ell, e = 1:
+    over Q, split in one of the fields, and ramified in Q(sqrt ell)."""
+    comps = [make_component(QQ, rational_ideal(QQ, ell), 1)]
+    for d in INERT_FIELDS:
+        K = RealQuadraticField(d)
+        if factor_rational_prime(K, ell).kind == "split":
+            comps.extend(make_component(K, q, 1)
+                         for q in prime_ideals_above(K, ell))
+            break
+    K = RealQuadraticField(ell)
+    comps.extend(make_component(K, q, 1) for q in prime_ideals_above(K, ell))
+    return comps
+
+
+ODD_PRIMES_500 = [ell for ell in range(3, 500) if isprime(ell)]
+
+
+def test_integer_generators_are_first_primitive_roots():
+    kinds = set()
+    for ell in ODD_PRIMES_500:
+        want = _first_primitive_root(ell)
+        for comp in _integer_components(ell):
+            kinds.add(type(comp))
+            assert comp.gens == [want], (ell, comp)
+            assert comp.orders == [ell - 1]
+    assert kinds == {RationalComponent, RamifiedComponent}
+
+
+def test_prime_power_generator_lifts_first_primitive_root():
+    for ell in SMALL_ELLS:
+        g = _first_primitive_root(ell)
+        for e in (2, 3):
+            comp = make_component(QQ, rational_ideal(QQ, ell), e)
+            mod = ell**e
+            assert comp.gens[0] % ell == g
+            assert _order(_int_mul(mod), 1, comp.gens[0]) \
+                == (ell - 1) * ell**(e - 1)
+
+
+# ---------------------------------------------------------------- dlogs
+
+def _seeded_units(comp, rng):
+    ell, mod = comp.ell, comp.mod
+    out = []
+    while len(out) < UNITS_PER_COMPONENT:
+        if isinstance(comp, InertComponent):
+            u = (rng.randrange(mod), rng.randrange(mod))
+            if comp.norm_int(u) % ell:
+                out.append(u)
+        else:
+            a = rng.randrange(1, mod)
+            if a % ell:
+                out.append(a)
+    return out
+
+
+def _rebuild(comp, ks):
+    x = comp.one
+    for g, k in zip(comp.gens, ks):
+        x = comp.mul(x, _power(comp.mul, comp.one, g, k))
+    return x
+
+
+def _power_table(comp):
+    """Every product of powers of the generators, walked one at a time."""
+    table = {comp.one: []}
+    for g, o in zip(comp.gens, comp.orders):
+        grown = {}
+        for x, ks in table.items():
+            for k in range(o):
+                grown[x] = ks + [k]
+                x = comp.mul(x, g)
+        table = grown
+    assert len(table) == comp.size
+    return table
+
+
+def _dlog_components():
+    comps = [_inert_component(d, ell, e) for (d, ell, e) in INERT_CASES]
+    for ell in ODD_PRIMES_500:
+        comps.extend(_integer_components(ell))
+    for ell, es in ((2, (2, 3, 4)), (3, (2, 3)), (5, (2, 3)), (7, (2,))):
+        comps.extend(make_component(QQ, rational_ideal(QQ, ell), e)
+                     for e in es)
+    return comps
+
+
+def test_dlog_rebuilds_seeded_units_and_matches_power_table():
+    rng = random.Random(20260)
+    n_table = 0
+    for comp in _dlog_components():
+        table = _power_table(comp) if comp.ell <= TABLE_ELL_MAX else None
+        for u in _seeded_units(comp, rng):
+            ks = comp.dlog(u)
+            assert len(ks) == len(comp.orders)
+            assert all(0 <= k < o for k, o in zip(ks, comp.orders))
+            assert _rebuild(comp, ks) == u, (comp.field.d, comp.ell, u)
+            if table is not None:
+                assert ks == table[u]
+                n_table += 1
+    assert n_table > 0
+
+
+# ------------------------------------------------ unsupported inert 2-power
+
+@pytest.mark.parametrize("d", (5, 13, 21))
+@pytest.mark.parametrize("e", (2, 3))
+def test_inert_two_power_refused(d, e):
+    K = RealQuadraticField(d)
+    assert factor_rational_prime(K, 2).kind == "inert"
+    with pytest.raises(ValueError, match="inert 2-power"):
+        make_component(K, rational_ideal(K, 2), e)
+
+
+@pytest.mark.parametrize("modulus", ("4", "8"))
+def test_inert_two_power_cli_exit_4(modulus, capsys):
+    code = main(["rayclass", "--field", "Q(sqrt{5})", "--modulus", modulus,
+                 "--p", "3"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("usage error:")
+    assert "Traceback" not in err
