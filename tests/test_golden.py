@@ -41,6 +41,10 @@ CASES = [
     ("classgroup", 0,
      ["--format", "json", "classgroup", "--field", "Q(sqrt{5626})"]),
     ("unit", 0, ["--format", "json", "unit", "--field", "Q(sqrt{94})"]),
+    # a long unit period: 545 walk states, eps with a 902-bit coordinate
+    ("unit-48799", 0, ["unit", "--field", "Q(sqrt{48799})"]),
+    ("leopoldt-48799", 0,
+     ["leopoldt", "--field", "Q(sqrt{48799})", "--p", "5"]),
     # 1013 is inert in Q(sqrt 2)
     ("rayclass-inert", 0,
      ["--format", "json", "rayclass", "--field", "Q(sqrt{2})",
