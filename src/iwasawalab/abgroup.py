@@ -16,12 +16,6 @@ def _identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0]) if B else 0
-    return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
-            for i in range(n)]
-
-
 def _mat_vec(A, x):
     return [sum(A[i][j] * x[j] for j in range(len(x))) for i in range(len(A))]
 

@@ -54,21 +54,10 @@ class GaloisGroupG:
     group: FiniteAbelianGroup
     stable: bool
     cyc_hom: list                    # phi on the invariant coordinates
-    mu_image: tuple = ()             # image of local p-power roots of unity
 
     @property
     def modulus_exponent(self) -> int:
         return self.N + 1
-
-    def g_prime(self):
-        """G modulo the image of the local p-power roots of unity.
-
-        For p odd and unramified that image is trivial, so G' = G; the
-        quotient path exists for completeness."""
-        if not self.mu_image:
-            return self
-        raise NotImplementedError("nontrivial mu-quotient is unreachable "
-                                  "for supported (unramified) inputs")
 
     def frobenius_class(self, q: IntegralIdeal) -> GroupElement:
         if _residue_char(q) == self.p:

@@ -98,7 +98,7 @@ def mq_generator(K: RealQuadraticField, p: int, Q, N: int) \
     return FrobeniusModuleReport(K, p, N, q1, q2, a1, 1, resid.v)
 
 
-def _image_order_at_level(K, p, L, q1, q2, a1_digits_needed=None):
+def _image_order_at_level(K, p, L, q1, q2):
     """(order of the rounded degree-0 element in G_L, GaloisGroupG)."""
     G = group_G(K, p, L)
     F1 = G.frobenius_class(q1)

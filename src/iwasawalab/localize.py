@@ -15,8 +15,7 @@ from math import gcd
 from .ntheory import isprime
 from .padic import PAdicNumber, UnramifiedQuadElem, vp
 from .quadfield import (FieldElement, IntegralIdeal, RealQuadraticField,
-                        SUnitProduct, _residue_char, factor_rational_prime,
-                        ideal_valuation)
+                        SUnitProduct, factor_rational_prime, ideal_valuation)
 
 TRUE, FALSE, INDET = "true", "false", "indeterminate"
 
@@ -47,14 +46,6 @@ def places_above(K: RealQuadraticField, ell: int):
         out.append(PlaceAbovePrime(K, ell, rep.kind, i, q,
                                    rep.residue_degree))
     return out
-
-
-def place_of_ideal(q: IntegralIdeal) -> PlaceAbovePrime:
-    ell = _residue_char(q)
-    for v in places_above(q.field, ell):
-        if v.ideal == q:
-            return v
-    raise ValueError("no place for ideal %s" % (q,))
 
 
 def completions_above_p(K: RealQuadraticField, p: int):

@@ -98,13 +98,3 @@ def sqrt_mod_prime(a: int, p: int) -> int:
         r = r * b % p
     return r
 
-
-def hensel_sqrt(a: int, p: int, k: int) -> int:
-    """Root of x^2 = a mod p^k for odd p, p not dividing a."""
-    x = sqrt_mod_prime(a, p)
-    mod = p
-    while mod < p**k:
-        mod = min(mod * mod, p**k)
-        # Newton step: x <- x - (x^2 - a) / (2x)
-        x = (x - (x * x - a) * pow(2 * x, -1, mod)) % mod
-    return x % p**k

@@ -15,7 +15,7 @@ from math import gcd, isqrt
 
 from .abgroup import (FiniteAbelianGroup, GroupElement, decompose_abelian,
                       smith_presentation, solve_congruence_lattice)
-from .ntheory import extgcd, isprime, sqrt_mod_prime
+from .ntheory import extgcd, isprime, legendre, sqrt_mod_prime
 from .padic import PAdicNumber
 
 
@@ -199,18 +199,7 @@ class FieldElement:
 
     def real_sign(self) -> int:
         """Sign of the image under the embedding with sqrt(D) > 0."""
-        u, v = self.sqrt_coords()
-        if v == 0:
-            return (u > 0) - (u < 0)
-        if u == 0:
-            return (v > 0) - (v < 0)
-        if u > 0 and v > 0:
-            return 1
-        if u < 0 and v < 0:
-            return -1
-        # mixed signs: compare u^2 with v^2 D
-        big = u * u > v * v * self.field.D
-        return (1 if u > 0 else -1) if big else (1 if v > 0 else -1)
+        return _real_sign(*self.sqrt_coords(), self.field.D)
 
     def compare_real(self, other) -> int:
         if isinstance(other, (int, Fraction)):
@@ -231,6 +220,21 @@ class FieldElement:
         if u == 0:
             return "%s*%s" % (vp, s) if vp != 1 else s
         return "%s %s %s*%s" % (u, "+" if vp > 0 else "-", abs(vp), s)
+
+
+def _real_sign(u, v, D: int) -> int:
+    """Sign of u + v*sqrt(D), for u, v int or Fraction."""
+    if v == 0:
+        return (u > 0) - (u < 0)
+    if u == 0:
+        return (v > 0) - (v < 0)
+    if u > 0 and v > 0:
+        return 1
+    if u < 0 and v < 0:
+        return -1
+    # mixed signs: compare u^2 with v^2 D
+    big = u * u > v * v * D
+    return (1 if u > 0 else -1) if big else (1 if v > 0 else -1)
 
 
 @dataclass(frozen=True)
@@ -400,7 +404,6 @@ def _min_poly_roots_mod(K: RealQuadraticField, ell: int):
         return sorted(t for t in (0, 1) if (t * t - D * t + wn) % 2 == 0)
     if D % ell == 0:
         return [D * pow(2, -1, ell) % ell]
-    from .ntheory import legendre
     if legendre(D, ell) == -1:
         return []
     r = sqrt_mod_prime(D, ell)
@@ -461,19 +464,14 @@ def _floor_quadirr(P: int, Q: int, s: int) -> int:
 
 
 def _rho_step(K: RealQuadraticField, P: int, Q: int):
-    """One continued-fraction step on (P + sqrt D)/Q: the state (P', Q')."""
+    """One continued-fraction step on tau = (P + sqrt D)/Q: the partial
+    quotient a = floor(tau) and the state (P', Q') of tau' = 1/(tau - a)."""
     D = K.D
-    P2 = _floor_quadirr(P, Q, K.sqrtD_floor) * Q - P
+    a = _floor_quadirr(P, Q, K.sqrtD_floor)
+    P2 = a * Q - P
     if (D - P2 * P2) % Q:
         raise AssertionError("invariant Q | D - P^2 broken")
-    return P2, (D - P2 * P2) // Q
-
-
-def _rho(K: RealQuadraticField, P: int, Q: int):
-    """_rho_step, plus the gamma with Z + Z*tau = gamma * (Z + Z*tau')."""
-    P2, Q2 = _rho_step(K, P, Q)
-    gamma = K.from_sqrt_pair(Fraction(-P2, Q), Fraction(1, Q))
-    return P2, Q2, gamma
+    return a, P2, (D - P2 * P2) // Q
 
 
 def _ideal_to_pair(I: IntegralIdeal):
@@ -499,7 +497,7 @@ def _cycle_of(K: RealQuadraticField, P: int, Q: int):
     while (P, Q) not in seen:
         seen[(P, Q)] = len(seq)
         seq.append((P, Q))
-        P, Q = _rho_step(K, P, Q)
+        _, P, Q = _rho_step(K, P, Q)
     start = seen[(P, Q)]
     return tuple(sorted(seq[start:]))
 
@@ -569,12 +567,6 @@ class ClassGroupData:
             return True
         return self.key_of(I) == self.principal_key
 
-    def rep_ideal(self, key) -> IntegralIdeal:
-        return _pair_to_ideal(self.field, *key[0])
-
-    def gen_rep_ideals(self):
-        return [self.rep_ideal(k) for k in self.gen_keys]
-
     @property
     def invariant_factors(self):
         return self.group.invariant_factors
@@ -594,26 +586,45 @@ def class_group(K: RealQuadraticField) -> ClassGroupData:
 
 # ----------------------------------------------------------------- units
 
+def _exact_quotient(K: RealQuadraticField, num, den, what: str):
+    """The pair (x, y) with x + y*w = num/den, for integer pairs num, den;
+    raises unless the quotient is integral."""
+    (a, b), (c, d), D, wn = num, den, K.D, K.w_norm
+    n, cc = c * c + D * c * d + wn * d * d, c + D * d   # conj(den) = cc - d*w
+    x, y = a * cc + b * d * wn, b * cc - a * d - b * d * D
+    if x % n or y % n:
+        raise AssertionError("%s is not integral" % what)
+    return x // n, y // n
+
+
 def _o_walk(K: RealQuadraticField):
-    """Walk of the unit ideal: dict (P,Q) -> accumulated gamma product,
-    plus the fundamental unit from one full period."""
+    """Walk of the unit ideal: dict (P, Q) -> (x, y), the gamma product
+    x + y*w up to that state, plus the fundamental unit from one period.
+
+    A step takes tau_k = (P + sqrt D)/Q to tau_{k+1} = 1/(tau_k - a_k), and
+    Z + Z*tau_k = gamma * (Z + Z*tau_{k+1}) with gamma = 1/tau_{k+1}.  The
+    product of k gammas is u_k = (-1)^(k-1) * (B_{k-1}*tau_0 - A_{k-1}),
+    A/B the convergents of tau_0: u_{k+1} = u_{k-1} - a_k*u_k, u_{-1} =
+    tau_0, u_0 = 1.  Here tau_0 = w, so every u_k is integral."""
     if K._o_walk is not None:
         return K._o_walk
     acc = {}
     P, Q = K.D, 2
-    cur = K.one()
-    first_repeat = None
+    x0, y0, x1, y1 = 0, 1, 1, 0
     while (P, Q) not in acc:
-        acc[(P, Q)] = cur
-        P, Q, gamma = _rho(K, P, Q)
-        cur = cur * gamma
-    u = cur / acc[(P, Q)]
-    eps = u.inv()
-    if eps.compare_real(0) < 0:
-        eps = -eps
-    assert eps.is_integral() and abs(eps.norm()) == 1
-    assert eps.compare_real(1) > 0
-    K._o_walk = (acc, eps)
+        acc[(P, Q)] = (x1, y1)
+        a, P, Q = _rho_step(K, P, Q)
+        x0, y0, x1, y1 = x1, y1, x0 - a * x1, y0 - a * y1
+    # one period divides by +-eps
+    ex, ey = _exact_quotient(K, acc[(P, Q)], (x1, y1), "fundamental unit")
+    D, wn = K.D, K.w_norm
+    if _real_sign(2 * ex + D * ey, ey, D) < 0:   # 2*eps = (2x + Dy) + y*sqrt D
+        ex, ey = -ex, -ey
+    if abs(ex * ex + D * ex * ey + wn * ey * ey) != 1:
+        raise AssertionError("fundamental unit does not have norm +-1")
+    if _real_sign(2 * ex + D * ey - 2, ey, D) <= 0:
+        raise AssertionError("fundamental unit is not > 1")
+    K._o_walk = (acc, K.element(ex, ey))
     return K._o_walk
 
 
@@ -626,8 +637,30 @@ def fundamental_unit(K: RealQuadraticField) -> FieldElement:
     return K._fundamental_unit
 
 
+def _reduction_bound(D: int, Q: int) -> int:
+    """Steps within which the walk from tau_0 = (P + sqrt D)/Q, Q > 0,
+    reaches a reduced state: the least even k >= 2 with
+    F_{k-1} * F_k >= Q / (2 sqrt D), F the Fibonacci numbers.
+
+    This is the logarithmic reduction lemma (Buchmann & Vollmer, *Binary
+    Quadratic Forms*, 2007) in convergent form.  With e_j = B_j*tau_0 - A_j
+    and e'_j = e_j - B_j * 2 sqrt D/Q its conjugate, tau_k' =
+    -e'_{k-2}/e'_{k-1}.  For even k, e_{k-1} < 0 < e_{k-2} < 1/B_{k-1} and
+    B_{k-2} <= B_{k-1}, so -1 < tau_k' < 0 (and tau_k > 1: reduced) once
+    B_{k-2} * B_{k-1} * 2 sqrt D/Q >= 1; and B_j >= F_{j+1}."""
+    k, f0, f1 = 2, 1, 1
+    while 4 * D * (f0 * f1) ** 2 < Q * Q:
+        k, f0, f1 = k + 2, f0 + f1, f0 + 2 * f1
+    return k
+
+
 def principal_generator(I: IntegralIdeal):
-    """A generator of I when principal, else None."""
+    """A generator of I when principal, else None.
+
+    The walk from tau_0 = (b + w)/a, (a; b; 1) the primitive part, keeps
+    the gamma product c*tau_0 + e (see _o_walk) up to the first state in
+    the unit ideal's walk.  A reduced state lies on the principal cycle,
+    which that walk holds whole, and one comes within _reduction_bound."""
     K = I.field
     if K.is_rational:
         return K.element(I.a)
@@ -637,17 +670,24 @@ def principal_generator(I: IntegralIdeal):
     content, prim = I.content_and_primitive()
     o_acc, _ = _o_walk(K)
     P, Q = 2 * prim.b + K.D, 2 * prim.a
-    cur = K.one()
+    bound = _reduction_bound(K.D, Q)
+    c0, e0, c1, e1 = 1, 0, 0, 1
     steps = 0
     while (P, Q) not in o_acc:
-        P, Q, gamma = _rho(K, P, Q)
-        cur = cur * gamma
+        if _is_reduced_pair(K, P, Q):
+            raise AssertionError("reduced state off the principal cycle")
+        if steps >= bound:
+            raise AssertionError("no reduced state within %d steps" % bound)
+        a, P, Q = _rho_step(K, P, Q)
+        c0, e0, c1, e1 = c1, e1, c0 - a * c1, e0 - a * e1
         steps += 1
-        if steps > 10000 + 64 * (prim.a.bit_length() + K.D):
-            raise AssertionError("reduction walk did not terminate")
-    g = cur / o_acc[(P, Q)] * prim.a
-    assert g.is_integral() and abs(g.norm()) == prim.norm
-    assert ideal_from_element(g) == prim
+    # (c*tau_0 + e) * a = (c*b + e*a) + c*w
+    g = K.element(*_exact_quotient(K, (c1 * prim.b + e1 * prim.a, c1),
+                                   o_acc[(P, Q)], "generator"))
+    if abs(g.norm()) != prim.norm:
+        raise AssertionError("generator norm is not %d" % prim.norm)
+    if ideal_from_element(g) != prim:
+        raise AssertionError("generator does not generate the ideal")
     return g * content
 
 
@@ -766,15 +806,6 @@ class SUnitBasisData:
 
     def elements(self):
         return [e.element for e in self.entries]
-
-    def entry_valuation(self, idx: int, q_key) -> int:
-        return self.entries[idx].valuations.get(q_key, 0)
-
-    def support_keys(self):
-        keys = []
-        for q in self.primes:
-            keys.append(q.key())
-        return keys
 
     def decompose(self, x: FieldElement):
         """Exact exponents of x over the basis entries, for x in E_Q."""

@@ -1,8 +1,17 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import isqrt
+from pathlib import Path
 
 import pytest
 
+from iwasawalab import quadfield
+from iwasawalab.ntheory import isprime
+from iwasawalab.quadfield import (_ideal_to_pair, _is_reduced_pair, _o_walk,
+                                  _reduction_bound, _rho_step)
 from iwasawalab.quadfield import (RealQuadraticField, FieldElement,
                                   IntegralIdeal, SUnitBasisData,
                                   factor_rational_prime, class_group,
@@ -199,6 +208,136 @@ def test_principal_generator_random_products():
                 assert ideal_from_element(g) == I
             else:
                 assert g is None
+
+
+# -------------------------------------------- walks against a Fraction oracle
+
+def _ref_rho(K, P, Q):
+    """One step on (P + sqrt D)/Q with the Fraction gamma of the step:
+    Z + Z*tau = gamma * (Z + Z*tau')."""
+    s = isqrt(K.D)
+    a = (P + s) // Q if Q > 0 else (P + s + 1) // Q
+    P2 = a * Q - P
+    gamma = K.from_sqrt_pair(Fraction(-P2, Q), Fraction(1, Q))
+    return P2, (K.D - P2 * P2) // Q, gamma
+
+
+def _ref_o_walk(K):
+    acc = {}
+    P, Q = K.D, 2
+    cur = K.one()
+    while (P, Q) not in acc:
+        acc[(P, Q)] = cur
+        P, Q, gamma = _ref_rho(K, P, Q)
+        cur = cur * gamma
+    eps = (cur / acc[(P, Q)]).inv()
+    return acc, (-eps if eps.compare_real(0) < 0 else eps)
+
+
+def _ref_principal_generator(I):
+    K = I.field
+    content, prim = I.content_and_primitive()
+    acc, _ = _ref_o_walk(K)
+    P, Q = 2 * prim.b + K.D, 2 * prim.a
+    cur = K.one()
+    while (P, Q) not in acc:
+        P, Q, gamma = _ref_rho(K, P, Q)
+        cur = cur * gamma
+    return cur / acc[(P, Q)] * prim.a * content
+
+
+def test_o_walk_matches_fraction_walk_d_below_2000():
+    for d in range(2, 2000):
+        if not squarefree(d):
+            continue
+        K = RealQuadraticField(d)
+        ref_acc, ref_eps = _ref_o_walk(K)
+        acc, eps = _o_walk(K)
+        assert acc.keys() == ref_acc.keys(), d
+        for state, (x, y) in acc.items():
+            assert K.element(x, y) == ref_acc[state], (d, state)
+        assert eps == ref_eps == fundamental_unit(K), d
+
+
+def _principal_cases(K, h):
+    """q^h for the first three split primes q, their products, and
+    q^h * q * conj(q)."""
+    split = [factor_rational_prime(K, ell).ideals[0]
+             for ell in range(3, 200)
+             if isprime(ell) and factor_rational_prime(K, ell).kind == "split"]
+    powers = [q**h for q in split[:3]]
+    cases = list(powers)
+    cases += [powers[i] * powers[j] for i in range(len(powers))
+              for j in range(i + 1, len(powers))]
+    cases += [powers[0] * split[1] * split[1].conj()] if len(split) > 1 else []
+    return cases
+
+
+def test_principal_generator_matches_fraction_walk():
+    fields = 0
+    for d in range(2, 500):
+        if not squarefree(d):
+            continue
+        K = RealQuadraticField(d)
+        h = class_group(K).h
+        if h == 1:
+            continue
+        fields += 1
+        for I in _principal_cases(K, h):
+            g = principal_generator(I)
+            assert g == _ref_principal_generator(I), (d, I)
+            assert ideal_from_element(g) == I
+    assert fields > 50
+
+
+def test_reduction_bound_holds():
+    rng = random.Random(20)
+    for d in (2, 3, 5, 79, 94, 223, 1009, 48799, 1000003):
+        K = RealQuadraticField(d)
+        for digits in range(1, 60, 3):
+            b = rng.randrange(10**digits)
+            a = b * b + K.D * b + K.w_norm   # (a; b; 1) is an ideal
+            P, Q = _ideal_to_pair(IntegralIdeal(K, a, b % a, 1))
+            bound = _reduction_bound(K.D, Q)
+            steps = 0
+            while not _is_reduced_pair(K, P, Q):
+                _, P, Q = _rho_step(K, P, Q)
+                steps += 1
+            assert steps <= bound, (d, digits)
+
+
+def test_principal_generator_raises_off_the_principal_cycle(monkeypatch):
+    K = RealQuadraticField(10)
+    q2 = factor_rational_prime(K, 2).ideals[0]
+    monkeypatch.setattr(class_group(K), "is_principal", lambda I: True)
+    with pytest.raises(AssertionError, match="off the principal cycle"):
+        principal_generator(q2)
+
+
+def test_principal_generator_raises_past_the_reduction_bound(monkeypatch):
+    q7 = factor_rational_prime(Q2, 7).ideals[0]
+    monkeypatch.setattr(quadfield, "_reduction_bound", lambda D, Q: 0)
+    with pytest.raises(AssertionError, match="no reduced state"):
+        principal_generator(q7)
+
+
+def test_principal_generator_checks_survive_python_O():
+    # (5) has the unit ideal as primitive part, whose walk stops at once
+    code = (
+        "from iwasawalab.quadfield import *\n"
+        "from iwasawalab.quadfield import _o_walk\n"
+        "assert False, 'asserts are on'\n"
+        "K = RealQuadraticField(79)\n"
+        "_o_walk(K)[0][(K.D, 2)] = (2, 0)\n"
+        "try:\n"
+        "    principal_generator(rational_ideal(K, 5))\n"
+        "except AssertionError as exc:\n"
+        "    print('raised:', exc)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "raised: generator is not integral\n"
 
 
 def test_ideal_valuation():
