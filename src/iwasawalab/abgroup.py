@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
+from .ntheory import crt, power
+
 
 # ------------------------------------------------------------- integer matrices
 
@@ -363,15 +365,6 @@ def subgroup_order_from_lattice(G: FiniteAbelianGroup, lattice_cols) -> int:
     return G.order // lattice_index(B)
 
 
-def _crt_merge(r1, m1, r2, m2):
-    g = gcd(m1, m2)
-    if (r2 - r1) % g != 0:
-        return None
-    l = m1 // g * m2
-    t = (r2 - r1) // g * pow(m1 // g, -1, m2 // g) % (m2 // g) if m2 != g else 0
-    return ((r1 + m1 * t) % l, l)
-
-
 def solve_dlog(G: FiniteAbelianGroup, g: GroupElement, h: GroupElement):
     """n with n*g = h in G, or None."""
     r, m = 0, 1
@@ -383,7 +376,7 @@ def solve_dlog(G: FiniteAbelianGroup, g: GroupElement, h: GroupElement):
         if d == q:
             continue  # a = 0, b = 0: no constraint
         ri = (b // q) * pow(a // q, -1, d // q) % (d // q)
-        merged = _crt_merge(r, m, ri, d // q)
+        merged = crt(r, m, ri, d // q)
         if merged is None:
             return None
         r, m = merged
@@ -391,17 +384,6 @@ def solve_dlog(G: FiniteAbelianGroup, g: GroupElement, h: GroupElement):
 
 
 # ------------------------------------------- decomposition of abstract groups
-
-def _power(op, ident, g, k):
-    r = ident
-    b = g
-    while k:
-        if k & 1:
-            r = op(r, b)
-        b = op(b, b)
-        k >>= 1
-    return r
-
 
 def _order_of(op, ident, g):
     o = 1
@@ -436,9 +418,9 @@ def _decompose_rec(elems, op, ident):
     out = [(g, og)]
     for hbar, m in _decompose_rec(reps, qop, coset(ident)):
         # lift: hbar^m lies in <g>, say g^s with m | s; correct by g^(-s/m)
-        s = cyc.index(_power(op, ident, hbar, m))
+        s = cyc.index(power(op, ident, hbar, m))
         assert s % m == 0, "maximal-order correction failed"
-        h = op(hbar, _power(op, ident, g, (og - (s // m) % og) % og))
+        h = op(hbar, power(op, ident, g, (og - (s // m) % og) % og))
         assert _order_of(op, ident, h) == m
         out.append((h, m))
     return out

@@ -10,12 +10,12 @@ valuation to any Z_p-rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .ntheory import isprime
-from .padic import PAdicNumber, UnramifiedQuadElem, vp
+from .padic import PAdicNumber, UnramifiedQuadElem, angle_log, vp
 from .quadfield import (FieldElement, IntegralIdeal, RealQuadraticField,
-                        SUnitProduct, factor_rational_prime, ideal_valuation)
+                        SUnitProduct, factor_rational_prime, fraction_parts,
+                        ideal_valuation, split_root)
 
 TRUE, FALSE, INDET = "true", "false", "indeterminate"
 
@@ -57,19 +57,6 @@ def completions_above_p(K: RealQuadraticField, p: int):
     return places_above(K, p)
 
 
-def _embedding_root(place: PlaceAbovePrime, abs_prec: int) -> int:
-    """Hensel-lifted image of w in Z/ell^abs_prec for a split place."""
-    K, ell = place.field, place.ell
-    t = (-place.ideal.b) % ell
-    mod = ell
-    f = lambda x: x * x - K.w_trace * x + K.w_norm
-    while mod < ell**abs_prec:
-        mod = min(mod * mod, ell**abs_prec)
-        t = (t - f(t) * pow(2 * t - K.w_trace, -1, mod)) % mod
-    assert f(t) % ell**abs_prec == 0
-    return t % ell**abs_prec
-
-
 def embed(x: FieldElement, place: PlaceAbovePrime, abs_prec: int):
     """Image of x in the completion at `place`, certified mod p^abs_prec.
 
@@ -79,16 +66,14 @@ def embed(x: FieldElement, place: PlaceAbovePrime, abs_prec: int):
     K, p = place.field, place.ell
     if place.kind == "ramified":
         raise ValueError("ramified completions are unsupported")
-    den = x.x.denominator
-    den = den * (x.y.denominator // gcd(den, x.y.denominator))
-    nx, ny = int(x.x * den), int(x.y * den)
+    nx, ny, den = fraction_parts(x)
     vden = vp(den, p) if den % p == 0 else 0
     work = abs_prec + vden + 1
     if place.kind in ("rational", "split"):
         if place.kind == "rational":
             num = nx
         else:
-            num = nx + ny * _embedding_root(place, work)
+            num = nx + ny * split_root(place.ideal, work)
         val = PAdicNumber.from_residue(num % p**work, p, work)
         return val / PAdicNumber.exact(den, p, work)
     # inert: w = (D + s)/2 in coordinates over {1, s}
@@ -118,14 +103,10 @@ class LocalValue:
 
 def _element_unit_log(x: FieldElement, place: PlaceAbovePrime, N: int):
     """log of the 1-unit part of x at a place above p."""
-    p = place.ell
     v = ideal_valuation(x, place.ideal)
-    w = embed(x, place, N + max(v, 0) + 1)
+    u = embed(x, place, N + max(v, 0) + 1).shift(-v)
     if place.kind == "inert":
-        u = w.shift(-v)
         return v, u.angle_log()
-    u = w.shift(-v)
-    from .padic import angle_log
     return v, angle_log(u)
 
 

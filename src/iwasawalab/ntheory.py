@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import gcd
+
 
 def isprime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid far beyond this package's scale."""
@@ -61,6 +63,32 @@ def extgcd(a: int, b: int):
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
+
+
+def power(mul, one, g, k: int):
+    """g^k for k >= 0 by square-and-multiply under `mul`, with identity
+    `one`; the last squaring, whose result is never read, is skipped."""
+    r = one
+    while k:
+        if k & 1:
+            r = mul(r, g)
+        k >>= 1
+        if k:
+            g = mul(g, g)
+    return r
+
+
+def crt(r1: int, m1: int, r2: int, m2: int):
+    """(r, lcm(m1, m2)) with r = r1 mod m1 and r = r2 mod m2, 0 <= r < lcm,
+    or None when the two residues are inconsistent."""
+    g = gcd(m1, m2)
+    if (r2 - r1) % g != 0:
+        return None
+    l = m1 // g * m2
+    if m2 == g:
+        return r1 % l, l
+    t = (r2 - r1) // g * pow(m1 // g, -1, m2 // g) % (m2 // g)
+    return (r1 + m1 * t) % l, l
 
 
 def legendre(a: int, p: int) -> int:

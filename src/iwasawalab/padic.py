@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+
+from .ntheory import power
 
 # bound used for zero markers that arise from exact integer zeros
 EXACT_ZERO_BOUND = 10**9
@@ -316,10 +319,12 @@ def angle(x: PAdicNumber) -> PAdicNumber:
 
 
 def _log_terms_needed(c: int, p: int, A: int) -> int:
-    """First K with k*c - v_p(k) >= A for every k >= K.
+    """A K with k*c - v_p(k) >= A for every k >= K, given c >= 1.
 
-    Uses v_p(k) <= log_p(k) and that k*c - log_p(k) increases in k for
-    c >= 1, p >= 3; so K = first k with k*c >= A and p^(k*c - A) >= k.
+    Uses v_p(k) <= log_p(k) and that k*c - log_p(k) does not decrease over
+    the integers k >= 1: its step c - log_p((k+1)/k) is at least
+    1 - log_p(2) >= 0 for every prime p, p = 2 included.  So K = the first
+    k with k*c >= A and p^(k*c - A) >= k.
     """
     k = max(1, -(-A // c))
     while p**(k * c - A) < k:
@@ -327,25 +332,40 @@ def _log_terms_needed(c: int, p: int, A: int) -> int:
     return k
 
 
-def _log_series_int(z: int, p: int, A: int) -> int:
-    """sum (-1)^(k+1) z^k / k mod p^A for an integer z with v_p(z) >= 1."""
-    if z % p**A == 0:
-        return 0
-    c = vp(z % p**A, p)
+def log_series(z0: int, z1: int, t: int, n: int, p: int, A: int):
+    """log(1 + z) mod p^A for z = z0 + z1*x in Z_p[x]/(x^2 - t*x + n) with
+    v_p(z) >= 1, as the coordinate pair over {1, x}.
+
+    x = sqrt(D) is t = 0, n = -D; the basis {1, w} of a quadratic field is
+    t = w_trace, n = w_norm; Z_p is z1 = 0.  The series
+    sum (-1)^(k+1) z^k / k stops before the K of _log_terms_needed; its terms
+    are computed mod p^(A + guard) with p^guard > K, so dividing z^k by the
+    p-part of k < K leaves at least A digits.
+    """
+    mod = p**A
+    z0 %= mod
+    z1 %= mod
+    if not (z0 or z1):
+        return 0, 0
+    c = vp(gcd(z0, z1), p)
+    if c < 1:
+        raise ValueError("log requires a 1-unit")
     K = _log_terms_needed(c, p, A)
     guard = 1
     while p**guard <= K:
         guard += 1
     modg = p**(A + guard)
-    z %= modg
-    total = 0
-    zk = 1
+    s0 = s1 = 0
+    x0, x1 = 1, 0
     for k in range(1, K):
-        zk = zk * z % modg
-        j = vp(k, p) if k % p == 0 else 0
-        term = (zk // p**j) * pow(k // p**j, -1, modg) % modg
-        total = (total + term if k % 2 == 1 else total - term) % modg
-    return total % p**A
+        x0, x1 = ((x0 * z0 - n * x1 * z1) % modg,
+                  (x0 * z1 + x1 * z0 + t * x1 * z1) % modg)
+        pj = p**vp(k, p) if k % p == 0 else 1
+        # (-1)^(k+1) / (k / pj); pj divides z^k exactly
+        inv = pow(k // pj if k % 2 else -(k // pj), -1, modg)
+        s0 = (s0 + x0 // pj * inv) % modg
+        s1 = (s1 + x1 // pj * inv) % modg
+    return s0 % mod, s1 % mod
 
 
 def plog(x: PAdicNumber) -> PAdicNumber:
@@ -354,8 +374,8 @@ def plog(x: PAdicNumber) -> PAdicNumber:
     if x.m is None or x.v != 0 or x.m % p != 1:
         raise ValueError("plog requires an element of 1 + pZ_p")
     A = x.abs_prec
-    val = _log_series_int(x.residue(A) - 1, p, A)
-    return PAdicNumber.from_residue(val, p, A)
+    return PAdicNumber.from_residue(
+        log_series(x.residue(A) - 1, 0, 0, 0, p, A)[0], p, A)
 
 
 def log_ratio(u: PAdicNumber, w: PAdicNumber) -> PAdicNumber:
@@ -442,15 +462,8 @@ class UnramifiedQuadElem:
     def __pow__(self, k: int):
         if k < 0:
             return self.inv() ** (-k)
-        result = UnramifiedQuadElem.one(self.r, self.p,
-                                        max(self.abs_prec, 1))
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        one = UnramifiedQuadElem.one(self.r, self.p, max(self.abs_prec, 1))
+        return power(UnramifiedQuadElem.__mul__, one, self, k)
 
     @property
     def abs_prec(self) -> int:
@@ -478,42 +491,31 @@ class UnramifiedQuadElem:
     def shift(self, j: int):
         return UnramifiedQuadElem(self.a.shift(j), self.b.shift(j), self.r)
 
+    def _log_of_power(self, k: int) -> "UnramifiedQuadElem":
+        """log(self^k)/k on the residues mod p^A, A = abs_prec."""
+        p, r, A = self.p, self.r, self.abs_prec
+        mod = p**A
+
+        def mul(u, v):
+            return ((u[0] * v[0] + u[1] * v[1] * r) % mod,
+                    (u[0] * v[1] + u[1] * v[0]) % mod)
+
+        u = power(mul, (1, 0), (self.a.residue(A), self.b.residue(A)), k)
+        l0, l1 = log_series(u[0] - 1, u[1], 0, -r, p, A)
+        inv = pow(k, -1, mod)
+        return UnramifiedQuadElem(PAdicNumber.from_residue(l0 * inv, p, A),
+                                  PAdicNumber.from_residue(l1 * inv, p, A),
+                                  r)
+
     def log_one_unit(self) -> "UnramifiedQuadElem":
         """Series logarithm; requires self ≡ 1 mod p."""
-        p = self.p
-        one = UnramifiedQuadElem.one(self.r, p, self.abs_prec)
-        z = self - one
-        zv = z.valuation()
-        if isinstance(zv, AtLeast):
-            bound = zv.bound
-            return UnramifiedQuadElem(PAdicNumber.zero_marker(p, bound),
-                                      PAdicNumber.zero_marker(p, bound), self.r)
-        if zv < 1:
-            raise ValueError("log requires a 1-unit")
-        A = self.abs_prec
-        total = UnramifiedQuadElem(PAdicNumber.zero_marker(p, A),
-                                   PAdicNumber.zero_marker(p, A), self.r)
-        zk = one
-        K = _log_terms_needed(zv, p, A)
-        for k in range(1, K):
-            zk = zk * z
-            j = vp(k, p) if k % p == 0 else 0
-            inv_kk = PAdicNumber.exact(k // p**j, p, A + 2).inv()
-            term = UnramifiedQuadElem(zk.a * inv_kk, zk.b * inv_kk,
-                                      self.r).shift(-j)
-            total = total + term if k % 2 == 1 else total - term
-        return total
+        return self._log_of_power(1)
 
     def angle_log(self) -> "UnramifiedQuadElem":
         """log of the 1-unit part of a unit, via u^(p^2-1)."""
         if not self.is_unit():
             raise ValueError("angle_log requires a unit")
-        p = self.p
-        n = p * p - 1
-        w = self ** n
-        lg = w.log_one_unit()
-        inv_n = PAdicNumber.exact(n, p, max(self.abs_prec, 1) + 2).inv()
-        return UnramifiedQuadElem(lg.a * inv_n, lg.b * inv_n, self.r)
+        return self._log_of_power(self.p * self.p - 1)
 
     def __repr__(self):
         return "(%r) + (%r)*s  [s^2=%d]" % (self.a, self.b, self.r)

@@ -15,7 +15,7 @@ from math import gcd, isqrt
 
 from .abgroup import (FiniteAbelianGroup, GroupElement, decompose_abelian,
                       smith_presentation, solve_congruence_lattice)
-from .ntheory import extgcd, isprime, legendre, sqrt_mod_prime
+from .ntheory import extgcd, isprime, legendre, power, sqrt_mod_prime
 from .padic import PAdicNumber
 
 
@@ -178,14 +178,7 @@ class FieldElement:
     def __pow__(self, k: int):
         if k < 0:
             return self.inv() ** (-k)
-        r = self.field.one()
-        b = self
-        while k:
-            if k & 1:
-                r = r * b
-            b = b * b
-            k >>= 1
-        return r
+        return power(FieldElement.__mul__, self.field.one(), self, k)
 
     def is_integral(self) -> bool:
         return self.x.denominator == 1 and self.y.denominator == 1
@@ -237,6 +230,13 @@ def _real_sign(u, v, D: int) -> int:
     return (1 if u > 0 else -1) if big else (1 if v > 0 else -1)
 
 
+def fraction_parts(x: FieldElement):
+    """(num_x, num_y, den) with x = (num_x + num_y*w)/den, all integers."""
+    den = x.x.denominator
+    den = den * (x.y.denominator // gcd(den, x.y.denominator))
+    return int(x.x * den), int(x.y * den), den
+
+
 @dataclass(frozen=True)
 class IntegralIdeal:
     """Nonzero integral ideal a*Z + (b + c*w)*Z in HNF: c | a, c | b,
@@ -282,14 +282,7 @@ class IntegralIdeal:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("integral ideals only")
-        r = unit_ideal(self.field)
-        b = self
-        while k:
-            if k & 1:
-                r = r * b
-            b = b * b
-            k >>= 1
-        return r
+        return power(IntegralIdeal.__mul__, unit_ideal(self.field), self, k)
 
     def conj(self) -> "IntegralIdeal":
         K = self.field
@@ -411,6 +404,20 @@ def _min_poly_roots_mod(K: RealQuadraticField, ell: int):
     return sorted({(D + r) * inv2 % ell, (D - r) * inv2 % ell})
 
 
+def split_root(q: IntegralIdeal, e: int) -> int:
+    """Image of w in Z/ell^e under a split prime q = (ell; b; 1): the root
+    -b mod ell of T^2 - w_trace*T + w_norm, Hensel-lifted mod ell^e."""
+    K, ell = q.field, q.a
+    f = lambda x: x * x - K.w_trace * x + K.w_norm
+    t, mod, top = (-q.b) % ell, ell, ell**e
+    while mod < top:
+        mod = min(mod * mod, top)
+        t = (t - f(t) * pow(2 * t - K.w_trace, -1, mod)) % mod
+    if f(t) % top:
+        raise AssertionError("Hensel lift of w fails mod %d^%d" % (ell, e))
+    return t
+
+
 def prime_ideals_above(K: RealQuadraticField, ell: int):
     return list(factor_rational_prime(K, ell).ideals)
 
@@ -433,10 +440,10 @@ def ideal_valuation(x, q: IntegralIdeal) -> int:
         d //= ell
         vden += 1
     v = 0
-    power = q
-    while power.contains(num):
+    qv = q
+    while qv.contains(num):
         v += 1
-        power = power * q
+        qv = qv * q
     return v - e_q * vden
 
 

@@ -7,13 +7,13 @@ pairs over the integral basis {1, w} (inert components).
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import isqrt
 
-from .ntheory import factorint
-from .padic import _log_series_int, vp
+from .ntheory import crt, factorint, power
+from .padic import log_series
 from .quadfield import (FieldElement, IntegralIdeal, RealQuadraticField,
                         _min_poly_roots_mod, _residue_char,
-                        factor_rational_prime)
+                        factor_rational_prime, fraction_parts, split_root)
 
 
 def _bsgs(mul, one, g, h, n: int):
@@ -28,7 +28,7 @@ def _bsgs(mul, one, g, h, n: int):
         table.setdefault(x, j)
         x = mul(x, g)
     # giant step: x = g^m, inverted by powering to n - 1
-    ginv_m = _pow(mul, one, x, n - 1)
+    ginv_m = power(mul, one, x, n - 1)
     y = h
     for i in range(1, m):
         y = mul(y, ginv_m)
@@ -46,33 +46,24 @@ def _ph_dlog(mul, one, g, h, n: int, fac: dict):
     k, m = 0, 1
     for q, a in fac.items():
         qa = q**a
-        gq = _pow(mul, one, g, n // qa)
-        t = _pow(mul, one, h, n // qa)
-        gamma = _pow(mul, one, gq, qa // q)
+        gq = power(mul, one, g, n // qa)
+        t = power(mul, one, h, n // qa)
+        gamma = power(mul, one, gq, qa // q)
         if a > 1:
-            gq_inv = _pow(mul, one, gq, qa - 1)
+            gq_inv = power(mul, one, gq, qa - 1)
         x, qj = 0, 1
         for j in range(a):
             # t = gq^(k - x) has order dividing q^(a - j)
-            d = _bsgs(mul, one, gamma, _pow(mul, one, t, qa // (qj * q)), q)
+            d = _bsgs(mul, one, gamma, power(mul, one, t, qa // (qj * q)), q)
             if d and j + 1 < a:
-                t = mul(t, _pow(mul, one, gq_inv, d * qj))
+                t = mul(t, power(mul, one, gq_inv, d * qj))
             x += d * qj
             qj *= q
-        k = _crt(k, m, x, qa)
-        m *= qa
+        merged = crt(k, m, x, qa)
+        if merged is None:
+            raise AssertionError("Pohlig-Hellman digits are inconsistent")
+        k, m = merged
     return k
-
-
-def _pow(mul, one, g, k: int):
-    r = one
-    while k:
-        if k & 1:
-            r = mul(r, g)
-        k >>= 1
-        if k:
-            g = mul(g, g)
-    return r
 
 
 class _Component:
@@ -115,7 +106,7 @@ class RationalComponent(_Component):
         return a * b % self.mod
 
     def reduce(self, x: FieldElement):
-        num_x, num_y, den = _fraction_parts(x)
+        num_x, num_y, den = fraction_parts(x)
         if self.root is None:
             if num_y:
                 raise ValueError("nonrational element in rational component")
@@ -135,8 +126,8 @@ class RationalComponent(_Component):
                 return [0 if a % 4 == 1 else 1]
             s = 0 if a % 4 == 1 else 1
             y = a * (self.mod - 1 if s else 1) % self.mod
-            l5 = _log_series_int(4, 2, e)
-            ly = _log_series_int(y - 1, 2, e)
+            l5 = log_series(4, 0, 0, 0, 2, e)[0]
+            ly = log_series(y - 1, 0, 0, 0, 2, e)[0]
             k = (ly // 4) * pow(l5 // 4, -1, 2**(e - 2)) % 2**(e - 2)
             return [s, k]
         if e == 1:
@@ -148,11 +139,13 @@ class RationalComponent(_Component):
         gproj = pow(g, ell**(e - 1), self.mod)
         k1 = _ph_dlog(self.mul, 1, gproj, proj, ell - 1, self._fac)
         # 1-unit part via the ell-adic log
-        la = _log_series_int(pow(a, ell - 1, self.mod) - 1, ell, e)
-        lg = _log_series_int(pow(g, ell - 1, self.mod) - 1, ell, e)
+        la = log_series(pow(a, ell - 1, self.mod) - 1, 0, 0, 0, ell, e)[0]
+        lg = log_series(pow(g, ell - 1, self.mod) - 1, 0, 0, 0, ell, e)[0]
         k2 = (la // ell) * pow(lg // ell, -1, ell**(e - 1)) % ell**(e - 1)
-        k = _crt(k1, ell - 1, k2, ell**(e - 1))
-        return [k]
+        merged = crt(k1, ell - 1, k2, ell**(e - 1))
+        if merged is None:
+            raise AssertionError("torsion and 1-unit dlogs are inconsistent")
+        return [merged[0]]
 
     @property
     def size(self):
@@ -185,27 +178,26 @@ class InertComponent(_Component):
             self.gens, self.orders = [g], [n_res]
         else:
             for _ in range(2 * e + 2):
-                g2 = _pow(self.mul, self.one, g, ell * ell)
+                g2 = power(self.mul, self.one, g, ell * ell)
                 if g2 == g:
                     break
                 g = g2
             self.gens = [g, (1 + ell, 0), (1, ell)]
             self.orders = [n_res, ell**(e - 1), ell**(e - 1)]
-            self._log_u1 = self._log_one_unit(self.gens[1])
-            self._log_u2 = self._log_one_unit(self.gens[2])
-
-    def _mul_mod(self, u, v, m):
-        return ((u[0] * v[0] - u[1] * v[1] * self._norm) % m,
-                (u[0] * v[1] + u[1] * v[0] + u[1] * v[1] * self._trace) % m)
+            # logs of the 1-unit generators 1 + ell and 1 + ell*w
+            self._log_u1 = log_series(ell, 0, self._trace, self._norm, ell, e)
+            self._log_u2 = log_series(0, ell, self._trace, self._norm, ell, e)
 
     def mul(self, u, v):
-        return self._mul_mod(u, v, self.mod)
+        m = self.mod
+        return ((u[0] * v[0] - u[1] * v[1] * self._norm) % m,
+                (u[0] * v[1] + u[1] * v[0] + u[1] * v[1] * self._trace) % m)
 
     def _unit(self, u):
         return self.norm_int(u) % self.ell != 0
 
     def reduce(self, x: FieldElement):
-        num_x, num_y, den = _fraction_parts(x)
+        num_x, num_y, den = fraction_parts(x)
         if den % self.ell == 0:
             raise ValueError("denominator not invertible")
         inv = pow(den, -1, self.mod)
@@ -214,31 +206,6 @@ class InertComponent(_Component):
             raise ValueError("element is not a unit at this component")
         return u
 
-    def _log_one_unit(self, u):
-        """log of a 1-unit pair, exact mod ell^e, as a coordinate pair."""
-        ell, e = self.ell, self.e
-        K = _log_terms_bound(1, ell, e)
-        guard = 1
-        while ell**guard <= K:
-            guard += 1
-        modg = ell**(e + guard)
-        z = ((u[0] - 1) % modg, u[1] % modg)
-        total = (0, 0)
-        zk = (1 % modg, 0)
-        for k in range(1, K):
-            zk = self._mul_mod(zk, z, modg)
-            j = vp(k, ell) if k % ell == 0 else 0
-            inv = pow(k // ell**j, -1, modg)
-            term = ((zk[0] // ell**j) * inv % modg,
-                    (zk[1] // ell**j) * inv % modg)
-            if k % 2 == 1:
-                total = ((total[0] + term[0]) % modg,
-                         (total[1] + term[1]) % modg)
-            else:
-                total = ((total[0] - term[0]) % modg,
-                         (total[1] - term[1]) % modg)
-        return (total[0] % self.mod, total[1] % self.mod)
-
     def dlog(self, u):
         ell, e = self.ell, self.e
         n_res = ell * ell - 1
@@ -246,13 +213,13 @@ class InertComponent(_Component):
             return [_ph_dlog(self.mul, self.one, self.gens[0], u, n_res,
                              self._fac)]
         unit_sz = ell**(2 * (e - 1))
-        proj = _pow(self.mul, self.one, u, unit_sz)
-        gproj = _pow(self.mul, self.one, self.gens[0], unit_sz)
+        proj = power(self.mul, self.one, u, unit_sz)
+        gproj = power(self.mul, self.one, self.gens[0], unit_sz)
         k1 = _ph_dlog(self.mul, self.one, gproj, proj, n_res, self._fac)
         i = k1 * pow(unit_sz % n_res, -1, n_res) % n_res
-        w = self.mul(u, _pow(self.mul, self.one, self.gens[0], n_res - i)) \
+        w = self.mul(u, power(self.mul, self.one, self.gens[0], n_res - i)) \
             if i else u
-        lw = self._log_one_unit(_pow(self.mul, self.one, w, 1))
+        lw = log_series(w[0] - 1, w[1], self._trace, self._norm, ell, e)
         # solve alpha * log(u1) + beta * log(u2) = log(w) mod ell^(e-1)
         m1 = ell**(e - 1)
         a11, a21 = self._log_u1[0] // ell, self._log_u1[1] // ell
@@ -298,7 +265,7 @@ class RamifiedComponent(_Component):
         return a * b % self.mod
 
     def reduce(self, x: FieldElement):
-        num_x, num_y, den = _fraction_parts(x)
+        num_x, num_y, den = fraction_parts(x)
         val = num_x + num_y * self.root
         if den % self.ell == 0 or val % self.ell == 0:
             raise ValueError("element is not a unit at this component")
@@ -316,15 +283,6 @@ class RamifiedComponent(_Component):
 
     def norm_int(self, a):
         return a * a % self.mod  # norm of a rational residue at e(q)=2
-
-
-def _fraction_parts(x: FieldElement):
-    """(num_x, num_y, den) with x = (num_x + num_y*w)/den, integers."""
-    den = x.x.denominator
-    den = den * (x.y.denominator // gcd(den, x.y.denominator))
-    nx = int(x.x * den)
-    ny = int(x.y * den)
-    return nx, ny, den
 
 
 def _primitive_root(ell: int, fac: dict) -> int:
@@ -360,8 +318,8 @@ def _inert_generator(ell: int, trace: int, norm: int, fac_minus: dict,
 
     def class_of_ok(r):
         if r not in class_ok:
-            z = _pow(mul, (1, 0), (0, 1) if r is None else (1, r), ell - 1)
-            class_ok[r] = all(_pow(mul, (1, 0), z, k) != (1, 0)
+            z = power(mul, (1, 0), (0, 1) if r is None else (1, r), ell - 1)
+            class_ok[r] = all(power(mul, (1, 0), z, k) != (1, 0)
                               for k in plus)
         return class_ok[r]
 
@@ -378,30 +336,13 @@ def _inert_generator(ell: int, trace: int, norm: int, fac_minus: dict,
                      % (trace, norm, ell))
 
 
-def _crt(r1, m1, r2, m2):
-    g = gcd(m1, m2)
-    assert (r2 - r1) % g == 0
-    l = m1 // g * m2
-    if m2 == g:
-        return r1 % l
-    t = (r2 - r1) // g * pow(m1 // g, -1, m2 // g) % (m2 // g)
-    return (r1 + m1 * t) % l
-
-
-def _log_terms_bound(c: int, p: int, A: int) -> int:
-    k = max(1, -(-A // c))
-    while p**(k * c - A) < k:
-        k += 1
-    return k
-
-
 def make_component(K: RealQuadraticField, q: IntegralIdeal, e: int):
     ell = _residue_char(q)
     if K.is_rational:
         return RationalComponent(K, q, ell, e)
     kind = factor_rational_prime(K, ell).kind
     if kind == "split":
-        root = _split_root(K, q, ell, e)
+        root = split_root(q, e)
         return RationalComponent(K, q, ell, e, root=root)
     if kind == "inert":
         if ell == 2 and e > 1:
@@ -410,19 +351,6 @@ def make_component(K: RealQuadraticField, q: IntegralIdeal, e: int):
     if e != 1:
         raise ValueError("ramified prime-power moduli are unsupported")
     return RamifiedComponent(K, q, ell)
-
-
-def _split_root(K, q, ell, e):
-    """Image of w in Z/ell^e determined by the split prime q (Hensel)."""
-    t = (-q.b) % ell
-    f = lambda x: (x * x - K.w_trace * x + K.w_norm)
-    mod = ell
-    while mod < ell**e:
-        mod = min(mod * mod, ell**e)
-        der = (2 * t - K.w_trace) % mod
-        t = (t - f(t) * pow(der, -1, mod)) % mod
-    assert f(t) % ell**e == 0
-    return t % ell**e
 
 
 class UnitGroupModM:

@@ -59,6 +59,13 @@ CASES = [
     ("rayclass-split-inert-7091", 0,
      ["--format", "json", "rayclass", "--field", "Q(sqrt{2})",
       "--modulus", "7091", "--p", "3"]),
+    # inert prime powers: 5 inert at e = 3; 3 split and 5 inert, both e = 3
+    ("rayclass-inert-125", 0,
+     ["--format", "json", "rayclass", "--field", "Q(sqrt{2})",
+      "--modulus", "125", "--p", "5"]),
+    ("rayclass-split-inert-3375", 0,
+     ["--format", "json", "rayclass", "--field", "Q(sqrt{7})",
+      "--modulus", "3375", "--p", "3"]),
     ("frobenius", 0,
      ["--format", "json", "frobenius", "--field", "Q", "--p", "3",
       "--q", "2", "--q", "7", "--prec", "3"]),
