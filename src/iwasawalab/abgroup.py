@@ -294,9 +294,6 @@ class FiniteAbelianGroup:
     def scale(self, n: int, g: GroupElement) -> GroupElement:
         return self.element([n * a for a in g.coords])
 
-    def neg(self, g: GroupElement) -> GroupElement:
-        return self.element([-a for a in g.coords])
-
     def subgroup_lattice(self, gens):
         """Columns spanning the lattice of <gens> + relation lattice in Z^k."""
         k = len(self.invariant_factors)

@@ -120,7 +120,8 @@ def _image_order_at_level(K, p, L, q1, q2):
         D = G.degree_kernel_lattice()
         inter = lattice_intersection(S, D)
         m_sub = subgroup_order_from_lattice(G.group, inter)
-        assert m_sub == order, "subgroup and element orders disagree"
+        if m_sub != order:
+            raise AssertionError("subgroup and element orders disagree")
     return order, G, a1
 
 

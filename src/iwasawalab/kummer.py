@@ -110,7 +110,8 @@ def construct_alpha(K: RealQuadraticField, p: int, Q, N: int) \
     scale = n_prime_to_p * m_q
     J = q1**(b1 * scale) * q2**(b2 * scale)
     beta = principal_generator(J)
-    assert beta is not None, "congruence-split ideal failed to be principal"
+    if beta is None:
+        raise AssertionError("congruence-split ideal failed to be principal")
 
     primes = [q1, q2]
     data = SUnitBasisData(K, primes)
@@ -149,7 +150,7 @@ def construct_alpha(K: RealQuadraticField, p: int, Q, N: int) \
         alpha = SUnitProduct(basis, p, new_exp, N)
     else:
         alpha = alpha0
-    return verify_alpha(alpha, K, p, (q1, q2), N)
+    return _check_certificate(alpha, K, p, (q1, q2), N, rep)
 
 
 def _class_order(K, q) -> int:
@@ -193,14 +194,15 @@ def verify_alpha(alpha: SUnitProduct, K: RealQuadraticField, p: int, Q,
                  N: int) -> KummerCertificate:
     """Check the four certificate clauses; accept, reject naming the failed
     clause, or report indeterminate when the data sits below precision."""
-    q1, q2 = Q
-    if isinstance(q1, int):
-        q1 = rational_ideal(K, q1)
-    if isinstance(q2, int):
-        q2 = rational_ideal(K, q2)
-    cert = KummerCertificate(alpha, K, p, N, (q1, q2))
+    Q = tuple(rational_ideal(K, q) if isinstance(q, int) else q for q in Q)
+    return _check_certificate(alpha, K, p, Q, N, mq_order(K, p, Q, N))
 
-    rep = mq_order(K, p, (q1, q2), N)
+
+def _check_certificate(alpha: SUnitProduct, K: RealQuadraticField, p: int,
+                       Q, N: int, rep) -> KummerCertificate:
+    """verify_alpha given the mq_order report `rep` of (K, p, Q, N)."""
+    q1, q2 = Q
+    cert = KummerCertificate(alpha, K, p, N, Q)
     cert.m_q = rep.m_q
     if not rep.stable:
         cert.status = "indeterminate"

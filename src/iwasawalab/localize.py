@@ -15,7 +15,7 @@ from .ntheory import isprime
 from .padic import PAdicNumber, UnramifiedQuadElem, angle_log, vp
 from .quadfield import (FieldElement, IntegralIdeal, RealQuadraticField,
                         SUnitProduct, factor_rational_prime, fraction_parts,
-                        ideal_valuation, split_root)
+                        ideal_valuation, parts_valuation, split_root)
 
 TRUE, FALSE, INDET = "true", "false", "indeterminate"
 
@@ -63,26 +63,29 @@ def embed(x: FieldElement, place: PlaceAbovePrime, abs_prec: int):
     Split/rational places give a PAdicNumber; inert places give an
     UnramifiedQuadElem with s = sqrt(D).
     """
-    K, p = place.field, place.ell
     if place.kind == "ramified":
         raise ValueError("ramified completions are unsupported")
-    nx, ny, den = fraction_parts(x)
-    vden = vp(den, p) if den % p == 0 else 0
+    return _embed_parts(*fraction_parts(x), place, abs_prec)
+
+
+def _embed_parts(a: int, b: int, den: int, place: PlaceAbovePrime,
+                 abs_prec: int):
+    """embed of x = (a + b*w)/den: the image of a + b*w times den'^-1 mod
+    p^work, den = p^vden * den', shifted by -vden."""
+    K, p = place.field, place.ell
+    vden = vp(den, p)
     work = abs_prec + vden + 1
-    if place.kind in ("rational", "split"):
-        if place.kind == "rational":
-            num = nx
-        else:
-            num = nx + ny * split_root(place.ideal, work)
-        val = PAdicNumber.from_residue(num % p**work, p, work)
-        return val / PAdicNumber.exact(den, p, work)
+    mod = p**work
+    inv = pow(den // p**vden, -1, mod)
+    if place.kind == "rational":
+        return PAdicNumber.from_residue(a * inv, p, work).shift(-vden)
+    if place.kind == "split":
+        num = a + b * split_root(place.ideal, work)
+        return PAdicNumber.from_residue(num * inv, p, work).shift(-vden)
     # inert: w = (D + s)/2 in coordinates over {1, s}
-    inv2 = pow(2, -1, p**work)
-    a = (nx + ny * K.D * inv2) % p**work
-    b = ny * inv2 % p**work
-    u = UnramifiedQuadElem.from_residues(a, b, K.D, p, work)
-    deninv = PAdicNumber.exact(den, p, work).inv()
-    return UnramifiedQuadElem(u.a * deninv, u.b * deninv, K.D)
+    inv2 = pow(2, -1, mod)
+    return UnramifiedQuadElem.from_residues(
+        (a + b * K.D * inv2) * inv, b * inv2 * inv, K.D, p, work).shift(-vden)
 
 
 @dataclass
@@ -103,8 +106,9 @@ class LocalValue:
 
 def _element_unit_log(x: FieldElement, place: PlaceAbovePrime, N: int):
     """log of the 1-unit part of x at a place above p."""
-    v = ideal_valuation(x, place.ideal)
-    u = embed(x, place, N + max(v, 0) + 1).shift(-v)
+    a, b, den = fraction_parts(x)
+    v = parts_valuation(a, b, den, place.ideal)
+    u = _embed_parts(a, b, den, place, N + max(v, 0) + 1).shift(-v)
     if place.kind == "inert":
         return v, u.angle_log()
     return v, angle_log(u)

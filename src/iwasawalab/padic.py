@@ -149,13 +149,6 @@ class PAdicNumber:
         """True if the value is certified ≡ 1 mod p."""
         return self.is_unit() and self.m % self.p == 1
 
-    def same_within_precision(self, other: "PAdicNumber") -> bool:
-        """True when self - other is indistinguishable from zero."""
-        return (self - other).is_marker
-
-    def definitely_differs(self, other: "PAdicNumber") -> bool:
-        return not self.same_within_precision(other)
-
     # ------------------------------------------------------------- arithmetic
     def _check(self, other: "PAdicNumber"):
         if not isinstance(other, PAdicNumber):

@@ -16,7 +16,7 @@ from math import gcd, isqrt
 from .abgroup import (FiniteAbelianGroup, GroupElement, decompose_abelian,
                       smith_presentation, solve_congruence_lattice)
 from .ntheory import extgcd, isprime, legendre, power, sqrt_mod_prime
-from .padic import PAdicNumber
+from .padic import PAdicNumber, vp
 
 
 _SQUAREFREE_CACHE = {}
@@ -232,9 +232,9 @@ def _real_sign(u, v, D: int) -> int:
 
 def fraction_parts(x: FieldElement):
     """(num_x, num_y, den) with x = (num_x + num_y*w)/den, all integers."""
-    den = x.x.denominator
-    den = den * (x.y.denominator // gcd(den, x.y.denominator))
-    return int(x.x * den), int(x.y * den), den
+    dx, dy = x.x.denominator, x.y.denominator
+    den = dx * (dy // gcd(dx, dy))
+    return x.x.numerator * (den // dx), x.y.numerator * (den // dy), den
 
 
 @dataclass(frozen=True)
@@ -294,17 +294,6 @@ class IntegralIdeal:
             pairs.append((u + v * K.w_trace, -v))
         a, b, c = _hnf_pairs(pairs)
         return IntegralIdeal(K, a, b, c)
-
-    def contains(self, e: FieldElement) -> bool:
-        if not e.is_integral():
-            return False
-        u, v = int(e.x), int(e.y)
-        if self.field.is_rational:
-            return v == 0 and u % self.a == 0
-        if v % self.c:
-            return False
-        n = v // self.c
-        return (u - n * self.b) % self.a == 0
 
     def content_and_primitive(self):
         if self.field.is_rational:
@@ -422,29 +411,40 @@ def prime_ideals_above(K: RealQuadraticField, ell: int):
     return list(factor_rational_prime(K, ell).ideals)
 
 
+def parts_valuation(a: int, b: int, den: int, q: IntegralIdeal) -> int:
+    """Exact v_q(x), x = (a + b*w)/den, at a prime q over ell, for integers
+    a, b and den > 0 as fraction_parts gives them.  Let y = a + b*w.
+
+    Over Q, v_q(y) = v_ell(a); ell inert (q = (ell)): min(v_ell(a),
+    v_ell(b)); ell ramified (f = 1, N(q) = ell): v_ell(N(y)).  ell split,
+    q = (ell; b_q; 1): O/q^m = Z/ell^m sends w to r = split_root(q, m), so
+    v_q(y) = v_ell((a + b*r) mod ell^m) once m > v_q(y).  Let k =
+    v_ell(N(y)); N(y)*Z = N(yO) and N(q) = N(qbar) = ell give v_q(y) +
+    v_qbar(y) = k, so v_q(y) <= k < k + 1 = m, and k = 0 needs no root.
+    Then v_q(x) = v_q(y) - e_q*v_ell(den).  Cohen, GTM 138, 4.8.3."""
+    K = q.field
+    if not (a or b):
+        raise ValueError("valuation of 0")
+    ell = _residue_char(q)
+    vden = vp(den, ell)
+    if K.is_rational:
+        return vp(a, ell) - vden
+    if q.norm != ell:                           # inert
+        return min(vp(c, ell) for c in (a, b) if c) - vden
+    norm = lambda s, t: s * s + K.w_trace * s * t + K.w_norm * t * t
+    k = vp(norm(a, b), ell) if norm(a % ell, b % ell) % ell == 0 else 0
+    if K.D % ell == 0:                          # ramified: e_q = 2
+        return k - 2 * vden
+    if k == 0:
+        return -vden
+    return vp((a + b * split_root(q, k + 1)) % ell**(k + 1), ell) - vden
+
+
 def ideal_valuation(x, q: IntegralIdeal) -> int:
     """Exact valuation v_q(x) for a field element or rational number x."""
-    K = q.field
     if isinstance(x, (int, Fraction)):
-        x = K.element(x)
-    if x.is_zero():
-        raise ValueError("valuation of 0")
-    den = Fraction(x.x.denominator * x.y.denominator // gcd(
-        x.x.denominator, x.y.denominator))
-    num = x * den
-    ell = _residue_char(q)
-    e_q = 2 if (not K.is_rational and K.D % ell == 0) else 1
-    vden = 0
-    d = int(den)
-    while d % ell == 0:
-        d //= ell
-        vden += 1
-    v = 0
-    qv = q
-    while qv.contains(num):
-        v += 1
-        qv = qv * q
-    return v - e_q * vden
+        x = q.field.element(x)
+    return parts_valuation(*fraction_parts(x), q)
 
 
 def _residue_char(q: IntegralIdeal) -> int:
@@ -455,10 +455,6 @@ def _residue_char(q: IntegralIdeal) -> int:
     if r * r == n and isprime(r):
         return r
     raise ValueError("not a prime ideal: %s" % (q,))
-
-
-def residue_degree(q: IntegralIdeal) -> int:
-    return 1 if isprime(q.norm) else 2
 
 
 # ----------------------------------------------- reduction (cycles of ideals)
@@ -778,7 +774,9 @@ class SUnitBasisData:
                 if wq:
                     vals[q.key()] = wq
             for q, wq in zip(self.primes, w):
-                assert ideal_valuation(gamma, q) == wq
+                if ideal_valuation(gamma, q) != wq:
+                    raise AssertionError("lattice generator has the wrong "
+                                         "valuation at %s" % (q,))
             label = "g[" + ",".join(str(t) for t in w) + "]"
             self.entries.append(SUnitBasisEntry(gamma, vals, label, "lattice"))
 

@@ -94,6 +94,8 @@ class RationalComponent(_Component):
             else:
                 self.gens = [self.mod - 1, 5 % self.mod]
                 self.orders = [2, 2**(e - 2)]
+                l5 = log_series(4, 0, 0, 0, 2, e)[0]
+                self._log_gen_inv = pow(l5 // 4, -1, 2**(e - 2))
         else:
             self._fac = factorint(ell - 1)
             g = _primitive_root(ell, self._fac)
@@ -101,6 +103,10 @@ class RationalComponent(_Component):
                 g += ell
             self.gens = [g % self.mod]
             self.orders = [(ell - 1) * ell**(e - 1)]
+            if e > 1:
+                lg = log_series(pow(g, ell - 1, self.mod) - 1, 0, 0, 0,
+                                ell, e)[0]
+                self._log_gen_inv = pow(lg // ell, -1, ell**(e - 1))
 
     def mul(self, a, b):
         return a * b % self.mod
@@ -126,9 +132,8 @@ class RationalComponent(_Component):
                 return [0 if a % 4 == 1 else 1]
             s = 0 if a % 4 == 1 else 1
             y = a * (self.mod - 1 if s else 1) % self.mod
-            l5 = log_series(4, 0, 0, 0, 2, e)[0]
             ly = log_series(y - 1, 0, 0, 0, 2, e)[0]
-            k = (ly // 4) * pow(l5 // 4, -1, 2**(e - 2)) % 2**(e - 2)
+            k = (ly // 4) * self._log_gen_inv % 2**(e - 2)
             return [s, k]
         if e == 1:
             return [_ph_dlog(self.mul, 1, self.gens[0], a, ell - 1,
@@ -140,8 +145,7 @@ class RationalComponent(_Component):
         k1 = _ph_dlog(self.mul, 1, gproj, proj, ell - 1, self._fac)
         # 1-unit part via the ell-adic log
         la = log_series(pow(a, ell - 1, self.mod) - 1, 0, 0, 0, ell, e)[0]
-        lg = log_series(pow(g, ell - 1, self.mod) - 1, 0, 0, 0, ell, e)[0]
-        k2 = (la // ell) * pow(lg // ell, -1, ell**(e - 1)) % ell**(e - 1)
+        k2 = (la // ell) * self._log_gen_inv % ell**(e - 1)
         merged = crt(k1, ell - 1, k2, ell**(e - 1))
         if merged is None:
             raise AssertionError("torsion and 1-unit dlogs are inconsistent")

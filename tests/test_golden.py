@@ -10,7 +10,9 @@ and review the diff: a golden changes only when an answer is meant to.
 
 import contextlib
 import io
+import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -76,6 +78,17 @@ CASES = [
     ("alpha-79-prec24", 0,
      ["--format", "json", "alpha", "--field", "Q(sqrt{79})", "--p", "3",
       "--q1", "2", "--q2", "5a", "--prec", "24"]),
+    # both split places of 3 in Q(sqrt 7) as Q
+    ("alpha-7-3a3b", 0,
+     ["--format", "json", "alpha", "--field", "Q(sqrt{7})", "--p", "5",
+      "--q1", "3a", "--q2", "3b", "--prec", "10"]),
+    # regulator valuation 10: indeterminate at --prec 8, certified at 16
+    ("leopoldt-21713-prec8", 3,
+     ["--format", "json", "leopoldt", "--field", "Q(sqrt{21713})", "--p",
+      "3", "--prec", "8"]),
+    ("leopoldt-21713-prec16", 0,
+     ["--format", "json", "leopoldt", "--field", "Q(sqrt{21713})", "--p",
+      "3", "--prec", "16"]),
 ]
 
 
@@ -85,6 +98,36 @@ def test_golden(name, code, argv, capsys, monkeypatch):
     assert main(list(argv)) == code
     out = capsys.readouterr().out
     assert out == (GOLDEN_DIR / (name + ".out")).read_text()
+
+
+_OPTIMIZED_RUN = """
+import contextlib, io, json, sys
+from iwasawalab.cli import main
+out = []
+for name, code, argv in json.load(sys.stdin):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        got = main(argv)
+    out.append([name, got, buf.getvalue()])
+json.dump([sys.flags.optimize, out], sys.stdout)
+"""
+
+
+def test_golden_under_python_O():
+    """Every case again, in one `python -O` process: -O strips bare
+    asserts, so this fails if an answer rests on one."""
+    env = {k: v for k, v in os.environ.items()
+           if k != "IWASAWA_LAB_PRECISION"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_RUN],
+                          input=json.dumps(CASES), env=env,
+                          capture_output=True, text=True, check=True)
+    optimize, results = json.loads(proc.stdout)
+    assert optimize == 1
+    assert [r[0] for r in results] == [c[0] for c in CASES]
+    for (name, code, _), (_, got, out) in zip(CASES, results):
+        assert got == code, name
+        assert out == (GOLDEN_DIR / (name + ".out")).read_text(), name
 
 
 def _record():
