@@ -12,8 +12,9 @@ from .abgroup import (FiniteAbelianGroup, GroupElement, smith_normal_form,
 from .quadfield import (RealQuadraticField, FieldElement, IntegralIdeal,
                         SUnitBasisData, SUnitProduct, factor_rational_prime,
                         class_group, fundamental_unit, s_unit_basis,
-                        principal_generator, ray_class_group, ideal_valuation,
+                        principal_generator, ideal_valuation,
                         prime_ideals_above, rational_ideal)
+from .rayclass import ray_class_group
 from .localize import (PlaceAbovePrime, LocalValue, RankReport, places_above,
                        completions_above_p, loc, loc_p, is_loc_torsion,
                        eq_membership, inertia_rank)

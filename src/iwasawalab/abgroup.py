@@ -7,6 +7,7 @@ All matrices are lists of rows of Python ints; everything is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import gcd
 
 from .ntheory import crt, power
@@ -167,6 +168,30 @@ def lattice_index(B):
             raise ValueError("lattice does not have full rank")
         idx *= D[i][i]
     return idx
+
+
+def solve_integral(A, b):
+    """The integer vector x with A x = b, for a square integer matrix A, by
+    Gauss-Jordan elimination over Q.  Raises ValueError when A is singular
+    (so also when the system is inconsistent) or x is not integral."""
+    n = len(A)
+    M = [[Fraction(v) for v in row] + [Fraction(b[i])]
+         for i, row in enumerate(A)]
+    if any(len(row) != n + 1 for row in M):
+        raise ValueError("solve_integral needs a square matrix")
+    for col in range(n):
+        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular system")
+        M[col], M[piv] = M[piv], M[col]
+        M[col] = [v / M[col][col] for v in M[col]]
+        for r in range(n):
+            if r != col and M[r][col] != 0:
+                M[r] = [a - M[r][col] * c for a, c in zip(M[r], M[col])]
+    x = [M[i][n] for i in range(n)]
+    if any(v.denominator != 1 for v in x):
+        raise ValueError("the system has no integral solution")
+    return [int(v) for v in x]
 
 
 def solve_congruence_lattice(C, moduli):
@@ -416,9 +441,11 @@ def _decompose_rec(elems, op, ident):
     for hbar, m in _decompose_rec(reps, qop, coset(ident)):
         # lift: hbar^m lies in <g>, say g^s with m | s; correct by g^(-s/m)
         s = cyc.index(power(op, ident, hbar, m))
-        assert s % m == 0, "maximal-order correction failed"
+        if s % m:
+            raise AssertionError("maximal-order correction failed")
         h = op(hbar, power(op, ident, g, (og - (s // m) % og) % og))
-        assert _order_of(op, ident, h) == m
+        if _order_of(op, ident, h) != m:
+            raise AssertionError("corrected lift has the wrong order")
         out.append((h, m))
     return out
 
@@ -450,5 +477,6 @@ def decompose_abelian(elements, op, identity):
                     dlog[w] = tuple(v2)
                     nxt.append((w, tuple(v2)))
         frontier = nxt
-    assert len(dlog) == len(elements) == total, "decomposition does not span"
+    if not len(dlog) == len(elements) == total:
+        raise AssertionError("decomposition does not span")
     return gens, orders, dlog

@@ -7,14 +7,14 @@ of conductor p^(N+1), together with Frobenius images, the degree map
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .abgroup import (FiniteAbelianGroup, GroupElement,
-                      solve_congruence_lattice)
+                      solve_congruence_lattice, solve_integral)
 from .ntheory import isprime
 from .padic import PAdicNumber, angle_log, plog, vp
-from .quadfield import (IntegralIdeal, RealQuadraticField, _residue_char,
-                        rational_ideal, ray_class_group)
+from .quadfield import (IntegralIdeal, RealQuadraticField, rational_ideal,
+                        residue_char)
+from .rayclass import ray_class_group
 
 _Q_CYC_CACHE = {}
 
@@ -60,7 +60,7 @@ class GaloisGroupG:
         return self.N + 1
 
     def frobenius_class(self, q: IntegralIdeal) -> GroupElement:
-        if _residue_char(q) == self.p:
+        if residue_char(q) == self.p:
             raise ValueError("q must be coprime to p")
         return self.rc.p_class_of_ideal(q)
 
@@ -128,8 +128,9 @@ def _cyc_hom_on_invariants(rc, p: int, M: int):
         c_ambient.append(cyclotomic_dlog(g_ideal.norm, p, M))
     mod = p**(M - 1)
     for row in rc.relations:
-        s = sum(a * c for a, c in zip(row, c_ambient)) % mod
-        assert s == 0, "cyclotomic map is inconsistent with the relations"
+        if sum(a * c for a, c in zip(row, c_ambient)) % mod:
+            raise AssertionError("cyclotomic map is inconsistent with the "
+                                 "relations")
     # recover phi on invariant coordinates: solve c = phi o U over kept rows
     # using the full unimodular transform stored in the presentation
     return _transport_hom(rc, c_ambient, mod)
@@ -143,31 +144,14 @@ def _transport_hom(rc, c_ambient, mod):
     """
     n = rc.ambient_rank
     U = rc.full_transform
-    A = [[Fraction(U[i][j]) for i in range(n)] for j in range(n)]  # U^T
-    y = _solve_linear(A, [Fraction(c) for c in c_ambient])
-    for yi in y:
-        assert yi.denominator == 1, "transform inverse is not integral"
-    yint = [int(t) % mod for t in y]
+    Ut = [[U[i][j] for i in range(n)] for j in range(n)]
+    yint = [t % mod for t in solve_integral(Ut, c_ambient)]
     keep = set(rc.p_keep)
     for i in range(n):
-        if i not in keep:
-            assert yint[i] % mod == 0, \
-                "cyclotomic map does not factor through the p-part"
+        if i not in keep and yint[i] % mod:
+            raise AssertionError("cyclotomic map does not factor through the "
+                                 "p-part")
     return [yint[i] for i in rc.p_keep]
-
-
-def _solve_linear(A, rhs):
-    """Solve A x = rhs over the rationals (A square, invertible)."""
-    n = len(A)
-    M = [row[:] + [rhs[i]] for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if M[r][col] != 0)
-        M[col], M[piv] = M[piv], M[col]
-        M[col] = [v / M[col][col] for v in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                M[r] = [a - M[r][col] * b for a, b in zip(M[r], M[col])]
-    return [M[i][n] for i in range(n)]
 
 
 def group_G(K: RealQuadraticField, p: int, N: int) -> GaloisGroupG:
@@ -196,8 +180,9 @@ def frobenius_image(G: GaloisGroupG, q: IntegralIdeal):
     if not deg.is_marker:
         # cross-check the log-based degree against the exact dlog
         k = min(deg.abs_prec, G.N)
-        if k > 0 and deg.v >= 0:
-            assert deg.residue(k) == G.degree_exact(q) % G.p**k
+        if k > 0 and deg.v >= 0 and \
+                deg.residue(k) != G.degree_exact(q) % G.p**k:
+            raise AssertionError("log degree disagrees with the exact dlog")
     return cls, deg
 
 
@@ -212,7 +197,9 @@ def even_criterion(K: RealQuadraticField, p: int, q: IntegralIdeal, N: int):
     for M in (N + 1, N + 2):
         top = ray_class_group(K, q * rational_ideal(K, p**M), p)
         bot = ray_class_group(K, p**M, p)
-        assert top.p_order % bot.p_order == 0
+        if top.p_order % bot.p_order:
+            raise AssertionError("ray class order at q*p^M is not a "
+                                 "multiple of the order at p^M")
         orders.append(top.p_order // bot.p_order)
     status = "pass" if orders[0] == orders[1] == eq else \
         ("indeterminate" if orders[0] != orders[1] else "fail")

@@ -11,16 +11,10 @@ from .abgroup import (element_order, lattice_intersection,
                       subgroup_order_from_lattice)
 from .classfield import GaloisGroupG, group_G
 from .localize import completions_above_p, loc, zp_matrix_rank
-from .ntheory import isprime
+from .ntheory import is_squarefree, isprime
 from .padic import PAdicNumber, PrecisionError, angle_log, vp
 from .quadfield import (IntegralIdeal, RealQuadraticField,
                         fundamental_unit, rational_ideal)
-
-
-def standing_assumption_holds(K: RealQuadraticField, p: int) -> bool:
-    """Whether [F(mu_p):F] = 2.  For p unramified in a real quadratic F the
-    field cannot sit inside Q(mu_p), so this reduces to p = 3."""
-    return p == 3
 
 
 def is_inert_in_cyclotomic(q, K: RealQuadraticField, p: int) -> bool:
@@ -98,46 +92,44 @@ def mq_generator(K: RealQuadraticField, p: int, Q, N: int) \
     return FrobeniusModuleReport(K, p, N, q1, q2, a1, 1, resid.v)
 
 
-def _image_order_at_level(K, p, L, q1, q2):
-    """(order of the rounded degree-0 element in G_L, GaloisGroupG)."""
-    G = group_G(K, p, L)
+def _rounded_degree_zero(G: GaloisGroupG, q1, q2):
+    """(F1, F2, v1, g) in G: the Frobenius classes of q1 and q2, v1 =
+    v_p(order of F1), and the rounded degree-0 element g = a1*F1 + F2, with
+    a1 = -log<N(q2)>/log<N(q1)> read mod p^v1 (all the digits F1 sees)."""
+    p = G.p
     F1 = G.frobenius_class(q1)
     F2 = G.frobenius_class(q2)
-    v1 = vp(element_order(G.group, F1), p) \
-        if element_order(G.group, F1) % p == 0 else 0
-    work = max(L + 2, v1 + 3)
+    o1 = element_order(G.group, F1)
+    v1 = vp(o1, p) if o1 % p == 0 else 0
+    work = max(G.N + 2, v1 + 3)
     l1 = angle_log(PAdicNumber.exact(q1.norm, p, work))
     l2 = angle_log(PAdicNumber.exact(q2.norm, p, work))
     a1 = -(l2 / l1)
     if a1.abs_prec < v1:
-        return None, G, a1
+        raise PrecisionError("insufficient precision to fix the class of "
+                             "the degree-0 element at level %d" % G.N)
     a1_int = a1.residue(v1) if v1 > 0 else 0
-    g = G.group.add(G.group.scale(a1_int, F1), F2)
-    order = element_order(G.group, g)
-    # cross-check by the exact subgroup route when the level is high enough
-    if L >= v1:
-        S = G.group.subgroup_lattice([F1, F2])
-        D = G.degree_kernel_lattice()
-        inter = lattice_intersection(S, D)
-        m_sub = subgroup_order_from_lattice(G.group, inter)
-        if m_sub != order:
-            raise AssertionError("subgroup and element orders disagree")
-    return order, G, a1
+    return F1, F2, v1, G.group.add(G.group.scale(a1_int, F1), F2)
 
 
 def mq_order(K: RealQuadraticField, p: int, Q, N: int) \
         -> FrobeniusModuleReport:
     """Order m_Q of the image of the degree-0 Frobenius module in G' = G,
     certified by agreement at precisions N and N+2."""
-    q1, q2 = _check_q_pair(K, p, *Q)
-    rep = mq_generator(K, p, (q1, q2), N)
+    rep = mq_generator(K, p, Q, N)
     orders = []
     groups = []
     for L in (N, N + 2):
-        order, G, _ = _image_order_at_level(K, p, L, q1, q2)
-        if order is None:
-            raise PrecisionError("insufficient precision to fix the class "
-                                 "of the degree-0 element at level %d" % L)
+        G = group_G(K, p, L)
+        F1, F2, v1, g = _rounded_degree_zero(G, rep.q1, rep.q2)
+        order = element_order(G.group, g)
+        # cross-check by the exact subgroup route at a high enough level
+        if L >= v1:
+            S = G.group.subgroup_lattice([F1, F2])
+            D = G.degree_kernel_lattice()
+            inter = lattice_intersection(S, D)
+            if subgroup_order_from_lattice(G.group, inter) != order:
+                raise AssertionError("subgroup and element orders disagree")
         orders.append(order)
         groups.append(G)
     rep.m_q = orders[0]
@@ -149,16 +141,7 @@ def mq_order(K: RealQuadraticField, p: int, Q, N: int) \
 
 def degree_zero_pair_element(G: GaloisGroupG, q1, q2):
     """Rounded image of the degree-0 generator for (q1, q2) in G."""
-    p = G.p
-    F1 = G.frobenius_class(q1)
-    o1 = element_order(G.group, F1)
-    v1 = vp(o1, p) if o1 % p == 0 else 0
-    work = max(G.N + 2, v1 + 3)
-    l1 = angle_log(PAdicNumber.exact(q1.norm, p, work))
-    l2 = angle_log(PAdicNumber.exact(q2.norm, p, work))
-    a1 = -(l2 / l1)
-    a1_int = a1.residue(v1) if v1 > 0 else 0
-    return G.group.add(G.group.scale(a1_int, F1), G.frobenius_class(q2))
+    return _rounded_degree_zero(G, q1, q2)[3]
 
 
 @dataclass
@@ -169,6 +152,8 @@ class LeopoldtReport:
     defect: int
     regulator_valuation: object      # int or None
     status: str                      # "ok" | "indeterminate"
+    # whether [F(mu_p):F] = 2: for p unramified in a real quadratic F the
+    # field cannot sit inside Q(mu_p), so this reduces to p = 3
     standing_assumption: bool
 
     def to_json(self):
@@ -190,8 +175,7 @@ def leopoldt_defect(K: RealQuadraticField, p: int, N: int) -> LeopoldtReport:
     if p % 2 == 0 or not isprime(p):
         raise ValueError("p must be an odd prime")
     if K.is_rational:
-        return LeopoldtReport(K, p, N, 0, None, "ok",
-                              standing_assumption_holds(K, p))
+        return LeopoldtReport(K, p, N, 0, None, "ok", p == 3)
     if K.D % p == 0:
         raise ValueError("p = %d ramifies in %s" % (p, K.spec_string()))
     places = completions_above_p(K, p)
@@ -207,8 +191,7 @@ def leopoldt_defect(K: RealQuadraticField, p: int, N: int) -> LeopoldtReport:
     if nonzero:
         reg_val = min(nonzero)
     status = "ok" if rank.certified else "indeterminate"
-    return LeopoldtReport(K, p, N, defect, reg_val, status,
-                          standing_assumption_holds(K, p))
+    return LeopoldtReport(K, p, N, defect, reg_val, status, p == 3)
 
 
 def greenberg_wiles(h0_v: int, h0_vdual: int, local_terms) -> int:
@@ -225,29 +208,13 @@ def greenberg_wiles(h0_v: int, h0_vdual: int, local_terms) -> int:
     return total
 
 
-def _squarefree_up_to(n: int):
-    out = []
-    for d in range(2, n + 1):
-        m, q, ok = d, 2, True
-        while q * q <= m:
-            if m % (q * q) == 0:
-                ok = False
-                break
-            while m % q == 0:
-                m //= q
-            q += 1
-        if ok:
-            out.append(d)
-    return out
-
-
 def defect_never_one_scan(d_max: int, primes, N: int = 8):
     """Scan all squarefree d <= d_max (d = 1 meaning Q) and odd primes,
     asserting the Leopoldt defect is never 1 at certified precision."""
     rows = []
     violations = []
     indeterminates = []
-    for d in [1] + _squarefree_up_to(d_max):
+    for d in [1] + [d for d in range(2, d_max + 1) if is_squarefree(d)]:
         K = RealQuadraticField.rationals() if d == 1 \
             else RealQuadraticField(d)
         for p in sorted(primes):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abgroup import element_order
-from .iwasawa import _check_q_pair, mq_order
+from .iwasawa import mq_order
 from .localize import (INDET, TRUE, FALSE, completions_above_p, eq_membership,
                        is_loc_torsion, loc, zp_matrix_rank, RankReport)
 from .ntheory import factorint
@@ -75,15 +75,15 @@ def _adhoc_entry(K, element, primes, label):
 def _pi_for(data: SUnitBasisData, idx: int, order: int):
     """Generator of q_idx^order (order = class order of q_idx)."""
     w = [order if i == idx else 0 for i in range(len(data.primes))]
-    return data._realize(w)
+    return data.realize(w)
 
 
 def construct_alpha(K: RealQuadraticField, p: int, Q, N: int) \
         -> KummerCertificate:
     """The explicit Kummer element: loc_p(alpha) torsion, supported on Q,
     with both Q-valuations generating the ideal (m_Q)."""
-    q1, q2 = _check_q_pair(K, p, *Q)
-    rep = mq_order(K, p, (q1, q2), N)
+    rep = mq_order(K, p, Q, N)
+    q1, q2 = rep.q1, rep.q2
     if not rep.stable:
         raise PrecisionError("m_Q did not stabilize; raise the precision")
     m_q = rep.m_q

@@ -50,6 +50,18 @@ def factorint(n: int) -> dict:
     return out
 
 
+def is_squarefree(n: int) -> bool:
+    """True iff no square of a prime divides n > 0; trial division."""
+    q = 2
+    while q * q <= n:
+        if n % (q * q) == 0:
+            return False
+        while n % q == 0:
+            n //= q
+        q += 1
+    return True
+
+
 def extgcd(a: int, b: int):
     """(g, s, t) with s*a + t*b = g = gcd(a, b), g >= 0."""
     old_r, r = a, b

@@ -14,29 +14,11 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .abgroup import (FiniteAbelianGroup, GroupElement, decompose_abelian,
-                      smith_presentation, solve_congruence_lattice)
-from .ntheory import extgcd, isprime, legendre, power, sqrt_mod_prime
+                      smith_presentation, solve_congruence_lattice,
+                      solve_integral)
+from .ntheory import (extgcd, is_squarefree, isprime, legendre, power,
+                      sqrt_mod_prime)
 from .padic import PAdicNumber, vp
-
-
-_SQUAREFREE_CACHE = {}
-
-
-def _is_squarefree(n: int) -> bool:
-    if n in _SQUAREFREE_CACHE:
-        return _SQUAREFREE_CACHE[n]
-    ok = True
-    q = 2
-    m = n
-    while q * q <= m:
-        if m % (q * q) == 0:
-            ok = False
-            break
-        while m % q == 0:
-            m //= q
-        q += 1
-    _SQUAREFREE_CACHE[n] = ok
-    return ok
 
 
 class RealQuadraticField:
@@ -55,7 +37,7 @@ class RealQuadraticField:
             self.d = None
             self.D = 1
         else:
-            if d <= 1 or not _is_squarefree(d):
+            if d <= 1 or not is_squarefree(d):
                 raise ValueError("d must be squarefree and > 1, got %r" % d)
             self.d = d
             self.D = d if d % 4 == 1 else 4 * d
@@ -425,7 +407,7 @@ def parts_valuation(a: int, b: int, den: int, q: IntegralIdeal) -> int:
     K = q.field
     if not (a or b):
         raise ValueError("valuation of 0")
-    ell = _residue_char(q)
+    ell = residue_char(q)
     vden = vp(den, ell)
     if K.is_rational:
         return vp(a, ell) - vden
@@ -447,7 +429,9 @@ def ideal_valuation(x, q: IntegralIdeal) -> int:
     return parts_valuation(*fraction_parts(x), q)
 
 
-def _residue_char(q: IntegralIdeal) -> int:
+def residue_char(q: IntegralIdeal) -> int:
+    """The rational prime ell below the prime ideal q (ValueError when q is
+    not prime)."""
     n = q.norm
     if isprime(n):
         return n
@@ -536,7 +520,9 @@ class ClassGroupData:
         self.cycle_keys = sorted(keys)
         self.h = len(self.cycle_keys)
         self.principal_key = _cycle_of(K, K.D, 2)
-        assert self.principal_key in keys
+        if self.principal_key not in keys:
+            raise AssertionError("principal cycle is not among the reduced "
+                                 "cycles")
 
         def kmul(k1, k2):
             I = _pair_to_ideal(K, *k1[0]) * _pair_to_ideal(K, *k2[0])
@@ -737,7 +723,7 @@ class SUnitBasisData:
         self.field = K
         self.primes = list(Q_ideals)
         for q in self.primes:
-            _residue_char(q)  # validates primality
+            residue_char(q)  # validates primality
         self.entries = []
         minus_one = K.element(-1)
         self.entries.append(SUnitBasisEntry(minus_one, {}, "-1", "torsion"))
@@ -768,7 +754,7 @@ class SUnitBasisData:
                        solve_congruence_lattice(C, list(clg.gen_orders))]
         self.lattice = lattice
         for w in lattice:
-            gamma = self._realize(w)
+            gamma = self.realize(w)
             vals = {}
             for q, wq in zip(self.primes, w):
                 if wq:
@@ -780,7 +766,7 @@ class SUnitBasisData:
             label = "g[" + ",".join(str(t) for t in w) + "]"
             self.entries.append(SUnitBasisEntry(gamma, vals, label, "lattice"))
 
-    def _realize(self, w):
+    def realize(self, w):
         """Element with divisor sum(w_i * q_i)."""
         K = self.field
         num = unit_ideal(K)
@@ -789,7 +775,7 @@ class SUnitBasisData:
             if wq > 0:
                 num = num * q**wq
             elif wq < 0:
-                ell = _residue_char(q)
+                ell = residue_char(q)
                 kind = factor_rational_prime(K, ell).kind
                 if kind == "split":
                     num = num * q.conj()**(-wq)
@@ -831,7 +817,7 @@ class SUnitBasisData:
         if self.lattice:
             B = [[self.lattice[j][i] for j in range(len(self.lattice))]
                  for i in range(len(self.primes))]
-            coords = _solve_int_system(B, vals)
+            coords = solve_integral(B, vals)
         else:
             coords = []
             if any(vals):
@@ -842,41 +828,6 @@ class SUnitBasisData:
             rest = rest / entry.element**c
         sgn, k = unit_decompose(K, rest)
         return [sgn, k] + list(coords)
-
-
-def _solve_int_system(B, target):
-    """Solve B * x = target exactly over the integers (B square-ish)."""
-    n = len(B)
-    m = len(B[0]) if n else 0
-    M = [[Fraction(B[i][j]) for j in range(m)] + [Fraction(target[i])]
-         for i in range(n)]
-    piv_cols = []
-    r = 0
-    for j in range(m):
-        piv = next((i for i in range(r, n) if M[i][j] != 0), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        M[r] = [v / M[r][j] for v in M[r]]
-        for i in range(n):
-            if i != r and M[i][j] != 0:
-                M[i] = [a - M[i][j] * b for a, b in zip(M[i], M[r])]
-        piv_cols.append(j)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if M[i][m] != 0:
-            raise ValueError("element is not in the S-unit lattice")
-    x = [Fraction(0)] * m
-    for i, j in enumerate(piv_cols):
-        x[j] = M[i][m]
-    out = []
-    for v in x:
-        if v.denominator != 1:
-            raise ValueError("non-integral solution")
-        out.append(int(v))
-    return out
 
 
 def s_unit_basis(K: RealQuadraticField, Q_ideals) -> list:
@@ -928,10 +879,3 @@ class SUnitProduct:
             "basis": [e.label for e in self.basis.entries],
             "exponents": [repr(e) for e in self.exponents],
         }
-
-
-def ray_class_group(K: RealQuadraticField, modulus, p: int):
-    """p-part of the ray class group of conductor `modulus` (delegates to
-    the rayclass helper module)."""
-    from .rayclass import ray_class_group as _impl
-    return _impl(K, modulus, p)

@@ -158,7 +158,9 @@ class RayClassGroupData:
             q = needed[key]
             ideals.append(q)
             g = principal_generator(q**order)
-            assert g is not None
+            if g is None:
+                raise AssertionError("power of a class generator by its "
+                                     "order is not principal")
             elements.append(g)
         return ideals, elements
 
@@ -175,7 +177,8 @@ class RayClassGroupData:
             if c:
                 J = J * self.class_gen_ideals[j]**c
         lam = principal_generator(J)
-        assert lam is not None, "class bookkeeping failed"
+        if lam is None:
+            raise AssertionError("class bookkeeping failed")
         vec = self.units.dlog(lam) + [-c for c in cs]
         return vec
 

@@ -12,8 +12,8 @@ from math import isqrt
 from .ntheory import crt, factorint, power
 from .padic import log_series
 from .quadfield import (FieldElement, IntegralIdeal, RealQuadraticField,
-                        _min_poly_roots_mod, _residue_char,
-                        factor_rational_prime, fraction_parts, split_root)
+                        factor_rational_prime, fraction_parts, residue_char,
+                        split_root)
 
 
 def _bsgs(mul, one, g, h, n: int):
@@ -255,8 +255,9 @@ class RamifiedComponent(_Component):
     def __init__(self, K, q, ell):
         super().__init__(K, q, ell, 1)
         self.mod = ell
-        # w maps to the double root of its minimal polynomial mod ell
-        self.root = _min_poly_roots_mod(K, ell)[0]
+        # w maps to the double root of its minimal polynomial mod ell: in
+        # HNF, q = (ell; b; 1) contains b + w, so that root is -b
+        self.root = (-q.b) % ell
         self.one = 1 % ell
         if ell == 2:
             self.gens, self.orders = [], []
@@ -341,7 +342,7 @@ def _inert_generator(ell: int, trace: int, norm: int, fac_minus: dict,
 
 
 def make_component(K: RealQuadraticField, q: IntegralIdeal, e: int):
-    ell = _residue_char(q)
+    ell = residue_char(q)
     if K.is_rational:
         return RationalComponent(K, q, ell, e)
     kind = factor_rational_prime(K, ell).kind

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -10,7 +11,7 @@ from iwasawalab.abgroup import (smith_normal_form, smith_presentation,
                                 lattice_intersection, element_order,
                                 subgroup_image_order, solve_dlog,
                                 decompose_abelian, GroupElement,
-                                subgroup_order_from_lattice)
+                                subgroup_order_from_lattice, solve_integral)
 
 
 def mat_mul(A, B):
@@ -286,3 +287,108 @@ def test_cyclic_order_index_product():
             (G.order // o) * 1 == o  # sanity
         assert o * (G.order // o) == G.order
         assert subgroup_image_order(G, [g]) == o
+
+
+# --------------------------------------------------- the exact linear solver
+# The two Fraction Gauss-Jordan solvers that solve_integral replaced, kept
+# as references: quadfield's S-unit decomposition and classfield's
+# transport of the cyclotomic hom through the SNF transform.
+
+def _ref_solve_int_system(B, target):
+    n = len(B)
+    m = len(B[0]) if n else 0
+    M = [[Fraction(B[i][j]) for j in range(m)] + [Fraction(target[i])]
+         for i in range(n)]
+    piv_cols = []
+    r = 0
+    for j in range(m):
+        piv = next((i for i in range(r, n) if M[i][j] != 0), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        M[r] = [v / M[r][j] for v in M[r]]
+        for i in range(n):
+            if i != r and M[i][j] != 0:
+                M[i] = [a - M[i][j] * b for a, b in zip(M[i], M[r])]
+        piv_cols.append(j)
+        r += 1
+        if r == n:
+            break
+    for i in range(r, n):
+        if M[i][m] != 0:
+            raise ValueError("element is not in the S-unit lattice")
+    x = [Fraction(0)] * m
+    for i, j in enumerate(piv_cols):
+        x[j] = M[i][m]
+    out = []
+    for v in x:
+        if v.denominator != 1:
+            raise ValueError("non-integral solution")
+        out.append(int(v))
+    return out
+
+
+def _ref_solve_linear(A, rhs):
+    n = len(A)
+    M = [row[:] + [rhs[i]] for i, row in enumerate(A)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if M[r][col] != 0)
+        M[col], M[piv] = M[piv], M[col]
+        M[col] = [v / M[col][col] for v in M[col]]
+        for r in range(n):
+            if r != col and M[r][col] != 0:
+                M[r] = [a - M[r][col] * b for a, b in zip(M[r], M[col])]
+    return [M[i][n] for i in range(n)]
+
+
+def _unimodular(rng, n):
+    """The identity after 3n seeded row additions and swaps."""
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            U[0], U[-1] = U[-1], U[0]
+        else:
+            c = rng.randint(-3, 3)
+            U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+    return U
+
+
+def _check_against_references(A, b):
+    x = solve_integral(A, b)
+    assert x == _ref_solve_int_system(A, b)
+    y = _ref_solve_linear([[Fraction(v) for v in row] for row in A],
+                          [Fraction(v) for v in b])
+    assert x == y
+    assert [sum(a * t for a, t in zip(row, x)) for row in A] == list(b)
+    return x
+
+
+def test_solve_integral_unimodular_against_references():
+    rng = random.Random(20260701)
+    for n in range(1, 7):
+        for _ in range(20):
+            A = _unimodular(rng, n)
+            b = [rng.randint(-50, 50) for _ in range(n)]
+            _check_against_references(A, b)
+
+
+def test_solve_integral_invertible_against_references():
+    # A = U1 * diag(d) * U2 is invertible and, for |d_i| > 1, not
+    # unimodular; b = A x for an integer x
+    rng = random.Random(20260702)
+    for n in range(1, 7):
+        for _ in range(20):
+            d = [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(n)]
+            D = [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
+            A = mat_mul(mat_mul(_unimodular(rng, n), D), _unimodular(rng, n))
+            x = [rng.randint(-50, 50) for _ in range(n)]
+            b = [sum(a * t for a, t in zip(row, x)) for row in A]
+            assert _check_against_references(A, b) == x
+
+
+def test_solve_integral_rejects_singular_and_non_integral():
+    with pytest.raises(ValueError):
+        solve_integral([[1, 2], [2, 4]], [1, 2])
+    with pytest.raises(ValueError):
+        solve_integral([[2, 1], [0, 3]], [1, 1])

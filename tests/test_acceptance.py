@@ -15,8 +15,8 @@ from iwasawalab.localize import TRUE
 from iwasawalab.padic import PAdicNumber, angle, angle_log, plog, teichmueller
 from iwasawalab.quadfield import (RealQuadraticField, class_group,
                                   factor_rational_prime, fundamental_unit,
-                                  prime_ideals_above, rational_ideal,
-                                  ray_class_group)
+                                  prime_ideals_above, rational_ideal)
+from iwasawalab.rayclass import ray_class_group
 
 from oracles import (fundamental_unit_oracle, squarefree,
                      wide_class_number_oracle)

@@ -89,6 +89,17 @@ CASES = [
     ("leopoldt-21713-prec16", 0,
      ["--format", "json", "leopoldt", "--field", "Q(sqrt{21713})", "--p",
       "3", "--prec", "16"]),
+    # class number 3: the degree-0 element and the transported Frobenius
+    # classes run over a nontrivial class group
+    ("mq-79-2-5a", 0,
+     ["--format", "json", "mq", "--field", "Q(sqrt{79})", "--p", "3",
+      "--q1", "2", "--q2", "5a", "--prec", "4"]),
+    ("frobenius-79", 0,
+     ["--format", "json", "frobenius", "--field", "Q(sqrt{79})", "--p",
+      "3", "--q", "2", "--q", "5a", "--prec", "3"]),
+    ("even-check-79", 0,
+     ["--format", "json", "even-check", "--field", "Q(sqrt{79})", "--p",
+      "3", "--q", "7", "--prec", "2"]),
 ]
 
 

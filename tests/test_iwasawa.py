@@ -1,7 +1,7 @@
 import pytest
 
 from iwasawalab.abgroup import subgroup_image_order
-from iwasawalab.classfield import group_G
+from iwasawalab.classfield import GaloisGroupG, group_G
 from iwasawalab.iwasawa import (is_inert_in_cyclotomic, mq_generator,
                                 mq_order, leopoldt_defect, greenberg_wiles,
                                 defect_never_one_scan,
@@ -80,6 +80,21 @@ def test_mq_order_d79_p3_nontrivial():
     rep = mq_order(K, 3, (q1, q5), 2)
     assert rep.a1.residue(2) == 4   # same logs as (2, 5) over Q
     assert rep.m_q == 9 and rep.stable
+
+
+def test_mq_order_takes_two_frobenius_classes_per_level(monkeypatch):
+    levels = []
+    frobenius_class = GaloisGroupG.frobenius_class
+
+    def counted(G, q):
+        levels.append(G.N)
+        return frobenius_class(G, q)
+    monkeypatch.setattr(GaloisGroupG, "frobenius_class", counted)
+    K = RealQuadraticField(79)
+    q1 = factor_rational_prime(K, 2).ideals[0]
+    q5 = factor_rational_prime(K, 5).ideals[0]
+    assert mq_order(K, 3, (q1, q5), 2).m_q == 9
+    assert sorted(levels) == [2, 2, 4, 4]
 
 
 def test_mq_symmetric_subgroup():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from iwasawalab import quadfield
-from iwasawalab.ntheory import isprime
+from iwasawalab.ntheory import is_squarefree, isprime
 from iwasawalab.quadfield import (_ideal_to_pair, _is_reduced_pair, _o_walk,
                                   _reduction_bound, _rho_step)
 from iwasawalab.quadfield import (RealQuadraticField, FieldElement,
@@ -447,3 +447,12 @@ def _det(M):
     for i in range(n):
         out *= A[i][i]
     return out
+
+
+def test_is_squarefree_against_sieve():
+    n_max = 20000
+    sieve = [True] * n_max
+    for q in range(2, isqrt(n_max - 1) + 1):
+        for m in range(q * q, n_max, q * q):
+            sieve[m] = False
+    assert [is_squarefree(n) for n in range(1, n_max)] == sieve[1:]

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from iwasawalab.quadfield import (RealQuadraticField, factor_rational_prime,
-                                  prime_ideals_above, rational_ideal,
-                                  ray_class_group)
+                                  prime_ideals_above, rational_ideal)
+from iwasawalab.rayclass import ray_class_group
 
 QQ = RealQuadraticField.rationals()
 

@@ -13,10 +13,13 @@ import pytest
 
 from iwasawalab.cli import main
 from iwasawalab.ntheory import isprime
-from iwasawalab.quadfield import (RealQuadraticField, factor_rational_prime,
-                                  prime_ideals_above, rational_ideal)
+from iwasawalab.quadfield import (RealQuadraticField, _min_poly_roots_mod,
+                                  factor_rational_prime, prime_ideals_above,
+                                  rational_ideal)
 from iwasawalab.residues import (InertComponent, RamifiedComponent,
                                  RationalComponent, make_component)
+
+from oracles import squarefree
 
 QQ = RealQuadraticField.rationals()
 INERT_FIELDS = (2, 5, 7, 13, 79)
@@ -247,3 +250,20 @@ def test_inert_two_power_cli_exit_4(modulus, capsys):
     assert code == 4
     assert err.startswith("usage error:")
     assert "Traceback" not in err
+
+
+def test_ramified_root_is_double_root_of_min_poly():
+    # every ramified ell < 200 of every squarefree d < 500, ell = 2 included
+    pairs = 0
+    for d in range(2, 500):
+        if not squarefree(d):
+            continue
+        K = RealQuadraticField(d)
+        for ell in range(2, 200):
+            if not isprime(ell) or K.D % ell:
+                continue
+            (q,) = factor_rational_prime(K, ell).ideals
+            comp = RamifiedComponent(K, q, ell)
+            assert comp.root == _min_poly_roots_mod(K, ell)[0], (d, ell)
+            pairs += 1
+    assert pairs == 631
