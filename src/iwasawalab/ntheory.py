@@ -51,14 +51,19 @@ def factorint(n: int) -> dict:
 
 
 def is_squarefree(n: int) -> bool:
-    """True iff no square of a prime divides n > 0; trial division."""
-    q = 2
+    """True iff no square of a prime divides n > 0; trial division by 2,
+    then by odd q only."""
+    if n % 4 == 0:
+        return False
+    if n % 2 == 0:
+        n //= 2
+    q = 3
     while q * q <= n:
-        if n % (q * q) == 0:
-            return False
-        while n % q == 0:
+        if n % q == 0:
             n //= q
-        q += 1
+            if n % q == 0:
+                return False
+        q += 2
     return True
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, log, sqrt
 
 from .abgroup import (FiniteAbelianGroup, GroupElement, decompose_abelian,
                       smith_presentation, solve_congruence_lattice,
@@ -377,14 +377,20 @@ def _min_poly_roots_mod(K: RealQuadraticField, ell: int):
 
 def split_root(q: IntegralIdeal, e: int) -> int:
     """Image of w in Z/ell^e under a split prime q = (ell; b; 1): the root
-    -b mod ell of T^2 - w_trace*T + w_norm, Hensel-lifted mod ell^e."""
+    -b mod ell of f(T) = T^2 - w_trace*T + w_norm, Hensel-lifted mod ell^e.
+
+    Newton's step doubles the digits of the root t and, with one inverse
+    taken mod ell, of inv = 1/f'(t): inv*(2 - f'(t)*inv).  f'(t) = 2t -
+    w_trace is prime to ell at a split (unramified) q."""
     K, ell = q.field, q.a
-    f = lambda x: x * x - K.w_trace * x + K.w_norm
+    tr, wn = K.w_trace, K.w_norm
     t, mod, top = (-q.b) % ell, ell, ell**e
+    inv = pow(2 * t - tr, -1, ell)
     while mod < top:
         mod = min(mod * mod, top)
-        t = (t - f(t) * pow(2 * t - K.w_trace, -1, mod)) % mod
-    if f(t) % top:
+        t = (t - (t * t - tr * t + wn) * inv) % mod
+        inv = inv * (2 - (2 * t - tr) * inv) % mod
+    if (t * t - tr * t + wn) % top:
         raise AssertionError("Hensel lift of w fails mod %d^%d" % (ell, e))
     return t
 
@@ -587,42 +593,78 @@ def _exact_quotient(K: RealQuadraticField, num, den, what: str):
 
 
 def _o_walk(K: RealQuadraticField):
-    """Walk of the unit ideal: dict (P, Q) -> (x, y), the gamma product
-    x + y*w up to that state, plus the fundamental unit from one period.
+    """The principal-cycle table: dict (P, Q) -> (x, y), the gamma product
+    x + y*w of the walk of the unit ideal up to that state, over one full
+    period.  Only principal_generator reads it.
 
     A step takes tau_k = (P + sqrt D)/Q to tau_{k+1} = 1/(tau_k - a_k), and
     Z + Z*tau_k = gamma * (Z + Z*tau_{k+1}) with gamma = 1/tau_{k+1}.  The
     product of k gammas is u_k = (-1)^(k-1) * (B_{k-1}*tau_0 - A_{k-1}),
     A/B the convergents of tau_0: u_{k+1} = u_{k-1} - a_k*u_k, u_{-1} =
     tau_0, u_0 = 1.  Here tau_0 = w, so every u_k is integral."""
-    if K._o_walk is not None:
-        return K._o_walk
-    acc = {}
-    P, Q = K.D, 2
-    x0, y0, x1, y1 = 0, 1, 1, 0
-    while (P, Q) not in acc:
-        acc[(P, Q)] = (x1, y1)
-        a, P, Q = _rho_step(K, P, Q)
-        x0, y0, x1, y1 = x1, y1, x0 - a * x1, y0 - a * y1
-    # one period divides by +-eps
-    ex, ey = _exact_quotient(K, acc[(P, Q)], (x1, y1), "fundamental unit")
+    if K._o_walk is None:
+        acc = {}
+        P, Q = K.D, 2
+        x0, y0, x1, y1 = 0, 1, 1, 0
+        while (P, Q) not in acc:
+            acc[(P, Q)] = (x1, y1)
+            a, P, Q = _rho_step(K, P, Q)
+            x0, y0, x1, y1 = x1, y1, x0 - a * x1, y0 - a * y1
+        K._o_walk = acc
+    return K._o_walk
+
+
+def fundamental_unit(K: RealQuadraticField) -> FieldElement:
+    """The unit eps > 1 generating the units modulo {-1}, from half a
+    period of the principal cycle.
+
+    The walk of _o_walk from (P_0, Q_0) = (D, 2) reaches the states of the
+    reduced ideals I_k = [Q_k/2, (P_k + sqrt D)/2], with I_0 = O, and
+    O = u_k * (2/Q_k) * I_k, so (u_k) = sigma(I_k), sigma(x + y*w) =
+    (x + y*D) - y*w the conjugation.  Let n be the period: I_{k+n} = I_k,
+    and I_0, ..., I_{n-1} are distinct.  Up to sign, the u_k, k >= 0, are
+    the relative minima of O of absolute value at most 1, in decreasing
+    order, and u_{k+n} = +-eps^-1 * u_k (Cohen, GTM 138, 5.7; Buchmann &
+    Vollmer, *Binary Quadratic Forms*).  sigma preserves O and swaps the
+    two real embeddings, so it maps the minima onto the minima in reverse
+    order and fixes u_0 = 1: sigma(u_k) = +-eps * u_{n-k}, and sigma(I_k) =
+    I_{n-k}.
+
+    The pair of sigma(I_k) is (-P_k, Q_k), and P_{k+1} = a_k*Q_k - P_k is
+    -P_k mod Q_k.  So Q_{k+1} = Q_k gives I_{k+1} = sigma(I_k) = I_{n-k},
+    hence n | 2k + 1 by distinctness; and Q_{k+1} | 2*P_{k+1} gives
+    I_{k+1} = sigma(I_{k+1}) = I_{n-k-1}, hence n | 2k + 2.  For odd n the
+    first condition first holds at 2k + 1 = n, before the second (at
+    k + 1 = n), and sigma(u_k) = +-eps * u_{k+1}.  For even n only the
+    second holds, first at 2k + 2 = n, and sigma(u_{k+1}) = +-eps * u_{k+1}.
+    The walk tests the odd condition first (for n = 1 both hold at k = 0)
+    and stops at the latest on I_n = O.  The quotient of the two minima
+    is checked integral, the norm +-1 and eps > 1."""
+    if K.is_rational:
+        raise ValueError("Q has no fundamental unit")
+    if K._fundamental_unit is not None:
+        return K._fundamental_unit
     D, wn = K.D, K.w_norm
+    P, Q = D, 2
+    x0, y0, x1, y1 = 0, 1, 1, 0                  # u_{k-1}, u_k
+    while True:
+        a, P2, Q2 = _rho_step(K, P, Q)
+        x2, y2 = x0 - a * x1, y0 - a * y1       # u_{k+1}
+        if Q2 == Q:                             # odd period: sigma(u_k)
+            num = (x1 + y1 * D, -y1)
+            break
+        if 2 * P2 % Q2 == 0:                    # even period: sigma(u_{k+1})
+            num = (x2 + y2 * D, -y2)
+            break
+        P, Q, x0, y0, x1, y1 = P2, Q2, x1, y1, x2, y2
+    ex, ey = _exact_quotient(K, num, (x2, y2), "fundamental unit")
     if _real_sign(2 * ex + D * ey, ey, D) < 0:   # 2*eps = (2x + Dy) + y*sqrt D
         ex, ey = -ex, -ey
     if abs(ex * ex + D * ex * ey + wn * ey * ey) != 1:
         raise AssertionError("fundamental unit does not have norm +-1")
     if _real_sign(2 * ex + D * ey - 2, ey, D) <= 0:
         raise AssertionError("fundamental unit is not > 1")
-    K._o_walk = (acc, K.element(ex, ey))
-    return K._o_walk
-
-
-def fundamental_unit(K: RealQuadraticField) -> FieldElement:
-    """The unit eps > 1 generating the units modulo {-1}."""
-    if K.is_rational:
-        raise ValueError("Q has no fundamental unit")
-    if K._fundamental_unit is None:
-        K._fundamental_unit = _o_walk(K)[1]
+    K._fundamental_unit = K.element(ex, ey)
     return K._fundamental_unit
 
 
@@ -648,8 +690,9 @@ def principal_generator(I: IntegralIdeal):
 
     The walk from tau_0 = (b + w)/a, (a; b; 1) the primitive part, keeps
     the gamma product c*tau_0 + e (see _o_walk) up to the first state in
-    the unit ideal's walk.  A reduced state lies on the principal cycle,
-    which that walk holds whole, and one comes within _reduction_bound."""
+    the principal-cycle table.  A reduced state lies on the principal
+    cycle, which that table holds whole, and one comes within
+    _reduction_bound."""
     K = I.field
     if K.is_rational:
         return K.element(I.a)
@@ -657,7 +700,7 @@ def principal_generator(I: IntegralIdeal):
     if not clg.is_principal(I):
         return None
     content, prim = I.content_and_primitive()
-    o_acc, _ = _o_walk(K)
+    o_acc = _o_walk(K)
     P, Q = 2 * prim.b + K.D, 2 * prim.a
     bound = _reduction_bound(K.D, Q)
     c0, e0, c1, e1 = 1, 0, 0, 1
@@ -680,29 +723,36 @@ def principal_generator(I: IntegralIdeal):
     return g * content
 
 
+def _log_abs_max(x: int, y: int, D: int) -> float:
+    """log max(|u|, |sigma(u)|) for u = x + y*w, y != 0: with s = 2x + yD,
+    2u = s + y*sqrt D and 2*sigma(u) = s - y*sqrt D, so the larger is
+    (|s| + |y|*sqrt D)/2, a sum without cancellation."""
+    s, y = abs(2 * x + y * D), abs(y)
+    return log(y) + log(sqrt(D) + s / y) - log(2)
+
+
 def unit_decompose(K: RealQuadraticField, u: FieldElement):
-    """Write a unit as (-1)^sign * eps^k; returns (sign in {0,1}, k)."""
+    """Write a unit as (-1)^sign * eps^k; returns (sign in {0,1}, k).
+
+    |k| is log max(|u|, |sigma(u)|) / log eps rounded, and k > 0 exactly
+    when |u| > 1, which for u = (s + y*sqrt D)/2 means s*y > 0.  The
+    estimate is then checked exactly: |u| = eps^k."""
     if abs(u.norm()) != 1 or not u.is_integral():
         raise ValueError("not a unit")
     eps = fundamental_unit(K)
     sign = 0
-    y = u
-    if y.real_sign() < 0:
-        y = -y
+    if u.real_sign() < 0:
+        u = -u
         sign = 1
+    x, y, D = int(u.x), int(u.y), K.D
     k = 0
-    guard = 0
-    one = K.one()
-    while y != one:
-        if y.compare_real(1) > 0:
-            y = y / eps
-            k += 1
-        else:
-            y = y * eps
-            k -= 1
-        guard += 1
-        if guard > 10000:
-            raise AssertionError("unit ladder did not terminate")
+    if y:
+        k = round(_log_abs_max(x, y, D)
+                  / _log_abs_max(int(eps.x), int(eps.y), D))
+        if (2 * x + y * D) * y < 0:
+            k = -k
+    if u != eps ** k:
+        raise AssertionError("unit is not +-eps^%d" % k)
     return sign, k
 
 

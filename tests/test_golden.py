@@ -47,6 +47,10 @@ CASES = [
     ("unit-48799", 0, ["unit", "--field", "Q(sqrt{48799})"]),
     ("leopoldt-48799", 0,
      ["leopoldt", "--field", "Q(sqrt{48799})", "--p", "5"]),
+    # the longest odd period below 50,000: 443 states, N(eps) = -1
+    ("unit-49009", 0, ["unit", "--field", "Q(sqrt{49009})"]),
+    ("leopoldt-49009", 0,
+     ["leopoldt", "--field", "Q(sqrt{49009})", "--p", "3"]),
     # 1013 is inert in Q(sqrt 2)
     ("rayclass-inert", 0,
      ["--format", "json", "rayclass", "--field", "Q(sqrt{2})",

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from iwasawalab.ntheory import crt, power
+from iwasawalab.ntheory import crt, is_squarefree, isprime, power
 from iwasawalab.padic import (PAdicNumber, UnramifiedQuadElem, log_series,
                               plog, vp)
 from iwasawalab.quadfield import (IntegralIdeal, RealQuadraticField,
@@ -249,6 +249,37 @@ def test_split_root_is_a_root_of_the_minimal_polynomial(d):
                 assert 0 <= t < ell**e
                 assert (t * t - K.w_trace * t + K.w_norm) % ell**e == 0
                 assert (t + q.b) % ell == 0
+
+
+def _ref_split_root(q, e):
+    """The lift that takes a fresh inverse of f'(t) at each doubling."""
+    K, ell = q.field, q.a
+    f = lambda x: x * x - K.w_trace * x + K.w_norm
+    t, mod, top = (-q.b) % ell, ell, ell**e
+    while mod < top:
+        mod = min(mod * mod, top)
+        t = (t - f(t) * pow(2 * t - K.w_trace, -1, mod)) % mod
+    assert f(t) % top == 0
+    return t
+
+
+def test_split_root_matches_fresh_inverse_lift():
+    primes = [ell for ell in range(2, 200) if isprime(ell)]
+    pairs = 0
+    for d in range(2, 500):
+        if not is_squarefree(d):
+            continue
+        K = RealQuadraticField(d)
+        for ell in primes:
+            rep = factor_rational_prime(K, ell)
+            if rep.kind != "split":
+                continue
+            for q in rep.ideals:
+                pairs += 1
+                for e in range(1, 13):
+                    assert split_root(q, e) == _ref_split_root(q, e), \
+                        (d, ell, e)
+    assert pairs > 5000
 
 
 def test_split_root_raises_off_a_root():

@@ -20,8 +20,10 @@ from iwasawalab.quadfield import (RealQuadraticField, FieldElement,
                                   ideal_valuation, prime_ideals_above,
                                   rational_ideal, unit_ideal, unit_decompose)
 
+from iwasawalab.iwasawa import leopoldt_defect
+
 from oracles import (wide_class_number_oracle, fundamental_unit_oracle,
-                     squarefree)
+                     pell_sign, squarefree)
 
 
 Q2 = RealQuadraticField(2)
@@ -169,6 +171,46 @@ def test_unit_decompose():
     assert unit_decompose(K, eps.inv() ** 2) == (0, -2)
 
 
+def _unit_powers(K, eps, k_max):
+    """{k: eps^k} for |k| <= k_max, by repeated multiplication of integer
+    pairs; eps^-1 = N(eps) * conj(eps)."""
+    def mul(a, b):
+        return (a[0] * b[0] - a[1] * b[1] * K.w_norm,
+                a[0] * b[1] + a[1] * b[0] + a[1] * b[1] * K.w_trace)
+    n = int(eps.norm())
+    up = (int(eps.x), int(eps.y))
+    down = (n * (int(eps.x) + int(eps.y) * K.w_trace), -n * int(eps.y))
+    out = {0: (1, 0)}
+    for k in range(1, k_max + 1):
+        out[k] = mul(out[k - 1], up)
+        out[-k] = mul(out[-k + 1], down)
+    return {k: K.element(*xy) for k, xy in out.items()}
+
+
+@pytest.mark.parametrize("d", [2, 3, 94, 48799])
+def test_unit_decompose_up_to_200(d):
+    K = RealQuadraticField(d)
+    eps = fundamental_unit(K)
+    powers = _unit_powers(K, eps, 200)
+    assert powers[1] == eps and powers[-1] * eps == K.one()
+    # eps(Q(sqrt 48799)) has 902-bit coordinates, eps^200 180,000-bit ones
+    ks = range(-200, 201) if d < 50 else \
+        [k for k in range(-200, 201) if k % 50 == 0 or abs(k) in (1, 2, 199)]
+    for k in ks:
+        u = powers[k]
+        assert unit_decompose(K, u) == (0, k), (d, k)
+        assert unit_decompose(K, -u) == (1, k), (d, k)
+
+
+def test_unit_decompose_raises_on_a_wrong_power(monkeypatch):
+    K = RealQuadraticField(94)
+    eps = fundamental_unit(K)
+    monkeypatch.setattr(quadfield, "fundamental_unit", lambda K: eps * eps)
+    assert unit_decompose(K, eps ** 4) == (0, 2)
+    with pytest.raises(AssertionError, match="not \\+-eps\\^"):
+        unit_decompose(K, eps)
+
+
 # ------------------------------------------------------------- principal gens
 
 def test_principal_generator_d2_over_7():
@@ -252,11 +294,75 @@ def test_o_walk_matches_fraction_walk_d_below_2000():
             continue
         K = RealQuadraticField(d)
         ref_acc, ref_eps = _ref_o_walk(K)
-        acc, eps = _o_walk(K)
+        acc, eps = _o_walk(K), fundamental_unit(K)
         assert acc.keys() == ref_acc.keys(), d
         for state, (x, y) in acc.items():
             assert K.element(x, y) == ref_acc[state], (d, state)
         assert eps == ref_eps == fundamental_unit(K), d
+
+
+def _full_period_eps(K):
+    """eps from one full period of the integer walk: the quotient of the
+    gamma products at the first repeated state, made positive; returns
+    (eps, period)."""
+    acc = {}
+    P, Q = K.D, 2
+    x0, y0, x1, y1 = 0, 1, 1, 0
+    while (P, Q) not in acc:
+        acc[(P, Q)] = (x1, y1)
+        a, P, Q = _rho_step(K, P, Q)
+        x0, y0, x1, y1 = x1, y1, x0 - a * x1, y0 - a * y1
+    eps = K.element(*acc[(P, Q)]) / K.element(x1, y1)
+    assert eps.is_integral() and abs(eps.norm()) == 1
+    eps = -eps if eps.real_sign() < 0 else eps
+    assert eps.compare_real(1) > 0
+    # acc holds (D, 2) and the reduced state of O, the period n + 1 states
+    return eps, len(acc) - 1
+
+
+def _stop_kind(K, monkeypatch):
+    """Run the half-period walk of K afresh and tell where it stopped:
+    "even" when it divided sigma(u) by u, else "odd"."""
+    seen = []
+    quotient = quadfield._exact_quotient
+
+    def spy(K, num, den, what):
+        if what == "fundamental unit":
+            seen.append(num == (den[0] + den[1] * K.D, -den[1]))
+        return quotient(K, num, den, what)
+    monkeypatch.setattr(quadfield, "_exact_quotient", spy)
+    monkeypatch.setattr(K, "_fundamental_unit", None)
+    eps = fundamental_unit(K)
+    monkeypatch.undo()
+    assert len(seen) == 1
+    return eps, "even" if seen[0] else "odd"
+
+
+def test_half_period_eps_matches_full_period_d_below_10000(monkeypatch):
+    kinds = {"odd": 0, "even": 0}
+    for d in range(2, 10000):
+        if not squarefree(d):
+            continue
+        K = RealQuadraticField(d)
+        eps, kind = _stop_kind(K, monkeypatch)
+        ref_eps, period = _full_period_eps(K)
+        assert eps == ref_eps, d
+        assert kind == ("odd" if period % 2 else "even"), d
+        # odd exactly when N(eps) = -1
+        assert (kind == "odd") == (pell_sign(d) == -1), d
+        kinds[kind] += 1
+    assert kinds["odd"] > 500 and kinds["even"] > 4000
+
+
+def test_leopoldt_query_builds_no_cycle_table(monkeypatch):
+    K = RealQuadraticField(49009)
+    monkeypatch.setattr(K, "_o_walk", None)
+    monkeypatch.setattr(K, "_fundamental_unit", None)
+    assert leopoldt_defect(K, 3, 8).defect == 0
+    assert K._fundamental_unit is not None
+    assert K._o_walk is None
+    principal_generator(rational_ideal(K, 3))
+    assert len(K._o_walk) == 444       # period 443, plus the state (D, 2)
 
 
 def _principal_cases(K, h):
@@ -328,7 +434,7 @@ def test_principal_generator_checks_survive_python_O():
         "from iwasawalab.quadfield import _o_walk\n"
         "assert False, 'asserts are on'\n"
         "K = RealQuadraticField(79)\n"
-        "_o_walk(K)[0][(K.D, 2)] = (2, 0)\n"
+        "_o_walk(K)[(K.D, 2)] = (2, 0)\n"
         "try:\n"
         "    principal_generator(rational_ideal(K, 5))\n"
         "except AssertionError as exc:\n"
