@@ -4,8 +4,8 @@ over Q and real quadratic fields."""
 __version__ = "0.1.0"
 
 from .padic import (PAdicNumber, UnramifiedQuadElem, AtLeast, PrecisionError,
-                    arith, val_and_unit, teichmueller, angle, plog,
-                    log_ratio, angle_log)
+                    val_and_unit, teichmueller, angle, plog, log_ratio,
+                    angle_log)
 from .abgroup import (FiniteAbelianGroup, GroupElement, smith_normal_form,
                       smith_presentation, element_order, subgroup_image_order,
                       solve_dlog, decompose_abelian)
@@ -29,8 +29,7 @@ from .kummer import (KummerCertificate, construct_alpha, verify_alpha,
 
 __all__ = [
     "PAdicNumber", "UnramifiedQuadElem", "AtLeast", "PrecisionError",
-    "arith", "val_and_unit", "teichmueller", "angle", "plog", "log_ratio",
-    "angle_log",
+    "val_and_unit", "teichmueller", "angle", "plog", "log_ratio", "angle_log",
     "FiniteAbelianGroup", "GroupElement", "smith_normal_form",
     "smith_presentation", "element_order", "subgroup_image_order",
     "solve_dlog", "decompose_abelian",

@@ -269,21 +269,6 @@ class PAdicNumber:
 
 # ------------------------------------------------------------------ operations
 
-def arith(x: PAdicNumber, y: PAdicNumber, kind: str) -> PAdicNumber:
-    """Dispatcher for the four basic operations."""
-    if kind == "add":
-        return x + y
-    if kind == "mul":
-        return x * y
-    if kind == "inv":
-        return x.inv()
-    if kind == "pow":
-        if not isinstance(y, int):
-            raise TypeError("pow expects an integer exponent")
-        return x ** y
-    raise ValueError("unknown operation %r" % kind)
-
-
 def val_and_unit(x: PAdicNumber):
     """Split x as p^v * u.  Zero markers yield (AtLeast(bound), None)."""
     if x.m is None:

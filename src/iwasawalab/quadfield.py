@@ -4,7 +4,10 @@ principality tests.
 
 All class-group work runs through the cycle structure of reduced quadratic
 irrationals (P + sqrt D)/Q under the continued-fraction step, which
-classifies ideals up to (wide) equivalence.
+classifies ideals up to (wide) equivalence.  The class group walks each
+cycle once and indexes its states; an ideal's class is the index entry of
+the first reduced state its walk reaches.  principal_generator decides
+principality by its own walk to the principal cycle.
 """
 
 from __future__ import annotations
@@ -13,9 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, log, sqrt
 
-from .abgroup import (FiniteAbelianGroup, GroupElement, decompose_abelian,
-                      smith_presentation, solve_congruence_lattice,
-                      solve_integral)
+from .abgroup import (GroupElement, decompose_abelian, smith_presentation,
+                      solve_congruence_lattice, solve_integral)
 from .ntheory import (extgcd, is_squarefree, isprime, legendre, power,
                       sqrt_mod_prime)
 from .padic import PAdicNumber, vp
@@ -413,7 +415,7 @@ def parts_valuation(a: int, b: int, den: int, q: IntegralIdeal) -> int:
     K = q.field
     if not (a or b):
         raise ValueError("valuation of 0")
-    ell = residue_char(q)
+    ell = q.a                   # q is (ell; b; 1), (ell; 0; ell) or (ell)
     vden = vp(den, ell)
     if K.is_rational:
         return vp(a, ell) - vden
@@ -430,6 +432,7 @@ def parts_valuation(a: int, b: int, den: int, q: IntegralIdeal) -> int:
 
 def ideal_valuation(x, q: IntegralIdeal) -> int:
     """Exact valuation v_q(x) for a field element or rational number x."""
+    residue_char(q)  # validates primality
     if isinstance(x, (int, Fraction)):
         x = q.field.element(x)
     return parts_valuation(*fraction_parts(x), q)
@@ -507,7 +510,11 @@ def _reduced_pairs(K: RealQuadraticField):
 
 
 class ClassGroupData:
-    """Ideal class group with a concrete dlog map via reduction cycles."""
+    """Ideal class group with a concrete dlog map via reduction cycles.
+
+    A class is keyed by its cycle of reduced states, as a sorted tuple.
+    The build walks each cycle once, from the first reduced pair not yet
+    indexed, and _key maps every state of every cycle to its key."""
 
     def __init__(self, K: RealQuadraticField):
         self.field = K
@@ -519,16 +526,14 @@ class ClassGroupData:
             self.group = smith_presentation([], 0)
             self.principal_key = None
             return
-        pairs = _reduced_pairs(K)
-        keys = set()
-        for (P, Q) in pairs:
-            keys.add(_cycle_of(K, P, Q))
-        self.cycle_keys = sorted(keys)
+        self._key = {}
+        for state in _reduced_pairs(K):
+            if state not in self._key:
+                cycle = _cycle_of(K, *state)
+                self._key.update(dict.fromkeys(cycle, cycle))
+        self.cycle_keys = sorted(set(self._key.values()))
         self.h = len(self.cycle_keys)
-        self.principal_key = _cycle_of(K, K.D, 2)
-        if self.principal_key not in keys:
-            raise AssertionError("principal cycle is not among the reduced "
-                                 "cycles")
+        self.principal_key = self.key_of(unit_ideal(K))
 
         def kmul(k1, k2):
             I = _pair_to_ideal(K, *k1[0]) * _pair_to_ideal(K, *k2[0])
@@ -544,9 +549,22 @@ class ClassGroupData:
         self.group = smith_presentation(rels, len(orders))
 
     def key_of(self, I: IntegralIdeal):
-        if self.field.is_rational:
+        """The key of [I]: the walk from the state of I stops at the first
+        indexed state, within _reduction_bound steps, since every reduced
+        state lies on an indexed cycle."""
+        K = self.field
+        if K.is_rational:
             return None
-        return _cycle_of(self.field, *_ideal_to_pair(I))
+        P, Q = _ideal_to_pair(I)
+        bound = _reduction_bound(K.D, Q)
+        steps = 0
+        while (P, Q) not in self._key:
+            if steps >= bound:
+                raise AssertionError("no indexed state within %d steps"
+                                     % bound)
+            _, P, Q = _rho_step(K, P, Q)
+            steps += 1
+        return self._key[(P, Q)]
 
     def ambient_dlog(self, I: IntegralIdeal):
         """Exponent vector of [I] over the decomposition generators."""
@@ -690,15 +708,13 @@ def principal_generator(I: IntegralIdeal):
 
     The walk from tau_0 = (b + w)/a, (a; b; 1) the primitive part, keeps
     the gamma product c*tau_0 + e (see _o_walk) up to the first state in
-    the principal-cycle table.  A reduced state lies on the principal
-    cycle, which that table holds whole, and one comes within
-    _reduction_bound."""
+    the principal-cycle table.  One reduced state comes within
+    _reduction_bound, and the walk stays on its cycle; the table holds the
+    principal cycle whole, so a reduced state off the table means that I
+    is not principal."""
     K = I.field
     if K.is_rational:
         return K.element(I.a)
-    clg = class_group(K)
-    if not clg.is_principal(I):
-        return None
     content, prim = I.content_and_primitive()
     o_acc = _o_walk(K)
     P, Q = 2 * prim.b + K.D, 2 * prim.a
@@ -707,7 +723,7 @@ def principal_generator(I: IntegralIdeal):
     steps = 0
     while (P, Q) not in o_acc:
         if _is_reduced_pair(K, P, Q):
-            raise AssertionError("reduced state off the principal cycle")
+            return None
         if steps >= bound:
             raise AssertionError("no reduced state within %d steps" % bound)
         a, P, Q = _rho_step(K, P, Q)

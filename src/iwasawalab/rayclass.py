@@ -9,14 +9,12 @@ presented by generators and relations:
 
 from __future__ import annotations
 
-from math import gcd
-
 from .abgroup import FiniteAbelianGroup, GroupElement, smith_presentation, \
     subgroup_image_order
 from .ntheory import factorint, isprime
 from .padic import vp
 from .quadfield import (IntegralIdeal, RealQuadraticField, class_group,
-                        fundamental_unit, prime_ideals_above,
+                        fundamental_unit, parts_valuation, prime_ideals_above,
                         principal_generator, rational_ideal, unit_ideal)
 from .residues import UnitGroupModM
 
@@ -24,55 +22,23 @@ _RAY_CACHE = {}
 
 
 def _factor_ideal(m: IntegralIdeal):
-    """[(prime ideal, exponent)] with product m."""
+    """[(prime ideal, exponent)] with product m.  As an O-ideal, m = (a; b; c)
+    is generated by a and b + c*w, so v_q(m) is the smaller of their
+    valuations (over Q, c = 0 and m = (a))."""
     K = m.field
     out = []
-    n = m.norm
     check = unit_ideal(K)
-    ells = sorted(factor_keys(n))
-    for ell in ells:
+    for ell in sorted(factorint(m.norm)):
         for q in prime_ideals_above(K, ell):
-            e = _ideal_val_of_ideal(m, q)
+            e = parts_valuation(m.a, 0, 1, q)
+            if m.c:
+                e = min(e, parts_valuation(m.b, m.c, 1, q))
             if e:
                 out.append((q, e))
                 check = check * q**e
     if check != m:
         raise ValueError("ideal did not factor into primes")
     return out
-
-
-def factor_keys(n: int):
-    return factorint(n).keys()
-
-
-def _ideal_val_of_ideal(m: IntegralIdeal, q: IntegralIdeal) -> int:
-    K = m.field
-    if K.is_rational:
-        v = 0
-        n, ell = m.a, q.a
-        while n % ell == 0:
-            n //= ell
-            v += 1
-        return v
-    v = 0
-    power = q
-    while _ideal_contains_ideal(power, m):
-        v += 1
-        power = power * q
-    return v
-
-
-def _ideal_contains_ideal(I: IntegralIdeal, J: IntegralIdeal) -> bool:
-    """J subset of I."""
-    K = I.field
-    gens = [(J.a, 0), (J.b, J.c)]
-    for (u, v) in gens:
-        if v % I.c:
-            return False
-        n = v // I.c
-        if (u - n * I.b) % I.a:
-            return False
-    return True
 
 
 class RayClassGroupData:

@@ -2,7 +2,8 @@
 with explicit generators, orders, and discrete logarithms.
 
 Residues are ints (rational, split and ramified components) or coordinate
-pairs over the integral basis {1, w} (inert components).
+pairs over the integral basis {1, w} (inert components).  Split and ramified
+components are (Z/ell^e)* through the image of w; a ramified one has e = 1.
 """
 
 from __future__ import annotations
@@ -75,16 +76,24 @@ class _Component:
         self.ell = ell
         self.e = e
 
-    # subclasses define: one, mul, reduce, gens, orders, dlog, size, norm_int
+    # subclasses define: one, mul, reduce, gens, orders, dlog, norm_int
+
+    @property
+    def size(self):
+        s = 1
+        for o in self.orders:
+            s *= o
+        return s
 
 
 class RationalComponent(_Component):
-    """(Z/ell^e)*; also used for split components through the root map."""
+    """(Z/ell^e)*; also used for split and ramified (e = 1) components
+    through the root map."""
 
     def __init__(self, K, q, ell, e, root=None):
         super().__init__(K, q, ell, e)
         self.mod = ell**e
-        self.root = root  # image of w, for split components
+        self.root = root  # image of w, for split and ramified components
         self.one = 1 % self.mod
         if ell == 2:
             if e == 1:
@@ -151,16 +160,12 @@ class RationalComponent(_Component):
             raise AssertionError("torsion and 1-unit dlogs are inconsistent")
         return [merged[0]]
 
-    @property
-    def size(self):
-        s = 1
-        for o in self.orders:
-            s *= o
-        return s
-
     def norm_int(self, a):
         # norm to Z/ell^e of an element supported in this component only:
-        # for split components the conjugate component carries 1
+        # for split components the conjugate component carries 1; at a
+        # ramified prime (e(q) = 2) the norm of a rational residue is a^2
+        if self.field.D % self.ell == 0:
+            return a * a % self.mod
         return a % self.mod
 
 
@@ -237,57 +242,9 @@ class InertComponent(_Component):
         beta = (a11 * b2 - a21 * b1) * det_inv % m1
         return [i, alpha, beta]
 
-    @property
-    def size(self):
-        s = 1
-        for o in self.orders:
-            s *= o
-        return s
-
     def norm_int(self, u):
         return (u[0] * u[0] + self._trace * u[0] * u[1]
                 + self._norm * u[1] * u[1]) % self.mod
-
-
-class RamifiedComponent(_Component):
-    """(O/q)* for a ramified prime, e = 1 only: the residue field F_ell."""
-
-    def __init__(self, K, q, ell):
-        super().__init__(K, q, ell, 1)
-        self.mod = ell
-        # w maps to the double root of its minimal polynomial mod ell: in
-        # HNF, q = (ell; b; 1) contains b + w, so that root is -b
-        self.root = (-q.b) % ell
-        self.one = 1 % ell
-        if ell == 2:
-            self.gens, self.orders = [], []
-        else:
-            self._fac = factorint(ell - 1)
-            self.gens = [_primitive_root(ell, self._fac)]
-            self.orders = [ell - 1]
-
-    def mul(self, a, b):
-        return a * b % self.mod
-
-    def reduce(self, x: FieldElement):
-        num_x, num_y, den = fraction_parts(x)
-        val = num_x + num_y * self.root
-        if den % self.ell == 0 or val % self.ell == 0:
-            raise ValueError("element is not a unit at this component")
-        return val * pow(den, -1, self.mod) % self.mod
-
-    def dlog(self, a):
-        if self.ell == 2:
-            return []
-        return [_ph_dlog(self.mul, 1, self.gens[0], a, self.ell - 1,
-                         self._fac)]
-
-    @property
-    def size(self):
-        return self.ell - 1
-
-    def norm_int(self, a):
-        return a * a % self.mod  # norm of a rational residue at e(q)=2
 
 
 def _primitive_root(ell: int, fac: dict) -> int:
@@ -355,7 +312,9 @@ def make_component(K: RealQuadraticField, q: IntegralIdeal, e: int):
         return InertComponent(K, q, ell, e)
     if e != 1:
         raise ValueError("ramified prime-power moduli are unsupported")
-    return RamifiedComponent(K, q, ell)
+    # q = (ell; b; 1) contains b + w, so w maps to the double root -b of its
+    # minimal polynomial mod ell
+    return RationalComponent(K, q, ell, 1, root=(-q.b) % ell)
 
 
 class UnitGroupModM:

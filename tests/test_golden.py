@@ -104,6 +104,14 @@ CASES = [
     ("even-check-79", 0,
      ["--format", "json", "even-check", "--field", "Q(sqrt{79})", "--p",
       "3", "--q", "7", "--prec", "2"]),
+    # h = 3, with 1,482 reduced states on its three cycles
+    ("classgroup-1000003", 0,
+     ["--format", "json", "classgroup", "--field", "Q(sqrt{1000003})"]),
+    # ideal moduli 27*q and 81*q, q the ramified prime above 79: the
+    # residue field of q enters the ray class group
+    ("even-check-79-q79", 0,
+     ["--format", "json", "even-check", "--field", "Q(sqrt{79})", "--p",
+      "3", "--q", "79", "--prec", "2"]),
 ]
 
 

@@ -10,10 +10,13 @@ import pytest
 
 from iwasawalab import quadfield
 from iwasawalab.ntheory import is_squarefree, isprime
-from iwasawalab.quadfield import (_ideal_to_pair, _is_reduced_pair, _o_walk,
+from iwasawalab.abgroup import decompose_abelian
+from iwasawalab.quadfield import (_cycle_of, _ideal_to_pair, _is_reduced_pair,
+                                  _o_walk, _pair_to_ideal, _reduced_pairs,
                                   _reduction_bound, _rho_step)
 from iwasawalab.quadfield import (RealQuadraticField, FieldElement,
                                   IntegralIdeal, SUnitBasisData,
+                                  ClassGroupData,
                                   factor_rational_prime, class_group,
                                   fundamental_unit, s_unit_basis,
                                   principal_generator, ideal_from_element,
@@ -131,6 +134,91 @@ def test_class_of_and_principality_d10():
     assert not clg.is_principal(q2)
     assert clg.class_of(q2) != clg.group.identity()
     assert clg.is_principal(q2 * q2)
+
+
+def _ref_class_group(K):
+    """The per-pair build: every reduced pair walks its whole cycle, and
+    every class lookup walks and sorts the cycle of the ideal again."""
+    keys = set()
+    for (P, Q) in _reduced_pairs(K):
+        keys.add(_cycle_of(K, P, Q))
+    cycle_keys = sorted(keys)
+    principal_key = _cycle_of(K, K.D, 2)
+    assert principal_key in keys
+
+    def key_of(I):
+        return _cycle_of(K, *_ideal_to_pair(I))
+
+    def kmul(k1, k2):
+        return key_of(_pair_to_ideal(K, *k1[0]) * _pair_to_ideal(K, *k2[0]))
+
+    gens, orders, dlog = decompose_abelian(cycle_keys, kmul, principal_key)
+    return len(cycle_keys), cycle_keys, gens, orders, dlog, principal_key, \
+        key_of
+
+
+def test_class_group_matches_per_pair_build_d_below_2000():
+    for d in range(2, 2000):
+        if not squarefree(d):
+            continue
+        K = RealQuadraticField(d)
+        clg = class_group(K)
+        h, cycle_keys, gens, orders, dlog, principal_key, key_of = \
+            _ref_class_group(K)
+        assert clg.h == h, d
+        assert clg.cycle_keys == cycle_keys, d
+        assert clg.gen_keys == gens, d
+        assert clg.gen_orders == orders, d
+        assert clg._dlog == dlog, d
+        assert clg.principal_key == principal_key, d
+        if d < 300:
+            for I in _small_ideals(K):
+                assert clg.key_of(I) == key_of(I), (d, I)
+
+
+def test_build_walks_each_cycle_once(monkeypatch):
+    calls = []
+
+    def counting(K, P, Q):
+        calls.append((P, Q))
+        return _cycle_of(K, P, Q)
+    monkeypatch.setattr(quadfield, "_cycle_of", counting)
+    for d in (2, 10, 79, 82, 226, 5626, 48799):
+        calls.clear()
+        clg = ClassGroupData(RealQuadraticField(d))
+        assert len(calls) == clg.h, d
+
+
+def test_key_of_steps_within_the_reduction_bound(monkeypatch):
+    rng = random.Random(21)
+    steps = []
+
+    def counting(K, P, Q):
+        steps.append((P, Q))
+        return _rho_step(K, P, Q)
+    for d in (2, 79, 223, 5626):
+        K = RealQuadraticField(d)
+        clg = class_group(K)
+        for digits in range(1, 60, 3):
+            b = rng.randrange(10**digits)
+            a = b * b + K.D * b + K.w_norm   # (a; b; 1) is an ideal
+            I = IntegralIdeal(K, a, b % a, 1)
+            steps.clear()
+            monkeypatch.setattr(quadfield, "_rho_step", counting)
+            key = clg.key_of(I)
+            monkeypatch.undo()
+            assert len(steps) <= _reduction_bound(K.D, _ideal_to_pair(I)[1])
+            assert key == _cycle_of(K, *_ideal_to_pair(I)), (d, digits)
+
+
+def test_key_of_raises_past_the_reduction_bound(monkeypatch):
+    K = RealQuadraticField(79)
+    clg = class_group(K)
+    q5 = factor_rational_prime(K, 5).ideals[0]
+    assert not _is_reduced_pair(K, *_ideal_to_pair(q5))
+    monkeypatch.setattr(quadfield, "_reduction_bound", lambda D, Q: 0)
+    with pytest.raises(AssertionError, match="no indexed state"):
+        clg.key_of(q5)
 
 
 # ------------------------------------------------------------- units
@@ -412,12 +500,29 @@ def test_reduction_bound_holds():
             assert steps <= bound, (d, digits)
 
 
-def test_principal_generator_raises_off_the_principal_cycle(monkeypatch):
-    K = RealQuadraticField(10)
-    q2 = factor_rational_prime(K, 2).ideals[0]
-    monkeypatch.setattr(class_group(K), "is_principal", lambda I: True)
-    with pytest.raises(AssertionError, match="off the principal cycle"):
-        principal_generator(q2)
+def _small_ideals(K):
+    """The primes above ell < 50 and the products of pairs of the first
+    eight of them."""
+    primes = [q for ell in range(2, 50) if isprime(ell)
+              for q in prime_ideals_above(K, ell)]
+    return primes + [p * q for i, p in enumerate(primes[:8])
+                     for q in primes[i:8]]
+
+
+def test_principal_generator_is_none_exactly_off_the_principal_class():
+    # cyclic class groups of orders 2, 3, 4, 3 and 8
+    nones = 0
+    for d in (10, 79, 82, 223, 226):
+        K = RealQuadraticField(d)
+        clg = class_group(K)
+        assert clg.h > 1, d
+        for I in _small_ideals(K):
+            g = principal_generator(I)
+            assert (g is None) == (not clg.is_principal(I)), (d, I)
+            nones += g is None
+            if g is not None:
+                assert ideal_from_element(g) == I, (d, I)
+    assert nones > 100
 
 
 def test_principal_generator_raises_past_the_reduction_bound(monkeypatch):

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from iwasawalab.ntheory import factorint, is_squarefree, isprime
+from iwasawalab.padic import vp
 from iwasawalab.quadfield import (RealQuadraticField, factor_rational_prime,
                                   prime_ideals_above, rational_ideal)
-from iwasawalab.rayclass import ray_class_group
+from iwasawalab.rayclass import _factor_ideal, ray_class_group
 
 QQ = RealQuadraticField.rationals()
 
@@ -126,3 +128,48 @@ def test_ramified_square_modulus_rejected():
     K = RealQuadraticField(2)
     with pytest.raises(ValueError):
         ray_class_group(K, 4, 5)  # (sqrt2)^4: ramified square component
+
+
+# ------------------------------------------------- factoring an ideal modulus
+
+def _ref_contains(I, J):
+    """J is a subset of I, tested on the HNF generators of J."""
+    for (u, v) in ((J.a, 0), (J.b, J.c)):
+        if v % I.c or (u - (v // I.c) * I.b) % I.a:
+            return False
+    return True
+
+
+def _ref_valuation(m, q):
+    """v_q(m) by the ideal-power loop: the largest v with q^v containing m."""
+    if m.field.is_rational:
+        return vp(m.a, q.a) if m.a % q.a == 0 else 0
+    v, power = 0, q
+    while _ref_contains(power, m):
+        v, power = v + 1, power * q
+    return v
+
+
+def _ref_factor(m):
+    out = []
+    for ell in sorted(factorint(m.norm)):
+        for q in prime_ideals_above(m.field, ell):
+            e = _ref_valuation(m, q)
+            if e:
+                out.append((q, e))
+    return out
+
+
+def test_factor_ideal_matches_ideal_power_loop():
+    # every n < 200, and n*q for a prime q above ell < 30 (q cycling with
+    # n), over Q and every squarefree d < 300
+    fields = [QQ] + [RealQuadraticField(d) for d in range(2, 300)
+                     if is_squarefree(d)]
+    for K in fields:
+        primes = [q for ell in range(2, 30) if isprime(ell)
+                  for q in prime_ideals_above(K, ell)]
+        for n in range(2, 200):
+            m = rational_ideal(K, n)
+            assert _factor_ideal(m) == _ref_factor(m), (K, n)
+            mq = m * primes[n % len(primes)]
+            assert _factor_ideal(mq) == _ref_factor(mq), (K, n)

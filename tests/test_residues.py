@@ -16,8 +16,8 @@ from iwasawalab.ntheory import isprime
 from iwasawalab.quadfield import (RealQuadraticField, _min_poly_roots_mod,
                                   factor_rational_prime, prime_ideals_above,
                                   rational_ideal)
-from iwasawalab.residues import (InertComponent, RamifiedComponent,
-                                 RationalComponent, make_component)
+from iwasawalab.residues import (InertComponent, RationalComponent,
+                                 make_component)
 
 from oracles import squarefree
 
@@ -153,7 +153,7 @@ def test_integer_generators_are_first_primitive_roots():
             kinds.add(type(comp))
             assert comp.gens == [want], (ell, comp)
             assert comp.orders == [ell - 1]
-    assert kinds == {RationalComponent, RamifiedComponent}
+    assert kinds == {RationalComponent}
 
 
 def test_prime_power_generator_lifts_first_primitive_root():
@@ -263,7 +263,29 @@ def test_ramified_root_is_double_root_of_min_poly():
             if not isprime(ell) or K.D % ell:
                 continue
             (q,) = factor_rational_prime(K, ell).ideals
-            comp = RamifiedComponent(K, q, ell)
+            comp = make_component(K, q, 1)
             assert comp.root == _min_poly_roots_mod(K, ell)[0], (d, ell)
             pairs += 1
     assert pairs == 631
+
+
+def test_ramified_norm_int_is_the_norm_mod_ell():
+    # q = conj(q) at a ramified ell, so x and conj(x) have the same residue
+    # r and N(x) = r^2 mod ell; seeded integral x prime to q
+    rng = random.Random(31)
+    for d in range(2, 500):
+        if not squarefree(d):
+            continue
+        K = RealQuadraticField(d)
+        for ell in range(3, 200):
+            if not isprime(ell) or K.D % ell:
+                continue
+            (q,) = factor_rational_prime(K, ell).ideals
+            comp = make_component(K, q, 1)
+            for _ in range(3):
+                x = K.element(rng.randrange(-999, 1000),
+                              rng.randrange(-999, 1000))
+                if (x.x + x.y * comp.root) % ell == 0:
+                    continue
+                assert comp.norm_int(comp.reduce(x)) == x.norm() % ell, \
+                    (d, ell, x)

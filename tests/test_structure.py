@@ -3,17 +3,25 @@
 - no `assert` statement, since `python -O` strips it from a check;
 - no `import` inside a function body, the usual way round an import cycle;
 - no call to `__import__`;
-- no private name taken from a sibling module by `from .x import _name`.
+- no private name taken from a sibling module by `from .x import _name`;
+- no module-level function, class or method that no file of `src/`,
+  `tests/` or `bench/` names outside its own definition (a dead path).
 """
 
 import ast
+import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "iwasawalab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "iwasawalab"
 MODULES = sorted(SRC.glob("*.py"))
+# the files whose words may name a definition of MODULES
+CORPUS = sorted(path for top in ("src", "tests", "bench")
+                for path in (ROOT / top).rglob("*.py"))
 
 
 def _trees():
@@ -64,6 +72,43 @@ def test_no_private_name_from_a_sibling_module():
     assert found == []
 
 
+def _definitions(tree):
+    """Module-level functions and classes, and the methods of those
+    classes; dunder methods are called by the language, not by name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not re.fullmatch(r"__\w+__", item.name):
+                    yield item
+
+
+def _words(text):
+    return Counter(re.findall(r"\w+", text))
+
+
+def test_every_definition_is_named_elsewhere():
+    """A name counts as used when it occurs outside every definition of
+    that name, so methods of one name in two classes do not vouch for each
+    other."""
+    words = Counter()
+    for path in CORPUS:
+        words.update(_words(path.read_text()))
+    defs, inside = [], Counter()
+    for path in MODULES:
+        lines = path.read_text().splitlines()
+        for node in _definitions(ast.parse("\n".join(lines), str(path))):
+            body = "\n".join(lines[node.lineno - 1:node.end_lineno])
+            inside[node.name] += _words(body)[node.name]
+            defs.append((path.name, node))
+    found = ["%s %s" % (_where(name, node), node.name) for name, node in defs
+             if words[node.name] == inside[node.name]]
+    assert found == []
+
+
 @pytest.mark.parametrize("source,check", [
     ("def f(x):\n    assert x\n", test_no_assert_statement),
     ("def f():\n    from .rayclass import ray_class_group\n",
@@ -71,10 +116,14 @@ def test_no_private_name_from_a_sibling_module():
     ("m = __import__('iwasawalab.padic')\n", test_no_dunder_import_call),
     ("from .quadfield import _residue_char\n",
      test_no_private_name_from_a_sibling_module),
+    ("def used_helper():\n    return 1\n\n\nclass UnusedClass:\n"
+     "    def unused_method(self):\n        return used_helper()\n",
+     test_every_definition_is_named_elsewhere),
 ])
 def test_each_check_catches_its_rule(source, check, tmp_path, monkeypatch):
     module = tmp_path / "bad.py"
     module.write_text(source)
     monkeypatch.setattr(sys.modules[__name__], "MODULES", [module])
+    monkeypatch.setattr(sys.modules[__name__], "CORPUS", [module])
     with pytest.raises(AssertionError):
         check()
