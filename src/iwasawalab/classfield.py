@@ -6,7 +6,7 @@ of conductor p^(N+1), together with Frobenius images, the degree map
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .abgroup import (FiniteAbelianGroup, GroupElement,
                       solve_congruence_lattice, solve_integral)

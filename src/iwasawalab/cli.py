@@ -14,7 +14,7 @@ import sys
 from .classfield import even_criterion, frobenius_image, group_G
 from .iwasawa import (defect_never_one_scan, greenberg_wiles, leopoldt_defect,
                       mq_order)
-from .kummer import construct_alpha, verify_alpha
+from .kummer import construct_alpha
 from .ntheory import isprime
 from .padic import PAdicNumber, PrecisionError, teichmueller
 from .quadfield import (RealQuadraticField, class_group,

@@ -95,6 +95,17 @@ def power(mul, one, g, k: int):
     return r
 
 
+def quad_mul(t: int, n: int, m: int):
+    """The multiplication of Z[x]/(x^2 - t*x + n) modulo m, on coordinate
+    pairs over {1, x}, as a function of two pairs for `power`."""
+    def mul(u, v):
+        u0, u1 = u
+        v0, v1 = v
+        w = u1 * v1
+        return (u0 * v0 - w * n) % m, (u0 * v1 + u1 * v0 + w * t) % m
+    return mul
+
+
 def crt(r1: int, m1: int, r2: int, m2: int):
     """(r, lcm(m1, m2)) with r = r1 mod m1 and r = r2 mod m2, 0 <= r < lcm,
     or None when the two residues are inconsistent."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .abgroup import FiniteAbelianGroup, GroupElement, smith_presentation, \
     subgroup_image_order
-from .ntheory import factorint, isprime
+from .ntheory import factorint, isprime, power
 from .padic import vp
 from .quadfield import (IntegralIdeal, RealQuadraticField, class_group,
                         fundamental_unit, parts_valuation, prime_ideals_above,
@@ -27,7 +27,7 @@ def _factor_ideal(m: IntegralIdeal):
     valuations (over Q, c = 0 and m = (a))."""
     K = m.field
     out = []
-    check = unit_ideal(K)
+    check = None
     for ell in sorted(factorint(m.norm)):
         for q in prime_ideals_above(K, ell):
             e = parts_valuation(m.a, 0, 1, q)
@@ -35,7 +35,11 @@ def _factor_ideal(m: IntegralIdeal):
                 e = min(e, parts_valuation(m.b, m.c, 1, q))
             if e:
                 out.append((q, e))
-                check = check * q**e
+                # q^e, and the product so far, with no unit-ideal factor
+                qe = power(IntegralIdeal.__mul__, q, q, e - 1)
+                check = qe if check is None else check * qe
+    if check is None:
+        check = unit_ideal(K)
     if check != m:
         raise ValueError("ideal did not factor into primes")
     return out

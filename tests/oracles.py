@@ -139,3 +139,57 @@ def squarefree(n: int) -> bool:
             m //= q
         q += 1
     return True
+
+
+def _power(mul, one, g, k):
+    r = one
+    while k:
+        if k & 1:
+            r = mul(r, g)
+        g = mul(g, g)
+        k >>= 1
+    return r
+
+
+def bsgs(mul, one, g, h, n):
+    """k in [0, n) with g^k = h, for g of order dividing n; the baby-step
+    table is built on every call."""
+    m = isqrt(n) + 1
+    table = {}
+    x = one
+    for j in range(m):
+        if x == h:
+            return j
+        table.setdefault(x, j)
+        x = mul(x, g)
+    ginv_m = _power(mul, one, x, n - 1)
+    y = h
+    for i in range(1, m):
+        y = mul(y, ginv_m)
+        if y in table:
+            return (i * m + table[y]) % n
+    raise ValueError("dlog: element not in the cyclic subgroup")
+
+
+def ph_dlog(mul, one, g, h, n, fac):
+    """k in [0, n) with g^k = h, for g of order n = prod q^a over fac, by
+    Pohlig-Hellman with every generator power taken again on each call:
+    the q^a-part of k one base-q digit at a time, by BSGS in the subgroup
+    of order q, and the parts joined by the Chinese remainder theorem."""
+    k, m = 0, 1
+    for q, a in fac.items():
+        qa = q**a
+        gq = _power(mul, one, g, n // qa)
+        t = _power(mul, one, h, n // qa)
+        gamma = _power(mul, one, gq, qa // q)
+        gq_inv = _power(mul, one, gq, qa - 1)
+        x, qj = 0, 1
+        for j in range(a):
+            # t = gq^(k - x) has order dividing q^(a - j)
+            d = bsgs(mul, one, gamma, _power(mul, one, t, qa // (qj * q)), q)
+            t = mul(t, _power(mul, one, gq_inv, d * qj))
+            x += d * qj
+            qj *= q
+        k += m * ((x - k) * pow(m, -1, qa) % qa)
+        m *= qa
+    return k

@@ -1,31 +1,51 @@
 """The residue-ring groups (O/q^e)*: generators against brute force, and
-discrete logs that rebuild the unit and match a table of all powers.
+discrete logs that rebuild the unit, match a table of all powers and match
+the per-call Pohlig-Hellman reference `oracles.ph_dlog`.
 
 Every case is fixed up front.  The oracles multiply residues with their own
 arithmetic, from w^2 = D*w - (D^2 - D)/4, and find orders by walking powers.
+The generators, orders and dlogs of every component that the big-conductor
+batches of seeds 1-3 and the kummer-alpha batch of seed 1 build were
+recorded in `data/residue_components.json` before the dlogs moved to
+per-component plans; re-record that file with
+
+    PYTHONPATH=src python tests/test_residues.py
+
+only when a generator or a dlog is meant to change.
 """
 
+import json
 import random
+import sys
 from itertools import product
 from math import gcd
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iwasawalab.cli import main
-from iwasawalab.ntheory import isprime
-from iwasawalab.quadfield import (RealQuadraticField, _min_poly_roots_mod,
-                                  factor_rational_prime, prime_ideals_above,
-                                  rational_ideal)
+from iwasawalab.ntheory import factorint, isprime
+from iwasawalab.quadfield import (IntegralIdeal, RealQuadraticField,
+                                  _min_poly_roots_mod, factor_rational_prime,
+                                  prime_ideals_above, rational_ideal)
 from iwasawalab.residues import (InertComponent, RationalComponent,
-                                 make_component)
+                                 _QuadFieldUnits, make_component)
 
-from oracles import squarefree
+from oracles import ph_dlog, squarefree
 
 QQ = RealQuadraticField.rationals()
 INERT_FIELDS = (2, 5, 7, 13, 79)
 SMALL_ELLS = (3, 5, 7)
 UNITS_PER_COMPONENT = 20
-TABLE_ELL_MAX = 50
+TABLE_SIZE_MAX = 16_000
+# the fields and primes of the Pohlig-Hellman plan cases
+PLAN_FIELDS = [d for d in range(2, 60) if squarefree(d)]
+PLAN_ELL_MAX = 100
+RECORDED = Path(__file__).parent / "data" / "residue_components.json"
+RECORDED_BATCHES = (("big-conductor", 1), ("big-conductor", 2),
+                    ("big-conductor", 3), ("kummer-alpha", 1))
+RECORDED_UNITS = 4
 
 
 def _w_data(d):
@@ -169,10 +189,10 @@ def test_prime_power_generator_lifts_first_primitive_root():
 
 # ---------------------------------------------------------------- dlogs
 
-def _seeded_units(comp, rng):
+def _seeded_units(comp, rng, n=UNITS_PER_COMPONENT):
     ell, mod = comp.ell, comp.mod
     out = []
-    while len(out) < UNITS_PER_COMPONENT:
+    while len(out) < n:
         if isinstance(comp, InertComponent):
             u = (rng.randrange(mod), rng.randrange(mod))
             if comp.norm_int(u) % ell:
@@ -205,6 +225,29 @@ def _power_table(comp):
     return table
 
 
+def _plan_components():
+    """Every inert ell < PLAN_ELL_MAX of the PLAN_FIELDS at e = 1, and at
+    e in {2, 3} for ell in SMALL_ELLS; at every ell < PLAN_ELL_MAX,
+    ell = 2 included, the rational component and the split ones of the
+    first PLAN_FIELDS field where ell splits, for e <= 4."""
+    comps = []
+    for d in PLAN_FIELDS:
+        K = RealQuadraticField(d)
+        for ell in _inert_ells(d, PLAN_ELL_MAX):
+            for e in ((1, 2, 3) if ell in SMALL_ELLS else (1,)):
+                comps.append(make_component(K, rational_ideal(K, ell), e))
+    for ell in range(2, PLAN_ELL_MAX):
+        if not isprime(ell):
+            continue
+        split = next(K for K in map(RealQuadraticField, PLAN_FIELDS)
+                     if factor_rational_prime(K, ell).kind == "split")
+        for e in (1, 2, 3, 4):
+            comps.append(make_component(QQ, rational_ideal(QQ, ell), e))
+            comps.extend(make_component(split, q, e)
+                         for q in prime_ideals_above(split, ell))
+    return comps
+
+
 def _dlog_components():
     comps = [_inert_component(d, ell, e) for (d, ell, e) in INERT_CASES]
     for ell in ODD_PRIMES_500:
@@ -212,23 +255,139 @@ def _dlog_components():
     for ell, es in ((2, (2, 3, 4)), (3, (2, 3)), (5, (2, 3)), (7, (2,))):
         comps.extend(make_component(QQ, rational_ideal(QQ, ell), e)
                      for e in es)
-    return comps
+    return comps + _plan_components()
+
+
+def _reference_torsion_dlog(comp, u):
+    """The torsion coordinate by the per-call Pohlig-Hellman reference, on
+    the route that raises u and g to the order of the 1-units, so that only
+    their torsion parts are left, and then divides that exponent out."""
+    ell, e = comp.ell, comp.e
+    inert = isinstance(comp, InertComponent)
+    n = ell * ell - 1 if inert else ell - 1
+    unit_sz = ell**((2 if inert else 1) * (e - 1))
+    mul, one = comp.mul, comp.one
+    k = ph_dlog(mul, one, _power(mul, one, comp.gens[0], unit_sz),
+                _power(mul, one, u, unit_sz), n, factorint(n))
+    return k * pow(unit_sz % n, -1, n) % n
 
 
 def test_dlog_rebuilds_seeded_units_and_matches_power_table():
     rng = random.Random(20260)
     n_table = 0
     for comp in _dlog_components():
-        table = _power_table(comp) if comp.ell <= TABLE_ELL_MAX else None
+        table = _power_table(comp) if comp.size <= TABLE_SIZE_MAX else None
+        n = comp.ell * comp.ell - 1 if isinstance(comp, InertComponent) \
+            else comp.ell - 1
         for u in _seeded_units(comp, rng):
             ks = comp.dlog(u)
+            where = (comp.field.d, comp.ell, comp.e, u)
             assert len(ks) == len(comp.orders)
             assert all(0 <= k < o for k, o in zip(ks, comp.orders))
-            assert _rebuild(comp, ks) == u, (comp.field.d, comp.ell, u)
+            assert _rebuild(comp, ks) == u, where
             if table is not None:
-                assert ks == table[u]
+                assert ks == table[u], where
                 n_table += 1
+            if comp.ell != 2:
+                assert ks[0] % n == _reference_torsion_dlog(comp, u), where
     assert n_table > 0
+
+
+# ------------------------------------------------ the residue field F_ell^2
+
+PLAN_INERT_CASES = [(d, ell) for d in PLAN_FIELDS
+                    for ell in _inert_ells(d, PLAN_ELL_MAX)]
+
+
+def _residue_field(d, ell):
+    """(mul, N, conj) of F_ell^2 = F_ell[w], by the oracle arithmetic."""
+    trace, norm = _w_data(d)
+    return (_pair_mul(d, ell),
+            lambda u: (u[0] * u[0] + trace * u[0] * u[1]
+                       + norm * u[1] * u[1]) % ell,
+            lambda u: ((u[0] + trace * u[1]) % ell, -u[1] % ell))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(PLAN_INERT_CASES), st.integers(1, 10**6),
+       st.integers(0, 10**6), st.integers(0, 10**5))
+def test_frobenius_is_conjugation(case, x, y, k):
+    """u^ell = conj(u) and u^(ell - 1) N(u) = conj(u)^2 in F_ell^2, and the
+    residue-field kernels of the plans against square-and-multiply."""
+    d, ell = case
+    mul, norm, conj = _residue_field(d, ell)
+    one, u = (1, 0), (x % ell, y % ell)
+    if u == (0, 0):
+        return
+    assert _power(mul, one, u, ell) == conj(u)
+    z = _power(mul, one, u, ell - 1)
+    assert mul(z, (norm(u), 0)) == mul(conj(u), conj(u))
+    K = RealQuadraticField(d)
+    F = _QuadFieldUnits(K.w_trace, K.w_norm, ell)
+    assert F.norm(u) == norm(u) and F.frobenius_quotient(u) == z
+    assert F.mul(u, conj(u)) == mul(u, conj(u))
+    assert F.exp(u, k % (ell * ell)) == _power(mul, one, u, k % (ell * ell))
+    assert mul(F.inv(u), u) == one
+    j = k % (ell + 1)
+    assert F.is_torus_root_of_unity(z, j) == (_power(mul, one, z, j) == one)
+    assert F.is_torus_root_of_unity(z, ell + 1)
+
+
+# ------------------------------------------ components of recorded batches
+
+def _json(x):
+    return list(x) if isinstance(x, tuple) else x
+
+
+def test_components_of_recorded_batches_unchanged():
+    docs = json.loads(RECORDED.read_text())["components"]
+    assert len(docs) > 600
+    for doc in docs:
+        K = QQ if doc["d"] == 1 else RealQuadraticField(doc["d"])
+        comp = make_component(K, IntegralIdeal(K, *doc["ideal"]), doc["e"])
+        assert [_json(g) for g in comp.gens] == doc["gens"], doc
+        assert comp.orders == doc["orders"], doc
+        units = [tuple(u) if isinstance(u, list) else u
+                 for u in doc["units"]]
+        assert [comp.dlog(u) for u in units] == doc["dlogs"], doc
+
+
+def _record():
+    """Answer the recorded batches, collect every component they build and
+    write its generators, orders and the dlogs of seeded units."""
+    root = Path(__file__).resolve().parent.parent
+    sys.path.insert(0, str(root / "bench"))
+    import iwasawalab as lib
+    import iwasawalab.residues as residues
+    import workloads
+
+    built = {}
+    make = residues.make_component
+
+    def recording(K, q, e):
+        comp = make(K, q, e)
+        built.setdefault((K.d or 1, q.a, q.b, q.c, e), comp)
+        return comp
+    residues.make_component = recording
+    for workload, seed in RECORDED_BATCHES:
+        for query in workloads.batch(workload, seed):
+            workloads.answer(lib, query)
+    residues.make_component = make
+    lines = []
+    for key in sorted(built):
+        comp = built[key]
+        units = _seeded_units(comp, random.Random(repr(key)), RECORDED_UNITS)
+        lines.append(json.dumps(
+            {"d": key[0], "ideal": list(key[1:4]), "e": key[4],
+             "gens": [_json(g) for g in comp.gens], "orders": comp.orders,
+             "units": [_json(u) for u in units],
+             "dlogs": [comp.dlog(u) for u in units]},
+            separators=(",", ":")))
+    RECORDED.parent.mkdir(exist_ok=True)
+    # one component a line, so that a change shows as a line of the diff
+    RECORDED.write_text('{"batches": %s,\n "components": [\n%s\n]}\n'
+                        % (json.dumps(RECORDED_BATCHES), ",\n".join(lines)))
+    print("%d components -> %s" % (len(lines), RECORDED))
 
 
 # ------------------------------------------------ unsupported inert 2-power
@@ -289,3 +448,8 @@ def test_ramified_norm_int_is_the_norm_mod_ell():
                     continue
                 assert comp.norm_int(comp.reduce(x)) == x.norm() % ell, \
                     (d, ell, x)
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).parent))
+    _record()

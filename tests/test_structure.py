@@ -5,7 +5,8 @@
 - no call to `__import__`;
 - no private name taken from a sibling module by `from .x import _name`;
 - no module-level function, class or method that no file of `src/`,
-  `tests/` or `bench/` names outside its own definition (a dead path).
+  `tests/` or `bench/` names outside its own definition (a dead path);
+- no name bound by a module-level import that its module never uses.
 """
 
 import ast
@@ -109,6 +110,50 @@ def test_every_definition_is_named_elsewhere():
     assert found == []
 
 
+def _imported_names(tree):
+    """(node, name) for each name that a module-level import binds;
+    `from __future__` imports bind none."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) \
+                and node.module != "__future__":
+            for alias in node.names:
+                yield node, alias.asname or alias.name
+
+
+def _used_names(tree):
+    """The names a module loads, the entries of its `__all__` and the words
+    of its string annotations."""
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used.update(elt.value for elt in node.value.elts)
+        notes = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            notes.append(node.returns)
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            notes.append(node.annotation)
+        for note in notes:
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                used.update(re.findall(r"\w+", note.value))
+    return used
+
+
+def test_no_unused_import():
+    found = []
+    for name, tree in _trees():
+        used = _used_names(tree)
+        found.extend("%s %s" % (_where(name, node), bound)
+                     for node, bound in _imported_names(tree)
+                     if bound not in used)
+    assert found == []
+
+
 @pytest.mark.parametrize("source,check", [
     ("def f(x):\n    assert x\n", test_no_assert_statement),
     ("def f():\n    from .rayclass import ray_class_group\n",
@@ -119,6 +164,9 @@ def test_every_definition_is_named_elsewhere():
     ("def used_helper():\n    return 1\n\n\nclass UnusedClass:\n"
      "    def unused_method(self):\n        return used_helper()\n",
      test_every_definition_is_named_elsewhere),
+    ("import os\nfrom .kummer import construct_alpha, verify_alpha\n\n\n"
+     "def f():\n    return os.sep, construct_alpha\n",
+     test_no_unused_import),
 ])
 def test_each_check_catches_its_rule(source, check, tmp_path, monkeypatch):
     module = tmp_path / "bad.py"
