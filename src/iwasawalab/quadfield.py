@@ -266,7 +266,10 @@ class IntegralIdeal:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("integral ideals only")
-        return power(IntegralIdeal.__mul__, unit_ideal(self.field), self, k)
+        if k == 0:
+            return unit_ideal(self.field)
+        # start the ladder at self, so no product with the unit ideal
+        return power(IntegralIdeal.__mul__, self, self, k - 1)
 
     def conj(self) -> "IntegralIdeal":
         K = self.field

@@ -9,9 +9,11 @@ presented by generators and relations:
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .abgroup import FiniteAbelianGroup, GroupElement, smith_presentation, \
     subgroup_image_order
-from .ntheory import factorint, isprime, power
+from .ntheory import factorint, isprime
 from .padic import vp
 from .quadfield import (IntegralIdeal, RealQuadraticField, class_group,
                         fundamental_unit, parts_valuation, prime_ideals_above,
@@ -27,7 +29,6 @@ def _factor_ideal(m: IntegralIdeal):
     valuations (over Q, c = 0 and m = (a))."""
     K = m.field
     out = []
-    check = None
     for ell in sorted(factorint(m.norm)):
         for q in prime_ideals_above(K, ell):
             e = parts_valuation(m.a, 0, 1, q)
@@ -35,11 +36,9 @@ def _factor_ideal(m: IntegralIdeal):
                 e = min(e, parts_valuation(m.b, m.c, 1, q))
             if e:
                 out.append((q, e))
-                # q^e, and the product so far, with no unit-ideal factor
-                qe = power(IntegralIdeal.__mul__, q, q, e - 1)
-                check = qe if check is None else check * qe
-    if check is None:
-        check = unit_ideal(K)
+    # the product of the q^e, with no unit-ideal factor
+    check = reduce(IntegralIdeal.__mul__, (q**e for q, e in out)) if out \
+        else unit_ideal(K)
     if check != m:
         raise ValueError("ideal did not factor into primes")
     return out

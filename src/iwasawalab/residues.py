@@ -40,6 +40,14 @@ from .quadfield import (FieldElement, IntegralIdeal, RealQuadraticField,
                         split_root)
 
 
+def _merge(r1: int, m1: int, r2: int, m2: int, what: str):
+    """crt of two dlog parts, which must agree."""
+    merged = crt(r1, m1, r2, m2)
+    if merged is None:
+        raise AssertionError(what + " are inconsistent")
+    return merged
+
+
 class _PrimeFieldUnits:
     """F_ell*, on ints."""
 
@@ -168,7 +176,7 @@ class _Plan:
                     t = mul(t, inv[j] if d == 1 else exp(inv[j], d))
                 x += d * qj
                 qj *= q
-            k, mod = crt(k, mod, x, qj)
+            k, mod = _merge(k, mod, x, qj, "Pohlig-Hellman digits")
         return k
 
 
@@ -257,10 +265,8 @@ class RationalComponent(_Component):
         # 1-unit part via the ell-adic log
         la = log_series(pow(a, ell - 1, self.mod) - 1, 0, 0, 0, ell, e)[0]
         k2 = (la // ell) * self._log_gen_inv % ell**(e - 1)
-        merged = crt(k1, ell - 1, k2, ell**(e - 1))
-        if merged is None:
-            raise AssertionError("torsion and 1-unit dlogs are inconsistent")
-        return [merged[0]]
+        return [_merge(k1, ell - 1, k2, ell**(e - 1),
+                       "torsion and 1-unit dlogs")[0]]
 
     def norm_int(self, a):
         # norm to Z/ell^e of an element supported in this component only:
@@ -325,10 +331,11 @@ class InertComponent(_Component):
         odd part of ell - 1 from N(u) and that of ell + 1 from the torus."""
         F = self._residue_field
         u = (u[0] % self.ell, u[1] % self.ell)
-        k, mod = crt(self._two.dlog(u), self._two.modulus,
-                     self._minus.dlog(F.norm(u)), self._minus.modulus)
-        return crt(k, mod, self._plus.dlog(F.frobenius_quotient(u)),
-                   self._plus.modulus)[0]
+        k, mod = _merge(self._two.dlog(u), self._two.modulus,
+                        self._minus.dlog(F.norm(u)), self._minus.modulus,
+                        "torsion dlog parts")
+        return _merge(k, mod, self._plus.dlog(F.frobenius_quotient(u)),
+                      self._plus.modulus, "torsion dlog parts")[0]
 
     def dlog(self, u):
         ell, e = self.ell, self.e

@@ -111,6 +111,17 @@ def test_ideal_mul_inverse_roundtrip():
                 assert prod == rational_ideal(K, ell**f)
 
 
+def test_ideal_power_is_repeated_product():
+    for d in (1, 2, 10, 79):
+        K = QQ if d == 1 else RealQuadraticField(d)
+        for ell in (2, 3, 7):
+            for q in prime_ideals_above(K, ell):
+                prod = unit_ideal(K)
+                for k in range(6):
+                    assert q**k == prod, (d, ell, k)
+                    prod = prod * q
+
+
 # ------------------------------------------------------------- class groups
 
 def test_class_group_examples():
