@@ -7,9 +7,10 @@ of conductor p^(N+1), together with Frobenius images, the degree map
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .abgroup import (FiniteAbelianGroup, GroupElement,
-                      solve_congruence_lattice, solve_integral)
+                      solve_congruence_lattice)
 from .ntheory import isprime
 from .padic import PAdicNumber, angle_log, plog, vp
 from .quadfield import (IntegralIdeal, RealQuadraticField, rational_ideal,
@@ -141,11 +142,29 @@ def _transport_hom(rc, c_ambient, mod):
 
     With z = U x the invariant coordinates, the hom c.x becomes y.z for
     y = c U^{-1}; coordinates whose order is prime to p must carry y_i = 0.
+    y is only needed modulo the prime power `mod`, so y U = c is solved by
+    elimination modulo `mod`: U is invertible modulo every prime, so each
+    column has a pivot that is a unit modulo `mod`.
     """
     n = rc.ambient_rank
     U = rc.full_transform
-    Ut = [[U[i][j] for i in range(n)] for j in range(n)]
-    yint = [t % mod for t in solve_integral(Ut, c_ambient)]
+    aug = [[U[i][j] % mod for i in range(n)] + [c_ambient[j] % mod]
+           for j in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if gcd(aug[r][col], mod) == 1),
+                   None)
+        if piv is None:
+            raise AssertionError("no unit pivot in column %d of the SNF "
+                                 "transform modulo %d" % (col, mod))
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = pow(aug[col][col], -1, mod)
+        aug[col] = [v * inv % mod for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [(a - f * b) % mod
+                          for a, b in zip(aug[r], aug[col])]
+    yint = [aug[i][n] for i in range(n)]
     keep = set(rc.p_keep)
     for i in range(n):
         if i not in keep and yint[i] % mod:
