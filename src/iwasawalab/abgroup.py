@@ -23,36 +23,76 @@ def _mat_vec(A, x):
     return [sum(A[i][j] * x[j] for j in range(len(x))) for i in range(len(A))]
 
 
-def smith_normal_form(A, *, with_u=True, with_v=True):
+class SmithForm(tuple):
+    """The triple (D, U, V) that smith_normal_form returns, with one more
+    attribute: `lifts`, the columns of W = U^{-1} (modulo the modulus), as
+    rows, or [] when U was not asked for."""
+
+    def __new__(cls, D, U, V, lifts):
+        self = super().__new__(cls, (D, U, V))
+        self.lifts = lifts
+        return self
+
+
+def _centred(x, R):
+    """x reduced modulo R into (-R/2, R/2].  An x already in that range is
+    kept, so an elimination modulo R takes the steps of the exact one for
+    as long as the exact entries stay in that range."""
+    x %= R
+    return x - R if 2 * x > R else x
+
+
+def smith_normal_form(A, *, with_u=True, with_v=True, modulus=0):
     """Smith normal form with transforms: returns (D, U, V) with D = U*A*V,
     U, V unimodular, D diagonal with d1 | d2 | ... and nonnegative entries.
 
     The keyword-only flags `with_u` and `with_v` (both on by default) ask for
     U and V.  A transform that is not asked for is not computed and comes
     back as [].  D, and each transform that is asked for, are the same
-    whatever the flags.
+    whatever the flags.  With U comes `lifts` (see SmithForm), the columns
+    of U^{-1}, tracked by the inverse of each row operation.
+
+    `modulus` R > 0 must be a multiple of the index of the column lattice L
+    of A, which must have full rank; then R*Z^n lies in L.  The elimination
+    works modulo R: the entries of D, U, V and the lifts are reduced after
+    each operation, and each diagonal entry ends as gcd(d_i, R), the
+    invariant factors of Z^n/L.  U and V are then invertible modulo R but
+    not unimodular, and U*A*V agrees with D modulo R up to a unit factor in
+    each column.  The default R = 0 is exact.
     """
     n = len(A)
     m = len(A[0]) if n else 0
-    D = [row[:] for row in A]
+    R = modulus
+
+    def red(row):
+        if not R:
+            return row
+        row = [x % R for x in row]
+        return [x - R if 2 * x > R else x for x in row]
+
+    D = [red(row[:]) for row in A]
     U = _identity(n) if with_u else []
+    Wt = _identity(n) if with_u else []  # rows: the columns of U^{-1}
     V = _identity(m) if with_v else []
 
     def row_op(i, j, q):  # row_i -= q * row_j
-        D[i] = [a - q * b for a, b in zip(D[i], D[j])]
+        D[i] = red([a - q * b for a, b in zip(D[i], D[j])])
         if with_u:
-            U[i] = [a - q * b for a, b in zip(U[i], U[j])]
+            U[i] = red([a - q * b for a, b in zip(U[i], U[j])])
+            Wt[j] = red([a + q * b for a, b in zip(Wt[j], Wt[i])])
 
     def col_op(i, j, q):  # col_i -= q * col_j
-        for row in D:
-            row[i] -= q * row[j]
-        for row in V:
-            row[i] -= q * row[j]
+        for M in (D, V):
+            for row in M:
+                row[i] -= q * row[j]
+                if R:
+                    row[i] = _centred(row[i], R)
 
     def swap_rows(i, j):
         D[i], D[j] = D[j], D[i]
         if with_u:
             U[i], U[j] = U[j], U[i]
+            Wt[i], Wt[j] = Wt[j], Wt[i]
 
     def swap_cols(i, j):
         for row in D:
@@ -61,9 +101,10 @@ def smith_normal_form(A, *, with_u=True, with_v=True):
             row[i], row[j] = row[j], row[i]
 
     def negate_row(i):
-        D[i] = [-a for a in D[i]]
+        D[i] = red([-a for a in D[i]])
         if with_u:
-            U[i] = [-a for a in U[i]]
+            U[i] = red([-a for a in U[i]])
+            Wt[i] = red([-a for a in Wt[i]])
 
     def pivot_at(t):
         best = None
@@ -123,10 +164,7 @@ def smith_normal_form(A, *, with_u=True, with_v=True):
             if b % a != 0:
                 changed = True
                 # col_i += col_{i+1}; then re-clear the 2x2 block
-                for row in D:
-                    row[i] += row[i + 1]
-                for row in V:
-                    row[i] += row[i + 1]
+                col_op(i, i + 1, -1)
                 while D[i + 1][i] != 0 or D[i][i + 1] != 0:
                     if D[i + 1][i] != 0:
                         q = D[i + 1][i] // D[i][i]
@@ -142,7 +180,10 @@ def smith_normal_form(A, *, with_u=True, with_v=True):
                     negate_row(i)
                 if D[i + 1][i + 1] < 0:
                     negate_row(i + 1)
-    return D, U, V
+    if R:
+        for i in range(min(n, m)):
+            D[i][i] = gcd(D[i][i], R)
+    return SmithForm(D, U, V, Wt)
 
 
 def kernel_basis(A):
@@ -157,10 +198,12 @@ def kernel_basis(A):
     return out
 
 
-def lattice_index(B):
+def lattice_index(B, *, modulus=0):
     """Index [Z^n : L] for the lattice L spanned by the columns of B
-    (requires full rank n); the product of SNF diagonal entries."""
-    D, _, _ = smith_normal_form(B, with_u=False, with_v=False)
+    (requires full rank n); the product of SNF diagonal entries.  A known
+    multiple of the index, as `modulus`, lets the SNF work modulo it."""
+    D, _, _ = smith_normal_form(B, with_u=False, with_v=False,
+                                modulus=modulus)
     n = len(B)
     idx = 1
     for i in range(n):
@@ -276,7 +319,13 @@ class FiniteAbelianGroup:
 
     `transform` maps ambient integer exponent vectors (length ambient_rank)
     to reduced coordinates; it is the row-selection of the SNF change of
-    basis retained for the torsion (and free) coordinates.
+    basis U retained for the torsion (and free) coordinates.  When the
+    presentation was computed modulo a multiple R of the group order, U and
+    so `transform` and `full_transform` are reduced modulo R: invertible
+    modulo R, not unimodular, which is all that reading coordinate i modulo
+    d_i needs.  `lifts` holds, for each row of `full_transform`, an ambient
+    vector whose class generates that coordinate: a column of U^{-1},
+    reduced modulo R alike.
     """
     invariant_factors: tuple
     free_rank: int = 0
@@ -284,6 +333,7 @@ class FiniteAbelianGroup:
     transform: list = field(default_factory=list)  # rows: torsion then free
     full_transform: list = field(default_factory=list)  # all SNF rows
     full_diag: list = field(default_factory=list)       # all diagonal entries
+    lifts: list = field(default_factory=list)  # generator lifts, all rows
 
     @property
     def order(self) -> int:
@@ -328,17 +378,24 @@ class FiniteAbelianGroup:
         return [[c[i] for c in cols] for i in range(k)]
 
 
-def smith_presentation(relations, ambient_rank: int) -> FiniteAbelianGroup:
-    """Group presented by Z^ambient_rank modulo the rows of `relations`."""
+def smith_presentation(relations, ambient_rank: int, *,
+                       modulus=0) -> FiniteAbelianGroup:
+    """Group presented by Z^ambient_rank modulo the rows of `relations`.
+
+    `modulus`, a known multiple of the group order, makes the SNF work
+    modulo it (see smith_normal_form); with no relations (a free group) the
+    presentation stays exact."""
     rows = [list(r) for r in relations]
     for r in rows:
         if len(r) != ambient_rank:
             raise ValueError("relation of wrong length")
     if not rows:
         rows = [[0] * ambient_rank] if ambient_rank else []
+        modulus = 0
     # columns of R^T span the relation lattice
     A = [[rows[i][j] for i in range(len(rows))] for j in range(ambient_rank)]
-    D, U, _ = smith_normal_form(A, with_v=False)
+    snf = smith_normal_form(A, with_v=False, modulus=modulus)
+    D, U, _ = snf
     diag = [D[i][i] if i < (len(D[0]) if D else 0) else 0
             for i in range(ambient_rank)]
     tor_idx = [i for i in range(ambient_rank) if diag[i] > 1]
@@ -351,6 +408,7 @@ def smith_presentation(relations, ambient_rank: int) -> FiniteAbelianGroup:
         transform=transform,
         full_transform=U,
         full_diag=diag,
+        lifts=snf.lifts,
     )
 
 
@@ -373,7 +431,7 @@ def subgroup_image_order(G: FiniteAbelianGroup, gens) -> int:
     if not gens:
         return 1
     B = G.subgroup_lattice(gens)
-    return G.order // lattice_index(B)
+    return G.order // lattice_index(B, modulus=G.order)
 
 
 def subgroup_order_from_lattice(G: FiniteAbelianGroup, lattice_cols) -> int:
@@ -384,7 +442,7 @@ def subgroup_order_from_lattice(G: FiniteAbelianGroup, lattice_cols) -> int:
     cols += [[G.invariant_factors[i] if t == i else 0 for i in range(k)]
              for t in range(k)]
     B = [[c[i] for c in cols] for i in range(k)]
-    return G.order // lattice_index(B)
+    return G.order // lattice_index(B, modulus=G.order)
 
 
 def solve_dlog(G: FiniteAbelianGroup, g: GroupElement, h: GroupElement):

@@ -7,7 +7,6 @@ of conductor p^(N+1), together with Frobenius images, the degree map
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .abgroup import (FiniteAbelianGroup, GroupElement,
                       solve_congruence_lattice)
@@ -118,7 +117,8 @@ def _cyc_hom_on_invariants(rc, p: int, M: int):
     """phi_cyc on the p-part invariant coordinates of the ray class group.
 
     Built from the norms of the ambient generators, transported through the
-    inverse of the SNF transform; consistency on all relations is checked.
+    generator lifts of the presentation; consistency on all relations is
+    checked.
     """
     K = rc.field
     c_ambient = []
@@ -132,41 +132,22 @@ def _cyc_hom_on_invariants(rc, p: int, M: int):
         if sum(a * c for a, c in zip(row, c_ambient)) % mod:
             raise AssertionError("cyclotomic map is inconsistent with the "
                                  "relations")
-    # recover phi on invariant coordinates: solve c = phi o U over kept rows
-    # using the full unimodular transform stored in the presentation
     return _transport_hom(rc, c_ambient, mod)
 
 
 def _transport_hom(rc, c_ambient, mod):
     """Express an ambient hom (mod `mod`) in p-part invariant coordinates.
 
-    With z = U x the invariant coordinates, the hom c.x becomes y.z for
-    y = c U^{-1}; coordinates whose order is prime to p must carry y_i = 0.
-    y is only needed modulo the prime power `mod`, so y U = c is solved by
-    elimination modulo `mod`: U is invertible modulo every prime, so each
-    column has a pivot that is a unit modulo `mod`.
+    Invariant coordinate i is generated by the class of the lift W_i of the
+    presentation, so the hom c.x becomes y.z with y_i = c.W_i.  Any lift
+    gives the same y_i modulo `mod`: lifts differ by relations, R*e_j is
+    one, and c kills the relations.  Coordinates whose order is prime to p
+    must carry y_i = 0.
     """
-    n = rc.ambient_rank
-    U = rc.full_transform
-    aug = [[U[i][j] % mod for i in range(n)] + [c_ambient[j] % mod]
-           for j in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if gcd(aug[r][col], mod) == 1),
-                   None)
-        if piv is None:
-            raise AssertionError("no unit pivot in column %d of the SNF "
-                                 "transform modulo %d" % (col, mod))
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], -1, mod)
-        aug[col] = [v * inv % mod for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(a - f * b) % mod
-                          for a, b in zip(aug[r], aug[col])]
-    yint = [aug[i][n] for i in range(n)]
+    yint = [sum(a * w for a, w in zip(c_ambient, lift)) % mod
+            for lift in rc.presentation.lifts]
     keep = set(rc.p_keep)
-    for i in range(n):
+    for i in range(rc.ambient_rank):
         if i not in keep and yint[i] % mod:
             raise AssertionError("cyclotomic map does not factor through the "
                                  "p-part")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, log, sqrt
+from math import gcd, isqrt, log, prod, sqrt
 
 from .abgroup import (GroupElement, decompose_abelian, smith_presentation,
                       solve_congruence_lattice, solve_integral)
@@ -549,7 +549,8 @@ class ClassGroupData:
         self._dlog = dlog
         rels = [[orders[i] if j == i else 0 for j in range(len(orders))]
                 for i in range(len(orders))]
-        self.group = smith_presentation(rels, len(orders))
+        self.group = smith_presentation(rels, len(orders),
+                                        modulus=prod(orders))
 
     def key_of(self, I: IntegralIdeal):
         """The key of [I]: the walk from the state of I stops at the first

@@ -10,6 +10,7 @@ presented by generators and relations:
 from __future__ import annotations
 
 from functools import reduce
+from math import prod
 
 from .abgroup import FiniteAbelianGroup, GroupElement, smith_presentation, \
     subgroup_image_order
@@ -79,7 +80,11 @@ class RayClassGroupData:
             rows.append(drow + [self.clg.gen_orders[j] if t == j else 0
                                 for t in range(r)])
         self.relations = rows
-        self.presentation = smith_presentation(rows, nu + r)
+        # the unit-order rows and the class rows are triangular, with
+        # diagonal the unit orders and the class orders: their product is
+        # a multiple of the group order
+        R = prod(self.units.orders) * prod(self.clg.gen_orders)
+        self.presentation = smith_presentation(rows, nu + r, modulus=R)
         if self.presentation.free_rank:
             raise AssertionError("ray class group came out infinite")
         self.full_factors = self.presentation.invariant_factors
@@ -171,7 +176,8 @@ class RayClassGroupData:
             return 1
         G = smith_presentation(
             [[o if j == i else 0 for j in range(self.nu)]
-             for i, o in enumerate(self.units.orders)], self.nu)
+             for i, o in enumerate(self.units.orders)], self.nu,
+            modulus=prod(self.units.orders))
         gens = [G.project(d) for d in self._unit_dlogs]
         return subgroup_image_order(G, gens)
 
