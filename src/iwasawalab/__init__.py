@@ -6,6 +6,7 @@ __version__ = "0.1.0"
 from .padic import (PAdicNumber, UnramifiedQuadElem, AtLeast, PrecisionError,
                     val_and_unit, teichmueller, angle, plog, log_ratio,
                     angle_log)
+from .ntheory import InternalCheckError
 from .abgroup import (FiniteAbelianGroup, GroupElement, smith_normal_form,
                       smith_presentation, element_order, subgroup_image_order,
                       solve_dlog, decompose_abelian)
@@ -30,6 +31,7 @@ from .kummer import (KummerCertificate, construct_alpha, verify_alpha,
 __all__ = [
     "PAdicNumber", "UnramifiedQuadElem", "AtLeast", "PrecisionError",
     "val_and_unit", "teichmueller", "angle", "plog", "log_ratio", "angle_log",
+    "InternalCheckError",
     "FiniteAbelianGroup", "GroupElement", "smith_normal_form",
     "smith_presentation", "element_order", "subgroup_image_order",
     "solve_dlog", "decompose_abelian",

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .ntheory import crt, power
+from .ntheory import InternalCheckError, crt, power
 
 
 # ------------------------------------------------------------- integer matrices
@@ -500,10 +500,10 @@ def _decompose_rec(elems, op, ident):
         # lift: hbar^m lies in <g>, say g^s with m | s; correct by g^(-s/m)
         s = cyc.index(power(op, ident, hbar, m))
         if s % m:
-            raise AssertionError("maximal-order correction failed")
+            raise InternalCheckError("maximal-order correction failed")
         h = op(hbar, power(op, ident, g, (og - (s // m) % og) % og))
         if _order_of(op, ident, h) != m:
-            raise AssertionError("corrected lift has the wrong order")
+            raise InternalCheckError("corrected lift has the wrong order")
         out.append((h, m))
     return out
 
@@ -536,5 +536,5 @@ def decompose_abelian(elements, op, identity):
                     nxt.append((w, tuple(v2)))
         frontier = nxt
     if not len(dlog) == len(elements) == total:
-        raise AssertionError("decomposition does not span")
+        raise InternalCheckError("decomposition does not span")
     return gens, orders, dlog

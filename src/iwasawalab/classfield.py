@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .abgroup import (FiniteAbelianGroup, GroupElement,
                       solve_congruence_lattice)
-from .ntheory import isprime
+from .ntheory import InternalCheckError, isprime
 from .padic import PAdicNumber, angle_log, plog, vp
 from .quadfield import (IntegralIdeal, RealQuadraticField, rational_ideal,
                         residue_char)
@@ -130,8 +130,8 @@ def _cyc_hom_on_invariants(rc, p: int, M: int):
     mod = p**(M - 1)
     for row in rc.relations:
         if sum(a * c for a, c in zip(row, c_ambient)) % mod:
-            raise AssertionError("cyclotomic map is inconsistent with the "
-                                 "relations")
+            raise InternalCheckError("cyclotomic map is inconsistent with the "
+                                     "relations")
     return _transport_hom(rc, c_ambient, mod)
 
 
@@ -149,8 +149,8 @@ def _transport_hom(rc, c_ambient, mod):
     keep = set(rc.p_keep)
     for i in range(rc.ambient_rank):
         if i not in keep and yint[i] % mod:
-            raise AssertionError("cyclotomic map does not factor through the "
-                                 "p-part")
+            raise InternalCheckError("cyclotomic map does not factor "
+                                     "through the p-part")
     return [yint[i] for i in rc.p_keep]
 
 
@@ -182,7 +182,8 @@ def frobenius_image(G: GaloisGroupG, q: IntegralIdeal):
         k = min(deg.abs_prec, G.N)
         if k > 0 and deg.v >= 0 and \
                 deg.residue(k) != G.degree_exact(q) % G.p**k:
-            raise AssertionError("log degree disagrees with the exact dlog")
+            raise InternalCheckError("log degree disagrees with the exact "
+                                     "dlog")
     return cls, deg
 
 
@@ -198,8 +199,8 @@ def even_criterion(K: RealQuadraticField, p: int, q: IntegralIdeal, N: int):
         top = ray_class_group(K, q * rational_ideal(K, p**M), p)
         bot = ray_class_group(K, p**M, p)
         if top.p_order % bot.p_order:
-            raise AssertionError("ray class order at q*p^M is not a "
-                                 "multiple of the order at p^M")
+            raise InternalCheckError("ray class order at q*p^M is not a "
+                                     "multiple of the order at p^M")
         orders.append(top.p_order // bot.p_order)
     status = "pass" if orders[0] == orders[1] == eq else \
         ("indeterminate" if orders[0] != orders[1] else "fail")

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success/pass, 2 mathematical rejection or failed check,
-3 indeterminate (insufficient precision), 4 usage error.
+3 indeterminate (insufficient precision), 4 usage error, 5 failed internal
+check.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .classfield import even_criterion, frobenius_image, group_G
 from .iwasawa import (defect_never_one_scan, greenberg_wiles, leopoldt_defect,
                       mq_order)
 from .kummer import construct_alpha
-from .ntheory import isprime
+from .ntheory import InternalCheckError, isprime
 from .padic import PAdicNumber, PrecisionError, teichmueller
 from .quadfield import (RealQuadraticField, class_group,
                         factor_rational_prime, fundamental_unit,
@@ -26,6 +27,7 @@ EXIT_OK = 0
 EXIT_REJECTED = 2
 EXIT_INDETERMINATE = 3
 EXIT_USAGE = 4
+EXIT_INTERNAL = 5
 
 SCHEMA = 1
 
@@ -411,6 +413,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         sys.stderr.write("usage error: %s\n" % e)
         return EXIT_USAGE
+    except InternalCheckError as e:
+        sys.stderr.write("internal check failed: %s\n" % e)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from .abgroup import (element_order, lattice_intersection,
                       subgroup_order_from_lattice)
 from .classfield import GaloisGroupG, group_G
 from .localize import completions_above_p, loc, zp_matrix_rank
-from .ntheory import is_squarefree, isprime
+from .ntheory import InternalCheckError, is_squarefree, isprime
 from .padic import PAdicNumber, PrecisionError, angle_log, vp
 from .quadfield import (IntegralIdeal, RealQuadraticField,
                         fundamental_unit, rational_ideal)
@@ -88,7 +88,7 @@ def mq_generator(K: RealQuadraticField, p: int, Q, N: int) \
     # degree-0 check: a1*log<N(q1)> + log<N(q2)> vanishes within precision
     resid = a1 * l1 + l2
     if not resid.is_marker:
-        raise AssertionError("degree-0 combination failed to vanish")
+        raise InternalCheckError("degree-0 combination failed to vanish")
     return FrobeniusModuleReport(K, p, N, q1, q2, a1, 1, resid.v)
 
 
@@ -129,7 +129,8 @@ def mq_order(K: RealQuadraticField, p: int, Q, N: int) \
             D = G.degree_kernel_lattice()
             inter = lattice_intersection(S, D)
             if subgroup_order_from_lattice(G.group, inter) != order:
-                raise AssertionError("subgroup and element orders disagree")
+                raise InternalCheckError("subgroup and element orders "
+                                         "disagree")
         orders.append(order)
         groups.append(G)
     rep.m_q = orders[0]

@@ -15,7 +15,7 @@ from .abgroup import element_order
 from .iwasawa import mq_order
 from .localize import (INDET, TRUE, FALSE, completions_above_p, eq_membership,
                        is_loc_torsion, loc, zp_matrix_rank, RankReport)
-from .ntheory import factorint
+from .ntheory import InternalCheckError, factorint
 from .padic import PAdicNumber, PrecisionError, vp
 from .quadfield import (FieldElement, RealQuadraticField, SUnitBasisData,
                         SUnitBasisEntry, SUnitProduct, class_group,
@@ -111,7 +111,8 @@ def construct_alpha(K: RealQuadraticField, p: int, Q, N: int) \
     J = q1**(b1 * scale) * q2**(b2 * scale)
     beta = principal_generator(J)
     if beta is None:
-        raise AssertionError("congruence-split ideal failed to be principal")
+        raise InternalCheckError("congruence-split ideal failed to be "
+                                 "principal")
 
     primes = [q1, q2]
     data = SUnitBasisData(K, primes)
@@ -176,7 +177,7 @@ def _solve_unit_exponent(alpha0: SUnitProduct, places, p: int, N: int):
                 continue
             cand = ca / ce
             if cand.m is not None and cand.v < 0:
-                raise AssertionError("unit correction is not integral")
+                raise InternalCheckError("unit correction is not integral")
             if x is None:
                 x = cand
             else:
@@ -186,7 +187,8 @@ def _solve_unit_exponent(alpha0: SUnitProduct, places, p: int, N: int):
     for (ca, ce) in checks:
         resid = ca - x * ce
         if not resid.is_marker:
-            raise AssertionError("unit correction inconsistent across places")
+            raise InternalCheckError("unit correction inconsistent across "
+                                     "places")
     return x
 
 

@@ -5,6 +5,11 @@ from __future__ import annotations
 from math import gcd
 
 
+class InternalCheckError(AssertionError):
+    """A certificate check inside the engine failed: a bug, not bad input.
+    Raised explicitly, so it survives `python -O`."""
+
+
 def isprime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid far beyond this package's scale."""
     if n < 2:

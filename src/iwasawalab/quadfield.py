@@ -18,8 +18,8 @@ from math import gcd, isqrt, log, prod, sqrt
 
 from .abgroup import (GroupElement, decompose_abelian, smith_presentation,
                       solve_congruence_lattice, solve_integral)
-from .ntheory import (extgcd, is_squarefree, isprime, legendre, power,
-                      sqrt_mod_prime)
+from .ntheory import (InternalCheckError, extgcd, is_squarefree, isprime,
+                      legendre, power, sqrt_mod_prime)
 from .padic import PAdicNumber, vp
 
 
@@ -396,7 +396,7 @@ def split_root(q: IntegralIdeal, e: int) -> int:
         t = (t - (t * t - tr * t + wn) * inv) % mod
         inv = inv * (2 - (2 * t - tr) * inv) % mod
     if (t * t - tr * t + wn) % top:
-        raise AssertionError("Hensel lift of w fails mod %d^%d" % (ell, e))
+        raise InternalCheckError("Hensel lift of w fails mod %d^%d" % (ell, e))
     return t
 
 
@@ -469,7 +469,7 @@ def _rho_step(K: RealQuadraticField, P: int, Q: int):
     a = _floor_quadirr(P, Q, K.sqrtD_floor)
     P2 = a * Q - P
     if (D - P2 * P2) % Q:
-        raise AssertionError("invariant Q | D - P^2 broken")
+        raise InternalCheckError("invariant Q | D - P^2 broken")
     return a, P2, (D - P2 * P2) // Q
 
 
@@ -564,8 +564,8 @@ class ClassGroupData:
         steps = 0
         while (P, Q) not in self._key:
             if steps >= bound:
-                raise AssertionError("no indexed state within %d steps"
-                                     % bound)
+                raise InternalCheckError("no indexed state within %d steps"
+                                         % bound)
             _, P, Q = _rho_step(K, P, Q)
             steps += 1
         return self._key[(P, Q)]
@@ -610,7 +610,7 @@ def _exact_quotient(K: RealQuadraticField, num, den, what: str):
     n, cc = c * c + D * c * d + wn * d * d, c + D * d   # conj(den) = cc - d*w
     x, y = a * cc + b * d * wn, b * cc - a * d - b * d * D
     if x % n or y % n:
-        raise AssertionError("%s is not integral" % what)
+        raise InternalCheckError("%s is not integral" % what)
     return x // n, y // n
 
 
@@ -683,9 +683,9 @@ def fundamental_unit(K: RealQuadraticField) -> FieldElement:
     if _real_sign(2 * ex + D * ey, ey, D) < 0:   # 2*eps = (2x + Dy) + y*sqrt D
         ex, ey = -ex, -ey
     if abs(ex * ex + D * ex * ey + wn * ey * ey) != 1:
-        raise AssertionError("fundamental unit does not have norm +-1")
+        raise InternalCheckError("fundamental unit does not have norm +-1")
     if _real_sign(2 * ex + D * ey - 2, ey, D) <= 0:
-        raise AssertionError("fundamental unit is not > 1")
+        raise InternalCheckError("fundamental unit is not > 1")
     K._fundamental_unit = K.element(ex, ey)
     return K._fundamental_unit
 
@@ -729,7 +729,8 @@ def principal_generator(I: IntegralIdeal):
         if _is_reduced_pair(K, P, Q):
             return None
         if steps >= bound:
-            raise AssertionError("no reduced state within %d steps" % bound)
+            raise InternalCheckError("no reduced state within %d steps"
+                                     % bound)
         a, P, Q = _rho_step(K, P, Q)
         c0, e0, c1, e1 = c1, e1, c0 - a * c1, e0 - a * e1
         steps += 1
@@ -737,9 +738,9 @@ def principal_generator(I: IntegralIdeal):
     g = K.element(*_exact_quotient(K, (c1 * prim.b + e1 * prim.a, c1),
                                    o_acc[(P, Q)], "generator"))
     if abs(g.norm()) != prim.norm:
-        raise AssertionError("generator norm is not %d" % prim.norm)
+        raise InternalCheckError("generator norm is not %d" % prim.norm)
     if ideal_from_element(g) != prim:
-        raise AssertionError("generator does not generate the ideal")
+        raise InternalCheckError("generator does not generate the ideal")
     return g * content
 
 
@@ -772,7 +773,7 @@ def unit_decompose(K: RealQuadraticField, u: FieldElement):
         if (2 * x + y * D) * y < 0:
             k = -k
     if u != eps ** k:
-        raise AssertionError("unit is not +-eps^%d" % k)
+        raise InternalCheckError("unit is not +-eps^%d" % k)
     return sign, k
 
 
@@ -831,8 +832,8 @@ class SUnitBasisData:
                     vals[q.key()] = wq
             for q, wq in zip(self.primes, w):
                 if ideal_valuation(gamma, q) != wq:
-                    raise AssertionError("lattice generator has the wrong "
-                                         "valuation at %s" % (q,))
+                    raise InternalCheckError("lattice generator has the wrong "
+                                             "valuation at %s" % (q,))
             label = "g[" + ",".join(str(t) for t in w) + "]"
             self.entries.append(SUnitBasisEntry(gamma, vals, label, "lattice"))
 
@@ -857,7 +858,7 @@ class SUnitBasisData:
                     denom_rat *= ell**(-wq)
         g = principal_generator(num)
         if g is None:
-            raise AssertionError("lattice vector is not principal")
+            raise InternalCheckError("lattice vector is not principal")
         g = g / denom_rat
         if g.norm() < 0 and not K.is_rational:
             eps = fundamental_unit(K)

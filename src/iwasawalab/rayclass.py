@@ -14,7 +14,7 @@ from math import prod
 
 from .abgroup import FiniteAbelianGroup, GroupElement, smith_presentation, \
     subgroup_image_order
-from .ntheory import factorint, isprime
+from .ntheory import InternalCheckError, factorint, isprime
 from .padic import vp
 from .quadfield import (IntegralIdeal, RealQuadraticField, class_group,
                         fundamental_unit, parts_valuation, prime_ideals_above,
@@ -86,7 +86,7 @@ class RayClassGroupData:
         R = prod(self.units.orders) * prod(self.clg.gen_orders)
         self.presentation = smith_presentation(rows, nu + r, modulus=R)
         if self.presentation.free_rank:
-            raise AssertionError("ray class group came out infinite")
+            raise InternalCheckError("ray class group came out infinite")
         self.full_factors = self.presentation.invariant_factors
         self.full_diag = self.presentation.full_diag
         self.full_transform = self.presentation.full_transform
@@ -121,7 +121,8 @@ class RayClassGroupData:
         while any(v is None for v in needed.values()):
             ell += 1
             if ell > 50000:
-                raise AssertionError("no coprime class representatives found")
+                raise InternalCheckError("no class representatives coprime "
+                                         "to m below the cap ell = 50000")
             if not isprime(ell) or bad % ell == 0:
                 continue
             for q in prime_ideals_above(K, ell):
@@ -133,8 +134,8 @@ class RayClassGroupData:
             ideals.append(q)
             g = principal_generator(q**order)
             if g is None:
-                raise AssertionError("power of a class generator by its "
-                                     "order is not principal")
+                raise InternalCheckError("power of a class generator by its "
+                                         "order is not principal")
             elements.append(g)
         return ideals, elements
 
@@ -152,7 +153,7 @@ class RayClassGroupData:
                 J = J * self.class_gen_ideals[j]**c
         lam = principal_generator(J)
         if lam is None:
-            raise AssertionError("class bookkeeping failed")
+            raise InternalCheckError("class bookkeeping failed")
         vec = self.units.dlog(lam) + [-c for c in cs]
         return vec
 

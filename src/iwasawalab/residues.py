@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .ntheory import crt, factorint, power, quad_mul
+from .ntheory import InternalCheckError, crt, factorint, power, quad_mul
 from .padic import log_series
 from .quadfield import (FieldElement, IntegralIdeal, RealQuadraticField,
                         factor_rational_prime, fraction_parts, residue_char,
@@ -44,7 +44,7 @@ def _merge(r1: int, m1: int, r2: int, m2: int, what: str):
     """crt of two dlog parts, which must agree."""
     merged = crt(r1, m1, r2, m2)
     if merged is None:
-        raise AssertionError(what + " are inconsistent")
+        raise InternalCheckError(what + " are inconsistent")
     return merged
 
 
@@ -353,7 +353,7 @@ class InertComponent(_Component):
         b1, b2 = lw[0] // ell, lw[1] // ell
         det = a11 * a22 - a12 * a21
         if det % ell == 0:
-            raise AssertionError("1-unit log basis is degenerate")
+            raise InternalCheckError("1-unit log basis is degenerate")
         det_inv = pow(det, -1, m1)
         alpha = (b1 * a22 - b2 * a12) * det_inv % m1
         beta = (a11 * b2 - a21 * b1) * det_inv % m1

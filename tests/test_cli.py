@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from iwasawalab import classfield
 from iwasawalab.cli import main
 
 
@@ -69,6 +70,18 @@ def test_rayclass(capsys):
     assert code == 0
     assert doc["p_order"] == 9
     assert doc["p_invariant_factors"] == [3, 3]
+
+
+def test_internal_check_exit_code(capsys, monkeypatch):
+    # a wrong exact degree map trips the cross-check of the log degree in
+    # classfield.frobenius_image
+    monkeypatch.setattr(classfield, "cyclotomic_dlog", lambda n, p, M: 1)
+    code = main(["frobenius", "--field", "Q", "--p", "3", "--q", "2"])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert err == "internal check failed: log degree disagrees with the " \
+        "exact dlog\n"
+    assert "Traceback" not in err
 
 
 def test_frobenius(capsys):

@@ -1,6 +1,8 @@
 """Module-stack rules of `src/iwasawalab`, checked on the syntax tree:
 
 - no `assert` statement, since `python -O` strips it from a check;
+- no `raise AssertionError`: an internal check raises InternalCheckError,
+  which the CLI reports with its own exit code;
 - no `import` inside a function body, the usual way round an import cycle;
 - no call to `__import__`;
 - no private name taken from a sibling module by `from .x import _name`;
@@ -46,6 +48,15 @@ def test_modules_found():
 def test_no_assert_statement():
     found = [_where(name, node) for name, tree in _trees()
              for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_no_raise_assertion_error():
+    found = [_where(name, node) for name, tree in _trees()
+             for node in ast.walk(tree) if isinstance(node, ast.Raise)
+             and node.exc is not None
+             and "AssertionError" in {
+                 n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}]
     assert found == []
 
 
@@ -156,6 +167,8 @@ def test_no_unused_import():
 
 @pytest.mark.parametrize("source,check", [
     ("def f(x):\n    assert x\n", test_no_assert_statement),
+    ("def f(x):\n    if x:\n        raise AssertionError('bad')\n",
+     test_no_raise_assertion_error),
     ("def f():\n    from .rayclass import ray_class_group\n",
      test_no_import_inside_a_function),
     ("m = __import__('iwasawalab.padic')\n", test_no_dunder_import_call),
