@@ -100,15 +100,22 @@ def power(mul, one, g, k: int):
     return r
 
 
-def quad_mul(t: int, n: int, m: int):
-    """The multiplication of Z[x]/(x^2 - t*x + n) modulo m, on coordinate
-    pairs over {1, x}, as a function of two pairs for `power`."""
+def quad_mul(t: int, n: int, m: int = 0):
+    """The multiplication of Z[x]/(x^2 - t*x + n) modulo m, or exactly when
+    m is 0, on coordinate pairs over {1, x}, as a function of two pairs for
+    `power`."""
     def mul(u, v):
         u0, u1 = u
         v0, v1 = v
         w = u1 * v1
         return (u0 * v0 - w * n) % m, (u0 * v1 + u1 * v0 + w * t) % m
-    return mul
+
+    def exact(u, v):
+        u0, u1 = u
+        v0, v1 = v
+        w = u1 * v1
+        return u0 * v0 - w * n, u0 * v1 + u1 * v0 + w * t
+    return mul if m else exact
 
 
 def crt(r1: int, m1: int, r2: int, m2: int):

@@ -19,7 +19,7 @@ from math import gcd, isqrt, log, prod, sqrt
 from .abgroup import (GroupElement, decompose_abelian, smith_presentation,
                       solve_congruence_lattice, solve_integral)
 from .ntheory import (InternalCheckError, extgcd, is_squarefree, isprime,
-                      legendre, power, sqrt_mod_prime)
+                      legendre, power, quad_mul, sqrt_mod_prime)
 from .padic import PAdicNumber, vp
 
 
@@ -757,22 +757,29 @@ def unit_decompose(K: RealQuadraticField, u: FieldElement):
 
     |k| is log max(|u|, |sigma(u)|) / log eps rounded, and k > 0 exactly
     when |u| > 1, which for u = (s + y*sqrt D)/2 means s*y > 0.  The
-    estimate is then checked exactly: |u| = eps^k."""
-    if abs(u.norm()) != 1 or not u.is_integral():
+    estimate is then checked exactly on integer pairs: |u| = eps^k, or for
+    k < 0 conj(|u|) = +-eps^-k, which with |u| > 0 gives |u| = eps^k.  The
+    norm is computed only when the check fails, to tell a non-unit (a
+    ValueError) from a failed check."""
+    if not u.is_integral():
         raise ValueError("not a unit")
+    x, y, D = int(u.x), int(u.y), K.D
     eps = fundamental_unit(K)
     sign = 0
-    if u.real_sign() < 0:
-        u = -u
-        sign = 1
-    x, y, D = int(u.x), int(u.y), K.D
+    if _real_sign(2 * x + y * D, y, D) < 0:  # 2u = (2x + yD) + y*sqrt D
+        x, y, sign = -x, -y, 1
     k = 0
     if y:
         k = round(_log_abs_max(x, y, D)
                   / _log_abs_max(int(eps.x), int(eps.y), D))
         if (2 * x + y * D) * y < 0:
             k = -k
-    if u != eps ** k:
+    if k < 0:
+        x, y = x + y * D, -y
+    e = power(quad_mul(D, K.w_norm), (1, 0), (int(eps.x), int(eps.y)), abs(k))
+    if (x, y) != e and (k >= 0 or (-x, -y) != e):
+        if abs(x * x + D * x * y + K.w_norm * y * y) != 1:
+            raise ValueError("not a unit")
         raise InternalCheckError("unit is not +-eps^%d" % k)
     return sign, k
 

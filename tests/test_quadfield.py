@@ -268,6 +268,10 @@ def test_unit_decompose():
     assert unit_decompose(K, eps**3 * -1) == (1, 3)
     assert unit_decompose(K, K.one()) == (0, 0)
     assert unit_decompose(K, eps.inv() ** 2) == (0, -2)
+    for x in (K.element(2), eps * 3, -eps.inv() ** 2 * 3,
+              K.element(Fraction(1, 2))):
+        with pytest.raises(ValueError, match="not a unit"):
+            unit_decompose(K, x)
 
 
 def _unit_powers(K, eps, k_max):
