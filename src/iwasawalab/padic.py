@@ -62,6 +62,8 @@ class PAdicNumber:
         self.m = m
         self.digits = digits
         if m is not None:
+            if not isinstance(m, int):
+                raise ValueError("mantissa must be an int, got %r" % (m,))
             if digits < 1 or not (0 < m < p**digits) or m % p == 0:
                 raise ValueError("bad mantissa %r (digits=%d)" % (m, digits))
 

@@ -131,6 +131,116 @@ def test_add_sub_against_fractions(data, p, op):
     assert err is None or err >= z.abs_prec
 
 
+def _certified(z: PAdicNumber, c: Fraction) -> bool:
+    """Every digit z certifies agrees with c: v_p(c - z) >= abs_prec(z)."""
+    err = _vp_fraction(c - _value(z), z.p)
+    return err is None or err >= z.abs_prec
+
+
+def test_non_int_mantissa_rejected():
+    for m in (1.0, Fraction(1), "1"):
+        with pytest.raises(ValueError, match="mantissa must be an int"):
+            PAdicNumber(5, 0, m, 3)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data(), st.sampled_from([3, 5, 7]), st.sampled_from(["*", "/"]))
+def test_mul_div_against_fractions(data, p, op):
+    x, a = data.draw(_padic_and_value(p))
+    y, b = data.draw(_padic_and_value(p))
+    if op == "*":
+        z, c = x * y, a * b
+    elif y.is_marker:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+        return
+    else:
+        z, c = x / y, a / b
+    assert _certified(z, c)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from([3, 5, 7]), st.integers(1, 6),
+       st.integers(-10**4, 10**4), st.integers(1, 10**3),
+       st.integers(1, 8), st.integers(0, 6), st.integers(1, 10**3),
+       st.one_of(st.none(), st.integers(1, 8)))
+def test_pow_zp_against_fractions(p, c, t, den, digits, e, u, a_digits):
+    """x = 1 + p^c * t/den to `digits` digits, raised to n = p^e * u, the
+    exponent exact or known to `a_digits` digits."""
+    if den % p == 0:
+        den += 1
+    x_true = 1 + Fraction(p) ** c * Fraction(t, den)
+    x = PAdicNumber.exact(x_true, p, digits)
+    n = p**e * u
+    a = PAdicNumber.exact(n, p, a_digits or 40)
+    z = x.pow_zp(a)
+    # certified digits of z against x_true^n, read modulo p^abs_prec
+    A = z.abs_prec
+    assert A >= 1
+    ref = x_true.numerator * pow(x_true.denominator, -1, p**A) % p**A
+    assert z.residue(A) == pow(ref, n, p**A)
+
+
+_NONRESIDUE = {3: 2, 5: 2, 7: 3}
+
+
+@st.composite
+def _quad_and_value(draw, p):
+    """An UnramifiedQuadElem whose coordinates have valuations (or marker
+    bounds) in [-6, 6], and the pair of Fractions it approximates."""
+    x, a = draw(_padic_and_value(p))
+    y, b = draw(_padic_and_value(p))
+    return UnramifiedQuadElem(x, y, _NONRESIDUE[p]), (a, b)
+
+
+def _quad_certified(z: UnramifiedQuadElem, c) -> bool:
+    return _certified(z.a, c[0]) and _certified(z.b, c[1])
+
+
+def _quad_mul_value(a, b, r):
+    return a[0] * b[0] + r * a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _quad_inv_value(a, r):
+    n = a[0] * a[0] - r * a[1] * a[1]
+    return a[0] / n, -a[1] / n
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data(), st.sampled_from([3, 5, 7]), st.sampled_from(["*", "/"]))
+def test_quad_mul_div_against_fractions(data, p, op):
+    x, a = data.draw(_quad_and_value(p))
+    y, b = data.draw(_quad_and_value(p))
+    r = _NONRESIDUE[p]
+    if op == "*":
+        z, c = x * y, _quad_mul_value(a, b, r)
+    elif y.norm().is_marker:
+        with pytest.raises(ZeroDivisionError):
+            y.inv()
+        return
+    else:
+        z, c = x * y.inv(), _quad_mul_value(a, _quad_inv_value(b, r), r)
+    assert _quad_certified(z, c)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data(), st.sampled_from([3, 5, 7]), st.integers(-6, 6))
+def test_quad_pow_against_fractions(data, p, k):
+    """Integer powers: the quadratic extension has no pow_zp."""
+    x, a = data.draw(_quad_and_value(p))
+    r = _NONRESIDUE[p]
+    if k < 0:
+        if x.norm().is_marker:
+            return
+        a, k_abs = _quad_inv_value(a, r), -k
+    else:
+        k_abs = k
+    c = (Fraction(1), Fraction(0))
+    for _ in range(k_abs):
+        c = _quad_mul_value(c, a, r)
+    assert _quad_certified(x ** k, c)
+
+
 # ------------------------------------------------------------------ val/unit
 
 def test_val_and_unit_18():
