@@ -113,6 +113,118 @@ def test_snf_diagonal_against_sympy():
         assert [D[i][i] for i in range(k)] == [abs(S[i, i]) for i in range(k)]
 
 
+# ------------------------------------------------------ SNF modulo R
+
+# entries under 2^8, yet the exact elimination's entries blow up on it
+FOUND_5X5 = [[0, 89, 0, 94, 220], [236, -207, -215, -148, 0],
+             [0, 0, 0, -178, 75], [39, 200, 0, 0, -29],
+             [-141, 0, 147, 0, 89]]
+
+
+def test_snf_modulo_determinant_5x5():
+    R = abs(int(det(FOUND_5X5)))
+    assert R == 103460645526
+    D, U, V = smith_normal_form(FOUND_5X5, modulus=R)
+    assert [D[i][i] for i in range(5)] == [1, 1, 1, 1, R]
+    assert all(D[i][j] == 0 for i in range(5) for j in range(5) if i != j)
+    # U*A*V is D modulo R up to a unit factor in each column
+    UAV = mat_mul(mat_mul(U, FOUND_5X5), V)
+    for i in range(5):
+        for j in range(5):
+            if i != j:
+                assert UAV[i][j] % R == 0
+        assert gcd(UAV[i][i], R) == D[i][i]
+    # the lifts are the columns of U^-1 modulo R
+    W = [list(col) for col in zip(*smith_normal_form(
+        FOUND_5X5, with_v=False, modulus=R).lifts)]
+    assert all(x % R == (i == j)
+               for i, row in enumerate(mat_mul(U, W)) for j, x in enumerate(row))
+    for with_u, with_v in itertools.product((True, False), repeat=2):
+        D2, _, _ = smith_normal_form(FOUND_5X5, with_u=with_u, with_v=with_v,
+                                     modulus=R)
+        assert D2 == D
+    assert lattice_index(FOUND_5X5, modulus=R) == R
+
+
+def _diagonal_by_minors(A):
+    """The SNF diagonal of a square A from its determinantal divisors: the
+    product of the first k entries is the gcd of the k x k minors."""
+    n = len(A)
+    out, prev = [], 1
+    for k in range(1, n + 1):
+        g = 0
+        for rows in itertools.combinations(range(n), k):
+            for cols in itertools.combinations(range(n), k):
+                g = gcd(g, int(det([[A[i][j] for j in cols] for i in rows])))
+        out.append(g // prev)
+        prev = g
+    return out
+
+
+def _order_mod_rows(A, x):
+    """Order of x in Z^n modulo the rows of a nonsingular square A: the
+    lcm of the denominators of the rational y with y*A = x (Cramer)."""
+    n = len(A)
+    d = det(A)
+    o = 1
+    for j in range(n):
+        Aj = [x if i == j else A[i] for i in range(n)]
+        den = (det(Aj) / d).denominator
+        o = o * den // gcd(o, den)
+    return o
+
+
+def _full_rank_cases():
+    """24 nonsingular matrices up to 6x6 with |entries| <= 2^16, drawn once
+    from a fixed seed, with |det| as the modulus."""
+    rng = random.Random(3)
+    cases = []
+    while len(cases) < 24:
+        n = rng.randint(1, 6)
+        A = [[rng.randint(-2**16, 2**16) for _ in range(n)] for _ in range(n)]
+        d = abs(int(det(A)))
+        if d:
+            cases.append((A, d))
+    return cases
+
+
+FULL_RANK_CASES = _full_rank_cases()
+
+
+def test_modular_presentation_random_full_rank():
+    """Invariants against the determinantal divisors (and against the exact
+    SNF up to 3x3: past that the exact elimination's entries blow up), and
+    projections against orders read off the exact rational solve."""
+    rng = random.Random(4)
+    for A, R in FULL_RANK_CASES:
+        n = len(A)
+        G = smith_presentation(A, n, modulus=R)
+        assert G.full_diag == _diagonal_by_minors(A)
+        assert G.invariant_factors == tuple(d for d in G.full_diag if d > 1)
+        assert G.order == R
+        if n <= 3:
+            D, _, _ = smith_normal_form(A, with_u=False, with_v=False)
+            assert G.full_diag == [D[i][i] for i in range(n)]
+        assert all(G.project(row) == G.identity() for row in A)
+        tor = [i for i, d in enumerate(G.full_diag) if d > 1]
+        for t, i in enumerate(tor):
+            assert G.project(G.lifts[i]).coords == \
+                tuple(int(s == t) for s in range(len(tor)))
+        for _ in range(5):
+            x = [rng.randint(-2**20, 2**20) for _ in range(n)]
+            assert element_order(G, G.project(x)) == _order_mod_rows(A, x)
+
+
+def test_modular_presentation_against_sympy():
+    pytest.importorskip("sympy")
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    for A, R in FULL_RANK_CASES:
+        S = sympy_snf(Matrix(A), domain=ZZ)
+        G = smith_presentation(A, len(A), modulus=R)
+        assert G.full_diag == [abs(int(S[i, i])) for i in range(len(A))]
+
+
 def test_presentation_diag_2_3():
     G = smith_presentation([[2, 0], [0, 3]], 2)
     assert G.invariant_factors == (6,)

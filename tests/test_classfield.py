@@ -1,11 +1,16 @@
+import random
+from math import prod
+
 import pytest
 
 from iwasawalab.abgroup import element_order, subgroup_order_from_lattice, \
-    lattice_intersection
+    lattice_intersection, smith_presentation, solve_integral
 from iwasawalab.classfield import (GaloisGroupG, group_G, frobenius_image,
-                                   e_of_q, even_criterion, cyclotomic_dlog)
+                                   e_of_q, even_criterion, cyclotomic_dlog,
+                                   _transport_hom)
 from iwasawalab.quadfield import (RealQuadraticField, factor_rational_prime,
                                   rational_ideal)
+from iwasawalab.rayclass import ray_class_group
 
 QQ = RealQuadraticField.rationals()
 Q2 = RealQuadraticField(2)
@@ -96,6 +101,41 @@ def test_degree_kernel_is_unit_part():
     lat79 = G79.degree_kernel_lattice()
     assert subgroup_order_from_lattice(G79.group, lat79) == \
         G79.group.order // 3**G79.N
+
+
+@pytest.mark.parametrize("d,p", [(1, 3), (1, 5), (2, 3), (2, 5), (79, 3),
+                                 (79, 5)])
+def test_transport_hom_matches_exact_solve(d, p):
+    """The degree map through the generator lifts of the modular
+    presentation, against the exact path it replaced: y*U = c solved over Q
+    with the exact unimodular U.  The two presentations may pick different
+    bases, so both are checked as homs, y.z = c.x mod p^(M-1) on ambient
+    vectors x, and compared entry by entry where the transforms agree
+    modulo R."""
+    K = QQ if d == 1 else RealQuadraticField(d)
+    rng = random.Random(10 * d + p)
+    for M in (2, 3, 4):
+        rc = ray_class_group(K, p**M, p)
+        n, mod, keep = rc.ambient_rank, p**(M - 1), rc.p_keep
+        c = [cyclotomic_dlog(x, p, M) for x in rc.units.gen_norm_ints()] + \
+            [cyclotomic_dlog(q.norm, p, M) for q in rc.class_gen_ideals]
+        y = _transport_hom(rc, c, mod)
+        U = smith_presentation(rc.relations, n).full_transform
+        y_exact = [t % mod for t in solve_integral(
+            [[U[i][j] for i in range(n)] for j in range(n)], c)]
+        assert all(y_exact[i] == 0 for i in range(n) if i not in keep)
+        for _ in range(20):
+            x = [rng.randint(-10**6, 10**6) for _ in range(n)]
+            cx = sum(a * b for a, b in zip(c, x)) % mod
+            z = rc.p_group.project(x).coords
+            assert sum(a * b for a, b in zip(y, z)) % mod == cx
+            z_exact = [sum(a * b for a, b in zip(U[i], x)) for i in keep]
+            assert sum(y_exact[i] * t for i, t in zip(keep, z_exact)) \
+                % mod == cx
+        R = prod(rc.units.orders) * prod(rc.clg.gen_orders)
+        if all((a - b) % R == 0 for row, row_exact in
+               zip(rc.full_transform, U) for a, b in zip(row, row_exact)):
+            assert y == [y_exact[i] for i in keep]
 
 
 def test_e_of_q():
