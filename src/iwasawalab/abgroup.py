@@ -34,14 +34,6 @@ class SmithForm(tuple):
         return self
 
 
-def _centred(x, R):
-    """x reduced modulo R into (-R/2, R/2].  An x already in that range is
-    kept, so an elimination modulo R takes the steps of the exact one for
-    as long as the exact entries stay in that range."""
-    x %= R
-    return x - R if 2 * x > R else x
-
-
 def smith_normal_form(A, *, with_u=True, with_v=True, modulus=0):
     """Smith normal form with transforms: returns (D, U, V) with D = U*A*V,
     U, V unimodular, D diagonal with d1 | d2 | ... and nonnegative entries.
@@ -54,21 +46,23 @@ def smith_normal_form(A, *, with_u=True, with_v=True, modulus=0):
 
     `modulus` R > 0 must be a multiple of the index of the column lattice L
     of A, which must have full rank; then R*Z^n lies in L.  The elimination
-    works modulo R: the entries of D, U, V and the lifts are reduced after
-    each operation, and each diagonal entry ends as gcd(d_i, R), the
-    invariant factors of Z^n/L.  U and V are then invertible modulo R but
-    not unimodular, and U*A*V agrees with D modulo R up to a unit factor in
-    each column.  The default R = 0 is exact.
+    works modulo R: the entries of D, U, V and the lifts are reduced into
+    (-R/2, R/2] after each operation, so while the exact entries stay in
+    that range it takes the exact elimination's steps.  Each diagonal entry
+    ends as gcd(d_i, R), the invariant factors of Z^n/L.  U and V are then
+    invertible modulo R but not unimodular, and U*A*V agrees with D modulo
+    R up to a unit factor in each column.  The default R = 0 is exact.
     """
     n = len(A)
     m = len(A[0]) if n else 0
     R = modulus
 
+    def cen(x):
+        x %= R
+        return x - R if 2 * x > R else x
+
     def red(row):
-        if not R:
-            return row
-        row = [x % R for x in row]
-        return [x - R if 2 * x > R else x for x in row]
+        return [cen(x) for x in row] if R else row
 
     D = [red(row[:]) for row in A]
     U = _identity(n) if with_u else []
@@ -86,7 +80,7 @@ def smith_normal_form(A, *, with_u=True, with_v=True, modulus=0):
             for row in M:
                 row[i] -= q * row[j]
                 if R:
-                    row[i] = _centred(row[i], R)
+                    row[i] = cen(row[i])
 
     def swap_rows(i, j):
         D[i], D[j] = D[j], D[i]
