@@ -16,7 +16,7 @@ from .ntheory import InternalCheckError, crt, power
 # ------------------------------------------------------------- integer matrices
 
 def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
 def _mat_vec(A, x):
@@ -27,11 +27,6 @@ class SmithForm(tuple):
     """The triple (D, U, V) that smith_normal_form returns, with one more
     attribute: `lifts`, the columns of W = U^{-1} (modulo the modulus), as
     rows, or [] when U was not asked for."""
-
-    def __new__(cls, D, U, V, lifts):
-        self = super().__new__(cls, (D, U, V))
-        self.lifts = lifts
-        return self
 
 
 def smith_normal_form(A, *, with_u=True, with_v=True, modulus=0):
@@ -46,41 +41,41 @@ def smith_normal_form(A, *, with_u=True, with_v=True, modulus=0):
 
     `modulus` R > 0 must be a multiple of the index of the column lattice L
     of A, which must have full rank; then R*Z^n lies in L.  The elimination
-    works modulo R: the entries of D, U, V and the lifts are reduced into
-    (-R/2, R/2] after each operation, so while the exact entries stay in
-    that range it takes the exact elimination's steps.  Each diagonal entry
-    ends as gcd(d_i, R), the invariant factors of Z^n/L.  U and V are then
-    invertible modulo R but not unimodular, and U*A*V agrees with D modulo
-    R up to a unit factor in each column.  The default R = 0 is exact.
+    works modulo R: each row and column operation reduces the entries of D,
+    U, V and the lifts into (-R/2, R/2], so while the exact entries stay in
+    that range it takes the exact elimination's steps, and no entry exceeds
+    R/2 in absolute value.  Each diagonal entry ends as gcd(d_i, R), the
+    invariant factors of Z^n/L.  U and V are then invertible modulo R but
+    not unimodular, and U*A*V agrees with D modulo R up to a unit factor in
+    each column.  The default R = 0 is exact.
     """
     n = len(A)
     m = len(A[0]) if n else 0
     R = modulus
+    h = R // 2
 
-    def cen(x):
-        x %= R
-        return x - R if 2 * x > R else x
+    def comb(x, y, q):  # x - q*y, reduced into (h - R, h] when R > 0
+        if R:
+            return [h - (h - a + q * b) % R for a, b in zip(x, y)]
+        return [a - q * b for a, b in zip(x, y)]
 
-    def red(row):
-        return [cen(x) for x in row] if R else row
-
-    D = [red(row[:]) for row in A]
+    D = [comb(row, row, 0) for row in A] if R else [row[:] for row in A]
     U = _identity(n) if with_u else []
     Wt = _identity(n) if with_u else []  # rows: the columns of U^{-1}
     V = _identity(m) if with_v else []
 
     def row_op(i, j, q):  # row_i -= q * row_j
-        D[i] = red([a - q * b for a, b in zip(D[i], D[j])])
+        D[i] = comb(D[i], D[j], q)
         if with_u:
-            U[i] = red([a - q * b for a, b in zip(U[i], U[j])])
-            Wt[j] = red([a + q * b for a, b in zip(Wt[j], Wt[i])])
+            U[i] = comb(U[i], U[j], q)
+            Wt[j] = comb(Wt[j], Wt[i], -q)
 
     def col_op(i, j, q):  # col_i -= q * col_j
         for M in (D, V):
             for row in M:
                 row[i] -= q * row[j]
                 if R:
-                    row[i] = cen(row[i])
+                    row[i] = h - (h - row[i]) % R
 
     def swap_rows(i, j):
         D[i], D[j] = D[j], D[i]
@@ -95,10 +90,10 @@ def smith_normal_form(A, *, with_u=True, with_v=True, modulus=0):
             row[i], row[j] = row[j], row[i]
 
     def negate_row(i):
-        D[i] = red([-a for a in D[i]])
+        D[i] = [-a for a in D[i]]
         if with_u:
-            U[i] = red([-a for a in U[i]])
-            Wt[i] = red([-a for a in Wt[i]])
+            U[i] = [-a for a in U[i]]
+            Wt[i] = [-a for a in Wt[i]]
 
     def pivot_at(t):
         best = None
@@ -177,7 +172,9 @@ def smith_normal_form(A, *, with_u=True, with_v=True, modulus=0):
     if R:
         for i in range(min(n, m)):
             D[i][i] = gcd(D[i][i], R)
-    return SmithForm(D, U, V, Wt)
+    out = SmithForm((D, U, V))
+    out.lifts = Wt
+    return out
 
 
 def kernel_basis(A):
