@@ -72,6 +72,20 @@ CASES = [
     ("rayclass-split-inert-3375", 0,
      ["--format", "json", "rayclass", "--field", "Q(sqrt{7})",
       "--modulus", "3375", "--p", "3"]),
+    # beyond Q(sqrt 2): over Q, over class numbers 3 (d = 79) and 2
+    # (d = 10), and 1026169 = 1013^2, inert at e = 2
+    ("rayclass-q-1001", 0,
+     ["--format", "json", "rayclass", "--field", "Q", "--modulus", "1001",
+      "--p", "3"]),
+    ("rayclass-79-1003", 0,
+     ["--format", "json", "rayclass", "--field", "Q(sqrt{79})",
+      "--modulus", "1003", "--p", "3"]),
+    ("rayclass-10-1001", 0,
+     ["--format", "json", "rayclass", "--field", "Q(sqrt{10})",
+      "--modulus", "1001", "--p", "3"]),
+    ("rayclass-inert-square-1026169", 0,
+     ["--format", "json", "rayclass", "--field", "Q(sqrt{2})",
+      "--modulus", "1026169", "--p", "3"]),
     ("frobenius", 0,
      ["--format", "json", "frobenius", "--field", "Q", "--p", "3",
       "--q", "2", "--q", "7", "--prec", "3"]),
