@@ -418,15 +418,15 @@ def parts_valuation(a: int, b: int, den: int, q: IntegralIdeal) -> int:
     K = q.field
     if not (a or b):
         raise ValueError("valuation of 0")
-    ell = q.a                   # q is (ell; b; 1), (ell; 0; ell) or (ell)
+    ell, kind = prime_kind(q)
     vden = vp(den, ell)
-    if K.is_rational:
+    if kind == "rational":
         return vp(a, ell) - vden
-    if q.norm != ell:                           # inert
+    if kind == "inert":
         return min(vp(c, ell) for c in (a, b) if c) - vden
     norm = lambda s, t: s * s + K.w_trace * s * t + K.w_norm * t * t
     k = vp(norm(a, b), ell) if norm(a % ell, b % ell) % ell == 0 else 0
-    if K.D % ell == 0:                          # ramified: e_q = 2
+    if kind == "ramified":                      # e_q = 2
         return k - 2 * vden
     if k == 0:
         return -vden
@@ -439,6 +439,19 @@ def ideal_valuation(x, q: IntegralIdeal) -> int:
     if isinstance(x, (int, Fraction)):
         x = q.field.element(x)
     return parts_valuation(*fraction_parts(x), q)
+
+
+def prime_kind(q: IntegralIdeal):
+    """(ell, kind) for a prime ideal q over ell, with the kinds of
+    factor_rational_prime, read from the HNF of q and no primality test:
+    q = (ell) over Q is "rational", (ell; 0; ell) is "inert", and
+    (ell; b; 1) is "ramified" when ell | D and "split" otherwise."""
+    ell = q.a
+    if q.field.is_rational:
+        return ell, "rational"
+    if q.c == ell:
+        return ell, "inert"
+    return ell, "ramified" if q.field.D % ell == 0 else "split"
 
 
 def residue_char(q: IntegralIdeal) -> int:
@@ -853,16 +866,13 @@ class SUnitBasisData:
             if wq > 0:
                 num = num * q**wq
             elif wq < 0:
-                ell = residue_char(q)
-                kind = factor_rational_prime(K, ell).kind
+                # q^-1 = conj(q)/ell (split), 1/ell (inert), q/ell (ramified)
+                ell, kind = prime_kind(q)
                 if kind == "split":
                     num = num * q.conj()**(-wq)
-                    denom_rat *= ell**(-wq)
-                elif kind == "inert":
-                    denom_rat *= ell**(-wq)
-                else:  # ramified
+                elif kind == "ramified":
                     num = num * q**(-wq)
-                    denom_rat *= ell**(-wq)
+                denom_rat *= ell**(-wq)
         g = principal_generator(num)
         if g is None:
             raise InternalCheckError("lattice vector is not principal")

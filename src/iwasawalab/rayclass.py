@@ -12,8 +12,8 @@ from __future__ import annotations
 from functools import reduce
 from math import prod
 
-from .abgroup import FiniteAbelianGroup, GroupElement, smith_presentation, \
-    subgroup_image_order
+from .abgroup import FiniteAbelianGroup, GroupElement, lattice_index, \
+    smith_presentation
 from .ntheory import InternalCheckError, factorint, isprime
 from .padic import vp
 from .quadfield import (IntegralIdeal, RealQuadraticField, class_group,
@@ -25,12 +25,14 @@ _RAY_CACHE = {}
 
 
 def _factor_ideal(m: IntegralIdeal):
-    """[(prime ideal, exponent)] with product m.  As an O-ideal, m = (a; b; c)
-    is generated by a and b + c*w, so v_q(m) is the smaller of their
+    """[(prime ideal, exponent)] with product m.  m = (a; b; c) contains a,
+    so each prime dividing m lies over a prime dividing a: factor a, not
+    N(m) = a*c (ell, not ell^2, for an inert (ell)).  As an O-ideal, m is
+    generated by a and b + c*w, so v_q(m) is the smaller of their
     valuations (over Q, c = 0 and m = (a))."""
     K = m.field
     out = []
-    for ell in sorted(factorint(m.norm)):
+    for ell in sorted(factorint(m.a)):
         for q in prime_ideals_above(K, ell):
             e = parts_valuation(m.a, 0, 1, q)
             if m.c:
@@ -166,32 +168,25 @@ class RayClassGroupData:
         return self.p_group.order
 
     def full_order(self) -> int:
-        n = 1
-        for d in self.full_factors:
-            n *= d
-        return n
+        return prod(self.full_factors)
 
     def unit_image_order(self) -> int:
-        """Order of the image of the global units in (O/m)*."""
-        if not self.units.orders:
-            return 1
-        G = smith_presentation(
-            [[o if j == i else 0 for j in range(self.nu)]
-             for i, o in enumerate(self.units.orders)], self.nu,
-            modulus=prod(self.units.orders))
-        gens = [G.project(d) for d in self._unit_dlogs]
-        return subgroup_image_order(G, gens)
+        """Order of the image of the global units in (O/m)*: |(O/m)*| over
+        the index of the lattice of diag(units.orders) and the unit dlogs."""
+        size = self.units.size
+        B = [[o if j == i else 0 for j in range(self.nu)]
+             + [d[i] for d in self._unit_dlogs]
+             for i, o in enumerate(self.units.orders)]
+        return size // lattice_index(B, modulus=size)
 
     def order_identity(self):
         """Both sides of |Cl_m| * |im E| = |Cl| * |(O/m)*|, full and p-part."""
-        lhs = self.full_order() * self.unit_image_order()
-        rhs = self.clg.h * self.units.size
-        def ppart(n):
-            return p_part(n, self.p)
+        full, image = self.full_order(), self.unit_image_order()
+        h, size = self.clg.h, self.units.size
         return {
-            "full": (lhs, rhs),
-            "p": (ppart(self.full_order()) * ppart(self.unit_image_order()),
-                  ppart(self.clg.h) * ppart(self.units.size)),
+            "full": (full * image, h * size),
+            "p": (p_part(full, self.p) * p_part(image, self.p),
+                  p_part(h, self.p) * p_part(size, self.p)),
         }
 
 

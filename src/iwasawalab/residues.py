@@ -31,13 +31,12 @@ whole group.
 
 from __future__ import annotations
 
-from math import isqrt
+from math import isqrt, prod
 
 from .ntheory import InternalCheckError, crt, factorint, power, quad_mul
 from .padic import log_series
 from .quadfield import (FieldElement, IntegralIdeal, RealQuadraticField,
-                        factor_rational_prime, fraction_parts, residue_char,
-                        split_root)
+                        fraction_parts, prime_kind, split_root)
 
 
 def _merge(r1: int, m1: int, r2: int, m2: int, what: str):
@@ -193,10 +192,7 @@ class _Component:
 
     @property
     def size(self):
-        s = 1
-        for o in self.orders:
-            s *= o
-        return s
+        return prod(self.orders)
 
 
 class RationalComponent(_Component):
@@ -420,13 +416,14 @@ def _inert_generator(F: _QuadFieldUnits, fac_minus: dict, fac_plus: dict):
 
 
 def make_component(K: RealQuadraticField, q: IntegralIdeal, e: int):
-    ell = residue_char(q)
-    if K.is_rational:
+    """(O/q^e)* for a prime ideal q from factor_rational_prime, of the kind
+    prime_kind reads from its HNF, untested: (ell) over Q, (ell; 0; ell)
+    inert, (ell; b; 1) split or, when ell | D, ramified."""
+    ell, kind = prime_kind(q)
+    if kind == "rational":
         return RationalComponent(K, q, ell, e)
-    kind = factor_rational_prime(K, ell).kind
     if kind == "split":
-        root = split_root(q, e)
-        return RationalComponent(K, q, ell, e, root=root)
+        return RationalComponent(K, q, ell, e, root=split_root(q, e))
     if kind == "inert":
         if ell == 2 and e > 1:
             raise ValueError("inert 2-power moduli are unsupported")
@@ -454,10 +451,7 @@ class UnitGroupModM:
 
     @property
     def size(self) -> int:
-        s = 1
-        for comp in self.components:
-            s *= comp.size
-        return s
+        return prod(self.orders)
 
     @property
     def ngens(self) -> int:

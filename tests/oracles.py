@@ -3,9 +3,13 @@
 Deliberately avoids the package's ideal-reduction machinery: class numbers
 come from cycles of reduced indefinite *binary quadratic forms* plus the
 minimal solution of the +-4 Pell equation (found by brute force on U).
+The one exception is `unit_image_order_two_snf`, an earlier form of a
+library computation kept as its reference.
 """
 
-from math import isqrt
+from math import isqrt, prod
+
+from iwasawalab.abgroup import smith_presentation, subgroup_image_order
 
 
 def _sqrt_window_low(D, t):
@@ -193,3 +197,17 @@ def ph_dlog(mul, one, g, h, n, fac):
         k += m * ((x - k) * pow(m, -1, qa) % qa)
         m *= qa
     return k
+
+
+def unit_image_order_two_snf(rc):
+    """|im E| in (O/m)* for a RayClassGroupData rc, by two SNFs: present
+    (O/m)* by the orders of its cyclic generators, project the unit dlogs
+    into it and take the order of the subgroup they generate."""
+    if not rc.units.orders:
+        return 1
+    nu = len(rc.units.orders)
+    G = smith_presentation(
+        [[o if j == i else 0 for j in range(nu)]
+         for i, o in enumerate(rc.units.orders)], nu,
+        modulus=prod(rc.units.orders))
+    return subgroup_image_order(G, [G.project(d) for d in rc._unit_dlogs])

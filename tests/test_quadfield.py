@@ -21,7 +21,8 @@ from iwasawalab.quadfield import (RealQuadraticField, FieldElement,
                                   fundamental_unit, s_unit_basis,
                                   principal_generator, ideal_from_element,
                                   ideal_valuation, prime_ideals_above,
-                                  rational_ideal, unit_ideal, unit_decompose)
+                                  prime_kind, rational_ideal, residue_char,
+                                  unit_ideal, unit_decompose)
 
 from iwasawalab.iwasawa import leopoldt_defect
 
@@ -95,6 +96,25 @@ def test_rational_prime_over_q():
     rep = factor_rational_prime(QQ, 7)
     assert rep.kind == "rational"
     assert rep.ideals[0].norm == 7
+
+
+def test_prime_kind_matches_residue_char_and_splitting():
+    # every prime ideal above ell < 300, over Q and every squarefree d < 100
+    fields = [QQ] + [RealQuadraticField(d) for d in range(2, 100)
+                     if is_squarefree(d)]
+    seen_at_2 = set()
+    for K in fields:
+        for ell in range(2, 300):
+            if not isprime(ell):
+                continue
+            rep = factor_rational_prime(K, ell)
+            for q in rep.ideals:
+                assert prime_kind(q) == (residue_char(q), rep.kind), (K, q)
+            if ell == 2:
+                seen_at_2.add((K.D % 2, rep.kind))
+    # ell = 2 in every kind: D odd (2 split or inert), D even (ramified)
+    assert seen_at_2 == {(1, "rational"), (1, "split"), (1, "inert"),
+                         (0, "ramified")}
 
 
 def test_ideal_mul_inverse_roundtrip():

@@ -8,6 +8,8 @@ from iwasawalab.quadfield import (RealQuadraticField, factor_rational_prime,
                                   prime_ideals_above, rational_ideal)
 from iwasawalab.rayclass import _factor_ideal, ray_class_group
 
+from oracles import unit_image_order_two_snf
+
 QQ = RealQuadraticField.rationals()
 
 
@@ -162,7 +164,9 @@ def _ref_factor(m):
 
 def test_factor_ideal_matches_ideal_power_loop():
     # every n < 200, and n*q for a prime q above ell < 30 (q cycling with
-    # n), over Q and every squarefree d < 300
+    # n), over Q and every squarefree d < 300; the products of two split
+    # primes above ell < 30 (squares and q*conj(q) included), and of a
+    # ramified prime and a split one
     fields = [QQ] + [RealQuadraticField(d) for d in range(2, 300)
                      if is_squarefree(d)]
     for K in fields:
@@ -173,3 +177,47 @@ def test_factor_ideal_matches_ideal_power_loop():
             assert _factor_ideal(m) == _ref_factor(m), (K, n)
             mq = m * primes[n % len(primes)]
             assert _factor_ideal(mq) == _ref_factor(mq), (K, n)
+        kinds = {ell: factor_rational_prime(K, ell).kind
+                 for ell in range(2, 30) if isprime(ell)}
+        split = [q for q in primes if kinds[q.a] == "split"]
+        ramified = [q for q in primes if kinds[q.a] == "ramified"]
+        products = [q1 * q2 for i, q1 in enumerate(split)
+                    for q2 in split[i:]]
+        products += [q1 * q2 for q1 in ramified for q2 in split]
+        for m in products:
+            assert _factor_ideal(m) == _ref_factor(m), (K, m)
+    # inert conductors (ell), ell in [1000, 2000)
+    for d in (2, 5):
+        K = RealQuadraticField(d)
+        inert = [ell for ell in range(1000, 2000) if isprime(ell)
+                 and factor_rational_prime(K, ell).kind == "inert"]
+        assert len(inert) > 50
+        for ell in inert:
+            m = rational_ideal(K, ell)
+            assert _factor_ideal(m) == _ref_factor(m) == [(m, 1)], (K, ell)
+
+
+# ------------------------------------------- image of the units in (O/m)*
+
+def _unit_image_cases():
+    """The 14 fields of the big-conductor benchmark, each with its first
+    three inert ell >= 1000, and the moduli 1001, 1003 and 7091 in
+    Q(sqrt 10) and Q(sqrt 79), whose class groups are nontrivial."""
+    cases = []
+    for d in (2, 5, 7, 10, 11, 13, 14, 17, 19, 22, 23, 26, 29, 31):
+        K = RealQuadraticField(d)
+        inert = (ell for ell in range(1000, 2000) if isprime(ell)
+                 and factor_rational_prime(K, ell).kind == "inert")
+        cases.extend((K, next(inert)) for _ in range(3))
+    for d in (10, 79):
+        cases.extend((RealQuadraticField(d), n) for n in (1001, 1003, 7091))
+    return cases
+
+
+def test_unit_image_order_matches_two_snf_reference():
+    for K, n in _unit_image_cases():
+        rc = ray_class_group(K, n, 3)
+        assert rc.unit_image_order() == unit_image_order_two_snf(rc), (K, n)
+        ident = rc.order_identity()
+        assert ident["full"][0] == ident["full"][1], (K, n)
+        assert ident["p"][0] == ident["p"][1], (K, n)
