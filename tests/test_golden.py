@@ -126,6 +126,13 @@ CASES = [
     ("even-check-79-q79", 0,
      ["--format", "json", "even-check", "--field", "Q(sqrt{79})", "--p",
       "3", "--q", "79", "--prec", "2"]),
+    # h = 2 and q1 = (2) ramified of class order 2: pi1 generates q1^2
+    ("alpha-10-2-7", 0,
+     ["--format", "json", "alpha", "--field", "Q(sqrt{10})", "--p", "3",
+      "--q1", "2", "--q2", "7", "--prec", "6"]),
+    ("mq-10-7-41a", 0,
+     ["--format", "json", "mq", "--field", "Q(sqrt{10})", "--p", "3",
+      "--q1", "7", "--q2", "41a", "--prec", "8"]),
 ]
 
 
