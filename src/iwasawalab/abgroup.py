@@ -277,22 +277,6 @@ def _column_lattice_basis(B):
     return basis
 
 
-def lattice_intersection(B1, B2):
-    """Basis of L1 ∩ L2 for column lattices B1 (n x a), B2 (n x b)."""
-    n = len(B1)
-    a = len(B1[0]) if B1 and B1[0] is not None else 0
-    b = len(B2[0]) if B2 and B2[0] is not None else 0
-    stacked = [[B1[i][j] for j in range(a)] + [-B2[i][j] for j in range(b)]
-               for i in range(n)]
-    out = []
-    for col in kernel_basis(stacked):
-        x = col[:a]
-        vec = [sum(B1[i][j] * x[j] for j in range(a)) for i in range(n)]
-        out.append(vec)
-    mat = [[v[i] for v in out] for i in range(n)]
-    return _column_lattice_basis(mat) if out else []
-
-
 # ---------------------------------------------------------------- group types
 
 @dataclass(frozen=True)
@@ -422,17 +406,6 @@ def subgroup_image_order(G: FiniteAbelianGroup, gens) -> int:
     if not gens:
         return 1
     B = G.subgroup_lattice(gens)
-    return G.order // lattice_index(B, modulus=G.order)
-
-
-def subgroup_order_from_lattice(G: FiniteAbelianGroup, lattice_cols) -> int:
-    """Order of (L + R)/R for a column lattice L inside Z^k, R the relations."""
-    k = len(G.invariant_factors)
-    cols = [[lattice_cols[i][j] for i in range(k)]
-            for j in range(len(lattice_cols[0]) if lattice_cols else 0)]
-    cols += [[G.invariant_factors[i] if t == i else 0 for i in range(k)]
-             for t in range(k)]
-    B = [[c[i] for c in cols] for i in range(k)]
     return G.order // lattice_index(B, modulus=G.order)
 
 

@@ -42,10 +42,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_prec():
+    value = os.environ.get("IWASAWA_LAB_PRECISION", "8")
     try:
-        return max(1, int(os.environ.get("IWASAWA_LAB_PRECISION", "8")))
+        prec = int(value)
     except ValueError:
-        return 8
+        prec = 0
+    if prec < 1:
+        raise UsageError("IWASAWA_LAB_PRECISION must be an integer of at "
+                         "least 1, got %r" % value)
+    return prec
 
 
 def _parse_field(spec: str) -> RealQuadraticField:

@@ -6,9 +6,9 @@ bookkeeping, and the defect-never-one scan over quadratic fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
-from .abgroup import (element_order, lattice_intersection,
-                      subgroup_order_from_lattice)
+from .abgroup import element_order, subgroup_image_order
 from .classfield import GaloisGroupG, group_G
 from .localize import completions_above_p, loc, zp_matrix_rank
 from .ntheory import InternalCheckError, is_squarefree, isprime
@@ -123,12 +123,13 @@ def mq_order(K: RealQuadraticField, p: int, Q, N: int) \
         G = group_G(K, p, L)
         F1, F2, v1, g = _rounded_degree_zero(G, rep.q1, rep.q2)
         order = element_order(G.group, g)
-        # cross-check by the exact subgroup route at a high enough level
+        # cross-check at a high enough level: deg is a hom G -> Z/p^L, so
+        # <F1, F2> meets ker deg in |<F1, F2>| / |deg <F1, F2>| elements
         if L >= v1:
-            S = G.group.subgroup_lattice([F1, F2])
-            D = G.degree_kernel_lattice()
-            inter = lattice_intersection(S, D)
-            if subgroup_order_from_lattice(G.group, inter) != order:
+            pL = p**L
+            degs = [sum(c * f for c, f in zip(G.cyc_hom, F)) for F in (F1, F2)]
+            image = pL // gcd(pL, *degs)
+            if subgroup_image_order(G.group, [F1, F2]) // image != order:
                 raise InternalCheckError("subgroup and element orders "
                                          "disagree")
         orders.append(order)

@@ -20,7 +20,7 @@ from .padic import PAdicNumber, PrecisionError, vp
 from .quadfield import (FieldElement, RealQuadraticField, SUnitBasisData,
                         SUnitBasisEntry, SUnitProduct, class_group,
                         fundamental_unit, ideal_valuation, prime_ideals_above,
-                        principal_generator, rational_ideal)
+                        principal_generator, rational_ideal, realize)
 
 
 @dataclass
@@ -72,12 +72,6 @@ def _adhoc_entry(K, element, primes, label):
     return SUnitBasisEntry(element, vals, label, "lattice")
 
 
-def _pi_for(data: SUnitBasisData, idx: int, order: int):
-    """Generator of q_idx^order (order = class order of q_idx)."""
-    w = [order if i == idx else 0 for i in range(len(data.primes))]
-    return data.realize(w)
-
-
 def construct_alpha(K: RealQuadraticField, p: int, Q, N: int) \
         -> KummerCertificate:
     """The explicit Kummer element: loc_p(alpha) torsion, supported on Q,
@@ -115,20 +109,15 @@ def construct_alpha(K: RealQuadraticField, p: int, Q, N: int) \
                                  "principal")
 
     primes = [q1, q2]
-    data = SUnitBasisData(K, primes)
     h1 = _class_order(K, q1)
     h2 = _class_order(K, q2)
-    pi1 = _pi_for(data, 0, h1)
-    pi2 = _pi_for(data, 1, h2)
-    entries = [e for e in data.entries if e.kind in ("torsion", "unit")]
-    entries.append(_adhoc_entry(K, beta, primes, "beta"))
-    entries.append(_adhoc_entry(K, pi1, primes, "pi1"))
-    entries.append(_adhoc_entry(K, pi2, primes, "pi2"))
-    basis = SUnitBasisData.__new__(SUnitBasisData)
-    basis.field = K
-    basis.primes = primes
-    basis.entries = entries
-    basis.lattice = data.lattice
+    # pi_i generates q_i^h_i, h_i the class order of q_i
+    pi1 = realize(K, [q1], [h1])
+    pi2 = realize(K, [q2], [h2])
+    basis = SUnitBasisData(K, [])
+    basis.entries.append(_adhoc_entry(K, beta, primes, "beta"))
+    basis.entries.append(_adhoc_entry(K, pi1, primes, "pi1"))
+    basis.entries.append(_adhoc_entry(K, pi2, primes, "pi2"))
 
     t1 = c1 * PAdicNumber.exact(n_prime_to_p * p**m // h1 * m_q, p,
                                 a1.abs_prec + 2)

@@ -807,6 +807,32 @@ class SUnitBasisEntry:
     kind: str                 # "torsion" | "unit" | "lattice"
 
 
+def realize(K: RealQuadraticField, primes, w) -> FieldElement:
+    """Element of K with divisor sum(w_i * q_i)."""
+    num = unit_ideal(K)
+    denom_rat = 1
+    for q, wq in zip(primes, w):
+        if wq > 0:
+            num = num * q**wq
+        elif wq < 0:
+            # q^-1 = conj(q)/ell (split), 1/ell (inert), q/ell (ramified)
+            ell, kind = prime_kind(q)
+            if kind == "split":
+                num = num * q.conj()**(-wq)
+            elif kind == "ramified":
+                num = num * q**(-wq)
+            denom_rat *= ell**(-wq)
+    g = principal_generator(num)
+    if g is None:
+        raise InternalCheckError("lattice vector is not principal")
+    g = g / denom_rat
+    if g.norm() < 0 and not K.is_rational:
+        eps = fundamental_unit(K)
+        if eps.norm() == -1:
+            g = g * eps
+    return g
+
+
 class SUnitBasisData:
     """Generators of the Q-unit group E_Q with exact valuation bookkeeping."""
 
@@ -845,7 +871,7 @@ class SUnitBasisData:
                        solve_congruence_lattice(C, list(clg.gen_orders))]
         self.lattice = lattice
         for w in lattice:
-            gamma = self.realize(w)
+            gamma = realize(K, self.primes, w)
             vals = {}
             for q, wq in zip(self.primes, w):
                 if wq:
@@ -856,32 +882,6 @@ class SUnitBasisData:
                                              "valuation at %s" % (q,))
             label = "g[" + ",".join(str(t) for t in w) + "]"
             self.entries.append(SUnitBasisEntry(gamma, vals, label, "lattice"))
-
-    def realize(self, w):
-        """Element with divisor sum(w_i * q_i)."""
-        K = self.field
-        num = unit_ideal(K)
-        denom_rat = 1
-        for q, wq in zip(self.primes, w):
-            if wq > 0:
-                num = num * q**wq
-            elif wq < 0:
-                # q^-1 = conj(q)/ell (split), 1/ell (inert), q/ell (ramified)
-                ell, kind = prime_kind(q)
-                if kind == "split":
-                    num = num * q.conj()**(-wq)
-                elif kind == "ramified":
-                    num = num * q**(-wq)
-                denom_rat *= ell**(-wq)
-        g = principal_generator(num)
-        if g is None:
-            raise InternalCheckError("lattice vector is not principal")
-        g = g / denom_rat
-        if g.norm() < 0 and not K.is_rational:
-            eps = fundamental_unit(K)
-            if eps.norm() == -1:
-                g = g * eps
-        return g
 
     def elements(self):
         return [e.element for e in self.entries]

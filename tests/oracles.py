@@ -3,13 +3,17 @@
 Deliberately avoids the package's ideal-reduction machinery: class numbers
 come from cycles of reduced indefinite *binary quadratic forms* plus the
 minimal solution of the +-4 Pell equation (found by brute force on U).
-The one exception is `unit_image_order_two_snf`, an earlier form of a
-library computation kept as its reference.
+The exceptions are earlier forms of library computations kept as their
+references: `unit_image_order_two_snf`, and the exact lattice route of the
+subgroup cross-check in `iwasawa.mq_order` (`lattice_intersection`,
+`subgroup_order_from_lattice`).
 """
 
 from math import isqrt, prod
 
-from iwasawalab.abgroup import smith_presentation, subgroup_image_order
+from iwasawalab.abgroup import (FiniteAbelianGroup, _column_lattice_basis,
+                                kernel_basis, lattice_index,
+                                smith_presentation, subgroup_image_order)
 
 
 def _sqrt_window_low(D, t):
@@ -211,3 +215,30 @@ def unit_image_order_two_snf(rc):
          for i, o in enumerate(rc.units.orders)], nu,
         modulus=prod(rc.units.orders))
     return subgroup_image_order(G, [G.project(d) for d in rc._unit_dlogs])
+
+
+def lattice_intersection(B1, B2):
+    """Basis of L1 ∩ L2 for column lattices B1 (n x a), B2 (n x b)."""
+    n = len(B1)
+    a = len(B1[0]) if B1 and B1[0] is not None else 0
+    b = len(B2[0]) if B2 and B2[0] is not None else 0
+    stacked = [[B1[i][j] for j in range(a)] + [-B2[i][j] for j in range(b)]
+               for i in range(n)]
+    out = []
+    for col in kernel_basis(stacked):
+        x = col[:a]
+        vec = [sum(B1[i][j] * x[j] for j in range(a)) for i in range(n)]
+        out.append(vec)
+    mat = [[v[i] for v in out] for i in range(n)]
+    return _column_lattice_basis(mat) if out else []
+
+
+def subgroup_order_from_lattice(G: FiniteAbelianGroup, lattice_cols) -> int:
+    """Order of (L + R)/R for a column lattice L inside Z^k, R the relations."""
+    k = len(G.invariant_factors)
+    cols = [[lattice_cols[i][j] for i in range(k)]
+            for j in range(len(lattice_cols[0]) if lattice_cols else 0)]
+    cols += [[G.invariant_factors[i] if t == i else 0 for i in range(k)]
+             for t in range(k)]
+    B = [[c[i] for c in cols] for i in range(k)]
+    return G.order // lattice_index(B, modulus=G.order)

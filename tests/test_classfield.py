@@ -3,14 +3,15 @@ from math import prod
 
 import pytest
 
-from iwasawalab.abgroup import element_order, subgroup_order_from_lattice, \
-    lattice_intersection, smith_presentation, solve_integral
+from iwasawalab.abgroup import element_order, smith_presentation, \
+    solve_integral
 from iwasawalab.classfield import (GaloisGroupG, group_G, frobenius_image,
                                    e_of_q, even_criterion, cyclotomic_dlog,
                                    _transport_hom)
 from iwasawalab.quadfield import (RealQuadraticField, factor_rational_prime,
                                   rational_ideal)
 from iwasawalab.rayclass import ray_class_group
+from oracles import subgroup_order_from_lattice
 
 QQ = RealQuadraticField.rationals()
 Q2 = RealQuadraticField(2)

@@ -173,3 +173,11 @@ def test_env_precision(monkeypatch, capsys):
                          "--p", "5")
     assert code == 0
     assert doc["precision"] == 4
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "abc"])
+def test_env_precision_must_be_a_positive_integer(value, monkeypatch, capsys):
+    monkeypatch.setenv("IWASAWA_LAB_PRECISION", value)
+    assert main(["leopoldt", "--field", "Q(sqrt{2})", "--p", "5"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: IWASAWA_LAB_PRECISION")

@@ -1,13 +1,18 @@
+from math import gcd
+
 import pytest
 
+from iwasawalab import iwasawa
 from iwasawalab.abgroup import subgroup_image_order
 from iwasawalab.classfield import GaloisGroupG, group_G
 from iwasawalab.iwasawa import (is_inert_in_cyclotomic, mq_generator,
                                 mq_order, leopoldt_defect, greenberg_wiles,
                                 defect_never_one_scan,
                                 degree_zero_pair_element)
+from iwasawalab.ntheory import InternalCheckError
 from iwasawalab.quadfield import (RealQuadraticField, factor_rational_prime,
                                   rational_ideal)
+from oracles import lattice_intersection, subgroup_order_from_lattice
 
 QQ = RealQuadraticField.rationals()
 Q2 = RealQuadraticField(2)
@@ -95,6 +100,50 @@ def test_mq_order_takes_two_frobenius_classes_per_level(monkeypatch):
     q5 = factor_rational_prime(K, 5).ideals[0]
     assert mq_order(K, 3, (q1, q5), 2).m_q == 9
     assert sorted(levels) == [2, 2, 4, 4]
+
+
+def _prime(K, spec):
+    """'7' for the first prime over 7; '7a'/'7b' for a split place."""
+    ideals = factor_rational_prime(K, int(spec.rstrip("ab"))).ideals
+    return ideals[1] if spec.endswith("b") else ideals[0]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("d,p,s1,s2", [
+    (1, 3, "2", "5"), (2, 3, "5", "7a"), (7, 5, "3a", "3b"),
+    (10, 3, "7", "41a"), (79, 3, "2", "5a")])
+def test_degree_zero_count_matches_lattice_route(d, p, s1, s2, N):
+    """At both levels of mq_order, |<F1, F2>| / |deg <F1, F2>| (the count
+    mq_order checks the element order against) equals the order of
+    <F1, F2> meet ker deg by the exact lattice intersection."""
+    K = QQ if d == 1 else RealQuadraticField(d)
+    Q = (_prime(K, s1), _prime(K, s2))
+    rep = mq_order(K, p, Q, N)
+    for L, order in zip((N, N + 2), rep.provisional_orders):
+        G = group_G(K, p, L)
+        F1, F2, v1, _ = iwasawa._rounded_degree_zero(G, *Q)
+        pL = p**L
+        degs = [sum(c * f for c, f in zip(G.cyc_hom, F)) for F in (F1, F2)]
+        count = subgroup_image_order(G.group, [F1, F2]) // \
+            (pL // gcd(pL, *degs))
+        S = G.group.subgroup_lattice([F1, F2])
+        inter = lattice_intersection(S, G.degree_kernel_lattice())
+        assert L >= v1
+        assert count == subgroup_order_from_lattice(G.group, inter) == order
+
+
+def test_mq_order_cross_check_is_live(monkeypatch):
+    """A degree-0 element of the wrong order trips the subgroup count."""
+    rounded = iwasawa._rounded_degree_zero
+
+    def scaled(G, q1, q2):
+        F1, F2, v1, g = rounded(G, q1, q2)
+        return F1, F2, v1, G.group.scale(G.p, g)
+    monkeypatch.setattr(iwasawa, "_rounded_degree_zero", scaled)
+    K = RealQuadraticField(79)
+    with pytest.raises(InternalCheckError,
+                       match="subgroup and element orders disagree"):
+        mq_order(K, 3, (_prime(K, "2"), _prime(K, "5a")), 4)
 
 
 def test_mq_symmetric_subgroup():

@@ -8,7 +8,9 @@
 - no private name taken from a sibling module by `from .x import _name`;
 - no module-level function, class or method that no file of `src/`,
   `tests/` or `bench/` names outside its own definition (a dead path);
-- no name bound by a module-level import that its module never uses.
+- no name bound by a module-level import that its module never uses;
+- no `X.__new__(...)` call outside a `__new__` method, which would build
+  an object round its constructor.
 """
 
 import ast
@@ -165,6 +167,19 @@ def test_no_unused_import():
     assert found == []
 
 
+def test_no_constructor_bypass():
+    found = []
+    for name, tree in _trees():
+        allowed = {id(node) for fn in _functions(tree)
+                   if fn.name == "__new__" for node in ast.walk(fn)}
+        found.extend(_where(name, node) for node in ast.walk(tree)
+                     if isinstance(node, ast.Call)
+                     and isinstance(node.func, ast.Attribute)
+                     and node.func.attr == "__new__"
+                     and id(node) not in allowed)
+    assert found == []
+
+
 @pytest.mark.parametrize("source,check", [
     ("def f(x):\n    assert x\n", test_no_assert_statement),
     ("def f(x):\n    if x:\n        raise AssertionError('bad')\n",
@@ -180,6 +195,10 @@ def test_no_unused_import():
     ("import os\nfrom .kummer import construct_alpha, verify_alpha\n\n\n"
      "def f():\n    return os.sep, construct_alpha\n",
      test_no_unused_import),
+    ("class Basis:\n    def __init__(self):\n        self.entries = []\n\n\n"
+     "def f():\n    basis = Basis.__new__(Basis)\n"
+     "    basis.entries = [1]\n    return basis\n",
+     test_no_constructor_bypass),
 ])
 def test_each_check_catches_its_rule(source, check, tmp_path, monkeypatch):
     module = tmp_path / "bad.py"
