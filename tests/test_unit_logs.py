@@ -1,0 +1,103 @@
+"""Unit logs at places above p, against calls recorded from the benchmark
+batches.
+
+`data/unit_logs.jsonl` holds every distinct call of
+`localize._element_unit_log` that the seed-1 `leopoldt-scan` and
+`kummer-alpha` batches make, with the answer of the object path it had
+when the file was recorded: x = (a + b*w)/den at a place of Q(sqrt d)
+(d = 1 for Q) above p, to N digits, maps to its valuation and to
+(v, m, digits) of each log coordinate.  Every recorded x is integral,
+with v = 0; valuations and denominators divisible by p are the seeded
+cases of `test_valuation.py`.  Re-record the file with
+
+    PYTHONPATH=src python tests/test_unit_logs.py
+
+only when a unit log is meant to change.
+"""
+
+import functools
+import json
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+from iwasawalab.localize import _element_unit_log, completions_above_p
+from iwasawalab.padic import UnramifiedQuadElem
+from iwasawalab.quadfield import RealQuadraticField
+
+RECORDED = Path(__file__).parent / "data" / "unit_logs.jsonl"
+RECORDED_BATCHES = (("leopoldt-scan", 1), ("kummer-alpha", 1))
+
+
+def _coords(lg):
+    cs = [lg.a, lg.b] if isinstance(lg, UnramifiedQuadElem) else [lg]
+    return [[c.v, c.m, c.digits] for c in cs]
+
+
+@functools.lru_cache(maxsize=None)
+def _place(d, key):
+    K = RealQuadraticField.rationals() if d == 1 else RealQuadraticField(d)
+    return next(pl for pl in completions_above_p(K, key[0])
+                if pl.key() == key)
+
+
+def _read():
+    with RECORDED.open() as f:
+        header = json.loads(next(f))
+        return header, [json.loads(line) for line in f]
+
+
+def test_recorded_calls_cover_every_kind():
+    header, recs = _read()
+    assert [tuple(b) for b in header["batches"]] == list(RECORDED_BATCHES)
+    assert len(recs) == header["calls"] > 2500
+    kinds = {rec["place"][1] for rec in recs}
+    assert kinds == {"rational", "split", "inert"}
+
+
+def test_element_unit_log_reproduces_recorded_calls():
+    _, recs = _read()
+    for rec in recs:
+        place = _place(rec["d"], tuple(rec["place"]))
+        a, b, den = rec["x"]
+        x = place.field.element(Fraction(a, den), Fraction(b, den))
+        v, lg = _element_unit_log(x, place, rec["N"])
+        assert (v, _coords(lg)) == (rec["v"], rec["log"]), rec
+
+
+def _record():
+    """Answer the recorded batches and write every distinct unit-log call
+    with its answer, one call a line."""
+    root = Path(__file__).resolve().parent.parent
+    sys.path.insert(0, str(root / "bench"))
+    import iwasawalab as lib
+    import iwasawalab.localize as localize
+    from iwasawalab.quadfield import fraction_parts
+    import workloads
+
+    seen = {}
+    real = localize._element_unit_log
+
+    def recording(x, place, N):
+        out = real(x, place, N)
+        key = (place.field.d or 1, place.key(), N, fraction_parts(x))
+        seen.setdefault(key, out)
+        return out
+    localize._element_unit_log = recording
+    for workload, seed in RECORDED_BATCHES:
+        for query in workloads.batch(workload, seed):
+            workloads.answer(lib, query)
+    localize._element_unit_log = real
+    lines = [json.dumps({"batches": RECORDED_BATCHES, "calls": len(seen)})]
+    for key in sorted(seen):
+        d, place, N, x = key
+        v, lg = seen[key]
+        lines.append(json.dumps(
+            {"d": d, "place": place, "N": N, "x": x, "v": v,
+             "log": _coords(lg)}, separators=(",", ":")))
+    RECORDED.write_text("\n".join(lines) + "\n")
+    print("%d calls -> %s" % (len(seen), RECORDED))
+
+
+if __name__ == "__main__":
+    _record()
