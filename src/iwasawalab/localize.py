@@ -4,15 +4,16 @@ Z_p-rank of inertia images.
 
 Places above p carry a 1-unit logarithm (scalar for split places, a
 coordinate pair for inert ones); places away from p only contribute their
-valuation to any Z_p-rank.
+valuation to any Z_p-rank.  That log is taken on integer residues by
+`padic.unit_log_residues`; only its result becomes a p-adic object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ntheory import isprime
-from .padic import PAdicNumber, UnramifiedQuadElem, angle_log, vp
+from .ntheory import InternalCheckError, isprime
+from .padic import PAdicNumber, UnramifiedQuadElem, unit_log_residues, vp
 from .quadfield import (FieldElement, IntegralIdeal, RealQuadraticField,
                         SUnitProduct, factor_rational_prime, fraction_parts,
                         ideal_valuation, parts_valuation, split_root)
@@ -65,27 +66,29 @@ def embed(x: FieldElement, place: PlaceAbovePrime, abs_prec: int):
     """
     if place.kind == "ramified":
         raise ValueError("ramified completions are unsupported")
-    return _embed_parts(*fraction_parts(x), place, abs_prec)
-
-
-def _embed_parts(a: int, b: int, den: int, place: PlaceAbovePrime,
-                 abs_prec: int):
-    """embed of x = (a + b*w)/den: the image of a + b*w times den'^-1 mod
-    p^work, den = p^vden * den', shifted by -vden."""
-    K, p = place.field, place.ell
+    a, b, den = fraction_parts(x)
+    p = place.ell
     vden = vp(den, p)
     work = abs_prec + vden + 1
+    c0, c1 = _coordinates(a, b, den // p**vden, place, work)
+    if place.kind == "inert":
+        return UnramifiedQuadElem.from_residues(
+            c0, c1, place.field.D, p, work).shift(-vden)
+    return PAdicNumber.from_residue(c0, p, work).shift(-vden)
+
+
+def _coordinates(a: int, b: int, den: int, place: PlaceAbovePrime,
+                 work: int):
+    """(a + b*w)/den mod p^work for a p-unit den, as the pair over {1, s},
+    s = sqrt(D), at an inert place and as (residue, 0) otherwise."""
+    K, p = place.field, place.ell
     mod = p**work
-    inv = pow(den // p**vden, -1, mod)
-    if place.kind == "rational":
-        return PAdicNumber.from_residue(a * inv, p, work).shift(-vden)
-    if place.kind == "split":
-        num = a + b * split_root(place.ideal, work)
-        return PAdicNumber.from_residue(num * inv, p, work).shift(-vden)
-    # inert: w = (D + s)/2 in coordinates over {1, s}
-    inv2 = pow(2, -1, mod)
-    return UnramifiedQuadElem.from_residues(
-        (a + b * K.D * inv2) * inv, b * inv2 * inv, K.D, p, work).shift(-vden)
+    inv = pow(den, -1, mod)
+    if place.kind == "inert":     # w = (D + s)/2 in coordinates over {1, s}
+        inv2 = pow(2, -1, mod)
+        return (a + b * K.D * inv2) * inv % mod, b * inv2 * inv % mod
+    w = split_root(place.ideal, work) if place.kind == "split" else 0
+    return (a + b * w) * inv % mod, 0
 
 
 @dataclass
@@ -105,13 +108,25 @@ class LocalValue:
 
 
 def _element_unit_log(x: FieldElement, place: PlaceAbovePrime, N: int):
-    """log of the 1-unit part of x at a place above p."""
+    """(v, log of the 1-unit part of x) at a place above p.  With x =
+    (a + b*w)/den and s = v + v_p(den) = v_q(a + b*w), the unit x/p^v is
+    read to A = N + max(v, 0) + 2 - v digits: the coordinates of
+    (a + b*w)/den' mod p^(A + s), den = p^v_p(den)*den', divided by p^s."""
     a, b, den = fraction_parts(x)
     v = parts_valuation(a, b, den, place.ideal)
-    u = _embed_parts(a, b, den, place, N + max(v, 0) + 1).shift(-v)
-    if place.kind == "inert":
-        return v, u.angle_log()
-    return v, angle_log(u)
+    p = place.ell
+    vden = vp(den, p)
+    s, A = v + vden, N + max(v, 0) + 2 - v
+    c0, c1 = _coordinates(a, b, den // p**vden, place, A + s)
+    ps = p**max(s, 0)
+    u0, u1 = c0 // ps, c1 // ps
+    if s < 0 or c0 % ps or c1 % ps or not (u0 % p or u1 % p):
+        raise InternalCheckError("x/p^%d is not a unit at %s" % (v, place))
+    r = place.field.D if place.kind == "inert" else 0
+    l0, l1 = unit_log_residues(u0, u1, r, p, A)
+    if r:
+        return v, UnramifiedQuadElem.from_residues(l0, l1, r, p, A)
+    return v, PAdicNumber.from_residue(l0, p, A)
 
 
 def loc(x, place: PlaceAbovePrime, p: int, N: int) -> LocalValue:
@@ -125,8 +140,7 @@ def loc(x, place: PlaceAbovePrime, p: int, N: int) -> LocalValue:
     if isinstance(x, FieldElement):
         if not with_log:
             return LocalValue(place, ideal_valuation(x, place.ideal), None)
-        vv, lg = _element_unit_log(x, place, N)
-        return LocalValue(place, vv, lg)
+        return LocalValue(place, *_element_unit_log(x, place, N))
     if not isinstance(x, SUnitProduct):
         raise TypeError("loc expects a FieldElement or SUnitProduct")
     val = x.valuation_at(place.ideal.key())

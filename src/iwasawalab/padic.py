@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .ntheory import power, quad_mul
@@ -265,8 +266,7 @@ class PAdicNumber:
         return "%d^%d * %d (mod %d^%d)" % (self.p, self.v, self.m,
                                            self.p, self.digits)
 
-    def __str__(self):
-        return self.__repr__()
+    __str__ = __repr__
 
 
 # ------------------------------------------------------------------ operations
@@ -312,6 +312,13 @@ def _log_terms_needed(c: int, p: int, A: int) -> int:
     return k
 
 
+@lru_cache(maxsize=128)
+def _log_inverses(p: int, e: int) -> list:
+    """Entry k - 1 is (p^(v_p k), (-1)^(k+1) / (k / p^(v_p k)) mod p^e);
+    log_series grows the list to the K it needs."""
+    return []
+
+
 def log_series(z0: int, z1: int, t: int, n: int, p: int, A: int):
     """log(1 + z) mod p^A for z = z0 + z1*x in Z_p[x]/(x^2 - t*x + n) with
     v_p(z) >= 1, as the coordinate pair over {1, x}.
@@ -320,7 +327,9 @@ def log_series(z0: int, z1: int, t: int, n: int, p: int, A: int):
     t = w_trace, n = w_norm; Z_p is z1 = 0.  The series
     sum (-1)^(k+1) z^k / k stops before the K of _log_terms_needed; its terms
     are computed mod p^(A + guard) with p^guard > K, so dividing z^k by the
-    p-part of k < K leaves at least A digits.
+    p-part of k < K leaves at least A digits.  The signed inverses of the
+    prime-to-p parts of k come from a table per (p, A + guard), grown to
+    the longest K asked of it; the 128 pairs last used keep theirs.
     """
     mod = p**A
     z0 %= mod
@@ -335,6 +344,10 @@ def log_series(z0: int, z1: int, t: int, n: int, p: int, A: int):
     while p**guard <= K:
         guard += 1
     modg = p**(A + guard)
+    table = _log_inverses(p, A + guard)
+    for k in range(len(table) + 1, K):
+        pj = p**vp(k, p) if k % p == 0 else 1
+        table.append((pj, pow(k // pj if k % 2 else -(k // pj), -1, modg)))
     s0 = s1 = 0
     x0, x1 = 1, 0
     for k in range(1, K):
@@ -342,12 +355,26 @@ def log_series(z0: int, z1: int, t: int, n: int, p: int, A: int):
         # leopoldt-scan about 3 % of its queries per second
         x0, x1 = ((x0 * z0 - n * x1 * z1) % modg,
                   (x0 * z1 + x1 * z0 + t * x1 * z1) % modg)
-        pj = p**vp(k, p) if k % p == 0 else 1
-        # (-1)^(k+1) / (k / pj); pj divides z^k exactly
-        inv = pow(k // pj if k % 2 else -(k // pj), -1, modg)
+        pj, inv = table[k - 1]      # pj divides z^k exactly
         s0 = (s0 + x0 // pj * inv) % modg
         s1 = (s1 + x1 // pj * inv) % modg
     return s0 % mod, s1 % mod
+
+
+def unit_log_residues(u0: int, u1: int, r: int, p: int, A: int):
+    """log of the 1-unit part of a unit u, on residues mod p^A: log(u^k)/k
+    for u = u0 in Z_p (u1 = r = 0, k = p - 1) or u = u0 + u1*s in
+    Z_p[s]/(s^2 - r), r a non-residue (k = p^2 - 1); the pair over {1, s}."""
+    mod = p**A
+    if r:
+        k = p * p - 1
+        u0, u1 = power(quad_mul(0, -r, mod), (1, 0), (u0, u1), k)
+    else:
+        k = p - 1
+        u0 = pow(u0, k, mod)
+    l0, l1 = log_series(u0 - 1, u1, 0, -r, p, A)
+    inv = pow(k, -1, mod)
+    return l0 * inv % mod, l1 * inv % mod
 
 
 def plog(x: PAdicNumber) -> PAdicNumber:
@@ -372,8 +399,9 @@ def angle_log(x: PAdicNumber) -> PAdicNumber:
     """log of the 1-unit projection of a unit x, via log(x^(p-1))/(p-1)."""
     if not x.is_unit():
         raise ValueError("angle_log requires a unit")
-    p = x.p
-    return plog(x ** (p - 1)) / PAdicNumber.exact(p - 1, p, x.digits)
+    p, A = x.p, x.digits
+    return PAdicNumber.from_residue(unit_log_residues(x.m, 0, 0, p, A)[0],
+                                    p, A)
 
 
 # --------------------------------------------------- unramified quadratic ext
@@ -436,9 +464,7 @@ class UnramifiedQuadElem:
         return UnramifiedQuadElem(self.a, -self.b, self.r)
 
     def inv(self):
-        n = self.norm()
-        ni = n.inv()
-        c = self.conj()
+        ni, c = self.norm().inv(), self.conj()
         return UnramifiedQuadElem(c.a * ni, c.b * ni, self.r)
 
     def __pow__(self, k: int):
@@ -467,33 +493,26 @@ class UnramifiedQuadElem:
 
     def is_one_within_precision(self) -> bool:
         d = self - UnramifiedQuadElem.one(self.r, self.p, self.abs_prec)
-        va, vb = d.a, d.b
-        return va.is_marker and vb.is_marker
+        return d.a.is_marker and d.b.is_marker
 
     def shift(self, j: int):
         return UnramifiedQuadElem(self.a.shift(j), self.b.shift(j), self.r)
 
-    def _log_of_power(self, k: int) -> "UnramifiedQuadElem":
-        """log(self^k)/k on the residues mod p^A, A = abs_prec."""
-        p, r, A = self.p, self.r, self.abs_prec
-        mod = p**A
-        u = power(quad_mul(0, -r, mod), (1, 0),
-                  (self.a.residue(A), self.b.residue(A)), k)
-        l0, l1 = log_series(u[0] - 1, u[1], 0, -r, p, A)
-        inv = pow(k, -1, mod)
-        return UnramifiedQuadElem(PAdicNumber.from_residue(l0 * inv, p, A),
-                                  PAdicNumber.from_residue(l1 * inv, p, A),
-                                  r)
-
     def log_one_unit(self) -> "UnramifiedQuadElem":
-        """Series logarithm; requires self ≡ 1 mod p."""
-        return self._log_of_power(1)
+        """Series logarithm; requires self ≡ 1 mod p, its own 1-unit part."""
+        p, A = self.p, self.abs_prec
+        if (self.a.residue(A) - 1) % p or self.b.residue(A) % p:
+            raise ValueError("log requires a 1-unit")
+        return self.angle_log()
 
     def angle_log(self) -> "UnramifiedQuadElem":
         """log of the 1-unit part of a unit, via u^(p^2-1)."""
         if not self.is_unit():
             raise ValueError("angle_log requires a unit")
-        return self._log_of_power(self.p * self.p - 1)
+        p, r, A = self.p, self.r, self.abs_prec
+        l0, l1 = unit_log_residues(self.a.residue(A), self.b.residue(A), r,
+                                   p, A)
+        return UnramifiedQuadElem.from_residues(l0, l1, r, p, A)
 
     def __repr__(self):
         return "(%r) + (%r)*s  [s^2=%d]" % (self.a, self.b, self.r)

@@ -4,16 +4,18 @@ Deliberately avoids the package's ideal-reduction machinery: class numbers
 come from cycles of reduced indefinite *binary quadratic forms* plus the
 minimal solution of the +-4 Pell equation (found by brute force on U).
 The exceptions are earlier forms of library computations kept as their
-references: `unit_image_order_two_snf`, and the exact lattice route of the
+references: `unit_image_order_two_snf`, the exact lattice route of the
 subgroup cross-check in `iwasawa.mq_order` (`lattice_intersection`,
-`subgroup_order_from_lattice`).
+`subgroup_order_from_lattice`), and `log_series` with a fresh inverse per
+term, before `padic.log_series` kept its inverses in a table.
 """
 
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 
 from iwasawalab.abgroup import (FiniteAbelianGroup, _column_lattice_basis,
                                 kernel_basis, lattice_index,
                                 smith_presentation, subgroup_image_order)
+from iwasawalab.padic import _log_terms_needed, vp
 
 
 def _sqrt_window_low(D, t):
@@ -242,3 +244,41 @@ def subgroup_order_from_lattice(G: FiniteAbelianGroup, lattice_cols) -> int:
              for t in range(k)]
     B = [[c[i] for c in cols] for i in range(k)]
     return G.order // lattice_index(B, modulus=G.order)
+
+
+def log_series(z0: int, z1: int, t: int, n: int, p: int, A: int):
+    """log(1 + z) mod p^A for z = z0 + z1*x in Z_p[x]/(x^2 - t*x + n) with
+    v_p(z) >= 1, as the coordinate pair over {1, x}.
+
+    x = sqrt(D) is t = 0, n = -D; the basis {1, w} of a quadratic field is
+    t = w_trace, n = w_norm; Z_p is z1 = 0.  The series
+    sum (-1)^(k+1) z^k / k stops before the K of _log_terms_needed; its terms
+    are computed mod p^(A + guard) with p^guard > K, so dividing z^k by the
+    p-part of k < K leaves at least A digits.
+    """
+    mod = p**A
+    z0 %= mod
+    z1 %= mod
+    if not (z0 or z1):
+        return 0, 0
+    c = vp(gcd(z0, z1), p)
+    if c < 1:
+        raise ValueError("log requires a 1-unit")
+    K = _log_terms_needed(c, p, A)
+    guard = 1
+    while p**guard <= K:
+        guard += 1
+    modg = p**(A + guard)
+    s0 = s1 = 0
+    x0, x1 = 1, 0
+    for k in range(1, K):
+        # the step of ntheory.quad_mul, inline: a call per term costs
+        # leopoldt-scan about 3 % of its queries per second
+        x0, x1 = ((x0 * z0 - n * x1 * z1) % modg,
+                  (x0 * z1 + x1 * z0 + t * x1 * z1) % modg)
+        pj = p**vp(k, p) if k % p == 0 else 1
+        # (-1)^(k+1) / (k / pj); pj divides z^k exactly
+        inv = pow(k // pj if k % 2 else -(k // pj), -1, modg)
+        s0 = (s0 + x0 // pj * inv) % modg
+        s1 = (s1 + x1 // pj * inv) % modg
+    return s0 % mod, s1 % mod

@@ -3,20 +3,26 @@
 The references are the object-level series of `UnramifiedQuadElem`, which
 carries every digit through `PAdicNumber` arithmetic, and the integer series
 over Z_p, each written out below with its own copy of the term bound.  Each
-result is compared coordinate by coordinate on (v, m, digits).
+result is compared coordinate by coordinate on (v, m, digits).  The table of
+inverses that `log_series` keeps is checked against the series that takes a
+fresh inverse per term, `oracles.log_series`.
 
 Every case is drawn from a fixed seed up front and none is filtered out.
 """
 
 import random
+import subprocess
+import sys
 
 import pytest
 
 from iwasawalab.ntheory import crt, is_squarefree, isprime, power
-from iwasawalab.padic import (PAdicNumber, UnramifiedQuadElem, log_series,
-                              plog, vp)
+from iwasawalab.padic import (PAdicNumber, UnramifiedQuadElem,
+                              _log_inverses, log_series, plog, vp)
 from iwasawalab.quadfield import (IntegralIdeal, RealQuadraticField,
                                   factor_rational_prime, split_root)
+
+from oracles import log_series as fresh_inverse_log_series
 
 QUAD_PRIMES = (3, 5, 7, 11)
 QUAD_CASES = 150          # per prime and per function
@@ -217,6 +223,75 @@ def test_kernel_on_w_basis_matches_object_series():
         lg = _ref_log_one_unit(x)
         a, b = lg.a.residue(e), lg.b.residue(e)
         assert got == ((a - b * D) % mod, 2 * b % mod), (K, ell, e, u0, u1)
+
+
+# ------------------------------------------------- the table of inverses
+
+TABLE_PRIMES = (2, 3, 5, 7)
+TABLE_MAX_DIGITS = 30
+
+
+def _table_key(p, A, c):
+    """The (p, A + guard) under which log_series keeps its inverses."""
+    K = _ref_terms_needed(c, p, A)
+    guard = 1
+    while p**guard <= K:
+        guard += 1
+    return (p, A + guard), K
+
+
+def test_log_series_table_matches_references():
+    _log_inverses.cache_clear()
+    rng = random.Random(50)
+    needed = {}         # key -> the longest table asked of it so far
+    grown = 0
+    for p in TABLE_PRIMES:
+        for A in range(1, TABLE_MAX_DIGITS + 1):
+            # the largest c first: its table is the shortest, so a later c
+            # that meets the same key has to grow a cached table
+            for c in (3, 2, 1):
+                unit = rng.randrange(1, p**A)
+                while unit % p == 0:
+                    unit = rng.randrange(1, p**A)
+                z = p**c * unit
+                assert log_series(z, 0, 0, 0, p, A) == \
+                    (_ref_log_series_int(z, p, A), 0), (p, A, c)
+                assert log_series(z, 0, 0, 0, p, A) == \
+                    fresh_inverse_log_series(z, 0, 0, 0, p, A)
+                z1 = p**c * rng.randrange(p**A)
+                t, n = rng.randrange(-50, 50), rng.randrange(-50, 50)
+                for pair in ((z, z1), (z1, z)):
+                    assert log_series(*pair, t, n, p, A) == \
+                        fresh_inverse_log_series(*pair, t, n, p, A), \
+                        (p, A, c, pair, t, n)
+                if c >= A:
+                    continue            # z = 0 mod p^A: no table used
+                key, K = _table_key(p, A, c)
+                if key in needed and K - 1 > needed[key]:
+                    grown += 1
+                needed[key] = max(needed.get(key, 0), K - 1)
+                assert len(_log_inverses(*key)) == needed[key]
+    assert grown > 20
+
+
+def test_log_series_table_is_bounded():
+    _log_inverses.cache_clear()
+    bound = _log_inverses.cache_info().maxsize
+    for A in range(2, 2 * bound + 2):
+        # A + guard grows with A: a new key at each step (3 = 0 mod 3^1)
+        assert log_series(3, 0, 0, 0, 3, A) == \
+            fresh_inverse_log_series(3, 0, 0, 0, 3, A)
+    info = _log_inverses.cache_info()
+    assert info.misses == 2 * bound
+    assert info.currsize <= bound
+
+
+def test_log_series_table_is_empty_after_import():
+    out = subprocess.run(
+        [sys.executable, "-c", "import iwasawalab.padic as m; "
+         "print(m._log_inverses.cache_info().currsize)"],
+        capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"
 
 
 # ----------------------------------------- the kernels the series rests on

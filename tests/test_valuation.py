@@ -17,9 +17,9 @@ from math import gcd
 
 import pytest
 
-from iwasawalab import kummer
+from iwasawalab import kummer, localize
 from iwasawalab.localize import _element_unit_log, completions_above_p, embed
-from iwasawalab.ntheory import isprime
+from iwasawalab.ntheory import InternalCheckError, isprime
 from iwasawalab.padic import PAdicNumber, UnramifiedQuadElem, angle_log, vp
 from iwasawalab.quadfield import (FieldElement, RealQuadraticField,
                                   class_group, factor_rational_prime,
@@ -232,6 +232,19 @@ def test_element_unit_log_equals_division_path(N):
             rv, rlg = _ref_unit_log(x, place, N)
             assert v == rv
             assert _coords(lg) == _coords(rlg), (K, p, place.key(), x)
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_element_unit_log_checks_the_unit(monkeypatch, shift):
+    # a valuation off by one leaves p^s not dividing the coordinates (+1)
+    # or a quotient divisible by p (-1): the integer path must raise
+    real = localize.parts_valuation
+    monkeypatch.setattr(localize, "parts_valuation",
+                        lambda *args: real(*args) + shift)
+    for K, p, place, xs in _unit_log_cases():
+        for x in xs:
+            with pytest.raises(InternalCheckError, match="not a unit"):
+                _element_unit_log(x, place, 4)
 
 
 def test_embed_equals_division_path():
