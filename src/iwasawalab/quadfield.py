@@ -887,35 +887,29 @@ class SUnitBasisData:
         return [e.element for e in self.entries]
 
     def decompose(self, x: FieldElement):
-        """Exact exponents of x over the basis entries, for x in E_Q."""
+        """Exact exponents of x over the basis entries, for x in E_Q; only
+        on the entries the constructor built (ValueError past them)."""
         K = self.field
+        built = 1 + (not K.is_rational) + len(self.lattice)
+        if len(self.entries) != built:
+            raise ValueError("decompose reads the %d entries SUnitBasisData "
+                             "built, not %d" % (built, len(self.entries)))
         vals = [ideal_valuation(x, q) for q in self.primes]
-        if K.is_rational:
-            coords = vals
-            rest = x
-            for e, c in zip(self.entries[1:], coords):
-                rest = rest / e.element**c
-            if rest.x == 1:
-                sgn = 0
-            elif rest.x == -1:
-                sgn = 1
-            else:
-                raise ValueError("element is not supported on Q")
-            return [sgn] + coords
+        coords = []
         if self.lattice:
             B = [[self.lattice[j][i] for j in range(len(self.lattice))]
                  for i in range(len(self.primes))]
             coords = solve_integral(B, vals)
-        else:
-            coords = []
-            if any(vals):
-                raise ValueError("element is not supported on Q")
+        elif any(vals):
+            raise ValueError("element is not supported on Q")
         rest = x
-        for c, entry in zip(coords, [e for e in self.entries
-                                     if e.kind == "lattice"]):
+        for c, entry in zip(coords, self.entries[built - len(coords):]):
             rest = rest / entry.element**c
-        sgn, k = unit_decompose(K, rest)
-        return [sgn, k] + list(coords)
+        if not K.is_rational:
+            return list(unit_decompose(K, rest)) + coords
+        if rest.x not in (1, -1):
+            raise ValueError("element is not supported on Q")
+        return [int(rest.x == -1)] + coords
 
 
 def s_unit_basis(K: RealQuadraticField, Q_ideals) -> list:

@@ -25,6 +25,7 @@ from iwasawalab.quadfield import (RealQuadraticField, FieldElement,
                                   unit_ideal, unit_decompose)
 
 from iwasawalab.iwasawa import leopoldt_defect
+from iwasawalab.kummer import construct_alpha
 
 from oracles import (wide_class_number_oracle, fundamental_unit_oracle,
                      pell_sign, squarefree)
@@ -655,6 +656,35 @@ def test_s_unit_decompose_roundtrip():
     for c, entry in zip(coords, data.entries):
         rebuilt = rebuilt * entry.element**c
     assert rebuilt == x
+
+
+def _q79_pair():
+    K = RealQuadraticField(79)
+    return K, (factor_rational_prime(K, 2).ideals[0],
+               factor_rational_prime(K, 5).ideals[0])
+
+
+def test_s_unit_decompose_reads_its_own_entries():
+    K79, pair = _q79_pair()
+    for K, primes in ((K79, pair), (Q2, [factor_rational_prime(Q2, ell)
+                                         .ideals[0] for ell in (7, 2)]),
+                      (QQ, [rational_ideal(QQ, 2), rational_ideal(QQ, 5)])):
+        data = SUnitBasisData(K, primes)
+        n = len(data.entries)
+        for i, entry in enumerate(data.entries):
+            assert data.decompose(entry.element) == \
+                [int(j == i) for j in range(n)], (K, entry.label)
+
+
+def test_s_unit_decompose_refuses_entries_it_did_not_build():
+    # construct_alpha appends beta, pi1 and pi2 to SUnitBasisData(K, [])
+    K, pair = _q79_pair()
+    basis = construct_alpha(K, 3, pair, 2).alpha.basis
+    assert [e.label for e in basis.entries][:2] == ["-1", "eps"]
+    assert len(basis.entries) == 5
+    for entry in basis.entries:
+        with pytest.raises(ValueError, match="entries SUnitBasisData built"):
+            basis.decompose(entry.element)
 
 
 def test_s_unit_valuation_matrix_full_rank():
