@@ -140,7 +140,8 @@ def loc(x, place: PlaceAbovePrime, p: int, N: int) -> LocalValue:
     if isinstance(x, FieldElement):
         if not with_log:
             return LocalValue(place, ideal_valuation(x, place.ideal), None)
-        return LocalValue(place, *_element_unit_log(x, place, N))
+        vv, lg = _element_unit_log(x, place, N)
+        return LocalValue(place, vv, lg)
     if not isinstance(x, SUnitProduct):
         raise TypeError("loc expects a FieldElement or SUnitProduct")
     val = x.valuation_at(place.ideal.key())

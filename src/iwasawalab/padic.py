@@ -266,7 +266,8 @@ class PAdicNumber:
         return "%d^%d * %d (mod %d^%d)" % (self.p, self.v, self.m,
                                            self.p, self.digits)
 
-    __str__ = __repr__
+    def __str__(self):
+        return self.__repr__()
 
 
 # ------------------------------------------------------------------ operations
@@ -313,10 +314,16 @@ def _log_terms_needed(c: int, p: int, A: int) -> int:
 
 
 @lru_cache(maxsize=128)
-def _log_inverses(p: int, e: int) -> list:
-    """Entry k - 1 is (p^(v_p k), (-1)^(k+1) / (k / p^(v_p k)) mod p^e);
-    log_series grows the list to the K it needs."""
-    return []
+def _log_inverses(p: int, e: int) -> tuple:
+    """(p^(v_p k), (-1)^(k+1) / (k / p^(v_p k)) mod p^e) at index k - 1, for
+    each k below K(1, p, e - 1): a series taken mod p^e = p^(A + guard) has
+    A <= e - 1 and c >= 1, and _log_terms_needed grows with A, falls with c."""
+    modg = p**e
+    out = []
+    for k in range(1, _log_terms_needed(1, p, e - 1)):
+        pj = p**vp(k, p) if k % p == 0 else 1
+        out.append((pj, pow(k // pj if k % 2 else -(k // pj), -1, modg)))
+    return tuple(out)
 
 
 def log_series(z0: int, z1: int, t: int, n: int, p: int, A: int):
@@ -328,8 +335,8 @@ def log_series(z0: int, z1: int, t: int, n: int, p: int, A: int):
     sum (-1)^(k+1) z^k / k stops before the K of _log_terms_needed; its terms
     are computed mod p^(A + guard) with p^guard > K, so dividing z^k by the
     p-part of k < K leaves at least A digits.  The signed inverses of the
-    prime-to-p parts of k come from a table per (p, A + guard), grown to
-    the longest K asked of it; the 128 pairs last used keep theirs.
+    prime-to-p parts of k come from one table per (p, A + guard), built on
+    first use and kept for the 128 pairs last used.
     """
     mod = p**A
     z0 %= mod
@@ -345,9 +352,6 @@ def log_series(z0: int, z1: int, t: int, n: int, p: int, A: int):
         guard += 1
     modg = p**(A + guard)
     table = _log_inverses(p, A + guard)
-    for k in range(len(table) + 1, K):
-        pj = p**vp(k, p) if k % p == 0 else 1
-        table.append((pj, pow(k // pj if k % 2 else -(k // pj), -1, modg)))
     s0 = s1 = 0
     x0, x1 = 1, 0
     for k in range(1, K):
@@ -464,7 +468,9 @@ class UnramifiedQuadElem:
         return UnramifiedQuadElem(self.a, -self.b, self.r)
 
     def inv(self):
-        ni, c = self.norm().inv(), self.conj()
+        n = self.norm()
+        ni = n.inv()
+        c = self.conj()
         return UnramifiedQuadElem(c.a * ni, c.b * ni, self.r)
 
     def __pow__(self, k: int):
@@ -493,7 +499,8 @@ class UnramifiedQuadElem:
 
     def is_one_within_precision(self) -> bool:
         d = self - UnramifiedQuadElem.one(self.r, self.p, self.abs_prec)
-        return d.a.is_marker and d.b.is_marker
+        va, vb = d.a, d.b
+        return va.is_marker and vb.is_marker
 
     def shift(self, j: int):
         return UnramifiedQuadElem(self.a.shift(j), self.b.shift(j), self.r)

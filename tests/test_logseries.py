@@ -18,7 +18,8 @@ import pytest
 
 from iwasawalab.ntheory import crt, is_squarefree, isprime, power
 from iwasawalab.padic import (PAdicNumber, UnramifiedQuadElem,
-                              _log_inverses, log_series, plog, vp)
+                              _log_inverses, log_series, plog,
+                              unit_log_residues, vp)
 from iwasawalab.quadfield import (IntegralIdeal, RealQuadraticField,
                                   factor_rational_prime, split_root)
 
@@ -232,7 +233,8 @@ TABLE_MAX_DIGITS = 30
 
 
 def _table_key(p, A, c):
-    """The (p, A + guard) under which log_series keeps its inverses."""
+    """The (p, A + guard) under which log_series keeps its inverses, and
+    the K of its series."""
     K = _ref_terms_needed(c, p, A)
     guard = 1
     while p**guard <= K:
@@ -243,12 +245,12 @@ def _table_key(p, A, c):
 def test_log_series_table_matches_references():
     _log_inverses.cache_clear()
     rng = random.Random(50)
-    needed = {}         # key -> the longest table asked of it so far
-    grown = 0
+    cached = {}         # key -> the K of the first call that met it
+    longer = 0
     for p in TABLE_PRIMES:
         for A in range(1, TABLE_MAX_DIGITS + 1):
-            # the largest c first: its table is the shortest, so a later c
-            # that meets the same key has to grow a cached table
+            # the largest c first: its series is the shortest, so a later c
+            # that meets the same key needs more of the cached table
             for c in (3, 2, 1):
                 unit = rng.randrange(1, p**A)
                 while unit % p == 0:
@@ -267,11 +269,10 @@ def test_log_series_table_matches_references():
                 if c >= A:
                     continue            # z = 0 mod p^A: no table used
                 key, K = _table_key(p, A, c)
-                if key in needed and K - 1 > needed[key]:
-                    grown += 1
-                needed[key] = max(needed.get(key, 0), K - 1)
-                assert len(_log_inverses(*key)) == needed[key]
-    assert grown > 20
+                longer += key in cached and K > cached[key]
+                cached.setdefault(key, K)
+                assert len(_log_inverses(*key)) >= K - 1
+    assert longer > 20
 
 
 def test_log_series_table_is_bounded():
@@ -292,6 +293,13 @@ def test_log_series_table_is_empty_after_import():
          "print(m._log_inverses.cache_info().currsize)"],
         capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "0"
+
+
+def test_unit_log_of_a_non_unit_is_refused():
+    # u^k of a non-unit is 0 mod p, so u^k - 1 is no 1-unit
+    for u0, u1, r in ((3, 0, 0), (9, 0, 0), (3, 6, 2), (0, 3, 5)):
+        with pytest.raises(ValueError, match="1-unit"):
+            unit_log_residues(u0, u1, r, 3, 5)
 
 
 # ----------------------------------------- the kernels the series rests on
