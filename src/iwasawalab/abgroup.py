@@ -7,7 +7,6 @@ All matrices are lists of rows of Python ints; everything is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 
 from .ntheory import InternalCheckError, crt, power
@@ -205,27 +204,35 @@ def lattice_index(B, *, modulus=0):
 
 
 def solve_integral(A, b):
-    """The integer vector x with A x = b, for a square integer matrix A, by
-    Gauss-Jordan elimination over Q.  Raises ValueError when A is singular
-    (so also when the system is inconsistent) or x is not integral."""
+    """The integer vector x with A x = b, for a square integer matrix A;
+    ValueError when A is singular (so also when the system is inconsistent)
+    or x is not integral.  Bareiss's elimination (Math. Comp. 1968) makes
+    [A | b] upper triangular with no fractions, each step dividing exactly
+    by the previous pivot (every entry is a minor of [A | b]); back
+    substitution then finds x_n, ..., x_1 exactly and stops at the first
+    that is not an integer."""
     n = len(A)
-    M = [[Fraction(v) for v in row] + [Fraction(b[i])]
-         for i, row in enumerate(A)]
+    M = [list(row) + [b[i]] for i, row in enumerate(A)]
     if any(len(row) != n + 1 for row in M):
         raise ValueError("solve_integral needs a square matrix")
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if M[r][k]), None)
         if piv is None:
             raise ValueError("singular system")
-        M[col], M[piv] = M[piv], M[col]
-        M[col] = [v / M[col][col] for v in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                M[r] = [a - M[r][col] * c for a, c in zip(M[r], M[col])]
-    x = [M[i][n] for i in range(n)]
-    if any(v.denominator != 1 for v in x):
-        raise ValueError("the system has no integral solution")
-    return [int(v) for v in x]
+        M[k], M[piv] = M[piv], M[k]
+        pk = M[k][k]
+        for i in range(k + 1, n):
+            c = M[i][k]
+            M[i] = [(pk * a - c * t) // prev for a, t in zip(M[i], M[k])]
+        prev = pk
+    x = [0] * n
+    for i in reversed(range(n)):
+        r = M[i][n] - sum(M[i][j] * x[j] for j in range(i + 1, n))
+        if r % M[i][i]:
+            raise ValueError("the system has no integral solution")
+        x[i] = r // M[i][i]
+    return x
 
 
 def solve_congruence_lattice(C, moduli):

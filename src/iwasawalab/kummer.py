@@ -240,12 +240,12 @@ def _check_certificate(alpha: SUnitProduct, K: RealQuadraticField, p: int,
 # ------------------------------------------------------------- Kummer ranks
 
 def _support_primes(K, elements):
+    """The primes q with v_q(t) != 0 for some t = (a + b*w)/den: each lies
+    over a prime factor of N(a + b*w) or of den."""
     ells = set()
     for t in elements:
-        nn = t.norm()
-        for n in (nn.numerator, nn.denominator):
-            for ell in factorint(abs(n)):
-                ells.add(ell)
+        for n in (t.numerator_norm(), t.den):
+            ells.update(factorint(abs(n)))
     primes = []
     for ell in sorted(ells):
         for q in prime_ideals_above(K, ell):

@@ -239,12 +239,13 @@ class PAdicNumber:
         """self^a for a in Z_p; requires self ≡ 1 mod p.
 
         The result is certified mod p^min(abs(self), c + abs(a)) where
-        c = v(self - 1).
+        c = v(self - 1).  A zero marker a below valuation 0 is refused like
+        a value off Z_p: it is not known to lie in Z_p.
         """
         p = self.p
         if not self.is_one_unit():
             raise ValueError("base of a Z_p power must be a 1-unit")
-        if a.m is not None and a.v < 0:
+        if a.v < 0:
             raise ValueError("exponent must lie in Z_p")
         diff = self - PAdicNumber.one(p, self.digits)
         if diff.is_marker:

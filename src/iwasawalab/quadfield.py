@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, log, prod, sqrt
+from functools import lru_cache
+from math import gcd, isqrt, lcm, log, prod, sqrt
 
 from .abgroup import (GroupElement, decompose_abelian, smith_presentation,
                       solve_congruence_lattice, solve_integral)
@@ -26,7 +27,8 @@ from .padic import PAdicNumber, vp
 class RealQuadraticField:
     """F = Q(sqrt d) for squarefree d > 1, or F = Q (d is None).
 
-    Integral basis {1, w} with w = (D + sqrt D)/2, D the discriminant.
+    Integral basis {1, w} with w = (D + sqrt D)/2, D the discriminant;
+    w_trace = D and w_norm = (D^2 - D)/4 are the trace and norm of w.
     """
 
     _cache = {}
@@ -44,6 +46,7 @@ class RealQuadraticField:
             self.d = d
             self.D = d if d % 4 == 1 else 4 * d
         self.sqrtD_floor = isqrt(self.D)
+        self.w_trace, self.w_norm = self.D, (self.D * self.D - self.D) // 4
         self._class_group = None
         self._fundamental_unit = None
         self._o_walk = None
@@ -71,15 +74,6 @@ class RealQuadraticField:
     def spec_string(self) -> str:
         return "Q" if self.is_rational else "Q(sqrt{%d})" % self.d
 
-    # trace/norm data for w
-    @property
-    def w_trace(self) -> int:
-        return self.D
-
-    @property
-    def w_norm(self) -> int:
-        return (self.D * self.D - self.D) // 4
-
     def element(self, x, y=0) -> "FieldElement":
         return FieldElement(self, Fraction(x), Fraction(y))
 
@@ -89,7 +83,7 @@ class RealQuadraticField:
         if self.is_rational:
             if v != 0:
                 raise ValueError("no sqrt part over Q")
-            return FieldElement(self, u, Fraction(0))
+            return FieldElement(self, u)
         return FieldElement(self, u - v * self.D, 2 * v)
 
     def one(self):
@@ -102,12 +96,44 @@ class RealQuadraticField:
         return self.spec_string()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FieldElement:
-    """x + y*w in coordinates over the integral basis {1, w}."""
+    """(a + b*w)/den over the integral basis {1, w}, held as integers with
+    den > 0 and gcd(a, b, den) = 1: one common denominator (Cohen, GTM 138,
+    4.2), so the triple is fixed by the value, and equality and the hash
+    read it.  FieldElement(F, x, y) is x + y*w for rationals x, y (int or
+    Fraction), FieldElement(F, a, b, den) the quotient for integers; either
+    is normalised.  The properties x and y give the coordinates back as
+    Fractions."""
     field: RealQuadraticField
-    x: Fraction
-    y: Fraction
+    a: int
+    b: int
+    den: int
+
+    def __init__(self, field, a, b=0, den=1):
+        if type(a) is not int or type(b) is not int:     # rationals
+            m = lcm(a.denominator, b.denominator)
+            a, b, den = int(a * m), int(b * m), den * m
+        if den != 1:
+            if not den:
+                raise ZeroDivisionError("field element with denominator 0")
+            g = gcd(a, b, den)
+            if den < 0:
+                g = -g
+            a, b, den = a // g, b // g, den // g
+        _set = object.__setattr__
+        _set(self, "field", field)
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "den", den)
+
+    @property
+    def x(self) -> Fraction:
+        return Fraction(self.a, self.den)
+
+    @property
+    def y(self) -> Fraction:
+        return Fraction(self.b, self.den)
 
     def _check(self, other):
         if self.field is not other.field:
@@ -115,71 +141,85 @@ class FieldElement:
 
     def __add__(self, other):
         self._check(other)
-        return FieldElement(self.field, self.x + other.x, self.y + other.y)
+        d, e = self.den, other.den
+        return FieldElement(self.field, self.a * e + other.a * d,
+                            self.b * e + other.b * d, d * e)
 
     def __neg__(self):
-        return FieldElement(self.field, -self.x, -self.y)
+        return FieldElement(self.field, -self.a, -self.b, self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.element(other)
+        if not isinstance(other, FieldElement):
+            other = FieldElement(self.field, other)
         self._check(other)
         K = self.field
-        a, b, c, d = self.x, self.y, other.x, other.y
-        return FieldElement(K, a * c - b * d * K.w_norm,
-                            a * d + b * c + b * d * K.w_trace)
+        a, b, c, d = self.a, self.b, other.a, other.b
+        bd = b * d
+        return FieldElement(K, a * c - bd * K.w_norm,
+                            a * d + b * c + bd * K.w_trace,
+                            self.den * other.den)
 
     __rmul__ = __mul__
 
     def conj(self) -> "FieldElement":
-        return FieldElement(self.field, self.x + self.y * self.field.w_trace,
-                            -self.y)
+        return FieldElement(self.field, self.a + self.b * self.field.w_trace,
+                            -self.b, self.den)
+
+    def numerator_norm(self) -> int:
+        """N(a + b*w), an integer: the norm is numerator_norm() / den^2."""
+        K, a, b = self.field, self.a, self.b
+        return a * a + K.w_trace * a * b + K.w_norm * b * b
 
     def norm(self) -> Fraction:
-        K = self.field
-        return self.x * self.x + K.w_trace * self.x * self.y \
-            + K.w_norm * self.y * self.y
+        return Fraction(self.numerator_norm(), self.den * self.den)
 
     def trace(self) -> Fraction:
-        return 2 * self.x + self.field.w_trace * self.y
+        return Fraction(2 * self.a + self.field.w_trace * self.b, self.den)
 
     def inv(self) -> "FieldElement":
-        n = self.norm()
+        """den * conj(a + b*w) / N(a + b*w)."""
+        n = self.numerator_norm()
         if n == 0:
             raise ZeroDivisionError("inverting 0")
-        c = self.conj()
-        return FieldElement(self.field, c.x / n, c.y / n)
+        K, a, b, d = self.field, self.a, self.b, self.den
+        return FieldElement(K, d * (a + b * K.w_trace), -d * b, n)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return FieldElement(self.field, self.x / other, self.y / other)
-        self._check(other)
-        return self * other.inv()
+        if isinstance(other, FieldElement):
+            self._check(other)
+            return self * other.inv()
+        n, m = other.numerator, other.denominator   # an int or a Fraction
+        return FieldElement(self.field, self.a * m, self.b * m, self.den * n)
 
     def __pow__(self, k: int):
         if k < 0:
             return self.inv() ** (-k)
-        return power(FieldElement.__mul__, self.field.one(), self, k)
+        K = self.field
+        a, b = power(quad_mul(K.w_trace, K.w_norm), (1, 0), (self.a, self.b),
+                     k)
+        return FieldElement(K, a, b, self.den ** k)
 
     def is_integral(self) -> bool:
-        return self.x.denominator == 1 and self.y.denominator == 1
+        return self.den == 1
 
     def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
+        return not (self.a or self.b)
 
     def sqrt_coords(self):
         """(u, v) with self = u + v*sqrt(D)."""
         return (self.x + self.y * self.field.w_trace / 2, self.y / 2)
 
     def real_sign(self) -> int:
-        """Sign of the image under the embedding with sqrt(D) > 0."""
-        return _real_sign(*self.sqrt_coords(), self.field.D)
+        """Sign of the image under the embedding with sqrt(D) > 0: den > 0
+        and 2*(a + b*w) = (2a + bD) + b*sqrt(D)."""
+        D = self.field.D
+        return _real_sign(2 * self.a + self.b * D, self.b, D)
 
     def compare_real(self, other) -> int:
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, FieldElement):
             other = self.field.element(other)
         return (self - other).real_sign()
 
@@ -199,8 +239,8 @@ class FieldElement:
         return "%s %s %s*%s" % (u, "+" if vp > 0 else "-", abs(vp), s)
 
 
-def _real_sign(u, v, D: int) -> int:
-    """Sign of u + v*sqrt(D), for u, v int or Fraction."""
+def _real_sign(u: int, v: int, D: int) -> int:
+    """Sign of u + v*sqrt(D) for integers u, v."""
     if v == 0:
         return (u > 0) - (u < 0)
     if u == 0:
@@ -216,9 +256,7 @@ def _real_sign(u, v, D: int) -> int:
 
 def fraction_parts(x: FieldElement):
     """(num_x, num_y, den) with x = (num_x + num_y*w)/den, all integers."""
-    dx, dy = x.x.denominator, x.y.denominator
-    den = dx * (dy // gcd(dx, dy))
-    return x.x.numerator * (den // dx), x.y.numerator * (den // dy), den
+    return x.a, x.b, x.den
 
 
 @dataclass(frozen=True)
@@ -296,15 +334,14 @@ def unit_ideal(K: RealQuadraticField) -> IntegralIdeal:
 
 
 def ideal_from_element(e: FieldElement) -> IntegralIdeal:
-    K = e.field
+    """The ideal of a nonzero integral e = u + v*w: the span of e and of
+    e*w = -v*w_norm + (u + v*w_trace)*w."""
+    K, u, v = e.field, e.a, e.b
     if not e.is_integral() or e.is_zero():
         raise ValueError("need a nonzero integral element")
     if K.is_rational:
-        return IntegralIdeal(K, abs(int(e.x)), 0, 0)
-    u, v = int(e.x), int(e.y)
-    ew = e * K.element(0, 1)
-    pairs = [(u, v), (int(ew.x), int(ew.y))]
-    a, b, c = _hnf_pairs(pairs)
+        return IntegralIdeal(K, abs(u), 0, 0)
+    a, b, c = _hnf_pairs([(u, v), (-v * K.w_norm, u + v * K.w_trace)])
     return IntegralIdeal(K, a, b, c)
 
 
@@ -380,9 +417,12 @@ def _min_poly_roots_mod(K: RealQuadraticField, ell: int):
     return sorted({(D + r) * inv2 % ell, (D - r) * inv2 % ell})
 
 
+@lru_cache(maxsize=128)
 def split_root(q: IntegralIdeal, e: int) -> int:
     """Image of w in Z/ell^e under a split prime q = (ell; b; 1): the root
     -b mod ell of f(T) = T^2 - w_trace*T + w_norm, Hensel-lifted mod ell^e.
+    The roots of the 128 pairs (q, e) last asked for are kept: the unit
+    logs of one query read the same place at the same precision again.
 
     Newton's step doubles the digits of the root t and, with one inverse
     taken mod ell, of inv = 1/f'(t): inv*(2 - f'(t)*inv).  f'(t) = 2t -
@@ -436,7 +476,7 @@ def parts_valuation(a: int, b: int, den: int, q: IntegralIdeal) -> int:
 def ideal_valuation(x, q: IntegralIdeal) -> int:
     """Exact valuation v_q(x) for a field element or rational number x."""
     residue_char(q)  # validates primality
-    if isinstance(x, (int, Fraction)):
+    if not isinstance(x, FieldElement):
         x = q.field.element(x)
     return parts_valuation(*fraction_parts(x), q)
 
@@ -731,7 +771,7 @@ def principal_generator(I: IntegralIdeal):
     is not principal."""
     K = I.field
     if K.is_rational:
-        return K.element(I.a)
+        return FieldElement(K, I.a)
     content, prim = I.content_and_primitive()
     o_acc = _o_walk(K)
     P, Q = 2 * prim.b + K.D, 2 * prim.a
@@ -748,9 +788,9 @@ def principal_generator(I: IntegralIdeal):
         c0, e0, c1, e1 = c1, e1, c0 - a * c1, e0 - a * e1
         steps += 1
     # (c*tau_0 + e) * a = (c*b + e*a) + c*w
-    g = K.element(*_exact_quotient(K, (c1 * prim.b + e1 * prim.a, c1),
-                                   o_acc[(P, Q)], "generator"))
-    if abs(g.norm()) != prim.norm:
+    g = FieldElement(K, *_exact_quotient(K, (c1 * prim.b + e1 * prim.a, c1),
+                                         o_acc[(P, Q)], "generator"))
+    if abs(g.numerator_norm()) != prim.norm:
         raise InternalCheckError("generator norm is not %d" % prim.norm)
     if ideal_from_element(g) != prim:
         raise InternalCheckError("generator does not generate the ideal")
@@ -776,20 +816,19 @@ def unit_decompose(K: RealQuadraticField, u: FieldElement):
     ValueError) from a failed check."""
     if not u.is_integral():
         raise ValueError("not a unit")
-    x, y, D = int(u.x), int(u.y), K.D
+    x, y, D = u.a, u.b, K.D
     eps = fundamental_unit(K)
     sign = 0
     if _real_sign(2 * x + y * D, y, D) < 0:  # 2u = (2x + yD) + y*sqrt D
         x, y, sign = -x, -y, 1
     k = 0
     if y:
-        k = round(_log_abs_max(x, y, D)
-                  / _log_abs_max(int(eps.x), int(eps.y), D))
+        k = round(_log_abs_max(x, y, D) / _log_abs_max(eps.a, eps.b, D))
         if (2 * x + y * D) * y < 0:
             k = -k
     if k < 0:
         x, y = x + y * D, -y
-    e = power(quad_mul(D, K.w_norm), (1, 0), (int(eps.x), int(eps.y)), abs(k))
+    e = power(quad_mul(D, K.w_norm), (1, 0), (eps.a, eps.b), abs(k))
     if (x, y) != e and (k >= 0 or (-x, -y) != e):
         if abs(x * x + D * x * y + K.w_norm * y * y) != 1:
             raise ValueError("not a unit")
@@ -826,9 +865,9 @@ def realize(K: RealQuadraticField, primes, w) -> FieldElement:
     if g is None:
         raise InternalCheckError("lattice vector is not principal")
     g = g / denom_rat
-    if g.norm() < 0 and not K.is_rational:
+    if g.numerator_norm() < 0 and not K.is_rational:
         eps = fundamental_unit(K)
-        if eps.norm() == -1:
+        if eps.numerator_norm() == -1:
             g = g * eps
     return g
 
@@ -907,9 +946,9 @@ class SUnitBasisData:
             rest = rest / entry.element**c
         if not K.is_rational:
             return list(unit_decompose(K, rest)) + coords
-        if rest.x not in (1, -1):
+        if rest.den != 1 or rest.a not in (1, -1):
             raise ValueError("element is not supported on Q")
-        return [int(rest.x == -1)] + coords
+        return [int(rest.a == -1)] + coords
 
 
 def s_unit_basis(K: RealQuadraticField, Q_ideals) -> list:

@@ -6,10 +6,16 @@ minimal solution of the +-4 Pell equation (found by brute force on U).
 The exceptions are earlier forms of library computations kept as their
 references: `unit_image_order_two_snf`, the exact lattice route of the
 subgroup cross-check in `iwasawa.mq_order` (`lattice_intersection`,
-`subgroup_order_from_lattice`), and `log_series` with a fresh inverse per
-term, before `padic.log_series` kept its inverses in a table.
+`subgroup_order_from_lattice`), `log_series` with a fresh inverse per
+term, before `padic.log_series` kept its inverses in a table, the
+Gauss-Jordan `solve_integral_fractions` over Fraction, before
+`abgroup.solve_integral` eliminated on integers, and `FractionElement`, the
+field element on two Fraction coordinates, before `quadfield.FieldElement`
+kept integers over one denominator.
 """
 
+from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd, isqrt, prod
 
 from iwasawalab.abgroup import (FiniteAbelianGroup, _column_lattice_basis,
@@ -282,3 +288,141 @@ def log_series(z0: int, z1: int, t: int, n: int, p: int, A: int):
         s0 = (s0 + x0 // pj * inv) % modg
         s1 = (s1 + x1 // pj * inv) % modg
     return s0 % mod, s1 % mod
+
+
+def solve_integral_fractions(A, b):
+    """The integer vector x with A x = b, for a square integer matrix A, by
+    Gauss-Jordan elimination over Q.  Raises ValueError when A is singular
+    (so also when the system is inconsistent) or x is not integral."""
+    n = len(A)
+    M = [[Fraction(v) for v in row] + [Fraction(b[i])]
+         for i, row in enumerate(A)]
+    if any(len(row) != n + 1 for row in M):
+        raise ValueError("solve_integral needs a square matrix")
+    for col in range(n):
+        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular system")
+        M[col], M[piv] = M[piv], M[col]
+        M[col] = [v / M[col][col] for v in M[col]]
+        for r in range(n):
+            if r != col and M[r][col] != 0:
+                M[r] = [a - M[r][col] * c for a, c in zip(M[r], M[col])]
+    x = [M[i][n] for i in range(n)]
+    if any(v.denominator != 1 for v in x):
+        raise ValueError("the system has no integral solution")
+    return [int(v) for v in x]
+
+
+def _real_sign_fractions(u, v, D: int) -> int:
+    """Sign of u + v*sqrt(D), for u, v int or Fraction."""
+    if v == 0:
+        return (u > 0) - (u < 0)
+    if u == 0:
+        return (v > 0) - (v < 0)
+    if u > 0 and v > 0:
+        return 1
+    if u < 0 and v < 0:
+        return -1
+    # mixed signs: compare u^2 with v^2 D
+    big = u * u > v * v * D
+    return (1 if u > 0 else -1) if big else (1 if v > 0 else -1)
+
+
+@dataclass(frozen=True)
+class FractionElement:
+    """x + y*w in coordinates over the integral basis {1, w}, x and y
+    Fractions; the arithmetic of quadfield.FieldElement on Fractions."""
+    field: object
+    x: Fraction
+    y: Fraction
+
+    def _check(self, other):
+        if self.field is not other.field:
+            raise ValueError("elements of different fields")
+
+    def __add__(self, other):
+        self._check(other)
+        return FractionElement(self.field, self.x + other.x,
+                               self.y + other.y)
+
+    def __neg__(self):
+        return FractionElement(self.field, -self.x, -self.y)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = FractionElement(self.field, Fraction(other), Fraction(0))
+        self._check(other)
+        K = self.field
+        a, b, c, d = self.x, self.y, other.x, other.y
+        return FractionElement(K, a * c - b * d * K.w_norm,
+                               a * d + b * c + b * d * K.w_trace)
+
+    __rmul__ = __mul__
+
+    def conj(self):
+        return FractionElement(self.field,
+                               self.x + self.y * self.field.w_trace, -self.y)
+
+    def norm(self) -> Fraction:
+        K = self.field
+        return self.x * self.x + K.w_trace * self.x * self.y \
+            + K.w_norm * self.y * self.y
+
+    def trace(self) -> Fraction:
+        return 2 * self.x + self.field.w_trace * self.y
+
+    def inv(self):
+        n = self.norm()
+        if n == 0:
+            raise ZeroDivisionError("inverting 0")
+        c = self.conj()
+        return FractionElement(self.field, c.x / n, c.y / n)
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return FractionElement(self.field, self.x / other, self.y / other)
+        self._check(other)
+        return self * other.inv()
+
+    def __pow__(self, k: int):
+        if k < 0:
+            return self.inv() ** (-k)
+        one = FractionElement(self.field, Fraction(1), Fraction(0))
+        return _power(FractionElement.__mul__, one, self, k)
+
+    def is_integral(self) -> bool:
+        return self.x.denominator == 1 and self.y.denominator == 1
+
+    def is_zero(self) -> bool:
+        return self.x == 0 and self.y == 0
+
+    def sqrt_coords(self):
+        """(u, v) with self = u + v*sqrt(D)."""
+        return (self.x + self.y * self.field.w_trace / 2, self.y / 2)
+
+    def real_sign(self) -> int:
+        return _real_sign_fractions(*self.sqrt_coords(), self.field.D)
+
+    def compare_real(self, other) -> int:
+        if isinstance(other, (int, Fraction)):
+            other = FractionElement(self.field, Fraction(other), Fraction(0))
+        return (self - other).real_sign()
+
+    def __str__(self):
+        K = self.field
+        if K.is_rational:
+            return str(self.x)
+        u, v = self.sqrt_coords()
+        if v == 0:
+            return str(u)
+        d = K.d
+        # render over sqrt(d): u + v*sqrt(D) = u + v'*sqrt(d)
+        vp = v * 2 if K.D == 4 * d else v
+        s = "sqrt(%d)" % d
+        if u == 0:
+            return "%s*%s" % (vp, s) if vp != 1 else s
+        return "%s %s %s*%s" % (u, "+" if vp > 0 else "-", abs(vp), s)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -11,7 +12,8 @@ from iwasawalab.abgroup import (smith_normal_form, smith_presentation,
                                 subgroup_image_order, solve_dlog,
                                 decompose_abelian, GroupElement,
                                 solve_integral)
-from oracles import lattice_intersection, subgroup_order_from_lattice
+from oracles import (lattice_intersection, solve_integral_fractions,
+                     subgroup_order_from_lattice)
 
 
 def mat_mul(A, B):
@@ -497,6 +499,44 @@ def test_solve_integral_invertible_against_references():
             x = [rng.randint(-50, 50) for _ in range(n)]
             b = [sum(a * t for a, t in zip(row, x)) for row in A]
             assert _check_against_references(A, b) == x
+
+
+def _solve_outcome(solve, A, b):
+    try:
+        return ("x", tuple(solve(A, b)))
+    except ValueError as e:
+        return ("refused", str(e))
+
+
+def test_solve_integral_against_fraction_oracle():
+    """Bareiss on integers against Gauss-Jordan over Fraction, on seeded
+    square systems up to 6x6: integral solutions, rational ones (the right
+    side moved off the lattice A*Z^n) and singular matrices (one row a
+    multiple of another, possibly 0); both must answer alike, or refuse
+    with the same ValueError."""
+    rng = random.Random(20261018)
+    seen = Counter()
+    for n in range(1, 7):
+        for case in ("integral", "rational", "singular") * 15:
+            A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            if case == "singular":
+                i, j, c = rng.randrange(n), rng.randrange(n), \
+                    rng.randint(-3, 3)
+                A[i] = [c * t for t in A[j]] if i != j else [0] * n
+            x = [rng.randint(-50, 50) for _ in range(n)]
+            b = [sum(a * t for a, t in zip(row, x)) for row in A]
+            if case == "rational":
+                b[rng.randrange(n)] += rng.randint(1, 5)
+            got = _solve_outcome(solve_integral, A, b)
+            assert got == _solve_outcome(solve_integral_fractions, A, b), \
+                (A, b)
+            seen[got[1] if got[0] == "refused" else "solved"] += 1
+    assert seen["singular system"] >= 80
+    assert seen["the system has no integral solution"] >= 30
+    assert seen["solved"] >= 90
+    assert _solve_outcome(solve_integral, [[1, 2]], [3]) == \
+        _solve_outcome(solve_integral_fractions, [[1, 2]], [3]) == \
+        ("refused", "solve_integral needs a square matrix")
 
 
 def test_solve_integral_rejects_singular_and_non_integral():

@@ -7,7 +7,8 @@ from iwasawalab.localize import TRUE, FALSE, INDET
 from iwasawalab.padic import PAdicNumber, vp
 from iwasawalab.quadfield import (RealQuadraticField, SUnitBasisData,
                                   SUnitProduct, factor_rational_prime,
-                                  fundamental_unit, rational_ideal)
+                                  fundamental_unit, principal_generator,
+                                  rational_ideal)
 
 QQ = RealQuadraticField.rationals()
 Q2 = RealQuadraticField(2)
@@ -160,6 +161,18 @@ def test_kummer_rank_mixed_unit_and_prime():
     # 3 + sqrt2, norm 7
     r = kummer_rank([g, fundamental_unit(K)], K, 5, 6)
     assert r.rank == 2
+
+
+def test_kummer_rank_of_a_norm_one_s_unit():
+    """pi/pibar over the split 7 of Q(sqrt 2) has norm -1 and valuations
+    +1 and -1 at the primes above 7; its support is read from its
+    numerator norm and denominator, not from the norm, where 7 cancels."""
+    q, qbar = factor_rational_prime(Q2, 7).ideals
+    t = principal_generator(q) / principal_generator(qbar)
+    assert abs(t.norm()) == 1 and t.den == 7
+    r = kummer_rank([t], Q2, 3, 6)
+    assert r.rank == 1 and r.certified
+    assert kummer_rank([t, t * t, fundamental_unit(Q2)], Q2, 3, 6).rank == 2
 
 
 def test_same_kummer_extension():

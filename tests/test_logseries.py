@@ -369,3 +369,22 @@ def test_split_root_raises_off_a_root():
     K = RealQuadraticField(2)   # w = 4 + sqrt 2 is 0 or 1 mod 7, not 6
     with pytest.raises(AssertionError, match="Hensel lift"):
         split_root(IntegralIdeal(K, 7, 1, 1), 3)
+
+
+def test_split_root_lifts_once_per_pair():
+    """A second call at the same (q, e) is a cache hit, not a new lift, and
+    a sweep of 256 pairs keeps no more than the 128 of the bound."""
+    K = RealQuadraticField(2)
+    q = factor_rational_prime(K, 7).ideals[0]
+    split_root.cache_clear()
+    t = split_root(q, 20)
+    assert split_root(q, 20) == t == _ref_split_root(q, 20)
+    info = split_root.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    bound = info.maxsize
+    assert bound == 128
+    for e in range(1, 2 * bound + 1):
+        assert split_root(q, e) == _ref_split_root(q, e)
+    info = split_root.cache_info()
+    assert info.misses == 2 * bound       # e = 20 was still cached
+    assert info.currsize <= bound

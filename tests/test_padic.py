@@ -181,6 +181,45 @@ def test_pow_zp_against_fractions(p, c, t, den, digits, e, u, a_digits):
     assert z.residue(A) == pow(ref, n, p**A)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data(), st.sampled_from([3, 5, 7]), st.sampled_from(["*", "/"]),
+       st.integers(0, 6), st.integers(1, 10**4), st.sampled_from([1, -1]))
+def test_mul_div_by_int_against_fractions(data, p, op, k, u, sign):
+    """The int branches of * and /: x * n and x / n for n = +-p^k * u."""
+    x, a = data.draw(_padic_and_value(p))
+    n = sign * p**k * u
+    z, c = (x * n, a * n) if op == "*" else (x / n, a / n)
+    assert _certified(z, c)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data(), st.sampled_from([3, 5, 7]), st.integers(1, 6),
+       st.integers(-10**4, 10**4), st.integers(1, 10**3), st.integers(1, 8))
+def test_pow_zp_exponent_valuations(data, p, c, t, den, digits):
+    """x^a for x = 1 + p^c * t/den and an exponent a whose valuation (or
+    marker bound) lies in [-6, 6]: refused when a is not known to lie in
+    Z_p, a marker below 0 included; otherwise certified against x^a mod
+    p^A, which reads a mod p^(A-1), the exponent of the group
+    (1 + pZ_p)/(1 + p^A Z_p)."""
+    if den % p == 0:
+        den += 1
+    x_true = 1 + Fraction(p) ** c * Fraction(t, den)
+    x = PAdicNumber.exact(x_true, p, digits)
+    a, a_true = data.draw(_padic_and_value(p))
+    if a.v < 0:
+        with pytest.raises(ValueError, match="exponent must lie in Z_p"):
+            x.pow_zp(a)
+        return
+    z = x.pow_zp(a)
+    A = z.abs_prec
+    assert A >= 1
+    mod, order = p**A, p**(A - 1)
+    xr = x_true.numerator * pow(x_true.denominator, -1, mod) % mod
+    e = a_true.numerator * pow(a_true.denominator, -1, order) % order \
+        if order > 1 else 0
+    assert z.residue(A) == pow(xr, e, mod)
+
+
 _NONRESIDUE = {3: 2, 5: 2, 7: 3}
 
 

@@ -10,7 +10,10 @@
   `tests/` or `bench/` names outside its own definition (a dead path);
 - no name bound by a module-level import that its module never uses;
 - no `X.__new__(...)` call outside a `__new__` method, which would build
-  an object round its constructor.
+  an object round its constructor;
+- no `Fraction(...)` call outside the input points of FRACTION_INPUTS: the
+  engine computes on integers, and a Fraction is built only where a value
+  comes in or where a field element is read back as rational coordinates.
 """
 
 import ast
@@ -27,6 +30,14 @@ MODULES = sorted(SRC.glob("*.py"))
 # the files whose words may name a definition of MODULES
 CORPUS = sorted(path for top in ("src", "tests", "bench")
                 for path in (ROOT / top).rglob("*.py"))
+
+
+# Class.method names, where a Fraction may be built
+FRACTION_INPUTS = {
+    "RealQuadraticField.element", "RealQuadraticField.from_sqrt_pair",
+    "FieldElement.x", "FieldElement.y", "FieldElement.norm",
+    "FieldElement.trace", "PAdicNumber.exact", "PAdicNumber.of",
+}
 
 
 def _trees():
@@ -180,6 +191,22 @@ def test_no_constructor_bypass():
     assert found == []
 
 
+def test_fraction_built_only_at_input_points():
+    found = []
+    for name, tree in _trees():
+        allowed = {id(node) for cls in tree.body
+                   if isinstance(cls, ast.ClassDef) for fn in cls.body
+                   if isinstance(fn, ast.FunctionDef)
+                   and "%s.%s" % (cls.name, fn.name) in FRACTION_INPUTS
+                   for node in ast.walk(fn)}
+        found.extend(_where(name, node) for node in ast.walk(tree)
+                     if isinstance(node, ast.Call)
+                     and "Fraction" in (getattr(node.func, "id", None),
+                                        getattr(node.func, "attr", None))
+                     and id(node) not in allowed)
+    assert found == []
+
+
 @pytest.mark.parametrize("source,check", [
     ("def f(x):\n    assert x\n", test_no_assert_statement),
     ("def f(x):\n    if x:\n        raise AssertionError('bad')\n",
@@ -199,6 +226,10 @@ def test_no_constructor_bypass():
      "def f():\n    basis = Basis.__new__(Basis)\n"
      "    basis.entries = [1]\n    return basis\n",
      test_no_constructor_bypass),
+    ("from fractions import Fraction\n\n\nclass PAdicNumber:\n"
+     "    def exact(self, n):\n        return Fraction(n)\n\n"
+     "    def inv(self, n):\n        return Fraction(1, n)\n",
+     test_fraction_built_only_at_input_points),
 ])
 def test_each_check_catches_its_rule(source, check, tmp_path, monkeypatch):
     module = tmp_path / "bad.py"
