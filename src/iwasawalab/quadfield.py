@@ -75,7 +75,9 @@ class RealQuadraticField:
         return "Q" if self.is_rational else "Q(sqrt{%d})" % self.d
 
     def element(self, x, y=0) -> "FieldElement":
-        return FieldElement(self, Fraction(x), Fraction(y))
+        if type(x) is not int or type(y) is not int:
+            x, y = Fraction(x), Fraction(y)
+        return FieldElement(self, x, y)
 
     def from_sqrt_pair(self, u, v) -> "FieldElement":
         """The element u + v*sqrt(D)."""
@@ -113,7 +115,9 @@ class FieldElement:
     def __init__(self, field, a, b=0, den=1):
         if type(a) is not int or type(b) is not int:     # rationals
             m = lcm(a.denominator, b.denominator)
-            a, b, den = int(a * m), int(b * m), den * m
+            a, b = a.numerator * (m // a.denominator), \
+                b.numerator * (m // b.denominator)
+            den *= m
         if den != 1:
             if not den:
                 raise ZeroDivisionError("field element with denominator 0")
@@ -739,7 +743,7 @@ def fundamental_unit(K: RealQuadraticField) -> FieldElement:
         raise InternalCheckError("fundamental unit does not have norm +-1")
     if _real_sign(2 * ex + D * ey - 2, ey, D) <= 0:
         raise InternalCheckError("fundamental unit is not > 1")
-    K._fundamental_unit = K.element(ex, ey)
+    K._fundamental_unit = FieldElement(K, ex, ey)
     return K._fundamental_unit
 
 
