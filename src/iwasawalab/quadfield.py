@@ -195,7 +195,7 @@ class FieldElement:
         if isinstance(other, FieldElement):
             self._check(other)
             return self * other.inv()
-        n, m = other.numerator, other.denominator   # an int or a Fraction
+        n, m = other.numerator, other.denominator   # other is rational
         return FieldElement(self.field, self.a * m, self.b * m, self.den * n)
 
     def __pow__(self, k: int):
