@@ -10,11 +10,11 @@ from math import gcd
 
 from .abgroup import element_order, subgroup_image_order
 from .classfield import GaloisGroupG, group_G
-from .localize import completions_above_p, loc, zp_matrix_rank
+from .localize import completions_above_p
 from .ntheory import InternalCheckError, is_squarefree, isprime
 from .padic import PAdicNumber, PrecisionError, angle_log, vp
 from .quadfield import (IntegralIdeal, RealQuadraticField,
-                        fundamental_unit, rational_ideal)
+                        fundamental_unit, ideal_valuation, rational_ideal)
 
 
 def is_inert_in_cyclotomic(q, K: RealQuadraticField, p: int) -> bool:
@@ -173,27 +173,31 @@ class LeopoldtReport:
 
 def leopoldt_defect(K: RealQuadraticField, p: int, N: int) -> LeopoldtReport:
     """delta = unit rank minus the Z_p-rank of the log image of the closure
-    of the global units in the principal local units at p."""
+    of the global units in the principal local units at p.
+
+    For F real quadratic the unit rank is 1, so delta = 0 iff log_q(eps) is
+    nonzero at some place q above p.  With f the residue degree and k =
+    p^f - 1, eps^k is a 1-unit at each q and log(eps) = log(eps^k)/k, k a
+    p-unit.  For p odd, log maps 1 + p^n O_q isometrically onto p^n O_q (n
+    >= 1; Koblitz, GTM 58, ch. IV), so v_q(log eps) = v_q(eps^k - 1) and
+    the regulator valuation is v = min_q v_q(eps^k - 1), read on integers.
+    As elsewhere in the engine, the unit is read to A = N + 2 digits:
+    replacing eps by eps mod p^A changes eps^k - 1 by a multiple of p^A,
+    so v is exact when it is below A, certifying delta = 0, and is only
+    known to be at least A otherwise (indeterminate)."""
     if p % 2 == 0 or not isprime(p):
         raise ValueError("p must be an odd prime")
     if K.is_rational:
         return LeopoldtReport(K, p, N, 0, None, "ok", p == 3)
-    if K.D % p == 0:
-        raise ValueError("p = %d ramifies in %s" % (p, K.spec_string()))
     places = completions_above_p(K, p)
-    eps = fundamental_unit(K)
-    row = []
-    for place in places:
-        lv = loc(eps, place, p, N)
-        row.extend(lv.log_coords())
-    rank = zp_matrix_rank([row])
-    defect = K.unit_rank() - rank.rank
-    reg_val = None
-    nonzero = [c.v for c in row if not c.is_marker]
-    if nonzero:
-        reg_val = min(nonzero)
-    status = "ok" if rank.certified else "indeterminate"
-    return LeopoldtReport(K, p, N, defect, reg_val, status, p == 3)
+    A, k = N + 2, p**places[0].residue_degree - 1
+    eps, m = fundamental_unit(K), p**A
+    z = K.element(eps.a % m, eps.b % m)**k - K.one()
+    v = A if z.is_zero() else \
+        min(A, *(ideal_valuation(z, q.ideal) for q in places))
+    if v < A:
+        return LeopoldtReport(K, p, N, 0, v, "ok", p == 3)
+    return LeopoldtReport(K, p, N, 1, None, "indeterminate", p == 3)
 
 
 def greenberg_wiles(h0_v: int, h0_vdual: int, local_terms) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .ntheory import InternalCheckError, isprime
 from .padic import PAdicNumber, UnramifiedQuadElem, unit_log_residues, vp
 from .quadfield import (FieldElement, IntegralIdeal, RealQuadraticField,
-                        SUnitProduct, factor_rational_prime, fraction_parts,
+                        SUnitProduct, factor_rational_prime,
                         ideal_valuation, parts_valuation, split_root)
 
 TRUE, FALSE, INDET = "true", "false", "indeterminate"
@@ -66,7 +66,7 @@ def embed(x: FieldElement, place: PlaceAbovePrime, abs_prec: int):
     """
     if place.kind == "ramified":
         raise ValueError("ramified completions are unsupported")
-    a, b, den = fraction_parts(x)
+    a, b, den = x.a, x.b, x.den
     p = place.ell
     vden = vp(den, p)
     work = abs_prec + vden + 1
@@ -112,7 +112,7 @@ def _element_unit_log(x: FieldElement, place: PlaceAbovePrime, N: int):
     (a + b*w)/den and s = v + v_p(den) = v_q(a + b*w), the unit x/p^v is
     read to A = N + max(v, 0) + 2 - v digits: the coordinates of
     (a + b*w)/den' mod p^(A + s), den = p^v_p(den)*den', divided by p^s."""
-    a, b, den = fraction_parts(x)
+    a, b, den = x.a, x.b, x.den
     v = parts_valuation(a, b, den, place.ideal)
     p = place.ell
     vden = vp(den, p)

@@ -356,8 +356,8 @@ def log_series(z0: int, z1: int, t: int, n: int, p: int, A: int):
     s0 = s1 = 0
     x0, x1 = 1, 0
     for k in range(1, K):
-        # the step of ntheory.quad_mul, inline: a call per term costs
-        # leopoldt-scan about 3 % of its queries per second
+        # the step of ntheory.quad_mul, inline: a call per term cost
+        # leopoldt-scan 3 % of its queries/s while it took unit logs
         x0, x1 = ((x0 * z0 - n * x1 * z1) % modg,
                   (x0 * z1 + x1 * z0 + t * x1 * z1) % modg)
         pj, inv = table[k - 1]      # pj divides z^k exactly

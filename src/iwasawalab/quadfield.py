@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm, log, prod, sqrt
+from numbers import Rational
 
 from .abgroup import (GroupElement, decompose_abelian, smith_presentation,
                       solve_congruence_lattice, solve_integral)
@@ -75,13 +76,10 @@ class RealQuadraticField:
         return "Q" if self.is_rational else "Q(sqrt{%d})" % self.d
 
     def element(self, x, y=0) -> "FieldElement":
-        if type(x) is not int or type(y) is not int:
-            x, y = Fraction(x), Fraction(y)
         return FieldElement(self, x, y)
 
     def from_sqrt_pair(self, u, v) -> "FieldElement":
         """The element u + v*sqrt(D)."""
-        u, v = Fraction(u), Fraction(v)
         if self.is_rational:
             if v != 0:
                 raise ValueError("no sqrt part over Q")
@@ -90,9 +88,6 @@ class RealQuadraticField:
 
     def one(self):
         return self.element(1)
-
-    def unit_rank(self) -> int:
-        return 0 if self.is_rational else 1
 
     def __repr__(self):
         return self.spec_string()
@@ -103,10 +98,10 @@ class FieldElement:
     """(a + b*w)/den over the integral basis {1, w}, held as integers with
     den > 0 and gcd(a, b, den) = 1: one common denominator (Cohen, GTM 138,
     4.2), so the triple is fixed by the value, and equality and the hash
-    read it.  FieldElement(F, x, y) is x + y*w for rationals x, y (int or
-    Fraction), FieldElement(F, a, b, den) the quotient for integers; either
-    is normalised.  The properties x and y give the coordinates back as
-    Fractions."""
+    read it.  FieldElement(F, x, y) is x + y*w for rationals x, y (any
+    numbers.Rational; a float raises TypeError), FieldElement(F, a, b, den)
+    the quotient for integers; either is normalised.  The properties x and
+    y give the coordinates back as Fractions."""
     field: RealQuadraticField
     a: int
     b: int
@@ -114,6 +109,9 @@ class FieldElement:
 
     def __init__(self, field, a, b=0, den=1):
         if type(a) is not int or type(b) is not int:     # rationals
+            if not (isinstance(a, Rational) and isinstance(b, Rational)):
+                raise TypeError("field coordinates must be rational, got "
+                                "%r and %r" % (a, b))
             m = lcm(a.denominator, b.denominator)
             a, b = a.numerator * (m // a.denominator), \
                 b.numerator * (m // b.denominator)
@@ -256,11 +254,6 @@ def _real_sign(u: int, v: int, D: int) -> int:
     # mixed signs: compare u^2 with v^2 D
     big = u * u > v * v * D
     return (1 if u > 0 else -1) if big else (1 if v > 0 else -1)
-
-
-def fraction_parts(x: FieldElement):
-    """(num_x, num_y, den) with x = (num_x + num_y*w)/den, all integers."""
-    return x.a, x.b, x.den
 
 
 @dataclass(frozen=True)
@@ -450,7 +443,7 @@ def prime_ideals_above(K: RealQuadraticField, ell: int):
 
 def parts_valuation(a: int, b: int, den: int, q: IntegralIdeal) -> int:
     """Exact v_q(x), x = (a + b*w)/den, at a prime q over ell, for integers
-    a, b and den > 0 as fraction_parts gives them.  Let y = a + b*w.
+    a, b and den > 0 as a FieldElement holds them.  Let y = a + b*w.
 
     Over Q, v_q(y) = v_ell(a); ell inert (q = (ell)): min(v_ell(a),
     v_ell(b)); ell ramified (f = 1, N(q) = ell): v_ell(N(y)).  ell split,
@@ -482,7 +475,7 @@ def ideal_valuation(x, q: IntegralIdeal) -> int:
     residue_char(q)  # validates primality
     if not isinstance(x, FieldElement):
         x = q.field.element(x)
-    return parts_valuation(*fraction_parts(x), q)
+    return parts_valuation(x.a, x.b, x.den, q)
 
 
 def prime_kind(q: IntegralIdeal):

@@ -36,7 +36,7 @@ from math import isqrt, prod
 from .ntheory import InternalCheckError, crt, factorint, power, quad_mul
 from .padic import log_series
 from .quadfield import (FieldElement, IntegralIdeal, RealQuadraticField,
-                        fraction_parts, prime_kind, split_root)
+                        prime_kind, split_root)
 
 
 def _merge(r1: int, m1: int, r2: int, m2: int, what: str):
@@ -231,7 +231,7 @@ class RationalComponent(_Component):
         return a * b % self.mod
 
     def reduce(self, x: FieldElement):
-        num_x, num_y, den = fraction_parts(x)
+        num_x, num_y, den = x.a, x.b, x.den
         if self.root is None:
             if num_y:
                 raise ValueError("nonrational element in rational component")
@@ -313,7 +313,7 @@ class InertComponent(_Component):
         return self.norm_int(u) % self.ell != 0
 
     def reduce(self, x: FieldElement):
-        num_x, num_y, den = fraction_parts(x)
+        num_x, num_y, den = x.a, x.b, x.den
         if den % self.ell == 0:
             raise ValueError("denominator not invertible")
         inv = pow(den, -1, self.mod)

@@ -9,9 +9,11 @@ subgroup cross-check in `iwasawa.mq_order` (`lattice_intersection`,
 `subgroup_order_from_lattice`), `log_series` with a fresh inverse per
 term, before `padic.log_series` kept its inverses in a table, the
 Gauss-Jordan `solve_integral_fractions` over Fraction, before
-`abgroup.solve_integral` eliminated on integers, and `FractionElement`, the
+`abgroup.solve_integral` eliminated on integers, `FractionElement`, the
 field element on two Fraction coordinates, before `quadfield.FieldElement`
-kept integers over one denominator.
+kept integers over one denominator, and `leopoldt_defect_log_route`, the
+Leopoldt defect from the Z_p-rank of the localized unit logs, before
+`iwasawa.leopoldt_defect` read one valuation of eps^k - 1.
 """
 
 from dataclasses import dataclass
@@ -21,7 +23,11 @@ from math import gcd, isqrt, prod
 from iwasawalab.abgroup import (FiniteAbelianGroup, _column_lattice_basis,
                                 kernel_basis, lattice_index,
                                 smith_presentation, subgroup_image_order)
+from iwasawalab.iwasawa import LeopoldtReport
+from iwasawalab.localize import completions_above_p, loc, zp_matrix_rank
+from iwasawalab.ntheory import isprime
 from iwasawalab.padic import _log_terms_needed, vp
+from iwasawalab.quadfield import fundamental_unit
 
 
 def _sqrt_window_low(D, t):
@@ -426,3 +432,28 @@ class FractionElement:
         if u == 0:
             return "%s*%s" % (vp, s) if vp != 1 else s
         return "%s %s %s*%s" % (u, "+" if vp > 0 else "-", abs(vp), s)
+
+
+def leopoldt_defect_log_route(K, p: int, N: int) -> LeopoldtReport:
+    """delta = unit rank minus the Z_p-rank of the log image of the closure
+    of the global units in the principal local units at p."""
+    if p % 2 == 0 or not isprime(p):
+        raise ValueError("p must be an odd prime")
+    if K.is_rational:
+        return LeopoldtReport(K, p, N, 0, None, "ok", p == 3)
+    if K.D % p == 0:
+        raise ValueError("p = %d ramifies in %s" % (p, K.spec_string()))
+    places = completions_above_p(K, p)
+    eps = fundamental_unit(K)
+    row = []
+    for place in places:
+        lv = loc(eps, place, p, N)
+        row.extend(lv.log_coords())
+    rank = zp_matrix_rank([row])
+    defect = 1 - rank.rank          # the unit rank of a real quadratic field
+    reg_val = None
+    nonzero = [c.v for c in row if not c.is_marker]
+    if nonzero:
+        reg_val = min(nonzero)
+    status = "ok" if rank.certified else "indeterminate"
+    return LeopoldtReport(K, p, N, defect, reg_val, status, p == 3)

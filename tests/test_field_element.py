@@ -134,6 +134,19 @@ def test_constructor_normalises_sign_and_gcd():
     assert (g.a, g.b, g.den) == (3, 4, 1)
 
 
+def test_float_coordinates_are_refused():
+    """A float is not a rational: RealQuadraticField(2).element(0.1) once
+    held 3602879701896397/36028797018963968 with no error."""
+    for K in (RealQuadraticField.rationals(), RealQuadraticField(2)):
+        for build in (lambda: K.element(0.1), lambda: K.element(1, 0.5),
+                      lambda: K.from_sqrt_pair(0.5, 0),
+                      lambda: FieldElement(K, Fraction(1, 2), 0.25),
+                      lambda: K.one() * 0.5):
+            with pytest.raises(TypeError):
+                build()
+    assert RealQuadraticField(2).element(Fraction(1, 10)).x == Fraction(1, 10)
+
+
 def test_zero_denominator_is_refused():
     K = RealQuadraticField(5)
     with pytest.raises(ZeroDivisionError):

@@ -100,10 +100,14 @@ CASES = [
     ("alpha-7-3a3b", 0,
      ["--format", "json", "alpha", "--field", "Q(sqrt{7})", "--p", "5",
       "--q1", "3a", "--q2", "3b", "--prec", "10"]),
-    # regulator valuation 10: indeterminate at --prec 8, certified at 16
+    # regulator valuation 10: indeterminate at --prec 8, first certified at
+    # 9 (the unit is read to prec + 2 digits), and certified at 16
     ("leopoldt-21713-prec8", 3,
      ["--format", "json", "leopoldt", "--field", "Q(sqrt{21713})", "--p",
       "3", "--prec", "8"]),
+    ("leopoldt-21713-prec9", 0,
+     ["--format", "json", "leopoldt", "--field", "Q(sqrt{21713})", "--p",
+      "3", "--prec", "9"]),
     ("leopoldt-21713-prec16", 0,
      ["--format", "json", "leopoldt", "--field", "Q(sqrt{21713})", "--p",
       "3", "--prec", "16"]),

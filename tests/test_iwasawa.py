@@ -1,18 +1,21 @@
+import functools
+import sys
 from math import gcd
 
 import pytest
 
-from iwasawalab import iwasawa
+from iwasawalab import iwasawa, localize, padic
 from iwasawalab.abgroup import subgroup_image_order
 from iwasawalab.classfield import GaloisGroupG, group_G
 from iwasawalab.iwasawa import (is_inert_in_cyclotomic, mq_generator,
                                 mq_order, leopoldt_defect, greenberg_wiles,
                                 defect_never_one_scan,
                                 degree_zero_pair_element)
-from iwasawalab.ntheory import InternalCheckError
+from iwasawalab.ntheory import InternalCheckError, is_squarefree
 from iwasawalab.quadfield import (RealQuadraticField, factor_rational_prime,
                                   rational_ideal)
-from oracles import lattice_intersection, subgroup_order_from_lattice
+from oracles import (lattice_intersection, leopoldt_defect_log_route,
+                     subgroup_order_from_lattice)
 
 QQ = RealQuadraticField.rationals()
 Q2 = RealQuadraticField(2)
@@ -223,6 +226,67 @@ def test_leopoldt_precision_consistency():
         r2 = leopoldt_defect(K, p, 8)
         assert r1.defect == r2.defect == 0
         assert r1.regulator_valuation == r2.regulator_valuation
+
+
+# the log route of the old leopoldt_defect, against the one valuation of
+# eps^k - 1: fields with long unit periods (48799, 49009), the first
+# certifying precision of 21713 (N = 9) and h = 3 at 1000003
+LEOPOLDT_GRID_D = [1] + [d for d in range(2, 400) if is_squarefree(d)] \
+    + [21713, 48799, 49009, 1000003]
+LEOPOLDT_GRID_P = (3, 5, 7, 11, 13)
+LEOPOLDT_GRID_N = (1, 2, 3, 5, 8, 12)
+
+
+@functools.lru_cache(maxsize=None)
+def _leopoldt_grid():
+    """[(K, p, N, reference to_json())] over the grid, p unramified."""
+    out = []
+    for d in LEOPOLDT_GRID_D:
+        K = QQ if d == 1 else RealQuadraticField(d)
+        for p in LEOPOLDT_GRID_P:
+            if K.D % p == 0:
+                continue
+            for N in LEOPOLDT_GRID_N:
+                out.append((K, p, N,
+                            leopoldt_defect_log_route(K, p, N).to_json()))
+    return out
+
+
+def _check_leopoldt_grid():
+    seen = {"ok": 0, "indeterminate": 0}
+    for K, p, N, want in _leopoldt_grid():
+        got = leopoldt_defect(K, p, N).to_json()
+        assert got == want, (K, p, N)
+        seen[got["status"]] += 1
+    assert seen["ok"] > 6000 and seen["indeterminate"] > 20, seen
+
+
+def test_leopoldt_equals_log_route_on_grid():
+    _check_leopoldt_grid()
+
+
+def test_leopoldt_needs_no_log_series_loc_or_rank(monkeypatch):
+    _leopoldt_grid()                  # the reference takes the log route
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("called on the Leopoldt path")
+    for name, module in list(sys.modules.items()):
+        if name == "iwasawalab" or name.startswith("iwasawalab."):
+            for attr, home in (("log_series", padic), ("loc", localize),
+                               ("zp_matrix_rank", localize)):
+                if getattr(module, attr, None) is getattr(home, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    with pytest.raises(RuntimeError):
+        padic.log_series(3, 0, 0, 0, 3, 4)
+    _check_leopoldt_grid()
+
+
+def test_leopoldt_first_certifying_precision_21713():
+    K = RealQuadraticField(21713)
+    r8, r9 = leopoldt_defect(K, 3, 8), leopoldt_defect(K, 3, 9)
+    assert (r8.status, r8.defect, r8.regulator_valuation) \
+        == ("indeterminate", 1, None)
+    assert (r9.status, r9.defect, r9.regulator_valuation) == ("ok", 0, 10)
 
 
 def test_greenberg_wiles_arithmetic():

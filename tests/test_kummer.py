@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from iwasawalab.kummer import (KummerCertificate, construct_alpha,
@@ -157,7 +159,7 @@ def test_kummer_rank_fundamental_unit():
 
 def test_kummer_rank_mixed_unit_and_prime():
     K = Q2
-    g = K.from_sqrt_pair(3, 0.5 * 0 + __import__("fractions").Fraction(1, 2))
+    g = K.from_sqrt_pair(3, Fraction(1, 2))
     # 3 + sqrt2, norm 7
     r = kummer_rank([g, fundamental_unit(K)], K, 5, 6)
     assert r.rank == 2

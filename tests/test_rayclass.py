@@ -2,7 +2,10 @@ import random
 
 import pytest
 
-from iwasawalab.ntheory import factorint, is_squarefree, isprime
+from iwasawalab import rayclass
+from iwasawalab.cli import EXIT_INTERNAL, main
+from iwasawalab.ntheory import (InternalCheckError, factorint, is_squarefree,
+                                isprime)
 from iwasawalab.padic import vp
 from iwasawalab.quadfield import (RealQuadraticField, factor_rational_prime,
                                   prime_ideals_above, rational_ideal)
@@ -221,3 +224,20 @@ def test_unit_image_order_matches_two_snf_reference():
         ident = rc.order_identity()
         assert ident["full"][0] == ident["full"][1], (K, n)
         assert ident["p"][0] == ident["p"][1], (K, n)
+
+
+def test_class_representative_cap_fails_loudly(monkeypatch, capsys):
+    """With no prime ell accepted as a candidate (isprime holds only for
+    p = 3, which divides m), the search for class representatives of
+    Q(sqrt 10), h = 2, runs to its cap and raises; nothing is cached."""
+    K = RealQuadraticField(10)
+    key = (10, rational_ideal(K, 3).key(), 3)
+    monkeypatch.delitem(rayclass._RAY_CACHE, key, raising=False)
+    monkeypatch.setattr(rayclass, "isprime", lambda n: n == 3)
+    with pytest.raises(InternalCheckError, match="ell = 50000"):
+        ray_class_group(K, 3, 3)
+    assert key not in rayclass._RAY_CACHE
+    argv = ["rayclass", "--field", "Q(sqrt{10})", "--modulus", "3", "--p", "3"]
+    assert main(argv) == EXIT_INTERNAL
+    assert "ell = 50000" in capsys.readouterr().err
+    assert key not in rayclass._RAY_CACHE

@@ -34,7 +34,6 @@ CORPUS = sorted(path for top in ("src", "tests", "bench")
 
 # Class.method names, where a Fraction may be built
 FRACTION_INPUTS = {
-    "RealQuadraticField.element", "RealQuadraticField.from_sqrt_pair",
     "FieldElement.x", "FieldElement.y", "FieldElement.norm",
     "FieldElement.trace", "PAdicNumber.exact", "PAdicNumber.of",
 }

@@ -8,11 +8,15 @@ when the file was recorded: x = (a + b*w)/den at a place of Q(sqrt d)
 (d = 1 for Q) above p, to N digits, maps to its valuation and to
 (v, m, digits) of each log coordinate.  Every recorded x is integral,
 with v = 0; valuations and denominators divisible by p are the seeded
-cases of `test_valuation.py`.  Re-record the file with
+cases of `test_valuation.py`.
+
+Do not re-record the file.  `leopoldt-scan` took its unit logs through
+`_element_unit_log` when the file was recorded; `iwasawa.leopoldt_defect`
+now reads one valuation of eps^k - 1 and makes none of those calls, so a
+new recording would lose the Leopoldt calls the file holds.  The recorder
+`_record` is kept to show how the file was made:
 
     PYTHONPATH=src python tests/test_unit_logs.py
-
-only when a unit log is meant to change.
 """
 
 import functools
@@ -72,7 +76,6 @@ def _record():
     sys.path.insert(0, str(root / "bench"))
     import iwasawalab as lib
     import iwasawalab.localize as localize
-    from iwasawalab.quadfield import fraction_parts
     import workloads
 
     seen = {}
@@ -80,7 +83,7 @@ def _record():
 
     def recording(x, place, N):
         out = real(x, place, N)
-        key = (place.field.d or 1, place.key(), N, fraction_parts(x))
+        key = (place.field.d or 1, place.key(), N, (x.a, x.b, x.den))
         seen.setdefault(key, out)
         return out
     localize._element_unit_log = recording
