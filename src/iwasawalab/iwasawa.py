@@ -10,11 +10,11 @@ from math import gcd
 
 from .abgroup import element_order, subgroup_image_order
 from .classfield import GaloisGroupG, group_G
-from .localize import completions_above_p
-from .ntheory import InternalCheckError, is_squarefree, isprime
+from .ntheory import (InternalCheckError, is_squarefree, isprime, power,
+                      quad_mul)
 from .padic import PAdicNumber, PrecisionError, angle_log, vp
 from .quadfield import (IntegralIdeal, RealQuadraticField,
-                        fundamental_unit, ideal_valuation, rational_ideal)
+                        fundamental_unit, rational_ideal)
 
 
 def is_inert_in_cyclotomic(q, K: RealQuadraticField, p: int) -> bool:
@@ -176,25 +176,35 @@ def leopoldt_defect(K: RealQuadraticField, p: int, N: int) -> LeopoldtReport:
     of the global units in the principal local units at p.
 
     For F real quadratic the unit rank is 1, so delta = 0 iff log_q(eps) is
-    nonzero at some place q above p.  With f the residue degree and k =
-    p^f - 1, eps^k is a 1-unit at each q and log(eps) = log(eps^k)/k, k a
-    p-unit.  For p odd, log maps 1 + p^n O_q isometrically onto p^n O_q (n
-    >= 1; Koblitz, GTM 58, ch. IV), so v_q(log eps) = v_q(eps^k - 1) and
-    the regulator valuation is v = min_q v_q(eps^k - 1), read on integers.
-    As elsewhere in the engine, the unit is read to A = N + 2 digits:
-    replacing eps by eps mod p^A changes eps^k - 1 by a multiple of p^A,
-    so v is exact when it is below A, certifying delta = 0, and is only
-    known to be at least A otherwise (indeterminate)."""
+    nonzero at some place q above p.  With f the residue degree, eps^(p^f -
+    1) is a 1-unit at each q whose log is a p-unit times log(eps), and for
+    p odd log maps 1 + p^n O_q isometrically onto p^n O_q (n >= 1; Koblitz,
+    GTM 58, ch. IV), so the regulator valuation is v = min_q v_q(eps^(p^f -
+    1) - 1).  It is read with no place at all, by two facts:
+    - k = p^2 - 1 is p^f - 1 times the p-unit u = 1 (f = 2) or p + 1
+      (f = 1), and (1 + x)^u - 1 = x*(u + ...) with the bracket a unit at
+      q, so v_q(eps^k - 1) = v_q(eps^(p^f - 1) - 1);
+    - for p unramified the q^j over q | p intersect in p^j O, and {1, w}
+      is a Z-basis of O, so min_q v_q(a + b*w) = min(v_p(a), v_p(b))
+      (Washington, GTM 83, sec. 5.1).
+    As elsewhere in the engine, the unit is read to A = N + 2 digits: with
+    eps reduced mod p^A, eps^k - 1 = z0 + z1*w is formed on residues, and
+    v = min(A, v_p(z0), v_p(z1)) is exact when it is below A, certifying
+    delta = 0, and is only known to be at least A otherwise
+    (indeterminate)."""
+    if N < 1:
+        raise ValueError("N must be at least 1")
     if p % 2 == 0 or not isprime(p):
         raise ValueError("p must be an odd prime")
     if K.is_rational:
         return LeopoldtReport(K, p, N, 0, None, "ok", p == 3)
-    places = completions_above_p(K, p)
-    A, k = N + 2, p**places[0].residue_degree - 1
-    eps, m = fundamental_unit(K), p**A
-    z = K.element(eps.a % m, eps.b % m)**k - K.one()
-    v = A if z.is_zero() else \
-        min(A, *(ideal_valuation(z, q.ideal) for q in places))
+    if K.D % p == 0:
+        raise ValueError("p = %d ramifies in %s" % (p, K.spec_string()))
+    A, eps = N + 2, fundamental_unit(K)
+    m = p**A
+    z0, z1 = power(quad_mul(K.w_trace, K.w_norm, m), (1, 0),
+                   (eps.a % m, eps.b % m), p * p - 1)
+    v = vp(gcd(z0 - 1, z1, m), p)
     if v < A:
         return LeopoldtReport(K, p, N, 0, v, "ok", p == 3)
     return LeopoldtReport(K, p, N, 1, None, "indeterminate", p == 3)
@@ -217,6 +227,10 @@ def greenberg_wiles(h0_v: int, h0_vdual: int, local_terms) -> int:
 def defect_never_one_scan(d_max: int, primes, N: int = 8):
     """Scan all squarefree d <= d_max (d = 1 meaning Q) and odd primes,
     asserting the Leopoldt defect is never 1 at certified precision."""
+    if d_max < 1:
+        raise ValueError("d_max must be at least 1")
+    if N < 1:
+        raise ValueError("N must be at least 1")
     rows = []
     violations = []
     indeterminates = []

@@ -134,6 +134,12 @@ def test_scan_even_prime_usage(capsys):
     assert code == 4
 
 
+def test_scan_empty_range_usage_error(capsys):
+    assert main(["scan", "--dmax", "0", "--primes", "3,5"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == "usage error: d_max must be at least 1\n"
+
+
 def test_bad_subcommand(capsys):
     code, _ = run(capsys, "nonsense")
     assert code == 4

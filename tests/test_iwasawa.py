@@ -1,19 +1,24 @@
 import functools
+import random
 import sys
 from math import gcd
 
 import pytest
 
-from iwasawalab import iwasawa, localize, padic
+from iwasawalab import iwasawa, localize, padic, quadfield
 from iwasawalab.abgroup import subgroup_image_order
 from iwasawalab.classfield import GaloisGroupG, group_G
 from iwasawalab.iwasawa import (is_inert_in_cyclotomic, mq_generator,
                                 mq_order, leopoldt_defect, greenberg_wiles,
                                 defect_never_one_scan,
                                 degree_zero_pair_element)
+from iwasawalab.localize import completions_above_p
 from iwasawalab.ntheory import InternalCheckError, is_squarefree
+from iwasawalab.padic import vp
 from iwasawalab.quadfield import (RealQuadraticField, factor_rational_prime,
-                                  rational_ideal)
+                                  fundamental_unit, ideal_valuation,
+                                  parts_valuation, rational_ideal,
+                                  split_root)
 from oracles import (lattice_intersection, leopoldt_defect_log_route,
                      subgroup_order_from_lattice)
 
@@ -266,19 +271,95 @@ def test_leopoldt_equals_log_route_on_grid():
 
 
 def test_leopoldt_needs_no_log_series_loc_or_rank(monkeypatch):
+    """The grid with no log series, localization, rank, place, ideal,
+    valuation at a place or FieldElement power: each is patched to raise
+    in every iwasawalab module that binds it."""
     _leopoldt_grid()                  # the reference takes the log route
 
     def refuse(*args, **kwargs):
         raise RuntimeError("called on the Leopoldt path")
+    homes = {"log_series": padic, "loc": localize,
+             "zp_matrix_rank": localize, "completions_above_p": localize,
+             "places_above": localize, "split_root": quadfield,
+             "parts_valuation": quadfield, "ideal_valuation": quadfield,
+             "factor_rational_prime": quadfield}
+    originals = {attr: getattr(home, attr) for attr, home in homes.items()}
+    patched = set()
     for name, module in list(sys.modules.items()):
         if name == "iwasawalab" or name.startswith("iwasawalab."):
-            for attr, home in (("log_series", padic), ("loc", localize),
-                               ("zp_matrix_rank", localize)):
-                if getattr(module, attr, None) is getattr(home, attr):
+            for attr, original in originals.items():
+                if getattr(module, attr, None) is original:
                     monkeypatch.setattr(module, attr, refuse)
+                    patched.add((name, attr))
+    assert {("iwasawalab.residues", "log_series"),
+            ("iwasawalab.kummer", "loc"),
+            ("iwasawalab.localize", "split_root")} <= patched
+    monkeypatch.setattr(quadfield.FieldElement, "__pow__", refuse)
+    monkeypatch.setattr(quadfield.IntegralIdeal, "__init__", refuse)
+    monkeypatch.setattr(localize.PlaceAbovePrime, "__init__", refuse)
     with pytest.raises(RuntimeError):
         padic.log_series(3, 0, 0, 0, 3, 4)
+    with pytest.raises(RuntimeError):
+        completions_above_p(Q2, 5)
     _check_leopoldt_grid()
+
+
+# fields with split and inert p, small and long units, for the two facts
+# leopoldt_defect reads its valuation through
+VALUATION_IDENTITY_D = (2, 3, 5, 7, 10, 13, 79, 21713, 48799)
+
+
+def test_min_valuation_over_places_is_min_coordinate_valuation():
+    """min_q v_q(a + b*w) over q | p is min(v_p(a), v_p(b)), p unramified:
+    seeded a, b with p^j factors, and at a split p elements deep in one
+    place only (a = -b*r mod p^6, r the image of w there)."""
+    rng = random.Random(1717)
+    kinds = {"split": 0, "inert": 0}
+    for d in VALUATION_IDENTITY_D:
+        K = RealQuadraticField(d)
+        for p in LEOPOLDT_GRID_P:
+            if K.D % p == 0:
+                continue
+            places = completions_above_p(K, p)
+            kinds[places[0].kind] += 1
+            cases = []
+            for _ in range(30):
+                a = p**rng.randint(0, 5) * rng.randint(-10**6, 10**6)
+                b = p**rng.randint(0, 5) * rng.randint(-10**6, 10**6)
+                cases.append((a or p**rng.randint(0, 5), b))
+            if places[0].kind == "split":
+                for q in places:
+                    r = split_root(q.ideal, 6)
+                    for _ in range(5):
+                        b = rng.randint(1, 10**6) * p**rng.randint(0, 2)
+                        cases.append(((-b * r) % p**6
+                                      + p**6 * rng.randint(-99, 99), b))
+            for a, b in cases:
+                want = min(vp(c, p) for c in (a, b) if c)
+                got = min(parts_valuation(a, b, 1, q.ideal) for q in places)
+                assert got == want, (d, p, a, b)
+    assert kinds["split"] >= 10 and kinds["inert"] >= 10, kinds
+
+
+def test_unit_power_p2_minus_1_keeps_valuation_at_each_place():
+    """v_q(eps^(p^2 - 1) - 1) = v_q(eps^(p^f - 1) - 1) at every place of
+    the Leopoldt grid fields, on exact powers of the unit."""
+    kinds = {"split": 0, "inert": 0}
+    for d in LEOPOLDT_GRID_D[1:]:
+        K = RealQuadraticField(d)
+        eps = fundamental_unit(K)
+        for p in LEOPOLDT_GRID_P:
+            if K.D % p == 0:
+                continue
+            places = completions_above_p(K, p)
+            f = places[0].residue_degree
+            kinds[places[0].kind] += 1
+            zf = eps**(p**f - 1) - K.one()
+            z2 = zf if f == 2 else eps**(p * p - 1) - K.one()
+            for q in places:
+                assert ideal_valuation(z2, q.ideal) \
+                    == ideal_valuation(zf, q.ideal), (d, p, q)
+    assert kinds["split"] > 400 and kinds["inert"] > 400, kinds
 
 
 def test_leopoldt_first_certifying_precision_21713():
@@ -287,6 +368,25 @@ def test_leopoldt_first_certifying_precision_21713():
     assert (r8.status, r8.defect, r8.regulator_valuation) \
         == ("indeterminate", 1, None)
     assert (r9.status, r9.defect, r9.regulator_valuation) == ("ok", 0, 10)
+
+
+@pytest.mark.parametrize("K", [QQ, Q2])
+@pytest.mark.parametrize("N", [0, -1, -2, -3])
+def test_leopoldt_refuses_precision_below_one(K, N):
+    with pytest.raises(ValueError, match="N must be at least 1"):
+        leopoldt_defect(K, 5, N)
+
+
+@pytest.mark.parametrize("d_max", [0, -4])
+def test_scan_refuses_empty_range(d_max):
+    with pytest.raises(ValueError, match="d_max must be at least 1"):
+        defect_never_one_scan(d_max, [3, 5])
+
+
+@pytest.mark.parametrize("N", [0, -3])
+def test_scan_refuses_precision_below_one(N):
+    with pytest.raises(ValueError, match="N must be at least 1"):
+        defect_never_one_scan(12, [3, 5], N)
 
 
 def test_greenberg_wiles_arithmetic():
