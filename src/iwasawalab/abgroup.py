@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .ntheory import InternalCheckError, crt, power
+from .ntheory import InternalCheckError, crt
 
 
 # ------------------------------------------------------------- integer matrices
@@ -23,30 +23,27 @@ def _mat_vec(A, x):
 
 
 class SmithForm(tuple):
-    """The triple (D, U, V) that smith_normal_form returns, with one more
-    attribute: `lifts`, the columns of W = U^{-1} (modulo the modulus), as
-    rows, or [] when U was not asked for."""
+    """(D, U, []) with one more attribute, `lifts`: the columns of U^{-1}
+    (modulo the modulus) as rows, or [] without U.  The third entry stays
+    empty for callers that unpack a triple."""
 
 
-def smith_normal_form(A, *, with_u=True, with_v=True, modulus=0):
-    """Smith normal form with transforms: returns (D, U, V) with D = U*A*V,
-    U, V unimodular, D diagonal with d1 | d2 | ... and nonnegative entries.
-
-    The keyword-only flags `with_u` and `with_v` (both on by default) ask for
-    U and V.  A transform that is not asked for is not computed and comes
-    back as [].  D, and each transform that is asked for, are the same
-    whatever the flags.  With U comes `lifts` (see SmithForm), the columns
-    of U^{-1}, tracked by the inverse of each row operation.
+def smith_normal_form(A, *, with_u=True, modulus=0):
+    """Smith normal form by row transform: (D, U, []) with D diagonal,
+    d1 | d2 | ... >= 0, and U unimodular with D = U*A*V for a unimodular V
+    that is never formed.  Row i of U*A has content d_i, so the rows of U
+    past the rank span {x : x*A = 0}.  With `with_u=False` U comes back as
+    [] and D is the same.  With U come its `lifts` (see SmithForm), tracked
+    by the inverse of each row operation.
 
     `modulus` R > 0 must be a multiple of the index of the column lattice L
     of A, which must have full rank; then R*Z^n lies in L.  The elimination
     works modulo R: each row and column operation reduces the entries of D,
-    U, V and the lifts into (-R/2, R/2], so while the exact entries stay in
+    U and the lifts into (-R/2, R/2], so while the exact entries stay in
     that range it takes the exact elimination's steps, and no entry exceeds
     R/2 in absolute value.  Each diagonal entry ends as gcd(d_i, R), the
-    invariant factors of Z^n/L.  U and V are then invertible modulo R but
-    not unimodular, and U*A*V agrees with D modulo R up to a unit factor in
-    each column.  The default R = 0 is exact.
+    invariant factors of Z^n/L; U is invertible modulo R, not unimodular,
+    and row i of U*A is divisible by d_i modulo R.  R = 0 is exact.
     """
     n = len(A)
     m = len(A[0]) if n else 0
@@ -61,7 +58,6 @@ def smith_normal_form(A, *, with_u=True, with_v=True, modulus=0):
     D = [comb(row, row, 0) for row in A] if R else [row[:] for row in A]
     U = _identity(n) if with_u else []
     Wt = _identity(n) if with_u else []  # rows: the columns of U^{-1}
-    V = _identity(m) if with_v else []
 
     def row_op(i, j, q):  # row_i -= q * row_j
         D[i] = comb(D[i], D[j], q)
@@ -70,11 +66,10 @@ def smith_normal_form(A, *, with_u=True, with_v=True, modulus=0):
             Wt[j] = comb(Wt[j], Wt[i], -q)
 
     def col_op(i, j, q):  # col_i -= q * col_j
-        for M in (D, V):
-            for row in M:
-                row[i] -= q * row[j]
-                if R:
-                    row[i] = h - (h - row[i]) % R
+        for row in D:
+            row[i] -= q * row[j]
+            if R:
+                row[i] = h - (h - row[i]) % R
 
     def swap_rows(i, j):
         D[i], D[j] = D[j], D[i]
@@ -84,8 +79,6 @@ def smith_normal_form(A, *, with_u=True, with_v=True, modulus=0):
 
     def swap_cols(i, j):
         for row in D:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
             row[i], row[j] = row[j], row[i]
 
     def negate_row(i):
@@ -110,7 +103,7 @@ def smith_normal_form(A, *, with_u=True, with_v=True, modulus=0):
             break
         swap_rows(t, pos[0])
         swap_cols(t, pos[1])
-        if not with_v and not any(any(D[i][t:]) for i in range(t + 1, n)):
+        if not any(any(D[i][t:]) for i in range(t + 1, n)):
             # No nonzero row is left below row t, so clearing row t takes
             # column operations only: they leave U alone and end with
             # D[t][t] = +-gcd of the row, with the sign of the pivot,
@@ -171,29 +164,24 @@ def smith_normal_form(A, *, with_u=True, with_v=True, modulus=0):
     if R:
         for i in range(min(n, m)):
             D[i][i] = gcd(D[i][i], R)
-    out = SmithForm((D, U, V))
+    out = SmithForm((D, U, []))
     out.lifts = Wt
     return out
 
 
 def kernel_basis(A):
-    """Columns x with A x = 0; returns a list of basis column vectors."""
-    n = len(A)
-    m = len(A[0]) if n else 0
-    D, _, V = smith_normal_form(A, with_u=False)
-    out = []
-    for j in range(m):
-        if j >= min(n, m) or D[j][j] == 0:
-            out.append([V[i][j] for i in range(m)])
-    return out
+    """A basis of the integer columns x with A x = 0, as a list of lists:
+    the rows of U past the rank of the Smith form D = U*A^T*V."""
+    D, U, _ = smith_normal_form([list(col) for col in zip(*A)])
+    rank = sum(1 for i, row in enumerate(D) if i < len(row) and row[i])
+    return U[rank:]
 
 
 def lattice_index(B, *, modulus=0):
     """Index [Z^n : L] for the lattice L spanned by the columns of B
     (requires full rank n); the product of SNF diagonal entries.  A known
     multiple of the index, as `modulus`, lets the SNF work modulo it."""
-    D, _, _ = smith_normal_form(B, with_u=False, with_v=False,
-                                modulus=modulus)
+    D, _, _ = smith_normal_form(B, with_u=False, modulus=modulus)
     n = len(B)
     idx = 1
     for i in range(n):
@@ -376,7 +364,7 @@ def smith_presentation(relations, ambient_rank: int, *,
         modulus = 0
     # columns of R^T span the relation lattice
     A = [[rows[i][j] for i in range(len(rows))] for j in range(ambient_rank)]
-    snf = smith_normal_form(A, with_v=False, modulus=modulus)
+    snf = smith_normal_form(A, modulus=modulus)
     D, U, _ = snf
     diag = [D[i][i] if i < (len(D[0]) if D else 0) else 0
             for i in range(ambient_rank)]
@@ -436,76 +424,46 @@ def solve_dlog(G: FiniteAbelianGroup, g: GroupElement, h: GroupElement):
 
 # ------------------------------------------- decomposition of abstract groups
 
-def _order_of(op, ident, g):
-    o = 1
-    x = g
-    while x != ident:
-        x = op(x, g)
-        o += 1
-    return o
-
-
-def _decompose_rec(elems, op, ident):
-    """[(g_i, order_i)] realizing elems = direct sum of the <g_i>."""
-    if len(elems) == 1:
-        return []
-    orders = {e: _order_of(op, ident, e) for e in elems}
-    g = max(elems, key=lambda e: (orders[e], repr(e)))
-    og = orders[g]
-    cyc = [ident]
-    x = g
-    while x != ident:
-        cyc.append(x)
-        x = op(x, g)
-
-    def coset(e):  # canonical representative of e<g>
-        return min(op(e, c) for c in cyc)
-
-    reps = sorted({coset(e) for e in elems})
-
-    def qop(a, b):
-        return coset(op(a, b))
-
-    out = [(g, og)]
-    for hbar, m in _decompose_rec(reps, qop, coset(ident)):
-        # lift: hbar^m lies in <g>, say g^s with m | s; correct by g^(-s/m)
-        s = cyc.index(power(op, ident, hbar, m))
-        if s % m:
-            raise InternalCheckError("maximal-order correction failed")
-        h = op(hbar, power(op, ident, g, (og - (s // m) % og) % og))
-        if _order_of(op, ident, h) != m:
-            raise InternalCheckError("corrected lift has the wrong order")
-        out.append((h, m))
-    return out
-
-
 def decompose_abelian(elements, op, identity):
     """Decompose a finite abelian group given by its multiplication law.
 
-    Elements must be hashable and orderable.  Returns (gens, orders, dlog)
-    where the gens realize a direct-sum decomposition with the given cyclic
-    orders and dlog maps every element to its exponent tuple.
+    Elements must be hashable and orderable.  Returns (gens, orders, dlog):
+    the orders are the invariant factors d1 | d2 | ..., the gens are the
+    elements with unit coordinates, and dlog maps every element to its
+    coordinate tuple, a bijection onto prod Z/d_i that turns op into +.
+
+    The elements are taken in decreasing order; each one not yet in the
+    table becomes g_k, with m_k the least power of g_k in it.  The table,
+    every element as a vector over g_1, ..., g_k, grows m_k-fold by the
+    products with g_k, ..., g_k^(m_k - 1), and m_k e_k - vec(g_k^m_k) is a
+    relation.  These triangular relations are a polycyclic presentation of
+    the group (Sims, Computation with Finitely Presented Groups, 1994); its
+    Smith form modulo the order h (Cohen, GTM 138, sec. 2.4) gives the
+    invariant factors and projects each vector to its coordinates.  The law
+    is applied h - 1 times.
     """
-    elements = list(elements)
-    pairs = _decompose_rec(elements, op, identity)
-    gens = [g for g, _ in pairs]
-    orders = [o for _, o in pairs]
-    total = 1
-    for o in orders:
-        total *= o
-    dlog = {identity: tuple(0 for _ in gens)}
-    frontier = [(identity, tuple(0 for _ in gens))]
-    while frontier:
-        nxt = []
-        for (e, vec) in frontier:
-            for i, g in enumerate(gens):
-                w = op(e, g)
-                if w not in dlog:
-                    v2 = list(vec)
-                    v2[i] = (v2[i] + 1) % orders[i]
-                    dlog[w] = tuple(v2)
-                    nxt.append((w, tuple(v2)))
-        frontier = nxt
-    if not len(dlog) == len(elements) == total:
+    elements = sorted(elements, reverse=True)
+    table = {identity: ()}
+    rels = []
+    for g in elements:
+        if g in table:
+            continue
+        powers = [identity, g]
+        while powers[-1] not in table:
+            powers.append(op(powers[-1], g))
+        top = table[powers.pop()]  # the vector of g^m, m = len(powers)
+        rels.append([-c for c in top] + [len(powers)])
+        for t, vec in list(table.items()):
+            table[t] = vec + (0,)
+            for j, x in enumerate(powers[1:], 1):
+                table[x if t == identity else op(t, x)] = vec + (j,)
+    k, h = len(rels), len(table)
+    G = smith_presentation([r + [0] * (k - len(r)) for r in rels], k,
+                           modulus=h)
+    if G.order != h or table.keys() != set(elements):
         raise InternalCheckError("decomposition does not span")
-    return gens, orders, dlog
+    dlog = {e: G.project(vec).coords for e, vec in table.items()}
+    by_coords = {c: e for e, c in dlog.items()}
+    t = len(G.invariant_factors)
+    gens = [by_coords[tuple(int(i == j) for j in range(t))] for i in range(t)]
+    return gens, list(G.invariant_factors), dlog

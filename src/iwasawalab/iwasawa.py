@@ -80,6 +80,8 @@ def _check_q_pair(K, p, q1, q2):
 def mq_generator(K: RealQuadraticField, p: int, Q, N: int) \
         -> FrobeniusModuleReport:
     """a1 = -log<N(q2)>/log<N(q1)>, a2 = 1: the degree-0 generator data."""
+    if N < 1:
+        raise ValueError("N must be at least 1")
     q1, q2 = _check_q_pair(K, p, *Q)
     work = N + 2
     l1 = angle_log(PAdicNumber.exact(q1.norm, p, work))

@@ -592,11 +592,9 @@ class ClassGroupData:
             I = _pair_to_ideal(K, *k1[0]) * _pair_to_ideal(K, *k2[0])
             return self.key_of(I)
 
-        gens, orders, dlog = decompose_abelian(self.cycle_keys, kmul,
-                                               self.principal_key)
-        self.gen_keys = gens
-        self.gen_orders = orders
-        self._dlog = dlog
+        self.gen_keys, self.gen_orders, self._dlog = decompose_abelian(
+            self.cycle_keys, kmul, self.principal_key)
+        orders = self.gen_orders
         rels = [[orders[i] if j == i else 0 for j in range(len(orders))]
                 for i in range(len(orders))]
         self.group = smith_presentation(rels, len(orders),

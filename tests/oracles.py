@@ -13,7 +13,10 @@ Gauss-Jordan `solve_integral_fractions` over Fraction, before
 field element on two Fraction coordinates, before `quadfield.FieldElement`
 kept integers over one denominator, and `leopoldt_defect_log_route`, the
 Leopoldt defect from the Z_p-rank of the localized unit logs, before
-`iwasawa.leopoldt_defect` read one valuation of eps^k - 1.
+`iwasawa.leopoldt_defect` read one valuation of eps^k - 1, and
+`decompose_by_max_order`, the recursion on elements of largest order that
+`abgroup.decompose_abelian` ran before it read the structure off a Smith
+form.
 """
 
 from dataclasses import dataclass
@@ -25,7 +28,7 @@ from iwasawalab.abgroup import (FiniteAbelianGroup, _column_lattice_basis,
                                 smith_presentation, subgroup_image_order)
 from iwasawalab.iwasawa import LeopoldtReport
 from iwasawalab.localize import completions_above_p, loc, zp_matrix_rank
-from iwasawalab.ntheory import isprime
+from iwasawalab.ntheory import InternalCheckError, isprime
 from iwasawalab.padic import _log_terms_needed, vp
 from iwasawalab.quadfield import fundamental_unit
 
@@ -215,6 +218,53 @@ def ph_dlog(mul, one, g, h, n, fac):
         k += m * ((x - k) * pow(m, -1, qa) % qa)
         m *= qa
     return k
+
+
+def _order_of(op, ident, g):
+    o = 1
+    x = g
+    while x != ident:
+        x = op(x, g)
+        o += 1
+    return o
+
+
+def decompose_by_max_order(elems, op, ident):
+    """[(g_i, order_i)] realizing elems = direct sum of the <g_i>: g_1 of
+    largest order, then the same on the quotient by <g_1>, each lift
+    corrected to keep its order.  The orders fall, and read backwards are
+    the invariant factors, since an element of largest order has the
+    exponent of the group as its order."""
+    if len(elems) == 1:
+        return []
+    orders = {e: _order_of(op, ident, e) for e in elems}
+    g = max(elems, key=lambda e: (orders[e], repr(e)))
+    og = orders[g]
+    cyc = [ident]
+    x = g
+    while x != ident:
+        cyc.append(x)
+        x = op(x, g)
+
+    def coset(e):  # canonical representative of e<g>
+        return min(op(e, c) for c in cyc)
+
+    reps = sorted({coset(e) for e in elems})
+
+    def qop(a, b):
+        return coset(op(a, b))
+
+    out = [(g, og)]
+    for hbar, m in decompose_by_max_order(reps, qop, coset(ident)):
+        # lift: hbar^m lies in <g>, say g^s with m | s; correct by g^(-s/m)
+        s = cyc.index(_power(op, ident, hbar, m))
+        if s % m:
+            raise InternalCheckError("maximal-order correction failed")
+        h = op(hbar, _power(op, ident, g, (og - (s // m) % og) % og))
+        if _order_of(op, ident, h) != m:
+            raise InternalCheckError("corrected lift has the wrong order")
+        out.append((h, m))
+    return out
 
 
 def unit_image_order_two_snf(rc):

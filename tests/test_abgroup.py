@@ -2,7 +2,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +12,10 @@ from iwasawalab.abgroup import (smith_normal_form, smith_presentation,
                                 subgroup_image_order, solve_dlog,
                                 decompose_abelian, GroupElement,
                                 solve_integral)
-from oracles import (lattice_intersection, solve_integral_fractions,
+from iwasawalab.quadfield import RealQuadraticField, _pair_to_ideal, \
+    class_group
+from oracles import (decompose_by_max_order, lattice_intersection,
+                     solve_integral_fractions, squarefree,
                      subgroup_order_from_lattice)
 
 
@@ -48,21 +51,29 @@ small_matrix = st.lists(
     min_size=1, max_size=4).filter(lambda rows: len({len(r) for r in rows}) == 1)
 
 
+def _check_row_transform(A, D, U):
+    """D is a Smith form of A and U its row transform: D diagonal with a
+    nonnegative divisibility chain, |det U| = 1, row i of U*A with content
+    d_i (so divisible by it, and zero past the rank)."""
+    n, m = len(A), len(A[0])
+    assert all(D[i][j] == 0 for i in range(n) for j in range(m) if i != j)
+    diag = [D[i][i] for i in range(min(n, m))]
+    rank = sum(1 for d in diag if d)
+    assert all(d > 0 for d in diag[:rank]) and not any(diag[rank:])
+    for a, b in zip(diag[:rank], diag[1:rank]):
+        assert b % a == 0
+    assert abs(det(U)) == 1
+    UA = mat_mul(U, A)
+    for i, row in enumerate(UA):
+        assert gcd(*row) == (diag[i] if i < rank else 0)
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_matrix)
 def test_snf_properties(A):
     D, U, V = smith_normal_form(A)
-    assert mat_mul(mat_mul(U, A), V) == D
-    assert abs(det(U)) == 1 and abs(det(V)) == 1
-    diag = [D[i][i] for i in range(min(len(D), len(D[0])))]
-    for i in range(len(D)):
-        for j in range(len(D[0])):
-            if i != j:
-                assert D[i][j] == 0
-    nz = [d for d in diag if d != 0]
-    assert all(d > 0 for d in nz)
-    for a, b in zip(nz, nz[1:]):
-        assert b % a == 0
+    assert V == []
+    _check_row_transform(A, D, U)
 
 
 def _snf_cases():
@@ -84,12 +95,22 @@ SNF_CASES = _snf_cases()
 def test_snf_transform_flags_agree_with_full_call():
     for A in SNF_CASES:
         D, U, V = smith_normal_form(A)
-        assert mat_mul(mat_mul(U, A), V) == D
-        for with_u, with_v in itertools.product((True, False), repeat=2):
-            D2, U2, V2 = smith_normal_form(A, with_u=with_u, with_v=with_v)
-            assert D2 == D
-            assert U2 == (U if with_u else [])
-            assert V2 == (V if with_v else [])
+        _check_row_transform(A, D, U)
+        D2, U2, V2 = smith_normal_form(A, with_u=False)
+        assert D2 == D
+        assert U2 == V2 == V == []
+
+
+def test_snf_unpacks_to_diagonal_transform_and_empty_v():
+    A = [[4, 2], [0, 2], [6, 6]]
+    out = smith_normal_form(A)
+    assert len(out) == 3
+    D, U, V = out
+    assert [D[0][0], D[1][1]] == [2, 2]
+    assert len(U) == 3 and V == []
+    assert len(out.lifts) == 3
+    D, U, V = smith_normal_form(A, with_u=False)
+    assert U == V == [] and smith_normal_form(A, with_u=False).lifts == []
 
 
 def test_snf_q79_ray_class_relations_u_only():
@@ -97,10 +118,9 @@ def test_snf_q79_ray_class_relations_u_only():
     A = [[15251194969974, 0, 7625597484987, 4192643766891, -11212799052631],
          [0, 15251194969974, 7625597484987, 11058551203083, -14905223429924],
          [0, 0, 0, 0, 3]]
-    D, U, V = smith_normal_form(A, with_v=False)
+    D, U, V = smith_normal_form(A)
     assert [D[i][i] for i in range(3)] == [1, 9, 15251194969974]
-    assert all(D[i][j] == 0 for i in range(3) for j in range(5) if i != j)
-    assert abs(det(U)) == 1
+    _check_row_transform(A, D, U)
     assert V == []
 
 
@@ -109,10 +129,12 @@ def test_snf_diagonal_against_sympy():
     from sympy import Matrix, ZZ
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
     for A in SNF_CASES:
-        D, _, _ = smith_normal_form(A, with_u=False, with_v=False)
         S = sympy_snf(Matrix(A), domain=ZZ)
         k = min(len(A), len(A[0]))
-        assert [D[i][i] for i in range(k)] == [abs(S[i, i]) for i in range(k)]
+        for with_u in (True, False):
+            D, _, _ = smith_normal_form(A, with_u=with_u)
+            assert [D[i][i] for i in range(k)] == \
+                [abs(S[i, i]) for i in range(k)]
 
 
 # ------------------------------------------------------ SNF modulo R
@@ -126,25 +148,22 @@ FOUND_5X5 = [[0, 89, 0, 94, 220], [236, -207, -215, -148, 0],
 def test_snf_modulo_determinant_5x5():
     R = abs(int(det(FOUND_5X5)))
     assert R == 103460645526
-    D, U, V = smith_normal_form(FOUND_5X5, modulus=R)
+    snf = smith_normal_form(FOUND_5X5, modulus=R)
+    D, U, V = snf
     assert [D[i][i] for i in range(5)] == [1, 1, 1, 1, R]
     assert all(D[i][j] == 0 for i in range(5) for j in range(5) if i != j)
-    # U*A*V is D modulo R up to a unit factor in each column
-    UAV = mat_mul(mat_mul(U, FOUND_5X5), V)
-    for i in range(5):
-        for j in range(5):
-            if i != j:
-                assert UAV[i][j] % R == 0
-        assert gcd(UAV[i][i], R) == D[i][i]
+    assert V == []
+    # U is invertible modulo R, and row i of U*A is d_i times a row that
+    # is primitive modulo R
+    assert gcd(int(det(U)), R) == 1
+    for i, row in enumerate(mat_mul(U, FOUND_5X5)):
+        assert gcd(R, *row) == D[i][i]
     # the lifts are the columns of U^-1 modulo R
-    W = [list(col) for col in zip(*smith_normal_form(
-        FOUND_5X5, with_v=False, modulus=R).lifts)]
+    W = [list(col) for col in zip(*snf.lifts)]
     assert all(x % R == (i == j)
                for i, row in enumerate(mat_mul(U, W)) for j, x in enumerate(row))
-    for with_u, with_v in itertools.product((True, False), repeat=2):
-        D2, _, _ = smith_normal_form(FOUND_5X5, with_u=with_u, with_v=with_v,
-                                     modulus=R)
-        assert D2 == D
+    D2, _, _ = smith_normal_form(FOUND_5X5, with_u=False, modulus=R)
+    assert D2 == D
     assert lattice_index(FOUND_5X5, modulus=R) == R
 
 
@@ -205,7 +224,7 @@ def test_modular_presentation_random_full_rank():
         assert G.invariant_factors == tuple(d for d in G.full_diag if d > 1)
         assert G.order == R
         if n <= 3:
-            D, _, _ = smith_normal_form(A, with_u=False, with_v=False)
+            D, _, _ = smith_normal_form(A, with_u=False)
             assert G.full_diag == [D[i][i] for i in range(n)]
         assert all(G.project(row) == G.identity() for row in A)
         tor = [i for i, d in enumerate(G.full_diag) if d > 1]
@@ -346,11 +365,24 @@ def test_dlog_brute_equivalence():
 
 
 def test_kernel_basis():
-    A = [[1, 2, 3], [2, 4, 6]]
-    ker = kernel_basis(A)
-    assert len(ker) == 2
-    for v in ker:
-        assert all(sum(A[i][j] * v[j] for j in range(3)) == 0 for i in range(2))
+    """On [[1, 2, 3], [2, 4, 6]] and every SNF case: the basis lies in the
+    kernel, its size is m - rank from sympy's nullspace, and it is
+    saturated, so it spans the whole integer kernel (every SNF invariant of
+    the basis matrix is 1)."""
+    pytest.importorskip("sympy")
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    for A in [[[1, 2, 3], [2, 4, 6]]] + SNF_CASES:
+        m = len(A[0])
+        ker = kernel_basis(A)
+        assert len(ker) == len(Matrix(A).nullspace()), A
+        for v in ker:
+            assert len(v) == m
+            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in A)
+        if ker:
+            S = sympy_snf(Matrix(ker), domain=ZZ)
+            assert [abs(S[i, i]) for i in range(len(ker))] == [1] * len(ker)
+    assert len(kernel_basis([[1, 2, 3], [2, 4, 6]])) == 2
 
 
 def test_lattice_index():
@@ -377,7 +409,7 @@ def test_decompose_abelian_z2_z4():
     def op(a, b):
         return ((a[0] + b[0]) % 2, (a[1] + b[1]) % 4)
     gens, orders, dlog = decompose_abelian(elems, op, (0, 0))
-    assert sorted(orders) == [2, 4]
+    assert orders == [2, 4]
     assert len(dlog) == 8
 
 
@@ -386,10 +418,73 @@ def test_decompose_abelian_cyclic6_as_product():
     def op(a, b):
         return ((a[0] + b[0]) % 2, (a[1] + b[1]) % 3)
     gens, orders, dlog = decompose_abelian(elems, op, (0, 0))
-    total = 1
-    for o in orders:
-        total *= o
-    assert total == 6
+    assert orders == [6]
+    assert dlog[gens[0]] == (1,)
+
+
+def check_decomposition(elements, op, identity, decomposition, pairs):
+    """(gens, orders, dlog) decomposes the group: the orders are a
+    divisibility chain and equal the invariant factors of the max-order
+    recursion, dlog is a bijection onto prod Z/d_i, the gens have unit
+    coordinates, and dlog turns op into + on the given pairs."""
+    gens, orders, dlog = decomposition
+    assert all(d > 1 for d in orders)
+    assert all(b % a == 0 for a, b in zip(orders, orders[1:]))
+    assert orders == [o for _, o in reversed(
+        decompose_by_max_order(sorted(elements), op, identity))]
+    assert set(dlog) == set(elements) and len(elements) == prod(orders)
+    assert set(dlog.values()) == set(itertools.product(
+        *[range(d) for d in orders]))
+    assert [dlog[g] for g in gens] == \
+        [tuple(int(i == j) for j in range(len(orders)))
+         for i in range(len(orders))]
+    for a, b in pairs:
+        assert dlog[op(a, b)] == tuple((x + y) % d for x, y, d in
+                                       zip(dlog[a], dlog[b], orders))
+
+
+@pytest.mark.parametrize("factors", [(2, 4), (6,), (2, 3), (2, 2, 4),
+                                     (3, 9), (4, 2), (9, 3, 3)])
+def test_decompose_abelian_relabelled(factors):
+    """Z/d1 x ... with its elements relabelled by seeded shuffles of
+    0, ..., h - 1, so the order of the labels says nothing of the law."""
+    cells = list(itertools.product(*[range(d) for d in factors]))
+    for seed in range(5):
+        labels = list(range(len(cells)))
+        random.Random(seed).shuffle(labels)
+        to_label = dict(zip(cells, labels))
+        to_cell = dict(zip(labels, cells))
+
+        def op(a, b):
+            return to_label[tuple((x + y) % d for x, y, d in
+                                  zip(to_cell[a], to_cell[b], factors))]
+        identity = to_label[(0,) * len(factors)]
+        check_decomposition(labels, op, identity,
+                            decompose_abelian(labels, op, identity),
+                            itertools.product(labels, repeat=2))
+
+
+def test_decompose_abelian_class_groups_d_below_2000():
+    """The decomposition each class group of a squarefree d < 2000 with
+    h > 1 keeps, on all pairs of classes (h is at most 14 there)."""
+    seen = 0
+    for d in range(2, 2000):
+        if not squarefree(d):
+            continue
+        K = RealQuadraticField(d)
+        clg = class_group(K)
+        if clg.h == 1:
+            continue
+        seen += 1
+
+        def kmul(k1, k2):
+            return clg.key_of(_pair_to_ideal(K, *k1[0]) *
+                              _pair_to_ideal(K, *k2[0]))
+        keys = clg.cycle_keys
+        check_decomposition(keys, kmul, clg.principal_key,
+                            (clg.gen_keys, clg.gen_orders, clg._dlog),
+                            itertools.product(keys, repeat=2))
+    assert seen == 758
 
 
 def test_cyclic_order_index_product():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from iwasawalab.iwasawa import mq_generator, mq_order
 from iwasawalab.kummer import (KummerCertificate, construct_alpha,
                                verify_alpha, kummer_rank,
                                same_kummer_extension)
@@ -92,6 +93,17 @@ def test_p_power_rescalings_divisibility():
                              (rational_ideal(QQ, 2), rational_ideal(QQ, 5)), 3)
         assert cert2.status == "accepted"
         assert cert2.a_exponent >= mv
+
+
+@pytest.mark.parametrize("N", [0, -1, -3])
+def test_mq_and_alpha_refuse_precision_below_one(N):
+    alpha = construct_alpha(QQ, 3, (2, 5), 3).alpha
+    for call in (lambda: mq_generator(QQ, 3, (2, 5), N),
+                 lambda: mq_order(QQ, 3, (2, 5), N),
+                 lambda: construct_alpha(QQ, 3, (2, 5), N),
+                 lambda: verify_alpha(alpha, QQ, 3, (2, 5), N)):
+        with pytest.raises(ValueError, match="N must be at least 1"):
+            call()
 
 
 def test_alpha_p_squared_scaling_raises_exponent():

@@ -221,6 +221,25 @@ def test_build_walks_each_cycle_once(monkeypatch):
         assert len(calls) == clg.h, d
 
 
+def test_class_group_build_calls_key_of_at_most_2h_minus_1(monkeypatch):
+    """At most 2h - 1 class lookups build each class group of a squarefree
+    d < 2000: h - 1 table products, sum(m_k - 1) <= h - 1 power searches
+    and the principal key.  decompose_abelian reuses the powers as table
+    entries, so the build takes h."""
+    calls = []
+    key_of = ClassGroupData.key_of
+
+    def counting(self, I):
+        calls.append(I)
+        return key_of(self, I)
+    monkeypatch.setattr(ClassGroupData, "key_of", counting)
+    for d in range(2, 2000):
+        if squarefree(d):
+            calls.clear()
+            clg = ClassGroupData(RealQuadraticField(d))
+            assert len(calls) <= 2 * clg.h - 1, (d, clg.h, len(calls))
+
+
 def test_key_of_steps_within_the_reduction_bound(monkeypatch):
     rng = random.Random(21)
     steps = []
