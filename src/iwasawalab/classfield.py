@@ -2,16 +2,19 @@
 p-extension of F unramified outside p, as the p-part of the ray class group
 of conductor p^(N+1), together with Frobenius images, the degree map
 (normalized by log(1+p)), and the even-side inertia-order criterion.
+The cyclotomic character is read by cyclotomic_log alone; stability is
+computed on first read of GaloisGroupG.stable, at conductor p^(N+2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from .abgroup import (FiniteAbelianGroup, GroupElement,
                       solve_congruence_lattice)
 from .ntheory import InternalCheckError, isprime
-from .padic import PAdicNumber, angle_log, plog, vp
+from .padic import PAdicNumber, log_series, unit_log_residues, vp
 from .quadfield import (IntegralIdeal, RealQuadraticField, rational_ideal,
                         residue_char)
 from .rayclass import ray_class_group
@@ -28,19 +31,28 @@ def e_of_q(q, p: int) -> int:
     return p ** (vp(m, p) if m % p == 0 else 0) if m else 1
 
 
+def cyclotomic_log(n: int, p: int, A: int) -> int:
+    """log<n>/log(1+p) mod p^(A-1) for n prime to p, from both logs mod p^A
+    on integer residues: log<n> lies in pZ_p and log(1+p) is p times a unit
+    for p odd (Washington, GTM 83, sec. 5.1)."""
+    if n % p == 0:
+        raise ValueError("n must be coprime to p")
+    ln = unit_log_residues(abs(n), 0, 0, p, A)[0]
+    return ln // p * _inverse_log_gamma(p, A) % p**(A - 1)
+
+
+@lru_cache(maxsize=128)
+def _inverse_log_gamma(p: int, A: int) -> int:
+    """The inverse of log(1+p)/p mod p^(A-1), the same for every n."""
+    return pow(log_series(p, 0, 0, 0, p, A)[0] // p, -1, p**(A - 1))
+
+
 def cyclotomic_dlog(n: int, p: int, M: int) -> int:
     """Position of the ray class of (n) in the cyclotomic quotient Z/p^(M-1),
     i.e. log<n>/log(1+p) mod p^(M-1); exact for exact integer input."""
-    if n % p == 0:
-        raise ValueError("n must be coprime to p")
     key = (abs(n), p, M)
     if key not in _Q_CYC_CACHE:
-        x = PAdicNumber.exact(abs(n), p, M)
-        deg = angle_log(x) / plog(PAdicNumber.exact(1 + p, p, M))
-        if deg.is_marker:
-            _Q_CYC_CACHE[key] = 0
-        else:
-            _Q_CYC_CACHE[key] = deg.residue(M - 1)
+        _Q_CYC_CACHE[key] = cyclotomic_log(n, p, M)
     return _Q_CYC_CACHE[key]
 
 
@@ -52,7 +64,6 @@ class GaloisGroupG:
     N: int
     rc: object                       # RayClassGroupData
     group: FiniteAbelianGroup
-    stable: bool
     cyc_hom: list                    # phi on the invariant coordinates
 
     @property
@@ -66,10 +77,9 @@ class GaloisGroupG:
 
     def degree(self, q: IntegralIdeal) -> PAdicNumber:
         """deg(Frob_q) = log<N(q)> / log(1+p), with precision tracking."""
-        p = self.p
         M = self.modulus_exponent
-        x = PAdicNumber.exact(q.norm, p, M + 2)
-        return angle_log(x) / plog(PAdicNumber.exact(1 + p, p, M + 2))
+        return PAdicNumber.from_residue(cyclotomic_log(q.norm, self.p, M + 2),
+                                        self.p, M + 1)
 
     def degree_exact(self, q: IntegralIdeal) -> int:
         """Exact cyclotomic-quotient position of Frob_q, mod p^N."""
@@ -84,22 +94,17 @@ class GaloisGroupG:
         rows = [list(self.cyc_hom)]
         return solve_congruence_lattice(rows, [self.p**self.N])
 
-    def stabilization_pattern(self, other: "GaloisGroupG") -> bool:
-        """Factor-by-factor comparison with the next-level group: every
-        invariant factor must persist or scale by exactly p at the top."""
+    @cached_property
+    def stable(self) -> bool:
+        """Factor-by-factor comparison with the p-part at conductor
+        p^(N+2), built on first read: every invariant factor must persist
+        or scale by exactly p at the top."""
+        p = self.p
         a = sorted(self.group.invariant_factors)
-        b = sorted(other.group.invariant_factors)
-        if len(a) != len(b):
-            return False
-        scaled = 0
-        for x, y in zip(a, b):
-            if y == x:
-                continue
-            if y == self.p * x:
-                scaled += 1
-            else:
-                return False
-        return True
+        b = sorted(ray_class_group(self.field, p**(self.N + 2), p)
+                   .p_group.invariant_factors)
+        return len(a) == len(b) and all(y in (x, p * x)
+                                        for x, y in zip(a, b))
 
     def report(self):
         inv = list(self.group.invariant_factors)
@@ -120,13 +125,8 @@ def _cyc_hom_on_invariants(rc, p: int, M: int):
     generator lifts of the presentation; consistency on all relations is
     checked.
     """
-    K = rc.field
-    c_ambient = []
-    norms = rc.units.gen_norm_ints()
-    for n in norms:
-        c_ambient.append(cyclotomic_dlog(n, p, M))
-    for g_ideal in rc.class_gen_ideals:
-        c_ambient.append(cyclotomic_dlog(g_ideal.norm, p, M))
+    norms = rc.units.gen_norm_ints() + [g.norm for g in rc.class_gen_ideals]
+    c_ambient = [cyclotomic_dlog(n, p, M) for n in norms]
     mod = p**(M - 1)
     for row in rc.relations:
         if sum(a * c for a, c in zip(row, c_ambient)) % mod:
@@ -155,8 +155,8 @@ def _transport_hom(rc, c_ambient, mod):
 
 
 def group_G(K: RealQuadraticField, p: int, N: int) -> GaloisGroupG:
-    """The Galois group model at precision N (ray conductor p^(N+1)),
-    with stabilization checked against conductor p^(N+2)."""
+    """The Galois group model at precision N (ray conductor p^(N+1)); its
+    `stable` is checked against conductor p^(N+2) when first read."""
     if N < 1:
         raise ValueError("N must be at least 1")
     if p % 2 == 0 or not isprime(p):
@@ -165,12 +165,8 @@ def group_G(K: RealQuadraticField, p: int, N: int) -> GaloisGroupG:
         raise ValueError("p = %d ramifies in %s" % (p, K.spec_string()))
     M = N + 1
     rc = ray_class_group(K, p**M, p)
-    rc_next = ray_class_group(K, p**(M + 1), p)
-    cyc = _cyc_hom_on_invariants(rc, p, M)
-    G = GaloisGroupG(K, p, N, rc, rc.p_group, True, cyc)
-    G_next = GaloisGroupG(K, p, N + 1, rc_next, rc_next.p_group, True, [])
-    G.stable = G.stabilization_pattern(G_next)
-    return G
+    return GaloisGroupG(K, p, N, rc, rc.p_group,
+                        _cyc_hom_on_invariants(rc, p, M))
 
 
 def frobenius_image(G: GaloisGroupG, q: IntegralIdeal):

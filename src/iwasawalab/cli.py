@@ -215,10 +215,7 @@ def _cmd_alpha(args):
 
 def _cmd_leopoldt(args):
     K = _parse_field(args.field)
-    try:
-        rep = leopoldt_defect(K, args.p, args.prec)
-    except ValueError as e:
-        raise UsageError(str(e))
+    rep = leopoldt_defect(K, args.p, args.prec)
     doc = rep.to_json()
     _emit(doc, args, ["delta(%s, %d) = %d [%s], regulator valuation %s"
                       % (K.spec_string(), args.p, rep.defect, rep.status,
@@ -246,10 +243,7 @@ def _cmd_gw(args):
         for part in args.locals.split(","):
             dim, h0 = part.split(":")
             locals_.append((int(dim), int(h0)))
-    try:
-        val = greenberg_wiles(args.h0v, args.h0dual, locals_)
-    except ValueError as e:
-        raise UsageError(str(e))
+    val = greenberg_wiles(args.h0v, args.h0dual, locals_)
     doc = {"h0_V": args.h0v, "h0_Vdual": args.h0dual,
            "locals": [list(t) for t in locals_], "rhs": val}
     _emit(doc, args, ["rhs = %d" % val])
@@ -332,7 +326,7 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=("json", "text"), default="text")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
+    def add(name, fn):
         sp = sub.add_parser(name)
         sp.set_defaults(func=fn)
         return sp

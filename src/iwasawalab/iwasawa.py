@@ -9,10 +9,10 @@ from dataclasses import dataclass
 from math import gcd
 
 from .abgroup import element_order, subgroup_image_order
-from .classfield import GaloisGroupG, group_G
+from .classfield import GaloisGroupG, cyclotomic_log, group_G
 from .ntheory import (InternalCheckError, is_squarefree, isprime, power,
                       quad_mul)
-from .padic import PAdicNumber, PrecisionError, angle_log, vp
+from .padic import PAdicNumber, PrecisionError, vp
 from .quadfield import (IntegralIdeal, RealQuadraticField,
                         fundamental_unit, rational_ideal)
 
@@ -77,18 +77,23 @@ def _check_q_pair(K, p, q1, q2):
     return q1, q2
 
 
+def _degree(q, p: int, work: int) -> PAdicNumber:
+    """log<N(q)>/log(1+p), certified mod p^(work-1)."""
+    return PAdicNumber.from_residue(cyclotomic_log(q.norm, p, work), p,
+                                    work - 1)
+
+
 def mq_generator(K: RealQuadraticField, p: int, Q, N: int) \
         -> FrobeniusModuleReport:
     """a1 = -log<N(q2)>/log<N(q1)>, a2 = 1: the degree-0 generator data."""
     if N < 1:
         raise ValueError("N must be at least 1")
     q1, q2 = _check_q_pair(K, p, *Q)
-    work = N + 2
-    l1 = angle_log(PAdicNumber.exact(q1.norm, p, work))
-    l2 = angle_log(PAdicNumber.exact(q2.norm, p, work))
-    a1 = -(l2 / l1)
-    # degree-0 check: a1*log<N(q1)> + log<N(q2)> vanishes within precision
-    resid = a1 * l1 + l2
+    k1, k2 = _degree(q1, p, N + 2), _degree(q2, p, N + 2)
+    a1 = -(k2 / k1)
+    # degree-0 check: a1*log<N(q1)> + log<N(q2)>, which is log(1+p) (of
+    # valuation 1) times a1*k1 + k2, vanishes within precision
+    resid = (a1 * k1 + k2).shift(1)
     if not resid.is_marker:
         raise InternalCheckError("degree-0 combination failed to vanish")
     return FrobeniusModuleReport(K, p, N, q1, q2, a1, 1, resid.v)
@@ -104,9 +109,7 @@ def _rounded_degree_zero(G: GaloisGroupG, q1, q2):
     o1 = element_order(G.group, F1)
     v1 = vp(o1, p) if o1 % p == 0 else 0
     work = max(G.N + 2, v1 + 3)
-    l1 = angle_log(PAdicNumber.exact(q1.norm, p, work))
-    l2 = angle_log(PAdicNumber.exact(q2.norm, p, work))
-    a1 = -(l2 / l1)
+    a1 = -(_degree(q2, p, work) / _degree(q1, p, work))
     if a1.abs_prec < v1:
         raise PrecisionError("insufficient precision to fix the class of "
                              "the degree-0 element at level %d" % G.N)

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abgroup import element_order
+from .abgroup import element_order, smith_normal_form
 from .iwasawa import mq_order
 from .localize import (INDET, TRUE, FALSE, completions_above_p, eq_membership,
                        is_loc_torsion, loc, zp_matrix_rank, RankReport)
-from .ntheory import InternalCheckError, factorint
+from .ntheory import InternalCheckError, factorint, isprime
 from .padic import PAdicNumber, PrecisionError, vp
 from .quadfield import (FieldElement, RealQuadraticField, SUnitBasisData,
                         SUnitBasisEntry, SUnitProduct, class_group,
@@ -262,17 +262,19 @@ def kummer_rank(T, K: RealQuadraticField, p: int, N: int) -> RankReport:
     so the rank is the exact rank of the integer exponent matrix; formal
     products contribute p-adic exponent rows with precision certificates.
     """
+    if p % 2 == 0 or not isprime(p):
+        raise ValueError("p must be an odd prime")
     if not T:
         return RankReport(0, True)
     if all(isinstance(t, FieldElement) for t in T):
         primes = _support_primes(K, T)
         data = SUnitBasisData(K, primes)
-        rows = []
-        for t in T:
-            coords = data.decompose(t)
-            rows.append([PAdicNumber.exact(c, p, N + 4)
-                         for c in coords[1:]])  # drop the torsion sign
-        return zp_matrix_rank(rows)
+        # drop the torsion sign; the Z_p-rank of an integer matrix is its
+        # rank, the number of nonzero Smith invariants
+        D = smith_normal_form([data.decompose(t)[1:] for t in T],
+                              with_u=False)[0]
+        return RankReport(sum(1 for i, row in enumerate(D)
+                              if i < len(row) and row[i]), True)
     if all(isinstance(t, SUnitProduct) for t in T):
         basis = T[0].basis
         for t in T:

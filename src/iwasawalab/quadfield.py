@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm, log, prod, sqrt
+from math import gcd, isqrt, lcm, log, sqrt
 from numbers import Rational
 
-from .abgroup import (GroupElement, decompose_abelian, smith_presentation,
+from .abgroup import (FiniteAbelianGroup, GroupElement, decompose_abelian,
                       solve_congruence_lattice, solve_integral)
 from .ntheory import (InternalCheckError, extgcd, is_squarefree, isprime,
                       legendre, power, quad_mul, sqrt_mod_prime)
@@ -567,7 +567,9 @@ class ClassGroupData:
 
     A class is keyed by its cycle of reduced states, as a sorted tuple.
     The build walks each cycle once, from the first reduced pair not yet
-    indexed, and _key maps every state of every cycle to its key."""
+    indexed, and _key maps every state of every cycle to its key.  The
+    decomposition's orders are the invariant factors and its dlog gives
+    coordinates in their basis, so `group` reads them with no transform."""
 
     def __init__(self, K: RealQuadraticField):
         self.field = K
@@ -576,7 +578,7 @@ class ClassGroupData:
             self.cycle_keys = []
             self.gen_keys, self.gen_orders = [], []
             self._dlog = {}
-            self.group = smith_presentation([], 0)
+            self.group = FiniteAbelianGroup(())
             self.principal_key = None
             return
         self._key = {}
@@ -594,11 +596,10 @@ class ClassGroupData:
 
         self.gen_keys, self.gen_orders, self._dlog = decompose_abelian(
             self.cycle_keys, kmul, self.principal_key)
-        orders = self.gen_orders
-        rels = [[orders[i] if j == i else 0 for j in range(len(orders))]
-                for i in range(len(orders))]
-        self.group = smith_presentation(rels, len(orders),
-                                        modulus=prod(orders))
+        k = len(self.gen_orders)
+        self.group = FiniteAbelianGroup(
+            tuple(self.gen_orders), ambient_rank=k,
+            transform=[[int(i == j) for j in range(k)] for i in range(k)])
 
     def key_of(self, I: IntegralIdeal):
         """The key of [I]: the walk from the state of I stops at the first

@@ -16,7 +16,11 @@ Leopoldt defect from the Z_p-rank of the localized unit logs, before
 `iwasawa.leopoldt_defect` read one valuation of eps^k - 1, and
 `decompose_by_max_order`, the recursion on elements of largest order that
 `abgroup.decompose_abelian` ran before it read the structure off a Smith
-form.
+form, and the log route of the cyclotomic character
+(`cyclotomic_dlog_log_route`, `degree_log_route`, `mq_generator_log_route`,
+`rounded_degree_zero_log_route`, `mq_order_log_route`): angle_log over plog
+of 1 + p on PAdicNumbers, as `classfield` and `iwasawa` read it before
+`classfield.cyclotomic_log` did on integer residues.
 """
 
 from dataclasses import dataclass
@@ -24,12 +28,15 @@ from fractions import Fraction
 from math import gcd, isqrt, prod
 
 from iwasawalab.abgroup import (FiniteAbelianGroup, _column_lattice_basis,
-                                kernel_basis, lattice_index,
+                                element_order, kernel_basis, lattice_index,
                                 smith_presentation, subgroup_image_order)
-from iwasawalab.iwasawa import LeopoldtReport
+from iwasawalab.classfield import group_G
+from iwasawalab.iwasawa import (FrobeniusModuleReport, LeopoldtReport,
+                                _check_q_pair)
 from iwasawalab.localize import completions_above_p, loc, zp_matrix_rank
 from iwasawalab.ntheory import InternalCheckError, isprime
-from iwasawalab.padic import _log_terms_needed, vp
+from iwasawalab.padic import (PAdicNumber, PrecisionError, _log_terms_needed,
+                              angle_log, plog, vp)
 from iwasawalab.quadfield import fundamental_unit
 
 
@@ -507,3 +514,76 @@ def leopoldt_defect_log_route(K, p: int, N: int) -> LeopoldtReport:
         reg_val = min(nonzero)
     status = "ok" if rank.certified else "indeterminate"
     return LeopoldtReport(K, p, N, defect, reg_val, status, p == 3)
+
+
+def cyclotomic_dlog_log_route(n: int, p: int, M: int) -> int:
+    """log<n>/log(1+p) mod p^(M-1), as classfield.cyclotomic_dlog read it
+    (with no cache)."""
+    if n % p == 0:
+        raise ValueError("n must be coprime to p")
+    x = PAdicNumber.exact(abs(n), p, M)
+    deg = angle_log(x) / plog(PAdicNumber.exact(1 + p, p, M))
+    if deg.is_marker:
+        return 0
+    return deg.residue(M - 1)
+
+
+def degree_log_route(G, q) -> PAdicNumber:
+    """deg(Frob_q) = log<N(q)> / log(1+p), as GaloisGroupG.degree read it."""
+    p = G.p
+    M = G.modulus_exponent
+    x = PAdicNumber.exact(q.norm, p, M + 2)
+    return angle_log(x) / plog(PAdicNumber.exact(1 + p, p, M + 2))
+
+
+def mq_generator_log_route(K, p: int, Q, N: int) -> FrobeniusModuleReport:
+    """a1 = -log<N(q2)>/log<N(q1)>, a2 = 1, as iwasawa.mq_generator read
+    it."""
+    if N < 1:
+        raise ValueError("N must be at least 1")
+    q1, q2 = _check_q_pair(K, p, *Q)
+    work = N + 2
+    l1 = angle_log(PAdicNumber.exact(q1.norm, p, work))
+    l2 = angle_log(PAdicNumber.exact(q2.norm, p, work))
+    a1 = -(l2 / l1)
+    # degree-0 check: a1*log<N(q1)> + log<N(q2)> vanishes within precision
+    resid = a1 * l1 + l2
+    if not resid.is_marker:
+        raise InternalCheckError("degree-0 combination failed to vanish")
+    return FrobeniusModuleReport(K, p, N, q1, q2, a1, 1, resid.v)
+
+
+def rounded_degree_zero_log_route(G, q1, q2):
+    """(F1, F2, v1, g), as iwasawa._rounded_degree_zero read it."""
+    p = G.p
+    F1 = G.frobenius_class(q1)
+    F2 = G.frobenius_class(q2)
+    o1 = element_order(G.group, F1)
+    v1 = vp(o1, p) if o1 % p == 0 else 0
+    work = max(G.N + 2, v1 + 3)
+    l1 = angle_log(PAdicNumber.exact(q1.norm, p, work))
+    l2 = angle_log(PAdicNumber.exact(q2.norm, p, work))
+    a1 = -(l2 / l1)
+    if a1.abs_prec < v1:
+        raise PrecisionError("insufficient precision to fix the class of "
+                             "the degree-0 element at level %d" % G.N)
+    a1_int = a1.residue(v1) if v1 > 0 else 0
+    return F1, F2, v1, G.group.add(G.group.scale(a1_int, F1), F2)
+
+
+def mq_order_log_route(K, p: int, Q, N: int) -> FrobeniusModuleReport:
+    """iwasawa.mq_order on the log route, without its subgroup
+    cross-check."""
+    rep = mq_generator_log_route(K, p, Q, N)
+    orders = []
+    groups = []
+    for L in (N, N + 2):
+        G = group_G(K, p, L)
+        g = rounded_degree_zero_log_route(G, rep.q1, rep.q2)[3]
+        orders.append(element_order(G.group, g))
+        groups.append(G)
+    rep.m_q = orders[0]
+    rep.stable = orders[0] == orders[1]
+    rep.provisional_orders = tuple(orders)
+    rep.group_invariants = groups[0].group.invariant_factors
+    return rep

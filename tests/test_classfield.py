@@ -3,15 +3,18 @@ from math import prod
 
 import pytest
 
+from iwasawalab import classfield, rayclass
 from iwasawalab.abgroup import element_order, smith_presentation, \
     solve_integral
 from iwasawalab.classfield import (GaloisGroupG, group_G, frobenius_image,
                                    e_of_q, even_criterion, cyclotomic_dlog,
-                                   _transport_hom)
+                                   cyclotomic_log, _transport_hom)
+from iwasawalab.iwasawa import mq_order
 from iwasawalab.quadfield import (RealQuadraticField, factor_rational_prime,
                                   rational_ideal)
 from iwasawalab.rayclass import ray_class_group
-from oracles import subgroup_order_from_lattice
+from oracles import (cyclotomic_dlog_log_route, degree_log_route,
+                     subgroup_order_from_lattice)
 
 QQ = RealQuadraticField.rationals()
 Q2 = RealQuadraticField(2)
@@ -78,6 +81,67 @@ def test_degree_exact_matches_log_degree():
         deg = G.degree(q)
         k = min(deg.abs_prec, G.N)
         assert deg.residue(k) == G.degree_exact(q) % 5**k
+
+
+def _sig(x):
+    return (x.v, x.m, x.digits)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_cyclotomic_log_matches_log_route(p):
+    """cyclotomic_log on integer residues against angle_log over plog(1 + p)
+    on PAdicNumbers, for n < 2000 prime to p (and -n) and A = 2..12."""
+    for A in range(2, 13):
+        for n in range(1, 2000):
+            if n % p:
+                want = cyclotomic_dlog_log_route(n, p, A)
+                assert cyclotomic_log(n, p, A) == want, (n, p, A)
+                assert cyclotomic_log(-n, p, A) == want, (-n, p, A)
+    with pytest.raises(ValueError):
+        cyclotomic_log(2 * p, p, 4)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_degree_matches_log_route(p):
+    """GaloisGroupG.degree against the log route as (v, m, digits), for N =
+    1..9 (A = N + 3) and norms n < 2000 prime to p."""
+    for N in range(1, 10):
+        G = group_G(QQ, p, N)
+        for n in range(1, 2000):
+            if n % p:
+                q = rational_ideal(QQ, n)
+                assert _sig(G.degree(q)) == _sig(degree_log_route(G, q)), \
+                    (n, p, N)
+
+
+MQ_LEVELS = [(1, 3, 2, 5), (2, 5, 2, 3), (79, 3, 2, 5), (10, 3, 7, 41)]
+
+
+@pytest.mark.parametrize("d,p,l1,l2", MQ_LEVELS)
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_mq_order_builds_only_the_levels_it_reads(monkeypatch, d, p, l1, l2,
+                                                  N):
+    """mq_order builds the ray class groups at p^(N+1) and p^(N+3) alone;
+    reading `stable` of the group at N builds p^(N+2), once."""
+    monkeypatch.setattr(rayclass, "_RAY_CACHE", {})
+    K = QQ if d == 1 else RealQuadraticField(d)
+    Q = tuple(factor_rational_prime(K, ell).ideals[0] for ell in (l1, l2))
+    mq_order(K, p, Q, N)
+
+    def levels():
+        return sorted(key[1] for key in rayclass._RAY_CACHE)
+    want = sorted(rational_ideal(K, p**M).key() for M in (N + 1, N + 3))
+    assert levels() == want
+    G = group_G(K, p, N)
+    assert levels() == want
+    assert G.stable in (True, False)
+    want = sorted(want + [rational_ideal(K, p**(N + 2)).key()])
+    assert levels() == want
+
+    def refuse(*args):
+        raise RuntimeError("stable was built twice")
+    monkeypatch.setattr(classfield, "ray_class_group", refuse)
+    assert G.stable == G.report()["stable"]
 
 
 def test_tower_consistency():

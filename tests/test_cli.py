@@ -134,6 +134,13 @@ def test_scan_even_prime_usage(capsys):
     assert code == 4
 
 
+def test_gw_negative_dimension_usage_error(capsys):
+    assert main(["gw", "--h0v", "-1", "--h0dual", "0"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == \
+        "usage error: cohomology dimensions must be nonnegative ints\n"
+
+
 def test_scan_empty_range_usage_error(capsys):
     assert main(["scan", "--dmax", "0", "--primes", "3,5"]) == 4
     out, err = capsys.readouterr()

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import random
 import sys
@@ -5,21 +6,23 @@ from math import gcd
 
 import pytest
 
-from iwasawalab import iwasawa, localize, padic, quadfield
+from iwasawalab import classfield, iwasawa, localize, padic, quadfield
 from iwasawalab.abgroup import subgroup_image_order
-from iwasawalab.classfield import GaloisGroupG, group_G
+from iwasawalab.classfield import GaloisGroupG, frobenius_image, group_G
 from iwasawalab.iwasawa import (is_inert_in_cyclotomic, mq_generator,
                                 mq_order, leopoldt_defect, greenberg_wiles,
                                 defect_never_one_scan,
                                 degree_zero_pair_element)
+from iwasawalab.kummer import construct_alpha
 from iwasawalab.localize import completions_above_p
-from iwasawalab.ntheory import InternalCheckError, is_squarefree
-from iwasawalab.padic import vp
+from iwasawalab.ntheory import InternalCheckError, is_squarefree, isprime
+from iwasawalab.padic import PAdicNumber, vp
 from iwasawalab.quadfield import (RealQuadraticField, factor_rational_prime,
                                   fundamental_unit, ideal_valuation,
                                   parts_valuation, rational_ideal,
                                   split_root)
 from oracles import (lattice_intersection, leopoldt_defect_log_route,
+                     mq_order_log_route, rounded_degree_zero_log_route,
                      subgroup_order_from_lattice)
 
 QQ = RealQuadraticField.rationals()
@@ -152,6 +155,119 @@ def test_mq_order_cross_check_is_live(monkeypatch):
     with pytest.raises(InternalCheckError,
                        match="subgroup and element orders disagree"):
         mq_order(K, 3, (_prime(K, "2"), _prime(K, "5a")), 4)
+
+
+# fields, p and q-pairs of mq_order: inert, split and ramified q, and the
+# Frobenius module of Q(sqrt 79) at p = 3 with m_Q = 9
+MQ_GRID = [(1, 3, "2", "5"), (1, 5, "2", "3"), (1, 7, "3", "5"),
+           (2, 3, "5", "7a"), (2, 5, "2", "3"), (7, 5, "3a", "3b"),
+           (10, 3, "7", "41a"), (79, 3, "2", "5a"), (79, 3, "5b", "2")]
+
+
+def _field(d):
+    return QQ if d == 1 else RealQuadraticField(d)
+
+
+def _report_fields(rep):
+    """Every field of a FrobeniusModuleReport, a1 as (v, m, digits)."""
+    out = {}
+    for f in dataclasses.fields(rep):
+        x = getattr(rep, f.name)
+        out[f.name] = (x.v, x.m, x.digits) if f.name == "a1" else x
+    return out
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("d,p,s1,s2", MQ_GRID)
+def test_frobenius_module_report_matches_log_route(d, p, s1, s2, N):
+    """Every field of the mq_order report, degree_zero_margin (N + 2)
+    included, equals the angle_log/plog route it replaced."""
+    K = _field(d)
+    Q = (_prime(K, s1), _prime(K, s2))
+    rep, want = mq_order(K, p, Q, N), mq_order_log_route(K, p, Q, N)
+    assert _report_fields(rep) == _report_fields(want)
+    assert rep.degree_zero_margin == N + 2
+    assert rep.to_json() == want.to_json()
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except (ArithmeticError, ValueError) as e:
+        return type(e).__name__, str(e)
+
+
+@pytest.mark.parametrize("d,p", [(1, 3), (1, 5), (2, 5), (79, 3)])
+def test_degree_zero_pair_element_with_any_q1_matches_log_route(d, p):
+    """q1 need not be inert in degree_zero_pair_element: its degree may have
+    valuation above 0 or be a marker.  For every prime q1 below 60 prime to
+    p, the element, or the error, equals the log route's; so does a1 =
+    -k2/k1 read at each working precision, as (v, m, digits)."""
+    K = _field(d)
+    qs = [q for ell in range(2, 60) if isprime(ell) and ell != p
+          for q in factor_rational_prime(K, ell).ideals]
+    kinds = set()
+    for N in (1, 2, 3):
+        G = group_G(K, p, N)
+        for q1 in qs:
+            for q2 in qs[:3]:
+                got = _outcome(degree_zero_pair_element, G, q1, q2)
+                want = _outcome(lambda *a: rounded_degree_zero_log_route(*a)[3],
+                                G, q1, q2)
+                assert got == want, (q1, q2, N)
+                kinds.add(got[0])
+    for work in range(3, 9):
+        for q1 in qs:
+            for q2 in qs:
+                got = _outcome(lambda: iwasawa._degree(q2, p, work)
+                               / iwasawa._degree(q1, p, work))
+                want = _outcome(lambda: padic.angle_log(
+                    PAdicNumber.exact(q2.norm, p, work)) / padic.angle_log(
+                    PAdicNumber.exact(q1.norm, p, work)))
+                if got[0] == "value":
+                    got = (got[0], (got[1].v, got[1].m, got[1].digits))
+                    want = (want[0], (want[1].v, want[1].m, want[1].digits))
+                assert got == want, (q1, q2, work)
+    assert "value" in kinds and len(kinds) > 1, kinds
+
+
+@pytest.mark.parametrize("d,p,s1,s2", MQ_GRID)
+def test_cyclotomic_character_needs_no_angle_log_or_plog(monkeypatch, d, p,
+                                                         s1, s2):
+    """mq_order, group_G, frobenius_image and construct_alpha answer as
+    before with padic.angle_log and padic.plog patched to raise in every
+    iwasawalab module that binds them, and the degree cache emptied."""
+    K = _field(d)
+    Q = (_prime(K, s1), _prime(K, s2))
+
+    def answers():
+        out = []
+        for N in (1, 2, 3):
+            G = group_G(K, p, N)
+            out.append((mq_order(K, p, Q, N).to_json(), G.report()))
+            for q in Q:
+                cls, deg = frobenius_image(G, q)
+                out.append((cls, deg.v, deg.m, deg.digits))
+        out.append(construct_alpha(K, p, Q, 2).to_json())
+        return out
+    want = answers()
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("called on the cyclotomic path")
+    originals = {attr: getattr(padic, attr) for attr in ("angle_log", "plog")}
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if name == "iwasawalab" or name.startswith("iwasawalab."):
+            for attr, original in originals.items():
+                if getattr(module, attr, None) is original:
+                    monkeypatch.setattr(module, attr, refuse)
+                    patched.add((name, attr))
+    assert {("iwasawalab", "angle_log"), ("iwasawalab", "plog"),
+            ("iwasawalab.padic", "plog")} <= patched
+    monkeypatch.setattr(classfield, "_Q_CYC_CACHE", {})
+    with pytest.raises(RuntimeError):
+        padic.angle_log(PAdicNumber.of(2, 3, 3))
+    assert answers() == want
 
 
 def test_mq_symmetric_subgroup():

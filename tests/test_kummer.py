@@ -189,6 +189,23 @@ def test_kummer_rank_of_a_norm_one_s_unit():
     assert kummer_rank([t, t * t, fundamental_unit(Q2)], Q2, 3, 6).rank == 2
 
 
+def test_kummer_rank_of_field_elements_is_certified_when_exact():
+    """Field elements give an exact integer exponent matrix, so a rank
+    below the row count is certified, not left open."""
+    r = kummer_rank([Q2.element(2), Q2.element(4)], Q2, 3, 4)
+    assert r.rank == 1 and r.certified
+    assert same_kummer_extension(QQ.element(6), QQ.element(36), QQ, 3,
+                                 6) == TRUE
+    assert same_kummer_extension(Q2.element(2), Q2.element(8), Q2, 5,
+                                 6) == TRUE
+    r = kummer_rank([QQ.element(6), QQ.element(-36), QQ.element(12)], QQ, 5,
+                    2)
+    assert r.rank == 2 and r.certified
+    for p in (4, 9):
+        with pytest.raises(ValueError, match="odd prime"):
+            kummer_rank([QQ.element(2), QQ.element(8)], QQ, p, 6)
+
+
 def test_same_kummer_extension():
     x = QQ.element(2)
     assert same_kummer_extension(x, QQ.element(8), QQ, 3, 6) == TRUE
