@@ -41,6 +41,12 @@ def cyclotomic_log(n: int, p: int, A: int) -> int:
     return ln // p * _inverse_log_gamma(p, A) % p**(A - 1)
 
 
+def cyclotomic_degree(q: IntegralIdeal, p: int, work: int) -> PAdicNumber:
+    """deg(Frob_q) = log<N(q)>/log(1+p), certified mod p^(work-1)."""
+    return PAdicNumber.from_residue(cyclotomic_log(q.norm, p, work), p,
+                                    work - 1)
+
+
 @lru_cache(maxsize=128)
 def _inverse_log_gamma(p: int, A: int) -> int:
     """The inverse of log(1+p)/p mod p^(A-1), the same for every n."""
@@ -66,24 +72,19 @@ class GaloisGroupG:
     group: FiniteAbelianGroup
     cyc_hom: list                    # phi on the invariant coordinates
 
-    @property
-    def modulus_exponent(self) -> int:
-        return self.N + 1
-
     def frobenius_class(self, q: IntegralIdeal) -> GroupElement:
         if residue_char(q) == self.p:
             raise ValueError("q must be coprime to p")
         return self.rc.p_class_of_ideal(q)
 
     def degree(self, q: IntegralIdeal) -> PAdicNumber:
-        """deg(Frob_q) = log<N(q)> / log(1+p), with precision tracking."""
-        M = self.modulus_exponent
-        return PAdicNumber.from_residue(cyclotomic_log(q.norm, self.p, M + 2),
-                                        self.p, M + 1)
+        """deg(Frob_q) = log<N(q)> / log(1+p), certified mod p^(N+2)."""
+        return cyclotomic_degree(q, self.p, self.N + 3)
 
-    def degree_exact(self, q: IntegralIdeal) -> int:
-        """Exact cyclotomic-quotient position of Frob_q, mod p^N."""
-        return cyclotomic_dlog(q.norm, self.p, self.modulus_exponent)
+    def class_degree(self, cls) -> int:
+        """Image of a class in the cyclotomic quotient Z/p^N, read by the
+        hom on invariant coordinates."""
+        return sum(c * f for c, f in zip(self.cyc_hom, cls)) % self.p**self.N
 
     def degree_kernel_lattice(self):
         """Lattice (in invariant coordinates) of classes with trivial image
@@ -174,10 +175,11 @@ def frobenius_image(G: GaloisGroupG, q: IntegralIdeal):
     cls = G.frobenius_class(q)
     deg = G.degree(q)
     if not deg.is_marker:
-        # cross-check the log-based degree against the exact dlog
+        # cross-check the character on N(q) against the exact dlog of the
+        # class of q, read by the hom on invariant coordinates
         k = min(deg.abs_prec, G.N)
         if k > 0 and deg.v >= 0 and \
-                deg.residue(k) != G.degree_exact(q) % G.p**k:
+                deg.residue(k) != G.class_degree(cls) % G.p**k:
             raise InternalCheckError("log degree disagrees with the exact "
                                      "dlog")
     return cls, deg

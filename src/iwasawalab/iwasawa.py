@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .abgroup import element_order, subgroup_image_order
-from .classfield import GaloisGroupG, cyclotomic_log, group_G
+from .classfield import GaloisGroupG, cyclotomic_degree, group_G
 from .ntheory import (InternalCheckError, is_squarefree, isprime, power,
                       quad_mul)
 from .padic import PAdicNumber, PrecisionError, vp
@@ -77,19 +77,13 @@ def _check_q_pair(K, p, q1, q2):
     return q1, q2
 
 
-def _degree(q, p: int, work: int) -> PAdicNumber:
-    """log<N(q)>/log(1+p), certified mod p^(work-1)."""
-    return PAdicNumber.from_residue(cyclotomic_log(q.norm, p, work), p,
-                                    work - 1)
-
-
 def mq_generator(K: RealQuadraticField, p: int, Q, N: int) \
         -> FrobeniusModuleReport:
     """a1 = -log<N(q2)>/log<N(q1)>, a2 = 1: the degree-0 generator data."""
     if N < 1:
         raise ValueError("N must be at least 1")
     q1, q2 = _check_q_pair(K, p, *Q)
-    k1, k2 = _degree(q1, p, N + 2), _degree(q2, p, N + 2)
+    k1, k2 = cyclotomic_degree(q1, p, N + 2), cyclotomic_degree(q2, p, N + 2)
     a1 = -(k2 / k1)
     # degree-0 check: a1*log<N(q1)> + log<N(q2)>, which is log(1+p) (of
     # valuation 1) times a1*k1 + k2, vanishes within precision
@@ -109,7 +103,7 @@ def _rounded_degree_zero(G: GaloisGroupG, q1, q2):
     o1 = element_order(G.group, F1)
     v1 = vp(o1, p) if o1 % p == 0 else 0
     work = max(G.N + 2, v1 + 3)
-    a1 = -(_degree(q2, p, work) / _degree(q1, p, work))
+    a1 = -(cyclotomic_degree(q2, p, work) / cyclotomic_degree(q1, p, work))
     if a1.abs_prec < v1:
         raise PrecisionError("insufficient precision to fix the class of "
                              "the degree-0 element at level %d" % G.N)
@@ -132,7 +126,7 @@ def mq_order(K: RealQuadraticField, p: int, Q, N: int) \
         # <F1, F2> meets ker deg in |<F1, F2>| / |deg <F1, F2>| elements
         if L >= v1:
             pL = p**L
-            degs = [sum(c * f for c, f in zip(G.cyc_hom, F)) for F in (F1, F2)]
+            degs = [G.class_degree(F) for F in (F1, F2)]
             image = pL // gcd(pL, *degs)
             if subgroup_image_order(G.group, [F1, F2]) // image != order:
                 raise InternalCheckError("subgroup and element orders "

@@ -159,8 +159,8 @@ def _solve_unit_exponent(alpha0: SUnitProduct, places, p: int, N: int):
     x = None
     checks = []
     for place in places:
-        la = loc(alpha0, place, p, N).log_coords()
-        le = loc(eps, place, p, N).log_coords()
+        la = loc(alpha0, place, p, N).unit_log
+        le = loc(eps, place, p, N).unit_log
         for ca, ce in zip(la, le):
             if ce.is_marker:
                 continue
@@ -254,7 +254,7 @@ def _support_primes(K, elements):
     return primes
 
 
-def kummer_rank(T, K: RealQuadraticField, p: int, N: int) -> RankReport:
+def kummer_rank(T, K: RealQuadraticField, p: int) -> RankReport:
     """Z_p-rank of the closure of <T> in the completed multiplicative group.
 
     Field elements are decomposed exactly over an S-unit basis (the
@@ -288,16 +288,16 @@ def kummer_rank(T, K: RealQuadraticField, p: int, N: int) -> RankReport:
     raise TypeError("mixed element kinds in kummer_rank")
 
 
-def same_kummer_extension(x, y, K: RealQuadraticField, p: int, N: int) -> str:
+def same_kummer_extension(x, y, K: RealQuadraticField, p: int) -> str:
     """Do x and y generate the same Kummer Z_p-extension?  True iff their
     joint closure has rank 1."""
     for t in (x, y):
-        r = kummer_rank([t], K, p, N)
+        r = kummer_rank([t], K, p)
         if r.rank == 0 and r.certified:
             raise ValueError("input is torsion; no Kummer extension")
         if r.rank == 0:
             return INDET  # cannot certify the non-torsion precondition
-    r = kummer_rank([x, y], K, p, N)
+    r = kummer_rank([x, y], K, p)
     if r.rank == 1 and r.certified:
         return TRUE
     if r.rank == 2:

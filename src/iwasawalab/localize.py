@@ -2,18 +2,20 @@
 torsion criteria on them: local torsion tests, S-unit membership, and the
 Z_p-rank of inertia images.
 
-Places above p carry a 1-unit logarithm (scalar for split places, a
-coordinate pair for inert ones); places away from p only contribute their
-valuation to any Z_p-rank.  That log is taken on integer residues by
-`padic.unit_log_residues`; only its result becomes a p-adic object.
+A local log is a tuple of PAdicNumber coordinates: () away from p, where
+only the valuation contributes to any Z_p-rank; one coordinate at a split
+or rational place above p; two at an inert one, over {1, s}, s = sqrt(D).
+The log is taken on integer residues by `padic.unit_log_residues`; only
+its coordinates become p-adic objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .ntheory import InternalCheckError, isprime
-from .padic import PAdicNumber, UnramifiedQuadElem, unit_log_residues, vp
+from .padic import PAdicNumber, unit_log_residues, vp
 from .quadfield import (FieldElement, IntegralIdeal, RealQuadraticField,
                         SUnitProduct, factor_rational_prime,
                         ideal_valuation, parts_valuation, split_root)
@@ -58,25 +60,6 @@ def completions_above_p(K: RealQuadraticField, p: int):
     return places_above(K, p)
 
 
-def embed(x: FieldElement, place: PlaceAbovePrime, abs_prec: int):
-    """Image of x in the completion at `place`, certified mod p^abs_prec.
-
-    Split/rational places give a PAdicNumber; inert places give an
-    UnramifiedQuadElem with s = sqrt(D).
-    """
-    if place.kind == "ramified":
-        raise ValueError("ramified completions are unsupported")
-    a, b, den = x.a, x.b, x.den
-    p = place.ell
-    vden = vp(den, p)
-    work = abs_prec + vden + 1
-    c0, c1 = _coordinates(a, b, den // p**vden, place, work)
-    if place.kind == "inert":
-        return UnramifiedQuadElem.from_residues(
-            c0, c1, place.field.D, p, work).shift(-vden)
-    return PAdicNumber.from_residue(c0, p, work).shift(-vden)
-
-
 def _coordinates(a: int, b: int, den: int, place: PlaceAbovePrime,
                  work: int):
     """(a + b*w)/den mod p^work for a p-unit den, as the pair over {1, s},
@@ -96,21 +79,13 @@ class LocalValue:
     """Valuation and 1-unit log data of an element at one place."""
     place: PlaceAbovePrime
     valuation: object            # int, or PAdicNumber for formal products
-    unit_log: object             # None away from p; PAdic or quad pair at p
-
-    def log_coords(self):
-        """The 1-unit log as a list of PAdicNumber coordinates."""
-        if self.unit_log is None:
-            return []
-        if isinstance(self.unit_log, UnramifiedQuadElem):
-            return [self.unit_log.a, self.unit_log.b]
-        return [self.unit_log]
+    unit_log: tuple              # PAdicNumber coordinates; () away from p
 
 
 def _element_unit_log(x: FieldElement, place: PlaceAbovePrime, N: int):
-    """(v, log of the 1-unit part of x) at a place above p.  With x =
-    (a + b*w)/den and s = v + v_p(den) = v_q(a + b*w), the unit x/p^v is
-    read to A = N + max(v, 0) + 2 - v digits: the coordinates of
+    """(v, coordinates of the log of the 1-unit part of x) at a place above
+    p.  With x = (a + b*w)/den and s = v + v_p(den) = v_q(a + b*w), the unit
+    x/p^v is read to A = N + max(v, 0) + 2 - v digits: the coordinates of
     (a + b*w)/den' mod p^(A + s), den = p^v_p(den)*den', divided by p^s."""
     a, b, den = x.a, x.b, x.den
     v = parts_valuation(a, b, den, place.ideal)
@@ -124,9 +99,8 @@ def _element_unit_log(x: FieldElement, place: PlaceAbovePrime, N: int):
         raise InternalCheckError("x/p^%d is not a unit at %s" % (v, place))
     r = place.field.D if place.kind == "inert" else 0
     l0, l1 = unit_log_residues(u0, u1, r, p, A)
-    if r:
-        return v, UnramifiedQuadElem.from_residues(l0, l1, r, p, A)
-    return v, PAdicNumber.from_residue(l0, p, A)
+    return v, tuple(PAdicNumber.from_residue(c, p, A)
+                    for c in ((l0, l1) if r else (l0,)))
 
 
 def loc(x, place: PlaceAbovePrime, p: int, N: int) -> LocalValue:
@@ -139,22 +113,19 @@ def loc(x, place: PlaceAbovePrime, p: int, N: int) -> LocalValue:
     with_log = place.ell == p and place.kind != "ramified"
     if isinstance(x, FieldElement):
         if not with_log:
-            return LocalValue(place, ideal_valuation(x, place.ideal), None)
+            return LocalValue(place, ideal_valuation(x, place.ideal), ())
         vv, lg = _element_unit_log(x, place, N)
         return LocalValue(place, vv, lg)
     if not isinstance(x, SUnitProduct):
         raise TypeError("loc expects a FieldElement or SUnitProduct")
     val = x.valuation_at(place.ideal.key())
     if not with_log:
-        return LocalValue(place, val, None)
+        return LocalValue(place, val, ())
     total = None
     for e, entry in zip(x.exponents, x.basis.entries):
         _, lg = _element_unit_log(entry.element, place, N)
-        if isinstance(lg, UnramifiedQuadElem):
-            term = UnramifiedQuadElem(lg.a * e, lg.b * e, lg.r)
-        else:
-            term = lg * e
-        total = term if total is None else total + term
+        term = tuple(c * e for c in lg)
+        total = term if total is None else tuple(map(add, total, term))
     return LocalValue(place, val, total)
 
 
@@ -178,12 +149,10 @@ def is_loc_torsion(x, place: PlaceAbovePrime, p: int, N: int) -> str:
     zero, certified = _val_status(lv.valuation)
     if not zero:
         return FALSE
-    if place.ell != p:
-        # away from p the unit part is torsion in the pro-p completion
-        return TRUE if certified else INDET
-    for c in lv.log_coords():
-        if not c.is_marker:
-            return FALSE
+    # away from p the log is (): the unit part is torsion in the pro-p
+    # completion
+    if any(not c.is_marker for c in lv.unit_log):
+        return FALSE
     return TRUE if certified else INDET
 
 
@@ -254,7 +223,6 @@ def inertia_rank(T, places, p: int, N: int) -> RankReport:
                 row.append(PAdicNumber.exact(v, p, N + 2))
             else:
                 row.append(v)
-            if place.ell == p:
-                row.extend(lv.log_coords())
+            row.extend(lv.unit_log)
         rows.append(row)
     return zp_matrix_rank(rows)

@@ -413,7 +413,9 @@ def angle_log(x: PAdicNumber) -> PAdicNumber:
 
 class UnramifiedQuadElem:
     """Element a + b*s of the unramified quadratic extension of Q_p,
-    where s^2 = r for a fixed quadratic non-residue r mod p."""
+    where s^2 = r for a fixed quadratic non-residue r mod p.  The engine
+    keeps local logs as coordinate tuples (see `localize`); this object
+    form is exported for callers and is the reference of the tests."""
 
     __slots__ = ("a", "b", "r")
 

@@ -505,7 +505,7 @@ def leopoldt_defect_log_route(K, p: int, N: int) -> LeopoldtReport:
     row = []
     for place in places:
         lv = loc(eps, place, p, N)
-        row.extend(lv.log_coords())
+        row.extend(lv.unit_log)
     rank = zp_matrix_rank([row])
     defect = 1 - rank.rank          # the unit rank of a real quadratic field
     reg_val = None
@@ -531,7 +531,7 @@ def cyclotomic_dlog_log_route(n: int, p: int, M: int) -> int:
 def degree_log_route(G, q) -> PAdicNumber:
     """deg(Frob_q) = log<N(q)> / log(1+p), as GaloisGroupG.degree read it."""
     p = G.p
-    M = G.modulus_exponent
+    M = G.N + 1
     x = PAdicNumber.exact(q.norm, p, M + 2)
     return angle_log(x) / plog(PAdicNumber.exact(1 + p, p, M + 2))
 

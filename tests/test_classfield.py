@@ -10,6 +10,7 @@ from iwasawalab.classfield import (GaloisGroupG, group_G, frobenius_image,
                                    e_of_q, even_criterion, cyclotomic_dlog,
                                    cyclotomic_log, _transport_hom)
 from iwasawalab.iwasawa import mq_order
+from iwasawalab.ntheory import InternalCheckError, isprime
 from iwasawalab.quadfield import (RealQuadraticField, factor_rational_prime,
                                   rational_ideal)
 from iwasawalab.rayclass import ray_class_group
@@ -80,7 +81,56 @@ def test_degree_exact_matches_log_degree():
         q = factor_rational_prime(Q2, ell).ideals[0]
         deg = G.degree(q)
         k = min(deg.abs_prec, G.N)
-        assert deg.residue(k) == G.degree_exact(q) % 5**k
+        assert deg.residue(k) == cyclotomic_dlog(q.norm, 5, G.N + 1) % 5**k
+
+
+FROBENIUS_FIELDS = (1, 2, 3, 5, 6, 7, 10, 13, 79, 82, 145, 229, 401)
+
+
+def test_frobenius_class_degree_matches_character():
+    """The degree of the class of q under the hom on invariant
+    coordinates equals the exact cyclotomic position of N(q), on 13 fields
+    x p in {3, 5, 7} x N in {1, 2, 3} x the primes below 42."""
+    n = 0
+    for d in FROBENIUS_FIELDS:
+        K = QQ if d == 1 else RealQuadraticField(d)
+        for p in (3, 5, 7):
+            if not K.is_rational and K.D % p == 0:
+                continue
+            for N in (1, 2, 3):
+                G = group_G(K, p, N)
+                for ell in range(2, 42):
+                    if not isprime(ell) or ell == p:
+                        continue
+                    for q in factor_rational_prime(K, ell).ideals:
+                        cls, _ = frobenius_image(G, q)
+                        assert G.class_degree(cls) == \
+                            cyclotomic_dlog(q.norm, p, N + 1), (d, p, N, q)
+                        n += 1
+    assert n == 1596
+
+
+def test_frobenius_image_catches_a_wrong_character(monkeypatch):
+    """With cyclotomic_log off by one, frobenius_image raises on Q at p = 3,
+    N = 2 for every prime whose class coordinate is not 1; the relation
+    check of group_G does not see the shift there."""
+    real = classfield.cyclotomic_log
+    monkeypatch.setattr(classfield, "cyclotomic_log",
+                        lambda n, p, A: (real(n, p, A) + 1) % p**(A - 1))
+    monkeypatch.setattr(classfield, "_Q_CYC_CACHE", {})
+    G = group_G(QQ, 3, 2)
+    refused = []
+    for ell in (2, 5, 7, 11, 13, 17, 19, 23, 29):
+        q = rational_ideal(QQ, ell)
+        try:
+            frobenius_image(G, q)
+        except InternalCheckError:
+            refused.append(ell)
+        else:
+            assert G.frobenius_class(q).coords == (1,), ell
+    assert refused == [5, 7, 11, 13, 17, 19, 23]
+    with pytest.raises(InternalCheckError, match="exact dlog"):
+        frobenius_image(G, rational_ideal(QQ, 5))
 
 
 def _sig(x):
@@ -252,7 +302,8 @@ def test_tower_consistency_quadratic():
     g1 = group_G(Q2, 5, 1)
     for ell in (3, 7, 11):
         q = factor_rational_prime(Q2, ell).ideals[0]
-        assert g2.degree_exact(q) % 5 == g1.degree_exact(q) % 5
+        assert g2.class_degree(g2.frobenius_class(q)) % 5 == \
+            g1.class_degree(g1.frobenius_class(q))
         # orders of Frobenius classes can only drop down the tower
         from iwasawalab.abgroup import element_order
         o2 = element_order(g2.group, g2.frobenius_class(q))

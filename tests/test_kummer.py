@@ -1,12 +1,14 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
+from iwasawalab import padic
 from iwasawalab.iwasawa import mq_generator, mq_order
 from iwasawalab.kummer import (KummerCertificate, construct_alpha,
                                verify_alpha, kummer_rank,
                                same_kummer_extension)
-from iwasawalab.localize import TRUE, FALSE, INDET
+from iwasawalab.localize import TRUE, FALSE, INDET, completions_above_p
 from iwasawalab.padic import PAdicNumber, vp
 from iwasawalab.quadfield import (RealQuadraticField, SUnitBasisData,
                                   SUnitProduct, factor_rational_prime,
@@ -158,14 +160,14 @@ def test_corollary_consequence_trivial_mq():
 
 
 def test_kummer_rank_examples():
-    assert kummer_rank([QQ.element(2), QQ.element(5)], QQ, 3, 6).rank == 2
-    assert kummer_rank([QQ.element(-1)], QQ, 3, 6).rank == 0
-    r = kummer_rank([QQ.element(2), QQ.element(8)], QQ, 3, 6)
+    assert kummer_rank([QQ.element(2), QQ.element(5)], QQ, 3).rank == 2
+    assert kummer_rank([QQ.element(-1)], QQ, 3).rank == 0
+    r = kummer_rank([QQ.element(2), QQ.element(8)], QQ, 3)
     assert r.rank == 1 and r.certified
 
 
 def test_kummer_rank_fundamental_unit():
-    r = kummer_rank([fundamental_unit(Q2)], Q2, 5, 6)
+    r = kummer_rank([fundamental_unit(Q2)], Q2, 5)
     assert r.rank == 1 and r.certified
 
 
@@ -173,7 +175,7 @@ def test_kummer_rank_mixed_unit_and_prime():
     K = Q2
     g = K.from_sqrt_pair(3, Fraction(1, 2))
     # 3 + sqrt2, norm 7
-    r = kummer_rank([g, fundamental_unit(K)], K, 5, 6)
+    r = kummer_rank([g, fundamental_unit(K)], K, 5)
     assert r.rank == 2
 
 
@@ -184,34 +186,33 @@ def test_kummer_rank_of_a_norm_one_s_unit():
     q, qbar = factor_rational_prime(Q2, 7).ideals
     t = principal_generator(q) / principal_generator(qbar)
     assert abs(t.norm()) == 1 and t.den == 7
-    r = kummer_rank([t], Q2, 3, 6)
+    r = kummer_rank([t], Q2, 3)
     assert r.rank == 1 and r.certified
-    assert kummer_rank([t, t * t, fundamental_unit(Q2)], Q2, 3, 6).rank == 2
+    assert kummer_rank([t, t * t, fundamental_unit(Q2)], Q2, 3).rank == 2
 
 
 def test_kummer_rank_of_field_elements_is_certified_when_exact():
     """Field elements give an exact integer exponent matrix, so a rank
     below the row count is certified, not left open."""
-    r = kummer_rank([Q2.element(2), Q2.element(4)], Q2, 3, 4)
+    r = kummer_rank([Q2.element(2), Q2.element(4)], Q2, 3)
     assert r.rank == 1 and r.certified
-    assert same_kummer_extension(QQ.element(6), QQ.element(36), QQ, 3,
-                                 6) == TRUE
-    assert same_kummer_extension(Q2.element(2), Q2.element(8), Q2, 5,
-                                 6) == TRUE
-    r = kummer_rank([QQ.element(6), QQ.element(-36), QQ.element(12)], QQ, 5,
-                    2)
+    assert same_kummer_extension(QQ.element(6), QQ.element(36), QQ,
+                                 3) == TRUE
+    assert same_kummer_extension(Q2.element(2), Q2.element(8), Q2,
+                                 5) == TRUE
+    r = kummer_rank([QQ.element(6), QQ.element(-36), QQ.element(12)], QQ, 5)
     assert r.rank == 2 and r.certified
     for p in (4, 9):
         with pytest.raises(ValueError, match="odd prime"):
-            kummer_rank([QQ.element(2), QQ.element(8)], QQ, p, 6)
+            kummer_rank([QQ.element(2), QQ.element(8)], QQ, p)
 
 
 def test_same_kummer_extension():
     x = QQ.element(2)
-    assert same_kummer_extension(x, QQ.element(8), QQ, 3, 6) == TRUE
-    assert same_kummer_extension(x, QQ.element(5), QQ, 3, 6) == FALSE
+    assert same_kummer_extension(x, QQ.element(8), QQ, 3) == TRUE
+    assert same_kummer_extension(x, QQ.element(5), QQ, 3) == FALSE
     with pytest.raises(ValueError):
-        same_kummer_extension(QQ.element(-1), x, QQ, 3, 6)
+        same_kummer_extension(QQ.element(-1), x, QQ, 3)
 
 
 def test_certificate_json_schema():
@@ -230,4 +231,55 @@ def test_same_kummer_extension_indeterminate_on_markers():
     a = PAdicNumber.zero_marker(3, 2)  # exponent known only to be small
     x = SUnitProduct(basis, 3, [0, a], 4)
     y = SUnitProduct(basis, 3, [0, 1], 4)
-    assert same_kummer_extension(y, x, QQ, 3, 4) == INDET
+    assert same_kummer_extension(y, x, QQ, 3) == INDET
+
+
+# The fields, primes and prime pairs of the kummer-alpha benchmark fixtures;
+# p is inert in Q(sqrt d) for d = 2, 3, 5 and for (7, 5).
+ALPHA_GRID = [(1, 3, "2", "5"), (1, 5, "2", "3"), (2, 3, "5", "7a"),
+              (2, 5, "2a", "3"), (3, 5, "2", "3"), (5, 3, "2", "7"),
+              (7, 3, "5", "11"), (7, 5, "3a", "3b"), (10, 3, "7", "41a"),
+              (11, 5, "3", "13"), (13, 3, "2", "5"), (79, 3, "2a", "5a")]
+
+
+def _prime(K, spec):
+    """'7' for the first prime over 7; '7a'/'7b' for a split place."""
+    ideals = factor_rational_prime(K, int(spec.rstrip("ab"))).ideals
+    return ideals[1] if spec.endswith("b") else ideals[0]
+
+
+def test_alpha_needs_no_unramified_quad_elem(monkeypatch):
+    """construct_alpha and verify_alpha answer as before, inert p included,
+    with padic.UnramifiedQuadElem refused in every iwasawalab module that
+    binds it: local logs are tuples of PAdicNumber coordinates."""
+    cases = []
+    for d, p, s1, s2 in ALPHA_GRID:
+        K = QQ if d == 1 else RealQuadraticField(d)
+        cases.append((K, p, (_prime(K, s1), _prime(K, s2))))
+    assert any(completions_above_p(K, p)[0].kind == "inert"
+               for K, p, _ in cases)
+
+    def answers():
+        out = []
+        for K, p, Q in cases:
+            for N in (2, 3):
+                cert = construct_alpha(K, p, Q, N)
+                out.append(cert.to_json())
+                out.append(verify_alpha(cert.alpha, K, p, Q, N).to_json())
+        return out
+    want = answers()
+
+    class Refused(padic.UnramifiedQuadElem):
+        def __init__(self, *args):
+            raise RuntimeError("UnramifiedQuadElem built on the alpha path")
+    original = padic.UnramifiedQuadElem
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if name == "iwasawalab" or name.startswith("iwasawalab."):
+            if getattr(module, "UnramifiedQuadElem", None) is original:
+                monkeypatch.setattr(module, "UnramifiedQuadElem", Refused)
+                patched.add(name)
+    assert {"iwasawalab", "iwasawalab.padic"} <= patched
+    with pytest.raises(RuntimeError):
+        padic.UnramifiedQuadElem.from_residues(1, 0, 2, 5, 3)
+    assert answers() == want

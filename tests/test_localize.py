@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from iwasawalab.localize import (PlaceAbovePrime, places_above,
-                                 completions_above_p, embed, loc, loc_p,
+                                 completions_above_p, _coordinates, loc, loc_p,
                                  is_loc_torsion, eq_membership, inertia_rank,
                                  zp_matrix_rank, TRUE, FALSE, INDET)
 from iwasawalab.padic import PAdicNumber, UnramifiedQuadElem
@@ -15,23 +15,30 @@ QQ = RealQuadraticField.rationals()
 Q2 = RealQuadraticField(2)
 
 
+def _image(x, place, work):
+    """The coordinates of x mod p^work at `place` (den prime to p)."""
+    return _coordinates(x.a, x.b, x.den, place, work)
+
+
 def test_completions_split():
     pl = completions_above_p(Q2, 7)
     assert len(pl) == 2
-    r0 = embed(Q2.from_sqrt_pair(0, Fraction(1, 2)), pl[0], 2)  # sqrt2
-    r1 = embed(Q2.from_sqrt_pair(0, Fraction(1, 2)), pl[1], 2)
-    vals = sorted((r0.residue(2), r1.residue(2)))
+    sqrt2 = Q2.from_sqrt_pair(0, Fraction(1, 2))
+    r0, r1 = (_image(sqrt2, v, 2) for v in pl)
+    assert r0[1] == r1[1] == 0
+    vals = sorted((r0[0], r1[0]))
     assert vals == [10, 39]  # 10^2 = 2 mod 49, other root is -10
     x = Q2.from_sqrt_pair(3, Fraction(1, 2))  # 3 + sqrt2
-    images = sorted(embed(x, v, 2).residue(2) for v in pl)
+    images = sorted(_image(x, v, 2)[0] for v in pl)
     assert images == [13, 42]  # 3+10 and 3-10 mod 49
 
 
 def test_completions_inert():
     pl = completions_above_p(Q2, 5)
     assert len(pl) == 1 and pl[0].residue_degree == 2
-    im = embed(Q2.from_sqrt_pair(0, Fraction(1, 2)), pl[0], 3)
-    assert isinstance(im, UnramifiedQuadElem)
+    c = _image(Q2.from_sqrt_pair(0, Fraction(1, 2)), pl[0], 3)
+    assert c == (0, 63)  # sqrt2 = s/2 over {1, s}, s = sqrt8; 2*63 = 1
+    im = UnramifiedQuadElem.from_residues(*c, Q2.D, 5, 3)
     sq = im * im
     assert sq.a.residue(3) == 2 % 125 and sq.b.is_marker
 
@@ -45,9 +52,8 @@ def test_loc_multiplicative():
     pl = completions_above_p(Q2, 7)[0]
     x = Q2.from_sqrt_pair(3, Fraction(1, 2))
     y = Q2.from_sqrt_pair(1, Fraction(1, 2))
-    lx = embed(x, pl, 4)
-    ly = embed(y, pl, 4)
-    lxy = embed(x * y, pl, 4)
+    lx, ly, lxy = (PAdicNumber.from_residue(_image(t, pl, 4)[0], 7, 4)
+                   for t in (x, y, x * y))
     assert (lx * ly - lxy).is_marker
 
 
@@ -61,8 +67,26 @@ def test_loc_of_one():
     for v in completions_above_p(Q2, 7):
         lv = loc(Q2.one(), v, 7, 4)
         assert lv.valuation == 0
-        for c in lv.log_coords():
+        for c in lv.unit_log:
             assert c.is_marker
+
+
+def test_unit_log_is_a_coordinate_tuple():
+    """() away from p, one coordinate at a rational or split place above
+    p, two over {1, s} at an inert one; a formal product sums its terms
+    coordinate by coordinate."""
+    basis = SUnitBasisData(Q2, [factor_rational_prime(Q2, 7).ideals[0]])
+    x = SUnitProduct(basis, 5, [0, 1, 2], 6)
+    for K, p, ell, n in ((QQ, 3, 3, 1), (QQ, 3, 5, 0), (Q2, 7, 7, 1),
+                         (Q2, 5, 5, 2), (Q2, 5, 7, 0)):
+        for place in places_above(K, ell):
+            for t in (K.element(3), K.element(-2)):
+                lv = loc(t, place, p, 6)
+                assert isinstance(lv.unit_log, tuple)
+                assert len(lv.unit_log) == n
+                assert all(isinstance(c, PAdicNumber) for c in lv.unit_log)
+            if K is Q2 and p == 5:
+                assert len(loc(x, place, p, 6).unit_log) == n
 
 
 def test_is_loc_torsion_minus_one():
@@ -151,8 +175,8 @@ def test_loc_of_sunit_product_matches_elementwise():
     # compare with the log of the honest product (-1) * eps^2 * gamma^3
     elt = K.element(-1) * fundamental_unit(K)**2 * basis.entries[2].element**3
     lv2 = loc(elt, place, 5, 6)
-    a = lv.log_coords()
-    b = lv2.log_coords()
+    a = lv.unit_log
+    b = lv2.unit_log
     assert all((u - w).is_marker for u, w in zip(a, b))
     assert lv.valuation.is_marker or lv.valuation.residue(3) == 0
 
@@ -167,8 +191,8 @@ def test_loc_p_vector_multiplicative():
     vxy = loc_p(x * y, places, 7, 5)
     for key in vxy:
         assert vxy[key].valuation == vx[key].valuation + vy[key].valuation
-        for a, b, c in zip(vxy[key].log_coords(), vx[key].log_coords(),
-                           vy[key].log_coords()):
+        for a, b, c in zip(vxy[key].unit_log, vx[key].unit_log,
+                           vy[key].unit_log):
             assert (a - b - c).is_marker
 
 

@@ -26,7 +26,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from iwasawalab.localize import _element_unit_log, completions_above_p
-from iwasawalab.padic import UnramifiedQuadElem
 from iwasawalab.quadfield import RealQuadraticField
 
 RECORDED = Path(__file__).parent / "data" / "unit_logs.jsonl"
@@ -34,8 +33,7 @@ RECORDED_BATCHES = (("leopoldt-scan", 1), ("kummer-alpha", 1))
 
 
 def _coords(lg):
-    cs = [lg.a, lg.b] if isinstance(lg, UnramifiedQuadElem) else [lg]
-    return [[c.v, c.m, c.digits] for c in cs]
+    return [[c.v, c.m, c.digits] for c in lg]
 
 
 @functools.lru_cache(maxsize=None)

@@ -19,7 +19,8 @@ from math import gcd
 import pytest
 
 from iwasawalab import kummer, localize
-from iwasawalab.localize import _element_unit_log, completions_above_p, embed
+from iwasawalab.localize import (_coordinates, _element_unit_log,
+                                 completions_above_p)
 from iwasawalab.ntheory import InternalCheckError, isprime
 from iwasawalab.padic import PAdicNumber, UnramifiedQuadElem, angle_log, vp
 from iwasawalab.quadfield import (FieldElement, RealQuadraticField,
@@ -62,6 +63,19 @@ def _ref_valuation(x, q, ell, e_q):
     return n - e_q * vden
 
 
+def _embed(x, place, abs_prec):
+    """The coordinates of x mod p^abs_prec at `place`, from the integer
+    coordinates `localize._coordinates` reads for a p-unit denominator,
+    shifted back by v_p(den)."""
+    p = place.ell
+    vden = vp(x.den, p)
+    work = abs_prec + vden + 1
+    c0, c1 = _coordinates(x.a, x.b, x.den // p**vden, place, work)
+    cs = (c0, c1) if place.kind == "inert" else (c0,)
+    return tuple(PAdicNumber.from_residue(c, p, work).shift(-vden)
+                 for c in cs)
+
+
 def _ref_embed(x, place, abs_prec):
     K, p = place.field, place.ell
     nx, ny, den = _ref_fraction_parts(x)
@@ -83,17 +97,19 @@ def _ref_embed(x, place, abs_prec):
 def _ref_unit_log(x, place, N):
     v = _ref_valuation(x, place.ideal, place.ell, 1)    # p is unramified
     u = _ref_embed(x, place, N + max(v, 0) + 1).shift(-v)
-    return v, u.angle_log() if place.kind == "inert" else angle_log(u)
+    if place.kind == "inert":
+        lg = u.angle_log()
+        return v, (lg.a, lg.b)
+    return v, (angle_log(u),)
 
 
-def _digits(c):
-    return (c.v, c.m, c.digits)
-
-
-def _coords(u):
-    if isinstance(u, UnramifiedQuadElem):
-        return [_digits(u.a), _digits(u.b)]
-    return [_digits(u)]
+def _coords(cs):
+    """(v, m, digits) of each coordinate of a tuple or quadratic element."""
+    if isinstance(cs, UnramifiedQuadElem):
+        cs = (cs.a, cs.b)
+    elif isinstance(cs, PAdicNumber):
+        cs = (cs,)
+    return [(c.v, c.m, c.digits) for c in cs]
 
 
 def _seeded_element(rng, K, ell):
@@ -252,7 +268,7 @@ def test_embed_equals_division_path():
     for K, p, place, xs in _unit_log_cases():
         for x in xs:
             for prec in (1, 5):
-                assert _coords(embed(x, place, prec)) == \
+                assert _coords(_embed(x, place, prec)) == \
                     _coords(_ref_embed(x, place, prec))
 
 
