@@ -3,22 +3,19 @@ over Q and real quadratic fields."""
 
 __version__ = "0.1.0"
 
-from .padic import (PAdicNumber, UnramifiedQuadElem, AtLeast, PrecisionError,
-                    val_and_unit, teichmueller, angle, plog, log_ratio,
-                    angle_log)
+from .padic import PAdicNumber, AtLeast, PrecisionError, teichmueller
 from .ntheory import InternalCheckError
 from .abgroup import (FiniteAbelianGroup, GroupElement, smith_normal_form,
                       smith_presentation, element_order, subgroup_image_order,
-                      solve_dlog, decompose_abelian)
+                      decompose_abelian)
 from .quadfield import (RealQuadraticField, FieldElement, IntegralIdeal,
                         SUnitBasisData, SUnitProduct, factor_rational_prime,
-                        class_group, fundamental_unit, s_unit_basis,
-                        principal_generator, ideal_valuation,
-                        prime_ideals_above, rational_ideal)
+                        class_group, fundamental_unit, principal_generator,
+                        ideal_valuation, prime_ideals_above, rational_ideal)
 from .rayclass import ray_class_group
 from .localize import (PlaceAbovePrime, LocalValue, RankReport, places_above,
                        completions_above_p, loc, loc_p, is_loc_torsion,
-                       eq_membership, inertia_rank)
+                       eq_membership)
 from .classfield import (GaloisGroupG, group_G, frobenius_image, e_of_q,
                          even_criterion)
 from .iwasawa import (FrobeniusModuleReport, LeopoldtReport,
@@ -26,27 +23,24 @@ from .iwasawa import (FrobeniusModuleReport, LeopoldtReport,
                       leopoldt_defect, greenberg_wiles,
                       defect_never_one_scan)
 from .kummer import (KummerCertificate, construct_alpha, verify_alpha,
-                     kummer_rank, same_kummer_extension)
+                     kummer_rank)
 
 __all__ = [
-    "PAdicNumber", "UnramifiedQuadElem", "AtLeast", "PrecisionError",
-    "val_and_unit", "teichmueller", "angle", "plog", "log_ratio", "angle_log",
+    "PAdicNumber", "AtLeast", "PrecisionError", "teichmueller",
     "InternalCheckError",
     "FiniteAbelianGroup", "GroupElement", "smith_normal_form",
     "smith_presentation", "element_order", "subgroup_image_order",
-    "solve_dlog", "decompose_abelian",
+    "decompose_abelian",
     "RealQuadraticField", "FieldElement", "IntegralIdeal", "SUnitBasisData",
     "SUnitProduct", "factor_rational_prime", "class_group",
-    "fundamental_unit", "s_unit_basis", "principal_generator",
+    "fundamental_unit", "principal_generator",
     "ray_class_group", "ideal_valuation", "prime_ideals_above",
     "rational_ideal",
     "PlaceAbovePrime", "LocalValue", "RankReport", "places_above",
     "completions_above_p", "loc", "loc_p", "is_loc_torsion", "eq_membership",
-    "inertia_rank",
     "GaloisGroupG", "group_G", "frobenius_image", "e_of_q", "even_criterion",
     "FrobeniusModuleReport", "LeopoldtReport", "is_inert_in_cyclotomic",
     "mq_generator", "mq_order", "leopoldt_defect", "greenberg_wiles",
     "defect_never_one_scan",
     "KummerCertificate", "construct_alpha", "verify_alpha", "kummer_rank",
-    "same_kummer_extension",
 ]

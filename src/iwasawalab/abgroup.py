@@ -1,5 +1,5 @@
 """Finite abelian group engine: Smith normal form presentations, element
-orders, subgroup image orders, discrete logs, and integer-lattice helpers.
+orders, subgroup image orders, group decompositions and lattice helpers.
 
 All matrices are lists of rows of Python ints; everything is exact.
 """
@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .ntheory import InternalCheckError, crt
+from .ntheory import InternalCheckError
 
 
 # ------------------------------------------------------------- integer matrices
@@ -402,24 +402,6 @@ def subgroup_image_order(G: FiniteAbelianGroup, gens) -> int:
         return 1
     B = G.subgroup_lattice(gens)
     return G.order // lattice_index(B, modulus=G.order)
-
-
-def solve_dlog(G: FiniteAbelianGroup, g: GroupElement, h: GroupElement):
-    """n with n*g = h in G, or None."""
-    r, m = 0, 1
-    for d, gi, hi in zip(G.invariant_factors, g.coords, h.coords):
-        a, b = gi % d, hi % d
-        q = gcd(a, d)
-        if b % q != 0:
-            return None
-        if d == q:
-            continue  # a = 0, b = 0: no constraint
-        ri = (b // q) * pow(a // q, -1, d // q) % (d // q)
-        merged = crt(r, m, ri, d // q)
-        if merged is None:
-            return None
-        r, m = merged
-    return r
 
 
 # ------------------------------------------- decomposition of abstract groups

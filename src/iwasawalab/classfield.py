@@ -18,6 +18,7 @@ from .padic import PAdicNumber, log_series, unit_log_residues, vp
 from .quadfield import (IntegralIdeal, RealQuadraticField, rational_ideal,
                         residue_char)
 from .rayclass import ray_class_group
+from .residues import DlogPlan, ModularUnits
 
 _Q_CYC_CACHE = {}
 
@@ -51,6 +52,16 @@ def cyclotomic_degree(q: IntegralIdeal, p: int, work: int) -> PAdicNumber:
 def _inverse_log_gamma(p: int, A: int) -> int:
     """The inverse of log(1+p)/p mod p^(A-1), the same for every n."""
     return pow(log_series(p, 0, 0, 0, p, A)[0] // p, -1, p**(A - 1))
+
+
+def _degree_without_log(n: int, p: int, N: int) -> int:
+    """log<n>/log(1+p) mod p^N with no log series: n^(p-1) = <n>^(p-1) is
+    (1+p)^((p-1) deg), so deg is its dlog, read digit by digit in the
+    1-units mod p^(N+1), cyclic of order p^N with generator 1 + p, over
+    p - 1."""
+    mod = p**(N + 1)
+    plan = DlogPlan(ModularUnits(mod), 1 + p, p**N, {p: N})
+    return plan.dlog(pow(n, p - 1, mod)) * pow(p - 1, -1, p**N) % p**N
 
 
 def cyclotomic_dlog(n: int, p: int, M: int) -> int:
@@ -174,14 +185,11 @@ def frobenius_image(G: GaloisGroupG, q: IntegralIdeal):
     """(class of q in G_N, degree as a PAdicNumber)."""
     cls = G.frobenius_class(q)
     deg = G.degree(q)
-    if not deg.is_marker:
-        # cross-check the character on N(q) against the exact dlog of the
-        # class of q, read by the hom on invariant coordinates
-        k = min(deg.abs_prec, G.N)
-        if k > 0 and deg.v >= 0 and \
-                deg.residue(k) != G.class_degree(cls) % G.p**k:
-            raise InternalCheckError("log degree disagrees with the exact "
-                                     "dlog")
+    # cross-check the character on N(q), and the class of q read by the
+    # hom on invariant coordinates, against the degree read with no log
+    exact = _degree_without_log(q.norm, G.p, G.N)
+    if deg.residue(G.N) != exact or G.class_degree(cls) != exact:
+        raise InternalCheckError("log degree disagrees with the exact dlog")
     return cls, deg
 
 

@@ -140,11 +140,6 @@ def mq_order(K: RealQuadraticField, p: int, Q, N: int) \
     return rep
 
 
-def degree_zero_pair_element(G: GaloisGroupG, q1, q2):
-    """Rounded image of the degree-0 generator for (q1, q2) in G."""
-    return _rounded_degree_zero(G, q1, q2)[3]
-
-
 @dataclass
 class LeopoldtReport:
     field: RealQuadraticField

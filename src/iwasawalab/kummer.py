@@ -286,20 +286,3 @@ def kummer_rank(T, K: RealQuadraticField, p: int) -> RankReport:
                          if entry.kind != "torsion"])
         return zp_matrix_rank(rows)
     raise TypeError("mixed element kinds in kummer_rank")
-
-
-def same_kummer_extension(x, y, K: RealQuadraticField, p: int) -> str:
-    """Do x and y generate the same Kummer Z_p-extension?  True iff their
-    joint closure has rank 1."""
-    for t in (x, y):
-        r = kummer_rank([t], K, p)
-        if r.rank == 0 and r.certified:
-            raise ValueError("input is torsion; no Kummer extension")
-        if r.rank == 0:
-            return INDET  # cannot certify the non-torsion precondition
-    r = kummer_rank([x, y], K, p)
-    if r.rank == 1 and r.certified:
-        return TRUE
-    if r.rank == 2:
-        return FALSE
-    return INDET

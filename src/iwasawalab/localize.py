@@ -1,6 +1,6 @@
 """Completions of F at finite places, localization maps, and the rank and
 torsion criteria on them: local torsion tests, S-unit membership, and the
-Z_p-rank of inertia images.
+Z_p-rank of a matrix of local coordinates.
 
 A local log is a tuple of PAdicNumber coordinates: () away from p, where
 only the valuation contributes to any Z_p-rank; one coordinate at a split
@@ -208,21 +208,3 @@ def zp_matrix_rank(rows) -> RankReport:
             new_rows.append(nr)
         rows = new_rows
     return RankReport(rank, certified)
-
-
-def inertia_rank(T, places, p: int, N: int) -> RankReport:
-    """Z_p-rank of the closure of T in the product of the completions at
-    `places` (equivalently, of the inertia image in the Kummer extension)."""
-    rows = []
-    for t in T:
-        row = []
-        for place in places:
-            lv = loc(t, place, p, N)
-            v = lv.valuation
-            if isinstance(v, int):
-                row.append(PAdicNumber.exact(v, p, N + 2))
-            else:
-                row.append(v)
-            row.extend(lv.unit_log)
-        rows.append(row)
-    return zp_matrix_rank(rows)

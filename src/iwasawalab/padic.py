@@ -1,5 +1,9 @@
-"""Arbitrary-precision arithmetic in Z_p / Q_p and its unramified quadratic
-extension, with explicit tracking of how many p-adic digits are certified.
+"""Arbitrary-precision arithmetic in Z_p / Q_p with explicit tracking of
+how many p-adic digits are certified, and the log series and Teichmueller
+lift the engine reads on integer residues, in Z_p and in the unramified
+quadratic extension as coordinate pairs.  The object forms (the 1-unit
+projection, logs of PAdicNumbers, the quadratic extension's elements) are
+the tests' reference, in tests/oracles.py.
 
 A nonzero value is stored as p^v * m where m is a unit mantissa known modulo
 p^digits.  Quantities that cannot be distinguished from zero are carried as a
@@ -273,13 +277,6 @@ class PAdicNumber:
 
 # ------------------------------------------------------------------ operations
 
-def val_and_unit(x: PAdicNumber):
-    """Split x as p^v * u.  Zero markers yield (AtLeast(bound), None)."""
-    if x.m is None:
-        return AtLeast(x.v), None
-    return x.v, PAdicNumber(x.p, 0, x.m, x.digits)
-
-
 def teichmueller(x: PAdicNumber) -> PAdicNumber:
     """The (p-1)-st root of unity congruent to x mod p, as lim x^(p^k)."""
     if not x.is_unit():
@@ -293,11 +290,6 @@ def teichmueller(x: PAdicNumber) -> PAdicNumber:
             break
         t = t2
     return PAdicNumber(p, 0, t, digits)
-
-
-def angle(x: PAdicNumber) -> PAdicNumber:
-    """Projection of a unit onto 1 + pZ_p: x divided by its Teichmueller part."""
-    return x * teichmueller(x).inv()
 
 
 def _log_terms_needed(c: int, p: int, A: int) -> int:
@@ -380,149 +372,3 @@ def unit_log_residues(u0: int, u1: int, r: int, p: int, A: int):
     l0, l1 = log_series(u0 - 1, u1, 0, -r, p, A)
     inv = pow(k, -1, mod)
     return l0 * inv % mod, l1 * inv % mod
-
-
-def plog(x: PAdicNumber) -> PAdicNumber:
-    """Logarithm of a 1-unit via the truncated alternating series."""
-    p = x.p
-    if x.m is None or x.v != 0 or x.m % p != 1:
-        raise ValueError("plog requires an element of 1 + pZ_p")
-    A = x.abs_prec
-    return PAdicNumber.from_residue(
-        log_series(x.residue(A) - 1, 0, 0, 0, p, A)[0], p, A)
-
-
-def log_ratio(u: PAdicNumber, w: PAdicNumber) -> PAdicNumber:
-    """a = log(w)/log(u) for 1-units, so that u^a = w within precision."""
-    lu = plog(u)
-    if lu.is_marker:
-        raise ValueError("log of base is indistinguishable from 0")
-    return plog(w) / lu
-
-
-def angle_log(x: PAdicNumber) -> PAdicNumber:
-    """log of the 1-unit projection of a unit x, via log(x^(p-1))/(p-1)."""
-    if not x.is_unit():
-        raise ValueError("angle_log requires a unit")
-    p, A = x.p, x.digits
-    return PAdicNumber.from_residue(unit_log_residues(x.m, 0, 0, p, A)[0],
-                                    p, A)
-
-
-# --------------------------------------------------- unramified quadratic ext
-
-class UnramifiedQuadElem:
-    """Element a + b*s of the unramified quadratic extension of Q_p,
-    where s^2 = r for a fixed quadratic non-residue r mod p.  The engine
-    keeps local logs as coordinate tuples (see `localize`); this object
-    form is exported for callers and is the reference of the tests."""
-
-    __slots__ = ("a", "b", "r")
-
-    def __init__(self, a: PAdicNumber, b: PAdicNumber, r: int):
-        if a.p != b.p:
-            raise ValueError("mixed primes in quadratic element")
-        if pow(r % a.p, (a.p - 1) // 2, a.p) != a.p - 1:
-            raise ValueError("%d is not a non-residue mod %d" % (r, a.p))
-        self.a = a
-        self.b = b
-        self.r = r
-
-    @property
-    def p(self) -> int:
-        return self.a.p
-
-    @classmethod
-    def from_residues(cls, a: int, b: int, r: int, p: int, abs_prec: int):
-        return cls(PAdicNumber.from_residue(a, p, abs_prec),
-                   PAdicNumber.from_residue(b, p, abs_prec), r)
-
-    @classmethod
-    def one(cls, r: int, p: int, abs_prec: int):
-        return cls.from_residues(1, 0, r, p, abs_prec)
-
-    def _check(self, other):
-        if self.p != other.p or self.r != other.r:
-            raise ValueError("incompatible quadratic extensions")
-
-    def __add__(self, other):
-        self._check(other)
-        return UnramifiedQuadElem(self.a + other.a, self.b + other.b, self.r)
-
-    def __neg__(self):
-        return UnramifiedQuadElem(-self.a, -self.b, self.r)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        self._check(other)
-        a = self.a * other.a + (self.b * other.b) * self.r
-        b = self.a * other.b + self.b * other.a
-        return UnramifiedQuadElem(a, b, self.r)
-
-    def norm(self) -> PAdicNumber:
-        return self.a * self.a - (self.b * self.b) * self.r
-
-    def trace(self) -> PAdicNumber:
-        return self.a * 2
-
-    def conj(self):
-        return UnramifiedQuadElem(self.a, -self.b, self.r)
-
-    def inv(self):
-        n = self.norm()
-        ni = n.inv()
-        c = self.conj()
-        return UnramifiedQuadElem(c.a * ni, c.b * ni, self.r)
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inv() ** (-k)
-        one = UnramifiedQuadElem.one(self.r, self.p, max(self.abs_prec, 1))
-        return power(UnramifiedQuadElem.__mul__, one, self, k)
-
-    @property
-    def abs_prec(self) -> int:
-        return min(self.a.abs_prec, self.b.abs_prec)
-
-    def valuation(self):
-        """min of coordinate valuations (the unramified valuation)."""
-        va, vb = self.a.valuation(), self.b.valuation()
-        if isinstance(va, AtLeast) and isinstance(vb, AtLeast):
-            return AtLeast(min(va.bound, vb.bound))
-        if isinstance(va, AtLeast):
-            return vb if vb <= va.bound else AtLeast(va.bound)
-        if isinstance(vb, AtLeast):
-            return va if va <= vb.bound else AtLeast(vb.bound)
-        return min(va, vb)
-
-    def is_unit(self) -> bool:
-        return self.valuation() == 0
-
-    def is_one_within_precision(self) -> bool:
-        d = self - UnramifiedQuadElem.one(self.r, self.p, self.abs_prec)
-        va, vb = d.a, d.b
-        return va.is_marker and vb.is_marker
-
-    def shift(self, j: int):
-        return UnramifiedQuadElem(self.a.shift(j), self.b.shift(j), self.r)
-
-    def log_one_unit(self) -> "UnramifiedQuadElem":
-        """Series logarithm; requires self ≡ 1 mod p, its own 1-unit part."""
-        p, A = self.p, self.abs_prec
-        if (self.a.residue(A) - 1) % p or self.b.residue(A) % p:
-            raise ValueError("log requires a 1-unit")
-        return self.angle_log()
-
-    def angle_log(self) -> "UnramifiedQuadElem":
-        """log of the 1-unit part of a unit, via u^(p^2-1)."""
-        if not self.is_unit():
-            raise ValueError("angle_log requires a unit")
-        p, r, A = self.p, self.r, self.abs_prec
-        l0, l1 = unit_log_residues(self.a.residue(A), self.b.residue(A), r,
-                                   p, A)
-        return UnramifiedQuadElem.from_residues(l0, l1, r, p, A)
-
-    def __repr__(self):
-        return "(%r) + (%r)*s  [s^2=%d]" % (self.a, self.b, self.r)

@@ -918,9 +918,6 @@ class SUnitBasisData:
             label = "g[" + ",".join(str(t) for t in w) + "]"
             self.entries.append(SUnitBasisEntry(gamma, vals, label, "lattice"))
 
-    def elements(self):
-        return [e.element for e in self.entries]
-
     def decompose(self, x: FieldElement):
         """Exact exponents of x over the basis entries, for x in E_Q; only
         on the entries the constructor built (ValueError past them)."""
@@ -945,11 +942,6 @@ class SUnitBasisData:
         if rest.den != 1 or rest.a not in (1, -1):
             raise ValueError("element is not supported on Q")
         return [int(rest.a == -1)] + coords
-
-
-def s_unit_basis(K: RealQuadraticField, Q_ideals) -> list:
-    """Generators {-1, eps, ...} of the Q-unit group."""
-    return SUnitBasisData(K, Q_ideals).elements()
 
 
 # ------------------------------------------------------------ formal products

@@ -47,21 +47,21 @@ def _merge(r1: int, m1: int, r2: int, m2: int, what: str):
     return merged
 
 
-class _PrimeFieldUnits:
-    """F_ell*, on ints."""
+class ModularUnits:
+    """(Z/m)*, on ints: F_ell* for m = ell prime."""
 
-    def __init__(self, ell: int):
-        self.ell = ell
+    def __init__(self, m: int):
+        self.m = m
         self.one = 1
 
     def mul(self, x, y):
-        return x * y % self.ell
+        return x * y % self.m
 
     def exp(self, x, k: int):
-        return pow(x, k, self.ell)
+        return pow(x, k, self.m)
 
     def inv(self, x):
-        return pow(x, -1, self.ell)
+        return pow(x, -1, self.m)
 
 
 class _QuadFieldUnits:
@@ -123,11 +123,11 @@ class _QuadFieldUnits:
         return self.mul(y, u) if k & 1 else y
 
 
-class _Plan:
+class DlogPlan:
     """Pohlig-Hellman plan for dlogs to the base g, of order n, in the
-    cyclic group G (one of the residue-field groups above).  For h = g^k,
-    dlog(h) is k modulo `modulus`, the product of the q^a of fac, each
-    exactly dividing n."""
+    cyclic group G (one of the unit groups above).  For h = g^k, dlog(h)
+    is k modulo `modulus`, the product of the q^a of fac, each exactly
+    dividing n."""
 
     def __init__(self, G, g, n: int, fac: dict):
         self.G = G
@@ -217,7 +217,7 @@ class RationalComponent(_Component):
         else:
             fac = factorint(ell - 1)
             g = _primitive_root(ell, fac)
-            self._plan = _Plan(_PrimeFieldUnits(ell), g, ell - 1, fac)
+            self._plan = DlogPlan(ModularUnits(ell), g, ell - 1, fac)
             if e > 1 and pow(g, ell - 1, ell * ell) == 1:
                 g += ell
             self.gens = [g % self.mod]
@@ -290,11 +290,11 @@ class InertComponent(_Component):
         # the plans of the torsion dlog: the 2-part in F_ell^2*, the odd
         # parts of ell - 1 in F_ell* and of ell + 1 in the torus
         a2 = fac_minus.get(2, 0) + fac_plus.get(2, 0)
-        self._two = _Plan(F, g, n_res, {2: a2} if a2 else {})
-        self._minus = _Plan(_PrimeFieldUnits(ell), F.norm(g), ell - 1,
-                            {q: a for q, a in fac_minus.items() if q != 2})
-        self._plus = _Plan(F, F.frobenius_quotient(g), ell + 1,
-                           {q: a for q, a in fac_plus.items() if q != 2})
+        self._two = DlogPlan(F, g, n_res, {2: a2} if a2 else {})
+        self._minus = DlogPlan(ModularUnits(ell), F.norm(g), ell - 1,
+                               {q: a for q, a in fac_minus.items() if q != 2})
+        self._plus = DlogPlan(F, F.frobenius_quotient(g), ell + 1,
+                              {q: a for q, a in fac_plus.items() if q != 2})
         if e == 1:
             self.gens, self.orders = [g], [n_res]
         else:

@@ -21,23 +21,35 @@ form, and the log route of the cyclotomic character
 `rounded_degree_zero_log_route`, `mq_order_log_route`): angle_log over plog
 of 1 + p on PAdicNumbers, as `classfield` and `iwasawa` read it before
 `classfield.cyclotomic_log` did on integer residues.
+
+It also holds definitions that only the tests read, kept out of the
+engine as the tests' reference: the p-adic object layer
+(`val_and_unit`, `angle`, `plog`, `log_ratio`, `angle_log` and
+`UnramifiedQuadElem`, the unramified quadratic extension of Q_p, whose
+logs call the engine's `padic.log_series` and `padic.unit_log_residues`),
+`solve_dlog` in a finite abelian group, `s_unit_basis`, `inertia_rank`,
+`same_kummer_extension` and `degree_zero_pair_element`.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, prod
 
-from iwasawalab.abgroup import (FiniteAbelianGroup, _column_lattice_basis,
-                                element_order, kernel_basis, lattice_index,
+from iwasawalab import padic
+from iwasawalab.abgroup import (FiniteAbelianGroup, GroupElement,
+                                _column_lattice_basis, element_order,
+                                kernel_basis, lattice_index,
                                 smith_presentation, subgroup_image_order)
 from iwasawalab.classfield import group_G
 from iwasawalab.iwasawa import (FrobeniusModuleReport, LeopoldtReport,
-                                _check_q_pair)
-from iwasawalab.localize import completions_above_p, loc, zp_matrix_rank
-from iwasawalab.ntheory import InternalCheckError, isprime
-from iwasawalab.padic import (PAdicNumber, PrecisionError, _log_terms_needed,
-                              angle_log, plog, vp)
-from iwasawalab.quadfield import fundamental_unit
+                                _check_q_pair, _rounded_degree_zero)
+from iwasawalab.kummer import kummer_rank
+from iwasawalab.localize import (FALSE, INDET, TRUE, RankReport,
+                                 completions_above_p, loc, zp_matrix_rank)
+from iwasawalab.ntheory import InternalCheckError, crt, isprime, power
+from iwasawalab.padic import (AtLeast, PAdicNumber, PrecisionError,
+                              _log_terms_needed, teichmueller, vp)
+from iwasawalab.quadfield import SUnitBasisData, fundamental_unit
 
 
 def _sqrt_window_low(D, t):
@@ -353,6 +365,167 @@ def log_series(z0: int, z1: int, t: int, n: int, p: int, A: int):
     return s0 % mod, s1 % mod
 
 
+# ----------------------------------------------- reference p-adic objects
+# The object layer of p-adic values that the engine no longer ships: the
+# 1-unit projection, logs on PAdicNumbers and the unramified quadratic
+# extension.  Its logs call the engine kernels padic.log_series and
+# padic.unit_log_residues, not the fresh-inverse log_series above.
+
+def val_and_unit(x: PAdicNumber):
+    """Split x as p^v * u.  Zero markers yield (AtLeast(bound), None)."""
+    if x.m is None:
+        return AtLeast(x.v), None
+    return x.v, PAdicNumber(x.p, 0, x.m, x.digits)
+
+
+def angle(x: PAdicNumber) -> PAdicNumber:
+    """Projection of a unit onto 1 + pZ_p: x divided by its Teichmueller part."""
+    return x * teichmueller(x).inv()
+
+
+def plog(x: PAdicNumber) -> PAdicNumber:
+    """Logarithm of a 1-unit via the truncated alternating series."""
+    p = x.p
+    if x.m is None or x.v != 0 or x.m % p != 1:
+        raise ValueError("plog requires an element of 1 + pZ_p")
+    A = x.abs_prec
+    return PAdicNumber.from_residue(
+        padic.log_series(x.residue(A) - 1, 0, 0, 0, p, A)[0], p, A)
+
+
+def log_ratio(u: PAdicNumber, w: PAdicNumber) -> PAdicNumber:
+    """a = log(w)/log(u) for 1-units, so that u^a = w within precision."""
+    lu = plog(u)
+    if lu.is_marker:
+        raise ValueError("log of base is indistinguishable from 0")
+    return plog(w) / lu
+
+
+def angle_log(x: PAdicNumber) -> PAdicNumber:
+    """log of the 1-unit projection of a unit x, via log(x^(p-1))/(p-1)."""
+    if not x.is_unit():
+        raise ValueError("angle_log requires a unit")
+    p, A = x.p, x.digits
+    return PAdicNumber.from_residue(
+        padic.unit_log_residues(x.m, 0, 0, p, A)[0], p, A)
+
+
+class UnramifiedQuadElem:
+    """Element a + b*s of the unramified quadratic extension of Q_p,
+    where s^2 = r for a fixed quadratic non-residue r mod p.  The engine
+    keeps local logs as coordinate tuples (see `localize`)."""
+
+    __slots__ = ("a", "b", "r")
+
+    def __init__(self, a: PAdicNumber, b: PAdicNumber, r: int):
+        if a.p != b.p:
+            raise ValueError("mixed primes in quadratic element")
+        if pow(r % a.p, (a.p - 1) // 2, a.p) != a.p - 1:
+            raise ValueError("%d is not a non-residue mod %d" % (r, a.p))
+        self.a = a
+        self.b = b
+        self.r = r
+
+    @property
+    def p(self) -> int:
+        return self.a.p
+
+    @classmethod
+    def from_residues(cls, a: int, b: int, r: int, p: int, abs_prec: int):
+        return cls(PAdicNumber.from_residue(a, p, abs_prec),
+                   PAdicNumber.from_residue(b, p, abs_prec), r)
+
+    @classmethod
+    def one(cls, r: int, p: int, abs_prec: int):
+        return cls.from_residues(1, 0, r, p, abs_prec)
+
+    def _check(self, other):
+        if self.p != other.p or self.r != other.r:
+            raise ValueError("incompatible quadratic extensions")
+
+    def __add__(self, other):
+        self._check(other)
+        return UnramifiedQuadElem(self.a + other.a, self.b + other.b, self.r)
+
+    def __neg__(self):
+        return UnramifiedQuadElem(-self.a, -self.b, self.r)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        self._check(other)
+        a = self.a * other.a + (self.b * other.b) * self.r
+        b = self.a * other.b + self.b * other.a
+        return UnramifiedQuadElem(a, b, self.r)
+
+    def norm(self) -> PAdicNumber:
+        return self.a * self.a - (self.b * self.b) * self.r
+
+    def trace(self) -> PAdicNumber:
+        return self.a * 2
+
+    def conj(self):
+        return UnramifiedQuadElem(self.a, -self.b, self.r)
+
+    def inv(self):
+        n = self.norm()
+        ni = n.inv()
+        c = self.conj()
+        return UnramifiedQuadElem(c.a * ni, c.b * ni, self.r)
+
+    def __pow__(self, k: int):
+        if k < 0:
+            return self.inv() ** (-k)
+        one = UnramifiedQuadElem.one(self.r, self.p, max(self.abs_prec, 1))
+        return power(UnramifiedQuadElem.__mul__, one, self, k)
+
+    @property
+    def abs_prec(self) -> int:
+        return min(self.a.abs_prec, self.b.abs_prec)
+
+    def valuation(self):
+        """min of coordinate valuations (the unramified valuation)."""
+        va, vb = self.a.valuation(), self.b.valuation()
+        if isinstance(va, AtLeast) and isinstance(vb, AtLeast):
+            return AtLeast(min(va.bound, vb.bound))
+        if isinstance(va, AtLeast):
+            return vb if vb <= va.bound else AtLeast(va.bound)
+        if isinstance(vb, AtLeast):
+            return va if va <= vb.bound else AtLeast(vb.bound)
+        return min(va, vb)
+
+    def is_unit(self) -> bool:
+        return self.valuation() == 0
+
+    def is_one_within_precision(self) -> bool:
+        d = self - UnramifiedQuadElem.one(self.r, self.p, self.abs_prec)
+        va, vb = d.a, d.b
+        return va.is_marker and vb.is_marker
+
+    def shift(self, j: int):
+        return UnramifiedQuadElem(self.a.shift(j), self.b.shift(j), self.r)
+
+    def log_one_unit(self) -> "UnramifiedQuadElem":
+        """Series logarithm; requires self ≡ 1 mod p, its own 1-unit part."""
+        p, A = self.p, self.abs_prec
+        if (self.a.residue(A) - 1) % p or self.b.residue(A) % p:
+            raise ValueError("log requires a 1-unit")
+        return self.angle_log()
+
+    def angle_log(self) -> "UnramifiedQuadElem":
+        """log of the 1-unit part of a unit, via u^(p^2-1)."""
+        if not self.is_unit():
+            raise ValueError("angle_log requires a unit")
+        p, r, A = self.p, self.r, self.abs_prec
+        l0, l1 = padic.unit_log_residues(self.a.residue(A),
+                                         self.b.residue(A), r, p, A)
+        return UnramifiedQuadElem.from_residues(l0, l1, r, p, A)
+
+    def __repr__(self):
+        return "(%r) + (%r)*s  [s^2=%d]" % (self.a, self.b, self.r)
+
+
 def solve_integral_fractions(A, b):
     """The integer vector x with A x = b, for a square integer matrix A, by
     Gauss-Jordan elimination over Q.  Raises ValueError when A is singular
@@ -587,3 +760,68 @@ def mq_order_log_route(K, p: int, Q, N: int) -> FrobeniusModuleReport:
     rep.provisional_orders = tuple(orders)
     rep.group_invariants = groups[0].group.invariant_factors
     return rep
+
+
+# ------------------------------------------- references moved from the engine
+
+def solve_dlog(G: FiniteAbelianGroup, g: GroupElement, h: GroupElement):
+    """n with n*g = h in G, or None."""
+    r, m = 0, 1
+    for d, gi, hi in zip(G.invariant_factors, g.coords, h.coords):
+        a, b = gi % d, hi % d
+        q = gcd(a, d)
+        if b % q != 0:
+            return None
+        if d == q:
+            continue  # a = 0, b = 0: no constraint
+        ri = (b // q) * pow(a // q, -1, d // q) % (d // q)
+        merged = crt(r, m, ri, d // q)
+        if merged is None:
+            return None
+        r, m = merged
+    return r
+
+
+def s_unit_basis(K, Q_ideals) -> list:
+    """Generators {-1, eps, ...} of the Q-unit group."""
+    return [e.element for e in SUnitBasisData(K, Q_ideals).entries]
+
+
+def inertia_rank(T, places, p: int, N: int) -> RankReport:
+    """Z_p-rank of the closure of T in the product of the completions at
+    `places` (equivalently, of the inertia image in the Kummer extension)."""
+    rows = []
+    for t in T:
+        row = []
+        for place in places:
+            lv = loc(t, place, p, N)
+            v = lv.valuation
+            if isinstance(v, int):
+                row.append(PAdicNumber.exact(v, p, N + 2))
+            else:
+                row.append(v)
+            row.extend(lv.unit_log)
+        rows.append(row)
+    return zp_matrix_rank(rows)
+
+
+def same_kummer_extension(x, y, K, p: int) -> str:
+    """Do x and y generate the same Kummer Z_p-extension?  True iff their
+    joint closure has rank 1."""
+    for t in (x, y):
+        r = kummer_rank([t], K, p)
+        if r.rank == 0 and r.certified:
+            raise ValueError("input is torsion; no Kummer extension")
+        if r.rank == 0:
+            return INDET  # cannot certify the non-torsion precondition
+    r = kummer_rank([x, y], K, p)
+    if r.rank == 1 and r.certified:
+        return TRUE
+    if r.rank == 2:
+        return FALSE
+    return INDET
+
+
+def degree_zero_pair_element(G, q1, q2):
+    """Rounded image of the degree-0 generator for (q1, q2) in G."""
+    return _rounded_degree_zero(G, q1, q2)[3]

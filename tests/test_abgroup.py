@@ -9,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from iwasawalab.abgroup import (smith_normal_form, smith_presentation,
                                 kernel_basis, lattice_index, element_order,
-                                subgroup_image_order, solve_dlog,
-                                decompose_abelian, GroupElement,
+                                subgroup_image_order, decompose_abelian,
+                                GroupElement,
                                 solve_integral)
 from iwasawalab.quadfield import RealQuadraticField, _pair_to_ideal, \
     class_group
 from oracles import (decompose_by_max_order, lattice_intersection,
-                     solve_integral_fractions, squarefree,
+                     solve_dlog, solve_integral_fractions, squarefree,
                      subgroup_order_from_lattice)
 
 

@@ -8,17 +8,17 @@ import random
 from iwasawalab.abgroup import subgroup_image_order
 from iwasawalab.classfield import e_of_q, even_criterion, group_G
 from iwasawalab.iwasawa import (defect_never_one_scan, greenberg_wiles,
-                                degree_zero_pair_element, leopoldt_defect,
-                                mq_order)
+                                leopoldt_defect, mq_order)
 from iwasawalab.kummer import construct_alpha, verify_alpha
 from iwasawalab.localize import TRUE
-from iwasawalab.padic import PAdicNumber, angle, angle_log, plog, teichmueller
+from iwasawalab.padic import PAdicNumber, teichmueller
 from iwasawalab.quadfield import (RealQuadraticField, class_group,
                                   factor_rational_prime, fundamental_unit,
                                   prime_ideals_above, rational_ideal)
 from iwasawalab.rayclass import ray_class_group
 
-from oracles import (fundamental_unit_oracle, squarefree,
+from oracles import (angle, angle_log, degree_zero_pair_element,
+                     fundamental_unit_oracle, plog, squarefree,
                      wide_class_number_oracle)
 
 QQ = RealQuadraticField.rationals()

@@ -112,23 +112,24 @@ def test_frobenius_class_degree_matches_character():
 
 def test_frobenius_image_catches_a_wrong_character(monkeypatch):
     """With cyclotomic_log off by one, frobenius_image raises on Q at p = 3,
-    N = 2 for every prime whose class coordinate is not 1; the relation
-    check of group_G does not see the shift there."""
+    N = 2 for every prime, those whose class coordinate is 1 included: the
+    degree is checked against a dlog to the base 1 + p that reads no log.
+    The relation check of group_G does not see the shift there."""
     real = classfield.cyclotomic_log
     monkeypatch.setattr(classfield, "cyclotomic_log",
                         lambda n, p, A: (real(n, p, A) + 1) % p**(A - 1))
     monkeypatch.setattr(classfield, "_Q_CYC_CACHE", {})
     G = group_G(QQ, 3, 2)
     refused = []
-    for ell in (2, 5, 7, 11, 13, 17, 19, 23, 29):
-        q = rational_ideal(QQ, ell)
+    primes = (2, 5, 7, 11, 13, 17, 19, 23, 29)
+    for ell in primes:
         try:
-            frobenius_image(G, q)
+            frobenius_image(G, rational_ideal(QQ, ell))
         except InternalCheckError:
             refused.append(ell)
-        else:
-            assert G.frobenius_class(q).coords == (1,), ell
-    assert refused == [5, 7, 11, 13, 17, 19, 23]
+    assert refused == list(primes)
+    assert [G.frobenius_class(rational_ideal(QQ, ell)).coords
+            for ell in (2, 29)] == [(1,), (1,)]
     with pytest.raises(InternalCheckError, match="exact dlog"):
         frobenius_image(G, rational_ideal(QQ, 5))
 
@@ -139,7 +140,8 @@ def _sig(x):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_cyclotomic_log_matches_log_route(p):
-    """cyclotomic_log on integer residues against angle_log over plog(1 + p)
+    """cyclotomic_log on integer residues, and the dlog to the base 1 + p
+    that frobenius_image checks it with, against angle_log over plog(1 + p)
     on PAdicNumbers, for n < 2000 prime to p (and -n) and A = 2..12."""
     for A in range(2, 13):
         for n in range(1, 2000):
@@ -147,6 +149,7 @@ def test_cyclotomic_log_matches_log_route(p):
                 want = cyclotomic_dlog_log_route(n, p, A)
                 assert cyclotomic_log(n, p, A) == want, (n, p, A)
                 assert cyclotomic_log(-n, p, A) == want, (-n, p, A)
+                assert classfield._degree_without_log(n, p, A - 1) == want
     with pytest.raises(ValueError):
         cyclotomic_log(2 * p, p, 4)
 

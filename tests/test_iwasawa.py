@@ -8,12 +8,10 @@ import pytest
 
 from iwasawalab import classfield, iwasawa, localize, padic, quadfield
 from iwasawalab.abgroup import subgroup_image_order
-from iwasawalab.classfield import GaloisGroupG, frobenius_image, group_G
+from iwasawalab.classfield import GaloisGroupG, group_G
 from iwasawalab.iwasawa import (is_inert_in_cyclotomic, mq_generator,
                                 mq_order, leopoldt_defect, greenberg_wiles,
-                                defect_never_one_scan,
-                                degree_zero_pair_element)
-from iwasawalab.kummer import construct_alpha
+                                defect_never_one_scan)
 from iwasawalab.localize import completions_above_p
 from iwasawalab.ntheory import InternalCheckError, is_squarefree, isprime
 from iwasawalab.padic import PAdicNumber, vp
@@ -21,7 +19,8 @@ from iwasawalab.quadfield import (RealQuadraticField, factor_rational_prime,
                                   fundamental_unit, ideal_valuation,
                                   parts_valuation, rational_ideal,
                                   split_root)
-from oracles import (lattice_intersection, leopoldt_defect_log_route,
+from oracles import (angle_log, degree_zero_pair_element,
+                     lattice_intersection, leopoldt_defect_log_route,
                      mq_order_log_route, rounded_degree_zero_log_route,
                      subgroup_order_from_lattice)
 
@@ -162,6 +161,9 @@ def test_mq_order_cross_check_is_live(monkeypatch):
 MQ_GRID = [(1, 3, "2", "5"), (1, 5, "2", "3"), (1, 7, "3", "5"),
            (2, 3, "5", "7a"), (2, 5, "2", "3"), (7, 5, "3a", "3b"),
            (10, 3, "7", "41a"), (79, 3, "2", "5a"), (79, 3, "5b", "2")]
+# the kummer-alpha benchmark fixture pairs that MQ_GRID does not hold
+ALPHA_FIXTURE_PAIRS = [(3, 5, "2", "3"), (5, 3, "2", "7"), (7, 3, "5", "11"),
+                       (11, 5, "3", "13"), (13, 3, "2", "5")]
 
 
 def _field(d):
@@ -178,7 +180,7 @@ def _report_fields(rep):
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("d,p,s1,s2", MQ_GRID)
+@pytest.mark.parametrize("d,p,s1,s2", MQ_GRID + ALPHA_FIXTURE_PAIRS)
 def test_frobenius_module_report_matches_log_route(d, p, s1, s2, N):
     """Every field of the mq_order report, degree_zero_margin (N + 2)
     included, equals the angle_log/plog route it replaced."""
@@ -222,53 +224,14 @@ def test_degree_zero_pair_element_with_any_q1_matches_log_route(d, p):
                 got = _outcome(
                     lambda: classfield.cyclotomic_degree(q2, p, work)
                     / classfield.cyclotomic_degree(q1, p, work))
-                want = _outcome(lambda: padic.angle_log(
-                    PAdicNumber.exact(q2.norm, p, work)) / padic.angle_log(
+                want = _outcome(lambda: angle_log(
+                    PAdicNumber.exact(q2.norm, p, work)) / angle_log(
                     PAdicNumber.exact(q1.norm, p, work)))
                 if got[0] == "value":
                     got = (got[0], (got[1].v, got[1].m, got[1].digits))
                     want = (want[0], (want[1].v, want[1].m, want[1].digits))
                 assert got == want, (q1, q2, work)
     assert "value" in kinds and len(kinds) > 1, kinds
-
-
-@pytest.mark.parametrize("d,p,s1,s2", MQ_GRID)
-def test_cyclotomic_character_needs_no_angle_log_or_plog(monkeypatch, d, p,
-                                                         s1, s2):
-    """mq_order, group_G, frobenius_image and construct_alpha answer as
-    before with padic.angle_log and padic.plog patched to raise in every
-    iwasawalab module that binds them, and the degree cache emptied."""
-    K = _field(d)
-    Q = (_prime(K, s1), _prime(K, s2))
-
-    def answers():
-        out = []
-        for N in (1, 2, 3):
-            G = group_G(K, p, N)
-            out.append((mq_order(K, p, Q, N).to_json(), G.report()))
-            for q in Q:
-                cls, deg = frobenius_image(G, q)
-                out.append((cls, deg.v, deg.m, deg.digits))
-        out.append(construct_alpha(K, p, Q, 2).to_json())
-        return out
-    want = answers()
-
-    def refuse(*args, **kwargs):
-        raise RuntimeError("called on the cyclotomic path")
-    originals = {attr: getattr(padic, attr) for attr in ("angle_log", "plog")}
-    patched = set()
-    for name, module in list(sys.modules.items()):
-        if name == "iwasawalab" or name.startswith("iwasawalab."):
-            for attr, original in originals.items():
-                if getattr(module, attr, None) is original:
-                    monkeypatch.setattr(module, attr, refuse)
-                    patched.add((name, attr))
-    assert {("iwasawalab", "angle_log"), ("iwasawalab", "plog"),
-            ("iwasawalab.padic", "plog")} <= patched
-    monkeypatch.setattr(classfield, "_Q_CYC_CACHE", {})
-    with pytest.raises(RuntimeError):
-        padic.angle_log(PAdicNumber.of(2, 3, 3))
-    assert answers() == want
 
 
 def test_mq_symmetric_subgroup():

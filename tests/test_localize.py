@@ -4,12 +4,14 @@ import pytest
 
 from iwasawalab.localize import (PlaceAbovePrime, places_above,
                                  completions_above_p, _coordinates, loc, loc_p,
-                                 is_loc_torsion, eq_membership, inertia_rank,
+                                 is_loc_torsion, eq_membership,
                                  zp_matrix_rank, TRUE, FALSE, INDET)
-from iwasawalab.padic import PAdicNumber, UnramifiedQuadElem
+from iwasawalab.padic import PAdicNumber
 from iwasawalab.quadfield import (RealQuadraticField, SUnitBasisData,
                                   SUnitProduct, factor_rational_prime,
                                   fundamental_unit, rational_ideal)
+
+from oracles import UnramifiedQuadElem, inertia_rank
 
 QQ = RealQuadraticField.rationals()
 Q2 = RealQuadraticField(2)

@@ -17,12 +17,12 @@ import sys
 import pytest
 
 from iwasawalab.ntheory import crt, is_squarefree, isprime, power
-from iwasawalab.padic import (PAdicNumber, UnramifiedQuadElem,
-                              _log_inverses, log_series, plog,
+from iwasawalab.padic import (PAdicNumber, _log_inverses, log_series,
                               unit_log_residues, vp)
 from iwasawalab.quadfield import (IntegralIdeal, RealQuadraticField,
                                   factor_rational_prime, split_root)
 
+from oracles import UnramifiedQuadElem, plog
 from oracles import log_series as fresh_inverse_log_series
 
 QUAD_PRIMES = (3, 5, 7, 11)

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iwasawalab.padic import (PAdicNumber, UnramifiedQuadElem, AtLeast,
-                              val_and_unit, teichmueller, angle, plog,
-                              log_ratio, angle_log, vp)
+from iwasawalab.padic import PAdicNumber, AtLeast, teichmueller, vp
+
+from oracles import (UnramifiedQuadElem, angle, angle_log, log_ratio, plog,
+                     val_and_unit)
 
 
 def pexp_oracle(x: PAdicNumber) -> PAdicNumber:

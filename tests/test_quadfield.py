@@ -18,7 +18,7 @@ from iwasawalab.quadfield import (RealQuadraticField, FieldElement,
                                   IntegralIdeal, SUnitBasisData,
                                   ClassGroupData,
                                   factor_rational_prime, class_group,
-                                  fundamental_unit, s_unit_basis,
+                                  fundamental_unit,
                                   principal_generator, ideal_from_element,
                                   ideal_valuation, prime_ideals_above,
                                   prime_kind, rational_ideal, residue_char,
@@ -28,7 +28,7 @@ from iwasawalab.iwasawa import leopoldt_defect
 from iwasawalab.kummer import construct_alpha
 
 from oracles import (wide_class_number_oracle, fundamental_unit_oracle,
-                     pell_sign, squarefree)
+                     pell_sign, s_unit_basis, squarefree)
 
 
 Q2 = RealQuadraticField(2)

@@ -13,7 +13,11 @@
   an object round its constructor;
 - no `Fraction(...)` call outside the input points of FRACTION_INPUTS: the
   engine computes on integers, and a Fraction is built only where a value
-  comes in or where a field element is read back as rational coordinates.
+  comes in or where a field element is read back as rational coordinates;
+- no definition, import or binding of a name of REFERENCE_ONLY, whose
+  definitions live in `tests/oracles.py` as the tests' reference.
+
+Besides, `iwasawalab.__all__` names exactly what `__init__.py` imports.
 """
 
 import ast
@@ -23,6 +27,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import iwasawalab
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "iwasawalab"
@@ -36,6 +42,14 @@ CORPUS = sorted(path for top in ("src", "tests", "bench")
 FRACTION_INPUTS = {
     "FieldElement.x", "FieldElement.y", "FieldElement.norm",
     "FieldElement.trace", "PAdicNumber.exact", "PAdicNumber.of",
+}
+
+# names defined in tests/oracles.py that no module of src/ may define,
+# import or bind: the engine reads integer residues, not these objects
+REFERENCE_ONLY = {
+    "UnramifiedQuadElem", "val_and_unit", "angle", "plog", "log_ratio",
+    "angle_log", "solve_dlog", "s_unit_basis", "inertia_rank",
+    "same_kummer_extension", "degree_zero_pair_element",
 }
 
 
@@ -206,6 +220,39 @@ def test_fraction_built_only_at_input_points():
     assert found == []
 
 
+def test_no_reference_only_name():
+    found = []
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [n for alias in node.names
+                         for n in (alias.name, alias.asname)]
+            elif isinstance(node, ast.Name) and \
+                    isinstance(node.ctx, ast.Store):
+                names = [node.id]
+            elif isinstance(node, ast.arg):
+                names = [node.arg]
+            else:
+                continue
+            found.extend("%s %s" % (_where(name, node), n) for n in names
+                         if n in REFERENCE_ONLY)
+    assert found == []
+
+
+def test_exports_are_the_imports_of_init():
+    """`__all__` lists what `__init__.py` imports, each name once, and
+    `from iwasawalab import *` binds every one of them."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = [bound for _, bound in _imported_names(tree)]
+    assert sorted(iwasawalab.__all__) == sorted(set(imported))
+    namespace = {}
+    exec("from iwasawalab import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(iwasawalab.__all__)
+
+
 @pytest.mark.parametrize("source,check", [
     ("def f(x):\n    assert x\n", test_no_assert_statement),
     ("def f(x):\n    if x:\n        raise AssertionError('bad')\n",
@@ -229,6 +276,9 @@ def test_fraction_built_only_at_input_points():
      "    def exact(self, n):\n        return Fraction(n)\n\n"
      "    def inv(self, n):\n        return Fraction(1, n)\n",
      test_fraction_built_only_at_input_points),
+    ("from .padic import angle_log as log_of\n\n\n"
+     "def f(x):\n    plog = log_of(x)\n    return plog\n",
+     test_no_reference_only_name),
 ])
 def test_each_check_catches_its_rule(source, check, tmp_path, monkeypatch):
     module = tmp_path / "bad.py"
