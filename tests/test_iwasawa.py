@@ -8,10 +8,11 @@ import pytest
 
 from iwasawalab import classfield, iwasawa, localize, padic, quadfield
 from iwasawalab.abgroup import subgroup_image_order
-from iwasawalab.classfield import GaloisGroupG, group_G
+from iwasawalab.classfield import GaloisGroupG, frobenius_image, group_G
 from iwasawalab.iwasawa import (is_inert_in_cyclotomic, mq_generator,
                                 mq_order, leopoldt_defect, greenberg_wiles,
                                 defect_never_one_scan)
+from iwasawalab.kummer import construct_alpha
 from iwasawalab.localize import completions_above_p
 from iwasawalab.ntheory import InternalCheckError, is_squarefree, isprime
 from iwasawalab.padic import PAdicNumber, vp
@@ -19,8 +20,10 @@ from iwasawalab.quadfield import (RealQuadraticField, factor_rational_prime,
                                   fundamental_unit, ideal_valuation,
                                   parts_valuation, rational_ideal,
                                   split_root)
-from oracles import (angle_log, degree_zero_pair_element,
-                     lattice_intersection, leopoldt_defect_log_route,
+import oracles
+from oracles import (angle_log, degree_log_route,
+                     degree_zero_pair_element, lattice_intersection,
+                     leopoldt_defect_log_route,
                      mq_order_log_route, rounded_degree_zero_log_route,
                      subgroup_order_from_lattice)
 
@@ -232,6 +235,50 @@ def test_degree_zero_pair_element_with_any_q1_matches_log_route(d, p):
                     want = (want[0], (want[1].v, want[1].m, want[1].digits))
                 assert got == want, (q1, q2, work)
     assert "value" in kinds and len(kinds) > 1, kinds
+
+
+@pytest.mark.parametrize("d,p,s1,s2", MQ_GRID)
+def test_cyclotomic_character_needs_no_angle_log_or_plog(monkeypatch, d, p,
+                                                         s1, s2):
+    """mq_order, group_G, frobenius_image and construct_alpha answer as
+    before with the reference angle_log and plog patched to raise and the
+    degree cache emptied.  No iwasawalab module binds either name, and each
+    Frobenius degree equals the angle_log/plog route's."""
+    K = _field(d)
+    Q = (_prime(K, s1), _prime(K, s2))
+
+    def answers():
+        out = []
+        for N in (1, 2, 3):
+            G = group_G(K, p, N)
+            out.append((mq_order(K, p, Q, N).to_json(), G.report()))
+            for q in Q:
+                cls, deg = frobenius_image(G, q)
+                out.append((cls, deg.v, deg.m, deg.digits))
+        out.append(construct_alpha(K, p, Q, 2).to_json())
+        return out
+    want = answers()
+    reference = []
+    for N in (1, 2, 3):
+        G = group_G(K, p, N)
+        for q in Q:
+            ref = degree_log_route(G, q)
+            reference.append((frobenius_image(G, q)[0], ref.v, ref.m,
+                              ref.digits))
+    assert [row for row in want if len(row) == 4] == reference
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("called on the cyclotomic path")
+    bound = {(name, attr) for name, module in list(sys.modules.items())
+             if name == "iwasawalab" or name.startswith("iwasawalab.")
+             for attr in ("angle_log", "plog") if hasattr(module, attr)}
+    assert bound == set()
+    for attr in ("angle_log", "plog"):
+        monkeypatch.setattr(oracles, attr, refuse)
+    monkeypatch.setattr(classfield, "_Q_CYC_CACHE", {})
+    with pytest.raises(RuntimeError):
+        oracles.angle_log(PAdicNumber.of(2, 3, 3))
+    assert answers() == want
 
 
 def test_mq_symmetric_subgroup():

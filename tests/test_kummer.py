@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -5,13 +6,14 @@ import pytest
 from iwasawalab.iwasawa import mq_generator, mq_order
 from iwasawalab.kummer import (KummerCertificate, construct_alpha,
                                verify_alpha, kummer_rank)
-from iwasawalab.localize import TRUE, FALSE, INDET
+from iwasawalab.localize import TRUE, FALSE, INDET, completions_above_p
 from iwasawalab.padic import PAdicNumber, vp
 from iwasawalab.quadfield import (RealQuadraticField, SUnitBasisData,
                                   SUnitProduct, factor_rational_prime,
                                   fundamental_unit, principal_generator,
                                   rational_ideal)
 
+import oracles
 from oracles import same_kummer_extension
 
 QQ = RealQuadraticField.rationals()
@@ -231,3 +233,52 @@ def test_same_kummer_extension_indeterminate_on_markers():
     x = SUnitProduct(basis, 3, [0, a], 4)
     y = SUnitProduct(basis, 3, [0, 1], 4)
     assert same_kummer_extension(y, x, QQ, 3) == INDET
+
+
+# The fields, primes and prime pairs of the kummer-alpha benchmark fixtures;
+# p is inert in Q(sqrt d) for d = 2, 3, 5 and for (7, 5).
+ALPHA_GRID = [(1, 3, "2", "5"), (1, 5, "2", "3"), (2, 3, "5", "7a"),
+              (2, 5, "2a", "3"), (3, 5, "2", "3"), (5, 3, "2", "7"),
+              (7, 3, "5", "11"), (7, 5, "3a", "3b"), (10, 3, "7", "41a"),
+              (11, 5, "3", "13"), (13, 3, "2", "5"), (79, 3, "2a", "5a")]
+
+
+def _prime(K, spec):
+    """'7' for the first prime over 7; '7a'/'7b' for a split place."""
+    ideals = factor_rational_prime(K, int(spec.rstrip("ab"))).ideals
+    return ideals[1] if spec.endswith("b") else ideals[0]
+
+
+def test_alpha_needs_no_unramified_quad_elem(monkeypatch):
+    """construct_alpha and verify_alpha answer as before, inert p included,
+    with the reference UnramifiedQuadElem refused: no iwasawalab module
+    binds it, and the oracle class is patched to raise.  Local logs are
+    tuples of PAdicNumber coordinates."""
+    cases = []
+    for d, p, s1, s2 in ALPHA_GRID:
+        K = QQ if d == 1 else RealQuadraticField(d)
+        cases.append((K, p, (_prime(K, s1), _prime(K, s2))))
+    assert any(completions_above_p(K, p)[0].kind == "inert"
+               for K, p, _ in cases)
+
+    def answers():
+        out = []
+        for K, p, Q in cases:
+            for N in (2, 3):
+                cert = construct_alpha(K, p, Q, N)
+                out.append(cert.to_json())
+                out.append(verify_alpha(cert.alpha, K, p, Q, N).to_json())
+        return out
+    want = answers()
+
+    class Refused(oracles.UnramifiedQuadElem):
+        def __init__(self, *args):
+            raise RuntimeError("UnramifiedQuadElem built on the alpha path")
+    bound = [name for name, module in list(sys.modules.items())
+             if (name == "iwasawalab" or name.startswith("iwasawalab."))
+             and hasattr(module, "UnramifiedQuadElem")]
+    assert bound == []
+    monkeypatch.setattr(oracles, "UnramifiedQuadElem", Refused)
+    with pytest.raises(RuntimeError):
+        oracles.UnramifiedQuadElem.from_residues(1, 0, 2, 5, 3)
+    assert answers() == want
