@@ -20,8 +20,6 @@ from .quadfield import (IntegralIdeal, RealQuadraticField, rational_ideal,
 from .rayclass import ray_class_group
 from .residues import DlogPlan, ModularUnits
 
-_Q_CYC_CACHE = {}
-
 
 def e_of_q(q, p: int) -> int:
     """p-part of N(q) - 1, the target inertia order of the even criterion."""
@@ -29,9 +27,10 @@ def e_of_q(q, p: int) -> int:
     if n % p == 0:
         raise ValueError("q must be coprime to p")
     m = n - 1
-    return p ** (vp(m, p) if m % p == 0 else 0) if m else 1
+    return p ** vp(m, p) if m else 1
 
 
+@lru_cache(maxsize=None)
 def cyclotomic_log(n: int, p: int, A: int) -> int:
     """log<n>/log(1+p) mod p^(A-1) for n prime to p, from both logs mod p^A
     on integer residues: log<n> lies in pZ_p and log(1+p) is p times a unit
@@ -62,15 +61,6 @@ def _degree_without_log(n: int, p: int, N: int) -> int:
     mod = p**(N + 1)
     plan = DlogPlan(ModularUnits(mod), 1 + p, p**N, {p: N})
     return plan.dlog(pow(n, p - 1, mod)) * pow(p - 1, -1, p**N) % p**N
-
-
-def cyclotomic_dlog(n: int, p: int, M: int) -> int:
-    """Position of the ray class of (n) in the cyclotomic quotient Z/p^(M-1),
-    i.e. log<n>/log(1+p) mod p^(M-1); exact for exact integer input."""
-    key = (abs(n), p, M)
-    if key not in _Q_CYC_CACHE:
-        _Q_CYC_CACHE[key] = cyclotomic_log(n, p, M)
-    return _Q_CYC_CACHE[key]
 
 
 @dataclass
@@ -138,7 +128,7 @@ def _cyc_hom_on_invariants(rc, p: int, M: int):
     checked.
     """
     norms = rc.units.gen_norm_ints() + [g.norm for g in rc.class_gen_ideals]
-    c_ambient = [cyclotomic_dlog(n, p, M) for n in norms]
+    c_ambient = [cyclotomic_log(n, p, M) for n in norms]
     mod = p**(M - 1)
     for row in rc.relations:
         if sum(a * c for a, c in zip(row, c_ambient)) % mod:
@@ -197,6 +187,8 @@ def even_criterion(K: RealQuadraticField, p: int, q: IntegralIdeal, N: int):
     """Even-side inertia test: the inertia image at q in the ray tower
     must have order e(q), computed as a ratio of ray class orders at two
     conductor levels."""
+    if N < 1:
+        raise ValueError("N must be at least 1")
     if isinstance(q, int):
         q = rational_ideal(K, q)
     eq = e_of_q(q, p)

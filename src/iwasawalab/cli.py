@@ -314,7 +314,7 @@ def _cmd_selftest(args):
     ok_all = all(ok for _, ok, _ in checks)
     doc = {"checks": [{"name": n, "pass": ok, "error": err}
                       for (n, ok, err) in checks],
-           "pass": ok_all, "seed": args.seed}
+           "pass": ok_all}
     lines = ["%s %s" % ("PASS" if ok else "FAIL", n) for (n, ok, _) in checks]
     lines.append("selftest: %s" % ("PASS" if ok_all else "FAIL"))
     _emit(doc, args, lines)
@@ -387,8 +387,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--primes", default="3,5,7")
     sp.add_argument("--prec", type=int, default=None)
 
-    sp = add("selftest", _cmd_selftest)
-    sp.add_argument("--seed", type=int, default=0)
+    add("selftest", _cmd_selftest)
     return p
 
 

@@ -101,7 +101,7 @@ def _rounded_degree_zero(G: GaloisGroupG, q1, q2):
     F1 = G.frobenius_class(q1)
     F2 = G.frobenius_class(q2)
     o1 = element_order(G.group, F1)
-    v1 = vp(o1, p) if o1 % p == 0 else 0
+    v1 = vp(o1, p)
     work = max(G.N + 2, v1 + 3)
     a1 = -(cyclotomic_degree(q2, p, work) / cyclotomic_degree(q1, p, work))
     if a1.abs_prec < v1:

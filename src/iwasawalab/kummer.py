@@ -91,7 +91,7 @@ def construct_alpha(K: RealQuadraticField, p: int, Q, N: int) \
         for d in clg.invariant_factors:
             if d % p == 0:
                 w_exp = max(w_exp, vp(d, p))
-    n_prime_to_p = clg_h // p**(vp(clg_h, p) if clg_h % p == 0 else 0)
+    n_prime_to_p = clg_h // p**vp(clg_h, p)
 
     m = w_exp
     if a1.abs_prec <= m:
@@ -230,7 +230,7 @@ def _check_certificate(alpha: SUnitProduct, K: RealQuadraticField, p: int,
     cert.loc_p_torsion = TRUE
 
     # (iv) m_Q divides p^a
-    if cert.a_exponent < (vp(cert.m_q, p) if cert.m_q % p == 0 else 0):
+    if cert.a_exponent < vp(cert.m_q, p):
         cert.status = "rejected:divisibility"
         return cert
     cert.status = "accepted"

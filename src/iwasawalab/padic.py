@@ -314,7 +314,7 @@ def _log_inverses(p: int, e: int) -> tuple:
     modg = p**e
     out = []
     for k in range(1, _log_terms_needed(1, p, e - 1)):
-        pj = p**vp(k, p) if k % p == 0 else 1
+        pj = p**vp(k, p)
         out.append((pj, pow(k // pj if k % 2 else -(k // pj), -1, modg)))
     return tuple(out)
 

@@ -48,9 +48,6 @@ class RealQuadraticField:
             self.D = d if d % 4 == 1 else 4 * d
         self.sqrtD_floor = isqrt(self.D)
         self.w_trace, self.w_norm = self.D, (self.D * self.D - self.D) // 4
-        self._class_group = None
-        self._fundamental_unit = None
-        self._o_walk = None
         cls._cache[d] = self
         return self
 
@@ -343,6 +340,8 @@ def ideal_from_element(e: FieldElement) -> IntegralIdeal:
 
 
 def rational_ideal(K: RealQuadraticField, n: int) -> IntegralIdeal:
+    if not isinstance(n, int):
+        raise TypeError("the ideal (n) needs an int n, got %r" % (n,))
     n = abs(n)
     if n == 0:
         raise ValueError("zero ideal")
@@ -637,17 +636,10 @@ class ClassGroupData:
     def invariant_factors(self):
         return self.group.invariant_factors
 
-    def exponent(self) -> int:
-        e = 1
-        for d in self.group.invariant_factors:
-            e = e * d // gcd(e, d)
-        return e
 
-
+@lru_cache(maxsize=None)
 def class_group(K: RealQuadraticField) -> ClassGroupData:
-    if K._class_group is None:
-        K._class_group = ClassGroupData(K)
-    return K._class_group
+    return ClassGroupData(K)
 
 
 # ----------------------------------------------------------------- units
@@ -663,6 +655,7 @@ def _exact_quotient(K: RealQuadraticField, num, den, what: str):
     return x // n, y // n
 
 
+@lru_cache(maxsize=None)
 def _o_walk(K: RealQuadraticField):
     """The principal-cycle table: dict (P, Q) -> (x, y), the gamma product
     x + y*w of the walk of the unit ideal up to that state, over one full
@@ -673,18 +666,17 @@ def _o_walk(K: RealQuadraticField):
     product of k gammas is u_k = (-1)^(k-1) * (B_{k-1}*tau_0 - A_{k-1}),
     A/B the convergents of tau_0: u_{k+1} = u_{k-1} - a_k*u_k, u_{-1} =
     tau_0, u_0 = 1.  Here tau_0 = w, so every u_k is integral."""
-    if K._o_walk is None:
-        acc = {}
-        P, Q = K.D, 2
-        x0, y0, x1, y1 = 0, 1, 1, 0
-        while (P, Q) not in acc:
-            acc[(P, Q)] = (x1, y1)
-            a, P, Q = _rho_step(K, P, Q)
-            x0, y0, x1, y1 = x1, y1, x0 - a * x1, y0 - a * y1
-        K._o_walk = acc
-    return K._o_walk
+    acc = {}
+    P, Q = K.D, 2
+    x0, y0, x1, y1 = 0, 1, 1, 0
+    while (P, Q) not in acc:
+        acc[(P, Q)] = (x1, y1)
+        a, P, Q = _rho_step(K, P, Q)
+        x0, y0, x1, y1 = x1, y1, x0 - a * x1, y0 - a * y1
+    return acc
 
 
+@lru_cache(maxsize=None)
 def fundamental_unit(K: RealQuadraticField) -> FieldElement:
     """The unit eps > 1 generating the units modulo {-1}, from half a
     period of the principal cycle.
@@ -713,8 +705,6 @@ def fundamental_unit(K: RealQuadraticField) -> FieldElement:
     is checked integral, the norm +-1 and eps > 1."""
     if K.is_rational:
         raise ValueError("Q has no fundamental unit")
-    if K._fundamental_unit is not None:
-        return K._fundamental_unit
     D, wn = K.D, K.w_norm
     P, Q = D, 2
     x0, y0, x1, y1 = 0, 1, 1, 0                  # u_{k-1}, u_k
@@ -735,8 +725,7 @@ def fundamental_unit(K: RealQuadraticField) -> FieldElement:
         raise InternalCheckError("fundamental unit does not have norm +-1")
     if _real_sign(2 * ex + D * ey - 2, ey, D) <= 0:
         raise InternalCheckError("fundamental unit is not > 1")
-    K._fundamental_unit = FieldElement(K, ex, ey)
-    return K._fundamental_unit
+    return FieldElement(K, ex, ey)
 
 
 def _reduction_bound(D: int, Q: int) -> int:

@@ -9,7 +9,7 @@ presented by generators and relations:
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from math import prod
 
 from .abgroup import FiniteAbelianGroup, GroupElement, lattice_index, \
@@ -20,8 +20,6 @@ from .quadfield import (IntegralIdeal, RealQuadraticField, class_group,
                         fundamental_unit, parts_valuation, prime_ideals_above,
                         principal_generator, rational_ideal, unit_ideal)
 from .residues import UnitGroupModM
-
-_RAY_CACHE = {}
 
 
 def _factor_ideal(m: IntegralIdeal):
@@ -51,8 +49,6 @@ class RayClassGroupData:
     """p-part of the ray class group of conductor m, with dlog machinery."""
 
     def __init__(self, K: RealQuadraticField, modulus, p: int):
-        if isinstance(modulus, int):
-            modulus = rational_ideal(K, modulus)
         if p % 2 == 0 or not isprime(p):
             raise ValueError("p must be an odd prime")
         self.field = K
@@ -93,8 +89,7 @@ class RayClassGroupData:
         self.full_diag = self.presentation.full_diag
         self.full_transform = self.presentation.full_transform
         # p-part: reduce each full coordinate mod the p-part of its order
-        v_parts = [vp(d, p) if d and d % p == 0 else 0
-                   for d in self.full_diag]
+        v_parts = [vp(d, p) for d in self.full_diag]
         keep = [i for i, v in enumerate(v_parts) if v > 0]
         self.p_keep = keep
         self.p_group = FiniteAbelianGroup(
@@ -191,14 +186,18 @@ class RayClassGroupData:
 
 
 def p_part(n: int, p: int) -> int:
-    return p ** vp(n, p) if n % p == 0 else 1
+    return p ** vp(n, p)
+
+
+@lru_cache(maxsize=None)
+def _ray_class_group(K: RealQuadraticField, modulus, p: int):
+    return RayClassGroupData(K, modulus, p)
 
 
 def ray_class_group(K: RealQuadraticField, modulus, p: int) \
         -> RayClassGroupData:
-    if isinstance(modulus, int):
+    """The ray class group of conductor `modulus`, an IntegralIdeal or an
+    int n for the ideal (n), built once per (K, ideal, p)."""
+    if not isinstance(modulus, IntegralIdeal):
         modulus = rational_ideal(K, modulus)
-    key = (K.d, modulus.key(), p)
-    if key not in _RAY_CACHE:
-        _RAY_CACHE[key] = RayClassGroupData(K, modulus, p)
-    return _RAY_CACHE[key]
+    return _ray_class_group(K, modulus, p)

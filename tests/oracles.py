@@ -690,8 +690,8 @@ def leopoldt_defect_log_route(K, p: int, N: int) -> LeopoldtReport:
 
 
 def cyclotomic_dlog_log_route(n: int, p: int, M: int) -> int:
-    """log<n>/log(1+p) mod p^(M-1), as classfield.cyclotomic_dlog read it
-    (with no cache)."""
+    """log<n>/log(1+p) mod p^(M-1), as classfield.cyclotomic_log reads it
+    on integer residues."""
     if n % p == 0:
         raise ValueError("n must be coprime to p")
     x = PAdicNumber.exact(abs(n), p, M)

@@ -7,8 +7,8 @@ from iwasawalab import classfield, rayclass
 from iwasawalab.abgroup import element_order, smith_presentation, \
     solve_integral
 from iwasawalab.classfield import (GaloisGroupG, group_G, frobenius_image,
-                                   e_of_q, even_criterion, cyclotomic_dlog,
-                                   cyclotomic_log, _transport_hom)
+                                   e_of_q, even_criterion, cyclotomic_log,
+                                   _transport_hom)
 from iwasawalab.iwasawa import mq_order
 from iwasawalab.ntheory import InternalCheckError, isprime
 from iwasawalab.quadfield import (RealQuadraticField, factor_rational_prime,
@@ -81,7 +81,7 @@ def test_degree_exact_matches_log_degree():
         q = factor_rational_prime(Q2, ell).ideals[0]
         deg = G.degree(q)
         k = min(deg.abs_prec, G.N)
-        assert deg.residue(k) == cyclotomic_dlog(q.norm, 5, G.N + 1) % 5**k
+        assert deg.residue(k) == cyclotomic_log(q.norm, 5, G.N + 1) % 5**k
 
 
 FROBENIUS_FIELDS = (1, 2, 3, 5, 6, 7, 10, 13, 79, 82, 145, 229, 401)
@@ -105,7 +105,7 @@ def test_frobenius_class_degree_matches_character():
                     for q in factor_rational_prime(K, ell).ideals:
                         cls, _ = frobenius_image(G, q)
                         assert G.class_degree(cls) == \
-                            cyclotomic_dlog(q.norm, p, N + 1), (d, p, N, q)
+                            cyclotomic_log(q.norm, p, N + 1), (d, p, N, q)
                         n += 1
     assert n == 1596
 
@@ -118,7 +118,6 @@ def test_frobenius_image_catches_a_wrong_character(monkeypatch):
     real = classfield.cyclotomic_log
     monkeypatch.setattr(classfield, "cyclotomic_log",
                         lambda n, p, A: (real(n, p, A) + 1) % p**(A - 1))
-    monkeypatch.setattr(classfield, "_Q_CYC_CACHE", {})
     G = group_G(QQ, 3, 2)
     refused = []
     primes = (2, 5, 7, 11, 13, 17, 19, 23, 29)
@@ -176,13 +175,19 @@ def test_mq_order_builds_only_the_levels_it_reads(monkeypatch, d, p, l1, l2,
                                                   N):
     """mq_order builds the ray class groups at p^(N+1) and p^(N+3) alone;
     reading `stable` of the group at N builds p^(N+2), once."""
-    monkeypatch.setattr(rayclass, "_RAY_CACHE", {})
+    rayclass._ray_class_group.cache_clear()
+    built, build = [], rayclass.RayClassGroupData
+
+    def record(K, modulus, p):
+        built.append(modulus.key())
+        return build(K, modulus, p)
+    monkeypatch.setattr(rayclass, "RayClassGroupData", record)
     K = QQ if d == 1 else RealQuadraticField(d)
     Q = tuple(factor_rational_prime(K, ell).ideals[0] for ell in (l1, l2))
     mq_order(K, p, Q, N)
 
     def levels():
-        return sorted(key[1] for key in rayclass._RAY_CACHE)
+        return sorted(built)
     want = sorted(rational_ideal(K, p**M).key() for M in (N + 1, N + 3))
     assert levels() == want
     G = group_G(K, p, N)
@@ -235,8 +240,8 @@ def test_transport_hom_matches_exact_solve(d, p):
     for M in (2, 3, 4):
         rc = ray_class_group(K, p**M, p)
         n, mod, keep = rc.ambient_rank, p**(M - 1), rc.p_keep
-        c = [cyclotomic_dlog(x, p, M) for x in rc.units.gen_norm_ints()] + \
-            [cyclotomic_dlog(q.norm, p, M) for q in rc.class_gen_ideals]
+        c = [cyclotomic_log(x, p, M) for x in rc.units.gen_norm_ints()] + \
+            [cyclotomic_log(q.norm, p, M) for q in rc.class_gen_ideals]
         y = _transport_hom(rc, c, mod)
         U = smith_presentation(rc.relations, n).full_transform
         y_exact = [t % mod for t in solve_integral(
@@ -290,6 +295,14 @@ def test_even_criterion_d2_split_41_p5():
     rep = even_criterion(Q2, 5, q, 1)
     assert rep["e_q"] == 5
     assert rep["status"] == "pass"
+
+
+@pytest.mark.parametrize("N", [0, -1, -3])
+def test_even_criterion_refuses_n_below_1(N):
+    # as group_G does: N = 0 and -1 would read conductors p^1/p^2 and
+    # p^0/p^1, and N = -3 a float modulus
+    with pytest.raises(ValueError, match="N must be at least 1"):
+        even_criterion(QQ, 3, 7, N)
 
 
 def test_report_schema():

@@ -73,9 +73,9 @@ def test_rayclass(capsys):
 
 
 def test_internal_check_exit_code(capsys, monkeypatch):
-    # a wrong exact degree map trips the cross-check of the log degree in
-    # classfield.frobenius_image
-    monkeypatch.setattr(classfield, "cyclotomic_dlog", lambda n, p, M: 1)
+    # a wrong cyclotomic character trips the cross-check of the log degree
+    # against the dlog that reads no log in classfield.frobenius_image
+    monkeypatch.setattr(classfield, "cyclotomic_log", lambda n, p, A: 1)
     code = main(["frobenius", "--field", "Q", "--p", "3", "--q", "2"])
     err = capsys.readouterr().err
     assert code == 5

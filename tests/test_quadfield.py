@@ -474,7 +474,7 @@ def _stop_kind(K, monkeypatch):
             seen.append(num == (den[0] + den[1] * K.D, -den[1]))
         return quotient(K, num, den, what)
     monkeypatch.setattr(quadfield, "_exact_quotient", spy)
-    monkeypatch.setattr(K, "_fundamental_unit", None)
+    fundamental_unit.cache_clear()
     eps = fundamental_unit(K)
     monkeypatch.undo()
     assert len(seen) == 1
@@ -497,15 +497,16 @@ def test_half_period_eps_matches_full_period_d_below_10000(monkeypatch):
     assert kinds["odd"] > 500 and kinds["even"] > 4000
 
 
-def test_leopoldt_query_builds_no_cycle_table(monkeypatch):
+def test_leopoldt_query_builds_no_cycle_table():
     K = RealQuadraticField(49009)
-    monkeypatch.setattr(K, "_o_walk", None)
-    monkeypatch.setattr(K, "_fundamental_unit", None)
+    _o_walk.cache_clear()
+    fundamental_unit.cache_clear()
     assert leopoldt_defect(K, 3, 8).defect == 0
-    assert K._fundamental_unit is not None
-    assert K._o_walk is None
+    assert fundamental_unit.cache_info().currsize == 1
+    assert _o_walk.cache_info().currsize == 0
     principal_generator(rational_ideal(K, 3))
-    assert len(K._o_walk) == 444       # period 443, plus the state (D, 2)
+    assert _o_walk.cache_info().currsize == 1
+    assert len(_o_walk(K)) == 444      # period 443, plus the state (D, 2)
 
 
 def _principal_cases(K, h):

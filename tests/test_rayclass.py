@@ -135,6 +135,16 @@ def test_ramified_square_modulus_rejected():
         ray_class_group(K, 4, 5)  # (sqrt2)^4: ramified square component
 
 
+@pytest.mark.parametrize("modulus", [3**-2, 0.5, 9.0, "9", None])
+def test_non_integer_modulus_refused(modulus):
+    # a modulus is an int or an ideal, as a field coordinate is a rational
+    for K in (QQ, RealQuadraticField(2)):
+        with pytest.raises(TypeError):
+            rational_ideal(K, modulus)
+        with pytest.raises(TypeError):
+            ray_class_group(K, modulus, 3)
+
+
 # ------------------------------------------------- factoring an ideal modulus
 
 def _ref_contains(I, J):
@@ -231,13 +241,13 @@ def test_class_representative_cap_fails_loudly(monkeypatch, capsys):
     p = 3, which divides m), the search for class representatives of
     Q(sqrt 10), h = 2, runs to its cap and raises; nothing is cached."""
     K = RealQuadraticField(10)
-    key = (10, rational_ideal(K, 3).key(), 3)
-    monkeypatch.delitem(rayclass._RAY_CACHE, key, raising=False)
+    cache = rayclass._ray_class_group
+    cache.cache_clear()
     monkeypatch.setattr(rayclass, "isprime", lambda n: n == 3)
     with pytest.raises(InternalCheckError, match="ell = 50000"):
         ray_class_group(K, 3, 3)
-    assert key not in rayclass._RAY_CACHE
+    assert cache.cache_info().currsize == 0
     argv = ["rayclass", "--field", "Q(sqrt{10})", "--modulus", "3", "--p", "3"]
     assert main(argv) == EXIT_INTERNAL
     assert "ell = 50000" in capsys.readouterr().err
-    assert key not in rayclass._RAY_CACHE
+    assert cache.cache_info().currsize == 0

@@ -455,6 +455,25 @@ def test_ramified_norm_int_is_the_norm_mod_ell():
                     (d, ell, x)
 
 
+def test_primitive_root_lifted_when_it_fixes_the_one_units():
+    """At ell = 40487 the least primitive root 5 has 5^(ell-1) = 1 mod
+    ell^2, so it generates no 1-units and the component of (40487)^2 takes
+    5 + ell instead: of order exactly (ell - 1)*ell, seen at each prime of
+    the order, with dlogs that invert its powers."""
+    ell = 40487
+    mod = ell * ell
+    assert factorint(ell - 1) == {2: 1, 31: 1, 653: 1}
+    assert pow(5, ell - 1, mod) == 1
+    comp = make_component(QQ, rational_ideal(QQ, ell), 2)
+    (g,), (n,) = comp.gens, comp.orders
+    assert (g, n) == (5 + ell, (ell - 1) * ell)
+    assert pow(g, n, mod) == 1
+    for q in (2, 31, 653, ell):
+        assert pow(g, n // q, mod) != 1, q
+    for k in (0, 1, 2, 653, ell, 123456789 % n, n - 1):
+        assert comp.dlog(pow(g, k, mod)) == [k], k
+
+
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).parent))
     _record()

@@ -16,6 +16,10 @@
   comes in or where a field element is read back as rational coordinates;
 - no definition, import or binding of a name of REFERENCE_ONLY, whose
   definitions live in `tests/oracles.py` as the tests' reference.
+- no module-level or class-level binding of a mutable container (a
+  display, a comprehension or a `dict()`, `list()` or `set()` call) but
+  those of MUTABLE_BINDINGS: a memo table is a `functools.lru_cache`, which
+  reports its hits, misses and size and can be cleared.
 
 Besides, `iwasawalab.__all__` names exactly what `__init__.py` imports.
 """
@@ -51,6 +55,11 @@ REFERENCE_ONLY = {
     "angle_log", "solve_dlog", "s_unit_basis", "inertia_rank",
     "same_kummer_extension", "degree_zero_pair_element",
 }
+
+# module- and class-level names that may be bound to a mutable container:
+# the export list, and the intern table of fields, since FieldElement
+# compares fields by identity
+MUTABLE_BINDINGS = {"__all__", "RealQuadraticField._cache"}
 
 
 def _trees():
@@ -242,6 +251,36 @@ def test_no_reference_only_name():
     assert found == []
 
 
+def _is_mutable_container(node):
+    if isinstance(node, ast.Tuple):
+        return any(_is_mutable_container(elt) for elt in node.elts)
+    return isinstance(node, (ast.Dict, ast.List, ast.Set, ast.DictComp,
+                             ast.ListComp, ast.SetComp)) \
+        or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("dict", "list", "set"))
+
+
+def test_no_module_or_class_level_mutable_container():
+    found = []
+    for name, tree in _trees():
+        scopes = [("", tree.body)] + [(node.name + ".", node.body)
+                                      for node in tree.body
+                                      if isinstance(node, ast.ClassDef)]
+        for prefix, body in scopes:
+            for node in body:
+                if not isinstance(node, (ast.Assign, ast.AnnAssign)) \
+                        or node.value is None \
+                        or not _is_mutable_container(node.value):
+                    continue
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                found.extend("%s %s%s" % (_where(name, node), prefix, n.id)
+                             for target in targets for n in ast.walk(target)
+                             if isinstance(n, ast.Name)
+                             and prefix + n.id not in MUTABLE_BINDINGS)
+    assert found == []
+
+
 def test_exports_are_the_imports_of_init():
     """`__all__` lists what `__init__.py` imports, each name once, and
     `from iwasawalab import *` binds every one of them."""
@@ -279,6 +318,8 @@ def test_exports_are_the_imports_of_init():
     ("from .padic import angle_log as log_of\n\n\n"
      "def f(x):\n    plog = log_of(x)\n    return plog\n",
      test_no_reference_only_name),
+    ("_TABLE = {}\n\n\nclass Group:\n    orders = [k for k in range(3)]\n",
+     test_no_module_or_class_level_mutable_container),
 ])
 def test_each_check_catches_its_rule(source, check, tmp_path, monkeypatch):
     module = tmp_path / "bad.py"
