@@ -13,8 +13,7 @@ from .quadfield import (RealQuadraticField, FieldElement, IntegralIdeal,
                         class_group, fundamental_unit, principal_generator,
                         ideal_valuation, prime_ideals_above, rational_ideal)
 from .rayclass import ray_class_group
-from .localize import (PlaceAbovePrime, LocalValue, RankReport, places_above,
-                       completions_above_p, loc, loc_p, is_loc_torsion,
+from .localize import (RankReport, completions_above_p, loc, is_loc_torsion,
                        eq_membership)
 from .classfield import (GaloisGroupG, group_G, frobenius_image, e_of_q,
                          even_criterion)
@@ -36,8 +35,8 @@ __all__ = [
     "fundamental_unit", "principal_generator",
     "ray_class_group", "ideal_valuation", "prime_ideals_above",
     "rational_ideal",
-    "PlaceAbovePrime", "LocalValue", "RankReport", "places_above",
-    "completions_above_p", "loc", "loc_p", "is_loc_torsion", "eq_membership",
+    "RankReport", "completions_above_p", "loc", "is_loc_torsion",
+    "eq_membership",
     "GaloisGroupG", "group_G", "frobenius_image", "e_of_q", "even_criterion",
     "FrobeniusModuleReport", "LeopoldtReport", "is_inert_in_cyclotomic",
     "mq_generator", "mq_order", "leopoldt_defect", "greenberg_wiles",

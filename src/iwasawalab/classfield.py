@@ -13,10 +13,10 @@ from functools import cached_property, lru_cache
 
 from .abgroup import (FiniteAbelianGroup, GroupElement,
                       solve_congruence_lattice)
-from .ntheory import InternalCheckError, isprime
+from .ntheory import InternalCheckError
 from .padic import PAdicNumber, log_series, unit_log_residues, vp
-from .quadfield import (IntegralIdeal, RealQuadraticField, rational_ideal,
-                        residue_char)
+from .quadfield import (IntegralIdeal, RealQuadraticField, check_odd_prime,
+                        rational_ideal, residue_char)
 from .rayclass import ray_class_group
 from .residues import DlogPlan, ModularUnits
 
@@ -161,10 +161,7 @@ def group_G(K: RealQuadraticField, p: int, N: int) -> GaloisGroupG:
     `stable` is checked against conductor p^(N+2) when first read."""
     if N < 1:
         raise ValueError("N must be at least 1")
-    if p % 2 == 0 or not isprime(p):
-        raise ValueError("p must be an odd prime")
-    if not K.is_rational and K.D % p == 0:
-        raise ValueError("p = %d ramifies in %s" % (p, K.spec_string()))
+    check_odd_prime(p, K)
     M = N + 1
     rc = ray_class_group(K, p**M, p)
     return GaloisGroupG(K, p, N, rc, rc.p_group,

@@ -10,10 +10,9 @@ from math import gcd
 
 from .abgroup import element_order, subgroup_image_order
 from .classfield import GaloisGroupG, cyclotomic_degree, group_G
-from .ntheory import (InternalCheckError, is_squarefree, isprime, power,
-                      quad_mul)
+from .ntheory import InternalCheckError, is_squarefree, power, quad_mul
 from .padic import PAdicNumber, PrecisionError, vp
-from .quadfield import (IntegralIdeal, RealQuadraticField,
+from .quadfield import (IntegralIdeal, RealQuadraticField, check_odd_prime,
                         fundamental_unit, rational_ideal)
 
 
@@ -188,12 +187,9 @@ def leopoldt_defect(K: RealQuadraticField, p: int, N: int) -> LeopoldtReport:
     (indeterminate)."""
     if N < 1:
         raise ValueError("N must be at least 1")
-    if p % 2 == 0 or not isprime(p):
-        raise ValueError("p must be an odd prime")
+    check_odd_prime(p, K)
     if K.is_rational:
         return LeopoldtReport(K, p, N, 0, None, "ok", p == 3)
-    if K.D % p == 0:
-        raise ValueError("p = %d ramifies in %s" % (p, K.spec_string()))
     A, eps = N + 2, fundamental_unit(K)
     m = p**A
     z0, z1 = power(quad_mul(K.w_trace, K.w_norm, m), (1, 0),

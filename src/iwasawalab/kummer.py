@@ -15,12 +15,13 @@ from .abgroup import element_order, smith_normal_form
 from .iwasawa import mq_order
 from .localize import (INDET, TRUE, FALSE, completions_above_p, eq_membership,
                        is_loc_torsion, loc, zp_matrix_rank, RankReport)
-from .ntheory import InternalCheckError, factorint, isprime
+from .ntheory import InternalCheckError, factorint
 from .padic import PAdicNumber, PrecisionError, vp
 from .quadfield import (FieldElement, RealQuadraticField, SUnitBasisData,
-                        SUnitBasisEntry, SUnitProduct, class_group,
+                        SUnitProduct, check_odd_prime, class_group,
                         fundamental_unit, ideal_valuation, prime_ideals_above,
-                        principal_generator, rational_ideal, realize)
+                        principal_generator, rational_ideal, realize,
+                        s_unit_entry)
 
 
 @dataclass
@@ -63,18 +64,9 @@ class KummerCertificate:
         }
 
 
-def _adhoc_entry(K, element, primes, label):
-    vals = {}
-    for q in primes:
-        v = ideal_valuation(element, q)
-        if v:
-            vals[q.key()] = v
-    return SUnitBasisEntry(element, vals, label, "lattice")
-
-
 def construct_alpha(K: RealQuadraticField, p: int, Q, N: int) \
         -> KummerCertificate:
-    """The explicit Kummer element: loc_p(alpha) torsion, supported on Q,
+    """The explicit Kummer element: locally torsion above p, supported on Q,
     with both Q-valuations generating the ideal (m_Q)."""
     rep = mq_order(K, p, Q, N)
     q1, q2 = rep.q1, rep.q2
@@ -114,10 +106,9 @@ def construct_alpha(K: RealQuadraticField, p: int, Q, N: int) \
     # pi_i generates q_i^h_i, h_i the class order of q_i
     pi1 = realize(K, [q1], [h1])
     pi2 = realize(K, [q2], [h2])
-    basis = SUnitBasisData(K, [])
-    basis.entries.append(_adhoc_entry(K, beta, primes, "beta"))
-    basis.entries.append(_adhoc_entry(K, pi1, primes, "pi1"))
-    basis.entries.append(_adhoc_entry(K, pi2, primes, "pi2"))
+    entries = SUnitBasisData(K, []).entries + tuple(
+        s_unit_entry(g, primes, label, "lattice")
+        for g, label in ((beta, "beta"), (pi1, "pi1"), (pi2, "pi2")))
 
     t1 = c1 * PAdicNumber.exact(n_prime_to_p * p**m // h1 * m_q, p,
                                 a1.abs_prec + 2)
@@ -128,7 +119,7 @@ def construct_alpha(K: RealQuadraticField, p: int, Q, N: int) \
         exponents = [zero, one, t1, t2]
     else:
         exponents = [zero, zero, one, t1, t2]
-    alpha0 = SUnitProduct(basis, p, exponents, N)
+    alpha0 = SUnitProduct(entries, p, exponents, N)
 
     # unit correction: divide by eps^x so that the local 1-unit part dies
     places = completions_above_p(K, p)
@@ -137,7 +128,7 @@ def construct_alpha(K: RealQuadraticField, p: int, Q, N: int) \
         x = _solve_unit_exponent(alpha0, places, p, N)
         new_exp = list(alpha0.exponents)
         new_exp[eps_idx] = new_exp[eps_idx] - x
-        alpha = SUnitProduct(basis, p, new_exp, N)
+        alpha = SUnitProduct(entries, p, new_exp, N)
     else:
         alpha = alpha0
     return _check_certificate(alpha, K, p, (q1, q2), N, rep)
@@ -158,9 +149,9 @@ def _solve_unit_exponent(alpha0: SUnitProduct, places, p: int, N: int):
     eps = fundamental_unit(K)
     x = None
     checks = []
-    for place in places:
-        la = loc(alpha0, place, p, N).unit_log
-        le = loc(eps, place, p, N).unit_log
+    for q in places:
+        la = loc(alpha0, q, p, N)[1]
+        le = loc(eps, q, p, N)[1]
         for ca, ce in zip(la, le):
             if ce.is_marker:
                 continue
@@ -216,9 +207,9 @@ def _check_certificate(alpha: SUnitProduct, K: RealQuadraticField, p: int,
         return cert
     cert.a_exponent = v1.v
 
-    # (iii) loc_p(alpha) torsion
-    verdicts = [is_loc_torsion(alpha, place, p, N)
-                for place in completions_above_p(K, p)]
+    # (iii) the localization of alpha at p is torsion
+    verdicts = [is_loc_torsion(alpha, q, p, N)
+                for q in completions_above_p(K, p)]
     if FALSE in verdicts:
         cert.loc_p_torsion = FALSE
         cert.status = "rejected:loc_p"
@@ -262,8 +253,7 @@ def kummer_rank(T, K: RealQuadraticField, p: int) -> RankReport:
     so the rank is the exact rank of the integer exponent matrix; formal
     products contribute p-adic exponent rows with precision certificates.
     """
-    if p % 2 == 0 or not isprime(p):
-        raise ValueError("p must be an odd prime")
+    check_odd_prime(p)
     if not T:
         return RankReport(0, True)
     if all(isinstance(t, FieldElement) for t in T):
@@ -276,13 +266,13 @@ def kummer_rank(T, K: RealQuadraticField, p: int) -> RankReport:
         return RankReport(sum(1 for i, row in enumerate(D)
                               if i < len(row) and row[i]), True)
     if all(isinstance(t, SUnitProduct) for t in T):
-        basis = T[0].basis
+        entries = T[0].entries
         for t in T:
-            if t.basis is not basis:
+            if t.entries != entries:
                 raise ValueError("formal products must share a basis")
         rows = []
         for t in T:
-            rows.append([e for e, entry in zip(t.exponents, basis.entries)
+            rows.append([e for e, entry in zip(t.exponents, entries)
                          if entry.kind != "torsion"])
         return zp_matrix_rank(rows)
     raise TypeError("mixed element kinds in kummer_rank")

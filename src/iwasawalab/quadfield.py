@@ -477,6 +477,14 @@ def ideal_valuation(x, q: IntegralIdeal) -> int:
     return parts_valuation(x.a, x.b, x.den, q)
 
 
+def check_odd_prime(p: int, K: RealQuadraticField = None):
+    """Refuse p unless it is an odd prime and, given K, unramified in K."""
+    if p % 2 == 0 or not isprime(p):
+        raise ValueError("p must be an odd prime")
+    if K is not None and not K.is_rational and K.D % p == 0:
+        raise ValueError("p = %d ramifies in %s" % (p, K.spec_string()))
+
+
 def prime_kind(q: IntegralIdeal):
     """(ell, kind) for a prime ideal q over ell, with the kinds of
     factor_rational_prime, read from the HNF of q and no primality test:
@@ -823,12 +831,23 @@ def unit_decompose(K: RealQuadraticField, u: FieldElement):
 
 # ----------------------------------------------------------------- S-units
 
-@dataclass
+@dataclass(frozen=True)
 class SUnitBasisEntry:
     element: FieldElement
-    valuations: dict          # prime-ideal key -> exact integer valuation
+    valuations: dict          # prime-ideal key -> exact nonzero valuation
     label: str
     kind: str                 # "torsion" | "unit" | "lattice"
+
+
+def s_unit_entry(element: FieldElement, primes, label: str, kind: str):
+    """The basis entry of an S-unit, with its nonzero valuations at the
+    prime ideals `primes` read by ideal_valuation."""
+    vals = {}
+    for q in primes:
+        v = ideal_valuation(element, q)
+        if v:
+            vals[q.key()] = v
+    return SUnitBasisEntry(element, vals, label, kind)
 
 
 def realize(K: RealQuadraticField, primes, w) -> FieldElement:
@@ -858,63 +877,45 @@ def realize(K: RealQuadraticField, primes, w) -> FieldElement:
 
 
 class SUnitBasisData:
-    """Generators of the Q-unit group E_Q with exact valuation bookkeeping."""
+    """Generators of the Q-unit group E_Q with exact valuation bookkeeping:
+    the tuple `entries` holds -1, eps (not over Q), then one S-unit of each
+    row of `lattice`, the exponent vectors over `primes`."""
 
     def __init__(self, K: RealQuadraticField, Q_ideals):
         self.field = K
         self.primes = list(Q_ideals)
         for q in self.primes:
             residue_char(q)  # validates primality
-        self.entries = []
-        minus_one = K.element(-1)
-        self.entries.append(SUnitBasisEntry(minus_one, {}, "-1", "torsion"))
+        units = [s_unit_entry(K.element(-1), (), "-1", "torsion")]
         if not K.is_rational:
-            eps = fundamental_unit(K)
-            self.entries.append(SUnitBasisEntry(eps, {}, "eps", "unit"))
-        if not self.primes:
-            self.lattice = []
-            return
+            units.append(s_unit_entry(fundamental_unit(K), (), "eps", "unit"))
+        n = len(self.primes)
+        lattice = [[int(i == j) for j in range(n)] for i in range(n)]
         if K.is_rational:
-            self.lattice = [[1 if i == j else 0 for j in range(len(self.primes))]
-                            for i in range(len(self.primes))]
-            for i, q in enumerate(self.primes):
-                ell = q.a
-                vals = {q.key(): 1}
-                self.entries.append(SUnitBasisEntry(K.element(ell), vals,
-                                                    str(ell), "lattice"))
-            return
-        clg = class_group(K)
-        r = len(clg.gen_orders)
-        if r == 0:
-            lattice = [[1 if i == j else 0 for j in range(len(self.primes))]
-                       for i in range(len(self.primes))]
+            named = [(K.element(q.a), str(q.a)) for q in self.primes]
         else:
-            C = [[clg.ambient_dlog(q)[i] for q in self.primes]
-                 for i in range(r)]
-            lattice = [list(v) for v in
-                       solve_congruence_lattice(C, list(clg.gen_orders))]
+            clg = class_group(K)
+            if n and clg.gen_orders:
+                C = [[clg.ambient_dlog(q)[i] for q in self.primes]
+                     for i in range(len(clg.gen_orders))]
+                lattice = [list(v) for v in
+                           solve_congruence_lattice(C, list(clg.gen_orders))]
+            named = [(realize(K, self.primes, w),
+                      "g[" + ",".join(str(t) for t in w) + "]")
+                     for w in lattice]
         self.lattice = lattice
-        for w in lattice:
-            gamma = realize(K, self.primes, w)
-            vals = {}
+        gens = [s_unit_entry(g, self.primes, label, "lattice")
+                for g, label in named]
+        for w, entry in zip(lattice, gens):
             for q, wq in zip(self.primes, w):
-                if wq:
-                    vals[q.key()] = wq
-            for q, wq in zip(self.primes, w):
-                if ideal_valuation(gamma, q) != wq:
+                if entry.valuations.get(q.key(), 0) != wq:
                     raise InternalCheckError("lattice generator has the wrong "
                                              "valuation at %s" % (q,))
-            label = "g[" + ",".join(str(t) for t in w) + "]"
-            self.entries.append(SUnitBasisEntry(gamma, vals, label, "lattice"))
+        self.entries = tuple(units + gens)
 
     def decompose(self, x: FieldElement):
-        """Exact exponents of x over the basis entries, for x in E_Q; only
-        on the entries the constructor built (ValueError past them)."""
+        """Exact exponents of x over the basis entries, for x in E_Q."""
         K = self.field
-        built = 1 + (not K.is_rational) + len(self.lattice)
-        if len(self.entries) != built:
-            raise ValueError("decompose reads the %d entries SUnitBasisData "
-                             "built, not %d" % (built, len(self.entries)))
         vals = [ideal_valuation(x, q) for q in self.primes]
         coords = []
         if self.lattice:
@@ -924,7 +925,8 @@ class SUnitBasisData:
         elif any(vals):
             raise ValueError("element is not supported on Q")
         rest = x
-        for c, entry in zip(coords, self.entries[built - len(coords):]):
+        for c, entry in zip(coords, self.entries[len(self.entries)
+                                                 - len(coords):]):
             rest = rest / entry.element**c
         if not K.is_rational:
             return list(unit_decompose(K, rest)) + coords
@@ -938,13 +940,13 @@ class SUnitBasisData:
 class SUnitProduct:
     """Formal product of S-unit basis entries with Z_p exponents."""
 
-    def __init__(self, basis: SUnitBasisData, p: int, exponents, prec: int):
-        self.basis = basis
-        self.field = basis.field
+    def __init__(self, entries, p: int, exponents, prec: int):
+        self.entries = tuple(entries)
+        self.field = self.entries[0].element.field
         self.p = p
         self.prec = prec
         self.exponents = [self._promote(e) for e in exponents]
-        if len(self.exponents) != len(basis.entries):
+        if len(self.exponents) != len(self.entries):
             raise ValueError("exponent vector has wrong length")
 
     def _promote(self, e):
@@ -954,7 +956,7 @@ class SUnitProduct:
 
     def valuation_at(self, q_key) -> PAdicNumber:
         total = PAdicNumber.exact(0, self.p, self.prec + 4)
-        for e, entry in zip(self.exponents, self.basis.entries):
+        for e, entry in zip(self.exponents, self.entries):
             v = entry.valuations.get(q_key, 0)
             if v:
                 total = total + e * PAdicNumber.exact(v, self.p, self.prec + 4)
@@ -962,18 +964,18 @@ class SUnitProduct:
 
     def support_keys(self):
         keys = set()
-        for e, entry in zip(self.exponents, self.basis.entries):
+        for e, entry in zip(self.exponents, self.entries):
             if not (e.is_marker and e.is_exact_zero):
                 keys.update(entry.valuations.keys())
         return keys
 
     def scale_exponents(self, n: int) -> "SUnitProduct":
-        return SUnitProduct(self.basis, self.p,
+        return SUnitProduct(self.entries, self.p,
                             [e * PAdicNumber.exact(n, self.p, self.prec + 4)
                              for e in self.exponents], self.prec)
 
     def to_json(self):
         return {
-            "basis": [e.label for e in self.basis.entries],
+            "basis": [e.label for e in self.entries],
             "exponents": [repr(e) for e in self.exponents],
         }

@@ -16,9 +16,10 @@ from .abgroup import FiniteAbelianGroup, GroupElement, lattice_index, \
     smith_presentation
 from .ntheory import InternalCheckError, factorint, isprime
 from .padic import vp
-from .quadfield import (IntegralIdeal, RealQuadraticField, class_group,
-                        fundamental_unit, parts_valuation, prime_ideals_above,
-                        principal_generator, rational_ideal, unit_ideal)
+from .quadfield import (IntegralIdeal, RealQuadraticField, check_odd_prime,
+                        class_group, fundamental_unit, parts_valuation,
+                        prime_ideals_above, principal_generator,
+                        rational_ideal, unit_ideal)
 from .residues import UnitGroupModM
 
 
@@ -49,8 +50,7 @@ class RayClassGroupData:
     """p-part of the ray class group of conductor m, with dlog machinery."""
 
     def __init__(self, K: RealQuadraticField, modulus, p: int):
-        if p % 2 == 0 or not isprime(p):
-            raise ValueError("p must be an odd prime")
+        check_odd_prime(p)
         self.field = K
         self.modulus = modulus
         self.p = p

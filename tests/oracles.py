@@ -676,9 +676,8 @@ def leopoldt_defect_log_route(K, p: int, N: int) -> LeopoldtReport:
     places = completions_above_p(K, p)
     eps = fundamental_unit(K)
     row = []
-    for place in places:
-        lv = loc(eps, place, p, N)
-        row.extend(lv.unit_log)
+    for q in places:
+        row.extend(loc(eps, q, p, N)[1])
     rank = zp_matrix_rank([row])
     defect = 1 - rank.rank          # the unit rank of a real quadratic field
     reg_val = None
@@ -789,18 +788,18 @@ def s_unit_basis(K, Q_ideals) -> list:
 
 def inertia_rank(T, places, p: int, N: int) -> RankReport:
     """Z_p-rank of the closure of T in the product of the completions at
-    `places` (equivalently, of the inertia image in the Kummer extension)."""
+    the prime ideals `places` (equivalently, of the inertia image in the
+    Kummer extension)."""
     rows = []
     for t in T:
         row = []
-        for place in places:
-            lv = loc(t, place, p, N)
-            v = lv.valuation
+        for q in places:
+            v, unit_log = loc(t, q, p, N)
             if isinstance(v, int):
                 row.append(PAdicNumber.exact(v, p, N + 2))
             else:
                 row.append(v)
-            row.extend(lv.unit_log)
+            row.extend(unit_log)
         rows.append(row)
     return zp_matrix_rank(rows)
 

@@ -10,8 +10,8 @@ from iwasawalab.localize import TRUE, FALSE, INDET, completions_above_p
 from iwasawalab.padic import PAdicNumber, vp
 from iwasawalab.quadfield import (RealQuadraticField, SUnitBasisData,
                                   SUnitProduct, factor_rational_prime,
-                                  fundamental_unit, principal_generator,
-                                  rational_ideal)
+                                  fundamental_unit, prime_kind,
+                                  principal_generator, rational_ideal)
 
 import oracles
 from oracles import same_kummer_extension
@@ -122,7 +122,7 @@ def test_verify_alpha_rejects_bad_support():
     primes = [rational_ideal(QQ, 2), rational_ideal(QQ, 5),
               rational_ideal(QQ, 7)]
     basis = SUnitBasisData(QQ, primes)
-    seven = SUnitProduct(basis, 3, [0, 0, 0, 1], 3)
+    seven = SUnitProduct(basis.entries, 3, [0, 0, 0, 1], 3)
     cert = verify_alpha(seven, QQ, 3,
                         (rational_ideal(QQ, 2), rational_ideal(QQ, 5)), 3)
     assert cert.status == "rejected:support"
@@ -131,7 +131,7 @@ def test_verify_alpha_rejects_bad_support():
 def test_verify_alpha_rejects_nontorsion_loc():
     primes = [rational_ideal(QQ, 2), rational_ideal(QQ, 5)]
     basis = SUnitBasisData(QQ, primes)
-    x = SUnitProduct(basis, 3, [0, 1, 1], 3)  # 2 * 5: loc_3 not torsion
+    x = SUnitProduct(basis.entries, 3, [0, 1, 1], 3)  # 2 * 5: not torsion at 3
     cert = verify_alpha(x, QQ, 3, tuple(primes), 3)
     assert cert.status == "rejected:loc_p"
 
@@ -140,7 +140,7 @@ def test_verify_alpha_rejects_unequal_valuations():
     # alpha with v_2 = 3, v_5 = 1: valuation ideals differ at p = 3
     primes = [rational_ideal(QQ, 2), rational_ideal(QQ, 5)]
     basis = SUnitBasisData(QQ, primes)
-    x = SUnitProduct(basis, 3, [0, 3, 1], 4)
+    x = SUnitProduct(basis.entries, 3, [0, 3, 1], 4)
     cert = verify_alpha(x, QQ, 3, tuple(primes), 4)
     assert cert.status in ("rejected:valuations", "rejected:loc_p")
 
@@ -192,6 +192,20 @@ def test_kummer_rank_of_a_norm_one_s_unit():
     assert kummer_rank([t, t * t, fundamental_unit(Q2)], Q2, 3).rank == 2
 
 
+def test_kummer_rank_of_products_compares_their_entries():
+    """Formal products over equal entry tuples share a basis, whether the
+    tuple was built once or twice; products over other entries are
+    refused."""
+    primes = [rational_ideal(QQ, 2), rational_ideal(QQ, 5)]
+    x = SUnitProduct(SUnitBasisData(QQ, primes).entries, 3, [0, 1, 0], 4)
+    y = SUnitProduct(SUnitBasisData(QQ, primes).entries, 3, [0, 1, 1], 4)
+    r = kummer_rank([x, y], QQ, 3)
+    assert r.rank == 2 and r.certified
+    z = SUnitProduct(SUnitBasisData(QQ, primes[:1]).entries, 3, [0, 1], 4)
+    with pytest.raises(ValueError, match="share a basis"):
+        kummer_rank([x, z], QQ, 3)
+
+
 def test_kummer_rank_of_field_elements_is_certified_when_exact():
     """Field elements give an exact integer exponent matrix, so a rank
     below the row count is certified, not left open."""
@@ -230,8 +244,8 @@ def test_same_kummer_extension_indeterminate_on_markers():
     primes = [rational_ideal(QQ, 2)]
     basis = SUnitBasisData(QQ, primes)
     a = PAdicNumber.zero_marker(3, 2)  # exponent known only to be small
-    x = SUnitProduct(basis, 3, [0, a], 4)
-    y = SUnitProduct(basis, 3, [0, 1], 4)
+    x = SUnitProduct(basis.entries, 3, [0, a], 4)
+    y = SUnitProduct(basis.entries, 3, [0, 1], 4)
     assert same_kummer_extension(y, x, QQ, 3) == INDET
 
 
@@ -258,7 +272,7 @@ def test_alpha_needs_no_unramified_quad_elem(monkeypatch):
     for d, p, s1, s2 in ALPHA_GRID:
         K = QQ if d == 1 else RealQuadraticField(d)
         cases.append((K, p, (_prime(K, s1), _prime(K, s2))))
-    assert any(completions_above_p(K, p)[0].kind == "inert"
+    assert any(prime_kind(completions_above_p(K, p)[0])[1] == "inert"
                for K, p, _ in cases)
 
     def answers():

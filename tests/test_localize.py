@@ -2,14 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from iwasawalab.localize import (PlaceAbovePrime, places_above,
-                                 completions_above_p, _coordinates, loc, loc_p,
+from iwasawalab.localize import (completions_above_p, _coordinates, loc,
                                  is_loc_torsion, eq_membership,
-                                 zp_matrix_rank, TRUE, FALSE, INDET)
+                                 zp_matrix_rank, TRUE, FALSE)
 from iwasawalab.padic import PAdicNumber
 from iwasawalab.quadfield import (RealQuadraticField, SUnitBasisData,
                                   SUnitProduct, factor_rational_prime,
-                                  fundamental_unit, rational_ideal)
+                                  fundamental_unit, ideal_valuation,
+                                  prime_ideals_above, prime_kind,
+                                  rational_ideal)
 
 from oracles import UnramifiedQuadElem, inertia_rank
 
@@ -37,7 +38,8 @@ def test_completions_split():
 
 def test_completions_inert():
     pl = completions_above_p(Q2, 5)
-    assert len(pl) == 1 and pl[0].residue_degree == 2
+    assert len(pl) == 1 and prime_kind(pl[0]) == (5, "inert")
+    assert pl[0].norm == 25
     c = _image(Q2.from_sqrt_pair(0, Fraction(1, 2)), pl[0], 3)
     assert c == (0, 63)  # sqrt2 = s/2 over {1, s}, s = sqrt8; 2*63 = 1
     im = UnramifiedQuadElem.from_residues(*c, Q2.D, 5, 3)
@@ -61,15 +63,15 @@ def test_loc_multiplicative():
 
 def test_loc_of_rational_7_at_split_7():
     for v in completions_above_p(Q2, 7):
-        lv = loc(Q2.element(7), v, 7, 4)
-        assert lv.valuation == 1
+        val, _ = loc(Q2.element(7), v, 7, 4)
+        assert val == 1
 
 
 def test_loc_of_one():
     for v in completions_above_p(Q2, 7):
-        lv = loc(Q2.one(), v, 7, 4)
-        assert lv.valuation == 0
-        for c in lv.unit_log:
+        val, unit_log = loc(Q2.one(), v, 7, 4)
+        assert val == 0
+        for c in unit_log:
             assert c.is_marker
 
 
@@ -78,24 +80,27 @@ def test_unit_log_is_a_coordinate_tuple():
     p, two over {1, s} at an inert one; a formal product sums its terms
     coordinate by coordinate."""
     basis = SUnitBasisData(Q2, [factor_rational_prime(Q2, 7).ideals[0]])
-    x = SUnitProduct(basis, 5, [0, 1, 2], 6)
+    x = SUnitProduct(basis.entries, 5, [0, 1, 2], 6)
     for K, p, ell, n in ((QQ, 3, 3, 1), (QQ, 3, 5, 0), (Q2, 7, 7, 1),
                          (Q2, 5, 5, 2), (Q2, 5, 7, 0)):
-        for place in places_above(K, ell):
+        for q in prime_ideals_above(K, ell):
             for t in (K.element(3), K.element(-2)):
-                lv = loc(t, place, p, 6)
-                assert isinstance(lv.unit_log, tuple)
-                assert len(lv.unit_log) == n
-                assert all(isinstance(c, PAdicNumber) for c in lv.unit_log)
+                out = loc(t, q, p, 6)
+                assert isinstance(out, tuple) and len(out) == 2
+                val, unit_log = out
+                assert val == ideal_valuation(t, q)
+                assert isinstance(unit_log, tuple)
+                assert len(unit_log) == n
+                assert all(isinstance(c, PAdicNumber) for c in unit_log)
             if K is Q2 and p == 5:
-                assert len(loc(x, place, p, 6).unit_log) == n
+                assert len(loc(x, q, p, 6)[1]) == n
 
 
 def test_is_loc_torsion_minus_one():
     for K, p in ((QQ, 7), (Q2, 5), (Q2, 7)):
         for v in completions_above_p(K, p):
             assert is_loc_torsion(K.element(-1), v, p, 5) == TRUE
-    v5 = places_above(QQ, 5)[0]
+    v5 = prime_ideals_above(QQ, 5)[0]
     assert is_loc_torsion(QQ.element(-1), v5, 3, 5) == TRUE
 
 
@@ -114,19 +119,19 @@ def test_eq_membership():
                                 rational_ideal(QQ, 7)])
     Q = [rational_ideal(QQ, 2), rational_ideal(QQ, 5)]
     a = PAdicNumber.exact(3, 3, 8)
-    x = SUnitProduct(basis, 3, [0, a, 1, 0], 8)
+    x = SUnitProduct(basis.entries, 3, [0, a, 1, 0], 8)
     assert eq_membership(x, Q)
-    y = SUnitProduct(basis, 3, [0, 0, 0, 1], 8)  # the element 7
+    y = SUnitProduct(basis.entries, 3, [0, 0, 0, 1], 8)  # the element 7
     assert not eq_membership(y, Q)
-    eps_only = SUnitProduct(SUnitBasisData(Q2, []), 3, [0, 1], 8)
+    eps_only = SUnitProduct(SUnitBasisData(Q2, []).entries, 3, [0, 1], 8)
     assert eq_membership(eps_only, [])
 
 
 def test_inertia_rank_cases():
-    v5 = places_above(QQ, 5)
+    v5 = prime_ideals_above(QQ, 5)
     assert inertia_rank([QQ.element(5)], v5, 3, 6).rank == 1
     assert inertia_rank([QQ.element(-1)], v5, 3, 6).rank == 0
-    v2 = places_above(QQ, 2)
+    v2 = prime_ideals_above(QQ, 2)
     r = inertia_rank([QQ.element(2), QQ.element(8)], v2, 3, 6)
     assert r.rank == 1 and r.certified
 
@@ -141,13 +146,13 @@ def test_inertia_rank_above_p():
 
 
 def test_inertia_rank_monotone():
-    places = places_above(QQ, 2) + places_above(QQ, 5)
+    places = prime_ideals_above(QQ, 2) + prime_ideals_above(QQ, 5)
     t1 = [QQ.element(2)]
     t2 = [QQ.element(2), QQ.element(5)]
     r1 = inertia_rank(t1, places, 3, 6).rank
     r2 = inertia_rank(t2, places, 3, 6).rank
     assert r1 <= r2 == 2
-    r3 = inertia_rank(t2, places_above(QQ, 2), 3, 6).rank
+    r3 = inertia_rank(t2, prime_ideals_above(QQ, 2), 3, 6).rank
     assert r3 <= r2
 
 
@@ -171,16 +176,14 @@ def test_loc_of_sunit_product_matches_elementwise():
     K = Q2
     q7 = factor_rational_prime(K, 7).ideals[0]
     basis = SUnitBasisData(K, [q7])
-    x = SUnitProduct(basis, 5, [1, 2, 3], 6)
-    place = completions_above_p(K, 5)[0]
-    lv = loc(x, place, 5, 6)
+    x = SUnitProduct(basis.entries, 5, [1, 2, 3], 6)
+    q = completions_above_p(K, 5)[0]
+    val, a = loc(x, q, 5, 6)
     # compare with the log of the honest product (-1) * eps^2 * gamma^3
     elt = K.element(-1) * fundamental_unit(K)**2 * basis.entries[2].element**3
-    lv2 = loc(elt, place, 5, 6)
-    a = lv.unit_log
-    b = lv2.unit_log
+    _, b = loc(elt, q, 5, 6)
     assert all((u - w).is_marker for u, w in zip(a, b))
-    assert lv.valuation.is_marker or lv.valuation.residue(3) == 0
+    assert val.is_marker or val.residue(3) == 0
 
 
 def test_loc_p_vector_multiplicative():
@@ -188,13 +191,13 @@ def test_loc_p_vector_multiplicative():
     places = completions_above_p(K, 7)
     x = K.from_sqrt_pair(3, Fraction(1, 2))
     y = K.from_sqrt_pair(1, Fraction(1, 2))
-    vx = loc_p(x, places, 7, 5)
-    vy = loc_p(y, places, 7, 5)
-    vxy = loc_p(x * y, places, 7, 5)
-    for key in vxy:
-        assert vxy[key].valuation == vx[key].valuation + vy[key].valuation
-        for a, b, c in zip(vxy[key].unit_log, vx[key].unit_log,
-                           vy[key].unit_log):
+    assert len(places) == 2
+    for q in places:
+        (vx, lx), (vy, ly), (vxy, lxy) = (loc(t, q, 7, 5)
+                                          for t in (x, y, x * y))
+        assert vxy == vx + vy
+        assert len(lxy) == len(lx) == len(ly) == 1
+        for a, b, c in zip(lxy, lx, ly):
             assert (a - b - c).is_marker
 
 
@@ -205,9 +208,8 @@ def test_prop_22_consistency_sunits_away_from_support():
     eps = fundamental_unit(K)
     g7 = K.from_sqrt_pair(3, Fraction(1, 2))  # norm 7
     for ell in (3, 11, 13):
-        for v in places_above(K, ell):
+        for q in prime_ideals_above(K, ell):
             for x in (eps, g7):
-                verdict = is_loc_torsion(x, v, 5, 6)
+                verdict = is_loc_torsion(x, q, 5, 6)
                 assert verdict == TRUE
-                from iwasawalab.quadfield import ideal_valuation
-                assert ideal_valuation(x, v.ideal) == 0
+                assert ideal_valuation(x, q) == 0

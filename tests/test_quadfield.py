@@ -24,8 +24,11 @@ from iwasawalab.quadfield import (RealQuadraticField, FieldElement,
                                   prime_kind, rational_ideal, residue_char,
                                   unit_ideal, unit_decompose)
 
+from iwasawalab.classfield import group_G
 from iwasawalab.iwasawa import leopoldt_defect
-from iwasawalab.kummer import construct_alpha
+from iwasawalab.kummer import construct_alpha, kummer_rank
+from iwasawalab.localize import completions_above_p
+from iwasawalab.rayclass import ray_class_group
 
 from oracles import (wide_class_number_oracle, fundamental_unit_oracle,
                      pell_sign, s_unit_basis, squarefree)
@@ -690,21 +693,64 @@ def test_s_unit_decompose_reads_its_own_entries():
                                          .ideals[0] for ell in (7, 2)]),
                       (QQ, [rational_ideal(QQ, 2), rational_ideal(QQ, 5)])):
         data = SUnitBasisData(K, primes)
+        assert type(data.entries) is tuple
         n = len(data.entries)
         for i, entry in enumerate(data.entries):
             assert data.decompose(entry.element) == \
                 [int(j == i) for j in range(n)], (K, entry.label)
 
 
-def test_s_unit_decompose_refuses_entries_it_did_not_build():
-    # construct_alpha appends beta, pi1 and pi2 to SUnitBasisData(K, [])
+def test_alpha_entries_are_one_tuple():
+    """construct_alpha builds its entries once, as one tuple: -1 and eps
+    (not over Q) of SUnitBasisData(K, []), then beta, pi1 and pi2 with
+    their valuations at the pair read by ideal_valuation."""
     K, pair = _q79_pair()
-    basis = construct_alpha(K, 3, pair, 2).alpha.basis
-    assert [e.label for e in basis.entries][:2] == ["-1", "eps"]
-    assert len(basis.entries) == 5
-    for entry in basis.entries:
-        with pytest.raises(ValueError, match="entries SUnitBasisData built"):
-            basis.decompose(entry.element)
+    for field, Q, units in ((K, pair, ["-1", "eps"]),
+                            (QQ, (rational_ideal(QQ, 2),
+                                  rational_ideal(QQ, 5)), ["-1"])):
+        entries = construct_alpha(field, 3, Q, 2).alpha.entries
+        assert type(entries) is tuple
+        assert [e.label for e in entries] == units + ["beta", "pi1", "pi2"]
+        assert entries[:len(units)] == SUnitBasisData(field, []).entries
+        assert [e.kind for e in entries[len(units):]] == ["lattice"] * 3
+        for entry in entries:
+            vals = {q.key(): ideal_valuation(entry.element, q) for q in Q}
+            assert entry.valuations == {k: v for k, v in vals.items() if v}
+            with pytest.raises(AttributeError):
+                entry.valuations = {}
+
+
+UNRAMIFIED_P_CHECKS = [
+    ("completions_above_p", lambda K, p: completions_above_p(K, p)),
+    ("group_G", lambda K, p: group_G(K, p, 2)),
+    ("leopoldt_defect", lambda K, p: leopoldt_defect(K, p, 2)),
+]
+ODD_P_CHECKS = [
+    ("ray_class_group", lambda K, p: ray_class_group(K, 7, p)),
+    ("kummer_rank", lambda K, p: kummer_rank([K.element(2)], K, p)),
+]
+
+
+@pytest.mark.parametrize("name,call", UNRAMIFIED_P_CHECKS + ODD_P_CHECKS)
+@pytest.mark.parametrize("p", [2, 9, 1])
+def test_p_must_be_an_odd_prime(name, call, p):
+    for K in (QQ, Q2):
+        with pytest.raises(ValueError, match=r"^p must be an odd prime$"):
+            call(K, p)
+
+
+@pytest.mark.parametrize("name,call", UNRAMIFIED_P_CHECKS)
+def test_p_must_be_unramified(name, call):
+    for d, p in ((5, 5), (3, 3), (6, 3)):
+        K = RealQuadraticField(d)
+        with pytest.raises(ValueError, match=r"^p = %d ramifies in "
+                           r"Q\(sqrt\{%d\}\)$" % (p, d)):
+            call(K, p)
+
+
+@pytest.mark.parametrize("name,call", ODD_P_CHECKS)
+def test_ramified_odd_p_is_accepted(name, call):
+    call(RealQuadraticField(5), 5)
 
 
 def test_s_unit_valuation_matrix_full_rank():

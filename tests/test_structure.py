@@ -6,8 +6,9 @@
 - no `import` inside a function body, the usual way round an import cycle;
 - no call to `__import__`;
 - no private name taken from a sibling module by `from .x import _name`;
-- no module-level function, class or method that no file of `src/`,
-  `tests/` or `bench/` names outside its own definition (a dead path);
+- no module-level function, class or method that no file of `src/` names
+  outside its own definition (a dead path), but those of TEST_ONLY: a use
+  by the tests or the benchmark alone does not keep a definition live;
 - no name bound by a module-level import that its module never uses;
 - no `X.__new__(...)` call outside a `__new__` method, which would build
   an object round its constructor;
@@ -37,9 +38,6 @@ import iwasawalab
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "iwasawalab"
 MODULES = sorted(SRC.glob("*.py"))
-# the files whose words may name a definition of MODULES
-CORPUS = sorted(path for top in ("src", "tests", "bench")
-                for path in (ROOT / top).rglob("*.py"))
 
 
 # Class.method names, where a Fraction may be built
@@ -54,6 +52,14 @@ REFERENCE_ONLY = {
     "UnramifiedQuadElem", "val_and_unit", "angle", "plog", "log_ratio",
     "angle_log", "solve_dlog", "s_unit_basis", "inertia_rank",
     "same_kummer_extension", "degree_zero_pair_element",
+}
+
+# Class.method names of src/ that only the tests call; the set may shrink,
+# never grow: a new definition is used by the engine, or lives in the tests
+TEST_ONLY = {
+    "GaloisGroupG.degree_kernel_lattice", "RealQuadraticField.from_sqrt_pair",
+    "FieldElement.compare_real", "ClassGroupData.is_principal",
+    "SUnitProduct.scale_exponents",
 }
 
 # module- and class-level names that may be bound to a mutable container:
@@ -120,17 +126,18 @@ def test_no_private_name_from_a_sibling_module():
 
 
 def _definitions(tree):
-    """Module-level functions and classes, and the methods of those
-    classes; dunder methods are called by the language, not by name."""
+    """(qualified name, node) of the module-level functions and classes,
+    and of the methods of those classes; dunder methods are called by the
+    language, not by name."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
-            yield node
+            yield node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
                         and not re.fullmatch(r"__\w+__", item.name):
-                    yield item
+                    yield "%s.%s" % (node.name, item.name), item
 
 
 def _words(text):
@@ -138,22 +145,24 @@ def _words(text):
 
 
 def test_every_definition_is_named_elsewhere():
-    """A name counts as used when it occurs outside every definition of
-    that name, so methods of one name in two classes do not vouch for each
-    other."""
-    words = Counter()
-    for path in CORPUS:
-        words.update(_words(path.read_text()))
-    defs, inside = [], Counter()
+    """A name counts as used when it occurs in `src/` (the exports of
+    `__init__.py` and the CLI included) outside every definition of that
+    name, so methods of one name in two classes do not vouch for each
+    other.  Each name of TEST_ONLY must still be an unused definition."""
+    words, defs, inside = Counter(), [], Counter()
     for path in MODULES:
-        lines = path.read_text().splitlines()
-        for node in _definitions(ast.parse("\n".join(lines), str(path))):
+        text = path.read_text()
+        words.update(_words(text))
+        lines = text.splitlines()
+        for qualname, node in _definitions(ast.parse(text, str(path))):
             body = "\n".join(lines[node.lineno - 1:node.end_lineno])
             inside[node.name] += _words(body)[node.name]
-            defs.append((path.name, node))
-    found = ["%s %s" % (_where(name, node), node.name) for name, node in defs
-             if words[node.name] == inside[node.name]]
-    assert found == []
+            defs.append((path.name, qualname, node))
+    unused = {(_where(name, node), qualname) for name, qualname, node in defs
+              if words[node.name] == inside[node.name]}
+    assert sorted("%s %s" % pair for pair in unused
+                  if pair[1] not in TEST_ONLY) == []
+    assert TEST_ONLY <= {qualname for _, qualname in unused}
 
 
 def _imported_names(tree):
@@ -325,6 +334,19 @@ def test_each_check_catches_its_rule(source, check, tmp_path, monkeypatch):
     module = tmp_path / "bad.py"
     module.write_text(source)
     monkeypatch.setattr(sys.modules[__name__], "MODULES", [module])
-    monkeypatch.setattr(sys.modules[__name__], "CORPUS", [module])
+    monkeypatch.setattr(sys.modules[__name__], "TEST_ONLY", set())
     with pytest.raises(AssertionError):
         check()
+
+
+def test_test_only_names_must_be_unused(tmp_path, monkeypatch):
+    """A name of TEST_ONLY that `src/` uses must leave the set."""
+    module = tmp_path / "good.py"
+    module.write_text("class Box:\n    def size(self):\n        return 1\n\n\n"
+                      "ONE = Box().size()\n")
+    monkeypatch.setattr(sys.modules[__name__], "MODULES", [module])
+    monkeypatch.setattr(sys.modules[__name__], "TEST_ONLY", set())
+    test_every_definition_is_named_elsewhere()
+    monkeypatch.setattr(sys.modules[__name__], "TEST_ONLY", {"Box.size"})
+    with pytest.raises(AssertionError):
+        test_every_definition_is_named_elsewhere()

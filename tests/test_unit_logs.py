@@ -6,7 +6,9 @@ batches.
 `kummer-alpha` batches make, with the answer of the object path it had
 when the file was recorded: x = (a + b*w)/den at a place of Q(sqrt d)
 (d = 1 for Q) above p, to N digits, maps to its valuation and to
-(v, m, digits) of each log coordinate.  Every recorded x is integral,
+(v, m, digits) of each log coordinate.  A place is recorded as
+(ell, kind, index): the prime ideal `completions_above_p(K, ell)[index]`,
+of kind `prime_kind`.  Every recorded x is integral,
 with v = 0; valuations and denominators divisible by p are the seeded
 cases of `test_valuation.py`.
 
@@ -26,7 +28,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from iwasawalab.localize import _element_unit_log, completions_above_p
-from iwasawalab.quadfield import RealQuadraticField
+from iwasawalab.quadfield import RealQuadraticField, prime_kind
 
 RECORDED = Path(__file__).parent / "data" / "unit_logs.jsonl"
 RECORDED_BATCHES = (("leopoldt-scan", 1), ("kummer-alpha", 1))
@@ -36,11 +38,19 @@ def _coords(lg):
     return [[c.v, c.m, c.digits] for c in lg]
 
 
+def _place_key(q):
+    """(ell, kind, index) of the prime ideal q above ell."""
+    ell, kind = prime_kind(q)
+    return ell, kind, completions_above_p(q.field, ell).index(q)
+
+
 @functools.lru_cache(maxsize=None)
 def _place(d, key):
     K = RealQuadraticField.rationals() if d == 1 else RealQuadraticField(d)
-    return next(pl for pl in completions_above_p(K, key[0])
-                if pl.key() == key)
+    ell, kind, index = key
+    q = completions_above_p(K, ell)[index]
+    assert prime_kind(q) == (ell, kind)
+    return q
 
 
 def _read():
@@ -60,10 +70,11 @@ def test_recorded_calls_cover_every_kind():
 def test_element_unit_log_reproduces_recorded_calls():
     _, recs = _read()
     for rec in recs:
-        place = _place(rec["d"], tuple(rec["place"]))
+        q = _place(rec["d"], tuple(rec["place"]))
+        assert _place_key(q) == tuple(rec["place"])      # as _record keys it
         a, b, den = rec["x"]
-        x = place.field.element(Fraction(a, den), Fraction(b, den))
-        v, lg = _element_unit_log(x, place, rec["N"])
+        x = q.field.element(Fraction(a, den), Fraction(b, den))
+        v, lg = _element_unit_log(x, q, rec["N"])
         assert (v, _coords(lg)) == (rec["v"], rec["log"]), rec
 
 
@@ -79,9 +90,9 @@ def _record():
     seen = {}
     real = localize._element_unit_log
 
-    def recording(x, place, N):
-        out = real(x, place, N)
-        key = (place.field.d or 1, place.key(), N, (x.a, x.b, x.den))
+    def recording(x, q, N):
+        out = real(x, q, N)
+        key = (q.field.d or 1, _place_key(q), N, (x.a, x.b, x.den))
         seen.setdefault(key, out)
         return out
     localize._element_unit_log = recording

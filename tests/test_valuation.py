@@ -27,8 +27,8 @@ from iwasawalab.quadfield import (FieldElement, RealQuadraticField,
                                   class_group, factor_rational_prime,
                                   fundamental_unit,
                                   ideal_valuation, parts_valuation,
-                                  principal_generator, rational_ideal,
-                                  split_root)
+                                  prime_kind, principal_generator,
+                                  rational_ideal, split_root)
 
 from oracles import UnramifiedQuadElem, angle_log
 
@@ -65,27 +65,32 @@ def _ref_valuation(x, q, ell, e_q):
     return n - e_q * vden
 
 
-def _embed(x, place, abs_prec):
-    """The coordinates of x mod p^abs_prec at `place`, from the integer
-    coordinates `localize._coordinates` reads for a p-unit denominator,
-    shifted back by v_p(den)."""
-    p = place.ell
+def _ref_kind(q):
+    """The kind that factor_rational_prime reports for the prime below q,
+    read apart from `prime_kind`, which the engine path takes."""
+    return factor_rational_prime(q.field, q.a).kind
+
+
+def _embed(x, q, abs_prec):
+    """The coordinates of x mod p^abs_prec at the prime q above p, from the
+    integer coordinates `localize._coordinates` reads for a p-unit
+    denominator, shifted back by v_p(den)."""
+    p, kind = prime_kind(q)
     vden = vp(x.den, p)
     work = abs_prec + vden + 1
-    c0, c1 = _coordinates(x.a, x.b, x.den // p**vden, place, work)
-    cs = (c0, c1) if place.kind == "inert" else (c0,)
+    c0, c1 = _coordinates(x.a, x.b, x.den // p**vden, q, work)
+    cs = (c0, c1) if kind == "inert" else (c0,)
     return tuple(PAdicNumber.from_residue(c, p, work).shift(-vden)
                  for c in cs)
 
 
-def _ref_embed(x, place, abs_prec):
-    K, p = place.field, place.ell
+def _ref_embed(x, q, abs_prec):
+    K, p, kind = q.field, q.a, _ref_kind(q)
     nx, ny, den = _ref_fraction_parts(x)
     vden = vp(den, p) if den % p == 0 else 0
     work = abs_prec + vden + 1
-    if place.kind in ("rational", "split"):
-        num = nx if place.kind == "rational" \
-            else nx + ny * split_root(place.ideal, work)
+    if kind in ("rational", "split"):
+        num = nx if kind == "rational" else nx + ny * split_root(q, work)
         val = PAdicNumber.from_residue(num % p**work, p, work)
         return val / PAdicNumber.exact(den, p, work)
     inv2 = pow(2, -1, p**work)
@@ -96,10 +101,10 @@ def _ref_embed(x, place, abs_prec):
     return UnramifiedQuadElem(u.a * deninv, u.b * deninv, K.D)
 
 
-def _ref_unit_log(x, place, N):
-    v = _ref_valuation(x, place.ideal, place.ell, 1)    # p is unramified
-    u = _ref_embed(x, place, N + max(v, 0) + 1).shift(-v)
-    if place.kind == "inert":
+def _ref_unit_log(x, q, N):
+    v = _ref_valuation(x, q, q.a, 1)    # p is unramified
+    u = _ref_embed(x, q, N + max(v, 0) + 1).shift(-v)
+    if _ref_kind(q) == "inert":
         lg = u.angle_log()
         return v, (lg.a, lg.b)
     return v, (angle_log(u),)
@@ -237,24 +242,24 @@ def _unit_log_cases():
                 xs = [_seeded_element(rng, K, p) for _ in range(6)]
                 if not K.is_rational:
                     xs.append(fundamental_unit(K))
-                for place in completions_above_p(K, p):
-                    cases.append((K, p, place, xs))
+                for q in completions_above_p(K, p):
+                    cases.append((K, p, q, xs))
     return cases
 
 
 def test_unit_log_cases_cover_split_and_inert():
-    kinds = {place.kind for _, _, place, _ in _unit_log_cases()}
+    kinds = {prime_kind(q)[1] for _, _, q, _ in _unit_log_cases()}
     assert kinds == {"rational", "split", "inert"}
 
 
 @pytest.mark.parametrize("N", [2, 6])
 def test_element_unit_log_equals_division_path(N):
-    for K, p, place, xs in _unit_log_cases():
+    for K, p, q, xs in _unit_log_cases():
         for x in xs:
-            v, lg = _element_unit_log(x, place, N)
-            rv, rlg = _ref_unit_log(x, place, N)
+            v, lg = _element_unit_log(x, q, N)
+            rv, rlg = _ref_unit_log(x, q, N)
             assert v == rv
-            assert _coords(lg) == _coords(rlg), (K, p, place.key(), x)
+            assert _coords(lg) == _coords(rlg), (K, p, q, x)
 
 
 @pytest.mark.parametrize("shift", [1, -1])
@@ -264,18 +269,18 @@ def test_element_unit_log_checks_the_unit(monkeypatch, shift):
     real = localize.parts_valuation
     monkeypatch.setattr(localize, "parts_valuation",
                         lambda *args: real(*args) + shift)
-    for K, p, place, xs in _unit_log_cases():
+    for K, p, q, xs in _unit_log_cases():
         for x in xs:
             with pytest.raises(InternalCheckError, match="not a unit"):
-                _element_unit_log(x, place, 4)
+                _element_unit_log(x, q, 4)
 
 
 def test_embed_equals_division_path():
-    for K, p, place, xs in _unit_log_cases():
+    for K, p, q, xs in _unit_log_cases():
         for x in xs:
             for prec in (1, 5):
-                assert _coords(_embed(x, place, prec)) == \
-                    _coords(_ref_embed(x, place, prec))
+                assert _coords(_embed(x, q, prec)) == \
+                    _coords(_ref_embed(x, q, prec))
 
 
 # ----------------------------------------------------------------- kummer
