@@ -1,7 +1,11 @@
 """Finite abelian group engine: Smith normal form presentations, element
-orders, subgroup image orders, group decompositions and lattice helpers.
+orders, subgroup image orders, group decompositions and the relation
+lattices of elements given by their coordinates.
 
-All matrices are lists of rows of Python ints; everything is exact.
+All matrices are lists of rows of Python ints; everything is exact.  The
+one integer-matrix kernel is smith_normal_form; the relations of
+decompose_abelian and relation_lattice come out triangular from a table
+walk and need no solver.
 """
 
 from __future__ import annotations
@@ -169,14 +173,6 @@ def smith_normal_form(A, *, with_u=True, modulus=0):
     return out
 
 
-def kernel_basis(A):
-    """A basis of the integer columns x with A x = 0, as a list of lists:
-    the rows of U past the rank of the Smith form D = U*A^T*V."""
-    D, U, _ = smith_normal_form([list(col) for col in zip(*A)])
-    rank = sum(1 for i, row in enumerate(D) if i < len(row) and row[i])
-    return U[rank:]
-
-
 def lattice_index(B, *, modulus=0):
     """Index [Z^n : L] for the lattice L spanned by the columns of B
     (requires full rank n); the product of SNF diagonal entries.  A known
@@ -189,87 +185,6 @@ def lattice_index(B, *, modulus=0):
             raise ValueError("lattice does not have full rank")
         idx *= D[i][i]
     return idx
-
-
-def solve_integral(A, b):
-    """The integer vector x with A x = b, for a square integer matrix A;
-    ValueError when A is singular (so also when the system is inconsistent)
-    or x is not integral.  Bareiss's elimination (Math. Comp. 1968) makes
-    [A | b] upper triangular with no fractions, each step dividing exactly
-    by the previous pivot (every entry is a minor of [A | b]); back
-    substitution then finds x_n, ..., x_1 exactly and stops at the first
-    that is not an integer."""
-    n = len(A)
-    M = [list(row) + [b[i]] for i, row in enumerate(A)]
-    if any(len(row) != n + 1 for row in M):
-        raise ValueError("solve_integral needs a square matrix")
-    prev = 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if M[r][k]), None)
-        if piv is None:
-            raise ValueError("singular system")
-        M[k], M[piv] = M[piv], M[k]
-        pk = M[k][k]
-        for i in range(k + 1, n):
-            c = M[i][k]
-            M[i] = [(pk * a - c * t) // prev for a, t in zip(M[i], M[k])]
-        prev = pk
-    x = [0] * n
-    for i in reversed(range(n)):
-        r = M[i][n] - sum(M[i][j] * x[j] for j in range(i + 1, n))
-        if r % M[i][i]:
-            raise ValueError("the system has no integral solution")
-        x[i] = r // M[i][i]
-    return x
-
-
-def solve_congruence_lattice(C, moduli):
-    """Basis of the lattice {x in Z^k : C x ≡ 0 componentwise mod moduli}.
-
-    C is an r x k integer matrix, moduli a length-r list (0 = no reduction).
-    """
-    r = len(C)
-    k = len(C[0]) if r else 0
-    # kernel of [C | diag(moduli)] projected to the first k coordinates,
-    # plus anything in the kernel of C itself
-    ext = [C[i][:] + [moduli[i] if j == i else 0 for j in range(r)]
-           for i in range(r)]
-    basis = []
-    for col in kernel_basis(ext):
-        basis.append(col[:k])
-    # the projection of a kernel basis spans the solution lattice
-    mat = [[b[i] for b in basis] for i in range(k)]
-    if not basis:
-        return []
-    # clean up: HNF via SNF-free column reduction (drop dependent columns)
-    return _column_lattice_basis(mat)
-
-
-def _column_lattice_basis(B):
-    """Reduce the columns of B (n x m) to a triangular basis of the column
-    lattice, via gcd column operations."""
-    n = len(B)
-    m = len(B[0]) if n else 0
-    cols = [[B[i][j] for i in range(n)] for j in range(m)]
-    cols = [c for c in cols if any(c)]
-    basis = []
-    for r in range(n):
-        while True:
-            nz = [c for c in cols if c[r] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda c: abs(c[r]))
-            a = nz[0]
-            for c in nz[1:]:
-                q = c[r] // a[r]
-                for i in range(n):
-                    c[i] -= q * a[i]
-            cols = [c for c in cols if any(c)]
-        piv = next((c for c in cols if c[r] != 0), None)
-        if piv is not None:
-            basis.append(piv)
-            cols = [c for c in cols if c is not piv]
-    return basis
 
 
 # ---------------------------------------------------------------- group types
@@ -449,3 +364,36 @@ def decompose_abelian(elements, op, identity):
     t = len(G.invariant_factors)
     gens = [by_coords[tuple(int(i == j) for j in range(t))] for i in range(t)]
     return gens, list(G.invariant_factors), dlog
+
+
+def relation_lattice(coords, orders):
+    """A basis of the relations {w in Z^n : w_1 c_1 + ... + w_n c_n = 0}
+    among elements c_1, ..., c_n of Z/d_1 x ... x Z/d_k, given as
+    coordinate tuples reduced modulo `orders` (d_1, ..., d_k).
+
+    The span of c_1, ..., c_(i-1) is kept as a table, every element with
+    its vector over them.  With m_i >= 1 the least multiple of c_i in the
+    table, row i is m_i e_i - vec(m_i c_i), and the table grows m_i-fold by
+    the sums with c_i, ..., (m_i - 1) c_i: the polycyclic relations of
+    decompose_abelian, so the table never exceeds d_1 * ... * d_k entries.
+    The basis is lower triangular with diagonal m_1, ..., m_n, since the
+    last nonzero entry of any relation is a multiple of its m_i."""
+    n = len(coords)
+
+    def add(x, y):
+        return tuple((a + b) % d for a, b, d in zip(x, y, orders))
+
+    zero = tuple(0 for _ in orders)
+    table = {zero: ()}
+    rows = []
+    for i, c in enumerate(coords):
+        multiples = [zero, tuple(c)]
+        while multiples[-1] not in table:
+            multiples.append(add(multiples[-1], c))
+        top = table[multiples.pop()]  # the vector of m*c, m = len(multiples)
+        rows.append([-t for t in top] + [len(multiples)] + [0] * (n - i - 1))
+        for t, vec in list(table.items()):
+            table[t] = vec + (0,)
+            for j, x in enumerate(multiples[1:], 1):
+                table[add(t, x)] = vec + (j,)
+    return rows

@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .abgroup import (FiniteAbelianGroup, GroupElement,
-                      solve_congruence_lattice)
+from .abgroup import FiniteAbelianGroup, GroupElement
 from .ntheory import InternalCheckError
 from .padic import PAdicNumber, log_series, unit_log_residues, vp
 from .quadfield import (IntegralIdeal, RealQuadraticField, check_odd_prime,
@@ -86,15 +85,6 @@ class GaloisGroupG:
         """Image of a class in the cyclotomic quotient Z/p^N, read by the
         hom on invariant coordinates."""
         return sum(c * f for c, f in zip(self.cyc_hom, cls)) % self.p**self.N
-
-    def degree_kernel_lattice(self):
-        """Lattice (in invariant coordinates) of classes with trivial image
-        in the cyclotomic quotient Z/p^N."""
-        k = len(self.group.invariant_factors)
-        if k == 0:
-            return []
-        rows = [list(self.cyc_hom)]
-        return solve_congruence_lattice(rows, [self.p**self.N])
 
     @cached_property
     def stable(self) -> bool:

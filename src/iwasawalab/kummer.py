@@ -21,7 +21,7 @@ from .quadfield import (FieldElement, RealQuadraticField, SUnitBasisData,
                         SUnitProduct, check_odd_prime, class_group,
                         fundamental_unit, ideal_valuation, prime_ideals_above,
                         principal_generator, rational_ideal, realize,
-                        s_unit_entry)
+                        s_unit_entry, unit_entries)
 
 
 @dataclass
@@ -75,17 +75,10 @@ def construct_alpha(K: RealQuadraticField, p: int, Q, N: int) \
     m_q = rep.m_q
     a1 = rep.a1
 
-    clg_h = 1
-    w_exp = 0
-    if not K.is_rational:
-        clg = class_group(K)
-        clg_h = clg.h
-        for d in clg.invariant_factors:
-            if d % p == 0:
-                w_exp = max(w_exp, vp(d, p))
-    n_prime_to_p = clg_h // p**vp(clg_h, p)
+    clg = class_group(K)
+    n_prime_to_p = clg.h // p**vp(clg.h, p)
 
-    m = w_exp
+    m = max((vp(d, p) for d in clg.invariant_factors), default=0)
     if a1.abs_prec <= m:
         raise PrecisionError("insufficient precision for the congruence split")
     b1 = a1.residue(m) if m > 0 else 0
@@ -101,12 +94,13 @@ def construct_alpha(K: RealQuadraticField, p: int, Q, N: int) \
                                  "principal")
 
     primes = [q1, q2]
-    h1 = _class_order(K, q1)
-    h2 = _class_order(K, q2)
     # pi_i generates q_i^h_i, h_i the class order of q_i
+    h1 = element_order(clg.group, clg.class_of(q1))
+    h2 = element_order(clg.group, clg.class_of(q2))
     pi1 = realize(K, [q1], [h1])
     pi2 = realize(K, [q2], [h2])
-    entries = SUnitBasisData(K, []).entries + tuple(
+    units = unit_entries(K)
+    entries = units + tuple(
         s_unit_entry(g, primes, label, "lattice")
         for g, label in ((beta, "beta"), (pi1, "pi1"), (pi2, "pi2")))
 
@@ -115,32 +109,16 @@ def construct_alpha(K: RealQuadraticField, p: int, Q, N: int) \
     t2 = c2
     zero = PAdicNumber.exact(0, p, N + 4)
     one = PAdicNumber.exact(1, p, N + 4)
-    if K.is_rational:
-        exponents = [zero, one, t1, t2]
-    else:
-        exponents = [zero, zero, one, t1, t2]
-    alpha0 = SUnitProduct(entries, p, exponents, N)
+    exponents = [zero] * len(units) + [one, t1, t2]
+    alpha = SUnitProduct(entries, p, exponents, N)
 
     # unit correction: divide by eps^x so that the local 1-unit part dies
     places = completions_above_p(K, p)
     if not K.is_rational:
-        eps_idx = 1
-        x = _solve_unit_exponent(alpha0, places, p, N)
-        new_exp = list(alpha0.exponents)
-        new_exp[eps_idx] = new_exp[eps_idx] - x
-        alpha = SUnitProduct(entries, p, new_exp, N)
-    else:
-        alpha = alpha0
-    return _check_certificate(alpha, K, p, (q1, q2), N, rep)
-
-
-def _class_order(K, q) -> int:
-    if K.is_rational:
-        return 1
-    clg = class_group(K)
-    if not clg.gen_orders:
-        return 1
-    return element_order(clg.group, clg.class_of(q))
+        exponents[1] = exponents[1] - _solve_unit_exponent(alpha, places,
+                                                           p, N)
+        alpha = SUnitProduct(entries, p, exponents, N)
+    return _check_certificate(alpha, K, p, (q1, q2), N, rep, places)
 
 
 def _solve_unit_exponent(alpha0: SUnitProduct, places, p: int, N: int):
@@ -177,12 +155,15 @@ def verify_alpha(alpha: SUnitProduct, K: RealQuadraticField, p: int, Q,
     """Check the four certificate clauses; accept, reject naming the failed
     clause, or report indeterminate when the data sits below precision."""
     Q = tuple(rational_ideal(K, q) if isinstance(q, int) else q for q in Q)
-    return _check_certificate(alpha, K, p, Q, N, mq_order(K, p, Q, N))
+    rep = mq_order(K, p, Q, N)
+    return _check_certificate(alpha, K, p, Q, N, rep,
+                              completions_above_p(K, p))
 
 
 def _check_certificate(alpha: SUnitProduct, K: RealQuadraticField, p: int,
-                       Q, N: int, rep) -> KummerCertificate:
-    """verify_alpha given the mq_order report `rep` of (K, p, Q, N)."""
+                       Q, N: int, rep, places) -> KummerCertificate:
+    """verify_alpha given the mq_order report `rep` of (K, p, Q, N) and the
+    prime ideals `places` above p."""
     q1, q2 = Q
     cert = KummerCertificate(alpha, K, p, N, Q)
     cert.m_q = rep.m_q
@@ -208,8 +189,7 @@ def _check_certificate(alpha: SUnitProduct, K: RealQuadraticField, p: int,
     cert.a_exponent = v1.v
 
     # (iii) the localization of alpha at p is torsion
-    verdicts = [is_loc_torsion(alpha, q, p, N)
-                for q in completions_above_p(K, p)]
+    verdicts = [is_loc_torsion(alpha, q, p, N) for q in places]
     if FALSE in verdicts:
         cert.loc_p_torsion = FALSE
         cert.status = "rejected:loc_p"

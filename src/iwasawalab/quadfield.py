@@ -19,7 +19,7 @@ from math import gcd, isqrt, lcm, log, sqrt
 from numbers import Rational
 
 from .abgroup import (FiniteAbelianGroup, GroupElement, decompose_abelian,
-                      solve_congruence_lattice, solve_integral)
+                      relation_lattice)
 from .ntheory import (InternalCheckError, extgcd, is_squarefree, isprime,
                       legendre, power, quad_mul, sqrt_mod_prime)
 from .padic import PAdicNumber, vp
@@ -627,8 +627,9 @@ class ClassGroupData:
         return self._key[(P, Q)]
 
     def ambient_dlog(self, I: IntegralIdeal):
-        """Exponent vector of [I] over the decomposition generators."""
-        if self.field.is_rational:
+        """Exponent vector of [I] over the decomposition generators; a
+        trivial group (h = 1, as over Q) has only the empty vector."""
+        if not self.gen_orders:
             return ()
         return self._dlog[self.key_of(I)]
 
@@ -850,6 +851,14 @@ def s_unit_entry(element: FieldElement, primes, label: str, kind: str):
     return SUnitBasisEntry(element, vals, label, kind)
 
 
+def unit_entries(K: RealQuadraticField):
+    """The basis entries of the units of K: -1, and eps but over Q."""
+    entries = (s_unit_entry(K.element(-1), (), "-1", "torsion"),)
+    if K.is_rational:
+        return entries
+    return entries + (s_unit_entry(fundamental_unit(K), (), "eps", "unit"),)
+
+
 def realize(K: RealQuadraticField, primes, w) -> FieldElement:
     """Element of K with divisor sum(w_i * q_i)."""
     num = unit_ideal(K)
@@ -878,52 +887,41 @@ def realize(K: RealQuadraticField, primes, w) -> FieldElement:
 
 class SUnitBasisData:
     """Generators of the Q-unit group E_Q with exact valuation bookkeeping:
-    the tuple `entries` holds -1, eps (not over Q), then one S-unit of each
-    row of `lattice`, the exponent vectors over `primes`."""
+    the tuple `entries` holds unit_entries(K), then one S-unit of each row
+    of `lattice`, the relations among the classes of `primes` that
+    relation_lattice reads off their class-group coordinates."""
 
     def __init__(self, K: RealQuadraticField, Q_ideals):
         self.field = K
         self.primes = list(Q_ideals)
         for q in self.primes:
             residue_char(q)  # validates primality
-        units = [s_unit_entry(K.element(-1), (), "-1", "torsion")]
-        if not K.is_rational:
-            units.append(s_unit_entry(fundamental_unit(K), (), "eps", "unit"))
-        n = len(self.primes)
-        lattice = [[int(i == j) for j in range(n)] for i in range(n)]
-        if K.is_rational:
-            named = [(K.element(q.a), str(q.a)) for q in self.primes]
-        else:
-            clg = class_group(K)
-            if n and clg.gen_orders:
-                C = [[clg.ambient_dlog(q)[i] for q in self.primes]
-                     for i in range(len(clg.gen_orders))]
-                lattice = [list(v) for v in
-                           solve_congruence_lattice(C, list(clg.gen_orders))]
-            named = [(realize(K, self.primes, w),
-                      "g[" + ",".join(str(t) for t in w) + "]")
-                     for w in lattice]
-        self.lattice = lattice
-        gens = [s_unit_entry(g, self.primes, label, "lattice")
-                for g, label in named]
-        for w, entry in zip(lattice, gens):
+        clg = class_group(K)
+        self.lattice = relation_lattice(
+            [clg.ambient_dlog(q) for q in self.primes], clg.gen_orders)
+        gens = [s_unit_entry(realize(K, self.primes, w), self.primes,
+                             "g[" + ",".join(str(t) for t in w) + "]",
+                             "lattice") for w in self.lattice]
+        for w, entry in zip(self.lattice, gens):
             for q, wq in zip(self.primes, w):
                 if entry.valuations.get(q.key(), 0) != wq:
                     raise InternalCheckError("lattice generator has the wrong "
                                              "valuation at %s" % (q,))
-        self.entries = tuple(units + gens)
+        self.entries = unit_entries(K) + tuple(gens)
 
     def decompose(self, x: FieldElement):
-        """Exact exponents of x over the basis entries, for x in E_Q."""
-        K = self.field
+        """Exact exponents of x over the basis entries, for x in E_Q.  The
+        lattice is lower triangular, so the exponents of its rows come by
+        substitution from the last prime back."""
+        K, L = self.field, self.lattice
         vals = [ideal_valuation(x, q) for q in self.primes]
-        coords = []
-        if self.lattice:
-            B = [[self.lattice[j][i] for j in range(len(self.lattice))]
-                 for i in range(len(self.primes))]
-            coords = solve_integral(B, vals)
-        elif any(vals):
-            raise ValueError("element is not supported on Q")
+        coords = [0] * len(vals)
+        for j in reversed(range(len(vals))):
+            r = vals[j] - sum(coords[i] * L[i][j]
+                              for i in range(j + 1, len(vals)))
+            if r % L[j][j]:
+                raise ValueError("element is not supported on Q")
+            coords[j] = r // L[j][j]
         rest = x
         for c, entry in zip(coords, self.entries[len(self.entries)
                                                  - len(coords):]):

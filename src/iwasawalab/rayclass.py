@@ -17,9 +17,9 @@ from .abgroup import FiniteAbelianGroup, GroupElement, lattice_index, \
 from .ntheory import InternalCheckError, factorint, isprime
 from .padic import vp
 from .quadfield import (IntegralIdeal, RealQuadraticField, check_odd_prime,
-                        class_group, fundamental_unit, parts_valuation,
-                        prime_ideals_above, principal_generator,
-                        rational_ideal, unit_ideal)
+                        class_group, parts_valuation, prime_ideals_above,
+                        principal_generator, rational_ideal, unit_entries,
+                        unit_ideal)
 from .residues import UnitGroupModM
 
 
@@ -66,8 +66,8 @@ class RayClassGroupData:
         for i, o in enumerate(self.units.orders):
             rows.append([o if j == i else 0 for j in range(nu + r)])
         self._unit_dlogs = []
-        for u in self._global_units():
-            d = self.units.dlog(u)
+        for entry in unit_entries(K):
+            d = self.units.dlog(entry.element)
             self._unit_dlogs.append(d)
             rows.append(d + [0] * r)
         self.class_gen_ideals, self.class_gen_elements = \
@@ -98,13 +98,6 @@ class RayClassGroupData:
             ambient_rank=self.ambient_rank,
             transform=[self.full_transform[i] for i in keep],
         )
-
-    def _global_units(self):
-        K = self.field
-        out = [K.element(-1)]
-        if not K.is_rational:
-            out.append(fundamental_unit(K))
-        return out
 
     def _class_gen_reps(self):
         K = self.field

@@ -2,15 +2,22 @@
 
 Deliberately avoids the package's ideal-reduction machinery: class numbers
 come from cycles of reduced indefinite *binary quadratic forms* plus the
-minimal solution of the +-4 Pell equation (found by brute force on U).
+minimal solution of the +-4 Pell equation (found by brute force on U),
+and at scale h * log(eps) comes from Dirichlet's class number formula
+(`class_number_formula`, on floats, with the Kronecker symbol `kronecker`).
 The exceptions are earlier forms of library computations kept as their
 references: `unit_image_order_two_snf`, the exact lattice route of the
 subgroup cross-check in `iwasawa.mq_order` (`lattice_intersection`,
 `subgroup_order_from_lattice`), `log_series` with a fresh inverse per
 term, before `padic.log_series` kept its inverses in a table, the
-Gauss-Jordan `solve_integral_fractions` over Fraction, before
-`abgroup.solve_integral` eliminated on integers, `FractionElement`, the
-field element on two Fraction coordinates, before `quadfield.FieldElement`
+Gauss-Jordan `solve_integral_fractions` over Fraction, the reference for
+the substitution of `quadfield.SUnitBasisData.decompose`, the
+congruence-lattice route (`kernel_basis`, `_column_lattice_basis`,
+`solve_congruence_lattice`, `degree_kernel_lattice`), which found the
+S-unit lattice as a kernel of [C | diag(d)] before
+`abgroup.relation_lattice` read it off class-group coordinates,
+`FractionElement`, the field element on two Fraction coordinates, before
+`quadfield.FieldElement`
 kept integers over one denominator, and `leopoldt_defect_log_route`, the
 Leopoldt defect from the Z_p-rank of the localized unit logs, before
 `iwasawa.leopoldt_defect` read one valuation of eps^k - 1, and
@@ -33,13 +40,13 @@ logs call the engine's `padic.log_series` and `padic.unit_log_residues`),
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, log, pi, prod, sin
 
 from iwasawalab import padic
 from iwasawalab.abgroup import (FiniteAbelianGroup, GroupElement,
-                                _column_lattice_basis, element_order,
-                                kernel_basis, lattice_index,
-                                smith_presentation, subgroup_image_order)
+                                element_order, lattice_index,
+                                smith_normal_form, smith_presentation,
+                                subgroup_image_order)
 from iwasawalab.classfield import group_G
 from iwasawalab.iwasawa import (FrobeniusModuleReport, LeopoldtReport,
                                 _check_q_pair, _rounded_degree_zero)
@@ -173,6 +180,42 @@ def wide_class_number_oracle(d: int) -> int:
     return hplus if pell_sign(d) == -1 else hplus // 2
 
 
+def kronecker(D: int, a: int) -> int:
+    """The Kronecker symbol (D/a) for a discriminant D and a > 0: (D/2) is
+    0, 1 or -1 as D is even, +-1 or +-3 mod 8, and on odd a it is the
+    Jacobi symbol, by quadratic reciprocity."""
+    t = 1
+    while a % 2 == 0:
+        a //= 2
+        t *= 0 if D % 2 == 0 else (1 if D % 8 in (1, 7) else -1)
+    D %= a
+    while D:
+        while D % 2 == 0:
+            D //= 2
+            if a % 8 in (3, 5):
+                t = -t
+        D, a = a, D
+        if D % 4 == 3 and a % 4 == 3:
+            t = -t
+        D %= a
+    return t if a == 1 else 0
+
+
+def class_number_formula(D: int) -> float:
+    """h * log(eps) for the real quadratic field of discriminant D, by
+    Dirichlet's class number formula (Washington, GTM 83, Thm 4.9; Cohen,
+    GTM 138, sec. 5.6): -1/2 * sum of chi_D(a) * log sin(pi*a/D) over
+    0 < a < D, chi_D = (D/.).  chi_D is even and sin(pi*(D - a)/D) =
+    sin(pi*a/D), so the sum is taken over a <= D/2, once.  O(D) float work,
+    a test oracle only."""
+    total = 0.0
+    for a in range(1, D // 2 + 1):
+        chi = kronecker(D, a)
+        if chi:
+            total += chi * log(sin(pi * a / D))
+    return -total
+
+
 def squarefree(n: int) -> bool:
     q = 2
     m = n
@@ -298,6 +341,64 @@ def unit_image_order_two_snf(rc):
          for i, o in enumerate(rc.units.orders)], nu,
         modulus=prod(rc.units.orders))
     return subgroup_image_order(G, [G.project(d) for d in rc._unit_dlogs])
+
+
+def kernel_basis(A):
+    """A basis of the integer columns x with A x = 0, as a list of lists:
+    the rows of U past the rank of the Smith form D = U*A^T*V."""
+    D, U, _ = smith_normal_form([list(col) for col in zip(*A)])
+    rank = sum(1 for i, row in enumerate(D) if i < len(row) and row[i])
+    return U[rank:]
+
+
+def _column_lattice_basis(B):
+    """Reduce the columns of B (n x m) to a triangular basis of the column
+    lattice, via gcd column operations."""
+    n = len(B)
+    m = len(B[0]) if n else 0
+    cols = [[B[i][j] for i in range(n)] for j in range(m)]
+    cols = [c for c in cols if any(c)]
+    basis = []
+    for r in range(n):
+        while True:
+            nz = [c for c in cols if c[r] != 0]
+            if len(nz) <= 1:
+                break
+            nz.sort(key=lambda c: abs(c[r]))
+            a = nz[0]
+            for c in nz[1:]:
+                q = c[r] // a[r]
+                for i in range(n):
+                    c[i] -= q * a[i]
+            cols = [c for c in cols if any(c)]
+        piv = next((c for c in cols if c[r] != 0), None)
+        if piv is not None:
+            basis.append(piv)
+            cols = [c for c in cols if c is not piv]
+    return basis
+
+
+def solve_congruence_lattice(C, moduli):
+    """Basis of the lattice {x in Z^k : C x ≡ 0 componentwise mod moduli}:
+    the kernel of [C | diag(moduli)] projected to the first k coordinates,
+    reduced to a triangular basis.  C is an r x k integer matrix, moduli a
+    length-r list (0 = no reduction)."""
+    r = len(C)
+    k = len(C[0]) if r else 0
+    ext = [C[i][:] + [moduli[i] if j == i else 0 for j in range(r)]
+           for i in range(r)]
+    basis = [col[:k] for col in kernel_basis(ext)]
+    if not basis:
+        return []
+    return _column_lattice_basis([[b[i] for b in basis] for i in range(k)])
+
+
+def degree_kernel_lattice(G):
+    """Lattice (in invariant coordinates) of the classes of a GaloisGroupG
+    with trivial image in the cyclotomic quotient Z/p^N."""
+    if not G.group.invariant_factors:
+        return []
+    return solve_congruence_lattice([list(G.cyc_hom)], [G.p**G.N])
 
 
 def lattice_intersection(B1, B2):

@@ -1,22 +1,19 @@
 import itertools
 import random
-from collections import Counter
-from fractions import Fraction
 from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from iwasawalab.abgroup import (smith_normal_form, smith_presentation,
-                                kernel_basis, lattice_index, element_order,
+                                lattice_index, element_order,
                                 subgroup_image_order, decompose_abelian,
-                                GroupElement,
-                                solve_integral)
+                                GroupElement, relation_lattice)
 from iwasawalab.quadfield import RealQuadraticField, _pair_to_ideal, \
     class_group
-from oracles import (decompose_by_max_order, lattice_intersection,
-                     solve_dlog, solve_integral_fractions, squarefree,
-                     subgroup_order_from_lattice)
+from oracles import (decompose_by_max_order, kernel_basis,
+                     lattice_intersection, solve_congruence_lattice,
+                     solve_dlog, squarefree, subgroup_order_from_lattice)
 
 
 def mat_mul(A, B):
@@ -498,144 +495,43 @@ def test_cyclic_order_index_product():
         assert subgroup_image_order(G, [g]) == o
 
 
-# --------------------------------------------------- the exact linear solver
-# The two Fraction Gauss-Jordan solvers that solve_integral replaced, kept
-# as references: quadfield's S-unit decomposition and classfield's
-# transport of the cyclotomic hom through the SNF transform.
-
-def _ref_solve_int_system(B, target):
-    n = len(B)
-    m = len(B[0]) if n else 0
-    M = [[Fraction(B[i][j]) for j in range(m)] + [Fraction(target[i])]
-         for i in range(n)]
-    piv_cols = []
-    r = 0
-    for j in range(m):
-        piv = next((i for i in range(r, n) if M[i][j] != 0), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        M[r] = [v / M[r][j] for v in M[r]]
-        for i in range(n):
-            if i != r and M[i][j] != 0:
-                M[i] = [a - M[i][j] * b for a, b in zip(M[i], M[r])]
-        piv_cols.append(j)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if M[i][m] != 0:
-            raise ValueError("element is not in the S-unit lattice")
-    x = [Fraction(0)] * m
-    for i, j in enumerate(piv_cols):
-        x[j] = M[i][m]
-    out = []
-    for v in x:
-        if v.denominator != 1:
-            raise ValueError("non-integral solution")
-        out.append(int(v))
-    return out
-
-
-def _ref_solve_linear(A, rhs):
-    n = len(A)
-    M = [row[:] + [rhs[i]] for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if M[r][col] != 0)
-        M[col], M[piv] = M[piv], M[col]
-        M[col] = [v / M[col][col] for v in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                M[r] = [a - M[r][col] * b for a, b in zip(M[r], M[col])]
-    return [M[i][n] for i in range(n)]
-
-
-def _unimodular(rng, n):
-    """The identity after 3n seeded row additions and swaps."""
-    U = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(3 * n):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            U[0], U[-1] = U[-1], U[0]
-        else:
-            c = rng.randint(-3, 3)
-            U[i] = [a + c * b for a, b in zip(U[i], U[j])]
-    return U
-
-
-def _check_against_references(A, b):
-    x = solve_integral(A, b)
-    assert x == _ref_solve_int_system(A, b)
-    y = _ref_solve_linear([[Fraction(v) for v in row] for row in A],
-                          [Fraction(v) for v in b])
-    assert x == y
-    assert [sum(a * t for a, t in zip(row, x)) for row in A] == list(b)
-    return x
-
-
-def test_solve_integral_unimodular_against_references():
-    rng = random.Random(20260701)
-    for n in range(1, 7):
-        for _ in range(20):
-            A = _unimodular(rng, n)
-            b = [rng.randint(-50, 50) for _ in range(n)]
-            _check_against_references(A, b)
-
-
-def test_solve_integral_invertible_against_references():
-    # A = U1 * diag(d) * U2 is invertible and, for |d_i| > 1, not
-    # unimodular; b = A x for an integer x
-    rng = random.Random(20260702)
-    for n in range(1, 7):
-        for _ in range(20):
-            d = [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(n)]
-            D = [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
-            A = mat_mul(mat_mul(_unimodular(rng, n), D), _unimodular(rng, n))
-            x = [rng.randint(-50, 50) for _ in range(n)]
-            b = [sum(a * t for a, t in zip(row, x)) for row in A]
-            assert _check_against_references(A, b) == x
-
-
-def _solve_outcome(solve, A, b):
-    try:
-        return ("x", tuple(solve(A, b)))
-    except ValueError as e:
-        return ("refused", str(e))
-
-
-def test_solve_integral_against_fraction_oracle():
-    """Bareiss on integers against Gauss-Jordan over Fraction, on seeded
-    square systems up to 6x6: integral solutions, rational ones (the right
-    side moved off the lattice A*Z^n) and singular matrices (one row a
-    multiple of another, possibly 0); both must answer alike, or refuse
-    with the same ValueError."""
-    rng = random.Random(20261018)
-    seen = Counter()
-    for n in range(1, 7):
-        for case in ("integral", "rational", "singular") * 15:
-            A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-            if case == "singular":
-                i, j, c = rng.randrange(n), rng.randrange(n), \
-                    rng.randint(-3, 3)
-                A[i] = [c * t for t in A[j]] if i != j else [0] * n
-            x = [rng.randint(-50, 50) for _ in range(n)]
-            b = [sum(a * t for a, t in zip(row, x)) for row in A]
-            if case == "rational":
-                b[rng.randrange(n)] += rng.randint(1, 5)
-            got = _solve_outcome(solve_integral, A, b)
-            assert got == _solve_outcome(solve_integral_fractions, A, b), \
-                (A, b)
-            seen[got[1] if got[0] == "refused" else "solved"] += 1
-    assert seen["singular system"] >= 80
-    assert seen["the system has no integral solution"] >= 30
-    assert seen["solved"] >= 90
-    assert _solve_outcome(solve_integral, [[1, 2]], [3]) == \
-        _solve_outcome(solve_integral_fractions, [[1, 2]], [3]) == \
-        ("refused", "solve_integral needs a square matrix")
-
-
-def test_solve_integral_rejects_singular_and_non_integral():
-    with pytest.raises(ValueError):
-        solve_integral([[1, 2], [2, 4]], [1, 2])
-    with pytest.raises(ValueError):
-        solve_integral([[2, 1], [0, 3]], [1, 1])
+def test_relation_lattice_against_congruence_oracle():
+    """relation_lattice on seeded element lists of Z/d_1 x ... x Z/d_k,
+    with zero and repeated elements, against the congruence lattice
+    {w : C w = 0 mod d} of the oracle: every row is a relation, the basis
+    is lower triangular with diagonal >= 1, and the two lattices have the
+    same index in Z^n, so they are equal.  That index, the product of the
+    diagonal, is the order of the span of the elements."""
+    rng = random.Random(20261019)
+    for _ in range(300):
+        k = rng.randint(1, 3)
+        orders = [rng.randint(2, 12) for _ in range(k)]
+        n = rng.randint(1, 5)
+        coords = [tuple(rng.randrange(d) for d in orders) for _ in range(n)]
+        if rng.random() < 0.3:
+            coords[rng.randrange(n)] = coords[0]
+        if rng.random() < 0.2:
+            coords[rng.randrange(n)] = (0,) * k
+        rows = relation_lattice(coords, orders)
+        assert len(rows) == n
+        for i, w in enumerate(rows):
+            assert len(w) == n and w[i] >= 1 and not any(w[i + 1:])
+            assert all(sum(x * c[t] for x, c in zip(w, coords)) % d == 0
+                       for t, d in enumerate(orders)), (coords, orders, w)
+        ref = solve_congruence_lattice([[c[t] for c in coords]
+                                        for t in range(k)], orders)
+        index = lattice_index([[w[i] for w in rows] for i in range(n)])
+        assert index == lattice_index([[b[i] for b in ref]
+                                       for i in range(n)])
+        span = {(0,) * k}
+        for c in coords:
+            while True:
+                grown = span | {tuple((a + b) % d for a, b, d in
+                                      zip(x, c, orders)) for x in span}
+                if grown == span:
+                    break
+                span = grown
+        assert index == prod(w[i] for i, w in enumerate(rows)) == len(span)
+    # the trivial group, as over Q: every element is a relation
+    assert relation_lattice([(), ()], []) == [[1, 0], [0, 1]]
+    assert relation_lattice([], [4]) == []

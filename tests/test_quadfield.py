@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, log, log1p, pi, sin, sqrt
 from pathlib import Path
 
 import pytest
@@ -30,8 +30,10 @@ from iwasawalab.kummer import construct_alpha, kummer_rank
 from iwasawalab.localize import completions_above_p
 from iwasawalab.rayclass import ray_class_group
 
-from oracles import (wide_class_number_oracle, fundamental_unit_oracle,
-                     pell_sign, s_unit_basis, squarefree)
+from oracles import (class_number_formula, fundamental_unit_oracle,
+                     kronecker, pell_sign, s_unit_basis,
+                     solve_integral_fractions, squarefree,
+                     wide_class_number_oracle)
 
 
 Q2 = RealQuadraticField(2)
@@ -298,6 +300,54 @@ def test_fundamental_unit_oracle_d_up_to_100():
         u, v = eps.sqrt_coords()
         assert (2 * u, 2 * v * 1) == (T, U) or (2 * u, 2 * v) == (T, U), d
         assert eps.norm() == sign
+
+
+def _log_eps(K):
+    """log(eps) from the integer coordinates of eps = x + y*w: with
+    s = 2x + yD, 2*eps = s + y*sqrt(D) with s > 0 and y > 0 (eps > 1 and
+    |sigma(eps)| = 1/eps), so log(2*eps) = log(s) + log(1 + (y/s)*sqrt(D)),
+    each a float of moderate size however many digits x and y have."""
+    eps = fundamental_unit(K)
+    assert eps.den == 1
+    s, y = 2 * eps.a + eps.b * K.D, eps.b
+    return log(s) + log1p(y / s * sqrt(K.D)) - log(2)
+
+
+def _class_number_by_formula(d):
+    K = RealQuadraticField(d)
+    return class_number_formula(K.D) / _log_eps(K)
+
+
+def test_class_number_formula_folds_the_full_sum():
+    """The oracle's sum over a <= D/2 equals the formula's sum over every
+    0 < a < D, halved, for the discriminants of d < 200."""
+    for d in range(2, 200):
+        if squarefree(d):
+            D = RealQuadraticField(d).D
+            full = -sum(kronecker(D, a) * log(sin(pi * a / D))
+                        for a in range(1, D)) / 2
+            assert abs(class_number_formula(D) - full) < 1e-9, d
+
+
+def test_class_number_formula_d_below_3000():
+    """Dirichlet's class number formula, h*log(eps) = -1/2 * sum of
+    chi_D(a) * log sin(pi*a/D), checks class_group(K).h and
+    fundamental_unit(K) together on every squarefree d < 3000: a missing
+    class, or eps^2 in place of eps, moves the h it gives by at least
+    1/2."""
+    ds = [d for d in range(2, 3000) if squarefree(d)]
+    assert len(ds) == 1823
+    for d in ds:
+        h = class_group(RealQuadraticField(d)).h
+        assert abs(_class_number_by_formula(d) - h) < 1e-6, d
+
+
+@pytest.mark.parametrize("d,h", [(255255, 32), (1000003, 3)])
+def test_class_number_formula_at_large_d(d, h):
+    """The formula at d = 3*5*7*11*13*17, with h = 32, and at the prime
+    d = 1000003 (D = 4000012), whose unit has hundreds of digits."""
+    assert class_group(RealQuadraticField(d)).h == h
+    assert abs(_class_number_by_formula(d) - h) < 1e-6
 
 
 def test_unit_rejected_over_q():
@@ -687,17 +737,70 @@ def _q79_pair():
                factor_rational_prime(K, 5).ideals[0])
 
 
-def test_s_unit_decompose_reads_its_own_entries():
+def _s_unit_bases():
+    """The bases the S-unit tests build: Q(sqrt 79) over {2, 5} (h = 3),
+    Q(sqrt 10) over {2, 3, 13} (h = 2), Q(sqrt 2) over {7, 2} and Q over
+    {2, 5}."""
     K79, pair = _q79_pair()
-    for K, primes in ((K79, pair), (Q2, [factor_rational_prime(Q2, ell)
-                                         .ideals[0] for ell in (7, 2)]),
-                      (QQ, [rational_ideal(QQ, 2), rational_ideal(QQ, 5)])):
-        data = SUnitBasisData(K, primes)
+    K10 = RealQuadraticField(10)
+    return [SUnitBasisData(K79, pair),
+            SUnitBasisData(K10, [factor_rational_prime(K10, ell).ideals[0]
+                                 for ell in (2, 3, 13)]),
+            SUnitBasisData(Q2, [factor_rational_prime(Q2, ell).ideals[0]
+                                for ell in (7, 2)]),
+            SUnitBasisData(QQ, [rational_ideal(QQ, 2), rational_ideal(QQ, 5)])]
+
+
+def test_s_unit_decompose_reads_its_own_entries():
+    for data in _s_unit_bases():
         assert type(data.entries) is tuple
         n = len(data.entries)
         for i, entry in enumerate(data.entries):
             assert data.decompose(entry.element) == \
-                [int(j == i) for j in range(n)], (K, entry.label)
+                [int(j == i) for j in range(n)], (data.field, entry.label)
+
+
+def test_s_unit_decompose_against_fraction_solver():
+    """decompose on seeded products of powers of the entries of each basis
+    gives back the exponents, and those of the lattice rows are what
+    Gauss-Jordan over Fraction solves from the transposed lattice and the
+    valuations.  An element whose valuations on the primes leave the
+    lattice (its divisor holds one more prime, outside them) is refused by
+    both, by decompose with its own message."""
+    rng = random.Random(20261019)
+    refused = 0
+    for data in _s_unit_bases():
+        K, n = data.field, len(data.primes)
+        B = [[w[i] for w in data.lattice] for i in range(n)]
+        units = len(data.entries) - n
+        for _ in range(12):
+            e = [rng.randint(0, 1)] + [rng.randint(-3, 3)
+                                       for _ in data.entries[1:]]
+            x = K.one()
+            for c, entry in zip(e, data.entries):
+                x = x * entry.element**c
+            vals = [ideal_valuation(x, q) for q in data.primes]
+            assert data.decompose(x) == e, (K, e)
+            assert e[units:] == solve_integral_fractions(B, vals)
+        ells = {residue_char(q) for q in data.primes}
+        for ell in range(3, 60):
+            if not isprime(ell) or ell in ells:
+                continue
+            for r in prime_ideals_above(K, ell):
+                for q in data.primes:
+                    x = principal_generator(q * r)
+                    if x is None:
+                        continue
+                    vals = [ideal_valuation(x, t) for t in data.primes]
+                    with pytest.raises(ValueError) as info:
+                        data.decompose(x)
+                    try:
+                        solve_integral_fractions(B, vals)
+                    except ValueError:
+                        assert str(info.value) == \
+                            "element is not supported on Q"
+                        refused += 1
+    assert refused >= 20, refused
 
 
 def test_alpha_entries_are_one_tuple():

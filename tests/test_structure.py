@@ -47,19 +47,21 @@ FRACTION_INPUTS = {
 }
 
 # names defined in tests/oracles.py that no module of src/ may define,
-# import or bind: the engine reads integer residues, not these objects
+# import or bind: the engine reads integer residues, not these objects,
+# and reads relation lattices off coordinates, with no congruence solver
 REFERENCE_ONLY = {
     "UnramifiedQuadElem", "val_and_unit", "angle", "plog", "log_ratio",
     "angle_log", "solve_dlog", "s_unit_basis", "inertia_rank",
-    "same_kummer_extension", "degree_zero_pair_element",
+    "same_kummer_extension", "degree_zero_pair_element", "kernel_basis",
+    "_column_lattice_basis", "solve_congruence_lattice",
+    "degree_kernel_lattice",
 }
 
 # Class.method names of src/ that only the tests call; the set may shrink,
 # never grow: a new definition is used by the engine, or lives in the tests
 TEST_ONLY = {
-    "GaloisGroupG.degree_kernel_lattice", "RealQuadraticField.from_sqrt_pair",
-    "FieldElement.compare_real", "ClassGroupData.is_principal",
-    "SUnitProduct.scale_exponents",
+    "RealQuadraticField.from_sqrt_pair", "FieldElement.compare_real",
+    "ClassGroupData.is_principal", "SUnitProduct.scale_exponents",
 }
 
 # module- and class-level names that may be bound to a mutable container:

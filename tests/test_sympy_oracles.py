@@ -10,6 +10,7 @@ from iwasawalab.ntheory import (factorint, isprime, legendre,
                                 sqrt_mod_prime)
 from iwasawalab.quadfield import RealQuadraticField, rational_ideal
 from iwasawalab.residues import RationalComponent, make_component
+from oracles import kronecker
 
 sympy = pytest.importorskip("sympy")
 
@@ -73,3 +74,14 @@ def test_rational_component_dlog_against_sympy():
                 assert t == sympy.discrete_log(mod, a * (-1)**s % mod, 5)
             else:
                 assert k == [sympy.discrete_log(mod, a, comp.gens[0])]
+
+
+def test_kronecker_oracle_against_sympy():
+    """The Kronecker symbol of the class-number-formula oracle, on every
+    0 < a < D for the discriminants D < 500 of real quadratic fields."""
+    from sympy.functions.combinatorial.numbers import kronecker_symbol
+    for d in range(2, 500):
+        D = d if d % 4 == 1 else 4 * d
+        if D < 500 and max(sympy.factorint(d).values()) == 1:
+            for a in range(1, D):
+                assert kronecker(D, a) == kronecker_symbol(D, a), (D, a)
