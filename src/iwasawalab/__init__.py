@@ -3,7 +3,7 @@ over Q and real quadratic fields."""
 
 __version__ = "0.1.0"
 
-from .padic import PAdicNumber, AtLeast, PrecisionError, teichmueller
+from .padic import PAdicNumber, PrecisionError, teichmueller
 from .ntheory import InternalCheckError
 from .abgroup import (FiniteAbelianGroup, GroupElement, smith_normal_form,
                       smith_presentation, element_order, subgroup_image_order,
@@ -25,7 +25,7 @@ from .kummer import (KummerCertificate, construct_alpha, verify_alpha,
                      kummer_rank)
 
 __all__ = [
-    "PAdicNumber", "AtLeast", "PrecisionError", "teichmueller",
+    "PAdicNumber", "PrecisionError", "teichmueller",
     "InternalCheckError",
     "FiniteAbelianGroup", "GroupElement", "smith_normal_form",
     "smith_presentation", "element_order", "subgroup_image_order",

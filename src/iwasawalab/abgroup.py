@@ -229,13 +229,6 @@ class FiniteAbelianGroup:
             n *= d
         return n
 
-    @property
-    def rank(self) -> int:
-        return len(self.invariant_factors)
-
-    def identity(self) -> GroupElement:
-        return GroupElement(tuple(0 for _ in self.invariant_factors))
-
     def element(self, coords) -> GroupElement:
         return GroupElement(tuple(c % d for c, d in
                                   zip(coords, self.invariant_factors)))

@@ -32,11 +32,12 @@ def completions_above_p(K: RealQuadraticField, p: int):
     return prime_ideals_above(K, p)
 
 
-def _coordinates(a: int, b: int, den: int, q: IntegralIdeal, work: int):
+def _coordinates(a: int, b: int, den: int, q: IntegralIdeal, kind: str,
+                 work: int):
     """(a + b*w)/den mod p^work for a p-unit den, as the pair over {1, s},
-    s = sqrt(D), at an inert q over p and as (residue, 0) otherwise."""
-    p, kind = prime_kind(q)
-    mod = p**work
+    s = sqrt(D), at an inert q over p = q.a and as (residue, 0) otherwise;
+    `kind` is prime_kind(q)[1]."""
+    mod = q.a**work
     inv = pow(den, -1, mod)
     if kind == "inert":           # w = (D + s)/2 in coordinates over {1, s}
         inv2 = pow(2, -1, mod)
@@ -56,7 +57,7 @@ def _element_unit_log(x: FieldElement, q: IntegralIdeal, N: int):
     p, kind = prime_kind(q)
     vden = vp(den, p)
     s, A = v + vden, N + max(v, 0) + 2 - v
-    c0, c1 = _coordinates(a, b, den // p**vden, q, A + s)
+    c0, c1 = _coordinates(a, b, den // p**vden, q, kind, A + s)
     ps = p**max(s, 0)
     u0, u1 = c0 // ps, c1 // ps
     if s < 0 or c0 % ps or c1 % ps or not (u0 % p or u1 % p):

@@ -2,17 +2,18 @@
 how many p-adic digits are certified, and the log series and Teichmueller
 lift the engine reads on integer residues, in Z_p and in the unramified
 quadratic extension as coordinate pairs.  The object forms (the 1-unit
-projection, logs of PAdicNumbers, the quadratic extension's elements) are
-the tests' reference, in tests/oracles.py.
+projection, logs of PAdicNumbers, the quadratic extension's elements, the
+AtLeast valuation marker) are the tests' reference, in tests/oracles.py.
 
 A nonzero value is stored as p^v * m where m is a unit mantissa known modulo
 p^digits.  Quantities that cannot be distinguished from zero are carried as a
 marker "valuation >= bound" rather than silently treated as equal to zero.
+Exponents are integers: no engine path raises a value to a Z_p power, since
+the Kummer element stays a formal product whose exponents are never applied.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -39,15 +40,6 @@ def vp(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
-
-
-@dataclass(frozen=True)
-class AtLeast:
-    """Marker for a valuation only known to be >= bound."""
-    bound: int
-
-    def __repr__(self):
-        return ">=%d" % self.bound
 
 
 class PAdicNumber:
@@ -134,10 +126,6 @@ class PAdicNumber:
         """Exponent A such that the value is certified modulo p^A."""
         return self.v if self.m is None else self.v + self.digits
 
-    def valuation(self):
-        """Exact valuation, or an AtLeast marker."""
-        return AtLeast(self.v) if self.m is None else self.v
-
     def residue(self, abs_prec: int) -> int:
         """Integer representative modulo p^abs_prec (abs_prec <= certified)."""
         if abs_prec > self.abs_prec:
@@ -151,10 +139,6 @@ class PAdicNumber:
 
     def is_unit(self) -> bool:
         return self.m is not None and self.v == 0
-
-    def is_one_unit(self) -> bool:
-        """True if the value is certified ≡ 1 mod p."""
-        return self.is_unit() and self.m % self.p == 1
 
     # ------------------------------------------------------------- arithmetic
     def _check(self, other: "PAdicNumber"):
@@ -221,7 +205,7 @@ class PAdicNumber:
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
-            raise TypeError("integer exponent required; use pow_zp for Z_p")
+            raise TypeError("integer exponent required")
         if k < 0:
             return self.inv() ** (-k)
         if self.m is None:
@@ -239,40 +223,12 @@ class PAdicNumber:
             return PAdicNumber.zero_marker(self.p, self.v + j)
         return PAdicNumber(self.p, self.v + j, self.m, self.digits)
 
-    def pow_zp(self, a: "PAdicNumber") -> "PAdicNumber":
-        """self^a for a in Z_p; requires self ≡ 1 mod p.
-
-        The result is certified mod p^min(abs(self), c + abs(a)) where
-        c = v(self - 1).  A zero marker a below valuation 0 is refused like
-        a value off Z_p: it is not known to lie in Z_p.
-        """
-        p = self.p
-        if not self.is_one_unit():
-            raise ValueError("base of a Z_p power must be a 1-unit")
-        if a.v < 0:
-            raise ValueError("exponent must lie in Z_p")
-        diff = self - PAdicNumber.one(p, self.digits)
-        if diff.is_marker:
-            # self = 1 + O(p^bound): self^a = 1 + O(p^{bound + v(a)})
-            av = a.v if a.m is None else max(a.v, 0)
-            return PAdicNumber.from_residue(1, p, min(self.abs_prec,
-                                                      diff.v + av))
-        c = diff.v
-        target = min(self.abs_prec, c + a.abs_prec)
-        k_digits = max(target - c, 0)
-        b = 0 if a.m is None else a.residue(k_digits) if k_digits > 0 else 0
-        r = pow(self.residue(target), b, p**target)
-        return PAdicNumber.from_residue(r, p, target)
-
     # -------------------------------------------------------------- rendering
     def __repr__(self):
         if self.m is None:
             return "O(%d^%d)" % (self.p, min(self.v, EXACT_ZERO_BOUND))
         return "%d^%d * %d (mod %d^%d)" % (self.p, self.v, self.m,
                                            self.p, self.digits)
-
-    def __str__(self):
-        return self.__repr__()
 
 
 # ------------------------------------------------------------------ operations

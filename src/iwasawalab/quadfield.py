@@ -75,14 +75,6 @@ class RealQuadraticField:
     def element(self, x, y=0) -> "FieldElement":
         return FieldElement(self, x, y)
 
-    def from_sqrt_pair(self, u, v) -> "FieldElement":
-        """The element u + v*sqrt(D)."""
-        if self.is_rational:
-            if v != 0:
-                raise ValueError("no sqrt part over Q")
-            return FieldElement(self, u)
-        return FieldElement(self, u - v * self.D, 2 * v)
-
     def one(self):
         return self.element(1)
 
@@ -175,9 +167,6 @@ class FieldElement:
     def norm(self) -> Fraction:
         return Fraction(self.numerator_norm(), self.den * self.den)
 
-    def trace(self) -> Fraction:
-        return Fraction(2 * self.a + self.field.w_trace * self.b, self.den)
-
     def inv(self) -> "FieldElement":
         """den * conj(a + b*w) / N(a + b*w)."""
         n = self.numerator_norm()
@@ -210,17 +199,6 @@ class FieldElement:
     def sqrt_coords(self):
         """(u, v) with self = u + v*sqrt(D)."""
         return (self.x + self.y * self.field.w_trace / 2, self.y / 2)
-
-    def real_sign(self) -> int:
-        """Sign of the image under the embedding with sqrt(D) > 0: den > 0
-        and 2*(a + b*w) = (2a + bD) + b*sqrt(D)."""
-        D = self.field.D
-        return _real_sign(2 * self.a + self.b * D, self.b, D)
-
-    def compare_real(self, other) -> int:
-        if not isinstance(other, FieldElement):
-            other = self.field.element(other)
-        return (self - other).real_sign()
 
     def __str__(self):
         K = self.field
@@ -576,7 +554,7 @@ class ClassGroupData:
     The build walks each cycle once, from the first reduced pair not yet
     indexed, and _key maps every state of every cycle to its key.  The
     decomposition's orders are the invariant factors and its dlog gives
-    coordinates in their basis, so `group` reads them with no transform."""
+    coordinates in their basis, so an element of `group` is its dlog."""
 
     def __init__(self, K: RealQuadraticField):
         self.field = K
@@ -603,10 +581,7 @@ class ClassGroupData:
 
         self.gen_keys, self.gen_orders, self._dlog = decompose_abelian(
             self.cycle_keys, kmul, self.principal_key)
-        k = len(self.gen_orders)
-        self.group = FiniteAbelianGroup(
-            tuple(self.gen_orders), ambient_rank=k,
-            transform=[[int(i == j) for j in range(k)] for i in range(k)])
+        self.group = FiniteAbelianGroup(tuple(self.gen_orders))
 
     def key_of(self, I: IntegralIdeal):
         """The key of [I]: the walk from the state of I stops at the first
@@ -634,12 +609,7 @@ class ClassGroupData:
         return self._dlog[self.key_of(I)]
 
     def class_of(self, I: IntegralIdeal) -> GroupElement:
-        return self.group.project(list(self.ambient_dlog(I)))
-
-    def is_principal(self, I: IntegralIdeal) -> bool:
-        if self.field.is_rational:
-            return True
-        return self.key_of(I) == self.principal_key
+        return self.group.element(self.ambient_dlog(I))
 
     @property
     def invariant_factors(self):
@@ -966,11 +936,6 @@ class SUnitProduct:
             if not (e.is_marker and e.is_exact_zero):
                 keys.update(entry.valuations.keys())
         return keys
-
-    def scale_exponents(self, n: int) -> "SUnitProduct":
-        return SUnitProduct(self.entries, self.p,
-                            [e * PAdicNumber.exact(n, self.p, self.prec + 4)
-                             for e in self.exponents], self.prec)
 
     def to_json(self):
         return {

@@ -35,7 +35,12 @@ engine as the tests' reference: the p-adic object layer
 `UnramifiedQuadElem`, the unramified quadratic extension of Q_p, whose
 logs call the engine's `padic.log_series` and `padic.unit_log_residues`),
 `solve_dlog` in a finite abelian group, `s_unit_basis`, `inertia_rank`,
-`same_kummer_extension` and `degree_zero_pair_element`.
+`same_kummer_extension` and `degree_zero_pair_element`; and the helpers
+the tests read in place of engine methods that no engine path called: the
+`AtLeast` marker and `valuation` of a PAdicNumber, `sqrt_pair(K, u, v)`,
+`real_sign` and `compare_real` of a field element (on the engine's
+`quadfield._real_sign`), `scale_exponents` of a formal product and
+`group_identity` of a finite abelian group.
 """
 
 from dataclasses import dataclass
@@ -54,9 +59,10 @@ from iwasawalab.kummer import kummer_rank
 from iwasawalab.localize import (FALSE, INDET, TRUE, RankReport,
                                  completions_above_p, loc, zp_matrix_rank)
 from iwasawalab.ntheory import InternalCheckError, crt, isprime, power
-from iwasawalab.padic import (AtLeast, PAdicNumber, PrecisionError,
-                              _log_terms_needed, teichmueller, vp)
-from iwasawalab.quadfield import SUnitBasisData, fundamental_unit
+from iwasawalab.padic import (PAdicNumber, PrecisionError, _log_terms_needed,
+                              teichmueller, vp)
+from iwasawalab.quadfield import (FieldElement, SUnitBasisData, SUnitProduct,
+                                  _real_sign, fundamental_unit)
 
 
 def _sqrt_window_low(D, t):
@@ -472,6 +478,20 @@ def log_series(z0: int, z1: int, t: int, n: int, p: int, A: int):
 # extension.  Its logs call the engine kernels padic.log_series and
 # padic.unit_log_residues, not the fresh-inverse log_series above.
 
+@dataclass(frozen=True)
+class AtLeast:
+    """Marker for a valuation only known to be >= bound."""
+    bound: int
+
+    def __repr__(self):
+        return ">=%d" % self.bound
+
+
+def valuation(x: PAdicNumber):
+    """Exact valuation of x, or an AtLeast marker for a zero marker."""
+    return AtLeast(x.v) if x.m is None else x.v
+
+
 def val_and_unit(x: PAdicNumber):
     """Split x as p^v * u.  Zero markers yield (AtLeast(bound), None)."""
     if x.m is None:
@@ -587,7 +607,7 @@ class UnramifiedQuadElem:
 
     def valuation(self):
         """min of coordinate valuations (the unramified valuation)."""
-        va, vb = self.a.valuation(), self.b.valuation()
+        va, vb = valuation(self.a), valuation(self.b)
         if isinstance(va, AtLeast) and isinstance(vb, AtLeast):
             return AtLeast(min(va.bound, vb.bound))
         if isinstance(va, AtLeast):
@@ -863,6 +883,41 @@ def mq_order_log_route(K, p: int, Q, N: int) -> FrobeniusModuleReport:
 
 
 # ------------------------------------------- references moved from the engine
+
+def sqrt_pair(K, u, v) -> FieldElement:
+    """The element u + v*sqrt(D) of K, for rationals u, v."""
+    if K.is_rational:
+        if v != 0:
+            raise ValueError("no sqrt part over Q")
+        return K.element(u)
+    return K.element(u - v * K.D, 2 * v)
+
+
+def real_sign(x: FieldElement) -> int:
+    """Sign of x under the embedding with sqrt(D) > 0, by the engine's
+    integer test: den > 0 and 2*(a + b*w) = (2a + bD) + b*sqrt(D)."""
+    D = x.field.D
+    return _real_sign(2 * x.a + x.b * D, x.b, D)
+
+
+def compare_real(x: FieldElement, y) -> int:
+    """Sign of x - y, for y a field element or a rational."""
+    if not isinstance(y, FieldElement):
+        y = x.field.element(y)
+    return real_sign(x - y)
+
+
+def scale_exponents(alpha: SUnitProduct, n: int) -> SUnitProduct:
+    """alpha^n, as the formal product with every exponent times n."""
+    return SUnitProduct(alpha.entries, alpha.p,
+                        [e * PAdicNumber.exact(n, alpha.p, alpha.prec + 4)
+                         for e in alpha.exponents], alpha.prec)
+
+
+def group_identity(G: FiniteAbelianGroup) -> GroupElement:
+    """The identity element of G."""
+    return GroupElement((0,) * len(G.invariant_factors))
+
 
 def solve_dlog(G: FiniteAbelianGroup, g: GroupElement, h: GroupElement):
     """n with n*g = h in G, or None."""

@@ -194,3 +194,15 @@ def test_env_precision_must_be_a_positive_integer(value, monkeypatch, capsys):
     assert main(["leopoldt", "--field", "Q(sqrt{2})", "--p", "5"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("usage error: IWASAWA_LAB_PRECISION")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["unit", "--field", "Q"], "Q has no fundamental unit"),
+    (["factor", "--field", "Q(sqrt{2})", "--ell", "4"], "4 is not prime"),
+    (["factor", "--field", "Q(sqrt{2})", "--ell", "1"], "1 is not prime"),
+    (["factor", "--field", "Q(sqrt{2})", "--ell", "-7"], "-7 is not prime"),
+])
+def test_engine_refusal_is_a_usage_error(argv, message, capsys):
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == "usage error: %s\n" % message

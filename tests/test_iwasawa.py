@@ -25,7 +25,7 @@ from oracles import (angle_log, degree_kernel_lattice, degree_log_route,
                      degree_zero_pair_element, lattice_intersection,
                      leopoldt_defect_log_route,
                      mq_order_log_route, rounded_degree_zero_log_route,
-                     subgroup_order_from_lattice)
+                     sqrt_pair, subgroup_order_from_lattice)
 
 QQ = RealQuadraticField.rationals()
 Q2 = RealQuadraticField(2)
@@ -81,7 +81,7 @@ def test_mq_order_d10_p3():
     from iwasawalab.quadfield import ideal_valuation
     K = RealQuadraticField(10)
     q1 = rational_ideal(K, 7)                    # inert, norm 49
-    elt = K.from_sqrt_pair(9, 1)                 # 9 + 2*sqrt(10), norm 41
+    elt = sqrt_pair(K, 9, 1)                     # 9 + 2*sqrt(10), norm 41
     assert elt.norm() == 41
     q2 = next(q for q in factor_rational_prime(K, 41).ideals
               if ideal_valuation(elt, q) > 0)

@@ -12,7 +12,7 @@ from iwasawalab.quadfield import (RealQuadraticField, SUnitBasisData,
                                   prime_ideals_above, prime_kind,
                                   rational_ideal)
 
-from oracles import UnramifiedQuadElem, inertia_rank
+from oracles import UnramifiedQuadElem, inertia_rank, sqrt_pair
 
 QQ = RealQuadraticField.rationals()
 Q2 = RealQuadraticField(2)
@@ -20,18 +20,18 @@ Q2 = RealQuadraticField(2)
 
 def _image(x, place, work):
     """The coordinates of x mod p^work at `place` (den prime to p)."""
-    return _coordinates(x.a, x.b, x.den, place, work)
+    return _coordinates(x.a, x.b, x.den, place, prime_kind(place)[1], work)
 
 
 def test_completions_split():
     pl = completions_above_p(Q2, 7)
     assert len(pl) == 2
-    sqrt2 = Q2.from_sqrt_pair(0, Fraction(1, 2))
+    sqrt2 = sqrt_pair(Q2, 0, Fraction(1, 2))
     r0, r1 = (_image(sqrt2, v, 2) for v in pl)
     assert r0[1] == r1[1] == 0
     vals = sorted((r0[0], r1[0]))
     assert vals == [10, 39]  # 10^2 = 2 mod 49, other root is -10
-    x = Q2.from_sqrt_pair(3, Fraction(1, 2))  # 3 + sqrt2
+    x = sqrt_pair(Q2, 3, Fraction(1, 2))  # 3 + sqrt2
     images = sorted(_image(x, v, 2)[0] for v in pl)
     assert images == [13, 42]  # 3+10 and 3-10 mod 49
 
@@ -40,7 +40,7 @@ def test_completions_inert():
     pl = completions_above_p(Q2, 5)
     assert len(pl) == 1 and prime_kind(pl[0]) == (5, "inert")
     assert pl[0].norm == 25
-    c = _image(Q2.from_sqrt_pair(0, Fraction(1, 2)), pl[0], 3)
+    c = _image(sqrt_pair(Q2, 0, Fraction(1, 2)), pl[0], 3)
     assert c == (0, 63)  # sqrt2 = s/2 over {1, s}, s = sqrt8; 2*63 = 1
     im = UnramifiedQuadElem.from_residues(*c, Q2.D, 5, 3)
     sq = im * im
@@ -54,8 +54,8 @@ def test_completions_ramified_rejected():
 
 def test_loc_multiplicative():
     pl = completions_above_p(Q2, 7)[0]
-    x = Q2.from_sqrt_pair(3, Fraction(1, 2))
-    y = Q2.from_sqrt_pair(1, Fraction(1, 2))
+    x = sqrt_pair(Q2, 3, Fraction(1, 2))
+    y = sqrt_pair(Q2, 1, Fraction(1, 2))
     lx, ly, lxy = (PAdicNumber.from_residue(_image(t, pl, 4)[0], 7, 4)
                    for t in (x, y, x * y))
     assert (lx * ly - lxy).is_marker
@@ -189,8 +189,8 @@ def test_loc_of_sunit_product_matches_elementwise():
 def test_loc_p_vector_multiplicative():
     K = Q2
     places = completions_above_p(K, 7)
-    x = K.from_sqrt_pair(3, Fraction(1, 2))
-    y = K.from_sqrt_pair(1, Fraction(1, 2))
+    x = sqrt_pair(K, 3, Fraction(1, 2))
+    y = sqrt_pair(K, 1, Fraction(1, 2))
     assert len(places) == 2
     for q in places:
         (vx, lx), (vy, ly), (vxy, lxy) = (loc(t, q, 7, 5)
@@ -206,7 +206,7 @@ def test_prop_22_consistency_sunits_away_from_support():
     # away from p, and its valuation there vanishes
     K = Q2
     eps = fundamental_unit(K)
-    g7 = K.from_sqrt_pair(3, Fraction(1, 2))  # norm 7
+    g7 = sqrt_pair(K, 3, Fraction(1, 2))  # norm 7
     for ell in (3, 11, 13):
         for q in prime_ideals_above(K, ell):
             for x in (eps, g7):

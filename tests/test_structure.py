@@ -6,9 +6,10 @@
 - no `import` inside a function body, the usual way round an import cycle;
 - no call to `__import__`;
 - no private name taken from a sibling module by `from .x import _name`;
-- no module-level function, class or method that no file of `src/` names
-  outside its own definition (a dead path), but those of TEST_ONLY: a use
-  by the tests or the benchmark alone does not keep a definition live;
+- no module-level function, class or method that no code of `src/` refers
+  to outside its own definition (a dead path), but those of CALLED_BY_NAME:
+  a use by the tests or the benchmark alone, or a mention in a string or a
+  comment, does not keep a definition live;
 - no name bound by a module-level import that its module never uses;
 - no `X.__new__(...)` call outside a `__new__` method, which would build
   an object round its constructor;
@@ -28,7 +29,6 @@ Besides, `iwasawalab.__all__` names exactly what `__init__.py` imports.
 import ast
 import re
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -43,7 +43,7 @@ MODULES = sorted(SRC.glob("*.py"))
 # Class.method names, where a Fraction may be built
 FRACTION_INPUTS = {
     "FieldElement.x", "FieldElement.y", "FieldElement.norm",
-    "FieldElement.trace", "PAdicNumber.exact", "PAdicNumber.of",
+    "PAdicNumber.exact", "PAdicNumber.of",
 }
 
 # names defined in tests/oracles.py that no module of src/ may define,
@@ -57,12 +57,9 @@ REFERENCE_ONLY = {
     "degree_kernel_lattice",
 }
 
-# Class.method names of src/ that only the tests call; the set may shrink,
-# never grow: a new definition is used by the engine, or lives in the tests
-TEST_ONLY = {
-    "RealQuadraticField.from_sqrt_pair", "FieldElement.compare_real",
-    "ClassGroupData.is_principal", "SUnitProduct.scale_exponents",
-}
+# Class.method names that a library calls by name, not code of src/:
+# argparse reports a bad command line through ArgumentParser.error
+CALLED_BY_NAME = {"_Parser.error"}
 
 # module- and class-level names that may be bound to a mutable container:
 # the export list, and the intern table of fields, since FieldElement
@@ -142,29 +139,46 @@ def _definitions(tree):
                     yield "%s.%s" % (node.name, item.name), item
 
 
-def _words(text):
-    return Counter(re.findall(r"\w+", text))
+def _references(tree):
+    """(kind, name, node) for each reference of a module: ("name", n) for a
+    loaded name, an imported name or an entry of `__all__`, ("attr", n) for
+    an attribute.  Strings and comments refer to nothing."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield "name", node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield "attr", node.attr, node
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield "name", alias.name, node
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            for elt in node.value.elts:
+                yield "name", elt.value, elt
 
 
 def test_every_definition_is_named_elsewhere():
-    """A name counts as used when it occurs in `src/` (the exports of
-    `__init__.py` and the CLI included) outside every definition of that
-    name, so methods of one name in two classes do not vouch for each
-    other.  Each name of TEST_ONLY must still be an unused definition."""
-    words, defs, inside = Counter(), [], Counter()
+    """A module-level function or class is live when code of `src/` loads
+    it, imports it or lists it in `__all__`; a method, when an attribute of
+    that name is read; either outside its own definition, so a recursion
+    does not keep a definition live.  A use by the tests or the benchmark
+    alone does not either."""
+    refs, defs = [], []
     for path in MODULES:
-        text = path.read_text()
-        words.update(_words(text))
-        lines = text.splitlines()
-        for qualname, node in _definitions(ast.parse(text, str(path))):
-            body = "\n".join(lines[node.lineno - 1:node.end_lineno])
-            inside[node.name] += _words(body)[node.name]
-            defs.append((path.name, qualname, node))
-    unused = {(_where(name, node), qualname) for name, qualname, node in defs
-              if words[node.name] == inside[node.name]}
-    assert sorted("%s %s" % pair for pair in unused
-                  if pair[1] not in TEST_ONLY) == []
-    assert TEST_ONLY <= {qualname for _, qualname in unused}
+        tree = ast.parse(path.read_text(), str(path))
+        refs.extend(_references(tree))
+        defs.extend((path.name, qualname, node)
+                    for qualname, node in _definitions(tree))
+    found = []
+    for name, qualname, node in defs:
+        kind = "attr" if "." in qualname else "name"
+        inside = {id(n) for n in ast.walk(node)}
+        if qualname not in CALLED_BY_NAME and not any(
+                k == kind and n == node.name and id(ref) not in inside
+                for k, n, ref in refs):
+            found.append("%s %s" % (_where(name, node), qualname))
+    assert found == []
 
 
 def _imported_names(tree):
@@ -315,6 +329,14 @@ def test_exports_are_the_imports_of_init():
     ("def used_helper():\n    return 1\n\n\nclass UnusedClass:\n"
      "    def unused_method(self):\n        return used_helper()\n",
      test_every_definition_is_named_elsewhere),
+    ("class Number:\n    def __pow__(self, k):\n"
+     "        raise TypeError('use pow_zp for a Z_p exponent')\n\n"
+     "    def pow_zp(self, a):\n        return a\n\n\nONE = Number()\n",
+     test_every_definition_is_named_elsewhere),
+    ("class Group:\n    def identity(self):\n        return 0\n\n\n"
+     "def order(g, identity):\n    return g, identity\n\n\n"
+     "ORDER = order(Group(), 0)\n",
+     test_every_definition_is_named_elsewhere),
     ("import os\nfrom .kummer import construct_alpha, verify_alpha\n\n\n"
      "def f():\n    return os.sep, construct_alpha\n",
      test_no_unused_import),
@@ -336,19 +358,6 @@ def test_each_check_catches_its_rule(source, check, tmp_path, monkeypatch):
     module = tmp_path / "bad.py"
     module.write_text(source)
     monkeypatch.setattr(sys.modules[__name__], "MODULES", [module])
-    monkeypatch.setattr(sys.modules[__name__], "TEST_ONLY", set())
     with pytest.raises(AssertionError):
         check()
 
-
-def test_test_only_names_must_be_unused(tmp_path, monkeypatch):
-    """A name of TEST_ONLY that `src/` uses must leave the set."""
-    module = tmp_path / "good.py"
-    module.write_text("class Box:\n    def size(self):\n        return 1\n\n\n"
-                      "ONE = Box().size()\n")
-    monkeypatch.setattr(sys.modules[__name__], "MODULES", [module])
-    monkeypatch.setattr(sys.modules[__name__], "TEST_ONLY", set())
-    test_every_definition_is_named_elsewhere()
-    monkeypatch.setattr(sys.modules[__name__], "TEST_ONLY", {"Box.size"})
-    with pytest.raises(AssertionError):
-        test_every_definition_is_named_elsewhere()

@@ -78,7 +78,7 @@ def _embed(x, q, abs_prec):
     p, kind = prime_kind(q)
     vden = vp(x.den, p)
     work = abs_prec + vden + 1
-    c0, c1 = _coordinates(x.a, x.b, x.den // p**vden, q, work)
+    c0, c1 = _coordinates(x.a, x.b, x.den // p**vden, q, kind, work)
     cs = (c0, c1) if kind == "inert" else (c0,)
     return tuple(PAdicNumber.from_residue(c, p, work).shift(-vden)
                  for c in cs)
