@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 from .abgroup import element_order, smith_normal_form
 from .iwasawa import mq_order
-from .localize import (INDET, TRUE, FALSE, completions_above_p, eq_membership,
-                       is_loc_torsion, loc, zp_matrix_rank, RankReport)
+from .localize import (INDET, TRUE, FALSE, completions_above_p, entry_logs,
+                       eq_membership, log_sum, torsion_status, zp_matrix_rank,
+                       RankReport)
 from .ntheory import InternalCheckError, factorint
 from .padic import PAdicNumber, PrecisionError, vp
 from .quadfield import (FieldElement, RealQuadraticField, SUnitBasisData,
                         SUnitProduct, check_odd_prime, class_group,
-                        fundamental_unit, ideal_valuation, prime_ideals_above,
+                        ideal_valuation, prime_ideals_above,
                         principal_generator, rational_ideal, realize,
                         s_unit_entry, unit_entries)
 
@@ -112,24 +113,29 @@ def construct_alpha(K: RealQuadraticField, p: int, Q, N: int) \
     exponents = [zero] * len(units) + [one, t1, t2]
     alpha = SUnitProduct(entries, p, exponents, N)
 
-    # unit correction: divide by eps^x so that the local 1-unit part dies
-    places = completions_above_p(K, p)
+    # unit correction: divide by eps^x so that the local 1-unit part dies;
+    # the unit log of each entry is taken once, at each prime above p
+    logs = _place_logs(entries, completions_above_p(K, p), N)
     if not K.is_rational:
-        exponents[1] = exponents[1] - _solve_unit_exponent(alpha, places,
-                                                           p, N)
+        exponents[1] = exponents[1] - _solve_unit_exponent(alpha, logs)
         alpha = SUnitProduct(entries, p, exponents, N)
-    return _check_certificate(alpha, K, p, (q1, q2), N, rep, places)
+    return _check_certificate(alpha, K, p, (q1, q2), N, rep, logs)
 
 
-def _solve_unit_exponent(alpha0: SUnitProduct, places, p: int, N: int):
-    """x in Z_p with log loc(alpha0) = x * log loc(eps) at every place."""
-    K = alpha0.field
-    eps = fundamental_unit(K)
+def _place_logs(entries, places, N: int) -> tuple:
+    """(q, entry_logs(entries, q, N)) for each prime ideal q of `places`."""
+    return tuple((q, entry_logs(entries, q, N)) for q in places)
+
+
+def _solve_unit_exponent(alpha0: SUnitProduct, logs):
+    """x in Z_p with log loc(alpha0) = x * log loc(eps) at every prime above
+    p, given the _place_logs `logs` of alpha0.entries, whose entry 1 is eps
+    (unit_entries: -1, then eps)."""
     x = None
     checks = []
-    for q in places:
-        la = loc(alpha0, q, p, N)[1]
-        le = loc(eps, q, p, N)[1]
+    for _, lg in logs:
+        la = log_sum(alpha0.exponents, lg)
+        le = lg[1]
         for ca, ce in zip(la, le):
             if ce.is_marker:
                 continue
@@ -157,13 +163,14 @@ def verify_alpha(alpha: SUnitProduct, K: RealQuadraticField, p: int, Q,
     Q = tuple(rational_ideal(K, q) if isinstance(q, int) else q for q in Q)
     rep = mq_order(K, p, Q, N)
     return _check_certificate(alpha, K, p, Q, N, rep,
-                              completions_above_p(K, p))
+                              _place_logs(alpha.entries,
+                                          completions_above_p(K, p), N))
 
 
 def _check_certificate(alpha: SUnitProduct, K: RealQuadraticField, p: int,
-                       Q, N: int, rep, places) -> KummerCertificate:
+                       Q, N: int, rep, logs) -> KummerCertificate:
     """verify_alpha given the mq_order report `rep` of (K, p, Q, N) and the
-    prime ideals `places` above p."""
+    _place_logs `logs` of alpha.entries at the prime ideals above p."""
     q1, q2 = Q
     cert = KummerCertificate(alpha, K, p, N, Q)
     cert.m_q = rep.m_q
@@ -189,7 +196,9 @@ def _check_certificate(alpha: SUnitProduct, K: RealQuadraticField, p: int,
     cert.a_exponent = v1.v
 
     # (iii) the localization of alpha at p is torsion
-    verdicts = [is_loc_torsion(alpha, q, p, N) for q in places]
+    verdicts = [torsion_status(alpha.valuation_at(q.key()),
+                               log_sum(alpha.exponents, lg))
+                for q, lg in logs]
     if FALSE in verdicts:
         cert.loc_p_torsion = FALSE
         cert.status = "rejected:loc_p"

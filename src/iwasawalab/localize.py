@@ -9,6 +9,10 @@ coordinates: () away from p, where only the valuation contributes to any
 Z_p-rank; one coordinate at a split or rational place above p; two at an
 inert one, over {1, s}, s = sqrt(D).  The log is taken on integer residues
 by `padic.unit_log_residues`; only its coordinates become p-adic objects.
+
+The log of an S-unit product sums its exponents times the unit logs of its
+entries: `entry_logs` takes those at one prime and `log_sum` sums them.
+The Kummer certificate keeps the entry logs of each prime for all its reads.
 """
 
 from __future__ import annotations
@@ -87,12 +91,24 @@ def loc(x, q: IntegralIdeal, p: int, N: int):
     val = x.valuation_at(q.key())
     if not with_log:
         return val, ()
+    return val, log_sum(x.exponents, entry_logs(x.entries, q, N))
+
+
+def entry_logs(entries, q: IntegralIdeal, N: int) -> tuple:
+    """The unit log of the element of each basis entry at the prime q above
+    p, in the order of `entries`."""
+    return tuple(_element_unit_log(entry.element, q, N)[1]
+                 for entry in entries)
+
+
+def log_sum(exponents, logs) -> tuple:
+    """sum_i e_i * log_i, coordinate by coordinate, in the order of the
+    entries.  An exact-zero exponent still caps the precision of the sum."""
     total = None
-    for e, entry in zip(x.exponents, x.entries):
-        _, lg = _element_unit_log(entry.element, q, N)
+    for e, lg in zip(exponents, logs):
         term = tuple(c * e for c in lg)
         total = term if total is None else tuple(map(add, total, term))
-    return val, total
+    return total
 
 
 def _val_status(v):
@@ -106,7 +122,12 @@ def _val_status(v):
 
 def is_loc_torsion(x, q: IntegralIdeal, p: int, N: int) -> str:
     """Whether loc(x) is torsion in the pro-p completion at q."""
-    val, unit_log = loc(x, q, p, N)
+    return torsion_status(*loc(x, q, p, N))
+
+
+def torsion_status(val, unit_log) -> str:
+    """Whether a localization (valuation, unit log) is torsion in the pro-p
+    completion."""
     zero, certified = _val_status(val)
     if not zero:
         return FALSE

@@ -13,6 +13,7 @@ principality by its own walk to the principal cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm, log, sqrt
@@ -203,17 +204,27 @@ class FieldElement:
     def __str__(self):
         K = self.field
         if K.is_rational:
-            return str(self.x)
+            return _decimal(self.x)
         u, v = self.sqrt_coords()
         if v == 0:
-            return str(u)
+            return _decimal(u)
         d = K.d
         # render over sqrt(d): u + v*sqrt(D) = u + v'*sqrt(d)
         vp = v * 2 if K.D == 4 * d else v
         s = "sqrt(%d)" % d
         if u == 0:
-            return "%s*%s" % (vp, s) if vp != 1 else s
-        return "%s %s %s*%s" % (u, "+" if vp > 0 else "-", abs(vp), s)
+            return "%s*%s" % (_decimal(vp), s) if vp != 1 else s
+        return "%s %s %s*%s" % (_decimal(u), "+" if vp > 0 else "-",
+                                _decimal(abs(vp)), s)
+
+
+def _decimal(r: Fraction) -> str:
+    """r as str(r) writes it, n or n/m, for numbers of any length: str of
+    an int past sys.get_int_max_str_digits() digits raises ValueError, and
+    Decimal(n) is exact and takes no decimal string on the way (eps of
+    Q(sqrt 20000971) has a coordinate of 4,578 digits)."""
+    n, m = str(Decimal(r.numerator)), r.denominator
+    return n if m == 1 else "%s/%s" % (n, Decimal(m))
 
 
 def _real_sign(u: int, v: int, D: int) -> int:

@@ -14,7 +14,7 @@ from iwasawalab.localize import TRUE
 from iwasawalab.padic import PAdicNumber, teichmueller
 from iwasawalab.quadfield import (RealQuadraticField, class_group,
                                   factor_rational_prime, fundamental_unit,
-                                  prime_ideals_above, rational_ideal)
+                                  rational_ideal)
 from iwasawalab.rayclass import ray_class_group
 
 from oracles import (angle, angle_log, degree_zero_pair_element,

@@ -3,10 +3,10 @@ from math import prod
 
 import pytest
 
-from iwasawalab import classfield, rayclass
+from iwasawalab import classfield, iwasawa, rayclass
 from iwasawalab.abgroup import element_order, smith_presentation
-from iwasawalab.classfield import (GaloisGroupG, group_G, frobenius_image,
-                                   e_of_q, even_criterion, cyclotomic_log,
+from iwasawalab.classfield import (group_G, frobenius_image, e_of_q,
+                                   even_criterion, cyclotomic_log,
                                    _transport_hom)
 from iwasawalab.iwasawa import mq_order
 from iwasawalab.ntheory import InternalCheckError, isprime
@@ -176,6 +176,7 @@ def test_mq_order_builds_only_the_levels_it_reads(monkeypatch, d, p, l1, l2,
     """mq_order builds the ray class groups at p^(N+1) and p^(N+3) alone;
     reading `stable` of the group at N builds p^(N+2), once."""
     rayclass._ray_class_group.cache_clear()
+    iwasawa._degree_zero_level.cache_clear()
     built, build = [], rayclass.RayClassGroupData
 
     def record(K, modulus, p):

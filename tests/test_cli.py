@@ -1,9 +1,11 @@
 import json
+import sys
 
 import pytest
 
 from iwasawalab import classfield
 from iwasawalab.cli import main
+from iwasawalab.quadfield import RealQuadraticField, fundamental_unit
 
 
 def run(capsys, *argv):
@@ -62,6 +64,49 @@ def test_unit(capsys):
     code, doc = run_json(capsys, "unit", "--field", "Q(sqrt{2})")
     assert code == 0
     assert doc["norm"] == -1
+
+
+def _reference_decimal(n: int) -> str:
+    """n >= 0 in decimal by repeated division by 10^9, so that no int of
+    more than nine digits is turned into a string."""
+    chunks = []
+    while True:
+        n, r = divmod(n, 10**9)
+        chunks.append(r)
+        if not n:
+            break
+    return str(chunks[-1]) + "".join("%09d" % c for c in reversed(chunks[:-1]))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_unit_prints_coordinates_past_the_int_string_limit(capsys, fmt):
+    """eps of Q(sqrt 20000971) is a + b*w with a < 0 of 4,578 digits, past
+    the 4,300 that str(int) takes; `unit` prints it, exits 0 and leaves the
+    limit as it was."""
+    d = 20000971
+    limit = sys.get_int_max_str_digits()
+    K = RealQuadraticField(d)
+    eps = fundamental_unit(K)
+    assert eps.a < 0 and len(_reference_decimal(-eps.a)) == 4578
+    # D = 4d, so eps = u + v*sqrt(D) = u + 2v*sqrt(d) with integers u, 2v
+    u, v = eps.sqrt_coords()
+    u, v2 = int(u), int(2 * v)
+    assert K.D == 4 * d and u == eps.x + eps.y * K.D // 2 and v2 == eps.y
+    assert u > 0 and v2 > 0
+    if limit:
+        with pytest.raises(ValueError):
+            str(eps.a)
+    want = "%s + %s*sqrt(%d)" % (_reference_decimal(u),
+                                 _reference_decimal(v2), d)
+    code, out = run(capsys, "--format", fmt, "unit", "--field",
+                    "Q(sqrt{%d})" % d)
+    assert code == 0
+    if fmt == "json":
+        assert json.loads(out) == {"field": "Q(sqrt{%d})" % d, "norm": 1,
+                                   "schema": 1, "unit": want}
+    else:
+        assert out == "eps(Q(sqrt{%d})) = %s, norm 1\n" % (d, want)
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_rayclass(capsys):

@@ -108,6 +108,7 @@ def test_mq_order_takes_two_frobenius_classes_per_level(monkeypatch):
         levels.append(G.N)
         return frobenius_class(G, q)
     monkeypatch.setattr(GaloisGroupG, "frobenius_class", counted)
+    iwasawa._degree_zero_level.cache_clear()
     K = RealQuadraticField(79)
     q1 = factor_rational_prime(K, 2).ideals[0]
     q5 = factor_rational_prime(K, 5).ideals[0]
@@ -153,10 +154,16 @@ def test_mq_order_cross_check_is_live(monkeypatch):
         F1, F2, v1, g = rounded(G, q1, q2)
         return F1, F2, v1, G.group.scale(G.p, g)
     monkeypatch.setattr(iwasawa, "_rounded_degree_zero", scaled)
+    # the level memo is emptied before, so that it does not hide the patch,
+    # and after, so that no level read through the patch outlives the test
+    iwasawa._degree_zero_level.cache_clear()
     K = RealQuadraticField(79)
-    with pytest.raises(InternalCheckError,
-                       match="subgroup and element orders disagree"):
-        mq_order(K, 3, (_prime(K, "2"), _prime(K, "5a")), 4)
+    try:
+        with pytest.raises(InternalCheckError,
+                           match="subgroup and element orders disagree"):
+            mq_order(K, 3, (_prime(K, "2"), _prime(K, "5a")), 4)
+    finally:
+        iwasawa._degree_zero_level.cache_clear()
 
 
 # fields, p and q-pairs of mq_order: inert, split and ramified q, and the
@@ -193,6 +200,26 @@ def test_frobenius_module_report_matches_log_route(d, p, s1, s2, N):
     assert _report_fields(rep) == _report_fields(want)
     assert rep.degree_zero_margin == N + 2
     assert rep.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("d,p,s1,s2", MQ_GRID + ALPHA_FIXTURE_PAIRS)
+def test_mq_order_from_the_level_memo_equals_a_fresh_one(d, p, s1, s2, N):
+    """Level N + 2 of the query at N is level N of the query at N + 2, as in
+    the kummer-alpha batches: read from the memo after the query at N + 2,
+    it gives the report that an emptied memo gives."""
+    K = _field(d)
+    Q = (_prime(K, s1), _prime(K, s2))
+    memo = iwasawa._degree_zero_level
+    memo.cache_clear()
+    mq_order(K, p, Q, N + 2)
+    rep = mq_order(K, p, Q, N)
+    assert memo.cache_info().hits == 1
+    memo.cache_clear()
+    fresh = mq_order(K, p, Q, N)
+    assert memo.cache_info().hits == 0
+    assert _report_fields(rep) == _report_fields(fresh)
+    assert rep.to_json() == fresh.to_json()
 
 
 def _outcome(fn, *args):
@@ -276,6 +303,7 @@ def test_cyclotomic_character_needs_no_angle_log_or_plog(monkeypatch, d, p,
     for attr in ("angle_log", "plog"):
         monkeypatch.setattr(oracles, attr, refuse)
     classfield.cyclotomic_log.cache_clear()
+    iwasawa._degree_zero_level.cache_clear()
     with pytest.raises(RuntimeError):
         oracles.angle_log(PAdicNumber.of(2, 3, 3))
     assert answers() == want
@@ -407,6 +435,7 @@ def test_leopoldt_needs_no_log_series_loc_or_rank(monkeypatch):
     def refuse(*args, **kwargs):
         raise RuntimeError("called on the Leopoldt path")
     homes = {"log_series": padic, "loc": localize,
+             "entry_logs": localize, "log_sum": localize,
              "zp_matrix_rank": localize, "completions_above_p": localize,
              "prime_ideals_above": quadfield, "split_root": quadfield,
              "parts_valuation": quadfield, "ideal_valuation": quadfield,
@@ -420,7 +449,7 @@ def test_leopoldt_needs_no_log_series_loc_or_rank(monkeypatch):
                     monkeypatch.setattr(module, attr, refuse)
                     patched.add((name, attr))
     assert {("iwasawalab.residues", "log_series"),
-            ("iwasawalab.kummer", "loc"),
+            ("iwasawalab.kummer", "entry_logs"),
             ("iwasawalab.localize", "split_root")} <= patched
     monkeypatch.setattr(quadfield.FieldElement, "__pow__", refuse)
     monkeypatch.setattr(quadfield.IntegralIdeal, "__init__", refuse)

@@ -1,11 +1,12 @@
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from iwasawalab import localize
 from iwasawalab.iwasawa import mq_generator, mq_order
-from iwasawalab.kummer import (KummerCertificate, construct_alpha,
-                               verify_alpha, kummer_rank)
+from iwasawalab.kummer import construct_alpha, verify_alpha, kummer_rank
 from iwasawalab.localize import TRUE, FALSE, INDET, completions_above_p
 from iwasawalab.padic import PAdicNumber, vp
 from iwasawalab.quadfield import (RealQuadraticField, SUnitBasisData,
@@ -296,3 +297,40 @@ def test_alpha_needs_no_unramified_quad_elem(monkeypatch):
     with pytest.raises(RuntimeError):
         oracles.UnramifiedQuadElem.from_residues(1, 0, 2, 5, 3)
     assert answers() == want
+
+
+def _grid_case(d, p, s1, s2):
+    K = QQ if d == 1 else RealQuadraticField(d)
+    return K, (_prime(K, s1), _prime(K, s2))
+
+
+@pytest.mark.parametrize("d,p,s1,s2", ALPHA_GRID)
+def test_construct_alpha_takes_each_unit_log_once(monkeypatch, d, p, s1, s2):
+    """construct_alpha takes the unit log of each basis entry once at each
+    prime above p: the unit correction, eps included, and the torsion
+    clause read the same table."""
+    K, Q = _grid_case(d, p, s1, s2)
+    calls = []
+    real = localize._element_unit_log
+
+    def counted(x, q, N):
+        calls.append(((x.a, x.b, x.den), q.key(), N))
+        return real(x, q, N)
+    monkeypatch.setattr(localize, "_element_unit_log", counted)
+    cert = construct_alpha(K, p, Q, 3)
+    assert cert.status == "accepted"
+    want = Counter(((e.element.a, e.element.b, e.element.den), q.key(), 3)
+                   for e in cert.alpha.entries
+                   for q in completions_above_p(K, p))
+    assert Counter(calls) == want
+
+
+@pytest.mark.parametrize("N", [2, 3, 5])
+@pytest.mark.parametrize("d,p,s1,s2", ALPHA_GRID)
+def test_verify_alpha_of_a_constructed_alpha_gives_its_certificate(d, p, s1,
+                                                                   s2, N):
+    """verify_alpha builds its log table as construct_alpha does, so the
+    certificate it gives for the constructed alpha is the same document."""
+    K, Q = _grid_case(d, p, s1, s2)
+    cert = construct_alpha(K, p, Q, N)
+    assert verify_alpha(cert.alpha, K, p, Q, N).to_json() == cert.to_json()

@@ -14,9 +14,8 @@ from iwasawalab.abgroup import decompose_abelian
 from iwasawalab.quadfield import (_cycle_of, _ideal_to_pair, _is_reduced_pair,
                                   _o_walk, _pair_to_ideal, _reduced_pairs,
                                   _reduction_bound, _rho_step)
-from iwasawalab.quadfield import (RealQuadraticField, FieldElement,
-                                  IntegralIdeal, SUnitBasisData,
-                                  ClassGroupData,
+from iwasawalab.quadfield import (RealQuadraticField, IntegralIdeal,
+                                  SUnitBasisData, ClassGroupData,
                                   factor_rational_prime, class_group,
                                   fundamental_unit,
                                   principal_generator, ideal_from_element,

@@ -10,7 +10,8 @@
   to outside its own definition (a dead path), but those of CALLED_BY_NAME:
   a use by the tests or the benchmark alone, or a mention in a string or a
   comment, does not keep a definition live;
-- no name bound by a module-level import that its module never uses;
+- no name bound by a module-level import that its module never uses, in
+  `src/` and in the test modules of `tests/` alike;
 - no `X.__new__(...)` call outside a `__new__` method, which would build
   an object round its constructor;
 - no `Fraction(...)` call outside the input points of FRACTION_INPUTS: the
@@ -21,7 +22,10 @@
 - no module-level or class-level binding of a mutable container (a
   display, a comprehension or a `dict()`, `list()` or `set()` call) but
   those of MUTABLE_BINDINGS: a memo table is a `functools.lru_cache`, which
-  reports its hits, misses and size and can be cleared.
+  reports its hits, misses and size and can be cleared;
+- no memo that keeps every entry: each `lru_cache` writes out a positive
+  int `maxsize`, and no function is decorated with `functools.cache`, but
+  the tables of UNBOUNDED_CACHES.
 
 Besides, `iwasawalab.__all__` names exactly what `__init__.py` imports.
 """
@@ -38,6 +42,7 @@ import iwasawalab
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "iwasawalab"
 MODULES = sorted(SRC.glob("*.py"))
+TEST_MODULES = sorted((ROOT / "tests").glob("*.py"))
 
 
 # Class.method names, where a Fraction may be built
@@ -66,10 +71,20 @@ CALLED_BY_NAME = {"_Parser.error"}
 # compares fields by identity
 MUTABLE_BINDINGS = {"__all__", "RealQuadraticField._cache"}
 
+# module.function names of the lru_cache tables that keep every entry they
+# are asked for.  A name leaves the set when its table gets a finite
+# maxsize, and no name joins it: it held five when the rule came in, and
+# test_unbounded_caches_only_shrink keeps it at most that.
+UNBOUNDED_CACHES = {"quadfield.class_group", "quadfield.fundamental_unit",
+                    "quadfield._o_walk", "rayclass._ray_class_group",
+                    "classfield.cyclotomic_log"}
 
-def _trees():
+
+def _trees(paths=None):
+    """(file name, syntax tree) of each module of `paths`, by default those
+    of `src/`."""
     return [(path.name, ast.parse(path.read_text(), str(path)))
-            for path in MODULES]
+            for path in (MODULES if paths is None else paths)]
 
 
 def _functions(tree):
@@ -215,14 +230,55 @@ def _used_names(tree):
     return used
 
 
-def test_no_unused_import():
+def _unused_imports(trees):
     found = []
-    for name, tree in _trees():
+    for name, tree in trees:
         used = _used_names(tree)
         found.extend("%s %s" % (_where(name, node), bound)
                      for node, bound in _imported_names(tree)
                      if bound not in used)
-    assert found == []
+    return found
+
+
+def test_no_unused_import():
+    assert _unused_imports(_trees()) == []
+
+
+def test_no_unused_import_in_tests():
+    assert _unused_imports(_trees(TEST_MODULES)) == []
+
+
+def _unbounded_caches():
+    """module.function for each function or method of `src/` whose memo
+    keeps every entry: one decorated with `cache`, or with an `lru_cache`
+    that does not write out a positive int maxsize."""
+    found = set()
+    for name, tree in _trees():
+        for fn in _functions(tree):
+            for deco in fn.decorator_list:
+                call = deco if isinstance(deco, ast.Call) else None
+                head = call.func if call else deco
+                kind = getattr(head, "id", getattr(head, "attr", None))
+                if kind not in ("cache", "lru_cache"):
+                    continue
+                given = call.args[:1] + [k.value for k in call.keywords
+                                         if k.arg == "maxsize"] \
+                    if kind == "lru_cache" and call else []
+                size = getattr(given[0], "value", None) if given else None
+                if not (isinstance(size, int) and size > 0):
+                    found.add("%s.%s" % (name[:-3], fn.name))
+    return found
+
+
+def test_every_lru_cache_has_a_finite_maxsize():
+    assert sorted(_unbounded_caches() - UNBOUNDED_CACHES) == []
+
+
+def test_unbounded_caches_only_shrink():
+    """Each name of UNBOUNDED_CACHES still names an unbounded table, so an
+    exemption goes when its table gets a maxsize, and none is added."""
+    assert sorted(UNBOUNDED_CACHES - _unbounded_caches()) == []
+    assert len(UNBOUNDED_CACHES) <= 5
 
 
 def test_no_constructor_bypass():
@@ -340,6 +396,23 @@ def test_exports_are_the_imports_of_init():
     ("import os\nfrom .kummer import construct_alpha, verify_alpha\n\n\n"
      "def f():\n    return os.sep, construct_alpha\n",
      test_no_unused_import),
+    ("import pytest\nfrom iwasawalab.kummer import KummerCertificate\n\n\n"
+     "def test_f():\n    with pytest.raises(ValueError):\n"
+     "        raise ValueError\n",
+     test_no_unused_import_in_tests),
+    ("from functools import lru_cache\n\n\n@lru_cache(maxsize=None)\n"
+     "def table(n):\n    return n\n",
+     test_every_lru_cache_has_a_finite_maxsize),
+    ("import functools\n\n\n@functools.lru_cache(16)\ndef small(n):\n"
+     "    return n\n\n\n@functools.cache\ndef table(n):\n    return n\n",
+     test_every_lru_cache_has_a_finite_maxsize),
+    ("from functools import lru_cache\n\n\n@lru_cache\n"
+     "def table(n):\n    return n\n",
+     test_every_lru_cache_has_a_finite_maxsize),
+    ("from functools import lru_cache\n\n\nclass Field:\n"
+     "    @staticmethod\n    @lru_cache(maxsize=None)\n"
+     "    def of(d):\n        return d\n",
+     test_every_lru_cache_has_a_finite_maxsize),
     ("class Basis:\n    def __init__(self):\n        self.entries = []\n\n\n"
      "def f():\n    basis = Basis.__new__(Basis)\n"
      "    basis.entries = [1]\n    return basis\n",
@@ -358,6 +431,7 @@ def test_each_check_catches_its_rule(source, check, tmp_path, monkeypatch):
     module = tmp_path / "bad.py"
     module.write_text(source)
     monkeypatch.setattr(sys.modules[__name__], "MODULES", [module])
+    monkeypatch.setattr(sys.modules[__name__], "TEST_MODULES", [module])
     with pytest.raises(AssertionError):
         check()
 
