@@ -4,7 +4,7 @@ lattices of elements given by their coordinates.
 
 All matrices are lists of rows of Python ints; everything is exact.  The
 one integer-matrix kernel is smith_normal_form; the relations of
-decompose_abelian and relation_lattice come out triangular from a table
+decompose_abelian and relation_lattice come out triangular from one table
 walk and need no solver.
 """
 
@@ -314,6 +314,25 @@ def subgroup_image_order(G: FiniteAbelianGroup, gens) -> int:
 
 # ------------------------------------------- decomposition of abstract groups
 
+def _polycyclic_step(table, g, op, identity):
+    """One step of the polycyclic walk of decompose_abelian and
+    relation_lattice.  `table` maps each element of a subgroup H to its
+    vector over the generators taken so far, and g^m, m >= 1 least, is the
+    first power of g in H.  The table grows m-fold, to H<g>, by the
+    products with g, ..., g^(m - 1), each vector taking one more
+    coordinate; the relation m e - vec(g^m) comes back as a row, its last
+    entry m."""
+    powers = [identity, g]
+    while powers[-1] not in table:
+        powers.append(op(powers[-1], g))
+    top = table[powers.pop()]  # the vector of g^m, m = len(powers)
+    for t, vec in list(table.items()):
+        table[t] = vec + (0,)
+        for j, x in enumerate(powers[1:], 1):
+            table[x if t == identity else op(t, x)] = vec + (j,)
+    return [-c for c in top] + [len(powers)]
+
+
 def decompose_abelian(elements, op, identity):
     """Decompose a finite abelian group given by its multiplication law.
 
@@ -323,30 +342,19 @@ def decompose_abelian(elements, op, identity):
     coordinate tuple, a bijection onto prod Z/d_i that turns op into +.
 
     The elements are taken in decreasing order; each one not yet in the
-    table becomes g_k, with m_k the least power of g_k in it.  The table,
-    every element as a vector over g_1, ..., g_k, grows m_k-fold by the
-    products with g_k, ..., g_k^(m_k - 1), and m_k e_k - vec(g_k^m_k) is a
-    relation.  These triangular relations are a polycyclic presentation of
-    the group (Sims, Computation with Finitely Presented Groups, 1994); its
-    Smith form modulo the order h (Cohen, GTM 138, sec. 2.4) gives the
-    invariant factors and projects each vector to its coordinates.  The law
-    is applied h - 1 times.
+    table becomes g_k, a step of _polycyclic_step.  Its triangular
+    relations are a polycyclic presentation of the group (Sims,
+    Computation with Finitely Presented Groups, 1994); its Smith form
+    modulo the order h (Cohen, GTM 138, sec. 2.4) gives the invariant
+    factors and projects each vector to its coordinates.  The law is
+    applied h - 1 times.
     """
     elements = sorted(elements, reverse=True)
     table = {identity: ()}
     rels = []
     for g in elements:
-        if g in table:
-            continue
-        powers = [identity, g]
-        while powers[-1] not in table:
-            powers.append(op(powers[-1], g))
-        top = table[powers.pop()]  # the vector of g^m, m = len(powers)
-        rels.append([-c for c in top] + [len(powers)])
-        for t, vec in list(table.items()):
-            table[t] = vec + (0,)
-            for j, x in enumerate(powers[1:], 1):
-                table[x if t == identity else op(t, x)] = vec + (j,)
+        if g not in table:
+            rels.append(_polycyclic_step(table, g, op, identity))
     k, h = len(rels), len(table)
     G = smith_presentation([r + [0] * (k - len(r)) for r in rels], k,
                            modulus=h)
@@ -364,11 +372,9 @@ def relation_lattice(coords, orders):
     among elements c_1, ..., c_n of Z/d_1 x ... x Z/d_k, given as
     coordinate tuples reduced modulo `orders` (d_1, ..., d_k).
 
-    The span of c_1, ..., c_(i-1) is kept as a table, every element with
-    its vector over them.  With m_i >= 1 the least multiple of c_i in the
-    table, row i is m_i e_i - vec(m_i c_i), and the table grows m_i-fold by
-    the sums with c_i, ..., (m_i - 1) c_i: the polycyclic relations of
-    decompose_abelian, so the table never exceeds d_1 * ... * d_k entries.
+    Step i of _polycyclic_step adds c_i to the span of c_1, ..., c_(i-1),
+    so row i is m_i e_i - vec(m_i c_i), m_i >= 1 the least multiple of c_i
+    in that span, and the table never exceeds d_1 * ... * d_k entries.
     The basis is lower triangular with diagonal m_1, ..., m_n, since the
     last nonzero entry of any relation is a multiple of its m_i."""
     n = len(coords)
@@ -378,15 +384,5 @@ def relation_lattice(coords, orders):
 
     zero = tuple(0 for _ in orders)
     table = {zero: ()}
-    rows = []
-    for i, c in enumerate(coords):
-        multiples = [zero, tuple(c)]
-        while multiples[-1] not in table:
-            multiples.append(add(multiples[-1], c))
-        top = table[multiples.pop()]  # the vector of m*c, m = len(multiples)
-        rows.append([-t for t in top] + [len(multiples)] + [0] * (n - i - 1))
-        for t, vec in list(table.items()):
-            table[t] = vec + (0,)
-            for j, x in enumerate(multiples[1:], 1):
-                table[add(t, x)] = vec + (j,)
-    return rows
+    rows = [_polycyclic_step(table, tuple(c), add, zero) for c in coords]
+    return [r + [0] * (n - len(r)) for r in rows]

@@ -184,8 +184,8 @@ def _check_certificate(alpha: SUnitProduct, K: RealQuadraticField, p: int,
         return cert
 
     # (ii) nonzero valuations generating the same ideal of Z_p
-    v1 = alpha.valuation_at(q1.key())
-    v2 = alpha.valuation_at(q2.key())
+    v1 = alpha.valuation_at(q1)
+    v2 = alpha.valuation_at(q2)
     cert.val_q1, cert.val_q2 = v1, v2
     if v1.is_marker or v2.is_marker:
         cert.status = "indeterminate"
@@ -196,7 +196,7 @@ def _check_certificate(alpha: SUnitProduct, K: RealQuadraticField, p: int,
     cert.a_exponent = v1.v
 
     # (iii) the localization of alpha at p is torsion
-    verdicts = [torsion_status(alpha.valuation_at(q.key()),
+    verdicts = [torsion_status(alpha.valuation_at(q),
                                log_sum(alpha.exponents, lg))
                 for q, lg in logs]
     if FALSE in verdicts:

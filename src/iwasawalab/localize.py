@@ -88,7 +88,7 @@ def loc(x, q: IntegralIdeal, p: int, N: int):
         return _element_unit_log(x, q, N)
     if not isinstance(x, SUnitProduct):
         raise TypeError("loc expects a FieldElement or SUnitProduct")
-    val = x.valuation_at(q.key())
+    val = x.valuation_at(q)
     if not with_log:
         return val, ()
     return val, log_sum(x.exponents, entry_logs(x.entries, q, N))
@@ -140,11 +140,11 @@ def torsion_status(val, unit_log) -> str:
 
 def eq_membership(x: SUnitProduct, Q_ideals) -> bool:
     """Does x lie in the completed Q-unit group, i.e. supported on Q only?"""
-    allowed = {q.key() for q in Q_ideals}
-    for key in x.support_keys():
-        if key in allowed:
+    allowed = set(Q_ideals)
+    for q in x.support_keys():
+        if q in allowed:
             continue
-        v = x.valuation_at(key)
+        v = x.valuation_at(q)
         if not v.is_marker:
             return False
     return True

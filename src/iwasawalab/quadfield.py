@@ -12,7 +12,7 @@ principality by its own walk to the principal cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -26,31 +26,33 @@ from .ntheory import (InternalCheckError, extgcd, is_squarefree, isprime,
 from .padic import PAdicNumber, vp
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class RealQuadraticField:
-    """F = Q(sqrt d) for squarefree d > 1, or F = Q (d is None).
+    """F = Q(sqrt d) for squarefree d > 1, or F = Q (d is None): a value,
+    equal to and hashed as any other field of the same d.
 
     Integral basis {1, w} with w = (D + sqrt D)/2, D the discriminant;
     w_trace = D and w_norm = (D^2 - D)/4 are the trace and norm of w.
     """
+    d: int | None
+    D: int = field(compare=False)
+    sqrtD_floor: int = field(compare=False)
+    w_trace: int = field(compare=False)
+    w_norm: int = field(compare=False)
 
-    _cache = {}
-
-    def __new__(cls, d):
-        if d in cls._cache:
-            return cls._cache[d]
-        self = super().__new__(cls)
+    def __init__(self, d):
         if d is None:
-            self.d = None
-            self.D = 1
+            D = 1
         else:
             if d <= 1 or not is_squarefree(d):
                 raise ValueError("d must be squarefree and > 1, got %r" % d)
-            self.d = d
-            self.D = d if d % 4 == 1 else 4 * d
-        self.sqrtD_floor = isqrt(self.D)
-        self.w_trace, self.w_norm = self.D, (self.D * self.D - self.D) // 4
-        cls._cache[d] = self
-        return self
+            D = d if d % 4 == 1 else 4 * d
+        _set = object.__setattr__
+        _set(self, "d", d)
+        _set(self, "D", D)
+        _set(self, "sqrtD_floor", isqrt(D))
+        _set(self, "w_trace", D)
+        _set(self, "w_norm", (D * D - D) // 4)
 
     @property
     def is_rational(self) -> bool:
@@ -128,7 +130,7 @@ class FieldElement:
         return Fraction(self.b, self.den)
 
     def _check(self, other):
-        if self.field is not other.field:
+        if self.field != other.field:
             raise ValueError("elements of different fields")
 
     def __add__(self, other):
@@ -265,9 +267,6 @@ class IntegralIdeal:
     @property
     def norm(self) -> int:
         return self.a if self.field.is_rational else self.a * self.c
-
-    def key(self):
-        return (self.a, self.b, self.c)
 
     def __str__(self):
         return "(%d; %d; %d)" % (self.a, self.b, self.c)
@@ -536,15 +535,12 @@ def _is_reduced_pair(K, P, Q):
 
 
 def _cycle_of(K: RealQuadraticField, P: int, Q: int):
-    """The cycle of reduced states reached from (P, Q), as a sorted tuple."""
-    seen = {}
-    seq = []
+    """The cycle of reduced states reached from (P, Q), in walk order."""
+    seen = {}                   # state -> step, in the order of the walk
     while (P, Q) not in seen:
-        seen[(P, Q)] = len(seq)
-        seq.append((P, Q))
+        seen[(P, Q)] = len(seen)
         _, P, Q = _rho_step(K, P, Q)
-    start = seen[(P, Q)]
-    return tuple(sorted(seq[start:]))
+    return list(seen)[seen[(P, Q)]:]
 
 
 def _reduced_pairs(K: RealQuadraticField):
@@ -561,9 +557,10 @@ def _reduced_pairs(K: RealQuadraticField):
 class ClassGroupData:
     """Ideal class group with a concrete dlog map via reduction cycles.
 
-    A class is keyed by its cycle of reduced states, as a sorted tuple.
-    The build walks each cycle once, from the first reduced pair not yet
-    indexed, and _key maps every state of every cycle to its key.  The
+    A class is keyed by the least reduced state of its cycle; cycles are
+    disjoint, so the keys sort as the cycles' sorted tuples do.  The build
+    walks each cycle once, from the first reduced pair not yet indexed,
+    and _key maps every state of every cycle to its key.  The
     decomposition's orders are the invariant factors and its dlog gives
     coordinates in their basis, so an element of `group` is its dlog."""
 
@@ -581,13 +578,13 @@ class ClassGroupData:
         for state in _reduced_pairs(K):
             if state not in self._key:
                 cycle = _cycle_of(K, *state)
-                self._key.update(dict.fromkeys(cycle, cycle))
+                self._key.update(dict.fromkeys(cycle, min(cycle)))
         self.cycle_keys = sorted(set(self._key.values()))
         self.h = len(self.cycle_keys)
         self.principal_key = self.key_of(unit_ideal(K))
 
         def kmul(k1, k2):
-            I = _pair_to_ideal(K, *k1[0]) * _pair_to_ideal(K, *k2[0])
+            I = _pair_to_ideal(K, *k1) * _pair_to_ideal(K, *k2)
             return self.key_of(I)
 
         self.gen_keys, self.gen_orders, self._dlog = decompose_abelian(
@@ -627,8 +624,10 @@ class ClassGroupData:
         return self.group.invariant_factors
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def class_group(K: RealQuadraticField) -> ClassGroupData:
+    """The class group of K, kept for the 32 fields last asked for: a batch
+    of 160 ray class groups over 25 fields keeps its repeats with 21."""
     return ClassGroupData(K)
 
 
@@ -645,11 +644,12 @@ def _exact_quotient(K: RealQuadraticField, num, den, what: str):
     return x // n, y // n
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _o_walk(K: RealQuadraticField):
     """The principal-cycle table: dict (P, Q) -> (x, y), the gamma product
     x + y*w of the walk of the unit ideal up to that state, over one full
-    period.  Only principal_generator reads it.
+    period.  Only principal_generator reads it, and the tables of the 16
+    fields last asked for are kept: a Kummer batch over 12 fields reads 8.
 
     A step takes tau_k = (P + sqrt D)/Q to tau_{k+1} = 1/(tau_k - a_k), and
     Z + Z*tau_k = gamma * (Z + Z*tau_{k+1}) with gamma = 1/tau_{k+1}.  The
@@ -666,10 +666,12 @@ def _o_walk(K: RealQuadraticField):
     return acc
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def fundamental_unit(K: RealQuadraticField) -> FieldElement:
     """The unit eps > 1 generating the units modulo {-1}, from half a
-    period of the principal cycle.
+    period of the principal cycle.  The units of the 32 fields last asked
+    for are kept: a batch of 160 ray class groups over 25 fields keeps all
+    its repeats with 14 slots.
 
     The walk of _o_walk from (P_0, Q_0) = (D, 2) reaches the states of the
     reduced ideals I_k = [Q_k/2, (P_k + sqrt D)/2], with I_0 = O, and
@@ -816,7 +818,7 @@ def unit_decompose(K: RealQuadraticField, u: FieldElement):
 @dataclass(frozen=True)
 class SUnitBasisEntry:
     element: FieldElement
-    valuations: dict          # prime-ideal key -> exact nonzero valuation
+    valuations: dict          # prime ideal -> exact nonzero valuation
     label: str
     kind: str                 # "torsion" | "unit" | "lattice"
 
@@ -828,7 +830,7 @@ def s_unit_entry(element: FieldElement, primes, label: str, kind: str):
     for q in primes:
         v = ideal_valuation(element, q)
         if v:
-            vals[q.key()] = v
+            vals[q] = v
     return SUnitBasisEntry(element, vals, label, kind)
 
 
@@ -885,7 +887,7 @@ class SUnitBasisData:
                              "lattice") for w in self.lattice]
         for w, entry in zip(self.lattice, gens):
             for q, wq in zip(self.primes, w):
-                if entry.valuations.get(q.key(), 0) != wq:
+                if entry.valuations.get(q, 0) != wq:
                     raise InternalCheckError("lattice generator has the wrong "
                                              "valuation at %s" % (q,))
         self.entries = unit_entries(K) + tuple(gens)
@@ -933,20 +935,20 @@ class SUnitProduct:
             return e
         return PAdicNumber.exact(int(e), self.p, self.prec + 4)
 
-    def valuation_at(self, q_key) -> PAdicNumber:
+    def valuation_at(self, q: IntegralIdeal) -> PAdicNumber:
         total = PAdicNumber.exact(0, self.p, self.prec + 4)
         for e, entry in zip(self.exponents, self.entries):
-            v = entry.valuations.get(q_key, 0)
+            v = entry.valuations.get(q, 0)
             if v:
                 total = total + e * PAdicNumber.exact(v, self.p, self.prec + 4)
         return total
 
     def support_keys(self):
-        keys = set()
-        for e, entry in zip(self.exponents, self.entries):
-            if not (e.is_marker and e.is_exact_zero):
-                keys.update(entry.valuations.keys())
-        return keys
+        """The prime ideals where an entry whose exponent is not exactly 0
+        has a nonzero valuation."""
+        return {q for e, entry in zip(self.exponents, self.entries)
+                if not (e.is_marker and e.is_exact_zero)
+                for q in entry.valuations}
 
     def to_json(self):
         return {

@@ -9,7 +9,7 @@ presented by generators and relations:
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import reduce
 from math import prod
 
 from .abgroup import FiniteAbelianGroup, GroupElement, lattice_index, \
@@ -182,15 +182,11 @@ def p_part(n: int, p: int) -> int:
     return p ** vp(n, p)
 
 
-@lru_cache(maxsize=None)
-def _ray_class_group(K: RealQuadraticField, modulus, p: int):
-    return RayClassGroupData(K, modulus, p)
-
-
 def ray_class_group(K: RealQuadraticField, modulus, p: int) \
         -> RayClassGroupData:
     """The ray class group of conductor `modulus`, an IntegralIdeal or an
-    int n for the ideal (n), built once per (K, ideal, p)."""
+    int n for the ideal (n), built on each call: mq_order keeps the levels
+    it reads again in its own memo."""
     if not isinstance(modulus, IntegralIdeal):
         modulus = rational_ideal(K, modulus)
-    return _ray_class_group(K, modulus, p)
+    return RayClassGroupData(K, modulus, p)

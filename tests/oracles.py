@@ -695,7 +695,7 @@ class FractionElement:
     y: Fraction
 
     def _check(self, other):
-        if self.field is not other.field:
+        if self.field != other.field:
             raise ValueError("elements of different fields")
 
     def __add__(self, other):

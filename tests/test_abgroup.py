@@ -475,8 +475,8 @@ def test_decompose_abelian_class_groups_d_below_2000():
         seen += 1
 
         def kmul(k1, k2):
-            return clg.key_of(_pair_to_ideal(K, *k1[0]) *
-                              _pair_to_ideal(K, *k2[0]))
+            return clg.key_of(_pair_to_ideal(K, *k1) *
+                              _pair_to_ideal(K, *k2))
         keys = clg.cycle_keys
         check_decomposition(keys, kmul, clg.principal_key,
                             (clg.gen_keys, clg.gen_orders, clg._dlog),

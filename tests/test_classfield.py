@@ -174,13 +174,12 @@ MQ_LEVELS = [(1, 3, 2, 5), (2, 5, 2, 3), (79, 3, 2, 5), (10, 3, 7, 41)]
 def test_mq_order_builds_only_the_levels_it_reads(monkeypatch, d, p, l1, l2,
                                                   N):
     """mq_order builds the ray class groups at p^(N+1) and p^(N+3) alone;
-    reading `stable` of the group at N builds p^(N+2), once."""
-    rayclass._ray_class_group.cache_clear()
+    reading `stable` of the group G it keeps at N builds p^(N+2), once."""
     iwasawa._degree_zero_level.cache_clear()
     built, build = [], rayclass.RayClassGroupData
 
     def record(K, modulus, p):
-        built.append(modulus.key())
+        built.append(modulus.norm)
         return build(K, modulus, p)
     monkeypatch.setattr(rayclass, "RayClassGroupData", record)
     K = QQ if d == 1 else RealQuadraticField(d)
@@ -189,12 +188,12 @@ def test_mq_order_builds_only_the_levels_it_reads(monkeypatch, d, p, l1, l2,
 
     def levels():
         return sorted(built)
-    want = sorted(rational_ideal(K, p**M).key() for M in (N + 1, N + 3))
+    want = sorted(rational_ideal(K, p**M).norm for M in (N + 1, N + 3))
     assert levels() == want
-    G = group_G(K, p, N)
+    G = iwasawa._degree_zero_level(K, p, N, *Q)[0]
     assert levels() == want
     assert G.stable in (True, False)
-    want = sorted(want + [rational_ideal(K, p**(N + 2)).key()])
+    want = sorted(want + [rational_ideal(K, p**(N + 2)).norm])
     assert levels() == want
 
     def refuse(*args):

@@ -314,12 +314,12 @@ def test_construct_alpha_takes_each_unit_log_once(monkeypatch, d, p, s1, s2):
     real = localize._element_unit_log
 
     def counted(x, q, N):
-        calls.append(((x.a, x.b, x.den), q.key(), N))
+        calls.append(((x.a, x.b, x.den), q, N))
         return real(x, q, N)
     monkeypatch.setattr(localize, "_element_unit_log", counted)
     cert = construct_alpha(K, p, Q, 3)
     assert cert.status == "accepted"
-    want = Counter(((e.element.a, e.element.b, e.element.den), q.key(), 3)
+    want = Counter(((e.element.a, e.element.b, e.element.den), q, 3)
                    for e in cert.alpha.entries
                    for q in completions_above_p(K, p))
     assert Counter(calls) == want

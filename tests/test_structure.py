@@ -24,8 +24,7 @@
   those of MUTABLE_BINDINGS: a memo table is a `functools.lru_cache`, which
   reports its hits, misses and size and can be cleared;
 - no memo that keeps every entry: each `lru_cache` writes out a positive
-  int `maxsize`, and no function is decorated with `functools.cache`, but
-  the tables of UNBOUNDED_CACHES.
+  int `maxsize`, and no function is decorated with `functools.cache`.
 
 Besides, `iwasawalab.__all__` names exactly what `__init__.py` imports.
 """
@@ -67,17 +66,8 @@ REFERENCE_ONLY = {
 CALLED_BY_NAME = {"_Parser.error"}
 
 # module- and class-level names that may be bound to a mutable container:
-# the export list, and the intern table of fields, since FieldElement
-# compares fields by identity
-MUTABLE_BINDINGS = {"__all__", "RealQuadraticField._cache"}
-
-# module.function names of the lru_cache tables that keep every entry they
-# are asked for.  A name leaves the set when its table gets a finite
-# maxsize, and no name joins it: it held five when the rule came in, and
-# test_unbounded_caches_only_shrink keeps it at most that.
-UNBOUNDED_CACHES = {"quadfield.class_group", "quadfield.fundamental_unit",
-                    "quadfield._o_walk", "rayclass._ray_class_group",
-                    "classfield.cyclotomic_log"}
+# the export list alone
+MUTABLE_BINDINGS = {"__all__"}
 
 
 def _trees(paths=None):
@@ -271,14 +261,7 @@ def _unbounded_caches():
 
 
 def test_every_lru_cache_has_a_finite_maxsize():
-    assert sorted(_unbounded_caches() - UNBOUNDED_CACHES) == []
-
-
-def test_unbounded_caches_only_shrink():
-    """Each name of UNBOUNDED_CACHES still names an unbounded table, so an
-    exemption goes when its table gets a maxsize, and none is added."""
-    assert sorted(UNBOUNDED_CACHES - _unbounded_caches()) == []
-    assert len(UNBOUNDED_CACHES) <= 5
+    assert sorted(_unbounded_caches()) == []
 
 
 def test_no_constructor_bypass():
