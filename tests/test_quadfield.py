@@ -66,7 +66,7 @@ def test_fields_are_values():
         factor_rational_prime(L, 3).ideals[0]
     assert q == r and hash(q) == hash(r)
     assert q * r.conj() == rational_ideal(L, 3)
-    assert ideal_from_element(x) * q == ideal_from_element(L.element(3, 1)) * r
+    assert ideal_from_element(x) * r == ideal_from_element(L.element(3, 1)) * q
     assert ideal_valuation(L.element(3), q) == 1
     assert class_group(L).key_of(q) == class_group(K).key_of(r)
     z = Q2.element(1, 1)
