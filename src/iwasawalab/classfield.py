@@ -4,6 +4,9 @@ of conductor p^(N+1), together with Frobenius images, the degree map
 (normalized by log(1+p)), and the even-side inertia-order criterion.
 The cyclotomic character is read by cyclotomic_log alone; stability is
 computed on first read of GaloisGroupG.stable, at conductor p^(N+2).
+Every conductor p^M is read from the tower of (F, p),
+rayclass.ray_class_tower: a quotient of the highest one built, so
+a stability check after a higher level builds nothing new.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from .ntheory import InternalCheckError
 from .padic import PAdicNumber, log_series, unit_log_residues, vp
 from .quadfield import (IntegralIdeal, RealQuadraticField, check_odd_prime,
                         rational_ideal, residue_char)
-from .rayclass import ray_class_group
+from .rayclass import ray_class_group, ray_class_tower
 from .residues import DlogPlan, ModularUnits
 
 
@@ -91,11 +94,11 @@ class GaloisGroupG:
     @cached_property
     def stable(self) -> bool:
         """Factor-by-factor comparison with the p-part at conductor
-        p^(N+2), built on first read: every invariant factor must persist
-        or scale by exactly p at the top."""
+        p^(N+2), read from the tower on first read: every invariant factor
+        must persist or scale by exactly p at the top."""
         p = self.p
         a = sorted(self.group.invariant_factors)
-        b = sorted(ray_class_group(self.field, p**(self.N + 2), p)
+        b = sorted(ray_class_tower(self.field, p).level(self.N + 2)
                    .p_group.invariant_factors)
         return len(a) == len(b) and all(y in (x, p * x)
                                         for x, y in zip(a, b))
@@ -119,7 +122,7 @@ def _cyc_hom_on_invariants(rc, p: int, M: int):
     generator lifts of the presentation; consistency on all relations is
     checked.
     """
-    norms = rc.units.gen_norm_ints() + [g.norm for g in rc.class_gen_ideals]
+    norms = rc.unit_norms + [g.norm for g in rc.class_gen_ideals]
     c_ambient = [cyclotomic_log(n, p, M) for n in norms]
     mod = p**(M - 1)
     for row in rc.relations:
@@ -149,13 +152,14 @@ def _transport_hom(rc, c_ambient, mod):
 
 
 def group_G(K: RealQuadraticField, p: int, N: int) -> GaloisGroupG:
-    """The Galois group model at precision N (ray conductor p^(N+1)); its
-    `stable` is checked against conductor p^(N+2) when first read."""
+    """The Galois group model at precision N (ray conductor p^(N+1), read
+    from the tower of (K, p)); its `stable` is checked against conductor
+    p^(N+2) when first read."""
     if N < 1:
         raise ValueError("N must be at least 1")
     check_odd_prime(p, K)
     M = N + 1
-    rc = ray_class_group(K, p**M, p)
+    rc = ray_class_tower(K, p).level(M)
     return GaloisGroupG(K, p, N, rc, rc.p_group,
                         _cyc_hom_on_invariants(rc, p, M))
 
@@ -182,13 +186,14 @@ def even_criterion(K: RealQuadraticField, p: int, q: IntegralIdeal, N: int):
         q = rational_ideal(K, q)
     eq = e_of_q(q, p)
     orders = []
-    for M in (N + 1, N + 2):
+    # p^(N+2) first, so that p^(N+1) is read as its quotient
+    for M in (N + 2, N + 1):
         top = ray_class_group(K, q * rational_ideal(K, p**M), p)
-        bot = ray_class_group(K, p**M, p)
+        bot = ray_class_tower(K, p).level(M)
         if top.p_order % bot.p_order:
             raise InternalCheckError("ray class order at q*p^M is not a "
                                      "multiple of the order at p^M")
-        orders.append(top.p_order // bot.p_order)
+        orders.insert(0, top.p_order // bot.p_order)
     status = "pass" if orders[0] == orders[1] == eq else \
         ("indeterminate" if orders[0] != orders[1] else "fail")
     return {

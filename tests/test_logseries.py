@@ -373,7 +373,7 @@ def test_split_root_raises_off_a_root():
 
 def test_split_root_lifts_once_per_pair():
     """A second call at the same (q, e) is a cache hit, not a new lift, and
-    a sweep of 256 pairs keeps no more than the 128 of the bound."""
+    a sweep of 512 pairs keeps no more than the 256 of the bound."""
     K = RealQuadraticField(2)
     q = factor_rational_prime(K, 7).ideals[0]
     split_root.cache_clear()
@@ -382,7 +382,7 @@ def test_split_root_lifts_once_per_pair():
     info = split_root.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
     bound = info.maxsize
-    assert bound == 128
+    assert bound == 256
     for e in range(1, 2 * bound + 1):
         assert split_root(q, e) == _ref_split_root(q, e)
     info = split_root.cache_info()

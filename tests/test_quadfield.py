@@ -700,6 +700,25 @@ def test_ideal_valuation():
     assert ideal_valuation(K.element(2), q2) == 2
 
 
+def test_ideals_of_different_fields_refuse():
+    """Ideals multiply, and a prime ideal reads a valuation, over one field
+    only, as field elements do; an equal field built apart is the same."""
+    K3 = RealQuadraticField(3)
+    q5 = factor_rational_prime(Q2, 5).ideals[0]   # inert
+    for a, b in ((rational_ideal(Q2, 7), rational_ideal(K3, 11)),
+                 (rational_ideal(QQ, 7), rational_ideal(Q2, 11)),
+                 (rational_ideal(K3, 7), q5)):
+        with pytest.raises(ValueError, match="ideals of different fields"):
+            a * b
+    for x in (K3.element(11), QQ.element(11)):
+        with pytest.raises(ValueError, match="ideals of different fields"):
+            ideal_valuation(x, q5)
+    assert rational_ideal(Q2, 7) * rational_ideal(RealQuadraticField(2), 11) \
+        == rational_ideal(Q2, 77)
+    assert ideal_valuation(RealQuadraticField(2).element(25), q5) == 2
+    assert ideal_valuation(25, q5) == 2
+
+
 # ------------------------------------------------------------- S-units
 
 def test_s_unit_basis_rational():

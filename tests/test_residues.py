@@ -18,7 +18,7 @@ import json
 import random
 import sys
 from itertools import product
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -223,7 +223,7 @@ def _power_table(comp):
                 grown[x] = ks + [k]
                 x = comp.mul(x, g)
         table = grown
-    assert len(table) == comp.size
+    assert len(table) == prod(comp.orders)
     return table
 
 
@@ -281,7 +281,7 @@ def test_dlog_rebuilds_seeded_units_and_matches_power_table():
         small_inert = isinstance(comp, InertComponent) \
             and comp.ell in SMALL_ELLS
         table = _power_table(comp) \
-            if small_inert or comp.size <= TABLE_SIZE_MAX else None
+            if small_inert or prod(comp.orders) <= TABLE_SIZE_MAX else None
         n = comp.ell * comp.ell - 1 if isinstance(comp, InertComponent) \
             else comp.ell - 1
         for u in _seeded_units(comp, rng):
