@@ -25,6 +25,7 @@ from .residues import DlogPlan, ModularUnits
 
 def e_of_q(q, p: int) -> int:
     """p-part of N(q) - 1, the target inertia order of the even criterion."""
+    check_odd_prime(p)
     n = q.norm if isinstance(q, IntegralIdeal) else int(q)
     if n % p == 0:
         raise ValueError("q must be coprime to p")
@@ -180,6 +181,7 @@ def even_criterion(K: RealQuadraticField, p: int, q: IntegralIdeal, N: int):
     """Even-side inertia test: the inertia image at q in the ray tower
     must have order e(q), computed as a ratio of ray class orders at two
     conductor levels."""
+    check_odd_prime(p)
     if N < 1:
         raise ValueError("N must be at least 1")
     if isinstance(q, int):

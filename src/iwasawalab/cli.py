@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from types import MappingProxyType
 
 from .classfield import even_criterion, frobenius_image, group_G
 from .iwasawa import (defect_never_one_scan, greenberg_wiles, leopoldt_defect,
@@ -32,8 +33,8 @@ EXIT_INTERNAL = 5
 SCHEMA = 1
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """A refusal of the command line; it exits 4, as a ValueError does."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,13 +54,6 @@ def _default_prec():
     return prec
 
 
-def _parse_field(spec: str) -> RealQuadraticField:
-    try:
-        return RealQuadraticField.parse(spec)
-    except ValueError as e:
-        raise UsageError(str(e))
-
-
 def _parse_prime_ideal(K: RealQuadraticField, spec: str):
     """'7' for the prime(s) over 7; '7a'/'7b' select a split place."""
     spec = spec.strip()
@@ -71,27 +65,36 @@ def _parse_prime_ideal(K: RealQuadraticField, spec: str):
         ell = int(spec)
     except ValueError:
         raise UsageError("cannot parse prime spec %r" % spec)
-    if not isprime(ell):
-        raise UsageError("%d is not prime" % ell)
     rep = factor_rational_prime(K, ell)
-    if which is not None:
-        if rep.kind != "split":
-            raise UsageError("%d is not split; drop the a/b suffix" % ell)
-        return rep.ideals[which]
-    return rep.ideals[0]
+    if which is not None and rep.kind != "split":
+        raise UsageError("%d is not split; drop the a/b suffix" % ell)
+    return rep.ideals[which or 0]
+
+
+def _int_items(option: str, text: str, width: int, form: str):
+    """The comma-separated items of a list option, each a tuple of `width`
+    ints joined by ':'; a malformed item is named in the usage error."""
+    items = []
+    for item in text.split(","):
+        try:
+            ints = tuple(int(s) for s in item.split(":"))
+        except ValueError:
+            ints = ()
+        if len(ints) != width:
+            raise UsageError("%s item %r is not %s" % (option, item, form))
+        items.append(ints)
+    return items
 
 
 def _padic_json(x: PAdicNumber):
-    if x is None:
-        return None
     if x.is_marker:
         return {"marker": True, "valuation_at_least": min(x.v, 10**9)}
     return {"marker": False, "valuation": x.v,
             "residue": x.residue(x.abs_prec), "abs_precision": x.abs_prec}
 
 
-def _emit(doc, args, text_lines):
-    if args.format == "json":
+def _emit(doc, fmt, text_lines):
+    if fmt == "json":
         doc = dict(doc)
         doc["schema"] = SCHEMA
         sys.stdout.write(json.dumps(doc, sort_keys=True,
@@ -101,44 +104,48 @@ def _emit(doc, args, text_lines):
             sys.stdout.write(line + "\n")
 
 
-# ------------------------------------------------------------- subcommands
+# The exit code of a status, by its word before any ':'; others exit 3.
+_STATUS_EXIT = MappingProxyType({
+    "accepted": EXIT_OK, "pass": EXIT_OK, "ok": EXIT_OK,
+    "rejected": EXIT_REJECTED, "fail": EXIT_REJECTED})
 
-def _cmd_factor(args):
-    K = _parse_field(args.field)
+
+def _status_exit(status: str) -> int:
+    return _STATUS_EXIT.get(status.partition(":")[0], EXIT_INDETERMINATE)
+
+
+# ------------------------------------------------------------- subcommands
+# Each takes the parsed options and the field of --field (None without it)
+# and returns (JSON document, text lines, exit code).
+
+def _cmd_factor(args, K):
     rep = factor_rational_prime(K, args.ell)
     doc = {"field": K.spec_string(), "ell": args.ell, "kind": rep.kind,
            "ideals": [str(q) for q in rep.ideals],
            "residue_degree": rep.residue_degree}
-    _emit(doc, args, ["%d in %s: %s, ideals %s, f = %d"
-                      % (args.ell, K.spec_string(), rep.kind,
-                         ", ".join(str(q) for q in rep.ideals),
-                         rep.residue_degree)])
-    return EXIT_OK
+    return doc, ["%d in %s: %s, ideals %s, f = %d"
+                 % (args.ell, K.spec_string(), rep.kind,
+                    ", ".join(doc["ideals"]), rep.residue_degree)], EXIT_OK
 
 
-def _cmd_classgroup(args):
-    K = _parse_field(args.field)
+def _cmd_classgroup(args, K):
     clg = class_group(K)
     doc = {"field": K.spec_string(), "h": clg.h,
            "invariant_factors": list(clg.invariant_factors)}
-    _emit(doc, args, ["h(%s) = %d, invariants %s"
-                      % (K.spec_string(), clg.h,
-                         list(clg.invariant_factors))])
-    return EXIT_OK
+    return doc, ["h(%s) = %d, invariants %s"
+                 % (K.spec_string(), clg.h, doc["invariant_factors"])], \
+        EXIT_OK
 
 
-def _cmd_unit(args):
-    K = _parse_field(args.field)
+def _cmd_unit(args, K):
     eps = fundamental_unit(K)
     doc = {"field": K.spec_string(), "unit": str(eps),
            "norm": int(eps.norm())}
-    _emit(doc, args, ["eps(%s) = %s, norm %d"
-                      % (K.spec_string(), eps, int(eps.norm()))])
-    return EXIT_OK
+    return doc, ["eps(%s) = %s, norm %d"
+                 % (K.spec_string(), doc["unit"], doc["norm"])], EXIT_OK
 
 
-def _cmd_rayclass(args):
-    K = _parse_field(args.field)
+def _cmd_rayclass(args, K):
     if args.modulus < 1:
         raise UsageError("modulus must be positive")
     rc = ray_class_group(K, args.modulus, args.p)
@@ -148,14 +155,12 @@ def _cmd_rayclass(args):
            "p_order": rc.p_order,
            "order_identity": {"full": list(ident["full"]),
                               "p": list(ident["p"])}}
-    _emit(doc, args, ["Cl_%d(%s) p-part: %s (order %d)"
-                      % (args.modulus, K.spec_string(),
-                         list(rc.p_group.invariant_factors), rc.p_order)])
-    return EXIT_OK
+    return doc, ["Cl_%d(%s) p-part: %s (order %d)"
+                 % (args.modulus, K.spec_string(),
+                    doc["p_invariant_factors"], rc.p_order)], EXIT_OK
 
 
-def _cmd_frobenius(args):
-    K = _parse_field(args.field)
+def _cmd_frobenius(args, K):
     G = group_G(K, args.p, args.prec)
     frobs = []
     lines = ["G(%s, p=%d, N=%d): invariants %s%s"
@@ -172,110 +177,75 @@ def _cmd_frobenius(args):
                      % (q, list(cls.coords), deg))
     doc = G.report()
     doc["frobenius"] = frobs
-    _emit(doc, args, lines)
-    return EXIT_OK if G.stable else EXIT_INDETERMINATE
+    return doc, lines, EXIT_OK if G.stable else EXIT_INDETERMINATE
 
 
-def _cmd_mq(args):
-    K = _parse_field(args.field)
-    q1 = _parse_prime_ideal(K, args.q1)
-    q2 = _parse_prime_ideal(K, args.q2)
-    if q1 == q2:
-        raise UsageError("q1 and q2 must be distinct primes")
-    rep = mq_order(K, args.p, (q1, q2), args.prec)
-    doc = rep.to_json()
-    _emit(doc, args, ["a1 = %r (a2 = 1)" % rep.a1,
-                      "m_Q = %d%s" % (rep.m_q,
-                                      "" if rep.stable else " [provisional]")])
-    return EXIT_OK if rep.stable else EXIT_INDETERMINATE
+def _cmd_mq(args, K):
+    Q = tuple(_parse_prime_ideal(K, s) for s in (args.q1, args.q2))
+    rep = mq_order(K, args.p, Q, args.prec)
+    mark = "" if rep.stable else " [provisional]"
+    lines = ["a1 = %r (a2 = 1)" % rep.a1, "m_Q = %d%s" % (rep.m_q, mark)]
+    return rep.to_json(), lines, EXIT_OK if rep.stable else EXIT_INDETERMINATE
 
 
-def _cmd_alpha(args):
-    K = _parse_field(args.field)
-    q1 = _parse_prime_ideal(K, args.q1)
-    q2 = _parse_prime_ideal(K, args.q2)
-    if q1 == q2:
-        raise UsageError("q1 and q2 must be distinct primes")
-    cert = construct_alpha(K, args.p, (q1, q2), args.prec)
-    doc = cert.to_json()
-    _emit(doc, args, ["status: %s" % cert.status,
-                      "m_Q = %d, a-exponent = %s" % (cert.m_q,
-                                                     cert.a_exponent),
-                      "loc_p torsion: %s" % cert.loc_p_torsion])
-    if cert.status == "accepted":
-        return EXIT_OK
-    if cert.status.startswith("rejected"):
-        return EXIT_REJECTED
-    return EXIT_INDETERMINATE
+def _cmd_alpha(args, K):
+    Q = tuple(_parse_prime_ideal(K, s) for s in (args.q1, args.q2))
+    cert = construct_alpha(K, args.p, Q, args.prec)
+    lines = ["status: %s" % cert.status,
+             "m_Q = %d, a-exponent = %s" % (cert.m_q, cert.a_exponent),
+             "loc_p torsion: %s" % cert.loc_p_torsion]
+    return cert.to_json(), lines, _status_exit(cert.status)
 
 
-def _cmd_leopoldt(args):
-    K = _parse_field(args.field)
+def _cmd_leopoldt(args, K):
     rep = leopoldt_defect(K, args.p, args.prec)
-    doc = rep.to_json()
-    _emit(doc, args, ["delta(%s, %d) = %d [%s], regulator valuation %s"
-                      % (K.spec_string(), args.p, rep.defect, rep.status,
-                         rep.regulator_valuation)])
-    return EXIT_OK if rep.status == "ok" else EXIT_INDETERMINATE
+    return rep.to_json(), ["delta(%s, %d) = %d [%s], regulator valuation %s"
+                           % (K.spec_string(), args.p, rep.defect,
+                              rep.status, rep.regulator_valuation)], \
+        _status_exit(rep.status)
 
 
-def _cmd_even_check(args):
-    K = _parse_field(args.field)
-    q = _parse_prime_ideal(K, args.q)
-    rep = even_criterion(K, args.p, q, args.prec)
-    _emit(rep, args, ["even criterion at q=%s: %s (inertia %s, e(q)=%d)"
-                      % (rep["q"], rep["status"], rep["inertia_orders"],
-                         rep["e_q"])])
-    if rep["status"] == "pass":
-        return EXIT_OK
-    if rep["status"] == "fail":
-        return EXIT_REJECTED
-    return EXIT_INDETERMINATE
+def _cmd_even_check(args, K):
+    rep = even_criterion(K, args.p, _parse_prime_ideal(K, args.q), args.prec)
+    return rep, ["even criterion at q=%s: %s (inertia %s, e(q)=%d)"
+                 % (rep["q"], rep["status"], rep["inertia_orders"],
+                    rep["e_q"])], _status_exit(rep["status"])
 
 
-def _cmd_gw(args):
-    locals_ = []
-    if args.locals:
-        for part in args.locals.split(","):
-            dim, h0 = part.split(":")
-            locals_.append((int(dim), int(h0)))
+def _cmd_gw(args, K):
+    locals_ = _int_items("--locals", args.locals, 2,
+                         "two integers dim:h0") if args.locals else []
     val = greenberg_wiles(args.h0v, args.h0dual, locals_)
     doc = {"h0_V": args.h0v, "h0_Vdual": args.h0dual,
            "locals": [list(t) for t in locals_], "rhs": val}
-    _emit(doc, args, ["rhs = %d" % val])
-    return EXIT_OK
+    return doc, ["rhs = %d" % val], EXIT_OK
 
 
-def _cmd_scan(args):
-    primes = sorted({int(s) for s in args.primes.split(",")})
+def _cmd_scan(args, K):
+    primes = sorted({p for (p,) in _int_items("--primes", args.primes, 1,
+                                              "an integer")})
     for p in primes:
         if p % 2 == 0 or not isprime(p):
             raise UsageError("primes must be odd primes, got %d" % p)
     report = defect_never_one_scan(args.dmax, primes, args.prec)
-    lines = []
-    for row in report["rows"]:
-        lines.append("d=%-4s p=%s delta=%s status=%s"
-                     % (row["d"], row["p"], row["delta"], row["status"]))
+    lines = ["d=%-4s p=%s delta=%s status=%s"
+             % (row["d"], row["p"], row["delta"], row["status"])
+             for row in report["rows"]]
     lines.append("violations: %s, indeterminates: %s"
                  % (report["violations"], report["indeterminates"]))
-    _emit(report, args, lines)
-    if report["violations"]:
-        return EXIT_REJECTED
-    if report["indeterminates"]:
-        return EXIT_INDETERMINATE
-    return EXIT_OK
+    code = EXIT_REJECTED if report["violations"] else \
+        EXIT_INDETERMINATE if report["indeterminates"] else EXIT_OK
+    return report, lines, code
 
 
-def _cmd_selftest(args):
+def _cmd_selftest(args, K):
     checks = []
 
     def check(name, fn):
         try:
-            ok = bool(fn())
+            checks.append((name, bool(fn()), None))
         except Exception as e:  # noqa: BLE001 - report, do not crash
             checks.append((name, False, repr(e)))
-            return
-        checks.append((name, ok, None))
 
     QQ = RealQuadraticField.rationals()
     check("padic: teichmueller(2) at (5,3) = 57",
@@ -291,12 +261,10 @@ def _cmd_selftest(args):
           .residue(2) == 5)
     check("mq: m_Q(2,5) = 1 over Q at p=3",
           lambda: mq_order(QQ, 3, (2, 5), 3).m_q == 1)
+    K79 = RealQuadraticField(79)
     check("mq: m_Q = 9 for Q(sqrt 79), p=3, Q={2,5}",
-          lambda: mq_order(
-              RealQuadraticField(79), 3,
-              (factor_rational_prime(RealQuadraticField(79), 2).ideals[0],
-               factor_rational_prime(RealQuadraticField(79), 5).ideals[0]),
-              2).m_q == 9)
+          lambda: mq_order(K79, 3, (_parse_prime_ideal(K79, "2"),
+                                    _parse_prime_ideal(K79, "5")), 2).m_q == 9)
     check("alpha: round trip accepted over Q",
           lambda: construct_alpha(QQ, 3, (2, 5), 3).status == "accepted")
     check("leopoldt: delta(Q(sqrt 2), 5) = 0",
@@ -313,77 +281,47 @@ def _cmd_selftest(args):
            "pass": ok_all}
     lines = ["%s %s" % ("PASS" if ok else "FAIL", n) for (n, ok, _) in checks]
     lines.append("selftest: %s" % ("PASS" if ok_all else "FAIL"))
-    _emit(doc, args, lines)
-    return EXIT_OK if ok_all else EXIT_REJECTED
+    return doc, lines, EXIT_OK if ok_all else EXIT_REJECTED
+
+
+# The argparse keywords of each option; "--q+" is --q, given one or more times
+_REQUIRED = (("required", True),)
+_INT = (("type", int),) + _REQUIRED
+_OPTIONS = MappingProxyType({
+    "--field": _REQUIRED, "--ell": _INT, "--modulus": _INT, "--p": _INT,
+    "--q": _REQUIRED, "--q+": (("action", "append"),) + _REQUIRED,
+    "--q1": _REQUIRED, "--q2": _REQUIRED,
+    "--prec": (("type", int), ("default", None)),
+    "--h0v": _INT, "--h0dual": _INT, "--locals": (("default", ""),),
+    "--dmax": _INT, "--primes": (("default", "3,5,7"),),
+})
+
+# One row per subcommand: (name, command, options in the order of --help).
+_COMMANDS = (
+    ("factor", _cmd_factor, ("--field", "--ell")),
+    ("classgroup", _cmd_classgroup, ("--field",)),
+    ("unit", _cmd_unit, ("--field",)),
+    ("rayclass", _cmd_rayclass, ("--field", "--modulus", "--p")),
+    ("frobenius", _cmd_frobenius, ("--field", "--p", "--q+", "--prec")),
+    ("mq", _cmd_mq, ("--field", "--p", "--q1", "--q2", "--prec")),
+    ("alpha", _cmd_alpha, ("--field", "--p", "--q1", "--q2", "--prec")),
+    ("leopoldt", _cmd_leopoldt, ("--field", "--p", "--prec")),
+    ("even-check", _cmd_even_check, ("--field", "--p", "--q", "--prec")),
+    ("gw", _cmd_gw, ("--h0v", "--h0dual", "--locals")),
+    ("scan", _cmd_scan, ("--dmax", "--primes", "--prec")),
+    ("selftest", _cmd_selftest, ()),
+)
 
 
 def build_parser() -> _Parser:
     p = _Parser(prog="iwasawalab", description=__doc__)
     p.add_argument("--format", choices=("json", "text"), default="text")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, fn):
+    for name, fn, options in _COMMANDS:
         sp = sub.add_parser(name)
         sp.set_defaults(func=fn)
-        return sp
-
-    sp = add("factor", _cmd_factor)
-    sp.add_argument("--field", required=True)
-    sp.add_argument("--ell", type=int, required=True)
-
-    sp = add("classgroup", _cmd_classgroup)
-    sp.add_argument("--field", required=True)
-
-    sp = add("unit", _cmd_unit)
-    sp.add_argument("--field", required=True)
-
-    sp = add("rayclass", _cmd_rayclass)
-    sp.add_argument("--field", required=True)
-    sp.add_argument("--modulus", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-
-    sp = add("frobenius", _cmd_frobenius)
-    sp.add_argument("--field", required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", action="append", required=True)
-    sp.add_argument("--prec", type=int, default=None)
-
-    sp = add("mq", _cmd_mq)
-    sp.add_argument("--field", required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q1", required=True)
-    sp.add_argument("--q2", required=True)
-    sp.add_argument("--prec", type=int, default=None)
-
-    sp = add("alpha", _cmd_alpha)
-    sp.add_argument("--field", required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q1", required=True)
-    sp.add_argument("--q2", required=True)
-    sp.add_argument("--prec", type=int, default=None)
-
-    sp = add("leopoldt", _cmd_leopoldt)
-    sp.add_argument("--field", required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--prec", type=int, default=None)
-
-    sp = add("even-check", _cmd_even_check)
-    sp.add_argument("--field", required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", required=True)
-    sp.add_argument("--prec", type=int, default=None)
-
-    sp = add("gw", _cmd_gw)
-    sp.add_argument("--h0v", type=int, required=True)
-    sp.add_argument("--h0dual", type=int, required=True)
-    sp.add_argument("--locals", default="")
-
-    sp = add("scan", _cmd_scan)
-    sp.add_argument("--dmax", type=int, required=True)
-    sp.add_argument("--primes", default="3,5,7")
-    sp.add_argument("--prec", type=int, default=None)
-
-    add("selftest", _cmd_selftest)
+        for option in options:
+            sp.add_argument(option.rstrip("+"), **dict(_OPTIONS[option]))
     return p
 
 
@@ -397,10 +335,11 @@ def main(argv=None) -> int:
             raise UsageError("p must be an odd prime, got %d" % args.p)
         if hasattr(args, "prec") and args.prec < 1:
             raise UsageError("precision must be at least 1")
-        return args.func(args)
-    except UsageError as e:
-        sys.stderr.write("usage error: %s\n" % e)
-        return EXIT_USAGE
+        K = RealQuadraticField.parse(args.field) \
+            if hasattr(args, "field") else None
+        doc, lines, code = args.func(args, K)
+        _emit(doc, args.format, lines)
+        return code
     except PrecisionError as e:
         sys.stderr.write("indeterminate: %s\n" % e)
         return EXIT_INDETERMINATE

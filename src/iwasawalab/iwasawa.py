@@ -26,6 +26,7 @@ from .quadfield import (IntegralIdeal, RealQuadraticField, check_odd_prime,
 def is_inert_in_cyclotomic(q, K: RealQuadraticField, p: int) -> bool:
     """True iff the Frobenius of q generates the cyclotomic Z_p-quotient,
     i.e. v_p(N(q)^(p-1) - 1) = 1."""
+    check_odd_prime(p)
     if isinstance(q, int):
         q = rational_ideal(K, q)
     n = q.norm
@@ -86,6 +87,7 @@ def _check_q_pair(K, p, q1, q2):
 def mq_generator(K: RealQuadraticField, p: int, Q, N: int) \
         -> FrobeniusModuleReport:
     """a1 = -log<N(q2)>/log<N(q1)>, a2 = 1: the degree-0 generator data."""
+    check_odd_prime(p)
     if N < 1:
         raise ValueError("N must be at least 1")
     q1, q2 = _check_q_pair(K, p, *Q)

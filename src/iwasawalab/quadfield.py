@@ -499,12 +499,13 @@ def prime_kind(q: IntegralIdeal):
 
 def residue_char(q: IntegralIdeal) -> int:
     """The rational prime ell below the prime ideal q (ValueError when q is
-    not prime)."""
+    not prime).  An ideal of prime norm is prime; one of norm ell^2 is
+    prime only when it is (ell) = (ell; 0; ell) with ell inert."""
     n = q.norm
     if isprime(n):
         return n
-    r = isqrt(n)
-    if r * r == n and isprime(r):
+    r = q.c
+    if r * r == n and isprime(r) and not _min_poly_roots_mod(q.field, r):
         return r
     raise ValueError("not a prime ideal: %s" % (q,))
 

@@ -435,15 +435,9 @@ class UnitGroupModM:
     """(O/m)* presented by independent cyclic generators across components."""
 
     def __init__(self, K: RealQuadraticField, factored):
-        self.field = K
-        self.factored = list(factored)  # [(prime ideal, exponent)]
-        self.components = [make_component(K, q, e) for q, e in self.factored]
-        self.gen_span = []   # (component index, index within component)
-        self.orders = []
-        for ci, comp in enumerate(self.components):
-            for gi, o in enumerate(comp.orders):
-                self.gen_span.append((ci, gi))
-                self.orders.append(o)
+        # factored: [(prime ideal, exponent)]
+        self.components = [make_component(K, q, e) for q, e in factored]
+        self.orders = [o for comp in self.components for o in comp.orders]
 
     def dlog(self, x: FieldElement):
         out = []
@@ -453,8 +447,5 @@ class UnitGroupModM:
 
     def gen_norm_ints(self):
         """Norm of each generator to Z, modulo ell^e of its component."""
-        out = []
-        for (ci, gi) in self.gen_span:
-            comp = self.components[ci]
-            out.append(comp.norm_int(comp.gens[gi]))
-        return out
+        return [comp.norm_int(g) for comp in self.components
+                for g in comp.gens]

@@ -1,10 +1,11 @@
 import json
+import re
 import sys
 
 import pytest
 
 from iwasawalab import classfield
-from iwasawalab.cli import main
+from iwasawalab.cli import build_parser, main
 from iwasawalab.quadfield import RealQuadraticField, fundamental_unit
 
 
@@ -248,6 +249,141 @@ def test_env_precision_must_be_a_positive_integer(value, monkeypatch, capsys):
     (["factor", "--field", "Q(sqrt{2})", "--ell", "-7"], "-7 is not prime"),
 ])
 def test_engine_refusal_is_a_usage_error(argv, message, capsys):
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == "usage error: %s\n" % message
+
+
+# The options of every subcommand, named by hand as the parser declared them
+# one subcommand at a time: the required ones, each with a valid value, and
+# the defaults of the others by destination.
+SUBCOMMAND_OPTIONS = {
+    "factor": ({"--field": "Q(sqrt{2})", "--ell": "7"}, {}),
+    "classgroup": ({"--field": "Q(sqrt{79})"}, {}),
+    "unit": ({"--field": "Q(sqrt{2})"}, {}),
+    "rayclass": ({"--field": "Q", "--modulus": "63", "--p": "3"}, {}),
+    "frobenius": ({"--field": "Q", "--p": "3", "--q": "2"}, {"prec": None}),
+    "mq": ({"--field": "Q", "--p": "3", "--q1": "2", "--q2": "5"},
+           {"prec": None}),
+    "alpha": ({"--field": "Q", "--p": "3", "--q1": "2", "--q2": "5"},
+              {"prec": None}),
+    "leopoldt": ({"--field": "Q(sqrt{2})", "--p": "5"}, {"prec": None}),
+    "even-check": ({"--field": "Q", "--p": "3", "--q": "7"}, {"prec": None}),
+    "gw": ({"--h0v": "1", "--h0dual": "0"}, {"locals": ""}),
+    "scan": ({"--dmax": "10"}, {"primes": "3,5,7", "prec": None}),
+    "selftest": ({}, {}),
+}
+INT_OPTIONS = {"--ell", "--modulus", "--p", "--h0v", "--h0dual", "--dmax",
+               "--prec"}
+
+
+def _declared(command):
+    required, defaults = SUBCOMMAND_OPTIONS[command]
+    return set(required) | {"--" + dest for dest in defaults}
+
+
+def _argv(command, required, leave_out=None):
+    argv = [command]
+    for option, value in required.items():
+        if option != leave_out:
+            argv += [option, value]
+    return argv
+
+
+def test_the_subcommands_are_the_named_ones(capsys):
+    assert main(["nonsense"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: argument command: invalid choice")
+    choices = err.split("choose from", 1)[1]
+    assert re.findall(r"[a-z]+(?:-[a-z]+)?", choices) == \
+        list(SUBCOMMAND_OPTIONS)
+
+
+@pytest.mark.parametrize("command,option", [
+    (command, option) for command, (required, _) in SUBCOMMAND_OPTIONS.items()
+    for option in required])
+def test_leaving_out_a_required_option_is_a_usage_error(command, option,
+                                                         capsys):
+    required = SUBCOMMAND_OPTIONS[command][0]
+    assert main(_argv(command, required, leave_out=option)) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == \
+        "usage error: the following arguments are required: %s\n" % option
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_OPTIONS))
+def test_options_parse_to_their_types_and_defaults(command):
+    required, defaults = SUBCOMMAND_OPTIONS[command]
+    args = build_parser().parse_args(_argv(command, required))
+    assert args.command == command
+    for option, value in required.items():
+        want = int(value) if option in INT_OPTIONS else value
+        assert getattr(args, option[2:]) == \
+            ([want] if (command, option) == ("frobenius", "--q") else want)
+    for dest, value in defaults.items():
+        assert getattr(args, dest) == value
+    assert set(vars(args)) - {"command", "format", "func"} == \
+        {option[2:] for option in _declared(command)}
+
+
+@pytest.mark.parametrize("command,option", [
+    (command, option) for command in SUBCOMMAND_OPTIONS
+    for option in sorted(INT_OPTIONS & _declared(command))])
+def test_an_int_option_refuses_a_word(command, option, capsys):
+    required = SUBCOMMAND_OPTIONS[command][0]
+    assert main(_argv(command, required, leave_out=option)
+                + [option, "x"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == \
+        "usage error: argument %s: invalid int value: 'x'\n" % option
+
+
+def test_frobenius_takes_q_more_than_once():
+    args = build_parser().parse_args(["frobenius", "--field", "Q", "--p",
+                                      "3", "--q", "2", "--q", "5"])
+    assert args.q == ["2", "5"]
+
+
+def test_default_precision_is_8(monkeypatch, capsys):
+    monkeypatch.delenv("IWASAWA_LAB_PRECISION", raising=False)
+    code, doc = run_json(capsys, "leopoldt", "--field", "Q(sqrt{2})",
+                         "--p", "5")
+    assert code == 0 and doc["precision"] == 8
+
+
+def test_default_primes_and_locals(capsys):
+    code, doc = run_json(capsys, "scan", "--dmax", "2", "--prec", "3")
+    assert code == 0 and doc["primes"] == [3, 5, 7]
+    code, doc = run_json(capsys, "gw", "--h0v", "1", "--h0dual", "0")
+    assert code == 0 and doc["locals"] == []
+
+
+@pytest.mark.parametrize("command", ["mq", "alpha"])
+@pytest.mark.parametrize("field,q", [("Q", "2"), ("Q(sqrt{7})", "3a")])
+def test_equal_primes_are_a_usage_error(command, field, q, capsys):
+    assert main([command, "--field", field, "--p", "5", "--q1", q,
+                 "--q2", q, "--prec", "2"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == "usage error: the two primes must be distinct\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["gw", "--h0v", "1", "--h0dual", "0", "--locals", "1:2:3"],
+     "--locals item '1:2:3' is not two integers dim:h0"),
+    (["gw", "--h0v", "1", "--h0dual", "0", "--locals", "2:1,x:0"],
+     "--locals item 'x:0' is not two integers dim:h0"),
+    (["gw", "--h0v", "1", "--h0dual", "0", "--locals", "2:1,"],
+     "--locals item '' is not two integers dim:h0"),
+    (["gw", "--h0v", "1", "--h0dual", "0", "--locals", "2"],
+     "--locals item '2' is not two integers dim:h0"),
+    (["scan", "--dmax", "5", "--primes", "3,,5"],
+     "--primes item '' is not an integer"),
+    (["scan", "--dmax", "5", "--primes", "3:5"],
+     "--primes item '3:5' is not an integer"),
+    (["scan", "--dmax", "5", "--primes", "3,five"],
+     "--primes item 'five' is not an integer"),
+])
+def test_a_malformed_list_item_is_named(argv, message, capsys):
     assert main(argv) == 4
     out, err = capsys.readouterr()
     assert out == "" and err == "usage error: %s\n" % message

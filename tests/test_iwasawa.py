@@ -9,7 +9,8 @@ import pytest
 from iwasawalab import (classfield, iwasawa, localize, padic, quadfield,
                         rayclass)
 from iwasawalab.abgroup import subgroup_image_order
-from iwasawalab.classfield import GaloisGroupG, frobenius_image, group_G
+from iwasawalab.classfield import (GaloisGroupG, e_of_q, even_criterion,
+                                   frobenius_image, group_G)
 from iwasawalab.iwasawa import (is_inert_in_cyclotomic, mq_generator,
                                 mq_order, leopoldt_defect, greenberg_wiles,
                                 defect_never_one_scan)
@@ -31,6 +32,20 @@ from oracles import (angle_log, degree_kernel_lattice, degree_log_route,
 QQ = RealQuadraticField.rationals()
 Q2 = RealQuadraticField(2)
 
+
+@pytest.mark.parametrize("p", [0, 1, 2, 9, -3])
+@pytest.mark.parametrize("call", [
+    lambda p: mq_generator(QQ, p, (2, 5), 2),
+    lambda p: mq_order(QQ, p, (2, 5), 2),
+    lambda p: construct_alpha(QQ, p, (2, 5), 2),
+    lambda p: even_criterion(QQ, p, 7, 2),
+    lambda p: is_inert_in_cyclotomic(2, QQ, p),
+    lambda p: e_of_q(7, p),
+], ids=["mq_generator", "mq_order", "construct_alpha", "even_criterion",
+        "is_inert_in_cyclotomic", "e_of_q"])
+def test_a_bad_p_is_refused_before_any_arithmetic(call, p):
+    with pytest.raises(ValueError, match="^p must be an odd prime$"):
+        call(p)
 
 def test_inert_in_cyclotomic():
     assert is_inert_in_cyclotomic(2, QQ, 3)

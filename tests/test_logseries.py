@@ -10,9 +10,11 @@ fresh inverse per term, `oracles.log_series`.
 Every case is drawn from a fixed seed up front and none is filtered out.
 """
 
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -288,9 +290,11 @@ def test_log_series_table_is_bounded():
 
 
 def test_log_series_table_is_empty_after_import():
+    src = str(Path(__file__).resolve().parent.parent / "src")
     out = subprocess.run(
         [sys.executable, "-c", "import iwasawalab.padic as m; "
          "print(m._log_inverses.cache_info().currsize)"],
+        env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "0"
 

@@ -147,6 +147,38 @@ def test_prime_kind_matches_residue_char_and_splitting():
                          (0, "ramified")}
 
 
+def test_residue_char_refuses_ideals_that_are_not_prime():
+    # prime norm means prime; norm ell^2 means prime only for (ell), ell inert
+    split_square = IntegralIdeal(Q2, 49, 35, 1)
+    assert split_square in [q * q for q in factor_rational_prime(Q2, 7).ideals]
+    for q in (rational_ideal(Q2, 7), rational_ideal(Q2, 2), split_square,
+              rational_ideal(QQ, 49)):
+        with pytest.raises(ValueError, match="not a prime ideal"):
+            residue_char(q)
+        with pytest.raises(ValueError, match="not a prime ideal"):
+            ideal_valuation(7, q)
+    for q, ell in ((rational_ideal(Q2, 3), 3), (IntegralIdeal(Q2, 2, 0, 1), 2),
+                   (rational_ideal(QQ, 7), 7)) + tuple(
+                       (q, 7) for q in factor_rational_prime(Q2, 7).ideals):
+        assert residue_char(q) == ell
+
+
+def test_residue_char_accepts_exactly_the_prime_factors():
+    # (ell), each factor, their products and squares: only the factors pass
+    fields = [QQ] + [RealQuadraticField(d) for d in range(2, 40)
+                     if is_squarefree(d)]
+    for K in fields:
+        for ell in (2, 3, 5, 7, 11, 13):
+            rep = factor_rational_prime(K, ell)
+            ideals = {rational_ideal(K, ell), *rep.ideals}
+            ideals |= {q * r for q in rep.ideals for r in rep.ideals}
+            for q in ideals:
+                if q in rep.ideals:
+                    assert residue_char(q) == ell, (K, q)
+                else:
+                    with pytest.raises(ValueError):
+                        residue_char(q)
+
 def test_ideal_mul_inverse_roundtrip():
     rng = random.Random(11)
     for d in (2, 10, 79):
