@@ -314,11 +314,12 @@ _COMMANDS = (
 
 
 def build_parser() -> _Parser:
-    p = _Parser(prog="iwasawalab", description=__doc__)
+    # options are spelled in full: a prefix is refused, not expanded
+    p = _Parser(prog="iwasawalab", description=__doc__, allow_abbrev=False)
     p.add_argument("--format", choices=("json", "text"), default="text")
     sub = p.add_subparsers(dest="command", required=True)
     for name, fn, options in _COMMANDS:
-        sp = sub.add_parser(name)
+        sp = sub.add_parser(name, allow_abbrev=False)
         sp.set_defaults(func=fn)
         for option in options:
             sp.add_argument(option.rstrip("+"), **dict(_OPTIONS[option]))

@@ -5,11 +5,17 @@ and Z_p-ranks of Kummer extensions attached to finitely generated subgroups.
 
 alpha is always a formal product over an S-unit basis with Z_p exponents;
 its exponents are genuinely p-adic and it is never a single field element.
+Its basis does not depend on the precision N: `_alpha_basis` builds the
+entries (the units, beta, pi1, pi2) once per (K, p, Q) and congruence
+split, with an EntryLogTable of their unit logs at the primes above p,
+taken at the highest precision asked for so far; a lower N reads the logs
+by truncation, and only the exponents are computed per query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .abgroup import element_order, smith_normal_form
 from .iwasawa import mq_order
@@ -83,43 +89,80 @@ def construct_alpha(K: RealQuadraticField, p: int, Q, N: int) \
     if a1.abs_prec <= m:
         raise PrecisionError("insufficient precision for the congruence split")
     b1 = a1.residue(m) if m > 0 else 0
-    b2 = 1
     c1 = (a1 - PAdicNumber.exact(b1, p, a1.abs_prec + 2)).shift(-m)
     c2 = PAdicNumber.exact(0, p, N + 4)
 
     scale = n_prime_to_p * m_q
-    J = q1**(b1 * scale) * q2**(b2 * scale)
-    beta = principal_generator(J)
-    if beta is None:
-        raise InternalCheckError("congruence-split ideal failed to be "
-                                 "principal")
-
-    primes = [q1, q2]
-    # pi_i generates q_i^h_i, h_i the class order of q_i
-    h1 = element_order(clg.group, clg.class_of(q1))
-    h2 = element_order(clg.group, clg.class_of(q2))
-    pi1 = realize(K, [q1], [h1])
-    pi2 = realize(K, [q2], [h2])
-    units = unit_entries(K)
-    entries = units + tuple(
-        s_unit_entry(g, primes, label, "lattice")
-        for g, label in ((beta, "beta"), (pi1, "pi1"), (pi2, "pi2")))
-
+    h1, entries, table = _alpha_basis(K, p, q1, q2, b1 * scale, scale)
     t1 = c1 * PAdicNumber.exact(n_prime_to_p * p**m // h1 * m_q, p,
                                 a1.abs_prec + 2)
     t2 = c2
     zero = PAdicNumber.exact(0, p, N + 4)
     one = PAdicNumber.exact(1, p, N + 4)
-    exponents = [zero] * len(units) + [one, t1, t2]
+    exponents = [zero] * (len(entries) - 3) + [one, t1, t2]
     alpha = SUnitProduct(entries, p, exponents, N)
 
     # unit correction: divide by eps^x so that the local 1-unit part dies;
-    # the unit log of each entry is taken once, at each prime above p
-    logs = _place_logs(entries, completions_above_p(K, p), N)
+    # the unit correction and the torsion clause read one log table
+    logs = table.at(N)
     if not K.is_rational:
         exponents[1] = exponents[1] - _solve_unit_exponent(alpha, logs)
         alpha = SUnitProduct(entries, p, exponents, N)
     return _check_certificate(alpha, K, p, (q1, q2), N, rep, logs)
+
+
+@lru_cache(maxsize=16)
+def _alpha_basis(K: RealQuadraticField, p: int, q1, q2, e1: int, e2: int):
+    """(h1, entries, EntryLogTable of the entries) of the alpha of
+    (K, p, (q1, q2)) whose congruence split takes beta, the generator of
+    q1^e1 * q2^e2: the work of construct_alpha that does not depend on N.
+    The entries are unit_entries(K), then beta, pi1 and pi2, with pi_i a
+    generator of q_i^h_i, h_i the class order of q_i.  The last 16 are
+    kept: a batch of 194 Kummer queries reads 12, one per fixture, and
+    keeps all 182 of its repeats with 12 slots."""
+    beta = principal_generator(q1**e1 * q2**e2)
+    if beta is None:
+        raise InternalCheckError("congruence-split ideal failed to be "
+                                 "principal")
+    clg = class_group(K)
+    h1 = element_order(clg.group, clg.class_of(q1))
+    h2 = element_order(clg.group, clg.class_of(q2))
+    pi1 = realize(K, [q1], [h1])
+    pi2 = realize(K, [q2], [h2])
+    entries = unit_entries(K) + tuple(
+        s_unit_entry(g, [q1, q2], label, "lattice")
+        for g, label in ((beta, "beta"), (pi1, "pi1"), (pi2, "pi2")))
+    return h1, entries, EntryLogTable(entries, completions_above_p(K, p))
+
+
+class EntryLogTable:
+    """The _place_logs of `entries` at the prime ideals `places` above p,
+    kept at the highest precision asked for so far, the top, and read at
+    any lower N by truncation (cf. rayclass.RayClassTower).
+
+    _element_unit_log reads the unit x/p^v of an entry to
+    A = N + max(v, 0) + 2 - v digits, and v does not depend on N: so each
+    coordinate at N is the top's coordinate taken to abs_prec - (top - N)
+    digits, the log mod p^A being the residue of the log mod a higher
+    power (Washington, GTM 83, sec. 5.1)."""
+
+    def __init__(self, entries, places):
+        self.entries, self.places = entries, places
+        self.top, self.logs = 0, ()
+
+    def at(self, N: int) -> tuple:
+        """_place_logs(entries, places, N).  Past the top, the table is
+        taken again at N + 2, the level mq_order reads first, so that
+        N + 1 and N + 2 are read from it too."""
+        if N > self.top:
+            self.top = N + 2
+            self.logs = _place_logs(self.entries, self.places, self.top)
+        drop = self.top - N
+        if not drop:
+            return self.logs
+        return tuple((q, tuple(tuple(c.truncate(c.abs_prec - drop)
+                                     for c in lg) for lg in lgs))
+                     for q, lgs in self.logs)
 
 
 def _place_logs(entries, places, N: int) -> tuple:

@@ -223,6 +223,18 @@ class PAdicNumber:
             return PAdicNumber.zero_marker(self.p, self.v + j)
         return PAdicNumber(self.p, self.v + j, self.m, self.digits)
 
+    def truncate(self, abs_prec: int) -> "PAdicNumber":
+        """The same value certified modulo p^abs_prec only, abs_prec <=
+        self.abs_prec; for v >= 0 it is from_residue(self.residue(abs_prec),
+        p, abs_prec)."""
+        if abs_prec > self.abs_prec:
+            raise ValueError("truncating to %d digits, only %d certified"
+                             % (abs_prec, self.abs_prec))
+        if self.m is None or self.v >= abs_prec:
+            return PAdicNumber.zero_marker(self.p, abs_prec)
+        digits = abs_prec - self.v
+        return PAdicNumber(self.p, self.v, self.m % self.p**digits, digits)
+
     # -------------------------------------------------------------- rendering
     def __repr__(self):
         if self.m is None:

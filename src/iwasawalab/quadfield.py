@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm, log, sqrt
 from numbers import Rational
+from types import MappingProxyType
 
 from .abgroup import (FiniteAbelianGroup, GroupElement, decompose_abelian,
                       relation_lattice)
@@ -830,7 +831,7 @@ def unit_decompose(K: RealQuadraticField, u: FieldElement):
 @dataclass(frozen=True)
 class SUnitBasisEntry:
     element: FieldElement
-    valuations: dict          # prime ideal -> exact nonzero valuation
+    valuations: MappingProxyType  # read-only: prime ideal -> nonzero valuation
     label: str
     kind: str                 # "torsion" | "unit" | "lattice"
 
@@ -843,7 +844,7 @@ def s_unit_entry(element: FieldElement, primes, label: str, kind: str):
         v = ideal_valuation(element, q)
         if v:
             vals[q] = v
-    return SUnitBasisEntry(element, vals, label, kind)
+    return SUnitBasisEntry(element, MappingProxyType(vals), label, kind)
 
 
 def unit_entries(K: RealQuadraticField):

@@ -4,7 +4,8 @@ Every kummer-alpha key recorded in bench/expected/ is answered twice with
 emptied memos: fixture by fixture in ascending N, where mq_order raises the
 tower of (K, p) at nearly every query and builds most levels directly, and
 in descending N, where each (K, p) builds its first level directly and
-reads every other one as a quotient.  The seed-1 batches of leopoldt-scan
+reads every other one as a quotient, and construct_alpha takes the entry
+logs of each fixture once and reads every later query's by truncation.  The seed-1 batches of leopoldt-scan
 and big-conductor are answered once.  Each answer must equal the recorded
 one in the benchmark's own canonical form.  The modules of bench/ are
 loaded with no bytecode written, so bench/ is only read.
@@ -19,9 +20,10 @@ from pathlib import Path
 import pytest
 
 import iwasawalab
-from iwasawalab import iwasawa, rayclass, residues
+from iwasawalab import iwasawa, kummer, rayclass, residues
 from iwasawalab.padic import vp
 from iwasawalab.quadfield import rational_ideal
+from test_kummer import ALPHA_GRID
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -43,7 +45,7 @@ W, S = _load("workloads"), _load("session")
 
 def _empty_memos():
     for memo in (iwasawa._degree_zero_level, rayclass.ray_class_tower,
-                 rayclass._ambient_at):
+                 rayclass._ambient_at, kummer._alpha_basis):
         memo.cache_clear()
 
 
@@ -75,6 +77,12 @@ def _count_builds(monkeypatch):
         return build(K, modulus, p, top)
     monkeypatch.setattr(rayclass, "RayClassGroupData", record)
     return built
+
+
+def test_the_kummer_grid_is_the_fixture_pairs():
+    """test_kummer checks the truncated log reads and the answer in any
+    order on ALPHA_GRID: that is every (d, p, q1, q2) of ALPHA_FIXTURES."""
+    assert [f[:4] for f in W.ALPHA_FIXTURES] == ALPHA_GRID
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending"])

@@ -344,6 +344,24 @@ def test_frobenius_takes_q_more_than_once():
     assert args.q == ["2", "5"]
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["leopoldt", "--fie", "Q(sqrt{2})", "--p", "5", "--pr", "3"],
+     "the following arguments are required: --field"),
+    (["leopoldt", "--field", "Q(sqrt{2})", "--p", "5", "--pr", "3"],
+     "unrecognized arguments: --pr 3"),
+    (["scan", "--dmax", "3", "--p", "3"], "unrecognized arguments: --p 3"),
+    (["--form", "json", "scan", "--dmax", "3"],
+     "argument command: invalid choice: 'json' (choose from %s)"
+     % ", ".join("'%s'" % c for c in SUBCOMMAND_OPTIONS)),
+])
+def test_an_option_prefix_is_a_usage_error(argv, message, capsys):
+    """Options are spelled in full, on the top parser and on every
+    subcommand: a prefix is neither expanded nor reported as ambiguous."""
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == "usage error: %s\n" % message
+
+
 def test_default_precision_is_8(monkeypatch, capsys):
     monkeypatch.delenv("IWASAWA_LAB_PRECISION", raising=False)
     code, doc = run_json(capsys, "leopoldt", "--field", "Q(sqrt{2})",

@@ -96,10 +96,18 @@ CASES = [
     ("alpha-79-prec24", 0,
      ["--format", "json", "alpha", "--field", "Q(sqrt{79})", "--p", "3",
       "--q1", "2", "--q2", "5a", "--prec", "24"]),
+    # the same alpha at N = 3, after N = 24 in one process: its entry logs
+    # are the N = 24 table's, truncated
+    ("alpha-79-prec3", 0,
+     ["--format", "json", "alpha", "--field", "Q(sqrt{79})", "--p", "3",
+      "--q1", "2", "--q2", "5a", "--prec", "3"]),
     # both split places of 3 in Q(sqrt 7) as Q
     ("alpha-7-3a3b", 0,
      ["--format", "json", "alpha", "--field", "Q(sqrt{7})", "--p", "5",
       "--q1", "3a", "--q2", "3b", "--prec", "10"]),
+    ("alpha-7-3a3b-prec4", 0,
+     ["--format", "json", "alpha", "--field", "Q(sqrt{7})", "--p", "5",
+      "--q1", "3a", "--q2", "3b", "--prec", "4"]),
     # regulator valuation 10: indeterminate at --prec 8, first certified at
     # 9 (the unit is read to prec + 2 digits), and certified at 16
     ("leopoldt-21713-prec8", 3,

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from iwasawalab import localize
+from iwasawalab import kummer, localize
 from iwasawalab.iwasawa import mq_generator, mq_order
 from iwasawalab.kummer import construct_alpha, verify_alpha, kummer_rank
 from iwasawalab.localize import TRUE, FALSE, INDET, completions_above_p
@@ -307,8 +307,9 @@ def _grid_case(d, p, s1, s2):
 @pytest.mark.parametrize("d,p,s1,s2", ALPHA_GRID)
 def test_construct_alpha_takes_each_unit_log_once(monkeypatch, d, p, s1, s2):
     """construct_alpha takes the unit log of each basis entry once at each
-    prime above p: the unit correction, eps included, and the torsion
-    clause read the same table."""
+    prime above p, at N + 2: the unit correction, eps included, and the
+    torsion clause read the same table, and so do later queries of the same
+    basis up to N + 2."""
     K, Q = _grid_case(d, p, s1, s2)
     calls = []
     real = localize._element_unit_log
@@ -317,11 +318,15 @@ def test_construct_alpha_takes_each_unit_log_once(monkeypatch, d, p, s1, s2):
         calls.append(((x.a, x.b, x.den), q, N))
         return real(x, q, N)
     monkeypatch.setattr(localize, "_element_unit_log", counted)
+    kummer._alpha_basis.cache_clear()
     cert = construct_alpha(K, p, Q, 3)
     assert cert.status == "accepted"
-    want = Counter(((e.element.a, e.element.b, e.element.den), q, 3)
+    want = Counter(((e.element.a, e.element.b, e.element.den), q, 5)
                    for e in cert.alpha.entries
                    for q in completions_above_p(K, p))
+    assert Counter(calls) == want
+    for N in (5, 4, 2, 3):
+        assert construct_alpha(K, p, Q, N).alpha.entries == cert.alpha.entries
     assert Counter(calls) == want
 
 
@@ -334,3 +339,59 @@ def test_verify_alpha_of_a_constructed_alpha_gives_its_certificate(d, p, s1,
     K, Q = _grid_case(d, p, s1, s2)
     cert = construct_alpha(K, p, Q, N)
     assert verify_alpha(cert.alpha, K, p, Q, N).to_json() == cert.to_json()
+
+
+def _reprs(place_logs):
+    return [(q, [[repr(c) for c in lg] for lg in lgs])
+            for q, lgs in place_logs]
+
+
+TABLE_TOP = 10
+
+
+@pytest.mark.parametrize("d,p,s1,s2", ALPHA_GRID)
+def test_entry_log_table_reads_lower_precisions_by_truncation(d, p, s1, s2):
+    """Below its top, the log table reads each coordinate to
+    abs_prec - (top - N) digits, and that is the direct entry_logs at N,
+    repr for repr, for every N up to the top; one digit more is not."""
+    K, Q = _grid_case(d, p, s1, s2)
+    entries = construct_alpha(K, p, Q, 2).alpha.entries
+    places = completions_above_p(K, p)
+    table = kummer.EntryLogTable(entries, places)
+    table.at(TABLE_TOP - 2)
+    assert table.top == TABLE_TOP
+    for N in range(1, TABLE_TOP + 1):
+        direct = [(q, localize.entry_logs(entries, q, N)) for q in places]
+        assert _reprs(table.at(N)) == _reprs(direct)
+        assert table.top == TABLE_TOP
+        if N == TABLE_TOP:
+            continue
+        over = [(q, [[c.truncate(c.abs_prec - (TABLE_TOP - N) + 1)
+                      for c in lg] for lg in lgs]) for q, lgs in table.logs]
+        for (_, lgs), (_, want) in zip(_reprs(over), _reprs(direct)):
+            for lg, lw in zip(lgs, want):
+                assert len(lg) == len(lw) and \
+                    all(a != b for a, b in zip(lg, lw))
+
+
+@pytest.mark.parametrize("d,p,s1,s2", ALPHA_GRID)
+def test_construct_alpha_answers_alike_in_any_order(d, p, s1, s2):
+    """construct_alpha gives the same documents in ascending N, where the
+    log table rises at nearly every query, in descending N, where every
+    read below the first truncates, and with the basis memo emptied before
+    each query."""
+    K, Q = _grid_case(d, p, s1, s2)
+    Ns = range(2, 9)
+
+    def answers(order, clear_each):
+        kummer._alpha_basis.cache_clear()
+        out = {}
+        for N in order:
+            if clear_each:
+                kummer._alpha_basis.cache_clear()
+            out[N] = construct_alpha(K, p, Q, N).to_json()
+        return out
+    fresh = answers(Ns, True)
+    assert answers(Ns, False) == fresh
+    assert answers(reversed(Ns), False) == fresh
+    kummer._alpha_basis.cache_clear()

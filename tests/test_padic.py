@@ -394,6 +394,21 @@ def test_precision_monotonicity():
             assert lhi.residue(llo.abs_prec) == llo.residue(llo.abs_prec)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([3, 5, 7]), st.integers(0, 7**9),
+       st.integers(1, 9), st.integers(0, 9), st.integers(-3, 3))
+def test_truncate_is_from_residue_of_the_residue(p, n, A, drop, shift):
+    """x.truncate(B) is x read modulo p^B: for v >= 0 the from_residue of
+    its residue, repr for repr, markers included; for any v the shift of
+    the truncated unshifted value.  Past abs_prec it refuses."""
+    x = PAdicNumber.from_residue(n, p, A + drop)
+    got = x.truncate(A)
+    assert repr(got) == repr(PAdicNumber.from_residue(x.residue(A), p, A))
+    assert repr(x.shift(shift).truncate(A + shift)) == repr(got.shift(shift))
+    with pytest.raises(ValueError):
+        x.truncate(A + drop + 1)
+
+
 # ------------------------------------------------------------------ quad ext
 
 def quad(a, b, p=5, N=6, r=None):

@@ -895,9 +895,16 @@ def test_alpha_entries_are_one_tuple():
         assert [e.kind for e in entries[len(units):]] == ["lattice"] * 3
         for entry in entries:
             vals = {q: ideal_valuation(entry.element, q) for q in Q}
-            assert entry.valuations == {k: v for k, v in vals.items() if v}
+            want = {k: v for k, v in vals.items() if v}
+            assert entry.valuations == want
             with pytest.raises(AttributeError):
                 entry.valuations = {}
+            # the entries are memoized: their valuations are read-only
+            with pytest.raises(TypeError):
+                entry.valuations[Q[0]] = 7
+            with pytest.raises(TypeError):
+                del entry.valuations[Q[0]]
+            assert entry.valuations == want
 
 
 UNRAMIFIED_P_CHECKS = [
