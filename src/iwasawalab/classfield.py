@@ -4,8 +4,8 @@ of conductor p^(N+1), together with Frobenius images, the degree map
 (normalized by log(1+p)), and the even-side inertia-order criterion.
 The cyclotomic character is read by cyclotomic_log alone; stability is
 computed on first read of GaloisGroupG.stable, at conductor p^(N+2).
-Every conductor p^M is read from the tower of (F, p),
-rayclass.ray_class_tower: a quotient of the highest one built, so
+Every conductor p^M is read from the tower of (F, p), the record of its
+state (rayclass.ray_class_tower): a quotient of the highest one built, so
 a stability check after a higher level builds nothing new.
 """
 
@@ -18,7 +18,7 @@ from .abgroup import FiniteAbelianGroup, GroupElement
 from .ntheory import InternalCheckError
 from .padic import PAdicNumber, log_series, unit_log_residues, vp
 from .quadfield import (IntegralIdeal, RealQuadraticField, check_odd_prime,
-                        rational_ideal, residue_char)
+                        prime_ideal, rational_ideal, residue_char)
 from .rayclass import ray_class_group, ray_class_tower
 from .residues import DlogPlan, ModularUnits
 
@@ -37,9 +37,8 @@ def e_of_q(q, p: int) -> int:
 def cyclotomic_log(n: int, p: int, A: int) -> int:
     """log<n>/log(1+p) mod p^(A-1) for n prime to p, from both logs mod p^A
     on integer residues: log<n> lies in pZ_p and log(1+p) is p times a unit
-    for p odd (Washington, GTM 83, sec. 5.1).  The last 512 are kept: a
-    batch of 194 Kummer queries reads 361 to 379 distinct ones and keeps
-    all its repeats with 362 slots."""
+    for p odd (Washington, GTM 83, sec. 5.1).  The values of the last 512
+    triples (n, p, A) asked for are kept."""
     if n % p == 0:
         raise ValueError("n must be coprime to p")
     ln = unit_log_residues(abs(n), 0, 0, p, A)[0]
@@ -54,7 +53,7 @@ def cyclotomic_degree(q: IntegralIdeal, p: int, work: int) -> PAdicNumber:
 
 @lru_cache(maxsize=128)
 def _inverse_log_gamma(p: int, A: int) -> int:
-    """The inverse of log(1+p)/p mod p^(A-1), the same for every n."""
+    """The inverse of log(1+p)/p mod p^(A-1), kept for the last 128 (p, A)."""
     return pow(log_series(p, 0, 0, 0, p, A)[0] // p, -1, p**(A - 1))
 
 
@@ -178,14 +177,13 @@ def frobenius_image(G: GaloisGroupG, q: IntegralIdeal):
 
 
 def even_criterion(K: RealQuadraticField, p: int, q: IntegralIdeal, N: int):
-    """Even-side inertia test: the inertia image at q in the ray tower
-    must have order e(q), computed as a ratio of ray class orders at two
-    conductor levels."""
+    """Even-side inertia test: the inertia image at the prime q (an ideal,
+    or an int for the ideal (q)) in the ray tower must have order e(q),
+    computed as a ratio of ray class orders at two conductor levels."""
     check_odd_prime(p)
     if N < 1:
         raise ValueError("N must be at least 1")
-    if isinstance(q, int):
-        q = rational_ideal(K, q)
+    q = prime_ideal(K, q)
     eq = e_of_q(q, p)
     orders = []
     # p^(N+2) first, so that p^(N+1) is read as its quotient

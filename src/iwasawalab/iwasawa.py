@@ -2,17 +2,15 @@
 primes, its image order m_Q, Leopoldt defects, the Greenberg-Wiles dimension
 bookkeeping, and the defect-never-one scan over quadratic fields.
 
-m_Q is read at levels N and N + 2, and the work of one level is the
-`lru_cache` `_degree_zero_level`, so queries at N and N + 2 share a level.
-Level N + 2 is read first: its ray class group is then the top of the
-tower of (F, p), or below it, and level N is read as a quotient of the top
-(rayclass.ray_class_tower).
+m_Q is read at levels N and N + 2, each kept on the tower of (F, p)
+(rayclass.ray_class_tower) under the pair of primes, so queries at N and
+N + 2 share a level.  Level N + 2 is read first: its ray class group is
+then the top of the tower, or below it, and level N is its quotient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 from .abgroup import element_order, subgroup_image_order
@@ -20,16 +18,16 @@ from .classfield import GaloisGroupG, cyclotomic_degree, group_G
 from .ntheory import InternalCheckError, is_squarefree, power, quad_mul
 from .padic import PAdicNumber, PrecisionError, vp
 from .quadfield import (IntegralIdeal, RealQuadraticField, check_odd_prime,
-                        fundamental_unit, rational_ideal)
+                        fundamental_unit, prime_ideal)
+from .rayclass import ray_class_tower
 
 
 def is_inert_in_cyclotomic(q, K: RealQuadraticField, p: int) -> bool:
     """True iff the Frobenius of q generates the cyclotomic Z_p-quotient,
-    i.e. v_p(N(q)^(p-1) - 1) = 1."""
+    i.e. v_p(N(q)^(p-1) - 1) = 1, for a prime q (an ideal, or an int for
+    the ideal (q))."""
     check_odd_prime(p)
-    if isinstance(q, int):
-        q = rational_ideal(K, q)
-    n = q.norm
+    n = prime_ideal(K, q).norm
     if n % p == 0:
         raise ValueError("q lies above p")
     m = pow(n, p - 1) - 1
@@ -71,10 +69,7 @@ class FrobeniusModuleReport:
 
 
 def _check_q_pair(K, p, q1, q2):
-    if isinstance(q1, int):
-        q1 = rational_ideal(K, q1)
-    if isinstance(q2, int):
-        q2 = rational_ideal(K, q2)
+    q1, q2 = prime_ideal(K, q1), prime_ideal(K, q2)
     if q1 == q2:
         raise ValueError("the two primes must be distinct")
     for q in (q1, q2):
@@ -119,15 +114,10 @@ def _rounded_degree_zero(G: GaloisGroupG, q1, q2):
     return F1, F2, v1, G.group.add(G.group.scale(a1_int, F1), F2)
 
 
-@lru_cache(maxsize=256)
 def _degree_zero_level(K: RealQuadraticField, p: int, L: int, q1, q2):
     """(G, order) at level L: the model G = group_G(K, p, L) and the order
     of the rounded degree-0 element of (q1, q2) in it, checked against the
-    subgroup count.  mq_order reads levels N and N + 2, so level N + 2 of
-    one query is level N of another.  The last 256 levels are kept: a
-    batch of 194 Kummer queries over 12 fields reads 166 to 183 distinct
-    ones, and keeps all its repeats with 154 to 163 slots (seeds 1 to 3
-    of the benchmark)."""
+    subgroup count."""
     G = group_G(K, p, L)
     F1, F2, v1, g = _rounded_degree_zero(G, q1, q2)
     order = element_order(G.group, g)
@@ -148,8 +138,9 @@ def mq_order(K: RealQuadraticField, p: int, Q, N: int) \
     certified by agreement at precisions N and N+2.  Level N + 2 is read
     first, so that level N is a quotient of the tower's top."""
     rep = mq_generator(K, p, Q, N)
-    upper = _degree_zero_level(K, p, N + 2, rep.q1, rep.q2)[1]
-    G, order = _degree_zero_level(K, p, N, rep.q1, rep.q2)
+    Q, tower = (rep.q1, rep.q2), ray_class_tower(K, p)
+    upper = tower.recall(Q, N + 2, _degree_zero_level, K, p, N + 2, *Q)[1]
+    G, order = tower.recall(Q, N, _degree_zero_level, K, p, N, *Q)
     rep.m_q = order
     rep.stable = order == upper
     rep.provisional_orders = (order, upper)

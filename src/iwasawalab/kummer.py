@@ -7,15 +7,14 @@ alpha is always a formal product over an S-unit basis with Z_p exponents;
 its exponents are genuinely p-adic and it is never a single field element.
 Its basis does not depend on the precision N: `_alpha_basis` builds the
 entries (the units, beta, pi1, pi2) once per (K, p, Q) and congruence
-split, with an EntryLogTable of their unit logs at the primes above p,
-taken at the highest precision asked for so far; a lower N reads the logs
-by truncation, and only the exponents are computed per query.
+split, kept on the tower of (K, p) under Q, with an EntryLogTable of their
+unit logs at the primes above p, taken at the highest precision asked for
+so far; a lower N reads the logs by truncation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .abgroup import element_order, smith_normal_form
 from .iwasawa import mq_order
@@ -26,9 +25,9 @@ from .ntheory import InternalCheckError, factorint
 from .padic import PAdicNumber, PrecisionError, vp
 from .quadfield import (FieldElement, RealQuadraticField, SUnitBasisData,
                         SUnitProduct, check_odd_prime, class_group,
-                        ideal_valuation, prime_ideals_above,
-                        principal_generator, rational_ideal, realize,
-                        s_unit_entry, unit_entries)
+                        ideal_valuation, prime_ideals_above, realize,
+                        principal_generator, s_unit_entry, unit_entries)
+from .rayclass import ray_class_tower
 
 
 @dataclass
@@ -92,8 +91,10 @@ def construct_alpha(K: RealQuadraticField, p: int, Q, N: int) \
     c1 = (a1 - PAdicNumber.exact(b1, p, a1.abs_prec + 2)).shift(-m)
     c2 = PAdicNumber.exact(0, p, N + 4)
 
-    scale = n_prime_to_p * m_q
-    h1, entries, table = _alpha_basis(K, p, q1, q2, b1 * scale, scale)
+    e2 = n_prime_to_p * m_q
+    e1 = b1 * e2
+    h1, entries, table = ray_class_tower(K, p).recall(
+        (q1, q2), (e1, e2), _alpha_basis, K, p, q1, q2, e1, e2)
     t1 = c1 * PAdicNumber.exact(n_prime_to_p * p**m // h1 * m_q, p,
                                 a1.abs_prec + 2)
     t2 = c2
@@ -111,15 +112,12 @@ def construct_alpha(K: RealQuadraticField, p: int, Q, N: int) \
     return _check_certificate(alpha, K, p, (q1, q2), N, rep, logs)
 
 
-@lru_cache(maxsize=16)
 def _alpha_basis(K: RealQuadraticField, p: int, q1, q2, e1: int, e2: int):
     """(h1, entries, EntryLogTable of the entries) of the alpha of
     (K, p, (q1, q2)) whose congruence split takes beta, the generator of
     q1^e1 * q2^e2: the work of construct_alpha that does not depend on N.
     The entries are unit_entries(K), then beta, pi1 and pi2, with pi_i a
-    generator of q_i^h_i, h_i the class order of q_i.  The last 16 are
-    kept: a batch of 194 Kummer queries reads 12, one per fixture, and
-    keeps all 182 of its repeats with 12 slots."""
+    generator of q_i^h_i, h_i the class order of q_i."""
     beta = principal_generator(q1**e1 * q2**e2)
     if beta is None:
         raise InternalCheckError("congruence-split ideal failed to be "
@@ -136,9 +134,9 @@ def _alpha_basis(K: RealQuadraticField, p: int, q1, q2, e1: int, e2: int):
 
 
 class EntryLogTable:
-    """The _place_logs of `entries` at the prime ideals `places` above p,
-    kept at the highest precision asked for so far, the top, and read at
-    any lower N by truncation (cf. rayclass.RayClassTower).
+    """The pairs (q, entry_logs(entries, q, N)) for the prime ideals q of
+    `places` above p, kept at the highest precision asked for so far, the
+    top, and read at any lower N by truncation.
 
     _element_unit_log reads the unit x/p^v of an entry to
     A = N + max(v, 0) + 2 - v digits, and v does not depend on N: so each
@@ -151,12 +149,13 @@ class EntryLogTable:
         self.top, self.logs = 0, ()
 
     def at(self, N: int) -> tuple:
-        """_place_logs(entries, places, N).  Past the top, the table is
-        taken again at N + 2, the level mq_order reads first, so that
-        N + 1 and N + 2 are read from it too."""
+        """The table at N.  Past the top, it is taken again at N + 2, the
+        level mq_order reads first, so that N + 1 and N + 2 are read from it
+        too."""
         if N > self.top:
             self.top = N + 2
-            self.logs = _place_logs(self.entries, self.places, self.top)
+            self.logs = tuple((q, entry_logs(self.entries, q, self.top))
+                              for q in self.places)
         drop = self.top - N
         if not drop:
             return self.logs
@@ -165,15 +164,10 @@ class EntryLogTable:
                      for q, lgs in self.logs)
 
 
-def _place_logs(entries, places, N: int) -> tuple:
-    """(q, entry_logs(entries, q, N)) for each prime ideal q of `places`."""
-    return tuple((q, entry_logs(entries, q, N)) for q in places)
-
-
 def _solve_unit_exponent(alpha0: SUnitProduct, logs):
     """x in Z_p with log loc(alpha0) = x * log loc(eps) at every prime above
-    p, given the _place_logs `logs` of alpha0.entries, whose entry 1 is eps
-    (unit_entries: -1, then eps)."""
+    p, given the logs `logs` of alpha0.entries (EntryLogTable.at), whose
+    entry 1 is eps (unit_entries: -1, then eps)."""
     x = None
     checks = []
     for _, lg in logs:
@@ -203,17 +197,15 @@ def verify_alpha(alpha: SUnitProduct, K: RealQuadraticField, p: int, Q,
                  N: int) -> KummerCertificate:
     """Check the four certificate clauses; accept, reject naming the failed
     clause, or report indeterminate when the data sits below precision."""
-    Q = tuple(rational_ideal(K, q) if isinstance(q, int) else q for q in Q)
     rep = mq_order(K, p, Q, N)
-    return _check_certificate(alpha, K, p, Q, N, rep,
-                              _place_logs(alpha.entries,
-                                          completions_above_p(K, p), N))
+    logs = EntryLogTable(alpha.entries, completions_above_p(K, p)).at(N)
+    return _check_certificate(alpha, K, p, (rep.q1, rep.q2), N, rep, logs)
 
 
 def _check_certificate(alpha: SUnitProduct, K: RealQuadraticField, p: int,
                        Q, N: int, rep, logs) -> KummerCertificate:
     """verify_alpha given the mq_order report `rep` of (K, p, Q, N) and the
-    _place_logs `logs` of alpha.entries at the prime ideals above p."""
+    logs `logs` of alpha.entries at the primes above p (EntryLogTable.at)."""
     q1, q2 = Q
     cert = KummerCertificate(alpha, K, p, N, Q)
     cert.m_q = rep.m_q

@@ -278,7 +278,8 @@ def _log_terms_needed(c: int, p: int, A: int) -> int:
 def _log_inverses(p: int, e: int) -> tuple:
     """(p^(v_p k), (-1)^(k+1) / (k / p^(v_p k)) mod p^e) at index k - 1, for
     each k below K(1, p, e - 1): a series taken mod p^e = p^(A + guard) has
-    A <= e - 1 and c >= 1, and _log_terms_needed grows with A, falls with c."""
+    A <= e - 1 and c >= 1, and _log_terms_needed grows with A, falls with c.
+    The tables of the last 128 pairs (p, e) asked for are kept."""
     modg = p**e
     out = []
     for k in range(1, _log_terms_needed(1, p, e - 1)):
@@ -297,7 +298,7 @@ def log_series(z0: int, z1: int, t: int, n: int, p: int, A: int):
     are computed mod p^(A + guard) with p^guard > K, so dividing z^k by the
     p-part of k < K leaves at least A digits.  The signed inverses of the
     prime-to-p parts of k come from one table per (p, A + guard), built on
-    first use and kept for the 128 pairs last used.
+    first use and kept for the last 128 pairs used.
     """
     mod = p**A
     z0 %= mod

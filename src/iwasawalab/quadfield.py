@@ -414,10 +414,8 @@ def _min_poly_roots_mod(K: RealQuadraticField, ell: int):
 def split_root(q: IntegralIdeal, e: int) -> int:
     """Image of w in Z/ell^e under a split prime q = (ell; b; 1): the root
     -b mod ell of f(T) = T^2 - w_trace*T + w_norm, Hensel-lifted mod ell^e.
-    The roots of the 256 pairs (q, e) last asked for are kept: the unit
-    logs of one query read the same place at the same precision again,
-    and a batch of 194 Kummer queries asks for 189 to 217 distinct pairs
-    and keeps all its repeats with 145 to 207 slots.
+    The roots of the last 256 pairs (q, e) asked for are kept: the unit
+    logs of one query read the same place at the same precision again.
 
     Newton's step doubles the digits of the root t and, with one inverse
     taken mod ell, of inv = 1/f'(t): inv*(2 - f'(t)*inv).  f'(t) = 2t -
@@ -509,6 +507,14 @@ def residue_char(q: IntegralIdeal) -> int:
     if r * r == n and isprime(r) and not _min_poly_roots_mod(q.field, r):
         return r
     raise ValueError("not a prime ideal: %s" % (q,))
+
+
+def prime_ideal(K: RealQuadraticField, q) -> IntegralIdeal:
+    """q, or the ideal (q) of an int q, which must be prime (ValueError)."""
+    if isinstance(q, int):
+        q = rational_ideal(K, q)
+        residue_char(q)
+    return q
 
 
 # ----------------------------------------------- reduction (cycles of ideals)
@@ -639,8 +645,7 @@ class ClassGroupData:
 
 @lru_cache(maxsize=32)
 def class_group(K: RealQuadraticField) -> ClassGroupData:
-    """The class group of K, kept for the 32 fields last asked for: a batch
-    of 160 ray class groups over 25 fields keeps its repeats with 21."""
+    """The class group of K, kept for the last 32 fields asked for."""
     return ClassGroupData(K)
 
 
@@ -661,8 +666,8 @@ def _exact_quotient(K: RealQuadraticField, num, den, what: str):
 def _o_walk(K: RealQuadraticField):
     """The principal-cycle table: dict (P, Q) -> (x, y), the gamma product
     x + y*w of the walk of the unit ideal up to that state, over one full
-    period.  Only principal_generator reads it, and the tables of the 16
-    fields last asked for are kept: a Kummer batch over 12 fields reads 8.
+    period.  Only principal_generator reads it, and the tables of the last
+    16 fields asked for are kept.
 
     A step takes tau_k = (P + sqrt D)/Q to tau_{k+1} = 1/(tau_k - a_k), and
     Z + Z*tau_k = gamma * (Z + Z*tau_{k+1}) with gamma = 1/tau_{k+1}.  The
@@ -682,9 +687,8 @@ def _o_walk(K: RealQuadraticField):
 @lru_cache(maxsize=32)
 def fundamental_unit(K: RealQuadraticField) -> FieldElement:
     """The unit eps > 1 generating the units modulo {-1}, from half a
-    period of the principal cycle.  The units of the 32 fields last asked
-    for are kept: a batch of 160 ray class groups over 25 fields keeps all
-    its repeats with 14 slots.
+    period of the principal cycle.  The units of the last 32 fields asked
+    for are kept.
 
     The walk of _o_walk from (P_0, Q_0) = (D, 2) reaches the states of the
     reduced ideals I_k = [Q_k/2, (P_k + sqrt D)/2], with I_0 = O, and

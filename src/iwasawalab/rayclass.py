@@ -8,11 +8,13 @@ presented by generators and relations:
 
 The conductors p^M of one (F, p) form a tower, ray_class_tower: it
 builds the highest one asked for directly and reads each lower one as its
-quotient, by reducing the top's relations (RayClassGroupData).
+quotient, by reducing the top's relations (RayClassGroupData).  The tower
+is the one record of the state of (F, p) (RayClassTower).
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from functools import lru_cache, reduce
 from math import gcd, prod
 
@@ -91,6 +93,7 @@ class RayClassGroupData:
                                 for entry in unit_entries(K)]
             self.class_gen_ideals, elements = self._class_gen_reps()
             class_dlogs = [self.units.dlog(g) for g in elements]
+            self._ambient = {}          # q -> _ambient_vector(q)
         else:
             M, T = _p_power(modulus, p), _p_power(top.modulus, p)
             if M > T or top.top is not None or top.field != K:
@@ -178,9 +181,23 @@ class RayClassGroupData:
     # ------------------------------------------------------------- class maps
     def ambient_of_ideal(self, q: IntegralIdeal):
         """Ambient exponent vector of the ray class [q], q coprime to m:
-        the vector at the level whose dlogs this one reads, reduced."""
-        vec = _ambient_at(self.top or self, q)
+        the vector at the direct build whose dlogs this one reads, reduced."""
+        vec = (self.top or self)._ambient_vector(q)
         return self._reduce(vec[:self.nu]) + list(vec[self.nu:])
+
+    def _ambient_vector(self, q: IntegralIdeal) -> tuple:
+        """The ambient vector of [q] at this direct build, kept on it: the
+        unit dlog of a generator of q times class representatives, and
+        minus their exponents."""
+        if q not in self._ambient:
+            b = self.clg.ambient_dlog(q)
+            cs = [(o - t) % o for o, t in zip(self.clg.gen_orders, b)]
+            lam = principal_generator(reduce(IntegralIdeal.__mul__, (
+                g**c for g, c in zip(self.class_gen_ideals, cs) if c), q))
+            if lam is None:
+                raise InternalCheckError("class bookkeeping failed")
+            self._ambient[q] = tuple(self.units.dlog(lam) + [-c for c in cs])
+        return self._ambient[q]
 
     def p_class_of_ideal(self, q: IntegralIdeal) -> GroupElement:
         return self.p_group.project(self.ambient_of_ideal(q))
@@ -213,27 +230,6 @@ class RayClassGroupData:
         }
 
 
-@lru_cache(maxsize=128)
-def _ambient_at(rc: RayClassGroupData, q: IntegralIdeal) -> tuple:
-    """The ambient vector of [q] at a direct build rc: the unit dlog of a
-    generator of q times class representatives, and minus their
-    exponents.  Each level below a top reads the top's vector, so the last
-    128 are kept: a batch of 194 Kummer queries asks for 116 to 144
-    distinct ones and keeps all its repeats with 106 slots."""
-    b = list(rc.clg.ambient_dlog(q)) if rc.r else []
-    J = q
-    cs = []
-    for j in range(rc.r):
-        c = (rc.clg.gen_orders[j] - b[j]) % rc.clg.gen_orders[j]
-        cs.append(c)
-        if c:
-            J = J * rc.class_gen_ideals[j]**c
-    lam = principal_generator(J)
-    if lam is None:
-        raise InternalCheckError("class bookkeeping failed")
-    return tuple(rc.units.dlog(lam) + [-c for c in cs])
-
-
 def p_part(n: int, p: int) -> int:
     return p ** vp(n, p)
 
@@ -248,14 +244,19 @@ def ray_class_group(K: RealQuadraticField, modulus, p: int) \
 
 
 class RayClassTower:
-    """The ray class groups of conductors (p^M), M >= 2, of one (K, p).
-    The highest conductor asked for so far, the top, is built directly;
-    each lower one is read as its quotient, and a higher one becomes the
-    new top."""
+    """The state of one (K, p).  Of the ray class groups of conductors
+    (p^M), M >= 2, the highest asked for so far, the top, is built
+    directly; each lower one is read as its quotient, and a higher one
+    becomes the new top.  For the last PAIRS_KEPT pairs of primes Q asked
+    of (K, p), `recall` keeps the work that queries of Q at different
+    precisions share: one entry per level and congruence split asked."""
+
+    PAIRS_KEPT = 8
 
     def __init__(self, K: RealQuadraticField, p: int):
         self.field, self.p = K, p
         self.top, self.exponent = None, 0
+        self.pairs = OrderedDict()
 
     def level(self, M: int) -> RayClassGroupData:
         if M < 2:
@@ -268,9 +269,20 @@ class RayClassTower:
             return self.top
         return RayClassGroupData(K, modulus, p, self.top)
 
+    def recall(self, Q: tuple, key, make, *args):
+        """The entry `key` of the pair of primes Q, make(*args) on first
+        read; Q becomes the most recent pair, and the least recent past
+        PAIRS_KEPT is dropped with its entries."""
+        entries = self.pairs[Q] = self.pairs.pop(Q, {})
+        if len(self.pairs) > self.PAIRS_KEPT:
+            self.pairs.popitem(last=False)
+        if key not in entries:
+            entries[key] = make(*args)
+        return entries[key]
 
-@lru_cache(maxsize=16)
+
+@lru_cache(maxsize=32)
 def ray_class_tower(K: RealQuadraticField, p: int) -> RayClassTower:
-    """The tower of (K, p), one of the last 16 asked for: a batch of 194
-    Kummer queries reads 12."""
+    """The tower of (K, p), the record of its state, for the last 32 pairs
+    (K, p) asked for; ray_class_tower.cache_clear() empties all of it."""
     return RayClassTower(K, p)

@@ -40,13 +40,17 @@ the tests read in place of engine methods that no engine path called: the
 `AtLeast` marker and `valuation` of a PAdicNumber, `sqrt_pair(K, u, v)`,
 `real_sign` and `compare_real` of a field element (on the engine's
 `quadfield._real_sign`), `scale_exponents` of a formal product and
-`group_identity` of a finite abelian group.
+`group_identity` of a finite abelian group.  `empty_memos()` empties
+every memo table of the engine, each one found by its `cache_clear`.
 """
 
+import importlib
+import pkgutil
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, log, pi, prod, sin
 
+import iwasawalab
 from iwasawalab import padic
 from iwasawalab.abgroup import (FiniteAbelianGroup, GroupElement,
                                 element_order, lattice_index,
@@ -63,6 +67,28 @@ from iwasawalab.padic import (PAdicNumber, PrecisionError, _log_terms_needed,
                               teichmueller, vp)
 from iwasawalab.quadfield import (FieldElement, SUnitBasisData, SUnitProduct,
                                   _real_sign, fundamental_unit)
+
+
+def _memo_tables():
+    """{module.name: table} for each function of an iwasawalab module that
+    has a `cache_clear`: its lru_cache memo tables."""
+    tables = {}
+    for info in pkgutil.iter_modules(iwasawalab.__path__):
+        module = importlib.import_module("iwasawalab." + info.name)
+        for name, value in vars(module).items():
+            if callable(getattr(value, "cache_clear", None)) \
+                    and value.__module__ == module.__name__:
+                tables["%s.%s" % (info.name, name)] = value
+    return tables
+
+
+MEMO_TABLES = _memo_tables()
+
+
+def empty_memos():
+    """Empty every memo table of the engine, as a fresh process has them."""
+    for table in MEMO_TABLES.values():
+        table.cache_clear()
 
 
 def _sqrt_window_low(D, t):

@@ -20,9 +20,10 @@ from pathlib import Path
 import pytest
 
 import iwasawalab
-from iwasawalab import iwasawa, kummer, rayclass, residues
+from iwasawalab import rayclass, residues
 from iwasawalab.padic import vp
 from iwasawalab.quadfield import rational_ideal
+from oracles import empty_memos
 from test_kummer import ALPHA_GRID
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -41,12 +42,6 @@ def _load(name):
 
 
 W, S = _load("workloads"), _load("session")
-
-
-def _empty_memos():
-    for memo in (iwasawa._degree_zero_level, rayclass.ray_class_tower,
-                 rayclass._ambient_at, kummer._alpha_basis):
-        memo.cache_clear()
 
 
 def _alpha_keys():
@@ -90,7 +85,7 @@ def test_every_recorded_alpha_key_in_both_orders(monkeypatch, order):
     keys, by_fixture = _alpha_keys()
     assert len(keys) == 190
     expected = S.load_expected("kummer-alpha", set(keys))
-    _empty_memos()
+    empty_memos()
     direct, quotient, _ = _count_builds(monkeypatch)
     tops = []
     for (d, p, q1, q2), Ns in by_fixture.items():
@@ -101,7 +96,7 @@ def test_every_recorded_alpha_key_in_both_orders(monkeypatch, order):
             # mq_order reads level N + 2, conductor p^(N+3), first
             if not tops or tops[-1][:2] != (d, p) or tops[-1][2] < N + 3:
                 tops.append((d, p, N + 3))
-    _empty_memos()
+    empty_memos()
     assert direct == tops
     assert len(tops) == (190 if order == "ascending" else 12)
     # level N, conductor p^(N+1), is read as a quotient whenever it is not
@@ -120,7 +115,7 @@ def test_seed_one_batch(monkeypatch, workload):
     are single primes ell, built directly."""
     batch = W.batch(workload, 1)
     expected = S.load_expected(workload, {W.query_key(q) for q in batch})
-    _empty_memos()
+    empty_memos()
     direct, quotient, other = _count_builds(monkeypatch)
     for q in batch:
         doc = W.answer(iwasawalab, q)
@@ -137,7 +132,7 @@ def test_seed_one_alpha_batch_builds_few_levels_directly(monkeypatch):
     batch = W.batch("kummer-alpha", 1)
     expected = S.load_expected("kummer-alpha",
                                {W.query_key(q) for q in batch})
-    _empty_memos()
+    empty_memos()
     cls = rayclass.RayClassGroupData
     direct, quotient, _ = _count_builds(monkeypatch)
     build = rayclass.RayClassGroupData
@@ -171,7 +166,7 @@ def test_seed_one_alpha_batch_builds_few_levels_directly(monkeypatch):
     for q in batch:
         doc = W.answer(iwasawalab, q)
         assert S.canonical(doc) == expected[W.query_key(q)], q
-    _empty_memos()
+    empty_memos()
     assert len(set(direct) | set(quotient)) == 166
     assert len(direct) <= 60 and len(set(direct)) == len(direct)
     assert not set(direct) & set(quotient)

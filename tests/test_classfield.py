@@ -3,7 +3,7 @@ from math import prod
 
 import pytest
 
-from iwasawalab import classfield, iwasawa, rayclass
+from iwasawalab import classfield, rayclass
 from iwasawalab.abgroup import element_order, smith_presentation
 from iwasawalab.classfield import (group_G, frobenius_image, e_of_q,
                                    even_criterion, cyclotomic_log,
@@ -14,7 +14,7 @@ from iwasawalab.quadfield import (RealQuadraticField, factor_rational_prime,
                                   rational_ideal)
 from iwasawalab.rayclass import ray_class_group
 from oracles import (cyclotomic_dlog_log_route, degree_kernel_lattice,
-                     degree_log_route, group_identity,
+                     degree_log_route, empty_memos, group_identity,
                      solve_integral_fractions, subgroup_order_from_lattice)
 
 QQ = RealQuadraticField.rationals()
@@ -176,8 +176,7 @@ def test_mq_order_builds_only_the_levels_it_reads(monkeypatch, d, p, l1, l2,
     """mq_order builds one ray class group directly, p^(N+3), the top of the
     tower of (K, p), and reads p^(N+1) as its quotient; reading `stable` of
     the group G it keeps at N reads p^(N+2) as a quotient too, once."""
-    iwasawa._degree_zero_level.cache_clear()
-    rayclass.ray_class_tower.cache_clear()
+    empty_memos()
     direct, quotient, build = [], [], rayclass.RayClassGroupData
 
     def record(K, modulus, p, top=None):
@@ -191,7 +190,7 @@ def test_mq_order_builds_only_the_levels_it_reads(monkeypatch, d, p, l1, l2,
     def norm(M):
         return rational_ideal(K, p**M).norm
     assert (direct, quotient) == ([norm(N + 3)], [norm(N + 1)])
-    G = iwasawa._degree_zero_level(K, p, N, *Q)[0]
+    G = rayclass.ray_class_tower(K, p).pairs[Q][N][0]
     assert (direct, quotient) == ([norm(N + 3)], [norm(N + 1)])
     assert G.stable in (True, False)
     assert (direct, quotient) == ([norm(N + 3)], [norm(N + 1), norm(N + 2)])

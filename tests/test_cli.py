@@ -1,10 +1,11 @@
 import json
+import random
 import re
 import sys
 
 import pytest
 
-from iwasawalab import classfield
+from iwasawalab import classfield, cli
 from iwasawalab.cli import build_parser, main
 from iwasawalab.quadfield import RealQuadraticField, fundamental_unit
 
@@ -405,3 +406,94 @@ def test_a_malformed_list_item_is_named(argv, message, capsys):
     assert main(argv) == 4
     out, err = capsys.readouterr()
     assert out == "" and err == "usage error: %s\n" % message
+
+
+@pytest.mark.parametrize("field,q1,q2,alpha", [
+    ("Q(sqrt{10})", "7", "41", ("accepted", 1, 1)),
+    ("Q(sqrt{79})", "2", "5", ("accepted", 9, 9))])
+@pytest.mark.parametrize("N", ["2", "3"])
+def test_conjugate_split_primes_give_the_same_answers(field, q1, q2, alpha,
+                                                       N, capsys):
+    """Swapping a split prime for its conjugate changes the prime that mq
+    prints and nothing else, and leaves alpha's status, m_Q and predicted
+    intersection degree as they are."""
+    mq, certs = [], []
+    for place in "ab":
+        argv = ("--field", field, "--p", "3", "--q1", q1, "--q2", q2 + place,
+                "--prec", N)
+        code, doc = run_json(capsys, "mq", *argv)
+        assert code == 0
+        mq.append(doc)
+        code, doc = run_json(capsys, "alpha", *argv)
+        assert code == 0
+        certs.append((doc["status"], doc["m_Q"],
+                      doc["predicted_intersection_degree"]))
+    assert mq[0]["q2"] != mq[1]["q2"]
+    assert dict(mq[0], q2=None) == dict(mq[1], q2=None)
+    assert certs == [alpha, alpha]
+
+
+# Values of each option of cli._OPTIONS: good ones, then bad ones (out of
+# range, malformed, or refused by the engine).  Fields and --dmax are small
+# and --prec is at most 4, so that every run is quick.
+FUZZ_VALUES = {
+    "--field": (["Q", "Q(sqrt{2})", "Q(sqrt{5})", "Q(sqrt{7})",
+                 "Q(sqrt{10})", "Q(sqrt{79})"],
+                ["Q(sqrt{4})", "Q(sqrt{-3})", "Q(sqrt{1})", "sqrt", ""]),
+    "--ell": (["2", "3", "5", "7", "41"], ["0", "-5", "1", "4", "x"]),
+    "--modulus": (["1", "7", "9", "27", "63", "10"],
+                  ["0", "-3", "4", "8", "x"]),
+    "--p": (["3", "5"], ["2", "9", "0", "-3", "x"]),
+    "--q": (["2", "5", "7", "7a", "11b"], ["3", "4", "x", "", "7c", "1"]),
+    "--q+": (["2", "5", "7", "7a", "11b"], ["3", "4", "x", "", "7c", "1"]),
+    "--q1": (["2", "5", "7a", "41"], ["3", "4", "x", "5b", "9a"]),
+    "--q2": (["5", "7", "11", "41b"], ["3", "6", "y", "2b", "-7"]),
+    "--prec": (["1", "2", "3", "4"], ["0", "-1", "x", "2.5"]),
+    "--h0v": (["0", "1", "3"], ["-1", "x"]),
+    "--h0dual": (["0", "2"], ["-2", "y"]),
+    "--locals": (["1:0", "1:0,2:1", "0:0"], ["1:2:3", "x", "1:-1", ","]),
+    "--dmax": (["1", "2", "10", "50"], ["0", "-4", "x"]),
+    "--primes": (["3", "3,5", "5,7"], ["2", "3,,5", "9", "x", "-3"]),
+}
+
+
+COMMAND_NAMES = [name for name, _, _ in cli._COMMANDS]
+
+
+def _fuzz_argv(rng):
+    """A random command line of one subcommand: each option with a good
+    value, mostly, or a bad one; now and then an option left out, given
+    twice or not declared."""
+    name, _, options = rng.choice(cli._COMMANDS)
+    argv = []
+    for option in options:
+        if rng.random() < 0.05:
+            continue
+        good, bad = FUZZ_VALUES[option]
+        for _ in range(2 if rng.random() < 0.05 else 1):
+            argv += [option.rstrip("+"),
+                     rng.choice(bad if rng.random() < 0.1 else good)]
+    if rng.random() < 0.05:
+        argv += [rng.choice(sorted(cli._OPTIONS)).rstrip("+"), "3"]
+    fmt = ["--format", rng.choice(["json", "text"])]
+    return fmt + [name] + argv if rng.random() < 0.9 else [name] + argv + fmt
+
+
+def test_random_command_lines_keep_the_exit_contract(monkeypatch, capsys):
+    """Every run exits with a documented code and prints no traceback; a
+    JSON run that is not a usage error prints one JSON document."""
+    monkeypatch.setenv("IWASAWA_LAB_PRECISION", "3")
+    rng = random.Random(31)
+    answered = set()
+    for _ in range(400):
+        argv = _fuzz_argv(rng)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 2, 3, 4, 5), argv
+        assert "Traceback" not in err, argv
+        if "json" in argv and code != 4:
+            json.loads(out)
+        if code != 4:
+            answered.add(next(a for a in argv if a in COMMAND_NAMES))
+    # the generator reaches the engine with every subcommand
+    assert answered == set(COMMAND_NAMES)

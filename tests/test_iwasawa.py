@@ -24,7 +24,8 @@ from iwasawalab.quadfield import (RealQuadraticField, factor_rational_prime,
                                   split_root)
 import oracles
 from oracles import (angle_log, degree_kernel_lattice, degree_log_route,
-                     degree_zero_pair_element, lattice_intersection,
+                     degree_zero_pair_element, empty_memos,
+                     lattice_intersection,
                      leopoldt_defect_log_route,
                      mq_order_log_route, rounded_degree_zero_log_route,
                      sqrt_pair, subgroup_order_from_lattice)
@@ -52,6 +53,43 @@ def test_inert_in_cyclotomic():
     assert not is_inert_in_cyclotomic(17, QQ, 3)  # v3(288) = 2
     with pytest.raises(ValueError):
         is_inert_in_cyclotomic(3, QQ, 3)
+
+
+@pytest.mark.parametrize("d,ell,kind", [
+    (2, 7, "split"), (2, 2, "ramified"), (79, 5, "split"),
+    (79, 2, "ramified"), (10, 41, "split"), (10, 5, "ramified")])
+def test_an_int_q_that_is_not_prime_is_refused(d, ell, kind):
+    """An int q stands for the ideal (q); above a split or ramified q that
+    ideal is not prime, and both entry points refuse it, as mq_order does,
+    while a prime above ell is taken."""
+    K = RealQuadraticField(d)
+    assert factor_rational_prime(K, ell).kind == kind
+    for call in (lambda q: even_criterion(K, 3, q, 2),
+                 lambda q: is_inert_in_cyclotomic(q, K, 3)):
+        with pytest.raises(ValueError, match="^not a prime ideal: "):
+            call(ell)
+        call(factor_rational_prime(K, ell).ideals[0])
+
+
+def test_an_int_q_that_is_prime_is_taken():
+    """Over Q every prime ell is the prime ideal (ell), and an inert ell
+    of Q(sqrt 2) is one too: the ints the tests and selftest pass."""
+    for ell in (2, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        is_inert_in_cyclotomic(ell, QQ, 3)
+        assert even_criterion(QQ, 3, ell, 2)["norm_q"] == ell
+    assert even_criterion(QQ, 3, 7, 2)["status"] == "pass"
+    assert is_inert_in_cyclotomic(5, Q2, 3)
+    assert even_criterion(Q2, 3, 5, 2)["norm_q"] == 25
+    assert mq_order(QQ, 3, (2, 5), 3).m_q == 1
+
+
+def test_even_criterion_at_7_over_q_sqrt_2():
+    """The ideal (7) of Q(sqrt 2) is refused; the prime (7; 0; 1) above 7
+    passes with inertia orders [3, 3]."""
+    q = factor_rational_prime(Q2, 7).ideals[0]
+    rep = even_criterion(Q2, 3, q, 2)
+    assert (rep["q"], rep["inertia_orders"], rep["status"]) == \
+        ("(7; 0; 1)", [3, 3], "pass")
 
 
 def test_mq_generator_q_2_5():
@@ -124,7 +162,7 @@ def test_mq_order_takes_two_frobenius_classes_per_level(monkeypatch):
         levels.append(G.N)
         return frobenius_class(G, q)
     monkeypatch.setattr(GaloisGroupG, "frobenius_class", counted)
-    iwasawa._degree_zero_level.cache_clear()
+    empty_memos()
     K = RealQuadraticField(79)
     q1 = factor_rational_prime(K, 2).ideals[0]
     q5 = factor_rational_prime(K, 5).ideals[0]
@@ -170,16 +208,16 @@ def test_mq_order_cross_check_is_live(monkeypatch):
         F1, F2, v1, g = rounded(G, q1, q2)
         return F1, F2, v1, G.group.scale(G.p, g)
     monkeypatch.setattr(iwasawa, "_rounded_degree_zero", scaled)
-    # the level memo is emptied before, so that it does not hide the patch,
+    # the memos are emptied before, so that they do not hide the patch,
     # and after, so that no level read through the patch outlives the test
-    iwasawa._degree_zero_level.cache_clear()
+    empty_memos()
     K = RealQuadraticField(79)
     try:
         with pytest.raises(InternalCheckError,
                            match="subgroup and element orders disagree"):
             mq_order(K, 3, (_prime(K, "2"), _prime(K, "5a")), 4)
     finally:
-        iwasawa._degree_zero_level.cache_clear()
+        empty_memos()
 
 
 # fields, p and q-pairs of mq_order: inert, split and ramified q, and the
@@ -220,20 +258,29 @@ def test_frobenius_module_report_matches_log_route(d, p, s1, s2, N):
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 @pytest.mark.parametrize("d,p,s1,s2", MQ_GRID + ALPHA_FIXTURE_PAIRS)
-def test_mq_order_from_the_level_memo_equals_a_fresh_one(d, p, s1, s2, N):
+def test_mq_order_from_the_level_memo_equals_a_fresh_one(monkeypatch, d, p,
+                                                         s1, s2, N):
     """Level N + 2 of the query at N is level N of the query at N + 2, as in
-    the kummer-alpha batches: read from the memo after the query at N + 2,
-    it gives the report that an emptied memo gives."""
+    the kummer-alpha batches: read from the tower of (K, p) after the query
+    at N + 2, it gives the report that emptied memos give."""
     K = _field(d)
     Q = (_prime(K, s1), _prime(K, s2))
-    memo = iwasawa._degree_zero_level
-    memo.cache_clear()
+    made = []
+    level = iwasawa._degree_zero_level
+
+    def counted(K, p, L, q1, q2):
+        made.append(L)
+        return level(K, p, L, q1, q2)
+    monkeypatch.setattr(iwasawa, "_degree_zero_level", counted)
+    empty_memos()
     mq_order(K, p, Q, N + 2)
     rep = mq_order(K, p, Q, N)
-    assert memo.cache_info().hits == 1
-    memo.cache_clear()
+    assert made == [N + 4, N + 2, N]
+    assert sorted(rayclass.ray_class_tower(K, p).pairs[Q]) == \
+        [N, N + 2, N + 4]
+    empty_memos()
     fresh = mq_order(K, p, Q, N)
-    assert memo.cache_info().hits == 0
+    assert made == [N + 4, N + 2, N, N + 2, N]
     assert _report_fields(rep) == _report_fields(fresh)
     assert rep.to_json() == fresh.to_json()
 
@@ -390,8 +437,7 @@ def test_cyclotomic_character_needs_no_angle_log_or_plog(monkeypatch, d, p,
     assert bound == set()
     for attr in ("angle_log", "plog"):
         monkeypatch.setattr(oracles, attr, refuse)
-    classfield.cyclotomic_log.cache_clear()
-    iwasawa._degree_zero_level.cache_clear()
+    empty_memos()
     with pytest.raises(RuntimeError):
         oracles.angle_log(PAdicNumber.of(2, 3, 3))
     assert answers() == want

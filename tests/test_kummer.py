@@ -4,18 +4,21 @@ from fractions import Fraction
 
 import pytest
 
-from iwasawalab import kummer, localize
-from iwasawalab.iwasawa import mq_generator, mq_order
+from iwasawalab import kummer, localize, rayclass
+from iwasawalab.iwasawa import (is_inert_in_cyclotomic, mq_generator,
+                                mq_order)
 from iwasawalab.kummer import construct_alpha, verify_alpha, kummer_rank
 from iwasawalab.localize import TRUE, FALSE, INDET, completions_above_p
-from iwasawalab.padic import PAdicNumber, vp
+from iwasawalab.ntheory import is_squarefree, isprime
+from iwasawalab.padic import PAdicNumber, PrecisionError, vp
 from iwasawalab.quadfield import (RealQuadraticField, SUnitBasisData,
                                   SUnitProduct, factor_rational_prime,
                                   fundamental_unit, prime_kind,
                                   principal_generator, rational_ideal)
 
 import oracles
-from oracles import same_kummer_extension, scale_exponents, sqrt_pair
+from oracles import (empty_memos, same_kummer_extension, scale_exponents,
+                     sqrt_pair)
 
 QQ = RealQuadraticField.rationals()
 Q2 = RealQuadraticField(2)
@@ -318,7 +321,7 @@ def test_construct_alpha_takes_each_unit_log_once(monkeypatch, d, p, s1, s2):
         calls.append(((x.a, x.b, x.den), q, N))
         return real(x, q, N)
     monkeypatch.setattr(localize, "_element_unit_log", counted)
-    kummer._alpha_basis.cache_clear()
+    empty_memos()
     cert = construct_alpha(K, p, Q, 3)
     assert cert.status == "accepted"
     want = Counter(((e.element.a, e.element.b, e.element.den), q, 5)
@@ -375,23 +378,101 @@ def test_entry_log_table_reads_lower_precisions_by_truncation(d, p, s1, s2):
 
 
 @pytest.mark.parametrize("d,p,s1,s2", ALPHA_GRID)
-def test_construct_alpha_answers_alike_in_any_order(d, p, s1, s2):
+def test_construct_alpha_answers_alike_in_any_order(monkeypatch, d, p, s1,
+                                                    s2):
     """construct_alpha gives the same documents in ascending N, where the
     log table rises at nearly every query, in descending N, where every
-    read below the first truncates, and with the basis memo emptied before
-    each query."""
+    read below the first truncates, and with the memos emptied before each
+    query.  The tower of (K, p) keeps one basis for Q, built once in either
+    order."""
     K, Q = _grid_case(d, p, s1, s2)
     Ns = range(2, 9)
+    built = []
+    basis = kummer._alpha_basis
+
+    def counted(*args):
+        built.append(args)
+        return basis(*args)
 
     def answers(order, clear_each):
-        kummer._alpha_basis.cache_clear()
+        empty_memos()
+        built.clear()
         out = {}
         for N in order:
             if clear_each:
-                kummer._alpha_basis.cache_clear()
+                empty_memos()
             out[N] = construct_alpha(K, p, Q, N).to_json()
         return out
+    monkeypatch.setattr(kummer, "_alpha_basis", counted)
     fresh = answers(Ns, True)
-    assert answers(Ns, False) == fresh
-    assert answers(reversed(Ns), False) == fresh
-    kummer._alpha_basis.cache_clear()
+    assert len(built) == len(Ns)
+    for order in (Ns, reversed(Ns)):
+        assert answers(order, False) == fresh
+        assert len(built) == 1
+        # the tower's entries of Q: the levels of mq_order, and one basis
+        # under its congruence split (e1, e2)
+        entries = rayclass.ray_class_tower(K, p).pairs[Q]
+        assert [key for key in entries if isinstance(key, tuple)] == \
+            [built[0][-2:]]
+    empty_memos()
+
+
+def _round_robin_fixtures():
+    """(K, Q) for each field of squarefree d <= 47 (d = 1 for Q) in which
+    3 is unramified: Q the first pair, in the order of the norms' primes
+    and of the places above them, of primes over 2, 5, ..., 31 inert in the
+    cyclotomic Z_3-tower whose construct_alpha at N = 4 is accepted."""
+    fixtures = []
+    for d in [1] + [d for d in range(2, 48)
+                    if is_squarefree(d) and d % 3]:
+        K = QQ if d == 1 else RealQuadraticField(d)
+        primes = [q for ell in range(2, 32) if isprime(ell) and ell != 3
+                  for q in factor_rational_prime(K, ell).ideals
+                  if is_inert_in_cyclotomic(q, K, 3)]
+        pairs = ((q1, q2) for i, q1 in enumerate(primes)
+                 for q2 in primes[i + 1:])
+        for Q in pairs:
+            try:
+                if construct_alpha(K, 3, Q, 4).status == "accepted":
+                    fixtures.append((K, Q))
+                    break
+            except PrecisionError:
+                continue
+    return fixtures
+
+
+def test_round_robin_order_answers_and_builds_as_grouped(monkeypatch):
+    """The state of each (K, p) lives on its tower, so asking 23 fixtures
+    at N = 4, 5, 6, 4, 5, 6 fixture by fixture or in turn, with the memos
+    emptied before each order, gives the same answers, builds each Kummer
+    basis once per fixture and builds as many ray class groups directly."""
+    fixtures = _round_robin_fixtures()
+    assert len(fixtures) == 23
+    Ns = (4, 5, 6, 4, 5, 6)
+    bases, direct = [], []
+    basis, build = kummer._alpha_basis, rayclass.RayClassGroupData
+
+    def counted_basis(K, p, q1, q2, e1, e2):
+        bases.append((K, (q1, q2)))
+        return basis(K, p, q1, q2, e1, e2)
+
+    def counted_build(K, modulus, p, top=None):
+        if top is None:
+            direct.append((K, modulus))
+        return build(K, modulus, p, top)
+    monkeypatch.setattr(kummer, "_alpha_basis", counted_basis)
+    monkeypatch.setattr(rayclass, "RayClassGroupData", counted_build)
+
+    def answers(queries):
+        empty_memos()
+        bases.clear()
+        direct.clear()
+        out = {(K.d, Q, N): construct_alpha(K, 3, Q, N).to_json()
+               for K, Q, N in queries}
+        return out, sorted(bases, key=repr), len(direct)
+    grouped = answers([(K, Q, N) for K, Q in fixtures for N in Ns])
+    round_robin = answers([(K, Q, N) for N in Ns for K, Q in fixtures])
+    empty_memos()
+    assert grouped == round_robin
+    assert grouped[1] == sorted(fixtures, key=repr)
+    assert grouped[2] == 3 * len(fixtures)

@@ -24,7 +24,7 @@ from iwasawalab.padic import (PAdicNumber, _log_inverses, log_series,
 from iwasawalab.quadfield import (IntegralIdeal, RealQuadraticField,
                                   factor_rational_prime, split_root)
 
-from oracles import UnramifiedQuadElem, plog
+from oracles import UnramifiedQuadElem, empty_memos, plog
 from oracles import log_series as fresh_inverse_log_series
 
 QUAD_PRIMES = (3, 5, 7, 11)
@@ -245,7 +245,7 @@ def _table_key(p, A, c):
 
 
 def test_log_series_table_matches_references():
-    _log_inverses.cache_clear()
+    empty_memos()
     rng = random.Random(50)
     cached = {}         # key -> the K of the first call that met it
     longer = 0
@@ -278,7 +278,7 @@ def test_log_series_table_matches_references():
 
 
 def test_log_series_table_is_bounded():
-    _log_inverses.cache_clear()
+    empty_memos()
     bound = _log_inverses.cache_info().maxsize
     for A in range(2, 2 * bound + 2):
         # A + guard grows with A: a new key at each step (3 = 0 mod 3^1)
@@ -380,7 +380,7 @@ def test_split_root_lifts_once_per_pair():
     a sweep of 512 pairs keeps no more than the 256 of the bound."""
     K = RealQuadraticField(2)
     q = factor_rational_prime(K, 7).ideals[0]
-    split_root.cache_clear()
+    empty_memos()
     t = split_root(q, 20)
     assert split_root(q, 20) == t == _ref_split_root(q, 20)
     info = split_root.cache_info()

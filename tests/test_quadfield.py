@@ -29,7 +29,7 @@ from iwasawalab.kummer import construct_alpha, kummer_rank
 from iwasawalab.localize import completions_above_p
 from iwasawalab.rayclass import ray_class_group
 
-from oracles import (class_number_formula, compare_real,
+from oracles import (class_number_formula, compare_real, empty_memos,
                      fundamental_unit_oracle, group_identity, kronecker,
                      pell_sign, real_sign, s_unit_basis,
                      solve_integral_fractions, sqrt_pair, squarefree,
@@ -584,7 +584,7 @@ def _stop_kind(K, monkeypatch):
             seen.append(num == (den[0] + den[1] * K.D, -den[1]))
         return quotient(K, num, den, what)
     monkeypatch.setattr(quadfield, "_exact_quotient", spy)
-    fundamental_unit.cache_clear()
+    empty_memos()
     eps = fundamental_unit(K)
     monkeypatch.undo()
     assert len(seen) == 1
@@ -609,8 +609,7 @@ def test_half_period_eps_matches_full_period_d_below_10000(monkeypatch):
 
 def test_leopoldt_query_builds_no_cycle_table():
     K = RealQuadraticField(49009)
-    _o_walk.cache_clear()
-    fundamental_unit.cache_clear()
+    empty_memos()
     assert leopoldt_defect(K, 3, 8).defect == 0
     assert fundamental_unit.cache_info().currsize == 1
     assert _o_walk.cache_info().currsize == 0

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from math import prod
 
 import pytest
@@ -248,3 +250,38 @@ def test_class_representative_cap_fails_loudly(monkeypatch, capsys):
     argv = ["rayclass", "--field", "Q(sqrt{10})", "--modulus", "3", "--p", "3"]
     assert main(argv) == EXIT_INTERNAL
     assert "ell = 50000" in capsys.readouterr().err
+
+
+def test_a_tower_keeps_the_entries_of_its_last_eight_pairs():
+    """recall makes an entry once per pair and key; reading a pair makes it
+    the most recent, and a ninth pair drops the least recent one."""
+    tower = rayclass.RayClassTower(QQ, 3)
+    made = []
+
+    def make(Q, key):
+        made.append((Q, key))
+        return len(made)
+    for i in range(8):
+        assert tower.recall((i,), "L", make, (i,), "L") == i + 1
+    assert tower.recall((0,), "L", make, (0,), "L") == 1
+    assert tower.recall((0,), "M", make, (0,), "M") == 9
+    assert tower.recall((8,), "L", make, (8,), "L") == 10
+    assert list(tower.pairs) == [(i,) for i in (2, 3, 4, 5, 6, 7, 0, 8)]
+    assert tower.pairs[(0,)] == {"L": 1, "M": 9}
+    assert len(made) == 10
+
+
+def test_a_replaced_top_takes_its_ambient_vectors_with_it():
+    """The ambient vector of a prime read at a level lives on the direct
+    build it was read at: the top keeps it for every level below, and once
+    a higher top replaces it, nothing holds the old top or its vectors."""
+    tower = rayclass.RayClassTower(QQ, 3)
+    q = rational_ideal(QQ, 2)
+    top = tower.level(4)
+    tower.level(2).p_class_of_ideal(q)
+    assert list(top._ambient) == [q]
+    old = weakref.ref(top)
+    del top
+    tower.level(5)
+    gc.collect()
+    assert old() is None

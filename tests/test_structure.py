@@ -25,6 +25,9 @@
   reports its hits, misses and size and can be cleared;
 - no memo that keeps every entry: each `lru_cache` writes out a positive
   int `maxsize`, and no function is decorated with `functools.cache`.
+- no memo table but those of MEMOS: the `lru_cache`-decorated functions
+  of `src/` are exactly the ones it names, so a new memo is declared there
+  with its bound, and `tests/oracles.py` empties each one.
 
 Besides, `iwasawalab.__all__` names exactly what `__init__.py` imports.
 """
@@ -37,6 +40,7 @@ from pathlib import Path
 import pytest
 
 import iwasawalab
+from oracles import MEMO_TABLES
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "iwasawalab"
@@ -68,6 +72,15 @@ CALLED_BY_NAME = {"_Parser.error"}
 # module- and class-level names that may be bound to a mutable container:
 # the export list alone
 MUTABLE_BINDINGS = {"__all__"}
+
+# module.function of each memo table of src/: the per-field memos, the
+# numeric tables, and the one record of (K, p) state, its ray class tower
+MEMOS = {
+    "quadfield.class_group", "quadfield._o_walk", "quadfield.fundamental_unit",
+    "quadfield.split_root", "classfield.cyclotomic_log",
+    "classfield._inverse_log_gamma", "padic._log_inverses",
+    "rayclass.ray_class_tower",
+}
 
 
 def _trees(paths=None):
@@ -238,11 +251,11 @@ def test_no_unused_import_in_tests():
     assert _unused_imports(_trees(TEST_MODULES)) == []
 
 
-def _unbounded_caches():
-    """module.function for each function or method of `src/` whose memo
-    keeps every entry: one decorated with `cache`, or with an `lru_cache`
-    that does not write out a positive int maxsize."""
-    found = set()
+def _memos():
+    """{module.function: maxsize} for each function or method of `src/`
+    decorated with `cache` or `lru_cache`; maxsize is None unless the
+    decorator writes out an int."""
+    found = {}
     for name, tree in _trees():
         for fn in _functions(tree):
             for deco in fn.decorator_list:
@@ -255,13 +268,23 @@ def _unbounded_caches():
                                          if k.arg == "maxsize"] \
                     if kind == "lru_cache" and call else []
                 size = getattr(given[0], "value", None) if given else None
-                if not (isinstance(size, int) and size > 0):
-                    found.add("%s.%s" % (name[:-3], fn.name))
+                found["%s.%s" % (name[:-3], fn.name)] = \
+                    size if isinstance(size, int) else None
     return found
 
 
 def test_every_lru_cache_has_a_finite_maxsize():
-    assert sorted(_unbounded_caches()) == []
+    """No memo keeps every entry: each writes out a positive maxsize."""
+    assert sorted(name for name, size in _memos().items()
+                  if not (size and size > 0)) == []
+
+
+def test_every_memo_is_named_in_memos():
+    assert set(_memos()) == MEMOS
+
+
+def test_the_test_helper_empties_every_memo():
+    assert set(MEMO_TABLES) == MEMOS
 
 
 def test_no_constructor_bypass():
@@ -396,6 +419,9 @@ def test_exports_are_the_imports_of_init():
      "    @staticmethod\n    @lru_cache(maxsize=None)\n"
      "    def of(d):\n        return d\n",
      test_every_lru_cache_has_a_finite_maxsize),
+    ("from functools import lru_cache\n\n\n@lru_cache(maxsize=8)\n"
+     "def level(n):\n    return n\n",
+     test_every_memo_is_named_in_memos),
     ("class Basis:\n    def __init__(self):\n        self.entries = []\n\n\n"
      "def f():\n    basis = Basis.__new__(Basis)\n"
      "    basis.entries = [1]\n    return basis\n",
