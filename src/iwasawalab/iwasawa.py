@@ -15,7 +15,8 @@ from math import gcd
 
 from .abgroup import element_order, subgroup_image_order
 from .classfield import GaloisGroupG, cyclotomic_degree, group_G
-from .ntheory import InternalCheckError, is_squarefree, power, quad_mul
+from .ntheory import (InternalCheckError, is_squarefree, legendre, power,
+                      quad_mul)
 from .padic import PAdicNumber, PrecisionError, vp
 from .quadfield import (IntegralIdeal, RealQuadraticField, check_odd_prime,
                         fundamental_unit, prime_ideal)
@@ -27,11 +28,14 @@ def is_inert_in_cyclotomic(q, K: RealQuadraticField, p: int) -> bool:
     i.e. v_p(N(q)^(p-1) - 1) = 1, for a prime q (an ideal, or an int for
     the ideal (q))."""
     check_odd_prime(p)
-    n = prime_ideal(K, q).norm
+    return _generates_cyclotomic(prime_ideal(K, q).norm, p)
+
+
+def _generates_cyclotomic(n: int, p: int) -> bool:
+    """is_inert_in_cyclotomic for a prime of norm n, known to be prime."""
     if n % p == 0:
         raise ValueError("q lies above p")
-    m = pow(n, p - 1) - 1
-    return vp(m, p) == 1
+    return vp(pow(n, p - 1) - 1, p) == 1
 
 
 @dataclass
@@ -69,11 +73,12 @@ class FrobeniusModuleReport:
 
 
 def _check_q_pair(K, p, q1, q2):
+    """(q1, q2) as ideals, each checked prime once."""
     q1, q2 = prime_ideal(K, q1), prime_ideal(K, q2)
     if q1 == q2:
         raise ValueError("the two primes must be distinct")
     for q in (q1, q2):
-        if not is_inert_in_cyclotomic(q, K, p):
+        if not _generates_cyclotomic(q.norm, p):
             raise ValueError("%s is not inert in the cyclotomic tower "
                              "(norm %d)" % (q, q.norm))
     return q1, q2
@@ -178,22 +183,21 @@ def leopoldt_defect(K: RealQuadraticField, p: int, N: int) -> LeopoldtReport:
     of the global units in the principal local units at p.
 
     For F real quadratic the unit rank is 1, so delta = 0 iff log_q(eps) is
-    nonzero at some place q above p.  With f the residue degree, eps^(p^f -
-    1) is a 1-unit at each q whose log is a p-unit times log(eps), and for
-    p odd log maps 1 + p^n O_q isometrically onto p^n O_q (n >= 1; Koblitz,
-    GTM 58, ch. IV), so the regulator valuation is v = min_q v_q(eps^(p^f -
-    1) - 1).  It is read with no place at all, by two facts:
-    - k = p^2 - 1 is p^f - 1 times the p-unit u = 1 (f = 2) or p + 1
-      (f = 1), and (1 + x)^u - 1 = x*(u + ...) with the bracket a unit at
-      q, so v_q(eps^k - 1) = v_q(eps^(p^f - 1) - 1);
-    - for p unramified the q^j over q | p intersect in p^j O, and {1, w}
-      is a Z-basis of O, so min_q v_q(a + b*w) = min(v_p(a), v_p(b))
-      (Washington, GTM 83, sec. 5.1).
-    As elsewhere in the engine, the unit is read to A = N + 2 digits: with
-    eps reduced mod p^A, eps^k - 1 = z0 + z1*w is formed on residues, and
-    v = min(A, v_p(z0), v_p(z1)) is exact when it is below A, certifying
-    delta = 0, and is only known to be at least A otherwise
-    (indeterminate)."""
+    nonzero at some place q above p.  Let k = p - 1 when p splits
+    (legendre(D, p) = 1) and k = 2(p + 1) when p is inert.  Then eps^k is a
+    1-unit at every q | p: for p split the residue fields are F_p, and for
+    p inert Frobenius is the conjugation, so eps^(p+1) = eps*sigma(eps) =
+    N(eps) = +-1 mod p.  As p does not divide k, log(eps^k) = k*log(eps)
+    is a p-unit times log(eps), and for p odd log maps 1 + p^n O_q
+    isometrically onto p^n O_q (n >= 1; Koblitz, GTM 58, ch. IV), so the
+    regulator valuation is v = min_q v_q(eps^k - 1).  It is read with no
+    place at all: for p unramified the q^j over q | p intersect in p^j O,
+    and {1, w} is a Z-basis of O, so min_q v_q(a + b*w) = min(v_p(a),
+    v_p(b)) (Washington, GTM 83, sec. 5.1).  As elsewhere in the engine,
+    the unit is read to A = N + 2 digits: with eps reduced mod p^A, eps^k
+    - 1 = z0 + z1*w is formed on residues, and v = min(A, v_p(z0),
+    v_p(z1)) is exact when it is below A, certifying delta = 0, and is
+    only known to be at least A otherwise (indeterminate)."""
     if N < 1:
         raise ValueError("N must be at least 1")
     check_odd_prime(p, K)
@@ -201,8 +205,9 @@ def leopoldt_defect(K: RealQuadraticField, p: int, N: int) -> LeopoldtReport:
         return LeopoldtReport(K, p, N, 0, None, "ok", p == 3)
     A, eps = N + 2, fundamental_unit(K)
     m = p**A
+    k = p - 1 if legendre(K.D, p) == 1 else 2 * (p + 1)
     z0, z1 = power(quad_mul(K.w_trace, K.w_norm, m), (1, 0),
-                   (eps.a % m, eps.b % m), p * p - 1)
+                   (eps.a % m, eps.b % m), k)
     v = vp(gcd(z0 - 1, z1, m), p)
     if v < A:
         return LeopoldtReport(K, p, N, 0, v, "ok", p == 3)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, isqrt
 
 
 class InternalCheckError(AssertionError):
@@ -57,19 +57,21 @@ def factorint(n: int) -> dict:
 
 def is_squarefree(n: int) -> bool:
     """True iff no square of a prime divides n > 0; trial division by 2,
-    then by odd q only."""
+    then by odd q while q^3 <= n.  Every prime factor of the cofactor n
+    left is then at least q > cbrt(n), so there are at most two, and n is
+    squarefree iff it is 1 or not a square."""
     if n % 4 == 0:
         return False
     if n % 2 == 0:
         n //= 2
     q = 3
-    while q * q <= n:
+    while q * q * q <= n:
         if n % q == 0:
             n //= q
             if n % q == 0:
                 return False
         q += 2
-    return True
+    return n == 1 or isqrt(n) ** 2 != n
 
 
 def extgcd(a: int, b: int):

@@ -513,28 +513,25 @@ def prime_ideal(K: RealQuadraticField, q) -> IntegralIdeal:
     """q, or the ideal (q) of an int q, which must be prime (ValueError)."""
     if isinstance(q, int):
         q = rational_ideal(K, q)
-        residue_char(q)
+    residue_char(q)
     return q
 
 
 # ----------------------------------------------- reduction (cycles of ideals)
 
-def _floor_quadirr(P: int, Q: int, s: int) -> int:
-    """floor((P + sqrt(D))/Q), where s = isqrt(D), D not a square."""
-    if Q > 0:
-        return (P + s) // Q
-    return (P + s + 1) // Q
-
-
 def _rho_step(K: RealQuadraticField, P: int, Q: int):
-    """One continued-fraction step on tau = (P + sqrt D)/Q: the partial
-    quotient a = floor(tau) and the state (P', Q') of tau' = 1/(tau - a)."""
-    D = K.D
-    a = _floor_quadirr(P, Q, K.sqrtD_floor)
+    """One continued-fraction step on tau = (P + sqrt D)/Q, Q | D - P^2:
+    the partial quotient a = floor(tau), which is (P + s) // Q for Q > 0
+    and (P + s + 1) // Q for Q < 0, s = isqrt D, and the state (P', Q') of
+    tau' = 1/(tau - a).  Q | D - P'^2 holds for any a, as P' = -P mod Q:
+    the raise guards the arithmetic of P' and Q', not the quotient."""
+    D, s = K.D, K.sqrtD_floor
+    a = (P + s) // Q if Q > 0 else (P + s + 1) // Q
     P2 = a * Q - P
-    if (D - P2 * P2) % Q:
+    R = D - P2 * P2
+    if R % Q:
         raise InternalCheckError("invariant Q | D - P^2 broken")
-    return a, P2, (D - P2 * P2) // Q
+    return a, P2, R // Q
 
 
 def _ideal_to_pair(I: IntegralIdeal):
@@ -711,14 +708,25 @@ def fundamental_unit(K: RealQuadraticField) -> FieldElement:
     second holds, first at 2k + 2 = n, and sigma(u_{k+1}) = +-eps * u_{k+1}.
     The walk tests the odd condition first (for n = 1 both hold at k = 0)
     and stops at the latest on I_n = O.  The quotient of the two minima
-    is checked integral, the norm +-1 and eps > 1."""
+    is checked integral, the norm +-1 and eps > 1.
+
+    The step of _rho_step is written in the loop.  Every Q_k is positive,
+    as Q_k/2 is the norm of I_k, so a_k = (P_k + s) // Q_k, s = isqrt D;
+    the raise checks Q_k > 0, so a wrong a_k fails in a few steps instead
+    of walking off.  Q_k | D - P_{k+1}^2 holds for any a_k (_rho_step):
+    the tests against the full-period walk guard a_k."""
     if K.is_rational:
         raise ValueError("Q has no fundamental unit")
-    D, wn = K.D, K.w_norm
+    D, wn, s = K.D, K.w_norm, K.sqrtD_floor
     P, Q = D, 2
     x0, y0, x1, y1 = 0, 1, 1, 0                  # u_{k-1}, u_k
     while True:
-        a, P2, Q2 = _rho_step(K, P, Q)
+        a = (P + s) // Q
+        P2 = a * Q - P
+        R = D - P2 * P2
+        if R <= 0 or R % Q:         # Q | R for any a: guards P2 and Q2
+            raise InternalCheckError("invariant 0 < Q | D - P^2 broken")
+        Q2 = R // Q
         x2, y2 = x0 - a * x1, y0 - a * y1       # u_{k+1}
         if Q2 == Q:                             # odd period: sigma(u_k)
             num = (x1 + y1 * D, -y1)

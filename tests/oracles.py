@@ -21,6 +21,8 @@ S-unit lattice as a kernel of [C | diag(d)] before
 kept integers over one denominator, and `leopoldt_defect_log_route`, the
 Leopoldt defect from the Z_p-rank of the localized unit logs, before
 `iwasawa.leopoldt_defect` read one valuation of eps^k - 1, and
+`leopoldt_defect_square_exponent`, that valuation at k = p^2 - 1 for
+every p, before k became p - 1 or 2(p + 1) by the splitting of p, and
 `decompose_by_max_order`, the recursion on elements of largest order that
 `abgroup.decompose_abelian` ran before it read the structure off a Smith
 form, and the log route of the cyclotomic character
@@ -62,7 +64,8 @@ from iwasawalab.iwasawa import (FrobeniusModuleReport, LeopoldtReport,
 from iwasawalab.kummer import kummer_rank
 from iwasawalab.localize import (FALSE, INDET, TRUE, RankReport,
                                  completions_above_p, loc, zp_matrix_rank)
-from iwasawalab.ntheory import InternalCheckError, crt, isprime, power
+from iwasawalab.ntheory import (InternalCheckError, crt, isprime, power,
+                                quad_mul)
 from iwasawalab.padic import (PAdicNumber, PrecisionError, _log_terms_needed,
                               teichmueller, vp)
 from iwasawalab.quadfield import (FieldElement, SUnitBasisData, SUnitProduct,
@@ -833,6 +836,21 @@ def leopoldt_defect_log_route(K, p: int, N: int) -> LeopoldtReport:
         reg_val = min(nonzero)
     status = "ok" if rank.certified else "indeterminate"
     return LeopoldtReport(K, p, N, defect, reg_val, status, p == 3)
+
+
+def leopoldt_defect_square_exponent(K, p: int, N: int) -> LeopoldtReport:
+    """leopoldt_defect with k = p^2 - 1 whatever the splitting of p: a
+    multiple of p^f - 1 for both residue degrees f, and prime to p."""
+    if K.is_rational:
+        return LeopoldtReport(K, p, N, 0, None, "ok", p == 3)
+    A, eps = N + 2, fundamental_unit(K)
+    m = p**A
+    z0, z1 = power(quad_mul(K.w_trace, K.w_norm, m), (1, 0),
+                   (eps.a % m, eps.b % m), p * p - 1)
+    v = vp(gcd(z0 - 1, z1, m), p)
+    if v < A:
+        return LeopoldtReport(K, p, N, 0, v, "ok", p == 3)
+    return LeopoldtReport(K, p, N, 1, None, "indeterminate", p == 3)
 
 
 def cyclotomic_dlog_log_route(n: int, p: int, M: int) -> int:

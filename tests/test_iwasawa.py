@@ -16,7 +16,8 @@ from iwasawalab.iwasawa import (is_inert_in_cyclotomic, mq_generator,
                                 defect_never_one_scan)
 from iwasawalab.kummer import construct_alpha
 from iwasawalab.localize import completions_above_p
-from iwasawalab.ntheory import InternalCheckError, is_squarefree, isprime
+from iwasawalab.ntheory import (InternalCheckError, is_squarefree, isprime,
+                                legendre)
 from iwasawalab.padic import PAdicNumber, vp
 from iwasawalab.quadfield import (RealQuadraticField, factor_rational_prime,
                                   fundamental_unit, ideal_valuation,
@@ -27,6 +28,7 @@ from oracles import (angle_log, degree_kernel_lattice, degree_log_route,
                      degree_zero_pair_element, empty_memos,
                      lattice_intersection,
                      leopoldt_defect_log_route,
+                     leopoldt_defect_square_exponent,
                      mq_order_log_route, rounded_degree_zero_log_route,
                      sqrt_pair, subgroup_order_from_lattice)
 
@@ -69,6 +71,23 @@ def test_an_int_q_that_is_not_prime_is_refused(d, ell, kind):
         with pytest.raises(ValueError, match="^not a prime ideal: "):
             call(ell)
         call(factor_rational_prime(K, ell).ideals[0])
+
+
+def test_an_ideal_q_that_is_not_prime_is_refused():
+    """The ideal (7) of Q(sqrt 2), 7 split, is refused as the int 7 is:
+    even_criterion certified "fail" with [9, 9] on it, and
+    is_inert_in_cyclotomic answered True.  So are a split prime's square
+    and the product of its two factors, also in a pair for mq_order."""
+    q, qc = factor_rational_prime(Q2, 7).ideals
+    for ideal in (rational_ideal(Q2, 7), q * q, q * qc, q * q * qc):
+        with pytest.raises(ValueError, match="^not a prime ideal: "):
+            even_criterion(Q2, 3, ideal, 2)
+        with pytest.raises(ValueError, match="^not a prime ideal: "):
+            is_inert_in_cyclotomic(ideal, Q2, 3)
+        with pytest.raises(ValueError, match="^not a prime ideal: "):
+            mq_order(Q2, 3, (ideal, 5), 2)
+    assert is_inert_in_cyclotomic(q, Q2, 3)
+    assert mq_order(Q2, 3, (q, 5), 2).q1 == q
 
 
 def test_an_int_q_that_is_prime_is_taken():
@@ -558,6 +577,24 @@ def _check_leopoldt_grid():
 
 def test_leopoldt_equals_log_route_on_grid():
     _check_leopoldt_grid()
+
+
+def test_leopoldt_equals_the_square_exponent_d_below_5000():
+    """k = p - 1 (p split) or 2(p + 1) (p inert) reads the valuation that
+    k = p^2 - 1 reads, on every squarefree d < 5000 and unramified p."""
+    kinds = {1: 0, -1: 0}
+    for d in range(2, 5000):
+        if not is_squarefree(d):
+            continue
+        K = RealQuadraticField(d)
+        for p in (3, 5, 7, 11, 13):
+            if K.D % p == 0:
+                continue
+            kinds[legendre(K.D, p)] += 1
+            for N in (8, 16):
+                assert leopoldt_defect(K, p, N) == \
+                    leopoldt_defect_square_exponent(K, p, N), (d, p, N)
+    assert min(kinds.values()) > 5000, kinds
 
 
 def test_leopoldt_needs_no_log_series_loc_or_rank(monkeypatch):

@@ -592,10 +592,15 @@ def _stop_kind(K, monkeypatch):
 
 
 def test_half_period_eps_matches_full_period_d_below_10000(monkeypatch):
+    """Every squarefree d < 10^4, and a seeded 1,000 in [10^4, 10^6)."""
+    rng = random.Random(32)
+    sample = set()
+    while len(sample) < 1000:
+        d = rng.randrange(10**4, 10**6)
+        if squarefree(d):
+            sample.add(d)
     kinds = {"odd": 0, "even": 0}
-    for d in range(2, 10000):
-        if not squarefree(d):
-            continue
+    for d in [d for d in range(2, 10000) if squarefree(d)] + sorted(sample):
         K = RealQuadraticField(d)
         eps, kind = _stop_kind(K, monkeypatch)
         ref_eps, period = _full_period_eps(K)
@@ -978,9 +983,28 @@ def _det(M):
 
 
 def test_is_squarefree_against_sieve():
-    n_max = 20000
+    n_max = 10**6
     sieve = [True] * n_max
     for q in range(2, isqrt(n_max - 1) + 1):
-        for m in range(q * q, n_max, q * q):
-            sieve[m] = False
+        sieve[q * q::q * q] = [False] * len(range(q * q, n_max, q * q))
     assert [is_squarefree(n) for n in range(1, n_max)] == sieve[1:]
+
+
+def test_is_squarefree_at_the_cube_root_cut():
+    """n up to 10^12 built as p^2, p^2*q, p*q and p^3 with p near the cut
+    cbrt(n) where trial division stops and the square test takes over."""
+    pytest.importorskip("sympy")
+    from sympy import factorint, nextprime, prevprime
+    rng = random.Random(32)
+    cases = []
+    for _ in range(250):
+        c = rng.randrange(3, 10**4)                  # cbrt(n) is about c
+        p = nextprime(c + rng.randrange(-3, 4))
+        near = [prevprime(p) if p > 2 else 3, nextprime(p)]
+        cases += [p**3, p * p * rng.choice(near),
+                  p * nextprime(c * c + rng.randrange(-9, 10)),
+                  nextprime(isqrt(c**3) + rng.randrange(-9, 10))**2]
+    for n in cases:
+        want = all(e == 1 for e in factorint(n).values())
+        assert is_squarefree(n) == want, n
+    assert sum(map(is_squarefree, cases)) == 250
