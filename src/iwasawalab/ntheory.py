@@ -11,12 +11,15 @@ class InternalCheckError(AssertionError):
 
 
 def isprime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond this package's scale."""
+    """Deterministic Miller-Rabin, valid far beyond this package's scale.
+    Below 41^2 = 1681, an n with no prime factor up to 37 is prime."""
     if n < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % q == 0:
             return n == q
+    if n < 1681:
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

@@ -7,9 +7,11 @@ presented by generators and relations:
                 principalization of each class generator's power.
 
 The conductors p^M of one (F, p) form a tower, ray_class_tower: it
-builds the highest one asked for directly and reads each lower one as its
-quotient, by reducing the top's relations (RayClassGroupData).  The tower
-is the one record of the state of (F, p) (RayClassTower).
+builds one of them, its top, directly and reads each lower one as its
+quotient, by reducing the top's relations (RayClassGroupData).  The top
+is the first level asked for; a level M above it regrows the tower at
+p^(M+2) (RayClassTower).  The tower is the one record of the state of
+(F, p).
 """
 
 from __future__ import annotations
@@ -89,8 +91,10 @@ class RayClassGroupData:
                 K, _factor_ideal(modulus) if modulus.norm > 1 else [])
             self.unit_orders = self.units.orders
             self.unit_norms = self.units.gen_norm_ints()
-            self._unit_dlogs = [self.units.dlog(entry.element)
-                                for entry in unit_entries(K)]
+            # unit_entries: -1, whose row the components state, then eps
+            self._unit_dlogs = [self.units.minus_one_dlog()] + [
+                self.units.dlog(entry.element)
+                for entry in unit_entries(K)[1:]]
             self.class_gen_ideals, elements = self._class_gen_reps()
             class_dlogs = [self.units.dlog(g) for g in elements]
             self._ambient = {}          # q -> _ambient_vector(q)
@@ -245,11 +249,18 @@ def ray_class_group(K: RealQuadraticField, modulus, p: int) \
 
 class RayClassTower:
     """The state of one (K, p).  Of the ray class groups of conductors
-    (p^M), M >= 2, the highest asked for so far, the top, is built
-    directly; each lower one is read as its quotient, and a higher one
-    becomes the new top.  For the last PAIRS_KEPT pairs of primes Q asked
-    of (K, p), `recall` keeps the work that queries of Q at different
-    precisions share: one entry per level and congruence split asked."""
+    (p^M), M >= 2, one, the top, is built directly; each lower one is read
+    as its quotient.  The first level asked of a fresh tower is its top,
+    built exactly: a single query reads one or two levels, and a higher
+    top costs it more than the quotients save.  A level M above the top
+    regrows the tower at p^(M+2), the level mq_order reads first at the
+    next precision (as kummer.EntryLogTable does), so an ascending run N,
+    N + 1, N + 2 builds one top, not three.  The known cost: a lone
+    frobenius call reads p^(N+1), then p^(N+2) for `stable`, so it builds
+    p^(N+4) and a quotient where p^(N+2) would do.  For the last
+    PAIRS_KEPT pairs of primes Q asked of (K, p), `recall` keeps the work
+    that queries of Q at different precisions share: one entry per level
+    and congruence split asked."""
 
     PAIRS_KEPT = 8
 
@@ -262,12 +273,13 @@ class RayClassTower:
         if M < 2:
             raise ValueError("a tower level needs M >= 2")
         K, p = self.field, self.p
-        modulus = rational_ideal(K, p**M)
         if M > self.exponent:
-            self.top, self.exponent = RayClassGroupData(K, modulus, p), M
+            T = M + 2 if self.exponent else M
+            self.top = RayClassGroupData(K, rational_ideal(K, p**T), p)
+            self.exponent = T
         if M == self.exponent:
             return self.top
-        return RayClassGroupData(K, modulus, p, self.top)
+        return RayClassGroupData(K, rational_ideal(K, p**M), p, self.top)
 
     def recall(self, Q: tuple, key, make, *args):
         """The entry `key` of the pair of primes Q, make(*args) on first

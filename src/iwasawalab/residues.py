@@ -10,6 +10,10 @@ times a 1-unit.  Reduction mod ell kills the 1-units, so k is the dlog of
 (u mod ell) to the base (g mod ell) in the residue field F_ell or F_ell^2;
 the 1-unit coordinates come from the ell-adic log series.
 
+The dlog of -1 is stated, not computed (minus_one_dlog): for odd ell, -1
+is g^(n/2) in the cyclic torsion <g> of order n, with 0 on the 1-unit
+coordinates; in (Z/2^e)* the first generator is -1 itself.
+
 Each component builds its Pohlig-Hellman plans (Pohlig & Hellman 1978;
 Cohen, GTM 138, Section 1.4) once, over the residue field.  For each prime
 power q^a of the order n of the base g, a plan keeps the cofactor power
@@ -189,6 +193,14 @@ class _Component:
         self.e = e
 
     # subclasses define: one, mul, reduce, gens, orders, dlog, norm_int
+
+    def minus_one_dlog(self) -> list:
+        """dlog(-1) from the generator orders (see the module docstring);
+        the first order n is odd only for F_4*, where -1 = 1."""
+        if not self.orders:
+            return []
+        n = self.orders[0]
+        return [0 if n % 2 else n // 2] + [0] * (len(self.orders) - 1)
 
 
 class RationalComponent(_Component):
@@ -444,6 +456,10 @@ class UnitGroupModM:
         for comp in self.components:
             out.extend(comp.dlog(comp.reduce(x)))
         return out
+
+    def minus_one_dlog(self):
+        """dlog(-1), stated by each component with no dlog taken."""
+        return [k for comp in self.components for k in comp.minus_one_dlog()]
 
     def gen_norm_ints(self):
         """Norm of each generator to Z, modulo ell^e of its component."""

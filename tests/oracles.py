@@ -43,14 +43,20 @@ the tests read in place of engine methods that no engine path called: the
 `real_sign` and `compare_real` of a field element (on the engine's
 `quadfield._real_sign`), `scale_exponents` of a formal product and
 `group_identity` of a finite abelian group.  `empty_memos()` empties
-every memo table of the engine, each one found by its `cache_clear`.
+every memo table of the engine, each one found by its `cache_clear`;
+`load_bench` reads a module of bench/, and `answers_digest` hashes the
+engine's answers to benchmark batches, to show that a change moved none.
 """
 
+import hashlib
 import importlib
+import importlib.util
 import pkgutil
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, log, pi, prod, sin
+from pathlib import Path
 
 import iwasawalab
 from iwasawalab import padic
@@ -92,6 +98,48 @@ def empty_memos():
     """Empty every memo table of the engine, as a fresh process has them."""
     for table in MEMO_TABLES.values():
         table.cache_clear()
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_bench(name):
+    """The module bench/<name>.py, loaded with no bytecode written, so that
+    bench/ is only read."""
+    spec = importlib.util.spec_from_file_location("bench_" + name,
+                                                  BENCH / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    flag, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = flag
+    return module
+
+
+def answers_digest(workload: str, seeds) -> str:
+    """The sha256, in hex, of the engine's answers to the benchmark batches
+    of `workload` at `seeds`: over the UTF-8 lines
+
+        query_key(q) + "\t" + canonical(answer(q)) + "\n"
+
+    for each query q of batch(workload, seed) (bench/workloads.py; the
+    smoke query first), in batch order, seed by seed in the order given,
+    with the memos emptied before each seed.  From the root of the repo,
+    for seeds 1-5:
+
+        PYTHONPATH=src:tests python -c "from oracles import *; \
+        print(answers_digest('kummer-alpha', range(1, 6)))"
+    """
+    W, S = load_bench("workloads"), load_bench("session")
+    digest = hashlib.sha256()
+    for seed in seeds:
+        empty_memos()
+        for q in W.batch(workload, seed):
+            doc = S.canonical(W.answer(iwasawalab, q))
+            digest.update((W.query_key(q) + "\t" + doc + "\n").encode())
+    empty_memos()
+    return digest.hexdigest()
 
 
 def _sqrt_window_low(D, t):

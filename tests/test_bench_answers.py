@@ -1,21 +1,20 @@
 """The benchmark's recorded answers, answered in process.
 
 Every kummer-alpha key recorded in bench/expected/ is answered twice with
-emptied memos: fixture by fixture in ascending N, where mq_order raises the
-tower of (K, p) at nearly every query and builds most levels directly, and
-in descending N, where each (K, p) builds its first level directly and
-reads every other one as a quotient, and construct_alpha takes the entry
-logs of each fixture once and reads every later query's by truncation.  The seed-1 batches of leopoldt-scan
-and big-conductor are answered once.  Each answer must equal the recorded
-one in the benchmark's own canonical form.  The modules of bench/ are
-loaded with no bytecode written, so bench/ is only read.
+emptied memos: fixture by fixture in ascending N, where mq_order regrows
+the tower of (K, p) two levels above what it reads, about every other
+query, and in descending N, where each (K, p) builds its first level
+directly and reads every other one as a quotient, and construct_alpha
+takes the entry logs of each fixture once and reads every later query's
+by truncation.  The seed-1 batches of leopoldt-scan and big-conductor are
+answered once.  Each answer must equal the recorded one in the
+benchmark's own canonical form.  The modules of bench/ are loaded with no
+bytecode written, so bench/ is only read.
 """
 
-import importlib.util
+import hashlib
 import json
-import sys
 from collections import defaultdict
-from pathlib import Path
 
 import pytest
 
@@ -23,25 +22,10 @@ import iwasawalab
 from iwasawalab import rayclass, residues
 from iwasawalab.padic import vp
 from iwasawalab.quadfield import rational_ideal
-from oracles import empty_memos
+from oracles import BENCH, answers_digest, empty_memos, load_bench
 from test_kummer import ALPHA_GRID
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location("bench_" + name,
-                                                  BENCH / (name + ".py"))
-    module = importlib.util.module_from_spec(spec)
-    flag, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = flag
-    return module
-
-
-W, S = _load("workloads"), _load("session")
+W, S = load_bench("workloads"), load_bench("session")
 
 
 def _alpha_keys():
@@ -93,12 +77,15 @@ def test_every_recorded_alpha_key_in_both_orders(monkeypatch, order):
             q = ("alpha", d, p, q1, q2, N)
             doc = W.answer(iwasawalab, q)
             assert S.canonical(doc) == expected[W.query_key(q)], q
-            # mq_order reads level N + 2, conductor p^(N+3), first
-            if not tops or tops[-1][:2] != (d, p) or tops[-1][2] < N + 3:
+            # mq_order reads level N + 2, conductor p^(N+3), first: a fresh
+            # tower builds it, and a lower top regrows to p^(N+5)
+            if not tops or tops[-1][:2] != (d, p):
                 tops.append((d, p, N + 3))
+            elif tops[-1][2] < N + 3:
+                tops.append((d, p, N + 5))
     empty_memos()
     assert direct == tops
-    assert len(tops) == (190 if order == "ascending" else 12)
+    assert len(tops) == (76 if order == "ascending" else 12)
     # level N, conductor p^(N+1), is read as a quotient whenever it is not
     # the top: p^3 and p^4 always, and in descending order every conductor
     assert {(d, p, M) for d, p, M in quotient if M <= 4} == \
@@ -112,23 +99,39 @@ def test_every_recorded_alpha_key_in_both_orders(monkeypatch, order):
 @pytest.mark.parametrize("workload", ["leopoldt-scan", "big-conductor"])
 def test_seed_one_batch(monkeypatch, workload):
     """Neither workload reads a p-power tower: big-conductor's conductors
-    are single primes ell, built directly."""
+    are single primes ell, built directly.  A direct build reads its -1
+    row from the unit group's components, so each batch answers while
+    UnitGroupModM.dlog refuses -1: big-conductor takes 176 unit-group
+    dlogs (327, 151 of them of -1, when the row was a dlog), leopoldt-scan
+    the 2 of the smoke query's Frobenius classes."""
     batch = W.batch(workload, 1)
     expected = S.load_expected(workload, {W.query_key(q) for q in batch})
     empty_memos()
     direct, quotient, other = _count_builds(monkeypatch)
+    dlog, taken = residues.UnitGroupModM.dlog, []
+
+    def refuse_minus_one(units, x):
+        if x.b == 0 and x.a == -x.den:
+            raise RuntimeError("dlog of -1")
+        taken.append(x)
+        return dlog(units, x)
+    monkeypatch.setattr(residues.UnitGroupModM, "dlog", refuse_minus_one)
     for q in batch:
         doc = W.answer(iwasawalab, q)
         assert S.canonical(doc) == expected[W.query_key(q)], q
     # the smoke query alone, construct_alpha(Q, 3, (2, 5), 3), reads a tower
     assert direct == [(1, 3, 6)] and quotient == [(1, 3, 4)]
     assert len(other) == (150 if workload == "big-conductor" else 0)
+    assert len(taken) == (176 if workload == "big-conductor" else 2)
 
 
 def test_seed_one_alpha_batch_builds_few_levels_directly(monkeypatch):
-    """The seed-1 kummer-alpha batch reads 166 levels and builds at most 60
-    of them directly; building a level as a quotient takes no unit group,
-    class representative search, dlog or principal generator."""
+    """The seed-1 kummer-alpha batch reads 166 levels, each once.  It
+    builds 31 directly and 145 as quotients, 172 levels in all: a regrowth
+    builds a top that no query may read, and a top it replaces may be read
+    again as a quotient (4 levels).  Building a level as a quotient takes
+    no unit group, class representative search, dlog or principal
+    generator."""
     batch = W.batch("kummer-alpha", 1)
     expected = S.load_expected("kummer-alpha",
                                {W.query_key(q) for q in batch})
@@ -136,7 +139,13 @@ def test_seed_one_alpha_batch_builds_few_levels_directly(monkeypatch):
     cls = rayclass.RayClassGroupData
     direct, quotient, _ = _count_builds(monkeypatch)
     build = rayclass.RayClassGroupData
-    in_quotient = []
+    in_quotient, read = [], []
+    level = rayclass.RayClassTower.level
+
+    def read_level(tower, M):
+        read.append((tower.field.d or 1, tower.p, M))
+        return level(tower, M)
+    monkeypatch.setattr(rayclass.RayClassTower, "level", read_level)
 
     def quotient_build(K, modulus, p, top=None):
         in_quotient.append(top is not None)
@@ -167,6 +176,19 @@ def test_seed_one_alpha_batch_builds_few_levels_directly(monkeypatch):
         doc = W.answer(iwasawalab, q)
         assert S.canonical(doc) == expected[W.query_key(q)], q
     empty_memos()
-    assert len(set(direct) | set(quotient)) == 166
-    assert len(direct) <= 60 and len(set(direct)) == len(direct)
-    assert not set(direct) & set(quotient)
+    built = set(direct) | set(quotient)
+    assert len(read) == len(set(read)) == 166 and set(read) <= built
+    assert len(direct) == len(set(direct)) == 31
+    assert len(quotient) == len(set(quotient)) == 145
+    assert len(built) == 172 and len(set(direct) & set(quotient)) == 4
+
+
+def test_answers_digest_hashes_the_recorded_answers():
+    """oracles.answers_digest of the seed-1 big-conductor batch is the
+    sha256 of its lines key, tab, canonical answer, as recorded."""
+    batch = W.batch("big-conductor", 1)
+    keys = [W.query_key(q) for q in batch]
+    expected = S.load_expected("big-conductor", set(keys))
+    lines = "".join(key + "\t" + expected[key] + "\n" for key in keys)
+    assert answers_digest("big-conductor", [1]) == \
+        hashlib.sha256(lines.encode()).hexdigest()

@@ -8,7 +8,7 @@ import pytest
 
 from iwasawalab import (classfield, iwasawa, localize, padic, quadfield,
                         rayclass)
-from iwasawalab.abgroup import subgroup_image_order
+from iwasawalab.abgroup import element_order, subgroup_image_order
 from iwasawalab.classfield import (GaloisGroupG, e_of_q, even_criterion,
                                    frobenius_image, group_G)
 from iwasawalab.iwasawa import (is_inert_in_cyclotomic, mq_generator,
@@ -374,6 +374,101 @@ def test_quotient_level_refuses_what_it_cannot_read():
     for M in (1, 0, -1):
         with pytest.raises(ValueError, match="M >= 2"):
             rayclass.ray_class_tower(K, 5).level(M)
+
+
+def _record_builds(monkeypatch):
+    """The ray class groups built, in order: (M, direct) at a conductor
+    (p^M), (str(m), direct) at any other m."""
+    built = []
+    build = rayclass.RayClassGroupData
+
+    def record(K, modulus, p, top=None):
+        M = vp(modulus.a, p)
+        at = M if modulus == rational_ideal(K, p**M) else str(modulus)
+        built.append((at, top is None))
+        return build(K, modulus, p, top)
+    monkeypatch.setattr(rayclass, "RayClassGroupData", record)
+    return built
+
+
+def test_a_tower_builds_its_first_top_exactly_and_regrows_two_up(
+        monkeypatch):
+    """The first level asked of a fresh tower is its top, built at exactly
+    p^M; a level M above the top regrows it at p^(M+2) and is read as a
+    quotient; a level at or below the top builds no top."""
+    built = _record_builds(monkeypatch)
+    tower = rayclass.RayClassTower(QQ, 3)
+    reads = [(3, [(3, True)]), (2, [(2, False)]), (3, []),
+             (4, [(6, True), (4, False)]), (6, []), (5, [(5, False)]),
+             (7, [(9, True), (7, False)])]
+    for M, builds in reads:
+        built.clear()
+        rc = tower.level(M)
+        assert built == builds, M
+        assert rc.modulus == rational_ideal(QQ, 3**M)
+        assert (rc is tower.top) == (M == tower.exponent)
+    assert tower.exponent == 9
+
+
+def _level_view(rc, Q):
+    """The invariants and order of the p-part, and the orders of the
+    Frobenius classes of the primes of Q in it."""
+    G = rc.p_group
+    return (G.invariant_factors, rc.p_order,
+            [element_order(G, rc.p_class_of_ideal(q)) for q in Q])
+
+
+@pytest.mark.parametrize("d,p,s1,s2", MQ_GRID + ALPHA_FIXTURE_PAIRS)
+def test_levels_below_a_regrown_top_equal_direct_builds(d, p, s1, s2):
+    """A tower first built at p^2 regrows to p^5 for level 3 and to p^8
+    for level 6; each level below the top then equals the direct build at
+    its conductor: invariants, p-order and the orders of the Frobenius
+    classes of q1 and q2."""
+    K = _field(d)
+    Q = (_prime(K, s1), _prime(K, s2))
+    want = {L: _level_view(rayclass.ray_class_group(K, p**L, p), Q)
+            for L in range(2, 8)}
+    tower = rayclass.RayClassTower(K, p)
+    tower.level(2)
+    for M, T in ((3, 5), (6, 8)):
+        tower.level(M)
+        assert tower.exponent == T
+        for L in range(2, T):
+            rc = tower.level(L)
+            assert rc.top is tower.top
+            assert _level_view(rc, Q) == want[L], (M, L)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("d,p,s1,s2", MQ_GRID + ALPHA_FIXTURE_PAIRS)
+def test_single_calls_build_the_levels_they_read(monkeypatch, d, p, s1, s2,
+                                                  N):
+    """On emptied memos, a single mq_order or construct_alpha call builds
+    conductor p^(N+3) directly and p^(N+1) as its quotient, and
+    even_criterion builds q1*p^(N+2), p^(N+2), q1*p^(N+1) and p^(N+1) as
+    a quotient: the first level each reads is the fresh tower's top, built
+    exactly, and no regrowth follows.  A lone frobenius query, group_G with
+    its stability check, pays for one: p^(N+1), then p^(N+4) and p^(N+2)
+    as its quotient."""
+    K = _field(d)
+    Q = (_prime(K, s1), _prime(K, s2))
+    built = _record_builds(monkeypatch)
+    near = [(N + 3, True), (N + 1, False)]
+    q_at = [str(Q[0] * rational_ideal(K, p**M)) for M in (N + 2, N + 1)]
+    calls = [
+        (lambda: mq_order(K, p, Q, N), near),
+        (lambda: construct_alpha(K, p, Q, N), near),
+        (lambda: even_criterion(K, p, Q[0], N),
+         [(q_at[0], True), (N + 2, True), (q_at[1], True), (N + 1, False)]),
+        (lambda: group_G(K, p, N).stable,
+         [(N + 1, True), (N + 4, True), (N + 2, False)]),
+    ]
+    for call, builds in calls:
+        empty_memos()
+        built.clear()
+        call()
+        assert built == builds
+    empty_memos()
 
 
 def _outcome(fn, *args):

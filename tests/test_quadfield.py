@@ -990,6 +990,18 @@ def test_is_squarefree_against_sieve():
     assert [is_squarefree(n) for n in range(1, n_max)] == sieve[1:]
 
 
+def test_isprime_against_sieve():
+    """isprime against a sieve for n < 10^5, across 41^2 = 1681, below
+    which an n with no prime factor up to 37 is prime with no
+    Miller-Rabin round."""
+    n_max = 10**5
+    sieve = [False, False] + [True] * (n_max - 2)
+    for q in range(2, isqrt(n_max - 1) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = [False] * len(range(q * q, n_max, q))
+    assert [isprime(n) for n in range(n_max)] == sieve
+
+
 def test_is_squarefree_at_the_cube_root_cut():
     """n up to 10^12 built as p^2, p^2*q, p*q and p^3 with p near the cut
     cbrt(n) where trial division stops and the square test takes over."""

@@ -28,9 +28,12 @@ from iwasawalab.cli import main
 from iwasawalab.ntheory import factorint, isprime
 from iwasawalab.quadfield import (IntegralIdeal, RealQuadraticField,
                                   _min_poly_roots_mod, factor_rational_prime,
-                                  prime_ideals_above, rational_ideal)
+                                  prime_ideals_above, prime_kind,
+                                  rational_ideal)
+from iwasawalab.rayclass import _factor_ideal
 from iwasawalab.residues import (InertComponent, RationalComponent,
-                                 _QuadFieldUnits, make_component)
+                                 UnitGroupModM, _QuadFieldUnits,
+                                 make_component)
 
 from oracles import ph_dlog, squarefree
 
@@ -393,6 +396,45 @@ def _record():
     RECORDED.write_text('{"batches": %s,\n "components": [\n%s\n]}\n'
                         % (json.dumps(RECORDED_BATCHES), ",\n".join(lines)))
     print("%d components -> %s" % (len(lines), RECORDED))
+
+
+# ------------------------------------------------------------ the -1 row
+
+MINUS_ONE_FIELDS = (1, 2, 3, 5, 7, 10, 13, 79, 82)
+MINUS_ONE_ELLS = (2, 3, 5, 7, 11, 13, 1009, 1999)
+
+
+def test_minus_one_dlog_is_the_stated_row():
+    """Each component states dlog(-1) from its generator orders, and so
+    does (O/(ell^e))*; both equal the dlog of -1 taken, for every
+    component q^e, q above ell, and every (O/(ell^e))* the package builds
+    over the grid of fields, ell and e = 1, 2, 4: rational, split, inert
+    and ramified components, (Z/2^e)* among them.  Inert 2-power and
+    ramified prime-power components are refused, as everywhere."""
+    kinds, groups = [], 0
+    for d, ell, e in product(MINUS_ONE_FIELDS, MINUS_ONE_ELLS, (1, 2, 4)):
+        K = QQ if d == 1 else RealQuadraticField(d)
+        minus_one = K.element(-1)
+        for q in prime_ideals_above(K, ell):
+            try:
+                comp = make_component(K, q, e)
+            except ValueError as err:
+                assert "unsupported" in str(err)
+                continue
+            assert comp.minus_one_dlog() == comp.dlog(comp.reduce(minus_one))
+            kinds.append((prime_kind(q)[1], ell == 2, e))
+        try:
+            units = UnitGroupModM(K, _factor_ideal(rational_ideal(K, ell**e)))
+        except ValueError as err:
+            assert "unsupported" in str(err)
+            continue
+        assert units.minus_one_dlog() == units.dlog(minus_one)
+        groups += 1
+    assert (len(kinds), groups) == (271, 179)
+    assert {kind for kind, _, _ in kinds} == \
+        {"rational", "split", "inert", "ramified"}
+    assert {(kind, e) for kind, two, e in kinds if two} >= \
+        {("rational", 2), ("rational", 4), ("inert", 1), ("ramified", 1)}
 
 
 # ------------------------------------------------ unsupported inert 2-power
