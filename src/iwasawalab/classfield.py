@@ -20,7 +20,7 @@ from .padic import PAdicNumber, log_series, unit_log_residues, vp
 from .quadfield import (IntegralIdeal, RealQuadraticField, check_odd_prime,
                         prime_ideal, rational_ideal, residue_char)
 from .rayclass import ray_class_group, ray_class_tower
-from .residues import DlogPlan, ModularUnits
+from .residues import ModularUnits, pohlig_hellman
 
 
 def e_of_q(q, p: int) -> int:
@@ -63,8 +63,9 @@ def _degree_without_log(n: int, p: int, N: int) -> int:
     1-units mod p^(N+1), cyclic of order p^N with generator 1 + p, over
     p - 1."""
     mod = p**(N + 1)
-    plan = DlogPlan(ModularUnits(mod), 1 + p, p**N, {p: N})
-    return plan.dlog(pow(n, p - 1, mod)) * pow(p - 1, -1, p**N) % p**N
+    k = pohlig_hellman(ModularUnits(mod), 1 + p, p**N, {p: N},
+                       pow(n, p - 1, mod))[0]
+    return k * pow(p - 1, -1, p**N) % p**N
 
 
 @dataclass

@@ -410,12 +410,9 @@ def _min_poly_roots_mod(K: RealQuadraticField, ell: int):
     return sorted({(D + r) * inv2 % ell, (D - r) * inv2 % ell})
 
 
-@lru_cache(maxsize=256)
 def split_root(q: IntegralIdeal, e: int) -> int:
     """Image of w in Z/ell^e under a split prime q = (ell; b; 1): the root
     -b mod ell of f(T) = T^2 - w_trace*T + w_norm, Hensel-lifted mod ell^e.
-    The roots of the last 256 pairs (q, e) asked for are kept: the unit
-    logs of one query read the same place at the same precision again.
 
     Newton's step doubles the digits of the root t and, with one inverse
     taken mod ell, of inv = 1/f'(t): inv*(2 - f'(t)*inv).  f'(t) = 2t -
@@ -659,12 +656,11 @@ def _exact_quotient(K: RealQuadraticField, num, den, what: str):
     return x // n, y // n
 
 
-@lru_cache(maxsize=16)
 def _o_walk(K: RealQuadraticField):
     """The principal-cycle table: dict (P, Q) -> (x, y), the gamma product
     x + y*w of the walk of the unit ideal up to that state, over one full
-    period.  Only principal_generator reads it, and the tables of the last
-    16 fields asked for are kept.
+    period.  Only principal_generator reads it, and builds it again on
+    each call.
 
     A step takes tau_k = (P + sqrt D)/Q to tau_{k+1} = 1/(tau_k - a_k), and
     Z + Z*tau_k = gamma * (Z + Z*tau_{k+1}) with gamma = 1/tau_{k+1}.  The

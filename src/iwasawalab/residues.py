@@ -14,13 +14,13 @@ The dlog of -1 is stated, not computed (minus_one_dlog): for odd ell, -1
 is g^(n/2) in the cyclic torsion <g> of order n, with 0 on the 1-unit
 coordinates; in (Z/2^e)* the first generator is -1 itself.
 
-Each component builds its Pohlig-Hellman plans (Pohlig & Hellman 1978;
-Cohen, GTM 138, Section 1.4) once, over the residue field.  For each prime
-power q^a of the order n of the base g, a plan keeps the cofactor power
-g_q = g^(n/q^a), the inverses of its powers g_q^(q^j), the element gamma of
-order q, a baby-step table of the ceil(sqrt q) powers gamma^j and the giant
-step; a dlog reads the base-q digits of k mod q^a by baby-step giant-step
-in <gamma> and joins the q^a-parts by CRT.
+The torsion dlog is a Pohlig-Hellman run over the residue field
+(pohlig_hellman; Pohlig & Hellman 1978; Cohen, GTM 138, Section 1.4) that
+takes every power of g again on each call: a component lives for one
+ray-class build, which asks it few dlogs (eps, the class representatives,
+the ideals whose classes it reads).  For each q^a exactly dividing the
+order of g, it reads the base-q digits of k mod q^a by baby-step giant-step
+in the subgroup of order q and joins the q^a-parts by CRT.
 
 In F_ell^2 (inert ell), Frobenius is conjugation: u^ell = conj(u), so
 
@@ -127,60 +127,42 @@ class _QuadFieldUnits:
         return self.mul(y, u) if k & 1 else y
 
 
-class DlogPlan:
-    """Pohlig-Hellman plan for dlogs to the base g, of order n, in the
-    cyclic group G (one of the unit groups above).  For h = g^k, dlog(h)
-    is k modulo `modulus`, the product of the q^a of fac, each exactly
-    dividing n."""
-
-    def __init__(self, G, g, n: int, fac: dict):
-        self.G = G
-        self.modulus = 1
-        self.steps = []
-        mul, exp = G.mul, G.exp
-        for q, a in fac.items():
-            qa = q**a
-            gq = exp(g, n // qa)
-            if a == 1:
-                gamma, inv, digit_exps = gq, (), (1,)
+def pohlig_hellman(G, g, n: int, fac: dict, h):
+    """(k, modulus) with h = g^k, k read modulo the product of the q^a of
+    fac, each exactly dividing the order n of g in the cyclic group G (one
+    of the unit groups above), by the run of the module docstring."""
+    mul, exp = G.mul, G.exp
+    k, mod = 0, 1
+    for q, a in fac.items():
+        qa = q**a
+        gq, t = exp(g, n // qa), exp(h, n // qa)
+        gamma = exp(gq, qa // q) if a > 1 else gq
+        m = isqrt(q - 1) + 1
+        baby, z = {}, G.one
+        for j in range(m):
+            baby[z] = j
+            z = mul(z, gamma)
+        giant = G.inv(z)
+        strip = G.inv(gq) if a > 1 else None   # g_q^(-q^j) at digit j
+        x, qj = 0, 1
+        for j in range(a):
+            # t = g_q^(k - x) has order dividing q^(a - j)
+            y = exp(t, qa // (qj * q))
+            for i in range(m):
+                if y in baby:
+                    break
+                y = mul(y, giant)
             else:
-                # g_q^(-q^j), which strips digit j once it is read
-                inv = [G.inv(gq)]
-                while len(inv) < a - 1:
-                    inv.append(exp(inv[-1], q))
-                gamma = exp(gq, qa // q)
-                digit_exps = [q**(a - 1 - j) for j in range(a)]
-            m = isqrt(q - 1) + 1
-            baby, x = {}, G.one
-            for j in range(m):
-                baby[x] = j
-                x = mul(x, gamma)
-            self.steps.append((q, n // qa, digit_exps, inv, baby, m,
-                               G.inv(x)))
-            self.modulus *= qa
-
-    def dlog(self, h):
-        mul, exp = self.G.mul, self.G.exp
-        k, mod = 0, 1
-        for q, cof, digit_exps, inv, baby, m, giant in self.steps:
-            t = exp(h, cof)
-            x, qj = 0, 1
-            for j, de in enumerate(digit_exps):
-                # t = g_q^(k - x) has order dividing q^(a - j)
-                y = exp(t, de) if de > 1 else t
-                for i in range(m):
-                    if y in baby:
-                        break
-                    y = mul(y, giant)
-                else:
-                    raise ValueError("dlog: element outside the subgroup")
-                d = i * m + baby[y]
-                if d and j < len(inv):
-                    t = mul(t, inv[j] if d == 1 else exp(inv[j], d))
-                x += d * qj
-                qj *= q
-            k, mod = _merge(k, mod, x, qj, "Pohlig-Hellman digits")
-        return k
+                raise InternalCheckError("dlog: element outside the subgroup")
+            d = i * m + baby[y]
+            if j < a - 1:
+                if d:
+                    t = mul(t, strip if d == 1 else exp(strip, d))
+                strip = exp(strip, q)
+            x += d * qj
+            qj *= q
+        k, mod = _merge(k, mod, x, qj, "Pohlig-Hellman digits")
+    return k, mod
 
 
 class _Component:
@@ -225,7 +207,7 @@ class RationalComponent(_Component):
         else:
             fac = factorint(ell - 1)
             g = _primitive_root(ell, fac)
-            self._plan = DlogPlan(ModularUnits(ell), g, ell - 1, fac)
+            self._torsion = (ModularUnits(ell), g, ell - 1, fac)
             if e > 1 and pow(g, ell - 1, ell * ell) == 1:
                 g += ell
             self.gens = [g % self.mod]
@@ -263,7 +245,7 @@ class RationalComponent(_Component):
             k = (ly // 4) * self._log_gen_inv % 2**(e - 2)
             return [s, k]
         # torsion part, in F_ell*
-        k1 = self._plan.dlog(a % ell)
+        k1 = pohlig_hellman(*self._torsion, a % ell)[0]
         if e == 1:
             return [k1]
         # 1-unit part via the ell-adic log
@@ -295,14 +277,13 @@ class InertComponent(_Component):
         F = self._residue_field = _QuadFieldUnits(self._trace, self._norm,
                                                   ell)
         g = _inert_generator(F, fac_minus, fac_plus)
-        # the plans of the torsion dlog: the 2-part in F_ell^2*, the odd
-        # parts of ell - 1 in F_ell* and of ell + 1 in the torus
         a2 = fac_minus.get(2, 0) + fac_plus.get(2, 0)
-        self._two = DlogPlan(F, g, n_res, {2: a2} if a2 else {})
-        self._minus = DlogPlan(ModularUnits(ell), F.norm(g), ell - 1,
-                               {q: a for q, a in fac_minus.items() if q != 2})
-        self._plus = DlogPlan(F, F.frobenius_quotient(g), ell + 1,
-                              {q: a for q, a in fac_plus.items() if q != 2})
+        self._torsion_parts = (
+            (F, g, n_res, {2: a2} if a2 else {}),
+            (ModularUnits(ell), F.norm(g), ell - 1,
+             {q: a for q, a in fac_minus.items() if q != 2}),
+            (F, F.frobenius_quotient(g), ell + 1,
+             {q: a for q, a in fac_plus.items() if q != 2}))
         if e == 1:
             self.gens, self.orders = [g], [n_res]
         else:
@@ -335,11 +316,12 @@ class InertComponent(_Component):
         odd part of ell - 1 from N(u) and that of ell + 1 from the torus."""
         F = self._residue_field
         u = (u[0] % self.ell, u[1] % self.ell)
-        k, mod = _merge(self._two.dlog(u), self._two.modulus,
-                        self._minus.dlog(F.norm(u)), self._minus.modulus,
-                        "torsion dlog parts")
-        return _merge(k, mod, self._plus.dlog(F.frobenius_quotient(u)),
-                      self._plus.modulus, "torsion dlog parts")[0]
+        k, mod = 0, 1
+        for part, h in zip(self._torsion_parts,
+                           (u, F.norm(u), F.frobenius_quotient(u))):
+            k, mod = _merge(k, mod, *pohlig_hellman(*part, h),
+                            "torsion dlog parts")
+        return k
 
     def dlog(self, u):
         ell, e = self.ell, self.e
@@ -373,7 +355,7 @@ def _primitive_root(ell: int, fac: dict) -> int:
     for g in range(2, ell):
         if all(pow(g, (ell - 1) // q, ell) != 1 for q in fac):
             return g
-    raise ValueError("%d is not an odd prime" % ell)
+    raise InternalCheckError("%d is not an odd prime" % ell)
 
 
 def _inert_generator(F: _QuadFieldUnits, fac_minus: dict, fac_plus: dict):
@@ -419,8 +401,8 @@ def _inert_generator(F: _QuadFieldUnits, fac_minus: dict, fac_plus: dict):
         for y in range(ell):
             if norm_ok(x, y) and class_of_ok(y * x_inv % ell):
                 return (x, y)
-    raise ValueError("T^2 - %d*T + %d is reducible mod %d"
-                     % (F.t, F.n, ell))
+    raise InternalCheckError("T^2 - %d*T + %d is reducible mod %d"
+                             % (F.t, F.n, ell))
 
 
 def make_component(K: RealQuadraticField, q: IntegralIdeal, e: int):

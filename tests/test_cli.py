@@ -1,7 +1,10 @@
 import json
+import os
 import random
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -479,6 +482,15 @@ def _fuzz_argv(rng):
     return fmt + [name] + argv if rng.random() < 0.9 else [name] + argv + fmt
 
 
+def _assert_exit_contract(argv, code, out, err):
+    """A documented exit code, no traceback, and one JSON document from a
+    JSON run that is not a usage error."""
+    assert code in (0, 2, 3, 4, 5), argv
+    assert "Traceback" not in err, argv
+    if "json" in argv and code != 4:
+        json.loads(out)
+
+
 def test_random_command_lines_keep_the_exit_contract(monkeypatch, capsys):
     """Every run exits with a documented code and prints no traceback; a
     JSON run that is not a usage error prints one JSON document."""
@@ -489,11 +501,38 @@ def test_random_command_lines_keep_the_exit_contract(monkeypatch, capsys):
         argv = _fuzz_argv(rng)
         code = main(argv)
         out, err = capsys.readouterr()
-        assert code in (0, 2, 3, 4, 5), argv
-        assert "Traceback" not in err, argv
-        if "json" in argv and code != 4:
-            json.loads(out)
+        _assert_exit_contract(argv, code, out, err)
         if code != 4:
             answered.add(next(a for a in argv if a in COMMAND_NAMES))
     # the generator reaches the engine with every subcommand
     assert answered == set(COMMAND_NAMES)
+
+
+_OPTIMIZED_FUZZ = """
+import contextlib, io, json, sys
+from iwasawalab.cli import main
+runs = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    runs.append([code, out.getvalue(), err.getvalue()])
+json.dump([sys.flags.optimize, runs], sys.stdout)
+"""
+
+
+def test_random_command_lines_keep_the_exit_contract_under_python_O():
+    """The first 100 command lines of the same draw, in one `python -O`
+    process, where no bare assert can stand in for a raise."""
+    rng = random.Random(31)
+    argvs = [_fuzz_argv(rng) for _ in range(100)]
+    env = dict(os.environ, IWASAWA_LAB_PRECISION="3",
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_FUZZ],
+                          input=json.dumps(argvs), env=env,
+                          capture_output=True, text=True, check=True)
+    assert "Traceback" not in proc.stderr
+    optimize, runs = json.loads(proc.stdout)
+    assert optimize == 1 and len(runs) == len(argvs)
+    for argv, (code, out, err) in zip(argvs, runs):
+        _assert_exit_contract(argv, code, out, err)

@@ -612,14 +612,23 @@ def test_half_period_eps_matches_full_period_d_below_10000(monkeypatch):
     assert kinds["odd"] > 500 and kinds["even"] > 4000
 
 
-def test_leopoldt_query_builds_no_cycle_table():
+def test_leopoldt_query_builds_no_cycle_table(monkeypatch):
+    """A Leopoldt query walks no principal cycle; principal_generator walks
+    it once a call, as no table of it is kept."""
     K = RealQuadraticField(49009)
     empty_memos()
+    walks = []
+
+    def counted(K):
+        walks.append(K)
+        return _o_walk(K)
+
+    monkeypatch.setattr(quadfield, "_o_walk", counted)
     assert leopoldt_defect(K, 3, 8).defect == 0
     assert fundamental_unit.cache_info().currsize == 1
-    assert _o_walk.cache_info().currsize == 0
+    assert walks == []
     principal_generator(rational_ideal(K, 3))
-    assert _o_walk.cache_info().currsize == 1
+    assert walks == [K]
     assert len(_o_walk(K)) == 444      # period 443, plus the state (D, 2)
 
 
@@ -706,11 +715,12 @@ def test_principal_generator_raises_past_the_reduction_bound(monkeypatch):
 def test_principal_generator_checks_survive_python_O():
     # (5) has the unit ideal as primitive part, whose walk stops at once
     code = (
+        "from iwasawalab import quadfield\n"
         "from iwasawalab.quadfield import *\n"
-        "from iwasawalab.quadfield import _o_walk\n"
         "assert False, 'asserts are on'\n"
+        "walk = quadfield._o_walk\n"
+        "quadfield._o_walk = lambda K: {**walk(K), (K.D, 2): (2, 0)}\n"
         "K = RealQuadraticField(79)\n"
-        "_o_walk(K)[(K.D, 2)] = (2, 0)\n"
         "try:\n"
         "    principal_generator(rational_ideal(K, 5))\n"
         "except AssertionError as exc:\n"

@@ -1,13 +1,14 @@
 """The residue-ring groups (O/q^e)*: generators against brute force, and
 discrete logs that rebuild the unit, match a table of all powers and match
-the per-call Pohlig-Hellman reference `oracles.ph_dlog`.
+the Pohlig-Hellman reference `oracles.ph_dlog`.
 
 Every case is fixed up front.  The oracles multiply residues with their own
 arithmetic, from w^2 = D*w - (D^2 - D)/4, and find orders by walking powers.
 The generators, orders and dlogs of every component that the big-conductor
 batches of seeds 1-3 and the kummer-alpha batch of seed 1 build were
-recorded in `data/residue_components.json` before the dlogs moved to
-per-component plans; re-record that file with
+recorded in `data/residue_components.json`, and have stayed the same
+through per-component Pohlig-Hellman plans and back to per-call dlogs;
+re-record that file with
 
     PYTHONPATH=src python tests/test_residues.py
 
@@ -24,16 +25,19 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from iwasawalab import residues
 from iwasawalab.cli import main
-from iwasawalab.ntheory import factorint, isprime
+from iwasawalab.ntheory import InternalCheckError, factorint, isprime
 from iwasawalab.quadfield import (IntegralIdeal, RealQuadraticField,
                                   _min_poly_roots_mod, factor_rational_prime,
                                   prime_ideals_above, prime_kind,
                                   rational_ideal)
 from iwasawalab.rayclass import _factor_ideal
-from iwasawalab.residues import (InertComponent, RationalComponent,
-                                 UnitGroupModM, _QuadFieldUnits,
-                                 make_component)
+from iwasawalab.residues import (InertComponent, ModularUnits,
+                                 RationalComponent, UnitGroupModM,
+                                 _QuadFieldUnits, _inert_generator,
+                                 _primitive_root, make_component,
+                                 pohlig_hellman)
 
 from oracles import ph_dlog, squarefree
 
@@ -514,6 +518,50 @@ def test_primitive_root_lifted_when_it_fixes_the_one_units():
         assert pow(g, n // q, mod) != 1, q
     for k in (0, 1, 2, 653, ell, 123456789 % n, n - 1):
         assert comp.dlog(pow(g, k, mod)) == [k], k
+
+
+def test_pohlig_hellman_reads_k_modulo_the_prime_powers_asked():
+    """Over F_ell* for ell < 200, seeded k: the whole factorisation of
+    ell - 1 gives k, and a part of it gives k modulo the product of its
+    prime powers."""
+    rng = random.Random(7)
+    for ell in range(3, 200):
+        if not isprime(ell):
+            continue
+        fac = factorint(ell - 1)
+        G, g = ModularUnits(ell), _primitive_root(ell, fac)
+        for _ in range(4):
+            k = rng.randrange(ell - 1)
+            h = pow(g, k, ell)
+            assert pohlig_hellman(G, g, ell - 1, fac, h) == (k, ell - 1)
+            part = {q: a for q, a in fac.items() if q != 2}
+            mod = prod(q**a for q, a in part.items())
+            assert pohlig_hellman(G, g, ell - 1, part, h) == (k % mod, mod)
+
+
+def test_generator_searches_raise_internal_checks():
+    """The fall-throughs of the generator searches are engine faults: no
+    element passes a test at a prime that does not divide ell - 1, and
+    T^2 - 2T + 1 = (T - 1)^2 has no generator."""
+    with pytest.raises(InternalCheckError, match="not an odd prime"):
+        _primitive_root(7, {7: 1})
+    with pytest.raises(InternalCheckError, match="reducible"):
+        _inert_generator(_QuadFieldUnits(2, 1, 7), {2: 1, 3: 1}, {2: 3})
+
+
+def test_a_wrong_primitive_root_exits_5(monkeypatch, capsys):
+    """2 has order 3 mod 7, so with it as the root of (Z/7)* a dlog meets
+    an element outside <2>: an engine fault, which exits 5 and not 4."""
+    root = residues._primitive_root
+    monkeypatch.setattr(residues, "_primitive_root",
+                        lambda ell, fac: 2 if ell == 7 else root(ell, fac))
+    code = main(["rayclass", "--field", "Q(sqrt{2})", "--modulus", "7",
+                 "--p", "3"])
+    out, err = capsys.readouterr()
+    assert code == 5
+    assert out == ""
+    assert err == ("internal check failed: dlog: element outside the "
+                   "subgroup\n")
 
 
 if __name__ == "__main__":

@@ -76,8 +76,8 @@ MUTABLE_BINDINGS = {"__all__"}
 # module.function of each memo table of src/: the per-field memos, the
 # numeric tables, and the one record of (K, p) state, its ray class tower
 MEMOS = {
-    "quadfield.class_group", "quadfield._o_walk", "quadfield.fundamental_unit",
-    "quadfield.split_root", "classfield.cyclotomic_log",
+    "quadfield.class_group", "quadfield.fundamental_unit",
+    "classfield.cyclotomic_log",
     "classfield._inverse_log_gamma", "padic._log_inverses",
     "rayclass.ray_class_tower",
 }
