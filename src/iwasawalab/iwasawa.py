@@ -15,8 +15,7 @@ from math import gcd
 
 from .abgroup import element_order, subgroup_image_order
 from .classfield import GaloisGroupG, cyclotomic_degree, group_G
-from .ntheory import (InternalCheckError, is_squarefree, legendre, power,
-                      quad_mul)
+from .ntheory import InternalCheckError, legendre, power, quad_mul
 from .padic import PAdicNumber, PrecisionError, vp
 from .quadfield import (IntegralIdeal, RealQuadraticField, check_odd_prime,
                         fundamental_unit, prime_ideal)
@@ -201,10 +200,14 @@ def leopoldt_defect(K: RealQuadraticField, p: int, N: int) -> LeopoldtReport:
     if N < 1:
         raise ValueError("N must be at least 1")
     check_odd_prime(p, K)
+    return _leopoldt(K, None if K.is_rational else fundamental_unit(K), p, N)
+
+
+def _leopoldt(K: RealQuadraticField, eps, p: int, N: int) -> LeopoldtReport:
+    """leopoldt_defect for checked p and N, given eps of K (None over Q)."""
     if K.is_rational:
         return LeopoldtReport(K, p, N, 0, None, "ok", p == 3)
-    A, eps = N + 2, fundamental_unit(K)
-    m = p**A
+    A, m = N + 2, p**(N + 2)
     k = p - 1 if legendre(K.D, p) == 1 else 2 * (p + 1)
     z0, z1 = power(quad_mul(K.w_trace, K.w_norm, m), (1, 0),
                    (eps.a % m, eps.b % m), k)
@@ -229,27 +232,33 @@ def greenberg_wiles(h0_v: int, h0_vdual: int, local_terms) -> int:
 
 
 def defect_never_one_scan(d_max: int, primes, N: int = 8):
-    """Scan all squarefree d <= d_max (d = 1 meaning Q) and odd primes,
-    asserting the Leopoldt defect is never 1 at certified precision."""
+    """Scan all squarefree d <= d_max (d = 1 meaning Q) and distinct odd
+    primes, asserting the Leopoldt defect is never 1 at certified precision."""
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
     if N < 1:
         raise ValueError("N must be at least 1")
-    rows = []
-    violations = []
-    indeterminates = []
-    for d in [1] + [d for d in range(2, d_max + 1) if is_squarefree(d)]:
-        K = RealQuadraticField.rationals() if d == 1 \
-            else RealQuadraticField(d)
-        for p in sorted(primes):
-            if p % 2 == 0:
-                raise ValueError("primes must be odd")
-            if not K.is_rational and K.D % p == 0:
+    primes = sorted(set(primes))
+    for p in primes:
+        if p % 2 == 0:
+            raise ValueError("primes must be odd")
+        check_odd_prime(p)
+    rows, violations, indeterminates = [], [], []
+    for d in range(1, d_max + 1):
+        try:
+            K = RealQuadraticField(d if d > 1 else None)
+        except ValueError:          # d is not squarefree: its one test
+            continue
+        eps = None                  # walked once, if some p is unramified
+        for p in primes:
+            if K.D % p == 0:        # p ramifies in K; over Q, D = 1
                 rows.append({"d": d, "p": p, "delta": None,
                              "regulator_valuation": None, "precision": N,
                              "status": "skipped_ramified"})
                 continue
-            rep = leopoldt_defect(K, p, N)
+            if eps is None and not K.is_rational:
+                eps = fundamental_unit(K)
+            rep = _leopoldt(K, eps, p, N)
             rows.append(rep.to_json())
             if rep.status == "indeterminate":
                 indeterminates.append((d, p))
@@ -258,7 +267,7 @@ def defect_never_one_scan(d_max: int, primes, N: int = 8):
     return {
         "schema": 1,
         "d_max": d_max,
-        "primes": sorted(primes),
+        "primes": primes,
         "precision": N,
         "rows": rows,
         "violations": violations,

@@ -677,11 +677,10 @@ def _o_walk(K: RealQuadraticField):
     return acc
 
 
-@lru_cache(maxsize=32)
 def fundamental_unit(K: RealQuadraticField) -> FieldElement:
     """The unit eps > 1 generating the units modulo {-1}, from half a
-    period of the principal cycle.  The units of the last 32 fields asked
-    for are kept.
+    period of the principal cycle, walked again on each call: a caller
+    that reads eps more than once, as the Leopoldt scan does, keeps it.
 
     The walk of _o_walk from (P_0, Q_0) = (D, 2) reaches the states of the
     reduced ideals I_k = [Q_k/2, (P_k + sqrt D)/2], with I_0 = O, and

@@ -25,9 +25,9 @@ from .abgroup import FiniteAbelianGroup, GroupElement, lattice_index, \
 from .ntheory import InternalCheckError, factorint, isprime
 from .padic import vp
 from .quadfield import (IntegralIdeal, RealQuadraticField, check_odd_prime,
-                        class_group, parts_valuation, prime_ideals_above,
-                        principal_generator, rational_ideal, unit_entries,
-                        unit_ideal)
+                        class_group, fundamental_unit, parts_valuation,
+                        prime_ideals_above, principal_generator,
+                        rational_ideal, unit_ideal)
 from .residues import UnitGroupModM
 
 
@@ -91,10 +91,10 @@ class RayClassGroupData:
                 K, _factor_ideal(modulus) if modulus.norm > 1 else [])
             self.unit_orders = self.units.orders
             self.unit_norms = self.units.gen_norm_ints()
-            # unit_entries: -1, whose row the components state, then eps
-            self._unit_dlogs = [self.units.minus_one_dlog()] + [
-                self.units.dlog(entry.element)
-                for entry in unit_entries(K)[1:]]
+            # -1, whose row the components state, then eps but over Q
+            self._unit_dlogs = [self.units.minus_one_dlog()]
+            if not K.is_rational:
+                self._unit_dlogs.append(self.units.dlog(fundamental_unit(K)))
             self.class_gen_ideals, elements = self._class_gen_reps()
             class_dlogs = [self.units.dlog(g) for g in elements]
             self._ambient = {}          # q -> _ambient_vector(q)

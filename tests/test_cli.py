@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -177,6 +178,33 @@ def test_scan(capsys):
                          "--prec", "6")
     assert code == 0
     assert doc["violations"] == []
+
+
+# the first indeterminate row of primes 3, 5, 7 at N = 8 is (21713, 3)
+INDETERMINATE_SCAN = ["--format", "json", "scan", "--dmax", "21713",
+                      "--primes", "3,5,7"]
+INDETERMINATE_SCAN_SHA256 = \
+    "d760b3c718ab69bb45239cf197cfcd01f2904797ec9eea1e0f2b947dc4411e2f"
+
+
+def test_indeterminate_scan_keeps_its_exit_code_and_bytes(monkeypatch,
+                                                           capsys):
+    monkeypatch.delenv("IWASAWA_LAB_PRECISION", raising=False)
+    code, out = run(capsys, *INDETERMINATE_SCAN)
+    assert code == 3
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        INDETERMINATE_SCAN_SHA256
+
+
+def test_indeterminate_scan_keeps_its_exit_code_and_bytes_under_python_O():
+    env = {k: v for k, v in os.environ.items()
+           if k != "IWASAWA_LAB_PRECISION"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-O", "-m", "iwasawalab.cli",
+                           *INDETERMINATE_SCAN], env=env, capture_output=True)
+    assert proc.returncode == 3
+    assert hashlib.sha256(proc.stdout).hexdigest() == \
+        INDETERMINATE_SCAN_SHA256
 
 
 def test_scan_even_prime_usage(capsys):

@@ -842,3 +842,55 @@ def test_scan_small():
     statuses = {(r["d"], r["p"]): r["status"] for r in report["rows"]}
     assert statuses[(5, 5)] == "skipped_ramified"
     assert statuses[(10, 3)] == "ok"
+
+
+def test_scan_answers_a_repeated_prime_once():
+    report = defect_never_one_scan(3, [3, 3])
+    assert report["primes"] == [3]
+    assert [(r["d"], r["p"]) for r in report["rows"]] == \
+        [(1, 3), (2, 3), (3, 3)]
+    assert report == defect_never_one_scan(3, [3])
+    assert defect_never_one_scan(12, [7, 3, 5, 3, 7]) == \
+        defect_never_one_scan(12, [3, 5, 7])
+
+
+def test_scan_walks_each_unit_at_most_once(monkeypatch):
+    """One unit walk per field, and none for d = 105, where 3, 5 and 7 all
+    ramify; a bad prime is refused before any field is built."""
+    walks = []
+
+    def counted(K):
+        walks.append(K.d)
+        return fundamental_unit(K)
+
+    monkeypatch.setattr(iwasawa, "fundamental_unit", counted)
+    defect_never_one_scan(110, [3, 5, 7])
+    assert walks == [d for d in range(2, 111)
+                     if is_squarefree(d) and d != 105]
+    walks.clear()
+    for primes, message in (([3, 4], "^primes must be odd$"),
+                            ([3, 9], "^p must be an odd prime$")):
+        with pytest.raises(ValueError, match=message):
+            defect_never_one_scan(50, primes)
+    assert walks == []
+
+
+def test_scan_rows_are_the_leopoldt_reports():
+    """Every row of the scan up to 2,000 is leopoldt_defect's report of its
+    (d, p), or the skipped row of a ramified p."""
+    N, primes = 8, [3, 5, 7]
+    report = defect_never_one_scan(2000, primes, N)
+    rows = []
+    for d in [1] + [d for d in range(2, 2001) if is_squarefree(d)]:
+        K = QQ if d == 1 else RealQuadraticField(d)
+        for p in primes:
+            if not K.is_rational and K.D % p == 0:
+                rows.append({"d": d, "p": p, "delta": None,
+                             "regulator_valuation": None, "precision": N,
+                             "status": "skipped_ramified"})
+            else:
+                rows.append(leopoldt_defect(K, p, N).to_json())
+    assert report["rows"] == rows
+    assert report["indeterminates"] == [
+        (r["d"], r["p"]) for r in rows if r["status"] == "indeterminate"]
+    assert report["violations"] == []

@@ -14,7 +14,8 @@ from iwasawalab.padic import PAdicNumber, PrecisionError, vp
 from iwasawalab.quadfield import (RealQuadraticField, SUnitBasisData,
                                   SUnitProduct, factor_rational_prime,
                                   fundamental_unit, prime_kind,
-                                  principal_generator, rational_ideal)
+                                  principal_generator, rational_ideal,
+                                  s_unit_entry)
 
 import oracles
 from oracles import (empty_memos, same_kummer_extension, scale_exponents,
@@ -147,6 +148,74 @@ def test_verify_alpha_rejects_unequal_valuations():
     x = SUnitProduct(basis.entries, 3, [0, 3, 1], 4)
     cert = verify_alpha(x, QQ, 3, tuple(primes), 4)
     assert cert.status in ("rejected:valuations", "rejected:loc_p")
+
+
+def test_verify_alpha_is_indeterminate_when_m_q_is_unstable():
+    """Over Q(sqrt 145) at p = 7, m_Q of (2a, 3a) reads 7 at N = 1 and 49
+    at N + 2: no alpha is certified there, whatever its exponents."""
+    K = RealQuadraticField(145)
+    Q = (factor_rational_prime(K, 2).ideals[0],
+         factor_rational_prime(K, 3).ideals[0])
+    assert mq_order(K, 7, Q, 1).provisional_orders == (7, 49)
+    basis = SUnitBasisData(K, Q)
+    alpha = SUnitProduct(basis.entries, 7, [0, 0, 1, 1], 1)
+    cert = verify_alpha(alpha, K, 7, Q, 1)
+    assert (cert.status, cert.m_q) == ("indeterminate", 7)
+    assert cert.val_q1 is None and cert.a_exponent is None
+    assert cert.loc_p_torsion == INDET
+    with pytest.raises(PrecisionError, match="did not stabilize"):
+        construct_alpha(K, 7, Q, 1)
+
+
+def test_verify_alpha_is_indeterminate_on_a_valuation_below_precision():
+    """The accepted alpha of (Q, 3, (2, 5)) with its pi1 = 2 exponent
+    known only to be 0 mod 3^4: v_2 has no certified digit."""
+    cert = construct_alpha(QQ, 3, (2, 5), 3)
+    assert [e.label for e in cert.alpha.entries] == \
+        ["-1", "beta", "pi1", "pi2"]
+    exponents = list(cert.alpha.exponents)
+    exponents[2] = PAdicNumber.zero_marker(3, 4)
+    alpha = SUnitProduct(cert.alpha.entries, 3, exponents, 3)
+    cert2 = verify_alpha(alpha, QQ, 3, (2, 5), 3)
+    assert cert2.status == "indeterminate"
+    assert cert2.val_q1.is_marker and not cert2.val_q2.is_marker
+    assert cert2.a_exponent is None and cert2.loc_p_torsion == INDET
+
+
+def test_verify_alpha_is_indeterminate_on_a_torsion_clause_below_precision():
+    """The accepted alpha of (Q, 3, (2, 5)) times 3 to an exponent known to
+    no digit: v_3(alpha) is 0 to no certified digit, so the torsion clause
+    at 3 can neither hold nor fail; to one digit it holds."""
+    cert = construct_alpha(QQ, 3, (2, 5), 3)
+    three = rational_ideal(QQ, 3)
+    entries = cert.alpha.entries + (
+        s_unit_entry(QQ.element(3), [three], "3", "lattice"),)
+    verdicts = []
+    for digits in (0, 1):
+        alpha = SUnitProduct(entries, 3, cert.alpha.exponents
+                             + [PAdicNumber.zero_marker(3, digits)], 3)
+        cert2 = verify_alpha(alpha, QQ, 3, (2, 5), 3)
+        assert cert2.a_exponent == 0
+        verdicts.append((cert2.status, cert2.loc_p_torsion))
+    assert verdicts == [("indeterminate", INDET), ("accepted", TRUE)]
+
+
+@pytest.mark.parametrize("N", [2, 4, 8])
+def test_verify_alpha_rejects_valuations_that_m_q_does_not_divide(N):
+    """alpha^(1/3), for the accepted alpha of (Q(sqrt 79), 3, (2a, 5a)):
+    its logs still vanish to precision, but v_3 of its valuations is
+    1 < v_3(m_Q) = 2.  Its exponents lie outside Z_3."""
+    K = RealQuadraticField(79)
+    Q = (factor_rational_prime(K, 2).ideals[0],
+         factor_rational_prime(K, 5).ideals[0])
+    cert = construct_alpha(K, 3, Q, N)
+    assert (cert.status, cert.m_q, cert.a_exponent) == ("accepted", 9, 2)
+    third = PAdicNumber.exact(3, 3, N + 4)
+    alpha = SUnitProduct(cert.alpha.entries, 3,
+                         [e / third for e in cert.alpha.exponents], N)
+    cert2 = verify_alpha(alpha, K, 3, Q, N)
+    assert cert2.status == "rejected:divisibility"
+    assert cert2.a_exponent == 1 and cert2.loc_p_torsion == TRUE
 
 
 def test_corollary_consequence_trivial_mq():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from iwasawalab import quadfield
+from iwasawalab import iwasawa, quadfield
 from iwasawalab.ntheory import is_squarefree, isprime
 from iwasawalab.abgroup import decompose_abelian
 from iwasawalab.quadfield import (_cycle_of, _ideal_to_pair, _is_reduced_pair,
@@ -613,19 +613,25 @@ def test_half_period_eps_matches_full_period_d_below_10000(monkeypatch):
 
 
 def test_leopoldt_query_builds_no_cycle_table(monkeypatch):
-    """A Leopoldt query walks no principal cycle; principal_generator walks
-    it once a call, as no table of it is kept."""
+    """A Leopoldt query walks no principal cycle and its unit once;
+    principal_generator walks the cycle once a call, as no table of it is
+    kept."""
     K = RealQuadraticField(49009)
     empty_memos()
-    walks = []
+    walks, units = [], []
 
     def counted(K):
         walks.append(K)
         return _o_walk(K)
 
+    def counted_unit(K):
+        units.append(K)
+        return fundamental_unit(K)
+
     monkeypatch.setattr(quadfield, "_o_walk", counted)
+    monkeypatch.setattr(iwasawa, "fundamental_unit", counted_unit)
     assert leopoldt_defect(K, 3, 8).defect == 0
-    assert fundamental_unit.cache_info().currsize == 1
+    assert units == [K]
     assert walks == []
     principal_generator(rational_ideal(K, 3))
     assert walks == [K]

@@ -73,11 +73,11 @@ CALLED_BY_NAME = {"_Parser.error"}
 # the export list alone
 MUTABLE_BINDINGS = {"__all__"}
 
-# module.function of each memo table of src/: the per-field memos, the
-# numeric tables, and the one record of (K, p) state, its ray class tower
+# module.function of each memo table of src/: the per-field class groups,
+# the numeric tables, and the one record of (K, p) state, its ray class
+# tower
 MEMOS = {
-    "quadfield.class_group", "quadfield.fundamental_unit",
-    "classfield.cyclotomic_log",
+    "quadfield.class_group", "classfield.cyclotomic_log",
     "classfield._inverse_log_gamma", "padic._log_inverses",
     "rayclass.ray_class_tower",
 }
