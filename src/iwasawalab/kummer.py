@@ -53,6 +53,8 @@ class KummerCertificate:
         return self.p ** self.a_exponent
 
     def to_json(self):
+        """The certificate as JSON; a clause left undecided and a valuation
+        never computed are null."""
         return {
             "schema": 1,
             "field": self.field.spec_string(),
@@ -60,8 +62,10 @@ class KummerCertificate:
             "N": self.N,
             "alpha": self.alpha.to_json() if self.alpha else None,
             "Q": [str(q) for q in self.Q],
-            "valuations": [repr(self.val_q1), repr(self.val_q2)],
-            "loc_p_torsion": self.loc_p_torsion == TRUE,
+            "valuations": [None if v is None else repr(v)
+                           for v in (self.val_q1, self.val_q2)],
+            "loc_p_torsion": (None if self.loc_p_torsion == INDET
+                              else self.loc_p_torsion == TRUE),
             "a_exponent": self.a_exponent,
             "m_Q": self.m_q,
             "predicted_intersection_degree":

@@ -103,7 +103,9 @@ def entry_logs(entries, q: IntegralIdeal, N: int) -> tuple:
 
 def log_sum(exponents, logs) -> tuple:
     """sum_i e_i * log_i, coordinate by coordinate, in the order of the
-    entries.  An exact-zero exponent still caps the precision of the sum."""
+    entries.  An exact-zero exponent does not cap the precision of the sum:
+    its term is a zero marker of bound padic.EXACT_ZERO_BOUND (10^9) plus
+    the valuation of log_i."""
     total = None
     for e, lg in zip(exponents, logs):
         term = tuple(c * e for c in lg)

@@ -557,13 +557,26 @@ def _cycle_of(K: RealQuadraticField, P: int, Q: int):
 
 
 def _reduced_pairs(K: RealQuadraticField):
+    """The reduced states (P, Q) of K, by P and then Q ascending.
+
+    (P, Q) is reduced when 0 < P <= s = isqrt D and s - P < Q <= s + P,
+    that is, Q lies in (sqrt D - P, sqrt D + P), and it is a state when Q
+    and (D - P^2)/Q are even.  So P = D mod 2, Q = 2a and a divides
+    N = (D - P^2)/4.  Since 2a * 2(N/a) = (sqrt D - P)(sqrt D + P), the
+    window holds 2a iff it holds 2N/a: a and N/a are the a and |c| of a
+    reduced indefinite form (a, P, -N/a) (Buchmann and Vollmer, Binary
+    Quadratic Forms, 2007; Cohen, GTM 138, 5.6).  Each P thus tries only
+    the a <= sqrt N of its window and reads the states above sqrt N off
+    their cofactors."""
     D, s = K.D, K.sqrtD_floor
     out = []
-    for P in range(1, s + 1):
-        R = D - P * P
-        for Q in range(s - P + 1, s + P + 1):
-            if Q > 0 and R % Q == 0 and Q % 2 == 0 and (R // Q) % 2 == 0:
-                out.append((P, Q))
+    for P in range(2 - D % 2, s + 1, 2):
+        N = (D - P * P) >> 2
+        small = [a for a in range((s - P) // 2 + 1,
+                                  min((s + P) // 2, isqrt(N)) + 1)
+                 if N % a == 0]
+        out += [(P, 2 * a) for a in small]
+        out += [(P, 2 * (N // a)) for a in reversed(small) if a * a != N]
     return out
 
 

@@ -147,7 +147,7 @@ def pohlig_hellman(G, g, n: int, fac: dict, h):
         x, qj = 0, 1
         for j in range(a):
             # t = g_q^(k - x) has order dividing q^(a - j)
-            y = exp(t, qa // (qj * q))
+            y = exp(t, qa // (qj * q)) if j < a - 1 else t
             for i in range(m):
                 if y in baby:
                     break

@@ -29,7 +29,10 @@ form, and the log route of the cyclotomic character
 (`cyclotomic_dlog_log_route`, `degree_log_route`, `mq_generator_log_route`,
 `rounded_degree_zero_log_route`, `mq_order_log_route`): angle_log over plog
 of 1 + p on PAdicNumbers, as `classfield` and `iwasawa` read it before
-`classfield.cyclotomic_log` did on integer residues.
+`classfield.cyclotomic_log` did on integer residues, and
+`reduced_pairs_scan`, the O(D) scan of every P against every Q of its
+window, before `quadfield._reduced_pairs` read the reduced states off
+divisor pairs.
 
 It also holds definitions that only the tests read, kept out of the
 engine as the tests' reference: the p-adic object layer
@@ -190,6 +193,20 @@ def reduced_forms(D):
                 c = ac // sa
                 if is_reduced_form(sa, b, c, D):
                     out.add((sa, b, c))
+    return out
+
+
+def reduced_pairs_scan(K):
+    """The reduced states (P, Q) of K by the O(D) scan that
+    `quadfield._reduced_pairs` ran before it read them off divisor pairs:
+    every P <= isqrt D against every Q of its window."""
+    D, s = K.D, K.sqrtD_floor
+    out = []
+    for P in range(1, s + 1):
+        R = D - P * P
+        for Q in range(s - P + 1, s + P + 1):
+            if Q > 0 and R % Q == 0 and Q % 2 == 0 and (R // Q) % 2 == 0:
+                out.append((P, Q))
     return out
 
 

@@ -133,6 +133,9 @@ CASES = [
     # h = 3, with 1,482 reduced states on its three cycles
     ("classgroup-1000003", 0,
      ["--format", "json", "classgroup", "--field", "Q(sqrt{1000003})"]),
+    # h = 7 at d ~ 10^7: 3,054 reduced states, read off divisor pairs
+    ("classgroup-10000019", 0,
+     ["--format", "json", "classgroup", "--field", "Q(sqrt{10000019})"]),
     # ideal moduli 27*q and 81*q, q the ramified prime above 79: the
     # residue field of q enters the ray class group
     ("even-check-79-q79", 0,

@@ -163,6 +163,9 @@ def test_verify_alpha_is_indeterminate_when_m_q_is_unstable():
     assert (cert.status, cert.m_q) == ("indeterminate", 7)
     assert cert.val_q1 is None and cert.a_exponent is None
     assert cert.loc_p_torsion == INDET
+    doc = cert.to_json()
+    assert doc["valuations"] == [None, None]
+    assert doc["loc_p_torsion"] is None
     with pytest.raises(PrecisionError, match="did not stabilize"):
         construct_alpha(K, 7, Q, 1)
 
@@ -196,8 +199,12 @@ def test_verify_alpha_is_indeterminate_on_a_torsion_clause_below_precision():
                              + [PAdicNumber.zero_marker(3, digits)], 3)
         cert2 = verify_alpha(alpha, QQ, 3, (2, 5), 3)
         assert cert2.a_exponent == 0
-        verdicts.append((cert2.status, cert2.loc_p_torsion))
-    assert verdicts == [("indeterminate", INDET), ("accepted", TRUE)]
+        doc = cert2.to_json()
+        assert None not in doc["valuations"]
+        verdicts.append((cert2.status, cert2.loc_p_torsion,
+                         doc["loc_p_torsion"]))
+    assert verdicts == [("indeterminate", INDET, None),
+                        ("accepted", TRUE, True)]
 
 
 @pytest.mark.parametrize("N", [2, 4, 8])

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from iwasawalab.localize import (completions_above_p, _coordinates, loc,
-                                 is_loc_torsion, eq_membership,
+                                 is_loc_torsion, eq_membership, log_sum,
                                  zp_matrix_rank, TRUE, FALSE)
 from iwasawalab.padic import PAdicNumber
 from iwasawalab.quadfield import (RealQuadraticField, SUnitBasisData,
@@ -213,3 +213,15 @@ def test_prop_22_consistency_sunits_away_from_support():
                 verdict = is_loc_torsion(x, q, 5, 6)
                 assert verdict == TRUE
                 assert ideal_valuation(x, q) == 0
+
+
+def test_log_sum_leaves_the_precision_to_terms_of_nonzero_exponent():
+    """An exact-zero exponent multiplies its log into a marker of bound
+    10^9 + v, so the log it meets, known mod 3^8, does not cap the sum at
+    8 digits; a zero exponent known mod 3^2 does cap it at 2."""
+    logs = [(PAdicNumber.of(5, 3, 8),), (PAdicNumber.of(7, 3, 10),)]
+    one = PAdicNumber.exact(1, 3, 20)
+    (total,) = log_sum([PAdicNumber.exact(0, 3, 20), one], logs)
+    assert (total.abs_prec, total.residue(10)) == (10, 7)
+    (total,) = log_sum([PAdicNumber.zero_marker(3, 2), one], logs)
+    assert (total.abs_prec, total.residue(2)) == (2, 7)

@@ -31,9 +31,9 @@ from iwasawalab.rayclass import ray_class_group
 
 from oracles import (class_number_formula, compare_real, empty_memos,
                      fundamental_unit_oracle, group_identity, kronecker,
-                     pell_sign, real_sign, s_unit_basis,
-                     solve_integral_fractions, sqrt_pair, squarefree,
-                     wide_class_number_oracle)
+                     pell_sign, real_sign, reduced_forms, reduced_pairs_scan,
+                     s_unit_basis, solve_integral_fractions, sqrt_pair,
+                     squarefree, wide_class_number_oracle)
 
 
 Q2 = RealQuadraticField(2)
@@ -234,7 +234,7 @@ def _ref_class_group(K):
     every class lookup walks the cycle of the ideal again and keys it by
     its least state."""
     keys = set()
-    for (P, Q) in _reduced_pairs(K):
+    for (P, Q) in reduced_pairs_scan(K):
         keys.add(min(_cycle_of(K, P, Q)))
     cycle_keys = sorted(keys)
     principal_key = min(_cycle_of(K, K.D, 2))
@@ -249,6 +249,30 @@ def _ref_class_group(K):
     gens, orders, dlog = decompose_abelian(cycle_keys, kmul, principal_key)
     return len(cycle_keys), cycle_keys, gens, orders, dlog, principal_key, \
         key_of
+
+
+def test_reduced_pairs_match_the_scan():
+    """The divisor-pair enumeration gives the states of the O(D) scan, in
+    its order: every squarefree d < 3000 and 20 seeded d up to 10^6."""
+    rng = random.Random(37)
+    seeded = []
+    while len(seeded) < 20:
+        d = rng.randrange(3000, 10**6)
+        if squarefree(d):
+            seeded.append(d)
+    for d in [d for d in range(2, 3000) if squarefree(d)] + seeded:
+        K = RealQuadraticField(d)
+        assert _reduced_pairs(K) == reduced_pairs_scan(K), d
+
+
+def test_reduced_pairs_are_the_reduced_forms():
+    """(P, Q) = (b, 2a) for the reduced forms (a, b, c) with a > 0 of the
+    form oracle, which never reads the engine's states."""
+    for d in range(2, 1500):
+        if squarefree(d):
+            K = RealQuadraticField(d)
+            assert _reduced_pairs(K) == sorted(
+                {(b, 2 * a) for (a, b, c) in reduced_forms(K.D) if a > 0}), d
 
 
 def test_class_group_matches_per_pair_build_d_below_2000():
