@@ -9,7 +9,8 @@ Its basis does not depend on the precision N: `_alpha_basis` builds the
 entries (the units, beta, pi1, pi2) once per (K, p, Q) and congruence
 split, kept on the tower of (K, p) under Q, with an EntryLogTable of their
 unit logs at the primes above p, taken at the highest precision asked for
-so far; a lower N reads the logs by truncation.
+so far; a lower N reads the logs by truncation.  The clauses read the
+table and alpha's exponents on their integers, building results only.
 """
 
 from __future__ import annotations
@@ -93,7 +94,6 @@ def construct_alpha(K: RealQuadraticField, p: int, Q, N: int) \
         raise PrecisionError("insufficient precision for the congruence split")
     b1 = a1.residue(m) if m > 0 else 0
     c1 = (a1 - PAdicNumber.exact(b1, p, a1.abs_prec + 2)).shift(-m)
-    c2 = PAdicNumber.exact(0, p, N + 4)
 
     e2 = n_prime_to_p * m_q
     e1 = b1 * e2
@@ -101,10 +101,9 @@ def construct_alpha(K: RealQuadraticField, p: int, Q, N: int) \
         (q1, q2), (e1, e2), _alpha_basis, K, p, q1, q2, e1, e2)
     t1 = c1 * PAdicNumber.exact(n_prime_to_p * p**m // h1 * m_q, p,
                                 a1.abs_prec + 2)
-    t2 = c2
     zero = PAdicNumber.exact(0, p, N + 4)
     one = PAdicNumber.exact(1, p, N + 4)
-    exponents = [zero] * (len(entries) - 3) + [one, t1, t2]
+    exponents = [zero] * (len(entries) - 3) + [one, t1, zero]
     alpha = SUnitProduct(entries, p, exponents, N)
 
     # unit correction: divide by eps^x so that the local 1-unit part dies;
@@ -143,10 +142,15 @@ class EntryLogTable:
     top, and read at any lower N by truncation.
 
     _element_unit_log reads the unit x/p^v of an entry to
-    A = N + max(v, 0) + 2 - v digits, and v does not depend on N: so each
-    coordinate at N is the top's coordinate taken to abs_prec - (top - N)
-    digits, the log mod p^A being the residue of the log mod a higher
-    power (Washington, GTM 83, sec. 5.1)."""
+    A = N + max(v, 0) + 2 - v digits, and v does not depend on N: so a
+    coordinate p^v * m of the top, read as the integers (r, v, A) with
+    r = p^v * m mod p^A (v = A for a marker), is at N = top - drop the row
+    (r mod p^(A - drop), min(v, A - drop), A - drop) that truncate gives,
+    the log mod p^A being the residue of the log mod a higher power
+    (Washington, GTM 83, sec. 5.1).  A product of an exponent e and a
+    coordinate c is known mod p^min(A_c + v_e, A_e + v_c), as
+    (e + O(p^A_e))(c + O(p^A_c)) = ec + O(p^(A_e + v_c)) + O(p^(A_c + v_e)),
+    markers included; log_sum sums such integers to the least A."""
 
     def __init__(self, entries, places):
         self.entries, self.places = entries, places
@@ -171,27 +175,22 @@ class EntryLogTable:
 def _solve_unit_exponent(alpha0: SUnitProduct, logs):
     """x in Z_p with log loc(alpha0) = x * log loc(eps) at every prime above
     p, given the logs `logs` of alpha0.entries (EntryLogTable.at), whose
-    entry 1 is eps (unit_entries: -1, then eps)."""
-    x = None
-    checks = []
-    for _, lg in logs:
-        la = log_sum(alpha0.exponents, lg)
-        le = lg[1]
-        for ca, ce in zip(la, le):
-            if ce.is_marker:
-                continue
-            cand = ca / ce
-            if cand.m is not None and cand.v < 0:
-                raise InternalCheckError("unit correction is not integral")
-            if x is None:
-                x = cand
-            else:
-                checks.append((ca, ce))
-    if x is None:
+    entry 1 is eps (unit_entries: -1, then eps).  Each quotient ca/ce, ce
+    no marker, is integral and agrees with the first, x, read on integers."""
+    pairs = [(ca, ce) for _, lg in logs
+             for ca, ce in zip(log_sum(alpha0.exponents, lg), lg[1])
+             if ce.m is not None]
+    for ca, ce in pairs:
+        if ca.m is not None and ca.v < ce.v:
+            raise InternalCheckError("unit correction is not integral")
+    if not pairs:
         raise PrecisionError("precision underflow in the unit-correction solve")
-    for (ca, ce) in checks:
-        resid = ca - x * ce
-        if not resid.is_marker:
+    ca, ce = pairs[0]
+    p, v, d = ce.p, ca.v - ce.v, min(ca.digits, ce.digits)
+    x = (PAdicNumber.zero_marker(p, v) if ca.m is None else
+         PAdicNumber(p, v, ca.m * pow(ce.m, -1, p**d) % p**d, d))
+    for ca, ce in pairs[1:]:
+        if not (ca - x * ce).is_marker:
             raise InternalCheckError("unit correction inconsistent across "
                                      "places")
     return x
@@ -202,7 +201,8 @@ def verify_alpha(alpha: SUnitProduct, K: RealQuadraticField, p: int, Q,
     """Check the four certificate clauses; accept, reject naming the failed
     clause, or report indeterminate when the data sits below precision."""
     rep = mq_order(K, p, Q, N)
-    logs = EntryLogTable(alpha.entries, completions_above_p(K, p)).at(N)
+    logs = tuple((q, entry_logs(alpha.entries, q, N))
+                 for q in completions_above_p(K, p))
     return _check_certificate(alpha, K, p, (rep.q1, rep.q2), N, rep, logs)
 
 
@@ -223,9 +223,8 @@ def _check_certificate(alpha: SUnitProduct, K: RealQuadraticField, p: int,
         return cert
 
     # (ii) nonzero valuations generating the same ideal of Z_p
-    v1 = alpha.valuation_at(q1)
-    v2 = alpha.valuation_at(q2)
-    cert.val_q1, cert.val_q2 = v1, v2
+    v1 = cert.val_q1 = alpha.valuation_at(q1)
+    v2 = cert.val_q2 = alpha.valuation_at(q2)
     if v1.is_marker or v2.is_marker:
         cert.status = "indeterminate"
         return cert

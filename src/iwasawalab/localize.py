@@ -8,17 +8,17 @@ the pair (valuation, unit log).  A local log is a tuple of PAdicNumber
 coordinates: () away from p, where only the valuation contributes to any
 Z_p-rank; one coordinate at a split or rational place above p; two at an
 inert one, over {1, s}, s = sqrt(D).  The log is taken on integer residues
-by `padic.unit_log_residues`; only its coordinates become p-adic objects.
+by `padic.unit_log_residues`; each coordinate is given as a PAdicNumber.
 
 The log of an S-unit product sums its exponents times the unit logs of its
-entries: `entry_logs` takes those at one prime and `log_sum` sums them.
-The Kummer certificate keeps the entry logs of each prime for all its reads.
+entries: `entry_logs` takes those at one prime and `log_sum` sums them on
+their integers.  The Kummer certificate keeps the entry logs of each prime
+for all its reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
 
 from .ntheory import InternalCheckError
 from .padic import PAdicNumber, unit_log_residues, vp
@@ -103,14 +103,21 @@ def entry_logs(entries, q: IntegralIdeal, N: int) -> tuple:
 
 def log_sum(exponents, logs) -> tuple:
     """sum_i e_i * log_i, coordinate by coordinate, in the order of the
-    entries.  An exact-zero exponent does not cap the precision of the sum:
-    its term is a zero marker of bound padic.EXACT_ZERO_BOUND (10^9) plus
-    the valuation of log_i."""
-    total = None
-    for e, lg in zip(exponents, logs):
-        term = tuple(c * e for c in lg)
-        total = term if total is None else tuple(map(add, total, term))
-    return total
+    entries, as the object sum of the products gives it, on their integers
+    (kummer.EntryLogTable states the precisions).  An exact-zero exponent
+    does not cap the precision of the sum: its term is a zero marker of
+    bound padic.EXACT_ZERO_BOUND (10^9) plus the valuation of log_i."""
+    out = []
+    for column in zip(*logs):
+        precs, terms = [], []
+        for e, c in zip(exponents, column):
+            v = e.v + c.v
+            if e.m is not None and c.m is not None:
+                terms.append((v, e.m * c.m))
+                v += e.digits if e.digits < c.digits else c.digits
+            precs.append(v)
+        out.append(PAdicNumber.from_terms(column[0].p, min(precs), terms))
+    return tuple(out)
 
 
 def _val_status(v):
@@ -131,11 +138,9 @@ def torsion_status(val, unit_log) -> str:
     """Whether a localization (valuation, unit log) is torsion in the pro-p
     completion."""
     zero, certified = _val_status(val)
-    if not zero:
-        return FALSE
     # away from p the log is (): the unit part is torsion in the pro-p
     # completion
-    if any(not c.is_marker for c in unit_log):
+    if not zero or any(not c.is_marker for c in unit_log):
         return FALSE
     return TRUE if certified else INDET
 
@@ -143,13 +148,8 @@ def torsion_status(val, unit_log) -> str:
 def eq_membership(x: SUnitProduct, Q_ideals) -> bool:
     """Does x lie in the completed Q-unit group, i.e. supported on Q only?"""
     allowed = set(Q_ideals)
-    for q in x.support_keys():
-        if q in allowed:
-            continue
-        v = x.valuation_at(q)
-        if not v.is_marker:
-            return False
-    return True
+    return all(q in allowed or x.valuation_at(q).is_marker
+               for q in x.support_keys())
 
 
 @dataclass

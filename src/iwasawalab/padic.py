@@ -14,7 +14,6 @@ the Kummer element stays a formal product whose exponents are never applied.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -72,31 +71,20 @@ class PAdicNumber:
     @classmethod
     def exact(cls, n, p: int, digits: int) -> "PAdicNumber":
         """Exact integer or Fraction input, kept to `digits` significant digits."""
-        if isinstance(n, Fraction):
-            if n == 0:
-                return cls.zero_marker(p, EXACT_ZERO_BOUND)
-            vnum = vp(n.numerator, p)
-            vden = vp(n.denominator, p)
-            v = vnum - vden
-            num = n.numerator // p**vnum
-            den = n.denominator // p**vden
-            m = num * pow(den, -1, p**digits) % p**digits
-            return cls(p, v, m, digits)
         if n == 0:
             return cls.zero_marker(p, EXACT_ZERO_BOUND)
-        v = vp(n, p)
-        m = (n // p**v) % p**digits
-        return cls(p, v, m, digits)
+        vnum, vden = vp(n.numerator, p), vp(n.denominator, p)
+        mod = p**digits
+        m = n.numerator // p**vnum * pow(n.denominator // p**vden, -1, mod)
+        return cls(p, vnum - vden, m % mod, digits)
 
     @classmethod
     def of(cls, n, p: int, N: int) -> "PAdicNumber":
         """Input read modulo p^N: N absolute digits of information."""
-        if isinstance(n, Fraction):
-            if n.denominator % p == 0:
-                raise ValueError("denominator not a p-unit")
-            n = n.numerator * pow(n.denominator, -1, p**N)
-        r = n % p**N
-        return cls.from_residue(r, p, N)
+        if n.denominator % p == 0:
+            raise ValueError("denominator not a p-unit")
+        return cls.from_residue(n.numerator * pow(n.denominator, -1, p**N),
+                                p, N)
 
     @classmethod
     def from_residue(cls, r: int, p: int, abs_prec: int) -> "PAdicNumber":
@@ -107,6 +95,25 @@ class PAdicNumber:
         v = vp(r, p)
         digits = abs_prec - v
         return cls(p, v, (r // p**v) % p**digits, digits)
+
+    @classmethod
+    def from_terms(cls, p: int, A: int, terms) -> "PAdicNumber":
+        """The sum of p^v * m over the pairs (v, m) of `terms`, known mod
+        p^A: the one p-adic sum.  Terms of v >= A vanish; the rest sum to
+        p^s * r, s the least of 0 and their v, and r is read by
+        from_residue mod p^(A - s).  With none left, p^A is never formed."""
+        s, live = 0, False
+        for v, _ in terms:
+            if v < A:
+                s, live = min(s, v), True
+        if not live:
+            return cls.zero_marker(p, A)
+        r = 0
+        for v, m in terms:
+            if v < A:
+                r += m * p**(v - s)
+        y = cls.from_residue(r, p, A - s)
+        return cls(p, y.v + s, y.m, y.digits) if s else y
 
     @classmethod
     def one(cls, p: int, digits: int) -> "PAdicNumber":
@@ -155,24 +162,9 @@ class PAdicNumber:
 
     def __add__(self, other):
         self._check(other)
-        p = self.p
-        A = min(self.abs_prec, other.abs_prec)
-        if self.m is None and other.m is None:
-            return PAdicNumber.zero_marker(p, A)
-        if self.m is None or other.m is None:
-            x = other if self.m is None else self
-            if x.v >= A:
-                return PAdicNumber.zero_marker(p, A)
-            s = min(x.v, 0)
-            r = x.m * p**(x.v - s)
-        else:
-            if min(self.v, other.v) >= A:
-                return PAdicNumber.zero_marker(p, A)
-            s = min(self.v, other.v, 0)
-            r = self.m * p**(self.v - s) + other.m * p**(other.v - s)
-        # r is p^-s times the sum, an integer even when a valuation is < 0
-        y = PAdicNumber.from_residue(r, p, A - s)
-        return PAdicNumber(p, y.v + s, y.m, y.digits) if s else y
+        return PAdicNumber.from_terms(
+            self.p, min(self.abs_prec, other.abs_prec),
+            [(x.v, x.m) for x in (self, other) if x.m is not None])
 
     def __sub__(self, other):
         return self + (-other)

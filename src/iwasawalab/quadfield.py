@@ -24,7 +24,7 @@ from .abgroup import (FiniteAbelianGroup, GroupElement, decompose_abelian,
                       relation_lattice)
 from .ntheory import (InternalCheckError, extgcd, is_squarefree, isprime,
                       legendre, power, quad_mul, sqrt_mod_prime)
-from .padic import PAdicNumber, vp
+from .padic import EXACT_ZERO_BOUND, PAdicNumber, vp
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -969,12 +969,21 @@ class SUnitProduct:
         return PAdicNumber.exact(int(e), self.p, self.prec + 4)
 
     def valuation_at(self, q: IntegralIdeal) -> PAdicNumber:
-        total = PAdicNumber.exact(0, self.p, self.prec + 4)
+        """sum_i e_i * exact(v_q(entry_i), p, prec + 4), as the object sum
+        gives it, on integers: v_q = p^k * u, e_i = p^v * m give the term
+        (v + k, m * u), or a marker of bound v + k."""
+        p, digits = self.p, self.prec + 4
+        A, terms = EXACT_ZERO_BOUND, []
         for e, entry in zip(self.exponents, self.entries):
-            v = entry.valuations.get(q, 0)
-            if v:
-                total = total + e * PAdicNumber.exact(v, self.p, self.prec + 4)
-        return total
+            n = entry.valuations.get(q, 0)
+            if n:
+                k = vp(n, p)
+                v = e.v + k
+                if e.m is not None:
+                    terms.append((v, e.m * (n // p**k)))
+                    v += e.digits if e.digits < digits else digits
+                A = min(A, v)
+        return PAdicNumber.from_terms(p, A, terms)
 
     def support_keys(self):
         """The prime ideals where an entry whose exponent is not exactly 0

@@ -32,7 +32,11 @@ of 1 + p on PAdicNumbers, as `classfield` and `iwasawa` read it before
 `classfield.cyclotomic_log` did on integer residues, and
 `reduced_pairs_scan`, the O(D) scan of every P against every Q of its
 window, before `quadfield._reduced_pairs` read the reduced states off
-divisor pairs.
+divisor pairs, and the Kummer certificate's kernels on PAdicNumber
+objects (`padic_add`, `log_sum_objects`, `valuation_at_objects`,
+`solve_unit_exponent_objects`), before `PAdicNumber.__add__`,
+`localize.log_sum`, `quadfield.SUnitProduct.valuation_at` and
+`kummer._solve_unit_exponent` read the integers of their terms.
 
 It also holds definitions that only the tests read, kept out of the
 engine as the tests' reference: the p-adic object layer
@@ -1021,6 +1025,81 @@ def scale_exponents(alpha: SUnitProduct, n: int) -> SUnitProduct:
     return SUnitProduct(alpha.entries, alpha.p,
                         [e * PAdicNumber.exact(n, alpha.p, alpha.prec + 4)
                          for e in alpha.exponents], alpha.prec)
+
+
+def padic_add(self, other):
+    """x + y for PAdicNumbers, as PAdicNumber.__add__ took it before it
+    read its sum off PAdicNumber.from_terms."""
+    self._check(other)
+    p = self.p
+    A = min(self.abs_prec, other.abs_prec)
+    if self.m is None and other.m is None:
+        return PAdicNumber.zero_marker(p, A)
+    if self.m is None or other.m is None:
+        x = other if self.m is None else self
+        if x.v >= A:
+            return PAdicNumber.zero_marker(p, A)
+        s = min(x.v, 0)
+        r = x.m * p**(x.v - s)
+    else:
+        if min(self.v, other.v) >= A:
+            return PAdicNumber.zero_marker(p, A)
+        s = min(self.v, other.v, 0)
+        r = self.m * p**(self.v - s) + other.m * p**(other.v - s)
+    # r is p^-s times the sum, an integer even when a valuation is < 0
+    y = PAdicNumber.from_residue(r, p, A - s)
+    return PAdicNumber(p, y.v + s, y.m, y.digits) if s else y
+
+
+def log_sum_objects(exponents, logs) -> tuple:
+    """localize.log_sum on PAdicNumber objects, one per product and one per
+    sum, as it was taken before it read the integers of its terms."""
+    total = None
+    for e, lg in zip(exponents, logs):
+        term = tuple(c * e for c in lg)
+        total = term if total is None else tuple(map(padic_add, total, term))
+    return total
+
+
+def valuation_at_objects(x: SUnitProduct, q) -> PAdicNumber:
+    """SUnitProduct.valuation_at on PAdicNumber objects, as it was taken
+    before it read the integers of its terms."""
+    total = PAdicNumber.exact(0, x.p, x.prec + 4)
+    for e, entry in zip(x.exponents, x.entries):
+        v = entry.valuations.get(q, 0)
+        if v:
+            total = padic_add(total, e * PAdicNumber.exact(v, x.p,
+                                                           x.prec + 4))
+    return total
+
+
+def solve_unit_exponent_objects(alpha0: SUnitProduct, logs):
+    """kummer._solve_unit_exponent on PAdicNumber objects, a quotient and a
+    difference of objects per coordinate, as it was taken before it read
+    the integers of the coordinates."""
+    x = None
+    checks = []
+    for _, lg in logs:
+        la = log_sum_objects(alpha0.exponents, lg)
+        le = lg[1]
+        for ca, ce in zip(la, le):
+            if ce.is_marker:
+                continue
+            cand = ca / ce
+            if cand.m is not None and cand.v < 0:
+                raise InternalCheckError("unit correction is not integral")
+            if x is None:
+                x = cand
+            else:
+                checks.append((ca, ce))
+    if x is None:
+        raise PrecisionError("precision underflow in the unit-correction solve")
+    for (ca, ce) in checks:
+        resid = padic_add(ca, -(x * ce))
+        if not resid.is_marker:
+            raise InternalCheckError("unit correction inconsistent across "
+                                     "places")
+    return x
 
 
 def group_identity(G: FiniteAbelianGroup) -> GroupElement:

@@ -192,3 +192,21 @@ def test_answers_digest_hashes_the_recorded_answers():
     lines = "".join(key + "\t" + expected[key] + "\n" for key in keys)
     assert answers_digest("big-conductor", [1]) == \
         hashlib.sha256(lines.encode()).hexdigest()
+
+
+# oracles.answers_digest of seeds 1-5, as recorded since the digests were
+# first given with the command that makes them: no change to the engine
+# has moved an answer of any workload
+RECORDED_DIGESTS = {
+    "leopoldt-scan":
+        "323facd3c1935b061d2a1c9cab16a643d6bd55e8d4b4305227b524676c9dce14",
+    "kummer-alpha":
+        "7a6c18766515c66f58486e48c9a7757fb729b85dddf1fe109c9117ed3c4caf71",
+    "big-conductor":
+        "f2bc4feeaa0fc7f2ab3bddb026a2be8f3413692cdb03cba44f7a428001feba01",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(RECORDED_DIGESTS))
+def test_answers_of_seeds_one_to_five_are_the_recorded_ones(workload):
+    assert answers_digest(workload, range(1, 6)) == RECORDED_DIGESTS[workload]

@@ -3,14 +3,17 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import iwasawalab
 from iwasawalab import kummer, localize, rayclass
 from iwasawalab.iwasawa import (is_inert_in_cyclotomic, mq_generator,
                                 mq_order)
 from iwasawalab.kummer import construct_alpha, verify_alpha, kummer_rank
 from iwasawalab.localize import TRUE, FALSE, INDET, completions_above_p
-from iwasawalab.ntheory import is_squarefree, isprime
-from iwasawalab.padic import PAdicNumber, PrecisionError, vp
+from iwasawalab.ntheory import InternalCheckError, is_squarefree, isprime
+from iwasawalab.padic import (EXACT_ZERO_BOUND, PAdicNumber, PrecisionError,
+                              vp)
 from iwasawalab.quadfield import (RealQuadraticField, SUnitBasisData,
                                   SUnitProduct, factor_rational_prime,
                                   fundamental_unit, prime_kind,
@@ -554,3 +557,205 @@ def test_round_robin_order_answers_and_builds_as_grouped(monkeypatch):
     assert grouped == round_robin
     assert grouped[1] == sorted(fixtures, key=repr)
     assert grouped[2] == 2 * len(fixtures)
+
+
+def _solve_on_table(place_logs):
+    """kummer._solve_unit_exponent of the formal product over the alpha
+    basis of (Q(sqrt 2), 5, (2a, 3)) with the exponents construct_alpha
+    gives before its unit correction, 0, 0, 1, 0, 0, read against a
+    hand-made log table: for each place, one coordinate tuple per entry,
+    eps (entry 1) and beta (entry 2) given, the other entries logs 0."""
+    q1, q2 = factor_rational_prime(Q2, 2).ideals[0], rational_ideal(Q2, 3)
+    entries = construct_alpha(Q2, 5, (q1, q2), 2).alpha.entries
+    assert [e.label for e in entries] == ["-1", "eps", "beta", "pi1", "pi2"]
+    alpha0 = SUnitProduct(entries, 5, [0, 0, 1, 0, 0], 2)
+    zero = (PAdicNumber.zero_marker(5, 6),)
+    logs = tuple((None, (zero, (eps,), (beta,), zero, zero))
+                 for eps, beta in place_logs)
+    return kummer._solve_unit_exponent(alpha0, logs)
+
+
+def test_unit_correction_solves_a_consistent_table():
+    """log beta = x * log eps at both places, x = 2 to the digits that the
+    quotient of the two logs certifies."""
+    of = PAdicNumber.of
+    x = _solve_on_table([(of(5, 5, 6), of(10, 5, 6)),
+                         (of(15, 5, 6), of(30, 5, 6))])
+    assert repr(x) == "5^0 * 2 (mod 5^5)"
+
+
+def test_unit_correction_refuses_a_table_with_no_eps_digit():
+    """Every coordinate of log eps is a marker: no quotient is certified."""
+    of, marker = PAdicNumber.of, PAdicNumber.zero_marker
+    with pytest.raises(PrecisionError, match="precision underflow in the "
+                                             "unit-correction solve"):
+        _solve_on_table([(marker(5, 6), of(10, 5, 6))])
+
+
+def test_unit_correction_refuses_a_non_integral_quotient():
+    """log beta / log eps = 5 / 25 has valuation -1: not in Z_5."""
+    of = PAdicNumber.of
+    with pytest.raises(InternalCheckError, match="unit correction is not "
+                                                 "integral"):
+        _solve_on_table([(of(25, 5, 6), of(5, 5, 6))])
+
+
+def test_unit_correction_refuses_quotients_that_differ_across_places():
+    """log beta / log eps is 2 at the first place and 3 at the second."""
+    of = PAdicNumber.of
+    with pytest.raises(InternalCheckError, match="unit correction "
+                                                 "inconsistent across "
+                                                 "places"):
+        _solve_on_table([(of(5, 5, 6), of(10, 5, 6)),
+                         (of(5, 5, 6), of(15, 5, 6))])
+
+
+def _fields(x):
+    """A PAdicNumber as its fields: equal fields give equal reprs, and a
+    marker bound past 10^9, which repr does not show, is compared too."""
+    return x.p, x.v, x.m, x.digits
+
+
+def _solve_outcome(solve, alpha0, logs):
+    """The fields of the unit correction, or the type and message of the
+    error that refuses it."""
+    try:
+        return _fields(solve(alpha0, logs))
+    except (PrecisionError, InternalCheckError) as err:
+        return type(err).__name__, str(err)
+
+
+def test_kernels_answer_as_the_object_kernels_on_the_alpha_batches(
+        monkeypatch):
+    """Every log_sum, valuation_at, unit-correction solve and log table
+    read of the seeds 1-3 kummer-alpha batches, replayed against the
+    object kernels of tests/oracles.py and, for a table read, against the
+    entry logs taken directly at its N: the same fields, so the same
+    reprs."""
+    W = oracles.load_bench("workloads")
+    calls = {"log_sum": [], "valuation_at": [], "solve": [], "read": []}
+    log_sum, solve = localize.log_sum, kummer._solve_unit_exponent
+    valuation_at, read = SUnitProduct.valuation_at, kummer.EntryLogTable.at
+
+    def recorded(name, fn, copy=lambda *args: args):
+        def call(*args):
+            out = fn(*args)
+            calls[name].append((copy(*args), out))
+            return out
+        return call
+    log_sum = recorded("log_sum", log_sum,
+                       lambda exponents, logs: (tuple(exponents), logs))
+    monkeypatch.setattr(localize, "log_sum", log_sum)
+    monkeypatch.setattr(kummer, "log_sum", log_sum)
+    monkeypatch.setattr(SUnitProduct, "valuation_at",
+                        recorded("valuation_at", valuation_at))
+    monkeypatch.setattr(kummer, "_solve_unit_exponent",
+                        recorded("solve", solve))
+    monkeypatch.setattr(kummer.EntryLogTable, "at", recorded(
+        "read", read, lambda table, N: (table.entries, table.places, N,
+                                        table.top)))
+    for seed in (1, 2, 3):
+        empty_memos()
+        for q in W.batch("kummer-alpha", seed):
+            W.answer(iwasawalab, q)
+    empty_memos()
+    assert all(calls.values())
+    for (exponents, logs), out in calls["log_sum"]:
+        assert [_fields(c) for c in out] == \
+            [_fields(c) for c in oracles.log_sum_objects(exponents, logs)]
+    for (alpha, q), out in calls["valuation_at"]:
+        assert _fields(out) == _fields(oracles.valuation_at_objects(alpha, q))
+    for (alpha0, logs), out in calls["solve"]:
+        assert _fields(out) == \
+            _solve_outcome(oracles.solve_unit_exponent_objects, alpha0, logs)
+    below_top = 0
+    for (entries, places, N, top), out in calls["read"]:
+        below_top += N < top
+        assert [(q, [[_fields(c) for c in lg] for lg in lgs])
+                for q, lgs in out] == \
+            [(q, [[_fields(c) for c in lg]
+                  for lg in localize.entry_logs(entries, q, N)])
+             for q in places]
+    assert below_top
+
+
+@st.composite
+def _operand(draw, p):
+    """An exponent or a log coordinate: an exact zero (a marker of bound
+    10^9), a marker of bound in [-4, 12], or p^v * m known to 1-10 digits
+    for v in [-4, 8]."""
+    kind = draw(st.sampled_from(["zero", "marker", "value", "value"]))
+    if kind == "zero":
+        return PAdicNumber.exact(0, p, 4)
+    if kind == "marker":
+        return PAdicNumber.zero_marker(p, draw(st.integers(-4, 12)))
+    digits = draw(st.integers(1, 10))
+    m = p * draw(st.integers(0, p**(digits - 1) - 1)) + \
+        draw(st.integers(1, p - 1))
+    return PAdicNumber(p, draw(st.integers(-4, 8)), m, digits)
+
+
+def _exponents(data, p, n):
+    """n exponents; one draw in four makes all of them exact zeros."""
+    if data.draw(st.integers(0, 3)) == 0:
+        return [PAdicNumber.exact(0, p, 4)] * n
+    return data.draw(st.lists(_operand(p), min_size=n, max_size=n))
+
+
+def _log_table(data, p, n, k):
+    """Logs of n entries with k coordinates each."""
+    return tuple(tuple(data.draw(st.lists(_operand(p), min_size=k,
+                                          max_size=k)))
+                 for _ in range(n))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(st.data(), st.sampled_from([3, 5, 7]), st.integers(1, 6),
+       st.integers(1, 2))
+def test_log_sum_is_the_object_sum(data, p, n, k):
+    """localize.log_sum on random exponents and coordinates has the fields
+    of the object sum of the products; exact-zero exponents on every term
+    give the marker of bound 10^9 plus the least valuation or bound of
+    each coordinate, with no power of p formed."""
+    exponents = _exponents(data, p, n)
+    logs = _log_table(data, p, n, k)
+    got = localize.log_sum(exponents, logs)
+    assert [_fields(c) for c in got] == \
+        [_fields(c) for c in oracles.log_sum_objects(exponents, logs)]
+    if all(e.is_exact_zero for e in exponents):
+        assert [(c.m, c.v) for c in got] == \
+            [(None, EXACT_ZERO_BOUND + min(c.v for c in column))
+             for column in zip(*logs)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data(), st.sampled_from([3, 5]), st.integers(1, 5),
+       st.integers(1, 8))
+def test_valuation_at_is_the_object_sum(data, p, n, prec):
+    """SUnitProduct.valuation_at over entries 2^a * 5^b, |a|, |b| <= 2p,
+    whose valuations are often divisible by p, has the fields of the object
+    sum at both primes."""
+    two, five = rational_ideal(QQ, 2), rational_ideal(QQ, 5)
+    entries = []
+    for i in range(n):
+        a, b = (data.draw(st.integers(-2 * p, 2 * p)) for _ in range(2))
+        x = QQ.element(Fraction(2)**a * Fraction(5)**b)
+        entries.append(s_unit_entry(x, [two, five], str(i), "lattice"))
+    alpha = SUnitProduct(entries, p, _exponents(data, p, n), prec)
+    for q in (two, five):
+        assert _fields(alpha.valuation_at(q)) == \
+            _fields(oracles.valuation_at_objects(alpha, q))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data(), st.sampled_from([3, 5, 7]), st.integers(2, 5),
+       st.integers(1, 2), st.integers(1, 2))
+def test_unit_correction_is_the_object_solve(data, p, n, k, places):
+    """kummer._solve_unit_exponent on random exponents and log tables gives
+    the fields of the object solve, or refuses with the same error."""
+    entries = [s_unit_entry(QQ.element(i + 2), (), str(i), "lattice")
+               for i in range(n)]
+    alpha0 = SUnitProduct(entries, p, _exponents(data, p, n), 4)
+    logs = tuple((None, _log_table(data, p, n, k)) for _ in range(places))
+    assert _solve_outcome(kummer._solve_unit_exponent, alpha0, logs) == \
+        _solve_outcome(oracles.solve_unit_exponent_objects, alpha0, logs)

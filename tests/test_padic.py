@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from iwasawalab.padic import PAdicNumber, teichmueller, vp
 
 from oracles import (AtLeast, UnramifiedQuadElem, angle, angle_log, log_ratio,
-                     plog, val_and_unit, valuation)
+                     padic_add, plog, val_and_unit, valuation)
 
 
 def pexp_oracle(x: PAdicNumber) -> PAdicNumber:
@@ -130,6 +130,19 @@ def test_add_sub_against_fractions(data, p, op):
     assert z.abs_prec <= min(x.abs_prec, y.abs_prec)
     err = _vp_fraction(c - _value(z), p)
     assert err is None or err >= z.abs_prec
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data(), st.sampled_from([3, 5, 7]))
+def test_add_is_the_reference_sum(data, p):
+    """x + y, read off PAdicNumber.from_terms, has the fields of the
+    reference sum oracles.padic_add, markers, exact zeros and negative
+    valuations included."""
+    operand = st.one_of(_padic_and_value(p).map(lambda xa: xa[0]),
+                        st.just(PAdicNumber.exact(0, p, 4)))
+    x, y = data.draw(operand), data.draw(operand)
+    z, want = x + y, padic_add(x, y)
+    assert (z.v, z.m, z.digits) == (want.v, want.m, want.digits)
 
 
 def _certified(z: PAdicNumber, c: Fraction) -> bool:
