@@ -10,10 +10,9 @@ walk and need no solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 
-from .ntheory import InternalCheckError
+from .ntheory import Frozen, InternalCheckError
 
 
 # ------------------------------------------------------------- integer matrices
@@ -189,16 +188,24 @@ def lattice_index(B, *, modulus=0):
 
 # ---------------------------------------------------------------- group types
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Frozen):
     """Exponent vector in the invariant-factor coordinates of its group."""
-    coords: tuple
+
+    def __init__(self, coords):
+        self.__dict__["coords"] = coords
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coords == other.coords
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.coords,))
 
     def __iter__(self):
         return iter(self.coords)
 
 
-@dataclass
 class FiniteAbelianGroup:
     """Z/d1 x ... x Z/dk (+ a free part of rank free_rank), d1 | d2 | ...
 
@@ -210,15 +217,26 @@ class FiniteAbelianGroup:
     modulo R, not unimodular, which is all that reading coordinate i modulo
     d_i needs.  `lifts` holds, for each row of `full_transform`, an ambient
     vector whose class generates that coordinate: a column of U^{-1},
-    reduced modulo R alike.
+    reduced modulo R alike.  Groups are equal when all seven fields are.
     """
-    invariant_factors: tuple
-    free_rank: int = 0
-    ambient_rank: int = 0
-    transform: list = field(default_factory=list)  # rows: torsion then free
-    full_transform: list = field(default_factory=list)  # all SNF rows
-    full_diag: list = field(default_factory=list)       # all diagonal entries
-    lifts: list = field(default_factory=list)  # generator lifts, all rows
+
+    def __init__(self, invariant_factors, free_rank=0, ambient_rank=0,
+                 transform=None, full_transform=None, full_diag=None,
+                 lifts=None):
+        self.invariant_factors = invariant_factors
+        self.free_rank = free_rank
+        self.ambient_rank = ambient_rank
+        # rows: torsion then free; all SNF rows; all diagonal entries;
+        # generator lifts, all rows
+        self.transform = [] if transform is None else transform
+        self.full_transform = [] if full_transform is None else full_transform
+        self.full_diag = [] if full_diag is None else full_diag
+        self.lifts = [] if lifts is None else lifts
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return vars(self) == vars(other)
+        return NotImplemented
 
     @property
     def order(self) -> int:

@@ -11,7 +11,6 @@ a stability check after a higher level builds nothing new.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .abgroup import FiniteAbelianGroup, GroupElement
@@ -68,15 +67,15 @@ def _degree_without_log(n: int, p: int, N: int) -> int:
     return k * pow(p - 1, -1, p**N) % p**N
 
 
-@dataclass
 class GaloisGroupG:
-    """p-part of Cl(p^M) at M = N+1, modelling G at precision N."""
-    field: RealQuadraticField
-    p: int
-    N: int
-    rc: object                       # RayClassGroupData
-    group: FiniteAbelianGroup
-    cyc_hom: list                    # phi on the invariant coordinates
+    """p-part of Cl(p^M) at M = N+1, modelling G at precision N: rc is the
+    RayClassGroupData, group its p-part and cyc_hom phi on the invariant
+    coordinates."""
+
+    def __init__(self, field: RealQuadraticField, p: int, N: int, rc,
+                 group: FiniteAbelianGroup, cyc_hom: list):
+        self.field, self.p, self.N = field, p, N
+        self.rc, self.group, self.cyc_hom = rc, group, cyc_hom
 
     def frobenius_class(self, q: IntegralIdeal) -> GroupElement:
         if residue_char(q) == self.p:

@@ -10,7 +10,6 @@ then the top of the tower, or below it, and level N is its quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .abgroup import element_order, subgroup_image_order
@@ -37,20 +36,23 @@ def _generates_cyclotomic(n: int, p: int) -> bool:
     return vp(pow(n, p - 1) - 1, p) == 1
 
 
-@dataclass
 class FrobeniusModuleReport:
-    field: RealQuadraticField
-    p: int
-    N: int
-    q1: IntegralIdeal
-    q2: IntegralIdeal
-    a1: PAdicNumber
-    a2: int
-    degree_zero_margin: int          # certified valuation of a1*d1 + d2
-    m_q: int = 0
-    stable: bool = False
-    provisional_orders: tuple = ()
-    group_invariants: tuple = ()
+    """The degree-0 Frobenius module of Q = (q1, q2), generated by
+    a1*Frob_q1 + a2*Frob_q2; degree_zero_margin is the certified valuation
+    of a1*d1 + d2, d_i the degree of Frob_qi.  mq_order fills in m_q and
+    the fields after it."""
+
+    def __init__(self, field: RealQuadraticField, p: int, N: int,
+                 q1: IntegralIdeal, q2: IntegralIdeal, a1: PAdicNumber,
+                 a2: int, degree_zero_margin: int, m_q: int = 0,
+                 stable: bool = False, provisional_orders: tuple = (),
+                 group_invariants: tuple = ()):
+        self.field, self.p, self.N = field, p, N
+        self.q1, self.q2, self.a1, self.a2 = q1, q2, a1, a2
+        self.degree_zero_margin = degree_zero_margin
+        self.m_q, self.stable = m_q, stable
+        self.provisional_orders = provisional_orders
+        self.group_invariants = group_invariants
 
     def to_json(self):
         return {
@@ -152,17 +154,26 @@ def mq_order(K: RealQuadraticField, p: int, Q, N: int) \
     return rep
 
 
-@dataclass
 class LeopoldtReport:
-    field: RealQuadraticField
-    p: int
-    precision: int
-    defect: int
-    regulator_valuation: object      # int or None
-    status: str                      # "ok" | "indeterminate"
-    # whether [F(mu_p):F] = 2: for p unramified in a real quadratic F the
-    # field cannot sit inside Q(mu_p), so this reduces to p = 3
-    standing_assumption: bool
+    """delta(F, p) at a precision; regulator_valuation is an int or None,
+    status "ok" or "indeterminate", and standing_assumption whether
+    [F(mu_p):F] = 2: for p unramified in a real quadratic F the field
+    cannot sit inside Q(mu_p), so this reduces to p = 3.  Reports are
+    equal when all seven fields are."""
+
+    def __init__(self, field: RealQuadraticField, p: int, precision: int,
+                 defect: int, regulator_valuation, status: str,
+                 standing_assumption: bool):
+        self.field, self.p, self.precision = field, p, precision
+        self.defect = defect
+        self.regulator_valuation = regulator_valuation
+        self.status = status
+        self.standing_assumption = standing_assumption
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return vars(self) == vars(other)
+        return NotImplemented
 
     def to_json(self):
         return {

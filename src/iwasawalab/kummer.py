@@ -15,8 +15,6 @@ table and alpha's exponents on their integers, building results only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .abgroup import element_order, smith_normal_form
 from .iwasawa import mq_order
 from .localize import (INDET, TRUE, FALSE, completions_above_p, entry_logs,
@@ -31,19 +29,20 @@ from .quadfield import (FieldElement, RealQuadraticField, SUnitBasisData,
 from .rayclass import ray_class_tower
 
 
-@dataclass
 class KummerCertificate:
-    alpha: SUnitProduct
-    field: RealQuadraticField
-    p: int
-    N: int
-    Q: tuple
-    val_q1: PAdicNumber = None
-    val_q2: PAdicNumber = None
-    loc_p_torsion: str = INDET
-    a_exponent: object = None
-    m_q: int = 0
-    status: str = "indeterminate"
+    """alpha over (F, p, N, Q) with its clauses: the valuations at q1 and
+    q2, loc_p torsion, the a-exponent (an int or None), m_Q and the
+    status; a clause not yet decided keeps its default."""
+
+    def __init__(self, alpha: SUnitProduct, field: RealQuadraticField,
+                 p: int, N: int, Q: tuple, val_q1: PAdicNumber = None,
+                 val_q2: PAdicNumber = None, loc_p_torsion: str = INDET,
+                 a_exponent=None, m_q: int = 0,
+                 status: str = "indeterminate"):
+        self.alpha, self.field, self.p, self.N, self.Q = alpha, field, p, N, Q
+        self.val_q1, self.val_q2 = val_q1, val_q2
+        self.loc_p_torsion, self.a_exponent = loc_p_torsion, a_exponent
+        self.m_q, self.status = m_q, status
 
     @property
     def predicted_intersection_degree(self):

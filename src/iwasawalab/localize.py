@@ -18,8 +18,6 @@ for all its reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ntheory import InternalCheckError
 from .padic import PAdicNumber, unit_log_residues, vp
 from .quadfield import (FieldElement, IntegralIdeal, RealQuadraticField,
@@ -152,10 +150,11 @@ def eq_membership(x: SUnitProduct, Q_ideals) -> bool:
                for q in x.support_keys())
 
 
-@dataclass
 class RankReport:
-    rank: int
-    certified: bool
+    """A Z_p-rank, and whether it is certified."""
+
+    def __init__(self, rank: int, certified: bool):
+        self.rank, self.certified = rank, certified
 
 
 def zp_matrix_rank(rows) -> RankReport:

@@ -1,4 +1,5 @@
-"""Small exact integer number-theory helpers."""
+"""Small exact integer number-theory helpers, and Frozen, the base of the
+engine's value types."""
 
 from __future__ import annotations
 
@@ -8,6 +9,21 @@ from math import gcd, isqrt
 class InternalCheckError(AssertionError):
     """A certificate check inside the engine failed: a bug, not bad input.
     Raised explicitly, so it survives `python -O`."""
+
+
+class Frozen:
+    """Base of the value types: __init__ sets each attribute once, through
+    object.__setattr__ or straight into the instance dict, and assigning or
+    deleting one later raises AttributeError.  A type with __slots__, or with a hash taken at
+    construction (which may differ between processes), is copied and
+    pickled through its __init__, by a __reduce__ of its own."""
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
 
 
 def isprime(n: int) -> bool:

@@ -12,7 +12,6 @@ principality by its own walk to the principal cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -22,24 +21,19 @@ from types import MappingProxyType
 
 from .abgroup import (FiniteAbelianGroup, GroupElement, decompose_abelian,
                       relation_lattice)
-from .ntheory import (InternalCheckError, extgcd, is_squarefree, isprime,
-                      legendre, power, quad_mul, sqrt_mod_prime)
+from .ntheory import (Frozen, InternalCheckError, extgcd, is_squarefree,
+                      isprime, legendre, power, quad_mul, sqrt_mod_prime)
 from .padic import EXACT_ZERO_BOUND, PAdicNumber, vp
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class RealQuadraticField:
+class RealQuadraticField(Frozen):
     """F = Q(sqrt d) for squarefree d > 1, or F = Q (d is None): a value,
     equal to and hashed as any other field of the same d.
 
     Integral basis {1, w} with w = (D + sqrt D)/2, D the discriminant;
     w_trace = D and w_norm = (D^2 - D)/4 are the trace and norm of w.
     """
-    d: int | None
-    D: int = field(compare=False)
-    sqrtD_floor: int = field(compare=False)
-    w_trace: int = field(compare=False)
-    w_norm: int = field(compare=False)
+    __slots__ = ("d", "D", "sqrtD_floor", "w_trace", "w_norm")
 
     def __init__(self, d):
         if d is None:
@@ -54,6 +48,17 @@ class RealQuadraticField:
         _set(self, "sqrtD_floor", isqrt(D))
         _set(self, "w_trace", D)
         _set(self, "w_norm", (D * D - D) // 4)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.d == other.d
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.d,))
+
+    def __reduce__(self):
+        return RealQuadraticField, (self.d,)
 
     @property
     def is_rational(self) -> bool:
@@ -86,8 +91,7 @@ class RealQuadraticField:
         return self.spec_string()
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class FieldElement:
+class FieldElement(Frozen):
     """(a + b*w)/den over the integral basis {1, w}, held as integers with
     den > 0 and gcd(a, b, den) = 1: one common denominator (Cohen, GTM 138,
     4.2), so the triple is fixed by the value, and equality and the hash
@@ -95,10 +99,7 @@ class FieldElement:
     numbers.Rational; a float raises TypeError), FieldElement(F, a, b, den)
     the quotient for integers; either is normalised.  The properties x and
     y give the coordinates back as Fractions."""
-    field: RealQuadraticField
-    a: int
-    b: int
-    den: int
+    __slots__ = ("field", "a", "b", "den")
 
     def __init__(self, field, a, b=0, den=1):
         if type(a) is not int or type(b) is not int:     # rationals
@@ -121,6 +122,18 @@ class FieldElement:
         _set(self, "a", a)
         _set(self, "b", b)
         _set(self, "den", den)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.field, self.a, self.b, self.den) == \
+                (other.field, other.a, other.b, other.den)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.field, self.a, self.b, self.den))
+
+    def __reduce__(self):
+        return FieldElement, (self.field, self.a, self.b, self.den)
 
     @property
     def x(self) -> Fraction:
@@ -245,25 +258,39 @@ def _real_sign(u: int, v: int, D: int) -> int:
     return (1 if u > 0 else -1) if big else (1 if v > 0 else -1)
 
 
-@dataclass(frozen=True)
-class IntegralIdeal:
+class IntegralIdeal(Frozen):
     """Nonzero integral ideal a*Z + (b + c*w)*Z in HNF: c | a, c | b,
-    0 <= b < a.  Over Q, c = b = 0 and the ideal is (a)."""
-    field: RealQuadraticField
-    a: int
-    b: int
-    c: int
+    0 <= b < a.  Over Q, c = b = 0 and the ideal is (a).  A value, equal to
+    an ideal of the same field and triple; ideals key the tower's entries
+    and the valuations of S-unit products, so the hash, that of (field, a,
+    b, c), is taken once, at construction."""
 
-    def __post_init__(self):
-        if self.field.is_rational:
-            if self.b or self.c or self.a <= 0:
+    def __init__(self, field, a, b, c):
+        if field.is_rational:
+            if b or c or a <= 0:
                 raise ValueError("rational ideal must be (a)")
-            return
-        if self.a <= 0 or self.c <= 0 or not (0 <= self.b < self.a):
-            raise ValueError("bad HNF triple (%d; %d; %d)"
-                             % (self.a, self.b, self.c))
-        if self.a % self.c or self.b % self.c:
+        elif a <= 0 or c <= 0 or not (0 <= b < a):
+            raise ValueError("bad HNF triple (%d; %d; %d)" % (a, b, c))
+        elif a % c or b % c:
             raise ValueError("HNF triple is not an ideal")
+        self.__dict__.update(field=field, a=a, b=b, c=c,
+                             _hash=hash((field, a, b, c)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.field, self.a, self.b, self.c) == \
+                (other.field, other.a, other.b, other.c)
+        return NotImplemented
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return "IntegralIdeal(field=%r, a=%r, b=%r, c=%r)" \
+            % (self.field, self.a, self.b, self.c)
+
+    def __reduce__(self):
+        return IntegralIdeal, (self.field, self.a, self.b, self.c)
 
     @property
     def norm(self) -> int:
@@ -369,12 +396,23 @@ def _hnf_pairs(pairs):
 
 # ----------------------------------------------------------- prime splitting
 
-@dataclass(frozen=True)
-class SplittingReport:
-    kind: str                      # "rational" | "split" | "inert" | "ramified"
-    ideals: tuple
-    residue_degree: int
-    ramification: int
+class SplittingReport(Frozen):
+    """How ell splits in K: its kind, "rational", "split", "inert" or
+    "ramified", the primes above it, and their f and e."""
+
+    def __init__(self, kind, ideals, residue_degree, ramification):
+        self.__dict__.update(kind=kind, ideals=ideals,
+                             residue_degree=residue_degree,
+                             ramification=ramification)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return vars(self) == vars(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.ideals, self.residue_degree,
+                     self.ramification))
 
 
 def factor_rational_prime(K: RealQuadraticField, ell: int) -> SplittingReport:
@@ -848,12 +886,20 @@ def unit_decompose(K: RealQuadraticField, u: FieldElement):
 
 # ----------------------------------------------------------------- S-units
 
-@dataclass(frozen=True)
-class SUnitBasisEntry:
-    element: FieldElement
-    valuations: MappingProxyType  # read-only: prime ideal -> nonzero valuation
-    label: str
-    kind: str                 # "torsion" | "unit" | "lattice"
+class SUnitBasisEntry(Frozen):
+    """An S-unit with its nonzero valuations, in a read-only map from prime
+    ideals, its label and its kind, "torsion", "unit" or "lattice"; equal
+    to an entry of the same four fields.  The map is not hashable, so
+    neither is the entry."""
+
+    def __init__(self, element, valuations, label, kind):
+        self.__dict__.update(element=element, valuations=valuations,
+                             label=label, kind=kind)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return vars(self) == vars(other)
+        return NotImplemented
 
 
 def s_unit_entry(element: FieldElement, primes, label: str, kind: str):

@@ -255,12 +255,10 @@ class RayClassTower:
     top costs it more than the quotients save.  A level M above the top
     regrows the tower at p^(M+2), the level mq_order reads first at the
     next precision (as kummer.EntryLogTable does), so an ascending run N,
-    N + 1, N + 2 builds one top, not three.  The known cost: a lone
-    frobenius call reads p^(N+1), then p^(N+2) for `stable`, so it builds
-    p^(N+4) and a quotient where p^(N+2) would do.  For the last
-    PAIRS_KEPT pairs of primes Q asked of (K, p), `recall` keeps the work
-    that queries of Q at different precisions share: one entry per level
-    and congruence split asked."""
+    N + 1, N + 2 builds one top, not three.  For the last PAIRS_KEPT
+    pairs of primes Q asked of (K, p), `recall` keeps the work that queries
+    of Q at different precisions share: one entry per level and congruence
+    split asked."""
 
     PAIRS_KEPT = 8
 

@@ -36,7 +36,14 @@ divisor pairs, and the Kummer certificate's kernels on PAdicNumber
 objects (`padic_add`, `log_sum_objects`, `valuation_at_objects`,
 `solve_unit_exponent_objects`), before `PAdicNumber.__add__`,
 `localize.log_sum`, `quadfield.SUnitProduct.valuation_at` and
-`kummer._solve_unit_exponent` read the integers of their terms.
+`kummer._solve_unit_exponent` read the integers of their terms, and the
+dataclass definitions of the value types (`DataclassField`,
+`DataclassElement`, `DataclassIdeal`, `DataclassGroupElement`,
+`DataclassSplittingReport`, `DataclassSUnitBasisEntry`, built from an
+engine value by `dataclass_twin`), the reference of the equality and the
+hash of `RealQuadraticField`, `FieldElement`, `IntegralIdeal`,
+`GroupElement`, `SplittingReport` and `SUnitBasisEntry` before they were
+written out as plain classes.
 
 It also holds definitions that only the tests read, kept out of the
 engine as the tests' reference: the p-adic object layer
@@ -60,10 +67,11 @@ import importlib
 import importlib.util
 import pkgutil
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from math import gcd, isqrt, log, pi, prod, sin
 from pathlib import Path
+from types import MappingProxyType
 
 import iwasawalab
 from iwasawalab import padic
@@ -81,8 +89,10 @@ from iwasawalab.ntheory import (InternalCheckError, crt, isprime, power,
                                 quad_mul)
 from iwasawalab.padic import (PAdicNumber, PrecisionError, _log_terms_needed,
                               teichmueller, vp)
-from iwasawalab.quadfield import (FieldElement, SUnitBasisData, SUnitProduct,
-                                  _real_sign, fundamental_unit)
+from iwasawalab.quadfield import (FieldElement, IntegralIdeal,
+                                  RealQuadraticField, SplittingReport,
+                                  SUnitBasisData, SUnitBasisEntry,
+                                  SUnitProduct, _real_sign, fundamental_unit)
 
 
 def _memo_tables():
@@ -1168,3 +1178,78 @@ def same_kummer_extension(x, y, K, p: int) -> str:
 def degree_zero_pair_element(G, q1, q2):
     """Rounded image of the degree-0 generator for (q1, q2) in G."""
     return _rounded_degree_zero(G, q1, q2)[3]
+
+
+# ------------------------------------------------------------ value types
+# The dataclass definitions that the engine's value types had: the same
+# fields in the same order, the same compare flags and the same decorator
+# flags, so the same generated __eq__ and __hash__.  The generated __init__
+# takes the fields as the engine value holds them.
+
+@dataclass(frozen=True, slots=True)
+class DataclassField:
+    d: int | None
+    D: int = dataclass_field(compare=False)
+    sqrtD_floor: int = dataclass_field(compare=False)
+    w_trace: int = dataclass_field(compare=False)
+    w_norm: int = dataclass_field(compare=False)
+
+
+@dataclass(frozen=True, slots=True)
+class DataclassElement:
+    field: DataclassField
+    a: int
+    b: int
+    den: int
+
+
+@dataclass(frozen=True)
+class DataclassIdeal:
+    field: DataclassField
+    a: int
+    b: int
+    c: int
+
+
+@dataclass(frozen=True)
+class DataclassGroupElement:
+    coords: tuple
+
+
+@dataclass(frozen=True)
+class DataclassSplittingReport:
+    kind: str
+    ideals: tuple
+    residue_degree: int
+    ramification: int
+
+
+@dataclass(frozen=True)
+class DataclassSUnitBasisEntry:
+    element: DataclassElement
+    valuations: MappingProxyType
+    label: str
+    kind: str
+
+
+def dataclass_twin(x):
+    """The reference dataclass value of an engine value x, its fields
+    (and the values inside them) twinned in turn."""
+    if isinstance(x, RealQuadraticField):
+        return DataclassField(x.d, x.D, x.sqrtD_floor, x.w_trace, x.w_norm)
+    if isinstance(x, FieldElement):
+        return DataclassElement(dataclass_twin(x.field), x.a, x.b, x.den)
+    if isinstance(x, IntegralIdeal):
+        return DataclassIdeal(dataclass_twin(x.field), x.a, x.b, x.c)
+    if isinstance(x, GroupElement):
+        return DataclassGroupElement(x.coords)
+    if isinstance(x, SplittingReport):
+        return DataclassSplittingReport(
+            x.kind, tuple(dataclass_twin(q) for q in x.ideals),
+            x.residue_degree, x.ramification)
+    if isinstance(x, SUnitBasisEntry):
+        vals = {dataclass_twin(q): v for q, v in x.valuations.items()}
+        return DataclassSUnitBasisEntry(dataclass_twin(x.element),
+                                        MappingProxyType(vals), x.label,
+                                        x.kind)
+    raise TypeError("no dataclass twin for %r" % (x,))

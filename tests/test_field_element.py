@@ -9,7 +9,6 @@ as a triple (a, b, den) whose entries share a factor, so that the
 constructor must normalise it.
 """
 
-import dataclasses
 import random
 from fractions import Fraction
 from math import gcd
@@ -17,7 +16,9 @@ from math import gcd
 import pytest
 
 from oracles import FractionElement, compare_real, real_sign, sqrt_pair
-from iwasawalab.quadfield import FieldElement, RealQuadraticField
+from iwasawalab.abgroup import GroupElement
+from iwasawalab.quadfield import (FieldElement, RealQuadraticField,
+                                  factor_rational_prime, unit_entries)
 
 FIELDS = (None, 2, 3, 5, 13, 79, 48799)
 PAIRS_PER_FIELD = 40
@@ -159,9 +160,32 @@ def test_zero_denominator_is_refused():
 
 
 def test_elements_are_immutable_and_of_one_field():
+    """Assigning or deleting a field of an element, a field, an ideal, a
+    group element, a splitting report or an S-unit basis entry raises
+    AttributeError, as does adding an attribute, and leaves every field as
+    it was."""
     K, L = RealQuadraticField(2), RealQuadraticField(3)
     e = K.element(1, 1)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        e.a = 2
+    split = factor_rational_prime(K, 7)
+    values = [
+        (e, ("field", "a", "b", "den")),
+        (K, ("d", "D", "sqrtD_floor", "w_trace", "w_norm")),
+        (split.ideals[0], ("field", "a", "b", "c")),
+        (GroupElement((1, 2)), ("coords",)),
+        (split, ("kind", "ideals", "residue_degree", "ramification")),
+        (unit_entries(K)[1], ("element", "valuations", "label", "kind")),
+    ]
+    for value, fields in values:
+        before = [getattr(value, f) for f in fields]
+        for f in fields:
+            with pytest.raises(AttributeError):
+                setattr(value, f, 2)
+            with pytest.raises(AttributeError):
+                delattr(value, f)
+        with pytest.raises(AttributeError):
+            value.extra = 2
+        assert all(getattr(value, f) is x for f, x in zip(fields, before))
+        assert not hasattr(value, "extra")
+    assert (e.a, e.b, e.den) == (1, 1, 1)
     with pytest.raises(ValueError):
         e + L.element(1, 1)

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import random
 import sys
@@ -6,8 +5,8 @@ from math import gcd
 
 import pytest
 
-from iwasawalab import (classfield, iwasawa, localize, padic, quadfield,
-                        rayclass)
+from iwasawalab import (classfield, cli, iwasawa, localize, padic,
+                        quadfield, rayclass)
 from iwasawalab.abgroup import element_order, subgroup_image_order
 from iwasawalab.classfield import (GaloisGroupG, e_of_q, even_criterion,
                                    frobenius_image, group_G)
@@ -254,11 +253,11 @@ def _field(d):
 
 
 def _report_fields(rep):
-    """Every field of a FrobeniusModuleReport, a1 as (v, m, digits)."""
-    out = {}
-    for f in dataclasses.fields(rep):
-        x = getattr(rep, f.name)
-        out[f.name] = (x.v, x.m, x.digits) if f.name == "a1" else x
+    """Every field of a FrobeniusModuleReport, read from its own attributes,
+    a1 as (v, m, digits)."""
+    out = dict(vars(rep))
+    a1 = out["a1"]
+    out["a1"] = (a1.v, a1.m, a1.digits)
     return out
 
 
@@ -447,9 +446,9 @@ def test_single_calls_build_the_levels_they_read(monkeypatch, d, p, s1, s2,
     conductor p^(N+3) directly and p^(N+1) as its quotient, and
     even_criterion builds q1*p^(N+2), p^(N+2), q1*p^(N+1) and p^(N+1) as
     a quotient: the first level each reads is the fresh tower's top, built
-    exactly, and no regrowth follows.  A lone frobenius query, group_G with
-    its stability check, pays for one: p^(N+1), then p^(N+4) and p^(N+2)
-    as its quotient."""
+    exactly, and no regrowth follows.  group_G with its stability check
+    alone pays for one: p^(N+1), then p^(N+4) and p^(N+2) as its quotient;
+    the frobenius command reads p^(N+2) first (the next test)."""
     K = _field(d)
     Q = (_prime(K, s1), _prime(K, s2))
     built = _record_builds(monkeypatch)
@@ -469,6 +468,24 @@ def test_single_calls_build_the_levels_they_read(monkeypatch, d, p, s1, s2,
         call()
         assert built == builds
     empty_memos()
+
+
+@pytest.mark.parametrize("N", [1, 2, 4])
+@pytest.mark.parametrize("d,p,s1,s2", MQ_GRID + ALPHA_FIXTURE_PAIRS)
+def test_a_frobenius_call_builds_one_top(monkeypatch, capsys, d, p, s1, s2,
+                                         N):
+    """On emptied memos, the frobenius command builds conductor p^(N+2),
+    the level that G.stable reads, as the fresh tower's top, and p^(N+1)
+    as its quotient: no regrowth to p^(N+4)."""
+    built = _record_builds(monkeypatch)
+    empty_memos()
+    code = cli.main(["frobenius", "--field", _field(d).spec_string(),
+                     "--p", str(p), "--q", s1, "--q", s2,
+                     "--prec", str(N)])
+    empty_memos()
+    assert code in (cli.EXIT_OK, cli.EXIT_INDETERMINATE)
+    assert capsys.readouterr().out.startswith("G(")
+    assert built == [(N + 2, True), (N + 1, False)]
 
 
 def _outcome(fn, *args):

@@ -5,6 +5,11 @@
   which the CLI reports with its own exit code;
 - no `import` inside a function body, the usual way round an import cycle;
 - no call to `__import__`;
+- no import of `dataclasses`: it loads `inspect`, `ast`, `dis` and
+  `tokenize`, and its decorators generate methods with `exec`, which
+  together took about two thirds of `import iwasawalab` from cached byte
+  code (a fresh child process checks that the import loads neither it nor
+  `inspect`);
 - no private name taken from a sibling module by `from .x import _name`;
 - no module-level function, class or method that no code of `src/` refers
   to outside its own definition (a dead path), but those of CALLED_BY_NAME:
@@ -33,7 +38,9 @@ Besides, `iwasawalab.__all__` names exactly what `__init__.py` imports.
 """
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -132,6 +139,32 @@ def test_no_dunder_import_call():
              and isinstance(node.func, ast.Name)
              and node.func.id == "__import__"]
     assert found == []
+
+
+def test_no_dataclasses_import():
+    found = [_where(name, node) for name, tree in _trees()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Import) and any(
+                 alias.name.split(".")[0] == "dataclasses"
+                 for alias in node.names)
+             or isinstance(node, ast.ImportFrom)
+             and node.module == "dataclasses"]
+    assert found == []
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_import_loads_neither_dataclasses_nor_inspect(flags):
+    """A fresh interpreter, with no site modules (-S) so that only the
+    package's own imports count, plain and under -O."""
+    code = ("import sys, iwasawalab\n"
+            "print(iwasawalab.__file__)\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-S", *flags, "-c", code],
+                         env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout.splitlines()
+    assert Path(out[0]).resolve() == SRC / "__init__.py"
+    assert out[1] == "[]"
 
 
 def test_no_private_name_from_a_sibling_module():
@@ -386,6 +419,8 @@ def test_exports_are_the_imports_of_init():
     ("def f():\n    from .rayclass import ray_class_group\n",
      test_no_import_inside_a_function),
     ("m = __import__('iwasawalab.padic')\n", test_no_dunder_import_call),
+    ("from dataclasses import dataclass\n", test_no_dataclasses_import),
+    ("import os, dataclasses\n", test_no_dataclasses_import),
     ("from .quadfield import _residue_char\n",
      test_no_private_name_from_a_sibling_module),
     ("def used_helper():\n    return 1\n\n\nclass UnusedClass:\n"
