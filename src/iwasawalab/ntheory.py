@@ -14,9 +14,10 @@ class InternalCheckError(AssertionError):
 class Frozen:
     """Base of the value types: __init__ sets each attribute once, through
     object.__setattr__ or straight into the instance dict, and assigning or
-    deleting one later raises AttributeError.  A type with __slots__, or with a hash taken at
-    construction (which may differ between processes), is copied and
-    pickled through its __init__, by a __reduce__ of its own."""
+    deleting one later raises AttributeError.  A type with __slots__, a
+    hash taken at construction (which may differ between processes) or a
+    read-only map is copied and pickled through its __init__, by a
+    __reduce__ of its own."""
     __slots__ = ()
 
     def __setattr__(self, name, value):

@@ -887,14 +887,19 @@ def unit_decompose(K: RealQuadraticField, u: FieldElement):
 # ----------------------------------------------------------------- S-units
 
 class SUnitBasisEntry(Frozen):
-    """An S-unit with its nonzero valuations, in a read-only map from prime
-    ideals, its label and its kind, "torsion", "unit" or "lattice"; equal
-    to an entry of the same four fields.  The map is not hashable, so
-    neither is the entry."""
+    """An S-unit with its nonzero valuations, a dict from prime ideals that
+    the entry holds as a read-only map, its label and its kind, "torsion",
+    "unit" or "lattice"; equal to an entry of the same four fields.  The
+    map is not hashable, so neither is the entry."""
 
     def __init__(self, element, valuations, label, kind):
-        self.__dict__.update(element=element, valuations=valuations,
+        self.__dict__.update(element=element,
+                             valuations=MappingProxyType(valuations),
                              label=label, kind=kind)
+
+    def __reduce__(self):
+        return SUnitBasisEntry, (self.element, dict(self.valuations),
+                                 self.label, self.kind)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -910,7 +915,7 @@ def s_unit_entry(element: FieldElement, primes, label: str, kind: str):
         v = ideal_valuation(element, q)
         if v:
             vals[q] = v
-    return SUnitBasisEntry(element, MappingProxyType(vals), label, kind)
+    return SUnitBasisEntry(element, vals, label, kind)
 
 
 def unit_entries(K: RealQuadraticField):

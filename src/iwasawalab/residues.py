@@ -19,18 +19,20 @@ The torsion dlog is a Pohlig-Hellman run over the residue field
 takes every power of g again on each call: a component lives for one
 ray-class build, which asks it few dlogs (eps, the class representatives,
 the ideals whose classes it reads).  For each q^a exactly dividing the
-order of g, it reads the base-q digits of k mod q^a by baby-step giant-step
-in the subgroup of order q and joins the q^a-parts by CRT.
+order n of g, k = 0 mod q^a when h^(n/q^a) = 1, with no power of g taken;
+otherwise the base-q digits of k mod q^a are read by baby-step giant-step
+in the subgroup of order q.  The q^a-parts are joined by CRT.
 
 In F_ell^2 (inert ell), Frobenius is conjugation: u^ell = conj(u), so
 
     u^(ell + 1) = N(u) in F_ell*,   u^(ell - 1) = conj(u)^2 / N(u),
 
-the latter in the norm-one torus of order ell + 1.  So k mod the odd part
-of ell - 1 is read from N(u) with the builtin pow on ints, k mod the odd
-part of ell + 1 is read in the torus with exponents at most ell + 1, and
-only the 2-part, which ell - 1 and ell + 1 share, takes a power in the
-whole group.
+the latter in the norm-one torus of order ell + 1.  So k mod ell - 1 is
+read from N(u) with the builtin pow on ints, and k mod ell + 1 in the
+torus, whose powers are one Lucas ladder on ints (torus_pow).  As
+gcd(ell - 1, ell + 1) = 2, their CRT is k0 = k mod (ell^2 - 1)/2 (k mod 3
+for ell = 2), and g^((ell^2 - 1)/2) = -1, so one power settles the last
+bit: g^k0 is u, or -u, when k = k0 + (ell^2 - 1)/2.
 """
 
 from __future__ import annotations
@@ -55,8 +57,7 @@ class ModularUnits:
     """(Z/m)*, on ints: F_ell* for m = ell prime."""
 
     def __init__(self, m: int):
-        self.m = m
-        self.one = 1
+        self.m, self.one = m, 1
 
     def mul(self, x, y):
         return x * y % self.m
@@ -89,42 +90,44 @@ class _QuadFieldUnits:
         """u^ell: conj(x + y*w) = x + t*y - y*w."""
         return (u[0] + self.t * u[1]) % self.ell, -u[1] % self.ell
 
-    def inv(self, u):
-        return self.scale(self.conj(u), pow(self.norm(u), -1, self.ell))
-
     def frobenius_quotient(self, u):
         """u^(ell - 1) = conj(u)^2 / N(u), in the torus of order ell + 1."""
         c = self.conj(u)
         return self.scale(self.mul(c, c), pow(self.norm(u), -1, self.ell))
 
-    def is_torus_root_of_unity(self, z, k: int) -> bool:
-        """z^k == 1 for z of norm one, read from the trace: z^-1 = conj(z),
-        so Tr(z^k) = z^k + z^-k, which is 2 iff (z^k - 1)^2 = 0.  The traces
-        V_j = Tr(z^j) follow the Lucas ladder V_2j = V_j^2 - 2,
-        V_(2j+1) = V_j * V_(j+1) - V_1, on ints."""
+    def torus_pow(self, z, k: int):
+        """z^k for z of norm one, of order dividing ell + 1: z^2 = T*z - 1,
+        T = Tr(z), so z^k = U_k*z - U_(k-1) for the Lucas sequence U_0 = 0,
+        U_1 = 1, U_(j+1) = T*U_j - U_(j-1), whose ladder on (U_j, U_(j+1))
+        takes three products a bit: U_2j = U_j*(2*U_(j+1) - T*U_j),
+        U_(2j+1) = U_(j+1)^2 - U_j^2 and
+        U_(2j+2) = U_(j+1)*(T*U_(j+1) - 2*U_j)."""
         ell = self.ell
-        v1 = (2 * z[0] + self.t * z[1]) % ell
-        a, b = 2, v1
-        for bit in bin(k)[2:]:
+        tr = (2 * z[0] + self.t * z[1]) % ell
+        a, b = 0, 1
+        for bit in bin(k % (ell + 1))[2:]:
             if bit == "1":
-                a, b = (a * b - v1) % ell, (b * b - 2) % ell
+                a, b = (b - a) * (b + a) % ell, b * (tr * b - 2 * a) % ell
             else:
-                a, b = (a * a - 2) % ell, (a * b - v1) % ell
-        return a == 2 % ell
+                a, b = a * (2 * b - tr * a) % ell, (b - a) * (b + a) % ell
+        return (a * (z[0] - tr) + b) % ell, a * z[1] % ell
 
     def exp(self, u, k: int):
-        """u^k, by square-and-multiply only on exponents up to ell + 1:
-        u^(2j) = N(u)^j * v^j with v = u^2 / N(u) = u^(1 - ell), whose order
-        divides ell + 1."""
-        ell = self.ell
-        if k <= ell + 1:
-            return power(self.mul, self.one, u, k)
-        nrm = self.norm(u)
+        """u^k through the torus: u^(2j) = N(u)^j * v^j with v = u^2 / N(u)
+        = u^(1 - ell) of norm one."""
+        ell, nrm = self.ell, self.norm(u)
         v = self.scale(self.mul(u, u), pow(nrm, -1, ell))
-        j = k >> 1
-        y = self.scale(power(self.mul, self.one, v, j % (ell + 1)),
-                       pow(nrm, j, ell))
+        y = self.scale(self.torus_pow(v, k >> 1), pow(nrm, k >> 1, ell))
         return self.mul(y, u) if k & 1 else y
+
+
+class _NormOneTorus:
+    """The norm-one torus of F_ell^2*, cyclic of order ell + 1, as a group
+    for pohlig_hellman: z^k by torus_pow, and z^-1 = conj(z)."""
+
+    def __init__(self, F: _QuadFieldUnits):
+        self.one, self.mul = F.one, F.mul
+        self.exp, self.inv = F.torus_pow, F.conj
 
 
 def pohlig_hellman(G, g, n: int, fac: dict, h):
@@ -135,7 +138,11 @@ def pohlig_hellman(G, g, n: int, fac: dict, h):
     k, mod = 0, 1
     for q, a in fac.items():
         qa = q**a
-        gq, t = exp(g, n // qa), exp(h, n // qa)
+        t = exp(h, n // qa)
+        if t == G.one:
+            k, mod = _merge(k, mod, 0, qa, "Pohlig-Hellman digits")
+            continue
+        gq = exp(g, n // qa)
         gamma = exp(gq, qa // q) if a > 1 else gq
         m = isqrt(q - 1) + 1
         baby, z = {}, G.one
@@ -169,10 +176,7 @@ class _Component:
     """Base: multiplicative group of O/q^e for one prime ideal q."""
 
     def __init__(self, K, q, ell, e):
-        self.field = K
-        self.q = q
-        self.ell = ell
-        self.e = e
+        self.field, self.q, self.ell, self.e = K, q, ell, e
 
     # subclasses define: one, mul, reduce, gens, orders, dlog, norm_int
 
@@ -221,16 +225,12 @@ class RationalComponent(_Component):
         return a * b % self.mod
 
     def reduce(self, x: FieldElement):
-        num_x, num_y, den = x.a, x.b, x.den
-        if self.root is None:
-            if num_y:
-                raise ValueError("nonrational element in rational component")
-            val = num_x
-        else:
-            val = num_x + num_y * self.root
-        if den % self.ell == 0 or val % self.ell == 0:
+        if self.root is None and x.b:
+            raise ValueError("nonrational element in rational component")
+        val = x.a if self.root is None else x.a + x.b * self.root
+        if x.den % self.ell == 0 or val % self.ell == 0:
             raise ValueError("element is not a unit at this component")
-        return val * pow(den, -1, self.mod) % self.mod
+        return val * pow(x.den, -1, self.mod) % self.mod
 
     def dlog(self, a):
         ell, e = self.ell, self.e
@@ -276,14 +276,10 @@ class InertComponent(_Component):
         fac_minus, fac_plus = factorint(ell - 1), factorint(ell + 1)
         F = self._residue_field = _QuadFieldUnits(self._trace, self._norm,
                                                   ell)
-        g = _inert_generator(F, fac_minus, fac_plus)
-        a2 = fac_minus.get(2, 0) + fac_plus.get(2, 0)
-        self._torsion_parts = (
-            (F, g, n_res, {2: a2} if a2 else {}),
-            (ModularUnits(ell), F.norm(g), ell - 1,
-             {q: a for q, a in fac_minus.items() if q != 2}),
-            (F, F.frobenius_quotient(g), ell + 1,
-             {q: a for q, a in fac_plus.items() if q != 2}))
+        g = self._residue_gen = _inert_generator(F, fac_minus, fac_plus)
+        self._norm_part = (ModularUnits(ell), F.norm(g), ell - 1, fac_minus)
+        self._torus_part = (_NormOneTorus(F), F.frobenius_quotient(g),
+                            ell + 1, fac_plus)
         if e == 1:
             self.gens, self.orders = [g], [n_res]
         else:
@@ -298,30 +294,30 @@ class InertComponent(_Component):
             self._log_u1 = log_series(ell, 0, self._trace, self._norm, ell, e)
             self._log_u2 = log_series(0, ell, self._trace, self._norm, ell, e)
 
-    def _unit(self, u):
-        return self.norm_int(u) % self.ell != 0
-
     def reduce(self, x: FieldElement):
-        num_x, num_y, den = x.a, x.b, x.den
-        if den % self.ell == 0:
+        if x.den % self.ell == 0:
             raise ValueError("denominator not invertible")
-        inv = pow(den, -1, self.mod)
-        u = (num_x * inv % self.mod, num_y * inv % self.mod)
-        if not self._unit(u):
+        inv = pow(x.den, -1, self.mod)
+        u = (x.a * inv % self.mod, x.b * inv % self.mod)
+        if self.norm_int(u) % self.ell == 0:
             raise ValueError("element is not a unit at this component")
         return u
 
     def _torsion_dlog(self, u):
-        """k mod ell^2 - 1 with u = g^k mod ell: the 2-part in F_ell^2*, the
-        odd part of ell - 1 from N(u) and that of ell + 1 from the torus."""
+        """k mod ell^2 - 1 with u = g^k mod ell, from N(u) and the torus,
+        and the last bit from g^k0 (see the module docstring)."""
         F = self._residue_field
         u = (u[0] % self.ell, u[1] % self.ell)
-        k, mod = 0, 1
-        for part, h in zip(self._torsion_parts,
-                           (u, F.norm(u), F.frobenius_quotient(u))):
-            k, mod = _merge(k, mod, *pohlig_hellman(*part, h),
-                            "torsion dlog parts")
-        return k
+        k, mod = _merge(*pohlig_hellman(*self._norm_part, F.norm(u)),
+                        *pohlig_hellman(*self._torus_part,
+                                        F.frobenius_quotient(u)),
+                        "torsion dlog parts")
+        x = F.exp(self._residue_gen, k)
+        if x == u:
+            return k
+        if x != F.scale(u, -1):
+            raise InternalCheckError("torsion dlog: g^k is not +-u")
+        return k + mod
 
     def dlog(self, u):
         ell, e = self.ell, self.e
@@ -369,7 +365,7 @@ def _inert_generator(F: _QuadFieldUnits, fac_minus: dict, fac_plus: dict):
     the test depends only on the class F_ell* g: (0 : 1) on the row x = 0,
     (1 : y/x) elsewhere, each tested once.  For q = 2 the test is the
     Legendre symbol of N(c), since c^(n/2) = N(c)^((ell - 1)/2); for odd q
-    it reads the trace of z^((ell + 1)/q), where z = c^(ell - 1) =
+    it reads z^((ell + 1)/q) by torus_pow, where z = c^(ell - 1) =
     conj(c)^2 / N(c) lies in the torus of order ell + 1."""
     ell = F.ell
     odd_minus = [(ell - 1) // q for q in fac_minus if q != 2]
@@ -387,8 +383,7 @@ def _inert_generator(F: _QuadFieldUnits, fac_minus: dict, fac_plus: dict):
             ok = half is None or pow(F.norm(c), half, ell) != 1
             if ok:
                 z = F.frobenius_quotient(c)
-                ok = not any(F.is_torus_root_of_unity(z, k)
-                             for k in odd_plus)
+                ok = all(F.torus_pow(z, k) != F.one for k in odd_plus)
             class_ok[r] = ok
         return class_ok[r]
 
@@ -434,10 +429,8 @@ class UnitGroupModM:
         self.orders = [o for comp in self.components for o in comp.orders]
 
     def dlog(self, x: FieldElement):
-        out = []
-        for comp in self.components:
-            out.extend(comp.dlog(comp.reduce(x)))
-        return out
+        return [k for comp in self.components
+                for k in comp.dlog(comp.reduce(x))]
 
     def minus_one_dlog(self):
         """dlog(-1), stated by each component with no dlog taken."""

@@ -5,6 +5,9 @@ come from cycles of reduced indefinite *binary quadratic forms* plus the
 minimal solution of the +-4 Pell equation (found by brute force on U),
 and at scale h * log(eps) comes from Dirichlet's class number formula
 (`class_number_formula`, on floats, with the Kronecker symbol `kronecker`).
+Ray class numbers come from the ray class number formula
+(`ray_class_number`), with the unit from the continued fraction
+(`fundamental_unit_cf`) and its order mod n on integer pairs.
 The exceptions are earlier forms of library computations kept as their
 references: `unit_image_order_two_snf`, the exact lattice route of the
 subgroup cross-check in `iwasawa.mq_order` (`lattice_intersection`,
@@ -85,8 +88,8 @@ from iwasawalab.iwasawa import (FrobeniusModuleReport, LeopoldtReport,
 from iwasawalab.kummer import kummer_rank
 from iwasawalab.localize import (FALSE, INDET, TRUE, RankReport,
                                  completions_above_p, loc, zp_matrix_rank)
-from iwasawalab.ntheory import (InternalCheckError, crt, isprime, power,
-                                quad_mul)
+from iwasawalab.ntheory import (InternalCheckError, crt, factorint, isprime,
+                                power, quad_mul)
 from iwasawalab.padic import (PAdicNumber, PrecisionError, _log_terms_needed,
                               teichmueller, vp)
 from iwasawalab.quadfield import (FieldElement, IntegralIdeal,
@@ -313,6 +316,57 @@ def kronecker(D: int, a: int) -> int:
             t = -t
         D %= a
     return t if a == 1 else 0
+
+
+def fundamental_unit_cf(d: int):
+    """The fundamental unit eps = (x, y) = x + y*omega > 1 of Q(sqrt d), on
+    the basis {1, omega}, omega = (r + sqrt D)/2 with r = D mod 2.  A unit
+    x + y*omega with y > 0 has |x/y - a| = 1/(eps*y) < 1/(2y^2) for
+    a = (sqrt D - r)/2, so x/y is a convergent of a's continued fraction,
+    which runs on exact (P + sqrt D)/Q; eps is the first convergent of
+    norm +-1."""
+    D = d if d % 4 == 1 else 4 * d
+    r, s = D % 2, isqrt(D)
+    P, Q = -r, 2
+    p0, p1, q0, q1 = 0, 1, 1, 0
+    for _ in range(10**5):
+        a = (P + s) // Q
+        p0, p1, q0, q1 = p1, a * p1 + p0, q1, a * q1 + q0
+        if p1 * p1 + r * p1 * q1 + q1 * q1 * (r - D) // 4 in (1, -1):
+            return p1, q1
+        P = a * Q - P
+        Q = (D - P * P) // Q
+    raise AssertionError("no unit among the convergents for d=%d" % d)
+
+
+def ray_class_number(d: int, n: int) -> int:
+    """|Cl_(n)| of Q(sqrt d), no infinite place, by the ray class number
+    formula h * Phi(n) / |<-1, eps> mod n| (Neukirch, ANT, VI.1.11): h by
+    `wide_class_number_oracle`, Phi(n) = |(O/n)*| = n^2 * prod over ell | n
+    of (1 - 1/ell)(1 - (D/ell)/ell) with `kronecker`, and the order of eps
+    mod n by stripping the primes of Phi(n) from its exponent, on integer
+    pairs over {1, omega}, omega^2 = r*omega + (D - r)/4 (see
+    `fundamental_unit_cf`): no dlog and no Smith form."""
+    D = d if d % 4 == 1 else 4 * d
+    r = D % 2
+    phi = n * n
+    for ell in factorint(n):
+        phi = phi // (ell * ell) * (ell - 1) * (ell - kronecker(D, ell))
+
+    def mul(u, v):
+        w = u[1] * v[1]
+        return ((u[0] * v[0] + w * (D - r) // 4) % n,
+                (u[0] * v[1] + u[1] * v[0] + w * r) % n)
+    one, eps = (1 % n, 0), fundamental_unit_cf(d)
+    order = phi
+    for q in factorint(phi):
+        while order % q == 0 and _power(mul, one, eps, order // q) == one:
+            order //= q
+    # -1 lies in <eps> iff eps^(order/2) = -1; it is 1 for n <= 2
+    if n > 2 and not (order % 2 == 0 and
+                      _power(mul, one, eps, order // 2) == (n - 1, 0)):
+        order *= 2
+    return wide_class_number_oracle(d) * phi // order
 
 
 def class_number_formula(D: int) -> float:

@@ -14,7 +14,9 @@ from iwasawalab.quadfield import (RealQuadraticField, factor_rational_prime,
                                   prime_ideals_above, rational_ideal)
 from iwasawalab.rayclass import _factor_ideal, ray_class_group
 
-from oracles import group_identity, unit_image_order_two_snf
+from oracles import (fundamental_unit_cf, fundamental_unit_oracle,
+                     group_identity, kronecker, load_bench, ray_class_number,
+                     squarefree, unit_image_order_two_snf)
 
 QQ = RealQuadraticField.rationals()
 
@@ -285,3 +287,46 @@ def test_a_replaced_top_takes_its_ambient_vectors_with_it():
     tower.level(5)
     gc.collect()
     assert old() is None
+
+
+def test_unit_of_the_continued_fraction_is_the_pell_unit():
+    """eps = x + y*omega of `fundamental_unit_cf` is (T + U sqrt D)/2 of
+    the brute-force Pell oracle: T = 2x + y*(D mod 2), U = y."""
+    for d in range(2, 101):
+        if squarefree(d):
+            D = d if d % 4 == 1 else 4 * d
+            x, y = fundamental_unit_cf(d)
+            assert (2 * x + y * (D % 2), y) == fundamental_unit_oracle(d)[:2]
+
+
+def test_full_order_is_the_ray_class_number():
+    """|Cl_(n)| of each build equals `oracles.ray_class_number`, h * Phi(n)
+    over the order of <-1, eps> mod n, found with no dlog and no Smith
+    form: for every squarefree d < 150 and n <= 60 that the engine builds
+    (it refuses a ramified prime in n and an inert 2-power), and for a
+    seeded draw of the big-conductor pairs, d in RAY_FIELDS and ell inert
+    in [1000, 2000]."""
+    built = 0
+    for d in range(2, 150):
+        if not squarefree(d):
+            continue
+        K = RealQuadraticField(d)
+        for n in range(1, 61):
+            try:
+                rc = ray_class_group(K, n, 3)
+            except ValueError as err:
+                assert "unsupported" in str(err), (d, n)
+                continue
+            assert rc.full_order() == ray_class_number(d, n), (d, n)
+            built += 1
+    assert built == 2823
+    W = load_bench("workloads")
+    rng = random.Random(40)
+    for d in W.RAY_FIELDS:
+        K = RealQuadraticField(d)
+        D = K.D
+        ells = [ell for ell in range(*W.RAY_ELL_RANGE)
+                if isprime(ell) and kronecker(D, ell) == -1]
+        for ell in rng.sample(ells, 8):
+            assert ray_class_group(K, ell, 3).full_order() \
+                == ray_class_number(d, ell), (d, ell)

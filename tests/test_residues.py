@@ -16,7 +16,9 @@ only when a generator or a dlog is meant to change.
 """
 
 import json
+import os
 import random
+import subprocess
 import sys
 from itertools import product
 from math import gcd, prod
@@ -39,7 +41,7 @@ from iwasawalab.residues import (InertComponent, ModularUnits,
                                  _primitive_root, make_component,
                                  pohlig_hellman)
 
-from oracles import ph_dlog, squarefree
+from oracles import load_bench, ph_dlog, squarefree
 
 QQ = RealQuadraticField.rationals()
 INERT_FIELDS = (2, 5, 7, 13, 79)
@@ -305,6 +307,107 @@ def test_dlog_rebuilds_seeded_units_and_matches_power_table():
     assert n_table > 0
 
 
+# ------------------------------ the torsion dlog from the norm and the torus
+
+RAY_FIELDS = load_bench("workloads").RAY_FIELDS
+ROUTE_PER_CLASS = 3   # inert ell drawn for each field and each ell mod 4
+
+
+def _route_cases():
+    """A seeded draw of inert ell < 2000 over the big-conductor fields,
+    ROUTE_PER_CLASS of them = 1 and as many = 3 (mod 4) for each field,
+    and ell = 2 and ell = 3 wherever they are inert."""
+    rng = random.Random(40)
+    cases = []
+    for d in RAY_FIELDS:
+        ells = _inert_ells(d, 2000)
+        for r in (1, 3):
+            pool = [ell for ell in ells if ell % 4 == r and ell > 3]
+            cases += [(d, ell) for ell in rng.sample(pool, ROUTE_PER_CLASS)]
+        cases += [(d, ell) for ell in (2, 3) if ell in ells]
+    return cases
+
+
+ROUTE_CASES = _route_cases()
+
+
+def test_torsion_dlog_from_the_norm_and_the_torus():
+    """On every route case, the dlog of g^k, of -g^k and of seeded units
+    rebuilds the unit (g^k == u), equals the Pohlig-Hellman reference in
+    the whole group, and, where the group has at most TABLE_SIZE_MAX
+    elements, the power table."""
+    assert {ell % 4 for _, ell in ROUTE_CASES} == {1, 2, 3}
+    assert {2, 3} < {ell for _, ell in ROUTE_CASES}
+    rng = random.Random(41)
+    tables = 0
+    for d, ell in ROUTE_CASES:
+        comp = _inert_component(d, ell, 1)
+        n, g, one = ell * ell - 1, comp.gens[0], comp.one
+        table = _power_table(comp) if n <= TABLE_SIZE_MAX else None
+        tables += table is not None
+        ks = [0, 1, n // 2, n - 1] + [rng.randrange(n) for _ in range(4)]
+        units = [_power(comp.mul, one, g, k) for k in ks]
+        units += [comp.mul(u, (ell - 1, 0)) for u in units]
+        for u in units + _seeded_units(comp, rng, 4):
+            (k,) = comp.dlog(u)
+            assert 0 <= k < n and _power(comp.mul, one, g, k) == u, \
+                (d, ell, u)
+            assert k == _reference_torsion_dlog(comp, u), (d, ell, u)
+            if table is not None:
+                assert [k] == table[u], (d, ell, u)
+    assert tables >= 10
+
+
+def _other_generator(comp):
+    """A generator g^m of F_ell^2*, m > 1, that is neither g nor -g."""
+    g, n = comp.gens[0], comp.ell * comp.ell - 1
+    minus_g = comp.mul(g, (comp.ell - 1, 0))
+    for m in range(2, n):
+        if gcd(m, n) == 1:
+            h = _power(comp.mul, comp.one, g, m)
+            if h not in (g, minus_g):
+                return h
+    raise AssertionError("no other generator")
+
+
+def test_a_wrong_residue_generator_fails_the_last_bit_check():
+    """With _residue_gen replaced by another generator, N(u) and the torus
+    still read k0 for the true g, so g'^k0 is neither u nor -u for u = g:
+    an InternalCheckError on every route case."""
+    for d, ell in ROUTE_CASES:
+        comp = _inert_component(d, ell, 1)
+        g = comp.gens[0]
+        assert comp.dlog(g) == [1]
+        comp._residue_gen = _other_generator(comp)
+        with pytest.raises(InternalCheckError, match="g\\^k is not \\+-u"):
+            comp.dlog(g)
+
+
+def test_the_last_bit_check_raises_under_python_O():
+    """The last-bit check is a raise, not an assert: a child under python -O
+    meets the same InternalCheckError with a wrong _residue_gen."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = """
+from iwasawalab.ntheory import InternalCheckError, power
+from iwasawalab.quadfield import RealQuadraticField, rational_ideal
+from iwasawalab.residues import make_component
+assert False, "asserts are on"
+K = RealQuadraticField(2)
+comp = make_component(K, rational_ideal(K, 1013), 1)
+g = comp.gens[0]
+# 5 is prime to 1013^2 - 1 = 2^3 * 3 * 11 * 13^2 * 23
+comp._residue_gen = power(comp.mul, comp.one, g, 5)
+try:
+    comp.dlog(g)
+except InternalCheckError as err:
+    print("raised:", err)
+"""
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "raised: torsion dlog: g^k is not +-u\n"
+
+
 # ------------------------------------------------ the residue field F_ell^2
 
 PLAN_INERT_CASES = [(d, ell) for d in PLAN_FIELDS
@@ -325,7 +428,8 @@ def _residue_field(d, ell):
        st.integers(0, 10**6), st.integers(0, 10**5))
 def test_frobenius_is_conjugation(case, x, y, k):
     """u^ell = conj(u) and u^(ell - 1) N(u) = conj(u)^2 in F_ell^2, and the
-    residue-field kernels of the plans against square-and-multiply."""
+    residue-field kernels against square-and-multiply: the power of any
+    unit and the Lucas ladder in the norm-one torus."""
     d, ell = case
     mul, norm, conj = _residue_field(d, ell)
     one, u = (1, 0), (x % ell, y % ell)
@@ -338,11 +442,12 @@ def test_frobenius_is_conjugation(case, x, y, k):
     F = _QuadFieldUnits(K.w_trace, K.w_norm, ell)
     assert F.norm(u) == norm(u) and F.frobenius_quotient(u) == z
     assert F.mul(u, conj(u)) == mul(u, conj(u))
-    assert F.exp(u, k % (ell * ell)) == _power(mul, one, u, k % (ell * ell))
-    assert mul(F.inv(u), u) == one
-    j = k % (ell + 1)
-    assert F.is_torus_root_of_unity(z, j) == (_power(mul, one, z, j) == one)
-    assert F.is_torus_root_of_unity(z, ell + 1)
+    assert F.exp(u, k) == _power(mul, one, u, k)
+    # the torus, as pohlig_hellman reads it: z^-1 = conj(z), and the ladder
+    T = residues._NormOneTorus(F)
+    assert mul(T.inv(z), z) == one
+    assert T.exp(z, k) == _power(mul, one, z, k) == F.torus_pow(z, k)
+    assert T.exp(z, ell + 1) == one
 
 
 # ------------------------------------------ components of recorded batches
@@ -537,6 +642,63 @@ def test_pohlig_hellman_reads_k_modulo_the_prime_powers_asked():
             part = {q: a for q, a in fac.items() if q != 2}
             mod = prod(q**a for q, a in part.items())
             assert pohlig_hellman(G, g, ell - 1, part, h) == (k % mod, mod)
+
+
+class _CountingUnits(ModularUnits):
+    """(Z/m)* that counts its multiplications and records the base of each
+    power it takes."""
+
+    def __init__(self, m):
+        super().__init__(m)
+        self.muls, self.bases = 0, []
+
+    def mul(self, x, y):
+        self.muls += 1
+        return super().mul(x, y)
+
+    def exp(self, x, k):
+        self.bases.append(x)
+        return super().exp(x, k)
+
+
+def test_pohlig_hellman_reads_a_trivial_part_with_no_table():
+    """Over F_ell* for ell < 200: when h^(n/q^a) = 1, k = 0 mod q^a is read
+    from that one power of h, with no power of g and no multiplication (no
+    baby-step table, no giant step)."""
+    rng = random.Random(8)
+    parts = 0
+    for ell in range(3, 200):
+        if not isprime(ell):
+            continue
+        fac = factorint(ell - 1)
+        g = _primitive_root(ell, fac)
+        for q, a in fac.items():
+            qa = q**a
+            h = pow(g, qa * rng.randrange((ell - 1) // qa), ell)
+            G = _CountingUnits(ell)
+            assert pohlig_hellman(G, g, ell - 1, {q: a}, h) == (0, qa)
+            assert (G.muls, G.bases) == (0, [h]), (ell, q)
+            parts += 1
+    assert parts > 100
+
+
+def test_pohlig_hellman_refuses_a_target_outside_the_subgroup():
+    """g = r^2 for a primitive root r has order n = (ell - 1)/2, and r is
+    outside <g>: for each q^a exactly dividing n, r^(n/q^a) has order
+    2 q^a, so the q-part is not trivial and the digit run raises."""
+    checked = 0
+    for ell in range(5, 200):
+        if not isprime(ell):
+            continue
+        r = _primitive_root(ell, factorint(ell - 1))
+        n = (ell - 1) // 2
+        for q, a in factorint(n).items():
+            assert pow(r, n // q**a, ell) != 1
+            with pytest.raises(InternalCheckError,
+                               match="element outside the subgroup"):
+                pohlig_hellman(ModularUnits(ell), r * r % ell, n, {q: a}, r)
+            checked += 1
+    assert checked > 50
 
 
 def test_generator_searches_raise_internal_checks():

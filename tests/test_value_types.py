@@ -12,10 +12,12 @@ import copy
 import itertools
 import pickle
 import random
+from types import MappingProxyType
 
 import pytest
 
 from oracles import dataclass_twin
+from iwasawalab import construct_alpha
 from iwasawalab.abgroup import GroupElement
 from iwasawalab.ntheory import is_squarefree, isprime
 from iwasawalab.quadfield import (FieldElement, RealQuadraticField,
@@ -127,8 +129,7 @@ def test_s_unit_entries_compare_as_their_dataclass_and_do_not_hash():
 
 def test_values_copy_and_pickle_to_equal_values():
     """copy, deepcopy and a pickle round trip give an equal value with the
-    same hash, as the dataclasses did.  (An S-unit basis entry holds a
-    mappingproxy, which neither copies nor pickles.)"""
+    same hash, as the dataclasses did."""
     K = RealQuadraticField(79)
     rep = factor_rational_prime(K, 3)
     values = [QQ, K, K.element(3, -2) / 7, QQ.element(5), rep.ideals[0],
@@ -137,3 +138,33 @@ def test_values_copy_and_pickle_to_equal_values():
         for y in (copy.copy(x), copy.deepcopy(x),
                   pickle.loads(pickle.dumps(x))):
             assert type(y) is type(x) and y == x and hash(y) == hash(x)
+
+
+def test_s_unit_entries_and_certificates_pickle_to_equal_values():
+    """An S-unit basis entry pickles and deep-copies through its
+    constructor, which rebuilds the read-only map of valuations; the copy
+    is an equal entry that still refuses a hash and an assignment.  So a
+    Kummer certificate, which holds entries through alpha, pickles to one
+    with the same to_json()."""
+    K = RealQuadraticField(79)
+    q1 = factor_rational_prime(K, 2).ideals[0]
+    q2 = factor_rational_prime(K, 5).ideals[0]
+    entries = list(unit_entries(K)) + list(unit_entries(QQ))
+    entries += [s_unit_entry(K.element(a, b), [q1, q2], "x", "lattice")
+                for a, b in ((2, 0), (10, 1), (3, 1))]
+    assert any(x.valuations for x in entries)
+    for x in entries:
+        for y in (copy.copy(x), copy.deepcopy(x),
+                  pickle.loads(pickle.dumps(x))):
+            assert type(y) is type(x) and y == x
+            assert type(y.valuations) is MappingProxyType
+            with pytest.raises(TypeError):
+                hash(y)
+            with pytest.raises(AttributeError):
+                y.label = "y"
+    assert pickle.loads(pickle.dumps(tuple(entries))) == tuple(entries)
+    cert = construct_alpha(K, 3, (q1, q2), 2)
+    assert cert.status == "accepted" and cert.alpha.entries
+    back = pickle.loads(pickle.dumps(cert))
+    assert back is not cert and back.to_json() == cert.to_json()
+    assert list(back.alpha.entries) == list(cert.alpha.entries)
