@@ -2,7 +2,8 @@
 p-extension of F unramified outside p, as the p-part of the ray class group
 of conductor p^(N+1), together with Frobenius images, the degree map
 (normalized by log(1+p)), and the even-side inertia-order criterion.
-The cyclotomic character is read by cyclotomic_log alone; stability is
+The cyclotomic character is read by cyclotomic_log alone, from one log
+record per (n, p) kept at a top precision (LogRecord); stability is
 computed on first read of GaloisGroupG.stable, at conductor p^(N+2).
 Every conductor p^M is read from the tower of (F, p), the record of its
 state (rayclass.ray_class_tower): a quotient of the highest one built, so
@@ -15,7 +16,7 @@ from functools import cached_property, lru_cache
 
 from .abgroup import FiniteAbelianGroup, GroupElement
 from .ntheory import InternalCheckError
-from .padic import PAdicNumber, log_series, unit_log_residues, vp
+from .padic import PAdicNumber, unit_log_residues, vp
 from .quadfield import (IntegralIdeal, RealQuadraticField, check_odd_prime,
                         prime_ideal, rational_ideal, residue_char)
 from .rayclass import ray_class_group, ray_class_tower
@@ -32,28 +33,49 @@ def e_of_q(q, p: int) -> int:
     return p ** vp(m, p) if m else 1
 
 
-@lru_cache(maxsize=512)
+class LogRecord:
+    """log<n> mod p^top of (n, p) on integer residues, and the degree
+    log<n>/log(1+p) mod p^(top-1), top the highest precision asked for so
+    far plus 2 (log<n> lies in pZ_p, log(1+p) is p times a unit for p odd,
+    and a log mod p^A is the residue of the log mod a higher power:
+    Washington, GTM 83, sec. 5.1)."""
+
+    def __init__(self, n: int, p: int):
+        self.n, self.p, self.top, self.log, self.degree = n, p, 0, 0, 0
+
+    def at(self, A: int) -> int:
+        """The degree mod p^(A-1), both taken again at A + 2 past the top,
+        log(1+p) read from its own record."""
+        p = self.p
+        if A > self.top:
+            self.top = T = A + 2
+            self.log = unit_log_residues(self.n, 0, 0, p, T)[0]
+            gamma = log_record(1 + p, p)
+            if gamma is not self:
+                gamma.at(T)
+            mod = p**(T - 1)
+            self.degree = self.log // p * pow(gamma.log // p, -1, mod) % mod
+        return self.degree % p**(A - 1)
+
+
+@lru_cache(maxsize=128)
+def log_record(n: int, p: int) -> LogRecord:
+    """The LogRecord of (n, p), for the last 128 pairs (n, p) asked for."""
+    return LogRecord(n, p)
+
+
 def cyclotomic_log(n: int, p: int, A: int) -> int:
-    """log<n>/log(1+p) mod p^(A-1) for n prime to p, from both logs mod p^A
-    on integer residues: log<n> lies in pZ_p and log(1+p) is p times a unit
-    for p odd (Washington, GTM 83, sec. 5.1).  The values of the last 512
-    triples (n, p, A) asked for are kept."""
+    """log<n>/log(1+p) mod p^(A-1) for n prime to p, read from the record
+    of (|n|, p)."""
     if n % p == 0:
         raise ValueError("n must be coprime to p")
-    ln = unit_log_residues(abs(n), 0, 0, p, A)[0]
-    return ln // p * _inverse_log_gamma(p, A) % p**(A - 1)
+    return log_record(abs(n), p).at(A)
 
 
 def cyclotomic_degree(q: IntegralIdeal, p: int, work: int) -> PAdicNumber:
     """deg(Frob_q) = log<N(q)>/log(1+p), certified mod p^(work-1)."""
     return PAdicNumber.from_residue(cyclotomic_log(q.norm, p, work), p,
                                     work - 1)
-
-
-@lru_cache(maxsize=128)
-def _inverse_log_gamma(p: int, A: int) -> int:
-    """The inverse of log(1+p)/p mod p^(A-1), kept for the last 128 (p, A)."""
-    return pow(log_series(p, 0, 0, 0, p, A)[0] // p, -1, p**(A - 1))
 
 
 def _degree_without_log(n: int, p: int, N: int) -> int:

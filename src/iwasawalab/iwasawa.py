@@ -13,7 +13,8 @@ from __future__ import annotations
 from math import gcd
 
 from .abgroup import element_order, subgroup_image_order
-from .classfield import GaloisGroupG, cyclotomic_degree, group_G
+from .classfield import (GaloisGroupG, cyclotomic_degree, cyclotomic_log,
+                         group_G)
 from .ntheory import InternalCheckError, legendre, power, quad_mul
 from .padic import PAdicNumber, PrecisionError, vp
 from .quadfield import (IntegralIdeal, RealQuadraticField, check_odd_prime,
@@ -92,14 +93,15 @@ def mq_generator(K: RealQuadraticField, p: int, Q, N: int) \
     if N < 1:
         raise ValueError("N must be at least 1")
     q1, q2 = _check_q_pair(K, p, *Q)
-    k1, k2 = cyclotomic_degree(q1, p, N + 2), cyclotomic_degree(q2, p, N + 2)
-    a1 = -(k2 / k1)
+    mod = p**(N + 1)
+    k1, k2 = (cyclotomic_log(q.norm, p, N + 2) for q in (q1, q2))
+    a1 = -k2 * pow(k1, -1, mod) % mod   # units: v_p(log<N(q_i)>) = 1
     # degree-0 check: a1*log<N(q1)> + log<N(q2)>, which is log(1+p) (of
-    # valuation 1) times a1*k1 + k2, vanishes within precision
-    resid = (a1 * k1 + k2).shift(1)
-    if not resid.is_marker:
+    # valuation 1) times a1*k1 + k2, vanishes mod p^(N+2)
+    if (a1 * k1 + k2) % mod:
         raise InternalCheckError("degree-0 combination failed to vanish")
-    return FrobeniusModuleReport(K, p, N, q1, q2, a1, 1, resid.v)
+    return FrobeniusModuleReport(K, p, N, q1, q2,
+                                 PAdicNumber(p, 0, a1, N + 1), 1, N + 2)
 
 
 def _rounded_degree_zero(G: GaloisGroupG, q1, q2):

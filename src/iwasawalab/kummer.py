@@ -9,8 +9,8 @@ Its basis does not depend on the precision N: `_alpha_basis` builds the
 entries (the units, beta, pi1, pi2) once per (K, p, Q) and congruence
 split, kept on the tower of (K, p) under Q, with an EntryLogTable of their
 unit logs at the primes above p, taken at the highest precision asked for
-so far; a lower N reads the logs by truncation.  The clauses read the
-table and alpha's exponents on their integers, building results only.
+so far; a lower N reads its rows (padic) by truncation.  The clauses read
+the table and alpha's exponents on their integers, building results only.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .localize import (INDET, TRUE, FALSE, completions_above_p, entry_logs,
                        eq_membership, log_sum, torsion_status, zp_matrix_rank,
                        RankReport)
 from .ntheory import InternalCheckError, factorint
-from .padic import PAdicNumber, PrecisionError, vp
+from .padic import PAdicNumber, PrecisionError, terms_row, truncate_row, vp
 from .quadfield import (FieldElement, RealQuadraticField, SUnitBasisData,
                         SUnitProduct, check_odd_prime, class_group,
                         ideal_valuation, prime_ideals_above, realize,
@@ -89,27 +89,31 @@ def construct_alpha(K: RealQuadraticField, p: int, Q, N: int) \
     n_prime_to_p = clg.h // p**vp(clg.h, p)
 
     m = max((vp(d, p) for d in clg.invariant_factors), default=0)
-    if a1.abs_prec <= m:
+    A = a1.abs_prec
+    if A <= m:
         raise PrecisionError("insufficient precision for the congruence split")
-    b1 = a1.residue(m) if m > 0 else 0
-    c1 = (a1 - PAdicNumber.exact(b1, p, a1.abs_prec + 2)).shift(-m)
+    # a1, a unit mod p^A (mq_generator), is b1 + p^m * c1: pi1's exponent
+    # t1 = c1 * t is (r1 div p^m) * t mod p^(A - m + v_p(t)), the product
+    # of the objects c1 and t
+    r1 = a1.residue(A)
+    b1 = r1 % p**m
 
     e2 = n_prime_to_p * m_q
     e1 = b1 * e2
     h1, entries, table = ray_class_tower(K, p).recall(
         (q1, q2), (e1, e2), _alpha_basis, K, p, q1, q2, e1, e2)
-    t1 = c1 * PAdicNumber.exact(n_prime_to_p * p**m // h1 * m_q, p,
-                                a1.abs_prec + 2)
+    t = n_prime_to_p * p**m // h1 * m_q
+    t1 = PAdicNumber.from_residue(r1 // p**m * t, p, A - m + vp(t, p))
     zero = PAdicNumber.exact(0, p, N + 4)
     one = PAdicNumber.exact(1, p, N + 4)
     exponents = [zero] * (len(entries) - 3) + [one, t1, zero]
     alpha = SUnitProduct(entries, p, exponents, N)
 
-    # unit correction: divide by eps^x so that the local 1-unit part dies;
-    # the unit correction and the torsion clause read one log table
+    # unit correction: eps's exponent 0 becomes -x so that the local 1-unit
+    # part dies; the unit correction and the torsion clause read one table
     logs = table.at(N)
     if not K.is_rational:
-        exponents[1] = exponents[1] - _solve_unit_exponent(alpha, logs)
+        exponents[1] = -_solve_unit_exponent(alpha, logs)
         alpha = SUnitProduct(entries, p, exponents, N)
     return _check_certificate(alpha, K, p, (q1, q2), N, rep, logs)
 
@@ -132,7 +136,7 @@ def _alpha_basis(K: RealQuadraticField, p: int, q1, q2, e1: int, e2: int):
     entries = unit_entries(K) + tuple(
         s_unit_entry(g, [q1, q2], label, "lattice")
         for g, label in ((beta, "beta"), (pi1, "pi1"), (pi2, "pi2")))
-    return h1, entries, EntryLogTable(entries, completions_above_p(K, p))
+    return h1, entries, EntryLogTable(entries, completions_above_p(K, p), p)
 
 
 class EntryLogTable:
@@ -142,17 +146,15 @@ class EntryLogTable:
 
     _element_unit_log reads the unit x/p^v of an entry to
     A = N + max(v, 0) + 2 - v digits, and v does not depend on N: so a
-    coordinate p^v * m of the top, read as the integers (r, v, A) with
-    r = p^v * m mod p^A (v = A for a marker), is at N = top - drop the row
-    (r mod p^(A - drop), min(v, A - drop), A - drop) that truncate gives,
-    the log mod p^A being the residue of the log mod a higher power
-    (Washington, GTM 83, sec. 5.1).  A product of an exponent e and a
+    row of the top, known mod p^A, is at N = top - drop its truncate_row,
+    the log mod p^(A - drop) being the residue of the log mod a higher
+    power (Washington, GTM 83, sec. 5.1).  A product of an exponent e and a
     coordinate c is known mod p^min(A_c + v_e, A_e + v_c), as
     (e + O(p^A_e))(c + O(p^A_c)) = ec + O(p^(A_e + v_c)) + O(p^(A_c + v_e)),
     markers included; log_sum sums such integers to the least A."""
 
-    def __init__(self, entries, places):
-        self.entries, self.places = entries, places
+    def __init__(self, entries, places, p: int):
+        self.entries, self.places, self.p = entries, places, p
         self.top, self.logs = 0, ()
 
     def at(self, N: int) -> tuple:
@@ -163,36 +165,40 @@ class EntryLogTable:
             self.top = N + 2
             self.logs = tuple((q, entry_logs(self.entries, q, self.top))
                               for q in self.places)
-        drop = self.top - N
+        drop, p = self.top - N, self.p
         if not drop:
             return self.logs
-        return tuple((q, tuple(tuple(c.truncate(c.abs_prec - drop)
-                                     for c in lg) for lg in lgs))
+        return tuple((q, tuple(tuple(truncate_row(c, p, drop) for c in lg)
+                               for lg in lgs))
                      for q, lgs in self.logs)
 
 
-def _solve_unit_exponent(alpha0: SUnitProduct, logs):
+def _solve_unit_exponent(alpha0: SUnitProduct, logs) -> PAdicNumber:
     """x in Z_p with log loc(alpha0) = x * log loc(eps) at every prime above
     p, given the logs `logs` of alpha0.entries (EntryLogTable.at), whose
     entry 1 is eps (unit_entries: -1, then eps).  Each quotient ca/ce, ce
     no marker, is integral and agrees with the first, x, read on integers."""
+    p = alpha0.p
     pairs = [(ca, ce) for _, lg in logs
              for ca, ce in zip(log_sum(alpha0.exponents, lg), lg[1])
-             if ce.m is not None]
-    for ca, ce in pairs:
-        if ca.m is not None and ca.v < ce.v:
+             if ce[1] is not None]
+    for (av, am, _), (ev, _, _) in pairs:
+        if am is not None and av < ev:
             raise InternalCheckError("unit correction is not integral")
     if not pairs:
         raise PrecisionError("precision underflow in the unit-correction solve")
-    ca, ce = pairs[0]
-    p, v, d = ce.p, ca.v - ce.v, min(ca.digits, ce.digits)
-    x = (PAdicNumber.zero_marker(p, v) if ca.m is None else
-         PAdicNumber(p, v, ca.m * pow(ce.m, -1, p**d) % p**d, d))
-    for ca, ce in pairs[1:]:
-        if not (ca - x * ce).is_marker:
+    (av, am, ad), (ev, em, ed) = pairs[0]
+    xv, xd = av - ev, min(ad, ed)
+    xm = None if am is None else am * pow(em, -1, p**xd) % p**xd
+    for (av, am, ad), (ev, em, ed) in pairs[1:]:
+        terms = [] if am is None else [(av, am)]
+        if xm is not None:
+            terms.append((xv + ev, -xm * em))
+        if terms_row(p, min(av + ad, xv + ev + min(xd, ed)),
+                     terms)[1] is not None:
             raise InternalCheckError("unit correction inconsistent across "
                                      "places")
-    return x
+    return PAdicNumber(p, xv, xm, xd)
 
 
 def verify_alpha(alpha: SUnitProduct, K: RealQuadraticField, p: int, Q,

@@ -11,15 +11,15 @@ inert one, over {1, s}, s = sqrt(D).  The log is taken on integer residues
 by `padic.unit_log_residues`; each coordinate is given as a PAdicNumber.
 
 The log of an S-unit product sums its exponents times the unit logs of its
-entries: `entry_logs` takes those at one prime and `log_sum` sums them on
-their integers.  The Kummer certificate keeps the entry logs of each prime
-for all its reads.
+entries: `entry_logs` takes those at one prime and `log_sum` sums them, all
+as rows (padic.residue_row), and `loc` gives the sum as PAdicNumbers.  The
+Kummer certificate keeps the entry logs of each prime for all its reads.
 """
 
 from __future__ import annotations
 
 from .ntheory import InternalCheckError
-from .padic import PAdicNumber, unit_log_residues, vp
+from .padic import PAdicNumber, terms_row, unit_log_residues, vp
 from .quadfield import (FieldElement, IntegralIdeal, RealQuadraticField,
                         SUnitProduct, check_odd_prime, ideal_valuation,
                         parts_valuation, prime_ideals_above, prime_kind,
@@ -89,32 +89,34 @@ def loc(x, q: IntegralIdeal, p: int, N: int):
     val = x.valuation_at(q)
     if not with_log:
         return val, ()
-    return val, log_sum(x.exponents, entry_logs(x.entries, q, N))
+    return val, tuple(PAdicNumber(p, *c) for c in log_sum(
+        x.exponents, entry_logs(x.entries, q, N)))
 
 
 def entry_logs(entries, q: IntegralIdeal, N: int) -> tuple:
     """The unit log of the element of each basis entry at the prime q above
-    p, in the order of `entries`."""
-    return tuple(_element_unit_log(entry.element, q, N)[1]
+    p, in the order of `entries`, as rows."""
+    return tuple(tuple((c.v, c.m, c.digits) for c in
+                       _element_unit_log(entry.element, q, N)[1])
                  for entry in entries)
 
 
 def log_sum(exponents, logs) -> tuple:
-    """sum_i e_i * log_i, coordinate by coordinate, in the order of the
-    entries, as the object sum of the products gives it, on their integers
-    (kummer.EntryLogTable states the precisions).  An exact-zero exponent
-    does not cap the precision of the sum: its term is a zero marker of
-    bound padic.EXACT_ZERO_BOUND (10^9) plus the valuation of log_i."""
+    """sum_i e_i * log_i, coordinate by coordinate, for logs as rows: the rows
+    of the object sum of the products, on their integers (kummer.EntryLogTable
+    states the precisions).  An exact-zero exponent does not cap the
+    precision of the sum: its term is a zero marker of bound
+    padic.EXACT_ZERO_BOUND (10^9) plus the valuation of log_i."""
     out = []
     for column in zip(*logs):
         precs, terms = [], []
-        for e, c in zip(exponents, column):
-            v = e.v + c.v
-            if e.m is not None and c.m is not None:
-                terms.append((v, e.m * c.m))
-                v += e.digits if e.digits < c.digits else c.digits
+        for e, (v, m, digits) in zip(exponents, column):
+            v += e.v
+            if e.m is not None and m is not None:
+                terms.append((v, e.m * m))
+                v += e.digits if e.digits < digits else digits
             precs.append(v)
-        out.append(PAdicNumber.from_terms(column[0].p, min(precs), terms))
+        out.append(terms_row(exponents[0].p, min(precs), terms))
     return tuple(out)
 
 
@@ -129,16 +131,17 @@ def _val_status(v):
 
 def is_loc_torsion(x, q: IntegralIdeal, p: int, N: int) -> str:
     """Whether loc(x) is torsion in the pro-p completion at q."""
-    return torsion_status(*loc(x, q, p, N))
+    val, unit_log = loc(x, q, p, N)
+    return torsion_status(val, [(c.v, c.m, c.digits) for c in unit_log])
 
 
 def torsion_status(val, unit_log) -> str:
-    """Whether a localization (valuation, unit log) is torsion in the pro-p
-    completion."""
+    """Whether a localization (valuation, unit log as rows) is torsion in
+    the pro-p completion."""
     zero, certified = _val_status(val)
     # away from p the log is (): the unit part is torsion in the pro-p
     # completion
-    if not zero or any(not c.is_marker for c in unit_log):
+    if not zero or any(m is not None for _, m, _ in unit_log):
         return FALSE
     return TRUE if certified else INDET
 

@@ -10,6 +10,8 @@ p^digits.  Quantities that cannot be distinguished from zero are carried as a
 marker "valuation >= bound" rather than silently treated as equal to zero.
 Exponents are integers: no engine path raises a value to a Z_p power, since
 the Kummer element stays a formal product whose exponents are never applied.
+A row (v, m, digits) is a PAdicNumber's fields without p, (A, None, 0) for
+a marker of bound A: the Kummer path keeps its logs as rows.
 """
 
 from __future__ import annotations
@@ -89,31 +91,7 @@ class PAdicNumber:
     @classmethod
     def from_residue(cls, r: int, p: int, abs_prec: int) -> "PAdicNumber":
         """Value known to be ≡ r mod p^abs_prec."""
-        r %= p**abs_prec
-        if r == 0:
-            return cls.zero_marker(p, abs_prec)
-        v = vp(r, p)
-        digits = abs_prec - v
-        return cls(p, v, (r // p**v) % p**digits, digits)
-
-    @classmethod
-    def from_terms(cls, p: int, A: int, terms) -> "PAdicNumber":
-        """The sum of p^v * m over the pairs (v, m) of `terms`, known mod
-        p^A: the one p-adic sum.  Terms of v >= A vanish; the rest sum to
-        p^s * r, s the least of 0 and their v, and r is read by
-        from_residue mod p^(A - s).  With none left, p^A is never formed."""
-        s, live = 0, False
-        for v, _ in terms:
-            if v < A:
-                s, live = min(s, v), True
-        if not live:
-            return cls.zero_marker(p, A)
-        r = 0
-        for v, m in terms:
-            if v < A:
-                r += m * p**(v - s)
-        y = cls.from_residue(r, p, A - s)
-        return cls(p, y.v + s, y.m, y.digits) if s else y
+        return cls(p, *residue_row(r, p, abs_prec))
 
     @classmethod
     def one(cls, p: int, digits: int) -> "PAdicNumber":
@@ -162,9 +140,9 @@ class PAdicNumber:
 
     def __add__(self, other):
         self._check(other)
-        return PAdicNumber.from_terms(
+        return PAdicNumber(self.p, *terms_row(
             self.p, min(self.abs_prec, other.abs_prec),
-            [(x.v, x.m) for x in (self, other) if x.m is not None])
+            [(x.v, x.m) for x in (self, other) if x.m is not None]))
 
     def __sub__(self, other):
         return self + (-other)
@@ -209,30 +187,50 @@ class PAdicNumber:
         m = pow(self.m, k, self.p**self.digits)
         return PAdicNumber(self.p, self.v * k, m, self.digits)
 
-    def shift(self, j: int) -> "PAdicNumber":
-        """Exact multiplication by p^j."""
-        if self.m is None:
-            return PAdicNumber.zero_marker(self.p, self.v + j)
-        return PAdicNumber(self.p, self.v + j, self.m, self.digits)
-
-    def truncate(self, abs_prec: int) -> "PAdicNumber":
-        """The same value certified modulo p^abs_prec only, abs_prec <=
-        self.abs_prec; for v >= 0 it is from_residue(self.residue(abs_prec),
-        p, abs_prec)."""
-        if abs_prec > self.abs_prec:
-            raise ValueError("truncating to %d digits, only %d certified"
-                             % (abs_prec, self.abs_prec))
-        if self.m is None or self.v >= abs_prec:
-            return PAdicNumber.zero_marker(self.p, abs_prec)
-        digits = abs_prec - self.v
-        return PAdicNumber(self.p, self.v, self.m % self.p**digits, digits)
-
     # -------------------------------------------------------------- rendering
     def __repr__(self):
         if self.m is None:
             return "O(%d^%d)" % (self.p, min(self.v, EXACT_ZERO_BOUND))
         return "%d^%d * %d (mod %d^%d)" % (self.p, self.v, self.m,
                                            self.p, self.digits)
+
+
+# ------------------------------------------------------------------ rows
+
+def residue_row(r: int, p: int, A: int) -> tuple:
+    """The row of the value known to be ≡ r mod p^A."""
+    r %= p**A
+    if r == 0:
+        return A, None, 0
+    v = vp(r, p)
+    return v, r // p**v, A - v
+
+
+def terms_row(p: int, A: int, terms) -> tuple:
+    """The row of the sum of p^v * m over the pairs (v, m) of `terms`, known
+    mod p^A: the one p-adic sum.  Terms of v >= A vanish; the rest sum to
+    p^s * r, s the least of 0 and their v, and r is read by residue_row mod
+    p^(A - s).  With none left, p^A is never formed."""
+    s, live = 0, False
+    for v, _ in terms:
+        if v < A:
+            s, live = min(s, v), True
+    if not live:
+        return A, None, 0
+    r = 0
+    for v, m in terms:
+        if v < A:
+            r += m * p**(v - s)
+    v, m, digits = residue_row(r, p, A - s)
+    return v + s, m, digits
+
+
+def truncate_row(row: tuple, p: int, drop: int) -> tuple:
+    """A row known mod p^A read mod p^(A - drop), drop >= 0: one %."""
+    v, m, digits = row
+    if m is None or digits <= drop:
+        return v + digits - drop, None, 0
+    return v, m % p**(digits - drop), digits - drop
 
 
 # ------------------------------------------------------------------ operations

@@ -23,7 +23,7 @@ from .abgroup import (FiniteAbelianGroup, GroupElement, decompose_abelian,
                       relation_lattice)
 from .ntheory import (Frozen, InternalCheckError, extgcd, is_squarefree,
                       isprime, legendre, power, quad_mul, sqrt_mod_prime)
-from .padic import EXACT_ZERO_BOUND, PAdicNumber, vp
+from .padic import EXACT_ZERO_BOUND, PAdicNumber, terms_row, vp
 
 
 class RealQuadraticField(Frozen):
@@ -1034,7 +1034,7 @@ class SUnitProduct:
                     terms.append((v, e.m * (n // p**k)))
                     v += e.digits if e.digits < digits else digits
                 A = min(A, v)
-        return PAdicNumber.from_terms(p, A, terms)
+        return PAdicNumber(p, *terms_row(p, A, terms))
 
     def support_keys(self):
         """The prime ideals where an entry whose exponent is not exactly 0

@@ -76,8 +76,9 @@ class RayClassGroupData:
     rows reduced that way, with the lower diagonal, and a class is the
     top's ambient vector reduced alike: no dlog, unit group, class search
     or principal generator is taken again.  `units` is then the top's,
-    whose dlogs the level reads; `unit_orders` and `unit_norms` are the
-    level's own."""
+    whose dlogs the level reads, and so are the norms of its generators,
+    `unit_norms` (classfield reads the same log records at every level);
+    `unit_orders` are the level's own."""
 
     def __init__(self, K: RealQuadraticField, modulus, p: int, top=None):
         check_odd_prime(p)
@@ -109,7 +110,7 @@ class RayClassGroupData:
             if 1 in self.unit_orders:
                 raise ValueError("a quotient level keeps every unit "
                                  "coordinate of its top")
-            self.unit_norms = [n % p**M for n in top.unit_norms]
+            self.unit_norms = top.unit_norms
             self._unit_dlogs = [self._reduce(d) for d in top._unit_dlogs]
             self.class_gen_ideals = top.class_gen_ideals
             class_dlogs = [self._reduce(d) for d in top._class_dlogs]

@@ -56,13 +56,15 @@ logs call the engine's `padic.log_series` and `padic.unit_log_residues`),
 `solve_dlog` in a finite abelian group, `s_unit_basis`, `inertia_rank`,
 `same_kummer_extension` and `degree_zero_pair_element`; and the helpers
 the tests read in place of engine methods that no engine path called: the
-`AtLeast` marker and `valuation` of a PAdicNumber, `sqrt_pair(K, u, v)`,
-`real_sign` and `compare_real` of a field element (on the engine's
-`quadfield._real_sign`), `scale_exponents` of a formal product and
-`group_identity` of a finite abelian group.  `empty_memos()` empties
-every memo table of the engine, each one found by its `cache_clear`;
-`load_bench` reads a module of bench/, and `answers_digest` hashes the
-engine's answers to benchmark batches, to show that a change moved none.
+`AtLeast` marker, `valuation` and `shift` of a PAdicNumber,
+`sqrt_pair(K, u, v)`, `real_sign` and `compare_real` of a field element
+(on the engine's `quadfield._real_sign`), `scale_exponents` of a formal
+product and `group_identity` of a finite abelian group; `rows` reads
+PAdicNumber logs as the rows (v, m, digits) of the Kummer path.
+`empty_memos()` empties every memo table of the engine, each one found by
+its `cache_clear`; `load_bench` reads a module of bench/, and
+`answers_digest` hashes the engine's answers to benchmark batches, to show
+that a change moved none.
 """
 
 import hashlib
@@ -346,7 +348,11 @@ def ray_class_number(d: int, n: int) -> int:
     of (1 - 1/ell)(1 - (D/ell)/ell) with `kronecker`, and the order of eps
     mod n by stripping the primes of Phi(n) from its exponent, on integer
     pairs over {1, omega}, omega^2 = r*omega + (D - r)/4 (see
-    `fundamental_unit_cf`): no dlog and no Smith form."""
+    `fundamental_unit_cf`): no dlog and no Smith form.  Over Q (d = 1) it
+    is |(Z/n)*/<-1>|."""
+    if d == 1:
+        phi = prod((ell - 1) * ell**(e - 1) for ell, e in factorint(n).items())
+        return phi // 2 if n > 2 else phi
     D = d if d % 4 == 1 else 4 * d
     r = D % 2
     phi = n * n
@@ -654,6 +660,17 @@ def valuation(x: PAdicNumber):
     return AtLeast(x.v) if x.m is None else x.v
 
 
+def shift(x: PAdicNumber, j: int) -> PAdicNumber:
+    """Exact multiplication of x by p^j."""
+    return PAdicNumber(x.p, x.v + j, x.m, x.digits)
+
+
+def rows(logs) -> tuple:
+    """The logs of entries at one place, tuples of PAdicNumber coordinates,
+    as the tuples of rows (v, m, digits) that the Kummer path reads."""
+    return tuple(tuple((c.v, c.m, c.digits) for c in lg) for lg in logs)
+
+
 def val_and_unit(x: PAdicNumber):
     """Split x as p^v * u.  Zero markers yield (AtLeast(bound), None)."""
     if x.m is None:
@@ -787,7 +804,7 @@ class UnramifiedQuadElem:
         return va.is_marker and vb.is_marker
 
     def shift(self, j: int):
-        return UnramifiedQuadElem(self.a.shift(j), self.b.shift(j), self.r)
+        return UnramifiedQuadElem(shift(self.a, j), shift(self.b, j), self.r)
 
     def log_one_unit(self) -> "UnramifiedQuadElem":
         """Series logarithm; requires self ≡ 1 mod p, its own 1-unit part."""
@@ -1093,7 +1110,7 @@ def scale_exponents(alpha: SUnitProduct, n: int) -> SUnitProduct:
 
 def padic_add(self, other):
     """x + y for PAdicNumbers, as PAdicNumber.__add__ took it before it
-    read its sum off PAdicNumber.from_terms."""
+    read its sum off padic.terms_row."""
     self._check(other)
     p = self.p
     A = min(self.abs_prec, other.abs_prec)

@@ -14,13 +14,14 @@ bytecode written, so bench/ is only read.
 
 import hashlib
 import json
+import sys
 from collections import defaultdict
 
 import pytest
 
 import iwasawalab
-from iwasawalab import rayclass, residues
-from iwasawalab.padic import vp
+from iwasawalab import padic, rayclass, residues
+from iwasawalab.padic import PAdicNumber, vp
 from iwasawalab.quadfield import rational_ideal
 from oracles import BENCH, answers_digest, empty_memos, load_bench
 from test_kummer import ALPHA_GRID
@@ -181,6 +182,46 @@ def test_seed_one_alpha_batch_builds_few_levels_directly(monkeypatch):
     assert len(direct) == len(set(direct)) == 31
     assert len(quotient) == len(set(quotient)) == 145
     assert len(built) == 172 and len(set(direct) & set(quotient)) == 4
+
+
+# the log series and PAdicNumber objects of the seed-1 kummer-alpha batch
+# from emptied memos, at most: 746 and 7,467 when each precision of the
+# ladder took its own logs, and the entry-log table, the degrees of mq and
+# the unit correction were PAdicNumber objects
+SEED_ONE_ALPHA_WORK = {"log_series": 422, "PAdicNumber": 2723}
+
+
+def test_seed_one_alpha_batch_takes_few_logs_and_objects(monkeypatch):
+    """Counting wrappers around padic.log_series, wherever an engine module
+    binds it, and PAdicNumber.__init__ see the seed-1 kummer-alpha batch,
+    answered as recorded, take no more than SEED_ONE_ALPHA_WORK: a return
+    to logs taken per precision, or to objects read per coordinate, fails
+    here."""
+    batch = W.batch("kummer-alpha", 1)
+    expected = S.load_expected("kummer-alpha",
+                               {W.query_key(q) for q in batch})
+    counts = dict.fromkeys(SEED_ONE_ALPHA_WORK, 0)
+    series, init = padic.log_series, PAdicNumber.__init__
+
+    def counted_series(*args):
+        counts["log_series"] += 1
+        return series(*args)
+
+    def counted_init(x, *args):
+        counts["PAdicNumber"] += 1
+        init(x, *args)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("iwasawalab") and \
+                getattr(module, "log_series", None) is series:
+            monkeypatch.setattr(module, "log_series", counted_series)
+    monkeypatch.setattr(PAdicNumber, "__init__", counted_init)
+    empty_memos()
+    for q in batch:
+        doc = W.answer(iwasawalab, q)
+        assert S.canonical(doc) == expected[W.query_key(q)], q
+    empty_memos()
+    assert all(0 < counts[k] <= SEED_ONE_ALPHA_WORK[k] for k in counts), \
+        counts
 
 
 def test_answers_digest_hashes_the_recorded_answers():

@@ -10,11 +10,12 @@ from iwasawalab.classfield import (group_G, frobenius_image, e_of_q,
                                    _transport_hom)
 from iwasawalab.iwasawa import mq_order
 from iwasawalab.ntheory import InternalCheckError, isprime
+from iwasawalab.padic import PAdicNumber
 from iwasawalab.quadfield import (RealQuadraticField, factor_rational_prime,
                                   rational_ideal)
 from iwasawalab.rayclass import ray_class_group
 from oracles import (cyclotomic_dlog_log_route, degree_kernel_lattice,
-                     degree_log_route, empty_memos, group_identity,
+                     degree_log_route, empty_memos, group_identity, plog,
                      solve_integral_fractions, subgroup_order_from_lattice)
 
 QQ = RealQuadraticField.rationals()
@@ -151,6 +152,44 @@ def test_cyclotomic_log_matches_log_route(p):
                 assert classfield._degree_without_log(n, p, A - 1) == want
     with pytest.raises(ValueError):
         cyclotomic_log(2 * p, p, 4)
+
+
+LADDER = range(2, 31)
+
+
+def _ladder_norms(p, count=12, seed=42):
+    """`count` seeded n in [2, 10^6) prime to p."""
+    rng, ns = random.Random(seed * p), set()
+    while len(ns) < count:
+        n = rng.randrange(2, 10**6)
+        if n % p:
+            ns.add(n)
+    return sorted(ns)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_log_records_read_alike_in_any_order_of_precision(p):
+    """The precisions A = 2..30 read in ascending, descending and shuffled
+    order, every memo emptied before each order: cyclotomic_log equals the
+    log route, and the record of 1 + p holds log(1 + p) mod p^A, whose
+    quotient by p has the log route's inverse mod p^(A-1)."""
+    ns = _ladder_norms(p)
+    want = {(n, A): cyclotomic_dlog_log_route(n, p, A)
+            for n in ns for A in LADDER}
+    gamma = {A: plog(PAdicNumber.exact(1 + p, p, A)).residue(A)
+             for A in LADDER}
+    shuffled = list(LADDER)
+    random.Random(p).shuffle(shuffled)
+    for order in (LADDER, reversed(LADDER), shuffled):
+        empty_memos()
+        for A in order:
+            for n in ns:
+                assert cyclotomic_log(n, p, A) == want[n, A], (n, A)
+            record, mod = classfield.log_record(1 + p, p), p**(A - 1)
+            assert record.log % p**A == gamma[A]
+            assert pow(record.log // p, -1, mod) == \
+                pow(gamma[A] // p, -1, mod), A
+    empty_memos()
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])

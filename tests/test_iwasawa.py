@@ -28,7 +28,8 @@ from oracles import (angle_log, degree_kernel_lattice, degree_log_route,
                      lattice_intersection,
                      leopoldt_defect_log_route,
                      leopoldt_defect_square_exponent,
-                     mq_order_log_route, rounded_degree_zero_log_route,
+                     mq_generator_log_route, mq_order_log_route,
+                     rounded_degree_zero_log_route,
                      sqrt_pair, subgroup_order_from_lattice)
 
 QQ = RealQuadraticField.rationals()
@@ -303,6 +304,22 @@ def test_mq_order_from_the_level_memo_equals_a_fresh_one(monkeypatch, d, p,
     assert rep.to_json() == fresh.to_json()
 
 
+@pytest.mark.parametrize("d,p,s1,s2", MQ_GRID + ALPHA_FIXTURE_PAIRS)
+def test_mq_generator_matches_log_route_in_any_order(d, p, s1, s2):
+    """mq_generator, a1 read on the integer residues of the log records,
+    has every field of the log route's report at N = 1..12, asked in
+    ascending and in descending N with the memos emptied before each."""
+    K = _field(d)
+    Q = (_prime(K, s1), _prime(K, s2))
+    want = {N: _report_fields(mq_generator_log_route(K, p, Q, N))
+            for N in range(1, 13)}
+    for order in (range(1, 13), range(12, 0, -1)):
+        empty_memos()
+        for N in order:
+            assert _report_fields(mq_generator(K, p, Q, N)) == want[N], N
+    empty_memos()
+
+
 def _quotient_view(rc, p, M):
     """What a level shows of itself: its presentation, its degree map and
     the class of every prime ideal of norm below 100 prime to p."""
@@ -311,7 +328,8 @@ def _quotient_view(rc, p, M):
               for q in factor_rational_prime(K, ell).ideals if q.norm < 100]
     return {
         "relations": rc.relations, "class_gen_ideals": rc.class_gen_ideals,
-        "unit_orders": rc.unit_orders, "unit_norms": rc.unit_norms,
+        "unit_orders": rc.unit_orders,
+        "unit_norms": [n % p**M for n in rc.unit_norms],
         "unit_dlogs": rc._unit_dlogs, "full_factors": rc.full_factors,
         "full_diag": rc.full_diag, "full_transform": rc.full_transform,
         "lifts": rc.presentation.lifts, "p_keep": rc.p_keep,
@@ -352,6 +370,37 @@ def test_quotient_level_equals_the_direct_build(d, p):
                 assert rc.p_group == direct[1].p_group
                 continue
             assert _quotient_view(rc, p, M) == want[M], (T, M)
+
+
+def _tower_pairs(draws=8, seed=41):
+    """The (d, p) of MQ_GRID and ALPHA_FIXTURE_PAIRS, then `draws` pairs of
+    a seeded draw: d squarefree in [2, 10^4) and p in {3, 5, 7} prime to
+    its discriminant."""
+    pairs = sorted({(d, p) for d, p, _, _ in MQ_GRID + ALPHA_FIXTURE_PAIRS})
+    rng = random.Random(seed)
+    while len(pairs) < 10 + draws:
+        d, p = rng.randrange(2, 10**4), rng.choice((3, 5, 7))
+        if is_squarefree(d) and RealQuadraticField(d).D % p:
+            pairs.append((d, p))
+    return pairs
+
+
+@pytest.mark.parametrize("d,p", _tower_pairs())
+def test_tower_levels_have_the_ray_class_number(d, p):
+    """Every level M = 2..8 of a fresh ray class tower of (K, p) has the
+    order oracles.ray_class_number(d, p^M), found with no dlog and no
+    Smith form, and the p-part of it as its p-part.  Asked in ascending M
+    the tower builds tops at 2, 5 and 8 and reads 3, 4, 6 and 7 as their
+    quotients; asked in descending M every level is a quotient of 8."""
+    K = _field(d)
+    want = {M: oracles.ray_class_number(d, p**M) for M in range(2, 9)}
+    for order in (range(2, 9), range(8, 1, -1)):
+        tower = rayclass.RayClassTower(K, p)
+        for M in order:
+            rc = tower.level(M)
+            assert (rc.full_order(), rc.p_order) == \
+                (want[M], p**vp(want[M], p)), (M, tower.exponent)
+        assert tower.exponent == 8
 
 
 def test_quotient_level_refuses_what_it_cannot_read():
@@ -535,7 +584,7 @@ def test_cyclotomic_character_needs_no_angle_log_or_plog(monkeypatch, d, p,
                                                          s1, s2):
     """mq_order, group_G, frobenius_image and construct_alpha answer as
     before with the reference angle_log and plog patched to raise and the
-    degree cache emptied.  No iwasawalab module binds either name, and each
+    log records emptied.  No iwasawalab module binds either name, and each
     Frobenius degree equals the angle_log/plog route's."""
     K = _field(d)
     Q = (_prime(K, s1), _prime(K, s2))
@@ -572,7 +621,7 @@ def test_cyclotomic_character_needs_no_angle_log_or_plog(monkeypatch, d, p,
     with pytest.raises(RuntimeError):
         oracles.angle_log(PAdicNumber.of(2, 3, 3))
     assert answers() == want
-    assert classfield.cyclotomic_log.cache_info().misses > 0
+    assert classfield.log_record.cache_info().misses > 0
 
 
 def test_mq_symmetric_subgroup():

@@ -13,7 +13,7 @@ from iwasawalab.kummer import construct_alpha, verify_alpha, kummer_rank
 from iwasawalab.localize import TRUE, FALSE, INDET, completions_above_p
 from iwasawalab.ntheory import InternalCheckError, is_squarefree, isprime
 from iwasawalab.padic import (EXACT_ZERO_BOUND, PAdicNumber, PrecisionError,
-                              vp)
+                              truncate_row, vp)
 from iwasawalab.quadfield import (RealQuadraticField, SUnitBasisData,
                                   SUnitProduct, factor_rational_prime,
                                   fundamental_unit, prime_kind,
@@ -423,34 +423,30 @@ def test_verify_alpha_of_a_constructed_alpha_gives_its_certificate(d, p, s1,
     assert verify_alpha(cert.alpha, K, p, Q, N).to_json() == cert.to_json()
 
 
-def _reprs(place_logs):
-    return [(q, [[repr(c) for c in lg] for lg in lgs])
-            for q, lgs in place_logs]
-
-
 TABLE_TOP = 10
 
 
 @pytest.mark.parametrize("d,p,s1,s2", ALPHA_GRID)
 def test_entry_log_table_reads_lower_precisions_by_truncation(d, p, s1, s2):
-    """Below its top, the log table reads each coordinate to
+    """Below its top, the log table reads each coordinate, a row, to
     abs_prec - (top - N) digits, and that is the direct entry_logs at N,
-    repr for repr, for every N up to the top; one digit more is not."""
+    row for row, markers and their bounds included, for every N up to the
+    top; one digit more is not."""
     K, Q = _grid_case(d, p, s1, s2)
     entries = construct_alpha(K, p, Q, 2).alpha.entries
     places = completions_above_p(K, p)
-    table = kummer.EntryLogTable(entries, places)
+    table = kummer.EntryLogTable(entries, places, p)
     table.at(TABLE_TOP - 2)
     assert table.top == TABLE_TOP
     for N in range(1, TABLE_TOP + 1):
         direct = [(q, localize.entry_logs(entries, q, N)) for q in places]
-        assert _reprs(table.at(N)) == _reprs(direct)
+        assert list(table.at(N)) == direct
         assert table.top == TABLE_TOP
         if N == TABLE_TOP:
             continue
-        over = [(q, [[c.truncate(c.abs_prec - (TABLE_TOP - N) + 1)
-                      for c in lg] for lg in lgs]) for q, lgs in table.logs]
-        for (_, lgs), (_, want) in zip(_reprs(over), _reprs(direct)):
+        over = [[[truncate_row(c, p, TABLE_TOP - N - 1) for c in lg]
+                 for lg in lgs] for _, lgs in table.logs]
+        for lgs, (_, want) in zip(over, direct):
             for lg, lw in zip(lgs, want):
                 assert len(lg) == len(lw) and \
                     all(a != b for a, b in zip(lg, lw))
@@ -572,7 +568,19 @@ def _solve_on_table(place_logs):
     zero = (PAdicNumber.zero_marker(5, 6),)
     logs = tuple((None, (zero, (eps,), (beta,), zero, zero))
                  for eps, beta in place_logs)
-    return kummer._solve_unit_exponent(alpha0, logs)
+    return _solve_on_rows(alpha0, logs)
+
+
+def _solve_on_rows(alpha0, logs):
+    """kummer._solve_unit_exponent of a log table of PAdicNumbers, read as
+    rows."""
+    return kummer._solve_unit_exponent(
+        alpha0, tuple((q, oracles.rows(lgs)) for q, lgs in logs))
+
+
+def _objects(p, lgs):
+    """One place's logs, tuples of rows, as tuples of PAdicNumbers."""
+    return tuple(tuple(PAdicNumber(p, *c) for c in lg) for lg in lgs)
 
 
 def test_unit_correction_solves_a_consistent_table():
@@ -629,9 +637,9 @@ def test_kernels_answer_as_the_object_kernels_on_the_alpha_batches(
         monkeypatch):
     """Every log_sum, valuation_at, unit-correction solve and log table
     read of the seeds 1-3 kummer-alpha batches, replayed against the
-    object kernels of tests/oracles.py and, for a table read, against the
-    entry logs taken directly at its N: the same fields, so the same
-    reprs."""
+    object kernels of tests/oracles.py, with each row read as a
+    PAdicNumber, and, for a table read, against the entry logs taken
+    directly at its N: the same fields, so the same reprs."""
     W = oracles.load_bench("workloads")
     calls = {"log_sum": [], "valuation_at": [], "solve": [], "read": []}
     log_sum, solve = localize.log_sum, kummer._solve_unit_exponent
@@ -661,21 +669,20 @@ def test_kernels_answer_as_the_object_kernels_on_the_alpha_batches(
     empty_memos()
     assert all(calls.values())
     for (exponents, logs), out in calls["log_sum"]:
-        assert [_fields(c) for c in out] == \
-            [_fields(c) for c in oracles.log_sum_objects(exponents, logs)]
+        p = exponents[0].p
+        want = oracles.log_sum_objects(exponents, _objects(p, logs))
+        assert [(p,) + c for c in out] == [_fields(c) for c in want]
     for (alpha, q), out in calls["valuation_at"]:
         assert _fields(out) == _fields(oracles.valuation_at_objects(alpha, q))
     for (alpha0, logs), out in calls["solve"]:
-        assert _fields(out) == \
-            _solve_outcome(oracles.solve_unit_exponent_objects, alpha0, logs)
+        assert _fields(out) == _solve_outcome(
+            oracles.solve_unit_exponent_objects, alpha0,
+            tuple((q, _objects(alpha0.p, lgs)) for q, lgs in logs))
     below_top = 0
     for (entries, places, N, top), out in calls["read"]:
         below_top += N < top
-        assert [(q, [[_fields(c) for c in lg] for lg in lgs])
-                for q, lgs in out] == \
-            [(q, [[_fields(c) for c in lg]
-                  for lg in localize.entry_logs(entries, q, N)])
-             for q in places]
+        assert list(out) == [(q, localize.entry_logs(entries, q, N))
+                             for q in places]
     assert below_top
 
 
@@ -713,17 +720,18 @@ def _log_table(data, p, n, k):
 @given(st.data(), st.sampled_from([3, 5, 7]), st.integers(1, 6),
        st.integers(1, 2))
 def test_log_sum_is_the_object_sum(data, p, n, k):
-    """localize.log_sum on random exponents and coordinates has the fields
-    of the object sum of the products; exact-zero exponents on every term
-    give the marker of bound 10^9 plus the least valuation or bound of
-    each coordinate, with no power of p formed."""
+    """localize.log_sum on random exponents and the rows of random
+    coordinates has the fields of the object sum of the products;
+    exact-zero exponents on every term give the marker of bound 10^9 plus
+    the least valuation or bound of each coordinate, with no power of p
+    formed."""
     exponents = _exponents(data, p, n)
     logs = _log_table(data, p, n, k)
-    got = localize.log_sum(exponents, logs)
-    assert [_fields(c) for c in got] == \
+    got = localize.log_sum(exponents, oracles.rows(logs))
+    assert [(p,) + c for c in got] == \
         [_fields(c) for c in oracles.log_sum_objects(exponents, logs)]
     if all(e.is_exact_zero for e in exponents):
-        assert [(c.m, c.v) for c in got] == \
+        assert [(m, v) for v, m, _ in got] == \
             [(None, EXACT_ZERO_BOUND + min(c.v for c in column))
              for column in zip(*logs)]
 
@@ -757,5 +765,5 @@ def test_unit_correction_is_the_object_solve(data, p, n, k, places):
                for i in range(n)]
     alpha0 = SUnitProduct(entries, p, _exponents(data, p, n), 4)
     logs = tuple((None, _log_table(data, p, n, k)) for _ in range(places))
-    assert _solve_outcome(kummer._solve_unit_exponent, alpha0, logs) == \
+    assert _solve_outcome(_solve_on_rows, alpha0, logs) == \
         _solve_outcome(oracles.solve_unit_exponent_objects, alpha0, logs)

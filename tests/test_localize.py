@@ -12,7 +12,7 @@ from iwasawalab.quadfield import (RealQuadraticField, SUnitBasisData,
                                   prime_ideals_above, prime_kind,
                                   rational_ideal)
 
-from oracles import UnramifiedQuadElem, inertia_rank, sqrt_pair
+from oracles import UnramifiedQuadElem, inertia_rank, rows, sqrt_pair
 
 QQ = RealQuadraticField.rationals()
 Q2 = RealQuadraticField(2)
@@ -219,9 +219,11 @@ def test_log_sum_leaves_the_precision_to_terms_of_nonzero_exponent():
     """An exact-zero exponent multiplies its log into a marker of bound
     10^9 + v, so the log it meets, known mod 3^8, does not cap the sum at
     8 digits; a zero exponent known mod 3^2 does cap it at 2."""
-    logs = [(PAdicNumber.of(5, 3, 8),), (PAdicNumber.of(7, 3, 10),)]
+    logs = rows([(PAdicNumber.of(5, 3, 8),), (PAdicNumber.of(7, 3, 10),)])
     one = PAdicNumber.exact(1, 3, 20)
     (total,) = log_sum([PAdicNumber.exact(0, 3, 20), one], logs)
+    total = PAdicNumber(3, *total)
     assert (total.abs_prec, total.residue(10)) == (10, 7)
     (total,) = log_sum([PAdicNumber.zero_marker(3, 2), one], logs)
+    total = PAdicNumber(3, *total)
     assert (total.abs_prec, total.residue(2)) == (2, 7)

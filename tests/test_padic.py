@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iwasawalab.padic import PAdicNumber, teichmueller, vp
+from iwasawalab.padic import (PAdicNumber, residue_row, teichmueller,
+                              truncate_row, vp)
 
 from oracles import (AtLeast, UnramifiedQuadElem, angle, angle_log, log_ratio,
                      padic_add, plog, val_and_unit, valuation)
@@ -135,7 +136,7 @@ def test_add_sub_against_fractions(data, p, op):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.data(), st.sampled_from([3, 5, 7]))
 def test_add_is_the_reference_sum(data, p):
-    """x + y, read off PAdicNumber.from_terms, has the fields of the
+    """x + y, read off padic.terms_row, has the fields of the
     reference sum oracles.padic_add, markers, exact zeros and negative
     valuations included."""
     operand = st.one_of(_padic_and_value(p).map(lambda xa: xa[0]),
@@ -411,15 +412,15 @@ def test_precision_monotonicity():
 @given(st.sampled_from([3, 5, 7]), st.integers(0, 7**9),
        st.integers(1, 9), st.integers(0, 9), st.integers(-3, 3))
 def test_truncate_is_from_residue_of_the_residue(p, n, A, drop, shift):
-    """x.truncate(B) is x read modulo p^B: for v >= 0 the from_residue of
-    its residue, repr for repr, markers included; for any v the shift of
-    the truncated unshifted value.  Past abs_prec it refuses."""
-    x = PAdicNumber.from_residue(n, p, A + drop)
-    got = x.truncate(A)
-    assert repr(got) == repr(PAdicNumber.from_residue(x.residue(A), p, A))
-    assert repr(x.shift(shift).truncate(A + shift)) == repr(got.shift(shift))
-    with pytest.raises(ValueError):
-        x.truncate(A + drop + 1)
+    """truncate_row(row, p, drop) reads a row known mod p^(A + drop)
+    modulo p^A: for v >= 0 the residue_row of its residue, markers
+    included; for any v the shift of the truncated unshifted row."""
+    row = residue_row(n, p, A + drop)
+    got = truncate_row(row, p, drop)
+    assert got == residue_row(PAdicNumber(p, *row).residue(A), p, A)
+    v, m, digits = row
+    assert truncate_row((v + shift, m, digits), p, drop) == \
+        (got[0] + shift,) + got[1:]
 
 
 # ------------------------------------------------------------------ quad ext

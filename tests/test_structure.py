@@ -81,11 +81,10 @@ CALLED_BY_NAME = {"_Parser.error"}
 MUTABLE_BINDINGS = {"__all__"}
 
 # module.function of each memo table of src/: the per-field class groups,
-# the numeric tables, and the one record of (K, p) state, its ray class
-# tower
+# the log-series inverses, the record of each log<n> of (n, p), log(1+p)
+# among them, and the one record of (K, p) state, its ray class tower
 MEMOS = {
-    "quadfield.class_group", "classfield.cyclotomic_log",
-    "classfield._inverse_log_gamma", "padic._log_inverses",
+    "quadfield.class_group", "classfield.log_record", "padic._log_inverses",
     "rayclass.ray_class_tower",
 }
 

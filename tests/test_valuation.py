@@ -30,7 +30,7 @@ from iwasawalab.quadfield import (FieldElement, RealQuadraticField,
                                   prime_kind, principal_generator,
                                   rational_ideal, split_root)
 
-from oracles import UnramifiedQuadElem, angle_log
+from oracles import UnramifiedQuadElem, angle_log, shift
 
 FIELDS = (None, 2, 3, 5, 6, 7, 10, 13, 15, 17, 21, 33, 41, 65, 79, 97, 105,
           221, 401)
@@ -80,7 +80,7 @@ def _embed(x, q, abs_prec):
     work = abs_prec + vden + 1
     c0, c1 = _coordinates(x.a, x.b, x.den // p**vden, q, kind, work)
     cs = (c0, c1) if kind == "inert" else (c0,)
-    return tuple(PAdicNumber.from_residue(c, p, work).shift(-vden)
+    return tuple(shift(PAdicNumber.from_residue(c, p, work), -vden)
                  for c in cs)
 
 
@@ -103,7 +103,8 @@ def _ref_embed(x, q, abs_prec):
 
 def _ref_unit_log(x, q, N):
     v = _ref_valuation(x, q, q.a, 1)    # p is unramified
-    u = _ref_embed(x, q, N + max(v, 0) + 1).shift(-v)
+    u = _ref_embed(x, q, N + max(v, 0) + 1)
+    u = u.shift(-v) if isinstance(u, UnramifiedQuadElem) else shift(u, -v)
     if _ref_kind(q) == "inert":
         lg = u.angle_log()
         return v, (lg.a, lg.b)
