@@ -72,12 +72,6 @@ def cyclotomic_log(n: int, p: int, A: int) -> int:
     return log_record(abs(n), p).at(A)
 
 
-def cyclotomic_degree(q: IntegralIdeal, p: int, work: int) -> PAdicNumber:
-    """deg(Frob_q) = log<N(q)>/log(1+p), certified mod p^(work-1)."""
-    return PAdicNumber.from_residue(cyclotomic_log(q.norm, p, work), p,
-                                    work - 1)
-
-
 def _degree_without_log(n: int, p: int, N: int) -> int:
     """log<n>/log(1+p) mod p^N with no log series: n^(p-1) = <n>^(p-1) is
     (1+p)^((p-1) deg), so deg is its dlog, read digit by digit in the
@@ -106,7 +100,8 @@ class GaloisGroupG:
 
     def degree(self, q: IntegralIdeal) -> PAdicNumber:
         """deg(Frob_q) = log<N(q)> / log(1+p), certified mod p^(N+2)."""
-        return cyclotomic_degree(q, self.p, self.N + 3)
+        return PAdicNumber.from_residue(
+            cyclotomic_log(q.norm, self.p, self.N + 3), self.p, self.N + 2)
 
     def class_degree(self, cls) -> int:
         """Image of a class in the cyclotomic quotient Z/p^N, read by the

@@ -13,10 +13,9 @@ from __future__ import annotations
 from math import gcd
 
 from .abgroup import element_order, subgroup_image_order
-from .classfield import (GaloisGroupG, cyclotomic_degree, cyclotomic_log,
-                         group_G)
+from .classfield import GaloisGroupG, cyclotomic_log, group_G
 from .ntheory import InternalCheckError, legendre, power, quad_mul
-from .padic import PAdicNumber, PrecisionError, vp
+from .padic import PAdicNumber, vp
 from .quadfield import (IntegralIdeal, RealQuadraticField, check_odd_prime,
                         fundamental_unit, prime_ideal)
 from .rayclass import ray_class_tower
@@ -63,8 +62,7 @@ class FrobeniusModuleReport:
             "q1": str(self.q1),
             "q2": str(self.q2),
             "a1": repr(self.a1),
-            "a1_residue": self.a1.residue(self.a1.abs_prec)
-            if not self.a1.is_marker else None,
+            "a1_residue": self.a1.residue(self.a1.abs_prec),
             "a1_precision": self.a1.abs_prec,
             "a2": self.a2,
             "m_q": self.m_q,
@@ -86,6 +84,19 @@ def _check_q_pair(K, p, q1, q2):
     return q1, q2
 
 
+def _degree_zero_a1(q1, q2, p: int, A: int) -> int:
+    """a1 = -log<N(q2)>/log<N(q1)> mod p^(A-1) from the degrees k1, k2 that
+    cyclotomic_log reads mod p^(A-1), units as _check_q_pair asks
+    v_p(N(q)^(p-1) - 1) = 1.  Degree-0 check: a1*log<N(q1)> + log<N(q2)>,
+    log(1+p) (of valuation 1) times a1*k1 + k2, vanishes mod p^A."""
+    mod = p**(A - 1)
+    k1, k2 = (cyclotomic_log(q.norm, p, A) for q in (q1, q2))
+    a1 = -k2 * pow(k1, -1, mod) % mod
+    if (a1 * k1 + k2) % mod:
+        raise InternalCheckError("degree-0 combination failed to vanish")
+    return a1
+
+
 def mq_generator(K: RealQuadraticField, p: int, Q, N: int) \
         -> FrobeniusModuleReport:
     """a1 = -log<N(q2)>/log<N(q1)>, a2 = 1: the degree-0 generator data."""
@@ -93,13 +104,7 @@ def mq_generator(K: RealQuadraticField, p: int, Q, N: int) \
     if N < 1:
         raise ValueError("N must be at least 1")
     q1, q2 = _check_q_pair(K, p, *Q)
-    mod = p**(N + 1)
-    k1, k2 = (cyclotomic_log(q.norm, p, N + 2) for q in (q1, q2))
-    a1 = -k2 * pow(k1, -1, mod) % mod   # units: v_p(log<N(q_i)>) = 1
-    # degree-0 check: a1*log<N(q1)> + log<N(q2)>, which is log(1+p) (of
-    # valuation 1) times a1*k1 + k2, vanishes mod p^(N+2)
-    if (a1 * k1 + k2) % mod:
-        raise InternalCheckError("degree-0 combination failed to vanish")
+    a1 = _degree_zero_a1(q1, q2, p, N + 2)
     return FrobeniusModuleReport(K, p, N, q1, q2,
                                  PAdicNumber(p, 0, a1, N + 1), 1, N + 2)
 
@@ -107,19 +112,11 @@ def mq_generator(K: RealQuadraticField, p: int, Q, N: int) \
 def _rounded_degree_zero(G: GaloisGroupG, q1, q2):
     """(F1, F2, v1, g) in G: the Frobenius classes of q1 and q2, v1 =
     v_p(order of F1), and the rounded degree-0 element g = a1*F1 + F2, with
-    a1 = -log<N(q2)>/log<N(q1)> read mod p^v1 (all the digits F1 sees)."""
-    p = G.p
-    F1 = G.frobenius_class(q1)
-    F2 = G.frobenius_class(q2)
-    o1 = element_order(G.group, F1)
-    v1 = vp(o1, p)
-    work = max(G.N + 2, v1 + 3)
-    a1 = -(cyclotomic_degree(q2, p, work) / cyclotomic_degree(q1, p, work))
-    if a1.abs_prec < v1:
-        raise PrecisionError("insufficient precision to fix the class of "
-                             "the degree-0 element at level %d" % G.N)
-    a1_int = a1.residue(v1) if v1 > 0 else 0
-    return F1, F2, v1, G.group.add(G.group.scale(a1_int, F1), F2)
+    a1 read mod p^v1 (all the digits F1 sees)."""
+    F1, F2 = (G.frobenius_class(q) for q in (q1, q2))
+    v1 = vp(element_order(G.group, F1), G.p)
+    a1 = _degree_zero_a1(q1, q2, G.p, v1 + 1)
+    return F1, F2, v1, G.group.add(G.group.scale(a1, F1), F2)
 
 
 def _degree_zero_level(K: RealQuadraticField, p: int, L: int, q1, q2):

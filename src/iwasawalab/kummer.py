@@ -10,7 +10,9 @@ entries (the units, beta, pi1, pi2) once per (K, p, Q) and congruence
 split, kept on the tower of (K, p) under Q, with an EntryLogTable of their
 unit logs at the primes above p, taken at the highest precision asked for
 so far; a lower N reads its rows (padic) by truncation.  The clauses read
-the table and alpha's exponents on their integers, building results only.
+the table and alpha's exponents on their integers, building results only:
+each product of p-adic numbers, pi1's exponent t1 included, is a
+padic.dot_row, which alone states a product's precision.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from .localize import (INDET, TRUE, FALSE, completions_above_p, entry_logs,
                        eq_membership, log_sum, torsion_status, zp_matrix_rank,
                        RankReport)
 from .ntheory import InternalCheckError, factorint
-from .padic import PAdicNumber, PrecisionError, terms_row, truncate_row, vp
+from .padic import (PAdicNumber, PrecisionError, dot_row, residue_row,
+                    truncate_row, vp)
 from .quadfield import (FieldElement, RealQuadraticField, SUnitBasisData,
                         SUnitProduct, check_odd_prime, class_group,
                         ideal_valuation, prime_ideals_above, realize,
@@ -93,8 +96,8 @@ def construct_alpha(K: RealQuadraticField, p: int, Q, N: int) \
     if A <= m:
         raise PrecisionError("insufficient precision for the congruence split")
     # a1, a unit mod p^A (mq_generator), is b1 + p^m * c1: pi1's exponent
-    # t1 = c1 * t is (r1 div p^m) * t mod p^(A - m + v_p(t)), the product
-    # of the objects c1 and t
+    # is t1 = c1 * t, c1 = r1 div p^m known mod p^(A - m) and the integer t
+    # read to A digits, more than c1 has
     r1 = a1.residue(A)
     b1 = r1 % p**m
 
@@ -103,7 +106,8 @@ def construct_alpha(K: RealQuadraticField, p: int, Q, N: int) \
     h1, entries, table = ray_class_tower(K, p).recall(
         (q1, q2), (e1, e2), _alpha_basis, K, p, q1, q2, e1, e2)
     t = n_prime_to_p * p**m // h1 * m_q
-    t1 = PAdicNumber.from_residue(r1 // p**m * t, p, A - m + vp(t, p))
+    t1 = PAdicNumber(p, *dot_row(p, [(residue_row(r1 // p**m, p, A - m),
+                                      residue_row(t, p, vp(t, p) + A))]))
     zero = PAdicNumber.exact(0, p, N + 4)
     one = PAdicNumber.exact(1, p, N + 4)
     exponents = [zero] * (len(entries) - 3) + [one, t1, zero]
@@ -148,10 +152,7 @@ class EntryLogTable:
     A = N + max(v, 0) + 2 - v digits, and v does not depend on N: so a
     row of the top, known mod p^A, is at N = top - drop its truncate_row,
     the log mod p^(A - drop) being the residue of the log mod a higher
-    power (Washington, GTM 83, sec. 5.1).  A product of an exponent e and a
-    coordinate c is known mod p^min(A_c + v_e, A_e + v_c), as
-    (e + O(p^A_e))(c + O(p^A_c)) = ec + O(p^(A_e + v_c)) + O(p^(A_c + v_e)),
-    markers included; log_sum sums such integers to the least A."""
+    power (Washington, GTM 83, sec. 5.1)."""
 
     def __init__(self, entries, places, p: int):
         self.entries, self.places, self.p = entries, places, p
@@ -177,7 +178,8 @@ def _solve_unit_exponent(alpha0: SUnitProduct, logs) -> PAdicNumber:
     """x in Z_p with log loc(alpha0) = x * log loc(eps) at every prime above
     p, given the logs `logs` of alpha0.entries (EntryLogTable.at), whose
     entry 1 is eps (unit_entries: -1, then eps).  Each quotient ca/ce, ce
-    no marker, is integral and agrees with the first, x, read on integers."""
+    no marker, is integral, and x is the first: every other pair has
+    ca - x*ce, the padic.dot_row of (1, ca) and (-x, ce), a marker."""
     p = alpha0.p
     pairs = [(ca, ce) for _, lg in logs
              for ca, ce in zip(log_sum(alpha0.exponents, lg), lg[1])
@@ -190,12 +192,9 @@ def _solve_unit_exponent(alpha0: SUnitProduct, logs) -> PAdicNumber:
     (av, am, ad), (ev, em, ed) = pairs[0]
     xv, xd = av - ev, min(ad, ed)
     xm = None if am is None else am * pow(em, -1, p**xd) % p**xd
-    for (av, am, ad), (ev, em, ed) in pairs[1:]:
-        terms = [] if am is None else [(av, am)]
-        if xm is not None:
-            terms.append((xv + ev, -xm * em))
-        if terms_row(p, min(av + ad, xv + ev + min(xd, ed)),
-                     terms)[1] is not None:
+    minus_x = (xv, None if xm is None else p**xd - xm, xd)
+    for ca, ce in pairs[1:]:
+        if dot_row(p, [((0, 1, ca[2]), ca), (minus_x, ce)])[1] is not None:
             raise InternalCheckError("unit correction inconsistent across "
                                      "places")
     return PAdicNumber(p, xv, xm, xd)

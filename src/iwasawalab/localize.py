@@ -4,22 +4,23 @@ a matrix of local coordinates.
 
 A place is the prime ideal q that `quadfield.factor_rational_prime`
 returns, and its kind is `quadfield.prime_kind(q)`.  `loc(x, q, p, N)` is
-the pair (valuation, unit log).  A local log is a tuple of PAdicNumber
-coordinates: () away from p, where only the valuation contributes to any
-Z_p-rank; one coordinate at a split or rational place above p; two at an
-inert one, over {1, s}, s = sqrt(D).  The log is taken on integer residues
-by `padic.unit_log_residues`; each coordinate is given as a PAdicNumber.
-
-The log of an S-unit product sums its exponents times the unit logs of its
-entries: `entry_logs` takes those at one prime and `log_sum` sums them, all
-as rows (padic.residue_row), and `loc` gives the sum as PAdicNumbers.  The
-Kummer certificate keeps the entry logs of each prime for all its reads.
+the pair (valuation, unit log).  A local log is a tuple of coordinates:
+() away from p, where only the valuation contributes to any Z_p-rank; one
+coordinate at a split or rational place above p; two at an inert one, over
+{1, s}, s = sqrt(D).  The log is taken on integer residues by
+`padic.unit_log_residues`, and its coordinates are rows (v, m, digits)
+(padic.residue_row) throughout: `entry_logs` takes those of the entries of
+an S-unit product at one prime, `log_sum` sums them with the product's
+exponents, one padic.dot_row per coordinate, and `is_loc_torsion` reads the
+rows.  Only `loc` builds PAdicNumbers, the ones it returns.  The Kummer
+certificate keeps the entry logs of each prime for all its reads.
 """
 
 from __future__ import annotations
 
 from .ntheory import InternalCheckError
-from .padic import PAdicNumber, terms_row, unit_log_residues, vp
+from .padic import (PAdicNumber, dot_row, residue_row, unit_log_residues,
+                    vp)
 from .quadfield import (FieldElement, IntegralIdeal, RealQuadraticField,
                         SUnitProduct, check_odd_prime, ideal_valuation,
                         parts_valuation, prime_ideals_above, prime_kind,
@@ -49,8 +50,8 @@ def _coordinates(a: int, b: int, den: int, q: IntegralIdeal, kind: str,
 
 
 def _element_unit_log(x: FieldElement, q: IntegralIdeal, N: int):
-    """(v, coordinates of the log of the 1-unit part of x) at a prime q
-    above p.  With x = (a + b*w)/den and s = v + v_p(den) = v_q(a + b*w),
+    """(v, the rows of the log of the 1-unit part of x) at a prime q above
+    p.  With x = (a + b*w)/den and s = v + v_p(den) = v_q(a + b*w),
     the unit x/p^v is read to A = N + max(v, 0) + 2 - v digits: the
     coordinates of (a + b*w)/den' mod p^(A + s), den = p^v_p(den)*den',
     divided by p^s."""
@@ -66,18 +67,23 @@ def _element_unit_log(x: FieldElement, q: IntegralIdeal, N: int):
         raise InternalCheckError("x/p^%d is not a unit at %s" % (v, q))
     r = q.field.D if kind == "inert" else 0
     l0, l1 = unit_log_residues(u0, u1, r, p, A)
-    return v, tuple(PAdicNumber.from_residue(c, p, A)
-                    for c in ((l0, l1) if r else (l0,)))
+    return v, tuple(residue_row(c, p, A) for c in ((l0, l1) if r else (l0,)))
 
 
 def loc(x, q: IntegralIdeal, p: int, N: int):
     """Localization of a field element or formal S-unit product at the
-    prime ideal q: the pair (valuation, unit log).
+    prime ideal q: the pair (valuation, unit log as PAdicNumbers).
 
     The 1-unit log is computed only at primes above the working prime p;
     away from p the unit part is torsion in the pro-p completion and only
     the valuation matters.
     """
+    val, unit_log = _loc_rows(x, q, p, N)
+    return val, tuple(PAdicNumber(p, *c) for c in unit_log)
+
+
+def _loc_rows(x, q: IntegralIdeal, p: int, N: int):
+    """loc with the unit log as rows."""
     ell, kind = prime_kind(q)
     with_log = ell == p and kind != "ramified"
     if isinstance(x, FieldElement):
@@ -89,35 +95,23 @@ def loc(x, q: IntegralIdeal, p: int, N: int):
     val = x.valuation_at(q)
     if not with_log:
         return val, ()
-    return val, tuple(PAdicNumber(p, *c) for c in log_sum(
-        x.exponents, entry_logs(x.entries, q, N)))
+    return val, log_sum(x.exponents, entry_logs(x.entries, q, N))
 
 
 def entry_logs(entries, q: IntegralIdeal, N: int) -> tuple:
     """The unit log of the element of each basis entry at the prime q above
     p, in the order of `entries`, as rows."""
-    return tuple(tuple((c.v, c.m, c.digits) for c in
-                       _element_unit_log(entry.element, q, N)[1])
+    return tuple(_element_unit_log(entry.element, q, N)[1]
                  for entry in entries)
 
 
 def log_sum(exponents, logs) -> tuple:
-    """sum_i e_i * log_i, coordinate by coordinate, for logs as rows: the rows
-    of the object sum of the products, on their integers (kummer.EntryLogTable
-    states the precisions).  An exact-zero exponent does not cap the
-    precision of the sum: its term is a zero marker of bound
-    padic.EXACT_ZERO_BOUND (10^9) plus the valuation of log_i."""
-    out = []
-    for column in zip(*logs):
-        precs, terms = [], []
-        for e, (v, m, digits) in zip(exponents, column):
-            v += e.v
-            if e.m is not None and m is not None:
-                terms.append((v, e.m * m))
-                v += e.digits if e.digits < digits else digits
-            precs.append(v)
-        out.append(terms_row(exponents[0].p, min(precs), terms))
-    return tuple(out)
+    """sum_i e_i * log_i, coordinate by coordinate, for logs as rows: one
+    padic.dot_row of the exponents and each column.  An exact-zero exponent
+    does not cap the precision of the sum: its term is a zero marker of
+    bound padic.EXACT_ZERO_BOUND (10^9) plus the valuation of log_i."""
+    p, rows = exponents[0].p, [(e.v, e.m, e.digits) for e in exponents]
+    return tuple(dot_row(p, zip(rows, column)) for column in zip(*logs))
 
 
 def _val_status(v):
@@ -131,8 +125,7 @@ def _val_status(v):
 
 def is_loc_torsion(x, q: IntegralIdeal, p: int, N: int) -> str:
     """Whether loc(x) is torsion in the pro-p completion at q."""
-    val, unit_log = loc(x, q, p, N)
-    return torsion_status(val, [(c.v, c.m, c.digits) for c in unit_log])
+    return torsion_status(*_loc_rows(x, q, p, N))
 
 
 def torsion_status(val, unit_log) -> str:

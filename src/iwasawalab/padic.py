@@ -11,7 +11,8 @@ marker "valuation >= bound" rather than silently treated as equal to zero.
 Exponents are integers: no engine path raises a value to a Z_p power, since
 the Kummer element stays a formal product whose exponents are never applied.
 A row (v, m, digits) is a PAdicNumber's fields without p, (A, None, 0) for
-a marker of bound A: the Kummer path keeps its logs as rows.
+a marker of bound A: the Kummer path keeps its logs as rows, and every
+product of p-adic numbers is taken by dot_row.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ class PAdicNumber:
 
     def __add__(self, other):
         self._check(other)
-        return PAdicNumber(self.p, *terms_row(
+        return PAdicNumber(self.p, *_terms_row(
             self.p, min(self.abs_prec, other.abs_prec),
             [(x.v, x.m) for x in (self, other) if x.m is not None]))
 
@@ -151,13 +152,8 @@ class PAdicNumber:
         if isinstance(other, int):
             other = PAdicNumber.exact(other, self.p, self.digits or _EXACT_SLACK)
         self._check(other)
-        p = self.p
-        if self.m is None or other.m is None:
-            # v(xy) >= bound(x) + v_or_bound(y)
-            return PAdicNumber.zero_marker(p, self.v + other.v)
-        digits = min(self.digits, other.digits)
-        m = self.m * other.m % p**digits
-        return PAdicNumber(p, self.v + other.v, m, digits)
+        return PAdicNumber(self.p, *dot_row(self.p, [(
+            (self.v, self.m, self.digits), (other.v, other.m, other.digits))]))
 
     __rmul__ = __mul__
 
@@ -206,7 +202,7 @@ def residue_row(r: int, p: int, A: int) -> tuple:
     return v, r // p**v, A - v
 
 
-def terms_row(p: int, A: int, terms) -> tuple:
+def _terms_row(p: int, A: int, terms) -> tuple:
     """The row of the sum of p^v * m over the pairs (v, m) of `terms`, known
     mod p^A: the one p-adic sum.  Terms of v >= A vanish; the rest sum to
     p^s * r, s the least of 0 and their v, and r is read by residue_row mod
@@ -223,6 +219,25 @@ def terms_row(p: int, A: int, terms) -> tuple:
             r += m * p**(v - s)
     v, m, digits = residue_row(r, p, A - s)
     return v + s, m, digits
+
+
+def dot_row(p: int, pairs) -> tuple:
+    """The row of the sum of x*y over the pairs (x, y) of rows, the one
+    p-adic product: (x + O(p^Ax))(y + O(p^Ay)) = xy + O(p^(Ax + vy)) +
+    O(p^(Ay + vx)), so p^vx*mx times p^vy*my is known mod
+    p^(vx + vy + min(dx, dy)), and a product with a marker is a marker of
+    bound vx + vy, a marker's v being its bound.  _terms_row sums the
+    products mod the least of these; with an exact zero (bound 10^9) in
+    every product that is past 10^9, and no such power of p is formed."""
+    A, terms = None, []
+    for (vx, mx, dx), (vy, my, dy) in pairs:
+        v = vx + vy
+        if mx is not None and my is not None:
+            terms.append((v, mx * my))
+            v += dx if dx < dy else dy
+        if A is None or v < A:
+            A = v
+    return _terms_row(p, A, terms)
 
 
 def truncate_row(row: tuple, p: int, drop: int) -> tuple:

@@ -23,7 +23,7 @@ from .abgroup import (FiniteAbelianGroup, GroupElement, decompose_abelian,
                       relation_lattice)
 from .ntheory import (Frozen, InternalCheckError, extgcd, is_squarefree,
                       isprime, legendre, power, quad_mul, sqrt_mod_prime)
-from .padic import EXACT_ZERO_BOUND, PAdicNumber, terms_row, vp
+from .padic import EXACT_ZERO_BOUND, PAdicNumber, dot_row, vp
 
 
 class RealQuadraticField(Frozen):
@@ -1020,21 +1020,19 @@ class SUnitProduct:
         return PAdicNumber.exact(int(e), self.p, self.prec + 4)
 
     def valuation_at(self, q: IntegralIdeal) -> PAdicNumber:
-        """sum_i e_i * exact(v_q(entry_i), p, prec + 4), as the object sum
-        gives it, on integers: v_q = p^k * u, e_i = p^v * m give the term
-        (v + k, m * u), or a marker of bound v + k."""
+        """sum_i e_i * exact(v_q(entry_i), p, prec + 4), the object sum
+        from an exact zero: one padic.dot_row of the exponents and the rows
+        (k, n / p^k, prec + 4) of the nonzero valuations n, p^k || n (a
+        mantissa dot_row need not have reduced), the exact zero its first
+        product."""
         p, digits = self.p, self.prec + 4
-        A, terms = EXACT_ZERO_BOUND, []
+        pairs = [((EXACT_ZERO_BOUND, None, 0), (0, 1, digits))]
         for e, entry in zip(self.exponents, self.entries):
             n = entry.valuations.get(q, 0)
             if n:
                 k = vp(n, p)
-                v = e.v + k
-                if e.m is not None:
-                    terms.append((v, e.m * (n // p**k)))
-                    v += e.digits if e.digits < digits else digits
-                A = min(A, v)
-        return PAdicNumber(p, *terms_row(p, A, terms))
+                pairs.append(((e.v, e.m, e.digits), (k, n // p**k, digits)))
+        return PAdicNumber(p, *dot_row(p, pairs))
 
     def support_keys(self):
         """The prime ideals where an entry whose exponent is not exactly 0

@@ -36,10 +36,11 @@ of 1 + p on PAdicNumbers, as `classfield` and `iwasawa` read it before
 `reduced_pairs_scan`, the O(D) scan of every P against every Q of its
 window, before `quadfield._reduced_pairs` read the reduced states off
 divisor pairs, and the Kummer certificate's kernels on PAdicNumber
-objects (`padic_add`, `log_sum_objects`, `valuation_at_objects`,
-`solve_unit_exponent_objects`), before `PAdicNumber.__add__`,
-`localize.log_sum`, `quadfield.SUnitProduct.valuation_at` and
-`kummer._solve_unit_exponent` read the integers of their terms, and the
+objects (`padic_add`, `padic_mul`, `log_sum_objects`,
+`valuation_at_objects`, `solve_unit_exponent_objects`), before
+`PAdicNumber.__add__`, `PAdicNumber.__mul__`, `localize.log_sum`,
+`quadfield.SUnitProduct.valuation_at` and `kummer._solve_unit_exponent`
+read the integers of their terms, and the
 dataclass definitions of the value types (`DataclassField`,
 `DataclassElement`, `DataclassIdeal`, `DataclassGroupElement`,
 `DataclassSplittingReport`, `DataclassSUnitBasisEntry`, built from an
@@ -1110,7 +1111,7 @@ def scale_exponents(alpha: SUnitProduct, n: int) -> SUnitProduct:
 
 def padic_add(self, other):
     """x + y for PAdicNumbers, as PAdicNumber.__add__ took it before it
-    read its sum off padic.terms_row."""
+    read its sum off padic._terms_row."""
     self._check(other)
     p = self.p
     A = min(self.abs_prec, other.abs_prec)
@@ -1130,6 +1131,19 @@ def padic_add(self, other):
     # r is p^-s times the sum, an integer even when a valuation is < 0
     y = PAdicNumber.from_residue(r, p, A - s)
     return PAdicNumber(p, y.v + s, y.m, y.digits) if s else y
+
+
+def padic_mul(self, other):
+    """x * y for PAdicNumbers, as PAdicNumber.__mul__ took it before it
+    read its product off padic.dot_row."""
+    self._check(other)
+    p = self.p
+    if self.m is None or other.m is None:
+        # v(xy) >= bound(x) + v_or_bound(y)
+        return PAdicNumber.zero_marker(p, self.v + other.v)
+    digits = min(self.digits, other.digits)
+    m = self.m * other.m % p**digits
+    return PAdicNumber(p, self.v + other.v, m, digits)
 
 
 def log_sum_objects(exponents, logs) -> tuple:

@@ -187,8 +187,10 @@ def test_seed_one_alpha_batch_builds_few_levels_directly(monkeypatch):
 # the log series and PAdicNumber objects of the seed-1 kummer-alpha batch
 # from emptied memos, at most: 746 and 7,467 when each precision of the
 # ladder took its own logs, and the entry-log table, the degrees of mq and
-# the unit correction were PAdicNumber objects
-SEED_ONE_ALPHA_WORK = {"log_series": 422, "PAdicNumber": 2723}
+# the unit correction were PAdicNumber objects; 422 and 2,723 while the
+# rounded degree-0 element divided two degree objects and the unit logs of
+# the entries were objects turned back into rows
+SEED_ONE_ALPHA_WORK = {"log_series": 413, "PAdicNumber": 1697}
 
 
 def test_seed_one_alpha_batch_takes_few_logs_and_objects(monkeypatch):

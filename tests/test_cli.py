@@ -158,6 +158,19 @@ def test_alpha_noninert_usage(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("command", ["mq", "alpha"])
+@pytest.mark.parametrize("field,q1,q2,prime", [
+    ("Q", "2", "17", "(17; 0; 0)"), ("Q(sqrt{2})", "17b", "5", "(17; 2; 1)")])
+def test_a_prime_not_inert_in_the_cyclotomic_tower_is_a_usage_error(
+        command, field, q1, q2, prime, capsys):
+    assert main([command, "--field", field, "--p", "3", "--q1", q1,
+                 "--q2", q2, "--prec", "2"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "usage error: %s is not inert in the cyclotomic tower " \
+        "(norm 17)\n" % prime
+
+
 def test_even_check(capsys):
     code, doc = run_json(capsys, "even-check", "--field", "Q", "--p", "3",
                          "--q", "7", "--prec", "2")

@@ -47,6 +47,29 @@ def test_construct_alpha_rejects_noninert():
         construct_alpha(QQ, 3, (17, 5), 3)
 
 
+@pytest.mark.parametrize("d,s1,s2", [(1, "2", "17"), (1, "17", "5"),
+                                      (2, "5", "17a"), (2, "17b", "5")])
+def test_a_prime_not_inert_in_the_cyclotomic_tower_is_refused(d, s1, s2):
+    """At p = 3, (17) over Q and each prime over 17 of Q(sqrt 2), where 17
+    splits, have v_3(17^2 - 1) = 2, so their Frobenius does not generate
+    the cyclotomic Z_3-quotient and the degree of q1 that a1 divides by
+    would not be a unit.  mq_generator, mq_order, construct_alpha and
+    verify_alpha refuse such a pair with a ValueError naming the prime,
+    whichever of q1 and q2 it is."""
+    K = QQ if d == 1 else Q2
+    Q = (_prime(K, s1), _prime(K, s2))
+    bad = Q[0] if Q[0].norm == 17 else Q[1]
+    alpha = construct_alpha(QQ, 3, (2, 5), 2).alpha
+    message = "%s is not inert in the cyclotomic tower (norm 17)" % bad
+    for call in (lambda: mq_generator(K, 3, Q, 2),
+                 lambda: mq_order(K, 3, Q, 2),
+                 lambda: construct_alpha(K, 3, Q, 2),
+                 lambda: verify_alpha(alpha, K, 3, Q, 2)):
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == message
+
+
 def test_construct_alpha_d2_p5():
     q1 = factor_rational_prime(Q2, 2).ideals[0]
     q2 = rational_ideal(Q2, 3)

@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iwasawalab.padic import (PAdicNumber, residue_row, teichmueller,
-                              truncate_row, vp)
+from iwasawalab.padic import (PAdicNumber, dot_row, residue_row,
+                              teichmueller, truncate_row, vp)
 
 from oracles import (AtLeast, UnramifiedQuadElem, angle, angle_log, log_ratio,
-                     padic_add, plog, val_and_unit, valuation)
+                     padic_add, padic_mul, plog, val_and_unit, valuation)
 
 
 def pexp_oracle(x: PAdicNumber) -> PAdicNumber:
@@ -136,14 +136,40 @@ def test_add_sub_against_fractions(data, p, op):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.data(), st.sampled_from([3, 5, 7]))
 def test_add_is_the_reference_sum(data, p):
-    """x + y, read off padic.terms_row, has the fields of the
+    """x + y, read off padic._terms_row, has the fields of the
     reference sum oracles.padic_add, markers, exact zeros and negative
     valuations included."""
-    operand = st.one_of(_padic_and_value(p).map(lambda xa: xa[0]),
-                        st.just(PAdicNumber.exact(0, p, 4)))
+    operand = _operand(p)
     x, y = data.draw(operand), data.draw(operand)
     z, want = x + y, padic_add(x, y)
     assert (z.v, z.m, z.digits) == (want.v, want.m, want.digits)
+
+
+def _operand(p):
+    """A PAdicNumber of _padic_and_value, or an exact zero."""
+    return st.one_of(_padic_and_value(p).map(lambda xa: xa[0]),
+                     st.just(PAdicNumber.exact(0, p, 4)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data(), st.sampled_from([3, 5, 7]), st.integers(1, 5))
+def test_dot_row_is_the_sum_of_reference_products(data, p, n):
+    """padic.dot_row of n pairs of rows has the fields of the sum, by
+    oracles.padic_add, of the reference products oracles.padic_mul,
+    markers, exact zeros and negative valuations included; x * y, its one
+    pair case, has the fields of padic_mul(x, y)."""
+    pairs = [(data.draw(_operand(p)), data.draw(_operand(p)))
+             for _ in range(n)]
+    want = None
+    for x, y in pairs:
+        xy = padic_mul(x, y)
+        want = xy if want is None else padic_add(want, xy)
+    got = dot_row(p, [((x.v, x.m, x.digits), (y.v, y.m, y.digits))
+                      for x, y in pairs])
+    assert got == (want.v, want.m, want.digits)
+    x, y = pairs[0]
+    z, xy = x * y, padic_mul(x, y)
+    assert (z.v, z.m, z.digits) == (xy.v, xy.m, xy.digits)
 
 
 def _certified(z: PAdicNumber, c: Fraction) -> bool:

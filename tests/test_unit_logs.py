@@ -35,7 +35,7 @@ RECORDED_BATCHES = (("leopoldt-scan", 1), ("kummer-alpha", 1))
 
 
 def _coords(lg):
-    return [[c.v, c.m, c.digits] for c in lg]
+    return [list(c) for c in lg]
 
 
 def _place_key(q):
