@@ -9,12 +9,12 @@ from .abgroup import (FiniteAbelianGroup, GroupElement, smith_normal_form,
                       smith_presentation, element_order, subgroup_image_order,
                       decompose_abelian)
 from .quadfield import (RealQuadraticField, FieldElement, IntegralIdeal,
-                        SUnitBasisData, SUnitProduct, factor_rational_prime,
-                        class_group, fundamental_unit, principal_generator,
+                        SUnitBasisData, factor_rational_prime, class_group,
+                        fundamental_unit, principal_generator,
                         ideal_valuation, prime_ideals_above, rational_ideal)
 from .rayclass import ray_class_group
-from .localize import (RankReport, completions_above_p, loc, is_loc_torsion,
-                       eq_membership)
+from .localize import (RankReport, SUnitProduct, completions_above_p, loc,
+                       is_loc_torsion, eq_membership)
 from .classfield import (GaloisGroupG, group_G, frobenius_image, e_of_q,
                          even_criterion)
 from .iwasawa import (FrobeniusModuleReport, LeopoldtReport,

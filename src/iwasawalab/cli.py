@@ -18,7 +18,7 @@ from .iwasawa import (defect_never_one_scan, greenberg_wiles, leopoldt_defect,
                       mq_order)
 from .kummer import construct_alpha
 from .ntheory import InternalCheckError, isprime
-from .padic import PAdicNumber, PrecisionError, teichmueller
+from .padic import EXACT_ZERO_BOUND, PAdicNumber, PrecisionError, teichmueller
 from .quadfield import (RealQuadraticField, check_odd_prime, class_group,
                         factor_rational_prime, fundamental_unit,
                         rational_ideal)
@@ -88,7 +88,8 @@ def _int_items(option: str, text: str, width: int, form: str):
 
 def _padic_json(x: PAdicNumber):
     if x.is_marker:
-        return {"marker": True, "valuation_at_least": min(x.v, 10**9)}
+        return {"marker": True,
+                "valuation_at_least": min(x.v, EXACT_ZERO_BOUND)}
     return {"marker": False, "valuation": x.v,
             "residue": x.residue(x.abs_prec), "abs_precision": x.abs_prec}
 

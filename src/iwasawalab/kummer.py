@@ -9,26 +9,28 @@ Its basis does not depend on the precision N: `_alpha_basis` builds the
 entries (the units, beta, pi1, pi2) once per (K, p, Q) and congruence
 split, kept on the tower of (K, p) under Q, with an EntryLogTable of their
 unit logs at the primes above p, taken at the highest precision asked for
-so far; a lower N reads its rows (padic) by truncation.  The clauses read
-the table and alpha's exponents on their integers, building results only:
-each product of p-adic numbers, pi1's exponent t1 included, is a
-padic.dot_row, which alone states a product's precision.
+so far; a lower N reads its rows (padic) by truncation.  alpha is a
+localize.SUnitProduct.  The clauses read the table, alpha's exponents and
+its valuations (rows) on their integers, building results only: each
+product of p-adic numbers, pi1's exponent t1 included, is a padic.dot_row,
+which alone states a product's precision, and a PAdicNumber is built only
+for an exponent of alpha and for the two valuations the certificate keeps.
 """
 
 from __future__ import annotations
 
 from .abgroup import element_order, smith_normal_form
 from .iwasawa import mq_order
-from .localize import (INDET, TRUE, FALSE, completions_above_p, entry_logs,
-                       eq_membership, log_sum, torsion_status, zp_matrix_rank,
-                       RankReport)
+from .localize import (INDET, TRUE, FALSE, SUnitProduct, completions_above_p,
+                       entry_logs, eq_membership, log_sum, torsion_status,
+                       zp_matrix_rank, RankReport)
 from .ntheory import InternalCheckError, factorint
 from .padic import (PAdicNumber, PrecisionError, dot_row, residue_row,
                     truncate_row, vp)
 from .quadfield import (FieldElement, RealQuadraticField, SUnitBasisData,
-                        SUnitProduct, check_odd_prime, class_group,
-                        ideal_valuation, prime_ideals_above, realize,
-                        principal_generator, s_unit_entry, unit_entries)
+                        check_odd_prime, class_group, ideal_valuation,
+                        prime_ideals_above, realize, principal_generator,
+                        s_unit_entry, unit_entries)
 from .rayclass import ray_class_tower
 
 
@@ -117,7 +119,7 @@ def construct_alpha(K: RealQuadraticField, p: int, Q, N: int) \
     # part dies; the unit correction and the torsion clause read one table
     logs = table.at(N)
     if not K.is_rational:
-        exponents[1] = -_solve_unit_exponent(alpha, logs)
+        exponents[1] = _solve_unit_exponent(alpha, logs)
         alpha = SUnitProduct(entries, p, exponents, N)
     return _check_certificate(alpha, K, p, (q1, q2), N, rep, logs)
 
@@ -175,11 +177,12 @@ class EntryLogTable:
 
 
 def _solve_unit_exponent(alpha0: SUnitProduct, logs) -> PAdicNumber:
-    """x in Z_p with log loc(alpha0) = x * log loc(eps) at every prime above
-    p, given the logs `logs` of alpha0.entries (EntryLogTable.at), whose
-    entry 1 is eps (unit_entries: -1, then eps).  Each quotient ca/ce, ce
-    no marker, is integral, and x is the first: every other pair has
-    ca - x*ce, the padic.dot_row of (1, ca) and (-x, ce), a marker."""
+    """-x, the unit correction, for the x in Z_p with log loc(alpha0) =
+    x * log loc(eps) at every prime above p, given the logs `logs` of
+    alpha0.entries (EntryLogTable.at), whose entry 1 is eps (unit_entries:
+    -1, then eps).  Each quotient ca/ce, ce no marker, is integral, and x is
+    the first: every other pair has ca - x*ce, the padic.dot_row of (1, ca)
+    and (-x, ce), a marker."""
     p = alpha0.p
     pairs = [(ca, ce) for _, lg in logs
              for ca, ce in zip(log_sum(alpha0.exponents, lg), lg[1])
@@ -197,7 +200,7 @@ def _solve_unit_exponent(alpha0: SUnitProduct, logs) -> PAdicNumber:
         if dot_row(p, [((0, 1, ca[2]), ca), (minus_x, ce)])[1] is not None:
             raise InternalCheckError("unit correction inconsistent across "
                                      "places")
-    return PAdicNumber(p, xv, xm, xd)
+    return PAdicNumber(p, *minus_x)
 
 
 def verify_alpha(alpha: SUnitProduct, K: RealQuadraticField, p: int, Q,
@@ -227,15 +230,16 @@ def _check_certificate(alpha: SUnitProduct, K: RealQuadraticField, p: int,
         return cert
 
     # (ii) nonzero valuations generating the same ideal of Z_p
-    v1 = cert.val_q1 = alpha.valuation_at(q1)
-    v2 = cert.val_q2 = alpha.valuation_at(q2)
-    if v1.is_marker or v2.is_marker:
+    (v1, m1, d1), (v2, m2, d2) = (alpha.valuation_at(q) for q in Q)
+    cert.val_q1 = PAdicNumber(alpha.p, v1, m1, d1)
+    cert.val_q2 = PAdicNumber(alpha.p, v2, m2, d2)
+    if m1 is None or m2 is None:
         cert.status = "indeterminate"
         return cert
-    if v1.v != v2.v:
+    if v1 != v2:
         cert.status = "rejected:valuations"
         return cert
-    cert.a_exponent = v1.v
+    cert.a_exponent = v1
 
     # (iii) the localization of alpha at p is torsion
     verdicts = [torsion_status(alpha.valuation_at(q),

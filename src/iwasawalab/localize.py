@@ -1,30 +1,33 @@
 """Localization at the finite places of F, and the rank and torsion
-criteria on it: local torsion tests, S-unit membership, and the Z_p-rank of
-a matrix of local coordinates.
+criteria on it: formal S-unit products, local torsion tests, S-unit
+membership, and the Z_p-rank of a matrix of local coordinates.
 
 A place is the prime ideal q that `quadfield.factor_rational_prime`
 returns, and its kind is `quadfield.prime_kind(q)`.  `loc(x, q, p, N)` is
-the pair (valuation, unit log).  A local log is a tuple of coordinates:
-() away from p, where only the valuation contributes to any Z_p-rank; one
-coordinate at a split or rational place above p; two at an inert one, over
-{1, s}, s = sqrt(D).  The log is taken on integer residues by
-`padic.unit_log_residues`, and its coordinates are rows (v, m, digits)
-(padic.residue_row) throughout: `entry_logs` takes those of the entries of
-an S-unit product at one prime, `log_sum` sums them with the product's
-exponents, one padic.dot_row per coordinate, and `is_loc_torsion` reads the
-rows.  Only `loc` builds PAdicNumbers, the ones it returns.  The Kummer
-certificate keeps the entry logs of each prime for all its reads.
+the pair (valuation, unit log) of a field element or of an `SUnitProduct`,
+a formal product of S-unit basis entries (`quadfield`) with Z_p exponents.
+A local log is a tuple of coordinates: () away from p, where only the
+valuation contributes to any Z_p-rank; one coordinate at a split or
+rational place above p; two at an inert one, over {1, s}, s = sqrt(D).
+The log is taken on integer residues by `padic.unit_log_residues`, and its
+coordinates are rows (v, m, digits) (padic.residue_row) throughout:
+`entry_logs` takes those of the entries of an S-unit product at one prime,
+`log_sum` sums them with the product's exponents, one padic.dot_row per
+coordinate, a product's valuation is the row of one dot_row
+(`SUnitProduct.valuation_at`), and `is_loc_torsion` and `eq_membership`
+read the rows.  Besides a product's exponents, only `loc` builds
+PAdicNumbers, the ones it returns.  The Kummer certificate keeps the entry
+logs of each prime for all its reads.
 """
 
 from __future__ import annotations
 
 from .ntheory import InternalCheckError
-from .padic import (PAdicNumber, dot_row, residue_row, unit_log_residues,
-                    vp)
+from .padic import (EXACT_ZERO_BOUND, PAdicNumber, dot_row, residue_row,
+                    unit_log_residues, vp)
 from .quadfield import (FieldElement, IntegralIdeal, RealQuadraticField,
-                        SUnitProduct, check_odd_prime, ideal_valuation,
-                        parts_valuation, prime_ideals_above, prime_kind,
-                        split_root)
+                        check_odd_prime, ideal_valuation, parts_valuation,
+                        prime_ideals_above, prime_kind, split_root)
 
 TRUE, FALSE, INDET = "true", "false", "indeterminate"
 
@@ -70,6 +73,41 @@ def _element_unit_log(x: FieldElement, q: IntegralIdeal, N: int):
     return v, tuple(residue_row(c, p, A) for c in ((l0, l1) if r else (l0,)))
 
 
+class SUnitProduct:
+    """Formal product of S-unit basis entries with Z_p exponents."""
+
+    def __init__(self, entries, p: int, exponents, prec: int):
+        self.entries = tuple(entries)
+        self.p = p
+        self.prec = prec
+        self.exponents = [e if isinstance(e, PAdicNumber)
+                          else PAdicNumber.exact(int(e), p, prec + 4)
+                          for e in exponents]
+        if len(self.exponents) != len(self.entries):
+            raise ValueError("exponent vector has wrong length")
+
+    def valuation_at(self, q: IntegralIdeal) -> tuple:
+        """The row of sum_i e_i * v_q(entry_i): one padic.dot_row of the
+        exponents and the rows (k, n / p^k, prec + 4) of the nonzero
+        valuations n, p^k || n (a mantissa dot_row need not have reduced),
+        an exact zero its first product, so that with no other it is the
+        exact-zero marker."""
+        p, digits = self.p, self.prec + 4
+        pairs = [((EXACT_ZERO_BOUND, None, 0), (0, 1, digits))]
+        for e, entry in zip(self.exponents, self.entries):
+            n = entry.valuations.get(q, 0)
+            if n:
+                k = vp(n, p)
+                pairs.append(((e.v, e.m, e.digits), (k, n // p**k, digits)))
+        return dot_row(p, pairs)
+
+    def to_json(self):
+        return {
+            "basis": [e.label for e in self.entries],
+            "exponents": [repr(e) for e in self.exponents],
+        }
+
+
 def loc(x, q: IntegralIdeal, p: int, N: int):
     """Localization of a field element or formal S-unit product at the
     prime ideal q: the pair (valuation, unit log as PAdicNumbers).
@@ -79,11 +117,13 @@ def loc(x, q: IntegralIdeal, p: int, N: int):
     the valuation matters.
     """
     val, unit_log = _loc_rows(x, q, p, N)
+    if isinstance(x, SUnitProduct):
+        val = PAdicNumber(x.p, *val)
     return val, tuple(PAdicNumber(p, *c) for c in unit_log)
 
 
 def _loc_rows(x, q: IntegralIdeal, p: int, N: int):
-    """loc with the unit log as rows."""
+    """loc with the unit log, and a product's valuation, as rows."""
     ell, kind = prime_kind(q)
     with_log = ell == p and kind != "ramified"
     if isinstance(x, FieldElement):
@@ -114,24 +154,17 @@ def log_sum(exponents, logs) -> tuple:
     return tuple(dot_row(p, zip(rows, column)) for column in zip(*logs))
 
 
-def _val_status(v):
-    """(is_zero, certified) for an exact int or PAdicNumber valuation."""
-    if isinstance(v, int):
-        return v == 0, True
-    if v.is_marker:
-        return True, v.is_exact_zero or v.v >= 1
-    return False, True
-
-
 def is_loc_torsion(x, q: IntegralIdeal, p: int, N: int) -> str:
     """Whether loc(x) is torsion in the pro-p completion at q."""
     return torsion_status(*_loc_rows(x, q, p, N))
 
 
 def torsion_status(val, unit_log) -> str:
-    """Whether a localization (valuation, unit log as rows) is torsion in
-    the pro-p completion."""
-    zero, certified = _val_status(val)
+    """Whether a localization (valuation, an int or a product's row; unit
+    log as rows) is torsion in the pro-p completion.  A marker valuation is
+    zero, certified from bound 1 on, as an exact zero's is."""
+    zero, certified = ((val == 0, True) if isinstance(val, int)
+                       else (val[1] is None, val[0] >= 1))
     # away from p the log is (): the unit part is torsion in the pro-p
     # completion
     if not zero or any(m is not None for _, m, _ in unit_log):
@@ -140,10 +173,12 @@ def torsion_status(val, unit_log) -> str:
 
 
 def eq_membership(x: SUnitProduct, Q_ideals) -> bool:
-    """Does x lie in the completed Q-unit group, i.e. supported on Q only?"""
-    allowed = set(Q_ideals)
-    return all(q in allowed or x.valuation_at(q).is_marker
-               for q in x.support_keys())
+    """Does x lie in the completed Q-unit group, i.e. supported on Q only?
+    Every prime off Q where an entry whose exponent is not exactly 0 has a
+    nonzero valuation must give x a marker valuation."""
+    off_q = {q for e, entry in zip(x.exponents, x.entries)
+             if not e.is_exact_zero for q in entry.valuations} - set(Q_ideals)
+    return all(x.valuation_at(q)[1] is None for q in off_q)
 
 
 class RankReport:

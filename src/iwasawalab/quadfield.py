@@ -1,6 +1,8 @@
 """Exact arithmetic in F = Q or F = Q(sqrt d): integers, ideals in Hermite
-normal form, prime splitting, class groups, fundamental units, S-units and
-principality tests.
+normal form, prime splitting, class groups, fundamental units, S-unit bases
+and principality tests.  The module is exact algebra: its only p-adic
+function is padic.vp, and the formal products of S-units with Z_p exponents
+are localize.SUnitProduct.
 
 All class-group work runs through the cycle structure of reduced quadratic
 irrationals (P + sqrt D)/Q under the continued-fraction step, which
@@ -23,7 +25,7 @@ from .abgroup import (FiniteAbelianGroup, GroupElement, decompose_abelian,
                       relation_lattice)
 from .ntheory import (Frozen, InternalCheckError, extgcd, is_squarefree,
                       isprime, legendre, power, quad_mul, sqrt_mod_prime)
-from .padic import EXACT_ZERO_BOUND, PAdicNumber, dot_row, vp
+from .padic import vp
 
 
 class RealQuadraticField(Frozen):
@@ -999,50 +1001,3 @@ class SUnitBasisData:
             raise ValueError("element is not supported on Q")
         return [int(rest.a == -1)] + coords
 
-
-# ------------------------------------------------------------ formal products
-
-class SUnitProduct:
-    """Formal product of S-unit basis entries with Z_p exponents."""
-
-    def __init__(self, entries, p: int, exponents, prec: int):
-        self.entries = tuple(entries)
-        self.field = self.entries[0].element.field
-        self.p = p
-        self.prec = prec
-        self.exponents = [self._promote(e) for e in exponents]
-        if len(self.exponents) != len(self.entries):
-            raise ValueError("exponent vector has wrong length")
-
-    def _promote(self, e):
-        if isinstance(e, PAdicNumber):
-            return e
-        return PAdicNumber.exact(int(e), self.p, self.prec + 4)
-
-    def valuation_at(self, q: IntegralIdeal) -> PAdicNumber:
-        """sum_i e_i * exact(v_q(entry_i), p, prec + 4), the object sum
-        from an exact zero: one padic.dot_row of the exponents and the rows
-        (k, n / p^k, prec + 4) of the nonzero valuations n, p^k || n (a
-        mantissa dot_row need not have reduced), the exact zero its first
-        product."""
-        p, digits = self.p, self.prec + 4
-        pairs = [((EXACT_ZERO_BOUND, None, 0), (0, 1, digits))]
-        for e, entry in zip(self.exponents, self.entries):
-            n = entry.valuations.get(q, 0)
-            if n:
-                k = vp(n, p)
-                pairs.append(((e.v, e.m, e.digits), (k, n // p**k, digits)))
-        return PAdicNumber(p, *dot_row(p, pairs))
-
-    def support_keys(self):
-        """The prime ideals where an entry whose exponent is not exactly 0
-        has a nonzero valuation."""
-        return {q for e, entry in zip(self.exponents, self.entries)
-                if not (e.is_marker and e.is_exact_zero)
-                for q in entry.valuations}
-
-    def to_json(self):
-        return {
-            "basis": [e.label for e in self.entries],
-            "exponents": [repr(e) for e in self.exponents],
-        }

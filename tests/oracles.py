@@ -39,8 +39,8 @@ divisor pairs, and the Kummer certificate's kernels on PAdicNumber
 objects (`padic_add`, `padic_mul`, `log_sum_objects`,
 `valuation_at_objects`, `solve_unit_exponent_objects`), before
 `PAdicNumber.__add__`, `PAdicNumber.__mul__`, `localize.log_sum`,
-`quadfield.SUnitProduct.valuation_at` and `kummer._solve_unit_exponent`
-read the integers of their terms, and the
+`localize.SUnitProduct.valuation_at` (a row) and
+`kummer._solve_unit_exponent` (-x) read the integers of their terms, and the
 dataclass definitions of the value types (`DataclassField`,
 `DataclassElement`, `DataclassIdeal`, `DataclassGroupElement`,
 `DataclassSplittingReport`, `DataclassSUnitBasisEntry`, built from an
@@ -90,7 +90,8 @@ from iwasawalab.iwasawa import (FrobeniusModuleReport, LeopoldtReport,
                                 _check_q_pair, _rounded_degree_zero)
 from iwasawalab.kummer import kummer_rank
 from iwasawalab.localize import (FALSE, INDET, TRUE, RankReport,
-                                 completions_above_p, loc, zp_matrix_rank)
+                                 SUnitProduct, completions_above_p, loc,
+                                 zp_matrix_rank)
 from iwasawalab.ntheory import (InternalCheckError, crt, factorint, isprime,
                                 power, quad_mul)
 from iwasawalab.padic import (PAdicNumber, PrecisionError, _log_terms_needed,
@@ -98,7 +99,7 @@ from iwasawalab.padic import (PAdicNumber, PrecisionError, _log_terms_needed,
 from iwasawalab.quadfield import (FieldElement, IntegralIdeal,
                                   RealQuadraticField, SplittingReport,
                                   SUnitBasisData, SUnitBasisEntry,
-                                  SUnitProduct, _real_sign, fundamental_unit)
+                                  _real_sign, fundamental_unit)
 
 
 def _memo_tables():
@@ -1158,7 +1159,7 @@ def log_sum_objects(exponents, logs) -> tuple:
 
 def valuation_at_objects(x: SUnitProduct, q) -> PAdicNumber:
     """SUnitProduct.valuation_at on PAdicNumber objects, as it was taken
-    before it read the integers of its terms."""
+    before it read the integers of its terms and gave them as a row."""
     total = PAdicNumber.exact(0, x.p, x.prec + 4)
     for e, entry in zip(x.exponents, x.entries):
         v = entry.valuations.get(q, 0)
@@ -1169,9 +1170,9 @@ def valuation_at_objects(x: SUnitProduct, q) -> PAdicNumber:
 
 
 def solve_unit_exponent_objects(alpha0: SUnitProduct, logs):
-    """kummer._solve_unit_exponent on PAdicNumber objects, a quotient and a
-    difference of objects per coordinate, as it was taken before it read
-    the integers of the coordinates."""
+    """x, the negation of kummer._solve_unit_exponent, on PAdicNumber
+    objects, a quotient and a difference of objects per coordinate, as it
+    was taken before it read the integers of the coordinates."""
     x = None
     checks = []
     for _, lg in logs:

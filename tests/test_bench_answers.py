@@ -189,8 +189,9 @@ def test_seed_one_alpha_batch_builds_few_levels_directly(monkeypatch):
 # ladder took its own logs, and the entry-log table, the degrees of mq and
 # the unit correction were PAdicNumber objects; 422 and 2,723 while the
 # rounded degree-0 element divided two degree objects and the unit logs of
-# the entries were objects turned back into rows
-SEED_ONE_ALPHA_WORK = {"log_series": 413, "PAdicNumber": 1697}
+# the entries were objects turned back into rows; 1,697 objects while each
+# valuation of alpha was one and the unit correction was negated
+SEED_ONE_ALPHA_WORK = {"log_series": 413, "PAdicNumber": 1325}
 
 
 def test_seed_one_alpha_batch_takes_few_logs_and_objects(monkeypatch):

@@ -10,15 +10,15 @@ from iwasawalab import kummer, localize, rayclass
 from iwasawalab.iwasawa import (is_inert_in_cyclotomic, mq_generator,
                                 mq_order)
 from iwasawalab.kummer import construct_alpha, verify_alpha, kummer_rank
-from iwasawalab.localize import TRUE, FALSE, INDET, completions_above_p
+from iwasawalab.localize import (TRUE, FALSE, INDET, SUnitProduct,
+                                 completions_above_p)
 from iwasawalab.ntheory import InternalCheckError, is_squarefree, isprime
 from iwasawalab.padic import (EXACT_ZERO_BOUND, PAdicNumber, PrecisionError,
                               truncate_row, vp)
 from iwasawalab.quadfield import (RealQuadraticField, SUnitBasisData,
-                                  SUnitProduct, factor_rational_prime,
-                                  fundamental_unit, prime_kind,
-                                  principal_generator, rational_ideal,
-                                  s_unit_entry)
+                                  factor_rational_prime, fundamental_unit,
+                                  prime_kind, principal_generator,
+                                  rational_ideal, s_unit_entry)
 
 import oracles
 from oracles import (empty_memos, same_kummer_extension, scale_exponents,
@@ -596,7 +596,7 @@ def _solve_on_table(place_logs):
 
 def _solve_on_rows(alpha0, logs):
     """kummer._solve_unit_exponent of a log table of PAdicNumbers, read as
-    rows."""
+    rows: the unit correction -x."""
     return kummer._solve_unit_exponent(
         alpha0, tuple((q, oracles.rows(lgs)) for q, lgs in logs))
 
@@ -608,11 +608,11 @@ def _objects(p, lgs):
 
 def test_unit_correction_solves_a_consistent_table():
     """log beta = x * log eps at both places, x = 2 to the digits that the
-    quotient of the two logs certifies."""
+    quotient of the two logs certifies: the solve gives -x = 5^5 - 2."""
     of = PAdicNumber.of
-    x = _solve_on_table([(of(5, 5, 6), of(10, 5, 6)),
-                         (of(15, 5, 6), of(30, 5, 6))])
-    assert repr(x) == "5^0 * 2 (mod 5^5)"
+    minus_x = _solve_on_table([(of(5, 5, 6), of(10, 5, 6)),
+                               (of(15, 5, 6), of(30, 5, 6))])
+    assert repr(minus_x) == "5^0 * 3123 (mod 5^5)"
 
 
 def test_unit_correction_refuses_a_table_with_no_eps_digit():
@@ -656,6 +656,12 @@ def _solve_outcome(solve, alpha0, logs):
         return type(err).__name__, str(err)
 
 
+def _minus_object_solve(alpha0, logs):
+    """-x for the x of the object solve of tests/oracles.py: the unit
+    correction that kummer._solve_unit_exponent gives."""
+    return -oracles.solve_unit_exponent_objects(alpha0, logs)
+
+
 def test_kernels_answer_as_the_object_kernels_on_the_alpha_batches(
         monkeypatch):
     """Every log_sum, valuation_at, unit-correction solve and log table
@@ -696,10 +702,11 @@ def test_kernels_answer_as_the_object_kernels_on_the_alpha_batches(
         want = oracles.log_sum_objects(exponents, _objects(p, logs))
         assert [(p,) + c for c in out] == [_fields(c) for c in want]
     for (alpha, q), out in calls["valuation_at"]:
-        assert _fields(out) == _fields(oracles.valuation_at_objects(alpha, q))
+        assert (alpha.p,) + out == \
+            _fields(oracles.valuation_at_objects(alpha, q))
     for (alpha0, logs), out in calls["solve"]:
         assert _fields(out) == _solve_outcome(
-            oracles.solve_unit_exponent_objects, alpha0,
+            _minus_object_solve, alpha0,
             tuple((q, _objects(alpha0.p, lgs)) for q, lgs in logs))
     below_top = 0
     for (entries, places, N, top), out in calls["read"]:
@@ -764,8 +771,8 @@ def test_log_sum_is_the_object_sum(data, p, n, k):
        st.integers(1, 8))
 def test_valuation_at_is_the_object_sum(data, p, n, prec):
     """SUnitProduct.valuation_at over entries 2^a * 5^b, |a|, |b| <= 2p,
-    whose valuations are often divisible by p, has the fields of the object
-    sum at both primes."""
+    whose valuations are often divisible by p, is the row of the fields of
+    the object sum at both primes."""
     two, five = rational_ideal(QQ, 2), rational_ideal(QQ, 5)
     entries = []
     for i in range(n):
@@ -774,7 +781,7 @@ def test_valuation_at_is_the_object_sum(data, p, n, prec):
         entries.append(s_unit_entry(x, [two, five], str(i), "lattice"))
     alpha = SUnitProduct(entries, p, _exponents(data, p, n), prec)
     for q in (two, five):
-        assert _fields(alpha.valuation_at(q)) == \
+        assert (p,) + alpha.valuation_at(q) == \
             _fields(oracles.valuation_at_objects(alpha, q))
 
 
@@ -783,10 +790,11 @@ def test_valuation_at_is_the_object_sum(data, p, n, prec):
        st.integers(1, 2), st.integers(1, 2))
 def test_unit_correction_is_the_object_solve(data, p, n, k, places):
     """kummer._solve_unit_exponent on random exponents and log tables gives
-    the fields of the object solve, or refuses with the same error."""
+    the fields of -x for the x of the object solve, or refuses with the
+    same error."""
     entries = [s_unit_entry(QQ.element(i + 2), (), str(i), "lattice")
                for i in range(n)]
     alpha0 = SUnitProduct(entries, p, _exponents(data, p, n), 4)
     logs = tuple((None, _log_table(data, p, n, k)) for _ in range(places))
     assert _solve_outcome(_solve_on_rows, alpha0, logs) == \
-        _solve_outcome(oracles.solve_unit_exponent_objects, alpha0, logs)
+        _solve_outcome(_minus_object_solve, alpha0, logs)

@@ -2,15 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from iwasawalab.localize import (completions_above_p, _coordinates, loc,
-                                 is_loc_torsion, eq_membership, log_sum,
-                                 zp_matrix_rank, TRUE, FALSE)
+from iwasawalab.localize import (SUnitProduct, completions_above_p,
+                                 _coordinates, loc, is_loc_torsion,
+                                 eq_membership, log_sum, zp_matrix_rank,
+                                 TRUE, FALSE)
 from iwasawalab.padic import PAdicNumber
 from iwasawalab.quadfield import (RealQuadraticField, SUnitBasisData,
-                                  SUnitProduct, factor_rational_prime,
-                                  fundamental_unit, ideal_valuation,
-                                  prime_ideals_above, prime_kind,
-                                  rational_ideal)
+                                  factor_rational_prime, fundamental_unit,
+                                  ideal_valuation, prime_ideals_above,
+                                  prime_kind, rational_ideal)
 
 from oracles import UnramifiedQuadElem, inertia_rank, rows, sqrt_pair
 
@@ -123,6 +123,17 @@ def test_eq_membership():
     assert eq_membership(x, Q)
     y = SUnitProduct(basis.entries, 3, [0, 0, 0, 1], 8)  # the element 7
     assert not eq_membership(y, Q)
+    # an exponent of 7 that is a marker but not an exact zero puts 7 in the
+    # support walk, and the marker valuation it gives there keeps z in;
+    # an exact 1 there does not
+    seven = rational_ideal(QQ, 7)
+    z = SUnitProduct(basis.entries, 3,
+                     [0, a, 1, PAdicNumber.zero_marker(3, 5)], 8)
+    assert z.valuation_at(seven) == (5, None, 0)
+    assert eq_membership(z, Q)
+    w = SUnitProduct(basis.entries, 3, [0, a, 1, 1], 8)
+    assert w.valuation_at(seven) == (0, 1, 12)
+    assert not eq_membership(w, Q)
     eps_only = SUnitProduct(SUnitBasisData(Q2, []).entries, 3, [0, 1], 8)
     assert eq_membership(eps_only, [])
 

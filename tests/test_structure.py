@@ -11,6 +11,9 @@
   code (a fresh child process checks that the import loads neither it nor
   `inspect`);
 - no private name taken from a sibling module by `from .x import _name`;
+- no name but `vp` taken from `padic` by a module outside P_ADIC_MODULES:
+  the others (`quadfield`, `rayclass`, `abgroup`, `ntheory`) are exact
+  algebra, and the valuation of an integer is all they read of `padic`;
 - no module-level function, class or method that no code of `src/` refers
   to outside its own definition (a dead path), but those of CALLED_BY_NAME:
   a use by the tests or the benchmark alone, or a mention in a string or a
@@ -70,6 +73,13 @@ REFERENCE_ONLY = {
     "same_kummer_extension", "degree_zero_pair_element", "kernel_basis",
     "_column_lattice_basis", "solve_congruence_lattice",
     "degree_kernel_lattice",
+}
+
+# the modules of src/ that compute on p-adic numbers, and so may take from
+# padic more than vp
+P_ADIC_MODULES = {
+    "__init__.py", "padic.py", "residues.py", "classfield.py", "localize.py",
+    "iwasawa.py", "kummer.py", "cli.py",
 }
 
 # Class.method names that a library calls by name, not code of src/:
@@ -171,6 +181,17 @@ def test_no_private_name_from_a_sibling_module():
              for name, tree in _trees() for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) and node.level > 0
              for alias in node.names if alias.name.startswith("_")]
+    assert found == []
+
+
+def test_exact_algebra_takes_only_vp_from_padic():
+    found = ["%s %s" % (_where(name, node), alias.name)
+             for name, tree in _trees() if name not in P_ADIC_MODULES
+             for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level > 0
+             for alias in node.names
+             if node.module == "padic" and alias.name != "vp"
+             or node.module is None and alias.name == "padic"]
     assert found == []
 
 
@@ -422,6 +443,9 @@ def test_exports_are_the_imports_of_init():
     ("import os, dataclasses\n", test_no_dataclasses_import),
     ("from .quadfield import _residue_char\n",
      test_no_private_name_from_a_sibling_module),
+    ("from .padic import PAdicNumber, vp\n",
+     test_exact_algebra_takes_only_vp_from_padic),
+    ("from . import padic\n", test_exact_algebra_takes_only_vp_from_padic),
     ("def used_helper():\n    return 1\n\n\nclass UnusedClass:\n"
      "    def unused_method(self):\n        return used_helper()\n",
      test_every_definition_is_named_elsewhere),
