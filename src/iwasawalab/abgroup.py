@@ -1,6 +1,10 @@
-"""Finite abelian group engine: Smith normal form presentations, element
-orders, subgroup image orders, group decompositions and the relation
-lattices of elements given by their coordinates.
+"""Finite abelian group engine.  A presented group is one record,
+FiniteAbelianGroup: the Smith form of its relations, kept as the diagonal,
+the row transform U and the generator lifts, with its invariant factors
+and coordinates read off them (and its p-part, the same record over the
+p-parts of the diagonal).  Besides: element orders, subgroup image orders,
+group decompositions and the relation lattices of elements given by their
+coordinates.
 
 All matrices are lists of rows of Python ints; everything is exact.  The
 one integer-matrix kernel is smith_normal_form; the relations of
@@ -10,7 +14,8 @@ walk and need no solver.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
+from operator import mod
 
 from .ntheory import Frozen, InternalCheckError
 
@@ -19,10 +24,6 @@ from .ntheory import Frozen, InternalCheckError
 
 def _identity(n):
     return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
-
-
-def _mat_vec(A, x):
-    return [sum(A[i][j] * x[j] for j in range(len(x))) for i in range(len(A))]
 
 
 class SmithForm(tuple):
@@ -207,31 +208,28 @@ class GroupElement(Frozen):
 
 
 class FiniteAbelianGroup:
-    """Z/d1 x ... x Z/dk (+ a free part of rank free_rank), d1 | d2 | ...
-
-    `transform` maps ambient integer exponent vectors (length ambient_rank)
-    to reduced coordinates; it is the row-selection of the SNF change of
-    basis U retained for the torsion (and free) coordinates.  When the
+    """Z^n modulo a relation lattice, held as its Smith form D = U*A*V:
+    `diag`, the diagonal of D (d_1 | d_2 | ..., 0 for a free coordinate),
+    `transform`, all n rows of U, and `lifts`, for each row of U an ambient
+    vector whose class generates that coordinate (a column of U^{-1}).
+    Coordinate i of an ambient vector x is (U*x)_i mod d_i; the d_i > 1 are
+    the `invariant_factors`, and the 0s count the free_rank.  When the
     presentation was computed modulo a multiple R of the group order, U and
-    so `transform` and `full_transform` are reduced modulo R: invertible
-    modulo R, not unimodular, which is all that reading coordinate i modulo
-    d_i needs.  `lifts` holds, for each row of `full_transform`, an ambient
-    vector whose class generates that coordinate: a column of U^{-1},
-    reduced modulo R alike.  Groups are equal when all seven fields are.
-    """
+    the lifts are reduced modulo R: invertible modulo R, not unimodular,
+    which is all that reading coordinate i modulo d_i needs.  The p-part of
+    a finite group is the record over the same U and lifts with diagonal
+    p^v_p(d_i).  With `diag` alone it is Z/d_1 x ... x Z/d_k with no
+    presentation, its elements built by `element`.  Groups are equal when
+    their diagonals, transforms and lifts are."""
 
-    def __init__(self, invariant_factors, free_rank=0, ambient_rank=0,
-                 transform=None, full_transform=None, full_diag=None,
-                 lifts=None):
-        self.invariant_factors = invariant_factors
-        self.free_rank = free_rank
-        self.ambient_rank = ambient_rank
-        # rows: torsion then free; all SNF rows; all diagonal entries;
-        # generator lifts, all rows
+    def __init__(self, diag, transform=None, lifts=None):
+        self.diag = diag
         self.transform = [] if transform is None else transform
-        self.full_transform = [] if full_transform is None else full_transform
-        self.full_diag = [] if full_diag is None else full_diag
         self.lifts = [] if lifts is None else lifts
+        self.invariant_factors = tuple(d for d in diag if d > 1)
+        self.free_rank = diag.count(0)
+        self._torsion_rows = [u for u, d in zip(self.transform, diag)
+                              if d > 1]
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -242,22 +240,17 @@ class FiniteAbelianGroup:
     def order(self) -> int:
         if self.free_rank:
             raise ValueError("infinite group has no order")
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
+        return prod(self.invariant_factors)
 
     def element(self, coords) -> GroupElement:
-        return GroupElement(tuple(c % d for c, d in
-                                  zip(coords, self.invariant_factors)))
+        return GroupElement(tuple(map(mod, coords, self.invariant_factors)))
 
     def project(self, ambient_vector) -> GroupElement:
         """Image of an ambient exponent vector in the torsion coordinates."""
-        if len(ambient_vector) != self.ambient_rank:
+        if len(ambient_vector) != len(self.diag):
             raise ValueError("ambient vector has wrong length")
-        y = _mat_vec(self.transform, list(ambient_vector))
-        tor = y[:len(self.invariant_factors)]
-        return self.element(tor)
+        return self.element([sum(a * x for a, x in zip(u, ambient_vector))
+                             for u in self._torsion_rows])
 
     def add(self, g: GroupElement, h: GroupElement) -> GroupElement:
         return self.element([a + b for a, b in zip(g.coords, h.coords)])
@@ -266,12 +259,11 @@ class FiniteAbelianGroup:
         return self.element([n * a for a in g.coords])
 
     def subgroup_lattice(self, gens):
-        """Columns spanning the lattice of <gens> + relation lattice in Z^k."""
+        """Columns spanning the lattice of <gens> + relation lattice in Z^k,
+        as rows."""
         k = len(self.invariant_factors)
-        cols = [list(g.coords) for g in gens]
-        cols += [[self.invariant_factors[i] if j == i else 0
-                  for i in range(k)] for j in range(k)]
-        return [[c[i] for c in cols] for i in range(k)]
+        return [list(c) + [0] * i + [d] + [0] * (k - 1 - i) for i, (c, d)
+                in enumerate(zip(zip(*gens), self.invariant_factors))]
 
 
 def smith_presentation(relations, ambient_rank: int, *,
@@ -294,18 +286,7 @@ def smith_presentation(relations, ambient_rank: int, *,
     D, U, _ = snf
     diag = [D[i][i] if i < (len(D[0]) if D else 0) else 0
             for i in range(ambient_rank)]
-    tor_idx = [i for i in range(ambient_rank) if diag[i] > 1]
-    free_idx = [i for i in range(ambient_rank) if diag[i] == 0]
-    transform = [U[i] for i in tor_idx] + [U[i] for i in free_idx]
-    return FiniteAbelianGroup(
-        invariant_factors=tuple(diag[i] for i in tor_idx),
-        free_rank=len(free_idx),
-        ambient_rank=ambient_rank,
-        transform=transform,
-        full_transform=U,
-        full_diag=diag,
-        lifts=snf.lifts,
-    )
+    return FiniteAbelianGroup(diag, U, snf.lifts)
 
 
 # ----------------------------------------------------------------- operations
@@ -319,15 +300,14 @@ def element_order(G: FiniteAbelianGroup, g: GroupElement) -> int:
 
 
 def subgroup_image_order(G: FiniteAbelianGroup, gens) -> int:
-    """Order of the subgroup of G generated by gens."""
+    """Order of the subgroup of G generated by gens, elements of G or any
+    coordinate vectors of them."""
     if G.free_rank:
         raise ValueError("subgroup orders require a finite group")
-    if not G.invariant_factors:
+    if not G.invariant_factors or not gens:
         return 1
-    if not gens:
-        return 1
-    B = G.subgroup_lattice(gens)
-    return G.order // lattice_index(B, modulus=G.order)
+    n = G.order
+    return n // lattice_index(G.subgroup_lattice(gens), modulus=n)
 
 
 # ------------------------------------------- decomposition of abstract groups

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 
-from .abgroup import FiniteAbelianGroup, GroupElement
+from .abgroup import GroupElement
 from .ntheory import InternalCheckError
 from .padic import PAdicNumber, unit_log_residues, vp
 from .quadfield import (IntegralIdeal, RealQuadraticField, check_odd_prime,
@@ -85,13 +85,13 @@ def _degree_without_log(n: int, p: int, N: int) -> int:
 
 class GaloisGroupG:
     """p-part of Cl(p^M) at M = N+1, modelling G at precision N: rc is the
-    RayClassGroupData, group its p-part and cyc_hom phi on the invariant
-    coordinates."""
+    RayClassGroupData, `group` its p-part, read from rc, and cyc_hom phi on
+    the invariant coordinates."""
 
     def __init__(self, field: RealQuadraticField, p: int, N: int, rc,
-                 group: FiniteAbelianGroup, cyc_hom: list):
+                 cyc_hom: list):
         self.field, self.p, self.N = field, p, N
-        self.rc, self.group, self.cyc_hom = rc, group, cyc_hom
+        self.rc, self.group, self.cyc_hom = rc, rc.p_group, cyc_hom
 
     def frobenius_class(self, q: IntegralIdeal) -> GroupElement:
         if residue_char(q) == self.p:
@@ -155,17 +155,16 @@ def _transport_hom(rc, c_ambient, mod):
     Invariant coordinate i is generated by the class of the lift W_i of the
     presentation, so the hom c.x becomes y.z with y_i = c.W_i.  Any lift
     gives the same y_i modulo `mod`: lifts differ by relations, R*e_j is
-    one, and c kills the relations.  Coordinates whose order is prime to p
-    must carry y_i = 0.
+    one, and c kills the relations.  Coordinates whose order is prime to p,
+    diagonal entry 1 in the p-part, must carry y_i = 0.
     """
-    yint = [sum(a * w for a, w in zip(c_ambient, lift)) % mod
-            for lift in rc.presentation.lifts]
-    keep = set(rc.p_keep)
-    for i in range(rc.ambient_rank):
-        if i not in keep and yint[i] % mod:
-            raise InternalCheckError("cyclotomic map does not factor "
-                                     "through the p-part")
-    return [yint[i] for i in rc.p_keep]
+    G = rc.p_group
+    y = [sum(a * w for a, w in zip(c_ambient, lift)) % mod
+         for lift in G.lifts]
+    if any(t for t, d in zip(y, G.diag) if d == 1):
+        raise InternalCheckError("cyclotomic map does not factor "
+                                 "through the p-part")
+    return [t for t, d in zip(y, G.diag) if d > 1]
 
 
 def group_G(K: RealQuadraticField, p: int, N: int) -> GaloisGroupG:
@@ -177,8 +176,7 @@ def group_G(K: RealQuadraticField, p: int, N: int) -> GaloisGroupG:
     check_odd_prime(p, K)
     M = N + 1
     rc = ray_class_tower(K, p).level(M)
-    return GaloisGroupG(K, p, N, rc, rc.p_group,
-                        _cyc_hom_on_invariants(rc, p, M))
+    return GaloisGroupG(K, p, N, rc, _cyc_hom_on_invariants(rc, p, M))
 
 
 def frobenius_image(G: GaloisGroupG, q: IntegralIdeal):

@@ -30,10 +30,11 @@ def is_inert_in_cyclotomic(q, K: RealQuadraticField, p: int) -> bool:
 
 
 def _generates_cyclotomic(n: int, p: int) -> bool:
-    """is_inert_in_cyclotomic for a prime of norm n, known to be prime."""
+    """is_inert_in_cyclotomic for a prime of norm n, known to be prime:
+    n^(p-1) is 1 mod p, so its valuation is 1 when it is not 1 mod p^2."""
     if n % p == 0:
         raise ValueError("q lies above p")
-    return vp(pow(n, p - 1) - 1, p) == 1
+    return pow(n, p - 1, p * p) != 1
 
 
 class FrobeniusModuleReport:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .ntheory import power, quad_mul
+from .ntheory import InternalCheckError, power, quad_mul
 
 # bound used for zero markers that arise from exact integer zeros
 EXACT_ZERO_BOUND = 10**9
@@ -251,7 +251,8 @@ def truncate_row(row: tuple, p: int, drop: int) -> tuple:
 # ------------------------------------------------------------------ operations
 
 def teichmueller(x: PAdicNumber) -> PAdicNumber:
-    """The (p-1)-st root of unity congruent to x mod p, as lim x^(p^k)."""
+    """The (p-1)-st root of unity congruent to x mod p, as lim x^(p^k):
+    each step gains at least one digit, so digits steps find it."""
     if not x.is_unit():
         raise ValueError("Teichmueller lift requires a unit")
     p, digits = x.p, x.digits
@@ -262,6 +263,8 @@ def teichmueller(x: PAdicNumber) -> PAdicNumber:
         if t2 == t:
             break
         t = t2
+    else:
+        raise InternalCheckError("Teichmueller lift did not converge")
     return PAdicNumber(p, 0, t, digits)
 
 

@@ -20,8 +20,8 @@ from collections import OrderedDict
 from functools import lru_cache, reduce
 from math import gcd, prod
 
-from .abgroup import FiniteAbelianGroup, GroupElement, lattice_index, \
-    smith_presentation
+from .abgroup import FiniteAbelianGroup, GroupElement, smith_presentation, \
+    subgroup_image_order
 from .ntheory import InternalCheckError, factorint, isprime
 from .padic import vp
 from .quadfield import (IntegralIdeal, RealQuadraticField, check_odd_prime,
@@ -63,7 +63,8 @@ def _p_power(m: IntegralIdeal, p: int) -> int:
 
 
 class RayClassGroupData:
-    """p-part of the ray class group of conductor m, with dlog machinery.
+    """The ray class group of conductor m, `group`, and its p-part,
+    `p_group`, with dlog machinery.
 
     With `top`, a direct build of conductor (p^T), it is the level (p^M),
     M <= T, read as a quotient of the top (Neukirch, ANT, ch. VI
@@ -117,8 +118,7 @@ class RayClassGroupData:
         self._class_dlogs = class_dlogs
         nu = len(self.unit_orders)
         r = len(self.clg.gen_orders)
-        self.nu, self.r = nu, r
-        self.ambient_rank = nu + r
+        self.nu = nu
 
         rows = []
         for i, o in enumerate(self.unit_orders):
@@ -132,22 +132,12 @@ class RayClassGroupData:
         # diagonal the unit orders and the class orders: their product is
         # a multiple of the group order
         R = prod(self.unit_orders) * prod(self.clg.gen_orders)
-        self.presentation = smith_presentation(rows, nu + r, modulus=R)
-        if self.presentation.free_rank:
+        G = self.group = smith_presentation(rows, nu + r, modulus=R)
+        if G.free_rank:
             raise InternalCheckError("ray class group came out infinite")
-        self.full_factors = self.presentation.invariant_factors
-        self.full_diag = self.presentation.full_diag
-        self.full_transform = self.presentation.full_transform
-        # p-part: reduce each full coordinate mod the p-part of its order
-        v_parts = [vp(d, p) for d in self.full_diag]
-        keep = [i for i, v in enumerate(v_parts) if v > 0]
-        self.p_keep = keep
-        self.p_group = FiniteAbelianGroup(
-            invariant_factors=tuple(p**v_parts[i] for i in keep),
-            free_rank=0,
-            ambient_rank=self.ambient_rank,
-            transform=[self.full_transform[i] for i in keep],
-        )
+        # p-part: each coordinate read modulo the p-part of its order
+        self.p_group = FiniteAbelianGroup([p**vp(d, p) for d in G.diag],
+                                          G.transform, G.lifts)
 
     def _reduce(self, dlog):
         """A dlog of `units`, read modulo this level's generator orders."""
@@ -212,21 +202,15 @@ class RayClassGroupData:
     def p_order(self) -> int:
         return self.p_group.order
 
-    def full_order(self) -> int:
-        return prod(self.full_factors)
-
     def unit_image_order(self) -> int:
-        """Order of the image of the global units in (O/m)*: |(O/m)*| over
-        the index of the lattice of diag(unit_orders) and the unit dlogs."""
-        size = prod(self.unit_orders)
-        B = [[o if j == i else 0 for j in range(self.nu)]
-             + [d[i] for d in self._unit_dlogs]
-             for i, o in enumerate(self.unit_orders)]
-        return size // lattice_index(B, modulus=size)
+        """Order of the image of the global units in (O/m)*, the group of
+        the unit orders: the subgroup that the unit dlogs generate."""
+        return subgroup_image_order(FiniteAbelianGroup(self.unit_orders),
+                                    self._unit_dlogs)
 
     def order_identity(self):
         """Both sides of |Cl_m| * |im E| = |Cl| * |(O/m)*|, full and p-part."""
-        full, image = self.full_order(), self.unit_image_order()
+        full, image = self.group.order, self.unit_image_order()
         h, size = self.clg.h, prod(self.unit_orders)
         return {
             "full": (full * image, h * size),

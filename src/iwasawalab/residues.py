@@ -264,7 +264,9 @@ class RationalComponent(_Component):
 
 
 class InertComponent(_Component):
-    """(O/ell^e)* for an inert prime, residues as pairs over {1, w}."""
+    """(O/ell^e)* for an inert prime, residues as pairs over {1, w}.  For
+    e > 1 the torsion generator is the fixed point of g -> g^(ell^2): each
+    step gains at least one digit, so e steps of the cap 2e + 2 find it."""
 
     def __init__(self, K, q, ell, e):
         super().__init__(K, q, ell, e)
@@ -288,11 +290,23 @@ class InertComponent(_Component):
                 if g2 == g:
                     break
                 g = g2
+            else:
+                raise InternalCheckError("torsion lift did not converge")
+            m1 = ell**(e - 1)
             self.gens = [g, (1 + ell, 0), (1, ell)]
-            self.orders = [n_res, ell**(e - 1), ell**(e - 1)]
-            # logs of the 1-unit generators 1 + ell and 1 + ell*w
-            self._log_u1 = log_series(ell, 0, self._trace, self._norm, ell, e)
-            self._log_u2 = log_series(0, ell, self._trace, self._norm, ell, e)
+            self.orders = [n_res, m1, m1]
+            # logs of the 1-unit generators 1 + ell and 1 + ell*w, over
+            # ell, as the columns of a matrix, and its inverse mod m1
+            a11, a21 = (t // ell for t in log_series(
+                ell, 0, self._trace, self._norm, ell, e))
+            a12, a22 = (t // ell for t in log_series(
+                0, ell, self._trace, self._norm, ell, e))
+            det = a11 * a22 - a12 * a21
+            if det % ell == 0:
+                raise InternalCheckError("1-unit log basis is degenerate")
+            det_inv = pow(det, -1, m1)
+            self._log_basis_inv = [[c * det_inv % m1 for c in row]
+                                   for row in ((a22, -a12), (-a21, a11))]
 
     def reduce(self, x: FieldElement):
         if x.den % self.ell == 0:
@@ -328,18 +342,11 @@ class InertComponent(_Component):
         w = self.mul(u, power(self.mul, self.one, self.gens[0], n_res - i)) \
             if i else u
         lw = log_series(w[0] - 1, w[1], self._trace, self._norm, ell, e)
-        # solve alpha * log(u1) + beta * log(u2) = log(w) mod ell^(e-1)
-        m1 = ell**(e - 1)
-        a11, a21 = self._log_u1[0] // ell, self._log_u1[1] // ell
-        a12, a22 = self._log_u2[0] // ell, self._log_u2[1] // ell
+        # alpha * log(u1) + beta * log(u2) = log(w) mod ell^(e-1)
         b1, b2 = lw[0] // ell, lw[1] // ell
-        det = a11 * a22 - a12 * a21
-        if det % ell == 0:
-            raise InternalCheckError("1-unit log basis is degenerate")
-        det_inv = pow(det, -1, m1)
-        alpha = (b1 * a22 - b2 * a12) * det_inv % m1
-        beta = (a11 * b2 - a21 * b1) * det_inv % m1
-        return [i, alpha, beta]
+        m1 = self.orders[1]
+        return [i] + [(c1 * b1 + c2 * b2) % m1
+                      for c1, c2 in self._log_basis_inv]
 
     def norm_int(self, u):
         return (u[0] * u[0] + self._trace * u[0] * u[1]

@@ -217,14 +217,14 @@ def test_modular_presentation_random_full_rank():
     for A, R in FULL_RANK_CASES:
         n = len(A)
         G = smith_presentation(A, n, modulus=R)
-        assert G.full_diag == _diagonal_by_minors(A)
-        assert G.invariant_factors == tuple(d for d in G.full_diag if d > 1)
+        assert G.diag == _diagonal_by_minors(A)
+        assert G.invariant_factors == tuple(d for d in G.diag if d > 1)
         assert G.order == R
         if n <= 3:
             D, _, _ = smith_normal_form(A, with_u=False)
-            assert G.full_diag == [D[i][i] for i in range(n)]
+            assert G.diag == [D[i][i] for i in range(n)]
         assert all(G.project(row) == group_identity(G) for row in A)
-        tor = [i for i, d in enumerate(G.full_diag) if d > 1]
+        tor = [i for i, d in enumerate(G.diag) if d > 1]
         for t, i in enumerate(tor):
             assert G.project(G.lifts[i]).coords == \
                 tuple(int(s == t) for s in range(len(tor)))
@@ -240,7 +240,7 @@ def test_modular_presentation_against_sympy():
     for A, R in FULL_RANK_CASES:
         S = sympy_snf(Matrix(A), domain=ZZ)
         G = smith_presentation(A, len(A), modulus=R)
-        assert G.full_diag == [abs(int(S[i, i])) for i in range(len(A))]
+        assert G.diag == [abs(int(S[i, i])) for i in range(len(A))]
 
 
 def test_presentation_diag_2_3():

@@ -277,11 +277,12 @@ def test_transport_hom_matches_exact_solve(d, p):
     rng = random.Random(10 * d + p)
     for M in (2, 3, 4):
         rc = ray_class_group(K, p**M, p)
-        n, mod, keep = rc.ambient_rank, p**(M - 1), rc.p_keep
+        n, mod = len(rc.group.diag), p**(M - 1)
+        keep = [i for i, d in enumerate(rc.p_group.diag) if d > 1]
         c = [cyclotomic_log(x, p, M) for x in rc.units.gen_norm_ints()] + \
             [cyclotomic_log(q.norm, p, M) for q in rc.class_gen_ideals]
         y = _transport_hom(rc, c, mod)
-        U = smith_presentation(rc.relations, n).full_transform
+        U = smith_presentation(rc.relations, n).transform
         y_exact = [t % mod for t in solve_integral_fractions(
             [[U[i][j] for i in range(n)] for j in range(n)], c)]
         assert all(y_exact[i] == 0 for i in range(n) if i not in keep)
@@ -295,8 +296,31 @@ def test_transport_hom_matches_exact_solve(d, p):
                 % mod == cx
         R = prod(rc.units.orders) * prod(rc.clg.gen_orders)
         if all((a - b) % R == 0 for row, row_exact in
-               zip(rc.full_transform, U) for a, b in zip(row, row_exact)):
+               zip(rc.group.transform, U) for a, b in zip(row, row_exact)):
             assert y == [y_exact[i] for i in keep]
+
+
+def test_a_map_that_breaks_a_relation_is_refused(monkeypatch):
+    """The ambient map is checked on every relation: with each generator of
+    Cl_(9) of Q(sqrt 2) at p = 3 sent to 1, the order row of the inert
+    component's torsion generator, (8, 0, 0), sums to 8, not 0 mod 3."""
+    rc = ray_class_group(RealQuadraticField(2), 9, 3)
+    assert rc.relations[0] == [8, 0, 0]
+    monkeypatch.setattr(classfield, "cyclotomic_log", lambda n, p, A: 1)
+    with pytest.raises(InternalCheckError,
+                       match="inconsistent with the relations"):
+        classfield._cyc_hom_on_invariants(rc, 3, 2)
+
+
+def test_a_map_alive_off_the_p_part_is_refused():
+    """A coordinate outside the p-part (diagonal entry 1 there) has no
+    image in it, so a map that is not 0 on its lift is refused: (1, 0, 0)
+    is 2 mod 3 on the lift of coordinate 0 of Cl_(9) of Q(sqrt 10)."""
+    rc = ray_class_group(RealQuadraticField(10), 9, 3)
+    assert rc.p_group.diag == [1, 1, 3] and rc.p_group.lifts[0][0] % 3 == 2
+    with pytest.raises(InternalCheckError,
+                       match="does not factor through the p-part"):
+        _transport_hom(rc, [1, 0, 0], 3)
 
 
 def test_e_of_q():

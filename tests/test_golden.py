@@ -127,6 +127,11 @@ CASES = [
     ("frobenius-79", 0,
      ["--format", "json", "frobenius", "--field", "Q(sqrt{79})", "--p",
       "3", "--q", "2", "--q", "5a", "--prec", "3"]),
+    # p = 5 is inert in Q(sqrt 2): the class coordinates pass through an
+    # inert component of (O/5^4)*
+    ("frobenius-2-inert", 0,
+     ["--format", "json", "frobenius", "--field", "Q(sqrt{2})", "--p", "5",
+      "--q", "3", "--q", "7", "--q", "11", "--q", "17a", "--prec", "3"]),
     ("even-check-79", 0,
      ["--format", "json", "even-check", "--field", "Q(sqrt{79})", "--p",
       "3", "--q", "7", "--prec", "2"]),

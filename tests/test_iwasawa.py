@@ -102,6 +102,18 @@ def test_an_int_q_that_is_prime_is_taken():
     assert mq_order(QQ, 3, (2, 5), 3).m_q == 1
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 101])
+def test_generates_cyclotomic_reads_the_power_mod_p_squared(p):
+    """n^(p-1) = 1 mod p for n prime to p, so v_p(n^(p-1) - 1) = 1, read
+    on the exact power, is n^(p-1) != 1 mod p^2, as _generates_cyclotomic
+    reads it: the two agree on every n in [2, 10^4) prime to p (at
+    n = 1 the difference is 0, which has no valuation)."""
+    for n in range(2, 10**4):
+        if n % p:
+            assert iwasawa._generates_cyclotomic(n, p) == \
+                (vp(pow(n, p - 1) - 1, p) == 1), n
+
+
 def test_even_criterion_at_7_over_q_sqrt_2():
     """The ideal (7) of Q(sqrt 2) is refused; the prime (7; 0; 1) above 7
     passes with inertia orders [3, 3]."""
@@ -330,11 +342,10 @@ def _quotient_view(rc, p, M):
         "relations": rc.relations, "class_gen_ideals": rc.class_gen_ideals,
         "unit_orders": rc.unit_orders,
         "unit_norms": [n % p**M for n in rc.unit_norms],
-        "unit_dlogs": rc._unit_dlogs, "full_factors": rc.full_factors,
-        "full_diag": rc.full_diag, "full_transform": rc.full_transform,
-        "lifts": rc.presentation.lifts, "p_keep": rc.p_keep,
+        "unit_dlogs": rc._unit_dlogs, "diag": rc.group.diag,
+        "transform": rc.group.transform, "lifts": rc.group.lifts,
+        "p_diag": rc.p_group.diag,
         "p_invariants": rc.p_group.invariant_factors,
-        "p_transform": rc.p_group.transform,
         "order_identity": rc.order_identity(),
         "cyc_hom": classfield._cyc_hom_on_invariants(rc, p, M),
         "classes": [(str(q), rc.ambient_of_ideal(q), rc.p_class_of_ideal(q))
@@ -398,7 +409,7 @@ def test_tower_levels_have_the_ray_class_number(d, p):
         tower = rayclass.RayClassTower(K, p)
         for M in order:
             rc = tower.level(M)
-            assert (rc.full_order(), rc.p_order) == \
+            assert (rc.group.order, rc.p_order) == \
                 (want[M], p**vp(want[M], p)), (M, tower.exponent)
         assert tower.exponent == 8
 

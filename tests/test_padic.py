@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from iwasawalab import padic
+from iwasawalab.ntheory import InternalCheckError
 from iwasawalab.padic import (PAdicNumber, dot_row, residue_row,
                               teichmueller, truncate_row, vp)
 
@@ -305,6 +307,17 @@ def test_teichmueller_2_mod_27():
 def test_teichmueller_nonunit_rejected():
     with pytest.raises(ValueError):
         teichmueller(PAdicNumber.of(6, 3, 3))
+
+
+def test_teichmueller_that_never_settles_raises(monkeypatch):
+    """With the step t -> t^p replaced by t -> t + 1, which has no fixed
+    point, the cap of digits + 1 steps raises instead of returning a
+    number that is no root of unity."""
+    x = PAdicNumber.of(2, 5, 3)
+    monkeypatch.setattr(padic, "pow", lambda t, p, mod: (t + 1) % mod,
+                        raising=False)
+    with pytest.raises(InternalCheckError, match="did not converge"):
+        teichmueller(x)
 
 
 # ------------------------------------------------------------------ angle

@@ -42,7 +42,7 @@ def test_d2_conductor_25_at_5():
     K = RealQuadraticField(2)
     rc = ray_class_group(K, 25, 5)
     assert rc.p_group.invariant_factors == (5,)
-    assert rc.full_order() == 10
+    assert rc.group.order == 10
     assert rc.unit_image_order() == 60
 
 
@@ -59,7 +59,7 @@ def test_d3_conductor_25_at_5():
     rc = ray_class_group(K, 25, 5)
     assert prod(rc.unit_orders) == 600
     assert rc.unit_image_order() == 30
-    assert rc.full_order() == 20
+    assert rc.group.order == 20
     assert rc.p_group.invariant_factors == (5,)
 
 
@@ -241,6 +241,40 @@ def test_unit_image_order_matches_two_snf_reference():
         assert ident["p"][0] == ident["p"][1], (K, n)
 
 
+def test_p_part_against_sympy_smith_form():
+    """The p-part record of seeded ray class groups against sympy's Smith
+    form of the same relations: its invariant factors are the p-parts of
+    sympy's, and `project` of a random ambient vector is the full group's
+    coordinates of it, kept where p divides the order and reduced modulo
+    the p-part."""
+    pytest.importorskip("sympy")
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form
+    rng = random.Random(44)
+    fields = [QQ] + [RealQuadraticField(d) for d in (2, 3, 7, 10, 11, 79)]
+    count = 0
+    while count < 12:
+        K, p = rng.choice(fields), rng.choice([3, 5, 7])
+        n = p**rng.randint(2, 4) * rng.choice([1, 7, 11, 13, 49])
+        if not K.is_rational and K.D % p == 0:
+            continue
+        try:
+            rc = ray_class_group(K, n, p)
+        except ValueError:
+            continue
+        S = smith_normal_form(Matrix(rc.relations), domain=ZZ)
+        sympy_diag = [abs(int(S[i, i])) for i in range(min(S.shape))]
+        assert rc.p_group.invariant_factors == tuple(
+            p**vp(d, p) for d in sympy_diag if d % p == 0), (K, n, p)
+        full = rc.group.invariant_factors
+        for _ in range(10):
+            x = [rng.randint(-10**6, 10**6) for _ in rc.group.diag]
+            want = [c % p**vp(d, p) for c, d in
+                    zip(rc.group.project(x).coords, full) if d % p == 0]
+            assert list(rc.p_group.project(x).coords) == want, (K, n, p)
+        count += 1
+
+
 def test_class_representative_cap_fails_loudly(monkeypatch, capsys):
     """With no prime ell accepted as a candidate (isprime holds only for
     p = 3, which divides m), the search for class representatives of
@@ -317,7 +351,7 @@ def test_full_order_is_the_ray_class_number():
             except ValueError as err:
                 assert "unsupported" in str(err), (d, n)
                 continue
-            assert rc.full_order() == ray_class_number(d, n), (d, n)
+            assert rc.group.order == ray_class_number(d, n), (d, n)
             built += 1
     assert built == 2823
     W = load_bench("workloads")
@@ -328,5 +362,5 @@ def test_full_order_is_the_ray_class_number():
         ells = [ell for ell in range(*W.RAY_ELL_RANGE)
                 if isprime(ell) and kronecker(D, ell) == -1]
         for ell in rng.sample(ells, 8):
-            assert ray_class_group(K, ell, 3).full_order() \
+            assert ray_class_group(K, ell, 3).group.order \
                 == ray_class_number(d, ell), (d, ell)

@@ -711,6 +711,26 @@ def test_generator_searches_raise_internal_checks():
         _inert_generator(_QuadFieldUnits(2, 1, 7), {2: 1, 3: 1}, {2: 3})
 
 
+def test_a_torsion_lift_that_never_settles_raises(monkeypatch):
+    """With the step g -> g^(ell^2) of an inert component at e = 2 replaced
+    by a map with no fixed point, the cap of 2e + 2 steps raises instead of
+    taking a non-root of unity as the torsion generator."""
+    monkeypatch.setattr(residues, "power",
+                        lambda mul, one, g, k: (g[0] + 1, g[1]))
+    with pytest.raises(InternalCheckError, match="did not converge"):
+        _inert_component(2, 5, 2)
+
+
+def test_a_degenerate_one_unit_log_basis_raises_at_build(monkeypatch):
+    """The logs of 1 + ell and 1 + ell*w are inverted once, when the
+    component is built: with both read as log(1 + ell), the basis is
+    degenerate and the build raises, before any dlog is asked."""
+    monkeypatch.setattr(residues, "log_series",
+                        lambda z0, z1, t, n, p, A: (p, 0))
+    with pytest.raises(InternalCheckError, match="log basis is degenerate"):
+        _inert_component(2, 5, 2)
+
+
 def test_a_wrong_primitive_root_exits_5(monkeypatch, capsys):
     """2 has order 3 mod 7, so with it as the root of (Z/7)* a dlog meets
     an element outside <2>: an engine fault, which exits 5 and not 4."""
