@@ -2,14 +2,17 @@
 FiniteAbelianGroup: the Smith form of its relations, kept as the diagonal,
 the row transform U and the generator lifts, with its invariant factors
 and coordinates read off them (and its p-part, the same record over the
-p-parts of the diagonal).  Besides: element orders, subgroup image orders,
-group decompositions and the relation lattices of elements given by their
+p-parts of the diagonal, and its quotients, records on its invariant
+coordinates).  Besides: element orders, subgroup image orders, group
+decompositions and the relation lattices of elements given by their
 coordinates.
 
 All matrices are lists of rows of Python ints; everything is exact.  The
-one integer-matrix kernel is smith_normal_form; the relations of
-decompose_abelian and relation_lattice come out triangular from one table
-walk and need no solver.
+one integer-matrix kernel is smith_normal_form, but for the rank of a
+matrix with no known multiple of its index (matrix_rank), where exact
+Smith cofactors grow without bound; the relations of decompose_abelian
+and relation_lattice come out triangular from one table walk and need no
+solver.
 """
 
 from __future__ import annotations
@@ -262,8 +265,20 @@ class FiniteAbelianGroup:
         """Columns spanning the lattice of <gens> + relation lattice in Z^k,
         as rows."""
         k = len(self.invariant_factors)
+        cols = list(zip(*gens)) or [()] * k
         return [list(c) + [0] * i + [d] + [0] * (k - 1 - i) for i, (c, d)
-                in enumerate(zip(zip(*gens), self.invariant_factors))]
+                in enumerate(zip(cols, self.invariant_factors))]
+
+    def quotient(self, gens) -> FiniteAbelianGroup:
+        """This finite group modulo the subgroup that gens generate,
+        elements or coordinate vectors of them: one Smith form of
+        subgroup_lattice(gens), modulo the order, on the k invariant
+        coordinates, so the quotient's `project` takes the coordinates of
+        an element of this group to those of its image."""
+        D, U, _ = snf = smith_normal_form(self.subgroup_lattice(gens),
+                                          modulus=self.order)
+        return FiniteAbelianGroup([D[i][i] for i in range(len(D))], U,
+                                  snf.lifts)
 
 
 def smith_presentation(relations, ambient_rank: int, *,
@@ -290,6 +305,29 @@ def smith_presentation(relations, ambient_rank: int, *,
 
 
 # ----------------------------------------------------------------- operations
+
+def matrix_rank(A) -> int:
+    """Rank of an integer matrix, by fraction-free (Bareiss) elimination:
+    after pivot t every entry left is a (t+1)x(t+1) minor of A, divided
+    exactly by the previous pivot, so no entry exceeds Hadamard's bound on
+    the minors of A (Bareiss, Math. Comp. 22, 1968).  A Smith form's
+    cofactors have no such bound."""
+    rows = [list(r) for r in A if any(r)]
+    rank, prev = 0, 1
+    for j in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        a = top[j]
+        for i in range(rank + 1, len(rows)):
+            b = rows[i][j]
+            rows[i] = [(a * x - b * y) // prev for x, y in zip(rows[i], top)]
+        prev = a
+        rank += 1
+    return rank
+
 
 def element_order(G: FiniteAbelianGroup, g: GroupElement) -> int:
     n = 1

@@ -3,11 +3,14 @@ p-extension of F unramified outside p, as the p-part of the ray class group
 of conductor p^(N+1), together with Frobenius images, the degree map
 (normalized by log(1+p)), and the even-side inertia-order criterion.
 The cyclotomic character is read by cyclotomic_log alone, from one log
-record per (n, p) kept at a top precision (LogRecord); stability is
-computed on first read of GaloisGroupG.stable, at conductor p^(N+2).
-Every conductor p^M is read from the tower of (F, p), the record of its
-state (rayclass.ray_class_tower): a quotient of the highest one built, so
-a stability check after a higher level builds nothing new.
+record per (n, p) kept at a top precision (LogRecord), and on the ambient
+generators of a ray class group by degree_map; stability is computed on
+first read of GaloisGroupG.stable, at conductor p^(N+2).  Every conductor
+p^M is read from the tower of (F, p), the record of its state
+(rayclass.ray_class_tower).  group_G grows it to p^(N+2) first and builds
+the record of p^(N+1), whose coordinates `frobenius` prints, as a
+quotient of the top; `stable` and even_criterion read only the p-part of
+a level, from the top's p-part, so they build nothing after it.
 """
 
 from __future__ import annotations
@@ -111,12 +114,13 @@ class GaloisGroupG:
     @cached_property
     def stable(self) -> bool:
         """Factor-by-factor comparison with the p-part at conductor
-        p^(N+2), read from the tower on first read: every invariant factor
+        p^(N+2), read on first read as a quotient of the p-part of the
+        tower's top, which group_G grew to p^(N+2): every invariant factor
         must persist or scale by exactly p at the top."""
         p = self.p
         a = sorted(self.group.invariant_factors)
-        b = sorted(ray_class_tower(self.field, p).level(self.N + 2)
-                   .p_group.invariant_factors)
+        b = sorted(ray_class_tower(self.field, p).p_quotient(self.N + 2)[1]
+                   .invariant_factors)
         return len(a) == len(b) and all(y in (x, p * x)
                                         for x, y in zip(a, b))
 
@@ -132,21 +136,25 @@ class GaloisGroupG:
         }
 
 
-def _cyc_hom_on_invariants(rc, p: int, M: int):
-    """phi_cyc on the p-part invariant coordinates of the ray class group.
-
-    Built from the norms of the ambient generators, transported through the
-    generator lifts of the presentation; consistency on all relations is
-    checked.
-    """
+def degree_map(rc, p: int, M: int, relations) -> list:
+    """phi_cyc on the ambient generators of the ray class group rc, mod
+    p^(M-1): the degree of the norm of each unit generator and class
+    representative, checked to vanish on every row of `relations`."""
     norms = rc.unit_norms + [g.norm for g in rc.class_gen_ideals]
-    c_ambient = [cyclotomic_log(n, p, M) for n in norms]
+    c = [cyclotomic_log(n, p, M) for n in norms]
     mod = p**(M - 1)
-    for row in rc.relations:
-        if sum(a * c for a, c in zip(row, c_ambient)) % mod:
+    for row in relations:
+        if sum(a * x for a, x in zip(row, c)) % mod:
             raise InternalCheckError("cyclotomic map is inconsistent with the "
                                      "relations")
-    return _transport_hom(rc, c_ambient, mod)
+    return c
+
+
+def _cyc_hom_on_invariants(rc, p: int, M: int):
+    """phi_cyc on the p-part invariant coordinates of the ray class group:
+    degree_map, checked on its relations, transported through the
+    generator lifts of the presentation."""
+    return _transport_hom(rc, degree_map(rc, p, M, rc.relations), p**(M - 1))
 
 
 def _transport_hom(rc, c_ambient, mod):
@@ -169,13 +177,17 @@ def _transport_hom(rc, c_ambient, mod):
 
 def group_G(K: RealQuadraticField, p: int, N: int) -> GaloisGroupG:
     """The Galois group model at precision N (ray conductor p^(N+1), read
-    from the tower of (K, p)); its `stable` is checked against conductor
-    p^(N+2) when first read."""
+    from the tower of (K, p), grown to p^(N+2) first); its `stable` is
+    checked against conductor p^(N+2) when first read."""
     if N < 1:
         raise ValueError("N must be at least 1")
     check_odd_prime(p, K)
     M = N + 1
-    rc = ray_class_tower(K, p).level(M)
+    # p^(N+2), which `stable` reads, first: a fresh tower builds it as its
+    # top, and p^(N+1) is its quotient
+    tower = ray_class_tower(K, p)
+    tower.grow(M + 1)
+    rc = tower.level(M)
     return GaloisGroupG(K, p, N, rc, _cyc_hom_on_invariants(rc, p, M))
 
 
@@ -201,14 +213,15 @@ def even_criterion(K: RealQuadraticField, p: int, q: IntegralIdeal, N: int):
     q = prime_ideal(K, q)
     eq = e_of_q(q, p)
     orders = []
-    # p^(N+2) first, so that p^(N+1) is read as its quotient
+    # p^(N+2) first: a fresh tower builds it as its top, and p^(N+1) is
+    # read from its p-part
     for M in (N + 2, N + 1):
         top = ray_class_group(K, q * rational_ideal(K, p**M), p)
-        bot = ray_class_tower(K, p).level(M)
-        if top.p_order % bot.p_order:
+        bot = ray_class_tower(K, p).p_quotient(M)[1].order
+        if top.p_order % bot:
             raise InternalCheckError("ray class order at q*p^M is not a "
                                      "multiple of the order at p^M")
-        orders.insert(0, top.p_order // bot.p_order)
+        orders.insert(0, top.p_order // bot)
     status = "pass" if orders[0] == orders[1] == eq else \
         ("indeterminate" if orders[0] != orders[1] else "fail")
     return {

@@ -19,10 +19,10 @@ from .iwasawa import (defect_never_one_scan, greenberg_wiles, leopoldt_defect,
 from .kummer import construct_alpha
 from .ntheory import InternalCheckError, isprime
 from .padic import EXACT_ZERO_BOUND, PAdicNumber, PrecisionError, teichmueller
-from .quadfield import (RealQuadraticField, check_odd_prime, class_group,
+from .quadfield import (RealQuadraticField, class_group,
                         factor_rational_prime, fundamental_unit,
                         rational_ideal)
-from .rayclass import ray_class_group, ray_class_tower
+from .rayclass import ray_class_group
 
 EXIT_OK = 0
 EXIT_REJECTED = 2
@@ -162,10 +162,6 @@ def _cmd_rayclass(args, K):
 
 
 def _cmd_frobenius(args, K):
-    # p^(N+2), which G.stable reads, first: the fresh tower builds it as
-    # its top, and group_G's p^(N+1) is its quotient
-    check_odd_prime(args.p, K)
-    ray_class_tower(K, args.p).level(args.prec + 2)
     G = group_G(K, args.p, args.prec)
     frobs = []
     lines = ["G(%s, p=%d, N=%d): invariants %s%s"

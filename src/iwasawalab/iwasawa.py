@@ -4,8 +4,13 @@ bookkeeping, and the defect-never-one scan over quadratic fields.
 
 m_Q is read at levels N and N + 2, each kept on the tower of (F, p)
 (rayclass.ray_class_tower) under the pair of primes, so queries at N and
-N + 2 share a level.  Level N + 2 is read first: its ray class group is
-then the top of the tower, or below it, and level N is its quotient.
+N + 2 share a level.  Level L is the p-part of Cl(p^(L+1)), read as the
+tower top's p-part modulo the image of the unit kernel
+(RayClassTower.p_quotient): one Smith form on the top's p-coordinates and
+no ray class record.  Its Frobenius classes are the top's ambient vectors
+projected into it, and their degrees the cyclotomic map on those vectors.
+Level N + 2 is read first, so that a fresh tower's top is its conductor
+and level N lies below it.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 from math import gcd
 
 from .abgroup import element_order, subgroup_image_order
-from .classfield import GaloisGroupG, cyclotomic_log, group_G
+from .classfield import cyclotomic_log, degree_map
 from .ntheory import InternalCheckError, legendre, power, quad_mul
 from .padic import PAdicNumber, vp
 from .quadfield import (IntegralIdeal, RealQuadraticField, check_odd_prime,
@@ -110,30 +115,29 @@ def mq_generator(K: RealQuadraticField, p: int, Q, N: int) \
                                  PAdicNumber(p, 0, a1, N + 1), 1, N + 2)
 
 
-def _rounded_degree_zero(G: GaloisGroupG, q1, q2):
-    """(F1, F2, v1, g) in G: the Frobenius classes of q1 and q2, v1 =
-    v_p(order of F1), and the rounded degree-0 element g = a1*F1 + F2, with
-    a1 read mod p^v1 (all the digits F1 sees)."""
-    F1, F2 = (G.frobenius_class(q) for q in (q1, q2))
-    v1 = vp(element_order(G.group, F1), G.p)
-    a1 = _degree_zero_a1(q1, q2, G.p, v1 + 1)
-    return F1, F2, v1, G.group.add(G.group.scale(a1, F1), F2)
-
-
 def _degree_zero_level(K: RealQuadraticField, p: int, L: int, q1, q2):
-    """(G, order) at level L: the model G = group_G(K, p, L) and the order
-    of the rounded degree-0 element of (q1, q2) in it, checked against the
-    subgroup count."""
-    G = group_G(K, p, L)
-    F1, F2, v1, g = _rounded_degree_zero(G, q1, q2)
-    order = element_order(G.group, g)
-    # cross-check at a high enough level: deg is a hom G -> Z/p^L, so
-    # <F1, F2> meets ker deg in |<F1, F2>| / |deg <F1, F2>| elements
+    """(G, order) at level L: G the p-part of the ray class group of
+    conductor p^(L+1), read as a quotient of the top of the tower of
+    (K, p), and the order in G of the rounded degree-0 element a1*F1 + F2
+    of the Frobenius classes of (q1, q2), a1 read mod p^v1 (all the digits
+    F1 sees, p^v1 its order), checked against the subgroup count."""
+    tower = ray_class_tower(K, p)
+    kernel, G = tower.p_quotient(L + 1)
+    top = tower.top
+    vecs = [top.ambient_of_ideal(q) for q in (q1, q2)]
+    F1, F2 = (G.project(top.p_group.project(v).coords) for v in vecs)
+    v1 = vp(element_order(G, F1), p)
+    a1 = _degree_zero_a1(q1, q2, p, v1 + 1)
+    order = element_order(G, G.add(G.scale(a1, F1), F2))
+    # cross-check at a high enough level: deg is a hom G -> Z/p^L, read on
+    # the ambient vectors, so <F1, F2> meets ker deg in |<F1, F2>| /
+    # |deg <F1, F2>| elements
     if L >= v1:
         pL = p**L
-        degs = [G.class_degree(F) for F in (F1, F2)]
+        c = degree_map(top, p, L + 1, top.relations + kernel)
+        degs = [sum(a * x for a, x in zip(c, v)) for v in vecs]
         image = pL // gcd(pL, *degs)
-        if subgroup_image_order(G.group, [F1, F2]) // image != order:
+        if subgroup_image_order(G, [F1, F2]) // image != order:
             raise InternalCheckError("subgroup and element orders disagree")
     return G, order
 
@@ -150,7 +154,7 @@ def mq_order(K: RealQuadraticField, p: int, Q, N: int) \
     rep.m_q = order
     rep.stable = order == upper
     rep.provisional_orders = (order, upper)
-    rep.group_invariants = G.group.invariant_factors
+    rep.group_invariants = G.invariant_factors
     return rep
 
 

@@ -19,7 +19,7 @@ for an exponent of alpha and for the two valuations the certificate keeps.
 
 from __future__ import annotations
 
-from .abgroup import element_order, smith_normal_form
+from .abgroup import element_order, matrix_rank
 from .iwasawa import mq_order
 from .localize import (INDET, TRUE, FALSE, SUnitProduct, completions_above_p,
                        entry_logs, eq_membership, log_sum, torsion_status,
@@ -295,11 +295,9 @@ def kummer_rank(T, K: RealQuadraticField, p: int) -> RankReport:
         primes = _support_primes(K, T)
         data = SUnitBasisData(K, primes)
         # drop the torsion sign; the Z_p-rank of an integer matrix is its
-        # rank, the number of nonzero Smith invariants
-        D = smith_normal_form([data.decompose(t)[1:] for t in T],
-                              with_u=False)[0]
-        return RankReport(sum(1 for i, row in enumerate(D)
-                              if i < len(row) and row[i]), True)
+        # rank
+        return RankReport(matrix_rank([data.decompose(t)[1:] for t in T]),
+                          True)
     if all(isinstance(t, SUnitProduct) for t in T):
         entries = T[0].entries
         for t in T:

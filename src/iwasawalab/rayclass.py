@@ -7,11 +7,13 @@ presented by generators and relations:
                 principalization of each class generator's power.
 
 The conductors p^M of one (F, p) form a tower, ray_class_tower: it
-builds one of them, its top, directly and reads each lower one as its
-quotient, by reducing the top's relations (RayClassGroupData).  The top
-is the first level asked for; a level M above it regrows the tower at
-p^(M+2) (RayClassTower).  The tower is the one record of the state of
-(F, p).
+builds one of them, its top, directly.  A lower level's p-part is the
+top's p-part modulo the image of the unit kernel, one Smith form on the
+top's p-coordinates (RayClassTower.p_quotient); the full record of a lower
+level, read off the top's relations (RayClassGroupData), is built only
+where its coordinates are printed.  The top is the first level asked for;
+a level M above it regrows the tower at p^(M+2) (RayClassTower.grow).
+The tower is the one record of the state of (F, p).
 """
 
 from __future__ import annotations
@@ -79,7 +81,9 @@ class RayClassGroupData:
     or principal generator is taken again.  `units` is then the top's,
     whose dlogs the level reads, and so are the norms of its generators,
     `unit_norms` (classfield reads the same log records at every level);
-    `unit_orders` are the level's own."""
+    `unit_orders` are the level's own.  RayClassTower.level builds such a
+    record for group_G alone; the p-part of a level is read with none
+    (RayClassTower.p_quotient)."""
 
     def __init__(self, K: RealQuadraticField, modulus, p: int, top=None):
         check_odd_prime(p)
@@ -106,8 +110,7 @@ class RayClassGroupData:
                 raise ValueError("the top of a quotient level is a direct "
                                  "build of a higher power of (p)")
             self.units = top.units
-            drop = p**(T - M)
-            self.unit_orders = [o // gcd(o, drop) for o in top.unit_orders]
+            self.unit_orders = top.unit_orders_at(M)
             if 1 in self.unit_orders:
                 raise ValueError("a quotient level keeps every unit "
                                  "coordinate of its top")
@@ -138,6 +141,14 @@ class RayClassGroupData:
         # p-part: each coordinate read modulo the p-part of its order
         self.p_group = FiniteAbelianGroup([p**vp(d, p) for d in G.diag],
                                           G.transform, G.lifts)
+
+    def unit_orders_at(self, M: int) -> list:
+        """The generator orders of (O/p^M)*, M <= T, for this direct build
+        of (p^T): o_i(T) / gcd(o_i(T), p^(T-M)), since each component keeps
+        its generators down the tower.  The o_i(M) e_i span the kernel of
+        (O/p^T)* -> (O/p^M)*."""
+        drop = self.p**(_p_power(self.modulus, self.p) - M)
+        return [o // gcd(o, drop) for o in self.unit_orders]
 
     def _reduce(self, dlog):
         """A dlog of `units`, read modulo this level's generator orders."""
@@ -234,13 +245,16 @@ def ray_class_group(K: RealQuadraticField, modulus, p: int) \
 
 class RayClassTower:
     """The state of one (K, p).  Of the ray class groups of conductors
-    (p^M), M >= 2, one, the top, is built directly; each lower one is read
-    as its quotient.  The first level asked of a fresh tower is its top,
-    built exactly: a single query reads one or two levels, and a higher
-    top costs it more than the quotients save.  A level M above the top
-    regrows the tower at p^(M+2), the level mq_order reads first at the
-    next precision (as kummer.EntryLogTable does), so an ascending run N,
-    N + 1, N + 2 builds one top, not three.  For the last PAIRS_KEPT
+    (p^M), M >= 2, one, the top, is built directly.  A lower one is read
+    as its quotient: its p-part by p_quotient, from the top's p-part and
+    no ray class record, which is all mq_order, `stable` and
+    even_criterion read; its full record by level, for the coordinates
+    that `frobenius` prints.  The first level asked of a fresh tower is
+    its top, built exactly: a single query reads one or two levels, and a
+    higher top costs it more than the quotients save.  A level M above the
+    top regrows the tower at p^(M+2), the level mq_order reads first at
+    the next precision (as kummer.EntryLogTable does), so an ascending run
+    N, N + 1, N + 2 builds one top, not three.  For the last PAIRS_KEPT
     pairs of primes Q asked of (K, p), `recall` keeps the work that queries
     of Q at different precisions share: one entry per level and congruence
     split asked."""
@@ -252,17 +266,40 @@ class RayClassTower:
         self.top, self.exponent = None, 0
         self.pairs = OrderedDict()
 
-    def level(self, M: int) -> RayClassGroupData:
+    def grow(self, M: int) -> RayClassGroupData:
+        """The top, first built at exactly p^M and regrown at p^(M+2) when
+        M is above it."""
         if M < 2:
             raise ValueError("a tower level needs M >= 2")
-        K, p = self.field, self.p
         if M > self.exponent:
+            K, p = self.field, self.p
             T = M + 2 if self.exponent else M
             self.top = RayClassGroupData(K, rational_ideal(K, p**T), p)
             self.exponent = T
+        return self.top
+
+    def level(self, M: int) -> RayClassGroupData:
+        """The ray class group of conductor (p^M): the top, or the record
+        read as its quotient."""
+        top = self.grow(M)
         if M == self.exponent:
-            return self.top
-        return RayClassGroupData(K, rational_ideal(K, p**M), p, self.top)
+            return top
+        K, p = self.field, self.p
+        return RayClassGroupData(K, rational_ideal(K, p**M), p, top)
+
+    def p_quotient(self, M: int) -> tuple:
+        """(kernel, group) at the conductor (p^M), the top grown as level(M)
+        grows it.  `kernel` is the ambient vectors o_i(M) e_i of the top
+        that span the image of ker((O/p^T)* -> (O/p^M)*), and `group` the
+        p-part of Cl_(p^M): the top's p-part modulo the kernel's image, on
+        the top's p-coordinates, as taking p-parts is exact.  A class of
+        the top's p-part projects to its class at (p^M)."""
+        top = self.grow(M)
+        n = len(top.group.diag)
+        kernel = [[o if j == i else 0 for j in range(n)]
+                  for i, o in enumerate(top.unit_orders_at(M))]
+        G = top.p_group
+        return kernel, G.quotient([G.project(v) for v in kernel])
 
     def recall(self, Q: tuple, key, make, *args):
         """The entry `key` of the pair of primes Q, make(*args) on first

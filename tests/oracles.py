@@ -80,14 +80,14 @@ from pathlib import Path
 from types import MappingProxyType
 
 import iwasawalab
-from iwasawalab import padic
+from iwasawalab import padic, rayclass
 from iwasawalab.abgroup import (FiniteAbelianGroup, GroupElement,
                                 element_order, lattice_index,
                                 smith_normal_form, smith_presentation,
                                 subgroup_image_order)
 from iwasawalab.classfield import group_G
 from iwasawalab.iwasawa import (FrobeniusModuleReport, LeopoldtReport,
-                                _check_q_pair, _rounded_degree_zero)
+                                _check_q_pair, _degree_zero_a1)
 from iwasawalab.kummer import kummer_rank
 from iwasawalab.localize import (FALSE, INDET, TRUE, RankReport,
                                  SUnitProduct, completions_above_p, loc,
@@ -99,7 +99,8 @@ from iwasawalab.padic import (PAdicNumber, PrecisionError, _log_terms_needed,
 from iwasawalab.quadfield import (FieldElement, IntegralIdeal,
                                   RealQuadraticField, SplittingReport,
                                   SUnitBasisData, SUnitBasisEntry,
-                                  _real_sign, fundamental_unit)
+                                  _real_sign, fundamental_unit,
+                                  rational_ideal)
 
 
 def _memo_tables():
@@ -122,6 +123,22 @@ def empty_memos():
     """Empty every memo table of the engine, as a fresh process has them."""
     for table in MEMO_TABLES.values():
         table.cache_clear()
+
+
+def count_builds(monkeypatch):
+    """(direct, quotient): the ray class groups built from now on, directly
+    and as quotient records of a tower's top, in order, each as (d, p, M)
+    at a conductor (p^M) and as (d, p, str(m)) at any other m."""
+    built = ([], [])
+    build = rayclass.RayClassGroupData
+
+    def record(K, modulus, p, top=None):
+        M = vp(modulus.a, p)
+        at = M if modulus == rational_ideal(K, p**M) else str(modulus)
+        built[top is not None].append((K.d or 1, p, at))
+        return build(K, modulus, p, top)
+    monkeypatch.setattr(rayclass, "RayClassGroupData", record)
+    return built
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -1043,7 +1060,9 @@ def mq_generator_log_route(K, p: int, Q, N: int) -> FrobeniusModuleReport:
 
 
 def rounded_degree_zero_log_route(G, q1, q2):
-    """(F1, F2, v1, g), as iwasawa._rounded_degree_zero read it."""
+    """(F1, F2, v1, g): the Frobenius classes of q1 and q2 in G, v1 the
+    valuation of the order of F1, and the rounded degree-0 element, as
+    mq_order reads them at a level."""
     p = G.p
     F1 = G.frobenius_class(q1)
     F2 = G.frobenius_class(q2)
@@ -1262,8 +1281,13 @@ def same_kummer_extension(x, y, K, p: int) -> str:
 
 
 def degree_zero_pair_element(G, q1, q2):
-    """Rounded image of the degree-0 generator for (q1, q2) in G."""
-    return _rounded_degree_zero(G, q1, q2)[3]
+    """Rounded image of the degree-0 generator for (q1, q2) in G, as
+    mq_order reads it at a level: a1*F1 + F2, a1 of _degree_zero_a1 read
+    mod p^v1, p^v1 the order of F1."""
+    F1, F2 = (G.frobenius_class(q) for q in (q1, q2))
+    v1 = vp(element_order(G.group, F1), G.p)
+    a1 = _degree_zero_a1(q1, q2, G.p, v1 + 1)
+    return G.group.add(G.group.scale(a1, F1), F2)
 
 
 # ------------------------------------------------------------ value types

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iwasawalab.abgroup import (smith_normal_form, smith_presentation,
-                                lattice_index, element_order,
+                                lattice_index, element_order, matrix_rank,
                                 subgroup_image_order, decompose_abelian,
                                 GroupElement, relation_lattice)
 from iwasawalab.quadfield import RealQuadraticField, _pair_to_ideal, \
@@ -290,6 +290,66 @@ def test_subgroup_image_order_cases():
     assert subgroup_image_order(H, []) == 1
     G = smith_presentation([[6]], 1)
     assert subgroup_image_order(G, [G.element([2])]) == 3
+
+
+def test_quotient_against_sympy():
+    """G.quotient(gens), on 40 seeded groups and generator sets (none, and
+    zero vectors, included): its invariant factors are sympy's Smith
+    diagonal of the gens stacked on G's relations, its order is |G| over
+    |<gens>|, and `project` kills each generator and maps each coordinate
+    vector to a class of the same order modulo <gens> as in G."""
+    pytest.importorskip("sympy")
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    rng = random.Random(45)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        G = smith_presentation([[rng.randint(-30, 30) for _ in range(n)]
+                                for _ in range(n + 1)] + [[0] * n], n)
+        if G.free_rank:
+            continue
+        k = len(G.invariant_factors)
+        gens = [G.element([rng.randrange(d) * rng.randint(0, 1) for d in
+                           G.invariant_factors])
+                for _ in range(rng.randint(0, 3))]
+        Q = G.quotient(gens)
+        rels = [list(g) for g in gens] + \
+            [[d if j == i else 0 for j in range(k)]
+             for i, d in enumerate(G.invariant_factors)]
+        if k:
+            S = sympy_snf(Matrix(rels), domain=ZZ)
+            want = tuple(abs(S[i, i]) for i in range(k) if abs(S[i, i]) > 1)
+        else:
+            want = ()
+        assert Q.invariant_factors == want
+        assert Q.order == G.order // subgroup_image_order(G, gens)
+        zero = Q.element([0] * len(Q.invariant_factors))
+        assert all(Q.project(g.coords) == zero for g in gens)
+        x = G.element([rng.randrange(d) for d in G.invariant_factors])
+        multiples = [G.scale(m, x) for m in range(1, G.order + 1)]
+        in_sub = {G.element(list(c)) for c in itertools.product(
+            *[range(d) for d in G.invariant_factors])
+            if subgroup_image_order(G, gens + [G.element(list(c))]) ==
+            subgroup_image_order(G, gens)}
+        order = next(m for m, y in enumerate(multiples, 1) if y in in_sub)
+        assert element_order(Q, Q.project(x.coords)) == order
+
+
+def test_matrix_rank_against_sympy():
+    """matrix_rank equals sympy's rank on 200 seeded integer matrices of up
+    to 6 x 7, products of two random factors of a drawn inner size, so
+    that many fall short of full rank; zero rows and empty inputs too."""
+    pytest.importorskip("sympy")
+    from sympy import Matrix
+    rng = random.Random(46)
+    assert matrix_rank([]) == 0 and matrix_rank([[0, 0], [0, 0]]) == 0
+    for _ in range(200):
+        n, m, r = rng.randint(1, 6), rng.randint(1, 7), rng.randint(0, 5)
+        B = [[rng.randint(-9, 9) for _ in range(r)] for _ in range(n)]
+        C = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(r)]
+        A = [[sum(B[i][t] * C[t][j] for t in range(r)) for j in range(m)]
+             for i in range(n)]
+        assert matrix_rank(A) == Matrix(A).rank(), A
 
 
 def test_solve_dlog_cases():

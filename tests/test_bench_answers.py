@@ -21,9 +21,9 @@ import pytest
 
 import iwasawalab
 from iwasawalab import padic, rayclass, residues
-from iwasawalab.padic import PAdicNumber, vp
-from iwasawalab.quadfield import rational_ideal
-from oracles import BENCH, answers_digest, empty_memos, load_bench
+from iwasawalab.padic import PAdicNumber
+from oracles import BENCH, answers_digest, count_builds, empty_memos, \
+    load_bench
 from test_kummer import ALPHA_GRID
 
 W, S = load_bench("workloads"), load_bench("session")
@@ -41,24 +41,6 @@ def _alpha_keys():
     return keys, by_fixture
 
 
-def _count_builds(monkeypatch):
-    """(direct, quotient, other): the (d, p, M) of the ray class groups
-    built at p-power conductors (p^M), directly and as quotients, and the
-    conductors of the others."""
-    built = ([], [], [])
-    build = rayclass.RayClassGroupData
-
-    def record(K, modulus, p, top=None):
-        M = vp(modulus.a, p)
-        if modulus == rational_ideal(K, p**M):
-            built[top is not None].append((K.d or 1, p, M))
-        else:
-            built[2].append(modulus)
-        return build(K, modulus, p, top)
-    monkeypatch.setattr(rayclass, "RayClassGroupData", record)
-    return built
-
-
 def test_the_kummer_grid_is_the_fixture_pairs():
     """test_kummer checks the truncated log reads and the answer in any
     order on ALPHA_GRID: that is every (d, p, q1, q2) of ALPHA_FIXTURES."""
@@ -71,7 +53,13 @@ def test_every_recorded_alpha_key_in_both_orders(monkeypatch, order):
     assert len(keys) == 190
     expected = S.load_expected("kummer-alpha", set(keys))
     empty_memos()
-    direct, quotient, _ = _count_builds(monkeypatch)
+    direct, quotient = count_builds(monkeypatch)
+    read, p_quotient = [], rayclass.RayClassTower.p_quotient
+
+    def read_level(tower, M):
+        read.append((tower.field.d or 1, tower.p, M, M < tower.exponent))
+        return p_quotient(tower, M)
+    monkeypatch.setattr(rayclass.RayClassTower, "p_quotient", read_level)
     tops = []
     for (d, p, q1, q2), Ns in by_fixture.items():
         for N in sorted(Ns, reverse=order == "descending"):
@@ -85,16 +73,17 @@ def test_every_recorded_alpha_key_in_both_orders(monkeypatch, order):
             elif tops[-1][2] < N + 3:
                 tops.append((d, p, N + 5))
     empty_memos()
-    assert direct == tops
+    assert direct == tops and quotient == []
     assert len(tops) == (76 if order == "ascending" else 12)
-    # level N, conductor p^(N+1), is read as a quotient whenever it is not
-    # the top: p^3 and p^4 always, and in descending order every conductor
-    assert {(d, p, M) for d, p, M in quotient if M <= 4} == \
+    # level N, conductor p^(N+1), is read below the top already built: p^3
+    # and p^4 always, and in descending order every conductor but the top
+    assert {(d, p, M) for d, p, M, below in read if M <= 4 and below} == \
         {(d, p, M) for d, p, _, _ in by_fixture for M in (3, 4)}
     if order == "descending":
-        assert len(quotient) == len(set(quotient)) == \
+        assert len(read) == len(set(read)) == \
             sum(len(set(Ns) | {N + 2 for N in Ns}) for Ns in
-                by_fixture.values()) - 12
+                by_fixture.values())
+        assert sum(below for *_, below in read) == len(read) - 12
 
 
 @pytest.mark.parametrize("workload", ["leopoldt-scan", "big-conductor"])
@@ -108,7 +97,7 @@ def test_seed_one_batch(monkeypatch, workload):
     batch = W.batch(workload, 1)
     expected = S.load_expected(workload, {W.query_key(q) for q in batch})
     empty_memos()
-    direct, quotient, other = _count_builds(monkeypatch)
+    direct, quotient = count_builds(monkeypatch)
     dlog, taken = residues.UnitGroupModM.dlog, []
 
     def refuse_minus_one(units, x):
@@ -120,46 +109,44 @@ def test_seed_one_batch(monkeypatch, workload):
     for q in batch:
         doc = W.answer(iwasawalab, q)
         assert S.canonical(doc) == expected[W.query_key(q)], q
-    # the smoke query alone, construct_alpha(Q, 3, (2, 5), 3), reads a tower
-    assert direct == [(1, 3, 6)] and quotient == [(1, 3, 4)]
+    # the smoke query alone, construct_alpha(Q, 3, (2, 5), 3), reads a tower:
+    # its top p^6, and p^4 below it with no ray class record
+    other = [b for b in direct if isinstance(b[2], str)]
+    assert [b for b in direct if b not in other] == [(1, 3, 6)]
+    assert quotient == []
     assert len(other) == (150 if workload == "big-conductor" else 0)
     assert len(taken) == (176 if workload == "big-conductor" else 2)
 
 
 def test_seed_one_alpha_batch_builds_few_levels_directly(monkeypatch):
-    """The seed-1 kummer-alpha batch reads 166 levels, each once.  It
-    builds 31 directly and 145 as quotients, 172 levels in all: a regrowth
-    builds a top that no query may read, and a top it replaces may be read
-    again as a quotient (4 levels).  Building a level as a quotient takes
-    no unit group, class representative search, dlog or principal
-    generator."""
+    """The seed-1 kummer-alpha batch reads 166 levels, each once, as
+    quotients of the p-part of its tower's top.  It builds 31 tops
+    directly and no quotient record: 145 levels were quotient records,
+    each with a Smith form of the whole ray class presentation.  Reading a
+    level that does not grow the top takes no unit group, class
+    representative search, dlog or principal generator."""
     batch = W.batch("kummer-alpha", 1)
     expected = S.load_expected("kummer-alpha",
                                {W.query_key(q) for q in batch})
     empty_memos()
     cls = rayclass.RayClassGroupData
-    direct, quotient, _ = _count_builds(monkeypatch)
-    build = rayclass.RayClassGroupData
-    in_quotient, read = [], []
-    level = rayclass.RayClassTower.level
+    direct, quotient = count_builds(monkeypatch)
+    below, read = [], []
+    p_quotient = rayclass.RayClassTower.p_quotient
 
     def read_level(tower, M):
         read.append((tower.field.d or 1, tower.p, M))
-        return level(tower, M)
-    monkeypatch.setattr(rayclass.RayClassTower, "level", read_level)
-
-    def quotient_build(K, modulus, p, top=None):
-        in_quotient.append(top is not None)
+        below.append(M <= tower.exponent)
         try:
-            return build(K, modulus, p, top)
+            return p_quotient(tower, M)
         finally:
-            in_quotient.pop()
-    monkeypatch.setattr(rayclass, "RayClassGroupData", quotient_build)
+            below.pop()
+    monkeypatch.setattr(rayclass.RayClassTower, "p_quotient", read_level)
 
     def refused(name, fn):
         def call(*args, **kwargs):
-            if in_quotient and in_quotient[-1]:
-                raise RuntimeError(name + " inside a quotient build")
+            if below and below[-1]:
+                raise RuntimeError(name + " inside a level below the top")
             return fn(*args, **kwargs)
         return call
     monkeypatch.setattr(rayclass, "UnitGroupModM",
@@ -177,11 +164,12 @@ def test_seed_one_alpha_batch_builds_few_levels_directly(monkeypatch):
         doc = W.answer(iwasawalab, q)
         assert S.canonical(doc) == expected[W.query_key(q)], q
     empty_memos()
-    built = set(direct) | set(quotient)
-    assert len(read) == len(set(read)) == 166 and set(read) <= built
+    assert len(read) == len(set(read)) == 166
     assert len(direct) == len(set(direct)) == 31
-    assert len(quotient) == len(set(quotient)) == 145
-    assert len(built) == 172 and len(set(direct) & set(quotient)) == 4
+    assert quotient == []
+    # a regrowth builds p^(M+2) for a level M: 6 of the tops are replaced
+    # before a query reads them
+    assert len(set(direct) - set(read)) == 6
 
 
 # the log series and PAdicNumber objects of the seed-1 kummer-alpha batch

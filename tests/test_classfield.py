@@ -14,8 +14,9 @@ from iwasawalab.padic import PAdicNumber
 from iwasawalab.quadfield import (RealQuadraticField, factor_rational_prime,
                                   rational_ideal)
 from iwasawalab.rayclass import ray_class_group
-from oracles import (cyclotomic_dlog_log_route, degree_kernel_lattice,
-                     degree_log_route, empty_memos, group_identity, plog,
+from oracles import (count_builds, cyclotomic_dlog_log_route,
+                     degree_kernel_lattice, degree_log_route, empty_memos,
+                     group_identity, plog,
                      solve_integral_fractions, subgroup_order_from_lattice)
 
 QQ = RealQuadraticField.rationals()
@@ -213,31 +214,33 @@ MQ_LEVELS = [(1, 3, 2, 5), (2, 5, 2, 3), (79, 3, 2, 5), (10, 3, 7, 41)]
 def test_mq_order_builds_only_the_levels_it_reads(monkeypatch, d, p, l1, l2,
                                                   N):
     """mq_order builds one ray class group directly, p^(N+3), the top of the
-    tower of (K, p), and reads p^(N+1) as its quotient; reading `stable` of
-    the group G it keeps at N reads p^(N+2) as a quotient too, once."""
+    tower of (K, p), and reads p^(N+1) as a quotient of its p-part with no
+    ray class record.  group_G at N then builds p^(N+1) as the one
+    quotient record, whose coordinates `frobenius` prints, and reading
+    `stable` of it reads p^(N+2) from the top's p-part, once."""
     empty_memos()
-    direct, quotient, build = [], [], rayclass.RayClassGroupData
-
-    def record(K, modulus, p, top=None):
-        (direct if top is None else quotient).append(modulus.norm)
-        return build(K, modulus, p, top)
-    monkeypatch.setattr(rayclass, "RayClassGroupData", record)
+    direct, quotient = count_builds(monkeypatch)
     K = QQ if d == 1 else RealQuadraticField(d)
     Q = tuple(factor_rational_prime(K, ell).ideals[0] for ell in (l1, l2))
     mq_order(K, p, Q, N)
+    assert (direct, quotient) == ([(d, p, N + 3)], [])
+    G = group_G(K, p, N)
+    assert (direct, quotient) == ([(d, p, N + 3)], [(d, p, N + 1)])
+    read, p_quotient = [], rayclass.RayClassTower.p_quotient
 
-    def norm(M):
-        return rational_ideal(K, p**M).norm
-    assert (direct, quotient) == ([norm(N + 3)], [norm(N + 1)])
-    G = rayclass.ray_class_tower(K, p).pairs[Q][N][0]
-    assert (direct, quotient) == ([norm(N + 3)], [norm(N + 1)])
+    def read_level(tower, M):
+        read.append(M)
+        return p_quotient(tower, M)
+    monkeypatch.setattr(rayclass.RayClassTower, "p_quotient", read_level)
     assert G.stable in (True, False)
-    assert (direct, quotient) == ([norm(N + 3)], [norm(N + 1), norm(N + 2)])
+    assert read == [N + 2]
+    assert (direct, quotient) == ([(d, p, N + 3)], [(d, p, N + 1)])
 
     def refuse(*args):
         raise RuntimeError("stable was built twice")
     monkeypatch.setattr(classfield, "ray_class_tower", refuse)
     assert G.stable == G.report()["stable"]
+    empty_memos()
 
 
 def test_tower_consistency():

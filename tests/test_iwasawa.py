@@ -7,9 +7,10 @@ import pytest
 
 from iwasawalab import (classfield, cli, iwasawa, localize, padic,
                         quadfield, rayclass)
-from iwasawalab.abgroup import element_order, subgroup_image_order
-from iwasawalab.classfield import (GaloisGroupG, e_of_q, even_criterion,
-                                   frobenius_image, group_G)
+from iwasawalab.abgroup import (FiniteAbelianGroup, element_order,
+                                subgroup_image_order)
+from iwasawalab.classfield import (e_of_q, even_criterion, frobenius_image,
+                                   group_G)
 from iwasawalab.iwasawa import (is_inert_in_cyclotomic, mq_generator,
                                 mq_order, leopoldt_defect, greenberg_wiles,
                                 defect_never_one_scan)
@@ -23,8 +24,8 @@ from iwasawalab.quadfield import (RealQuadraticField, factor_rational_prime,
                                   parts_valuation, prime_kind, rational_ideal,
                                   split_root)
 import oracles
-from oracles import (angle_log, degree_kernel_lattice, degree_log_route,
-                     degree_zero_pair_element, empty_memos,
+from oracles import (angle_log, count_builds, degree_kernel_lattice,
+                     degree_log_route, degree_zero_pair_element, empty_memos,
                      lattice_intersection,
                      leopoldt_defect_log_route,
                      leopoldt_defect_square_exponent,
@@ -186,19 +187,28 @@ def test_mq_order_d79_p3_nontrivial():
 
 
 def test_mq_order_takes_two_frobenius_classes_per_level(monkeypatch):
-    levels = []
-    frobenius_class = GaloisGroupG.frobenius_class
+    """Each of the two levels of mq_order reads the ambient vectors of q1
+    and q2 at the tower's top once, and no other."""
+    reads, level = [], iwasawa._degree_zero_level
+    ambient_of_ideal = rayclass.RayClassGroupData.ambient_of_ideal
 
-    def counted(G, q):
-        levels.append(G.N)
-        return frobenius_class(G, q)
-    monkeypatch.setattr(GaloisGroupG, "frobenius_class", counted)
+    def counted_level(K, p, L, q1, q2):
+        reads.append(L)
+        return level(K, p, L, q1, q2)
+
+    def counted(rc, q):
+        reads.append(q)
+        return ambient_of_ideal(rc, q)
+    monkeypatch.setattr(iwasawa, "_degree_zero_level", counted_level)
+    monkeypatch.setattr(rayclass.RayClassGroupData, "ambient_of_ideal",
+                        counted)
     empty_memos()
     K = RealQuadraticField(79)
     q1 = factor_rational_prime(K, 2).ideals[0]
     q5 = factor_rational_prime(K, 5).ideals[0]
     assert mq_order(K, 3, (q1, q5), 2).m_q == 9
-    assert sorted(levels) == [2, 2, 4, 4]
+    assert reads == [4, q1, q5, 2, q1, q5]
+    empty_memos()
 
 
 def _prime(K, spec):
@@ -220,7 +230,7 @@ def test_degree_zero_count_matches_lattice_route(d, p, s1, s2, N):
     rep = mq_order(K, p, Q, N)
     for L, order in zip((N, N + 2), rep.provisional_orders):
         G = group_G(K, p, L)
-        F1, F2, v1, _ = iwasawa._rounded_degree_zero(G, *Q)
+        F1, F2, v1, _ = rounded_degree_zero_log_route(G, *Q)
         pL = p**L
         degs = [sum(c * f for c, f in zip(G.cyc_hom, F)) for F in (F1, F2)]
         count = subgroup_image_order(G.group, [F1, F2]) // \
@@ -232,13 +242,13 @@ def test_degree_zero_count_matches_lattice_route(d, p, s1, s2, N):
 
 
 def test_mq_order_cross_check_is_live(monkeypatch):
-    """A degree-0 element of the wrong order trips the subgroup count."""
-    rounded = iwasawa._rounded_degree_zero
+    """A degree-0 element of the wrong order trips the subgroup count: the
+    sum a1*F1 + F2 in the quotient level, scaled by p."""
+    add = FiniteAbelianGroup.add
 
-    def scaled(G, q1, q2):
-        F1, F2, v1, g = rounded(G, q1, q2)
-        return F1, F2, v1, G.group.scale(G.p, g)
-    monkeypatch.setattr(iwasawa, "_rounded_degree_zero", scaled)
+    def scaled(G, g, h):
+        return G.scale(3, add(G, g, h))
+    monkeypatch.setattr(FiniteAbelianGroup, "add", scaled)
     # the memos are emptied before, so that they do not hide the patch,
     # and after, so that no level read through the patch outlives the test
     empty_memos()
@@ -435,35 +445,21 @@ def test_quotient_level_refuses_what_it_cannot_read():
             rayclass.ray_class_tower(K, 5).level(M)
 
 
-def _record_builds(monkeypatch):
-    """The ray class groups built, in order: (M, direct) at a conductor
-    (p^M), (str(m), direct) at any other m."""
-    built = []
-    build = rayclass.RayClassGroupData
-
-    def record(K, modulus, p, top=None):
-        M = vp(modulus.a, p)
-        at = M if modulus == rational_ideal(K, p**M) else str(modulus)
-        built.append((at, top is None))
-        return build(K, modulus, p, top)
-    monkeypatch.setattr(rayclass, "RayClassGroupData", record)
-    return built
-
-
 def test_a_tower_builds_its_first_top_exactly_and_regrows_two_up(
         monkeypatch):
     """The first level asked of a fresh tower is its top, built at exactly
     p^M; a level M above the top regrows it at p^(M+2) and is read as a
     quotient; a level at or below the top builds no top."""
-    built = _record_builds(monkeypatch)
+    direct, quotient = count_builds(monkeypatch)
     tower = rayclass.RayClassTower(QQ, 3)
-    reads = [(3, [(3, True)]), (2, [(2, False)]), (3, []),
-             (4, [(6, True), (4, False)]), (6, []), (5, [(5, False)]),
-             (7, [(9, True), (7, False)])]
-    for M, builds in reads:
-        built.clear()
+    reads = [(3, [3], []), (2, [], [2]), (3, [], []), (4, [6], [4]),
+             (6, [], []), (5, [], [5]), (7, [9], [7])]
+    for M, tops, below in reads:
+        direct.clear()
+        quotient.clear()
         rc = tower.level(M)
-        assert built == builds, M
+        assert (direct, quotient) == ([(1, 3, T) for T in tops],
+                                      [(1, 3, L) for L in below]), M
         assert rc.modulus == rational_ideal(QQ, 3**M)
         assert (rc is tower.top) == (M == tower.exponent)
     assert tower.exponent == 9
@@ -498,35 +494,73 @@ def test_levels_below_a_regrown_top_equal_direct_builds(d, p, s1, s2):
             assert _level_view(rc, Q) == want[L], (M, L)
 
 
+@pytest.mark.parametrize("d,p,s1,s2", MQ_GRID + ALPHA_FIXTURE_PAIRS)
+def test_quotient_levels_read_as_direct_builds(d, p, s1, s2):
+    """Every level L = 1..7 of mq_order, the p-part of Cl(p^(L+1)) read as
+    a quotient of the tower top's p-part, asked of a fresh tower in
+    ascending and in descending L, has the invariant factors, the p-order
+    and the orders of F1, F2, the degree-0 element and <F1, F2> that
+    GaloisGroupG reads on the direct build ray_class_group(K, p^(L+1), p).
+    Ascending, the tower builds tops at p^2, p^5 and p^8 and reads p^4 and
+    p^7 below them; descending, it reads all but p^8 below the top."""
+    K = _field(d)
+    Q = (_prime(K, s1), _prime(K, s2))
+    want = {}
+    for L in range(1, 8):
+        rc = rayclass.ray_class_group(K, p**(L + 1), p)
+        G = classfield.GaloisGroupG(
+            K, p, L, rc, classfield._cyc_hom_on_invariants(rc, p, L + 1))
+        F1, F2 = (G.frobenius_class(q) for q in Q)
+        g = degree_zero_pair_element(G, *Q)
+        want[L] = (G.group.invariant_factors, rc.p_order,
+                   [element_order(G.group, x) for x in (F1, F2, g)],
+                   subgroup_image_order(G.group, [F1, F2]))
+    for levels in (range(1, 8), range(7, 0, -1)):
+        empty_memos()
+        tower = rayclass.ray_class_tower(K, p)
+        for L in levels:
+            _, H = tower.p_quotient(L + 1)
+            F1, F2 = (H.project(tower.top.p_class_of_ideal(q).coords)
+                      for q in Q)
+            order = iwasawa._degree_zero_level(K, p, L, *Q)[1]
+            got = (H.invariant_factors, H.order,
+                   [element_order(H, F1), element_order(H, F2), order],
+                   subgroup_image_order(H, [F1, F2]))
+            assert got == want[L], (L, tower.exponent)
+        assert tower.exponent == 8
+    empty_memos()
+
+
 @pytest.mark.parametrize("N", [1, 2, 3])
 @pytest.mark.parametrize("d,p,s1,s2", MQ_GRID + ALPHA_FIXTURE_PAIRS)
 def test_single_calls_build_the_levels_they_read(monkeypatch, d, p, s1, s2,
                                                   N):
     """On emptied memos, a single mq_order or construct_alpha call builds
-    conductor p^(N+3) directly and p^(N+1) as its quotient, and
-    even_criterion builds q1*p^(N+2), p^(N+2), q1*p^(N+1) and p^(N+1) as
-    a quotient: the first level each reads is the fresh tower's top, built
-    exactly, and no regrowth follows.  group_G with its stability check
-    alone pays for one: p^(N+1), then p^(N+4) and p^(N+2) as its quotient;
-    the frobenius command reads p^(N+2) first (the next test)."""
+    conductor p^(N+3) directly and reads p^(N+1) from its p-part, with no
+    quotient record, and even_criterion builds q1*p^(N+2), p^(N+2) and
+    q1*p^(N+1) and reads p^(N+1) from the p-part of p^(N+2): the first
+    level each reads is the fresh tower's top, built exactly, and no
+    regrowth follows.  group_G with its stability check builds p^(N+2),
+    the level `stable` reads, as the top, and p^(N+1) as the one quotient
+    record."""
     K = _field(d)
     Q = (_prime(K, s1), _prime(K, s2))
-    built = _record_builds(monkeypatch)
-    near = [(N + 3, True), (N + 1, False)]
+    direct, quotient = count_builds(monkeypatch)
     q_at = [str(Q[0] * rational_ideal(K, p**M)) for M in (N + 2, N + 1)]
     calls = [
-        (lambda: mq_order(K, p, Q, N), near),
-        (lambda: construct_alpha(K, p, Q, N), near),
-        (lambda: even_criterion(K, p, Q[0], N),
-         [(q_at[0], True), (N + 2, True), (q_at[1], True), (N + 1, False)]),
-        (lambda: group_G(K, p, N).stable,
-         [(N + 1, True), (N + 4, True), (N + 2, False)]),
+        (lambda: mq_order(K, p, Q, N), [N + 3], []),
+        (lambda: construct_alpha(K, p, Q, N), [N + 3], []),
+        (lambda: even_criterion(K, p, Q[0], N), [q_at[0], N + 2, q_at[1]],
+         []),
+        (lambda: group_G(K, p, N).stable, [N + 2], [N + 1]),
     ]
-    for call, builds in calls:
+    for call, tops, below in calls:
         empty_memos()
-        built.clear()
+        direct.clear()
+        quotient.clear()
         call()
-        assert built == builds
+        assert (direct, quotient) == ([(d, p, T) for T in tops],
+                                      [(d, p, L) for L in below])
     empty_memos()
 
 
@@ -537,7 +571,7 @@ def test_a_frobenius_call_builds_one_top(monkeypatch, capsys, d, p, s1, s2,
     """On emptied memos, the frobenius command builds conductor p^(N+2),
     the level that G.stable reads, as the fresh tower's top, and p^(N+1)
     as its quotient: no regrowth to p^(N+4)."""
-    built = _record_builds(monkeypatch)
+    direct, quotient = count_builds(monkeypatch)
     empty_memos()
     code = cli.main(["frobenius", "--field", _field(d).spec_string(),
                      "--p", str(p), "--q", s1, "--q", s2,
@@ -545,7 +579,7 @@ def test_a_frobenius_call_builds_one_top(monkeypatch, capsys, d, p, s1, s2,
     empty_memos()
     assert code in (cli.EXIT_OK, cli.EXIT_INDETERMINATE)
     assert capsys.readouterr().out.startswith("G(")
-    assert built == [(N + 2, True), (N + 1, False)]
+    assert (direct, quotient) == ([(d, p, N + 2)], [(d, p, N + 1)])
 
 
 @pytest.mark.parametrize("d,p", [(1, 3), (1, 5), (2, 5), (79, 3)])

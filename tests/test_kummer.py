@@ -1,6 +1,9 @@
+import signal
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,8 +24,8 @@ from iwasawalab.quadfield import (RealQuadraticField, SUnitBasisData,
                                   rational_ideal, s_unit_entry)
 
 import oracles
-from oracles import (empty_memos, same_kummer_extension, scale_exponents,
-                     sqrt_pair)
+from oracles import (count_builds, empty_memos, same_kummer_extension,
+                     scale_exponents, sqrt_pair)
 
 QQ = RealQuadraticField.rationals()
 Q2 = RealQuadraticField(2)
@@ -271,6 +274,37 @@ def test_kummer_rank_examples():
     assert kummer_rank([QQ.element(-1)], QQ, 3).rank == 0
     r = kummer_rank([QQ.element(2), QQ.element(8)], QQ, 3)
     assert r.rank == 1 and r.certified
+
+
+# exponents over 2, 3, 5, 7, 11, 13 of five rationals on which the exact
+# Smith form's entries grow so fast that it does not return in 20 s
+WIDE_EXPONENTS = [[-23, 48, 0, 0, 0, -2], [46, -7, 49, -41, 0, 3],
+                  [-33, -14, 31, -29, 0, 37], [2, 0, -48, 0, -10, -33],
+                  [-41, 0, 0, -27, 0, -34]]
+
+
+def test_kummer_rank_of_wide_exponents_is_quick():
+    """kummer_rank on the five rationals of WIDE_EXPONENTS is 5 and takes
+    under a second: fraction-free elimination bounds its entries by the
+    minors of the exponent matrix, where a Smith form did not return in
+    20 s.  A timer raises in the test after 5 s rather than let it hang."""
+    primes = (2, 3, 5, 7, 11, 13)
+    T = [QQ.element(prod(Fraction(q)**e for q, e in zip(primes, row)))
+         for row in WIDE_EXPONENTS]
+
+    def expired(*args):
+        raise TimeoutError("kummer_rank did not return in 5 s")
+    handler = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        start = time.perf_counter()
+        r = kummer_rank(T, QQ, 3)
+        elapsed = time.perf_counter() - start
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+    assert (r.rank, r.certified) == (5, True)
+    assert elapsed < 1
 
 
 def test_kummer_rank_fundamental_unit():
@@ -549,19 +583,13 @@ def test_round_robin_order_answers_and_builds_as_grouped(monkeypatch):
     fixtures = _round_robin_fixtures()
     assert len(fixtures) == 23
     Ns = (4, 5, 6, 4, 5, 6)
-    bases, direct = [], []
-    basis, build = kummer._alpha_basis, rayclass.RayClassGroupData
+    bases, basis = [], kummer._alpha_basis
+    direct, _ = count_builds(monkeypatch)
 
     def counted_basis(K, p, q1, q2, e1, e2):
         bases.append((K, (q1, q2)))
         return basis(K, p, q1, q2, e1, e2)
-
-    def counted_build(K, modulus, p, top=None):
-        if top is None:
-            direct.append((K, modulus))
-        return build(K, modulus, p, top)
     monkeypatch.setattr(kummer, "_alpha_basis", counted_basis)
-    monkeypatch.setattr(rayclass, "RayClassGroupData", counted_build)
 
     def answers(queries):
         empty_memos()
