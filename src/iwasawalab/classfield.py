@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from .abgroup import GroupElement
-from .ntheory import InternalCheckError
+from .ntheory import InternalCheckError, check_int
 from .padic import PAdicNumber, unit_log_residues, vp
 from .quadfield import (IntegralIdeal, RealQuadraticField, check_odd_prime,
                         prime_ideal, rational_ideal, residue_char)
@@ -179,8 +179,7 @@ def group_G(K: RealQuadraticField, p: int, N: int) -> GaloisGroupG:
     """The Galois group model at precision N (ray conductor p^(N+1), read
     from the tower of (K, p), grown to p^(N+2) first); its `stable` is
     checked against conductor p^(N+2) when first read."""
-    if N < 1:
-        raise ValueError("N must be at least 1")
+    check_int("N", N)
     check_odd_prime(p, K)
     M = N + 1
     # p^(N+2), which `stable` reads, first: a fresh tower builds it as its
@@ -208,8 +207,7 @@ def even_criterion(K: RealQuadraticField, p: int, q: IntegralIdeal, N: int):
     or an int for the ideal (q)) in the ray tower must have order e(q),
     computed as a ratio of ray class orders at two conductor levels."""
     check_odd_prime(p)
-    if N < 1:
-        raise ValueError("N must be at least 1")
+    check_int("N", N)
     q = prime_ideal(K, q)
     eq = e_of_q(q, p)
     orders = []

@@ -19,7 +19,7 @@ from math import gcd
 
 from .abgroup import element_order, subgroup_image_order
 from .classfield import cyclotomic_log, degree_map
-from .ntheory import InternalCheckError, legendre, power, quad_mul
+from .ntheory import InternalCheckError, check_int, legendre, power, quad_mul
 from .padic import PAdicNumber, vp
 from .quadfield import (IntegralIdeal, RealQuadraticField, check_odd_prime,
                         fundamental_unit, prime_ideal)
@@ -107,8 +107,7 @@ def mq_generator(K: RealQuadraticField, p: int, Q, N: int) \
         -> FrobeniusModuleReport:
     """a1 = -log<N(q2)>/log<N(q1)>, a2 = 1: the degree-0 generator data."""
     check_odd_prime(p)
-    if N < 1:
-        raise ValueError("N must be at least 1")
+    check_int("N", N)
     q1, q2 = _check_q_pair(K, p, *Q)
     a1 = _degree_zero_a1(q1, q2, p, N + 2)
     return FrobeniusModuleReport(K, p, N, q1, q2,
@@ -212,8 +211,7 @@ def leopoldt_defect(K: RealQuadraticField, p: int, N: int) -> LeopoldtReport:
     - 1 = z0 + z1*w is formed on residues, and v = min(A, v_p(z0),
     v_p(z1)) is exact when it is below A, certifying delta = 0, and is
     only known to be at least A otherwise (indeterminate)."""
-    if N < 1:
-        raise ValueError("N must be at least 1")
+    check_int("N", N)
     check_odd_prime(p, K)
     return _leopoldt(K, None if K.is_rational else fundamental_unit(K), p, N)
 
@@ -249,15 +247,14 @@ def greenberg_wiles(h0_v: int, h0_vdual: int, local_terms) -> int:
 def defect_never_one_scan(d_max: int, primes, N: int = 8):
     """Scan all squarefree d <= d_max (d = 1 meaning Q) and distinct odd
     primes, asserting the Leopoldt defect is never 1 at certified precision."""
-    if d_max < 1:
-        raise ValueError("d_max must be at least 1")
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    primes = sorted(set(primes))
+    check_int("d_max", d_max)
+    check_int("N", N)
+    primes = list(primes)           # each checked before 3.0 merges into 3
     for p in primes:
         if p % 2 == 0:
             raise ValueError("primes must be odd")
         check_odd_prime(p)
+    primes = sorted(set(primes))
     rows, violations, indeterminates = [], [], []
     for d in range(1, d_max + 1):
         try:

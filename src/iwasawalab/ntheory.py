@@ -1,5 +1,6 @@
-"""Small exact integer number-theory helpers, and Frozen, the base of the
-engine's value types."""
+"""Small exact integer number-theory helpers, check_int for the integer
+arguments of the entry points, and Frozen, the base of the engine's value
+types."""
 
 from __future__ import annotations
 
@@ -25,6 +26,15 @@ class Frozen:
 
     def __delattr__(self, name):
         raise AttributeError("cannot delete field %r" % name)
+
+
+def check_int(name: str, n, least: int = 1):
+    """Refuse n, the argument `name`, unless its type is int and it is at
+    least `least`: a float or a bool is a ValueError that names it."""
+    if type(n) is not int:
+        raise ValueError("%s must be an int, got %r" % (name, n))
+    if n < least:
+        raise ValueError("%s must be at least %d" % (name, least))
 
 
 def isprime(n: int) -> bool:

@@ -513,8 +513,8 @@ def ideal_valuation(x, q: IntegralIdeal) -> int:
 
 
 def check_odd_prime(p: int, K: RealQuadraticField = None):
-    """Refuse p unless it is an odd prime and, given K, unramified in K."""
-    if p % 2 == 0 or not isprime(p):
+    """Refuse p unless it is an odd prime int and, given K, unramified in K."""
+    if type(p) is not int or p % 2 == 0 or not isprime(p):
         raise ValueError("p must be an odd prime")
     if K is not None and not K.is_rational and K.D % p == 0:
         raise ValueError("p = %d ramifies in %s" % (p, K.spec_string()))
@@ -758,16 +758,20 @@ def fundamental_unit(K: RealQuadraticField) -> FieldElement:
     and stops at the latest on I_n = O.  The quotient of the two minima
     is checked integral, the norm +-1 and eps > 1.
 
-    The step of _rho_step is written in the loop.  Every Q_k is positive,
-    as Q_k/2 is the norm of I_k, so a_k = (P_k + s) // Q_k, s = isqrt D;
-    the raise checks Q_k > 0, so a wrong a_k fails in a few steps instead
-    of walking off.  Q_k | D - P_{k+1}^2 holds for any a_k (_rho_step):
-    the tests against the full-period walk guard a_k."""
+    The walk carries y_k alone, from y_{-1} = 1 and y_0 = 0: u_{k-1} =
+    tau_k * u_k (_o_walk), tau_k = (P_k - D + 2w)/Q_k, has w-coefficient
+    y_{k-1} = (2*x_k + (P_k + D)*y_k)/Q_k, so 2*x_k = Q_k*y_{k-1} - (P_k +
+    D)*y_k, for any partial quotients.  An odd stop needs x_k and x_{k+1},
+    an even one x_{k+1}; both are formed, each halving checked.  The step of
+    _rho_step is written in the loop.  Every Q_k is positive, as Q_k/2 is
+    the norm of I_k, so a_k = (P_k + s) // Q_k, s = isqrt D; the raise
+    checks Q_k > 0, so a wrong a_k fails in a few steps instead of walking
+    off.  Q_k | D - P_{k+1}^2 holds for any a_k (_rho_step): the tests
+    against the full-period walk guard a_k."""
     if K.is_rational:
         raise ValueError("Q has no fundamental unit")
     D, wn, s = K.D, K.w_norm, K.sqrtD_floor
-    P, Q = D, 2
-    x0, y0, x1, y1 = 0, 1, 1, 0                  # u_{k-1}, u_k
+    P, Q, y0, y1 = D, 2, 1, 0                    # y_{k-1}, y_k
     while True:
         a = (P + s) // Q
         P2 = a * Q - P
@@ -775,15 +779,16 @@ def fundamental_unit(K: RealQuadraticField) -> FieldElement:
         if R <= 0 or R % Q:         # Q | R for any a: guards P2 and Q2
             raise InternalCheckError("invariant 0 < Q | D - P^2 broken")
         Q2 = R // Q
-        x2, y2 = x0 - a * x1, y0 - a * y1       # u_{k+1}
-        if Q2 == Q:                             # odd period: sigma(u_k)
-            num = (x1 + y1 * D, -y1)
+        y2 = y0 - a * y1                        # y_{k+1}
+        if Q2 == Q or 2 * P2 % Q2 == 0:
             break
-        if 2 * P2 % Q2 == 0:                    # even period: sigma(u_{k+1})
-            num = (x2 + y2 * D, -y2)
-            break
-        P, Q, x0, y0, x1, y1 = P2, Q2, x1, y1, x2, y2
-    ex, ey = _exact_quotient(K, num, (x2, y2), "fundamental unit")
+        P, Q, y0, y1 = P2, Q2, y1, y2
+    x1, r1 = divmod(Q * y0 - (P + D) * y1, 2)     # u_k = x1 + y1*w
+    x2, r2 = divmod(Q2 * y1 - (P2 + D) * y2, 2)   # u_{k+1} = x2 + y2*w
+    if r1 or r2:
+        raise InternalCheckError("x of a minimum is not integral")
+    x, y = (x1, y1) if Q2 == Q else (x2, y2)      # odd n: u_k; even: u_{k+1}
+    ex, ey = _exact_quotient(K, (x + y * D, -y), (x2, y2), "fundamental unit")
     if _real_sign(2 * ex + D * ey, ey, D) < 0:   # 2*eps = (2x + Dy) + y*sqrt D
         ex, ey = -ex, -ey
     if abs(ex * ex + D * ex * ey + wn * ey * ey) != 1:

@@ -37,7 +37,7 @@ QQ = RealQuadraticField.rationals()
 Q2 = RealQuadraticField(2)
 
 
-@pytest.mark.parametrize("p", [0, 1, 2, 9, -3])
+@pytest.mark.parametrize("p", [0, 1, 2, 9, -3, 3.0, True])
 @pytest.mark.parametrize("call", [
     lambda p: mq_generator(QQ, p, (2, 5), 2),
     lambda p: mq_order(QQ, p, (2, 5), 2),
@@ -904,6 +904,63 @@ def test_scan_refuses_empty_range(d_max):
 def test_scan_refuses_precision_below_one(N):
     with pytest.raises(ValueError, match="N must be at least 1"):
         defect_never_one_scan(12, [3, 5], N)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: leopoldt_defect(Q2, 3, True), "^N must be an int, got True$"),
+    (lambda: leopoldt_defect(Q2, 3, 8.0), "^N must be an int, got 8.0$"),
+    (lambda: leopoldt_defect(Q2, 3.0, 8), "^p must be an odd prime$"),
+    (lambda: leopoldt_defect(Q2, True, 8), "^p must be an odd prime$"),
+    (lambda: defect_never_one_scan(10, [3], 2.5),
+     "^N must be an int, got 2.5$"),
+    (lambda: defect_never_one_scan(10, [3], True),
+     "^N must be an int, got True$"),
+    (lambda: defect_never_one_scan(10, [3, 3.0]), "^p must be an odd prime$"),
+    (lambda: defect_never_one_scan(10, [5.0]), "^p must be an odd prime$"),
+    (lambda: defect_never_one_scan(10.0, [3]),
+     "^d_max must be an int, got 10.0$"),
+    (lambda: defect_never_one_scan(True, [3]),
+     "^d_max must be an int, got True$"),
+    (lambda: mq_order(QQ, 3, (2, 5), 2.0), "^N must be an int, got 2.0$"),
+    (lambda: group_G(QQ, 3, True), "^N must be an int, got True$"),
+    (lambda: even_criterion(QQ, 3, 7, 2.0), "^N must be an int, got 2.0$"),
+], ids=["leopoldt-N-bool", "leopoldt-N-float", "leopoldt-p-float",
+        "leopoldt-p-bool", "scan-N-float", "scan-N-bool", "scan-p-float-dup",
+        "scan-p-float", "scan-dmax-float", "scan-dmax-bool", "mq-N-float",
+        "group_G-N-bool", "even-N-float"])
+def test_a_precision_or_prime_that_is_not_an_int_is_refused(call, message):
+    """A bool or a float for p, N or d_max is a ValueError naming the
+    argument, not a report with "precision": true or a TypeError from
+    inside pow; 3.0 next to 3 is refused before the primes are merged."""
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_leopoldt_certifies_from_the_first_precision_that_reads_v():
+    """Leopoldt precision monotonicity: for every squarefree d < 10^4, and
+    21713, at each unramified p in {3, 5, 7, 11}, v is read once at N = 40;
+    then the report at each N = 1..12 is ok with that v exactly when
+    A = N + 2 exceeds v, that is N >= v - 1, and indeterminate otherwise."""
+    top_v, indeterminate = 0, 0
+    for d in [d for d in range(2, 10000) if is_squarefree(d)] + [21713]:
+        K = RealQuadraticField(d)
+        eps = fundamental_unit(K)
+        for p in (3, 5, 7, 11):
+            if K.D % p == 0:
+                continue
+            v = iwasawa._leopoldt(K, eps, p, 40).regulator_valuation
+            assert v is not None, (d, p)
+            top_v = max(top_v, v)
+            for N in range(1, 13):
+                rep = iwasawa._leopoldt(K, eps, p, N)
+                if N >= v - 1:
+                    want = iwasawa.LeopoldtReport(K, p, N, 0, v, "ok", p == 3)
+                else:
+                    want = iwasawa.LeopoldtReport(K, p, N, 1, None,
+                                                  "indeterminate", p == 3)
+                    indeterminate += 1
+                assert rep == want, (d, p, N)
+    assert top_v == 10 and indeterminate > 0
 
 
 def test_greenberg_wiles_arithmetic():

@@ -1,5 +1,6 @@
 import os
 import random
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from iwasawalab import iwasawa, quadfield
-from iwasawalab.ntheory import is_squarefree, isprime
+from iwasawalab.ntheory import InternalCheckError, is_squarefree, isprime
 from iwasawalab.abgroup import decompose_abelian
 from iwasawalab.quadfield import (_cycle_of, _ideal_to_pair, _is_reduced_pair,
                                   _o_walk, _pair_to_ideal, _reduced_pairs,
@@ -634,6 +635,68 @@ def test_half_period_eps_matches_full_period_d_below_10000(monkeypatch):
         assert (kind == "odd") == (pell_sign(d) == -1), d
         kinds[kind] += 1
     assert kinds["odd"] > 500 and kinds["even"] > 4000
+
+
+# d -> period of the principal cycle, for the 20 squarefree d < 2*10^5 with
+# the longest periods (the next longest is 996)
+LONGEST_PERIODS_BELOW_200000 = {
+    196771: 1122, 189814: 1110, 187366: 1106, 190579: 1102, 192091: 1098,
+    181399: 1040, 173671: 1040, 184006: 1030, 166846: 1028, 199819: 1026,
+    183166: 1024, 185299: 1022, 162094: 1016, 195094: 1014, 162451: 1010,
+    184486: 1006, 177739: 1006, 169339: 1006, 192886: 1002, 170179: 998,
+}
+# those periods are all even: the five longest odd periods below 2*10^5
+LONGEST_ODD_PERIODS_BELOW_200000 = {
+    185641: 951, 196681: 929, 191689: 909, 199081: 907, 176089: 905,
+}
+
+
+def test_half_period_eps_matches_full_period_on_long_periods(monkeypatch):
+    """d = 20000971, period 8,906, whose eps has an x coordinate of 4,578
+    digits, and the fields of LONGEST_PERIODS_BELOW_200000 and
+    LONGEST_ODD_PERIODS_BELOW_200000: the unit walked on y alone is the
+    full-period unit, and stops at the half period of its parity."""
+    cases = {20000971: 8906, **LONGEST_PERIODS_BELOW_200000,
+             **LONGEST_ODD_PERIODS_BELOW_200000}
+    for d, period in cases.items():
+        K = RealQuadraticField(d)
+        eps, kind = _stop_kind(K, monkeypatch)
+        assert _full_period_eps(K) == (eps, period), d
+        assert kind == ("odd" if period % 2 else "even"), d
+        if d == 20000971:
+            assert 10**4577 <= abs(eps.a) < 10**4578
+
+
+def test_a_wrong_floor_gives_eps_or_raises():
+    """With sqrtD_floor set one off, to s + 1 or s - 1, every squarefree
+    d < 10^4 returns its eps or raises InternalCheckError: never another
+    unit, and never a walk that runs on (a timer raises after 10 s).  The
+    derived x coordinates see the wrong partial quotients the walk takes."""
+    outcomes = {"eps": 0, "raised": 0}
+
+    def expired(*args):
+        raise TimeoutError("a walk with a wrong floor ran past 10 s")
+    handler = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        for d in range(2, 10000):
+            if not squarefree(d):
+                continue
+            eps = fundamental_unit(RealQuadraticField(d))
+            for off in (1, -1):
+                K = RealQuadraticField(d)
+                object.__setattr__(K, "sqrtD_floor", K.sqrtD_floor + off)
+                try:
+                    got = fundamental_unit(K)
+                except InternalCheckError:
+                    outcomes["raised"] += 1
+                    continue
+                assert got == eps, (d, off)
+                outcomes["eps"] += 1
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+    assert outcomes == {"eps": 6082, "raised": 6082}
 
 
 def test_leopoldt_query_builds_no_cycle_table(monkeypatch):
