@@ -1,6 +1,5 @@
-"""Small exact integer number-theory helpers, check_int for the integer
-arguments of the entry points, and Frozen, the base of the engine's value
-types."""
+"""Small exact integer number-theory helpers, and Frozen, the base of the
+engine's value types."""
 
 from __future__ import annotations
 
@@ -28,13 +27,12 @@ class Frozen:
         raise AttributeError("cannot delete field %r" % name)
 
 
-def check_int(name: str, n, least: int = 1):
-    """Refuse n, the argument `name`, unless its type is int and it is at
-    least `least`: a float or a bool is a ValueError that names it."""
+def check_int(name: str, n):
+    """Refuse n, the argument `name`, unless it is an int (no bool) >= 1."""
     if type(n) is not int:
         raise ValueError("%s must be an int, got %r" % (name, n))
-    if n < least:
-        raise ValueError("%s must be at least %d" % (name, least))
+    if n < 1:
+        raise ValueError("%s must be at least 1" % name)
 
 
 def isprime(n: int) -> bool:

@@ -731,43 +731,35 @@ def _o_walk(K: RealQuadraticField):
 
 
 def fundamental_unit(K: RealQuadraticField) -> FieldElement:
-    """The unit eps > 1 generating the units modulo {-1}, from half a
-    period of the principal cycle, walked again on each call: a caller
-    that reads eps more than once, as the Leopoldt scan does, keeps it.
+    """The unit eps > 1 generating the units modulo {-1}, from half a period
+    of the principal cycle, walked on each call (the Leopoldt scan keeps it).
 
     The walk of _o_walk from (P_0, Q_0) = (D, 2) reaches the states of the
-    reduced ideals I_k = [Q_k/2, (P_k + sqrt D)/2], with I_0 = O, and
-    O = u_k * (2/Q_k) * I_k, so (u_k) = sigma(I_k), sigma(x + y*w) =
-    (x + y*D) - y*w the conjugation.  Let n be the period: I_{k+n} = I_k,
-    and I_0, ..., I_{n-1} are distinct.  Up to sign, the u_k, k >= 0, are
-    the relative minima of O of absolute value at most 1, in decreasing
-    order, and u_{k+n} = +-eps^-1 * u_k (Cohen, GTM 138, 5.7; Buchmann &
-    Vollmer, *Binary Quadratic Forms*).  sigma preserves O and swaps the
-    two real embeddings, so it maps the minima onto the minima in reverse
-    order and fixes u_0 = 1: sigma(u_k) = +-eps * u_{n-k}, and sigma(I_k) =
-    I_{n-k}.
+    reduced ideals I_k = [Q_k/2, (P_k + sqrt D)/2], I_0 = O, and O = u_k *
+    (2/Q_k) * I_k, so (u_k) = sigma(I_k), sigma(x + y*w) = (x + y*D) - y*w the
+    conjugation.  Let n be the period: I_{k+n} = I_k, and I_0, ..., I_{n-1} are
+    distinct.  Up to sign, the u_k, k >= 0, are the relative minima of O of
+    absolute value at most 1, decreasing, and u_{k+n} = +-eps^-1 * u_k (Cohen,
+    GTM 138, 5.7; Buchmann & Vollmer, *Binary Quadratic Forms*).  sigma
+    preserves O and swaps the real embeddings, so it reverses the minima and
+    fixes u_0 = 1: sigma(u_k) = +-eps * u_{n-k}, and sigma(I_k) = I_{n-k}.
 
     The pair of sigma(I_k) is (-P_k, Q_k), and P_{k+1} = a_k*Q_k - P_k is
     -P_k mod Q_k.  So Q_{k+1} = Q_k gives I_{k+1} = sigma(I_k) = I_{n-k},
-    hence n | 2k + 1 by distinctness; and Q_{k+1} | 2*P_{k+1} gives
-    I_{k+1} = sigma(I_{k+1}) = I_{n-k-1}, hence n | 2k + 2.  For odd n the
-    first condition first holds at 2k + 1 = n, before the second (at
-    k + 1 = n), and sigma(u_k) = +-eps * u_{k+1}.  For even n only the
-    second holds, first at 2k + 2 = n, and sigma(u_{k+1}) = +-eps * u_{k+1}.
-    The walk tests the odd condition first (for n = 1 both hold at k = 0)
-    and stops at the latest on I_n = O.  The quotient of the two minima
-    is checked integral, the norm +-1 and eps > 1.
+    hence n | 2k + 1 by distinctness; and Q_{k+1} | 2*P_{k+1} gives I_{k+1}
+    = sigma(I_{k+1}) = I_{n-k-1}, hence n | 2k + 2.  For odd n the first
+    holds first, at 2k + 1 = n, and sigma(u_k) = +-eps * u_{k+1}; for even n
+    only the second, first at 2k + 2 = n, and sigma(u_{k+1}) = +-eps *
+    u_{k+1}.  The walk tests the odd condition first (for n = 1 both hold at
+    k = 0) and stops at the latest on I_n = O.
 
-    The walk carries y_k alone, from y_{-1} = 1 and y_0 = 0: u_{k-1} =
-    tau_k * u_k (_o_walk), tau_k = (P_k - D + 2w)/Q_k, has w-coefficient
-    y_{k-1} = (2*x_k + (P_k + D)*y_k)/Q_k, so 2*x_k = Q_k*y_{k-1} - (P_k +
-    D)*y_k, for any partial quotients.  An odd stop needs x_k and x_{k+1},
-    an even one x_{k+1}; both are formed, each halving checked.  The step of
-    _rho_step is written in the loop.  Every Q_k is positive, as Q_k/2 is
-    the norm of I_k, so a_k = (P_k + s) // Q_k, s = isqrt D; the raise
-    checks Q_k > 0, so a wrong a_k fails in a few steps instead of walking
-    off.  Q_k | D - P_{k+1}^2 holds for any a_k (_rho_step): the tests
-    against the full-period walk guard a_k."""
+    The walk carries y_k alone, from y_{-1} = 1, y_0 = 0: the w-coefficient
+    of u_{k-1} = tau_k*u_k, tau_k = (P_k - D + 2w)/Q_k, gives 2*x_k =
+    Q_k*y_{k-1} - (P_k + D)*y_k for any a_k.  An odd stop needs x_k and
+    x_{k+1}, an even one x_{k+1}; each halving is checked exact, as are the
+    quotient, the norm +-1 and eps > 1.  Q_k/2 is the norm of I_k, so a_k =
+    (P_k + s) // Q_k, s = isqrt D, and a wrong a_k soon fails Q_k > 0;
+    Q_k | D - P_{k+1}^2 for any a_k, so the full-period tests guard a_k."""
     if K.is_rational:
         raise ValueError("Q has no fundamental unit")
     D, wn, s = K.D, K.w_norm, K.sqrtD_floor
