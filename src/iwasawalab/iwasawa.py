@@ -232,15 +232,13 @@ def _leopoldt(K: RealQuadraticField, eps, p: int, N: int) -> LeopoldtReport:
 
 def greenberg_wiles(h0_v: int, h0_vdual: int, local_terms) -> int:
     """Right-hand side of the global Euler-characteristic formula:
-    h0(V) - h0(V*(1)) + sum_v (dim L_v - h0(F_v, V))."""
-    for n in (h0_v, h0_vdual):
-        if not isinstance(n, int) or n < 0:
+    h0(V) - h0(V*(1)) + sum_v (dim L_v - h0(F_v, V)), each dimension an
+    int (not a bool) >= 0."""
+    total = 0
+    for dim, h0 in [(h0_v, h0_vdual), *local_terms]:
+        if type(dim) is not int or type(h0) is not int or min(dim, h0) < 0:
             raise ValueError("cohomology dimensions must be nonnegative ints")
-    total = h0_v - h0_vdual
-    for (dim_l, h0_loc) in local_terms:
-        if dim_l < 0 or h0_loc < 0:
-            raise ValueError("local terms must be nonnegative")
-        total += dim_l - h0_loc
+        total += dim - h0
     return total
 
 

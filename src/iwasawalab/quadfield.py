@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm, log, sqrt
 from numbers import Rational
 from types import MappingProxyType
@@ -628,10 +628,13 @@ class ClassGroupData:
     walks each cycle once, from the first reduced pair not yet indexed,
     and _key maps every state of every cycle to its key.  The
     decomposition's orders are the invariant factors and its dlog gives
-    coordinates in their basis, so an element of `group` is its dlog."""
+    coordinates in their basis, so an element of `group` is its dlog.
+    The record also keeps what every ray-class build over K reads: eps,
+    the scan of primes for class representatives and their generators."""
 
     def __init__(self, K: RealQuadraticField):
         self.field = K
+        self._scan, self._gens = {}, {}     # ell -> [(q, key)]; q -> gen
         if K.is_rational:
             self.h = 1
             self.cycle_keys = []
@@ -681,6 +684,41 @@ class ClassGroupData:
         if not self.gen_orders:
             return ()
         return self._dlog[self.key_of(I)]
+
+    @cached_property
+    def eps(self) -> FieldElement:
+        """fundamental_unit(K), walked on the first read."""
+        return fundamental_unit(self.field)
+
+    def class_reps(self, norm: int):
+        """(ideals, generators) for a modulus of norm `norm`: for each
+        decomposition generator, the first prime q of its class above the
+        primes ell = 2, 3, ... prime to norm * D, and a generator of
+        q^order.  The scan of ell, with the class of each prime above it,
+        and the generators are kept for the next modulus."""
+        needed, ell = dict.fromkeys(self.gen_keys), 1
+        while None in needed.values():
+            ell += 1
+            if ell > 50000:
+                raise InternalCheckError("no class representatives coprime "
+                                         "to m below the cap ell = 50000")
+            if ell not in self._scan:
+                self._scan[ell] = [(q, self.key_of(q)) for q in (
+                    prime_ideals_above(self.field, ell)
+                    if isprime(ell) and self.field.D % ell else ())]
+            if norm % ell == 0:
+                continue
+            for q, k in self._scan[ell]:
+                if k in needed and needed[k] is None:
+                    needed[k] = q
+        reps = list(needed.values())
+        for q, order in zip(reps, self.gen_orders):
+            if q not in self._gens:
+                self._gens[q] = principal_generator(q**order)
+                if self._gens[q] is None:
+                    raise InternalCheckError("power of a class generator "
+                                             "by its order is not principal")
+        return reps, [self._gens[q] for q in reps]
 
     def class_of(self, I: IntegralIdeal) -> GroupElement:
         return self.group.element(self.ambient_dlog(I))

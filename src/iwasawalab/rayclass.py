@@ -24,12 +24,11 @@ from math import gcd, prod
 
 from .abgroup import FiniteAbelianGroup, GroupElement, smith_presentation, \
     subgroup_image_order
-from .ntheory import InternalCheckError, factorint, isprime
+from .ntheory import InternalCheckError, factorint
 from .padic import vp
 from .quadfield import (IntegralIdeal, RealQuadraticField, check_odd_prime,
-                        class_group, fundamental_unit, parts_valuation,
-                        prime_ideals_above, principal_generator,
-                        rational_ideal, unit_ideal)
+                        class_group, parts_valuation, prime_ideals_above,
+                        principal_generator, rational_ideal, unit_ideal)
 from .residues import UnitGroupModM
 
 
@@ -66,7 +65,8 @@ def _p_power(m: IntegralIdeal, p: int) -> int:
 
 class RayClassGroupData:
     """The ray class group of conductor m, `group`, and its p-part,
-    `p_group`, with dlog machinery.
+    `p_group`, with dlog machinery.  A direct build reads eps and the class
+    representatives with their generators off the field's record, `clg`.
 
     With `top`, a direct build of conductor (p^T), it is the level (p^M),
     M <= T, read as a quotient of the top (Neukirch, ANT, ch. VI
@@ -100,8 +100,9 @@ class RayClassGroupData:
             # -1, whose row the components state, then eps but over Q
             self._unit_dlogs = [self.units.minus_one_dlog()]
             if not K.is_rational:
-                self._unit_dlogs.append(self.units.dlog(fundamental_unit(K)))
-            self.class_gen_ideals, elements = self._class_gen_reps()
+                self._unit_dlogs.append(self.units.dlog(self.clg.eps))
+            self.class_gen_ideals, elements = self.clg.class_reps(
+                modulus.norm)
             class_dlogs = [self.units.dlog(g) for g in elements]
             self._ambient = {}          # q -> _ambient_vector(q)
         else:
@@ -153,36 +154,6 @@ class RayClassGroupData:
     def _reduce(self, dlog):
         """A dlog of `units`, read modulo this level's generator orders."""
         return [t % o for t, o in zip(dlog, self.unit_orders)]
-
-    def _class_gen_reps(self):
-        K = self.field
-        ideals = []
-        elements = []
-        if not self.clg.gen_keys:
-            return ideals, elements
-        needed = {k: None for k in self.clg.gen_keys}
-        bad = self.modulus.norm * K.D
-        ell = 1
-        while any(v is None for v in needed.values()):
-            ell += 1
-            if ell > 50000:
-                raise InternalCheckError("no class representatives coprime "
-                                         "to m below the cap ell = 50000")
-            if not isprime(ell) or bad % ell == 0:
-                continue
-            for q in prime_ideals_above(K, ell):
-                k = self.clg.key_of(q)
-                if k in needed and needed[k] is None:
-                    needed[k] = q
-        for key, order in zip(self.clg.gen_keys, self.clg.gen_orders):
-            q = needed[key]
-            ideals.append(q)
-            g = principal_generator(q**order)
-            if g is None:
-                raise InternalCheckError("power of a class generator by its "
-                                         "order is not principal")
-            elements.append(g)
-        return ideals, elements
 
     # ------------------------------------------------------------- class maps
     def ambient_of_ideal(self, q: IntegralIdeal):

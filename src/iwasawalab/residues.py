@@ -19,9 +19,12 @@ The torsion dlog is a Pohlig-Hellman run over the residue field
 takes every power of g again on each call: a component lives for one
 ray-class build, which asks it few dlogs (eps, the class representatives,
 the ideals whose classes it reads).  For each q^a exactly dividing the
-order n of g, k = 0 mod q^a when h^(n/q^a) = 1, with no power of g taken;
-otherwise the base-q digits of k mod q^a are read by baby-step giant-step
-in the subgroup of order q.  The q^a-parts are joined by CRT.
+order n of g, k = 0 mod q^a when h^(n/q^a) = 1, with no power of g taken.
+Otherwise k mod q^a is read by baby-step giant-step: in one run over the
+subgroup of order q^a when its table of isqrt(q^a) entries costs no more
+than the a runs of the base-q digits, each isqrt(q) giant steps and
+ladders over the bits of q^a; else digit by digit, in the subgroup of
+order q.  The q^a-parts are joined by CRT.
 
 In F_ell^2 (inert ell), Frobenius is conjugation: u^ell = conj(u), so
 
@@ -133,7 +136,8 @@ class _NormOneTorus:
 def pohlig_hellman(G, g, n: int, fac: dict, h):
     """(k, modulus) with h = g^k, k read modulo the product of the q^a of
     fac, each exactly dividing the order n of g in the cyclic group G (one
-    of the unit groups above), by the run of the module docstring."""
+    of the unit groups above), by the run of the module docstring: c
+    digits of width W, one of width q^a or a of width q."""
     mul, exp = G.mul, G.exp
     k, mod = 0, 1
     for q, a in fac.items():
@@ -142,19 +146,21 @@ def pohlig_hellman(G, g, n: int, fac: dict, h):
         if t == G.one:
             k, mod = _merge(k, mod, 0, qa, "Pohlig-Hellman digits")
             continue
+        W, c = (qa, 1) if isqrt(qa) <= a * (isqrt(q) + qa.bit_length()) \
+            else (q, a)
         gq = exp(g, n // qa)
-        gamma = exp(gq, qa // q) if a > 1 else gq
-        m = isqrt(q - 1) + 1
+        gamma = exp(gq, qa // W) if c > 1 else gq
+        m = isqrt(W - 1) + 1
         baby, z = {}, G.one
         for j in range(m):
             baby[z] = j
             z = mul(z, gamma)
         giant = G.inv(z)
-        strip = G.inv(gq) if a > 1 else None   # g_q^(-q^j) at digit j
-        x, qj = 0, 1
-        for j in range(a):
-            # t = g_q^(k - x) has order dividing q^(a - j)
-            y = exp(t, qa // (qj * q)) if j < a - 1 else t
+        strip = G.inv(gq) if c > 1 else None   # g_q^(-W^j) at digit j
+        x, wj = 0, 1
+        for j in range(c):
+            # t = g_q^(k - x) has order dividing W^(c - j)
+            y = exp(t, qa // (wj * W)) if j < c - 1 else t
             for i in range(m):
                 if y in baby:
                     break
@@ -162,13 +168,13 @@ def pohlig_hellman(G, g, n: int, fac: dict, h):
             else:
                 raise InternalCheckError("dlog: element outside the subgroup")
             d = i * m + baby[y]
-            if j < a - 1:
+            if j < c - 1:
                 if d:
                     t = mul(t, strip if d == 1 else exp(strip, d))
-                strip = exp(strip, q)
-            x += d * qj
-            qj *= q
-        k, mod = _merge(k, mod, x, qj, "Pohlig-Hellman digits")
+                strip = exp(strip, W)
+            x += d * wj
+            wj *= W
+        k, mod = _merge(k, mod, x, wj, "Pohlig-Hellman digits")
     return k, mod
 
 

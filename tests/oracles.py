@@ -80,7 +80,7 @@ from pathlib import Path
 from types import MappingProxyType
 
 import iwasawalab
-from iwasawalab import padic, rayclass
+from iwasawalab import padic, quadfield, rayclass
 from iwasawalab.abgroup import (FiniteAbelianGroup, GroupElement,
                                 element_order, lattice_index,
                                 smith_normal_form, smith_presentation,
@@ -139,6 +139,27 @@ def count_builds(monkeypatch):
         return build(K, modulus, p, top)
     monkeypatch.setattr(rayclass, "RayClassGroupData", record)
     return built
+
+
+def count_field_work(monkeypatch):
+    """(walks, generators): from now on, each walk of a fundamental unit
+    that quadfield takes, as d, and each ideal of which quadfield or
+    rayclass asks a principal generator, as (d, N(I)); over K = Q, d = 1.
+    The powers of class representatives that a ray-class build reads are
+    principalized in quadfield, the ray classes of ideals in rayclass."""
+    walks, generators = [], []
+    walk = quadfield.fundamental_unit
+
+    def walked(K):
+        walks.append(K.d)
+        return walk(K)
+    monkeypatch.setattr(quadfield, "fundamental_unit", walked)
+    for module in (quadfield, rayclass):
+        def generated(I, generator=module.principal_generator):
+            generators.append((I.field.d or 1, I.norm))
+            return generator(I)
+        monkeypatch.setattr(module, "principal_generator", generated)
+    return walks, generators
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"

@@ -20,10 +20,10 @@ from collections import defaultdict
 import pytest
 
 import iwasawalab
-from iwasawalab import padic, rayclass, residues
+from iwasawalab import padic, quadfield, rayclass, residues
 from iwasawalab.padic import PAdicNumber
-from oracles import BENCH, answers_digest, count_builds, empty_memos, \
-    load_bench
+from oracles import BENCH, answers_digest, count_builds, count_field_work, \
+    empty_memos, load_bench
 from test_kummer import ALPHA_GRID
 
 W, S = load_bench("workloads"), load_bench("session")
@@ -118,18 +118,40 @@ def test_seed_one_batch(monkeypatch, workload):
     assert len(taken) == (176 if workload == "big-conductor" else 2)
 
 
+def test_seed_one_big_batch_does_each_fields_work_once(monkeypatch):
+    """The 150 ray class groups of the seed-1 big-conductor batch lie over
+    14 fields, and each field's class group record keeps eps and the
+    generators of its class representatives: the batch walks 14 units
+    (150, one a build, when each build walked its own) and principalizes
+    one representative of Q(sqrt 10) and one of Q(sqrt 26), h = 2 (24,
+    one a build); the smoke query's generators over Q are the rest."""
+    batch = W.batch("big-conductor", 1)
+    expected = S.load_expected("big-conductor",
+                               {W.query_key(q) for q in batch})
+    empty_memos()
+    direct, _ = count_builds(monkeypatch)
+    walks, generators = count_field_work(monkeypatch)
+    for q in batch:
+        doc = W.answer(iwasawalab, q)
+        assert S.canonical(doc) == expected[W.query_key(q)], q
+    empty_memos()
+    assert len(direct) == 151
+    assert len(walks) == len(set(walks)) == 14
+    assert sorted(g for g in generators if g[0] > 1) == [(10, 9), (26, 25)]
+
+
 def test_seed_one_alpha_batch_builds_few_levels_directly(monkeypatch):
     """The seed-1 kummer-alpha batch reads 166 levels, each once, as
     quotients of the p-part of its tower's top.  It builds 31 tops
     directly and no quotient record: 145 levels were quotient records,
     each with a Smith form of the whole ray class presentation.  Reading a
     level that does not grow the top takes no unit group, class
-    representative search, dlog or principal generator."""
+    representative search, dlog, principal generator or unit walk, from
+    rayclass or from the class group record of quadfield."""
     batch = W.batch("kummer-alpha", 1)
     expected = S.load_expected("kummer-alpha",
                                {W.query_key(q) for q in batch})
     empty_memos()
-    cls = rayclass.RayClassGroupData
     direct, quotient = count_builds(monkeypatch)
     below, read = [], []
     p_quotient = rayclass.RayClassTower.p_quotient
@@ -153,11 +175,14 @@ def test_seed_one_alpha_batch_builds_few_levels_directly(monkeypatch):
                         refused("UnitGroupModM", rayclass.UnitGroupModM))
     monkeypatch.setattr(rayclass, "_factor_ideal",
                         refused("_factor_ideal", rayclass._factor_ideal))
-    monkeypatch.setattr(rayclass, "principal_generator",
-                        refused("principal_generator",
-                                rayclass.principal_generator))
-    monkeypatch.setattr(cls, "_class_gen_reps",
-                        refused("_class_gen_reps", cls._class_gen_reps))
+    for module, name in ((rayclass, "principal_generator"),
+                         (quadfield, "principal_generator"),
+                         (quadfield, "fundamental_unit")):
+        monkeypatch.setattr(module, name,
+                            refused(name, getattr(module, name)))
+    record = quadfield.ClassGroupData
+    monkeypatch.setattr(record, "class_reps",
+                        refused("class_reps", record.class_reps))
     monkeypatch.setattr(residues.UnitGroupModM, "dlog",
                         refused("dlog", residues.UnitGroupModM.dlog))
     for q in batch:

@@ -1,4 +1,5 @@
 import random
+import signal
 from math import prod
 
 import pytest
@@ -153,6 +154,24 @@ def test_cyclotomic_log_matches_log_route(p):
                 assert classfield._degree_without_log(n, p, A - 1) == want
     with pytest.raises(ValueError):
         cyclotomic_log(2 * p, p, 4)
+
+
+def test_degree_without_log_at_n_40_reads_digits():
+    """At N = 40 the p^N part is read digit by digit: one baby-step
+    giant-step over the subgroup of order p^40 would build a table of
+    p^20 entries.  A 5 s setitimer raises instead of a hang, and the
+    degrees are those of cyclotomic_log at A = 41."""
+    def expired(*args):
+        raise TimeoutError("_degree_without_log did not return in 5 s")
+    handler = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        got = {(n, p): classfield._degree_without_log(n, p, 40)
+               for p in (3, 5, 7) for n in (2, 11, 1001, 123456) if n % p}
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+    assert got == {(n, p): cyclotomic_log(n, p, 41) for n, p in got}
 
 
 LADDER = range(2, 31)

@@ -972,6 +972,21 @@ def test_greenberg_wiles_arithmetic():
         greenberg_wiles(0, 0, [(0, -2)])
 
 
+@pytest.mark.parametrize("args", [
+    (True, 0, []), (0, False, []), (1.0, 0, []), (0, 2.5, []),
+    (0, 0, [(2.5, 0)]), (0, 0, [(0, True)]), (0, 0, [(False, 0)]),
+    (0, 0, [(2, 1), (0, 1.0)]), (-1, 0, []), (0, -1, []),
+    (0, 0, [(0, -2)]), (0, 0, [(-1, 0)]), ("1", 0, []), (None, 0, []),
+])
+def test_greenberg_wiles_refuses_what_is_not_a_nonnegative_int(args):
+    """A bool, a float or any other type than int is refused, in h0(V),
+    h0(V*(1)) and in each local term, as a negative dimension is, with the
+    message the CLI prints."""
+    with pytest.raises(ValueError, match="^cohomology dimensions must be "
+                       "nonnegative ints$"):
+        greenberg_wiles(*args)
+
+
 def test_greenberg_wiles_qp1_fixture():
     # V = Q_p(1) over Q, unramified-everywhere conditions, L_p = 0:
     # h0(Q, V) = 0; h0(Q, V*(1)) = h0(Q, Q_p) = 1;

@@ -1,22 +1,24 @@
 import gc
 import random
 import weakref
-from math import prod
+from math import gcd, prod
 
 import pytest
 
-from iwasawalab import rayclass
+from iwasawalab import quadfield, rayclass
 from iwasawalab.cli import EXIT_INTERNAL, main
 from iwasawalab.ntheory import (InternalCheckError, factorint, is_squarefree,
                                 isprime)
 from iwasawalab.padic import vp
-from iwasawalab.quadfield import (RealQuadraticField, factor_rational_prime,
-                                  prime_ideals_above, rational_ideal)
+from iwasawalab.quadfield import (RealQuadraticField, class_group,
+                                  factor_rational_prime, prime_ideals_above,
+                                  rational_ideal)
 from iwasawalab.rayclass import _factor_ideal, ray_class_group
 
-from oracles import (fundamental_unit_cf, fundamental_unit_oracle,
-                     group_identity, kronecker, load_bench, ray_class_number,
-                     squarefree, unit_image_order_two_snf)
+from oracles import (empty_memos, fundamental_unit_cf,
+                     fundamental_unit_oracle, group_identity, kronecker,
+                     load_bench, ray_class_number, squarefree,
+                     unit_image_order_two_snf)
 
 QQ = RealQuadraticField.rationals()
 
@@ -278,14 +280,54 @@ def test_p_part_against_sympy_smith_form():
 def test_class_representative_cap_fails_loudly(monkeypatch, capsys):
     """With no prime ell accepted as a candidate (isprime holds only for
     p = 3, which divides m), the search for class representatives of
-    Q(sqrt 10), h = 2, runs to its cap and raises."""
+    Q(sqrt 10), h = 2, runs to its cap and raises.  The scan lives on the
+    class group record, so the test starts and ends on emptied records."""
     K = RealQuadraticField(10)
-    monkeypatch.setattr(rayclass, "isprime", lambda n: n == 3)
-    with pytest.raises(InternalCheckError, match="ell = 50000"):
-        ray_class_group(K, 3, 3)
-    argv = ["rayclass", "--field", "Q(sqrt{10})", "--modulus", "3", "--p", "3"]
-    assert main(argv) == EXIT_INTERNAL
-    assert "ell = 50000" in capsys.readouterr().err
+    empty_memos()
+    monkeypatch.setattr(quadfield, "isprime", lambda n: n == 3)
+    try:
+        with pytest.raises(InternalCheckError, match="ell = 50000"):
+            ray_class_group(K, 3, 3)
+        argv = ["rayclass", "--field", "Q(sqrt{10})", "--modulus", "3",
+                "--p", "3"]
+        assert main(argv) == EXIT_INTERNAL
+        assert "ell = 50000" in capsys.readouterr().err
+    finally:
+        empty_memos()
+
+
+def _rep_view(rc):
+    return rc.class_gen_ideals, rc.relations, rc.group, rc.p_group
+
+
+@pytest.mark.parametrize("d", [10, 26, 79])
+def test_a_warm_class_group_record_builds_as_a_cold_one(d):
+    """Ray class groups of Q(sqrt d), h > 1, built one after another on
+    the field's class group record, which keeps the scan of primes, eps
+    and the generators of the representatives, equal those built each on
+    a record emptied first: the representative ideals, the relations and
+    both groups.  The moduli include ell0, the prime under the first
+    representative at m = 1, its square and ell0 * ell1, ell1 the one at
+    m = ell0: there the record skips ell0 (and ell1), as the search of
+    each build does, for the next prime of the class."""
+    K = RealQuadraticField(d)
+    assert class_group(K).h > 1
+    empty_memos()
+    ell0 = ray_class_group(K, 1, 3).class_gen_ideals[0].norm
+    ell1 = ray_class_group(K, ell0, 3).class_gen_ideals[0].norm
+    moduli = [ell0, ell0 * ell1, ell0**2, 1, 7, 11, 27, 1001, 1003]
+    moduli = [m for m in moduli if gcd(m, K.D) == 1]
+    cold = {}
+    for m in moduli:
+        empty_memos()
+        cold[m] = _rep_view(ray_class_group(K, m, 3))
+    for order in (moduli, moduli[::-1]):
+        empty_memos()
+        for m in order:
+            assert _rep_view(ray_class_group(K, m, 3)) == cold[m], (d, m)
+    for m in moduli:
+        assert all(m % q.norm for q in cold[m][0]), (d, m)
+    empty_memos()
 
 
 def test_a_tower_keeps_the_entries_of_its_last_eight_pairs():

@@ -701,6 +701,111 @@ def test_pohlig_hellman_refuses_a_target_outside_the_subgroup():
     assert checked > 50
 
 
+# (ell, q, a): q^a exactly divides ell - 1, in F_ell*, or ell + 1, in the
+# norm-one torus, at the largest a whose part one baby-step giant-step
+# reads (2^16, 3^9, 5^5) and at the least a read digit by digit
+PH_WIDTH_CASES = {
+    "units": [(65537, 2, 16), (1179649, 2, 17), (39367, 3, 9),
+              (472393, 3, 10), (37501, 5, 5), (62501, 5, 6)],
+    "torus": [(131071, 2, 17), (472391, 3, 10), (31249, 5, 6)],
+}
+
+
+def _cyclic(kind, ell):
+    """(G, g, n): F_ell*, a primitive root and ell - 1, or the norm-one
+    torus of F_ell[w]/(w^2 - r), r the least non-residue, a generator of it
+    and ell + 1."""
+    if kind == "units":
+        return ModularUnits(ell), _primitive_root(ell, factorint(ell - 1)), \
+            ell - 1
+    r = next(x for x in range(2, ell) if pow(x, (ell - 1) // 2, ell) != 1)
+    F = _QuadFieldUnits(0, -r, ell)
+    g = _inert_generator(F, factorint(ell - 1), factorint(ell + 1))
+    return residues._NormOneTorus(F), F.frobenius_quotient(g), ell + 1
+
+
+def _powers_of(G, g, n):
+    """{g^j: j} for 0 <= j < n, one product a power: the brute-force dlog
+    of <g> when g has order n."""
+    table, z = {}, G.one
+    for j in range(n):
+        table[z] = j
+        z = G.mul(z, g)
+    return table
+
+
+@pytest.mark.parametrize("kind", ["units", "torus"])
+def test_pohlig_hellman_against_brute_force_on_small_groups(kind):
+    """Every odd prime ell < 700, F_ell* and the torus: for seeded k, the
+    whole run reads k of h = g^k as the table of all powers does, and the
+    run on each q^a alone reads it mod q^a.  Those groups hold parts 2^a,
+    a = 1..7, 3^2 and 5^2, each read in one baby-step giant-step."""
+    rng = random.Random(47)
+    parts = set()
+    for ell in range(3, 700):
+        if not isprime(ell):
+            continue
+        G, g, n = _cyclic(kind, ell)
+        fac = factorint(n)
+        table = _powers_of(G, g, n)
+        assert len(table) == n
+        parts.update(fac.items())
+        for k in (0, 1, n - 1, *(rng.randrange(n) for _ in range(3))):
+            h = G.exp(g, k)
+            assert table[h] == k
+            assert pohlig_hellman(G, g, n, fac, h) == (k, n), (ell, k)
+            for q, a in fac.items():
+                assert pohlig_hellman(G, g, n, {q: a}, h) == \
+                    (k % q**a, q**a), (ell, q, a, k)
+    assert {(2, a) for a in range(1, 8)} | {(3, 2), (5, 2)} <= parts
+
+
+@pytest.mark.parametrize("kind", sorted(PH_WIDTH_CASES))
+def test_pohlig_hellman_reads_large_parts_at_both_widths(kind):
+    """Parts q^a of 2, 3 and 5 on either side of the width rule, against
+    the table of all powers of g^(n/q^a), of order q^a: k mod q^a for
+    seeded k, alone and with the rest of the order's factors."""
+    rng = random.Random(48)
+    for ell, q, a in PH_WIDTH_CASES[kind]:
+        G, g, n = _cyclic(kind, ell)
+        fac, qa = factorint(n), q**a
+        assert fac[q] == a
+        table = _powers_of(G, G.exp(g, n // qa), qa)
+        for k in (1, n - 1, *(rng.randrange(n) for _ in range(3))):
+            h = G.exp(g, k)
+            want = table[G.exp(h, n // qa)]
+            assert want == k % qa
+            assert pohlig_hellman(G, g, n, {q: a}, h) == (want, qa), \
+                (ell, k)
+            assert pohlig_hellman(G, g, n, fac, h) == (k, n), (ell, k)
+
+
+def test_pohlig_hellman_width_follows_the_table_cost():
+    """A part of F_ell* read in one baby-step giant-step takes two powers,
+    h^(n/q^a) and g^(n/q^a); read digit by digit, it takes more: one per
+    digit of h and two of the strip.  2^16, 3^9 and 5^5 take the one
+    table; 2^17, 3^10 and 5^6 the digits."""
+    for ell, q, a in PH_WIDTH_CASES["units"]:
+        G, g = _CountingUnits(ell), _primitive_root(ell, factorint(ell - 1))
+        h = pow(g, 12345, ell)
+        pohlig_hellman(G, g, ell - 1, {q: a}, h)
+        assert (len(G.bases) == 2) == ((q, a) in {(2, 16), (3, 9), (5, 5)})
+
+
+def test_pohlig_hellman_refuses_outside_targets_at_both_widths():
+    """g = r^2 for a primitive root r of F_ell* has order n = (ell - 1)/2,
+    and r^(n/q^a) lies outside <g> for the part q^a of n that has the
+    factor 2: the run raises in one table (2^4 at ell = 97, 2^15 at
+    ell = 65537) and digit by digit (2^17 at ell = 786433)."""
+    for ell, a in ((97, 4), (65537, 15), (786433, 17)):
+        r = _primitive_root(ell, factorint(ell - 1))
+        n = (ell - 1) // 2
+        assert factorint(n)[2] == a
+        with pytest.raises(InternalCheckError,
+                           match="element outside the subgroup"):
+            pohlig_hellman(ModularUnits(ell), r * r % ell, n, {2: a}, r)
+
+
 def test_generator_searches_raise_internal_checks():
     """The fall-throughs of the generator searches are engine faults: no
     element passes a test at a prime that does not divide ell - 1, and
