@@ -17,7 +17,7 @@ from .classfield import even_criterion, frobenius_image, group_G
 from .iwasawa import (defect_never_one_scan, greenberg_wiles, leopoldt_defect,
                       mq_order)
 from .kummer import construct_alpha
-from .ntheory import InternalCheckError, isprime
+from .ntheory import InternalCheckError, integer, isprime
 from .padic import EXACT_ZERO_BOUND, PAdicNumber, PrecisionError, teichmueller
 from .quadfield import (RealQuadraticField, class_group,
                         factor_rational_prime, fundamental_unit,
@@ -45,7 +45,7 @@ class _Parser(argparse.ArgumentParser):
 def _default_prec():
     value = os.environ.get("IWASAWA_LAB_PRECISION", "8")
     try:
-        prec = int(value)
+        prec = integer(value)
     except ValueError:
         prec = 0
     if prec < 1:
@@ -62,7 +62,7 @@ def _parse_prime_ideal(K: RealQuadraticField, spec: str):
         which = 0 if spec[-1] == "a" else 1
         spec = spec[:-1]
     try:
-        ell = int(spec)
+        ell = integer(spec)
     except ValueError:
         raise UsageError("cannot parse prime spec %r" % spec)
     rep = factor_rational_prime(K, ell)
@@ -77,7 +77,7 @@ def _int_items(option: str, text: str, width: int, form: str):
     items = []
     for item in text.split(","):
         try:
-            ints = tuple(int(s) for s in item.split(":"))
+            ints = tuple(integer(s) for s in item.split(":"))
         except ValueError:
             ints = ()
         if len(ints) != width:
@@ -287,12 +287,12 @@ def _cmd_selftest(args, K):
 
 # The argparse keywords of each option; "--q+" is --q, given one or more times
 _REQUIRED = (("required", True),)
-_INT = (("type", int),) + _REQUIRED
+_INT = (("type", integer),) + _REQUIRED
 _OPTIONS = MappingProxyType({
     "--field": _REQUIRED, "--ell": _INT, "--modulus": _INT, "--p": _INT,
     "--q": _REQUIRED, "--q+": (("action", "append"),) + _REQUIRED,
     "--q1": _REQUIRED, "--q2": _REQUIRED,
-    "--prec": (("type", int), ("default", None)),
+    "--prec": (("type", integer), ("default", None)),
     "--h0v": _INT, "--h0dual": _INT, "--locals": (("default", ""),),
     "--dmax": _INT, "--primes": (("default", "3,5,7"),),
 })

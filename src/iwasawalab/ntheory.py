@@ -35,6 +35,14 @@ def check_int(name: str, n):
         raise ValueError("%s must be at least 1" % name)
 
 
+def integer(text: str) -> int:
+    """The int of ASCII [+-]?[0-9]+, else a ValueError; int() reads "1_3"."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError("invalid integer value: %r" % (text,))
+    return int(text)
+
+
 def isprime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid far beyond this package's scale.
     Below 41^2 = 1681, an n with no prime factor up to 37 is prime."""
@@ -133,19 +141,21 @@ def power(mul, one, g, k: int):
 def quad_mul(t: int, n: int, m: int = 0):
     """The multiplication of Z[x]/(x^2 - t*x + n) modulo m, or exactly when
     m is 0, on coordinate pairs over {1, x}, as a function of two pairs for
-    `power`."""
+    `power`; only the closure returned is built."""
+    if not m:
+        def exact(u, v):
+            u0, u1 = u
+            v0, v1 = v
+            w = u1 * v1
+            return u0 * v0 - w * n, u0 * v1 + u1 * v0 + w * t
+        return exact
+
     def mul(u, v):
         u0, u1 = u
         v0, v1 = v
         w = u1 * v1
         return (u0 * v0 - w * n) % m, (u0 * v1 + u1 * v0 + w * t) % m
-
-    def exact(u, v):
-        u0, u1 = u
-        v0, v1 = v
-        w = u1 * v1
-        return u0 * v0 - w * n, u0 * v1 + u1 * v0 + w * t
-    return mul if m else exact
+    return mul
 
 
 def crt(r1: int, m1: int, r2: int, m2: int):

@@ -14,6 +14,7 @@ principality by its own walk to the principal cycle.
 
 from __future__ import annotations
 
+import re
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -23,8 +24,9 @@ from types import MappingProxyType
 
 from .abgroup import (FiniteAbelianGroup, GroupElement, decompose_abelian,
                       relation_lattice)
-from .ntheory import (Frozen, InternalCheckError, extgcd, is_squarefree,
-                      isprime, legendre, power, quad_mul, sqrt_mod_prime)
+from .ntheory import (Frozen, InternalCheckError, extgcd, integer,
+                      is_squarefree, isprime, legendre, power, quad_mul,
+                      sqrt_mod_prime)
 from .padic import vp
 
 
@@ -41,6 +43,8 @@ class RealQuadraticField(Frozen):
         if d is None:
             D = 1
         else:
+            if type(d) is not int:
+                raise ValueError("d must be an int, got %r" % (d,))
             if d <= 1 or not is_squarefree(d):
                 raise ValueError("d must be squarefree and > 1, got %r" % d)
             D = d if d % 4 == 1 else 4 * d
@@ -72,12 +76,13 @@ class RealQuadraticField(Frozen):
 
     @classmethod
     def parse(cls, spec: str) -> "RealQuadraticField":
-        s = spec.strip().replace(" ", "")
+        # blanks go, but one between two digits, which integer() refuses
+        s = re.sub(r"(?<![0-9]) | (?![0-9])", "", " ".join(spec.split()))
         if s in ("Q", "q"):
             return cls(None)
         for pre, post in (("Q(sqrt{", "})"), ("Q(sqrt(", "))"), ("Q(sqrt", ")")):
             if s.startswith(pre) and s.endswith(post):
-                return cls(int(s[len(pre):-len(post)]))
+                return cls(integer(s[len(pre):-len(post)]))
         raise ValueError("cannot parse field spec %r" % spec)
 
     def spec_string(self) -> str:
@@ -736,11 +741,13 @@ def class_group(K: RealQuadraticField) -> ClassGroupData:
 
 # ----------------------------------------------------------------- units
 
-def _exact_quotient(K: RealQuadraticField, num, den, what: str):
+def _exact_quotient(K: RealQuadraticField, num, den, h: int, what: str):
     """The pair (x, y) with x + y*w = num/den, for integer pairs num, den;
-    raises unless the quotient is integral."""
+    raises unless it is integral.  den = c + d*w is a u_k of _o_walk's walk
+    and h = Q_k/2 the norm of its state: N(den) is -h for d > 0, else h (for
+    k >= 1, 0 < u_k < 1 < |sigma(u_k)| = |u_k - d*sqrt D|; u_0 = 1)."""
     (a, b), (c, d), D, wn = num, den, K.D, K.w_norm
-    n, cc = c * c + D * c * d + wn * d * d, c + D * d   # conj(den) = cc - d*w
+    n, cc = -h if d > 0 else h, c + D * d            # conj(den) = cc - d*w
     x, y = a * cc + b * d * wn, b * cc - a * d - b * d * D
     if x % n or y % n:
         raise InternalCheckError("%s is not integral" % what)
@@ -774,30 +781,30 @@ def fundamental_unit(K: RealQuadraticField) -> FieldElement:
 
     The walk of _o_walk from (P_0, Q_0) = (D, 2) reaches the states of the
     reduced ideals I_k = [Q_k/2, (P_k + sqrt D)/2], I_0 = O, and O = u_k *
-    (2/Q_k) * I_k, so (u_k) = sigma(I_k), sigma(x + y*w) = (x + y*D) - y*w the
-    conjugation.  Let n be the period: I_{k+n} = I_k, and I_0, ..., I_{n-1} are
-    distinct.  Up to sign, the u_k, k >= 0, are the relative minima of O of
-    absolute value at most 1, decreasing, and u_{k+n} = +-eps^-1 * u_k (Cohen,
-    GTM 138, 5.7; Buchmann & Vollmer, *Binary Quadratic Forms*).  sigma
-    preserves O and swaps the real embeddings, so it reverses the minima and
-    fixes u_0 = 1: sigma(u_k) = +-eps * u_{n-k}, and sigma(I_k) = I_{n-k}.
+    (2/Q_k) * I_k, so (u_k) = sigma(I_k) and |N(u_k)| = Q_k/2, sigma the
+    conjugation.  With n the period, I_0, ..., I_{n-1} are distinct, and up
+    to sign the u_k are the relative minima of O of absolute value at most
+    1, decreasing, with u_{k+n} = +-eps^-1 * u_k (Cohen, GTM 138, 5.7;
+    Buchmann & Vollmer, *Binary Quadratic Forms*).  sigma preserves O and
+    swaps the real embeddings, so it reverses the minima and fixes u_0 = 1:
+    sigma(u_k) = +-eps * u_{n-k} and sigma(I_k) = I_{n-k}.
 
-    The pair of sigma(I_k) is (-P_k, Q_k), and P_{k+1} = a_k*Q_k - P_k is
-    -P_k mod Q_k.  So Q_{k+1} = Q_k gives I_{k+1} = sigma(I_k) = I_{n-k},
-    hence n | 2k + 1 by distinctness; and Q_{k+1} | 2*P_{k+1} gives I_{k+1}
-    = sigma(I_{k+1}) = I_{n-k-1}, hence n | 2k + 2.  For odd n the first
-    holds first, at 2k + 1 = n, and sigma(u_k) = +-eps * u_{k+1}; for even n
-    only the second, first at 2k + 2 = n, and sigma(u_{k+1}) = +-eps *
-    u_{k+1}.  The walk tests the odd condition first (for n = 1 both hold at
-    k = 0) and stops at the latest on I_n = O.
+    sigma(I_k) has the pair (-P_k, Q_k), and P_{k+1} = -P_k mod Q_k.  So
+    Q_{k+1} = Q_k gives I_{k+1} = sigma(I_k) = I_{n-k}, hence n | 2k + 1 by
+    distinctness; and Q_{k+1} | 2*P_{k+1} gives I_{k+1} = sigma(I_{k+1}) =
+    I_{n-k-1}, hence n | 2k + 2.  Odd n stops first at 2k + 1 = n, where eps
+    = +-sigma(u_k)/u_{k+1}; even n at 2k + 2 = n, where eps = +-sigma(u_{k+1})
+    /u_{k+1} (the odd test comes first: n = 1 meets both at k = 0).  Either
+    quotient divides by the norm +-Q_{k+1}/2 of u_{k+1}'s state.
 
     The walk carries y_k alone, from y_{-1} = 1, y_0 = 0: the w-coefficient
     of u_{k-1} = tau_k*u_k, tau_k = (P_k - D + 2w)/Q_k, gives 2*x_k =
-    Q_k*y_{k-1} - (P_k + D)*y_k for any a_k.  An odd stop needs x_k and
-    x_{k+1}, an even one x_{k+1}; each halving is checked exact, as are the
-    quotient, the norm +-1 and eps > 1.  Q_k/2 is the norm of I_k, so a_k =
-    (P_k + s) // Q_k, s = isqrt D, and a wrong a_k soon fails Q_k > 0;
-    Q_k | D - P_{k+1}^2 for any a_k, so the full-period tests guard a_k."""
+    Q_k*y_{k-1} - (P_k + D)*y_k for any a_k.  A pass takes two steps, the
+    second with (P, Q, y0) and (P2, Q2, y1) in swapped roles, which a stop
+    there swaps back.  Each halving is checked exact, as are the quotient,
+    the norm +-1 and eps > 1.  a_k = (P_k + s) // Q_k, s = isqrt D, and a
+    wrong a_k soon fails Q_k > 0; Q_k | D - P_{k+1}^2 for any a_k, so the
+    full-period tests guard a_k."""
     if K.is_rational:
         raise ValueError("Q has no fundamental unit")
     D, wn, s = K.D, K.w_norm, K.sqrtD_floor
@@ -809,16 +816,27 @@ def fundamental_unit(K: RealQuadraticField) -> FieldElement:
         if R <= 0 or R % Q:         # Q | R for any a: guards P2 and Q2
             raise InternalCheckError("invariant 0 < Q | D - P^2 broken")
         Q2 = R // Q
-        y2 = y0 - a * y1                        # y_{k+1}
+        y0 -= a * y1                            # y_{k+1}
         if Q2 == Q or 2 * P2 % Q2 == 0:
             break
-        P, Q, y0, y1 = P2, Q2, y1, y2
-    x1, r1 = divmod(Q * y0 - (P + D) * y1, 2)     # u_k = x1 + y1*w
-    x2, r2 = divmod(Q2 * y1 - (P2 + D) * y2, 2)   # u_{k+1} = x2 + y2*w
-    if r1 or r2:
+        a = (P2 + s) // Q2
+        P = a * Q2 - P2
+        R = D - P * P
+        if R <= 0 or R % Q2:
+            raise InternalCheckError("invariant 0 < Q | D - P^2 broken")
+        Q = R // Q2
+        y1 -= a * y0
+        if Q == Q2 or 2 * P % Q == 0:
+            P, Q, P2, Q2, y0, y1 = P2, Q2, P, Q, y1, y0
+            break
+    x2, r = divmod(Q2 * y1 - (P2 + D) * y0, 2)   # u_{k+1} = x2 + y0*w
+    x, y, r1 = x2, y0, 0                         # even n: sigma(u_{k+1})
+    if Q2 == Q:             # odd n: sigma(u_k), y_{k-1} = y0 + a_k*y1
+        (x, r1), y = divmod(Q * (y0 + a * y1) - (P + D) * y1, 2), y1
+    if r or r1:
         raise InternalCheckError("x of a minimum is not integral")
-    x, y = (x1, y1) if Q2 == Q else (x2, y2)      # odd n: u_k; even: u_{k+1}
-    ex, ey = _exact_quotient(K, (x + y * D, -y), (x2, y2), "fundamental unit")
+    ex, ey = _exact_quotient(K, (x + y * D, -y), (x2, y0), Q2 // 2,
+                             "fundamental unit")
     if _real_sign(2 * ex + D * ey, ey, D) < 0:   # 2*eps = (2x + Dy) + y*sqrt D
         ex, ey = -ex, -ey
     if abs(ex * ex + D * ex * ey + wn * ey * ey) != 1:
@@ -853,7 +871,7 @@ def principal_generator(I: IntegralIdeal):
     the principal-cycle table.  One reduced state comes within
     _reduction_bound, and the walk stays on its cycle; the table holds the
     principal cycle whole, so a reduced state off the table means that I
-    is not principal."""
+    is not principal.  The quotient reads N(u_k) off the matched state."""
     K = I.field
     if K.is_rational:
         return FieldElement(K, I.a)
@@ -874,7 +892,7 @@ def principal_generator(I: IntegralIdeal):
         steps += 1
     # (c*tau_0 + e) * a = (c*b + e*a) + c*w
     g = FieldElement(K, *_exact_quotient(K, (c1 * prim.b + e1 * prim.a, c1),
-                                         o_acc[(P, Q)], "generator"))
+                                         o_acc[(P, Q)], Q // 2, "generator"))
     if abs(g.numerator_norm()) != prim.norm:
         raise InternalCheckError("generator norm is not %d" % prim.norm)
     if ideal_from_element(g) != prim:

@@ -380,7 +380,86 @@ def test_an_int_option_refuses_a_word(command, option, capsys):
                 + [option, "x"]) == 4
     out, err = capsys.readouterr()
     assert out == "" and err == \
-        "usage error: argument %s: invalid int value: 'x'\n" % option
+        "usage error: argument %s: invalid integer value: 'x'\n" % option
+
+
+# Integers that Python's int() reads and the command line refuses: a digit
+# separator, the Arabic-Indic digits of 13, a decimal point and blanks, in
+# each place where an integer is read; with IWASAWA_LAB_PRECISION's value
+LEOPOLDT = ["leopoldt", "--field", "Q(sqrt{2})", "--p"]
+STRICT_INTEGERS = [
+    (LEOPOLDT + ["1_3"], None, "argument --p: invalid integer value: '1_3'"),
+    (LEOPOLDT + ["\u0661\u0663"], None,
+     "argument --p: invalid integer value: '\u0661\u0663'"),
+    (LEOPOLDT + [" 13"], None, "argument --p: invalid integer value: ' 13'"),
+    (LEOPOLDT + ["5", "--prec", "1_0"], None,
+     "argument --prec: invalid integer value: '1_0'"),
+    (["scan", "--dmax", "5.0"], None,
+     "argument --dmax: invalid integer value: '5.0'"),
+    (["classgroup", "--field", "Q(sqrt{1_3})"], None,
+     "invalid integer value: '1_3'"),
+    (["classgroup", "--field", "Q(sqrt{\u0661\u0663})"], None,
+     "invalid integer value: '\u0661\u0663'"),
+    (["classgroup", "--field", "Q(sqrt{2.0})"], None,
+     "invalid integer value: '2.0'"),
+    (["classgroup", "--field", "Q(sqrt{7 9})"], None,
+     "invalid integer value: '7 9'"),
+    (["mq", "--field", "Q", "--p", "3", "--q1", "1_3", "--q2", "5"], None,
+     "cannot parse prime spec '1_3'"),
+    (["scan", "--dmax", "5", "--primes", "3,1_3"], None,
+     "--primes item '1_3' is not an integer"),
+    (["scan", "--dmax", "5", "--primes", "3, 5"], None,
+     "--primes item ' 5' is not an integer"),
+    (["gw", "--h0v", "1", "--h0dual", "0", "--locals", "2:\u0661"], None,
+     "--locals item '2:\u0661' is not two integers dim:h0"),
+    (LEOPOLDT + ["5"], "1_0",
+     "IWASAWA_LAB_PRECISION must be an integer of at least 1, got '1_0'"),
+    (LEOPOLDT + ["5"], "\u0663",
+     "IWASAWA_LAB_PRECISION must be an integer of at least 1, got '\u0663'"),
+]
+
+_OPTIMIZED_CASES = """
+import contextlib, io, json, os, sys
+from iwasawalab.cli import main
+runs = []
+for argv, prec in json.load(sys.stdin):
+    os.environ.pop("IWASAWA_LAB_PRECISION", None)
+    if prec is not None:
+        os.environ["IWASAWA_LAB_PRECISION"] = prec
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    runs.append([code, out.getvalue(), err.getvalue()])
+json.dump([sys.flags.optimize, runs], sys.stdout)
+"""
+
+
+@pytest.mark.parametrize("argv,prec,message", STRICT_INTEGERS)
+def test_an_integer_is_ascii_digits_with_a_sign(argv, prec, message,
+                                                monkeypatch, capsys):
+    monkeypatch.delenv("IWASAWA_LAB_PRECISION", raising=False)
+    if prec is not None:
+        monkeypatch.setenv("IWASAWA_LAB_PRECISION", prec)
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == "usage error: %s\n" % message
+
+
+def test_an_integer_is_ascii_digits_with_a_sign_under_python_O():
+    """The same refusals in one `python -O` process; a sign is read."""
+    cases = STRICT_INTEGERS + [(LEOPOLDT + ["+13", "--prec", "+2"], None,
+                                None)]
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CASES],
+                          input=json.dumps([c[:2] for c in cases]), env=env,
+                          capture_output=True, text=True, check=True)
+    optimize, runs = json.loads(proc.stdout)
+    assert optimize == 1
+    for (argv, _, message), (code, out, err) in zip(cases[:-1], runs):
+        assert (code, out, err) == (4, "", "usage error: %s\n" % message)
+    assert runs[-1] == [0, "delta(Q(sqrt{2}), 13) = 0 [ok], regulator "
+                        "valuation 2\n", ""]
 
 
 def test_frobenius_takes_q_more_than_once():

@@ -51,6 +51,23 @@ def test_parse_and_spec_string():
         RealQuadraticField.parse("Z")
     with pytest.raises(ValueError):
         RealQuadraticField(12)  # not squarefree
+    for d in ("1_3", "\u0661\u0663", "2.0", "+-2", "", "1 3", "7\t 9"):
+        with pytest.raises(ValueError, match="^invalid integer value: "):
+            RealQuadraticField.parse("Q(sqrt{%s})" % d)
+    for spec in ("Q(sqrt{+13})", " Q ( sqrt 13 ) ", "Q(sqrt{\t13 })"):
+        assert RealQuadraticField.parse(spec).d == 13
+
+
+@pytest.mark.parametrize("d", [2.0, 8.0, "5", True, 5.5, Fraction(5), (5,),
+                               0, 1, -5, 12])
+def test_a_d_is_refused_for_its_type_before_its_value(d):
+    """Any d but None whose type is not int, a bool included, with one
+    message; an int d that is not squarefree and > 1 with its own."""
+    with pytest.raises(ValueError) as info:
+        RealQuadraticField(d)
+    assert str(info.value) == ("d must be squarefree and > 1, got %d" % d
+                               if type(d) is int else
+                               "d must be an int, got %r" % (d,))
 
 
 def test_fields_are_values():
@@ -600,41 +617,61 @@ def _full_period_eps(K):
 
 def _stop_kind(K, monkeypatch):
     """Run the half-period walk of K afresh and tell where it stopped:
-    "even" when it divided sigma(u) by u, else "odd"."""
+    (eps, kind, j), where u_j of the walk of _o_walk is the unit it divided
+    by, with the norm Q_j/2 of its state, and kind is "even" when it
+    divided sigma(u_j) by u_j and "odd" when it divided sigma(u_{j-1})."""
     seen = []
     quotient = quadfield._exact_quotient
 
-    def spy(K, num, den, what):
+    def spy(K, num, den, n, what):
         if what == "fundamental unit":
-            seen.append(num == (den[0] + den[1] * K.D, -den[1]))
-        return quotient(K, num, den, what)
+            seen.append((num, den, n))
+        return quotient(K, num, den, n, what)
     monkeypatch.setattr(quadfield, "_exact_quotient", spy)
     empty_memos()
     eps = fundamental_unit(K)
     monkeypatch.undo()
     assert len(seen) == 1
-    return eps, "even" if seen[0] else "odd"
+    num, den, n = seen[0]
+    states = list(_o_walk(K).items())
+    j = [u for _, u in states].index(den)
+    assert n == states[j][0][1] // 2
+    sigma = [(x + y * K.D, -y) for _, (x, y) in states[j - 1:j + 1]]
+    assert num in sigma
+    return eps, "even" if num == sigma[-1] else "odd", j
+
+
+def _expected_stop(period):
+    """The kind and the index j of the divisor u_j for a period n: j =
+    (n + 1)/2 for odd n, n/2 for even n."""
+    return ("odd", (period + 1) // 2) if period % 2 else ("even", period // 2)
 
 
 def test_half_period_eps_matches_full_period_d_below_10000(monkeypatch):
-    """Every squarefree d < 10^4, and a seeded 1,000 in [10^4, 10^6)."""
+    """Every squarefree d < 10^4, and a seeded 1,000 in [10^4, 10^6).  A
+    pass of the walk reaches u_j, j odd, in its first half and j even in
+    its second: each of the four exits, either half at either parity, is
+    taken."""
     rng = random.Random(32)
     sample = set()
     while len(sample) < 1000:
         d = rng.randrange(10**4, 10**6)
         if squarefree(d):
             sample.add(d)
-    kinds = {"odd": 0, "even": 0}
+    exits = {(half, kind): 0 for half in ("first", "second")
+             for kind in ("odd", "even")}
     for d in [d for d in range(2, 10000) if squarefree(d)] + sorted(sample):
         K = RealQuadraticField(d)
-        eps, kind = _stop_kind(K, monkeypatch)
+        eps, kind, j = _stop_kind(K, monkeypatch)
         ref_eps, period = _full_period_eps(K)
         assert eps == ref_eps, d
-        assert kind == ("odd" if period % 2 else "even"), d
+        assert (kind, j) == _expected_stop(period), d
         # odd exactly when N(eps) = -1
         assert (kind == "odd") == (pell_sign(d) == -1), d
-        kinds[kind] += 1
-    assert kinds["odd"] > 500 and kinds["even"] > 4000
+        exits[("first" if j % 2 else "second", kind)] += 1
+    assert min(exits.values()) > 200, exits
+    assert exits[("first", "odd")] + exits[("second", "odd")] > 500
+    assert exits[("first", "even")] + exits[("second", "even")] > 4000
 
 
 # d -> period of the principal cycle, for the 20 squarefree d < 2*10^5 with
@@ -660,9 +697,9 @@ def test_half_period_eps_matches_full_period_on_long_periods(monkeypatch):
              **LONGEST_ODD_PERIODS_BELOW_200000}
     for d, period in cases.items():
         K = RealQuadraticField(d)
-        eps, kind = _stop_kind(K, monkeypatch)
+        eps, kind, j = _stop_kind(K, monkeypatch)
         assert _full_period_eps(K) == (eps, period), d
-        assert kind == ("odd" if period % 2 else "even"), d
+        assert (kind, j) == _expected_stop(period), d
         if d == 20000971:
             assert 10**4577 <= abs(eps.a) < 10**4578
 
@@ -806,7 +843,9 @@ def test_principal_generator_raises_past_the_reduction_bound(monkeypatch):
 
 
 def test_principal_generator_checks_survive_python_O():
-    # (5) has the unit ideal as primitive part, whose walk stops at once
+    # (5) has the unit ideal as primitive part, whose walk stops at once;
+    # the quotient by the state's norm 1 is integral, and the norm check
+    # sees that 2 is not a unit
     code = (
         "from iwasawalab import quadfield\n"
         "from iwasawalab.quadfield import *\n"
@@ -822,7 +861,7 @@ def test_principal_generator_checks_survive_python_O():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out == "raised: generator is not integral\n"
+    assert out == "raised: generator norm is not 1\n"
 
 
 def test_ideal_valuation():

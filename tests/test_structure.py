@@ -36,6 +36,10 @@
 - no memo table but those of MEMOS: the `lru_cache`-decorated functions
   of `src/` are exactly the ones it names, so a new memo is declared there
   with its bound, and `tests/oracles.py` empties each one.
+- no function or class defined twice in one module or class body, in
+  `src/`, `tests/` and `bench/` alike: the second definition replaces the
+  first without a warning, and a test helper so shadowed checks against
+  the wrong reference.
 
 Besides, `iwasawalab.__all__` names exactly what `__init__.py` imports.
 """
@@ -56,6 +60,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "iwasawalab"
 MODULES = sorted(SRC.glob("*.py"))
 TEST_MODULES = sorted((ROOT / "tests").glob("*.py"))
+BENCH_MODULES = sorted((ROOT / "bench").glob("*.py"))
 
 
 # Class.method names, where a Fraction may be built
@@ -421,6 +426,23 @@ def test_no_module_or_class_level_mutable_container():
     assert found == []
 
 
+def test_no_definition_made_twice_in_one_body():
+    found = []
+    for name, tree in _trees(MODULES + TEST_MODULES + BENCH_MODULES):
+        bodies = [tree.body] + [node.body for node in ast.walk(tree)
+                                if isinstance(node, ast.ClassDef)]
+        for body in bodies:
+            seen = set()
+            for node in body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                    if node.name in seen:
+                        found.append("%s %s" % (_where(name, node),
+                                                node.name))
+                    seen.add(node.name)
+    assert found == []
+
+
 def test_exports_are_the_imports_of_init():
     """`__all__` lists what `__init__.py` imports, each name once, and
     `from iwasawalab import *` binds every one of them."""
@@ -493,12 +515,18 @@ def test_exports_are_the_imports_of_init():
      test_no_reference_only_name),
     ("_TABLE = {}\n\n\nclass Group:\n    orders = [k for k in range(3)]\n",
      test_no_module_or_class_level_mutable_container),
+    ("def _table(comp):\n    return comp\n\n\n"
+     "def _table(G, g, n):\n    return G, g, n\n",
+     test_no_definition_made_twice_in_one_body),
+    ("class Group:\n    def order(self):\n        return 1\n\n"
+     "    def order(self):\n        return 2\n",
+     test_no_definition_made_twice_in_one_body),
 ])
 def test_each_check_catches_its_rule(source, check, tmp_path, monkeypatch):
     module = tmp_path / "bad.py"
     module.write_text(source)
-    monkeypatch.setattr(sys.modules[__name__], "MODULES", [module])
-    monkeypatch.setattr(sys.modules[__name__], "TEST_MODULES", [module])
+    for modules in ("MODULES", "TEST_MODULES", "BENCH_MODULES"):
+        monkeypatch.setattr(sys.modules[__name__], modules, [module])
     with pytest.raises(AssertionError):
         check()
 
