@@ -1,11 +1,11 @@
 """Finite abelian group engine.  A presented group is one record,
-FiniteAbelianGroup: the Smith form of its relations, kept as the diagonal,
-the row transform U and the generator lifts, with its invariant factors
-and coordinates read off them (and its p-part, the same record over the
-p-parts of the diagonal, and its quotients, records on its invariant
-coordinates).  Besides: element orders, subgroup image orders, group
-decompositions and the relation lattices of elements given by their
-coordinates.
+FiniteAbelianGroup: the Smith form of its relations, kept as the diagonal
+and the row transform U, with its invariant factors and coordinates read
+off them (and its p-part, the same record over the p-parts of the
+diagonal, and its quotients, records on its invariant coordinates).
+Coordinates need U only (Cohen, GTM 138, sec. 2.4).  Besides: element
+orders, subgroup image orders, group decompositions and the relation
+lattices of elements given by their coordinates.
 
 All matrices are lists of rows of Python ints; everything is exact.  The
 one integer-matrix kernel is smith_normal_form, but for the rank of a
@@ -29,26 +29,20 @@ def _identity(n):
     return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
-class SmithForm(tuple):
-    """(D, U, []) with one more attribute, `lifts`: the columns of U^{-1}
-    (modulo the modulus) as rows, or [] without U.  The third entry stays
-    empty for callers that unpack a triple."""
-
-
 def smith_normal_form(A, *, with_u=True, modulus=0):
     """Smith normal form by row transform: (D, U, []) with D diagonal,
     d1 | d2 | ... >= 0, and U unimodular with D = U*A*V for a unimodular V
     that is never formed.  Row i of U*A has content d_i, so the rows of U
     past the rank span {x : x*A = 0}.  With `with_u=False` U comes back as
-    [] and D is the same.  With U come its `lifts` (see SmithForm), tracked
-    by the inverse of each row operation.
+    [] and D is the same.  The third entry is always [], for callers that
+    unpack a triple.
 
     `modulus` R > 0 must be a multiple of the index of the column lattice L
     of A, which must have full rank; then R*Z^n lies in L.  The elimination
-    works modulo R: each row and column operation reduces the entries of D,
-    U and the lifts into (-R/2, R/2], so while the exact entries stay in
-    that range it takes the exact elimination's steps, and no entry exceeds
-    R/2 in absolute value.  Each diagonal entry ends as gcd(d_i, R), the
+    works modulo R: each row and column operation reduces the entries of D
+    and U into (-R/2, R/2], so while the exact entries stay in that range
+    it takes the exact elimination's steps, and no entry exceeds R/2 in
+    absolute value.  Each diagonal entry ends as gcd(d_i, R), the
     invariant factors of Z^n/L; U is invertible modulo R, not unimodular,
     and row i of U*A is divisible by d_i modulo R.  R = 0 is exact.
     """
@@ -64,13 +58,11 @@ def smith_normal_form(A, *, with_u=True, modulus=0):
 
     D = [comb(row, row, 0) for row in A] if R else [row[:] for row in A]
     U = _identity(n) if with_u else []
-    Wt = _identity(n) if with_u else []  # rows: the columns of U^{-1}
 
     def row_op(i, j, q):  # row_i -= q * row_j
         D[i] = comb(D[i], D[j], q)
         if with_u:
             U[i] = comb(U[i], U[j], q)
-            Wt[j] = comb(Wt[j], Wt[i], -q)
 
     def col_op(i, j, q):  # col_i -= q * col_j
         for row in D:
@@ -82,7 +74,6 @@ def smith_normal_form(A, *, with_u=True, modulus=0):
         D[i], D[j] = D[j], D[i]
         if with_u:
             U[i], U[j] = U[j], U[i]
-            Wt[i], Wt[j] = Wt[j], Wt[i]
 
     def swap_cols(i, j):
         for row in D:
@@ -92,7 +83,6 @@ def smith_normal_form(A, *, with_u=True, modulus=0):
         D[i] = [-a for a in D[i]]
         if with_u:
             U[i] = [-a for a in U[i]]
-            Wt[i] = [-a for a in Wt[i]]
 
     def pivot_at(t):
         best = None
@@ -171,9 +161,7 @@ def smith_normal_form(A, *, with_u=True, modulus=0):
     if R:
         for i in range(min(n, m)):
             D[i][i] = gcd(D[i][i], R)
-    out = SmithForm((D, U, []))
-    out.lifts = Wt
-    return out
+    return D, U, []
 
 
 def lattice_index(B, *, modulus=0):
@@ -213,22 +201,19 @@ class GroupElement(Frozen):
 class FiniteAbelianGroup:
     """Z^n modulo a relation lattice, held as its Smith form D = U*A*V:
     `diag`, the diagonal of D (d_1 | d_2 | ..., 0 for a free coordinate),
-    `transform`, all n rows of U, and `lifts`, for each row of U an ambient
-    vector whose class generates that coordinate (a column of U^{-1}).
-    Coordinate i of an ambient vector x is (U*x)_i mod d_i; the d_i > 1 are
-    the `invariant_factors`, and the 0s count the free_rank.  When the
-    presentation was computed modulo a multiple R of the group order, U and
-    the lifts are reduced modulo R: invertible modulo R, not unimodular,
-    which is all that reading coordinate i modulo d_i needs.  The p-part of
-    a finite group is the record over the same U and lifts with diagonal
-    p^v_p(d_i).  With `diag` alone it is Z/d_1 x ... x Z/d_k with no
-    presentation, its elements built by `element`.  Groups are equal when
-    their diagonals, transforms and lifts are."""
+    and `transform`, all n rows of U.  Coordinate i of an ambient vector x
+    is (U*x)_i mod d_i; the d_i > 1 are the `invariant_factors`, and the 0s
+    count the free_rank.  When the presentation was computed modulo a
+    multiple R of the group order, U is reduced modulo R: invertible modulo
+    R, not unimodular, which is all that reading coordinate i modulo d_i
+    needs.  The p-part of a finite group is the record over the same U with
+    diagonal p^v_p(d_i).  With `diag` alone it is Z/d_1 x ... x Z/d_k with
+    no presentation, its elements built by `element`.  Groups are equal
+    when their diagonals and transforms are."""
 
-    def __init__(self, diag, transform=None, lifts=None):
+    def __init__(self, diag, transform=None):
         self.diag = diag
         self.transform = [] if transform is None else transform
-        self.lifts = [] if lifts is None else lifts
         self.invariant_factors = tuple(d for d in diag if d > 1)
         self.free_rank = diag.count(0)
         self._torsion_rows = [u for u, d in zip(self.transform, diag)
@@ -275,10 +260,9 @@ class FiniteAbelianGroup:
         subgroup_lattice(gens), modulo the order, on the k invariant
         coordinates, so the quotient's `project` takes the coordinates of
         an element of this group to those of its image."""
-        D, U, _ = snf = smith_normal_form(self.subgroup_lattice(gens),
-                                          modulus=self.order)
-        return FiniteAbelianGroup([D[i][i] for i in range(len(D))], U,
-                                  snf.lifts)
+        D, U, _ = smith_normal_form(self.subgroup_lattice(gens),
+                                    modulus=self.order)
+        return FiniteAbelianGroup([D[i][i] for i in range(len(D))], U)
 
 
 def smith_presentation(relations, ambient_rank: int, *,
@@ -297,11 +281,10 @@ def smith_presentation(relations, ambient_rank: int, *,
         modulus = 0
     # columns of R^T span the relation lattice
     A = [[rows[i][j] for i in range(len(rows))] for j in range(ambient_rank)]
-    snf = smith_normal_form(A, modulus=modulus)
-    D, U, _ = snf
+    D, U, _ = smith_normal_form(A, modulus=modulus)
     diag = [D[i][i] if i < (len(D[0]) if D else 0) else 0
             for i in range(ambient_rank)]
-    return FiniteAbelianGroup(diag, U, snf.lifts)
+    return FiniteAbelianGroup(diag, U)
 
 
 # ----------------------------------------------------------------- operations

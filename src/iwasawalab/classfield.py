@@ -4,20 +4,23 @@ of conductor p^(N+1), together with Frobenius images, the degree map
 (normalized by log(1+p)), and the even-side inertia-order criterion.
 The cyclotomic character is read by cyclotomic_log alone, from one log
 record per (n, p) kept at a top precision (LogRecord), and on the ambient
-generators of a ray class group by degree_map; stability is computed on
-first read of GaloisGroupG.stable, at conductor p^(N+2).  Every conductor
-p^M is read from the tower of (F, p), the record of its state
-(rayclass.ray_class_tower).  group_G grows it to p^(N+2) first and builds
-the record of p^(N+1), whose coordinates `frobenius` prints, as a
-quotient of the top; `stable` and even_criterion read only the p-part of
-a level, from the top's p-part, so they build nothing after it.
+generators of a ray class group by degree_map, the one degree reader: a
+class and its degree are both read on an ambient vector.  Stability is
+computed on first read of GaloisGroupG.stable, at conductor p^(N+2).
+Every conductor p^M is read from the tower of (F, p), the record of its
+state (rayclass.ray_class_tower).  group_G grows it to p^(N+2) first and reads
+p^(N+1), whose coordinates `frobenius` prints, as the Smith form of the
+rows a direct build there assembles (RayClassTower.level); `stable` and
+even_criterion read only the p-part of a level, from the top's p-part.
+No ray class record is built after the top.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from math import gcd
 
-from .abgroup import GroupElement
+from .abgroup import GroupElement, element_order
 from .ntheory import InternalCheckError, check_int
 from .padic import PAdicNumber, unit_log_residues, vp
 from .quadfield import (IntegralIdeal, RealQuadraticField, check_odd_prime,
@@ -29,7 +32,8 @@ from .residues import ModularUnits, pohlig_hellman
 def e_of_q(q, p: int) -> int:
     """p-part of N(q) - 1, the target inertia order of the even criterion."""
     check_odd_prime(p)
-    n = q.norm if isinstance(q, IntegralIdeal) else int(q)
+    n = q.norm if isinstance(q, IntegralIdeal) else q
+    check_int("q", n)
     if n % p == 0:
         raise ValueError("q must be coprime to p")
     m = n - 1
@@ -87,29 +91,32 @@ def _degree_without_log(n: int, p: int, N: int) -> int:
 
 
 class GaloisGroupG:
-    """p-part of Cl(p^M) at M = N+1, modelling G at precision N: rc is the
-    RayClassGroupData, `group` its p-part, read from rc, and cyc_hom phi on
-    the invariant coordinates."""
+    """p-part of Cl(p^M) at M = N+1, modelling G at precision N: `group`,
+    presented on the ambient coordinates of `top`, the tower's top (see
+    RayClassTower.level), and `ambient_hom`, phi_cyc mod p^N on those
+    coordinates.  A class and its degree are both read on the top's
+    ambient vector of q."""
 
-    def __init__(self, field: RealQuadraticField, p: int, N: int, rc,
-                 cyc_hom: list):
+    def __init__(self, field: RealQuadraticField, p: int, N: int, top,
+                 group, ambient_hom: list):
         self.field, self.p, self.N = field, p, N
-        self.rc, self.group, self.cyc_hom = rc, rc.p_group, cyc_hom
+        self.top, self.group, self.ambient_hom = top, group, ambient_hom
 
     def frobenius_class(self, q: IntegralIdeal) -> GroupElement:
         if residue_char(q) == self.p:
             raise ValueError("q must be coprime to p")
-        return self.rc.p_class_of_ideal(q)
+        return self.group.project(self.top.ambient_of_ideal(q))
 
     def degree(self, q: IntegralIdeal) -> PAdicNumber:
         """deg(Frob_q) = log<N(q)> / log(1+p), certified mod p^(N+2)."""
         return PAdicNumber.from_residue(
             cyclotomic_log(q.norm, self.p, self.N + 3), self.p, self.N + 2)
 
-    def class_degree(self, cls) -> int:
-        """Image of a class in the cyclotomic quotient Z/p^N, read by the
-        hom on invariant coordinates."""
-        return sum(c * f for c, f in zip(self.cyc_hom, cls)) % self.p**self.N
+    def ambient_degree(self, q: IntegralIdeal) -> int:
+        """Image of the class of q in the cyclotomic quotient Z/p^N, read by
+        the hom on its ambient vector."""
+        return sum(c * x for c, x in zip(
+            self.ambient_hom, self.top.ambient_of_ideal(q))) % self.p**self.N
 
     @cached_property
     def stable(self) -> bool:
@@ -150,35 +157,11 @@ def degree_map(rc, p: int, M: int, relations) -> list:
     return c
 
 
-def _cyc_hom_on_invariants(rc, p: int, M: int):
-    """phi_cyc on the p-part invariant coordinates of the ray class group:
-    degree_map, checked on its relations, transported through the
-    generator lifts of the presentation."""
-    return _transport_hom(rc, degree_map(rc, p, M, rc.relations), p**(M - 1))
-
-
-def _transport_hom(rc, c_ambient, mod):
-    """Express an ambient hom (mod `mod`) in p-part invariant coordinates.
-
-    Invariant coordinate i is generated by the class of the lift W_i of the
-    presentation, so the hom c.x becomes y.z with y_i = c.W_i.  Any lift
-    gives the same y_i modulo `mod`: lifts differ by relations, R*e_j is
-    one, and c kills the relations.  Coordinates whose order is prime to p,
-    diagonal entry 1 in the p-part, must carry y_i = 0.
-    """
-    G = rc.p_group
-    y = [sum(a * w for a, w in zip(c_ambient, lift)) % mod
-         for lift in G.lifts]
-    if any(t for t, d in zip(y, G.diag) if d == 1):
-        raise InternalCheckError("cyclotomic map does not factor "
-                                 "through the p-part")
-    return [t for t, d in zip(y, G.diag) if d > 1]
-
-
 def group_G(K: RealQuadraticField, p: int, N: int) -> GaloisGroupG:
     """The Galois group model at precision N (ray conductor p^(N+1), read
-    from the tower of (K, p), grown to p^(N+2) first); its `stable` is
-    checked against conductor p^(N+2) when first read."""
+    from the tower of (K, p), grown to p^(N+2) first, as RayClassTower.level
+    reads it); its degree map is checked on the level's relations, and its
+    `stable` against conductor p^(N+2) when first read."""
     check_int("N", N)
     check_odd_prime(p, K)
     M = N + 1
@@ -186,19 +169,25 @@ def group_G(K: RealQuadraticField, p: int, N: int) -> GaloisGroupG:
     # top, and p^(N+1) is its quotient
     tower = ray_class_tower(K, p)
     tower.grow(M + 1)
-    rc = tower.level(M)
-    return GaloisGroupG(K, p, N, rc, _cyc_hom_on_invariants(rc, p, M))
+    relations, _, group = tower.level(M)
+    return GaloisGroupG(K, p, N, tower.top, group,
+                        degree_map(tower.top, p, M, relations))
 
 
 def frobenius_image(G: GaloisGroupG, q: IntegralIdeal):
     """(class of q in G_N, degree as a PAdicNumber)."""
     cls = G.frobenius_class(q)
     deg = G.degree(q)
-    # cross-check the character on N(q), and the class of q read by the
-    # hom on invariant coordinates, against the degree read with no log
+    # cross-check the character on N(q), and on the ambient vector of q,
+    # against the degree read with no log; the degree is a hom out of G_N,
+    # so the order of the class is a multiple of the order of its degree
     exact = _degree_without_log(q.norm, G.p, G.N)
-    if deg.residue(G.N) != exact or G.class_degree(cls) != exact:
+    if deg.residue(G.N) != exact or G.ambient_degree(q) != exact:
         raise InternalCheckError("log degree disagrees with the exact dlog")
+    pN = G.p**G.N
+    if element_order(G.group, cls) % (pN // gcd(pN, exact)):
+        raise InternalCheckError("the order of the class of q is not a "
+                                 "multiple of the order of its degree")
     return cls, deg
 
 

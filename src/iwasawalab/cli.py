@@ -56,7 +56,6 @@ def _default_prec():
 
 def _parse_prime_ideal(K: RealQuadraticField, spec: str):
     """'7' for the prime(s) over 7; '7a'/'7b' select a split place."""
-    spec = spec.strip()
     which = None
     if spec and spec[-1] in "ab":
         which = 0 if spec[-1] == "a" else 1

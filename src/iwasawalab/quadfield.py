@@ -24,9 +24,9 @@ from types import MappingProxyType
 
 from .abgroup import (FiniteAbelianGroup, GroupElement, decompose_abelian,
                       relation_lattice)
-from .ntheory import (Frozen, InternalCheckError, extgcd, integer,
-                      is_squarefree, isprime, legendre, power, quad_mul,
-                      sqrt_mod_prime)
+from .ntheory import (Frozen, InternalCheckError, check_int, extgcd,
+                      integer, is_squarefree, isprime, legendre, power,
+                      quad_mul, sqrt_mod_prime)
 from .padic import vp
 
 
@@ -552,8 +552,10 @@ def residue_char(q: IntegralIdeal) -> int:
 
 
 def prime_ideal(K: RealQuadraticField, q) -> IntegralIdeal:
-    """q, or the ideal (q) of an int q, which must be prime (ValueError)."""
-    if isinstance(q, int):
+    """q, or the ideal (q) of an int q (as check_int takes it), which must
+    be prime (ValueError)."""
+    if not isinstance(q, IntegralIdeal):
+        check_int("q", q)
         q = rational_ideal(K, q)
     residue_char(q)
     return q

@@ -7,13 +7,20 @@ presented by generators and relations:
                 principalization of each class generator's power.
 
 The conductors p^M of one (F, p) form a tower, ray_class_tower: it
-builds one of them, its top, directly.  A lower level's p-part is the
-top's p-part modulo the image of the unit kernel, one Smith form on the
-top's p-coordinates (RayClassTower.p_quotient); the full record of a lower
-level, read off the top's relations (RayClassGroupData), is built only
-where its coordinates are printed.  The top is the first level asked for;
-a level M above it regrows the tower at p^(M+2) (RayClassTower.grow).
-The tower is the one record of the state of (F, p).
+builds one of them, its top (p^T), directly, and no other.  Cl_(p^T) ->
+Cl_(p^M) is onto, with kernel the image of ker((O/p^T)* -> (O/p^M)*)
+(Neukirch, ANT, ch. VI sec. 1).  Each component of (O/p^T)* keeps its
+generators down the tower (the lifted primitive root, the Teichmueller
+lift, 1 + ell and 1 + ell*w), so a unit dlog of the top, read modulo the
+lower generator order, is the lower dlog, and the class representatives
+do not depend on M.  A lower level's p-part is the top's p-part modulo
+the image of the unit kernel, one Smith form on the top's p-coordinates
+(RayClassTower.p_quotient).  Where its coordinates are printed, a lower
+level is the Smith form of the rows that a direct build there assembles,
+read off the top's dlogs (RayClassTower.level).  The top is the first
+level asked for; a level M above it regrows the tower at p^(M+2)
+(RayClassTower.grow).  The tower is the one record of the state of
+(F, p).
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from collections import OrderedDict
 from functools import lru_cache, reduce
 from math import gcd, prod
 
-from .abgroup import FiniteAbelianGroup, GroupElement, smith_presentation, \
+from .abgroup import FiniteAbelianGroup, smith_presentation, \
     subgroup_image_order
 from .ntheory import InternalCheckError, factorint
 from .padic import vp
@@ -65,83 +72,59 @@ def _p_power(m: IntegralIdeal, p: int) -> int:
 
 class RayClassGroupData:
     """The ray class group of conductor m, `group`, and its p-part,
-    `p_group`, with dlog machinery.  A direct build reads eps and the class
-    representatives with their generators off the field's record, `clg`.
+    `p_group`, with dlog machinery, built directly: eps and the class
+    representatives with their generators are read off the field's record,
+    `clg`.  The relations are the rows that `presentation` assembles from
+    the dlogs of this build, and a class is its ambient vector, read by
+    `ambient_of_ideal`, projected into the group."""
 
-    With `top`, a direct build of conductor (p^T), it is the level (p^M),
-    M <= T, read as a quotient of the top (Neukirch, ANT, ch. VI
-    sec. 1): Cl_(p^T) -> Cl_(p^M) is onto, with kernel the image of
-    ker((O/p^T)* -> (O/p^M)*).  Each component of (O/p^T)* keeps its
-    generators down the tower (the lifted primitive root, the Teichmueller
-    lift, 1 + ell and 1 + ell*w), so a unit coordinate of the top, read
-    modulo the lower generator order, is the lower dlog; the class
-    representatives do not depend on M.  So the relations are the top's
-    rows reduced that way, with the lower diagonal, and a class is the
-    top's ambient vector reduced alike: no dlog, unit group, class search
-    or principal generator is taken again.  `units` is then the top's,
-    whose dlogs the level reads, and so are the norms of its generators,
-    `unit_norms` (classfield reads the same log records at every level);
-    `unit_orders` are the level's own.  RayClassTower.level builds such a
-    record for group_G alone; the p-part of a level is read with none
-    (RayClassTower.p_quotient)."""
-
-    def __init__(self, K: RealQuadraticField, modulus, p: int, top=None):
+    def __init__(self, K: RealQuadraticField, modulus, p: int):
         check_odd_prime(p)
         self.field = K
         self.modulus = modulus
         self.p = p
         self.clg = class_group(K)
-        self.top = top
-        if top is None:
-            self.units = UnitGroupModM(
-                K, _factor_ideal(modulus) if modulus.norm > 1 else [])
-            self.unit_orders = self.units.orders
-            self.unit_norms = self.units.gen_norm_ints()
-            # -1, whose row the components state, then eps but over Q
-            self._unit_dlogs = [self.units.minus_one_dlog()]
-            if not K.is_rational:
-                self._unit_dlogs.append(self.units.dlog(self.clg.eps))
-            self.class_gen_ideals, elements = self.clg.class_reps(
-                modulus.norm)
-            class_dlogs = [self.units.dlog(g) for g in elements]
-            self._ambient = {}          # q -> _ambient_vector(q)
-        else:
-            M, T = _p_power(modulus, p), _p_power(top.modulus, p)
-            if M > T or top.top is not None or top.field != K:
-                raise ValueError("the top of a quotient level is a direct "
-                                 "build of a higher power of (p)")
-            self.units = top.units
-            self.unit_orders = top.unit_orders_at(M)
-            if 1 in self.unit_orders:
-                raise ValueError("a quotient level keeps every unit "
-                                 "coordinate of its top")
-            self.unit_norms = top.unit_norms
-            self._unit_dlogs = [self._reduce(d) for d in top._unit_dlogs]
-            self.class_gen_ideals = top.class_gen_ideals
-            class_dlogs = [self._reduce(d) for d in top._class_dlogs]
-        self._class_dlogs = class_dlogs
-        nu = len(self.unit_orders)
-        r = len(self.clg.gen_orders)
-        self.nu = nu
+        self.units = UnitGroupModM(
+            K, _factor_ideal(modulus) if modulus.norm > 1 else [])
+        self.unit_orders = self.units.orders
+        self.unit_norms = self.units.gen_norm_ints()
+        # -1, whose row the components state, then eps but over Q
+        self._unit_dlogs = [self.units.minus_one_dlog()]
+        if not K.is_rational:
+            self._unit_dlogs.append(self.units.dlog(self.clg.eps))
+        self.class_gen_ideals, elements = self.clg.class_reps(modulus.norm)
+        self._class_dlogs = [self.units.dlog(g) for g in elements]
+        self._ambient = {}          # q -> ambient_of_ideal(q)
+        self.relations, self.group, self.p_group = self.presentation(
+            self.unit_orders)
 
-        rows = []
-        for i, o in enumerate(self.unit_orders):
-            rows.append([o if j == i else 0 for j in range(nu + r)])
-        rows.extend(d + [0] * r for d in self._unit_dlogs)
-        for j, d in enumerate(class_dlogs):
-            rows.append([-t for t in d] + [self.clg.gen_orders[j] if t == j
-                                           else 0 for t in range(r)])
-        self.relations = rows
+    def presentation(self, orders) -> tuple:
+        """(relations, group, p-part) of the ray class group whose unit
+        generators have the orders `orders`, each dividing this build's:
+        the generator orders, the unit dlogs and the principalized class
+        representatives' powers, each dlog of this build read modulo
+        `orders`, and their Smith form.  With this build's own orders that
+        is this build's group; with unit_orders_at(M) it is the group of
+        the level (p^M) below it, as a direct build there assembles it."""
+        p, gen_orders = self.p, self.clg.gen_orders
+        nu, r = len(orders), len(gen_orders)
+        rows = [[o if j == i else 0 for j in range(nu + r)]
+                for i, o in enumerate(orders)]
+        rows.extend([t % o for t, o in zip(d, orders)] + [0] * r
+                    for d in self._unit_dlogs)
+        for j, d in enumerate(self._class_dlogs):
+            rows.append([-(t % o) for t, o in zip(d, orders)] +
+                        [gen_orders[j] if t == j else 0 for t in range(r)])
         # the unit-order rows and the class rows are triangular, with
         # diagonal the unit orders and the class orders: their product is
         # a multiple of the group order
-        R = prod(self.unit_orders) * prod(self.clg.gen_orders)
-        G = self.group = smith_presentation(rows, nu + r, modulus=R)
+        G = smith_presentation(rows, nu + r,
+                               modulus=prod(orders) * prod(gen_orders))
         if G.free_rank:
             raise InternalCheckError("ray class group came out infinite")
         # p-part: each coordinate read modulo the p-part of its order
-        self.p_group = FiniteAbelianGroup([p**vp(d, p) for d in G.diag],
-                                          G.transform, G.lifts)
+        return rows, G, FiniteAbelianGroup([p_part(d, p) for d in G.diag],
+                                           G.transform)
 
     def unit_orders_at(self, M: int) -> list:
         """The generator orders of (O/p^M)*, M <= T, for this direct build
@@ -151,21 +134,11 @@ class RayClassGroupData:
         drop = self.p**(_p_power(self.modulus, self.p) - M)
         return [o // gcd(o, drop) for o in self.unit_orders]
 
-    def _reduce(self, dlog):
-        """A dlog of `units`, read modulo this level's generator orders."""
-        return [t % o for t, o in zip(dlog, self.unit_orders)]
-
     # ------------------------------------------------------------- class maps
-    def ambient_of_ideal(self, q: IntegralIdeal):
-        """Ambient exponent vector of the ray class [q], q coprime to m:
-        the vector at the direct build whose dlogs this one reads, reduced."""
-        vec = (self.top or self)._ambient_vector(q)
-        return self._reduce(vec[:self.nu]) + list(vec[self.nu:])
-
-    def _ambient_vector(self, q: IntegralIdeal) -> tuple:
-        """The ambient vector of [q] at this direct build, kept on it: the
-        unit dlog of a generator of q times class representatives, and
-        minus their exponents."""
+    def ambient_of_ideal(self, q: IntegralIdeal) -> tuple:
+        """Ambient exponent vector of the ray class [q], q coprime to m,
+        kept on this build: the unit dlog of a generator of q times class
+        representatives, and minus their exponents."""
         if q not in self._ambient:
             b = self.clg.ambient_dlog(q)
             cs = [(o - t) % o for o, t in zip(self.clg.gen_orders, b)]
@@ -175,9 +148,6 @@ class RayClassGroupData:
                 raise InternalCheckError("class bookkeeping failed")
             self._ambient[q] = tuple(self.units.dlog(lam) + [-c for c in cs])
         return self._ambient[q]
-
-    def p_class_of_ideal(self, q: IntegralIdeal) -> GroupElement:
-        return self.p_group.project(self.ambient_of_ideal(q))
 
     # --------------------------------------------------------------- orders
     @property
@@ -216,11 +186,13 @@ def ray_class_group(K: RealQuadraticField, modulus, p: int) \
 
 class RayClassTower:
     """The state of one (K, p).  Of the ray class groups of conductors
-    (p^M), M >= 2, one, the top, is built directly.  A lower one is read
-    as its quotient: its p-part by p_quotient, from the top's p-part and
-    no ray class record, which is all mq_order, `stable` and
-    even_criterion read; its full record by level, for the coordinates
-    that `frobenius` prints.  The first level asked of a fresh tower is
+    (p^M), M >= 2, one, the top, is built directly, and no other ray class
+    record is built.  A lower one is read off the top in one of two ways.
+    Its p-part alone, which is all mq_order, `stable` and even_criterion
+    read, comes from p_quotient, the top's p-part modulo the unit kernel.
+    The presentation whose coordinates `frobenius` prints comes from
+    level, the rows a direct build there assembles, so those coordinates
+    do not depend on the top.  The first level asked of a fresh tower is
     its top, built exactly: a single query reads one or two levels, and a
     higher top costs it more than the quotients save.  A level M above the
     top regrows the tower at p^(M+2), the level mq_order reads first at
@@ -249,14 +221,16 @@ class RayClassTower:
             self.exponent = T
         return self.top
 
-    def level(self, M: int) -> RayClassGroupData:
-        """The ray class group of conductor (p^M): the top, or the record
-        read as its quotient."""
+    def level(self, M: int) -> tuple:
+        """(relations, group, p-part) of the ray class group of conductor
+        (p^M), on the ambient coordinates of the top grown as grow(M)
+        grows it: the top's presentation at unit_orders_at(M), the rows
+        and Smith form that a direct build at (p^M) has.  The class of q
+        there is the top's ambient vector of q projected into the group as
+        it is: it differs from the direct build's by a sum of the
+        o_i(M) e_i, which are relations of the level."""
         top = self.grow(M)
-        if M == self.exponent:
-            return top
-        K, p = self.field, self.p
-        return RayClassGroupData(K, rational_ideal(K, p**M), p, top)
+        return top.presentation(top.unit_orders_at(M))
 
     def p_quotient(self, M: int) -> tuple:
         """(kernel, group) at the conductor (p^M), the top grown as level(M)

@@ -126,19 +126,30 @@ def empty_memos():
 
 
 def count_builds(monkeypatch):
-    """(direct, quotient): the ray class groups built from now on, directly
-    and as quotient records of a tower's top, in order, each as (d, p, M)
-    at a conductor (p^M) and as (d, p, str(m)) at any other m."""
-    built = ([], [])
-    build = rayclass.RayClassGroupData
+    """(direct, levels): from now on, the ray class groups built, each as
+    (d, p, M) at a conductor (p^M) and as (d, p, str(m)) at any other m,
+    and the levels that RayClassTower.level reads off a tower's top, which
+    build no ray class record, each as (d, p, M), in order."""
+    built, levels = [], []
+    build, level = rayclass.RayClassGroupData, rayclass.RayClassTower.level
 
-    def record(K, modulus, p, top=None):
+    def record(K, modulus, p):
         M = vp(modulus.a, p)
         at = M if modulus == rational_ideal(K, p**M) else str(modulus)
-        built[top is not None].append((K.d or 1, p, at))
-        return build(K, modulus, p, top)
+        built.append((K.d or 1, p, at))
+        return build(K, modulus, p)
+
+    def read(tower, M):
+        levels.append((tower.field.d or 1, tower.p, M))
+        return level(tower, M)
     monkeypatch.setattr(rayclass, "RayClassGroupData", record)
-    return built
+    monkeypatch.setattr(rayclass.RayClassTower, "level", read)
+    return built, levels
+
+
+def p_class_of_ideal(rc, q) -> GroupElement:
+    """The class of q in the p-part of a ray class group rc."""
+    return rc.p_group.project(rc.ambient_of_ideal(q))
 
 
 def count_field_work(monkeypatch):
@@ -607,12 +618,41 @@ def solve_congruence_lattice(C, moduli):
     return _column_lattice_basis([[b[i] for b in basis] for i in range(k)])
 
 
+def generator_lifts(G: FiniteAbelianGroup, modulus: int) -> list:
+    """For each row of the transform U of G, an ambient vector whose class
+    generates that coordinate: the columns of U^-1 modulo `modulus`, by
+    sympy's inv_mod, with no Smith form."""
+    from sympy import Matrix
+    W = Matrix(G.transform).inv_mod(modulus)
+    return [[int(x) for x in W.col(i)] for i in range(W.cols)]
+
+
+def invariant_hom(G: FiniteAbelianGroup, c, mod: int) -> list:
+    """The hom c.x mod `mod` on the ambient vectors of a p-part G, which
+    must kill its relations, on the invariant coordinates of G: y_i =
+    c.W_i, W_i the generator lifts modulo `mod` (c.x = c.W(Ux) mod `mod`).
+    A coordinate outside the p-part, diagonal entry 1, must carry y_i = 0;
+    the y_i of the others come back."""
+    y = [sum(a * w for a, w in zip(c, lift)) % mod
+         for lift in generator_lifts(G, mod)]
+    if any(t for t, d in zip(y, G.diag) if d == 1):
+        raise InternalCheckError("the hom does not factor through the "
+                                 "p-part")
+    return [t for t, d in zip(y, G.diag) if d > 1]
+
+
+def degree_hom(G) -> list:
+    """The degree of a GaloisGroupG on its invariant coordinates, mod p^N:
+    its ambient hom, carried by invariant_hom."""
+    return invariant_hom(G.group, G.ambient_hom, G.p**G.N)
+
+
 def degree_kernel_lattice(G):
     """Lattice (in invariant coordinates) of the classes of a GaloisGroupG
     with trivial image in the cyclotomic quotient Z/p^N."""
     if not G.group.invariant_factors:
         return []
-    return solve_congruence_lattice([list(G.cyc_hom)], [G.p**G.N])
+    return solve_congruence_lattice([degree_hom(G)], [G.p**G.N])
 
 
 def lattice_intersection(B1, B2):

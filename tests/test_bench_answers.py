@@ -53,7 +53,7 @@ def test_every_recorded_alpha_key_in_both_orders(monkeypatch, order):
     assert len(keys) == 190
     expected = S.load_expected("kummer-alpha", set(keys))
     empty_memos()
-    direct, quotient = count_builds(monkeypatch)
+    direct, levels = count_builds(monkeypatch)
     read, p_quotient = [], rayclass.RayClassTower.p_quotient
 
     def read_level(tower, M):
@@ -73,7 +73,7 @@ def test_every_recorded_alpha_key_in_both_orders(monkeypatch, order):
             elif tops[-1][2] < N + 3:
                 tops.append((d, p, N + 5))
     empty_memos()
-    assert direct == tops and quotient == []
+    assert direct == tops and levels == []
     assert len(tops) == (76 if order == "ascending" else 12)
     # level N, conductor p^(N+1), is read below the top already built: p^3
     # and p^4 always, and in descending order every conductor but the top
@@ -97,7 +97,7 @@ def test_seed_one_batch(monkeypatch, workload):
     batch = W.batch(workload, 1)
     expected = S.load_expected(workload, {W.query_key(q) for q in batch})
     empty_memos()
-    direct, quotient = count_builds(monkeypatch)
+    direct, levels = count_builds(monkeypatch)
     dlog, taken = residues.UnitGroupModM.dlog, []
 
     def refuse_minus_one(units, x):
@@ -113,7 +113,7 @@ def test_seed_one_batch(monkeypatch, workload):
     # its top p^6, and p^4 below it with no ray class record
     other = [b for b in direct if isinstance(b[2], str)]
     assert [b for b in direct if b not in other] == [(1, 3, 6)]
-    assert quotient == []
+    assert levels == []
     assert len(other) == (150 if workload == "big-conductor" else 0)
     assert len(taken) == (176 if workload == "big-conductor" else 2)
 
@@ -152,7 +152,7 @@ def test_seed_one_alpha_batch_builds_few_levels_directly(monkeypatch):
     expected = S.load_expected("kummer-alpha",
                                {W.query_key(q) for q in batch})
     empty_memos()
-    direct, quotient = count_builds(monkeypatch)
+    direct, levels = count_builds(monkeypatch)
     below, read = [], []
     p_quotient = rayclass.RayClassTower.p_quotient
 
@@ -191,7 +191,7 @@ def test_seed_one_alpha_batch_builds_few_levels_directly(monkeypatch):
     empty_memos()
     assert len(read) == len(set(read)) == 166
     assert len(direct) == len(set(direct)) == 31
-    assert quotient == []
+    assert levels == []
     # a regrowth builds p^(M+2) for a level M: 6 of the tops are replaced
     # before a query reads them
     assert len(set(direct) - set(read)) == 6

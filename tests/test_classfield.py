@@ -1,4 +1,5 @@
 import random
+import re
 import signal
 from math import prod
 
@@ -8,16 +9,16 @@ from iwasawalab import classfield, rayclass
 from iwasawalab.abgroup import element_order, smith_presentation
 from iwasawalab.classfield import (group_G, frobenius_image, e_of_q,
                                    even_criterion, cyclotomic_log,
-                                   _transport_hom)
+                                   degree_map)
 from iwasawalab.iwasawa import mq_order
 from iwasawalab.ntheory import InternalCheckError, isprime
 from iwasawalab.padic import PAdicNumber
 from iwasawalab.quadfield import (RealQuadraticField, factor_rational_prime,
-                                  rational_ideal)
+                                  prime_ideal, rational_ideal)
 from iwasawalab.rayclass import ray_class_group
-from oracles import (count_builds, cyclotomic_dlog_log_route,
+from oracles import (count_builds, cyclotomic_dlog_log_route, degree_hom,
                      degree_kernel_lattice, degree_log_route, empty_memos,
-                     group_identity, plog,
+                     group_identity, invariant_hom, plog,
                      solve_integral_fractions, subgroup_order_from_lattice)
 
 QQ = RealQuadraticField.rationals()
@@ -91,9 +92,10 @@ FROBENIUS_FIELDS = (1, 2, 3, 5, 6, 7, 10, 13, 79, 82, 145, 229, 401)
 
 
 def test_frobenius_class_degree_matches_character():
-    """The degree of the class of q under the hom on invariant
-    coordinates equals the exact cyclotomic position of N(q), on 13 fields
-    x p in {3, 5, 7} x N in {1, 2, 3} x the primes below 42."""
+    """The degree of q read on its ambient vector, and the degree of its
+    class under the oracle's hom on invariant coordinates, equal the exact
+    cyclotomic position of N(q), on 13 fields x p in {3, 5, 7} x N in
+    {1, 2, 3} x the primes below 42."""
     n = 0
     for d in FROBENIUS_FIELDS:
         K = QQ if d == 1 else RealQuadraticField(d)
@@ -102,13 +104,16 @@ def test_frobenius_class_degree_matches_character():
                 continue
             for N in (1, 2, 3):
                 G = group_G(K, p, N)
+                hom = degree_hom(G)
                 for ell in range(2, 42):
                     if not isprime(ell) or ell == p:
                         continue
                     for q in factor_rational_prime(K, ell).ideals:
                         cls, _ = frobenius_image(G, q)
-                        assert G.class_degree(cls) == \
-                            cyclotomic_log(q.norm, p, N + 1), (d, p, N, q)
+                        want = cyclotomic_log(q.norm, p, N + 1)
+                        assert G.ambient_degree(q) == want, (d, p, N, q)
+                        assert sum(a * c for a, c in zip(hom, cls)) \
+                            % p**N == want, (d, p, N, q)
                         n += 1
     assert n == 1596
 
@@ -234,17 +239,18 @@ def test_mq_order_builds_only_the_levels_it_reads(monkeypatch, d, p, l1, l2,
                                                   N):
     """mq_order builds one ray class group directly, p^(N+3), the top of the
     tower of (K, p), and reads p^(N+1) as a quotient of its p-part with no
-    ray class record.  group_G at N then builds p^(N+1) as the one
-    quotient record, whose coordinates `frobenius` prints, and reading
-    `stable` of it reads p^(N+2) from the top's p-part, once."""
+    ray class record.  group_G at N then reads p^(N+1), whose coordinates
+    `frobenius` prints, as the one level off the top, with no ray class
+    record, and reading `stable` of it reads p^(N+2) from the top's
+    p-part, once."""
     empty_memos()
-    direct, quotient = count_builds(monkeypatch)
+    direct, levels = count_builds(monkeypatch)
     K = QQ if d == 1 else RealQuadraticField(d)
     Q = tuple(factor_rational_prime(K, ell).ideals[0] for ell in (l1, l2))
     mq_order(K, p, Q, N)
-    assert (direct, quotient) == ([(d, p, N + 3)], [])
+    assert (direct, levels) == ([(d, p, N + 3)], [])
     G = group_G(K, p, N)
-    assert (direct, quotient) == ([(d, p, N + 3)], [(d, p, N + 1)])
+    assert (direct, levels) == ([(d, p, N + 3)], [(d, p, N + 1)])
     read, p_quotient = [], rayclass.RayClassTower.p_quotient
 
     def read_level(tower, M):
@@ -253,7 +259,7 @@ def test_mq_order_builds_only_the_levels_it_reads(monkeypatch, d, p, l1, l2,
     monkeypatch.setattr(rayclass.RayClassTower, "p_quotient", read_level)
     assert G.stable in (True, False)
     assert read == [N + 2]
-    assert (direct, quotient) == ([(d, p, N + 3)], [(d, p, N + 1)])
+    assert (direct, levels) == ([(d, p, N + 3)], [(d, p, N + 1)])
 
     def refuse(*args):
         raise RuntimeError("stable was built twice")
@@ -289,21 +295,24 @@ def test_degree_kernel_is_unit_part():
 @pytest.mark.parametrize("d,p", [(1, 3), (1, 5), (2, 3), (2, 5), (79, 3),
                                  (79, 5)])
 def test_transport_hom_matches_exact_solve(d, p):
-    """The degree map through the generator lifts of the modular
-    presentation, against the exact path it replaced: y*U = c solved over Q
-    with the exact unimodular U.  The two presentations may pick different
-    bases, so both are checked as homs, y.z = c.x mod p^(M-1) on ambient
-    vectors x, and compared entry by entry where the transforms agree
-    modulo R."""
+    """The degree map carried to invariant coordinates by the oracle's
+    generator lifts (U^-1 by sympy's inv_mod) against the exact path: y*U
+    = c solved over Q with the exact unimodular U.  The two presentations
+    may pick different bases, so both are checked as homs, y.z = c.x mod
+    p^(M-1) on ambient vectors x, and compared entry by entry where the
+    transforms agree modulo R.  The degree map is degree_map's, checked on
+    the relations."""
     K = QQ if d == 1 else RealQuadraticField(d)
     rng = random.Random(10 * d + p)
     for M in (2, 3, 4):
         rc = ray_class_group(K, p**M, p)
         n, mod = len(rc.group.diag), p**(M - 1)
         keep = [i for i, d in enumerate(rc.p_group.diag) if d > 1]
-        c = [cyclotomic_log(x, p, M) for x in rc.units.gen_norm_ints()] + \
+        c = degree_map(rc, p, M, rc.relations)
+        assert c == [cyclotomic_log(x, p, M) for x in
+                     rc.units.gen_norm_ints()] + \
             [cyclotomic_log(q.norm, p, M) for q in rc.class_gen_ideals]
-        y = _transport_hom(rc, c, mod)
+        y = invariant_hom(rc.p_group, c, mod)
         U = smith_presentation(rc.relations, n).transform
         y_exact = [t % mod for t in solve_integral_fractions(
             [[U[i][j] for i in range(n)] for j in range(n)], c)]
@@ -323,26 +332,55 @@ def test_transport_hom_matches_exact_solve(d, p):
 
 
 def test_a_map_that_breaks_a_relation_is_refused(monkeypatch):
-    """The ambient map is checked on every relation: with each generator of
-    Cl_(9) of Q(sqrt 2) at p = 3 sent to 1, the order row of the inert
-    component's torsion generator, (8, 0, 0), sums to 8, not 0 mod 3."""
+    """degree_map checks the ambient map on every relation: with each
+    generator of Cl_(9) of Q(sqrt 2) at p = 3 sent to 1, the order row of
+    the inert component's torsion generator, (8, 0, 0), sums to 8, not 0
+    mod 3."""
     rc = ray_class_group(RealQuadraticField(2), 9, 3)
     assert rc.relations[0] == [8, 0, 0]
+    assert degree_map(rc, 3, 2, rc.relations)
     monkeypatch.setattr(classfield, "cyclotomic_log", lambda n, p, A: 1)
     with pytest.raises(InternalCheckError,
                        match="inconsistent with the relations"):
-        classfield._cyc_hom_on_invariants(rc, 3, 2)
+        degree_map(rc, 3, 2, rc.relations)
 
 
-def test_a_map_alive_off_the_p_part_is_refused():
-    """A coordinate outside the p-part (diagonal entry 1 there) has no
-    image in it, so a map that is not 0 on its lift is refused: (1, 0, 0)
-    is 2 mod 3 on the lift of coordinate 0 of Cl_(9) of Q(sqrt 10)."""
-    rc = ray_class_group(RealQuadraticField(10), 9, 3)
-    assert rc.p_group.diag == [1, 1, 3] and rc.p_group.lifts[0][0] % 3 == 2
-    with pytest.raises(InternalCheckError,
-                       match="does not factor through the p-part"):
-        _transport_hom(rc, [1, 0, 0], 3)
+def test_an_ambient_degree_off_the_exact_one_is_refused():
+    """frobenius_image reads the degree of q on its ambient vector too:
+    with the ambient map of G moved by 1 on one generator, every class
+    reads a degree but the one of N(q), and the exact dlog refuses it,
+    while the class and the log degree are untouched."""
+    for K, p in ((QQ, 3), (RealQuadraticField(79), 3), (Q2, 5)):
+        G = group_G(K, p, 2)
+        q = factor_rational_prime(K, 2 if p == 3 else 3).ideals[0]
+        cls, deg = frobenius_image(G, q)
+        j = next(j for j, x in enumerate(G.top.ambient_of_ideal(q))
+                 if x % p)
+        G.ambient_hom = list(G.ambient_hom)
+        G.ambient_hom[j] += 1
+        with pytest.raises(InternalCheckError, match="exact dlog"):
+            frobenius_image(G, q)
+        assert (G.frobenius_class(q), repr(G.degree(q))) == (cls, repr(deg))
+
+
+def test_a_class_of_too_small_an_order_is_refused(monkeypatch):
+    """The degree is a hom out of G_N, so the class of q has an order that
+    is a multiple of the order of its degree in Z/p^N: with each class
+    scaled by p, the class of 2 over Q at p = 3, N = 2, of order 9 and
+    degree a unit, is refused, and so is the class of 2 over Q(sqrt 79),
+    while every degree still equals the exact one."""
+    scale = classfield.GaloisGroupG.frobenius_class
+
+    def scaled(G, q):
+        return G.group.scale(G.p, scale(G, q))
+    monkeypatch.setattr(classfield.GaloisGroupG, "frobenius_class", scaled)
+    for K in (QQ, RealQuadraticField(79)):
+        G = group_G(K, 3, 2)
+        q = factor_rational_prime(K, 2).ideals[0]
+        assert G.ambient_degree(q) % 3
+        with pytest.raises(InternalCheckError,
+                           match="not a multiple of the order of its degree"):
+            frobenius_image(G, q)
 
 
 def test_e_of_q():
@@ -352,6 +390,25 @@ def test_e_of_q():
     assert e_of_q(5, 3) == 1
     with pytest.raises(ValueError):
         e_of_q(9, 3)
+
+
+@pytest.mark.parametrize("call,shown", [
+    (lambda: e_of_q(7.5, 3), "7.5"),
+    (lambda: e_of_q("7", 3), "'7'"),
+    (lambda: e_of_q(True, 3), "True"),
+    (lambda: even_criterion(RealQuadraticField(79), 3, 7.0, 2), "7.0"),
+    (lambda: even_criterion(QQ, 3, True, 2), "True"),
+    (lambda: prime_ideal(QQ, "7"), "'7'"),
+], ids=["e-float", "e-str", "e-bool", "even-float", "even-bool",
+        "prime-str"])
+def test_a_q_that_is_no_ideal_or_int_is_refused(call, shown):
+    """e_of_q and prime_ideal take an IntegralIdeal or an int, and no bool:
+    any other q is refused by a ValueError that names it, not read by
+    int() nor failing on a missing attribute."""
+    with pytest.raises(ValueError,
+                       match=r"^q must be an int, got %s$"
+                       % re.escape(shown)):
+        call()
 
 
 def test_even_criterion_q7_p3():
@@ -402,8 +459,7 @@ def test_tower_consistency_quadratic():
     g1 = group_G(Q2, 5, 1)
     for ell in (3, 7, 11):
         q = factor_rational_prime(Q2, ell).ideals[0]
-        assert g2.class_degree(g2.frobenius_class(q)) % 5 == \
-            g1.class_degree(g1.frobenius_class(q))
+        assert g2.ambient_degree(q) % 5 == g1.ambient_degree(q)
         # orders of Frobenius classes can only drop down the tower
         from iwasawalab.abgroup import element_order
         o2 = element_order(g2.group, g2.frobenius_class(q))

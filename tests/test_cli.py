@@ -416,6 +416,10 @@ STRICT_INTEGERS = [
      "IWASAWA_LAB_PRECISION must be an integer of at least 1, got '1_0'"),
     (LEOPOLDT + ["5"], "\u0663",
      "IWASAWA_LAB_PRECISION must be an integer of at least 1, got '\u0663'"),
+    (["mq", "--field", "Q", "--p", "3", "--q1", " 2", "--q2", "5"], None,
+     "cannot parse prime spec ' 2'"),
+    (["mq", "--field", "Q(sqrt{79})", "--p", "3", "--q1", "2", "--q2",
+      "5a "], None, "cannot parse prime spec '5a '"),
 ]
 
 _OPTIMIZED_CASES = """

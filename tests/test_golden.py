@@ -179,17 +179,21 @@ json.dump([sys.flags.optimize, out], sys.stdout)
 
 def test_golden_under_python_O():
     """Every case again, in one `python -O` process: -O strips bare
-    asserts, so this fails if an answer rests on one."""
+    asserts, so this fails if an answer rests on one.  The cases run in
+    reverse order, so each golden is checked after two process histories,
+    this one's and the forward run's: an answer must not depend on what
+    the process computed before it."""
+    cases = CASES[::-1]
     env = {k: v for k, v in os.environ.items()
            if k != "IWASAWA_LAB_PRECISION"}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_RUN],
-                          input=json.dumps(CASES), env=env,
+                          input=json.dumps(cases), env=env,
                           capture_output=True, text=True, check=True)
     optimize, results = json.loads(proc.stdout)
     assert optimize == 1
-    assert [r[0] for r in results] == [c[0] for c in CASES]
-    for (name, code, _), (_, got, out) in zip(CASES, results):
+    assert [r[0] for r in results] == [c[0] for c in cases]
+    for (name, code, _), (_, got, out) in zip(cases, results):
         assert got == code, name
         assert out == (GOLDEN_DIR / (name + ".out")).read_text(), name
 

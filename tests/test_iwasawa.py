@@ -24,7 +24,8 @@ from iwasawalab.quadfield import (RealQuadraticField, factor_rational_prime,
                                   parts_valuation, prime_kind, rational_ideal,
                                   split_root)
 import oracles
-from oracles import (angle_log, count_builds, degree_kernel_lattice,
+from oracles import (angle_log, count_builds, degree_hom,
+                     degree_kernel_lattice,
                      degree_log_route, degree_zero_pair_element, empty_memos,
                      lattice_intersection,
                      leopoldt_defect_log_route,
@@ -231,8 +232,8 @@ def test_degree_zero_count_matches_lattice_route(d, p, s1, s2, N):
     for L, order in zip((N, N + 2), rep.provisional_orders):
         G = group_G(K, p, L)
         F1, F2, v1, _ = rounded_degree_zero_log_route(G, *Q)
-        pL = p**L
-        degs = [sum(c * f for c, f in zip(G.cyc_hom, F)) for F in (F1, F2)]
+        pL, hom = p**L, degree_hom(G)
+        degs = [sum(c * f for c, f in zip(hom, F)) for F in (F1, F2)]
         count = subgroup_image_order(G.group, [F1, F2]) // \
             (pL // gcd(pL, *degs))
         S = G.group.subgroup_lattice([F1, F2])
@@ -342,55 +343,40 @@ def test_mq_generator_matches_log_route_in_any_order(d, p, s1, s2):
     empty_memos()
 
 
-def _quotient_view(rc, p, M):
-    """What a level shows of itself: its presentation, its degree map and
-    the class of every prime ideal of norm below 100 prime to p."""
-    K = rc.field
-    ideals = [q for ell in range(2, 100) if isprime(ell) and ell != p
-              for q in factor_rational_prime(K, ell).ideals if q.norm < 100]
-    return {
-        "relations": rc.relations, "class_gen_ideals": rc.class_gen_ideals,
-        "unit_orders": rc.unit_orders,
-        "unit_norms": [n % p**M for n in rc.unit_norms],
-        "unit_dlogs": rc._unit_dlogs, "diag": rc.group.diag,
-        "transform": rc.group.transform, "lifts": rc.group.lifts,
-        "p_diag": rc.p_group.diag,
-        "p_invariants": rc.p_group.invariant_factors,
-        "order_identity": rc.order_identity(),
-        "cyc_hom": classfield._cyc_hom_on_invariants(rc, p, M),
-        "classes": [(str(q), rc.ambient_of_ideal(q), rc.p_class_of_ideal(q))
-                    for q in ideals],
-    }
-
-
 @pytest.mark.parametrize("d,p", sorted({(d, p) for d, p, _, _ in
                                         MQ_GRID + ALPHA_FIXTURE_PAIRS}))
 def test_quotient_level_equals_the_direct_build(d, p):
-    """Level (p^M) read as a quotient of a direct build at (p^T) equals the
-    direct build at (p^M), for every T in 3..14 and every M < T: the
-    relation rows, the class representatives, the Smith form with its
-    transforms and lifts, the p-part, the degree map and the Frobenius
-    classes.  At M = 1 an inert p leaves a unit coordinate of order 1,
-    which the direct build does not have, and the quotient refuses."""
+    """The level (p^M) that group_G reads off a top at (p^T), for every T
+    in 3..14 and every M < T (M >= 2, as the tower serves), equals the
+    direct build at (p^M): the relation rows, the Smith diagonal and
+    transform, the p-part, the degree map checked on those rows, and the
+    class of every prime ideal of norm below 100 prime to p, the top's
+    ambient vector projected as it is.  Each top is a fresh tower's,
+    built at exactly (p^T), and serves as the direct build there."""
     K = _field(d)
-    direct = {M: rayclass.ray_class_group(K, p**M, p) for M in range(1, 15)}
-    want = {M: _quotient_view(direct[M], p, M) for M in range(2, 14)}
-    inert = len(direct[1].unit_orders) < len(direct[2].unit_orders)
+    towers = {}
+    for T in range(2, 15):
+        towers[T] = rayclass.RayClassTower(K, p)
+        towers[T].grow(T)
+        assert towers[T].exponent == T
+    ideals = [q for ell in range(2, 100) if isprime(ell) and ell != p
+              for q in factor_rational_prime(K, ell).ideals if q.norm < 100]
+    want = {}
+    for M in range(2, 14):
+        rc = towers[M].top
+        assert rc.modulus == rational_ideal(K, p**M)
+        want[M] = (rc.relations, rc.group, rc.p_group,
+                   classfield.degree_map(rc, p, M, rc.relations),
+                   [oracles.p_class_of_ideal(rc, q) for q in ideals])
     for T in range(3, 15):
-        top = direct[T]
-        for M in range(1, T):
-            modulus = rational_ideal(K, p**M)
-            if M == 1 and inert:
-                with pytest.raises(ValueError, match="every unit coordinate"):
-                    rayclass.RayClassGroupData(K, modulus, p, top)
-                continue
-            rc = rayclass.RayClassGroupData(K, modulus, p, top)
-            assert rc.top is top and rc.units is top.units
-            if M == 1:
-                assert rc.relations == direct[1].relations
-                assert rc.p_group == direct[1].p_group
-                continue
-            assert _quotient_view(rc, p, M) == want[M], (T, M)
+        top = towers[T].top
+        for M in range(2, T):
+            relations, G, H = towers[T].level(M)
+            got = (relations, G, H,
+                   classfield.degree_map(top, p, M, relations),
+                   [H.project(top.ambient_of_ideal(q)) for q in ideals])
+            assert got == want[M], (T, M)
+            assert towers[T].top is top
 
 
 def _tower_pairs(draws=8, seed=41):
@@ -418,59 +404,51 @@ def test_tower_levels_have_the_ray_class_number(d, p):
     for order in (range(2, 9), range(8, 1, -1)):
         tower = rayclass.RayClassTower(K, p)
         for M in order:
-            rc = tower.level(M)
-            assert (rc.group.order, rc.p_order) == \
+            _, G, H = tower.level(M)
+            assert (G.order, H.order) == \
                 (want[M], p**vp(want[M], p)), (M, tower.exponent)
         assert tower.exponent == 8
 
 
 def test_quotient_level_refuses_what_it_cannot_read():
-    """A quotient needs a direct build of a higher power of (p) over the
-    same field, and the tower serves conductors (p^M) with M >= 2 only."""
+    """The tower serves conductors (p^M) with M >= 2 only, as levels and
+    as p-parts: at M = 1 an inert p, 5 in Q(sqrt 2), leaves a unit
+    coordinate of order 1, which a direct build at (p) does not have."""
     K = RealQuadraticField(2)
-    top = rayclass.ray_class_group(K, 5**4, 5)
-    low = rayclass.RayClassGroupData(K, rational_ideal(K, 25), 5, top)
-    bad = [(rational_ideal(K, 5**5), top),            # above the top
-           (rational_ideal(K, 25), low),              # a quotient as top
-           (rational_ideal(K, 50), top),              # not a power of (5)
-           (rational_ideal(RealQuadraticField(3), 25),
-            rayclass.ray_class_group(RealQuadraticField(3), 5**4, 5)),
-           (rational_ideal(K, 25),
-            rayclass.ray_class_group(RealQuadraticField(3), 5**4, 5))]
-    for modulus, t in bad:
-        with pytest.raises(ValueError):
-            rayclass.RayClassGroupData(K, modulus, 5, t)
+    tower = rayclass.ray_class_tower(K, 5)
     for M in (1, 0, -1):
-        with pytest.raises(ValueError, match="M >= 2"):
-            rayclass.ray_class_tower(K, 5).level(M)
+        for read in (tower.level, tower.p_quotient):
+            with pytest.raises(ValueError, match="M >= 2"):
+                read(M)
+    assert 1 in tower.grow(3).unit_orders_at(1)
 
 
 def test_a_tower_builds_its_first_top_exactly_and_regrows_two_up(
         monkeypatch):
     """The first level asked of a fresh tower is its top, built at exactly
-    p^M; a level M above the top regrows it at p^(M+2) and is read as a
-    quotient; a level at or below the top builds no top."""
-    direct, quotient = count_builds(monkeypatch)
+    p^M; a level M above the top regrows it at p^(M+2) and is read off
+    it; a level at or below the top builds no top.  No level builds a ray
+    class record but the tops, and each has the ray class number."""
+    direct, levels = count_builds(monkeypatch)
     tower = rayclass.RayClassTower(QQ, 3)
-    reads = [(3, [3], []), (2, [], [2]), (3, [], []), (4, [6], [4]),
-             (6, [], []), (5, [], [5]), (7, [9], [7])]
-    for M, tops, below in reads:
+    reads = [(3, [3]), (2, []), (3, []), (4, [6]), (6, []), (5, []),
+             (7, [9])]
+    for M, tops in reads:
         direct.clear()
-        quotient.clear()
-        rc = tower.level(M)
-        assert (direct, quotient) == ([(1, 3, T) for T in tops],
-                                      [(1, 3, L) for L in below]), M
-        assert rc.modulus == rational_ideal(QQ, 3**M)
-        assert (rc is tower.top) == (M == tower.exponent)
+        levels.clear()
+        _, G, _ = tower.level(M)
+        assert (direct, levels) == ([(1, 3, T) for T in tops],
+                                    [(1, 3, M)]), M
+        assert G.order == oracles.ray_class_number(1, 3**M)
+        assert tower.top.modulus == rational_ideal(QQ, 3**tower.exponent)
     assert tower.exponent == 9
 
 
-def _level_view(rc, Q):
-    """The invariants and order of the p-part, and the orders of the
-    Frobenius classes of the primes of Q in it."""
-    G = rc.p_group
-    return (G.invariant_factors, rc.p_order,
-            [element_order(G, rc.p_class_of_ideal(q)) for q in Q])
+def _level_view(G, ambient_of_ideal, Q):
+    """The invariants and order of a p-part G, and the orders in it of the
+    Frobenius classes of the primes of Q, read on `ambient_of_ideal`."""
+    return (G.invariant_factors, G.order,
+            [element_order(G, G.project(ambient_of_ideal(q))) for q in Q])
 
 
 @pytest.mark.parametrize("d,p,s1,s2", MQ_GRID + ALPHA_FIXTURE_PAIRS)
@@ -481,17 +459,19 @@ def test_levels_below_a_regrown_top_equal_direct_builds(d, p, s1, s2):
     classes of q1 and q2."""
     K = _field(d)
     Q = (_prime(K, s1), _prime(K, s2))
-    want = {L: _level_view(rayclass.ray_class_group(K, p**L, p), Q)
-            for L in range(2, 8)}
+    want = {}
+    for L in range(2, 8):
+        rc = rayclass.ray_class_group(K, p**L, p)
+        want[L] = _level_view(rc.p_group, rc.ambient_of_ideal, Q)
     tower = rayclass.RayClassTower(K, p)
     tower.level(2)
     for M, T in ((3, 5), (6, 8)):
         tower.level(M)
         assert tower.exponent == T
         for L in range(2, T):
-            rc = tower.level(L)
-            assert rc.top is tower.top
-            assert _level_view(rc, Q) == want[L], (M, L)
+            H = tower.level(L)[2]
+            assert _level_view(H, tower.top.ambient_of_ideal, Q) == \
+                want[L], (M, L)
 
 
 @pytest.mark.parametrize("d,p,s1,s2", MQ_GRID + ALPHA_FIXTURE_PAIRS)
@@ -509,7 +489,8 @@ def test_quotient_levels_read_as_direct_builds(d, p, s1, s2):
     for L in range(1, 8):
         rc = rayclass.ray_class_group(K, p**(L + 1), p)
         G = classfield.GaloisGroupG(
-            K, p, L, rc, classfield._cyc_hom_on_invariants(rc, p, L + 1))
+            K, p, L, rc, rc.p_group,
+            classfield.degree_map(rc, p, L + 1, rc.relations))
         F1, F2 = (G.frobenius_class(q) for q in Q)
         g = degree_zero_pair_element(G, *Q)
         want[L] = (G.group.invariant_factors, rc.p_order,
@@ -520,7 +501,7 @@ def test_quotient_levels_read_as_direct_builds(d, p, s1, s2):
         tower = rayclass.ray_class_tower(K, p)
         for L in levels:
             _, H = tower.p_quotient(L + 1)
-            F1, F2 = (H.project(tower.top.p_class_of_ideal(q).coords)
+            F1, F2 = (H.project(oracles.p_class_of_ideal(tower.top, q).coords)
                       for q in Q)
             order = iwasawa._degree_zero_level(K, p, L, *Q)[1]
             got = (H.invariant_factors, H.order,
@@ -537,15 +518,15 @@ def test_single_calls_build_the_levels_they_read(monkeypatch, d, p, s1, s2,
                                                   N):
     """On emptied memos, a single mq_order or construct_alpha call builds
     conductor p^(N+3) directly and reads p^(N+1) from its p-part, with no
-    quotient record, and even_criterion builds q1*p^(N+2), p^(N+2) and
+    ray class record, and even_criterion builds q1*p^(N+2), p^(N+2) and
     q1*p^(N+1) and reads p^(N+1) from the p-part of p^(N+2): the first
     level each reads is the fresh tower's top, built exactly, and no
     regrowth follows.  group_G with its stability check builds p^(N+2),
-    the level `stable` reads, as the top, and p^(N+1) as the one quotient
-    record."""
+    the level `stable` reads, as the top, and reads p^(N+1) off it as the
+    one level, with no ray class record."""
     K = _field(d)
     Q = (_prime(K, s1), _prime(K, s2))
-    direct, quotient = count_builds(monkeypatch)
+    direct, levels = count_builds(monkeypatch)
     q_at = [str(Q[0] * rational_ideal(K, p**M)) for M in (N + 2, N + 1)]
     calls = [
         (lambda: mq_order(K, p, Q, N), [N + 3], []),
@@ -557,10 +538,10 @@ def test_single_calls_build_the_levels_they_read(monkeypatch, d, p, s1, s2,
     for call, tops, below in calls:
         empty_memos()
         direct.clear()
-        quotient.clear()
+        levels.clear()
         call()
-        assert (direct, quotient) == ([(d, p, T) for T in tops],
-                                      [(d, p, L) for L in below])
+        assert (direct, levels) == ([(d, p, T) for T in tops],
+                                    [(d, p, L) for L in below])
     empty_memos()
 
 
@@ -569,9 +550,10 @@ def test_single_calls_build_the_levels_they_read(monkeypatch, d, p, s1, s2,
 def test_a_frobenius_call_builds_one_top(monkeypatch, capsys, d, p, s1, s2,
                                          N):
     """On emptied memos, the frobenius command builds conductor p^(N+2),
-    the level that G.stable reads, as the fresh tower's top, and p^(N+1)
-    as its quotient: no regrowth to p^(N+4)."""
-    direct, quotient = count_builds(monkeypatch)
+    the level that G.stable reads, as the fresh tower's top, and no other
+    ray class record: it reads p^(N+1) off the top as a level, and does
+    not regrow to p^(N+4)."""
+    direct, levels = count_builds(monkeypatch)
     empty_memos()
     code = cli.main(["frobenius", "--field", _field(d).spec_string(),
                      "--p", str(p), "--q", s1, "--q", s2,
@@ -579,7 +561,7 @@ def test_a_frobenius_call_builds_one_top(monkeypatch, capsys, d, p, s1, s2,
     empty_memos()
     assert code in (cli.EXIT_OK, cli.EXIT_INDETERMINATE)
     assert capsys.readouterr().out.startswith("G(")
-    assert (direct, quotient) == ([(d, p, N + 2)], [(d, p, N + 1)])
+    assert (direct, levels) == ([(d, p, N + 2)], [(d, p, N + 1)])
 
 
 @pytest.mark.parametrize("d,p", [(1, 3), (1, 5), (2, 5), (79, 3)])
