@@ -303,6 +303,9 @@ def kummer_rank(T, K: RealQuadraticField, p: int) -> RankReport:
         for t in T:
             if t.entries != entries:
                 raise ValueError("formal products must share a basis")
+            if t.p != p:
+                raise ValueError("formal products must have p = %d, got %d"
+                                 % (p, t.p))
         rows = []
         for t in T:
             rows.append([e for e, entry in zip(t.exponents, entries)

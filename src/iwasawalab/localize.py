@@ -15,9 +15,10 @@ coordinates are rows (v, m, digits) (padic.residue_row) throughout:
 `log_sum` sums them with the product's exponents, one padic.dot_row per
 coordinate, a product's valuation is the row of one dot_row
 (`SUnitProduct.valuation_at`), and `is_loc_torsion` and `eq_membership`
-read the rows.  Besides a product's exponents, only `loc` builds
-PAdicNumbers, the ones it returns.  The Kummer certificate keeps the entry
-logs of each prime for all its reads.
+read the rows.  `zp_matrix_rank` reads its entries as rows too and
+eliminates on them, each step one padic.dot_row.  Besides a product's
+exponents, only `loc` builds PAdicNumbers, the ones it returns.  The Kummer
+certificate keeps the entry logs of each prime for all its reads.
 """
 
 from __future__ import annotations
@@ -80,9 +81,14 @@ class SUnitProduct:
         self.entries = tuple(entries)
         self.p = p
         self.prec = prec
-        self.exponents = [e if isinstance(e, PAdicNumber)
-                          else PAdicNumber.exact(int(e), p, prec + 4)
-                          for e in exponents]
+        self.exponents = []
+        for e in exponents:
+            if isinstance(e, int) and not isinstance(e, bool):
+                e = PAdicNumber.exact(e, p, prec + 4)
+            elif not (isinstance(e, PAdicNumber) and e.p == p):
+                raise ValueError("an exponent must be an int or a %d-adic "
+                                 "PAdicNumber, got %r" % (p, e))
+            self.exponents.append(e)
         if len(self.exponents) != len(self.entries):
             raise ValueError("exponent vector has wrong length")
 
@@ -188,34 +194,36 @@ class RankReport:
         self.rank, self.certified = rank, certified
 
 
-def zp_matrix_rank(rows) -> RankReport:
-    """Z_p-rank of a matrix of PAdicNumbers by valuation-pivoted elimination.
+def zp_matrix_rank(matrix) -> RankReport:
+    """Z_p-rank of a matrix of PAdicNumbers by valuation-pivoted elimination
+    on their rows (v, m, digits).
 
-    The rank counts certified pivots; `certified` is False when entries
-    below working precision could hide further pivots.
+    The pivot is the first entry of least valuation, row by row, that is
+    not a marker.  Each other row r loses c = r[j] / pivot times the pivot
+    row, with -c one padic.dot_row and each entry r[k] - c * pivot[k]
+    another, of the pairs (r[k], 1) and (-c, pivot[k]), 1 exact.  The rank
+    counts certified pivots; `certified` is False when entries below
+    working precision, markers that are not exact zeros, could hide
+    further pivots.
     """
-    rows = [list(r) for r in rows]
+    rows = [list(r) for r in matrix]
+    p = rows[0][0].p if rows and rows[0] else None
+    rows = [[(e.v, e.m, e.digits) for e in r] for r in rows]
+    one = (0, 1, EXACT_ZERO_BOUND)
     rank = 0
-    certified = True
     while rows and rows[0]:
-        best = None
-        for i, r in enumerate(rows):
-            for j, e in enumerate(r):
-                if not e.is_marker and (best is None or e.v < best[2].v):
-                    best = (i, j, e)
-        if best is None:
-            if any(not e.is_exact_zero for r in rows for e in r):
-                certified = False
-            break
-        bi, bj, piv = best
+        live = [(v, i, j) for i, r in enumerate(rows)
+                for j, (v, m, _) in enumerate(r) if m is not None]
+        if not live:
+            return RankReport(rank, all(v >= EXACT_ZERO_BOUND
+                                        for r in rows for v, _, _ in r))
+        _, bi, bj = min(live)
+        pivot = rows.pop(bi)
+        v, m, digits = pivot[bj]
+        minus_inv = (-v, -pow(m, -1, p**digits), digits)
         rank += 1
-        inv = piv.inv()
-        new_rows = []
         for i, r in enumerate(rows):
-            if i == bi:
-                continue
-            coef = r[bj] * inv
-            nr = [r[j] - coef * rows[bi][j] for j in range(len(r)) if j != bj]
-            new_rows.append(nr)
-        rows = new_rows
-    return RankReport(rank, certified)
+            minus_c = dot_row(p, [(r[bj], minus_inv)])
+            rows[i] = [dot_row(p, [(x, one), (minus_c, y)])
+                       for k, (x, y) in enumerate(zip(r, pivot)) if k != bj]
+    return RankReport(rank, True)

@@ -1,18 +1,21 @@
-"""Arbitrary-precision arithmetic in Z_p / Q_p with explicit tracking of
-how many p-adic digits are certified, and the log series and Teichmueller
-lift the engine reads on integer residues, in Z_p and in the unramified
-quadratic extension as coordinate pairs.  The object forms (the 1-unit
-projection, logs of PAdicNumbers, the quadratic extension's elements, the
-AtLeast valuation marker) are the tests' reference, in tests/oracles.py.
+"""p-adic values in Z_p / Q_p with explicit tracking of how many digits
+are certified: the value record PAdicNumber, the row kernels that compute
+on its fields, and the log series and Teichmueller lift the engine reads on
+integer residues, in Z_p and in the unramified quadratic extension as
+coordinate pairs.
 
 A nonzero value is stored as p^v * m where m is a unit mantissa known modulo
 p^digits.  Quantities that cannot be distinguished from zero are carried as a
 marker "valuation >= bound" rather than silently treated as equal to zero.
-Exponents are integers: no engine path raises a value to a Z_p power, since
-the Kummer element stays a formal product whose exponents are never applied.
-A row (v, m, digits) is a PAdicNumber's fields without p, (A, None, 0) for
-a marker of bound A: the Kummer path keeps its logs as rows, and every
-product of p-adic numbers is taken by dot_row.
+A PAdicNumber is built, inspected and read as a residue; it has no
+arithmetic.  A row (v, m, digits) is its fields without p, (A, None, 0) for
+a marker of bound A, and every product of p-adic numbers, and every sum
+(a product with an exact 1), is taken on rows by dot_row.  Exponents are
+integers: no engine path raises a value to a Z_p power, since the Kummer
+element stays a formal product whose exponents are never applied.  The
+object arithmetic (`PAdicObject`), the 1-unit projection, logs of objects,
+the quadratic extension's elements and the AtLeast valuation marker are the
+tests' reference, in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -24,9 +27,6 @@ from .ntheory import InternalCheckError, power, quad_mul
 
 # bound used for zero markers that arise from exact integer zeros
 EXACT_ZERO_BOUND = 10**9
-
-# relative digits given to exact integer inputs beyond what callers request
-_EXACT_SLACK = 6
 
 
 class PrecisionError(ValueError):
@@ -94,10 +94,6 @@ class PAdicNumber:
         """Value known to be ≡ r mod p^abs_prec."""
         return cls(p, *residue_row(r, p, abs_prec))
 
-    @classmethod
-    def one(cls, p: int, digits: int) -> "PAdicNumber":
-        return cls(p, 0, 1, digits)
-
     # ------------------------------------------------------------- inspection
     @property
     def is_marker(self) -> bool:
@@ -125,63 +121,6 @@ class PAdicNumber:
 
     def is_unit(self) -> bool:
         return self.m is not None and self.v == 0
-
-    # ------------------------------------------------------------- arithmetic
-    def _check(self, other: "PAdicNumber"):
-        if not isinstance(other, PAdicNumber):
-            raise TypeError("expected PAdicNumber, got %r" % type(other))
-        if self.p != other.p:
-            raise ValueError("mixed primes %d and %d" % (self.p, other.p))
-
-    def __neg__(self):
-        if self.m is None:
-            return self
-        return PAdicNumber(self.p, self.v, (-self.m) % self.p**self.digits,
-                           self.digits)
-
-    def __add__(self, other):
-        self._check(other)
-        return PAdicNumber(self.p, *_terms_row(
-            self.p, min(self.abs_prec, other.abs_prec),
-            [(x.v, x.m) for x in (self, other) if x.m is not None]))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = PAdicNumber.exact(other, self.p, self.digits or _EXACT_SLACK)
-        self._check(other)
-        return PAdicNumber(self.p, *dot_row(self.p, [(
-            (self.v, self.m, self.digits), (other.v, other.m, other.digits))]))
-
-    __rmul__ = __mul__
-
-    def inv(self):
-        if self.m is None:
-            raise ZeroDivisionError("inversion of a zero marker")
-        m = pow(self.m, -1, self.p**self.digits)
-        return PAdicNumber(self.p, -self.v, m, self.digits)
-
-    def __truediv__(self, other):
-        if isinstance(other, int):
-            other = PAdicNumber.exact(other, self.p, self.digits or _EXACT_SLACK)
-        self._check(other)
-        return self * other.inv()
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            raise TypeError("integer exponent required")
-        if k < 0:
-            return self.inv() ** (-k)
-        if self.m is None:
-            if k == 0:
-                return PAdicNumber.one(self.p, _EXACT_SLACK)
-            return PAdicNumber.zero_marker(self.p, self.v * k)
-        if k == 0:
-            return PAdicNumber.one(self.p, self.digits)
-        m = pow(self.m, k, self.p**self.digits)
-        return PAdicNumber(self.p, self.v * k, m, self.digits)
 
     # -------------------------------------------------------------- rendering
     def __repr__(self):

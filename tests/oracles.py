@@ -31,16 +31,18 @@ every p, before k became p - 1 or 2(p + 1) by the splitting of p, and
 form, and the log route of the cyclotomic character
 (`cyclotomic_dlog_log_route`, `degree_log_route`, `mq_generator_log_route`,
 `rounded_degree_zero_log_route`, `mq_order_log_route`): angle_log over plog
-of 1 + p on PAdicNumbers, as `classfield` and `iwasawa` read it before
+of 1 + p on p-adic objects, as `classfield` and `iwasawa` read it before
 `classfield.cyclotomic_log` did on integer residues, and
 `reduced_pairs_scan`, the O(D) scan of every P against every Q of its
 window, before `quadfield._reduced_pairs` read the reduced states off
-divisor pairs, and the Kummer certificate's kernels on PAdicNumber
-objects (`padic_add`, `padic_mul`, `log_sum_objects`,
-`valuation_at_objects`, `solve_unit_exponent_objects`), before
-`PAdicNumber.__add__`, `PAdicNumber.__mul__`, `localize.log_sum`,
-`localize.SUnitProduct.valuation_at` (a row) and
-`kummer._solve_unit_exponent` (-x) read the integers of their terms, and the
+divisor pairs, and the p-adic object arithmetic (`PAdicObject`: the sum
+and product that `PAdicNumber.__add__` and `__mul__` took before they read
+the integers of their terms, and then lost to `padic.dot_row`) with the
+Kummer certificate's kernels on it (`log_sum_objects`,
+`valuation_at_objects`, `solve_unit_exponent_objects`,
+`zp_matrix_rank_objects`), before `localize.log_sum`,
+`localize.SUnitProduct.valuation_at` (a row), `kummer._solve_unit_exponent`
+(-x) and `localize.zp_matrix_rank` read the integers of their terms, and the
 dataclass definitions of the value types (`DataclassField`,
 `DataclassElement`, `DataclassIdeal`, `DataclassGroupElement`,
 `DataclassSplittingReport`, `DataclassSUnitBasisEntry`, built from an
@@ -50,18 +52,20 @@ hash of `RealQuadraticField`, `FieldElement`, `IntegralIdeal`,
 written out as plain classes.
 
 It also holds definitions that only the tests read, kept out of the
-engine as the tests' reference: the p-adic object layer
-(`val_and_unit`, `angle`, `plog`, `log_ratio`, `angle_log` and
-`UnramifiedQuadElem`, the unramified quadratic extension of Q_p, whose
-logs call the engine's `padic.log_series` and `padic.unit_log_residues`),
+engine as the tests' reference: the p-adic object layer (`PAdicObject`,
+which computes with nothing of `iwasawalab.padic`, `as_object` and
+`as_number` between it and the engine's value record, `val_and_unit`,
+`angle`, `plog`, `log_ratio`, `angle_log` and `UnramifiedQuadElem`, the
+unramified quadratic extension of Q_p, whose logs call the engine's
+`padic.log_series` and `padic.unit_log_residues`),
 `solve_dlog` in a finite abelian group, `s_unit_basis`, `inertia_rank`,
 `same_kummer_extension` and `degree_zero_pair_element`; and the helpers
 the tests read in place of engine methods that no engine path called: the
-`AtLeast` marker, `valuation` and `shift` of a PAdicNumber,
+`AtLeast` marker, `valuation` and `shift` of a p-adic number,
 `sqrt_pair(K, u, v)`, `real_sign` and `compare_real` of a field element
 (on the engine's `quadfield._real_sign`), `scale_exponents` of a formal
 product and `group_identity` of a finite abelian group; `rows` reads
-PAdicNumber logs as the rows (v, m, digits) of the Kummer path.
+p-adic logs as the rows (v, m, digits) of the Kummer path.
 `empty_memos()` empties every memo table of the engine, each one found by
 its `cache_clear`; `load_bench` reads a module of bench/, and
 `answers_digest` hashes the engine's answers to benchmark batches, to show
@@ -95,7 +99,7 @@ from iwasawalab.localize import (FALSE, INDET, TRUE, RankReport,
 from iwasawalab.ntheory import (InternalCheckError, crt, factorint, isprime,
                                 power, quad_mul)
 from iwasawalab.padic import (PAdicNumber, PrecisionError, _log_terms_needed,
-                              teichmueller, vp)
+                              teichmueller)
 from iwasawalab.quadfield import (FieldElement, IntegralIdeal,
                                   RealQuadraticField, SplittingReport,
                                   SUnitBasisData, SUnitBasisEntry,
@@ -722,9 +726,213 @@ def log_series(z0: int, z1: int, t: int, n: int, p: int, A: int):
 
 # ----------------------------------------------- reference p-adic objects
 # The object layer of p-adic values that the engine no longer ships: the
-# 1-unit projection, logs on PAdicNumbers and the unramified quadratic
-# extension.  Its logs call the engine kernels padic.log_series and
+# arithmetic of PAdicObject, the 1-unit projection, logs on objects and the
+# unramified quadratic extension.  PAdicObject computes with nothing of
+# iwasawalab.padic; the logs call the engine kernels padic.log_series and
 # padic.unit_log_residues, not the fresh-inverse log_series above.
+
+# a marker bound past any working precision: an exact zero's, as the
+# engine's padic.EXACT_ZERO_BOUND
+EXACT_ZERO = 10**9
+
+# relative digits given to an exact integer factor of an object product
+EXACT_SLACK = 6
+
+
+def vp(n: int, p: int) -> int:
+    """p-adic valuation of a nonzero integer."""
+    if n == 0:
+        raise ValueError("valuation of 0")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+class PAdicObject:
+    """Element of Q_p known to a finite number of digits, with the object
+    arithmetic (+, -, *, /, inv, **) that the engine's PAdicNumber had
+    before it became a value record: the reference of padic.dot_row, of
+    the sums it takes, and of localize.zp_matrix_rank.
+
+    Nonzero: p^v * (m + O(p^digits)) with 0 < m < p^digits, p does not
+    divide m.  Zero marker: m is None and v is a lower bound for the
+    valuation, EXACT_ZERO or more for an exact zero.
+    """
+
+    __slots__ = ("p", "v", "m", "digits")
+
+    def __init__(self, p: int, v: int, m, digits: int):
+        if p < 3 or p % 2 == 0:
+            raise ValueError("p must be an odd prime, got %r" % (p,))
+        if m is not None and (not isinstance(m, int) or digits < 1
+                              or not 0 < m < p**digits or m % p == 0):
+            raise ValueError("bad mantissa %r (digits=%d)" % (m, digits))
+        self.p, self.v, self.m, self.digits = p, v, m, digits
+
+    @classmethod
+    def zero_marker(cls, p: int, bound: int) -> "PAdicObject":
+        return cls(p, bound, None, 0)
+
+    @classmethod
+    def from_residue(cls, r: int, p: int, abs_prec: int) -> "PAdicObject":
+        """Value known to be = r mod p^abs_prec."""
+        r %= p**abs_prec
+        if r == 0:
+            return cls.zero_marker(p, abs_prec)
+        v = vp(r, p)
+        return cls(p, v, r // p**v, abs_prec - v)
+
+    @classmethod
+    def exact(cls, n, p: int, digits: int) -> "PAdicObject":
+        """Exact integer or Fraction input, kept to `digits` significant
+        digits."""
+        if n == 0:
+            return cls.zero_marker(p, EXACT_ZERO)
+        vnum, vden = vp(n.numerator, p), vp(n.denominator, p)
+        mod = p**digits
+        m = n.numerator // p**vnum * pow(n.denominator // p**vden, -1, mod)
+        return cls(p, vnum - vden, m % mod, digits)
+
+    @classmethod
+    def of(cls, n, p: int, N: int) -> "PAdicObject":
+        """Input read modulo p^N: N absolute digits of information."""
+        if n.denominator % p == 0:
+            raise ValueError("denominator not a p-unit")
+        return cls.from_residue(n.numerator * pow(n.denominator, -1, p**N),
+                                p, N)
+
+    @classmethod
+    def one(cls, p: int, digits: int) -> "PAdicObject":
+        return cls(p, 0, 1, digits)
+
+    @property
+    def is_marker(self) -> bool:
+        return self.m is None
+
+    @property
+    def is_exact_zero(self) -> bool:
+        return self.m is None and self.v >= EXACT_ZERO
+
+    @property
+    def abs_prec(self) -> int:
+        """Exponent A such that the value is certified modulo p^A."""
+        return self.v if self.m is None else self.v + self.digits
+
+    def residue(self, abs_prec: int) -> int:
+        """Integer representative modulo p^abs_prec (abs_prec <= certified)."""
+        if abs_prec > self.abs_prec:
+            raise ValueError("requesting %d digits, only %d certified"
+                             % (abs_prec, self.abs_prec))
+        if self.m is None:
+            return 0
+        if self.v < 0:
+            raise ValueError("negative valuation has no integer residue")
+        return (self.p**self.v * self.m) % self.p**abs_prec
+
+    def is_unit(self) -> bool:
+        return self.m is not None and self.v == 0
+
+    def _check(self, other):
+        if not isinstance(other, PAdicObject):
+            raise TypeError("expected PAdicObject, got %r" % type(other))
+        if self.p != other.p:
+            raise ValueError("mixed primes %d and %d" % (self.p, other.p))
+
+    def _promote(self, other):
+        """An int factor as an exact object, to this object's digits."""
+        if isinstance(other, int):
+            return PAdicObject.exact(other, self.p,
+                                     self.digits or EXACT_SLACK)
+        self._check(other)
+        return other
+
+    def __neg__(self):
+        if self.m is None:
+            return self
+        return PAdicObject(self.p, self.v, (-self.m) % self.p**self.digits,
+                           self.digits)
+
+    def __add__(self, other):
+        """x + y known mod p^A, A the lesser absolute precision."""
+        self._check(other)
+        p = self.p
+        A = min(self.abs_prec, other.abs_prec)
+        if self.m is None and other.m is None:
+            return PAdicObject.zero_marker(p, A)
+        if self.m is None or other.m is None:
+            x = other if self.m is None else self
+            if x.v >= A:
+                return PAdicObject.zero_marker(p, A)
+            s = min(x.v, 0)
+            r = x.m * p**(x.v - s)
+        else:
+            if min(self.v, other.v) >= A:
+                return PAdicObject.zero_marker(p, A)
+            s = min(self.v, other.v, 0)
+            r = self.m * p**(self.v - s) + other.m * p**(other.v - s)
+        # r is p^-s times the sum, an integer even when a valuation is < 0
+        y = PAdicObject.from_residue(r, p, A - s)
+        return PAdicObject(p, y.v + s, y.m, y.digits) if s else y
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        """x * y to the lesser relative precision; a product with a marker
+        is a marker whose bound is the sum of valuations and bounds."""
+        other = self._promote(other)
+        p, v = self.p, self.v + other.v
+        if self.m is None or other.m is None:
+            return PAdicObject.zero_marker(p, v)
+        digits = min(self.digits, other.digits)
+        return PAdicObject(p, v, self.m * other.m % p**digits, digits)
+
+    __rmul__ = __mul__
+
+    def inv(self):
+        if self.m is None:
+            raise ZeroDivisionError("inversion of a zero marker")
+        return PAdicObject(self.p, -self.v,
+                           pow(self.m, -1, self.p**self.digits), self.digits)
+
+    def __truediv__(self, other):
+        return self * self._promote(other).inv()
+
+    def __pow__(self, k: int):
+        if not isinstance(k, int):
+            raise TypeError("integer exponent required")
+        if k < 0:
+            return self.inv() ** (-k)
+        if self.m is None:
+            if k == 0:
+                return PAdicObject.one(self.p, EXACT_SLACK)
+            return PAdicObject.zero_marker(self.p, self.v * k)
+        if k == 0:
+            return PAdicObject.one(self.p, self.digits)
+        return PAdicObject(self.p, self.v * k,
+                           pow(self.m, k, self.p**self.digits), self.digits)
+
+    def __repr__(self):
+        if self.m is None:
+            return "O(%d^%d)" % (self.p, min(self.v, EXACT_ZERO))
+        return "%d^%d * %d (mod %d^%d)" % (self.p, self.v, self.m,
+                                           self.p, self.digits)
+
+
+def as_object(x) -> PAdicObject:
+    """The PAdicObject with the fields of x, an engine PAdicNumber or an
+    object."""
+    return x if isinstance(x, PAdicObject) else PAdicObject(
+        x.p, x.v, x.m, x.digits)
+
+
+def as_number(x) -> PAdicNumber:
+    """The engine PAdicNumber with the fields of an object, as a formal
+    product takes its exponents."""
+    return PAdicNumber(x.p, x.v, x.m, x.digits)
+
 
 @dataclass(frozen=True)
 class AtLeast:
@@ -735,45 +943,47 @@ class AtLeast:
         return ">=%d" % self.bound
 
 
-def valuation(x: PAdicNumber):
+def valuation(x):
     """Exact valuation of x, or an AtLeast marker for a zero marker."""
     return AtLeast(x.v) if x.m is None else x.v
 
 
-def shift(x: PAdicNumber, j: int) -> PAdicNumber:
+def shift(x, j: int) -> PAdicObject:
     """Exact multiplication of x by p^j."""
-    return PAdicNumber(x.p, x.v + j, x.m, x.digits)
+    return PAdicObject(x.p, x.v + j, x.m, x.digits)
 
 
 def rows(logs) -> tuple:
-    """The logs of entries at one place, tuples of PAdicNumber coordinates,
-    as the tuples of rows (v, m, digits) that the Kummer path reads."""
+    """The logs of entries at one place, tuples of p-adic coordinates, as
+    the tuples of rows (v, m, digits) that the Kummer path reads."""
     return tuple(tuple((c.v, c.m, c.digits) for c in lg) for lg in logs)
 
 
-def val_and_unit(x: PAdicNumber):
+def val_and_unit(x):
     """Split x as p^v * u.  Zero markers yield (AtLeast(bound), None)."""
     if x.m is None:
         return AtLeast(x.v), None
-    return x.v, PAdicNumber(x.p, 0, x.m, x.digits)
+    return x.v, PAdicObject(x.p, 0, x.m, x.digits)
 
 
-def angle(x: PAdicNumber) -> PAdicNumber:
-    """Projection of a unit onto 1 + pZ_p: x divided by its Teichmueller part."""
-    return x * teichmueller(x).inv()
+def angle(x) -> PAdicObject:
+    """Projection of a unit onto 1 + pZ_p: x divided by its Teichmueller
+    part, the engine's padic.teichmueller."""
+    return as_object(x) / as_object(teichmueller(as_number(x)))
 
 
-def plog(x: PAdicNumber) -> PAdicNumber:
+def plog(x) -> PAdicObject:
     """Logarithm of a 1-unit via the truncated alternating series."""
+    x = as_object(x)
     p = x.p
     if x.m is None or x.v != 0 or x.m % p != 1:
         raise ValueError("plog requires an element of 1 + pZ_p")
     A = x.abs_prec
-    return PAdicNumber.from_residue(
+    return PAdicObject.from_residue(
         padic.log_series(x.residue(A) - 1, 0, 0, 0, p, A)[0], p, A)
 
 
-def log_ratio(u: PAdicNumber, w: PAdicNumber) -> PAdicNumber:
+def log_ratio(u, w) -> PAdicObject:
     """a = log(w)/log(u) for 1-units, so that u^a = w within precision."""
     lu = plog(u)
     if lu.is_marker:
@@ -781,12 +991,13 @@ def log_ratio(u: PAdicNumber, w: PAdicNumber) -> PAdicNumber:
     return plog(w) / lu
 
 
-def angle_log(x: PAdicNumber) -> PAdicNumber:
+def angle_log(x) -> PAdicObject:
     """log of the 1-unit projection of a unit x, via log(x^(p-1))/(p-1)."""
+    x = as_object(x)
     if not x.is_unit():
         raise ValueError("angle_log requires a unit")
     p, A = x.p, x.digits
-    return PAdicNumber.from_residue(
+    return PAdicObject.from_residue(
         padic.unit_log_residues(x.m, 0, 0, p, A)[0], p, A)
 
 
@@ -797,7 +1008,8 @@ class UnramifiedQuadElem:
 
     __slots__ = ("a", "b", "r")
 
-    def __init__(self, a: PAdicNumber, b: PAdicNumber, r: int):
+    def __init__(self, a, b, r: int):
+        a, b = as_object(a), as_object(b)
         if a.p != b.p:
             raise ValueError("mixed primes in quadratic element")
         if pow(r % a.p, (a.p - 1) // 2, a.p) != a.p - 1:
@@ -812,8 +1024,8 @@ class UnramifiedQuadElem:
 
     @classmethod
     def from_residues(cls, a: int, b: int, r: int, p: int, abs_prec: int):
-        return cls(PAdicNumber.from_residue(a, p, abs_prec),
-                   PAdicNumber.from_residue(b, p, abs_prec), r)
+        return cls(PAdicObject.from_residue(a, p, abs_prec),
+                   PAdicObject.from_residue(b, p, abs_prec), r)
 
     @classmethod
     def one(cls, r: int, p: int, abs_prec: int):
@@ -839,10 +1051,10 @@ class UnramifiedQuadElem:
         b = self.a * other.b + self.b * other.a
         return UnramifiedQuadElem(a, b, self.r)
 
-    def norm(self) -> PAdicNumber:
+    def norm(self) -> PAdicObject:
         return self.a * self.a - (self.b * self.b) * self.r
 
-    def trace(self) -> PAdicNumber:
+    def trace(self) -> PAdicObject:
         return self.a * 2
 
     def conj(self):
@@ -1088,19 +1300,19 @@ def cyclotomic_dlog_log_route(n: int, p: int, M: int) -> int:
     on integer residues."""
     if n % p == 0:
         raise ValueError("n must be coprime to p")
-    x = PAdicNumber.exact(abs(n), p, M)
-    deg = angle_log(x) / plog(PAdicNumber.exact(1 + p, p, M))
+    x = PAdicObject.exact(abs(n), p, M)
+    deg = angle_log(x) / plog(PAdicObject.exact(1 + p, p, M))
     if deg.is_marker:
         return 0
     return deg.residue(M - 1)
 
 
-def degree_log_route(G, q) -> PAdicNumber:
+def degree_log_route(G, q) -> PAdicObject:
     """deg(Frob_q) = log<N(q)> / log(1+p), as GaloisGroupG.degree read it."""
     p = G.p
     M = G.N + 1
-    x = PAdicNumber.exact(q.norm, p, M + 2)
-    return angle_log(x) / plog(PAdicNumber.exact(1 + p, p, M + 2))
+    x = PAdicObject.exact(q.norm, p, M + 2)
+    return angle_log(x) / plog(PAdicObject.exact(1 + p, p, M + 2))
 
 
 def mq_generator_log_route(K, p: int, Q, N: int) -> FrobeniusModuleReport:
@@ -1110,8 +1322,8 @@ def mq_generator_log_route(K, p: int, Q, N: int) -> FrobeniusModuleReport:
         raise ValueError("N must be at least 1")
     q1, q2 = _check_q_pair(K, p, *Q)
     work = N + 2
-    l1 = angle_log(PAdicNumber.exact(q1.norm, p, work))
-    l2 = angle_log(PAdicNumber.exact(q2.norm, p, work))
+    l1 = angle_log(PAdicObject.exact(q1.norm, p, work))
+    l2 = angle_log(PAdicObject.exact(q2.norm, p, work))
     a1 = -(l2 / l1)
     # degree-0 check: a1*log<N(q1)> + log<N(q2)> vanishes within precision
     resid = a1 * l1 + l2
@@ -1130,8 +1342,8 @@ def rounded_degree_zero_log_route(G, q1, q2):
     o1 = element_order(G.group, F1)
     v1 = vp(o1, p) if o1 % p == 0 else 0
     work = max(G.N + 2, v1 + 3)
-    l1 = angle_log(PAdicNumber.exact(q1.norm, p, work))
-    l2 = angle_log(PAdicNumber.exact(q2.norm, p, work))
+    l1 = angle_log(PAdicObject.exact(q1.norm, p, work))
+    l2 = angle_log(PAdicObject.exact(q2.norm, p, work))
     a1 = -(l2 / l1)
     if a1.abs_prec < v1:
         raise PrecisionError("insufficient precision to fix the class of "
@@ -1185,79 +1397,44 @@ def compare_real(x: FieldElement, y) -> int:
 
 def scale_exponents(alpha: SUnitProduct, n: int) -> SUnitProduct:
     """alpha^n, as the formal product with every exponent times n."""
+    n = PAdicObject.exact(n, alpha.p, alpha.prec + 4)
     return SUnitProduct(alpha.entries, alpha.p,
-                        [e * PAdicNumber.exact(n, alpha.p, alpha.prec + 4)
+                        [as_number(as_object(e) * n)
                          for e in alpha.exponents], alpha.prec)
 
 
-def padic_add(self, other):
-    """x + y for PAdicNumbers, as PAdicNumber.__add__ took it before it
-    read its sum off padic._terms_row."""
-    self._check(other)
-    p = self.p
-    A = min(self.abs_prec, other.abs_prec)
-    if self.m is None and other.m is None:
-        return PAdicNumber.zero_marker(p, A)
-    if self.m is None or other.m is None:
-        x = other if self.m is None else self
-        if x.v >= A:
-            return PAdicNumber.zero_marker(p, A)
-        s = min(x.v, 0)
-        r = x.m * p**(x.v - s)
-    else:
-        if min(self.v, other.v) >= A:
-            return PAdicNumber.zero_marker(p, A)
-        s = min(self.v, other.v, 0)
-        r = self.m * p**(self.v - s) + other.m * p**(other.v - s)
-    # r is p^-s times the sum, an integer even when a valuation is < 0
-    y = PAdicNumber.from_residue(r, p, A - s)
-    return PAdicNumber(p, y.v + s, y.m, y.digits) if s else y
-
-
-def padic_mul(self, other):
-    """x * y for PAdicNumbers, as PAdicNumber.__mul__ took it before it
-    read its product off padic.dot_row."""
-    self._check(other)
-    p = self.p
-    if self.m is None or other.m is None:
-        # v(xy) >= bound(x) + v_or_bound(y)
-        return PAdicNumber.zero_marker(p, self.v + other.v)
-    digits = min(self.digits, other.digits)
-    m = self.m * other.m % p**digits
-    return PAdicNumber(p, self.v + other.v, m, digits)
-
-
 def log_sum_objects(exponents, logs) -> tuple:
-    """localize.log_sum on PAdicNumber objects, one per product and one per
-    sum, as it was taken before it read the integers of its terms."""
+    """localize.log_sum on PAdicObjects, one per product and one per sum,
+    as it was taken before it read the integers of its terms."""
     total = None
     for e, lg in zip(exponents, logs):
-        term = tuple(c * e for c in lg)
-        total = term if total is None else tuple(map(padic_add, total, term))
+        term = tuple(as_object(c) * as_object(e) for c in lg)
+        total = term if total is None else tuple(
+            x + y for x, y in zip(total, term))
     return total
 
 
-def valuation_at_objects(x: SUnitProduct, q) -> PAdicNumber:
-    """SUnitProduct.valuation_at on PAdicNumber objects, as it was taken
-    before it read the integers of its terms and gave them as a row."""
-    total = PAdicNumber.exact(0, x.p, x.prec + 4)
+def valuation_at_objects(x: SUnitProduct, q) -> PAdicObject:
+    """SUnitProduct.valuation_at on PAdicObjects, as it was taken before it
+    read the integers of its terms and gave them as a row."""
+    total = PAdicObject.exact(0, x.p, x.prec + 4)
     for e, entry in zip(x.exponents, x.entries):
         v = entry.valuations.get(q, 0)
         if v:
-            total = padic_add(total, e * PAdicNumber.exact(v, x.p,
-                                                           x.prec + 4))
+            total = total + as_object(e) * PAdicObject.exact(v, x.p,
+                                                             x.prec + 4)
     return total
 
 
 def solve_unit_exponent_objects(alpha0: SUnitProduct, logs):
-    """x, the negation of kummer._solve_unit_exponent, on PAdicNumber
-    objects, a quotient and a difference of objects per coordinate, as it
-    was taken before it read the integers of the coordinates."""
+    """x, the negation of kummer._solve_unit_exponent, on PAdicObjects, a
+    quotient and a difference of objects per coordinate, as it was taken
+    before it read the integers of the coordinates."""
     x = None
     checks = []
     for _, lg in logs:
         la = log_sum_objects(alpha0.exponents, lg)
-        le = lg[1]
+        le = [as_object(c) for c in lg[1]]
         for ca, ce in zip(la, le):
             if ce.is_marker:
                 continue
@@ -1271,11 +1448,45 @@ def solve_unit_exponent_objects(alpha0: SUnitProduct, logs):
     if x is None:
         raise PrecisionError("precision underflow in the unit-correction solve")
     for (ca, ce) in checks:
-        resid = padic_add(ca, -(x * ce))
+        resid = ca - x * ce
         if not resid.is_marker:
             raise InternalCheckError("unit correction inconsistent across "
                                      "places")
     return x
+
+
+def zp_matrix_rank_objects(matrix) -> RankReport:
+    """Z_p-rank of a matrix of p-adic numbers by valuation-pivoted
+    elimination on PAdicObjects, as localize.zp_matrix_rank took it before
+    it eliminated on rows.  The pivot is the first entry of least
+    valuation, row by row, that is not a marker.  The rank counts certified
+    pivots; `certified` is False when entries below working precision,
+    markers that are not exact zeros, could hide further pivots."""
+    rows = [[as_object(e) for e in r] for r in matrix]
+    rank = 0
+    certified = True
+    while rows and rows[0]:
+        best = None
+        for i, r in enumerate(rows):
+            for j, e in enumerate(r):
+                if not e.is_marker and (best is None or e.v < best[2].v):
+                    best = (i, j, e)
+        if best is None:
+            if any(not e.is_exact_zero for r in rows for e in r):
+                certified = False
+            break
+        bi, bj, piv = best
+        rank += 1
+        inv = piv.inv()
+        new_rows = []
+        for i, r in enumerate(rows):
+            if i == bi:
+                continue
+            coef = r[bj] * inv
+            nr = [r[j] - coef * rows[bi][j] for j in range(len(r)) if j != bj]
+            new_rows.append(nr)
+        rows = new_rows
+    return RankReport(rank, certified)
 
 
 def group_identity(G: FiniteAbelianGroup) -> GroupElement:

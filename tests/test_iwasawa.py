@@ -583,8 +583,8 @@ def test_degree_zero_pair_element_with_any_q1_matches_log_route(d, p):
                     rounded_degree_zero_log_route(G, q1, q2)[3], (q1, q2, N)
     for work in range(3, 9):
         for q1, q2 in pairs:
-            want = -(angle_log(PAdicNumber.exact(q2.norm, p, work))
-                     / angle_log(PAdicNumber.exact(q1.norm, p, work)))
+            want = -(angle_log(oracles.PAdicObject.exact(q2.norm, p, work))
+                     / angle_log(oracles.PAdicObject.exact(q1.norm, p, work)))
             assert (0, iwasawa._degree_zero_a1(q1, q2, p, work), work - 1) \
                 == (want.v, want.m, want.digits), (q1, q2, work)
 

@@ -246,9 +246,10 @@ def test_verify_alpha_rejects_valuations_that_m_q_does_not_divide(N):
          factor_rational_prime(K, 5).ideals[0])
     cert = construct_alpha(K, 3, Q, N)
     assert (cert.status, cert.m_q, cert.a_exponent) == ("accepted", 9, 2)
-    third = PAdicNumber.exact(3, 3, N + 4)
+    third = oracles.PAdicObject.exact(3, 3, N + 4)
     alpha = SUnitProduct(cert.alpha.entries, 3,
-                         [e / third for e in cert.alpha.exponents], N)
+                         [oracles.as_number(oracles.as_object(e) / third)
+                          for e in cert.alpha.exponents], N)
     cert2 = verify_alpha(alpha, K, 3, Q, N)
     assert cert2.status == "rejected:divisibility"
     assert cert2.a_exponent == 1 and cert2.loc_p_torsion == TRUE
@@ -274,6 +275,21 @@ def test_kummer_rank_examples():
     assert kummer_rank([QQ.element(-1)], QQ, 3).rank == 0
     r = kummer_rank([QQ.element(2), QQ.element(8)], QQ, 3)
     assert r.rank == 1 and r.certified
+
+
+def test_kummer_rank_refuses_formal_products_of_another_p():
+    """kummer_rank(T, K, 5) of 7-adic formal products answered rank 1, and
+    products of mixed primes were refused only by the object arithmetic's
+    "mixed primes" error; both are refused at the input."""
+    basis = SUnitBasisData(QQ, [rational_ideal(QQ, 2)])
+    a7, b7 = (SUnitProduct(basis.entries, 7, [0, n], 4) for n in (1, 2))
+    a5 = SUnitProduct(basis.entries, 5, [0, 1], 4)
+    for T, p, q in (([a7, b7], 5, 7), ([a5, a7], 5, 7), ([a5, a7], 7, 5)):
+        with pytest.raises(ValueError, match="formal products must have "
+                                             "p = %d, got %d" % (p, q)):
+            kummer_rank(T, QQ, p)
+    r = kummer_rank([a7, b7], QQ, 7)
+    assert (r.rank, r.certified) == (1, True)
 
 
 # exponents over 2, 3, 5, 7, 11, 13 of five rationals on which the exact

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,8 @@ from iwasawalab.quadfield import (RealQuadraticField, SUnitBasisData,
                                   ideal_valuation, prime_ideals_above,
                                   prime_kind, rational_ideal)
 
-from oracles import UnramifiedQuadElem, inertia_rank, rows, sqrt_pair
+from oracles import (PAdicObject, UnramifiedQuadElem, as_number, as_object,
+                     inertia_rank, rows, sqrt_pair, zp_matrix_rank_objects)
 
 QQ = RealQuadraticField.rationals()
 Q2 = RealQuadraticField(2)
@@ -56,7 +58,7 @@ def test_loc_multiplicative():
     pl = completions_above_p(Q2, 7)[0]
     x = sqrt_pair(Q2, 3, Fraction(1, 2))
     y = sqrt_pair(Q2, 1, Fraction(1, 2))
-    lx, ly, lxy = (PAdicNumber.from_residue(_image(t, pl, 4)[0], 7, 4)
+    lx, ly, lxy = (PAdicObject.from_residue(_image(t, pl, 4)[0], 7, 4)
                    for t in (x, y, x * y))
     assert (lx * ly - lxy).is_marker
 
@@ -183,6 +185,74 @@ def test_zp_matrix_rank_markers():
     assert r.rank == 1 and not r.certified
 
 
+def _seeded_matrix(rng):
+    """A matrix of 1-4 rows and columns over Z_p, p in {3, 5, 7}: exact
+    zeros, markers of bound in [-3, 6] and values p^v * m known to 1-8
+    digits, v in [-3, 5]; one matrix in two gains a row a*r + b*s + t of
+    two of its rows, a and b exact ints and t an exact 0 or p^k * u,
+    taken by the object arithmetic, so that its rank falls short, or
+    cancellation leaves markers or a pivot k digits deep."""
+    p = rng.choice([3, 5, 7])
+
+    def entry():
+        kind = rng.random()
+        if kind < 0.15:
+            return PAdicNumber.exact(0, p, 4)
+        if kind < 0.3:
+            return PAdicNumber.zero_marker(p, rng.randint(-3, 6))
+        digits = rng.randint(1, 8)
+        m = p * rng.randrange(p**(digits - 1)) + rng.randrange(1, p)
+        return PAdicNumber(p, rng.randint(-3, 5), m, digits)
+    cols = rng.randint(1, 4)
+    rows = [[entry() for _ in range(cols)]
+            for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.5:
+        r, s = rng.choice(rows), rng.choice(rows)
+        a, b = (rng.choice([1, -1]) * p**rng.randint(0, 2)
+                * rng.randrange(1, 20) for _ in range(2))
+        t = PAdicObject.exact(rng.choice([0, p**rng.randint(1, 6)]), p, 8)
+        rows.insert(rng.randint(0, len(rows)), [
+            as_number(as_object(x) * a + as_object(y) * b + t)
+            for x, y in zip(r, s)])
+    return rows
+
+
+def test_zp_matrix_rank_is_the_object_elimination():
+    """zp_matrix_rank, on rows, gives the (rank, certified) of the object
+    elimination oracles.zp_matrix_rank_objects on 600 seeded matrices
+    with markers, exact zeros, negative valuations and entries of unequal
+    precision."""
+    matrices = [_seeded_matrix(random.Random(seed)) for seed in range(600)]
+    entries = [e for M in matrices for r in M for e in r]
+    assert any(e.is_exact_zero for e in entries)
+    assert any(e.is_marker and not e.is_exact_zero for e in entries)
+    assert any(not e.is_marker and e.v < 0 for e in entries)
+    assert any(len({e.digits for e in r if not e.is_marker}) > 1
+               for M in matrices for r in M)
+    answers = []
+    for M in matrices:
+        got, want = zp_matrix_rank(M), zp_matrix_rank_objects(M)
+        assert (got.rank, got.certified) == (want.rank, want.certified), M
+        answers.append((got.rank < min(len(M), len(M[0])), got.certified))
+    assert set(answers) == {(False, True), (True, True), (True, False)}
+
+
+def test_sunit_product_refuses_an_exponent_of_another_kind():
+    """An exponent is an int, bool excluded, or a PAdicNumber of the
+    product's p: 1.5 was read as int(1.5) = 1, and a 7-adic exponent was
+    kept in a 5-adic product over Q(sqrt 3) with the primes above 11."""
+    K = RealQuadraticField(3)
+    entries = SUnitBasisData(K, prime_ideals_above(K, 11)).entries
+    assert len(entries) == 4
+    for bad in (1.5, True, Fraction(1), PAdicNumber.exact(1, 7, 4)):
+        with pytest.raises(ValueError, match="an exponent must be an int "
+                                             "or a 5-adic PAdicNumber"):
+            SUnitProduct(entries, 5, [0, 1, bad, 1], 4)
+    x = SUnitProduct(entries, 5, [0, 1, PAdicNumber.exact(1, 5, 4), -2], 4)
+    assert [(e.p, e.v, e.m) for e in x.exponents[1:]] == \
+        [(5, 0, 1), (5, 0, 1), (5, 0, 5**8 - 2)]
+
+
 def test_loc_of_sunit_product_matches_elementwise():
     K = Q2
     q7 = factor_rational_prime(K, 7).ideals[0]
@@ -193,7 +263,8 @@ def test_loc_of_sunit_product_matches_elementwise():
     # compare with the log of the honest product (-1) * eps^2 * gamma^3
     elt = K.element(-1) * fundamental_unit(K)**2 * basis.entries[2].element**3
     _, b = loc(elt, q, 5, 6)
-    assert all((u - w).is_marker for u, w in zip(a, b))
+    assert all((as_object(u) - as_object(w)).is_marker
+               for u, w in zip(a, b))
     assert val.is_marker or val.residue(3) == 0
 
 
@@ -209,7 +280,7 @@ def test_loc_p_vector_multiplicative():
         assert vxy == vx + vy
         assert len(lxy) == len(lx) == len(ly) == 1
         for a, b, c in zip(lxy, lx, ly):
-            assert (a - b - c).is_marker
+            assert (as_object(a) - as_object(b) - as_object(c)).is_marker
 
 
 def test_prop_22_consistency_sunits_away_from_support():

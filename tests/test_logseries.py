@@ -1,8 +1,9 @@
 """The one p-adic log-series kernel, `padic.log_series`, against references.
 
 The references are the object-level series of `UnramifiedQuadElem`, which
-carries every digit through `PAdicNumber` arithmetic, and the integer series
-over Z_p, each written out below with its own copy of the term bound.  Each
+carries every digit through the arithmetic of `oracles.PAdicObject`, and
+the integer series over Z_p, each written out below with its own copy of
+the term bound.  Each
 result is compared coordinate by coordinate on (v, m, digits).  The table of
 inverses that `log_series` keeps is checked against the series that takes a
 fresh inverse per term, `oracles.log_series`.
@@ -19,12 +20,12 @@ from pathlib import Path
 import pytest
 
 from iwasawalab.ntheory import crt, is_squarefree, isprime, power
-from iwasawalab.padic import (PAdicNumber, _log_inverses, log_series,
-                              unit_log_residues, vp)
+from iwasawalab.padic import (_log_inverses, log_series, unit_log_residues,
+                              vp)
 from iwasawalab.quadfield import (IntegralIdeal, RealQuadraticField,
                                   factor_rational_prime, split_root)
 
-from oracles import UnramifiedQuadElem, empty_memos, plog
+from oracles import PAdicObject, UnramifiedQuadElem, empty_memos, plog
 from oracles import log_series as fresh_inverse_log_series
 
 QUAD_PRIMES = (3, 5, 7, 11)
@@ -69,17 +70,17 @@ def _ref_log_one_unit(x):
     z = x - one
     zv = z.valuation()
     if not isinstance(zv, int):
-        return UnramifiedQuadElem(PAdicNumber.zero_marker(p, zv.bound),
-                                  PAdicNumber.zero_marker(p, zv.bound), x.r)
+        return UnramifiedQuadElem(PAdicObject.zero_marker(p, zv.bound),
+                                  PAdicObject.zero_marker(p, zv.bound), x.r)
     assert zv >= 1
     A = x.abs_prec
-    total = UnramifiedQuadElem(PAdicNumber.zero_marker(p, A),
-                               PAdicNumber.zero_marker(p, A), x.r)
+    total = UnramifiedQuadElem(PAdicObject.zero_marker(p, A),
+                               PAdicObject.zero_marker(p, A), x.r)
     zk = one
     for k in range(1, _ref_terms_needed(zv, p, A)):
         zk = zk * z
         j = vp(k, p) if k % p == 0 else 0
-        inv_kk = PAdicNumber.exact(k // p**j, p, A + 2).inv()
+        inv_kk = PAdicObject.exact(k // p**j, p, A + 2).inv()
         term = UnramifiedQuadElem(zk.a * inv_kk, zk.b * inv_kk,
                                   x.r).shift(-j)
         total = total + term if k % 2 == 1 else total - term
@@ -90,7 +91,7 @@ def _ref_angle_log(x):
     p = x.p
     n = p * p - 1
     lg = _ref_log_one_unit(x ** n)
-    inv_n = PAdicNumber.exact(n, p, max(x.abs_prec, 1) + 2).inv()
+    inv_n = PAdicObject.exact(n, p, max(x.abs_prec, 1) + 2).inv()
     return UnramifiedQuadElem(lg.a * inv_n, lg.b * inv_n, x.r)
 
 
@@ -117,10 +118,10 @@ def _coordinate(rng, p, unit, one_unit):
     if unit:
         r = 1 + p * rng.randrange(p**A) if one_unit \
             else rng.randrange(1, p) + p * rng.randrange(p**A)
-        return PAdicNumber.from_residue(r, p, A)
+        return PAdicObject.from_residue(r, p, A)
     if rng.random() < 0.25:
-        return PAdicNumber.zero_marker(p, A)
-    return PAdicNumber.from_residue(p * rng.randrange(p**A), p, A)
+        return PAdicObject.zero_marker(p, A)
+    return PAdicObject.from_residue(p * rng.randrange(p**A), p, A)
 
 
 def _quad_cases(seed, one_unit):
@@ -162,8 +163,8 @@ def test_angle_log_matches_object_series():
 
 def test_log_one_unit_of_one_within_precision_is_marker():
     p, A = 5, 7
-    u = UnramifiedQuadElem(PAdicNumber.from_residue(1 + 5**A, p, A),
-                           PAdicNumber.zero_marker(p, 9), 2)
+    u = UnramifiedQuadElem(PAdicObject.from_residue(1 + 5**A, p, A),
+                           PAdicObject.zero_marker(p, 9), 2)
     assert _quad_sig(u.log_one_unit()) == ((A, None, 0), (A, None, 0))
 
 
@@ -177,8 +178,8 @@ def test_plog_matches_integer_series(p):
     rng = random.Random(p)
     for _ in range(300):
         A = rng.randrange(1, 41)
-        x = PAdicNumber.from_residue(1 + p * rng.randrange(p**A), p, A)
-        want = PAdicNumber.from_residue(
+        x = PAdicObject.from_residue(1 + p * rng.randrange(p**A), p, A)
+        want = PAdicObject.from_residue(
             _ref_log_series_int(x.residue(A) - 1, p, A), p, A)
         assert _sig(plog(x)) == _sig(want), x
 

@@ -40,21 +40,34 @@
   `src/`, `tests/` and `bench/` alike: the second definition replaces the
   first without a warning, and a test helper so shadowed checks against
   the wrong reference.
+- no dunder method that no frame of `src/` calls, but those of
+  DUNDERS_NOT_CALLED_FROM_SRC, each with its reason: the liveness rule
+  above cannot see a dunder, which the language calls by its operator, so
+  an in-process probe runs the golden CLI calls and one call of each
+  export with every dunder of `src/` wrapped, and records which ones a
+  frame of `src/` called.
 
 Besides, `iwasawalab.__all__` names exactly what `__init__.py` imports.
 """
 
 import ast
+import contextlib
+import functools
+import importlib.util
+import io
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import iwasawalab
-from oracles import MEMO_TABLES
+from iwasawalab.cli import main
+from oracles import MEMO_TABLES, empty_memos
+from test_golden import CASES
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "iwasawalab"
@@ -73,7 +86,7 @@ FRACTION_INPUTS = {
 # import or bind: the engine reads integer residues, not these objects,
 # and reads relation lattices off coordinates, with no congruence solver
 REFERENCE_ONLY = {
-    "UnramifiedQuadElem", "val_and_unit", "angle", "plog", "log_ratio",
+    "PAdicObject", "UnramifiedQuadElem", "val_and_unit", "angle", "plog", "log_ratio",
     "angle_log", "solve_dlog", "s_unit_basis", "inertia_rank",
     "same_kummer_extension", "degree_zero_pair_element", "kernel_basis",
     "_column_lattice_basis", "solve_congruence_lattice",
@@ -94,6 +107,33 @@ CALLED_BY_NAME = {"_Parser.error"}
 # module- and class-level names that may be bound to a mutable container:
 # the export list alone
 MUTABLE_BINDINGS = {"__all__"}
+
+# Class.method of each dunder of src/ that no frame of src/ calls on the
+# probe of test_every_dunder_is_called_from_src, with the reason it stays
+DUNDERS_NOT_CALLED_FROM_SRC = {
+    **dict.fromkeys(
+        ["FieldElement.__%s__" % op
+         for op in ("add", "neg", "sub", "rmul")],
+        "field arithmetic of an exported value type"),
+    **dict.fromkeys(
+        ["FieldElement.__eq__", "FieldElement.__hash__",
+         "GroupElement.__eq__", "GroupElement.__hash__",
+         "SplittingReport.__eq__", "SplittingReport.__hash__",
+         "SUnitBasisEntry.__eq__"],
+        "value type: test_value_types holds it to its dataclass twin"),
+    "FiniteAbelianGroup.__eq__": "equality of an exported record",
+    "LeopoldtReport.__eq__": "equality of an exported report",
+    **dict.fromkeys(["RealQuadraticField.__repr__", "IntegralIdeal.__repr__"],
+                    "the display of an exported value"),
+    **dict.fromkeys(
+        ["%s.__reduce__" % cls for cls in (
+            "RealQuadraticField", "FieldElement", "IntegralIdeal",
+            "SUnitBasisEntry")],
+        "pickle and copy call it"),
+    **dict.fromkeys(["Frozen.__setattr__", "Frozen.__delattr__"],
+                    "refuses to change a value type, which no src/ code "
+                    "tries"),
+}
 
 # module.function of each memo table of src/: the per-field class groups,
 # the log-series inverses, the record of each log<n> of (n, p), log(1+p)
@@ -255,6 +295,153 @@ def test_every_definition_is_named_elsewhere():
                 for k, n, ref in refs):
             found.append("%s %s" % (_where(name, node), qualname))
     assert found == []
+
+
+def _dunders_not_called_from(modules, run):
+    """Class.name of each dunder method that a class of `modules` defines
+    in its body and that no frame of their files calls while `run()` runs:
+    each is wrapped for the run, and the wrapper reads its caller's
+    frame."""
+    files = {module.__file__ for module in modules}
+    defined, called = set(), set()
+
+    def wrapped(key, fn):
+        @functools.wraps(fn)
+        def call(*args, **kwargs):
+            if sys._getframe(1).f_code.co_filename in files:
+                called.add(key)
+            return fn(*args, **kwargs)
+        return call
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in modules:
+            for cls in vars(module).values():
+                if not (isinstance(cls, type)
+                        and cls.__module__ == module.__name__):
+                    continue
+                for name, fn in list(vars(cls).items()):
+                    if re.fullmatch(r"__\w+__", name) \
+                            and isinstance(fn, types.FunctionType):
+                        key = "%s.%s" % (cls.__name__, name)
+                        defined.add(key)
+                        patch.setattr(cls, name, wrapped(key, fn))
+        run()
+    return defined - called
+
+
+def _export_calls():
+    """{name: call}: one call of each export of iwasawalab, on small inputs
+    over Q(sqrt 79) at p = 3 (p = 5 for the Leopoldt defect)."""
+    L = iwasawalab
+    K = L.RealQuadraticField(79)
+    q2, q5 = (L.factor_rational_prime(K, n).ideals[0] for n in (2, 5))
+    x, y = L.FieldElement(K, 3, 1), L.FieldElement(K, 10)
+    G, g = L.FiniteAbelianGroup([3, 9]), L.GroupElement((1, 2))
+    gal = L.group_G(K, 3, 2)
+    mq = L.mq_order(K, 3, (q2, q5), 2)
+    alpha = L.construct_alpha(K, 3, (q2, q5), 2).alpha
+    rep = L.leopoldt_defect(K, 5, 8)
+    return {
+        "PAdicNumber": lambda: L.PAdicNumber(5, 0, 2, 3),
+        "PrecisionError": lambda: L.PrecisionError("below precision"),
+        "teichmueller": lambda: L.teichmueller(L.PAdicNumber.of(2, 5, 3)),
+        "InternalCheckError": lambda: L.InternalCheckError("check failed"),
+        "FiniteAbelianGroup": lambda: L.FiniteAbelianGroup([3, 9]),
+        "GroupElement": lambda: L.GroupElement((1, 2)),
+        "smith_normal_form": lambda: L.smith_normal_form([[2, 4], [6, 8]]),
+        "smith_presentation":
+            lambda: L.smith_presentation([[3, 0], [0, 9]], 2),
+        "element_order": lambda: L.element_order(G, g),
+        "subgroup_image_order": lambda: L.subgroup_image_order(G, [g]),
+        "decompose_abelian": lambda: L.decompose_abelian(
+            list(range(6)), lambda a, b: (a + b) % 6, 0),
+        "RealQuadraticField": lambda: L.RealQuadraticField(79),
+        "FieldElement": lambda: L.FieldElement(K, 3, 1),
+        "IntegralIdeal": lambda: L.IntegralIdeal(K, q2.a, q2.b, q2.c),
+        "SUnitBasisData": lambda: L.SUnitBasisData(K, [q2, q5]),
+        "SUnitProduct": lambda: L.SUnitProduct(alpha.entries, 3,
+                                               alpha.exponents, 2),
+        "factor_rational_prime": lambda: L.factor_rational_prime(K, 5),
+        "class_group": lambda: L.class_group(K),
+        "fundamental_unit": lambda: L.fundamental_unit(K),
+        "principal_generator": lambda: L.principal_generator(q2**3),
+        "ray_class_group": lambda: L.ray_class_group(K, 1003, 3),
+        "ideal_valuation": lambda: L.ideal_valuation(x, q2),
+        "prime_ideals_above": lambda: L.prime_ideals_above(K, 5),
+        "rational_ideal": lambda: L.rational_ideal(K, 7),
+        "RankReport": lambda: L.RankReport(1, True),
+        "completions_above_p": lambda: L.completions_above_p(K, 3),
+        "loc": lambda: L.loc(alpha, L.completions_above_p(K, 3)[0], 3, 2),
+        "is_loc_torsion": lambda: L.is_loc_torsion(x, q5, 3, 2),
+        "eq_membership": lambda: L.eq_membership(alpha, (q2, q5)),
+        "GaloisGroupG": lambda: L.GaloisGroupG(
+            K, 3, 2, gal.top, gal.group, gal.ambient_hom),
+        "group_G": lambda: L.group_G(K, 3, 2),
+        "frobenius_image": lambda: L.frobenius_image(gal, q2),
+        "e_of_q": lambda: L.e_of_q(q2, 3),
+        "even_criterion": lambda: L.even_criterion(K, 3, q2, 2),
+        "FrobeniusModuleReport": lambda: L.FrobeniusModuleReport(
+            K, 3, 2, q2, q5, mq.a1, 1, mq.degree_zero_margin),
+        "LeopoldtReport": lambda: L.LeopoldtReport(
+            K, 5, 8, rep.defect, rep.regulator_valuation, rep.status,
+            rep.standing_assumption),
+        "is_inert_in_cyclotomic":
+            lambda: L.is_inert_in_cyclotomic(q2, K, 3),
+        "mq_generator": lambda: L.mq_generator(K, 3, (q2, q5), 2),
+        "mq_order": lambda: L.mq_order(K, 3, (q2, q5), 2),
+        "leopoldt_defect": lambda: L.leopoldt_defect(K, 5, 8),
+        "greenberg_wiles": lambda: L.greenberg_wiles(0, 1, [(0, 0)]),
+        "defect_never_one_scan":
+            lambda: L.defect_never_one_scan(50, [3], 8),
+        "KummerCertificate":
+            lambda: L.KummerCertificate(alpha, K, 3, 2, (q2, q5)),
+        "construct_alpha": lambda: L.construct_alpha(K, 3, (q2, q5), 2),
+        "verify_alpha": lambda: L.verify_alpha(alpha, K, 3, (q2, q5), 2),
+        "kummer_rank": lambda: L.kummer_rank([x, y], K, 3),
+    }
+
+
+def _probe():
+    """The golden CLI calls from emptied memos, then one call of each
+    export."""
+    empty_memos()
+    for name, code, argv in CASES:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(list(argv)) == code, name
+    calls = _export_calls()
+    assert sorted(calls) == sorted(iwasawalab.__all__)
+    for call in calls.values():
+        call()
+
+
+def test_every_dunder_is_called_from_src(monkeypatch):
+    """Each dunder of src/ is called from a frame of src/ on the probe, or
+    is one of DUNDERS_NOT_CALLED_FROM_SRC, which names no other."""
+    monkeypatch.delenv("IWASAWA_LAB_PRECISION", raising=False)
+    modules = [importlib.import_module("iwasawalab." + path.stem)
+               for path in MODULES if path.stem != "__init__"]
+    assert _dunders_not_called_from(modules, _probe) == \
+        set(DUNDERS_NOT_CALLED_FROM_SRC)
+
+
+def test_dunder_probe_catches_an_operator_only_its_caller_calls(tmp_path):
+    """Of a class whose module calls its + and whose - only the caller of
+    the probe calls, the probe reports __sub__ alone."""
+    path = tmp_path / "numbers_probed.py"
+    path.write_text("class Number:\n    def __init__(self, n):\n"
+                    "        self.n = n\n\n"
+                    "    def __add__(self, other):\n"
+                    "        return Number(self.n + other.n)\n\n"
+                    "    def __sub__(self, other):\n"
+                    "        return Number(self.n - other.n)\n\n\n"
+                    "def double(x):\n    return x + x\n")
+    spec = importlib.util.spec_from_file_location("numbers_probed", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    one, two = module.Number(1), module.Number(2)
+    assert _dunders_not_called_from(
+        [module], lambda: (module.double(one), two - one)) == \
+        {"Number.__sub__"}
 
 
 def _imported_names(tree):

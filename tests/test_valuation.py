@@ -22,7 +22,7 @@ from iwasawalab import kummer, localize
 from iwasawalab.localize import (_coordinates, _element_unit_log,
                                  completions_above_p)
 from iwasawalab.ntheory import InternalCheckError, isprime
-from iwasawalab.padic import PAdicNumber, vp
+from iwasawalab.padic import vp
 from iwasawalab.quadfield import (FieldElement, RealQuadraticField,
                                   class_group, factor_rational_prime,
                                   fundamental_unit,
@@ -30,7 +30,7 @@ from iwasawalab.quadfield import (FieldElement, RealQuadraticField,
                                   prime_kind, principal_generator,
                                   rational_ideal, split_root)
 
-from oracles import UnramifiedQuadElem, angle_log, shift
+from oracles import PAdicObject, UnramifiedQuadElem, angle_log, shift
 
 FIELDS = (None, 2, 3, 5, 6, 7, 10, 13, 15, 17, 21, 33, 41, 65, 79, 97, 105,
           221, 401)
@@ -80,7 +80,7 @@ def _embed(x, q, abs_prec):
     work = abs_prec + vden + 1
     c0, c1 = _coordinates(x.a, x.b, x.den // p**vden, q, kind, work)
     cs = (c0, c1) if kind == "inert" else (c0,)
-    return tuple(shift(PAdicNumber.from_residue(c, p, work), -vden)
+    return tuple(shift(PAdicObject.from_residue(c, p, work), -vden)
                  for c in cs)
 
 
@@ -91,13 +91,13 @@ def _ref_embed(x, q, abs_prec):
     work = abs_prec + vden + 1
     if kind in ("rational", "split"):
         num = nx if kind == "rational" else nx + ny * split_root(q, work)
-        val = PAdicNumber.from_residue(num % p**work, p, work)
-        return val / PAdicNumber.exact(den, p, work)
+        val = PAdicObject.from_residue(num % p**work, p, work)
+        return val / PAdicObject.exact(den, p, work)
     inv2 = pow(2, -1, p**work)
     a = (nx + ny * K.D * inv2) % p**work
     b = ny * inv2 % p**work
     u = UnramifiedQuadElem.from_residues(a, b, K.D, p, work)
-    deninv = PAdicNumber.exact(den, p, work).inv()
+    deninv = PAdicObject.exact(den, p, work).inv()
     return UnramifiedQuadElem(u.a * deninv, u.b * deninv, K.D)
 
 
@@ -116,7 +116,7 @@ def _coords(cs):
     element, as _element_unit_log gives them."""
     if isinstance(cs, UnramifiedQuadElem):
         cs = (cs.a, cs.b)
-    elif isinstance(cs, PAdicNumber):
+    elif isinstance(cs, PAdicObject):
         cs = (cs,)
     return [(c.v, c.m, c.digits) for c in cs]
 
