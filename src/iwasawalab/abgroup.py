@@ -7,12 +7,13 @@ Coordinates need U only (Cohen, GTM 138, sec. 2.4).  Besides: element
 orders, subgroup image orders, group decompositions and the relation
 lattices of elements given by their coordinates.
 
-All matrices are lists of rows of Python ints; everything is exact.  The
-one integer-matrix kernel is smith_normal_form, but for the rank of a
-matrix with no known multiple of its index (matrix_rank), where exact
-Smith cofactors grow without bound; the relations of decompose_abelian
-and relation_lattice come out triangular from one table walk and need no
-solver.
+All matrices are lists of rows of Python ints.  The one integer-matrix
+kernel is smith_normal_form, which works modulo R: a known multiple of
+the index, or |Delta|, a nonzero maximal minor that the fraction-free
+pass of matrix_rank gives, at most Hadamard's bound.  No entry of its U
+exceeds R/2 in absolute value, and its invariant factors are exact all
+the same.  The relations of decompose_abelian and relation_lattice come
+out triangular from one table walk and need no solver.
 """
 
 from __future__ import annotations
@@ -25,55 +26,73 @@ from .ntheory import Frozen, InternalCheckError
 
 # ------------------------------------------------------------- integer matrices
 
-def _identity(n):
-    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+def matrix_rank(A):
+    """(r, |Delta|): the rank r of an integer matrix and the absolute value
+    of Delta, the last pivot of its fraction-free (Bareiss) elimination, a
+    nonzero r x r minor of A (1 when r = 0).  After pivot t every entry left
+    is a (t+1)x(t+1) minor of A, divided exactly by the previous pivot, so
+    no entry exceeds Hadamard's bound on the minors of A (Bareiss, Math.
+    Comp. 22, 1968)."""
+    rows = [list(r) for r in A if any(r)]
+    rank, prev = 0, 1
+    for j in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        a = top[j]
+        for i in range(rank + 1, len(rows)):
+            b = rows[i][j]
+            rows[i] = [(a * x - b * y) // prev for x, y in zip(rows[i], top)]
+        prev = a
+        rank += 1
+    return rank, abs(prev)
 
 
-def smith_normal_form(A, *, with_u=True, modulus=0):
-    """Smith normal form by row transform: (D, U, []) with D diagonal,
-    d1 | d2 | ... >= 0, and U unimodular with D = U*A*V for a unimodular V
-    that is never formed.  Row i of U*A has content d_i, so the rows of U
-    past the rank span {x : x*A = 0}.  With `with_u=False` U comes back as
-    [] and D is the same.  The third entry is always [], for callers that
-    unpack a triple.
+def smith_normal_form(A, *, modulus=0):
+    """Smith normal form by row transform, modulo R: (D, U, []) with D
+    diagonal, d_1 | d_2 | ... >= 0, and D = U*A*V modulo R for a V that is
+    never formed.  The third entry is always [], for callers that unpack a
+    triple.
 
-    `modulus` R > 0 must be a multiple of the index of the column lattice L
-    of A, which must have full rank; then R*Z^n lies in L.  The elimination
-    works modulo R: each row and column operation reduces the entries of D
-    and U into (-R/2, R/2], so while the exact entries stay in that range
-    it takes the exact elimination's steps, and no entry exceeds R/2 in
-    absolute value.  Each diagonal entry ends as gcd(d_i, R), the
-    invariant factors of Z^n/L; U is invertible modulo R, not unimodular,
-    and row i of U*A is divisible by d_i modulo R.  R = 0 is exact.
+    R is `modulus`, a multiple of the index of the column lattice L of A,
+    which must then have full rank n; with no modulus, r and R = |Delta|
+    come from matrix_rank.  Either way d_1 * ... * d_r divides R (it
+    divides every r x r minor), so Z^n/(L + R*Z^n) has the invariants d_1,
+    ..., d_r of Z^n/L and then R for each free coordinate, and working
+    modulo R loses nothing (Kannan & Bachem, SIAM J. Comput. 8, 1979;
+    Domich, Kannan & Trotter, Math. Oper. Res. 12, 1987).  Each row and
+    column operation reduces the entries of D and U into (-R/2, R/2], so
+    no entry of U exceeds R/2 in absolute value, and |Delta| is at most
+    Hadamard's bound.  The diagonal of D ends as gcd(d_i, R), at most R,
+    for i < r and as 0 from r on.  U is invertible modulo R, not
+    unimodular, and row i of U*A has gcd(R, row) = d_i for i < r; the rows
+    of U past the rank need not span {x : x*A = 0}.
     """
     n = len(A)
     m = len(A[0]) if n else 0
-    R = modulus
+    r, R = (n, modulus) if modulus else matrix_rank(A)
     h = R // 2
 
-    def comb(x, y, q):  # x - q*y, reduced into (h - R, h] when R > 0
-        if R:
-            return [h - (h - a + q * b) % R for a, b in zip(x, y)]
-        return [a - q * b for a, b in zip(x, y)]
+    def comb(x, y, q):  # x - q*y, reduced into (h - R, h]
+        return [h - (h - a + q * b) % R for a, b in zip(x, y)]
 
-    D = [comb(row, row, 0) for row in A] if R else [row[:] for row in A]
-    U = _identity(n) if with_u else []
+    D = [comb(row, row, 0) for row in A]
+    # the identity, reduced: 1 % R is 0 when R = 1
+    U = [[0] * i + [1 % R] + [0] * (n - 1 - i) for i in range(n)]
 
     def row_op(i, j, q):  # row_i -= q * row_j
         D[i] = comb(D[i], D[j], q)
-        if with_u:
-            U[i] = comb(U[i], U[j], q)
+        U[i] = comb(U[i], U[j], q)
 
     def col_op(i, j, q):  # col_i -= q * col_j
         for row in D:
-            row[i] -= q * row[j]
-            if R:
-                row[i] = h - (h - row[i]) % R
+            row[i] = h - (h - row[i] + q * row[j]) % R
 
     def swap_rows(i, j):
         D[i], D[j] = D[j], D[i]
-        if with_u:
-            U[i], U[j] = U[j], U[i]
+        U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for row in D:
@@ -81,8 +100,7 @@ def smith_normal_form(A, *, with_u=True, modulus=0):
 
     def negate_row(i):
         D[i] = [-a for a in D[i]]
-        if with_u:
-            U[i] = [-a for a in U[i]]
+        U[i] = [-a for a in U[i]]
 
     def pivot_at(t):
         best = None
@@ -128,16 +146,17 @@ def smith_normal_form(A, *, with_u=True, modulus=0):
                         cleared = False
         t += 1
 
-    rank = sum(1 for i in range(min(n, m)) if D[i][i] != 0)
+    # the nonzero pivots lead; a zero one is d_i = 0 modulo R
+    k = sum(1 for i in range(min(n, m)) if D[i][i] != 0)
     # sign normalization
-    for i in range(rank):
+    for i in range(k):
         if D[i][i] < 0:
             negate_row(i)
     # enforce divisibility chain
     changed = True
     while changed:
         changed = False
-        for i in range(rank - 1):
+        for i in range(k - 1):
             a, b = D[i][i], D[i + 1][i + 1]
             if b % a != 0:
                 changed = True
@@ -158,17 +177,17 @@ def smith_normal_form(A, *, with_u=True, modulus=0):
                     negate_row(i)
                 if D[i + 1][i + 1] < 0:
                     negate_row(i + 1)
-    if R:
-        for i in range(min(n, m)):
-            D[i][i] = gcd(D[i][i], R)
+    for i in range(min(n, m)):
+        D[i][i] = gcd(D[i][i], R) if i < r else 0
     return D, U, []
 
 
 def lattice_index(B, *, modulus=0):
     """Index [Z^n : L] for the lattice L spanned by the columns of B
-    (requires full rank n); the product of SNF diagonal entries.  A known
-    multiple of the index, as `modulus`, lets the SNF work modulo it."""
-    D, _, _ = smith_normal_form(B, with_u=False, modulus=modulus)
+    (requires full rank n); the product of the Smith diagonal, taken modulo
+    `modulus`, a known multiple of the index, or modulo |Delta| of
+    matrix_rank when none is given."""
+    D, _, _ = smith_normal_form(B, modulus=modulus)
     n = len(B)
     idx = 1
     for i in range(n):
@@ -203,13 +222,12 @@ class FiniteAbelianGroup:
     `diag`, the diagonal of D (d_1 | d_2 | ..., 0 for a free coordinate),
     and `transform`, all n rows of U.  Coordinate i of an ambient vector x
     is (U*x)_i mod d_i; the d_i > 1 are the `invariant_factors`, and the 0s
-    count the free_rank.  When the presentation was computed modulo a
-    multiple R of the group order, U is reduced modulo R: invertible modulo
-    R, not unimodular, which is all that reading coordinate i modulo d_i
-    needs.  The p-part of a finite group is the record over the same U with
-    diagonal p^v_p(d_i).  With `diag` alone it is Z/d_1 x ... x Z/d_k with
-    no presentation, its elements built by `element`.  Groups are equal
-    when their diagonals and transforms are."""
+    count the free_rank.  U is reduced modulo the R of its Smith form:
+    invertible modulo R, not unimodular, which is all that reading
+    coordinate i modulo d_i needs.  The p-part of a finite group is the
+    record over the same U with diagonal p^v_p(d_i).  With `diag` alone it
+    is Z/d_1 x ... x Z/d_k with no presentation, its elements built by
+    `element`."""
 
     def __init__(self, diag, transform=None):
         self.diag = diag
@@ -218,11 +236,6 @@ class FiniteAbelianGroup:
         self.free_rank = diag.count(0)
         self._torsion_rows = [u for u, d in zip(self.transform, diag)
                               if d > 1]
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return vars(self) == vars(other)
-        return NotImplemented
 
     @property
     def order(self) -> int:
@@ -267,18 +280,14 @@ class FiniteAbelianGroup:
 
 def smith_presentation(relations, ambient_rank: int, *,
                        modulus=0) -> FiniteAbelianGroup:
-    """Group presented by Z^ambient_rank modulo the rows of `relations`.
-
-    `modulus`, a known multiple of the group order, makes the SNF work
-    modulo it (see smith_normal_form); with no relations (a free group) the
-    presentation stays exact."""
+    """Group presented by Z^ambient_rank modulo the rows of `relations`:
+    one smith_normal_form, modulo `modulus`, a known multiple of the group
+    order, or modulo |Delta| of the relations when none is given (1 with
+    no relations, so that the group comes out free)."""
     rows = [list(r) for r in relations]
     for r in rows:
         if len(r) != ambient_rank:
             raise ValueError("relation of wrong length")
-    if not rows:
-        rows = [[0] * ambient_rank] if ambient_rank else []
-        modulus = 0
     # columns of R^T span the relation lattice
     A = [[rows[i][j] for i in range(len(rows))] for j in range(ambient_rank)]
     D, U, _ = smith_normal_form(A, modulus=modulus)
@@ -288,29 +297,6 @@ def smith_presentation(relations, ambient_rank: int, *,
 
 
 # ----------------------------------------------------------------- operations
-
-def matrix_rank(A) -> int:
-    """Rank of an integer matrix, by fraction-free (Bareiss) elimination:
-    after pivot t every entry left is a (t+1)x(t+1) minor of A, divided
-    exactly by the previous pivot, so no entry exceeds Hadamard's bound on
-    the minors of A (Bareiss, Math. Comp. 22, 1968).  A Smith form's
-    cofactors have no such bound."""
-    rows = [list(r) for r in A if any(r)]
-    rank, prev = 0, 1
-    for j in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        a = top[j]
-        for i in range(rank + 1, len(rows)):
-            b = rows[i][j]
-            rows[i] = [(a * x - b * y) // prev for x, y in zip(rows[i], top)]
-        prev = a
-        rank += 1
-    return rank
-
 
 def element_order(G: FiniteAbelianGroup, g: GroupElement) -> int:
     n = 1

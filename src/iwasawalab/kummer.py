@@ -296,8 +296,8 @@ def kummer_rank(T, K: RealQuadraticField, p: int) -> RankReport:
         data = SUnitBasisData(K, primes)
         # drop the torsion sign; the Z_p-rank of an integer matrix is its
         # rank
-        return RankReport(matrix_rank([data.decompose(t)[1:] for t in T]),
-                          True)
+        return RankReport(matrix_rank([data.decompose(t)[1:]
+                                       for t in T])[0], True)
     if all(isinstance(t, SUnitProduct) for t in T):
         entries = T[0].entries
         for t in T:

@@ -23,7 +23,7 @@ certificate keeps the entry logs of each prime for all its reads.
 
 from __future__ import annotations
 
-from .ntheory import InternalCheckError
+from .ntheory import InternalCheckError, check_int
 from .padic import (EXACT_ZERO_BOUND, PAdicNumber, dot_row, residue_row,
                     unit_log_residues, vp)
 from .quadfield import (FieldElement, IntegralIdeal, RealQuadraticField,
@@ -78,6 +78,8 @@ class SUnitProduct:
     """Formal product of S-unit basis entries with Z_p exponents."""
 
     def __init__(self, entries, p: int, exponents, prec: int):
+        check_odd_prime(p)
+        check_int("prec", prec)
         self.entries = tuple(entries)
         self.p = p
         self.prec = prec

@@ -14,9 +14,12 @@ subgroup cross-check in `iwasawa.mq_order` (`lattice_intersection`,
 `subgroup_order_from_lattice`), `log_series` with a fresh inverse per
 term, before `padic.log_series` kept its inverses in a table, the
 Gauss-Jordan `solve_integral_fractions` over Fraction, the reference for
-the substitution of `quadfield.SUnitBasisData.decompose`, the
-congruence-lattice route (`kernel_basis`, `_column_lattice_basis`,
-`solve_congruence_lattice`, `degree_kernel_lattice`), which found the
+the substitution of `quadfield.SUnitBasisData.decompose`,
+`exact_smith_form`, the exact Smith elimination with a unimodular U that
+`abgroup.smith_normal_form` ran with no modulus before it worked modulo
+|Delta|, the congruence-lattice route on it (`kernel_basis`,
+`_column_lattice_basis`, `solve_congruence_lattice`,
+`degree_kernel_lattice`), which found the
 S-unit lattice as a kernel of [C | diag(d)] before
 `abgroup.relation_lattice` read it off class-group coordinates,
 `FractionElement`, the field element on two Fraction coordinates, before
@@ -64,7 +67,8 @@ the tests read in place of engine methods that no engine path called: the
 `AtLeast` marker, `valuation` and `shift` of a p-adic number,
 `sqrt_pair(K, u, v)`, `real_sign` and `compare_real` of a field element
 (on the engine's `quadfield._real_sign`), `scale_exponents` of a formal
-product and `group_identity` of a finite abelian group; `rows` reads
+product, and `group_identity` and `group_record` (the fields that equal
+groups share) of a finite abelian group; `rows` reads
 p-adic logs as the rows (v, m, digits) of the Kummer path.
 `empty_memos()` empties every memo table of the engine, each one found by
 its `cache_clear`; `load_bench` reads a module of bench/, and
@@ -87,7 +91,7 @@ import iwasawalab
 from iwasawalab import padic, quadfield, rayclass
 from iwasawalab.abgroup import (FiniteAbelianGroup, GroupElement,
                                 element_order, lattice_index,
-                                smith_normal_form, smith_presentation,
+                                smith_presentation,
                                 subgroup_image_order)
 from iwasawalab.classfield import group_G
 from iwasawalab.iwasawa import (FrobeniusModuleReport, LeopoldtReport,
@@ -572,10 +576,108 @@ def unit_image_order_two_snf(rc):
     return subgroup_image_order(G, [G.project(d) for d in rc._unit_dlogs])
 
 
+def exact_smith_form(A):
+    """(D, U) with D = U*A*V the Smith form of an integer matrix, d_1 | d_2
+    | ... >= 0, and U unimodular: the exact elimination that
+    abgroup.smith_normal_form ran with no modulus before it worked modulo
+    |Delta|, kept as the reference for an exact U.  Row i of U*A has
+    content d_i, so the rows of U past the rank span {x : x*A = 0}.  Its
+    entries have no useful bound: on some 6 x 5 matrices with entries
+    below 50 it does not return."""
+    n = len(A)
+    m = len(A[0]) if n else 0
+    D = [list(row) for row in A]
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def row_op(i, j, q):  # row_i -= q * row_j
+        D[i] = [a - q * b for a, b in zip(D[i], D[j])]
+        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
+
+    def col_op(i, j, q):  # col_i -= q * col_j
+        for row in D:
+            row[i] -= q * row[j]
+
+    def swap_rows(i, j):
+        D[i], D[j] = D[j], D[i]
+        U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for row in D:
+            row[i], row[j] = row[j], row[i]
+
+    def negate_row(i):
+        D[i] = [-a for a in D[i]]
+        U[i] = [-a for a in U[i]]
+
+    def pivot_at(t):
+        best = None
+        for i in range(t, n):
+            for j in range(t, m):
+                if D[i][j] != 0 and (best is None or
+                                     abs(D[i][j]) < abs(D[best[0]][best[1]])):
+                    best = (i, j)
+        return best
+
+    t = 0
+    while t < min(n, m):
+        pos = pivot_at(t)
+        if pos is None:
+            break
+        swap_rows(t, pos[0])
+        swap_cols(t, pos[1])
+        if not any(any(D[i][t:]) for i in range(t + 1, n)):
+            g = gcd(*D[t][t:])
+            D[t][t:] = [g if D[t][t] > 0 else -g] + [0] * (m - t - 1)
+            t += 1
+            continue
+        cleared = False
+        while not cleared:
+            cleared = True
+            for i in range(t + 1, n):
+                if D[i][t] != 0:
+                    row_op(i, t, D[i][t] // D[t][t])
+                    if D[i][t] != 0:
+                        swap_rows(i, t)
+                        cleared = False
+            for j in range(t + 1, m):
+                if D[t][j] != 0:
+                    col_op(j, t, D[t][j] // D[t][t])
+                    if D[t][j] != 0:
+                        swap_cols(j, t)
+                        cleared = False
+        t += 1
+
+    rank = sum(1 for i in range(min(n, m)) if D[i][i] != 0)
+    for i in range(rank):
+        if D[i][i] < 0:
+            negate_row(i)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(rank - 1):
+            if D[i + 1][i + 1] % D[i][i] != 0:
+                changed = True
+                # col_i += col_(i+1); then re-clear the 2 x 2 block
+                col_op(i, i + 1, -1)
+                while D[i + 1][i] != 0 or D[i][i + 1] != 0:
+                    if D[i + 1][i] != 0:
+                        row_op(i + 1, i, D[i + 1][i] // D[i][i])
+                        if D[i + 1][i] != 0:
+                            swap_rows(i, i + 1)
+                    if D[i][i + 1] != 0:
+                        col_op(i + 1, i, D[i][i + 1] // D[i][i])
+                        if D[i][i + 1] != 0:
+                            swap_cols(i, i + 1)
+                for k in (i, i + 1):
+                    if D[k][k] < 0:
+                        negate_row(k)
+    return D, U
+
+
 def kernel_basis(A):
     """A basis of the integer columns x with A x = 0, as a list of lists:
-    the rows of U past the rank of the Smith form D = U*A^T*V."""
-    D, U, _ = smith_normal_form([list(col) for col in zip(*A)])
+    the rows of U past the rank of the exact Smith form D = U*A^T*V."""
+    D, U = exact_smith_form([list(col) for col in zip(*A)])
     rank = sum(1 for i, row in enumerate(D) if i < len(row) and row[i])
     return U[rank:]
 
@@ -1492,6 +1594,12 @@ def zp_matrix_rank_objects(matrix) -> RankReport:
 def group_identity(G: FiniteAbelianGroup) -> GroupElement:
     """The identity element of G."""
     return GroupElement((0,) * len(G.invariant_factors))
+
+
+def group_record(G: FiniteAbelianGroup) -> tuple:
+    """(diag, transform) of G, all that its other fields are read off: two
+    presented groups are the same record when these are equal."""
+    return G.diag, G.transform
 
 
 def solve_dlog(G: FiniteAbelianGroup, g: GroupElement, h: GroupElement):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import signal
 from math import gcd, prod
 
 import pytest
@@ -15,6 +16,7 @@ from oracles import (decompose_by_max_order, generator_lifts,
                      group_identity, kernel_basis,
                      lattice_intersection, solve_congruence_lattice,
                      solve_dlog, squarefree, subgroup_order_from_lattice)
+from test_kummer import WIDE_EXPONENTS
 
 
 def mat_mul(A, B):
@@ -50,20 +52,27 @@ small_matrix = st.lists(
 
 
 def _check_row_transform(A, D, U):
-    """D is a Smith form of A and U its row transform: D diagonal with a
-    nonnegative divisibility chain, |det U| = 1, row i of U*A with content
-    d_i (so divisible by it, and zero past the rank)."""
+    """D is the Smith form of A modulo R, R = |Delta| of matrix_rank, and
+    U its row transform: the diagonal is sympy's, a nonnegative
+    divisibility chain whose product up to the rank r divides R, zero
+    from r on; U is invertible modulo R with no entry above R/2 in
+    absolute value; gcd(R, row i of U*A) is d_i for i < r and R past it."""
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
     n, m = len(A), len(A[0])
+    r, R = matrix_rank(A)
     assert all(D[i][j] == 0 for i in range(n) for j in range(m) if i != j)
     diag = [D[i][i] for i in range(min(n, m))]
-    rank = sum(1 for d in diag if d)
-    assert all(d > 0 for d in diag[:rank]) and not any(diag[rank:])
-    for a, b in zip(diag[:rank], diag[1:rank]):
+    S = sympy_snf(Matrix(A), domain=ZZ)
+    assert diag == [abs(int(S[i, i])) for i in range(min(n, m))]
+    assert all(d > 0 for d in diag[:r]) and not any(diag[r:])
+    for a, b in zip(diag[:r], diag[1:r]):
         assert b % a == 0
-    assert abs(det(U)) == 1
-    UA = mat_mul(U, A)
-    for i, row in enumerate(UA):
-        assert gcd(*row) == (diag[i] if i < rank else 0)
+    assert R % prod(diag[:r]) == 0
+    assert all(2 * abs(x) <= R for row in U for x in row)
+    assert gcd(int(det(U)), R) == 1
+    for i, row in enumerate(mat_mul(U, A)):
+        assert gcd(R, *row) == (diag[i] if i < r else R)
 
 
 @settings(max_examples=150, deadline=None)
@@ -91,12 +100,18 @@ SNF_CASES = _snf_cases()
 
 
 def test_snf_transform_flags_agree_with_full_call():
+    """With no modulus the call takes R = |Delta| itself; given that R as
+    `modulus` it returns the same U, and the same diagonal but for the
+    positions from the rank on, which it reads as gcd(0, R) = R."""
     for A in SNF_CASES:
         D, U, V = smith_normal_form(A)
         _check_row_transform(A, D, U)
-        D2, U2, V2 = smith_normal_form(A, with_u=False)
-        assert D2 == D
-        assert U2 == V2 == V == []
+        r, R = matrix_rank(A)
+        D2, U2, V2 = smith_normal_form(A, modulus=R)
+        assert U2 == U and V2 == V == []
+        k = min(len(A), len(A[0]))
+        assert [D2[i][i] for i in range(k)] == \
+            [D[i][i] if i < r else R for i in range(k)]
 
 
 def test_snf_unpacks_to_diagonal_transform_and_empty_v():
@@ -107,8 +122,6 @@ def test_snf_unpacks_to_diagonal_transform_and_empty_v():
     assert [D[0][0], D[1][1]] == [2, 2]
     assert len(U) == 3 and V == []
     assert type(out) is tuple
-    D, U, V = smith_normal_form(A, with_u=False)
-    assert U == V == []
 
 
 def test_snf_q79_ray_class_relations_u_only():
@@ -129,10 +142,9 @@ def test_snf_diagonal_against_sympy():
     for A in SNF_CASES:
         S = sympy_snf(Matrix(A), domain=ZZ)
         k = min(len(A), len(A[0]))
-        for with_u in (True, False):
-            D, _, _ = smith_normal_form(A, with_u=with_u)
-            assert [D[i][i] for i in range(k)] == \
-                [abs(S[i, i]) for i in range(k)]
+        D, _, _ = smith_normal_form(A)
+        assert [D[i][i] for i in range(k)] == \
+            [abs(S[i, i]) for i in range(k)]
 
 
 # ------------------------------------------------------ SNF modulo R
@@ -155,8 +167,8 @@ def test_snf_modulo_determinant_5x5():
     assert gcd(int(det(U)), R) == 1
     for i, row in enumerate(mat_mul(U, FOUND_5X5)):
         assert gcd(R, *row) == D[i][i]
-    D2, _, _ = smith_normal_form(FOUND_5X5, with_u=False, modulus=R)
-    assert D2 == D
+    # with no modulus R is the last Bareiss pivot, here +-det
+    assert smith_normal_form(FOUND_5X5) == (D, U, V)
     assert lattice_index(FOUND_5X5, modulus=R) == R
 
 
@@ -206,9 +218,9 @@ FULL_RANK_CASES = _full_rank_cases()
 
 
 def test_modular_presentation_random_full_rank():
-    """Invariants against the determinantal divisors (and against the exact
-    SNF up to 3x3: past that the exact elimination's entries blow up), and
-    projections against orders read off the exact rational solve."""
+    """Invariants against the determinantal divisors and against the Smith
+    form with no modulus, and projections against orders read off the
+    exact rational solve."""
     rng = random.Random(4)
     for A, R in FULL_RANK_CASES:
         n = len(A)
@@ -216,9 +228,8 @@ def test_modular_presentation_random_full_rank():
         assert G.diag == _diagonal_by_minors(A)
         assert G.invariant_factors == tuple(d for d in G.diag if d > 1)
         assert G.order == R
-        if n <= 3:
-            D, _, _ = smith_normal_form(A, with_u=False)
-            assert G.diag == [D[i][i] for i in range(n)]
+        D, _, _ = smith_normal_form(A)
+        assert G.diag == [D[i][i] for i in range(n)]
         assert all(G.project(row) == group_identity(G) for row in A)
         tor = [i for i, d in enumerate(G.diag) if d > 1]
         lifts = generator_lifts(G, R)
@@ -238,6 +249,91 @@ def test_modular_presentation_against_sympy():
         S = sympy_snf(Matrix(A), domain=ZZ)
         G = smith_presentation(A, len(A), modulus=R)
         assert G.diag == [abs(int(S[i, i])) for i in range(len(A))]
+
+
+def test_exported_snf_of_wide_exponents_returns_with_no_modulus():
+    """The exports smith_presentation and smith_normal_form, with no
+    modulus, on WIDE_EXPONENTS (5 x 6) and its transpose: the exact
+    elimination they ran before did not return on the transpose in 15 s;
+    modulo |Delta| each call ends well inside a 1 s timer, which raises
+    in the test rather than let it hang.  The exponents have rank 5, so
+    every invariant is 1, and the group of the five rows on six
+    generators has one free coordinate."""
+    pytest.importorskip("sympy")
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    def expired(*args):
+        raise TimeoutError("the Smith form did not return in 1 s")
+    handler = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, 1)
+    try:
+        out = []
+        for A in (WIDE_EXPONENTS, [list(c) for c in zip(*WIDE_EXPONENTS)]):
+            out.append((A, smith_presentation(A, len(A[0])),
+                        smith_normal_form(A)))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+    for A, G, (D, _, _) in out:
+        S = sympy_snf(Matrix(A), domain=ZZ)
+        assert [D[i][i] for i in range(5)] == \
+            [abs(int(S[i, i])) for i in range(5)] == [1] * 5
+        assert G.invariant_factors == () and G.free_rank == len(A[0]) - 5
+
+
+def _snf_grid():
+    """300 matrices up to 8 x 9 drawn once from a fixed seed: every third
+    a product B*C of inner size r below min(n, m), so rank-deficient, with
+    |entries| < 2^15, the others with |entries| <= 2^16, about a third of
+    them 0."""
+    rng = random.Random(52)
+    cases = []
+    for t in range(300):
+        n, m = rng.randint(1, 8), rng.randint(1, 9)
+        if t % 3 == 0:
+            r = rng.randint(0, min(n, m) - 1)
+            B = [[rng.randint(-2**4, 2**4) for _ in range(r)]
+                 for _ in range(n)]
+            C = [[rng.randint(-2**8, 2**8) for _ in range(m)]
+                 for _ in range(r)]
+            cases.append([[sum(B[i][k] * C[k][j] for k in range(r))
+                           for j in range(m)] for i in range(n)])
+        else:
+            cases.append([[rng.choice((0, rng.randint(-2**16, 2**16),
+                                       rng.randint(-2**16, 2**16)))
+                           for _ in range(m)] for _ in range(n)])
+    return cases
+
+
+def test_snf_with_no_modulus_on_a_seeded_grid():
+    """On _snf_grid, at least 100 of them rank-deficient: the diagonal of
+    smith_normal_form with no modulus is sympy's; its zeros, with the rows
+    past the m columns, count the n - rank free coordinates, as does
+    smith_presentation's free rank on the columns; D is diagonal, each
+    d_i up to the rank divides R = |Delta|, and no entry of U exceeds
+    R/2 in absolute value."""
+    pytest.importorskip("sympy")
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    deficient = 0
+    for A in _snf_grid():
+        n, m = len(A), len(A[0])
+        k = min(n, m)
+        r, R = matrix_rank(A)
+        deficient += r < k
+        D, U, _ = smith_normal_form(A)
+        S = sympy_snf(Matrix(A), domain=ZZ)
+        diag = [D[i][i] for i in range(k)]
+        assert diag == [abs(int(S[i, i])) for i in range(k)], A
+        assert diag.count(0) + max(0, n - m) == n - r
+        assert smith_presentation([list(c) for c in zip(*A)], n).free_rank \
+            == n - r
+        assert all(D[i][j] == 0 for i in range(n) for j in range(m)
+                   if i != j)
+        assert all(R % d == 0 for d in diag[:r])
+        assert all(2 * abs(x) <= R for row in U for x in row), A
+    assert deficient >= 100
 
 
 def test_presentation_diag_2_3():
@@ -333,20 +429,28 @@ def test_quotient_against_sympy():
 
 
 def test_matrix_rank_against_sympy():
-    """matrix_rank equals sympy's rank on 200 seeded integer matrices of up
-    to 6 x 7, products of two random factors of a drawn inner size, so
-    that many fall short of full rank; zero rows and empty inputs too."""
+    """matrix_rank's rank equals sympy's on 200 seeded integer matrices of
+    up to 6 x 7, products of two random factors of a drawn inner size, so
+    that many fall short of full rank; zero rows and empty inputs too.
+    Its |Delta| is a multiple of d_1 * ... * d_r, sympy's invariant
+    factors up to the rank, as an r x r minor is, and 1 at rank 0."""
     pytest.importorskip("sympy")
-    from sympy import Matrix
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
     rng = random.Random(46)
-    assert matrix_rank([]) == 0 and matrix_rank([[0, 0], [0, 0]]) == 0
+    assert matrix_rank([]) == (0, 1)
+    assert matrix_rank([[0, 0], [0, 0]]) == (0, 1)
     for _ in range(200):
         n, m, r = rng.randint(1, 6), rng.randint(1, 7), rng.randint(0, 5)
         B = [[rng.randint(-9, 9) for _ in range(r)] for _ in range(n)]
         C = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(r)]
         A = [[sum(B[i][t] * C[t][j] for t in range(r)) for j in range(m)]
              for i in range(n)]
-        assert matrix_rank(A) == Matrix(A).rank(), A
+        rank, delta = matrix_rank(A)
+        assert rank == Matrix(A).rank(), A
+        S = sympy_snf(Matrix(A), domain=ZZ)
+        assert delta > 0
+        assert delta % prod(int(S[i, i]) for i in range(rank)) == 0, A
 
 
 def test_solve_dlog_cases():

@@ -6,7 +6,7 @@ from math import prod
 import pytest
 
 from iwasawalab import classfield, rayclass
-from iwasawalab.abgroup import element_order, smith_presentation
+from iwasawalab.abgroup import element_order
 from iwasawalab.classfield import (group_G, frobenius_image, e_of_q,
                                    even_criterion, cyclotomic_log,
                                    degree_map)
@@ -18,7 +18,8 @@ from iwasawalab.quadfield import (RealQuadraticField, factor_rational_prime,
 from iwasawalab.rayclass import ray_class_group
 from oracles import (as_object, count_builds, cyclotomic_dlog_log_route,
                      degree_hom, degree_kernel_lattice, degree_log_route,
-                     empty_memos, group_identity, invariant_hom, plog,
+                     empty_memos, exact_smith_form, group_identity,
+                     invariant_hom, plog,
                      solve_integral_fractions, subgroup_order_from_lattice)
 
 QQ = RealQuadraticField.rationals()
@@ -296,7 +297,8 @@ def test_degree_kernel_is_unit_part():
 def test_transport_hom_matches_exact_solve(d, p):
     """The degree map carried to invariant coordinates by the oracle's
     generator lifts (U^-1 by sympy's inv_mod) against the exact path: y*U
-    = c solved over Q with the exact unimodular U.  The two presentations
+    = c solved over Q with the exact unimodular U of the oracle's
+    exact_smith_form on the relations.  The two presentations
     may pick different bases, so both are checked as homs, y.z = c.x mod
     p^(M-1) on ambient vectors x, and compared entry by entry where the
     transforms agree modulo R.  The degree map is degree_map's, checked on
@@ -312,7 +314,7 @@ def test_transport_hom_matches_exact_solve(d, p):
                      rc.units.gen_norm_ints()] + \
             [cyclotomic_log(q.norm, p, M) for q in rc.class_gen_ideals]
         y = invariant_hom(rc.p_group, c, mod)
-        U = smith_presentation(rc.relations, n).transform
+        _, U = exact_smith_form([list(col) for col in zip(*rc.relations)])
         y_exact = [t % mod for t in solve_integral_fractions(
             [[U[i][j] for i in range(n)] for j in range(n)], c)]
         assert all(y_exact[i] == 0 for i in range(n) if i not in keep)

@@ -253,6 +253,18 @@ def test_sunit_product_refuses_an_exponent_of_another_kind():
         [(5, 0, 1), (5, 0, 1), (5, 0, 5**8 - 2)]
 
 
+def test_sunit_product_refuses_a_bad_prime_or_precision():
+    """p must be an odd prime and prec an int >= 1: p = 9 and prec = 0
+    were kept, 9-adic exponents or ones known to 4 digits, and prec = 2.5
+    or -7 failed with a bare TypeError from PAdicNumber.exact."""
+    entries = SUnitBasisData(Q2, prime_ideals_above(Q2, 7)).entries
+    with pytest.raises(ValueError, match="p must be an odd prime"):
+        SUnitProduct(entries, 9, [0, 1, 1, 0], 3)
+    for prec in (0, 2.5, -7):
+        with pytest.raises(ValueError, match="prec must be"):
+            SUnitProduct(entries, 3, [0, 1, 1, 0], prec)
+
+
 def test_loc_of_sunit_product_matches_elementwise():
     K = Q2
     q7 = factor_rational_prime(K, 7).ideals[0]

@@ -16,7 +16,8 @@ from iwasawalab.quadfield import (RealQuadraticField, class_group,
 from iwasawalab.rayclass import _factor_ideal, ray_class_group
 
 from oracles import (empty_memos, fundamental_unit_cf,
-                     fundamental_unit_oracle, group_identity, kronecker,
+                     fundamental_unit_oracle, group_identity, group_record,
+                     kronecker,
                      load_bench, p_class_of_ideal, ray_class_number,
                      squarefree,
                      unit_image_order_two_snf)
@@ -298,7 +299,8 @@ def test_class_representative_cap_fails_loudly(monkeypatch, capsys):
 
 
 def _rep_view(rc):
-    return rc.class_gen_ideals, rc.relations, rc.group, rc.p_group
+    return (rc.class_gen_ideals, rc.relations, group_record(rc.group),
+            group_record(rc.p_group))
 
 
 @pytest.mark.parametrize("d", [10, 26, 79])

@@ -90,7 +90,7 @@ REFERENCE_ONLY = {
     "angle_log", "solve_dlog", "s_unit_basis", "inertia_rank",
     "same_kummer_extension", "degree_zero_pair_element", "kernel_basis",
     "_column_lattice_basis", "solve_congruence_lattice",
-    "degree_kernel_lattice",
+    "degree_kernel_lattice", "exact_smith_form",
 }
 
 # the modules of src/ that compute on p-adic numbers, and so may take from
@@ -121,7 +121,6 @@ DUNDERS_NOT_CALLED_FROM_SRC = {
          "SplittingReport.__eq__", "SplittingReport.__hash__",
          "SUnitBasisEntry.__eq__"],
         "value type: test_value_types holds it to its dataclass twin"),
-    "FiniteAbelianGroup.__eq__": "equality of an exported record",
     "LeopoldtReport.__eq__": "equality of an exported report",
     **dict.fromkeys(["RealQuadraticField.__repr__", "IntegralIdeal.__repr__"],
                     "the display of an exported value"),
