@@ -10,9 +10,9 @@ lattices of elements given by their coordinates.
 All matrices are lists of rows of Python ints.  The one integer-matrix
 kernel is smith_normal_form, which works modulo R: a known multiple of
 the index, or |Delta|, a nonzero maximal minor that the fraction-free
-pass of matrix_rank gives, at most Hadamard's bound.  No entry of its U
-exceeds R/2 in absolute value, and its invariant factors are exact all
-the same.  The relations of decompose_abelian and relation_lattice come
+pass of matrix_rank gives, at most Hadamard's bound, squared when the
+rank is below n.  No entry of its U exceeds R/2 in absolute value, and
+its invariant factors are exact all the same.  The relations of decompose_abelian and relation_lattice come
 out triangular from one table walk and need no solver.
 """
 
@@ -57,22 +57,27 @@ def smith_normal_form(A, *, modulus=0):
     triple.
 
     R is `modulus`, a multiple of the index of the column lattice L of A,
-    which must then have full rank n; with no modulus, r and R = |Delta|
-    come from matrix_rank.  Either way d_1 * ... * d_r divides R (it
-    divides every r x r minor), so Z^n/(L + R*Z^n) has the invariants d_1,
-    ..., d_r of Z^n/L and then R for each free coordinate, and working
-    modulo R loses nothing (Kannan & Bachem, SIAM J. Comput. 8, 1979;
-    Domich, Kannan & Trotter, Math. Oper. Res. 12, 1987).  Each row and
-    column operation reduces the entries of D and U into (-R/2, R/2], so
-    no entry of U exceeds R/2 in absolute value, and |Delta| is at most
-    Hadamard's bound.  The diagonal of D ends as gcd(d_i, R), at most R,
-    for i < r and as 0 from r on.  U is invertible modulo R, not
-    unimodular, and row i of U*A has gcd(R, row) = d_i for i < r; the rows
-    of U past the rank need not span {x : x*A = 0}.
+    which must then have full rank n; with no modulus, the rank r and
+    |Delta| come from matrix_rank, and R is |Delta|, squared if r < n.
+    Either way d_1 * ... * d_r divides |Delta| (it divides every r x r
+    minor), so Z^n/(L + R*Z^n) is T + (Z/R)^(n-r), T the torsion of Z^n/L,
+    and working modulo R loses nothing (Kannan & Bachem, SIAM J. Comput.
+    8, 1979; Domich, Kannan & Trotter, Math. Oper. Res. 12, 1987).  The
+    square keeps the torsion rows of U injective on T: a t in T that they
+    send to 0 lies in the d_r-torsion of (Z/R)^(n-r), inside |Delta| times
+    it, and |Delta|*Z^n + L meets T in 0.  Modulo |Delta| alone, Z^2 modulo
+    (0, 2) would read (0, 1) as 0.  Each row and column operation reduces
+    the entries of D and U into (-R/2, R/2], and |Delta| is at most
+    Hadamard's bound.  The diagonal of D ends as d_i for i < r and as 0
+    from r on.  U is invertible modulo R, not unimodular, and row i of U*A
+    has gcd(R, row) = d_i for i < r; its rows past the rank need not span
+    {x : x*A = 0}.
     """
     n = len(A)
     m = len(A[0]) if n else 0
     r, R = (n, modulus) if modulus else matrix_rank(A)
+    if r < n:  # keep the torsion rows faithful: see the docstring
+        R *= R
     h = R // 2
 
     def comb(x, y, q):  # x - q*y, reduced into (h - R, h]
@@ -222,9 +227,9 @@ class FiniteAbelianGroup:
     `diag`, the diagonal of D (d_1 | d_2 | ..., 0 for a free coordinate),
     and `transform`, all n rows of U.  Coordinate i of an ambient vector x
     is (U*x)_i mod d_i; the d_i > 1 are the `invariant_factors`, and the 0s
-    count the free_rank.  U is reduced modulo the R of its Smith form:
-    invertible modulo R, not unimodular, which is all that reading
-    coordinate i modulo d_i needs.  The p-part of a finite group is the
+    count the free_rank.  U is reduced modulo the R of its Smith form,
+    not unimodular, but its torsion rows map the torsion subgroup onto
+    the torsion coordinates isomorphically.  The p-part of a finite group is the
     record over the same U with diagonal p^v_p(d_i).  With `diag` alone it
     is Z/d_1 x ... x Z/d_k with no presentation, its elements built by
     `element`."""
@@ -282,8 +287,9 @@ def smith_presentation(relations, ambient_rank: int, *,
                        modulus=0) -> FiniteAbelianGroup:
     """Group presented by Z^ambient_rank modulo the rows of `relations`:
     one smith_normal_form, modulo `modulus`, a known multiple of the group
-    order, or modulo |Delta| of the relations when none is given (1 with
-    no relations, so that the group comes out free)."""
+    order, or modulo |Delta| of the relations when none is given, squared
+    when the group is infinite (1 with no relations, so that the group
+    comes out free)."""
     rows = [list(r) for r in relations]
     for r in rows:
         if len(r) != ambient_rank:

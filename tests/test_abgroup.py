@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from iwasawalab.abgroup import (smith_normal_form, smith_presentation,
                                 lattice_index, element_order, matrix_rank,
                                 subgroup_image_order, decompose_abelian,
-                                GroupElement, relation_lattice)
+                                FiniteAbelianGroup, GroupElement,
+                                relation_lattice)
 from iwasawalab.quadfield import RealQuadraticField, _pair_to_ideal, \
     class_group
 from oracles import (decompose_by_max_order, generator_lifts,
@@ -51,16 +52,23 @@ small_matrix = st.lists(
     min_size=1, max_size=4).filter(lambda rows: len({len(r) for r in rows}) == 1)
 
 
+def _working_modulus(A):
+    """(r, R) for smith_normal_form with no modulus: the rank r of A and
+    R = |Delta| of matrix_rank when r = n, its square when r < n."""
+    r, R = matrix_rank(A)
+    return r, (R if r == len(A) else R * R)
+
+
 def _check_row_transform(A, D, U):
-    """D is the Smith form of A modulo R, R = |Delta| of matrix_rank, and
-    U its row transform: the diagonal is sympy's, a nonnegative
-    divisibility chain whose product up to the rank r divides R, zero
-    from r on; U is invertible modulo R with no entry above R/2 in
-    absolute value; gcd(R, row i of U*A) is d_i for i < r and R past it."""
+    """D is the Smith form of A modulo R, R of _working_modulus, and U its
+    row transform: the diagonal is sympy's, a nonnegative divisibility
+    chain whose product up to the rank r divides R, zero from r on; U is
+    invertible modulo R with no entry above R/2 in absolute value;
+    gcd(R, row i of U*A) is d_i for i < r and R past it."""
     from sympy import Matrix, ZZ
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
     n, m = len(A), len(A[0])
-    r, R = matrix_rank(A)
+    r, R = _working_modulus(A)
     assert all(D[i][j] == 0 for i in range(n) for j in range(m) if i != j)
     diag = [D[i][i] for i in range(min(n, m))]
     S = sympy_snf(Matrix(A), domain=ZZ)
@@ -100,13 +108,13 @@ SNF_CASES = _snf_cases()
 
 
 def test_snf_transform_flags_agree_with_full_call():
-    """With no modulus the call takes R = |Delta| itself; given that R as
-    `modulus` it returns the same U, and the same diagonal but for the
-    positions from the rank on, which it reads as gcd(0, R) = R."""
+    """With no modulus the call takes R of _working_modulus itself; given
+    that R as `modulus` it returns the same U, and the same diagonal but
+    for the positions from the rank on, which it reads as gcd(0, R) = R."""
     for A in SNF_CASES:
         D, U, V = smith_normal_form(A)
         _check_row_transform(A, D, U)
-        r, R = matrix_rank(A)
+        r, R = _working_modulus(A)
         D2, U2, V2 = smith_normal_form(A, modulus=R)
         assert U2 == U and V2 == V == []
         k = min(len(A), len(A[0]))
@@ -306,13 +314,38 @@ def _snf_grid():
     return cases
 
 
+def _check_torsion_projection(A):
+    """The group G of Z^n modulo the columns of A, presented with no
+    modulus: each torsion generator t_i, column i of W^-1 for sympy's
+    exact decomposition S = W*A*V with d_i = S_ii > 1, projects to an
+    element of order d_i, and the images generate all of the torsion
+    coordinates, so that project maps the torsion subgroup isomorphically
+    even when G is infinite."""
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_decomp
+    n, m = len(A), len(A[0])
+    G = smith_presentation([list(c) for c in zip(*A)], n)
+    S, W, _ = smith_normal_decomp(Matrix(A), domain=ZZ)
+    Winv = W.inv()
+    torsion = [(abs(int(S[i, i])), [int(x) for x in Winv[:, i]])
+               for i in range(min(n, m)) if abs(int(S[i, i])) > 1]
+    assert G.invariant_factors == tuple(d for d, _ in torsion), A
+    images = [G.project(t) for _, t in torsion]
+    assert [element_order(G, g) for g in images] == \
+        [d for d, _ in torsion], A
+    T = FiniteAbelianGroup(list(G.invariant_factors))
+    assert subgroup_image_order(T, [g.coords for g in images]) == \
+        prod(G.invariant_factors), A
+
+
 def test_snf_with_no_modulus_on_a_seeded_grid():
     """On _snf_grid, at least 100 of them rank-deficient: the diagonal of
     smith_normal_form with no modulus is sympy's; its zeros, with the rows
     past the m columns, count the n - rank free coordinates, as does
     smith_presentation's free rank on the columns; D is diagonal, each
-    d_i up to the rank divides R = |Delta|, and no entry of U exceeds
-    R/2 in absolute value."""
+    d_i up to the rank divides R of _working_modulus, and no entry of U
+    exceeds R/2 in absolute value.  On each case of rank below n, the
+    presentation's project is checked on the torsion subgroup."""
     pytest.importorskip("sympy")
     from sympy import Matrix, ZZ
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
@@ -320,7 +353,7 @@ def test_snf_with_no_modulus_on_a_seeded_grid():
     for A in _snf_grid():
         n, m = len(A), len(A[0])
         k = min(n, m)
-        r, R = matrix_rank(A)
+        r, R = _working_modulus(A)
         deficient += r < k
         D, U, _ = smith_normal_form(A)
         S = sympy_snf(Matrix(A), domain=ZZ)
@@ -333,7 +366,23 @@ def test_snf_with_no_modulus_on_a_seeded_grid():
                    if i != j)
         assert all(R % d == 0 for d in diag[:r])
         assert all(2 * abs(x) <= R for row in U for x in row), A
+        if r < n:
+            _check_torsion_projection(A)
     assert deficient >= 100
+
+
+def test_infinite_group_projects_its_torsion_faithfully():
+    """Z^2 modulo (0, 2): |Delta| = 2 is also the torsion invariant, so
+    modulo 2 alone the torsion row could read the free coordinate.  The
+    element (0, 1) has order 2 and projects to order 2.  The other cases
+    have invariants equal to |Delta| beside free coordinates, or none."""
+    pytest.importorskip("sympy")
+    G = smith_presentation([[0, 2]], 2)
+    assert G.invariant_factors == (2,) and G.free_rank == 1
+    assert element_order(G, G.project([0, 1])) == 2
+    for A in ([[0], [2]], [[2], [0]], [[0, 0], [3, 0], [0, 0]],
+              [[6, 0], [0, 0]], [[2], [4]], [[4, 6], [2, 4], [0, 0]]):
+        _check_torsion_projection(A)
 
 
 def test_presentation_diag_2_3():
