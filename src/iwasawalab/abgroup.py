@@ -2,18 +2,23 @@
 FiniteAbelianGroup: the Smith form of its relations, kept as the diagonal
 and the row transform U, with its invariant factors and coordinates read
 off them (and its p-part, the same record over the p-parts of the
-diagonal, and its quotients, records on its invariant coordinates).
-Coordinates need U only (Cohen, GTM 138, sec. 2.4).  Besides: element
-orders, subgroup image orders, group decompositions and the relation
-lattices of elements given by their coordinates.
+diagonal).  Coordinates need U only (Cohen, GTM 138, sec. 2.4).  Besides:
+element orders, subgroup image orders, group decompositions and the
+relation lattices of elements given by their coordinates.
 
-All matrices are lists of rows of Python ints.  The one integer-matrix
-kernel is smith_normal_form, which works modulo R: a known multiple of
-the index, or |Delta|, a nonzero maximal minor that the fraction-free
-pass of matrix_rank gives, at most Hadamard's bound, squared when the
-rank is below n.  No entry of its U exceeds R/2 in absolute value, and
-its invariant factors are exact all the same.  The relations of decompose_abelian and relation_lattice come
-out triangular from one table walk and need no solver.
+All matrices are lists of rows of Python ints.  There are two bounded
+integer-matrix kernels.  smith_normal_form works modulo R: a known
+multiple of the index, or |Delta|, a nonzero maximal minor that the
+fraction-free pass of matrix_rank gives, at most Hadamard's bound, squared
+when the rank is below n.  No entry of its U exceeds R/2 in absolute
+value, and its invariant factors are exact all the same.  hermite_form
+gives the one Hermite basis of a lattice plus D*Z^n, modulo D: it depends
+on the lattice alone, so coordinates read through it do not move with a
+choice of basis (rayclass.RayClassTower.p_level), and lattice_index reads
+an index off its pivots.  Given a modulus, both refuse an input whose rank
+is visibly below n.  The relations of decompose_abelian and
+relation_lattice come out triangular from one table walk and need no
+solver.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 from math import gcd, prod
 from operator import mod
 
-from .ntheory import Frozen, InternalCheckError
+from .ntheory import Frozen, InternalCheckError, extgcd
 
 
 # ------------------------------------------------------------- integer matrices
@@ -57,7 +62,9 @@ def smith_normal_form(A, *, modulus=0):
     triple.
 
     R is `modulus`, a multiple of the index of the column lattice L of A,
-    which must then have full rank n; with no modulus, the rank r and
+    which must then have full rank n: fewer than n columns, or a row of
+    zeros, is refused, and the rest of that contract is the caller's.
+    With no modulus, the rank r and
     |Delta| come from matrix_rank, and R is |Delta|, squared if r < n.
     Either way d_1 * ... * d_r divides |Delta| (it divides every r x r
     minor), so Z^n/(L + R*Z^n) is T + (Z/R)^(n-r), T the torsion of Z^n/L,
@@ -75,6 +82,8 @@ def smith_normal_form(A, *, modulus=0):
     """
     n = len(A)
     m = len(A[0]) if n else 0
+    if modulus and (m < n or not all(map(any, A))):
+        raise ValueError("the columns have rank below n")
     r, R = (n, modulus) if modulus else matrix_rank(A)
     if r < n:  # keep the torsion rows faithful: see the docstring
         R *= R
@@ -187,19 +196,49 @@ def smith_normal_form(A, *, modulus=0):
     return D, U, []
 
 
+def hermite_form(rows, n: int, D: int):
+    """The Hermite form of span(rows) + D*Z^n, for integer rows of length n
+    and D >= 1: the one upper-triangular basis H of that lattice whose
+    pivots h_j = H[j][j] are positive, each dividing D, with 0 <= H[i][j] <
+    h_j above each pivot, so that H is a function of the lattice alone
+    (Cohen, GTM 138, sec. 2.4.2; Domich, Kannan & Trotter, Math. Oper. Res.
+    12, 1987).  Row j of H starts as D*e_j and takes in each row left by an
+    extended gcd on column j, the row keeping the combination that is 0
+    there; every entry is kept modulo D, as D*e_k lies in the lattice.  The
+    product of the pivots is the index of the lattice.  The rows must span
+    a lattice of full rank n: fewer than n rows, or a coordinate that no
+    row touches, is refused, and the rest of that contract is the
+    caller's."""
+    if len(rows) < n or not all(map(any, zip(*rows))):
+        raise ValueError("the rows have rank below n")
+    H, rows = [], list(rows)
+    for j in range(n):
+        pivot = [0] * j + [D] + [0] * (n - 1 - j)
+        for k, r in enumerate(rows):
+            a, b = pivot[j], r[j] % D
+            if b:
+                g, s, t = extgcd(a, b)
+                pivot, rows[k] = (
+                    [(s * x + t * y) % D for x, y in zip(pivot, r)],
+                    [(b // g * x - a // g * y) % D for x, y in zip(pivot, r)])
+        for i, row in enumerate(H):  # reduce above the pivot
+            H[i] = [x - row[j] // pivot[j] * y for x, y in zip(row, pivot)]
+        H.append(pivot)
+    return H
+
+
 def lattice_index(B, *, modulus=0):
-    """Index [Z^n : L] for the lattice L spanned by the columns of B
-    (requires full rank n); the product of the Smith diagonal, taken modulo
+    """Index [Z^n : L] for the lattice L spanned by the columns of B, of
+    full rank n: the product of the pivots of its Hermite form modulo
     `modulus`, a known multiple of the index, or modulo |Delta| of
     matrix_rank when none is given."""
-    D, _, _ = smith_normal_form(B, modulus=modulus)
     n = len(B)
-    idx = 1
-    for i in range(n):
-        if i >= len(D[0]) or D[i][i] == 0:
+    if not modulus:
+        r, modulus = matrix_rank(B)
+        if r < n:
             raise ValueError("lattice does not have full rank")
-        idx *= D[i][i]
-    return idx
+    H = hermite_form(list(zip(*B)), n, modulus)
+    return prod(row[j] for j, row in enumerate(H))
 
 
 # ---------------------------------------------------------------- group types
@@ -271,16 +310,6 @@ class FiniteAbelianGroup:
         cols = list(zip(*gens)) or [()] * k
         return [list(c) + [0] * i + [d] + [0] * (k - 1 - i) for i, (c, d)
                 in enumerate(zip(cols, self.invariant_factors))]
-
-    def quotient(self, gens) -> FiniteAbelianGroup:
-        """This finite group modulo the subgroup that gens generate,
-        elements or coordinate vectors of them: one Smith form of
-        subgroup_lattice(gens), modulo the order, on the k invariant
-        coordinates, so the quotient's `project` takes the coordinates of
-        an element of this group to those of its image."""
-        D, U, _ = smith_normal_form(self.subgroup_lattice(gens),
-                                    modulus=self.order)
-        return FiniteAbelianGroup([D[i][i] for i in range(len(D))], U)
 
 
 def smith_presentation(relations, ambient_rank: int, *,

@@ -8,11 +8,11 @@ generators of a ray class group by degree_map, the one degree reader: a
 class and its degree are both read on an ambient vector.  Stability is
 computed on first read of GaloisGroupG.stable, at conductor p^(N+2).
 Every conductor p^M is read from the tower of (F, p), the record of its
-state (rayclass.ray_class_tower).  group_G grows it to p^(N+2) first and reads
-p^(N+1), whose coordinates `frobenius` prints, as the Smith form of the
-rows a direct build there assembles (RayClassTower.level); `stable` and
-even_criterion read only the p-part of a level, from the top's p-part.
-No ray class record is built after the top.
+state (rayclass.ray_class_tower), by its one level reader
+(RayClassTower.p_level): group_G grows it to p^(N+2) first and reads
+p^(N+1) off it, and `stable` and even_criterion read the same p-parts.
+A printed class is read through the level's Hermite form, so it depends
+on the level alone.  No ray class record is built after the top.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def _degree_without_log(n: int, p: int, N: int) -> int:
 class GaloisGroupG:
     """p-part of Cl(p^M) at M = N+1, modelling G at precision N: `group`,
     presented on the ambient coordinates of `top`, the tower's top (see
-    RayClassTower.level), and `ambient_hom`, phi_cyc mod p^N on those
+    RayClassTower.p_level), and `ambient_hom`, phi_cyc mod p^N on those
     coordinates.  A class and its degree are both read on the top's
     ambient vector of q."""
 
@@ -121,12 +121,12 @@ class GaloisGroupG:
     @cached_property
     def stable(self) -> bool:
         """Factor-by-factor comparison with the p-part at conductor
-        p^(N+2), read on first read as a quotient of the p-part of the
-        tower's top, which group_G grew to p^(N+2): every invariant factor
-        must persist or scale by exactly p at the top."""
+        p^(N+2), read on first read off the tower's top, which group_G grew
+        to p^(N+2): every invariant factor must persist or scale by exactly
+        p at the top."""
         p = self.p
         a = sorted(self.group.invariant_factors)
-        b = sorted(ray_class_tower(self.field, p).p_quotient(self.N + 2)[1]
+        b = sorted(ray_class_tower(self.field, p).p_level(self.N + 2)[1]
                    .invariant_factors)
         return len(a) == len(b) and all(y in (x, p * x)
                                         for x, y in zip(a, b))
@@ -159,9 +159,10 @@ def degree_map(rc, p: int, M: int, relations) -> list:
 
 def group_G(K: RealQuadraticField, p: int, N: int) -> GaloisGroupG:
     """The Galois group model at precision N (ray conductor p^(N+1), read
-    from the tower of (K, p), grown to p^(N+2) first, as RayClassTower.level
-    reads it); its degree map is checked on the level's relations, and its
-    `stable` against conductor p^(N+2) when first read."""
+    from the tower of (K, p), grown to p^(N+2) first, by
+    RayClassTower.p_level); its degree map is checked on the rows of the
+    level's Hermite form, and its `stable` against conductor p^(N+2) when
+    first read."""
     check_int("N", N)
     check_odd_prime(p, K)
     M = N + 1
@@ -169,7 +170,7 @@ def group_G(K: RealQuadraticField, p: int, N: int) -> GaloisGroupG:
     # top, and p^(N+1) is its quotient
     tower = ray_class_tower(K, p)
     tower.grow(M + 1)
-    relations, _, group = tower.level(M)
+    relations, group = tower.p_level(M)
     return GaloisGroupG(K, p, N, tower.top, group,
                         degree_map(tower.top, p, M, relations))
 
@@ -204,7 +205,7 @@ def even_criterion(K: RealQuadraticField, p: int, q: IntegralIdeal, N: int):
     # read from its p-part
     for M in (N + 2, N + 1):
         top = ray_class_group(K, q * rational_ideal(K, p**M), p)
-        bot = ray_class_tower(K, p).p_quotient(M)[1].order
+        bot = ray_class_tower(K, p).p_level(M)[1].order
         if top.p_order % bot:
             raise InternalCheckError("ray class order at q*p^M is not a "
                                      "multiple of the order at p^M")

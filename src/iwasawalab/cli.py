@@ -95,8 +95,7 @@ def _padic_json(x: PAdicNumber):
 
 def _emit(doc, fmt, text_lines):
     if fmt == "json":
-        doc = dict(doc)
-        doc["schema"] = SCHEMA
+        doc = {"schema": SCHEMA, **doc}
         sys.stdout.write(json.dumps(doc, sort_keys=True,
                                     separators=(",", ":")) + "\n")
     else:
@@ -176,7 +175,8 @@ def _cmd_frobenius(args, K):
         lines.append("Frob %s: class %s, degree %r"
                      % (q, list(cls.coords), deg))
     doc = G.report()
-    doc["frobenius"] = frobs
+    # schema 2: a class is read through the level's Hermite form
+    doc["frobenius"], doc["schema"] = frobs, 2
     return doc, lines, EXIT_OK if G.stable else EXIT_INDETERMINATE
 
 

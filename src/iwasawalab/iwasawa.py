@@ -4,11 +4,11 @@ bookkeeping, and the defect-never-one scan over quadratic fields.
 
 m_Q is read at levels N and N + 2, each kept on the tower of (F, p)
 (rayclass.ray_class_tower) under the pair of primes, so queries at N and
-N + 2 share a level.  Level L is the p-part of Cl(p^(L+1)), read as the
-tower top's p-part modulo the image of the unit kernel
-(RayClassTower.p_quotient): one Smith form on the top's p-coordinates and
-no ray class record.  Its Frobenius classes are the top's ambient vectors
-projected into it, and their degrees the cyclotomic map on those vectors.
+N + 2 share a level.  Level L is the p-part of Cl(p^(L+1)), read off the
+tower's top by its one level reader (RayClassTower.p_level): one Hermite
+form modulo the top's p-part order and no ray class record.  Its
+Frobenius classes are the top's ambient vectors projected into it, and
+their degrees the cyclotomic map on those vectors.
 Level N + 2 is read first, so that a fresh tower's top is its conductor
 and level N lies below it.
 """
@@ -116,15 +116,16 @@ def mq_generator(K: RealQuadraticField, p: int, Q, N: int) \
 
 def _degree_zero_level(K: RealQuadraticField, p: int, L: int, q1, q2):
     """(G, order) at level L: G the p-part of the ray class group of
-    conductor p^(L+1), read as a quotient of the top of the tower of
-    (K, p), and the order in G of the rounded degree-0 element a1*F1 + F2
-    of the Frobenius classes of (q1, q2), a1 read mod p^v1 (all the digits
-    F1 sees, p^v1 its order), checked against the subgroup count."""
+    conductor p^(L+1), read off the top of the tower of (K, p) by
+    RayClassTower.p_level, and the order in G of the rounded degree-0
+    element a1*F1 + F2 of the Frobenius classes of (q1, q2), a1 read mod
+    p^v1 (all the digits F1 sees, p^v1 its order), checked against the
+    subgroup count."""
     tower = ray_class_tower(K, p)
-    kernel, G = tower.p_quotient(L + 1)
+    relations, G = tower.p_level(L + 1)
     top = tower.top
     vecs = [top.ambient_of_ideal(q) for q in (q1, q2)]
-    F1, F2 = (G.project(top.p_group.project(v).coords) for v in vecs)
+    F1, F2 = (G.project(v) for v in vecs)
     v1 = vp(element_order(G, F1), p)
     a1 = _degree_zero_a1(q1, q2, p, v1 + 1)
     order = element_order(G, G.add(G.scale(a1, F1), F2))
@@ -133,7 +134,7 @@ def _degree_zero_level(K: RealQuadraticField, p: int, L: int, q1, q2):
     # |deg <F1, F2>| elements
     if L >= v1:
         pL = p**L
-        c = degree_map(top, p, L + 1, top.relations + kernel)
+        c = degree_map(top, p, L + 1, relations)
         degs = [sum(a * x for a, x in zip(c, v)) for v in vecs]
         image = pL // gcd(pL, *degs)
         if subgroup_image_order(G, [F1, F2]) // image != order:
@@ -161,8 +162,7 @@ class LeopoldtReport:
     """delta(F, p) at a precision; regulator_valuation is an int or None,
     status "ok" or "indeterminate", and standing_assumption whether
     [F(mu_p):F] = 2: for p unramified in a real quadratic F the field
-    cannot sit inside Q(mu_p), so this reduces to p = 3.  Reports are
-    equal when all seven fields are."""
+    cannot sit inside Q(mu_p), so this reduces to p = 3."""
 
     def __init__(self, field: RealQuadraticField, p: int, precision: int,
                  defect: int, regulator_valuation, status: str,
@@ -172,11 +172,6 @@ class LeopoldtReport:
         self.regulator_valuation = regulator_valuation
         self.status = status
         self.standing_assumption = standing_assumption
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return vars(self) == vars(other)
-        return NotImplemented
 
     def to_json(self):
         return {

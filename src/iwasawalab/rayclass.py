@@ -13,11 +13,11 @@ Cl_(p^M) is onto, with kernel the image of ker((O/p^T)* -> (O/p^M)*)
 generators down the tower (the lifted primitive root, the Teichmueller
 lift, 1 + ell and 1 + ell*w), so a unit dlog of the top, read modulo the
 lower generator order, is the lower dlog, and the class representatives
-do not depend on M.  A lower level's p-part is the top's p-part modulo
-the image of the unit kernel, one Smith form on the top's p-coordinates
-(RayClassTower.p_quotient).  Where its coordinates are printed, a lower
-level is the Smith form of the rows that a direct build there assembles,
-read off the top's dlogs (RayClassTower.level).  The top is the first
+do not depend on M.  A lower level's relations are the top's and the
+o_i(M) e_i of that kernel; its p-part is read off the Hermite form of
+those rows modulo the p-part of the top's order, which is unique for the
+level's lattice, so its coordinates do not depend on the top
+(RayClassTower.p_level, the one level reader).  The top is the first
 level asked for; a level M above it regrows the tower at p^(M+2)
 (RayClassTower.grow).  The tower is the one record of the state of
 (F, p).
@@ -29,8 +29,8 @@ from collections import OrderedDict
 from functools import lru_cache, reduce
 from math import gcd, prod
 
-from .abgroup import FiniteAbelianGroup, smith_presentation, \
-    subgroup_image_order
+from .abgroup import FiniteAbelianGroup, hermite_form, \
+    smith_presentation, subgroup_image_order
 from .ntheory import InternalCheckError, factorint
 from .padic import vp
 from .quadfield import (IntegralIdeal, RealQuadraticField, check_odd_prime,
@@ -62,21 +62,13 @@ def _factor_ideal(m: IntegralIdeal):
     return out
 
 
-def _p_power(m: IntegralIdeal, p: int) -> int:
-    """M with m = (p^M), or ValueError."""
-    M = vp(m.a, p)
-    if m != rational_ideal(m.field, p**M):
-        raise ValueError("%s is not a power of (%d)" % (m, p))
-    return M
-
-
 class RayClassGroupData:
     """The ray class group of conductor m, `group`, and its p-part,
     `p_group`, with dlog machinery, built directly: eps and the class
     representatives with their generators are read off the field's record,
-    `clg`.  The relations are the rows that `presentation` assembles from
-    the dlogs of this build, and a class is its ambient vector, read by
-    `ambient_of_ideal`, projected into the group."""
+    `clg`.  The relations are rows assembled from the dlogs of this build,
+    and a class is its ambient vector, read by `ambient_of_ideal`,
+    projected into the group."""
 
     def __init__(self, K: RealQuadraticField, modulus, p: int):
         check_odd_prime(p)
@@ -95,18 +87,9 @@ class RayClassGroupData:
         self.class_gen_ideals, elements = self.clg.class_reps(modulus.norm)
         self._class_dlogs = [self.units.dlog(g) for g in elements]
         self._ambient = {}          # q -> ambient_of_ideal(q)
-        self.relations, self.group, self.p_group = self.presentation(
-            self.unit_orders)
-
-    def presentation(self, orders) -> tuple:
-        """(relations, group, p-part) of the ray class group whose unit
-        generators have the orders `orders`, each dividing this build's:
-        the generator orders, the unit dlogs and the principalized class
-        representatives' powers, each dlog of this build read modulo
-        `orders`, and their Smith form.  With this build's own orders that
-        is this build's group; with unit_orders_at(M) it is the group of
-        the level (p^M) below it, as a direct build there assembles it."""
-        p, gen_orders = self.p, self.clg.gen_orders
+        # the rows: the generator orders, the unit dlogs and the
+        # principalized class representatives' powers
+        orders, gen_orders = self.unit_orders, self.clg.gen_orders
         nu, r = len(orders), len(gen_orders)
         rows = [[o if j == i else 0 for j in range(nu + r)]
                 for i, o in enumerate(orders)]
@@ -122,17 +105,10 @@ class RayClassGroupData:
                                modulus=prod(orders) * prod(gen_orders))
         if G.free_rank:
             raise InternalCheckError("ray class group came out infinite")
+        self.relations, self.group = rows, G
         # p-part: each coordinate read modulo the p-part of its order
-        return rows, G, FiniteAbelianGroup([p_part(d, p) for d in G.diag],
-                                           G.transform)
-
-    def unit_orders_at(self, M: int) -> list:
-        """The generator orders of (O/p^M)*, M <= T, for this direct build
-        of (p^T): o_i(T) / gcd(o_i(T), p^(T-M)), since each component keeps
-        its generators down the tower.  The o_i(M) e_i span the kernel of
-        (O/p^T)* -> (O/p^M)*."""
-        drop = self.p**(_p_power(self.modulus, self.p) - M)
-        return [o // gcd(o, drop) for o in self.unit_orders]
+        self.p_group = FiniteAbelianGroup([p_part(d, p) for d in G.diag],
+                                          G.transform)
 
     # ------------------------------------------------------------- class maps
     def ambient_of_ideal(self, q: IntegralIdeal) -> tuple:
@@ -187,20 +163,19 @@ def ray_class_group(K: RealQuadraticField, modulus, p: int) \
 class RayClassTower:
     """The state of one (K, p).  Of the ray class groups of conductors
     (p^M), M >= 2, one, the top, is built directly, and no other ray class
-    record is built.  A lower one is read off the top in one of two ways.
-    Its p-part alone, which is all mq_order, `stable` and even_criterion
-    read, comes from p_quotient, the top's p-part modulo the unit kernel.
-    The presentation whose coordinates `frobenius` prints comes from
-    level, the rows a direct build there assembles, so those coordinates
-    do not depend on the top.  The first level asked of a fresh tower is
-    its top, built exactly: a single query reads one or two levels, and a
-    higher top costs it more than the quotients save.  A level M above the
-    top regrows the tower at p^(M+2), the level mq_order reads first at
-    the next precision (as kummer.EntryLogTable does), so an ascending run
-    N, N + 1, N + 2 builds one top, not three.  For the last PAIRS_KEPT
-    pairs of primes Q asked of (K, p), `recall` keeps the work that queries
-    of Q at different precisions share: one entry per level and congruence
-    split asked."""
+    record is built.  The p-part of a level, all that mq_order, group_G,
+    `stable` and even_criterion read, comes from p_level, the one level
+    reader: the Hermite form of the level's relations modulo the top's
+    p-part order, which no choice of top or basis moves, so the
+    coordinates `frobenius` prints depend on the level alone.  The first
+    level asked of a fresh tower is its top, built exactly: a single query
+    reads one or two levels, and a higher top costs it more than the
+    quotients save.  A level M above the top regrows the tower at p^(M+2),
+    the level mq_order reads first at the next precision (as
+    kummer.EntryLogTable does), so an ascending run N, N + 1, N + 2 builds
+    one top, not three.  For the last PAIRS_KEPT pairs of primes Q asked
+    of (K, p), `recall` keeps the work that queries of Q at different
+    precisions share: one entry per level and congruence split asked."""
 
     PAIRS_KEPT = 8
 
@@ -221,30 +196,24 @@ class RayClassTower:
             self.exponent = T
         return self.top
 
-    def level(self, M: int) -> tuple:
-        """(relations, group, p-part) of the ray class group of conductor
-        (p^M), on the ambient coordinates of the top grown as grow(M)
-        grows it: the top's presentation at unit_orders_at(M), the rows
-        and Smith form that a direct build at (p^M) has.  The class of q
-        there is the top's ambient vector of q projected into the group as
-        it is: it differs from the direct build's by a sum of the
-        o_i(M) e_i, which are relations of the level."""
+    def p_level(self, M: int) -> tuple:
+        """(triangle, group) of the p-part of Cl_(p^M), on the ambient
+        coordinates of the top grown as grow(M) grows it.  The level's
+        relations are the top's and the o_i(M) e_i, which span the image of
+        ker((O/p^T)* -> (O/p^M)*), and p^k, the p-part of the top's order,
+        is a multiple of the level's p-exponent; `triangle` is the Hermite
+        form of those rows modulo p^k, and `group` the Smith presentation of
+        its rows.  The form is unique, so both are the same from every top,
+        as are the classes that `group` projects the top's ambient vectors
+        to."""
         top = self.grow(M)
-        return top.presentation(top.unit_orders_at(M))
-
-    def p_quotient(self, M: int) -> tuple:
-        """(kernel, group) at the conductor (p^M), the top grown as level(M)
-        grows it.  `kernel` is the ambient vectors o_i(M) e_i of the top
-        that span the image of ker((O/p^T)* -> (O/p^M)*), and `group` the
-        p-part of Cl_(p^M): the top's p-part modulo the kernel's image, on
-        the top's p-coordinates, as taking p-parts is exact.  A class of
-        the top's p-part projects to its class at (p^M)."""
-        top = self.grow(M)
-        n = len(top.group.diag)
-        kernel = [[o if j == i else 0 for j in range(n)]
-                  for i, o in enumerate(top.unit_orders_at(M))]
-        G = top.p_group
-        return kernel, G.quotient([G.project(v) for v in kernel])
+        n, drop = len(top.group.diag), self.p**(self.exponent - M)
+        triangle = hermite_form([[o // gcd(o, drop) if j == i else 0
+                                  for j in range(n)]
+                                 for i, o in enumerate(top.unit_orders)] +
+                                top.relations, n, top.p_order)
+        return triangle, smith_presentation(triangle, n, modulus=prod(
+            row[j] for j, row in enumerate(triangle)))
 
     def recall(self, Q: tuple, key, make, *args):
         """The entry `key` of the pair of primes Q, make(*args) on first

@@ -136,10 +136,12 @@ def empty_memos():
 def count_builds(monkeypatch):
     """(direct, levels): from now on, the ray class groups built, each as
     (d, p, M) at a conductor (p^M) and as (d, p, str(m)) at any other m,
-    and the levels that RayClassTower.level reads off a tower's top, which
-    build no ray class record, each as (d, p, M), in order."""
+    and the reads of RayClassTower.p_level, the one level reader, which
+    build no ray class record but a top, each as (d, p, M, T), T the
+    exponent of the top that the level was read off (M < T below it), in
+    order."""
     built, levels = [], []
-    build, level = rayclass.RayClassGroupData, rayclass.RayClassTower.level
+    build, p_level = rayclass.RayClassGroupData, rayclass.RayClassTower.p_level
 
     def record(K, modulus, p):
         M = vp(modulus.a, p)
@@ -148,10 +150,11 @@ def count_builds(monkeypatch):
         return build(K, modulus, p)
 
     def read(tower, M):
-        levels.append((tower.field.d or 1, tower.p, M))
-        return level(tower, M)
+        level = p_level(tower, M)
+        levels.append((tower.field.d or 1, tower.p, M, tower.exponent))
+        return level
     monkeypatch.setattr(rayclass, "RayClassGroupData", record)
-    monkeypatch.setattr(rayclass.RayClassTower, "level", read)
+    monkeypatch.setattr(rayclass.RayClassTower, "p_level", read)
     return built, levels
 
 
@@ -731,6 +734,21 @@ def generator_lifts(G: FiniteAbelianGroup, modulus: int) -> list:
     from sympy import Matrix
     W = Matrix(G.transform).inv_mod(modulus)
     return [[int(x) for x in W.col(i)] for i in range(W.cols)]
+
+
+def level_class_map(G: FiniteAbelianGroup, H: FiniteAbelianGroup):
+    """The map from the classes of G, a level read off a tower's top by
+    RayClassTower.p_level, to the classes of H, a group on the same
+    ambient coordinates, such as a direct build's p-part: the coordinates
+    of a class of G, each times its generator lift, summed to an ambient
+    vector, which H projects."""
+    lifts = [w for w, d in zip(generator_lifts(G, G.order), G.diag)
+             if d > 1] if G.invariant_factors else []
+
+    def image(g: GroupElement) -> GroupElement:
+        return H.project([sum(c * w[t] for c, w in zip(g.coords, lifts))
+                          for t in range(len(G.diag))])
+    return image
 
 
 def invariant_hom(G: FiniteAbelianGroup, c, mod: int) -> list:

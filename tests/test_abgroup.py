@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import signal
@@ -10,13 +11,15 @@ from iwasawalab.abgroup import (smith_normal_form, smith_presentation,
                                 lattice_index, element_order, matrix_rank,
                                 subgroup_image_order, decompose_abelian,
                                 FiniteAbelianGroup, GroupElement,
-                                relation_lattice)
+                                hermite_form, relation_lattice)
+from iwasawalab.ntheory import factorint
 from iwasawalab.quadfield import RealQuadraticField, _pair_to_ideal, \
     class_group
 from oracles import (decompose_by_max_order, generator_lifts,
-                     group_identity, kernel_basis,
+                     group_identity, group_record, kernel_basis,
                      lattice_intersection, solve_congruence_lattice,
-                     solve_dlog, squarefree, subgroup_order_from_lattice)
+                     solve_dlog, squarefree, subgroup_order_from_lattice,
+                     vp)
 from test_kummer import WIDE_EXPONENTS
 
 
@@ -110,11 +113,17 @@ SNF_CASES = _snf_cases()
 def test_snf_transform_flags_agree_with_full_call():
     """With no modulus the call takes R of _working_modulus itself; given
     that R as `modulus` it returns the same U, and the same diagonal but
-    for the positions from the rank on, which it reads as gcd(0, R) = R."""
+    for the positions from the rank on, which it reads as gcd(0, R) = R.
+    A matrix whose rank is visibly below n, with fewer columns than rows or
+    a row of zeros, is refused given a modulus."""
     for A in SNF_CASES:
         D, U, V = smith_normal_form(A)
         _check_row_transform(A, D, U)
         r, R = _working_modulus(A)
+        if len(A[0]) < len(A) or not all(map(any, A)):
+            with pytest.raises(ValueError, match="rank below n"):
+                smith_normal_form(A, modulus=R)
+            continue
         D2, U2, V2 = smith_normal_form(A, modulus=R)
         assert U2 == U and V2 == V == []
         k = min(len(A), len(A[0]))
@@ -434,47 +443,68 @@ def test_subgroup_image_order_cases():
     assert subgroup_image_order(G, [G.element([2])]) == 3
 
 
-def test_quotient_against_sympy():
-    """G.quotient(gens), on 40 seeded groups and generator sets (none, and
-    zero vectors, included): its invariant factors are sympy's Smith
-    diagonal of the gens stacked on G's relations, its order is |G| over
-    |<gens>|, and `project` kills each generator and maps each coordinate
-    vector to a class of the same order modulo <gens> as in G."""
+def _order_modulo(G, x, gens):
+    """The order of the class of x in G modulo <gens>: the least divisor m
+    of its order in G with <gens, m x> = <gens>."""
+    o, base = element_order(G, x), subgroup_image_order(G, gens)
+    return min(m for m in range(1, o + 1) if o % m == 0 and
+               subgroup_image_order(G, gens + [G.scale(m, x)]) == base)
+
+
+def _hermite_quotient(rows, n, D):
+    """(H, group) as RayClassTower.p_level reads a level: H the Hermite
+    form of the rows modulo D, and the Smith presentation of its rows
+    modulo the product of its pivots."""
+    H = hermite_form(rows, n, D)
+    return H, smith_presentation(H, n, modulus=prod(
+        row[j] for j, row in enumerate(H)))
+
+
+def test_hermite_quotients_against_sympy():
+    """A group's relations and some ambient generators, read as
+    RayClassTower.p_level reads a level, on 40 seeded groups and
+    generator sets (none, and zero vectors, included), modulo the group
+    order D: the invariant factors are sympy's Smith diagonal of the rows
+    stacked, the order is |G| over |<gens>|, `project` kills each
+    generator and maps each ambient vector to a class of the same order as
+    in G modulo <gens>, and modulo the p-part of D it is the p-part.
+    Permuted or reversed rows give the same Hermite form and the same
+    group record."""
     pytest.importorskip("sympy")
     from sympy import Matrix, ZZ
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
     rng = random.Random(45)
     for _ in range(40):
         n = rng.randint(1, 4)
-        G = smith_presentation([[rng.randint(-30, 30) for _ in range(n)]
-                                for _ in range(n + 1)] + [[0] * n], n)
+        rels = [[rng.randint(-30, 30) for _ in range(n)]
+                for _ in range(n + 1)] + [[0] * n]
+        G = smith_presentation(rels, n)
         if G.free_rank:
             continue
-        k = len(G.invariant_factors)
-        gens = [G.element([rng.randrange(d) * rng.randint(0, 1) for d in
-                           G.invariant_factors])
+        gens = [[rng.randint(-40, 40) * rng.randint(0, 1) for _ in range(n)]
                 for _ in range(rng.randint(0, 3))]
-        Q = G.quotient(gens)
-        rels = [list(g) for g in gens] + \
-            [[d if j == i else 0 for j in range(k)]
-             for i, d in enumerate(G.invariant_factors)]
-        if k:
-            S = sympy_snf(Matrix(rels), domain=ZZ)
-            want = tuple(abs(S[i, i]) for i in range(k) if abs(S[i, i]) > 1)
-        else:
-            want = ()
-        assert Q.invariant_factors == want
-        assert Q.order == G.order // subgroup_image_order(G, gens)
+        rows = rels + gens
+        H, Q = _hermite_quotient(rows, n, G.order)
+        S = sympy_snf(Matrix(rows), domain=ZZ)
+        assert Q.invariant_factors == tuple(
+            abs(S[i, i]) for i in range(n) if abs(S[i, i]) > 1)
+        images = [G.project(g) for g in gens]
+        assert Q.order == G.order // subgroup_image_order(G, images)
         zero = Q.element([0] * len(Q.invariant_factors))
-        assert all(Q.project(g.coords) == zero for g in gens)
-        x = G.element([rng.randrange(d) for d in G.invariant_factors])
-        multiples = [G.scale(m, x) for m in range(1, G.order + 1)]
-        in_sub = {G.element(list(c)) for c in itertools.product(
-            *[range(d) for d in G.invariant_factors])
-            if subgroup_image_order(G, gens + [G.element(list(c))]) ==
-            subgroup_image_order(G, gens)}
-        order = next(m for m, y in enumerate(multiples, 1) if y in in_sub)
-        assert element_order(Q, Q.project(x.coords)) == order
+        assert all(Q.project(g) == zero for g in gens)
+        for _ in range(3):
+            x = [rng.randint(-99, 99) for _ in range(n)]
+            assert element_order(Q, Q.project(x)) == \
+                _order_modulo(G, G.project(x), images)
+        shuffled = rows[:]
+        rng.shuffle(shuffled)
+        for other in (shuffled, rows[::-1]):
+            H2, Q2 = _hermite_quotient(other, n, G.order)
+            assert (H2, group_record(Q2)) == (H, group_record(Q))
+        for p, e in factorint(G.order).items():
+            P = _hermite_quotient(rows, n, p**e)[1]
+            assert P.invariant_factors == tuple(
+                p**vp(d, p) for d in Q.invariant_factors if d % p == 0)
 
 
 def test_matrix_rank_against_sympy():
@@ -595,6 +625,97 @@ def test_kernel_basis():
 def test_lattice_index():
     assert lattice_index([[2, 0], [0, 3]]) == 6
     assert lattice_index([[1, 0], [0, 1]]) == 1
+
+
+def test_snf_refuses_fewer_columns_than_rows_given_a_modulus():
+    """Given a modulus, the columns must span a lattice of full rank n:
+    fewer than n of them is refused, where the call with no modulus
+    reads a free coordinate."""
+    with pytest.raises(ValueError, match="rank below n"):
+        smith_normal_form([[2], [3]], modulus=6)
+    with pytest.raises(ValueError, match="rank below n"):
+        smith_presentation([[4, 2]], 2, modulus=4)
+    assert smith_presentation([[4, 2]], 2).free_rank == 1
+
+
+def test_snf_refuses_a_coordinate_no_column_touches_given_a_modulus():
+    """Given a modulus, a row of zeros, a coordinate that no relation
+    touches, is refused: modulo R it would read as Z/R, not Z."""
+    with pytest.raises(ValueError, match="rank below n"):
+        smith_normal_form([[2, 4, 6], [0, 0, 0]], modulus=2)
+    with pytest.raises(ValueError, match="rank below n"):
+        smith_presentation([[3, 0], [6, 0]], 2, modulus=9)
+    assert smith_presentation([[3, 0], [6, 0]], 2).free_rank == 1
+
+
+def test_hermite_form_refuses_fewer_rows_than_coordinates():
+    with pytest.raises(ValueError, match="rank below n"):
+        hermite_form([[2, 1]], 2, 4)
+    with pytest.raises(ValueError, match="rank below n"):
+        hermite_form([], 1, 3)
+    assert hermite_form([], 0, 3) == []
+
+
+def test_hermite_form_refuses_a_coordinate_no_row_touches():
+    with pytest.raises(ValueError, match="rank below n"):
+        hermite_form([[2, 0], [4, 0]], 2, 8)
+    with pytest.raises(ValueError, match="rank below n"):
+        lattice_index([[2, 4], [0, 0]], modulus=8)
+
+
+@functools.lru_cache(maxsize=None)
+def _hermite_grid(count=200, seed=53):
+    """`count` seeded generator sets of full rank n: m rows of length n,
+    1 <= n <= 8 and n <= m <= 9, entries up to 2^16 in absolute value,
+    about a quarter of them 0."""
+    from sympy import Matrix
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        n = rng.randint(1, 8)
+        m = rng.randint(n, 9)
+        rows = [[rng.choice((0, rng.randint(-2**16, 2**16),
+                             rng.randint(-2**16, 2**16),
+                             rng.randint(-2**16, 2**16)))
+                 for _ in range(n)] for _ in range(m)]
+        if Matrix(rows).rank() == n:
+            cases.append(rows)
+    return cases
+
+
+def test_hermite_form_against_sympy():
+    """hermite_form, modulo a multiple D of the index, equals sympy's
+    hermite_normal_form on a seeded grid up to 8 x 9 with entries up to
+    2^16.  Sympy's form is the column-style one (Cohen, GTM 138, Alg.
+    2.4.5): on the coordinates in reverse order, with the rows as columns,
+    it is the transpose of the row-style form read backwards."""
+    pytest.importorskip("sympy")
+    from sympy import Matrix
+    from sympy.matrices.normalforms import hermite_normal_form
+    for k, rows in enumerate(_hermite_grid()):
+        n = len(rows[0])
+        W = hermite_normal_form(Matrix([r[::-1] for r in rows]).T)
+        index = prod(int(W[i, i]) for i in range(n))
+        H = hermite_form(rows, n, index * (1 + k % 5))
+        assert H == [[int(W[n - 1 - j, n - 1 - i]) for j in range(n)]
+                     for i in range(n)], rows
+
+
+def test_lattice_index_is_the_product_of_the_smith_diagonal():
+    """lattice_index, with no modulus and modulo a multiple of the index,
+    is the product of sympy's Smith diagonal on the same grid.  (The exact
+    elimination oracles.exact_smith_form does not return on most of it:
+    from 3 x 6 up, its entries blow up.)"""
+    pytest.importorskip("sympy")
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    for k, rows in enumerate(_hermite_grid()):
+        n = len(rows[0])
+        B = [list(c) for c in zip(*rows)]
+        S = sympy_snf(Matrix(B), domain=ZZ)
+        index = prod(abs(int(S[i, i])) for i in range(n))
+        assert lattice_index(B) == index
+        assert lattice_index(B, modulus=index * (1 + k % 7)) == index
 
 
 def test_lattice_intersection():

@@ -5,17 +5,18 @@ from math import prod
 
 import pytest
 
-from iwasawalab import classfield, rayclass
+from iwasawalab import classfield, cli, rayclass
 from iwasawalab.abgroup import element_order
 from iwasawalab.classfield import (group_G, frobenius_image, e_of_q,
                                    even_criterion, cyclotomic_log,
                                    degree_map)
 from iwasawalab.iwasawa import mq_order
-from iwasawalab.ntheory import InternalCheckError, isprime
+from iwasawalab.ntheory import InternalCheckError, is_squarefree, isprime
 from iwasawalab.padic import PAdicNumber
 from iwasawalab.quadfield import (RealQuadraticField, factor_rational_prime,
                                   prime_ideal, rational_ideal)
 from iwasawalab.rayclass import ray_class_group
+import oracles
 from oracles import (as_object, count_builds, cyclotomic_dlog_log_route,
                      degree_hom, degree_kernel_lattice, degree_log_route,
                      empty_memos, exact_smith_form, group_identity,
@@ -238,28 +239,21 @@ MQ_LEVELS = [(1, 3, 2, 5), (2, 5, 2, 3), (79, 3, 2, 5), (10, 3, 7, 41)]
 def test_mq_order_builds_only_the_levels_it_reads(monkeypatch, d, p, l1, l2,
                                                   N):
     """mq_order builds one ray class group directly, p^(N+3), the top of the
-    tower of (K, p), and reads p^(N+1) as a quotient of its p-part with no
+    tower of (K, p), and reads p^(N+3) at it and p^(N+1) below it, with no
     ray class record.  group_G at N then reads p^(N+1), whose coordinates
-    `frobenius` prints, as the one level off the top, with no ray class
-    record, and reading `stable` of it reads p^(N+2) from the top's
-    p-part, once."""
+    `frobenius` prints, off the same top, with no ray class record, and
+    reading `stable` of it reads p^(N+2) off the top, once."""
     empty_memos()
     direct, levels = count_builds(monkeypatch)
     K = QQ if d == 1 else RealQuadraticField(d)
     Q = tuple(factor_rational_prime(K, ell).ideals[0] for ell in (l1, l2))
     mq_order(K, p, Q, N)
-    assert (direct, levels) == ([(d, p, N + 3)], [])
+    T = N + 3
+    assert (direct, levels) == ([(d, p, T)], [(d, p, T, T), (d, p, N + 1, T)])
     G = group_G(K, p, N)
-    assert (direct, levels) == ([(d, p, N + 3)], [(d, p, N + 1)])
-    read, p_quotient = [], rayclass.RayClassTower.p_quotient
-
-    def read_level(tower, M):
-        read.append(M)
-        return p_quotient(tower, M)
-    monkeypatch.setattr(rayclass.RayClassTower, "p_quotient", read_level)
+    assert (direct, levels[2:]) == ([(d, p, T)], [(d, p, N + 1, T)])
     assert G.stable in (True, False)
-    assert read == [N + 2]
-    assert (direct, levels) == ([(d, p, N + 3)], [(d, p, N + 1)])
+    assert (direct, levels[3:]) == ([(d, p, T)], [(d, p, N + 2, T)])
 
     def refuse(*args):
         raise RuntimeError("stable was built twice")
@@ -466,3 +460,85 @@ def test_tower_consistency_quadratic():
         o2 = element_order(g2.group, g2.frobenius_class(q))
         o1 = element_order(g1.group, g1.frobenius_class(q))
         assert o2 % o1 == 0
+
+
+def _golden_frobenius_cases():
+    """(K, p, N, primes, printed classes) of each frobenius golden, read off
+    its command line and its recorded document."""
+    import json
+    from test_golden import CASES, GOLDEN_DIR
+    cases = []
+    for name, _, argv in CASES:
+        if "frobenius" not in argv:
+            continue
+        opts = {}
+        for flag, value in zip(argv, argv[1:]):
+            opts.setdefault(flag, []).append(value)
+        K = RealQuadraticField.parse(opts["--field"][0])
+        doc = json.loads((GOLDEN_DIR / (name + ".out")).read_text())
+        cases.append((K, int(opts["--p"][0]), int(opts["--prec"][0]),
+                      [cli._parse_prime_ideal(K, s) for s in opts["--q"]],
+                      [tuple(f["class"]) for f in doc["frobenius"]]))
+    return cases
+
+
+def _canonical_grid(draws=8, seed=53):
+    """(K, p, N, primes, None): `draws` seeded (d, p, N), d squarefree in
+    [2, 200), p in {3, 5, 7} prime to the discriminant and N in {1, 2, 3},
+    with the prime ideals of norm below 40 prime to p."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < draws:
+        d, p, N = rng.randrange(2, 200), rng.choice((3, 5, 7)), \
+            rng.choice((1, 2, 3))
+        K = RealQuadraticField(d) if is_squarefree(d) else None
+        if K is None or K.D % p == 0:
+            continue
+        primes = [q for ell in range(2, 40) if isprime(ell) and ell != p
+                  for q in factor_rational_prime(K, ell).ideals
+                  if q.norm < 40]
+        cases.append((K, p, N, primes, None))
+    return cases
+
+
+def test_printed_classes_are_one_vector_from_every_top():
+    """The Frobenius classes of every frobenius golden and of a seeded
+    grid, at conductor p^(N+1), read off tops p^(N+2) to p^(N+8), with the
+    top's relation rows as built and shuffled, give one vector per class:
+    the golden's printed one where there is a golden.  So does group_G,
+    asked of the cases in forward and in reverse order from emptied memos.
+    oracles.level_class_map takes the group onto the direct build's p-part
+    at p^(N+1), each class to the direct build's, of the same order."""
+    rng = random.Random(53)
+    cases = _golden_frobenius_cases() + _canonical_grid()
+    read = {}
+    for K, p, N, primes, printed in cases:
+        rc = ray_class_group(K, p**(N + 1), p)
+        vectors = set()
+        for T in range(N + 2, N + 9):
+            tower = rayclass.RayClassTower(K, p)
+            top = tower.grow(T)
+            for shuffle in (False, True):
+                if shuffle:
+                    rng.shuffle(top.relations)
+                G = tower.p_level(N + 1)[1]
+                classes = tuple(G.project(top.ambient_of_ideal(q)).coords
+                                for q in primes)
+                vectors.add(classes)
+        assert len(vectors) == 1, (K, p, N)
+        assert printed in (None, list(classes)), (K, p, N)
+        assert G.invariant_factors == rc.p_group.invariant_factors
+        image = oracles.level_class_map(G, rc.p_group)
+        for q, c in zip(primes, classes):
+            want = oracles.p_class_of_ideal(rc, q)
+            assert image(G.element(c)) == want, (K, p, N, q)
+            assert element_order(G, G.element(c)) == \
+                element_order(rc.p_group, want)
+        read[K, p, N] = classes
+    for order in (cases, cases[::-1]):
+        empty_memos()
+        for K, p, N, primes, _ in order:
+            G = group_G(K, p, N)
+            assert tuple(G.frobenius_class(q).coords for q in primes) == \
+                read[K, p, N], (K, p, N)
+    empty_memos()

@@ -346,13 +346,15 @@ def test_mq_generator_matches_log_route_in_any_order(d, p, s1, s2):
 @pytest.mark.parametrize("d,p", sorted({(d, p) for d, p, _, _ in
                                         MQ_GRID + ALPHA_FIXTURE_PAIRS}))
 def test_quotient_level_equals_the_direct_build(d, p):
-    """The level (p^M) that group_G reads off a top at (p^T), for every T
-    in 3..14 and every M < T (M >= 2, as the tower serves), equals the
-    direct build at (p^M): the relation rows, the Smith diagonal and
-    transform, the p-part, the degree map checked on those rows, and the
-    class of every prime ideal of norm below 100 prime to p, the top's
-    ambient vector projected as it is.  Each top is a fresh tower's,
-    built at exactly (p^T), and serves as the direct build there."""
+    """The level (p^M) that p_level reads off a top at (p^T), for every T
+    in 3..14 and every M < T (M >= 2, as the tower serves), is the same
+    from every top: the Hermite form, the group record and the class of
+    every prime ideal of norm below 100 prime to p, the top's ambient
+    vector projected.  The degree map vanishes on the Hermite rows, and
+    oracles.level_class_map, an isomorphism onto the direct build at
+    (p^M), takes each class to the direct build's, of the same order.
+    Each top is a fresh tower's, built at exactly (p^T), and serves as the
+    direct build there."""
     K = _field(d)
     towers = {}
     for T in range(2, 15):
@@ -361,23 +363,23 @@ def test_quotient_level_equals_the_direct_build(d, p):
         assert towers[T].exponent == T
     ideals = [q for ell in range(2, 100) if isprime(ell) and ell != p
               for q in factor_rational_prime(K, ell).ideals if q.norm < 100]
-    want = {}
-    for M in range(2, 14):
-        rc = towers[M].top
-        assert rc.modulus == rational_ideal(K, p**M)
-        want[M] = (rc.relations, oracles.group_record(rc.group),
-                   oracles.group_record(rc.p_group),
-                   classfield.degree_map(rc, p, M, rc.relations),
-                   [oracles.p_class_of_ideal(rc, q) for q in ideals])
+    seen = {}
     for T in range(3, 15):
         top = towers[T].top
         for M in range(2, T):
-            relations, G, H = towers[T].level(M)
-            got = (relations, oracles.group_record(G),
-                   oracles.group_record(H),
-                   classfield.degree_map(top, p, M, relations),
-                   [H.project(top.ambient_of_ideal(q)) for q in ideals])
-            assert got == want[M], (T, M)
+            triangle, G = towers[T].p_level(M)
+            classes = [G.project(top.ambient_of_ideal(q)) for q in ideals]
+            got = (triangle, oracles.group_record(G), classes)
+            assert seen.setdefault(M, got) == got, (T, M)
+            classfield.degree_map(top, p, M, triangle)
+            rc = towers[M].top
+            assert rc.modulus == rational_ideal(K, p**M)
+            assert G.invariant_factors == rc.p_group.invariant_factors
+            image = oracles.level_class_map(G, rc.p_group)
+            for q, c in zip(ideals, classes):
+                want = oracles.p_class_of_ideal(rc, q)
+                assert image(c) == want, (T, M, q)
+                assert element_order(G, c) == element_order(rc.p_group, want)
             assert towers[T].top is top
 
 
@@ -397,8 +399,9 @@ def _tower_pairs(draws=8, seed=41):
 @pytest.mark.parametrize("d,p", _tower_pairs())
 def test_tower_levels_have_the_ray_class_number(d, p):
     """Every level M = 2..8 of a fresh ray class tower of (K, p) has the
-    order oracles.ray_class_number(d, p^M), found with no dlog and no
-    Smith form, and the p-part of it as its p-part.  Asked in ascending M
+    p-part of oracles.ray_class_number(d, p^M), found with no dlog and no
+    Smith form, as its p-part, and every top has that number as its
+    order.  Asked in ascending M
     the tower builds tops at 2, 5 and 8 and reads 3, 4, 6 and 7 as their
     quotients; asked in descending M every level is a quotient of 8."""
     K = _field(d)
@@ -406,23 +409,23 @@ def test_tower_levels_have_the_ray_class_number(d, p):
     for order in (range(2, 9), range(8, 1, -1)):
         tower = rayclass.RayClassTower(K, p)
         for M in order:
-            _, G, H = tower.level(M)
-            assert (G.order, H.order) == \
-                (want[M], p**vp(want[M], p)), (M, tower.exponent)
+            H = tower.p_level(M)[1]
+            assert (tower.top.group.order, H.order) == \
+                (want[tower.exponent], p**vp(want[M], p)), (M, tower.exponent)
         assert tower.exponent == 8
 
 
 def test_quotient_level_refuses_what_it_cannot_read():
-    """The tower serves conductors (p^M) with M >= 2 only, as levels and
-    as p-parts: at M = 1 an inert p, 5 in Q(sqrt 2), leaves a unit
-    coordinate of order 1, which a direct build at (p) does not have."""
+    """The tower serves conductors (p^M) with M >= 2 only: at M = 1 an
+    inert p, 5 in Q(sqrt 2), leaves a unit coordinate of order 1 (its
+    order o at (5^3) over gcd(o, 5^2)), which a direct build at (p) does
+    not have."""
     K = RealQuadraticField(2)
     tower = rayclass.ray_class_tower(K, 5)
     for M in (1, 0, -1):
-        for read in (tower.level, tower.p_quotient):
-            with pytest.raises(ValueError, match="M >= 2"):
-                read(M)
-    assert 1 in tower.grow(3).unit_orders_at(1)
+        with pytest.raises(ValueError, match="M >= 2"):
+            tower.p_level(M)
+    assert 1 in [o // gcd(o, 5**2) for o in tower.grow(3).unit_orders]
 
 
 def test_a_tower_builds_its_first_top_exactly_and_regrows_two_up(
@@ -438,9 +441,9 @@ def test_a_tower_builds_its_first_top_exactly_and_regrows_two_up(
     for M, tops in reads:
         direct.clear()
         levels.clear()
-        _, G, _ = tower.level(M)
+        G = tower.p_level(M)[1]
         assert (direct, levels) == ([(1, 3, T) for T in tops],
-                                    [(1, 3, M)]), M
+                                    [(1, 3, M, tower.exponent)]), M
         assert G.order == oracles.ray_class_number(1, 3**M)
         assert tower.top.modulus == rational_ideal(QQ, 3**tower.exponent)
     assert tower.exponent == 9
@@ -466,20 +469,20 @@ def test_levels_below_a_regrown_top_equal_direct_builds(d, p, s1, s2):
         rc = rayclass.ray_class_group(K, p**L, p)
         want[L] = _level_view(rc.p_group, rc.ambient_of_ideal, Q)
     tower = rayclass.RayClassTower(K, p)
-    tower.level(2)
+    tower.p_level(2)
     for M, T in ((3, 5), (6, 8)):
-        tower.level(M)
+        tower.p_level(M)
         assert tower.exponent == T
         for L in range(2, T):
-            H = tower.level(L)[2]
+            H = tower.p_level(L)[1]
             assert _level_view(H, tower.top.ambient_of_ideal, Q) == \
                 want[L], (M, L)
 
 
 @pytest.mark.parametrize("d,p,s1,s2", MQ_GRID + ALPHA_FIXTURE_PAIRS)
 def test_quotient_levels_read_as_direct_builds(d, p, s1, s2):
-    """Every level L = 1..7 of mq_order, the p-part of Cl(p^(L+1)) read as
-    a quotient of the tower top's p-part, asked of a fresh tower in
+    """Every level L = 1..7 of mq_order, the p-part of Cl(p^(L+1)) read
+    off the tower's top by p_level, asked of a fresh tower in
     ascending and in descending L, has the invariant factors, the p-order
     and the orders of F1, F2, the degree-0 element and <F1, F2> that
     GaloisGroupG reads on the direct build ray_class_group(K, p^(L+1), p).
@@ -502,9 +505,8 @@ def test_quotient_levels_read_as_direct_builds(d, p, s1, s2):
         empty_memos()
         tower = rayclass.ray_class_tower(K, p)
         for L in levels:
-            _, H = tower.p_quotient(L + 1)
-            F1, F2 = (H.project(oracles.p_class_of_ideal(tower.top, q).coords)
-                      for q in Q)
+            H = tower.p_level(L + 1)[1]
+            F1, F2 = (H.project(tower.top.ambient_of_ideal(q)) for q in Q)
             order = iwasawa._degree_zero_level(K, p, L, *Q)[1]
             got = (H.invariant_factors, H.order,
                    [element_order(H, F1), element_order(H, F2), order],
@@ -519,31 +521,32 @@ def test_quotient_levels_read_as_direct_builds(d, p, s1, s2):
 def test_single_calls_build_the_levels_they_read(monkeypatch, d, p, s1, s2,
                                                   N):
     """On emptied memos, a single mq_order or construct_alpha call builds
-    conductor p^(N+3) directly and reads p^(N+1) from its p-part, with no
-    ray class record, and even_criterion builds q1*p^(N+2), p^(N+2) and
-    q1*p^(N+1) and reads p^(N+1) from the p-part of p^(N+2): the first
-    level each reads is the fresh tower's top, built exactly, and no
+    conductor p^(N+3) directly, reads it at the top and p^(N+1) below it,
+    with no ray class record, and even_criterion builds q1*p^(N+2), p^(N+2)
+    and q1*p^(N+1) and reads p^(N+2) at the top and p^(N+1) below it: the
+    first level each reads is the fresh tower's top, built exactly, and no
     regrowth follows.  group_G with its stability check builds p^(N+2),
-    the level `stable` reads, as the top, and reads p^(N+1) off it as the
-    one level, with no ray class record."""
+    the level `stable` reads, as the top, and reads p^(N+1) off it, then
+    p^(N+2) at it, with no ray class record."""
     K = _field(d)
     Q = (_prime(K, s1), _prime(K, s2))
     direct, levels = count_builds(monkeypatch)
     q_at = [str(Q[0] * rational_ideal(K, p**M)) for M in (N + 2, N + 1)]
     calls = [
-        (lambda: mq_order(K, p, Q, N), [N + 3], []),
-        (lambda: construct_alpha(K, p, Q, N), [N + 3], []),
+        (lambda: mq_order(K, p, Q, N), [N + 3], [N + 3, N + 1]),
+        (lambda: construct_alpha(K, p, Q, N), [N + 3], [N + 3, N + 1]),
         (lambda: even_criterion(K, p, Q[0], N), [q_at[0], N + 2, q_at[1]],
-         []),
-        (lambda: group_G(K, p, N).stable, [N + 2], [N + 1]),
+         [N + 2, N + 1]),
+        (lambda: group_G(K, p, N).stable, [N + 2], [N + 1, N + 2]),
     ]
-    for call, tops, below in calls:
+    for call, tops, read in calls:
         empty_memos()
         direct.clear()
         levels.clear()
         call()
+        top = max(T for T in tops if isinstance(T, int))
         assert (direct, levels) == ([(d, p, T) for T in tops],
-                                    [(d, p, L) for L in below])
+                                    [(d, p, L, top) for L in read])
     empty_memos()
 
 
@@ -553,8 +556,8 @@ def test_a_frobenius_call_builds_one_top(monkeypatch, capsys, d, p, s1, s2,
                                          N):
     """On emptied memos, the frobenius command builds conductor p^(N+2),
     the level that G.stable reads, as the fresh tower's top, and no other
-    ray class record: it reads p^(N+1) off the top as a level, and does
-    not regrow to p^(N+4)."""
+    ray class record: it reads p^(N+1) off the top, then p^(N+2) at it,
+    and does not regrow to p^(N+4)."""
     direct, levels = count_builds(monkeypatch)
     empty_memos()
     code = cli.main(["frobenius", "--field", _field(d).spec_string(),
@@ -563,7 +566,8 @@ def test_a_frobenius_call_builds_one_top(monkeypatch, capsys, d, p, s1, s2,
     empty_memos()
     assert code in (cli.EXIT_OK, cli.EXIT_INDETERMINATE)
     assert capsys.readouterr().out.startswith("G(")
-    assert (direct, levels) == ([(d, p, N + 2)], [(d, p, N + 1)])
+    assert (direct, levels) == ([(d, p, N + 2)], [(d, p, N + 1, N + 2),
+                                                  (d, p, N + 2, N + 2)])
 
 
 @pytest.mark.parametrize("d,p", [(1, 3), (1, 5), (2, 5), (79, 3)])
@@ -765,8 +769,9 @@ def test_leopoldt_equals_the_square_exponent_d_below_5000():
                 continue
             kinds[legendre(K.D, p)] += 1
             for N in (8, 16):
-                assert leopoldt_defect(K, p, N) == \
-                    leopoldt_defect_square_exponent(K, p, N), (d, p, N)
+                assert leopoldt_defect(K, p, N).to_json() == \
+                    leopoldt_defect_square_exponent(K, p, N).to_json(), \
+                    (d, p, N)
     assert min(kinds.values()) > 5000, kinds
 
 
@@ -943,7 +948,7 @@ def test_leopoldt_certifies_from_the_first_precision_that_reads_v():
                     want = iwasawa.LeopoldtReport(K, p, N, 1, None,
                                                   "indeterminate", p == 3)
                     indeterminate += 1
-                assert rep == want, (d, p, N)
+                assert rep.to_json() == want.to_json(), (d, p, N)
     assert top_v == 10 and indeterminate > 0
 
 

@@ -359,11 +359,11 @@ def test_a_replaced_top_takes_its_ambient_vectors_with_it():
     tower = rayclass.RayClassTower(QQ, 3)
     q = rational_ideal(QQ, 2)
     top = tower.grow(4)
-    tower.level(2)[2].project(top.ambient_of_ideal(q))
+    tower.p_level(2)[1].project(top.ambient_of_ideal(q))
     assert list(top._ambient) == [q]
     old = weakref.ref(top)
     del top
-    tower.level(5)
+    tower.p_level(5)
     gc.collect()
     assert old() is None
 

@@ -121,7 +121,6 @@ DUNDERS_NOT_CALLED_FROM_SRC = {
          "SplittingReport.__eq__", "SplittingReport.__hash__",
          "SUnitBasisEntry.__eq__"],
         "value type: test_value_types holds it to its dataclass twin"),
-    "LeopoldtReport.__eq__": "equality of an exported report",
     **dict.fromkeys(["RealQuadraticField.__repr__", "IntegralIdeal.__repr__"],
                     "the display of an exported value"),
     **dict.fromkeys(
