@@ -14,11 +14,13 @@ when the rank is below n.  No entry of its U exceeds R/2 in absolute
 value, and its invariant factors are exact all the same.  hermite_form
 gives the one Hermite basis of a lattice plus D*Z^n, modulo D: it depends
 on the lattice alone, so coordinates read through it do not move with a
-choice of basis (rayclass.RayClassTower.p_level), and lattice_index reads
-an index off its pivots.  Given a modulus, both refuse an input whose rank
-is visibly below n.  The relations of decompose_abelian and
-relation_lattice come out triangular from one table walk and need no
-solver.
+choice of basis (rayclass.RayClassTower.p_level), and an index is the
+product of its pivots (subgroup_image_order).  It is the one Hermite
+kernel of the package: the ideals of quadfield are its 2-column forms.
+Given a modulus, both refuse an input whose rank is visibly below n, and
+hermite_form, element and element_order refuse coordinates of the wrong
+length.  The relations of decompose_abelian and relation_lattice come out
+triangular from one table walk and need no solver.
 """
 
 from __future__ import annotations
@@ -202,43 +204,41 @@ def hermite_form(rows, n: int, D: int):
     pivots h_j = H[j][j] are positive, each dividing D, with 0 <= H[i][j] <
     h_j above each pivot, so that H is a function of the lattice alone
     (Cohen, GTM 138, sec. 2.4.2; Domich, Kannan & Trotter, Math. Oper. Res.
-    12, 1987).  Row j of H starts as D*e_j and takes in each row left by an
-    extended gcd on column j, the row keeping the combination that is 0
-    there; every entry is kept modulo D, as D*e_k lies in the lattice.  The
-    product of the pivots is the index of the lattice.  The rows must span
-    a lattice of full rank n: fewer than n rows, or a coordinate that no
-    row touches, is refused, and the rest of that contract is the
-    caller's."""
+    12, 1987).  Row j of H starts as D*e_j and takes in each row in turn on
+    column j: a row whose entry there the pivot divides loses that multiple
+    of the pivot, and any other row goes through an extended gcd, the row
+    keeping the combination that is 0 there.  The last column needs no
+    row: the pivot is the gcd of D and what the rows have left there.
+    Every entry is kept modulo D, as D*e_k lies in the lattice.  The
+    product of the pivots is the index of the lattice.  A row whose length
+    is not n is refused.  The rows must span a lattice of full rank n:
+    fewer than n rows, or a coordinate that no row touches, is refused,
+    and the rest of that contract is the caller's."""
+    if any(len(r) != n for r in rows):
+        raise ValueError("a row has length other than %d" % n)
     if len(rows) < n or not all(map(any, zip(*rows))):
         raise ValueError("the rows have rank below n")
     H, rows = [], list(rows)
     for j in range(n):
         pivot = [0] * j + [D] + [0] * (n - 1 - j)
+        if j == n - 1:  # rows are 0 mod D off this column: a gcd
+            pivot[j] = gcd(D, *(r[j] for r in rows))
+            rows = []
         for k, r in enumerate(rows):
             a, b = pivot[j], r[j] % D
-            if b:
+            if not b:
+                continue
+            if b % a:
                 g, s, t = extgcd(a, b)
                 pivot, rows[k] = (
                     [(s * x + t * y) % D for x, y in zip(pivot, r)],
                     [(b // g * x - a // g * y) % D for x, y in zip(pivot, r)])
+            else:
+                rows[k] = [(y - b // a * x) % D for x, y in zip(pivot, r)]
         for i, row in enumerate(H):  # reduce above the pivot
             H[i] = [x - row[j] // pivot[j] * y for x, y in zip(row, pivot)]
         H.append(pivot)
     return H
-
-
-def lattice_index(B, *, modulus=0):
-    """Index [Z^n : L] for the lattice L spanned by the columns of B, of
-    full rank n: the product of the pivots of its Hermite form modulo
-    `modulus`, a known multiple of the index, or modulo |Delta| of
-    matrix_rank when none is given."""
-    n = len(B)
-    if not modulus:
-        r, modulus = matrix_rank(B)
-        if r < n:
-            raise ValueError("lattice does not have full rank")
-    H = hermite_form(list(zip(*B)), n, modulus)
-    return prod(row[j] for j, row in enumerate(H))
 
 
 # ---------------------------------------------------------------- group types
@@ -288,6 +288,8 @@ class FiniteAbelianGroup:
         return prod(self.invariant_factors)
 
     def element(self, coords) -> GroupElement:
+        if len(coords) != len(self.invariant_factors):
+            raise ValueError("coordinates of wrong length")
         return GroupElement(tuple(map(mod, coords, self.invariant_factors)))
 
     def project(self, ambient_vector) -> GroupElement:
@@ -302,14 +304,6 @@ class FiniteAbelianGroup:
 
     def scale(self, n: int, g: GroupElement) -> GroupElement:
         return self.element([n * a for a in g.coords])
-
-    def subgroup_lattice(self, gens):
-        """Columns spanning the lattice of <gens> + relation lattice in Z^k,
-        as rows."""
-        k = len(self.invariant_factors)
-        cols = list(zip(*gens)) or [()] * k
-        return [list(c) + [0] * i + [d] + [0] * (k - 1 - i) for i, (c, d)
-                in enumerate(zip(cols, self.invariant_factors))]
 
 
 def smith_presentation(relations, ambient_rank: int, *,
@@ -334,6 +328,8 @@ def smith_presentation(relations, ambient_rank: int, *,
 # ----------------------------------------------------------------- operations
 
 def element_order(G: FiniteAbelianGroup, g: GroupElement) -> int:
+    if len(g.coords) != len(G.invariant_factors):
+        raise ValueError("coordinates of wrong length")
     n = 1
     for d, c in zip(G.invariant_factors, g.coords):
         o = d // gcd(d, c % d)
@@ -343,13 +339,16 @@ def element_order(G: FiniteAbelianGroup, g: GroupElement) -> int:
 
 def subgroup_image_order(G: FiniteAbelianGroup, gens) -> int:
     """Order of the subgroup of G generated by gens, elements of G or any
-    coordinate vectors of them."""
+    coordinate vectors of them: |G| over the index of the gens and the
+    d_i*e_i in Z^k, the product of the pivots of their Hermite form
+    modulo |G|."""
     if G.free_rank:
         raise ValueError("subgroup orders require a finite group")
-    if not G.invariant_factors or not gens:
-        return 1
-    n = G.order
-    return n // lattice_index(G.subgroup_lattice(gens), modulus=n)
+    k, n = len(G.invariant_factors), G.order
+    H = hermite_form([list(g) for g in gens] +
+                     [[0] * i + [d] + [0] * (k - 1 - i)
+                      for i, d in enumerate(G.invariant_factors)], k, n)
+    return n // prod(row[j] for j, row in enumerate(H))
 
 
 # ------------------------------------------- decomposition of abstract groups

@@ -23,8 +23,8 @@ from numbers import Rational
 from types import MappingProxyType
 
 from .abgroup import (FiniteAbelianGroup, GroupElement, decompose_abelian,
-                      relation_lattice)
-from .ntheory import (Frozen, InternalCheckError, check_int, extgcd,
+                      hermite_form, relation_lattice)
+from .ntheory import (Frozen, InternalCheckError, check_int,
                       integer, is_squarefree, isprime, legendre, power,
                       quad_mul, sqrt_mod_prime)
 from .padic import vp
@@ -267,10 +267,12 @@ def _real_sign(u: int, v: int, D: int) -> int:
 
 class IntegralIdeal(Frozen):
     """Nonzero integral ideal a*Z + (b + c*w)*Z in HNF: c | a, c | b,
-    0 <= b < a.  Over Q, c = b = 0 and the ideal is (a).  A value, equal to
-    an ideal of the same field and triple; ideals key the tower's entries
-    and the valuations of S-unit products, so the hash, that of (field, a,
-    b, c), is taken once, at construction."""
+    0 <= b < a.  Over Q, c = b = 0 and the ideal is (a).  Products,
+    conjugates and the ideals of elements are read off
+    abgroup.hermite_form modulo the norm (_ideal_of_rows).  A value, equal
+    to an ideal of the same field and triple; ideals key the tower's
+    entries and the valuations of S-unit products, so the hash, that of
+    (field, a, b, c), is taken once, at construction."""
 
     def __init__(self, field, a, b, c):
         if field.is_rational:
@@ -311,13 +313,11 @@ class IntegralIdeal(Frozen):
         _same_field(K, other.field)
         if K.is_rational:
             return IntegralIdeal(K, self.a * other.a, 0, 0)
-        pairs = []
-        for (u1, v1) in ((self.a, 0), (self.b, self.c)):
-            for (u2, v2) in ((other.a, 0), (other.b, other.c)):
-                pairs.append((u1 * u2 - v1 * v2 * K.w_norm,
-                              u1 * v2 + u2 * v1 + v1 * v2 * K.w_trace))
-        a, b, c = _hnf_pairs(pairs)
-        return IntegralIdeal(K, a, b, c)
+        rows = [(u1 * v2 + u2 * v1 + v1 * v2 * K.w_trace,
+                 u1 * u2 - v1 * v2 * K.w_norm)
+                for (u1, v1) in ((self.a, 0), (self.b, self.c))
+                for (u2, v2) in ((other.a, 0), (other.b, other.c))]
+        return _ideal_of_rows(K, rows, self.norm * other.norm)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -331,12 +331,10 @@ class IntegralIdeal(Frozen):
         K = self.field
         if K.is_rational:
             return self
-        pairs = []
-        for (u, v) in ((self.a, 0), (self.b, self.c)):
-            # conj(u + v w) = u + v D - v w
-            pairs.append((u + v * K.w_trace, -v))
-        a, b, c = _hnf_pairs(pairs)
-        return IntegralIdeal(K, a, b, c)
+        # conj(u + v w) = u + v D - v w
+        rows = [(-v, u + v * K.w_trace)
+                for (u, v) in ((self.a, 0), (self.b, self.c))]
+        return _ideal_of_rows(K, rows, self.norm)
 
     def content_and_primitive(self):
         if self.field.is_rational:
@@ -366,8 +364,8 @@ def ideal_from_element(e: FieldElement) -> IntegralIdeal:
         raise ValueError("need a nonzero integral element")
     if K.is_rational:
         return IntegralIdeal(K, abs(u), 0, 0)
-    a, b, c = _hnf_pairs([(u, v), (-v * K.w_norm, u + v * K.w_trace)])
-    return IntegralIdeal(K, a, b, c)
+    return _ideal_of_rows(K, [(v, u), (u + v * K.w_trace, -v * K.w_norm)],
+                          abs(e.numerator_norm()))
 
 
 def rational_ideal(K: RealQuadraticField, n: int) -> IntegralIdeal:
@@ -380,25 +378,15 @@ def rational_ideal(K: RealQuadraticField, n: int) -> IntegralIdeal:
         else IntegralIdeal(K, n, 0, n)
 
 
-def _hnf_pairs(pairs):
-    """HNF (a, b, c) of the Z-module spanned by coordinate pairs (u, v)."""
-    b, c = 0, 0
-    xs = []
-    for (u, v) in pairs:
-        if v == 0:
-            xs.append(u)
-            continue
-        g, s, t = extgcd(c, v)
-        xs.append((v // g) * b - (c // g) * u)
-        b, c = s * b + t * u, g
-    a = 0
-    for x in xs:
-        a = gcd(a, x)
-    if a == 0 or c == 0:
-        raise ValueError("module does not have full rank")
-    a = abs(a)
-    b %= a
-    return a, b, c
+def _ideal_of_rows(K: RealQuadraticField, rows, norm: int) -> IntegralIdeal:
+    """The ideal of `norm` spanned by the elements u + v*w of its rows
+    (v, u): their Hermite form [[c, b], [0, a]] modulo the norm, which the
+    ideal contains, is its triple (a; b; c), and a*c is the norm."""
+    (c, b), (_, a) = hermite_form(rows, 2, norm)
+    if a * c != norm:
+        raise InternalCheckError("ideal of norm %d read as (%d; %d; %d)"
+                                 % (norm, a, b, c))
+    return IntegralIdeal(K, a, b, c)
 
 
 # ----------------------------------------------------------- prime splitting

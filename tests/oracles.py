@@ -11,7 +11,13 @@ Ray class numbers come from the ray class number formula
 The exceptions are earlier forms of library computations kept as their
 references: `unit_image_order_two_snf`, the exact lattice route of the
 subgroup cross-check in `iwasawa.mq_order` (`lattice_intersection`,
-`subgroup_order_from_lattice`), `log_series` with a fresh inverse per
+`subgroup_order_from_lattice`, which reads its index off sympy's Smith
+diagonal, and `subgroup_lattice`, the columns that
+`FiniteAbelianGroup.subgroup_lattice` built), `hnf_pairs`, the 2-column
+Hermite fold of `quadfield`'s ideal arithmetic before it read its triples
+off `abgroup.hermite_form`, with the triples of products, conjugates and
+element ideals on it (`ideal_product_triple`, `ideal_conj_triple`,
+`element_ideal_triple`), `log_series` with a fresh inverse per
 term, before `padic.log_series` kept its inverses in a table, the
 Gauss-Jordan `solve_integral_fractions` over Fraction, the reference for
 the substitution of `quadfield.SUnitBasisData.decompose`,
@@ -90,8 +96,7 @@ from types import MappingProxyType
 import iwasawalab
 from iwasawalab import padic, quadfield, rayclass
 from iwasawalab.abgroup import (FiniteAbelianGroup, GroupElement,
-                                element_order, lattice_index,
-                                smith_presentation,
+                                element_order, smith_presentation,
                                 subgroup_image_order)
 from iwasawalab.classfield import group_G
 from iwasawalab.iwasawa import (FrobeniusModuleReport, LeopoldtReport,
@@ -100,8 +105,8 @@ from iwasawalab.kummer import kummer_rank
 from iwasawalab.localize import (FALSE, INDET, TRUE, RankReport,
                                  SUnitProduct, completions_above_p, loc,
                                  zp_matrix_rank)
-from iwasawalab.ntheory import (InternalCheckError, crt, factorint, isprime,
-                                power, quad_mul)
+from iwasawalab.ntheory import (InternalCheckError, crt, extgcd, factorint,
+                                isprime, power, quad_mul)
 from iwasawalab.padic import (PAdicNumber, PrecisionError, _log_terms_needed,
                               teichmueller)
 from iwasawalab.quadfield import (FieldElement, IntegralIdeal,
@@ -773,14 +778,18 @@ def degree_hom(G) -> list:
 
 def degree_kernel_lattice(G):
     """Lattice (in invariant coordinates) of the classes of a GaloisGroupG
-    with trivial image in the cyclotomic quotient Z/p^N."""
+    with trivial image in the cyclotomic quotient Z/p^N, as the k x m
+    matrix whose columns span it, the form that lattice_intersection and
+    subgroup_order_from_lattice read."""
     if not G.group.invariant_factors:
         return []
-    return solve_congruence_lattice([degree_hom(G)], [G.p**G.N])
+    basis = solve_congruence_lattice([degree_hom(G)], [G.p**G.N])
+    return [list(row) for row in zip(*basis)]
 
 
 def lattice_intersection(B1, B2):
-    """Basis of L1 ∩ L2 for column lattices B1 (n x a), B2 (n x b)."""
+    """Basis of L1 ∩ L2 for column lattices B1 (n x a), B2 (n x b), as the
+    columns of an n x m matrix."""
     n = len(B1)
     a = len(B1[0]) if B1 and B1[0] is not None else 0
     b = len(B2[0]) if B2 and B2[0] is not None else 0
@@ -792,18 +801,77 @@ def lattice_intersection(B1, B2):
         vec = [sum(B1[i][j] * x[j] for j in range(a)) for i in range(n)]
         out.append(vec)
     mat = [[v[i] for v in out] for i in range(n)]
-    return _column_lattice_basis(mat) if out else []
+    return [list(row) for row in zip(*_column_lattice_basis(mat))] \
+        if out else []
+
+
+def subgroup_lattice(G: FiniteAbelianGroup, gens):
+    """Columns spanning the lattice of <gens> + the relation lattice in
+    Z^k, given as rows: the columns that FiniteAbelianGroup.subgroup_lattice
+    built before subgroup_image_order handed its rows to hermite_form."""
+    k = len(G.invariant_factors)
+    cols = list(zip(*gens)) or [()] * k
+    return [list(c) + [0] * i + [d] + [0] * (k - 1 - i) for i, (c, d)
+            in enumerate(zip(cols, G.invariant_factors))]
 
 
 def subgroup_order_from_lattice(G: FiniteAbelianGroup, lattice_cols) -> int:
-    """Order of (L + R)/R for a column lattice L inside Z^k, R the relations."""
+    """Order of (L + R)/R for a column lattice L inside Z^k, R the
+    relations: |G| over the index of L + R, the product of sympy's Smith
+    diagonal of its columns."""
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form
     k = len(G.invariant_factors)
-    cols = [[lattice_cols[i][j] for i in range(k)]
-            for j in range(len(lattice_cols[0]) if lattice_cols else 0)]
-    cols += [[G.invariant_factors[i] if t == i else 0 for i in range(k)]
-             for t in range(k)]
-    B = [[c[i] for c in cols] for i in range(k)]
-    return G.order // lattice_index(B, modulus=G.order)
+    B = [list(row) + [G.invariant_factors[i] if t == i else 0
+                      for t in range(k)]
+         for i, row in enumerate(lattice_cols or [[]] * k)]
+    S = smith_normal_form(Matrix(B), domain=ZZ)
+    return G.order // prod(abs(int(S[i, i])) for i in range(k))
+
+
+def hnf_pairs(pairs):
+    """HNF (a, b, c) of the Z-module spanned by coordinate pairs (u, v),
+    the elements u + v*w: the 2-column fold that quadfield's ideal
+    arithmetic ran before it read its triples off abgroup.hermite_form."""
+    b, c = 0, 0
+    xs = []
+    for (u, v) in pairs:
+        if v == 0:
+            xs.append(u)
+            continue
+        g, s, t = extgcd(c, v)
+        xs.append((v // g) * b - (c // g) * u)
+        b, c = s * b + t * u, g
+    a = 0
+    for x in xs:
+        a = gcd(a, x)
+    if a == 0 or c == 0:
+        raise ValueError("module does not have full rank")
+    a = abs(a)
+    b %= a
+    return a, b, c
+
+
+def ideal_product_triple(I: IntegralIdeal, J: IntegralIdeal) -> tuple:
+    """(a, b, c) of IJ by hnf_pairs on the four products of the bases."""
+    K = I.field
+    return hnf_pairs([(u1 * u2 - v1 * v2 * K.w_norm,
+                       u1 * v2 + u2 * v1 + v1 * v2 * K.w_trace)
+                      for (u1, v1) in ((I.a, 0), (I.b, I.c))
+                      for (u2, v2) in ((J.a, 0), (J.b, J.c))])
+
+
+def ideal_conj_triple(I: IntegralIdeal) -> tuple:
+    """(a, b, c) of the conjugate ideal: conj(u + v w) = u + v D - v w."""
+    K = I.field
+    return hnf_pairs([(u + v * K.w_trace, -v)
+                      for (u, v) in ((I.a, 0), (I.b, I.c))])
+
+
+def element_ideal_triple(e: FieldElement) -> tuple:
+    """(a, b, c) of (e) for integral e = u + v w: the span of e and e w."""
+    K, u, v = e.field, e.a, e.b
+    return hnf_pairs([(u, v), (-v * K.w_norm, u + v * K.w_trace)])
 
 
 def log_series(z0: int, z1: int, t: int, n: int, p: int, A: int):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iwasawalab.abgroup import (smith_normal_form, smith_presentation,
-                                lattice_index, element_order, matrix_rank,
+                                element_order, matrix_rank,
                                 subgroup_image_order, decompose_abelian,
                                 FiniteAbelianGroup, GroupElement,
                                 hermite_form, relation_lattice)
@@ -186,7 +186,7 @@ def test_snf_modulo_determinant_5x5():
         assert gcd(R, *row) == D[i][i]
     # with no modulus R is the last Bareiss pivot, here +-det
     assert smith_normal_form(FOUND_5X5) == (D, U, V)
-    assert lattice_index(FOUND_5X5, modulus=R) == R
+    assert prod(_pivots(hermite_form(list(zip(*FOUND_5X5)), 5, R))) == R
 
 
 def _diagonal_by_minors(A):
@@ -622,9 +622,20 @@ def test_kernel_basis():
     assert len(kernel_basis([[1, 2, 3], [2, 4, 6]])) == 2
 
 
+def _pivots(H):
+    return [row[j] for j, row in enumerate(H)]
+
+
 def test_lattice_index():
-    assert lattice_index([[2, 0], [0, 3]]) == 6
-    assert lattice_index([[1, 0], [0, 1]]) == 1
+    """The index of a lattice is the product of its Hermite pivots modulo
+    any multiple of it, and subgroup_image_order reads it so."""
+    assert hermite_form([[2, 0], [0, 3]], 2, 6) == [[2, 0], [0, 3]]
+    assert hermite_form([[2, 0], [0, 3]], 2, 36) == [[2, 0], [0, 3]]
+    assert hermite_form([[1, 0], [0, 1]], 2, 1) == [[1, 0], [0, 1]]
+    assert hermite_form([[4, 6], [0, 9]], 2, 72) == [[4, 6], [0, 9]]
+    G = smith_presentation([[2, 0], [0, 3]], 2)
+    assert subgroup_image_order(G, [G.element([2])]) == 3
+    assert subgroup_image_order(G, [(2,), (3,)]) == 6
 
 
 def test_snf_refuses_fewer_columns_than_rows_given_a_modulus():
@@ -660,7 +671,48 @@ def test_hermite_form_refuses_a_coordinate_no_row_touches():
     with pytest.raises(ValueError, match="rank below n"):
         hermite_form([[2, 0], [4, 0]], 2, 8)
     with pytest.raises(ValueError, match="rank below n"):
-        lattice_index([[2, 4], [0, 0]], modulus=8)
+        hermite_form([[0, 3], [0, 6], [0, 9]], 2, 9)
+
+
+def test_hermite_form_refuses_a_row_of_the_wrong_length():
+    """A row longer or shorter than n is refused, not cut to n."""
+    with pytest.raises(ValueError, match="length"):
+        hermite_form([[1, 2, 3]], 1, 5)
+    with pytest.raises(ValueError, match="length"):
+        hermite_form([[1, 0], [3]], 2, 5)
+    with pytest.raises(ValueError, match="length"):
+        hermite_form([[1], [0]], 0, 5)
+
+
+def _z2_z12():
+    G = smith_presentation([[4, 0], [0, 6]], 2)
+    assert G.invariant_factors == (2, 12)
+    return G
+
+
+def test_subgroup_image_order_refuses_coordinates_of_the_wrong_length():
+    G = _z2_z12()
+    for gens in ([(0,)], [(1, 1, 5)], [(0, 1), (1,)]):
+        with pytest.raises(ValueError, match="length"):
+            subgroup_image_order(G, gens)
+    assert subgroup_image_order(G, [(0, 1)]) == 12
+    assert subgroup_image_order(G, [(1, 0), (0, 3)]) == 8
+
+
+def test_element_refuses_coordinates_of_the_wrong_length():
+    G = _z2_z12()
+    for coords in ((), (1,), (1, 1, 5)):
+        with pytest.raises(ValueError, match="length"):
+            G.element(coords)
+    assert G.element((3, -1)).coords == (1, 11)
+
+
+def test_element_order_refuses_coordinates_of_the_wrong_length():
+    G = _z2_z12()
+    for coords in ((1,), (1, 1, 5)):
+        with pytest.raises(ValueError, match="length"):
+            element_order(G, GroupElement(coords))
+    assert element_order(G, GroupElement((1, 2))) == 6
 
 
 @functools.lru_cache(maxsize=None)
@@ -683,39 +735,76 @@ def _hermite_grid(count=200, seed=53):
     return cases
 
 
+def _trim_cases(count=40, seed=54):
+    """(rows, D) on which each trim of hermite_form decides the answer:
+    n = 0 and n = 1, where the last column is the whole form; rows whose
+    entry the pivot divides, with more in the later columns; and the shape
+    of RayClassTower.p_level, diagonal rows o_i e_i, most o_i prime to p,
+    under relation rows, modulo a power of p."""
+    cases = [([], 5), ([[], []], 7), ([[6]], 4), ([[6], [-10], [15]], 60),
+             ([[0], [3]], 9), ([[4], [6]], 8), ([[7]], 1),
+             ([[1, 1], [2, 0]], 4), ([[1, 2, 3], [2, 0, 1], [5, 7, 0]], 18),
+             ([[2, 3, 1], [4, 0, 5], [6, 1, 0], [8, 8, 8]], 48),
+             ([[3, 1], [9, 0], [6, 2]], 27)]
+    rng = random.Random(seed)
+    while len(cases) < count:
+        p = rng.choice((2, 3, 5))
+        n, D = rng.randint(2, 7), p**rng.randint(2, 9)
+        diag = [[0] * i + [rng.choice((1, 2, 7, 11, 13, p, p * p))] +
+                [0] * (n - 1 - i) for i in range(n)]
+        rels = [[rng.randrange(D) for _ in range(n)]
+                for _ in range(rng.randint(0, 4))]
+        cases.append((diag + rels, D))
+    return cases
+
+
 def test_hermite_form_against_sympy():
     """hermite_form, modulo a multiple D of the index, equals sympy's
     hermite_normal_form on a seeded grid up to 8 x 9 with entries up to
-    2^16.  Sympy's form is the column-style one (Cohen, GTM 138, Alg.
-    2.4.5): on the coordinates in reverse order, with the rows as columns,
-    it is the transpose of the row-style form read backwards."""
+    2^16; and on the cases of _trim_cases, modulo any D, it equals sympy's
+    form of the rows stacked on D*Z^n.  Sympy's form is the column-style
+    one (Cohen, GTM 138, Alg. 2.4.5): on the coordinates in reverse order,
+    with the rows as columns, it is the transpose of the row-style form
+    read backwards."""
     pytest.importorskip("sympy")
     from sympy import Matrix
     from sympy.matrices.normalforms import hermite_normal_form
+
+    def sympy_form(rows, n):
+        W = hermite_normal_form(Matrix([r[::-1] for r in rows]).T)
+        return [[int(W[n - 1 - j, n - 1 - i]) for j in range(n)]
+                for i in range(n)]
+
     for k, rows in enumerate(_hermite_grid()):
         n = len(rows[0])
-        W = hermite_normal_form(Matrix([r[::-1] for r in rows]).T)
-        index = prod(int(W[i, i]) for i in range(n))
+        index = prod(_pivots(sympy_form(rows, n)))
         H = hermite_form(rows, n, index * (1 + k % 5))
-        assert H == [[int(W[n - 1 - j, n - 1 - i]) for j in range(n)]
-                     for i in range(n)], rows
+        assert H == sympy_form(rows, n), rows
+    for rows, D in _trim_cases():
+        n = len(rows[0]) if rows else 0
+        full = rows + [[D if j == i else 0 for j in range(n)]
+                       for i in range(n)]
+        expected = sympy_form(full, n) if n else []
+        assert hermite_form(rows, n, D) == expected, (rows, D)
 
 
 def test_lattice_index_is_the_product_of_the_smith_diagonal():
-    """lattice_index, with no modulus and modulo a multiple of the index,
-    is the product of sympy's Smith diagonal on the same grid.  (The exact
-    elimination oracles.exact_smith_form does not return on most of it:
-    from 3 x 6 up, its entries blow up.)"""
+    """The product of the Hermite pivots, modulo a multiple of the index,
+    is the product of sympy's Smith diagonal on the same grid, and
+    subgroup_image_order of the rows in (Z/2D)^n is (2D)^n over the index.
+    (The exact elimination oracles.exact_smith_form does not return on
+    most of it: from 3 x 6 up, its entries blow up.)"""
     pytest.importorskip("sympy")
     from sympy import Matrix, ZZ
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
     for k, rows in enumerate(_hermite_grid()):
         n = len(rows[0])
-        B = [list(c) for c in zip(*rows)]
-        S = sympy_snf(Matrix(B), domain=ZZ)
+        S = sympy_snf(Matrix(rows), domain=ZZ)
         index = prod(abs(int(S[i, i])) for i in range(n))
-        assert lattice_index(B) == index
-        assert lattice_index(B, modulus=index * (1 + k % 7)) == index
+        D = index * (1 + k % 7)
+        assert prod(_pivots(hermite_form(rows, n, D))) == index
+        G = FiniteAbelianGroup([2 * D] * n)
+        assert subgroup_image_order(G, rows) == (2 * D)**n // index
 
 
 def test_lattice_intersection():
@@ -723,7 +812,7 @@ def test_lattice_intersection():
     B1 = [[2, 0], [0, 1]]
     B2 = [[1, 0], [0, 3]]
     I = lattice_intersection(B1, B2)
-    assert lattice_index([[I[0][0], I[0][1]], [I[1][0], I[1][1]]]) == 6
+    assert hermite_form(list(zip(*I)), 2, 6) == [[2, 0], [0, 3]]
 
 
 def test_subgroup_order_from_lattice():
@@ -851,9 +940,11 @@ def test_relation_lattice_against_congruence_oracle():
                        for t, d in enumerate(orders)), (coords, orders, w)
         ref = solve_congruence_lattice([[c[t] for c in coords]
                                         for t in range(k)], orders)
-        index = lattice_index([[w[i] for w in rows] for i in range(n)])
-        assert index == lattice_index([[b[i] for b in ref]
-                                       for i in range(n)])
+        # both lattices hold |G|*Z^n, so they are equal exactly when their
+        # Hermite forms modulo |G| are
+        H = hermite_form(rows, n, prod(orders))
+        assert H == hermite_form(ref, n, prod(orders))
+        index = prod(_pivots(H))
         span = {(0,) * k}
         for c in coords:
             while True:

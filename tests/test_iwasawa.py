@@ -32,7 +32,8 @@ from oracles import (angle_log, count_builds, degree_hom,
                      leopoldt_defect_square_exponent,
                      mq_generator_log_route, mq_order_log_route,
                      rounded_degree_zero_log_route,
-                     sqrt_pair, subgroup_order_from_lattice)
+                     sqrt_pair, subgroup_lattice,
+                     subgroup_order_from_lattice)
 
 QQ = RealQuadraticField.rationals()
 Q2 = RealQuadraticField(2)
@@ -236,7 +237,7 @@ def test_degree_zero_count_matches_lattice_route(d, p, s1, s2, N):
         degs = [sum(c * f for c, f in zip(hom, F)) for F in (F1, F2)]
         count = subgroup_image_order(G.group, [F1, F2]) // \
             (pL // gcd(pL, *degs))
-        S = G.group.subgroup_lattice([F1, F2])
+        S = subgroup_lattice(G.group, [F1, F2])
         inter = lattice_intersection(S, degree_kernel_lattice(G))
         assert L >= v1
         assert count == subgroup_order_from_lattice(G.group, inter) == order

@@ -30,8 +30,9 @@ from iwasawalab.kummer import construct_alpha, kummer_rank
 from iwasawalab.localize import completions_above_p
 from iwasawalab.rayclass import ray_class_group
 
-from oracles import (class_number_formula, compare_real, empty_memos,
-                     fundamental_unit_oracle, group_identity, kronecker,
+from oracles import (class_number_formula, compare_real, element_ideal_triple,
+                     empty_memos, fundamental_unit_oracle, group_identity,
+                     ideal_conj_triple, ideal_product_triple, kronecker,
                      pell_sign, real_sign, reduced_forms, reduced_pairs_scan,
                      s_unit_basis, solve_integral_fractions, sqrt_pair,
                      squarefree, wide_class_number_oracle)
@@ -220,6 +221,36 @@ def test_ideal_power_is_repeated_product():
                 for k in range(6):
                     assert q**k == prod, (d, ell, k)
                     prod = prod * q
+
+
+def test_ideal_arithmetic_against_hnf_pairs():
+    """Products, powers, conjugates and the ideals of elements, read off
+    abgroup.hermite_form modulo the norm, are the triples of the reference
+    2-column fold oracles.hnf_pairs on 80 seeded squarefree d < 3000 and
+    the primes above 2, 3, 5, 7, 11 and 13; and N(IJ) = N(I)N(J),
+    N(conj I) = N(I) and N((e)) = |N(e)|."""
+    rng = random.Random(54)
+    for d in rng.sample([d for d in range(2, 3000) if squarefree(d)], 80):
+        K = RealQuadraticField(d)
+        primes = [q for ell in (2, 3, 5, 7, 11, 13)
+                  for q in prime_ideals_above(K, ell)]
+        pool = primes + [rng.choice(primes) * rng.choice(primes)
+                         for _ in range(4)]
+        for _ in range(6):
+            I, J = rng.choice(pool), rng.choice(pool)
+            IJ, Ic = I * J, I.conj()
+            assert (IJ.a, IJ.b, IJ.c) == ideal_product_triple(I, J), (d, I, J)
+            assert (Ic.a, Ic.b, Ic.c) == ideal_conj_triple(I), (d, I)
+            assert IJ.norm == I.norm * J.norm and Ic.norm == I.norm
+            power = I
+            for k in range(2, 5):
+                power = IntegralIdeal(K, *ideal_product_triple(power, I))
+                assert I**k == power, (d, I, k)
+            u, v = rng.randint(-60, 60), rng.choice((0, rng.randint(-9, 9)))
+            e = K.element(u or 1, v)
+            E = ideal_from_element(e)
+            assert (E.a, E.b, E.c) == element_ideal_triple(e), (d, e)
+            assert E.norm == abs(e.numerator_norm())
 
 
 # ------------------------------------------------------------- class groups
@@ -927,10 +958,11 @@ def test_s_unit_lattice_d10_interacting_classes():
     q3 = factor_rational_prime(K, 3).ideals[0]
     # both classes are the nontrivial element of Z/2
     data = SUnitBasisData(K, [q2, q3])
-    # index of the kernel lattice in Z^2 must be 2
-    from iwasawalab.abgroup import lattice_index
-    B = [[data.lattice[j][i] for j in range(2)] for i in range(2)]
-    assert lattice_index(B) == 2
+    # index of the kernel lattice in Z^2 must be 2: the product of its
+    # Hermite pivots modulo 4, so that an index of 1, 2 or 4 reads as itself
+    from iwasawalab.abgroup import hermite_form
+    H = hermite_form(data.lattice, 2, 4)
+    assert H[0][0] * H[1][1] == 2
     for entry in data.entries:
         if entry.kind == "lattice":
             for q, w in zip(data.primes, [entry.valuations.get(q, 0)

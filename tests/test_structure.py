@@ -27,6 +27,9 @@
   comes in or where a field element is read back as rational coordinates;
 - no definition, import or binding of a name of REFERENCE_ONLY, whose
   definitions live in `tests/oracles.py` as the tests' reference.
+- no reader of `ntheory.extgcd` but those of EXTGCD_READERS, the one
+  Hermite kernel `abgroup.hermite_form`: a second Hermite fold, such as
+  the 2-column one that quadfield's ideals once ran, would read it.
 - no module-level or class-level binding of a mutable container (a
   display, a comprehension or a `dict()`, `list()` or `set()` call) but
   those of MUTABLE_BINDINGS: a memo table is a `functools.lru_cache`, which
@@ -90,7 +93,8 @@ REFERENCE_ONLY = {
     "angle_log", "solve_dlog", "s_unit_basis", "inertia_rank",
     "same_kummer_extension", "degree_zero_pair_element", "kernel_basis",
     "_column_lattice_basis", "solve_congruence_lattice",
-    "degree_kernel_lattice", "exact_smith_form",
+    "degree_kernel_lattice", "exact_smith_form", "hnf_pairs",
+    "subgroup_lattice",
 }
 
 # the modules of src/ that compute on p-adic numbers, and so may take from
@@ -132,6 +136,10 @@ DUNDERS_NOT_CALLED_FROM_SRC = {
                     "refuses to change a value type, which no src/ code "
                     "tries"),
 }
+
+# module.function of each reader of ntheory.extgcd in src/: the one
+# Hermite kernel, whose extended gcds every lattice of src/ goes through
+EXTGCD_READERS = {"abgroup.hermite_form"}
 
 # module.function of each memo table of src/: the per-field class groups,
 # the log-series inverses, the record of each log<n> of (n, p), log(1+p)
@@ -270,6 +278,27 @@ def _references(tree):
                 for t in node.targets):
             for elt in node.value.elts:
                 yield "name", elt.value, elt
+
+
+def test_extgcd_is_read_by_the_hermite_kernel_alone():
+    """Each load of `extgcd`, or of a name it is imported as, and each
+    `.extgcd` attribute in `src/` lies in a function of EXTGCD_READERS,
+    named by the module and the function or method around it (the module
+    alone outside them, or in a dunder method)."""
+    readers = set()
+    for name, tree in _trees():
+        names = {"extgcd"} | {alias.asname for node in ast.walk(tree)
+                              if isinstance(node, ast.ImportFrom)
+                              for alias in node.names
+                              if alias.name == "extgcd" and alias.asname}
+        scopes = [(qualname, {id(n) for n in ast.walk(node)})
+                  for qualname, node in _definitions(tree)
+                  if not isinstance(node, ast.ClassDef)]
+        for _, n, ref in _references(tree):
+            if n in names and isinstance(ref, (ast.Name, ast.Attribute)):
+                around = [q for q, inside in scopes if id(ref) in inside]
+                readers.add(".".join([name[:-3]] + around[-1:]))
+    assert readers == EXTGCD_READERS
 
 
 def test_every_definition_is_named_elsewhere():
@@ -671,6 +700,9 @@ def test_exports_are_the_imports_of_init():
      "def test_f():\n    with pytest.raises(ValueError):\n"
      "        raise ValueError\n",
      test_no_unused_import_in_tests),
+    ("from .ntheory import extgcd as bezout\n\n\nclass Ideal:\n"
+     "    def fold(self, a, b):\n        return bezout(a, b)\n",
+     test_extgcd_is_read_by_the_hermite_kernel_alone),
     ("from functools import lru_cache\n\n\n@lru_cache(maxsize=None)\n"
      "def table(n):\n    return n\n",
      test_every_lru_cache_has_a_finite_maxsize),
