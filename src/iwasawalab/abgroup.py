@@ -204,11 +204,10 @@ def hermite_form(rows, n: int, D: int):
     pivots h_j = H[j][j] are positive, each dividing D, with 0 <= H[i][j] <
     h_j above each pivot, so that H is a function of the lattice alone
     (Cohen, GTM 138, sec. 2.4.2; Domich, Kannan & Trotter, Math. Oper. Res.
-    12, 1987).  Row j of H starts as D*e_j and takes in each row in turn on
-    column j: a row whose entry there the pivot divides loses that multiple
-    of the pivot, and any other row goes through an extended gcd, the row
-    keeping the combination that is 0 there.  The last column needs no
-    row: the pivot is the gcd of D and what the rows have left there.
+    12, 1987).  Row j of H starts as D*e_j and takes in each row left by an
+    extended gcd on column j, the row keeping the combination that is 0
+    there.  The last column needs no Bezout row: its pivot is the gcd of D
+    and what the rows have left there, as they are 0 modulo D off it.
     Every entry is kept modulo D, as D*e_k lies in the lattice.  The
     product of the pivots is the index of the lattice.  A row whose length
     is not n is refused.  The rows must span a lattice of full rank n:
@@ -219,25 +218,23 @@ def hermite_form(rows, n: int, D: int):
     if len(rows) < n or not all(map(any, zip(*rows))):
         raise ValueError("the rows have rank below n")
     H, rows = [], list(rows)
-    for j in range(n):
+    for j in range(n - 1):
         pivot = [0] * j + [D] + [0] * (n - 1 - j)
-        if j == n - 1:  # rows are 0 mod D off this column: a gcd
-            pivot[j] = gcd(D, *(r[j] for r in rows))
-            rows = []
         for k, r in enumerate(rows):
             a, b = pivot[j], r[j] % D
-            if not b:
-                continue
-            if b % a:
+            if b:
                 g, s, t = extgcd(a, b)
                 pivot, rows[k] = (
                     [(s * x + t * y) % D for x, y in zip(pivot, r)],
                     [(b // g * x - a // g * y) % D for x, y in zip(pivot, r)])
-            else:
-                rows[k] = [(y - b // a * x) % D for x, y in zip(pivot, r)]
         for i, row in enumerate(H):  # reduce above the pivot
             H[i] = [x - row[j] // pivot[j] * y for x, y in zip(row, pivot)]
         H.append(pivot)
+    if n:  # the rows are 0 mod D off the last column: its pivot is a gcd
+        h = gcd(D, *(r[-1] for r in rows))
+        for row in H:
+            row[-1] %= h
+        H.append([0] * (n - 1) + [h])
     return H
 
 

@@ -735,11 +735,11 @@ def _hermite_grid(count=200, seed=53):
     return cases
 
 
-def _trim_cases(count=40, seed=54):
-    """(rows, D) on which each trim of hermite_form decides the answer:
-    n = 0 and n = 1, where the last column is the whole form; rows whose
-    entry the pivot divides, with more in the later columns; and the shape
-    of RayClassTower.p_level, diagonal rows o_i e_i, most o_i prime to p,
+def _edge_cases(count=40, seed=54):
+    """(rows, D) at the edges of hermite_form: n = 0 and n = 1, where the
+    gcd of the last column is the whole form; rows whose entry the pivot
+    divides, with more in the later columns; and the shape of
+    RayClassTower.p_level, diagonal rows o_i e_i, most o_i prime to p,
     under relation rows, modulo a power of p."""
     cases = [([], 5), ([[], []], 7), ([[6]], 4), ([[6], [-10], [15]], 60),
              ([[0], [3]], 9), ([[4], [6]], 8), ([[7]], 1),
@@ -761,7 +761,7 @@ def _trim_cases(count=40, seed=54):
 def test_hermite_form_against_sympy():
     """hermite_form, modulo a multiple D of the index, equals sympy's
     hermite_normal_form on a seeded grid up to 8 x 9 with entries up to
-    2^16; and on the cases of _trim_cases, modulo any D, it equals sympy's
+    2^16; and on the cases of _edge_cases, modulo any D, it equals sympy's
     form of the rows stacked on D*Z^n.  Sympy's form is the column-style
     one (Cohen, GTM 138, Alg. 2.4.5): on the coordinates in reverse order,
     with the rows as columns, it is the transpose of the row-style form
@@ -780,7 +780,7 @@ def test_hermite_form_against_sympy():
         index = prod(_pivots(sympy_form(rows, n)))
         H = hermite_form(rows, n, index * (1 + k % 5))
         assert H == sympy_form(rows, n), rows
-    for rows, D in _trim_cases():
+    for rows, D in _edge_cases():
         n = len(rows[0]) if rows else 0
         full = rows + [[D if j == i else 0 for j in range(n)]
                        for i in range(n)]
@@ -812,7 +812,10 @@ def test_lattice_intersection():
     B1 = [[2, 0], [0, 1]]
     B2 = [[1, 0], [0, 3]]
     I = lattice_intersection(B1, B2)
-    assert hermite_form(list(zip(*I)), 2, 6) == [[2, 0], [0, 3]]
+    # modulo |Delta|, a nonzero 2 x 2 minor, the form is the lattice's own
+    r, R = matrix_rank(list(zip(*I)))
+    assert r == 2
+    assert hermite_form(list(zip(*I)), 2, R) == [[2, 0], [0, 3]]
 
 
 def test_subgroup_order_from_lattice():

@@ -959,9 +959,12 @@ def test_s_unit_lattice_d10_interacting_classes():
     # both classes are the nontrivial element of Z/2
     data = SUnitBasisData(K, [q2, q3])
     # index of the kernel lattice in Z^2 must be 2: the product of its
-    # Hermite pivots modulo 4, so that an index of 1, 2 or 4 reads as itself
-    from iwasawalab.abgroup import hermite_form
-    H = hermite_form(data.lattice, 2, 4)
+    # Hermite pivots modulo |Delta|, a nonzero 2 x 2 minor and so a
+    # multiple of the index, which makes the form exact
+    from iwasawalab.abgroup import hermite_form, matrix_rank
+    r, R = matrix_rank(data.lattice)
+    assert r == 2
+    H = hermite_form(data.lattice, 2, R)
     assert H[0][0] * H[1][1] == 2
     for entry in data.entries:
         if entry.kind == "lattice":
