@@ -7,20 +7,21 @@ element orders, subgroup image orders, group decompositions and the
 relation lattices of elements given by their coordinates.
 
 All matrices are lists of rows of Python ints.  There are two bounded
-integer-matrix kernels.  smith_normal_form works modulo R: a known
-multiple of the index, or |Delta|, a nonzero maximal minor that the
-fraction-free pass of matrix_rank gives, at most Hadamard's bound, squared
-when the rank is below n.  No entry of its U exceeds R/2 in absolute
-value, and its invariant factors are exact all the same.  hermite_form
-gives the one Hermite basis of a lattice plus D*Z^n, modulo D: it depends
-on the lattice alone, so coordinates read through it do not move with a
-choice of basis (rayclass.RayClassTower.p_level), and an index is the
-product of its pivots (subgroup_image_order).  It is the one Hermite
-kernel of the package: the ideals of quadfield are its 2-column forms.
-Given a modulus, both refuse an input whose rank is visibly below n, and
-hermite_form, element and element_order refuse coordinates of the wrong
-length.  The relations of decompose_abelian and relation_lattice come out
-triangular from one table walk and need no solver.
+integer-matrix kernels, each modulo a known multiple of an index.
+smith_normal_form works modulo R, a positive multiple of the index of a
+full-rank lattice, so every group it presents is finite; no entry of its
+U exceeds R/2 in absolute value, and its invariant factors are exact all
+the same.  hermite_form gives the one Hermite basis of a lattice plus
+D*Z^n, modulo D: it depends on the lattice alone, so coordinates read
+through it do not move with a choice of basis
+(rayclass.RayClassTower.p_level), and an index is the product of its
+pivots (subgroup_image_order).  It is the one Hermite kernel of the
+package: the ideals of quadfield are its 2-column forms.  Both refuse an
+input whose rank is visibly below n, and hermite_form, element and
+element_order refuse coordinates of the wrong length.  matrix_rank, one
+fraction-free pass, gives the rank of an integer matrix.  The relations
+of decompose_abelian and relation_lattice come out triangular from one
+table walk and need no solver.
 """
 
 from __future__ import annotations
@@ -33,13 +34,11 @@ from .ntheory import Frozen, InternalCheckError, extgcd
 
 # ------------------------------------------------------------- integer matrices
 
-def matrix_rank(A):
-    """(r, |Delta|): the rank r of an integer matrix and the absolute value
-    of Delta, the last pivot of its fraction-free (Bareiss) elimination, a
-    nonzero r x r minor of A (1 when r = 0).  After pivot t every entry left
-    is a (t+1)x(t+1) minor of A, divided exactly by the previous pivot, so
-    no entry exceeds Hadamard's bound on the minors of A (Bareiss, Math.
-    Comp. 22, 1968)."""
+def matrix_rank(A) -> int:
+    """The rank of an integer matrix, by one fraction-free (Bareiss)
+    elimination: after pivot t every entry left is a (t+1)x(t+1) minor of
+    A, divided exactly by the previous pivot, so no entry exceeds
+    Hadamard's bound on the minors of A (Bareiss, Math. Comp. 22, 1968)."""
     rows = [list(r) for r in A if any(r)]
     rank, prev = 0, 1
     for j in range(len(rows[0]) if rows else 0):
@@ -54,41 +53,32 @@ def matrix_rank(A):
             rows[i] = [(a * x - b * y) // prev for x, y in zip(rows[i], top)]
         prev = a
         rank += 1
-    return rank, abs(prev)
+    return rank
 
 
-def smith_normal_form(A, *, modulus=0):
+def smith_normal_form(A, *, modulus):
     """Smith normal form by row transform, modulo R: (D, U, []) with D
-    diagonal, d_1 | d_2 | ... >= 0, and D = U*A*V modulo R for a V that is
+    diagonal, d_1 | d_2 | ... >= 1, and D = U*A*V modulo R for a V that is
     never formed.  The third entry is always [], for callers that unpack a
     triple.
 
-    R is `modulus`, a multiple of the index of the column lattice L of A,
-    which must then have full rank n: fewer than n columns, or a row of
-    zeros, is refused, and the rest of that contract is the caller's.
-    With no modulus, the rank r and
-    |Delta| come from matrix_rank, and R is |Delta|, squared if r < n.
-    Either way d_1 * ... * d_r divides |Delta| (it divides every r x r
-    minor), so Z^n/(L + R*Z^n) is T + (Z/R)^(n-r), T the torsion of Z^n/L,
-    and working modulo R loses nothing (Kannan & Bachem, SIAM J. Comput.
-    8, 1979; Domich, Kannan & Trotter, Math. Oper. Res. 12, 1987).  The
-    square keeps the torsion rows of U injective on T: a t in T that they
-    send to 0 lies in the d_r-torsion of (Z/R)^(n-r), inside |Delta| times
-    it, and |Delta|*Z^n + L meets T in 0.  Modulo |Delta| alone, Z^2 modulo
-    (0, 2) would read (0, 1) as 0.  Each row and column operation reduces
-    the entries of D and U into (-R/2, R/2], and |Delta| is at most
-    Hadamard's bound.  The diagonal of D ends as d_i for i < r and as 0
-    from r on.  U is invertible modulo R, not unimodular, and row i of U*A
-    has gcd(R, row) = d_i for i < r; its rows past the rank need not span
-    {x : x*A = 0}.
+    R is `modulus`, a positive int and a multiple of the index of the
+    column lattice L of A, which must have full rank n: a modulus below 1
+    or not an int, fewer than n columns, or a row of zeros, is refused, and
+    the rest of that contract is the caller's.  Then Z^n/L = Z^n/(L +
+    R*Z^n), so working modulo R loses nothing (Kannan & Bachem, SIAM J.
+    Comput. 8, 1979; Domich, Kannan & Trotter, Math. Oper. Res. 12, 1987).
+    Each row and column operation reduces the entries of D and U into
+    (-R/2, R/2], and each d_i is read as gcd(D_ii, R).  U is invertible
+    modulo R, not unimodular, and row i of U*A has gcd(R, row) = d_i.
     """
+    if not isinstance(modulus, int) or modulus < 1:
+        raise ValueError("the modulus must be a positive int")
     n = len(A)
     m = len(A[0]) if n else 0
-    if modulus and (m < n or not all(map(any, A))):
+    if m < n or not all(map(any, A)):
         raise ValueError("the columns have rank below n")
-    r, R = (n, modulus) if modulus else matrix_rank(A)
-    if r < n:  # keep the torsion rows faithful: see the docstring
-        R *= R
+    R = modulus
     h = R // 2
 
     def comb(x, y, q):  # x - q*y, reduced into (h - R, h]
@@ -128,7 +118,7 @@ def smith_normal_form(A, *, modulus=0):
         return best
 
     t = 0
-    while t < min(n, m):
+    while t < n:
         pos = pivot_at(t)
         if pos is None:
             break
@@ -163,7 +153,7 @@ def smith_normal_form(A, *, modulus=0):
         t += 1
 
     # the nonzero pivots lead; a zero one is d_i = 0 modulo R
-    k = sum(1 for i in range(min(n, m)) if D[i][i] != 0)
+    k = sum(1 for i in range(n) if D[i][i] != 0)
     # sign normalization
     for i in range(k):
         if D[i][i] < 0:
@@ -193,8 +183,8 @@ def smith_normal_form(A, *, modulus=0):
                     negate_row(i)
                 if D[i + 1][i + 1] < 0:
                     negate_row(i + 1)
-    for i in range(min(n, m)):
-        D[i][i] = gcd(D[i][i], R) if i < r else 0
+    for i in range(n):
+        D[i][i] = gcd(D[i][i], R)
     return D, U, []
 
 
@@ -259,29 +249,27 @@ class GroupElement(Frozen):
 
 
 class FiniteAbelianGroup:
-    """Z^n modulo a relation lattice, held as its Smith form D = U*A*V:
-    `diag`, the diagonal of D (d_1 | d_2 | ..., 0 for a free coordinate),
-    and `transform`, all n rows of U.  Coordinate i of an ambient vector x
-    is (U*x)_i mod d_i; the d_i > 1 are the `invariant_factors`, and the 0s
-    count the free_rank.  U is reduced modulo the R of its Smith form,
-    not unimodular, but its torsion rows map the torsion subgroup onto
-    the torsion coordinates isomorphically.  The p-part of a finite group is the
-    record over the same U with diagonal p^v_p(d_i).  With `diag` alone it
-    is Z/d_1 x ... x Z/d_k with no presentation, its elements built by
-    `element`."""
+    """Z^n modulo a relation lattice of full rank, held as its Smith form
+    D = U*A*V: `diag`, the diagonal of D (d_1 | d_2 | ..., an entry below
+    1 refused), and `transform`, all n rows of U.  Coordinate i of an
+    ambient vector x is (U*x)_i mod d_i; the d_i > 1 are the
+    `invariant_factors`.  U is reduced modulo the R of its Smith form, not
+    unimodular, but invertible modulo R, so these coordinates map the
+    group isomorphically.  The p-part is the record over the same U with
+    diagonal p^v_p(d_i).  With `diag` alone it is Z/d_1 x ... x Z/d_k with
+    no presentation, its elements built by `element`."""
 
     def __init__(self, diag, transform=None):
+        if min(diag, default=1) < 1:
+            raise ValueError("a diagonal entry below 1")
         self.diag = diag
         self.transform = [] if transform is None else transform
         self.invariant_factors = tuple(d for d in diag if d > 1)
-        self.free_rank = diag.count(0)
         self._torsion_rows = [u for u, d in zip(self.transform, diag)
                               if d > 1]
 
     @property
     def order(self) -> int:
-        if self.free_rank:
-            raise ValueError("infinite group has no order")
         return prod(self.invariant_factors)
 
     def element(self, coords) -> GroupElement:
@@ -304,12 +292,11 @@ class FiniteAbelianGroup:
 
 
 def smith_presentation(relations, ambient_rank: int, *,
-                       modulus=0) -> FiniteAbelianGroup:
+                       modulus) -> FiniteAbelianGroup:
     """Group presented by Z^ambient_rank modulo the rows of `relations`:
-    one smith_normal_form, modulo `modulus`, a known multiple of the group
-    order, or modulo |Delta| of the relations when none is given, squared
-    when the group is infinite (1 with no relations, so that the group
-    comes out free)."""
+    one smith_normal_form, modulo `modulus`, a positive multiple of the
+    group order.  The relations must span a lattice of full rank, so the
+    group is finite; its contract is that of smith_normal_form."""
     rows = [list(r) for r in relations]
     for r in rows:
         if len(r) != ambient_rank:
@@ -317,9 +304,7 @@ def smith_presentation(relations, ambient_rank: int, *,
     # columns of R^T span the relation lattice
     A = [[rows[i][j] for i in range(len(rows))] for j in range(ambient_rank)]
     D, U, _ = smith_normal_form(A, modulus=modulus)
-    diag = [D[i][i] if i < (len(D[0]) if D else 0) else 0
-            for i in range(ambient_rank)]
-    return FiniteAbelianGroup(diag, U)
+    return FiniteAbelianGroup([D[i][i] for i in range(ambient_rank)], U)
 
 
 # ----------------------------------------------------------------- operations
@@ -339,8 +324,6 @@ def subgroup_image_order(G: FiniteAbelianGroup, gens) -> int:
     coordinate vectors of them: |G| over the index of the gens and the
     d_i*e_i in Z^k, the product of the pivots of their Hermite form
     modulo |G|."""
-    if G.free_rank:
-        raise ValueError("subgroup orders require a finite group")
     k, n = len(G.invariant_factors), G.order
     H = hermite_form([list(g) for g in gens] +
                      [[0] * i + [d] + [0] * (k - 1 - i)

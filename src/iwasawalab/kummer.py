@@ -297,7 +297,7 @@ def kummer_rank(T, K: RealQuadraticField, p: int) -> RankReport:
         # drop the torsion sign; the Z_p-rank of an integer matrix is its
         # rank
         return RankReport(matrix_rank([data.decompose(t)[1:]
-                                       for t in T])[0], True)
+                                       for t in T]), True)
     if all(isinstance(t, SUnitProduct) for t in T):
         entries = T[0].entries
         for t in T:

@@ -184,7 +184,7 @@ class _Component:
     def __init__(self, K, q, ell, e):
         self.field, self.q, self.ell, self.e = K, q, ell, e
 
-    # subclasses define: one, mul, reduce, gens, orders, dlog, norm_int
+    # subclasses define: reduce, gens, orders, dlog, norm_int
 
     def minus_one_dlog(self) -> list:
         """dlog(-1) from the generator orders (see the module docstring);
@@ -203,7 +203,6 @@ class RationalComponent(_Component):
         super().__init__(K, q, ell, e)
         self.mod = ell**e
         self.root = root  # image of w, for split and ramified components
-        self.one = 1 % self.mod
         if ell == 2:
             if e == 1:
                 self.gens, self.orders = [], []
@@ -226,9 +225,6 @@ class RationalComponent(_Component):
                 lg = log_series(pow(g, ell - 1, self.mod) - 1, 0, 0, 0,
                                 ell, e)[0]
                 self._log_gen_inv = pow(lg // ell, -1, ell**(e - 1))
-
-    def mul(self, a, b):
-        return a * b % self.mod
 
     def reduce(self, x: FieldElement):
         if self.root is None and x.b:

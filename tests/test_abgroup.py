@@ -55,43 +55,63 @@ small_matrix = st.lists(
     min_size=1, max_size=4).filter(lambda rows: len({len(r) for r in rows}) == 1)
 
 
-def _working_modulus(A):
-    """(r, R) for smith_normal_form with no modulus: the rank r of A and
-    R = |Delta| of matrix_rank when r = n, its square when r < n."""
-    r, R = matrix_rank(A)
-    return r, (R if r == len(A) else R * R)
+def _full_rank_modulus(A):
+    """|Delta|, the absolute value of the first nonzero n x n minor of the
+    n x m matrix A, its columns taken in lexicographic order: a multiple of
+    the index of its column lattice, which has full rank n exactly when
+    there is one; None when there is none."""
+    n, m = len(A), len(A[0]) if A else 0
+    for cols in itertools.combinations(range(m), n):
+        minor = abs(int(det([[row[j] for j in cols] for row in A])))
+        if minor:
+            return minor
+    return None
 
 
-def _check_row_transform(A, D, U):
-    """D is the Smith form of A modulo R, R of _working_modulus, and U its
-    row transform: the diagonal is sympy's, a nonnegative divisibility
-    chain whose product up to the rank r divides R, zero from r on; U is
-    invertible modulo R with no entry above R/2 in absolute value;
-    gcd(R, row i of U*A) is d_i for i < r and R past it."""
+def _visibly_deficient(A):
+    """Fewer columns than rows, or a row of zeros: the rank of A is below
+    its row count at a glance, and smith_normal_form refuses it."""
+    return len(A[0]) < len(A) or not all(map(any, A))
+
+
+def _check_row_transform(A, D, U, R):
+    """D is the Smith form of A modulo R, a multiple of the index of its
+    column lattice, and U its row transform: the diagonal is sympy's, a
+    positive divisibility chain whose product divides R; U is invertible
+    modulo R with no entry above R/2 in absolute value; gcd(R, row i of
+    U*A) is d_i."""
     from sympy import Matrix, ZZ
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
     n, m = len(A), len(A[0])
-    r, R = _working_modulus(A)
     assert all(D[i][j] == 0 for i in range(n) for j in range(m) if i != j)
-    diag = [D[i][i] for i in range(min(n, m))]
+    diag = [D[i][i] for i in range(n)]
     S = sympy_snf(Matrix(A), domain=ZZ)
-    assert diag == [abs(int(S[i, i])) for i in range(min(n, m))]
-    assert all(d > 0 for d in diag[:r]) and not any(diag[r:])
-    for a, b in zip(diag[:r], diag[1:r]):
+    assert diag == [abs(int(S[i, i])) for i in range(n)]
+    assert all(d > 0 for d in diag)
+    for a, b in zip(diag, diag[1:]):
         assert b % a == 0
-    assert R % prod(diag[:r]) == 0
+    assert R % prod(diag) == 0
     assert all(2 * abs(x) <= R for row in U for x in row)
     assert gcd(int(det(U)), R) == 1
     for i, row in enumerate(mat_mul(U, A)):
-        assert gcd(R, *row) == (diag[i] if i < r else R)
+        assert gcd(R, *row) == diag[i]
 
 
 @settings(max_examples=150, deadline=None)
 @given(small_matrix)
 def test_snf_properties(A):
-    D, U, V = smith_normal_form(A)
+    """Modulo |Delta|, a matrix of full row rank has its row transform;
+    one whose rank is visibly below its row count is refused."""
+    R = _full_rank_modulus(A)
+    if _visibly_deficient(A):
+        with pytest.raises(ValueError, match="rank below n"):
+            smith_normal_form(A, modulus=R or 1)
+        return
+    if R is None:
+        return
+    D, U, V = smith_normal_form(A, modulus=R)
     assert V == []
-    _check_row_transform(A, D, U)
+    _check_row_transform(A, D, U, R)
 
 
 def _snf_cases():
@@ -111,33 +131,37 @@ SNF_CASES = _snf_cases()
 
 
 def test_snf_transform_flags_agree_with_full_call():
-    """With no modulus the call takes R of _working_modulus itself; given
-    that R as `modulus` it returns the same U, and the same diagonal but
-    for the positions from the rank on, which it reads as gcd(0, R) = R.
-    A matrix whose rank is visibly below n, with fewer columns than rows or
-    a row of zeros, is refused given a modulus."""
+    """Modulo R = |Delta| of _full_rank_modulus, each case of full row rank
+    has its row transform, and modulo 6R the same diagonal: the invariant
+    factors do not depend on the multiple of the index.  A matrix whose
+    rank is visibly below n, with fewer columns than rows or a row of
+    zeros, is refused."""
+    full = 0
     for A in SNF_CASES:
-        D, U, V = smith_normal_form(A)
-        _check_row_transform(A, D, U)
-        r, R = _working_modulus(A)
-        if len(A[0]) < len(A) or not all(map(any, A)):
+        R = _full_rank_modulus(A)
+        if _visibly_deficient(A):
             with pytest.raises(ValueError, match="rank below n"):
-                smith_normal_form(A, modulus=R)
+                smith_normal_form(A, modulus=R or 1)
             continue
-        D2, U2, V2 = smith_normal_form(A, modulus=R)
-        assert U2 == U and V2 == V == []
-        k = min(len(A), len(A[0]))
-        assert [D2[i][i] for i in range(k)] == \
-            [D[i][i] if i < r else R for i in range(k)]
+        if R is None:
+            continue
+        full += 1
+        D, U, V = smith_normal_form(A, modulus=R)
+        _check_row_transform(A, D, U, R)
+        D2, _, V2 = smith_normal_form(A, modulus=6 * R)
+        assert V2 == V == []
+        assert [D2[i][i] for i in range(len(A))] == \
+            [D[i][i] for i in range(len(A))]
+    assert full >= 100
 
 
 def test_snf_unpacks_to_diagonal_transform_and_empty_v():
-    A = [[4, 2], [0, 2], [6, 6]]
-    out = smith_normal_form(A)
+    A = [[4, 0, 6], [2, 2, 6]]
+    out = smith_normal_form(A, modulus=8)
     assert len(out) == 3
     D, U, V = out
     assert [D[0][0], D[1][1]] == [2, 2]
-    assert len(U) == 3 and V == []
+    assert len(U) == 2 and V == []
     assert type(out) is tuple
 
 
@@ -146,9 +170,10 @@ def test_snf_q79_ray_class_relations_u_only():
     A = [[15251194969974, 0, 7625597484987, 4192643766891, -11212799052631],
          [0, 15251194969974, 7625597484987, 11058551203083, -14905223429924],
          [0, 0, 0, 0, 3]]
-    D, U, V = smith_normal_form(A)
+    R = _full_rank_modulus(A)
+    D, U, V = smith_normal_form(A, modulus=R)
     assert [D[i][i] for i in range(3)] == [1, 9, 15251194969974]
-    _check_row_transform(A, D, U)
+    _check_row_transform(A, D, U, R)
     assert V == []
 
 
@@ -157,11 +182,13 @@ def test_snf_diagonal_against_sympy():
     from sympy import Matrix, ZZ
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
     for A in SNF_CASES:
+        R = _full_rank_modulus(A)
+        if R is None:
+            continue
         S = sympy_snf(Matrix(A), domain=ZZ)
-        k = min(len(A), len(A[0]))
-        D, _, _ = smith_normal_form(A)
-        assert [D[i][i] for i in range(k)] == \
-            [abs(S[i, i]) for i in range(k)]
+        D, _, _ = smith_normal_form(A, modulus=R)
+        assert [D[i][i] for i in range(len(A))] == \
+            [abs(S[i, i]) for i in range(len(A))]
 
 
 # ------------------------------------------------------ SNF modulo R
@@ -184,8 +211,6 @@ def test_snf_modulo_determinant_5x5():
     assert gcd(int(det(U)), R) == 1
     for i, row in enumerate(mat_mul(U, FOUND_5X5)):
         assert gcd(R, *row) == D[i][i]
-    # with no modulus R is the last Bareiss pivot, here +-det
-    assert smith_normal_form(FOUND_5X5) == (D, U, V)
     assert prod(_pivots(hermite_form(list(zip(*FOUND_5X5)), 5, R))) == R
 
 
@@ -236,8 +261,8 @@ FULL_RANK_CASES = _full_rank_cases()
 
 def test_modular_presentation_random_full_rank():
     """Invariants against the determinantal divisors and against the Smith
-    form with no modulus, and projections against orders read off the
-    exact rational solve."""
+    form of A modulo R^2, another multiple of the index, and projections
+    against orders read off the exact rational solve."""
     rng = random.Random(4)
     for A, R in FULL_RANK_CASES:
         n = len(A)
@@ -245,7 +270,7 @@ def test_modular_presentation_random_full_rank():
         assert G.diag == _diagonal_by_minors(A)
         assert G.invariant_factors == tuple(d for d in G.diag if d > 1)
         assert G.order == R
-        D, _, _ = smith_normal_form(A)
+        D, _, _ = smith_normal_form(A, modulus=R * R)
         assert G.diag == [D[i][i] for i in range(n)]
         assert all(G.project(row) == group_identity(G) for row in A)
         tor = [i for i, d in enumerate(G.diag) if d > 1]
@@ -268,178 +293,80 @@ def test_modular_presentation_against_sympy():
         assert G.diag == [abs(int(S[i, i])) for i in range(len(A))]
 
 
-def test_exported_snf_of_wide_exponents_returns_with_no_modulus():
-    """The exports smith_presentation and smith_normal_form, with no
-    modulus, on WIDE_EXPONENTS (5 x 6) and its transpose: the exact
-    elimination they ran before did not return on the transpose in 15 s;
-    modulo |Delta| each call ends well inside a 1 s timer, which raises
-    in the test rather than let it hang.  The exponents have rank 5, so
-    every invariant is 1, and the group of the five rows on six
-    generators has one free coordinate."""
+def test_exported_snf_of_wide_exponents_returns_modulo_a_minor():
+    """The exports smith_normal_form and smith_presentation on
+    WIDE_EXPONENTS (5 x 6) and on its transpose, modulo R = |Delta| of
+    _full_rank_modulus: the exact elimination they ran before did not
+    return on the transpose in 15 s; modulo R each call ends well inside a
+    1 s timer, which raises in the test rather than let it hang.  The
+    exponents have rank 5, so every invariant is 1 and the group of the
+    six columns on five generators is trivial; the transpose, with fewer
+    columns than rows, is refused by smith_normal_form."""
     pytest.importorskip("sympy")
     from sympy import Matrix, ZZ
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    A = WIDE_EXPONENTS
+    R = _full_rank_modulus(A)
 
     def expired(*args):
         raise TimeoutError("the Smith form did not return in 1 s")
     handler = signal.signal(signal.SIGALRM, expired)
     signal.setitimer(signal.ITIMER_REAL, 1)
     try:
-        out = []
-        for A in (WIDE_EXPONENTS, [list(c) for c in zip(*WIDE_EXPONENTS)]):
-            out.append((A, smith_presentation(A, len(A[0])),
-                        smith_normal_form(A)))
+        D, _, _ = smith_normal_form(A, modulus=R)
+        G = smith_presentation([list(c) for c in zip(*A)], 5, modulus=R)
+        with pytest.raises(ValueError, match="rank below n"):
+            smith_normal_form([list(c) for c in zip(*A)], modulus=R)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, handler)
-    for A, G, (D, _, _) in out:
-        S = sympy_snf(Matrix(A), domain=ZZ)
-        assert [D[i][i] for i in range(5)] == \
-            [abs(int(S[i, i])) for i in range(5)] == [1] * 5
-        assert G.invariant_factors == () and G.free_rank == len(A[0]) - 5
-
-
-def _snf_grid():
-    """300 matrices up to 8 x 9 drawn once from a fixed seed: every third
-    a product B*C of inner size r below min(n, m), so rank-deficient, with
-    |entries| < 2^15, the others with |entries| <= 2^16, about a third of
-    them 0."""
-    rng = random.Random(52)
-    cases = []
-    for t in range(300):
-        n, m = rng.randint(1, 8), rng.randint(1, 9)
-        if t % 3 == 0:
-            r = rng.randint(0, min(n, m) - 1)
-            B = [[rng.randint(-2**4, 2**4) for _ in range(r)]
-                 for _ in range(n)]
-            C = [[rng.randint(-2**8, 2**8) for _ in range(m)]
-                 for _ in range(r)]
-            cases.append([[sum(B[i][k] * C[k][j] for k in range(r))
-                           for j in range(m)] for i in range(n)])
-        else:
-            cases.append([[rng.choice((0, rng.randint(-2**16, 2**16),
-                                       rng.randint(-2**16, 2**16)))
-                           for _ in range(m)] for _ in range(n)])
-    return cases
-
-
-def _check_torsion_projection(A):
-    """The group G of Z^n modulo the columns of A, presented with no
-    modulus: each torsion generator t_i, column i of W^-1 for sympy's
-    exact decomposition S = W*A*V with d_i = S_ii > 1, projects to an
-    element of order d_i, and the images generate all of the torsion
-    coordinates, so that project maps the torsion subgroup isomorphically
-    even when G is infinite."""
-    from sympy import Matrix, ZZ
-    from sympy.matrices.normalforms import smith_normal_decomp
-    n, m = len(A), len(A[0])
-    G = smith_presentation([list(c) for c in zip(*A)], n)
-    S, W, _ = smith_normal_decomp(Matrix(A), domain=ZZ)
-    Winv = W.inv()
-    torsion = [(abs(int(S[i, i])), [int(x) for x in Winv[:, i]])
-               for i in range(min(n, m)) if abs(int(S[i, i])) > 1]
-    assert G.invariant_factors == tuple(d for d, _ in torsion), A
-    images = [G.project(t) for _, t in torsion]
-    assert [element_order(G, g) for g in images] == \
-        [d for d, _ in torsion], A
-    T = FiniteAbelianGroup(list(G.invariant_factors))
-    assert subgroup_image_order(T, [g.coords for g in images]) == \
-        prod(G.invariant_factors), A
-
-
-def test_snf_with_no_modulus_on_a_seeded_grid():
-    """On _snf_grid, at least 100 of them rank-deficient: the diagonal of
-    smith_normal_form with no modulus is sympy's; its zeros, with the rows
-    past the m columns, count the n - rank free coordinates, as does
-    smith_presentation's free rank on the columns; D is diagonal, each
-    d_i up to the rank divides R of _working_modulus, and no entry of U
-    exceeds R/2 in absolute value.  On each case of rank below n, the
-    presentation's project is checked on the torsion subgroup."""
-    pytest.importorskip("sympy")
-    from sympy import Matrix, ZZ
-    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
-    deficient = 0
-    for A in _snf_grid():
-        n, m = len(A), len(A[0])
-        k = min(n, m)
-        r, R = _working_modulus(A)
-        deficient += r < k
-        D, U, _ = smith_normal_form(A)
-        S = sympy_snf(Matrix(A), domain=ZZ)
-        diag = [D[i][i] for i in range(k)]
-        assert diag == [abs(int(S[i, i])) for i in range(k)], A
-        assert diag.count(0) + max(0, n - m) == n - r
-        assert smith_presentation([list(c) for c in zip(*A)], n).free_rank \
-            == n - r
-        assert all(D[i][j] == 0 for i in range(n) for j in range(m)
-                   if i != j)
-        assert all(R % d == 0 for d in diag[:r])
-        assert all(2 * abs(x) <= R for row in U for x in row), A
-        if r < n:
-            _check_torsion_projection(A)
-    assert deficient >= 100
-
-
-def test_infinite_group_projects_its_torsion_faithfully():
-    """Z^2 modulo (0, 2): |Delta| = 2 is also the torsion invariant, so
-    modulo 2 alone the torsion row could read the free coordinate.  The
-    element (0, 1) has order 2 and projects to order 2.  The other cases
-    have invariants equal to |Delta| beside free coordinates, or none."""
-    pytest.importorskip("sympy")
-    G = smith_presentation([[0, 2]], 2)
-    assert G.invariant_factors == (2,) and G.free_rank == 1
-    assert element_order(G, G.project([0, 1])) == 2
-    for A in ([[0], [2]], [[2], [0]], [[0, 0], [3, 0], [0, 0]],
-              [[6, 0], [0, 0]], [[2], [4]], [[4, 6], [2, 4], [0, 0]]):
-        _check_torsion_projection(A)
+    S = sympy_snf(Matrix(A), domain=ZZ)
+    assert [D[i][i] for i in range(5)] == \
+        [abs(int(S[i, i])) for i in range(5)] == [1] * 5
+    assert G.invariant_factors == () and G.order == 1
 
 
 def test_presentation_diag_2_3():
-    G = smith_presentation([[2, 0], [0, 3]], 2)
+    G = smith_presentation([[2, 0], [0, 3]], 2, modulus=6)
     assert G.invariant_factors == (6,)
-    assert G.free_rank == 0
+    assert G.order == 6
 
 
 def test_presentation_example():
-    G = smith_presentation([[4, 2], [0, 2]], 2)
+    G = smith_presentation([[4, 2], [0, 2]], 2, modulus=8)
     assert G.invariant_factors == (2, 4)
 
 
-def test_presentation_free():
-    G = smith_presentation([], 2)
-    assert G.invariant_factors == ()
-    assert G.free_rank == 2
-
-
 def test_presentation_idempotent():
-    G = smith_presentation([[2, 0], [0, 4]], 2)
+    G = smith_presentation([[2, 0], [0, 4]], 2, modulus=8)
     H = smith_presentation([[G.invariant_factors[0], 0],
-                            [0, G.invariant_factors[1]]], 2)
+                            [0, G.invariant_factors[1]]], 2,
+                           modulus=G.order)
     assert H.invariant_factors == G.invariant_factors
 
 
 def test_project_consistency():
     rels = [[4, 2], [0, 2]]
-    G = smith_presentation(rels, 2)
+    G = smith_presentation(rels, 2, modulus=8)
     # every relation row must project to the identity
     for r in rels:
         assert G.project(r) == group_identity(G)
 
 
 def test_element_order_cases():
-    G = smith_presentation([[6]], 1)
+    G = smith_presentation([[6]], 1, modulus=6)
     assert G.invariant_factors == (6,)
     assert element_order(G, group_identity(G)) == 1
     assert element_order(G, G.element([2])) == 3
-    H = smith_presentation([[2, 0], [0, 4]], 2)
+    H = smith_presentation([[2, 0], [0, 4]], 2, modulus=8)
     assert element_order(H, H.element([1, 1])) == 4
 
 
 def test_subgroup_image_order_cases():
-    H = smith_presentation([[2, 0], [0, 4]], 2)
+    H = smith_presentation([[2, 0], [0, 4]], 2, modulus=8)
     assert subgroup_image_order(H, [H.element([1, 0]), H.element([0, 1])]) == 8
     assert subgroup_image_order(H, []) == 1
-    G = smith_presentation([[6]], 1)
+    G = smith_presentation([[6]], 1, modulus=6)
     assert subgroup_image_order(G, [G.element([2])]) == 3
 
 
@@ -478,9 +405,10 @@ def test_hermite_quotients_against_sympy():
         n = rng.randint(1, 4)
         rels = [[rng.randint(-30, 30) for _ in range(n)]
                 for _ in range(n + 1)] + [[0] * n]
-        G = smith_presentation(rels, n)
-        if G.free_rank:
+        R = _full_rank_modulus([list(c) for c in zip(*rels)])
+        if R is None:
             continue
+        G = smith_presentation(rels, n, modulus=R)
         gens = [[rng.randint(-40, 40) * rng.randint(0, 1) for _ in range(n)]
                 for _ in range(rng.randint(0, 3))]
         rows = rels + gens
@@ -510,34 +438,27 @@ def test_hermite_quotients_against_sympy():
 def test_matrix_rank_against_sympy():
     """matrix_rank's rank equals sympy's on 200 seeded integer matrices of
     up to 6 x 7, products of two random factors of a drawn inner size, so
-    that many fall short of full rank; zero rows and empty inputs too.
-    Its |Delta| is a multiple of d_1 * ... * d_r, sympy's invariant
-    factors up to the rank, as an r x r minor is, and 1 at rank 0."""
+    that many fall short of full rank; zero rows and empty inputs too."""
     pytest.importorskip("sympy")
-    from sympy import Matrix, ZZ
-    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    from sympy import Matrix
     rng = random.Random(46)
-    assert matrix_rank([]) == (0, 1)
-    assert matrix_rank([[0, 0], [0, 0]]) == (0, 1)
+    assert matrix_rank([]) == 0
+    assert matrix_rank([[0, 0], [0, 0]]) == 0
     for _ in range(200):
         n, m, r = rng.randint(1, 6), rng.randint(1, 7), rng.randint(0, 5)
         B = [[rng.randint(-9, 9) for _ in range(r)] for _ in range(n)]
         C = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(r)]
         A = [[sum(B[i][t] * C[t][j] for t in range(r)) for j in range(m)]
              for i in range(n)]
-        rank, delta = matrix_rank(A)
-        assert rank == Matrix(A).rank(), A
-        S = sympy_snf(Matrix(A), domain=ZZ)
-        assert delta > 0
-        assert delta % prod(int(S[i, i]) for i in range(rank)) == 0, A
+        assert matrix_rank(A) == Matrix(A).rank(), A
 
 
 def test_solve_dlog_cases():
-    G = smith_presentation([[9]], 1)
+    G = smith_presentation([[9]], 1, modulus=9)
     assert solve_dlog(G, G.element([1]), G.element([4])) == 4
-    H = smith_presentation([[6]], 1)
+    H = smith_presentation([[6]], 1, modulus=6)
     assert solve_dlog(H, H.element([2]), H.element([3])) is None
-    K = smith_presentation([[2, 0], [0, 4]], 2)
+    K = smith_presentation([[2, 0], [0, 4]], 2, modulus=8)
     n = solve_dlog(K, K.element([1, 1]), K.element([0, 2]))
     assert n is not None and K.scale(n, K.element([1, 1])) == K.element([0, 2])
 
@@ -551,7 +472,7 @@ def test_brute_force_equivalence_small_groups():
     for factors in [(2,), (8,), (2, 4), (3, 9), (2, 2, 4), (5, 25), (6, 12), (10, 1000)]:
         rels = [[factors[i] if j == i else 0 for j in range(len(factors))]
                 for i in range(len(factors))]
-        G = smith_presentation(rels, len(factors))
+        G = smith_presentation(rels, len(factors), modulus=prod(factors))
         elems = brute_elements(factors)
         order = 1
         for d in factors:
@@ -586,7 +507,7 @@ def test_brute_force_equivalence_small_groups():
 def test_dlog_brute_equivalence():
     rng = random.Random(8)
     factors = (4, 8)
-    G = smith_presentation([[4, 0], [0, 8]], 2)
+    G = smith_presentation([[4, 0], [0, 8]], 2, modulus=32)
     for _ in range(40):
         g = G.element([rng.randrange(d) for d in factors])
         h = G.element([rng.randrange(d) for d in factors])
@@ -633,20 +554,21 @@ def test_lattice_index():
     assert hermite_form([[2, 0], [0, 3]], 2, 36) == [[2, 0], [0, 3]]
     assert hermite_form([[1, 0], [0, 1]], 2, 1) == [[1, 0], [0, 1]]
     assert hermite_form([[4, 6], [0, 9]], 2, 72) == [[4, 6], [0, 9]]
-    G = smith_presentation([[2, 0], [0, 3]], 2)
+    G = smith_presentation([[2, 0], [0, 3]], 2, modulus=6)
     assert subgroup_image_order(G, [G.element([2])]) == 3
     assert subgroup_image_order(G, [(2,), (3,)]) == 6
 
 
 def test_snf_refuses_fewer_columns_than_rows_given_a_modulus():
-    """Given a modulus, the columns must span a lattice of full rank n:
-    fewer than n of them is refused, where the call with no modulus
-    reads a free coordinate."""
+    """The columns must span a lattice of full rank n: fewer than n of
+    them is refused, as is a presentation with fewer relations than
+    generators, whose group is infinite."""
     with pytest.raises(ValueError, match="rank below n"):
         smith_normal_form([[2], [3]], modulus=6)
     with pytest.raises(ValueError, match="rank below n"):
         smith_presentation([[4, 2]], 2, modulus=4)
-    assert smith_presentation([[4, 2]], 2).free_rank == 1
+    with pytest.raises(ValueError, match="rank below n"):
+        smith_presentation([], 2, modulus=1)
 
 
 def test_snf_refuses_a_coordinate_no_column_touches_given_a_modulus():
@@ -656,7 +578,32 @@ def test_snf_refuses_a_coordinate_no_column_touches_given_a_modulus():
         smith_normal_form([[2, 4, 6], [0, 0, 0]], modulus=2)
     with pytest.raises(ValueError, match="rank below n"):
         smith_presentation([[3, 0], [6, 0]], 2, modulus=9)
-    assert smith_presentation([[3, 0], [6, 0]], 2).free_rank == 1
+
+
+def test_snf_refuses_a_modulus_that_is_not_a_positive_int():
+    """The modulus has no default, and one below 1 or not an int is
+    refused by both exports, before any elimination."""
+    for bad in (0, -6, 6.0, "6", None):
+        with pytest.raises(ValueError, match="positive int"):
+            smith_normal_form([[2, 0], [0, 3]], modulus=bad)
+        with pytest.raises(ValueError, match="positive int"):
+            smith_presentation([[2, 0], [0, 3]], 2, modulus=bad)
+    with pytest.raises(TypeError):
+        smith_normal_form([[2, 0], [0, 3]])
+    with pytest.raises(TypeError):
+        smith_presentation([[2, 0], [0, 3]], 2)
+    assert smith_presentation([[2, 0], [0, 3]], 2, modulus=6).order == 6
+
+
+def test_group_refuses_a_diagonal_entry_below_1():
+    """A 0 in the diagonal, once a free coordinate, or a negative entry is
+    refused, not read as a trivial factor."""
+    for diag in ([0], [2, 0], [1, 0, 4], [-3], (0,)):
+        with pytest.raises(ValueError, match="below 1"):
+            FiniteAbelianGroup(diag)
+    G = FiniteAbelianGroup([1, 2, 4])
+    assert G.invariant_factors == (2, 4) and G.order == 8
+    assert FiniteAbelianGroup(()).order == 1
 
 
 def test_hermite_form_refuses_fewer_rows_than_coordinates():
@@ -685,7 +632,7 @@ def test_hermite_form_refuses_a_row_of_the_wrong_length():
 
 
 def _z2_z12():
-    G = smith_presentation([[4, 0], [0, 6]], 2)
+    G = smith_presentation([[4, 0], [0, 6]], 2, modulus=24)
     assert G.invariant_factors == (2, 12)
     return G
 
@@ -813,13 +760,13 @@ def test_lattice_intersection():
     B2 = [[1, 0], [0, 3]]
     I = lattice_intersection(B1, B2)
     # modulo |Delta|, a nonzero 2 x 2 minor, the form is the lattice's own
-    r, R = matrix_rank(list(zip(*I)))
-    assert r == 2
+    R = _full_rank_modulus(I)
+    assert R is not None
     assert hermite_form(list(zip(*I)), 2, R) == [[2, 0], [0, 3]]
 
 
 def test_subgroup_order_from_lattice():
-    G = smith_presentation([[4, 0], [0, 4]], 2)
+    G = smith_presentation([[4, 0], [0, 4]], 2, modulus=16)
     cols = [[2, 0], [0, 0]]  # lattice spanned by (2,0)
     assert subgroup_order_from_lattice(G, cols) == 2
 
@@ -908,7 +855,7 @@ def test_decompose_abelian_class_groups_d_below_2000():
 
 
 def test_cyclic_order_index_product():
-    G = smith_presentation([[12]], 1)
+    G = smith_presentation([[12]], 1, modulus=12)
     for c in range(12):
         g = G.element([c])
         o = element_order(G, g)

@@ -959,11 +959,14 @@ def test_s_unit_lattice_d10_interacting_classes():
     # both classes are the nontrivial element of Z/2
     data = SUnitBasisData(K, [q2, q3])
     # index of the kernel lattice in Z^2 must be 2: the product of its
-    # Hermite pivots modulo |Delta|, a nonzero 2 x 2 minor and so a
-    # multiple of the index, which makes the form exact
+    # Hermite pivots modulo R, a nonzero 2 x 2 minor and so a multiple of
+    # the index, which makes the form exact
+    from itertools import combinations
     from iwasawalab.abgroup import hermite_form, matrix_rank
-    r, R = matrix_rank(data.lattice)
-    assert r == 2
+    assert matrix_rank(data.lattice) == 2
+    R = next(abs(a[0] * b[1] - a[1] * b[0])
+             for a, b in combinations(data.lattice, 2)
+             if a[0] * b[1] != a[1] * b[0])
     H = hermite_form(data.lattice, 2, R)
     assert H[0][0] * H[1][1] == 2
     for entry in data.entries:

@@ -215,22 +215,32 @@ def _seeded_units(comp, rng, n=UNITS_PER_COMPONENT):
     return out
 
 
+def _law(comp):
+    """(mul, one) of the residues of a component: its own law for an inert
+    one, the law of Z/ell^e built from comp.mod for an integer one."""
+    if isinstance(comp, InertComponent):
+        return comp.mul, comp.one
+    return _int_mul(comp.mod), 1 % comp.mod
+
+
 def _rebuild(comp, ks):
-    x = comp.one
+    mul, one = _law(comp)
+    x = one
     for g, k in zip(comp.gens, ks):
-        x = comp.mul(x, _power(comp.mul, comp.one, g, k))
+        x = mul(x, _power(mul, one, g, k))
     return x
 
 
 def _power_table(comp):
     """Every product of powers of the generators, walked one at a time."""
-    table = {comp.one: []}
+    mul, one = _law(comp)
+    table = {one: []}
     for g, o in zip(comp.gens, comp.orders):
         grown = {}
         for x, ks in table.items():
             for k in range(o):
                 grown[x] = ks + [k]
-                x = comp.mul(x, g)
+                x = mul(x, g)
         table = grown
     assert len(table) == prod(comp.orders)
     return table
@@ -277,7 +287,7 @@ def _reference_torsion_dlog(comp, u):
     inert = isinstance(comp, InertComponent)
     n = ell * ell - 1 if inert else ell - 1
     unit_sz = ell**((2 if inert else 1) * (e - 1))
-    mul, one = comp.mul, comp.one
+    mul, one = _law(comp)
     k = ph_dlog(mul, one, _power(mul, one, comp.gens[0], unit_sz),
                 _power(mul, one, u, unit_sz), n, factorint(n))
     return k * pow(unit_sz % n, -1, n) % n

@@ -49,6 +49,11 @@
   an in-process probe runs the golden CLI calls and one call of each
   export with every dunder of `src/` wrapped, and records which ones a
   frame of `src/` called.
+- no function or method of `src/` that neither the golden CLI calls nor
+  the seed-1 batches of the benchmark's workloads enter, but those of
+  EXPORT_ONLY, each with the export that needs it: a global trace
+  function records each code object entered on that run, so a definition
+  that enters or leaves the set fails until the table is updated.
 
 Besides, `iwasawalab.__all__` names exactly what `__init__.py` imports.
 """
@@ -69,7 +74,7 @@ import pytest
 
 import iwasawalab
 from iwasawalab.cli import main
-from oracles import MEMO_TABLES, empty_memos
+from oracles import MEMO_TABLES, empty_memos, load_bench
 from test_golden import CASES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -120,10 +125,9 @@ DUNDERS_NOT_CALLED_FROM_SRC = {
          for op in ("add", "neg", "sub", "rmul")],
         "field arithmetic of an exported value type"),
     **dict.fromkeys(
-        ["FieldElement.__eq__", "FieldElement.__hash__",
+        ["FieldElement.__hash__",
          "GroupElement.__eq__", "GroupElement.__hash__",
-         "SplittingReport.__eq__", "SplittingReport.__hash__",
-         "SUnitBasisEntry.__eq__"],
+         "SplittingReport.__eq__", "SplittingReport.__hash__"],
         "value type: test_value_types holds it to its dataclass twin"),
     **dict.fromkeys(["RealQuadraticField.__repr__", "IntegralIdeal.__repr__"],
                     "the display of an exported value"),
@@ -135,6 +139,61 @@ DUNDERS_NOT_CALLED_FROM_SRC = {
     **dict.fromkeys(["Frozen.__setattr__", "Frozen.__delattr__"],
                     "refuses to change a value type, which no src/ code "
                     "tries"),
+}
+
+# module.Class.function of each function and method of src/ that the golden
+# CLI calls and the seed-1 batches of the benchmark never enter, but those
+# of CALLED_BY_NAME, with the export that needs it named first
+_ON_FIELD_ELEMENTS = "kummer_rank on field elements, through SUnitBasisData"
+_ENTRIES_COMPARED = ("kummer_rank on formal products over bases built "
+                     "apart, which compares their entries")
+EXPORT_ONLY = {
+    "abgroup.GroupElement.__eq__": "GroupElement: equality of a value type",
+    "abgroup.GroupElement.__hash__": "GroupElement: hash of a value type",
+    "abgroup.matrix_rank": "kummer_rank on field elements, the rank of "
+                           "their exponent matrix",
+    "abgroup.relation_lattice": _ON_FIELD_ELEMENTS,
+    "iwasawa.is_inert_in_cyclotomic": "is_inert_in_cyclotomic itself",
+    "kummer._support_primes": _ON_FIELD_ELEMENTS,
+    "kummer.kummer_rank": "kummer_rank itself",
+    "kummer.verify_alpha": "verify_alpha itself",
+    "localize.RankReport.__init__": "RankReport, which kummer_rank returns",
+    "localize._loc_rows": "loc and is_loc_torsion",
+    "localize.is_loc_torsion": "is_loc_torsion itself",
+    "localize.loc": "loc itself",
+    "localize.zp_matrix_rank": "kummer_rank on formal products",
+    "ntheory.Frozen.__delattr__":
+        "FieldElement and the other value types: refuses a change",
+    "ntheory.Frozen.__setattr__":
+        "FieldElement and the other value types: refuses a change",
+    "quadfield.FieldElement.__add__": "FieldElement arithmetic",
+    "quadfield.FieldElement.__eq__": _ENTRIES_COMPARED,
+    "quadfield.FieldElement.__hash__": "FieldElement: hash of a value type",
+    "quadfield.FieldElement.__neg__": "FieldElement arithmetic",
+    "quadfield.FieldElement.__pow__": _ON_FIELD_ELEMENTS,
+    "quadfield.FieldElement.__reduce__": "FieldElement: pickle and copy",
+    "quadfield.FieldElement.__sub__": "FieldElement arithmetic",
+    "quadfield.FieldElement.conj": "FieldElement arithmetic",
+    "quadfield.FieldElement.inv": _ON_FIELD_ELEMENTS,
+    "quadfield.IntegralIdeal.__reduce__": "IntegralIdeal: pickle and copy",
+    "quadfield.IntegralIdeal.__repr__": "IntegralIdeal: its display",
+    "quadfield.IntegralIdeal.conj": _ON_FIELD_ELEMENTS,
+    "quadfield.RealQuadraticField.__reduce__":
+        "RealQuadraticField: pickle and copy",
+    "quadfield.RealQuadraticField.__repr__":
+        "RealQuadraticField: its display",
+    "quadfield.RealQuadraticField.one": "RealQuadraticField: its unit",
+    "quadfield.SUnitBasisData.__init__": _ON_FIELD_ELEMENTS,
+    "quadfield.SUnitBasisData.decompose": _ON_FIELD_ELEMENTS,
+    "quadfield.SUnitBasisEntry.__eq__": _ENTRIES_COMPARED,
+    "quadfield.SUnitBasisEntry.__reduce__":
+        "SUnitBasisData: pickle and copy of its entries",
+    "quadfield.SplittingReport.__eq__":
+        "factor_rational_prime: equality of the report it returns",
+    "quadfield.SplittingReport.__hash__":
+        "factor_rational_prime: hash of the report it returns",
+    "quadfield._log_abs_max": _ON_FIELD_ELEMENTS,
+    "quadfield.unit_decompose": _ON_FIELD_ELEMENTS,
 }
 
 # module.function of each reader of ntheory.extgcd in src/: the one
@@ -363,6 +422,11 @@ def _export_calls():
     K = L.RealQuadraticField(79)
     q2, q5 = (L.factor_rational_prime(K, n).ideals[0] for n in (2, 5))
     x, y = L.FieldElement(K, 3, 1), L.FieldElement(K, 10)
+    QQ = L.RealQuadraticField.rationals()
+    primes = [L.rational_ideal(QQ, 2), L.rational_ideal(QQ, 5)]
+    # products over bases built apart: kummer_rank compares their entries
+    u, v = (L.SUnitProduct(L.SUnitBasisData(QQ, primes).entries, 3, e, 4)
+            for e in ([0, 1, 0], [0, 1, 1]))
     G, g = L.FiniteAbelianGroup([3, 9]), L.GroupElement((1, 2))
     gal = L.group_G(K, 3, 2)
     mq = L.mq_order(K, 3, (q2, q5), 2)
@@ -375,9 +439,10 @@ def _export_calls():
         "InternalCheckError": lambda: L.InternalCheckError("check failed"),
         "FiniteAbelianGroup": lambda: L.FiniteAbelianGroup([3, 9]),
         "GroupElement": lambda: L.GroupElement((1, 2)),
-        "smith_normal_form": lambda: L.smith_normal_form([[2, 4], [6, 8]]),
+        "smith_normal_form":
+            lambda: L.smith_normal_form([[2, 4], [6, 8]], modulus=8),
         "smith_presentation":
-            lambda: L.smith_presentation([[3, 0], [0, 9]], 2),
+            lambda: L.smith_presentation([[3, 0], [0, 9]], 2, modulus=27),
         "element_order": lambda: L.element_order(G, g),
         "subgroup_image_order": lambda: L.subgroup_image_order(G, [g]),
         "decompose_abelian": lambda: L.decompose_abelian(
@@ -424,7 +489,8 @@ def _export_calls():
             lambda: L.KummerCertificate(alpha, K, 3, 2, (q2, q5)),
         "construct_alpha": lambda: L.construct_alpha(K, 3, (q2, q5), 2),
         "verify_alpha": lambda: L.verify_alpha(alpha, K, 3, (q2, q5), 2),
-        "kummer_rank": lambda: L.kummer_rank([x, y], K, 3),
+        "kummer_rank": lambda: (L.kummer_rank([x, y], K, 3),
+                                L.kummer_rank([u, v], QQ, 3)),
     }
 
 
@@ -469,6 +535,93 @@ def test_dunder_probe_catches_an_operator_only_its_caller_calls(tmp_path):
     assert _dunders_not_called_from(
         [module], lambda: (module.double(one), two - one)) == \
         {"Number.__sub__"}
+
+
+def _never_entered(modules, run):
+    """module.Class.function of each function of `modules` at module level,
+    and each method of a class there, dunders included, whose code no frame
+    enters while `run()` runs: a global trace function records the code of
+    each frame entered, and turns down tracing inside it."""
+    entered = set()
+
+    def enter(frame, event, arg):
+        entered.add(frame.f_code)
+
+    previous = sys.gettrace()
+    sys.settrace(enter)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    seen = {(code.co_filename, code.co_qualname) for code in entered}
+    never = set()
+    for module in modules:
+        stem = module.__name__.rpartition(".")[2]
+        for node in ast.parse(Path(module.__file__).read_text()).body:
+            inside = node.body if isinstance(node, ast.ClassDef) else [node]
+            for item in inside:
+                if not isinstance(item, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+                    continue
+                qualname = item.name if item is node else \
+                    "%s.%s" % (node.name, item.name)
+                if (module.__file__, qualname) not in seen:
+                    never.add("%s.%s" % (stem, qualname))
+    return never
+
+
+def _cli_and_workloads():
+    """The golden CLI calls, then the seed-1 batch of each workload of the
+    benchmark answered in process, each from emptied memos."""
+    workloads = load_bench("workloads")
+    empty_memos()
+    for name, code, argv in CASES:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(list(argv)) == code, name
+    for workload in workloads.WORKLOADS:
+        empty_memos()
+        for query in workloads.batch(workload, 1):
+            workloads.answer(iwasawalab, query)
+    empty_memos()
+
+
+def test_every_definition_the_cli_and_the_workloads_skip_is_pinned(
+        monkeypatch):
+    """Each function and method of src/ that _cli_and_workloads never
+    enters, but those of CALLED_BY_NAME, is one of EXPORT_ONLY, which names
+    no other."""
+    monkeypatch.delenv("IWASAWA_LAB_PRECISION", raising=False)
+    modules = [importlib.import_module("iwasawalab." + path.stem)
+               for path in MODULES]
+    never = {name for name in _never_entered(modules, _cli_and_workloads)
+             if name.partition(".")[2] not in CALLED_BY_NAME}
+    assert never == set(EXPORT_ONLY)
+
+
+def test_every_export_only_entry_names_an_export():
+    """The reason of each EXPORT_ONLY entry starts with a name of
+    iwasawalab.__all__, the export that needs the definition."""
+    assert [name for name, reason in EXPORT_ONLY.items()
+            if reason.split()[0].rstrip(":,") not in iwasawalab.__all__] \
+        == []
+
+
+def test_reach_probe_reports_a_function_no_frame_enters(tmp_path):
+    """Of a module whose function and method the run calls, and whose other
+    function and dunder it does not, the probe reports those two alone."""
+    path = tmp_path / "reach_probed.py"
+    path.write_text("def used():\n    return Box(1).get()\n\n\n"
+                    "def unused():\n    return 2\n\n\n"
+                    "class Box:\n    def __init__(self, n):\n"
+                    "        self.n = n\n\n"
+                    "    def get(self):\n        return self.n\n\n"
+                    "    def __eq__(self, other):\n"
+                    "        return self.n == other.n\n")
+    spec = importlib.util.spec_from_file_location("reach_probed", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert _never_entered([module], module.used) == \
+        {"reach_probed.unused", "reach_probed.Box.__eq__"}
 
 
 def _imported_names(tree):
